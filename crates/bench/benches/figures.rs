@@ -4,7 +4,7 @@
 //! in its quick configuration and reports how long regeneration takes, so
 //! `cargo bench` doubles as a smoke-test that the evaluation still runs end
 //! to end.  The full-size figures are regenerated with the
-//! `nimbus-experiments` binary (see EXPERIMENTS.md).
+//! `nimbus-experiments` binary (see the README's "Verifying" section).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nimbus_bench::run_quick;

@@ -3,8 +3,9 @@
 //! The paper measured 25 real paths between EC2 instances and residential
 //! hosts.  We substitute a suite of 25 synthetic path profiles spanning the
 //! same regimes (deep-buffered clean paths, shallow/policed paths, lossy
-//! paths, varying RTTs and rates) — see DESIGN.md for the substitution
-//! rationale.  Cross traffic on each path is a light WAN-like mix.
+//! paths, varying RTTs and rates): real paths cannot be replayed offline,
+//! and the profiles keep each regime reproducible per seed.  Cross traffic
+//! on each path is a light WAN-like mix.
 
 use crate::output::ExperimentResult;
 use crate::runner::{run_scheme_vs_cross, EcnSpec, ScenarioSpec};
@@ -79,7 +80,7 @@ fn run_path(
         pie_target_s: None,
         loss_probability: path.loss,
         path: crate::runner::PathSpec::single(),
-        cross_flows: Vec::new(),
+        cross: Vec::new(),
         fleet: None,
         ecn: EcnSpec::Off,
     };

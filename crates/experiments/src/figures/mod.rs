@@ -10,11 +10,10 @@ pub mod multihop;
 pub mod robust;
 pub mod varying;
 
-use crate::runner::CrossFlowSpec;
 use crate::scheme::SchemeSpec;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
 use nimbus_transport::{
-    CcKind, PathInfo, PoissonSource, ScriptedSource, Sender, SenderConfig, Source,
+    BackloggedSource, CcKind, PathInfo, PoissonSource, ScriptedSource, Sender, SenderConfig, Source,
 };
 
 /// A backlogged elastic cross-flow using the given loss-based scheme.
@@ -42,8 +41,9 @@ pub fn elastic_cross_flow(
 /// algebra can express (including Nimbus wrappers) act as cross traffic.
 /// `mu_bps` is the nominal bottleneck rate handed to configured-µ wrappers
 /// (ignored by bare CCAs) and `seed` drives any randomized behaviour.
-/// Thin wrapper over [`CrossFlowSpec::build_labelled`], the single engine
-/// behind every spec-described cross flow.
+/// The flow negotiates ECN when its scheme is ECN-native (`dctcp`,
+/// `nimbus(competitive=dctcp)`).  This is the single lowering target of every
+/// spec-described scheme cross flow (`ScenarioSpec::cross`).
 pub fn scheme_cross_flow(
     label: &str,
     spec: &SchemeSpec,
@@ -53,10 +53,19 @@ pub fn scheme_cross_flow(
     start_s: f64,
     stop_s: Option<f64>,
 ) -> (FlowConfig, Box<dyn FlowEndpoint>) {
-    let mut flow = CrossFlowSpec::new(*spec).starting_at(start_s);
-    flow.rtt_s = rtt_s;
-    flow.stop_s = stop_s;
-    flow.build_labelled(label, mu_bps, seed)
+    let mut sender_cfg = SenderConfig::labelled(label);
+    if let Some(stop) = stop_s {
+        sender_cfg = sender_cfg.stopping_at(Time::from_secs_f64(stop));
+    }
+    let cfg = FlowConfig::cross(label, Time::from_secs_f64(rtt_s), spec.is_elastic())
+        .with_ecn(spec.uses_ecn())
+        .starting_at(Time::from_secs_f64(start_s));
+    let ep: Box<dyn FlowEndpoint> = Box::new(Sender::new(
+        sender_cfg,
+        spec.build_cc(mu_bps, seed, None),
+        Box::new(BackloggedSource),
+    ));
+    (cfg, ep)
 }
 
 /// An inelastic Poisson cross-traffic aggregate at `rate_bps`.

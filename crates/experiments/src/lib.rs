@@ -24,23 +24,25 @@
 #![warn(rust_2018_idioms)]
 
 pub mod figures;
+pub mod grammar;
 pub mod output;
 pub mod runner;
 pub mod scheme;
 pub mod sweep;
 pub mod testkit;
 
+pub use grammar::ParseError;
 pub use output::ExperimentResult;
 pub use runner::{
-    CrossFlowSpec, EcnSpec, FleetSpec, HopSpec, LinkScheduleSpec, PathSpec, ScenarioSpec,
+    CrossSpec, EcnSpec, FleetSpec, HopSpec, LinkScheduleSpec, PathSpec, ScenarioSpec,
     SingleFlowMetrics,
 };
-pub use scheme::{MuSpec, NimbusSpec, ParseSchemeError, SchemeSpec, SwitchSpec};
+pub use scheme::{MuSpec, NimbusSpec, SchemeSpec, SwitchSpec};
 pub use sweep::{run_sweep, sweep_matrix, sweep_matrix_with, SweepConfig, SweepReport};
 pub use testkit::{
-    ecn_cells, estimator_cells, fleet_cells, legacy_single_bottleneck_cells, multihop_cells,
-    paper_invariant_matrix, parallel_map, run_matrix, spec_combination_cells, Cell, CellOutcome,
-    CrossTraffic, Invariants,
+    cells, ecn_cells, estimator_cells, fleet_cells, multihop_cells, paper_invariant_matrix,
+    parallel_map, run_matrix, single_bottleneck_cells, spec_combination_cells, Cell, CellOutcome,
+    Invariants,
 };
 
 /// Names of every experiment the harness can regenerate, in paper order.

@@ -13,7 +13,9 @@
 //! to replace the sweep's scheme axis.  `--ecn` takes an
 //! [`EcnSpec`](nimbus_experiments::EcnSpec) string (`off`, `classic`,
 //! `l4s`, `step(<duration>)`) and runs every cell with that marking
-//! profile on the primary bottleneck.
+//! profile on the primary bottleneck.  `--help` prints the whole spec
+//! grammar from the parsers' own option tables
+//! ([`grammar_reference`](nimbus_experiments::runner::grammar_reference)).
 //!
 //! `sweep-check` fails (exit 1) when any cell's events/sec regressed more
 //! than the threshold (default 0.3 = 30%) versus the baseline, unless the
@@ -25,79 +27,57 @@ use nimbus_experiments::{
 };
 use std::path::PathBuf;
 
+/// The operand of `flag`, if the flag is present; a flag present without its
+/// operand is an error, not a silent no-op.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
+    args.iter().position(|a| a == flag).map(|i| {
+        args.get(i + 1).unwrap_or_else(|| {
+            eprintln!("{flag} requires a value");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// Parse a flag operand, exiting with the parser's own message on failure.
+fn parse_or_exit<T: std::str::FromStr>(text: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 fn run_sweep_command(args: &[String]) -> ! {
     let mut cfg = SweepConfig {
         quick: args.iter().any(|a| a == "--quick"),
         ..SweepConfig::default()
     };
-    // A flag present without its value operand is an error, not a silent no-op.
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n > 0 => cfg.threads = Some(n),
+    if let Some(v) = flag_value(args, "--threads") {
+        match v.parse::<usize>() {
+            Ok(n) if n > 0 => cfg.threads = Some(n),
             _ => {
-                eprintln!(
-                    "invalid or missing --threads value: {}",
-                    args.get(i + 1).map(String::as_str).unwrap_or("<none>")
-                );
+                eprintln!("invalid --threads value: {v}");
                 std::process::exit(2);
             }
         }
     }
-    if let Some(i) = args.iter().position(|a| a == "--out") {
-        match args.get(i + 1) {
-            Some(out) => cfg.out = PathBuf::from(out),
-            None => {
-                eprintln!("--out requires a path");
-                std::process::exit(2);
-            }
-        }
+    if let Some(out) = flag_value(args, "--out") {
+        cfg.out = PathBuf::from(out);
     }
     // Optional per-cell wall-time dump in flamegraph folded-stack format.
-    let timings_path = match args.iter().position(|a| a == "--timings") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) => Some(PathBuf::from(p)),
-            None => {
-                eprintln!("--timings requires a path");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
+    let timings_path = flag_value(args, "--timings").map(PathBuf::from);
     // Repeated `--scheme SPEC` flags replace the matrix's scheme axis.
-    let mut schemes: Vec<SchemeSpec> = Vec::new();
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--scheme" {
-            match args.get(i + 1) {
-                Some(text) => match text.parse::<SchemeSpec>() {
-                    Ok(spec) => schemes.push(spec),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                },
-                None => {
-                    eprintln!("--scheme requires a spec string, e.g. 'nimbus(competitive=reno)'");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
+    let schemes: Vec<SchemeSpec> = (0..args.len())
+        .filter(|&i| args[i] == "--scheme")
+        .filter_map(|i| flag_value(&args[i..], "--scheme"))
+        .map(|text| parse_or_exit(text))
+        .collect();
     if !schemes.is_empty() {
         cfg.schemes = Some(schemes);
     }
-    if let Some(i) = args.iter().position(|a| a == "--ecn") {
-        match args.get(i + 1).map(|v| v.parse::<EcnSpec>()) {
-            Some(Ok(ecn)) => cfg.ecn = Some(ecn),
-            Some(Err(e)) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-            None => {
-                eprintln!("--ecn requires a marking spec: off, classic, l4s, or step(<duration>)");
-                std::process::exit(2);
-            }
-        }
-    }
+    cfg.ecn = flag_value(args, "--ecn").map(|text| parse_or_exit::<EcnSpec>(text));
     match nimbus_experiments::run_sweep(&cfg) {
         Ok(report) => {
             println!("{}", nimbus_experiments::sweep::report_table(&report));
@@ -128,14 +108,7 @@ fn run_sweep_command(args: &[String]) -> ! {
 }
 
 fn run_sweep_check_command(args: &[String]) -> ! {
-    let arg_value = |flag: &str| -> Option<&String> {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("{flag} requires a value");
-                std::process::exit(2);
-            })
-        })
-    };
+    let arg_value = |flag: &str| flag_value(args, flag);
     let baseline_path = PathBuf::from(
         arg_value("--baseline")
             .map(String::as_str)
@@ -208,10 +181,8 @@ fn main() {
         eprintln!(
             "       nimbus-experiments sweep-check --baseline PATH --current PATH [--threshold FRAC]"
         );
-        eprintln!("scheme specs: bare CCAs (cubic, newreno, vegas, copa, bbr, vivace, compound,");
-        eprintln!("  constant(<rate>)) or nimbus(competitive=cubic|reno, delay=basic|copa|vegas,");
-        eprintln!("  mu=configured|learned, switch=auto|never)");
-        eprintln!("ecn specs: off, classic, l4s, step(<duration>) e.g. step(5ms)");
+        eprintln!("spec grammar (--scheme takes a <scheme>, --ecn the value of ecn=):");
+        eprintln!("{}", nimbus_experiments::runner::grammar_reference());
         eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }

@@ -1,15 +1,31 @@
-//! Scenario construction and post-run metric extraction shared by every figure.
+//! The one scenario description ([`ScenarioSpec`] and its sub-specs, each
+//! with its canonical string form), network construction, and post-run metric
+//! extraction shared by every figure.
+//!
+//! # Scenario grammar
+//!
+//! Every spec type here prints ([`std::fmt::Display`]) and parses
+//! ([`std::str::FromStr`]) one canonical string through the shared
+//! [`grammar`] tokenizer; [`grammar_reference`] renders the
+//! whole grammar from the option tables.
 
-use crate::scheme::{ParseSchemeError, SchemeSpec};
+use crate::figures::{cbr_cross_flow, poisson_cross_flow, scheme_cross_flow};
+use crate::grammar::{
+    self, choice_opt, duration, field_opt, fmt_duration, fmt_size, instant, key_value, parsed,
+    positive, split_call, split_top_level, Opt, ParseError,
+};
+use crate::scheme::{SchemeSpec, BARE_SCHEMES, NIMBUS};
 use nimbus_core::{Mode, MultiflowConfig, NimbusController};
 use nimbus_netsim::{
     EcnMarking, FlowConfig, FlowEndpoint, FlowHandle, LinkConfig, LossModel, Network, QueueKind,
     RateSchedule, Recorder, SimConfig, Time,
 };
-use nimbus_traffic::fleet::{ArrivalProcess, FleetSpawner, FleetWorkloadConfig};
+use nimbus_traffic::fleet::{
+    ArrivalProcess, FleetSpawner, FleetWorkloadConfig, DEFAULT_BURSTY_ALPHA,
+};
 use nimbus_traffic::wan::CcKindSerde;
 use nimbus_traffic::FlowSizeDistribution;
-use nimbus_transport::{BackloggedSource, Sender, SenderConfig};
+use nimbus_transport::{format_rate_bps, Sender};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
@@ -18,7 +34,7 @@ use std::str::FromStr;
 /// scenario's base `link_rate_bps` so the same shape can be swept across
 /// link rates.  Converted to a concrete [`RateSchedule`] at network-build
 /// time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LinkScheduleSpec {
     /// The classic fixed-rate link.
     Constant,
@@ -68,6 +84,10 @@ pub enum LinkScheduleSpec {
 
 impl LinkScheduleSpec {
     /// Materialize the schedule against a concrete base rate.
+    ///
+    /// # Panics
+    /// Panics on an unknown built-in trace name or an unloadable trace
+    /// file; a parsed spec ([`FromStr`]) has been checked for both.
     pub fn to_schedule(&self, base_bps: f64) -> RateSchedule {
         match self {
             LinkScheduleSpec::Constant => RateSchedule::constant(base_bps),
@@ -94,12 +114,7 @@ impl LinkScheduleSpec {
                 true,
             ),
             LinkScheduleSpec::NamedTrace { name } => RateSchedule::builtin_trace(name, base_bps)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "unknown built-in trace `{name}` (available: {})",
-                        RateSchedule::builtin_trace_names().join(", ")
-                    )
-                }),
+                .unwrap_or_else(|| panic!("{}", unknown_trace(name))),
             LinkScheduleSpec::TraceFile { path } => RateSchedule::from_mahimahi_file(path)
                 .unwrap_or_else(|e| panic!("cannot load mahimahi trace: {e}")),
         }
@@ -130,6 +145,114 @@ impl LinkScheduleSpec {
     }
 }
 
+fn unknown_trace(name: &str) -> String {
+    format!(
+        "unknown built-in trace `{name}` (available: {})",
+        RateSchedule::builtin_trace_names().join(", ")
+    )
+}
+
+/// The schedule forms, for error text and [`grammar_reference`].
+const SCHEDULE_FORMS: &str = "const | step(<at>,<factor>) | steps(<at>=<factor>,…) \
+    | sin(<amplitude>,<period>) | trace(<interval>,<factor>,…) | trace-<name> | mm(<path>)";
+
+impl fmt::Display for LinkScheduleSpec {
+    /// The canonical re-parseable form; factors and amplitudes are fractions
+    /// of the base rate (unlike the rounded percentages of [`Self::label`]).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let join = |items: Vec<String>| items.join(",");
+        match self {
+            LinkScheduleSpec::Constant => write!(f, "const"),
+            LinkScheduleSpec::Step { at_s, factor } => {
+                write!(f, "step({},{factor})", fmt_duration(at_s))
+            }
+            LinkScheduleSpec::Steps { steps } => {
+                let steps = steps
+                    .iter()
+                    .map(|(t, factor)| format!("{}={factor}", fmt_duration(t)));
+                write!(f, "steps({})", join(steps.collect()))
+            }
+            LinkScheduleSpec::Sinusoid {
+                amplitude_frac,
+                period_s,
+            } => write!(f, "sin({amplitude_frac},{})", fmt_duration(period_s)),
+            LinkScheduleSpec::Trace {
+                interval_s,
+                factors,
+            } => {
+                let factors = factors.iter().map(f64::to_string);
+                write!(
+                    f,
+                    "trace({},{})",
+                    fmt_duration(interval_s),
+                    join(factors.collect())
+                )
+            }
+            LinkScheduleSpec::NamedTrace { name } => write!(f, "trace-{name}"),
+            LinkScheduleSpec::TraceFile { path } => write!(f, "mm({path})"),
+        }
+    }
+}
+
+impl FromStr for LinkScheduleSpec {
+    type Err = ParseError;
+
+    /// Parse a schedule.  Named traces are checked against the built-in
+    /// catalogue and trace files are loaded once here, so a parsed spec
+    /// cannot reach [`LinkScheduleSpec::to_schedule`]'s panics.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let s = s.trim();
+        if let Some(name) = s.strip_prefix("trace-") {
+            if !RateSchedule::builtin_trace_names().contains(&name) {
+                return Err(ParseError(unknown_trace(name)));
+            }
+            return Ok(LinkScheduleSpec::NamedTrace {
+                name: name.to_string(),
+            });
+        }
+        let (head, inner) = split_call(s)?;
+        if let ("mm", Some(path)) = (head, inner) {
+            RateSchedule::from_mahimahi_file(path)
+                .map_err(|e| ParseError(format!("cannot load mahimahi trace: {e}")))?;
+            return Ok(LinkScheduleSpec::TraceFile {
+                path: path.to_string(),
+            });
+        }
+        let args = inner.map_or_else(Vec::new, |i| split_top_level(i, ','));
+        match (head, args.as_slice()) {
+            ("const", []) => Ok(LinkScheduleSpec::Constant),
+            ("step", [at, factor]) => Ok(LinkScheduleSpec::Step {
+                at_s: instant("step time", at)?,
+                factor: positive("step factor", factor)?,
+            }),
+            ("steps", [_, ..]) => {
+                let step = |pair: &&str| {
+                    let (at, factor) = key_value(pair).ok_or_else(|| {
+                        ParseError(format!("staircase step `{pair}` is not <at>=<factor>"))
+                    })?;
+                    Ok((instant("step time", at)?, positive("step factor", factor)?))
+                };
+                let steps = args.iter().map(step).collect::<Result<_, ParseError>>()?;
+                Ok(LinkScheduleSpec::Steps { steps })
+            }
+            ("sin", [amplitude, period]) => Ok(LinkScheduleSpec::Sinusoid {
+                amplitude_frac: positive("sinusoid amplitude", amplitude)?,
+                period_s: duration("sinusoid period", period)?,
+            }),
+            ("trace", [interval, factors @ ..]) if !factors.is_empty() => {
+                let factors = factors.iter().map(|f| positive("trace factor", f));
+                Ok(LinkScheduleSpec::Trace {
+                    interval_s: duration("trace interval", interval)?,
+                    factors: factors.collect::<Result<_, _>>()?,
+                })
+            }
+            _ => Err(ParseError(format!(
+                "unknown schedule `{s}` (expected {SCHEDULE_FORMS})"
+            ))),
+        }
+    }
+}
+
 /// The `ecn=` axis of the scenario grammar: whether — and how — a hop marks
 /// ECT packets instead of dropping them.
 ///
@@ -151,6 +274,20 @@ pub enum EcnSpec {
         /// Queue sojourn above which every ECT packet is marked, seconds.
         threshold_s: f64,
     },
+}
+
+/// The named `ecn=` modes (canonical name first); `step(<dur>)` is the one
+/// parameterised form beside them.
+const ECN_MODES: &[(&str, EcnSpec)] = &[
+    ("off", EcnSpec::Off),
+    ("none", EcnSpec::Off),
+    ("classic", EcnSpec::Classic),
+    ("ecn", EcnSpec::Classic),
+    ("l4s", EcnSpec::Step { threshold_s: 0.001 }),
+];
+
+fn ecn_hint() -> String {
+    format!("{}|step(<dur>)", grammar::choices(ECN_MODES))
 }
 
 impl EcnSpec {
@@ -187,76 +324,33 @@ impl EcnSpec {
 
 impl fmt::Display for EcnSpec {
     /// Canonical re-parseable form: `off`, `classic`, `l4s` (the 1 ms step),
-    /// or `step(<ms>ms)`.
+    /// or `step(<dur>)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            EcnSpec::Off => write!(f, "off"),
-            EcnSpec::Classic => write!(f, "classic"),
-            EcnSpec::Step { threshold_s: 0.001 } => write!(f, "l4s"),
-            EcnSpec::Step { threshold_s } => write!(f, "step({}ms)", threshold_s * 1000.0),
+        match (ECN_MODES.iter().find(|(_, mode)| mode == self), self) {
+            (Some((name, _)), _) => write!(f, "{name}"),
+            (None, EcnSpec::Step { threshold_s }) => {
+                write!(f, "step({})", fmt_duration(threshold_s))
+            }
+            (None, _) => unreachable!("every unparameterised mode is in ECN_MODES"),
         }
     }
 }
 
 impl FromStr for EcnSpec {
-    type Err = ParseSchemeError;
+    type Err = ParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let t = s.trim().to_ascii_lowercase();
-        match t.as_str() {
-            "off" | "none" => return Ok(EcnSpec::Off),
-            "classic" | "ecn" => return Ok(EcnSpec::Classic),
-            "l4s" => return Ok(EcnSpec::l4s()),
-            _ => {}
+        if let Some(&(_, mode)) = ECN_MODES.iter().find(|&&(name, _)| name == t) {
+            return Ok(mode);
         }
-        if let Some(rest) = t.strip_prefix("step(") {
-            let inner = rest
-                .strip_suffix(')')
-                .ok_or_else(|| ParseSchemeError(format!("`{s}` is missing the closing `)`")))?;
-            let inner = inner.trim();
-            let (num, scale) = if let Some(v) = inner.strip_suffix("ms") {
-                (v, 1e-3)
-            } else if let Some(v) = inner.strip_suffix('s') {
-                (v, 1.0)
-            } else {
-                (inner, 1.0)
-            };
-            let v: f64 = num.trim().parse().map_err(|_| {
-                ParseSchemeError(format!(
-                    "invalid step threshold `{inner}` (expected e.g. step(1ms) or step(0.005s))"
-                ))
-            })?;
-            if !(v > 0.0 && v.is_finite()) {
-                return Err(ParseSchemeError(format!(
-                    "step threshold `{inner}` must be a positive duration"
-                )));
-            }
-            return Ok(EcnSpec::Step {
-                threshold_s: v * scale,
-            });
-        }
-        Err(ParseSchemeError(format!(
-            "unknown ecn mode `{s}` (expected off, classic, l4s, or step(<ms>ms))"
-        )))
-    }
-}
-
-impl Serialize for EcnSpec {
-    /// Serialized as the canonical `ecn=` string.
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for EcnSpec {
-    /// Deserialized from the canonical string; `null` (a field absent from
-    /// pre-ECN serialized scenarios) reads as `Off`.
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Null => Ok(EcnSpec::Off),
-            serde::Value::Str(s) => s.parse().map_err(|e: ParseSchemeError| serde::Error(e.0)),
-            other => Err(serde::Error(format!(
-                "expected ecn spec string, got {other:?}"
+        match split_call(&t)? {
+            ("step", Some(threshold)) => Ok(EcnSpec::Step {
+                threshold_s: duration("step threshold", threshold)?,
+            }),
+            _ => Err(ParseError(format!(
+                "unknown ecn mode `{s}` (expected {})",
+                ecn_hint()
             ))),
         }
     }
@@ -265,7 +359,7 @@ impl Deserialize for EcnSpec {
 /// One additional hop appended after the scenario's primary (hop-0)
 /// bottleneck, described relative to the scenario's base `link_rate_bps` so
 /// the same path shape can be swept across link rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HopSpec {
     /// The hop's base rate as a fraction of the scenario's `link_rate_bps`
     /// (< 1.0 makes this hop the path's bottleneck).
@@ -281,6 +375,38 @@ pub struct HopSpec {
     pub ecn: EcnSpec,
 }
 
+/// The options after the rate factor in `hop(<factor>,…)`.
+const HOP: &[Opt<HopSpec>] = &[
+    field_opt!(
+        "sched",
+        "",
+        "<schedule>",
+        parsed,
+        LinkScheduleSpec::to_string,
+        schedule,
+        LinkScheduleSpec::Constant
+    ),
+    field_opt!("buffer", "", "<dur>", duration, fmt_duration, buffer_s, 0.1),
+    field_opt!(
+        "delay",
+        "",
+        "<dur>",
+        duration,
+        fmt_duration,
+        prop_delay_s,
+        0.01
+    ),
+    field_opt!(
+        "ecn",
+        "",
+        ecn_hint(),
+        parsed,
+        EcnSpec::to_string,
+        ecn,
+        EcnSpec::Off
+    ),
+];
+
 impl HopSpec {
     /// A constant-rate drop-tail hop at `rate_factor·base` with 100 ms of
     /// buffering and 10 ms of upstream propagation.
@@ -293,17 +419,34 @@ impl HopSpec {
             ecn: EcnSpec::Off,
         }
     }
+}
 
-    /// Replace the hop's schedule (builder style).
-    pub fn with_schedule(mut self, schedule: LinkScheduleSpec) -> Self {
-        self.schedule = schedule;
-        self
+impl fmt::Display for HopSpec {
+    /// `hop(<factor>)`, followed by the non-default `HOP` options.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "hop({}", self.rate_factor)?;
+        match grammar::show_opts(HOP, self, ",") {
+            opts if opts.is_empty() => write!(f, ")"),
+            opts => write!(f, ",{opts})"),
+        }
     }
+}
 
-    /// Mark instead of dropping on this hop (builder style).
-    pub fn with_ecn(mut self, ecn: EcnSpec) -> Self {
-        self.ecn = ecn;
-        self
+impl FromStr for HopSpec {
+    type Err = ParseError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let ("hop", Some(inner)) = split_call(s)? else {
+            return Err(ParseError(format!(
+                "`{s}` is not a hop: expected hop(<factor>[,{}])",
+                grammar::expected(HOP)
+            )));
+        };
+        let factor = split_top_level(inner, ',')[0];
+        let mut hop = HopSpec::constant(positive("hop rate factor", factor)?);
+        let opts = inner[factor.len()..].trim_start_matches(',');
+        grammar::set_opts("hop", HOP, &mut hop, opts)?;
+        Ok(hop)
     }
 }
 
@@ -311,7 +454,7 @@ impl HopSpec {
 /// empty) chain of extra hops the packets traverse after hop 0.  The default
 /// — no extra hops — is the paper's single-bottleneck dumbbell, and every
 /// pre-path scenario is exactly a `PathSpec::single()` path.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PathSpec {
     /// Hops appended after the primary bottleneck, in path order.
     pub extra_hops: Vec<HopSpec>,
@@ -340,14 +483,11 @@ impl PathSpec {
     pub fn moving_bottleneck(low_factor: f64, swap_at_s: f64) -> Self {
         PathSpec {
             extra_hops: vec![HopSpec {
-                rate_factor: low_factor,
                 schedule: LinkScheduleSpec::Step {
                     at_s: swap_at_s,
                     factor: 1.0 / low_factor,
                 },
-                buffer_s: 0.1,
-                prop_delay_s: 0.01,
-                ecn: EcnSpec::Off,
+                ..HopSpec::constant(low_factor)
             }],
         }
     }
@@ -410,129 +550,144 @@ impl PathSpec {
     }
 }
 
-/// One cross-traffic flow described entirely by a [`SchemeSpec`], so a
-/// scenario can place *any* scheme — a bare CCA, a CBR aggregate, or another
-/// Nimbus wrapper — in competition with the monitored flow, on any segment
-/// of the path.  This is what makes heterogeneous-competition scenarios
-/// (e.g. nimbus vs. standalone Copa vs. Cubic on one bottleneck)
-/// declarative.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CrossFlowSpec {
-    /// The scheme this flow runs.
-    pub scheme: SchemeSpec,
-    /// Flow label; defaults to `<scheme-label>-cross<index>`.
-    pub label: Option<String>,
-    /// When the flow starts, seconds.
-    pub start_s: f64,
-    /// When the application goes away, seconds (`None` = whole run).
-    pub stop_s: Option<f64>,
-    /// Propagation RTT, seconds.
-    pub rtt_s: f64,
-    /// The hop this flow enters the path at.
-    pub entry_hop: usize,
-    /// The last hop this flow traverses (`None` = the path's tail).
-    pub exit_hop: Option<usize>,
-    /// Whether this flow negotiates ECN (sets ECT on its packets).  `None`
-    /// means automatic: ECN-native schemes (`dctcp`,
-    /// `nimbus(competitive=dctcp)`) negotiate it, everything else follows
-    /// the scenario's `ecn=` axis.
-    pub ecn: Option<bool>,
+impl fmt::Display for PathSpec {
+    /// The extra hops as space-separated `hop(…)` tokens (empty for the
+    /// single-bottleneck path).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let hops: Vec<String> = self.extra_hops.iter().map(HopSpec::to_string).collect();
+        write!(f, "{}", hops.join(" "))
+    }
 }
 
-impl CrossFlowSpec {
-    /// A backlogged cross flow running `scheme` for the whole run on the
-    /// whole path, 50 ms RTT.
-    pub fn new(scheme: SchemeSpec) -> Self {
-        CrossFlowSpec {
-            scheme,
-            label: None,
-            start_s: 0.0,
-            stop_s: None,
-            rtt_s: 0.05,
-            entry_hop: 0,
-            exit_hop: None,
-            ecn: None,
+impl FromStr for PathSpec {
+    type Err = ParseError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let hops = grammar::tokens(s)?.into_iter().map(str::parse);
+        Ok(PathSpec {
+            extra_hops: hops.collect::<Result<_, _>>()?,
+        })
+    }
+}
+
+/// One static cross-traffic flow sharing the path with the monitored flow.
+/// A scenario carries a list of these ([`ScenarioSpec::cross`]): empty is
+/// "alone", several entries are heterogeneous competition on one bottleneck
+/// (e.g. nimbus vs. standalone Copa vs. Cubic).  Rates of the inelastic
+/// families are fractions of the *hop-0 base* rate; all cross flows have a
+/// 50 ms RTT and run for the whole scenario.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CrossSpec {
+    /// Constant-bit-rate (inelastic) traffic at this fraction of µ.
+    Cbr {
+        /// Offered CBR rate as a fraction of the bottleneck rate.
+        fraction_of_mu: f64,
+    },
+    /// Poisson (inelastic) traffic at this fraction of µ.
+    Poisson {
+        /// Mean offered rate as a fraction of the bottleneck rate.
+        fraction_of_mu: f64,
+    },
+    /// One backlogged competitor running any scheme the algebra can express
+    /// — a bare CCA, a paced `constant(<rate>)`, or another Nimbus wrapper.
+    Scheme {
+        /// The competitor's scheme.
+        spec: SchemeSpec,
+        /// Confine the flow to hops `[enter, exit]` of a multi-hop path
+        /// (`None` = the whole path).
+        hops: Option<(usize, usize)>,
+    },
+}
+
+impl CrossSpec {
+    /// The classic single backlogged Cubic competitor on the whole path.
+    pub fn cubic() -> Self {
+        CrossSpec::Scheme {
+            spec: SchemeSpec::cubic(),
+            hops: None,
         }
     }
 
-    /// Force ECN negotiation on or off for this flow (builder style).
-    pub fn with_ecn(mut self, ecn: bool) -> Self {
-        self.ecn = Some(ecn);
-        self
-    }
-
-    /// Set the start time (builder style).
-    pub fn starting_at(mut self, start_s: f64) -> Self {
-        self.start_s = start_s;
-        self
-    }
-
-    /// Stop the flow at `stop_s` (builder style).
-    pub fn stopping_at(mut self, stop_s: f64) -> Self {
-        self.stop_s = Some(stop_s);
-        self
-    }
-
-    /// Confine the flow to hops `[enter, exit]` of the path (builder style).
-    pub fn on_hops(mut self, enter: usize, exit: usize) -> Self {
-        self.entry_hop = enter;
-        self.exit_hop = Some(exit);
-        self
-    }
-
-    /// Override the flow label (builder style).
-    pub fn labelled(mut self, label: &str) -> Self {
-        self.label = Some(label.to_string());
-        self
-    }
-
-    /// Materialize the flow against a scenario (`mu_bps` is the path's
-    /// nominal bottleneck rate, for Nimbus wrappers with configured µ).
-    pub fn build(
-        &self,
-        index: usize,
-        mu_bps: f64,
-        seed: u64,
-    ) -> (FlowConfig, Box<dyn FlowEndpoint>) {
-        let label = self
-            .label
-            .clone()
-            .unwrap_or_else(|| format!("{}-cross{index}", self.scheme.label()));
-        let cc_seed = seed.wrapping_mul(193).wrapping_add(index as u64);
-        self.build_labelled(&label, mu_bps, cc_seed)
-    }
-
-    /// [`CrossFlowSpec::build`] with the label and controller seed fully
-    /// resolved by the caller — the single engine behind every
-    /// spec-described cross flow (the testkit's `CrossTraffic` families
-    /// delegate here too, via `figures::scheme_cross_flow`).
-    pub fn build_labelled(
-        &self,
-        label: &str,
-        mu_bps: f64,
-        cc_seed: u64,
-    ) -> (FlowConfig, Box<dyn FlowEndpoint>) {
-        let mut sender_cfg = SenderConfig::labelled(label);
-        if let Some(stop) = self.stop_s {
-            sender_cfg = sender_cfg.stopping_at(Time::from_secs_f64(stop));
+    /// A short slug for cell names (`cbr83`, `poisson50`, `cubic`,
+    /// `cubic-hop0`).
+    pub fn label(&self) -> String {
+        match self {
+            CrossSpec::Cbr { fraction_of_mu } => format!("cbr{:.0}", fraction_of_mu * 100.0),
+            CrossSpec::Poisson { fraction_of_mu } => {
+                format!("poisson{:.0}", fraction_of_mu * 100.0)
+            }
+            CrossSpec::Scheme { spec, hops: None } => spec.label(),
+            CrossSpec::Scheme {
+                spec,
+                hops: Some((enter, _)),
+            } => format!("{}-hop{enter}", spec.label()),
         }
-        let mut cfg = FlowConfig::cross(
-            label,
-            Time::from_secs_f64(self.rtt_s),
-            self.scheme.is_elastic(),
-        )
-        .with_ecn(self.ecn.unwrap_or_else(|| self.scheme.uses_ecn()))
-        .starting_at(Time::from_secs_f64(self.start_s))
-        .entering_at(self.entry_hop);
-        if let Some(exit) = self.exit_hop {
-            cfg = cfg.exiting_at(exit);
+    }
+}
+
+impl fmt::Display for CrossSpec {
+    /// `cbr@<fraction>`, `poisson@<fraction>`, `<scheme>` or
+    /// `<scheme>@hop<enter>-<exit>`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CrossSpec::Cbr { fraction_of_mu } => write!(f, "cbr@{fraction_of_mu}"),
+            CrossSpec::Poisson { fraction_of_mu } => write!(f, "poisson@{fraction_of_mu}"),
+            CrossSpec::Scheme { spec, hops: None } => write!(f, "{spec}"),
+            CrossSpec::Scheme {
+                spec,
+                hops: Some((enter, exit)),
+            } => write!(f, "{spec}@hop{enter}-{exit}"),
         }
-        let ep: Box<dyn FlowEndpoint> = Box::new(Sender::new(
-            sender_cfg,
-            self.scheme.build_cc(mu_bps, cc_seed, None),
-            Box::new(BackloggedSource),
-        ));
-        (cfg, ep)
+    }
+}
+
+impl FromStr for CrossSpec {
+    type Err = ParseError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let (head, at) = match split_top_level(s, '@').as_slice() {
+            [head] => (head.trim(), None),
+            [head, at] => (head.trim(), Some(at.trim())),
+            _ => {
+                return Err(ParseError(format!(
+                    "cross flow `{s}` has more than one `@`"
+                )))
+            }
+        };
+        let fraction = |family: &str| {
+            let at = at.ok_or_else(|| {
+                ParseError(format!(
+                    "`{family}` cross traffic needs its rate as a fraction of µ: {family}@0.5"
+                ))
+            })?;
+            positive("fraction of µ", at)
+        };
+        match head {
+            "cbr" => Ok(CrossSpec::Cbr {
+                fraction_of_mu: fraction("cbr")?,
+            }),
+            "poisson" => Ok(CrossSpec::Poisson {
+                fraction_of_mu: fraction("poisson")?,
+            }),
+            _ => {
+                let hops = at.map(|at| {
+                    let hop = |h: &str| h.parse::<usize>().ok();
+                    at.strip_prefix("hop")
+                        .and_then(|range| range.split_once('-'))
+                        .and_then(|(enter, exit)| Some((hop(enter)?, hop(exit)?)))
+                        .filter(|(enter, exit)| enter <= exit)
+                        .ok_or_else(|| {
+                            ParseError(format!(
+                                "invalid hop span `@{at}` (expected @hop<enter>-<exit>, e.g. @hop0-0)"
+                            ))
+                        })
+                });
+                Ok(CrossSpec::Scheme {
+                    spec: head.parse()?,
+                    hops: hops.transpose()?,
+                })
+            }
+        }
     }
 }
 
@@ -549,7 +704,7 @@ impl CrossFlowSpec {
 /// Materialized into a [`FleetSpawner`] at network-build time; flows spawn
 /// at their arrival instants and retire on completion, so the run only pays
 /// for the concurrently active population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// Interarrival process (`arrivals=poisson|bursty|bursty(alpha=…)`).
     pub arrivals: ArrivalProcess,
@@ -562,6 +717,78 @@ pub struct FleetSpec {
     pub cc: CcKindSerde,
 }
 
+fn parse_arrivals(v: &str) -> Result<ArrivalProcess, ParseError> {
+    let alpha = match split_call(v)? {
+        ("poisson", None) => return Ok(ArrivalProcess::Poisson),
+        ("bursty", None) => DEFAULT_BURSTY_ALPHA,
+        ("bursty", Some(arg)) if arg.starts_with("alpha=") => {
+            positive("bursty alpha", &arg["alpha=".len()..])?
+        }
+        _ => {
+            return Err(ParseError(format!(
+                "unknown arrivals `{v}` (expected poisson, bursty or bursty(alpha=…))"
+            )))
+        }
+    };
+    if alpha <= 1.0 {
+        return Err(ParseError(format!(
+            "bursty alpha must exceed 1 (finite mean), got `{alpha}`"
+        )));
+    }
+    Ok(ArrivalProcess::Bursty { alpha })
+}
+
+const FLEET_CC: &[(&str, CcKindSerde)] = &[
+    ("cubic", CcKindSerde::Cubic),
+    ("reno", CcKindSerde::NewReno),
+    ("newreno", CcKindSerde::NewReno),
+];
+
+/// The `fleet(…)` options.
+const FLEET: &[Opt<FleetSpec>] = &[
+    Opt {
+        key: "arrivals",
+        hint: || "poisson|bursty|bursty(alpha=<a>)".to_string(),
+        slug: "",
+        show: |fleet| {
+            Some(match fleet.arrivals {
+                ArrivalProcess::Poisson => "poisson".to_string(),
+                ArrivalProcess::Bursty { alpha } => format!("bursty(alpha={alpha})"),
+            })
+        },
+        set: |fleet, v| {
+            fleet.arrivals = parse_arrivals(v)?;
+            Ok(())
+        },
+    },
+    Opt {
+        key: "load",
+        hint: || "<fraction of the link rate, in (0, 2]>".to_string(),
+        slug: "",
+        show: |fleet| Some(fleet.load.to_string()),
+        set: |fleet, v| {
+            fleet.load = positive("load", v)?;
+            if fleet.load > 2.0 {
+                return Err(ParseError(format!(
+                    "load `{v}` out of range (0, 2]: it is a fraction of link rate"
+                )));
+            }
+            Ok(())
+        },
+    },
+    Opt {
+        key: "mean",
+        hint: || "<bytes>[k|M]".to_string(),
+        slug: "",
+        show: |fleet| fleet.mean_flow_bytes.as_ref().map(fmt_size),
+        set: |fleet, v| {
+            fleet.mean_flow_bytes = Some(grammar::size("mean flow size", v)?);
+            Ok(())
+        },
+    },
+    choice_opt!("cc", "fleet cc", FLEET_CC, cc),
+];
+
 impl FleetSpec {
     /// A Poisson fleet at the given offered-load fraction, default sizes,
     /// Cubic flows.
@@ -572,31 +799,6 @@ impl FleetSpec {
             mean_flow_bytes: None,
             cc: CcKindSerde::Cubic,
         }
-    }
-
-    /// A bursty (Pareto-interarrival) fleet at the given offered-load
-    /// fraction, default shape.
-    pub fn bursty(load: f64) -> Self {
-        FleetSpec {
-            arrivals: ArrivalProcess::Bursty {
-                alpha: nimbus_traffic::fleet::DEFAULT_BURSTY_ALPHA,
-            },
-            load,
-            mean_flow_bytes: None,
-            cc: CcKindSerde::Cubic,
-        }
-    }
-
-    /// Override the mean flow size (builder style).
-    pub fn with_mean_flow_bytes(mut self, bytes: f64) -> Self {
-        self.mean_flow_bytes = Some(bytes);
-        self
-    }
-
-    /// Run the fleet over NewReno instead of Cubic (builder style).
-    pub fn with_reno(mut self) -> Self {
-        self.cc = CcKindSerde::NewReno;
-        self
     }
 
     /// The size distribution this fleet samples from: the default mixture,
@@ -651,145 +853,33 @@ impl FleetSpec {
 
 impl fmt::Display for FleetSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fleet(arrivals=")?;
-        match self.arrivals {
-            ArrivalProcess::Poisson => write!(f, "poisson")?,
-            ArrivalProcess::Bursty { alpha } => write!(f, "bursty(alpha={alpha})")?,
-        }
-        write!(f, ",load={}", self.load)?;
-        if let Some(mean) = self.mean_flow_bytes {
-            write!(f, ",mean={mean}")?;
-        }
-        if self.cc == CcKindSerde::NewReno {
-            write!(f, ",cc=reno")?;
-        }
-        write!(f, ")")
+        write!(f, "fleet({})", grammar::show_opts(FLEET, self, ","))
     }
-}
-
-/// Parse a byte count with an optional `k`/`M` suffix (`50k` = 50 000).
-fn parse_size_bytes(value: &str) -> Result<f64, ParseSchemeError> {
-    let v = value.trim();
-    let (digits, mult) = match v.strip_suffix(['k', 'K']) {
-        Some(d) => (d, 1e3),
-        None => match v.strip_suffix('M') {
-            Some(d) => (d, 1e6),
-            None => (v, 1.0),
-        },
-    };
-    let n: f64 = digits
-        .parse()
-        .map_err(|_| ParseSchemeError(format!("invalid size `{value}`: not a number")))?;
-    if !(n > 0.0 && n.is_finite()) {
-        return Err(ParseSchemeError(format!(
-            "invalid size `{value}`: must be positive"
-        )));
-    }
-    Ok(n * mult)
 }
 
 impl FromStr for FleetSpec {
-    type Err = ParseSchemeError;
+    type Err = ParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        let inner = s
-            .strip_prefix("fleet(")
-            .and_then(|rest| rest.strip_suffix(')'))
-            .ok_or_else(|| {
-                ParseSchemeError(format!(
-                    "`{s}` is not a fleet spec: expected fleet(arrivals=…,load=…)"
-                ))
-            })?;
+        let ("fleet", Some(inner)) = split_call(s)? else {
+            return Err(ParseError(format!(
+                "`{s}` is not a fleet spec: expected fleet({})",
+                grammar::expected(FLEET)
+            )));
+        };
         let mut spec = FleetSpec::poisson(0.5);
-        // Split on commas outside parentheses so `bursty(alpha=1.5)` survives.
-        let mut depth = 0usize;
-        let mut start = 0usize;
-        let mut parts = Vec::new();
-        for (i, c) in inner.char_indices() {
-            match c {
-                '(' => depth += 1,
-                ')' => depth = depth.saturating_sub(1),
-                ',' if depth == 0 => {
-                    parts.push(&inner[start..i]);
-                    start = i + 1;
-                }
-                _ => {}
-            }
-        }
-        parts.push(&inner[start..]);
-        for part in parts {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (key, value) = part.split_once('=').ok_or_else(|| {
-                ParseSchemeError(format!("fleet parameter `{part}` is not key=value"))
-            })?;
-            match key.trim() {
-                "arrivals" => {
-                    let v = value.trim();
-                    spec.arrivals = if v == "poisson" {
-                        ArrivalProcess::Poisson
-                    } else if v == "bursty" {
-                        ArrivalProcess::Bursty {
-                            alpha: nimbus_traffic::fleet::DEFAULT_BURSTY_ALPHA,
-                        }
-                    } else if let Some(alpha) = v
-                        .strip_prefix("bursty(alpha=")
-                        .and_then(|r| r.strip_suffix(')'))
-                    {
-                        let a: f64 = alpha.trim().parse().map_err(|_| {
-                            ParseSchemeError(format!("invalid bursty alpha `{alpha}`"))
-                        })?;
-                        if !(a > 1.0 && a.is_finite()) {
-                            return Err(ParseSchemeError(format!(
-                                "bursty alpha must exceed 1 (finite mean), got `{alpha}`"
-                            )));
-                        }
-                        ArrivalProcess::Bursty { alpha: a }
-                    } else {
-                        return Err(ParseSchemeError(format!(
-                            "unknown arrivals `{v}` (expected poisson, bursty or bursty(alpha=…))"
-                        )));
-                    };
-                }
-                "load" => {
-                    let l: f64 = value.trim().parse().map_err(|_| {
-                        ParseSchemeError(format!("invalid load `{value}`: not a number"))
-                    })?;
-                    if !(l > 0.0 && l <= 2.0) {
-                        return Err(ParseSchemeError(format!(
-                            "load `{value}` out of range (0, 2]: it is a fraction of link rate"
-                        )));
-                    }
-                    spec.load = l;
-                }
-                "mean" => spec.mean_flow_bytes = Some(parse_size_bytes(value)?),
-                "cc" => {
-                    spec.cc = match value.trim() {
-                        "cubic" => CcKindSerde::Cubic,
-                        "reno" | "newreno" => CcKindSerde::NewReno,
-                        other => {
-                            return Err(ParseSchemeError(format!(
-                                "unknown fleet cc `{other}` (expected cubic or reno)"
-                            )))
-                        }
-                    };
-                }
-                other => {
-                    return Err(ParseSchemeError(format!(
-                        "unknown fleet parameter `{other}` (expected arrivals, load, mean, cc)"
-                    )));
-                }
-            }
-        }
+        grammar::set_opts("fleet", FLEET, &mut spec, inner)?;
         Ok(spec)
     }
 }
 
-/// A bottleneck + experiment-duration specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The one description of a scenario: bottleneck, path, cross traffic, seed
+/// and duration.  Its canonical string form (see [`grammar_reference`]) is
+///
+/// ```text
+/// 48M sin(0.1,10s) hop(0.6) vs cubic+fleet(arrivals=poisson,load=0.5) ecn=l4s seed=61 dur=40s
+/// ```
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Base link rate µ of the primary bottleneck (hop 0), bits/s.
     pub link_rate_bps: f64,
@@ -810,16 +900,71 @@ pub struct ScenarioSpec {
     pub loss_probability: f64,
     /// Extra hops after the primary bottleneck (empty = single-link dumbbell).
     pub path: PathSpec,
-    /// Spec-described cross flows, each carrying its own [`SchemeSpec`]
-    /// (added to the network after any imperatively built cross traffic).
-    pub cross_flows: Vec<CrossFlowSpec>,
+    /// Static cross-traffic flows, added to the network after the monitored
+    /// flow (and after any imperatively built cross traffic) in list order.
+    pub cross: Vec<CrossSpec>,
     /// Optional open-loop fleet workload churning alongside the monitored
     /// flow (installed as a spawner after every static flow).
     pub fleet: Option<FleetSpec>,
     /// ECN marking on the primary (hop-0) bottleneck (`ecn=` axis).  When
-    /// enabled, every flow without an explicit override negotiates ECN.
+    /// enabled, every flow in the scenario negotiates ECN.
     pub ecn: EcnSpec,
 }
+
+/// The scenario's `key=value` options (`dur` is mandatory).
+const SCENARIO: &[Opt<ScenarioSpec>] = &[
+    field_opt!(
+        "ecn",
+        "",
+        ecn_hint(),
+        parsed,
+        EcnSpec::to_string,
+        ecn,
+        EcnSpec::Off
+    ),
+    field_opt!("buffer", "", "<dur>", duration, fmt_duration, buffer_s, 0.1),
+    field_opt!("rtt", "", "<dur>", duration, fmt_duration, prop_rtt_s, 0.05),
+    Opt {
+        key: "pie",
+        hint: || "<dur>".to_string(),
+        slug: "",
+        show: |spec| spec.pie_target_s.as_ref().map(fmt_duration),
+        set: |spec, v| {
+            spec.pie_target_s = Some(duration("pie", v)?);
+            Ok(())
+        },
+    },
+    field_opt!(
+        "loss",
+        "",
+        "<prob>",
+        positive,
+        f64::to_string,
+        loss_probability,
+        0.0
+    ),
+    Opt {
+        key: "seed",
+        hint: || "<n>".to_string(),
+        slug: "",
+        show: |spec| Some(spec.seed.to_string()),
+        set: |spec, v| {
+            spec.seed = v
+                .parse()
+                .map_err(|_| ParseError(format!("invalid seed `{v}`: not an integer")))?;
+            Ok(())
+        },
+    },
+    field_opt!(
+        "dur",
+        "",
+        "<dur>",
+        duration,
+        fmt_duration,
+        duration_s,
+        required
+    ),
+];
 
 impl ScenarioSpec {
     /// The paper's default evaluation link: 96 Mbit/s, 50 ms RTT, 100 ms buffer.
@@ -834,16 +979,10 @@ impl ScenarioSpec {
             pie_target_s: None,
             loss_probability: 0.0,
             path: PathSpec::single(),
-            cross_flows: Vec::new(),
+            cross: Vec::new(),
             fleet: None,
             ecn: EcnSpec::Off,
         }
-    }
-
-    /// Enable ECN marking on the primary bottleneck (builder style).
-    pub fn with_ecn(mut self, ecn: EcnSpec) -> Self {
-        self.ecn = ecn;
-        self
     }
 
     /// The Fig. 1 link: 48 Mbit/s, 50 ms RTT, 100 ms buffer.
@@ -896,6 +1035,202 @@ impl ScenarioSpec {
         }
         Network::new(cfg)
     }
+
+    /// The `-vs-<…>` part of a cell name: `alone`, or the cross flows' (and
+    /// the fleet's) labels joined by `+`.
+    pub fn cross_label(&self) -> String {
+        let labels = self.cross.iter().map(CrossSpec::label);
+        cross_list(labels.chain(self.fleet.iter().map(FleetSpec::label)))
+    }
+
+    /// Lower the spec-described cross traffic onto the imperative
+    /// `figures` helpers.  The conventions the pinned recorder fingerprints
+    /// depend on live here: CBR → `cbr-cross`; Poisson → `poisson-cross`,
+    /// source seed `seed·31+7`; scheme → `<label>[-hop<enter>]-cross`, cc
+    /// seed `seed·67+11`, µ = the minimum over the hops it traverses; with
+    /// more than one entry the label and the seed take the entry's index
+    /// (`-cross<i>`, `+i`).
+    fn cross_flows(&self) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
+        let lower = |(i, cross): (usize, &CrossSpec)| {
+            let tag = if self.cross.len() == 1 {
+                "cross".to_string()
+            } else {
+                format!("cross{i}")
+            };
+            let seed =
+                |mul: u64, add: u64| self.seed.wrapping_mul(mul).wrapping_add(add + i as u64);
+            match *cross {
+                CrossSpec::Cbr { fraction_of_mu } => cbr_cross_flow(
+                    &format!("cbr-{tag}"),
+                    fraction_of_mu * self.link_rate_bps,
+                    0.05,
+                    0.0,
+                    None,
+                ),
+                CrossSpec::Poisson { fraction_of_mu } => poisson_cross_flow(
+                    &format!("poisson-{tag}"),
+                    fraction_of_mu * self.link_rate_bps,
+                    0.05,
+                    seed(31, 7),
+                    0.0,
+                    None,
+                ),
+                CrossSpec::Scheme { spec, hops } => {
+                    let (enter, exit) = hops.map_or((0, None), |(a, b)| (a, Some(b)));
+                    let (cfg, ep) = scheme_cross_flow(
+                        &format!("{}-{tag}", cross.label()),
+                        &spec,
+                        self.path
+                            .nominal_mu_over_hops(self.link_rate_bps, enter, exit),
+                        seed(67, 11),
+                        0.05,
+                        0.0,
+                        None,
+                    );
+                    match hops {
+                        Some((enter, exit)) => (cfg.entering_at(enter).exiting_at(exit), ep),
+                        None => (cfg, ep),
+                    }
+                }
+            }
+        };
+        self.cross.iter().enumerate().map(lower).collect()
+    }
+
+    /// Parse the whitespace-separated tokens after the link rate.
+    fn set_tokens(&mut self, tokens: &[&str]) -> Result<(), ParseError> {
+        let mut seen = Vec::new();
+        let mut tokens = tokens.iter();
+        while let Some(&token) = tokens.next() {
+            if token == "vs" {
+                let cross = tokens
+                    .next()
+                    .ok_or_else(|| ParseError("`vs` must be followed by cross traffic".into()))?;
+                for entry in split_top_level(cross, '+').into_iter().map(str::trim) {
+                    if !entry.starts_with("fleet(") {
+                        if entry != "alone" {
+                            self.cross.push(entry.parse()?);
+                        }
+                    } else if self.fleet.replace(entry.parse()?).is_some() {
+                        return Err(ParseError(
+                            "a scenario carries at most one fleet".to_string(),
+                        ));
+                    }
+                }
+            } else if key_value(token).is_some() {
+                seen.extend(grammar::set_opts("scenario", SCENARIO, self, token)?);
+            } else if token.starts_with("hop(") {
+                self.path.extra_hops.push(token.parse()?);
+            } else if self.schedule == LinkScheduleSpec::Constant {
+                self.schedule = token.parse()?;
+            } else {
+                return Err(ParseError(format!(
+                    "`{token}`: the scenario already has the schedule `{}`",
+                    self.schedule
+                )));
+            }
+        }
+        if !seen.contains(&"dur") {
+            return Err(ParseError(
+                "a scenario needs its duration: dur=<dur>".to_string(),
+            ));
+        }
+        for cross in &self.cross {
+            if let CrossSpec::Scheme {
+                hops: Some((_, exit)),
+                ..
+            } = cross
+            {
+                if *exit >= self.path.hop_count() {
+                    return Err(ParseError(format!(
+                        "cross flow `{cross}` exits at hop {exit} but the path has {} hop(s)",
+                        self.path.hop_count()
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `alone`, or the entries joined by `+`.
+fn cross_list(entries: impl Iterator<Item = String>) -> String {
+    let entries: Vec<String> = entries.collect();
+    if entries.is_empty() {
+        "alone".to_string()
+    } else {
+        entries.join("+")
+    }
+}
+
+impl fmt::Display for ScenarioSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", format_rate_bps(self.link_rate_bps))?;
+        if self.schedule != LinkScheduleSpec::Constant {
+            write!(f, " {}", self.schedule)?;
+        }
+        for hop in &self.path.extra_hops {
+            write!(f, " {hop}")?;
+        }
+        let cross = self.cross.iter().map(CrossSpec::to_string);
+        write!(
+            f,
+            " vs {} {}",
+            cross_list(cross.chain(self.fleet.iter().map(FleetSpec::to_string))),
+            grammar::show_opts(SCENARIO, self, " ")
+        )
+    }
+}
+
+impl FromStr for ScenarioSpec {
+    type Err = ParseError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let tokens = grammar::tokens(s)?;
+        let (rate, rest) = tokens
+            .split_first()
+            .ok_or_else(|| ParseError("empty scenario: expected <rate> …".to_string()))?;
+        let mut spec = ScenarioSpec {
+            link_rate_bps: grammar::rate(rate)?,
+            ..ScenarioSpec::default_96mbps(f64::NAN)
+        };
+        spec.set_tokens(rest)?;
+        Ok(spec)
+    }
+}
+
+/// The whole spec grammar as text, every option list rendered from the table
+/// the parsers read — printed by `nimbus-experiments --help` and embedded in
+/// the README, which this doctest holds to it:
+///
+/// ```
+/// let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+/// assert!(readme.contains(&nimbus_experiments::runner::grammar_reference()));
+/// ```
+pub fn grammar_reference() -> String {
+    format!(
+        "\
+cell      := <scheme>@<scenario> steady=<dur>
+scenario  := <rate> [<schedule>] {{<hop>}} vs <cross> {{<key>=<value>}}
+             keys: {scenario}
+schedule  := {SCHEDULE_FORMS}
+             names: {traces}
+hop       := hop(<factor>[,<key>=<value>…])
+             keys: {hop}
+cross     := alone | <entry>{{+<entry>}}
+entry     := cbr@<fraction of µ> | poisson@<fraction of µ>
+           | <scheme>[@hop<enter>-<exit>] | fleet(<key>=<value>,…)
+             keys: {fleet}
+scheme    := {BARE_SCHEMES}
+           | nimbus | nimbus(<key>=<value>,…)
+             keys: {nimbus}
+units     := <rate> 48M (k|M|G bit/s), <dur> 5ms | 40s, <bytes> 50k (k|M)",
+        scenario = grammar::expected(SCENARIO),
+        traces = RateSchedule::builtin_trace_names().join(", "),
+        hop = grammar::expected(HOP),
+        fleet = grammar::expected(FLEET),
+        nimbus = grammar::expected(NIMBUS),
+    )
 }
 
 /// Summary metrics for one monitored flow after a run.
@@ -1078,14 +1413,14 @@ pub fn run_and_collect(
 }
 
 /// Convenience: run a single monitored scheme against an arbitrary set of
-/// cross-traffic flows on the given scenario.  Spec-described cross flows
-/// ([`ScenarioSpec::cross_flows`]) are added after the imperative `cross`
-/// set.
+/// cross-traffic flows on the given scenario.  The scenario's own
+/// spec-described cross traffic ([`ScenarioSpec::cross`]) is added after the
+/// imperative `cross` set, the fleet spawner last.
 pub fn run_scheme_vs_cross(
     spec: &ScenarioSpec,
     scheme: SchemeSpec,
     multiflow: Option<MultiflowConfig>,
-    cross: Vec<(FlowConfig, Box<dyn FlowEndpoint>)>,
+    mut cross: Vec<(FlowConfig, Box<dyn FlowEndpoint>)>,
     steady_start_s: f64,
 ) -> RunOutput {
     let mut net = spec.build_network();
@@ -1099,26 +1434,14 @@ pub fn run_scheme_vs_cross(
             .with_ecn(primary_ecn),
         endpoint,
     );
+    cross.extend(spec.cross_flows());
     for (mut cfg, ep) in cross {
-        // Scenario-wide ECN makes explicitly-passed competitors ECT too:
-        // a non-ECT competitor on a classic-ECN queue would fill the buffer
-        // to the drop point while ECT flows back off at the (lower) marking
+        // Scenario-wide ECN makes every competitor ECT too: a non-ECT
+        // competitor on a classic-ECN queue would fill the buffer to the
+        // drop point while ECT flows back off at the (lower) marking
         // threshold, starving them — a queue-configuration artifact, not a
         // scheme property.
         if spec.ecn.is_enabled() {
-            cfg = cfg.with_ecn(true);
-        }
-        net.add_flow(cfg, ep);
-    }
-    for (i, cf) in spec.cross_flows.iter().enumerate() {
-        // A hop-confined flow's nominal µ is the minimum over the hops it
-        // actually traverses, not the whole path's.
-        let mu = spec
-            .path
-            .nominal_mu_over_hops(spec.link_rate_bps, cf.entry_hop, cf.exit_hop);
-        let (mut cfg, ep) = cf.build(i, mu, spec.seed);
-        // Scenario-wide ECN sweeps every cross flow in, unless one opted out.
-        if cf.ecn.is_none() && spec.ecn.is_enabled() {
             cfg = cfg.with_ecn(true);
         }
         net.add_flow(cfg, ep);
@@ -1256,15 +1579,9 @@ mod tests {
 
     #[test]
     fn spec_described_cross_flows_compete() {
-        // A declarative heterogeneous scenario: monitored Cubic vs a CBR
-        // aggregate carried entirely by `ScenarioSpec::cross_flows`.
-        let mut spec = ScenarioSpec {
-            duration_s: 15.0,
-            ..ScenarioSpec::fig1_48mbps(15.0)
-        };
-        spec.cross_flows = vec![CrossFlowSpec::new(crate::scheme::SchemeSpec::constant(
-            24e6,
-        ))];
+        // A declarative heterogeneous scenario: monitored Cubic vs a paced
+        // CBR scheme carried entirely by `ScenarioSpec::cross`.
+        let spec: ScenarioSpec = "48M vs constant(24M) dur=15s".parse().unwrap();
         let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), None, Vec::new(), 5.0);
         let m = &out.flows[0];
         // The CBR flow holds its half, so Cubic lands near the other half.
@@ -1276,59 +1593,14 @@ mod tests {
     }
 
     #[test]
-    fn fleet_spec_grammar_round_trips() {
-        let cases = [
-            "fleet(arrivals=poisson,load=0.5)",
-            "fleet(arrivals=bursty(alpha=1.5),load=0.3)",
-            "fleet(arrivals=poisson,load=0.6,mean=50000,cc=reno)",
-        ];
-        for text in cases {
-            let spec: FleetSpec = text.parse().unwrap();
-            let display = spec.to_string();
-            let again: FleetSpec = display.parse().unwrap();
-            assert_eq!(spec, again, "{text} → {display}");
-        }
-        // Suffix sizes and bare bursty.
-        let spec: FleetSpec = "fleet(arrivals=bursty,load=0.4,mean=50k)".parse().unwrap();
-        assert_eq!(spec.mean_flow_bytes, Some(50_000.0));
-        assert!(matches!(spec.arrivals, ArrivalProcess::Bursty { .. }));
-        let spec: FleetSpec = "fleet(load=0.8,mean=2M)".parse().unwrap();
-        assert_eq!(spec.arrivals, ArrivalProcess::Poisson);
-        assert_eq!(spec.mean_flow_bytes, Some(2e6));
-    }
-
-    #[test]
-    fn fleet_spec_grammar_rejects_nonsense() {
-        for bad in [
-            "fleet(load=0)",
-            "fleet(load=5)",
-            "fleet(arrivals=uniform,load=0.5)",
-            "fleet(arrivals=bursty(alpha=0.9),load=0.5)",
-            "fleet(speed=0.5)",
-            "fleet(load=0.5",
-            "poisson(load=0.5)",
-            "fleet(mean=-3,load=0.5)",
-        ] {
-            assert!(
-                bad.parse::<FleetSpec>().is_err(),
-                "`{bad}` should not parse"
-            );
-        }
-    }
-
-    #[test]
     fn fleet_spec_labels_and_scaled_sizes() {
+        let fleet = |s: &str| s.parse::<FleetSpec>().unwrap();
         assert_eq!(FleetSpec::poisson(0.5).label(), "fleet-poisson-l50");
         assert_eq!(
-            FleetSpec::bursty(0.3)
-                .with_mean_flow_bytes(50_000.0)
-                .with_reno()
-                .label(),
+            fleet("fleet(arrivals=bursty,load=0.3,mean=50k,cc=reno)").label(),
             "fleet-bursty-l30-m50k-reno"
         );
-        let sizes = FleetSpec::poisson(0.5)
-            .with_mean_flow_bytes(50_000.0)
-            .size_distribution();
+        let sizes = fleet("fleet(load=0.5,mean=50k)").size_distribution();
         assert!(
             (sizes.mean_bytes() - 50_000.0).abs() < 1.0,
             "rescaled mean {}",
@@ -1358,46 +1630,6 @@ mod tests {
         assert_eq!(summary.all.count as usize, fcts.len());
         assert!(summary.mice.count > 0, "churn must include mice");
         assert!(summary.all.p50_s > 0.0);
-    }
-
-    #[test]
-    fn ecn_spec_round_trips_and_loads_legacy_null() {
-        let cases = [
-            (EcnSpec::Off, "off"),
-            (EcnSpec::Classic, "classic"),
-            (EcnSpec::l4s(), "l4s"),
-            (EcnSpec::Step { threshold_s: 0.005 }, "step(5ms)"),
-        ];
-        for (spec, text) in cases {
-            assert_eq!(spec.to_string(), text);
-            assert_eq!(text.parse::<EcnSpec>().unwrap(), spec, "{text}");
-            let v = spec.to_value();
-            assert_eq!(EcnSpec::from_value(&v).unwrap(), spec);
-        }
-        // Aliases and unit forms.
-        assert_eq!("none".parse::<EcnSpec>().unwrap(), EcnSpec::Off);
-        assert_eq!("ecn".parse::<EcnSpec>().unwrap(), EcnSpec::Classic);
-        assert_eq!(
-            "step(0.005s)".parse::<EcnSpec>().unwrap(),
-            EcnSpec::Step { threshold_s: 0.005 }
-        );
-        assert!("step(1ms".parse::<EcnSpec>().is_err());
-        assert!("step(-1ms)".parse::<EcnSpec>().is_err());
-        assert!("wide".parse::<EcnSpec>().is_err());
-        // A pre-ECN serialized scenario has no `ecn` field: Null loads Off.
-        assert_eq!(
-            EcnSpec::from_value(&serde::Value::Null).unwrap(),
-            EcnSpec::Off
-        );
-        // Scenario serde round-trip carries the axis.
-        let spec = ScenarioSpec {
-            ecn: EcnSpec::l4s(),
-            ..ScenarioSpec::default_96mbps(10.0)
-        };
-        let back = ScenarioSpec::from_value(&spec.to_value()).unwrap();
-        assert_eq!(back.ecn, EcnSpec::l4s());
-        assert_eq!(EcnSpec::l4s().label(), "-l4s");
-        assert_eq!(EcnSpec::Off.label(), "");
     }
 
     #[test]

@@ -39,12 +39,12 @@
 //! and a worked "which estimator when" table.
 //!
 //! Result labels ([`SchemeSpec::label`]) are derived from the spec.  The
-//! variant names of the long-gone pre-redesign `Scheme` enum survive as
-//! parse-string aliases (`"NimbusCubicCopa"`, `"nimbus-copa"`, …) that map
-//! onto specs producing byte-identical simulations (pinned by
-//! `tests/scheme_spec.rs`), so pre-redesign serialized data still loads.
+//! tokenizer, the number parsers and the error type are the shared
+//! [`grammar`] module's; every option list below (`nimbus(…)`,
+//! `mu=learned(…)`, `zfilter=notch(…)`, `zfilter=adaptive(…)`) is one table
+//! that `Display`, `FromStr`, `label()` and the error text all read.
 
-use nimbus_core::estimator::DEFAULT_MU_WINDOW_S;
+use crate::grammar::{self, choice_opt, non_default, num_opt, Opt, ParseError};
 use nimbus_core::{
     DelayScheme, LearnedMuConfig, MuEstimatorConfig, MultiflowConfig, NimbusConfig,
     NimbusController, ProbingConfig, TcpScheme, ZFilterConfig,
@@ -52,7 +52,6 @@ use nimbus_core::{
 use nimbus_netsim::FlowEndpoint;
 use nimbus_transport::{
     format_rate_bps, BackloggedSource, CcKind, CongestionControl, PathInfo, Sender, SenderConfig,
-    Source,
 };
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -74,12 +73,6 @@ impl MuSpec {
     /// The classic §4.2 max-filter learned µ (`mu=learned`).
     pub fn learned() -> Self {
         MuSpec::Learned(LearnedMuConfig::default())
-    }
-
-    /// Learned µ with probe-up epochs and the loss floor
-    /// (`mu=learned(probe=…)`), at the default probing parameters.
-    pub fn probing() -> Self {
-        MuSpec::Learned(LearnedMuConfig::Probing(ProbingConfig::default()))
     }
 
     /// Whether µ is learned at runtime (any strategy).
@@ -138,18 +131,6 @@ pub enum SchemeSpec {
     /// A standalone CCA with no elasticity detection.
     Bare(CcKind),
 }
-
-/// A scheme-spec parse failure, with an actionable message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseSchemeError(pub String);
-
-impl fmt::Display for ParseSchemeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid scheme spec: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParseSchemeError {}
 
 impl SchemeSpec {
     // ---- constructors ---------------------------------------------------
@@ -275,28 +256,6 @@ impl SchemeSpec {
         self.map_nimbus(|n| n.mu = MuSpec::Learned(strategy))
     }
 
-    /// Learn µ with probe-up epochs and the loss floor at default parameters
-    /// (`mu=learned(probe=3)`).
-    ///
-    /// # Panics
-    /// Panics on a bare (non-Nimbus) spec.
-    pub fn with_probing_mu(self) -> Self {
-        self.map_nimbus(|n| n.mu = MuSpec::probing())
-    }
-
-    /// Learn µ with probe-up epochs that auto-quiesce below the given
-    /// uncertainty floor (`mu=learned(probe=<interval>,quiesce=<floor>)`).
-    ///
-    /// # Panics
-    /// Panics on a bare (non-Nimbus) spec.
-    pub fn with_quiesced_probing_mu(self, interval_s: f64, floor: f64) -> Self {
-        self.with_mu_strategy(LearnedMuConfig::Probing(ProbingConfig {
-            probe_interval_s: interval_s,
-            quiesce_uncertainty_floor: floor,
-            ..ProbingConfig::default()
-        }))
-    }
-
     /// Install a ẑ-conditioning stage (`zfilter=…`).
     ///
     /// # Panics
@@ -354,9 +313,11 @@ impl SchemeSpec {
     }
 
     /// A short label for result tables and cell names, derived from the
-    /// spec.  Legacy combinations keep their historical labels (`nimbus`,
-    /// `nimbus-copa`, `nimbus-estmu`, `cubic`, `pcc-vivace`, …); novel
-    /// combinations compose suffixes (`nimbus-reno-copa-estmu`).
+    /// spec.  The paper's combinations keep their historical labels
+    /// (`nimbus`, `nimbus-copa`, `nimbus-estmu`, `cubic`, `pcc-vivace`, …);
+    /// novel combinations compose suffixes (`nimbus-reno-copa-estmu`), and
+    /// every non-default strategy parameter gets a slug, so two specs that
+    /// differ in any knob never share a cell/result name.
     pub fn label(&self) -> String {
         match self {
             SchemeSpec::Bare(kind) => match kind {
@@ -370,30 +331,34 @@ impl SchemeSpec {
                 if n.switch == SwitchSpec::Never {
                     label.push_str("-delay");
                 }
-                match n.competitive {
-                    TcpScheme::Cubic => {}
-                    TcpScheme::NewReno => label.push_str("-reno"),
-                    TcpScheme::Dctcp => label.push_str("-dctcp"),
+                let inner = [
+                    non_default(COMPETITIVE, &n.competitive),
+                    non_default(DELAY, &n.delay),
+                ];
+                for name in inner.into_iter().flatten() {
+                    label.push('-');
+                    label.push_str(&name);
                 }
-                match n.delay {
-                    DelayScheme::BasicDelay => {}
-                    DelayScheme::CopaDefault => label.push_str("-copa"),
-                    DelayScheme::Vegas => label.push_str("-vegas"),
-                }
-                if let MuSpec::Learned(lc) = n.mu {
-                    label.push_str(&learned_mu_label(&lc));
+                if let MuSpec::Learned(lc) = &n.mu {
+                    // The plain default max filter keeps the historical
+                    // bare `-estmu`.
+                    let (p, rows) = probing_view(lc);
+                    label.push_str("-estmu");
+                    let slugs = grammar::slugs(rows, &p);
+                    if !slugs.is_empty() {
+                        label.push('-');
+                        label.push_str(&slugs);
+                    }
                 }
                 match n.zfilter {
                     ZFilterConfig::None => {}
-                    ZFilterConfig::Notch { freq_hz, .. } => {
-                        label.push_str(&format!("-notch{freq_hz}"));
+                    ZFilterConfig::Notch { freq_hz, q } => {
+                        label.push_str("-notch");
+                        label.push_str(&grammar::slugs(NOTCH, &NotchArgs { freq_hz, q }));
                     }
                     ZFilterConfig::Adaptive { k } => {
-                        if k == 8.0 {
-                            label.push_str("-zadapt");
-                        } else {
-                            label.push_str(&format!("-zadapt{k}"));
-                        }
+                        label.push_str("-zadapt");
+                        label.push_str(&grammar::slugs(ADAPTIVE, &AdaptiveArgs { k }));
                     }
                 }
                 label
@@ -456,139 +421,292 @@ impl SchemeSpec {
         seed: u64,
         multiflow: Option<MultiflowConfig>,
     ) -> Box<dyn FlowEndpoint> {
-        self.build_endpoint_with_source(mu_bps, seed, multiflow, Box::new(BackloggedSource))
-    }
-
-    /// Instantiate a flow endpoint running this spec over a custom source.
-    pub fn build_endpoint_with_source(
-        &self,
-        mu_bps: f64,
-        seed: u64,
-        multiflow: Option<MultiflowConfig>,
-        source: Box<dyn Source>,
-    ) -> Box<dyn FlowEndpoint> {
-        self.build_endpoint_labelled(&self.label(), mu_bps, seed, multiflow, source)
-    }
-
-    /// Instantiate a flow endpoint with an explicit sender label (cross
-    /// flows conventionally label themselves `<scheme>-cross`).
-    pub fn build_endpoint_labelled(
-        &self,
-        label: &str,
-        mu_bps: f64,
-        seed: u64,
-        multiflow: Option<MultiflowConfig>,
-        source: Box<dyn Source>,
-    ) -> Box<dyn FlowEndpoint> {
         Box::new(Sender::new(
-            SenderConfig::labelled(label),
+            SenderConfig::labelled(&self.label()),
             self.build_cc(mu_bps, seed, multiflow),
-            source,
+            Box::new(BackloggedSource),
         ))
     }
 }
 
 // ---- canonical text form -------------------------------------------------
 
-/// Label suffix for a learned-µ strategy: the legacy `-estmu` for the plain
-/// default max filter, compact parameter slugs for everything else (only
-/// non-default parameters are appended, so distinct strategies get distinct
-/// cell names without default noise).
-fn learned_mu_label(lc: &LearnedMuConfig) -> String {
-    match lc {
-        LearnedMuConfig::MaxFilter { window_s } if *window_s == DEFAULT_MU_WINDOW_S => {
-            "-estmu".to_string()
-        }
-        LearnedMuConfig::MaxFilter { window_s } => format!("-estmu-w{window_s}"),
-        LearnedMuConfig::Probing(p) => {
-            let d = ProbingConfig::default();
-            let mut s = format!("-estmu-probe{}", p.probe_interval_s);
-            // Every non-default parameter gets a slug: two strategies that
-            // differ in any knob must never share a cell/result name.
-            if p.probe_gain != d.probe_gain {
-                s.push_str(&format!("g{}", p.probe_gain));
-            }
-            if p.probe_duration_s != d.probe_duration_s {
-                s.push_str(&format!("d{}", p.probe_duration_s));
-            }
-            if p.window_s != d.window_s {
-                s.push_str(&format!("w{}", p.window_s));
-            }
-            if p.loss_backoff != d.loss_backoff {
-                s.push_str(&format!("l{}", p.loss_backoff));
-            }
-            if p.backoff_interval_s != d.backoff_interval_s {
-                s.push_str(&format!("li{}", p.backoff_interval_s));
-            }
-            if p.recent_window_s != d.recent_window_s {
-                s.push_str(&format!("r{}", p.recent_window_s));
-            }
-            if p.cap_margin != d.cap_margin {
-                s.push_str(&format!("c{}", p.cap_margin));
-            }
-            if p.quiesce_uncertainty_floor != d.quiesce_uncertainty_floor {
-                s.push_str(&format!("q{}", p.quiesce_uncertainty_floor));
-            }
-            s
-        }
-    }
+/// The bare CCAs `CcKind`'s own parser accepts, for error text and `--help`.
+pub const BARE_SCHEMES: &str =
+    "cubic, newreno, vegas, copa, bbr, vivace, compound, dctcp, unlimited, constant(<rate>)";
+
+const COMPETITIVE: &[(&str, TcpScheme)] = &[
+    ("cubic", TcpScheme::Cubic),
+    ("reno", TcpScheme::NewReno),
+    ("newreno", TcpScheme::NewReno),
+    ("dctcp", TcpScheme::Dctcp),
+];
+
+const DELAY: &[(&str, DelayScheme)] = &[
+    ("basic", DelayScheme::BasicDelay),
+    ("basicdelay", DelayScheme::BasicDelay),
+    ("copa", DelayScheme::CopaDefault),
+    ("vegas", DelayScheme::Vegas),
+];
+
+const SWITCH: &[(&str, SwitchSpec)] = &[
+    ("auto", SwitchSpec::Auto),
+    ("never", SwitchSpec::Never),
+    ("off", SwitchSpec::Never),
+];
+
+/// The `nimbus(…)` options.
+pub(crate) const NIMBUS: &[Opt<NimbusSpec>] = &[
+    choice_opt!(
+        "competitive",
+        "competitive scheme",
+        COMPETITIVE,
+        competitive
+    ),
+    choice_opt!("delay", "delay scheme", DELAY, delay),
+    Opt {
+        key: "mu",
+        hint: mu_hint,
+        slug: "",
+        show: |n| show_mu(&n.mu),
+        set: |n, v| {
+            n.mu = parse_mu(v)?;
+            Ok(())
+        },
+    },
+    Opt {
+        key: "zfilter",
+        hint: zfilter_hint,
+        slug: "",
+        show: |n| show_zfilter(&n.zfilter),
+        set: |n, v| {
+            n.zfilter = parse_zfilter(v)?;
+            Ok(())
+        },
+    },
+    choice_opt!("switch", "switch mode", SWITCH, switch),
+];
+
+fn mu_hint() -> String {
+    format!(
+        "configured|learned|learned({})",
+        grammar::expected(MU_LEARNED)
+    )
 }
 
-/// The canonical `mu=` option value (`learned`, `learned(probe=3)`, …).
-fn mu_option(lc: &LearnedMuConfig) -> String {
-    let mut args = Vec::new();
-    match lc {
-        LearnedMuConfig::MaxFilter { window_s } => {
-            if *window_s != DEFAULT_MU_WINDOW_S {
-                args.push(format!("window={window_s}"));
-            }
-        }
-        LearnedMuConfig::Probing(p) => {
-            let d = ProbingConfig::default();
-            args.push(format!("probe={}", p.probe_interval_s));
-            if p.probe_gain != d.probe_gain {
-                args.push(format!("gain={}", p.probe_gain));
-            }
-            if p.probe_duration_s != d.probe_duration_s {
-                args.push(format!("dur={}", p.probe_duration_s));
-            }
-            if p.window_s != d.window_s {
-                args.push(format!("window={}", p.window_s));
-            }
-            if p.loss_backoff != d.loss_backoff {
-                args.push(format!("loss={}", p.loss_backoff));
-            }
-            if p.backoff_interval_s != d.backoff_interval_s {
-                args.push(format!("lossint={}", p.backoff_interval_s));
-            }
-            if p.recent_window_s != d.recent_window_s {
-                args.push(format!("recent={}", p.recent_window_s));
-            }
-            if p.cap_margin != d.cap_margin {
-                args.push(format!("cap={}", p.cap_margin));
-            }
-            if p.quiesce_uncertainty_floor != d.quiesce_uncertainty_floor {
-                args.push(format!("quiesce={}", p.quiesce_uncertainty_floor));
-            }
-        }
-    }
+fn zfilter_hint() -> String {
+    format!(
+        "none|notch({})|adaptive|adaptive({})",
+        grammar::expected(NOTCH),
+        grammar::expected(ADAPTIVE)
+    )
+}
+
+/// The `mu=learned(…)` options, over the [`ProbingConfig`] they fill in.
+/// `probe` is mandatory for a probing strategy; a plain max filter is the
+/// `window` row alone ([`probing_view`]) — both strategies default their
+/// window to `DEFAULT_MU_WINDOW_S`.
+const MU_LEARNED: &[Opt<ProbingConfig>] = &[
+    num_opt!("probe", "probe", "<s>", probe_interval_s, required),
+    num_opt!("gain", "g", "<x>", probe_gain),
+    num_opt!("dur", "d", "<s>", probe_duration_s),
+    num_opt!("window", "w", "<s>", window_s),
+    num_opt!("loss", "l", "<frac>", loss_backoff),
+    num_opt!("lossint", "li", "<s>", backoff_interval_s),
+    num_opt!("recent", "r", "<s>", recent_window_s),
+    num_opt!("cap", "c", "<x>", cap_margin),
+    num_opt!("quiesce", "q", "<frac>", quiesce_uncertainty_floor),
+];
+
+/// A learned-µ strategy as the [`ProbingConfig`] the option table reads,
+/// plus the rows of [`MU_LEARNED`] that apply to it.
+fn probing_view(
+    lc: &LearnedMuConfig,
+) -> (
+    ProbingConfig,
+    impl Iterator<Item = &'static Opt<ProbingConfig>>,
+) {
+    let (p, probing) = match *lc {
+        LearnedMuConfig::Probing(p) => (p, true),
+        LearnedMuConfig::MaxFilter { window_s } => (
+            ProbingConfig {
+                window_s,
+                ..ProbingConfig::default()
+            },
+            false,
+        ),
+    };
+    let rows = MU_LEARNED
+        .iter()
+        .filter(move |o| probing || o.key == "window");
+    (p, rows)
+}
+
+/// `head` or `head(args)`, the latter only when there are args to show.
+fn call_form(head: &str, args: String) -> String {
     if args.is_empty() {
-        "mu=learned".to_string()
+        head.to_string()
     } else {
-        format!("mu=learned({})", args.join(","))
+        format!("{head}({args})")
     }
 }
 
-/// The canonical `zfilter=` option value (`notch(freq=0.1)`, `adaptive`, …).
-fn zfilter_option(zf: &ZFilterConfig) -> Option<String> {
-    match zf {
-        ZFilterConfig::None => None,
-        ZFilterConfig::Notch { freq_hz, q } if *q == 0.7 => {
-            Some(format!("zfilter=notch(freq={freq_hz})"))
+/// The canonical `mu=` value (`learned`, `learned(probe=3)`, …).
+fn show_mu(mu: &MuSpec) -> Option<String> {
+    let MuSpec::Learned(lc) = mu else {
+        return None;
+    };
+    let (p, rows) = probing_view(lc);
+    Some(call_form("learned", grammar::show_opts(rows, &p, ",")))
+}
+
+/// Parse the value of `mu=`: `configured`, `learned`, or a parameterised
+/// `learned(…)` strategy over the [`MU_LEARNED`] keys.
+fn parse_mu(value: &str) -> Result<MuSpec, ParseError> {
+    match grammar::split_call(value)? {
+        ("configured", None) => Ok(MuSpec::Configured),
+        ("learned" | "estimated", None) => Ok(MuSpec::learned()),
+        ("learned" | "estimated", Some(args)) => {
+            let mut cfg = ProbingConfig::default();
+            let seen = grammar::set_opts("mu=learned", MU_LEARNED, &mut cfg, args)?;
+            if !seen.contains(&"probe") {
+                if seen.iter().any(|&k| k != "window") {
+                    let probing_only: Vec<&str> = MU_LEARNED
+                        .iter()
+                        .map(|o| o.key)
+                        .filter(|&k| k != "probe" && k != "window")
+                        .collect();
+                    return Err(ParseError(format!(
+                        "mu=learned probing parameters ({}) require probe=<interval>",
+                        probing_only.join("/")
+                    )));
+                }
+                return Ok(MuSpec::Learned(LearnedMuConfig::MaxFilter {
+                    window_s: cfg.window_s,
+                }));
+            }
+            if 2.0 * cfg.probe_duration_s >= cfg.probe_interval_s {
+                return Err(ParseError(format!(
+                    "probe duration {} s plus its equal-length drain (during which \
+                     ẑ is held) must be shorter than the probe interval {} s — \
+                     use dur < probe/2",
+                    cfg.probe_duration_s, cfg.probe_interval_s
+                )));
+            }
+            if cfg.probe_gain <= 1.0 {
+                return Err(ParseError(format!(
+                    "probe gain {} must exceed 1 (a probe paces *above* the base rate)",
+                    cfg.probe_gain
+                )));
+            }
+            if cfg.loss_backoff >= 1.0 {
+                return Err(ParseError(format!(
+                    "loss backoff {} must be a decay factor below 1",
+                    cfg.loss_backoff
+                )));
+            }
+            if cfg.quiesce_uncertainty_floor >= 1.0 {
+                return Err(ParseError(format!(
+                    "quiesce floor {} is compared against the µ̂ uncertainty in \
+                     [0, 1) — 1 or above would quiesce probing unconditionally",
+                    cfg.quiesce_uncertainty_floor
+                )));
+            }
+            Ok(MuSpec::Learned(LearnedMuConfig::Probing(cfg)))
         }
-        ZFilterConfig::Notch { freq_hz, q } => Some(format!("zfilter=notch(freq={freq_hz},q={q})")),
-        ZFilterConfig::Adaptive { k } if *k == 8.0 => Some("zfilter=adaptive".to_string()),
-        ZFilterConfig::Adaptive { k } => Some(format!("zfilter=adaptive(k={k})")),
+        (v, _) => Err(ParseError(format!(
+            "unknown mu mode `{v}` (expected {})",
+            mu_hint()
+        ))),
+    }
+}
+
+/// The arguments of `zfilter=notch(…)`; the default is
+/// [`ZFilterConfig::notch`]'s `q` with the frequency still to be given (NaN).
+struct NotchArgs {
+    freq_hz: f64,
+    q: f64,
+}
+
+impl Default for NotchArgs {
+    fn default() -> Self {
+        let ZFilterConfig::Notch { q, .. } = ZFilterConfig::notch(f64::NAN) else {
+            unreachable!("notch() builds a Notch")
+        };
+        NotchArgs {
+            freq_hz: f64::NAN,
+            q,
+        }
+    }
+}
+
+/// The `zfilter=notch(…)` options.
+const NOTCH: &[Opt<NotchArgs>] = &[
+    num_opt!("freq", "", "<hz>", freq_hz, required),
+    num_opt!("q", "q", "<q>", q),
+];
+
+/// The arguments of `zfilter=adaptive(…)`, defaulting to
+/// [`ZFilterConfig::adaptive`]'s gain.
+struct AdaptiveArgs {
+    k: f64,
+}
+
+impl Default for AdaptiveArgs {
+    fn default() -> Self {
+        let ZFilterConfig::Adaptive { k } = ZFilterConfig::adaptive() else {
+            unreachable!("adaptive() builds an Adaptive")
+        };
+        AdaptiveArgs { k }
+    }
+}
+
+/// The `zfilter=adaptive(…)` options.
+const ADAPTIVE: &[Opt<AdaptiveArgs>] = &[num_opt!("k", "", "<gain>", k)];
+
+/// The canonical `zfilter=` value (`notch(freq=0.1)`, `adaptive`, …).
+fn show_zfilter(zf: &ZFilterConfig) -> Option<String> {
+    match *zf {
+        ZFilterConfig::None => None,
+        ZFilterConfig::Notch { freq_hz, q } => Some(call_form(
+            "notch",
+            grammar::show_opts(NOTCH, &NotchArgs { freq_hz, q }, ","),
+        )),
+        ZFilterConfig::Adaptive { k } => Some(call_form(
+            "adaptive",
+            grammar::show_opts(ADAPTIVE, &AdaptiveArgs { k }, ","),
+        )),
+    }
+}
+
+/// Parse the value of `zfilter=`: `none`, `notch(freq=…[,q=…])`, or
+/// `adaptive[(k=…)]`.
+fn parse_zfilter(value: &str) -> Result<ZFilterConfig, ParseError> {
+    match grammar::split_call(value)? {
+        ("none", None) => Ok(ZFilterConfig::None),
+        ("adaptive", args) => {
+            let mut a = AdaptiveArgs::default();
+            grammar::set_opts("zfilter=adaptive", ADAPTIVE, &mut a, args.unwrap_or(""))?;
+            Ok(ZFilterConfig::Adaptive { k: a.k })
+        }
+        ("notch", args) => {
+            let mut a = NotchArgs::default();
+            grammar::set_opts("zfilter=notch", NOTCH, &mut a, args.unwrap_or(""))?;
+            if a.freq_hz.is_nan() {
+                return Err(ParseError(
+                    "zfilter=notch requires the link-variation frequency: notch(freq=<hz>)"
+                        .to_string(),
+                ));
+            }
+            Ok(ZFilterConfig::Notch {
+                freq_hz: a.freq_hz,
+                q: a.q,
+            })
+        }
+        (v, _) => Err(ParseError(format!(
+            "unknown zfilter `{v}` (expected {})",
+            zfilter_hint()
+        ))),
     }
 }
 
@@ -600,378 +718,37 @@ impl fmt::Display for SchemeSpec {
         match self {
             SchemeSpec::Bare(kind) => write!(f, "{kind}"),
             SchemeSpec::Nimbus(n) => {
-                let mut opts = Vec::new();
-                match n.competitive {
-                    TcpScheme::Cubic => {}
-                    TcpScheme::NewReno => opts.push("competitive=reno".to_string()),
-                    TcpScheme::Dctcp => opts.push("competitive=dctcp".to_string()),
-                }
-                match n.delay {
-                    DelayScheme::BasicDelay => {}
-                    DelayScheme::CopaDefault => opts.push("delay=copa".to_string()),
-                    DelayScheme::Vegas => opts.push("delay=vegas".to_string()),
-                }
-                if let MuSpec::Learned(lc) = &n.mu {
-                    opts.push(mu_option(lc));
-                }
-                if let Some(zf) = zfilter_option(&n.zfilter) {
-                    opts.push(zf);
-                }
-                if n.switch == SwitchSpec::Never {
-                    opts.push("switch=never".to_string());
-                }
-                if opts.is_empty() {
-                    write!(f, "nimbus")
-                } else {
-                    write!(f, "nimbus({})", opts.join(","))
-                }
+                f.write_str(&call_form("nimbus", grammar::show_opts(NIMBUS, n, ",")))
             }
         }
     }
-}
-
-/// Split on `sep` at parenthesis depth zero only, so values like
-/// `learned(probe=3,gain=2)` survive the option split intact.
-fn split_top_level(s: &str, sep: char) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0;
-    for (i, c) in s.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            c if c == sep && depth == 0 => {
-                parts.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&s[start..]);
-    parts
-}
-
-/// Split a `head(inner)` call form; a bare `head` has no inner args.
-/// Errors if the parentheses are unbalanced.
-fn split_call(value: &str) -> Result<(&str, Option<&str>), ParseSchemeError> {
-    match value.split_once('(') {
-        None => Ok((value, None)),
-        Some((head, rest)) => {
-            let inner = rest
-                .strip_suffix(')')
-                .ok_or_else(|| ParseSchemeError(format!("`{value}` is missing the closing `)`")))?;
-            Ok((head, Some(inner)))
-        }
-    }
-}
-
-/// Parse one positive-number parameter of a `mu=learned(...)` or
-/// `zfilter=...(...)` call.
-fn parse_positive(key: &str, value: &str, what: &str) -> Result<f64, ParseSchemeError> {
-    let v: f64 = value
-        .trim()
-        .parse()
-        .map_err(|_| ParseSchemeError(format!("invalid {what} `{key}={value}`: not a number")))?;
-    if !(v > 0.0 && v.is_finite()) {
-        return Err(ParseSchemeError(format!(
-            "invalid {what} `{key}={value}`: must be a positive number"
-        )));
-    }
-    Ok(v)
-}
-
-/// Parse the value of `mu=`: `configured`, `learned`, or a parameterised
-/// `learned(probe=…, gain=…, dur=…, window=…, loss=…, lossint=…, recent=…,
-/// cap=…, quiesce=…)` strategy.
-fn parse_mu_value(value: &str) -> Result<MuSpec, ParseSchemeError> {
-    let (head, inner) = split_call(value)?;
-    match (head.trim(), inner) {
-        ("configured", None) => Ok(MuSpec::Configured),
-        ("learned", None) | ("estimated", None) => Ok(MuSpec::learned()),
-        ("learned", Some(args)) | ("estimated", Some(args)) => {
-            let mut window_s: Option<f64> = None;
-            let mut probe: Option<f64> = None;
-            let mut gain: Option<f64> = None;
-            let mut dur: Option<f64> = None;
-            let mut loss: Option<f64> = None;
-            let mut lossint: Option<f64> = None;
-            let mut recent: Option<f64> = None;
-            let mut cap: Option<f64> = None;
-            let mut quiesce: Option<f64> = None;
-            for pair in args.split(',') {
-                let pair = pair.trim();
-                if pair.is_empty() {
-                    continue;
-                }
-                let Some((key, v)) = pair.split_once('=') else {
-                    return Err(ParseSchemeError(format!(
-                        "mu=learned option `{pair}` is not of the form key=value \
-                         (expected probe=, gain=, dur=, window=, loss=, lossint=, \
-                         recent=, cap=, or quiesce=)"
-                    )));
-                };
-                let slot = match key.trim() {
-                    "probe" => &mut probe,
-                    "gain" => &mut gain,
-                    "dur" => &mut dur,
-                    "window" => &mut window_s,
-                    "loss" => &mut loss,
-                    "lossint" => &mut lossint,
-                    "recent" => &mut recent,
-                    "cap" => &mut cap,
-                    "quiesce" => &mut quiesce,
-                    k => {
-                        return Err(ParseSchemeError(format!(
-                            "unknown mu=learned option `{k}` (expected probe=<s>, gain=<x>, \
-                             dur=<s>, window=<s>, loss=<frac>, lossint=<s>, recent=<s>, \
-                             cap=<x>, quiesce=<frac>)"
-                        )))
-                    }
-                };
-                *slot = Some(parse_positive(key.trim(), v, "mu=learned parameter")?);
-            }
-            if probe.is_none()
-                && (gain.is_some()
-                    || dur.is_some()
-                    || loss.is_some()
-                    || lossint.is_some()
-                    || recent.is_some()
-                    || cap.is_some()
-                    || quiesce.is_some())
-            {
-                return Err(ParseSchemeError(
-                    "mu=learned probing parameters (gain/dur/loss/lossint) require probe=<interval>"
-                        .to_string(),
-                ));
-            }
-            match probe {
-                None => Ok(MuSpec::Learned(LearnedMuConfig::MaxFilter {
-                    window_s: window_s.unwrap_or(DEFAULT_MU_WINDOW_S),
-                })),
-                Some(interval) => {
-                    let d = ProbingConfig::default();
-                    let cfg = ProbingConfig {
-                        window_s: window_s.unwrap_or(d.window_s),
-                        probe_interval_s: interval,
-                        probe_duration_s: dur.unwrap_or(d.probe_duration_s),
-                        probe_gain: gain.unwrap_or(d.probe_gain),
-                        loss_backoff: loss.unwrap_or(d.loss_backoff),
-                        backoff_interval_s: lossint.unwrap_or(d.backoff_interval_s),
-                        recent_window_s: recent.unwrap_or(d.recent_window_s),
-                        cap_margin: cap.unwrap_or(d.cap_margin),
-                        quiesce_uncertainty_floor: quiesce.unwrap_or(d.quiesce_uncertainty_floor),
-                    };
-                    if 2.0 * cfg.probe_duration_s >= cfg.probe_interval_s {
-                        return Err(ParseSchemeError(format!(
-                            "probe duration {} s plus its equal-length drain (during which \
-                             ẑ is held) must be shorter than the probe interval {} s — \
-                             use dur < probe/2",
-                            cfg.probe_duration_s, cfg.probe_interval_s
-                        )));
-                    }
-                    if cfg.probe_gain <= 1.0 {
-                        return Err(ParseSchemeError(format!(
-                            "probe gain {} must exceed 1 (a probe paces *above* the base rate)",
-                            cfg.probe_gain
-                        )));
-                    }
-                    if cfg.loss_backoff >= 1.0 {
-                        return Err(ParseSchemeError(format!(
-                            "loss backoff {} must be a decay factor below 1",
-                            cfg.loss_backoff
-                        )));
-                    }
-                    if cfg.quiesce_uncertainty_floor >= 1.0 {
-                        return Err(ParseSchemeError(format!(
-                            "quiesce floor {} is compared against the µ̂ uncertainty in \
-                             [0, 1) — 1 or above would quiesce probing unconditionally",
-                            cfg.quiesce_uncertainty_floor
-                        )));
-                    }
-                    Ok(MuSpec::Learned(LearnedMuConfig::Probing(cfg)))
-                }
-            }
-        }
-        (v, _) => Err(ParseSchemeError(format!(
-            "unknown mu mode `{v}` (expected configured, learned, or learned(probe=...))"
-        ))),
-    }
-}
-
-/// Parse the value of `zfilter=`: `none`, `notch(freq=…[,q=…])`, or
-/// `adaptive[(k=…)]`.
-fn parse_zfilter_value(value: &str) -> Result<ZFilterConfig, ParseSchemeError> {
-    let (head, inner) = split_call(value)?;
-    match (head.trim(), inner) {
-        ("none", None) => Ok(ZFilterConfig::None),
-        ("adaptive", None) => Ok(ZFilterConfig::adaptive()),
-        ("adaptive", Some(args)) => {
-            let mut k = match ZFilterConfig::adaptive() {
-                ZFilterConfig::Adaptive { k } => k,
-                _ => unreachable!(),
-            };
-            for pair in args.split(',') {
-                let pair = pair.trim();
-                if pair.is_empty() {
-                    continue;
-                }
-                match pair.split_once('=') {
-                    Some(("k", v)) => k = parse_positive("k", v, "zfilter parameter")?,
-                    _ => {
-                        return Err(ParseSchemeError(format!(
-                            "unknown zfilter=adaptive option `{pair}` (expected k=<gain>)"
-                        )))
-                    }
-                }
-            }
-            Ok(ZFilterConfig::Adaptive { k })
-        }
-        ("notch", Some(args)) => {
-            let mut freq: Option<f64> = None;
-            let mut q = 0.7;
-            for pair in args.split(',') {
-                let pair = pair.trim();
-                if pair.is_empty() {
-                    continue;
-                }
-                match pair.split_once('=') {
-                    Some(("freq", v)) => {
-                        freq = Some(parse_positive("freq", v, "zfilter parameter")?)
-                    }
-                    Some(("q", v)) => q = parse_positive("q", v, "zfilter parameter")?,
-                    _ => {
-                        return Err(ParseSchemeError(format!(
-                            "unknown zfilter=notch option `{pair}` (expected freq=<hz>, q=<q>)"
-                        )))
-                    }
-                }
-            }
-            let freq_hz = freq.ok_or_else(|| {
-                ParseSchemeError(
-                    "zfilter=notch requires the link-variation frequency: notch(freq=<hz>)"
-                        .to_string(),
-                )
-            })?;
-            Ok(ZFilterConfig::Notch { freq_hz, q })
-        }
-        ("notch", None) => Err(ParseSchemeError(
-            "zfilter=notch requires the link-variation frequency: notch(freq=<hz>)".to_string(),
-        )),
-        (v, _) => Err(ParseSchemeError(format!(
-            "unknown zfilter `{v}` (expected none, notch(freq=...), or adaptive)"
-        ))),
-    }
-}
-
-fn parse_nimbus_options(args: &str) -> Result<NimbusSpec, ParseSchemeError> {
-    let mut spec = NimbusSpec::default();
-    for pair in split_top_level(args, ',') {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let Some((key, value)) = pair.split_once('=') else {
-            return Err(ParseSchemeError(format!(
-                "nimbus option `{pair}` is not of the form key=value \
-                 (expected competitive=, delay=, mu=, zfilter=, or switch=)"
-            )));
-        };
-        match (key.trim(), value.trim()) {
-            ("competitive", "cubic") => spec.competitive = TcpScheme::Cubic,
-            ("competitive", "reno") | ("competitive", "newreno") => {
-                spec.competitive = TcpScheme::NewReno
-            }
-            ("competitive", "dctcp") => spec.competitive = TcpScheme::Dctcp,
-            ("competitive", v) => {
-                return Err(ParseSchemeError(format!(
-                    "unknown competitive scheme `{v}` (expected cubic, reno, or dctcp)"
-                )))
-            }
-            ("delay", "basic") | ("delay", "basicdelay") => spec.delay = DelayScheme::BasicDelay,
-            ("delay", "copa") => spec.delay = DelayScheme::CopaDefault,
-            ("delay", "vegas") => spec.delay = DelayScheme::Vegas,
-            ("delay", v) => {
-                return Err(ParseSchemeError(format!(
-                    "unknown delay scheme `{v}` (expected basic, copa, or vegas)"
-                )))
-            }
-            ("mu", v) => spec.mu = parse_mu_value(v)?,
-            ("zfilter", v) => spec.zfilter = parse_zfilter_value(v)?,
-            ("switch", "auto") => spec.switch = SwitchSpec::Auto,
-            ("switch", "never") | ("switch", "off") => spec.switch = SwitchSpec::Never,
-            ("switch", v) => {
-                return Err(ParseSchemeError(format!(
-                    "unknown switch mode `{v}` (expected auto or never)"
-                )))
-            }
-            (k, _) => {
-                return Err(ParseSchemeError(format!(
-                    "unknown nimbus option `{k}` \
-                     (expected competitive=cubic|reno|dctcp, delay=basic|copa|vegas, \
-                     mu=configured|learned|learned(probe=...), \
-                     zfilter=none|notch(freq=...)|adaptive, switch=auto|never)"
-                )))
-            }
-        }
-    }
-    Ok(spec)
 }
 
 impl FromStr for SchemeSpec {
-    type Err = ParseSchemeError;
+    type Err = ParseError;
 
-    /// Parse a spec string.  Accepts the canonical grammar (see the
-    /// [module docs](self)), the legacy `Scheme` enum variant names
-    /// (`NimbusCubicCopa`, `Vivace`, …) and the legacy labels
-    /// (`nimbus-copa`, `nimbus-estmu`, `pcc-vivace`, …) as aliases.
+    /// Parse a spec string (case-insensitively): a bare CCA via `CcKind`'s
+    /// own parser, or `nimbus[(…)]` over the `NIMBUS` options.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let trimmed = s.trim();
-        // Legacy enum variant names (the old serde encoding of `Scheme`).
-        match trimmed {
-            "NimbusCubicBasicDelay" => return Ok(Self::nimbus()),
-            "NimbusCubicCopa" => return Ok(Self::nimbus_copa()),
-            "NimbusCubicVegas" => return Ok(Self::nimbus_vegas()),
-            "NimbusDelayOnly" => return Ok(Self::nimbus_delay_only()),
-            "NimbusEstimatedMu" => return Ok(Self::nimbus_estmu()),
-            "Cubic" => return Ok(Self::cubic()),
-            "NewReno" => return Ok(Self::newreno()),
-            "Vegas" => return Ok(Self::vegas()),
-            "Copa" => return Ok(Self::copa()),
-            "Bbr" => return Ok(Self::bbr()),
-            "Vivace" => return Ok(Self::vivace()),
-            "Compound" => return Ok(Self::compound()),
-            _ => {}
-        }
-        let lower = trimmed.to_ascii_lowercase();
-        // Legacy labels for the Nimbus flavours.
-        match lower.as_str() {
-            "nimbus" => return Ok(Self::nimbus()),
-            "nimbus-copa" => return Ok(Self::nimbus_copa()),
-            "nimbus-vegas" => return Ok(Self::nimbus_vegas()),
-            "nimbus-delay" => return Ok(Self::nimbus_delay_only()),
-            "nimbus-estmu" => return Ok(Self::nimbus_estmu()),
-            _ => {}
-        }
-        if let Some(rest) = lower.strip_prefix("nimbus(") {
-            let args = rest.strip_suffix(')').ok_or_else(|| {
-                ParseSchemeError(format!("`{trimmed}` is missing the closing `)`"))
-            })?;
-            return Ok(SchemeSpec::Nimbus(parse_nimbus_options(args)?));
-        }
-        // The constant(<rate>)/cbr(<rate>) grammar lives in `CcKind`'s own
-        // `FromStr`; for those heads its diagnostics (bad rate, missing
-        // paren) are the actionable message, while anything else gets the
-        // spec-level overview of the whole grammar.
-        match lower.parse::<CcKind>() {
-            Ok(kind) => Ok(SchemeSpec::Bare(kind)),
-            Err(e) if lower.starts_with("constant(") || lower.starts_with("cbr(") => {
-                Err(ParseSchemeError(e))
+        let lower = s.trim().to_ascii_lowercase();
+        match grammar::split_call(&lower)? {
+            ("nimbus", args) => {
+                let mut spec = NimbusSpec::default();
+                grammar::set_opts("nimbus", NIMBUS, &mut spec, args.unwrap_or(""))?;
+                Ok(SchemeSpec::Nimbus(spec))
             }
-            Err(_) => Err(ParseSchemeError(format!(
-                "unknown scheme `{trimmed}` (expected a bare CCA such as cubic, newreno, \
-                     vegas, copa, bbr, vivace, compound, constant(<rate>), or a wrapper spec \
-                     such as nimbus(competitive=reno,delay=copa,mu=learned))"
-            ))),
+            // The constant(<rate>)/cbr(<rate>) grammar lives in `CcKind`'s
+            // own `FromStr`; for those heads its diagnostics (bad rate) are
+            // the actionable message, anything else gets the overview.
+            (head, _) => match lower.parse::<CcKind>() {
+                Ok(kind) => Ok(SchemeSpec::Bare(kind)),
+                Err(e) if matches!(head, "constant" | "cbr") => Err(ParseError(e)),
+                Err(_) => Err(ParseError(format!(
+                    "unknown scheme `{}` (expected a bare CCA — {BARE_SCHEMES} — or a \
+                     wrapper spec such as nimbus(competitive=reno,delay=copa,mu=learned))",
+                    s.trim()
+                ))),
+            },
         }
     }
 }
@@ -984,12 +761,10 @@ impl Serialize for SchemeSpec {
 }
 
 impl Deserialize for SchemeSpec {
-    /// Deserialized from any string [`FromStr`] accepts — including the
-    /// legacy `Scheme` variant names, so pre-redesign serialized data still
-    /// loads.
+    /// Deserialized from any string [`FromStr`] accepts.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         match v {
-            Value::Str(s) => s.parse().map_err(|e: ParseSchemeError| serde::Error(e.0)),
+            Value::Str(s) => s.parse().map_err(|e: ParseError| serde::Error(e.0)),
             other => Err(serde::Error(format!(
                 "expected scheme spec string, got {other:?}"
             ))),
@@ -1001,7 +776,7 @@ impl Deserialize for SchemeSpec {
 mod tests {
     use super::*;
 
-    fn all_legacy() -> Vec<SchemeSpec> {
+    fn paper_flavours() -> Vec<SchemeSpec> {
         vec![
             SchemeSpec::nimbus(),
             SchemeSpec::nimbus_copa(),
@@ -1020,34 +795,13 @@ mod tests {
 
     #[test]
     fn every_spec_builds_an_endpoint_with_its_label() {
-        let mut specs = all_legacy();
+        let mut specs = paper_flavours();
         specs.push(SchemeSpec::nimbus().with_competitive(TcpScheme::NewReno));
         specs.push(SchemeSpec::nimbus_copa().with_learned_mu());
         specs.push(SchemeSpec::constant(12e6));
         for s in specs {
             let ep = s.build_endpoint(96e6, 1, None);
             assert_eq!(ep.label(), s.label());
-        }
-    }
-
-    #[test]
-    fn legacy_labels_are_preserved() {
-        let expected = [
-            "nimbus",
-            "nimbus-copa",
-            "nimbus-vegas",
-            "nimbus-delay",
-            "nimbus-estmu",
-            "cubic",
-            "newreno",
-            "vegas",
-            "copa",
-            "bbr",
-            "pcc-vivace",
-            "compound",
-        ];
-        for (spec, want) in all_legacy().iter().zip(expected) {
-            assert_eq!(spec.label(), want);
         }
     }
 
@@ -1078,34 +832,27 @@ mod tests {
         );
         assert_eq!(SchemeSpec::constant(24e6).label(), "cbr24M");
         assert_eq!(SchemeSpec::constant(4e5).label(), "cbr400k");
+        // Strategy parameters: only the non-default ones, in table order.
+        let label = |s: &str| s.parse::<SchemeSpec>().unwrap().label();
+        assert_eq!(label("nimbus(mu=learned(window=5))"), "nimbus-estmu-w5");
+        assert_eq!(
+            label("nimbus(mu=learned(probe=2,gain=4,quiesce=0.4))"),
+            "nimbus-estmu-probe2g4q0.4"
+        );
+        assert_eq!(
+            label("nimbus(zfilter=notch(freq=0.1,q=2))"),
+            "nimbus-notch0.1q2"
+        );
+        assert_eq!(label("nimbus(zfilter=adaptive(k=4))"), "nimbus-zadapt4");
     }
 
     #[test]
-    fn display_round_trips_and_aliases_parse() {
-        for spec in all_legacy() {
-            let text = spec.to_string();
-            let back: SchemeSpec = text.parse().unwrap();
-            assert_eq!(back, spec, "`{text}` did not round-trip");
-        }
-        // Canonical strings for the interesting flavours.
+    fn canonical_strings_and_tolerant_parsing() {
         assert_eq!(SchemeSpec::nimbus().to_string(), "nimbus");
         assert_eq!(SchemeSpec::nimbus_copa().to_string(), "nimbus(delay=copa)");
         assert_eq!(
             SchemeSpec::nimbus_delay_only().to_string(),
             "nimbus(switch=never)"
-        );
-        // Legacy aliases.
-        assert_eq!(
-            "NimbusCubicCopa".parse::<SchemeSpec>().unwrap(),
-            SchemeSpec::nimbus_copa()
-        );
-        assert_eq!(
-            "nimbus-estmu".parse::<SchemeSpec>().unwrap(),
-            SchemeSpec::nimbus_estmu()
-        );
-        assert_eq!(
-            "pcc-vivace".parse::<SchemeSpec>().unwrap(),
-            SchemeSpec::vivace()
         );
         // Whitespace and case tolerance.
         assert_eq!(
@@ -1116,36 +863,13 @@ mod tests {
                 .with_competitive(TcpScheme::NewReno)
                 .with_learned_mu()
         );
-        assert_eq!(
-            "constant(24M)".parse::<SchemeSpec>().unwrap(),
-            SchemeSpec::constant(24e6)
-        );
-        // The ECN family round-trips.
+        // The ECN family.
         let prague = SchemeSpec::nimbus().with_competitive(TcpScheme::Dctcp);
         assert_eq!(prague.to_string(), "nimbus(competitive=dctcp)");
-        assert_eq!(
-            "nimbus(competitive=dctcp)".parse::<SchemeSpec>().unwrap(),
-            prague
-        );
-        assert_eq!("dctcp".parse::<SchemeSpec>().unwrap(), SchemeSpec::dctcp());
         assert!(prague.uses_ecn());
         assert!(SchemeSpec::dctcp().uses_ecn());
         assert!(!SchemeSpec::nimbus().uses_ecn());
         assert!(!SchemeSpec::cubic().uses_ecn());
-    }
-
-    #[test]
-    fn malformed_specs_report_actionable_errors() {
-        let err = "nimbus(delay=reno)".parse::<SchemeSpec>().unwrap_err();
-        assert!(err.0.contains("unknown delay scheme"), "{err}");
-        let err = "nimbus(pulse=off)".parse::<SchemeSpec>().unwrap_err();
-        assert!(err.0.contains("unknown nimbus option"), "{err}");
-        let err = "nimbus(delay=copa".parse::<SchemeSpec>().unwrap_err();
-        assert!(err.0.contains("closing"), "{err}");
-        let err = "quic".parse::<SchemeSpec>().unwrap_err();
-        assert!(err.0.contains("unknown scheme"), "{err}");
-        let err = "constant(fast)".parse::<SchemeSpec>().unwrap_err();
-        assert!(err.0.contains("invalid rate"), "{err}");
     }
 
     #[test]
@@ -1176,43 +900,5 @@ mod tests {
         assert!(set.contains(&SchemeSpec::bbr()));
         assert!(set.contains(&SchemeSpec::copa()));
         assert!(set.contains(&SchemeSpec::vivace()));
-    }
-
-    #[test]
-    fn legacy_enum_variant_names_still_parse() {
-        // The `Scheme` enum is gone, but its serde strings must keep
-        // loading: pre-redesign result files encode schemes by variant name.
-        let aliases = [
-            ("NimbusCubicBasicDelay", SchemeSpec::nimbus()),
-            ("NimbusCubicCopa", SchemeSpec::nimbus_copa()),
-            ("NimbusCubicVegas", SchemeSpec::nimbus_vegas()),
-            ("NimbusDelayOnly", SchemeSpec::nimbus_delay_only()),
-            ("NimbusEstimatedMu", SchemeSpec::nimbus_estmu()),
-            ("Cubic", SchemeSpec::cubic()),
-            ("NewReno", SchemeSpec::newreno()),
-            ("Vegas", SchemeSpec::vegas()),
-            ("Copa", SchemeSpec::copa()),
-            ("Bbr", SchemeSpec::bbr()),
-            ("Vivace", SchemeSpec::vivace()),
-            ("Compound", SchemeSpec::compound()),
-        ];
-        for (name, want) in aliases {
-            assert_eq!(name.parse::<SchemeSpec>().unwrap(), want, "{name}");
-        }
-    }
-
-    #[test]
-    fn serde_round_trips_including_legacy_strings() {
-        let spec = SchemeSpec::nimbus_copa().with_learned_mu();
-        let v = spec.to_value();
-        assert_eq!(v, Value::Str("nimbus(delay=copa,mu=learned)".to_string()));
-        assert_eq!(SchemeSpec::from_value(&v).unwrap(), spec);
-        // The old enum's serde encoding (unit variant name) still loads.
-        let legacy = Value::Str("NimbusEstimatedMu".to_string());
-        assert_eq!(
-            SchemeSpec::from_value(&legacy).unwrap(),
-            SchemeSpec::nimbus_estmu()
-        );
-        assert!(SchemeSpec::from_value(&Value::Int(3)).is_err());
     }
 }

@@ -13,10 +13,9 @@
 //! replace the default axis, benchmarking exactly those schemes across the
 //! cross-traffic/rate/schedule dimensions.
 
-use crate::runner::{EcnSpec, LinkScheduleSpec, PathSpec};
+use crate::runner::EcnSpec;
 use crate::scheme::SchemeSpec;
-use crate::testkit::{parallel_map, Cell, CrossTraffic, Invariants};
-use nimbus_core::TcpScheme;
+use crate::testkit::{parallel_map, Cell};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -105,71 +104,49 @@ pub fn sweep_matrix(quick: bool) -> Vec<Cell> {
 /// built-in trace) is only appended for the default axis — it exists to
 /// keep the CI perf gate covering those paths, not to dilute an explicit
 /// axis.
+///
+/// Every cell is a whole-cell string (`<scheme>@<link> vs <cross> …`, the
+/// testkit's grammar) built from the axes below; the sweep benchmarks, it
+/// does not assert, so the cells carry no invariants.
 pub fn sweep_matrix_with(quick: bool, scheme_axis: Option<&[SchemeSpec]>) -> Vec<Cell> {
-    let default_axis = scheme_axis.is_none();
-    let schemes: Vec<SchemeSpec> = match scheme_axis {
-        Some(axis) => axis.to_vec(),
-        None if quick => vec![SchemeSpec::nimbus(), SchemeSpec::cubic()],
+    let schemes: Vec<String> = match scheme_axis {
+        Some(axis) => axis.iter().map(SchemeSpec::to_string).collect(),
+        None if quick => vec!["nimbus".into(), "cubic".into()],
         None => vec![
-            SchemeSpec::nimbus(),
-            SchemeSpec::cubic(),
-            SchemeSpec::vegas(),
-            SchemeSpec::bbr(),
+            "nimbus".into(),
+            "cubic".into(),
+            "vegas".into(),
+            "bbr".into(),
         ],
     };
-    let crosses: Vec<CrossTraffic> = if quick {
-        vec![
-            CrossTraffic::None,
-            CrossTraffic::Cbr {
-                fraction_of_mu: 0.5,
-            },
-        ]
+    let crosses: &[&str] = if quick {
+        &["alone", "cbr@0.5"]
     } else {
-        vec![
-            CrossTraffic::None,
-            CrossTraffic::Cbr {
-                fraction_of_mu: 0.5,
-            },
-            CrossTraffic::Poisson {
-                fraction_of_mu: 0.5,
-            },
-            CrossTraffic::elastic_cubic(),
-        ]
+        &["alone", "cbr@0.5", "poisson@0.5", "cubic"]
     };
-    let rates: Vec<f64> = if quick { vec![48e6] } else { vec![48e6, 96e6] };
-    let schedules: Vec<LinkScheduleSpec> = vec![
-        LinkScheduleSpec::Constant,
-        LinkScheduleSpec::Sinusoid {
-            amplitude_frac: 0.25,
-            period_s: 10.0,
-        },
-        LinkScheduleSpec::Step {
-            at_s: if quick { 7.0 } else { 15.0 },
-            factor: 0.5,
-        },
+    let rates: &[&str] = if quick { &["48M"] } else { &["48M", "96M"] };
+    let seeds: &[u64] = if quick { &[1] } else { &[1, 2] };
+    let (duration_s, step_at_s) = if quick { (15.0, 7.0) } else { (40.0, 15.0) };
+    let schedules = [
+        String::new(),
+        "sin(0.25,10s)".to_string(),
+        format!("step({step_at_s}s,0.5)"),
     ];
-    let seeds: Vec<u64> = if quick { vec![1] } else { vec![1, 2] };
-    let duration_s = if quick { 15.0 } else { 40.0 };
+    let cell = |scheme: &str, link: &str, cross: &str, seed: u64| -> Cell {
+        let steady_s = duration_s * 0.25;
+        let text =
+            format!("{scheme}@{link} vs {cross} seed={seed} dur={duration_s}s steady={steady_s}s");
+        text.parse()
+            .unwrap_or_else(|e| panic!("sweep cell `{text}`: {e}"))
+    };
 
     let mut cells = Vec::new();
-    for &scheme in &schemes {
-        for cross in &crosses {
-            for &rate in &rates {
+    for scheme in &schemes {
+        for cross in crosses {
+            for rate in rates {
                 for schedule in &schedules {
-                    for &seed in &seeds {
-                        cells.push(Cell {
-                            scheme,
-                            cross: cross.clone(),
-                            link_rate_bps: rate,
-                            schedule: schedule.clone(),
-                            path: PathSpec::single(),
-                            seed,
-                            duration_s,
-                            steady_start_s: duration_s * 0.25,
-                            ecn: EcnSpec::Off,
-                            // The sweep benchmarks; it does not assert.
-                            invariants: Invariants::default(),
-                        });
+                    for &seed in seeds {
+                        cells.push(cell(scheme, &format!("{rate} {schedule}"), cross, seed));
                     }
                 }
             }
@@ -180,162 +157,63 @@ pub fn sweep_matrix_with(quick: bool, scheme_axis: Option<&[SchemeSpec]>) -> Vec
     // tracked from the same baseline as the single-link cells.  Two path
     // shapes — a fixed secondary bottleneck and a moving bottleneck (anti-
     // phase steps on hops 0 and 1) — across the scheme dimension.
-    let paths: Vec<(LinkScheduleSpec, PathSpec)> = vec![
-        (LinkScheduleSpec::Constant, PathSpec::with_secondary(0.6)),
-        (
-            LinkScheduleSpec::Step {
-                at_s: duration_s * 0.45,
-                factor: 0.5,
-            },
-            PathSpec::moving_bottleneck(0.5, duration_s * 0.45),
-        ),
+    let swap_s = duration_s * 0.45;
+    let paths = [
+        "48M hop(0.6)".to_string(),
+        format!("48M step({swap_s}s,0.5) hop(0.5,sched=step({swap_s}s,2))"),
     ];
-    let path_crosses: Vec<CrossTraffic> = if quick {
-        vec![CrossTraffic::None]
+    let path_crosses: &[&str] = if quick {
+        &["alone"]
     } else {
-        vec![
-            CrossTraffic::None,
-            CrossTraffic::Cbr {
-                fraction_of_mu: 0.3,
-            },
-        ]
+        &["alone", "cbr@0.3"]
     };
-    for &scheme in &schemes {
-        for (schedule, path) in &paths {
-            for cross in &path_crosses {
-                cells.push(Cell {
-                    scheme,
-                    cross: cross.clone(),
-                    link_rate_bps: 48e6,
-                    schedule: schedule.clone(),
-                    path: path.clone(),
-                    seed: 1,
-                    duration_s,
-                    steady_start_s: duration_s * 0.25,
-                    ecn: EcnSpec::Off,
-                    invariants: Invariants::default(),
-                });
+    for scheme in &schemes {
+        for path in &paths {
+            for cross in path_crosses {
+                cells.push(cell(scheme, path, cross, 1));
             }
         }
     }
 
-    // New-combination cells (default axis only): schemes and competition
-    // shapes only the compositional `SchemeSpec` builder can assemble, plus
-    // a curated built-in trace.  Keeping them in the quick matrix means the
-    // CI perf gate covers the spec-built path, not just the legacy
-    // combinations.
-    if default_axis {
-        let combos: Vec<(SchemeSpec, CrossTraffic, LinkScheduleSpec)> = vec![
-            (
-                SchemeSpec::nimbus().with_competitive(TcpScheme::NewReno),
-                CrossTraffic::elastic_cubic(),
-                LinkScheduleSpec::Constant,
-            ),
-            (
-                SchemeSpec::nimbus_copa().with_learned_mu(),
-                CrossTraffic::None,
-                LinkScheduleSpec::Sinusoid {
-                    amplitude_frac: 0.1,
-                    period_s: 10.0,
-                },
-            ),
-            (
-                SchemeSpec::nimbus(),
-                CrossTraffic::Mix {
-                    specs: vec![SchemeSpec::copa(), SchemeSpec::cubic()],
-                },
-                LinkScheduleSpec::Constant,
-            ),
-            (
-                SchemeSpec::cubic(),
-                CrossTraffic::None,
-                LinkScheduleSpec::NamedTrace {
-                    name: "cellular".to_string(),
-                },
-            ),
+    if scheme_axis.is_none() {
+        let extras = [
+            // New-combination cells (default axis only): schemes and
+            // competition shapes only the compositional `SchemeSpec` grammar
+            // can assemble, plus a curated built-in trace.  Keeping them in
+            // the quick matrix means the CI perf gate covers the spec-built
+            // path, not just the paper's own combinations.
+            ("nimbus(competitive=reno)", "48M", "cubic"),
+            ("nimbus(delay=copa,mu=learned)", "48M sin(0.1,10s)", "alone"),
+            ("nimbus", "48M", "copa+cubic"),
+            ("cubic", "48M trace-cellular", "alone"),
             // The estimator axis of the µ-estimation API: the probing
             // strategy on the deep-fade trace it recovers, and the adaptive
             // ẑ thresholds on the sinusoid regime they recover — both in
             // the per-PR perf gate so the strategy hot paths are tracked.
+            ("nimbus(mu=learned(probe=1))", "48M trace-cellular", "alone"),
             (
-                SchemeSpec::nimbus().with_probing_mu(),
-                CrossTraffic::None,
-                LinkScheduleSpec::NamedTrace {
-                    name: "cellular".to_string(),
-                },
+                "nimbus(mu=learned,zfilter=adaptive)",
+                "48M sin(0.1,10s)",
+                "alone",
             ),
-            (
-                SchemeSpec::nimbus()
-                    .with_learned_mu()
-                    .with_z_filter(nimbus_core::ZFilterConfig::adaptive()),
-                CrossTraffic::None,
-                LinkScheduleSpec::Sinusoid {
-                    amplitude_frac: 0.1,
-                    period_s: 10.0,
-                },
-            ),
+            // ECN cells in the per-PR perf gate: the marking hot path (per-
+            // enqueue threshold checks + CE echo + the mark recorder series)
+            // and the DCTCP reaction are exercised under the three marking
+            // profiles, so a regression in the mark path shows up here rather
+            // than only in the gated matrix.
+            ("dctcp", "48M ecn=l4s", "alone"),
+            ("cubic", "48M ecn=classic", "alone"),
+            ("nimbus", "48M ecn=classic", "cubic"),
+            // Population-scale churn in the per-PR perf gate: a 1 Gbit/s
+            // bottleneck with an open-loop Poisson fleet at 50% load spawns and
+            // retires ~550 flows/s, so this one cell churns through thousands of
+            // flow lifetimes — the spawner/retirement hot path regresses here
+            // long before it would show in the static-flow cells.
+            ("nimbus", "1G", "fleet(load=0.5)"),
         ];
-        for (scheme, cross, schedule) in combos {
-            cells.push(Cell {
-                scheme,
-                cross,
-                link_rate_bps: 48e6,
-                schedule,
-                path: PathSpec::single(),
-                seed: 1,
-                duration_s,
-                steady_start_s: duration_s * 0.25,
-                ecn: EcnSpec::Off,
-                invariants: Invariants::default(),
-            });
+        for (scheme, link, cross) in extras {
+            cells.push(cell(scheme, link, cross, 1));
         }
-        // ECN cells in the per-PR perf gate: the marking hot path (per-
-        // enqueue threshold checks + CE echo + the mark recorder series)
-        // and the DCTCP reaction are exercised under the three marking
-        // profiles, so a regression in the mark path shows up here rather
-        // than only in the gated matrix.
-        let ecn_combos: Vec<(SchemeSpec, CrossTraffic, EcnSpec)> = vec![
-            (SchemeSpec::dctcp(), CrossTraffic::None, EcnSpec::l4s()),
-            (SchemeSpec::cubic(), CrossTraffic::None, EcnSpec::Classic),
-            (
-                SchemeSpec::nimbus(),
-                CrossTraffic::elastic_cubic(),
-                EcnSpec::Classic,
-            ),
-        ];
-        for (scheme, cross, ecn) in ecn_combos {
-            cells.push(Cell {
-                scheme,
-                cross,
-                link_rate_bps: 48e6,
-                schedule: LinkScheduleSpec::Constant,
-                path: PathSpec::single(),
-                seed: 1,
-                duration_s,
-                steady_start_s: duration_s * 0.25,
-                ecn,
-                invariants: Invariants::default(),
-            });
-        }
-        // Population-scale churn in the per-PR perf gate: a 1 Gbit/s
-        // bottleneck with an open-loop Poisson fleet at 50% load spawns and
-        // retires ~550 flows/s, so this one cell churns through thousands of
-        // flow lifetimes — the spawner/retirement hot path regresses here
-        // long before it would show in the static-flow cells.
-        cells.push(Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::Fleet {
-                spec: crate::runner::FleetSpec::poisson(0.5),
-            },
-            link_rate_bps: 1e9,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 1,
-            duration_s,
-            steady_start_s: duration_s * 0.25,
-            ecn: EcnSpec::Off,
-            invariants: Invariants::default(),
-        });
     }
     cells
 }
@@ -345,7 +223,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> std::io::Result<SweepReport> {
     let mut cells = sweep_matrix_with(cfg.quick, cfg.schemes.as_deref());
     if let Some(ecn) = cfg.ecn {
         for cell in &mut cells {
-            cell.ecn = ecn;
+            cell.scenario.ecn = ecn;
         }
     }
     let threads = cfg
@@ -561,6 +439,7 @@ pub fn report_table(report: &SweepReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::LinkScheduleSpec;
 
     #[test]
     fn quick_matrix_covers_every_schedule_family_and_is_unique() {
@@ -570,58 +449,16 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), cells.len(), "cell names must be unique");
-        assert!(cells
-            .iter()
-            .any(|c| matches!(c.schedule, LinkScheduleSpec::Sinusoid { .. })));
-        assert!(cells
-            .iter()
-            .any(|c| matches!(c.schedule, LinkScheduleSpec::Step { .. })));
-        assert!(cells
-            .iter()
-            .any(|c| c.schedule == LinkScheduleSpec::Constant));
+        let has =
+            |pred: fn(&LinkScheduleSpec) -> bool| cells.iter().any(|c| pred(&c.scenario.schedule));
+        assert!(has(|s| matches!(s, LinkScheduleSpec::Sinusoid { .. })));
+        assert!(has(|s| matches!(s, LinkScheduleSpec::Step { .. })));
+        assert!(has(|s| *s == LinkScheduleSpec::Constant));
+        // (Which cells the quick matrix holds is pinned name by name against
+        // BENCH_sweep.json in tests/scenario_matrix.rs.)
         // The full matrix is a strict superset in every dimension.
         let full = sweep_matrix(false);
         assert!(full.len() > cells.len() * 4);
-    }
-
-    #[test]
-    fn quick_matrix_includes_multihop_cells() {
-        let cells = sweep_matrix(true);
-        let multihop: Vec<_> = cells.iter().filter(|c| c.path.hop_count() > 1).collect();
-        assert!(
-            multihop.len() >= 4,
-            "quick sweep needs >= 4 multi-hop cells, found {}",
-            multihop.len()
-        );
-        assert!(
-            multihop.iter().any(|c| c.path.label().contains("mv")),
-            "quick sweep needs a moving-bottleneck cell"
-        );
-    }
-
-    #[test]
-    fn quick_matrix_includes_new_combination_cells() {
-        let cells = sweep_matrix(true);
-        let names: Vec<String> = cells.iter().map(|c| c.name()).collect();
-        // Spec-built combinations the legacy enum could not express, plus a
-        // built-in trace, are part of the per-PR perf gate.
-        assert!(
-            names.iter().any(|n| n.starts_with("nimbus-reno@")),
-            "{names:?}"
-        );
-        assert!(names.iter().any(|n| n.starts_with("nimbus-copa-estmu@")));
-        assert!(names.iter().any(|n| n.contains("-vs-copa+cubic-")));
-        assert!(names.iter().any(|n| n.contains("trace-cellular")));
-        // The estimator axis rides in the perf gate too.
-        assert!(names.iter().any(|n| n.starts_with("nimbus-estmu-probe1@")));
-        assert!(names.iter().any(|n| n.starts_with("nimbus-estmu-zadapt@")));
-        // And the population-scale fleet churn cell (1 Gbit/s spawner path).
-        assert!(
-            names
-                .iter()
-                .any(|n| n.contains("@1000M") && n.contains("-vs-fleet-poisson-l50-")),
-            "{names:?}"
-        );
     }
 
     #[test]

@@ -9,10 +9,22 @@
 //! threads — each cell is an independent deterministic simulation), and
 //! assert the invariants cell by cell.
 //!
-//! ```no_run
-//! use nimbus_experiments::testkit::{paper_invariant_matrix, run_matrix};
+//! A [`Cell`] is a scheme on a [`ScenarioSpec`] plus its steady-state window
+//! and [`Invariants`]; the first three have one canonical string (the
+//! grammar is [`grammar_reference`](crate::runner::grammar_reference)), so
+//! the matrix below is a table of `(scenario strings, Invariants)` rows:
 //!
-//! let outcomes = run_matrix(&paper_invariant_matrix());
+//! ```no_run
+//! use nimbus_experiments::testkit::{cells, run_matrix, Invariants};
+//!
+//! let outcomes = run_matrix(&cells(&[(
+//!     &["nimbus@48M vs cubic seed=2 dur=45s steady=15s"],
+//!     Invariants {
+//!         min_throughput_mbps: Some(12.0),
+//!         must_enter_competitive: true,
+//!         ..Invariants::default()
+//!     },
+//! )]));
 //! for o in &outcomes {
 //!     assert!(o.violations.is_empty(), "{}: {:?}", o.name, o.violations);
 //! }
@@ -23,177 +35,15 @@
 //! as a whole-system determinism regression: run it twice, compare
 //! fingerprints.
 
-use crate::figures::{cbr_cross_flow, poisson_cross_flow, scheme_cross_flow};
-use crate::runner::{
-    run_scheme_vs_cross, EcnSpec, FleetSpec, LinkScheduleSpec, PathSpec, ScenarioSpec,
-    SingleFlowMetrics,
-};
+use crate::grammar::{fmt_duration, instant, tokens, ParseError};
+use crate::runner::{run_scheme_vs_cross, LinkScheduleSpec, ScenarioSpec, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
-use nimbus_core::TcpScheme;
-use nimbus_netsim::{FlowConfig, FlowEndpoint};
-use serde::{Deserialize, Serialize};
-
-/// The cross-traffic families a matrix cell can put on the bottleneck.
-/// Elastic competitors carry a full [`SchemeSpec`], so any scheme the
-/// algebra can express — including other Nimbus wrappers — can compete with
-/// the monitored flow, alone ([`CrossTraffic::Elastic`]), in heterogeneous
-/// groups ([`CrossTraffic::Mix`]), or confined to a segment of a multi-hop
-/// path ([`CrossTraffic::ElasticAtHops`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum CrossTraffic {
-    /// No cross traffic: the monitored flow is alone on the link.
-    None,
-    /// Constant-bit-rate (inelastic) cross traffic at this fraction of µ.
-    Cbr {
-        /// Offered CBR rate as a fraction of the bottleneck rate.
-        fraction_of_mu: f64,
-    },
-    /// Poisson (inelastic) cross traffic at this fraction of µ.
-    Poisson {
-        /// Mean offered rate as a fraction of the bottleneck rate.
-        fraction_of_mu: f64,
-    },
-    /// One backlogged competitor running any scheme spec.
-    Elastic {
-        /// The competitor's scheme.
-        spec: SchemeSpec,
-    },
-    /// Several backlogged competitors, one per spec (heterogeneous
-    /// competition on a single bottleneck).
-    Mix {
-        /// The competitors' schemes, in flow order.
-        specs: Vec<SchemeSpec>,
-    },
-    /// One backlogged competitor confined to hops `[enter_hop, exit_hop]`
-    /// of a multi-hop path (e.g. elastic traffic on the non-bottleneck hop).
-    ElasticAtHops {
-        /// The competitor's scheme.
-        spec: SchemeSpec,
-        /// First hop the competitor traverses.
-        enter_hop: usize,
-        /// Last hop the competitor traverses (inclusive).
-        exit_hop: usize,
-    },
-    /// An open-loop churning fleet of finite flows ([`FleetSpec`]): flows
-    /// arrive Poisson/bursty, run to completion and retire.  Installed as a
-    /// spawner on the scenario rather than as static flows, so it
-    /// contributes no static cross-flow entries.
-    Fleet {
-        /// The fleet workload riding on the cell's scenario.
-        spec: FleetSpec,
-    },
-}
-
-impl CrossTraffic {
-    /// The classic single backlogged Cubic competitor.
-    pub fn elastic_cubic() -> Self {
-        CrossTraffic::Elastic {
-            spec: SchemeSpec::cubic(),
-        }
-    }
-
-    /// Materialize the cross flows.  `link_rate_bps` is the cell's hop-0
-    /// base rate (the base the `fraction_of_mu` families are quoted
-    /// against, unchanged from the pre-path testkit); `scheme_mu_bps` is
-    /// the nominal bottleneck rate over the hops the spec-built competitor
-    /// traverses, handed to configured-µ wrappers.
-    fn build(
-        &self,
-        link_rate_bps: f64,
-        scheme_mu_bps: f64,
-        seed: u64,
-    ) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
-        let cross_seed = seed.wrapping_mul(67).wrapping_add(11);
-        match self {
-            CrossTraffic::None => Vec::new(),
-            // The fleet is installed as a spawner on the scenario spec
-            // (see `Cell::run`), not as a static flow list.
-            CrossTraffic::Fleet { .. } => Vec::new(),
-            CrossTraffic::Cbr { fraction_of_mu } => vec![cbr_cross_flow(
-                "cbr-cross",
-                fraction_of_mu * link_rate_bps,
-                0.05,
-                0.0,
-                None,
-            )],
-            CrossTraffic::Poisson { fraction_of_mu } => vec![poisson_cross_flow(
-                "poisson-cross",
-                fraction_of_mu * link_rate_bps,
-                0.05,
-                seed.wrapping_mul(31).wrapping_add(7),
-                0.0,
-                None,
-            )],
-            CrossTraffic::Elastic { spec } => vec![scheme_cross_flow(
-                &format!("{}-cross", spec.label()),
-                spec,
-                scheme_mu_bps,
-                cross_seed,
-                0.05,
-                0.0,
-                None,
-            )],
-            CrossTraffic::Mix { specs } => specs
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| {
-                    scheme_cross_flow(
-                        &format!("{}-cross{i}", spec.label()),
-                        spec,
-                        scheme_mu_bps,
-                        cross_seed.wrapping_add(i as u64),
-                        0.05,
-                        0.0,
-                        None,
-                    )
-                })
-                .collect(),
-            CrossTraffic::ElasticAtHops {
-                spec,
-                enter_hop,
-                exit_hop,
-            } => {
-                let (cfg, ep) = scheme_cross_flow(
-                    &format!("{}-hop{enter_hop}-cross", spec.label()),
-                    spec,
-                    scheme_mu_bps,
-                    cross_seed,
-                    0.05,
-                    0.0,
-                    None,
-                );
-                vec![(cfg.entering_at(*enter_hop).exiting_at(*exit_hop), ep)]
-            }
-        }
-    }
-
-    /// A short slug for cell names.
-    pub fn label(&self) -> String {
-        match self {
-            CrossTraffic::None => "alone".to_string(),
-            CrossTraffic::Cbr { fraction_of_mu } => {
-                format!("cbr{:.0}", fraction_of_mu * 100.0)
-            }
-            CrossTraffic::Poisson { fraction_of_mu } => {
-                format!("poisson{:.0}", fraction_of_mu * 100.0)
-            }
-            CrossTraffic::Elastic { spec } => spec.label(),
-            CrossTraffic::Mix { specs } => specs
-                .iter()
-                .map(SchemeSpec::label)
-                .collect::<Vec<_>>()
-                .join("+"),
-            CrossTraffic::ElasticAtHops {
-                spec, enter_hop, ..
-            } => format!("{}-hop{enter_hop}", spec.label()),
-            CrossTraffic::Fleet { spec } => spec.label(),
-        }
-    }
-}
+use std::fmt;
+use std::str::FromStr;
 
 /// Bounds asserted against a cell's [`SingleFlowMetrics`].  `None` bounds are
 /// not checked; every cell in a matrix should set at least one.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Invariants {
     /// Steady-state mean throughput must be at least this (Mbit/s).
     pub min_throughput_mbps: Option<f64>,
@@ -216,81 +66,52 @@ pub struct Invariants {
     pub must_enter_competitive: bool,
 }
 
-/// One (scheme × cross-traffic × bottleneck × schedule × path × seed) cell.
+/// One (scheme × scenario) cell of a matrix.  Everything about the link,
+/// path, cross traffic, seed and duration is the [`ScenarioSpec`]'s.
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Scheme on the monitored flow.
     pub scheme: SchemeSpec,
-    /// Cross traffic sharing the bottleneck.
-    pub cross: CrossTraffic,
-    /// Base bottleneck rate µ in bits/s.
-    pub link_rate_bps: f64,
-    /// How the bottleneck rate moves over the run.
-    pub schedule: LinkScheduleSpec,
-    /// Extra hops after the primary bottleneck (single-link when empty).
-    pub path: PathSpec,
-    /// Simulation seed.
-    pub seed: u64,
-    /// Run length in seconds.
-    pub duration_s: f64,
+    /// The scenario the monitored flow runs in.
+    pub scenario: ScenarioSpec,
     /// Start of the steady-state window used for the scalar metrics.
     pub steady_start_s: f64,
-    /// ECN marking on the primary bottleneck (`ecn=` axis;
-    /// [`EcnSpec::Off`] everywhere marking is not under test).
-    pub ecn: EcnSpec,
     /// The invariants this cell asserts.
     pub invariants: Invariants,
 }
 
 impl Cell {
-    /// `scheme@mu[-schedule][-path] vs cross (seed n)` — unique within a
-    /// well-formed matrix.
+    /// `scheme@mu[-schedule][-path][-ecn]-vs-cross-seedN` — a derived slug,
+    /// unique within a well-formed matrix; it keys the pinned-fingerprint
+    /// tables and `BENCH_sweep.json`.
     pub fn name(&self) -> String {
-        let schedule = if self.schedule == LinkScheduleSpec::Constant {
+        let s = &self.scenario;
+        let schedule = if s.schedule == LinkScheduleSpec::Constant {
             String::new()
         } else {
-            format!("-{}", self.schedule.label())
+            format!("-{}", s.schedule.label())
         };
         format!(
             "{}@{:.0}M{}{}{}-vs-{}-seed{}",
             self.scheme.label(),
-            self.link_rate_bps / 1e6,
+            s.link_rate_bps / 1e6,
             schedule,
-            self.path.label(),
-            self.ecn.label(),
-            self.cross.label(),
-            self.seed
+            s.path.label(),
+            s.ecn.label(),
+            s.cross_label(),
+            s.seed
         )
     }
 
     /// Run this cell to completion and evaluate its invariants.
     pub fn run(&self) -> CellOutcome {
-        let fleet = match &self.cross {
-            CrossTraffic::Fleet { spec } => Some(spec.clone()),
-            _ => None,
-        };
-        let spec = ScenarioSpec {
-            link_rate_bps: self.link_rate_bps,
-            schedule: self.schedule.clone(),
-            duration_s: self.duration_s,
-            seed: self.seed,
-            path: self.path.clone(),
-            fleet,
-            ecn: self.ecn,
-            ..ScenarioSpec::default_96mbps(self.duration_s)
-        };
-        let scheme_mu = match &self.cross {
-            CrossTraffic::ElasticAtHops {
-                enter_hop,
-                exit_hop,
-                ..
-            } => self
-                .path
-                .nominal_mu_over_hops(self.link_rate_bps, *enter_hop, Some(*exit_hop)),
-            _ => spec.nominal_mu_bps(),
-        };
-        let cross = self.cross.build(self.link_rate_bps, scheme_mu, self.seed);
-        let out = run_scheme_vs_cross(&spec, self.scheme, None, cross, self.steady_start_s);
+        let out = run_scheme_vs_cross(
+            &self.scenario,
+            self.scheme,
+            None,
+            Vec::new(),
+            self.steady_start_s,
+        );
         let events = out.events_processed;
         let sim_s = out.duration_s;
         let metrics = out.flows.into_iter().next().expect("one monitored flow");
@@ -307,69 +128,109 @@ impl Cell {
     }
 }
 
+impl fmt::Display for Cell {
+    /// The whole-cell canonical string (invariants are not part of it):
+    /// `nimbus(mu=learned)@48M sin(0.1,10s) vs cubic seed=2 dur=45s steady=15s`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}@{} steady={}",
+            self.scheme,
+            self.scenario,
+            fmt_duration(&self.steady_start_s)
+        )
+    }
+}
+
+impl FromStr for Cell {
+    type Err = ParseError;
+
+    /// Parse `<scheme>@<scenario> steady=<dur>` into a cell asserting nothing.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let (scheme, rest) = s.split_once('@').ok_or_else(|| {
+            ParseError(format!("`{s}` is not a cell: expected <scheme>@<scenario>"))
+        })?;
+        let (steady, scenario): (Vec<&str>, Vec<&str>) = tokens(rest)?
+            .into_iter()
+            .partition(|token| token.starts_with("steady="));
+        let [steady] = steady.as_slice() else {
+            return Err(ParseError(
+                "a cell needs its steady-state window once: steady=<dur>".to_string(),
+            ));
+        };
+        Ok(Cell {
+            scheme: scheme.parse()?,
+            scenario: scenario.join(" ").parse()?,
+            steady_start_s: instant("steady", &steady["steady=".len()..])?,
+            invariants: Invariants::default(),
+        })
+    }
+}
+
 impl Invariants {
     /// Evaluate the bounds against a cell's metrics; returns one message per
-    /// violated bound (empty = cell passes).
-    /// Every comparison is written so that a NaN metric (an empty measurement
-    /// window — see `TimeSeries::mean_in_range`) counts as a violation rather
-    /// than silently passing; the negated comparisons are exactly that intent.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    /// violated bound (empty = cell passes).  A NaN metric (an empty
+    /// measurement window — see `TimeSeries::mean_in_range`) holds no bound,
+    /// so it counts as a violation rather than silently passing.
     pub fn check(&self, scheme: SchemeSpec, m: &SingleFlowMetrics) -> Vec<String> {
+        let (tput, qd) = (m.mean_throughput_mbps, m.mean_queue_delay_ms);
+        let mode = m.delay_mode_fraction;
+        // (bound, metric, is a floor, what, what the paper expects instead)
+        let bounds = [
+            (
+                self.min_throughput_mbps,
+                tput,
+                true,
+                "throughput Mbit/s",
+                "",
+            ),
+            (
+                self.max_throughput_mbps,
+                tput,
+                false,
+                "throughput Mbit/s",
+                " (starvation expected)",
+            ),
+            (self.max_queue_delay_ms, qd, false, "queue delay ms", ""),
+            (
+                self.min_queue_delay_ms,
+                qd,
+                true,
+                "queue delay ms",
+                " (bufferbloat expected)",
+            ),
+            (
+                self.min_delay_mode_fraction,
+                mode,
+                true,
+                "delay-mode fraction",
+                "",
+            ),
+            (
+                self.max_delay_mode_fraction,
+                mode,
+                false,
+                "delay-mode fraction",
+                "",
+            ),
+            (
+                self.max_mu_error,
+                m.mu_tracking_error,
+                false,
+                "µ-tracking error",
+                "",
+            ),
+        ];
         let mut violations = Vec::new();
-        if let Some(min) = self.min_throughput_mbps {
-            if !(m.mean_throughput_mbps >= min) {
-                violations.push(format!(
-                    "throughput {:.2} Mbit/s below floor {min}",
-                    m.mean_throughput_mbps
-                ));
-            }
-        }
-        if let Some(max) = self.max_throughput_mbps {
-            if !(m.mean_throughput_mbps <= max) {
-                violations.push(format!(
-                    "throughput {:.2} Mbit/s above ceiling {max} (starvation expected)",
-                    m.mean_throughput_mbps
-                ));
-            }
-        }
-        if let Some(max) = self.max_queue_delay_ms {
-            if !(m.mean_queue_delay_ms <= max) {
-                violations.push(format!(
-                    "queue delay {:.2} ms above ceiling {max}",
-                    m.mean_queue_delay_ms
-                ));
-            }
-        }
-        if let Some(min) = self.min_queue_delay_ms {
-            if !(m.mean_queue_delay_ms >= min) {
-                violations.push(format!(
-                    "queue delay {:.2} ms below floor {min} (bufferbloat expected)",
-                    m.mean_queue_delay_ms
-                ));
-            }
-        }
-        if let Some(min) = self.min_delay_mode_fraction {
-            if !(m.delay_mode_fraction >= min) {
-                violations.push(format!(
-                    "delay-mode fraction {:.2} below floor {min}",
-                    m.delay_mode_fraction
-                ));
-            }
-        }
-        if let Some(max) = self.max_delay_mode_fraction {
-            if !(m.delay_mode_fraction <= max) {
-                violations.push(format!(
-                    "delay-mode fraction {:.2} above ceiling {max}",
-                    m.delay_mode_fraction
-                ));
-            }
-        }
-        if let Some(max) = self.max_mu_error {
-            if !(m.mu_tracking_error <= max) {
-                violations.push(format!(
-                    "µ-tracking error {:.3} above ceiling {max}",
-                    m.mu_tracking_error
-                ));
+        for (bound, metric, is_floor, what, expected) in bounds {
+            let Some(bound) = bound else { continue };
+            let (holds, side) = if is_floor {
+                (metric >= bound, "below floor")
+            } else {
+                (metric <= bound, "above ceiling")
+            };
+            if !holds {
+                violations.push(format!("{what} {metric:.3} {side} {bound}{expected}"));
             }
         }
         if self.must_enter_competitive {
@@ -490,22 +351,43 @@ pub fn matrix_report(outcomes: &[CellOutcome]) -> String {
     out
 }
 
-/// The default paper-invariant matrix: the 18 legacy single-bottleneck
-/// cells ([`legacy_single_bottleneck_cells`]) covering the headline claims
-/// of Figs. 1/8 and Appendix D, seven multi-hop path cells
-/// ([`multihop_cells`]: fixed and *moving* secondary bottlenecks, learned-µ
-/// tracking the path minimum, doubly-saturated hops, elastic traffic on the
-/// non-bottleneck hop), five spec-combination cells
-/// ([`spec_combination_cells`]) exercising wrapper compositions the closed
-/// enum could not express, the estimator-strategy cells
-/// ([`estimator_cells`]) gating the regimes the pluggable µ-estimation API
-/// recovers, the fleet-churn cells ([`fleet_cells`]) gating detector
-/// stability and fairness under open-loop flow churn, and the ECN cells
-/// ([`ecn_cells`]) gating marking queues, DCTCP and mark-driven detection.  Kept short enough
-/// (~30 simulated seconds per cell) that the whole matrix runs in well
-/// under two minutes of wall clock under `cargo test`.
+/// One row of a matrix table: the cells (whole-cell canonical strings,
+/// typically one scenario across seeds) that share a rationale and a set of
+/// invariants.
+pub type Row<'a> = (&'a [&'a str], Invariants);
+
+/// Expand table rows into cells, in row order.
+///
+/// # Panics
+/// Panics on a row that does not parse — matrix tables are source code.
+pub fn cells(rows: &[Row<'_>]) -> Vec<Cell> {
+    let cell = |text: &&str, invariants| Cell {
+        invariants,
+        ..text
+            .parse()
+            .unwrap_or_else(|e| panic!("matrix row `{text}`: {e}"))
+    };
+    rows.iter()
+        .flat_map(|&(texts, invariants)| texts.iter().map(move |text| cell(text, invariants)))
+        .collect()
+}
+
+/// The default paper-invariant matrix: the 18 single-bottleneck cells
+/// ([`single_bottleneck_cells`]) covering the headline claims of Figs. 1/8
+/// and Appendix D, seven multi-hop path cells ([`multihop_cells`]: fixed and
+/// *moving* secondary bottlenecks, learned-µ tracking the path minimum,
+/// doubly-saturated hops, elastic traffic on the non-bottleneck hop), five
+/// spec-combination cells ([`spec_combination_cells`]) exercising wrapper
+/// compositions a closed scheme enum could not express, the
+/// estimator-strategy cells ([`estimator_cells`]) gating the regimes the
+/// pluggable µ-estimation API recovers, the fleet-churn cells
+/// ([`fleet_cells`]) gating detector stability and fairness under open-loop
+/// flow churn, and the ECN cells ([`ecn_cells`]) gating marking queues, DCTCP
+/// and mark-driven detection.  Kept short enough (~30 simulated seconds per
+/// cell) that the whole matrix runs in well under two minutes of wall clock
+/// under `cargo test`.
 pub fn paper_invariant_matrix() -> Vec<Cell> {
-    let mut cells = legacy_single_bottleneck_cells();
+    let mut cells = single_bottleneck_cells();
     cells.extend(multihop_cells());
     cells.extend(spec_combination_cells());
     cells.extend(estimator_cells());
@@ -535,90 +417,58 @@ pub fn paper_invariant_matrix() -> Vec<Cell> {
 ///    fair share using the same proportional law, instead of Cubic-style
 ///    sawteeth against a mark-reactive peer.
 pub fn ecn_cells() -> Vec<Cell> {
-    vec![
+    cells(&[
         // DCTCP alone on an L4S step-marking hop: the scalable reaction
         // holds the queue near the 1 ms marking threshold — full link,
         // milliseconds of delay, zero drops (the l4s runner test pins the
         // zero-drop half).
-        Cell {
-            scheme: SchemeSpec::dctcp(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 61,
-            duration_s: 30.0,
-            steady_start_s: 8.0,
-            ecn: EcnSpec::l4s(),
-            invariants: Invariants {
+        (
+            &["dctcp@48M ecn=l4s vs alone seed=61 dur=30s steady=8s"],
+            Invariants {
                 min_throughput_mbps: Some(40.0),
                 max_queue_delay_ms: Some(8.0),
                 ..Invariants::default()
             },
-        },
+        ),
         // The Prague-style fall-back: the same DCTCP flow on a plain drop
         // queue (no marking anywhere) must still work — marks never arrive,
         // so the Reno-like loss reaction governs and the flow fills the
         // link behind a droptail standing queue.
-        Cell {
-            scheme: SchemeSpec::dctcp(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 61,
-            duration_s: 30.0,
-            steady_start_s: 8.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["dctcp@48M vs alone seed=61 dur=30s steady=8s"],
+            Invariants {
                 min_throughput_mbps: Some(40.0),
                 min_queue_delay_ms: Some(20.0),
                 ..Invariants::default()
             },
-        },
+        ),
         // Classic ECN (RFC 3168 semantics, marks at the AQM's drop point):
         // Cubic keeps the link full but the once-per-window β cut now fires
         // at half buffer instead of overflow, so the bloat sits at roughly
         // half its droptail level.
-        Cell {
-            scheme: SchemeSpec::cubic(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 61,
-            duration_s: 30.0,
-            steady_start_s: 8.0,
-            ecn: EcnSpec::Classic,
-            invariants: Invariants {
+        (
+            &["cubic@48M ecn=classic vs alone seed=61 dur=30s steady=8s"],
+            Invariants {
                 min_throughput_mbps: Some(40.0),
                 min_queue_delay_ms: Some(20.0),
                 max_queue_delay_ms: Some(70.0),
                 ..Invariants::default()
             },
-        },
+        ),
         // ROADMAP question 1 — pulse survival: Nimbus alone on the shallow
         // L4S marker.  The 1 ms step cuts the queueing-delay headroom the
         // pulses used to ride on by an order of magnitude; the detector
         // must still read its own reflection as inelastic (hold delay
         // mode) at full utilization.
-        Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 62,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::l4s(),
-            invariants: Invariants {
+        (
+            &["nimbus@48M ecn=l4s vs alone seed=62 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(40.0),
                 max_queue_delay_ms: Some(20.0),
                 min_delay_mode_fraction: Some(0.9),
                 ..Invariants::default()
             },
-        },
+        ),
         // Documented finding — delay-mode Nimbus is not scalable-marking
         // compliant.  Its delay target (~12 ms of queue) sits an order of
         // magnitude above the L4S step threshold, so a DCTCP competitor
@@ -628,24 +478,14 @@ pub fn ecn_cells() -> Vec<Cell> {
         // verdict — the unfairness is a compliance gap, not a detection
         // bug.  Pinned so a future Prague-style sub-threshold delay target
         // shows up as a deliberate threshold change.
-        Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::Elastic {
-                spec: SchemeSpec::dctcp(),
-            },
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 2,
-            duration_s: 45.0,
-            steady_start_s: 15.0,
-            ecn: EcnSpec::l4s(),
-            invariants: Invariants {
+        (
+            &["nimbus@48M ecn=l4s vs dctcp seed=2 dur=45s steady=15s"],
+            Invariants {
                 min_throughput_mbps: Some(40.0),
                 min_delay_mode_fraction: Some(0.95),
                 ..Invariants::default()
             },
-        },
+        ),
         // ROADMAP questions 2 and 3 together — nimbus(competitive=dctcp)
         // vs DCTCP on a classic-ECN queue.  DCTCP parks the queue at the
         // marking threshold (~50 ms), far above Nimbus's delay target, so
@@ -657,25 +497,15 @@ pub fn ecn_cells() -> Vec<Cell> {
         // competitive without a full FFT window.  Competitive
         // mode then speaks DCTCP's own proportional mark language and the
         // flows coexist.
-        Cell {
-            scheme: SchemeSpec::nimbus().with_competitive(TcpScheme::Dctcp),
-            cross: CrossTraffic::Elastic {
-                spec: SchemeSpec::dctcp(),
-            },
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 2,
-            duration_s: 45.0,
-            steady_start_s: 15.0,
-            ecn: EcnSpec::Classic,
-            invariants: Invariants {
+        (
+            &["nimbus(competitive=dctcp)@48M ecn=classic vs dctcp seed=2 dur=45s steady=15s"],
+            Invariants {
                 min_throughput_mbps: Some(12.0),
                 max_delay_mode_fraction: Some(0.9),
                 must_enter_competitive: true,
                 ..Invariants::default()
             },
-        },
+        ),
         // Documented residual: delay-mode Nimbus vs an ECT Cubic on a
         // *classic* marking queue starves and never detects.  The marking
         // point (half buffer) tames Cubic into a 35–50 ms sawtooth: deep
@@ -686,47 +516,31 @@ pub fn ecn_cells() -> Vec<Cell> {
         // start overflow losses) never happens, because marks absorb them.
         // Pinned so the failure mode stays visible until detection under
         // sample starvation is addressed.
-        Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::elastic_cubic(),
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 2,
-            duration_s: 45.0,
-            steady_start_s: 15.0,
-            ecn: EcnSpec::Classic,
-            invariants: Invariants {
+        (
+            &["nimbus@48M ecn=classic vs cubic seed=2 dur=45s steady=15s"],
+            Invariants {
                 max_throughput_mbps: Some(5.0),
                 min_delay_mode_fraction: Some(0.95),
                 ..Invariants::default()
             },
-        },
+        ),
         // DCTCP coexisting with Cubic on one classic-ECN queue: both see
         // the same marks, Cubic cuts by β while DCTCP cuts by α/2, and
         // neither starves.
-        Cell {
-            scheme: SchemeSpec::dctcp(),
-            cross: CrossTraffic::elastic_cubic(),
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 65,
-            duration_s: 45.0,
-            steady_start_s: 15.0,
-            ecn: EcnSpec::Classic,
-            invariants: Invariants {
+        (
+            &["dctcp@48M ecn=classic vs cubic seed=65 dur=45s steady=15s"],
+            Invariants {
                 min_throughput_mbps: Some(15.0),
                 ..Invariants::default()
             },
-        },
-    ]
+        ),
+    ])
 }
 
 /// Matrix cells gating behaviour under open-loop fleet churn (§8.1 at
 /// population scale): a long-lived monitored flow shares the bottleneck
-/// with a [`FleetSpec`] population that arrives, transfers and retires
-/// continuously.
+/// with a [`FleetSpec`](crate::runner::FleetSpec) population that arrives,
+/// transfers and retires continuously.
 ///
 /// The headline question — does constant arrival/departure churn *read as
 /// elastic* to a long-lived Nimbus flow?  Measured answer: **no**, across
@@ -739,75 +553,45 @@ pub fn ecn_cells() -> Vec<Cell> {
 /// WAN cross traffic should be treated as inelastic (§2).  These cells pin
 /// that stability as an invariant.
 pub fn fleet_cells() -> Vec<Cell> {
-    vec![
+    cells(&[
         // Detector stability: pure-mice churn (mean 20 kB — flows last a few
         // RTTs each) at 40% offered load.  Nothing in the population is
         // durably ACK-clocked, so Nimbus must hold delay mode and keep the
         // queue short while taking roughly the residual capacity.
-        Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::Fleet {
-                spec: FleetSpec::poisson(0.4).with_mean_flow_bytes(20_000.0),
-            },
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 51,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus@48M vs fleet(load=0.4,mean=20k) seed=51 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(15.0),
                 max_queue_delay_ms: Some(40.0),
                 min_delay_mode_fraction: Some(0.8),
                 ..Invariants::default()
             },
-        },
+        ),
         // The same churn through bursty (Pareto) arrivals: batches of
         // simultaneous mice still must not read as a backlogged competitor.
-        Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::Fleet {
-                spec: FleetSpec::bursty(0.4).with_mean_flow_bytes(20_000.0),
-            },
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 51,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus@48M vs fleet(arrivals=bursty,load=0.4,mean=20k) seed=51 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(15.0),
                 max_queue_delay_ms: Some(40.0),
                 min_delay_mode_fraction: Some(0.8),
                 ..Invariants::default()
             },
-        },
+        ),
         // Heavy-tailed churn (default CAIDA-like mixture, 50% load): even
         // with elephants regularly in flight the detector must NOT latch
         // onto any single one — the population churns underneath it, so the
         // long-lived flow holds delay mode (measured 1.00) and keeps its
         // residual share at low delay.
-        Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::Fleet {
-                spec: FleetSpec::poisson(0.5),
-            },
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 52,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus@48M vs fleet(load=0.5) seed=52 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(15.0),
                 max_queue_delay_ms: Some(40.0),
                 min_delay_mode_fraction: Some(0.9),
                 ..Invariants::default()
             },
-        },
+        ),
         // The FCT-comparison partner cell: the same heavy-tailed churn
         // against a long-lived Cubic.  Churn loss keeps Cubic's window —
         // and the standing queue — far below its solo bufferbloat (measured
@@ -815,25 +599,15 @@ pub fn fleet_cells() -> Vec<Cell> {
         // of the link than Nimbus's delay mode does under identical churn
         // (12.7 vs 23.5 Mbit/s).  `fleet_fct` quantifies the same pairing
         // from the fleet's side as FCT distributions.
-        Cell {
-            scheme: SchemeSpec::cubic(),
-            cross: CrossTraffic::Fleet {
-                spec: FleetSpec::poisson(0.5),
-            },
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 52,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["cubic@48M vs fleet(load=0.5) seed=52 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(8.0),
                 max_queue_delay_ms: Some(40.0),
                 ..Invariants::default()
             },
-        },
-    ]
+        ),
+    ])
 }
 
 /// Matrix cells gating the µ-estimation strategy API: the two ROADMAP
@@ -841,78 +615,45 @@ pub fn fleet_cells() -> Vec<Cell> {
 /// under a non-default estimator/ẑ-filter, plus a guard that the adaptive
 /// thresholds do not suppress *genuine* elasticity.
 pub fn estimator_cells() -> Vec<Cell> {
-    vec![
+    cells(&[
         // ROADMAP regime (b): on the cellular deep-fade trace the max-filter
         // learned µ collapses to the pacing floor and deadlocks (µ̂ ≈ recv
         // rate ≈ pace ≈ 120 kbit/s, 0.12 Mbit/s throughput while BBR gets
         // ~38).  Probe-up epochs plus the delivery-informed pace/window cap
         // break the fixed point: ≥ 10 Mbit/s required (measured 14.7).
-        Cell {
-            scheme: SchemeSpec::nimbus().with_probing_mu(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::NamedTrace {
-                name: "cellular".to_string(),
-            },
-            path: PathSpec::single(),
-            seed: 44,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus(mu=learned(probe=1))@48M trace-cellular vs alone seed=44 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(10.0),
                 ..Invariants::default()
             },
-        },
+        ),
         // ROADMAP regime (a): learned-µ wrappers lose delay mode on a ±10%
         // sinusoid where configured µ is stable (delay-fraction 0.07–0.25 —
         // the µ̂ error leaks the flow's own pulse into ẑ well below the
         // configured-µ cliff).  The µ-error-aware adaptive thresholds hold
         // delay mode ≥ 0.9 (measured 1.00, queueing delay 3.5 ms vs 39).
-        Cell {
-            scheme: SchemeSpec::nimbus()
-                .with_learned_mu()
-                .with_z_filter(nimbus_core::ZFilterConfig::adaptive()),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Sinusoid {
-                amplitude_frac: 0.1,
-                period_s: 10.0,
-            },
-            path: PathSpec::single(),
-            seed: 43,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus(mu=learned,zfilter=adaptive)@48M sin(0.1,10s) vs alone seed=43 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(35.0),
                 min_delay_mode_fraction: Some(0.9),
                 max_queue_delay_ms: Some(20.0),
                 ..Invariants::default()
             },
-        },
+        ),
         // Guard: the adaptive bars must rise only for the µ̂-error *leak* —
         // against a genuine elastic Cubic competitor (which fills ẑ itself,
         // damping the scaling) the wrapper must still detect and switch.
-        Cell {
-            scheme: SchemeSpec::nimbus()
-                .with_learned_mu()
-                .with_z_filter(nimbus_core::ZFilterConfig::adaptive()),
-            cross: CrossTraffic::elastic_cubic(),
-            link_rate_bps: 96e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 42,
-            duration_s: 45.0,
-            steady_start_s: 15.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus(mu=learned,zfilter=adaptive)@96M vs cubic seed=42 dur=45s steady=15s"],
+            Invariants {
                 min_throughput_mbps: Some(12.0),
                 max_delay_mode_fraction: Some(0.9),
                 must_enter_competitive: true,
                 ..Invariants::default()
             },
-        },
+        ),
         // The probing-estimator residual, quantified: on a *stable* link the
         // 2× probe epochs repeatedly refill the bottleneck queue, so the
         // always-probing estimator pays ~73 ms of steady queueing delay
@@ -920,23 +661,15 @@ pub fn estimator_cells() -> Vec<Cell> {
         // objective is the price of a probe schedule the converged filter no
         // longer needs.  This cell pins that cost so the residual stays
         // visible.
-        Cell {
-            scheme: SchemeSpec::nimbus().with_probing_mu(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 45,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus(mu=learned(probe=1))@48M vs alone seed=45 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(40.0),
                 min_queue_delay_ms: Some(40.0),
                 min_delay_mode_fraction: Some(0.9),
                 ..Invariants::default()
             },
-        },
+        ),
         // …and recovered: with the auto-quiesce floor the probes stop once
         // the max filter converges (µ̂ uncertainty under 0.4), so on the same
         // stable link the delay cost collapses back to ~15 ms, while against
@@ -944,40 +677,24 @@ pub fn estimator_cells() -> Vec<Cell> {
         // enough that detection still works — the flow must switch to
         // competitive mode and hold a fair share (un-quiesced probe=1 never
         // switches at all: the held ẑ blanks the detector's input).
-        Cell {
-            scheme: SchemeSpec::nimbus().with_quiesced_probing_mu(1.0, 0.4),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 45,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus(mu=learned(probe=1,quiesce=0.4))@48M vs alone seed=45 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(40.0),
                 max_queue_delay_ms: Some(20.0),
                 min_delay_mode_fraction: Some(0.9),
                 ..Invariants::default()
             },
-        },
-        Cell {
-            scheme: SchemeSpec::nimbus().with_quiesced_probing_mu(1.0, 0.4),
-            cross: CrossTraffic::elastic_cubic(),
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 45,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        ),
+        (
+            &["nimbus(mu=learned(probe=1,quiesce=0.4))@48M vs cubic seed=45 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(12.0),
                 max_delay_mode_fraction: Some(0.9),
                 must_enter_competitive: true,
                 ..Invariants::default()
             },
-        },
+        ),
         // The flip side of that recovery, pinned as an invariant (ROADMAP
         // residual 3): what does *un*-quiesced `mu=learned(probe=1)` give
         // up against the same elastic Cubic competitor?  Detection itself.
@@ -990,23 +707,15 @@ pub fn estimator_cells() -> Vec<Cell> {
         // — "delay mode" in name only, with neither the low-delay objective
         // nor honest competition.  Same seed/link as the quiesce pair above,
         // so the cells differ only in the quiesce floor.
-        Cell {
-            scheme: SchemeSpec::nimbus().with_probing_mu(),
-            cross: CrossTraffic::elastic_cubic(),
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 45,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus(mu=learned(probe=1))@48M vs cubic seed=45 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(40.0),
                 min_queue_delay_ms: Some(40.0),
                 min_delay_mode_fraction: Some(0.95),
                 ..Invariants::default()
             },
-        },
+        ),
         // Documented residual: the adaptive ẑ-filter rescue of learned µ on
         // the ±10% sinusoid (the second cell above) is *partial* when the
         // delay half is Copa instead of basic-delay — Copa's own rate
@@ -1016,29 +725,16 @@ pub fn estimator_cells() -> Vec<Cell> {
         // the basic-delay wrapper holds ≥ 0.9.  Pinned as a band (not a
         // floor) so the residual stays visible: an accidental fix would
         // trip the ceiling and upgrade the threshold deliberately.
-        Cell {
-            scheme: SchemeSpec::nimbus_copa()
-                .with_learned_mu()
-                .with_z_filter(nimbus_core::ZFilterConfig::adaptive()),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Sinusoid {
-                amplitude_frac: 0.1,
-                period_s: 10.0,
-            },
-            path: PathSpec::single(),
-            seed: 43,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus(delay=copa,mu=learned,zfilter=adaptive)@48M sin(0.1,10s) vs alone seed=43 dur=40s steady=10s"],
+            Invariants {
                 min_throughput_mbps: Some(35.0),
                 min_delay_mode_fraction: Some(0.55),
                 max_delay_mode_fraction: Some(0.9),
                 ..Invariants::default()
             },
-        },
-    ]
+        ),
+    ])
 }
 
 /// The 18 single-bottleneck cells that predate both the path engine and the
@@ -1046,234 +742,139 @@ pub fn estimator_cells() -> Vec<Cell> {
 /// because their recorder fingerprints are pinned
 /// (`tests/multihop_scenarios.rs`): every refactor of the scheme or engine
 /// layers must reproduce them byte for byte.
-pub fn legacy_single_bottleneck_cells() -> Vec<Cell> {
-    let mut cells = Vec::new();
-
-    // Fig. 1a: Cubic fills the 100 ms buffer (bufferbloat) but also the link.
-    for seed in [3, 11] {
-        cells.push(Cell {
-            scheme: SchemeSpec::cubic(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            seed,
-            path: PathSpec::single(),
-            duration_s: 30.0,
-            steady_start_s: 8.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+pub fn single_bottleneck_cells() -> Vec<Cell> {
+    cells(&[
+        // Fig. 1a: Cubic fills the 100 ms buffer (bufferbloat) but also the link.
+        (
+            &[
+                "cubic@48M vs alone seed=3 dur=30s steady=8s",
+                "cubic@48M vs alone seed=11 dur=30s steady=8s",
+            ],
+            Invariants {
                 min_throughput_mbps: Some(40.0),
                 min_queue_delay_ms: Some(40.0),
                 ..Invariants::default()
             },
-        });
-    }
-
-    // Fig. 1b: Vegas keeps the queue nearly empty at full throughput.
-    for seed in [3, 11] {
-        cells.push(Cell {
-            scheme: SchemeSpec::vegas(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            seed,
-            path: PathSpec::single(),
-            duration_s: 30.0,
-            steady_start_s: 8.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        ),
+        // Fig. 1b: Vegas keeps the queue nearly empty at full throughput.
+        (
+            &[
+                "vegas@48M vs alone seed=3 dur=30s steady=8s",
+                "vegas@48M vs alone seed=11 dur=30s steady=8s",
+            ],
+            Invariants {
                 min_throughput_mbps: Some(40.0),
                 max_queue_delay_ms: Some(15.0),
                 ..Invariants::default()
             },
-        });
-    }
-
-    // The motivating failure: Vegas starved by an elastic Cubic competitor.
-    for seed in [5, 13] {
-        cells.push(Cell {
-            scheme: SchemeSpec::vegas(),
-            cross: CrossTraffic::elastic_cubic(),
-            link_rate_bps: 96e6,
-            schedule: LinkScheduleSpec::Constant,
-            seed,
-            path: PathSpec::single(),
-            duration_s: 40.0,
-            steady_start_s: 15.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        ),
+        // The motivating failure: Vegas starved by an elastic Cubic competitor.
+        (
+            &[
+                "vegas@96M vs cubic seed=5 dur=40s steady=15s",
+                "vegas@96M vs cubic seed=13 dur=40s steady=15s",
+            ],
+            Invariants {
                 max_throughput_mbps: Some(30.0),
                 ..Invariants::default()
             },
-        });
-    }
-
-    // Appendix D.1: Nimbus holds delay mode under 83% CBR cross traffic.
-    for seed in [4, 12] {
-        cells.push(Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::Cbr {
-                fraction_of_mu: 5.0 / 6.0,
-            },
-            link_rate_bps: 96e6,
-            schedule: LinkScheduleSpec::Constant,
-            seed,
-            path: PathSpec::single(),
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        ),
+        // Appendix D.1: Nimbus holds delay mode under 83% (5/6 of µ) CBR
+        // cross traffic.
+        (
+            &[
+                "nimbus@96M vs cbr@0.8333333333333334 seed=4 dur=40s steady=10s",
+                "nimbus@96M vs cbr@0.8333333333333334 seed=12 dur=40s steady=10s",
+            ],
+            Invariants {
                 min_throughput_mbps: Some(8.0),
                 max_queue_delay_ms: Some(40.0),
                 min_delay_mode_fraction: Some(0.5),
                 ..Invariants::default()
             },
-        });
-    }
-
-    // Fig. 1c right half: Nimbus vs inelastic Poisson cross traffic — low
-    // delay, near fair-share throughput, delay mode.
-    for seed in [1, 9] {
-        cells.push(Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::Poisson {
-                fraction_of_mu: 0.5,
-            },
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            seed,
-            path: PathSpec::single(),
-            duration_s: 30.0,
-            steady_start_s: 8.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        ),
+        // Fig. 1c right half: Nimbus vs inelastic Poisson cross traffic — low
+        // delay, near fair-share throughput, delay mode.
+        (
+            &[
+                "nimbus@48M vs poisson@0.5 seed=1 dur=30s steady=8s",
+                "nimbus@48M vs poisson@0.5 seed=9 dur=30s steady=8s",
+            ],
+            Invariants {
                 min_throughput_mbps: Some(15.0),
                 max_queue_delay_ms: Some(40.0),
                 min_delay_mode_fraction: Some(0.6),
                 ..Invariants::default()
             },
-        });
-    }
-
-    // Fig. 1c left half: Nimbus vs an elastic Cubic competitor — must detect
-    // elasticity, switch to competitive mode and hold a useful share.
-    for seed in [2, 10] {
-        cells.push(Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::elastic_cubic(),
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            seed,
-            path: PathSpec::single(),
-            duration_s: 45.0,
-            steady_start_s: 15.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        ),
+        // Fig. 1c left half: Nimbus vs an elastic Cubic competitor — must detect
+        // elasticity, switch to competitive mode and hold a useful share.
+        (
+            &[
+                "nimbus@48M vs cubic seed=2 dur=45s steady=15s",
+                "nimbus@48M vs cubic seed=10 dur=45s steady=15s",
+            ],
+            Invariants {
                 min_throughput_mbps: Some(12.0),
                 max_delay_mode_fraction: Some(0.9),
                 must_enter_competitive: true,
                 ..Invariants::default()
             },
-        });
-    }
-
-    // Nimbus alone: nothing elastic to compete with, so it must stay in
-    // delay mode and keep the queue near its small target.
-    for seed in [6, 14] {
-        cells.push(Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            seed,
-            path: PathSpec::single(),
-            duration_s: 30.0,
-            steady_start_s: 8.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        ),
+        // Nimbus alone: nothing elastic to compete with, so it must stay in
+        // delay mode and keep the queue near its small target.
+        (
+            &[
+                "nimbus@48M vs alone seed=6 dur=30s steady=8s",
+                "nimbus@48M vs alone seed=14 dur=30s steady=8s",
+            ],
+            Invariants {
                 min_throughput_mbps: Some(30.0),
                 max_queue_delay_ms: Some(40.0),
                 min_delay_mode_fraction: Some(0.9),
                 ..Invariants::default()
             },
-        });
-    }
-
-    // Varying link, µ estimation (§4.2): a lone Nimbus flow learning µ from
-    // its max receive rate must track a ±25% sinusoid within tolerance (the
-    // 10-second max filter rides the upper envelope, so the mean relative
-    // error against the instantaneous µ(t) stays bounded, not tiny).
-    cells.push(Cell {
-        scheme: SchemeSpec::nimbus_estmu(),
-        cross: CrossTraffic::None,
-        link_rate_bps: 48e6,
-        schedule: LinkScheduleSpec::Sinusoid {
-            amplitude_frac: 0.25,
-            period_s: 20.0,
-        },
-        seed: 7,
-        path: PathSpec::single(),
-        duration_s: 40.0,
-        steady_start_s: 15.0,
-        ecn: EcnSpec::Off,
-        invariants: Invariants {
-            min_throughput_mbps: Some(20.0),
-            max_mu_error: Some(0.35),
-            ..Invariants::default()
-        },
-    });
-
-    // Varying link, detector stability: alone on a ±10% oscillating link
-    // there is nothing elastic, and the oscillation (0.1 Hz) is far from the
-    // pulse frequency (5 Hz) — Nimbus must hold delay mode.  (At ±25% the
-    // µ-error leaks the flow's own pulse into ẑ and the detector degrades;
-    // the `varying_detector` experiment quantifies that cliff.)
-    cells.push(Cell {
-        scheme: SchemeSpec::nimbus(),
-        cross: CrossTraffic::None,
-        link_rate_bps: 48e6,
-        schedule: LinkScheduleSpec::Sinusoid {
-            amplitude_frac: 0.1,
-            period_s: 10.0,
-        },
-        seed: 8,
-        path: PathSpec::single(),
-        duration_s: 40.0,
-        steady_start_s: 10.0,
-        ecn: EcnSpec::Off,
-        invariants: Invariants {
-            min_throughput_mbps: Some(35.0),
-            max_queue_delay_ms: Some(40.0),
-            min_delay_mode_fraction: Some(0.8),
-            ..Invariants::default()
-        },
-    });
-
-    // Varying link, rate step: Cubic and Nimbus must both follow a 96→48
-    // Mbit/s step — post-step throughput near the new µ, not the old one.
-    for scheme in [SchemeSpec::cubic(), SchemeSpec::nimbus()] {
-        cells.push(Cell {
-            scheme,
-            cross: CrossTraffic::None,
-            link_rate_bps: 96e6,
-            schedule: LinkScheduleSpec::Step {
-                at_s: 15.0,
-                factor: 0.5,
+        ),
+        // Varying link, µ estimation (§4.2): a lone Nimbus flow learning µ from
+        // its max receive rate must track a ±25% sinusoid within tolerance (the
+        // 10-second max filter rides the upper envelope, so the mean relative
+        // error against the instantaneous µ(t) stays bounded, not tiny).
+        (
+            &["nimbus(mu=learned)@48M sin(0.25,20s) vs alone seed=7 dur=40s steady=15s"],
+            Invariants {
+                min_throughput_mbps: Some(20.0),
+                max_mu_error: Some(0.35),
+                ..Invariants::default()
             },
-            seed: 9,
-            path: PathSpec::single(),
-            duration_s: 40.0,
-            steady_start_s: 22.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        ),
+        // Varying link, detector stability: alone on a ±10% oscillating link
+        // there is nothing elastic, and the oscillation (0.1 Hz) is far from the
+        // pulse frequency (5 Hz) — Nimbus must hold delay mode.  (At ±25% the
+        // µ-error leaks the flow's own pulse into ẑ and the detector degrades;
+        // the `varying_detector` experiment quantifies that cliff.)
+        (
+            &["nimbus@48M sin(0.1,10s) vs alone seed=8 dur=40s steady=10s"],
+            Invariants {
+                min_throughput_mbps: Some(35.0),
+                max_queue_delay_ms: Some(40.0),
+                min_delay_mode_fraction: Some(0.8),
+                ..Invariants::default()
+            },
+        ),
+        // Varying link, rate step: Cubic and Nimbus must both follow a 96→48
+        // Mbit/s step — post-step throughput near the new µ, not the old one.
+        (
+            &[
+                "cubic@96M step(15s,0.5) vs alone seed=9 dur=40s steady=22s",
+                "nimbus@96M step(15s,0.5) vs alone seed=9 dur=40s steady=22s",
+            ],
+            Invariants {
                 min_throughput_mbps: Some(35.0),
                 max_throughput_mbps: Some(50.0),
                 ..Invariants::default()
             },
-        });
-    }
-
-    cells
+        ),
+    ])
 }
 
 /// The multi-hop path cells appended to the paper-invariant matrix: a fixed
@@ -1281,274 +882,165 @@ pub fn legacy_single_bottleneck_cells() -> Vec<Cell> {
 /// and 1) and learned-µ tracking of the path minimum.  Split out so
 /// path-focused tests can run exactly this slice of the matrix.
 pub fn multihop_cells() -> Vec<Cell> {
-    let mut cells = Vec::new();
-
-    // Fixed secondary bottleneck at 60% of the base rate: the path minimum
-    // (28.8 Mbit/s) caps throughput for both schemes; Cubic bufferbloats the
-    // tight hop's 100 ms buffer while Nimbus (alone, nothing elastic) must
-    // keep the path queues low and hold delay mode.
-    cells.push(Cell {
-        scheme: SchemeSpec::nimbus(),
-        cross: CrossTraffic::None,
-        link_rate_bps: 48e6,
-        schedule: LinkScheduleSpec::Constant,
-        path: PathSpec::with_secondary(0.6),
-        seed: 21,
-        duration_s: 40.0,
-        steady_start_s: 10.0,
-        ecn: EcnSpec::Off,
-        invariants: Invariants {
-            min_throughput_mbps: Some(20.0),
-            max_throughput_mbps: Some(30.0),
-            max_queue_delay_ms: Some(40.0),
-            min_delay_mode_fraction: Some(0.8),
-            ..Invariants::default()
-        },
-    });
-    cells.push(Cell {
-        scheme: SchemeSpec::cubic(),
-        cross: CrossTraffic::None,
-        link_rate_bps: 48e6,
-        schedule: LinkScheduleSpec::Constant,
-        path: PathSpec::with_secondary(0.6),
-        seed: 21,
-        duration_s: 40.0,
-        steady_start_s: 10.0,
-        ecn: EcnSpec::Off,
-        invariants: Invariants {
-            min_throughput_mbps: Some(24.0),
-            max_throughput_mbps: Some(30.0),
-            min_queue_delay_ms: Some(40.0),
-            ..Invariants::default()
-        },
-    });
-
-    // Moving bottleneck: hop 0 steps 48 → 24 Mbit/s at t = 15 s while hop 1
-    // steps 24 → 48 Mbit/s — the path minimum is 24 Mbit/s throughout but the
-    // hop imposing it swaps sides.  Throughput must track the (unchanged)
-    // minimum across the swap, and Nimbus — alone, nothing elastic — must not
-    // mistake the migrating queue for elastic cross traffic (measured stable:
-    // delay-mode fraction 1.00, path queueing delay ~13 ms).
-    for scheme in [SchemeSpec::cubic(), SchemeSpec::nimbus()] {
-        let nimbus = scheme.is_nimbus();
-        cells.push(Cell {
-            scheme,
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Step {
-                at_s: 15.0,
-                factor: 0.5,
-            },
-            path: PathSpec::moving_bottleneck(0.5, 15.0),
-            seed: 25,
-            duration_s: 40.0,
-            steady_start_s: 10.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
-                min_throughput_mbps: Some(18.0),
-                max_throughput_mbps: Some(26.0),
-                min_delay_mode_fraction: if nimbus { Some(0.85) } else { None },
-                max_queue_delay_ms: if nimbus { Some(40.0) } else { None },
+    cells(&[
+        // Fixed secondary bottleneck at 60% of the base rate: the path minimum
+        // (28.8 Mbit/s) caps throughput for both schemes; Cubic bufferbloats the
+        // tight hop's 100 ms buffer while Nimbus (alone, nothing elastic) must
+        // keep the path queues low and hold delay mode.
+        (
+            &["nimbus@48M hop(0.6) vs alone seed=21 dur=40s steady=10s"],
+            Invariants {
+                min_throughput_mbps: Some(20.0),
+                max_throughput_mbps: Some(30.0),
+                max_queue_delay_ms: Some(40.0),
+                min_delay_mode_fraction: Some(0.8),
                 ..Invariants::default()
             },
-        });
-    }
-
-    // Learned µ on a two-hop path whose *non*-bottleneck first hop oscillates
-    // ±10%: the estimate must track the constant 28.8 Mbit/s path minimum,
-    // not the noisy 48 Mbit/s first hop (which would be a ~67% error).
-    // Measured tracking error is ~0; the 0.15 ceiling leaves slack while
-    // still ruling out any first-hop capture.
-    cells.push(Cell {
-        scheme: SchemeSpec::nimbus_estmu(),
-        cross: CrossTraffic::None,
-        link_rate_bps: 48e6,
-        schedule: LinkScheduleSpec::Sinusoid {
-            amplitude_frac: 0.1,
-            period_s: 10.0,
-        },
-        path: PathSpec::with_secondary(0.6),
-        seed: 27,
-        duration_s: 40.0,
-        steady_start_s: 15.0,
-        ecn: EcnSpec::Off,
-        invariants: Invariants {
-            min_throughput_mbps: Some(18.0),
-            max_mu_error: Some(0.15),
-            ..Invariants::default()
-        },
-    });
-
-    // Two simultaneously near-saturated hops (ROADMAP PR 3 follow-on): an
-    // elastic Cubic competitor confined to hop 0 contends with Nimbus for
-    // the 48 Mbit/s first hop, while hop 1 at 50% (24 Mbit/s) caps whatever
-    // Nimbus wins there — at the fair hop-0 split both hops carry a standing
-    // queue at once.  Nimbus must still recognize the hop-0 competition as
-    // elastic and fight for (and hold) roughly the hop-1 cap.
-    cells.push(Cell {
-        scheme: SchemeSpec::nimbus(),
-        cross: CrossTraffic::ElasticAtHops {
-            spec: SchemeSpec::cubic(),
-            enter_hop: 0,
-            exit_hop: 0,
-        },
-        link_rate_bps: 48e6,
-        schedule: LinkScheduleSpec::Constant,
-        path: PathSpec::with_secondary(0.5),
-        seed: 29,
-        duration_s: 45.0,
-        steady_start_s: 15.0,
-        ecn: EcnSpec::Off,
-        invariants: Invariants {
-            min_throughput_mbps: Some(10.0),
-            max_throughput_mbps: Some(26.0),
-            must_enter_competitive: true,
-            ..Invariants::default()
-        },
-    });
-
-    // Elastic cross traffic confined to the *non*-bottleneck hop (ROADMAP
-    // PR 3 follow-on): the path's nominal bottleneck is hop 1 at 60%
-    // (28.8 Mbit/s), but a backlogged Cubic on hop 0 pushes Nimbus's hop-0
-    // share below that — elasticity must be detected even though it never
-    // touches the nominal bottleneck queue.
-    cells.push(Cell {
-        scheme: SchemeSpec::nimbus(),
-        cross: CrossTraffic::ElasticAtHops {
-            spec: SchemeSpec::cubic(),
-            enter_hop: 0,
-            exit_hop: 0,
-        },
-        link_rate_bps: 48e6,
-        schedule: LinkScheduleSpec::Constant,
-        path: PathSpec::with_secondary(0.6),
-        seed: 31,
-        duration_s: 45.0,
-        steady_start_s: 15.0,
-        ecn: EcnSpec::Off,
-        invariants: Invariants {
-            min_throughput_mbps: Some(10.0),
-            max_throughput_mbps: Some(30.0),
-            must_enter_competitive: true,
-            ..Invariants::default()
-        },
-    });
-
-    cells
+        ),
+        (
+            &["cubic@48M hop(0.6) vs alone seed=21 dur=40s steady=10s"],
+            Invariants {
+                min_throughput_mbps: Some(24.0),
+                max_throughput_mbps: Some(30.0),
+                min_queue_delay_ms: Some(40.0),
+                ..Invariants::default()
+            },
+        ),
+        // Moving bottleneck: hop 0 steps 48 → 24 Mbit/s at t = 15 s while hop 1
+        // steps 24 → 48 Mbit/s — the path minimum is 24 Mbit/s throughout but the
+        // hop imposing it swaps sides.  Throughput must track the (unchanged)
+        // minimum across the swap, and Nimbus — alone, nothing elastic — must not
+        // mistake the migrating queue for elastic cross traffic (measured stable:
+        // delay-mode fraction 1.00, path queueing delay ~13 ms).
+        (
+            &["cubic@48M step(15s,0.5) hop(0.5,sched=step(15s,2)) vs alone seed=25 dur=40s steady=10s"],
+            Invariants {
+                min_throughput_mbps: Some(18.0),
+                max_throughput_mbps: Some(26.0),
+                ..Invariants::default()
+            },
+        ),
+        (
+            &["nimbus@48M step(15s,0.5) hop(0.5,sched=step(15s,2)) vs alone seed=25 dur=40s steady=10s"],
+            Invariants {
+                min_throughput_mbps: Some(18.0),
+                max_throughput_mbps: Some(26.0),
+                min_delay_mode_fraction: Some(0.85),
+                max_queue_delay_ms: Some(40.0),
+                ..Invariants::default()
+            },
+        ),
+        // Learned µ on a two-hop path whose *non*-bottleneck first hop oscillates
+        // ±10%: the estimate must track the constant 28.8 Mbit/s path minimum,
+        // not the noisy 48 Mbit/s first hop (which would be a ~67% error).
+        // Measured tracking error is ~0; the 0.15 ceiling leaves slack while
+        // still ruling out any first-hop capture.
+        (
+            &["nimbus(mu=learned)@48M sin(0.1,10s) hop(0.6) vs alone seed=27 dur=40s steady=15s"],
+            Invariants {
+                min_throughput_mbps: Some(18.0),
+                max_mu_error: Some(0.15),
+                ..Invariants::default()
+            },
+        ),
+        // Two simultaneously near-saturated hops (ROADMAP PR 3 follow-on): an
+        // elastic Cubic competitor confined to hop 0 contends with Nimbus for
+        // the 48 Mbit/s first hop, while hop 1 at 50% (24 Mbit/s) caps whatever
+        // Nimbus wins there — at the fair hop-0 split both hops carry a standing
+        // queue at once.  Nimbus must still recognize the hop-0 competition as
+        // elastic and fight for (and hold) roughly the hop-1 cap.
+        (
+            &["nimbus@48M hop(0.5) vs cubic@hop0-0 seed=29 dur=45s steady=15s"],
+            Invariants {
+                min_throughput_mbps: Some(10.0),
+                max_throughput_mbps: Some(26.0),
+                must_enter_competitive: true,
+                ..Invariants::default()
+            },
+        ),
+        // Elastic cross traffic confined to the *non*-bottleneck hop (ROADMAP
+        // PR 3 follow-on): the path's nominal bottleneck is hop 1 at 60%
+        // (28.8 Mbit/s), but a backlogged Cubic on hop 0 pushes Nimbus's hop-0
+        // share below that — elasticity must be detected even though it never
+        // touches the nominal bottleneck queue.
+        (
+            &["nimbus@48M hop(0.6) vs cubic@hop0-0 seed=31 dur=45s steady=15s"],
+            Invariants {
+                min_throughput_mbps: Some(10.0),
+                max_throughput_mbps: Some(30.0),
+                must_enter_competitive: true,
+                ..Invariants::default()
+            },
+        ),
+    ])
 }
 
-/// Matrix cells exercising wrapper compositions the closed `Scheme` enum
-/// could not express: a NewReno-competitive Nimbus, a Copa-delay wrapper
-/// with runtime-learned µ, heterogeneous three-way competition, and a
-/// curated built-in rate trace.  Each cell asserts paper invariants, so the
-/// compositional builder path is gated on *behaviour*, not just on
+/// Matrix cells exercising wrapper compositions a closed scheme enum could
+/// not express: a NewReno-competitive Nimbus, a Copa-delay wrapper with
+/// runtime-learned µ, heterogeneous three-way competition, and a curated
+/// built-in rate trace.  Each cell asserts paper invariants, so the
+/// compositional spec path is gated on *behaviour*, not just on
 /// construction succeeding.
 pub fn spec_combination_cells() -> Vec<Cell> {
-    vec![
+    cells(&[
         // nimbus(competitive=reno) vs an elastic Cubic competitor: the
         // wrapper must detect elasticity and the NewReno inner scheme must
         // hold a useful share of the 48 Mbit/s link.
-        Cell {
-            scheme: SchemeSpec::nimbus().with_competitive(TcpScheme::NewReno),
-            cross: CrossTraffic::elastic_cubic(),
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 35,
-            duration_s: 45.0,
-            steady_start_s: 15.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus(competitive=reno)@48M vs cubic seed=35 dur=45s steady=15s"],
+            Invariants {
                 min_throughput_mbps: Some(10.0),
                 max_delay_mode_fraction: Some(0.9),
                 must_enter_competitive: true,
                 ..Invariants::default()
             },
-        },
+        ),
         // nimbus(delay=copa,mu=learned) alone: the learned µ must settle on
         // the true rate and the Copa delay mode must keep the queue near
         // empty at full throughput with nothing elastic around.  (On an
         // oscillating link every learned-µ wrapper currently loses delay
         // mode — the µ error leaks the pulse into ẑ; see ROADMAP.)
-        Cell {
-            scheme: SchemeSpec::nimbus_copa().with_learned_mu(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 36,
-            duration_s: 40.0,
-            steady_start_s: 15.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus(delay=copa,mu=learned)@48M vs alone seed=36 dur=40s steady=15s"],
+            Invariants {
                 min_throughput_mbps: Some(40.0),
                 max_queue_delay_ms: Some(20.0),
                 max_mu_error: Some(0.1),
                 min_delay_mode_fraction: Some(0.9),
                 ..Invariants::default()
             },
-        },
+        ),
         // Heterogeneous competition on one bottleneck: Nimbus vs standalone
         // Copa vs Cubic.  The Cubic competitor makes the mix elastic, so
         // Nimbus must switch and keep a useful share of the three-way split.
-        Cell {
-            scheme: SchemeSpec::nimbus(),
-            cross: CrossTraffic::Mix {
-                specs: vec![SchemeSpec::copa(), SchemeSpec::cubic()],
-            },
-            link_rate_bps: 96e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 37,
-            duration_s: 45.0,
-            steady_start_s: 15.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["nimbus@96M vs copa+cubic seed=37 dur=45s steady=15s"],
+            Invariants {
                 min_throughput_mbps: Some(12.0),
                 must_enter_competitive: true,
                 ..Invariants::default()
             },
-        },
+        ),
         // A curated built-in trace (Wi-Fi-like variation): Cubic must keep
         // filling the moving pipe.
-        Cell {
-            scheme: SchemeSpec::cubic(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::NamedTrace {
-                name: "wifi".to_string(),
-            },
-            path: PathSpec::single(),
-            seed: 38,
-            duration_s: 30.0,
-            steady_start_s: 8.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["cubic@48M trace-wifi vs alone seed=38 dur=30s steady=8s"],
+            Invariants {
                 min_throughput_mbps: Some(25.0),
                 ..Invariants::default()
             },
-        },
+        ),
         // The cellular-like trace with its deep fade: guards the
         // double-timeout go-back-N recovery (a wedged flow reads ~0 here;
         // see `tests/trace_links.rs` for the minimized repro).
-        Cell {
-            scheme: SchemeSpec::cubic(),
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::NamedTrace {
-                name: "cellular".to_string(),
-            },
-            path: PathSpec::single(),
-            seed: 39,
-            duration_s: 30.0,
-            steady_start_s: 8.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants {
+        (
+            &["cubic@48M trace-cellular vs alone seed=39 dur=30s steady=8s"],
+            Invariants {
                 min_throughput_mbps: Some(15.0),
                 ..Invariants::default()
             },
-        },
-    ]
+        ),
+    ])
 }
 
 #[cfg(test)]

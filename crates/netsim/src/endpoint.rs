@@ -11,7 +11,7 @@
 //! periodic measurement tick runs).  The endpoint answers with a
 //! [`SendAction`].
 
-use crate::time::Time;
+use nimbus_core_types::Time;
 
 /// Everything a sender learns when an acknowledgement arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -45,7 +45,7 @@ use crate::queue::{
 use crate::recorder::{Recorder, RecorderConfig};
 use crate::schedule::RateSchedule;
 use crate::slab::Slab;
-use crate::time::Time;
+use nimbus_core_types::Time;
 use std::collections::BTreeMap;
 
 /// Which queue discipline the bottleneck uses.

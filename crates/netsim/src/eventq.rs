@@ -25,7 +25,7 @@
 //! current cursor bucket, which preserves pop ordering for any timestamp no
 //! older than the wheel's cursor bucket start.
 
-use crate::time::Time;
+use nimbus_core_types::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

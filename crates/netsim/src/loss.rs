@@ -10,7 +10,7 @@
 //! * [`Policer`] — a token-bucket policer that drops packets exceeding a
 //!   contracted rate regardless of buffer space (models ISP rate policing).
 
-use crate::time::Time;
+use nimbus_core_types::Time;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};

@@ -1,6 +1,6 @@
 //! Packets and flow identifiers.
 
-use crate::time::Time;
+use nimbus_core_types::Time;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a flow within one simulation.

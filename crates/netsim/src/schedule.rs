@@ -23,7 +23,7 @@
 //! segment serializes glacially instead of dividing by zero or wedging the
 //! event loop.
 
-use crate::time::Time;
+use nimbus_core_types::Time;
 use serde::{Deserialize, Serialize};
 
 /// The minimum rate any schedule will report, in bits per second.  A segment

@@ -9,7 +9,8 @@
 //!   cross-flows whose sizes come from a heavy-tailed distribution and whose
 //!   arrivals form a Poisson process targeting a configurable offered load
 //!   (§8.1 "Throughput and delay with WAN cross-traffic").  The real trace is
-//!   proprietary; DESIGN.md documents the substitution.
+//!   proprietary; [`flow_sizes`] documents the synthetic mixture standing in
+//!   for it.
 //! * [`fleet`] — the same size distribution driven open-loop at population
 //!   scale: flows are spawned at Poisson or bursty (Pareto) arrival instants
 //!   via the engine's `FlowSpawner` hook and retired on completion, so

@@ -6,13 +6,13 @@
 //! timeout-based loss recovery, RTT estimation and the 10 ms measurement
 //! report.  The congestion-control "program" on top only ever sees
 //! [`AckEvent`]s, loss notifications and
-//! [`Report`](crate::ccp::Report)s, and only ever answers with a window and
+//! [`Report`](nimbus_core::ccp::Report)s, and only ever answers with a window and
 //! an optional pacing rate.
 
-use crate::cc::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
-use crate::ccp::ReportAggregator;
-use crate::rtt::RttEstimator;
 use crate::source::Source;
+use nimbus_core::cc::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
+use nimbus_core::ccp::ReportAggregator;
+use nimbus_core::rtt::RttEstimator;
 use nimbus_netsim::{AckInfo, FlowEndpoint, SendAction, Time};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -628,8 +628,8 @@ impl FlowEndpoint for Sender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cc::{CcKind, PathInfo};
     use crate::source::{BackloggedSource, FixedSizeSource, PoissonSource, ScriptedSource};
+    use nimbus_core::cc::{CcKind, PathInfo};
     use nimbus_netsim::{FlowConfig, Network, SimConfig};
 
     fn sender(kind: CcKind, source: Box<dyn Source>) -> Box<Sender> {

@@ -12,8 +12,8 @@
 //!   rate parsing/formatting) shared by every layer.
 //! * [`dsp`] — FFT, pulse shapes, filters, statistics.
 //! * [`netsim`] — the discrete-event dumbbell simulator (Mahimahi stand-in).
-//! * [`transport`] — sender machinery plus re-exports of the
-//!   simulator-free congestion controllers under their historical paths.
+//! * [`transport`] — sender machinery and application sources (the
+//!   simulator-free congestion controllers it drives live in [`nimbus`]).
 //! * [`traffic`] — WAN, video and scripted-phase cross-traffic generators.
 //! * [`nimbus`] — the paper's contribution, simulator-free: estimator,
 //!   detector, BasicDelay, the Nimbus controller, the multi-flow
@@ -22,8 +22,8 @@
 //!   ([`sim::nimbus_flow`]).
 //! * [`experiments`] — the harness regenerating every table and figure.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` / `EXPERIMENTS.md` for
-//! the system inventory and the per-experiment reproduction record.
+//! See `README.md` for a quickstart, the workspace layout, the scenario
+//! grammar and the experiment catalogue.
 
 pub use nimbus_core as nimbus;
 pub use nimbus_core_types as core_types;

@@ -10,129 +10,76 @@
 //!    non-default estimator recovers the cellular deep fade (≥ 10 Mbit/s
 //!    vs 0.12 pinned below) and the ±10% sinusoid (delay fraction ≥ 0.9 vs
 //!    0.17 pinned below), without suppressing genuine elasticity.
-//! 3. **Round-trips**: `FromStr` ↔ `Display` ↔ serde over the extended
-//!    `mu=learned(...)` / `zfilter=...` grammar (proptest).
-//! 4. **Rejection**: malformed estimator specs fail with actionable
-//!    messages.
+//! 3. **Canonical strings**: the `mu=learned(...)` / `zfilter=...` forms
+//!    print and parse as documented (the round-trip proptest and the
+//!    rejection table for the whole grammar live in `tests/scheme_spec.rs`).
 
-use nimbus_repro::experiments::testkit::{
-    estimator_cells, parallel_map, Cell, CrossTraffic, Invariants,
-};
-use nimbus_repro::experiments::{EcnSpec, LinkScheduleSpec, PathSpec, SchemeSpec};
+use nimbus_repro::experiments::testkit::{estimator_cells, parallel_map, Cell};
+use nimbus_repro::experiments::SchemeSpec;
 use nimbus_repro::nimbus::{LearnedMuConfig, ProbingConfig, ZFilterConfig};
-use proptest::prelude::*;
-use std::collections::HashMap;
 
-/// Recorder fingerprints of every learned-µ wrapper flavour, captured on the
-/// pre-API hardwired max-filter estimator immediately before the redesign.
-/// The sinusoid and cellular cells pin the *degraded* behaviour (delay
-/// fraction 0.17, throughput 0.12 Mbit/s): the default strategy must keep
-/// reproducing even the failure modes exactly — fixes ride on non-default
-/// strategies.
-const PRE_API_FINGERPRINTS: &[(&str, u64)] = &[
-    ("nimbus-estmu@48M-vs-alone-seed41", 0x098248daeaa57721),
-    ("nimbus-copa-estmu@48M-vs-alone-seed41", 0xfa5561497f2e9a4e),
-    ("nimbus-vegas-estmu@48M-vs-alone-seed41", 0x7407db92d95df6b7),
-    ("nimbus-reno-estmu@48M-vs-alone-seed41", 0xb7d218a503b30b1f),
-    ("nimbus-delay-estmu@48M-vs-alone-seed41", 0xc2faa71581eaaec5),
-    ("nimbus-estmu@96M-vs-cubic-seed42", 0xd323b5297c3678d4),
+/// Every learned-µ wrapper flavour as a whole-cell string, with the cell
+/// name and recorder fingerprint captured on the pre-API hardwired max-filter
+/// estimator immediately before the redesign.  The sinusoid and cellular
+/// cells pin the *degraded* behaviour (delay fraction 0.17, throughput
+/// 0.12 Mbit/s): the default strategy must keep reproducing even the failure
+/// modes exactly — fixes ride on non-default strategies.
+const PRE_API_FINGERPRINTS: &[(&str, &str, u64)] = &[
     (
+        "nimbus(mu=learned)@48M vs alone seed=41 dur=20s steady=6s",
+        "nimbus-estmu@48M-vs-alone-seed41",
+        0x098248daeaa57721,
+    ),
+    (
+        "nimbus(delay=copa,mu=learned)@48M vs alone seed=41 dur=20s steady=6s",
+        "nimbus-copa-estmu@48M-vs-alone-seed41",
+        0xfa5561497f2e9a4e,
+    ),
+    (
+        "nimbus(delay=vegas,mu=learned)@48M vs alone seed=41 dur=20s steady=6s",
+        "nimbus-vegas-estmu@48M-vs-alone-seed41",
+        0x7407db92d95df6b7,
+    ),
+    (
+        "nimbus(competitive=reno,mu=learned)@48M vs alone seed=41 dur=20s steady=6s",
+        "nimbus-reno-estmu@48M-vs-alone-seed41",
+        0xb7d218a503b30b1f,
+    ),
+    (
+        "nimbus(mu=learned,switch=never)@48M vs alone seed=41 dur=20s steady=6s",
+        "nimbus-delay-estmu@48M-vs-alone-seed41",
+        0xc2faa71581eaaec5,
+    ),
+    (
+        "nimbus(mu=learned)@96M vs cubic seed=42 dur=25s steady=8s",
+        "nimbus-estmu@96M-vs-cubic-seed42",
+        0xd323b5297c3678d4,
+    ),
+    // The two ROADMAP degraded regimes, pinned in their degraded state.
+    (
+        "nimbus(mu=learned)@48M sin(0.1,10s) vs alone seed=43 dur=30s steady=10s",
         "nimbus-estmu@48M-sin10p10-vs-alone-seed43",
         0x7ac3d6180cffcd8b,
     ),
     (
+        "nimbus(mu=learned)@48M trace-cellular vs alone seed=44 dur=30s steady=10s",
         "nimbus-estmu@48M-trace-cellular-vs-alone-seed44",
         0x4ab456cd436dc519,
     ),
 ];
 
-fn preservation_cells() -> Vec<Cell> {
-    let alone = |spec: &str, schedule: LinkScheduleSpec, seed: u64, duration_s: f64| Cell {
-        scheme: spec.parse().expect("learned-µ spec parses"),
-        cross: CrossTraffic::None,
-        link_rate_bps: 48e6,
-        schedule,
-        path: PathSpec::single(),
-        seed,
-        duration_s,
-        steady_start_s: if duration_s > 25.0 { 10.0 } else { 6.0 },
-        ecn: EcnSpec::Off,
-        invariants: Invariants::default(),
-    };
-    let mut cells = vec![
-        alone("nimbus-estmu", LinkScheduleSpec::Constant, 41, 20.0),
-        alone(
-            "nimbus(delay=copa,mu=learned)",
-            LinkScheduleSpec::Constant,
-            41,
-            20.0,
-        ),
-        alone(
-            "nimbus(delay=vegas,mu=learned)",
-            LinkScheduleSpec::Constant,
-            41,
-            20.0,
-        ),
-        alone(
-            "nimbus(competitive=reno,mu=learned)",
-            LinkScheduleSpec::Constant,
-            41,
-            20.0,
-        ),
-        alone(
-            "nimbus(mu=learned,switch=never)",
-            LinkScheduleSpec::Constant,
-            41,
-            20.0,
-        ),
-        // The two ROADMAP degraded regimes, pinned in their degraded state.
-        alone(
-            "nimbus(mu=learned)",
-            LinkScheduleSpec::Sinusoid {
-                amplitude_frac: 0.1,
-                period_s: 10.0,
-            },
-            43,
-            30.0,
-        ),
-        alone(
-            "nimbus(mu=learned)",
-            LinkScheduleSpec::NamedTrace {
-                name: "cellular".to_string(),
-            },
-            44,
-            30.0,
-        ),
-    ];
-    cells.push(Cell {
-        scheme: "nimbus-estmu".parse().unwrap(),
-        cross: CrossTraffic::elastic_cubic(),
-        link_rate_bps: 96e6,
-        schedule: LinkScheduleSpec::Constant,
-        path: PathSpec::single(),
-        seed: 42,
-        duration_s: 25.0,
-        steady_start_s: 8.0,
-        ecn: EcnSpec::Off,
-        invariants: Invariants::default(),
-    });
-    cells
-}
-
 #[test]
 fn maxfilt_is_byte_identical_to_the_pre_api_estimator() {
-    let pinned: HashMap<&str, u64> = PRE_API_FINGERPRINTS.iter().copied().collect();
-    let cells = preservation_cells();
-    assert_eq!(cells.len(), pinned.len());
+    let cells: Vec<Cell> = PRE_API_FINGERPRINTS
+        .iter()
+        .map(|(cell, _, _)| cell.parse().expect("pinned cell parses"))
+        .collect();
     let outcomes = parallel_map(&cells, None, |c| c.run());
-    for o in &outcomes {
-        let expected = pinned
-            .get(o.name.as_str())
-            .unwrap_or_else(|| panic!("cell {} not in the pinned set", o.name));
+    for (o, &(_, name, fingerprint)) in outcomes.iter().zip(PRE_API_FINGERPRINTS) {
+        assert_eq!(o.name, name);
         assert_eq!(
-            o.fingerprint, *expected,
-            "cell {} diverged from the pre-API hardwired estimator",
-            o.name
+            o.fingerprint, fingerprint,
+            "cell {name} diverged from the pre-API hardwired estimator"
         );
     }
 }
@@ -168,79 +115,6 @@ fn non_default_estimators_recover_the_degraded_regimes() {
     );
 }
 
-// ---- grammar round-trips ---------------------------------------------------
-
-fn mu_strategy(index: usize, a: f64, b: f64) -> Option<LearnedMuConfig> {
-    // `a` in (1, 16], `b` in (0, 1): derive strictly-positive parameters so
-    // every generated spec is valid by construction.
-    match index {
-        0 => None, // configured
-        1 => Some(LearnedMuConfig::default()),
-        2 => Some(LearnedMuConfig::MaxFilter { window_s: a }),
-        3 => Some(LearnedMuConfig::Probing(ProbingConfig::default())),
-        4 => Some(LearnedMuConfig::Probing(ProbingConfig {
-            probe_interval_s: a,
-            // The epoch plus its equal-length drain must fit in the interval.
-            probe_duration_s: a * b.min(0.45),
-            probe_gain: 1.0 + a,
-            ..ProbingConfig::default()
-        })),
-        _ => Some(LearnedMuConfig::Probing(ProbingConfig {
-            window_s: a * 2.0,
-            loss_backoff: b.clamp(0.05, 0.95),
-            backoff_interval_s: a,
-            recent_window_s: a,
-            cap_margin: 1.0 + b,
-            ..ProbingConfig::default()
-        })),
-    }
-}
-
-fn zfilter(index: usize, a: f64) -> ZFilterConfig {
-    match index {
-        0 => ZFilterConfig::None,
-        1 => ZFilterConfig::adaptive(),
-        2 => ZFilterConfig::Adaptive { k: a },
-        3 => ZFilterConfig::notch(a / 100.0),
-        _ => ZFilterConfig::Notch {
-            freq_hz: a / 100.0,
-            q: a,
-        },
-    }
-}
-
-proptest! {
-    #[test]
-    fn extended_estimator_specs_round_trip(
-        mu_index in 0usize..6,
-        zf_index in 0usize..5,
-        // Whole multiples of 1/64 so every parameter has an exact, shortest
-        // decimal rendering (Display prints f64 shortest-round-trip anyway;
-        // this just keeps the strings readable on failure).
-        a_units in 65u32..1024,
-        b_units in 1u32..63,
-    ) {
-        let a = a_units as f64 / 64.0;
-        let b = b_units as f64 / 64.0;
-        let mut spec = SchemeSpec::nimbus();
-        if let Some(strategy) = mu_strategy(mu_index, a, b) {
-            spec = spec.with_mu_strategy(strategy);
-        }
-        spec = spec.with_z_filter(zfilter(zf_index, a));
-        let text = spec.to_string();
-        let parsed: SchemeSpec = text.parse()
-            .unwrap_or_else(|e| panic!("`{text}` failed to re-parse: {e}"));
-        prop_assert_eq!(parsed, spec, "`{}` did not round-trip", text);
-        // serde (canonical string encoding) → back.
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: SchemeSpec = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(back, spec);
-        // The label is stable and still leads with the legacy stem.
-        prop_assert_eq!(parsed.label(), spec.label());
-        prop_assert!(spec.label().starts_with("nimbus"));
-    }
-}
-
 #[test]
 fn canonical_estimator_spec_strings() {
     // Defaults render compactly; non-defaults render their parameters.
@@ -248,21 +122,24 @@ fn canonical_estimator_spec_strings() {
         SchemeSpec::nimbus().with_learned_mu().to_string(),
         "nimbus(mu=learned)"
     );
+    let probing = |cfg| SchemeSpec::nimbus().with_mu_strategy(LearnedMuConfig::Probing(cfg));
+    let quiesced = ProbingConfig {
+        quiesce_uncertainty_floor: 0.4,
+        ..ProbingConfig::default()
+    };
     assert_eq!(
-        SchemeSpec::nimbus().with_probing_mu().to_string(),
+        probing(ProbingConfig::default()).to_string(),
         "nimbus(mu=learned(probe=1))"
     );
     assert_eq!(
-        SchemeSpec::nimbus()
-            .with_quiesced_probing_mu(1.0, 0.4)
-            .to_string(),
+        probing(quiesced).to_string(),
         "nimbus(mu=learned(probe=1,quiesce=0.4))"
     );
     assert_eq!(
         "nimbus(mu=learned(probe=1,quiesce=0.4))"
             .parse::<SchemeSpec>()
             .unwrap(),
-        SchemeSpec::nimbus().with_quiesced_probing_mu(1.0, 0.4)
+        probing(quiesced)
     );
     assert_eq!(
         SchemeSpec::nimbus()
@@ -296,9 +173,9 @@ fn canonical_estimator_spec_strings() {
         spec,
         SchemeSpec::nimbus().with_mu_strategy(LearnedMuConfig::MaxFilter { window_s: 5.0 })
     );
-    // Labels keep the legacy `-estmu` stem and append strategy slugs.
+    // Labels keep the historical `-estmu` stem and append strategy slugs.
     assert_eq!(
-        SchemeSpec::nimbus().with_probing_mu().label(),
+        probing(ProbingConfig::default()).label(),
         "nimbus-estmu-probe1"
     );
     assert_eq!(
@@ -308,40 +185,4 @@ fn canonical_estimator_spec_strings() {
             .label(),
         "nimbus-estmu-zadapt"
     );
-}
-
-#[test]
-fn malformed_estimator_specs_fail_with_actionable_messages() {
-    for (input, needle) in [
-        ("nimbus(mu=learned(probe=fast))", "not a number"),
-        ("nimbus(mu=learned(probe=-1))", "positive"),
-        ("nimbus(mu=learned(probe=0))", "positive"),
-        ("nimbus(mu=learned(turbo=1))", "unknown mu=learned option"),
-        ("nimbus(mu=learned(gain=2))", "require probe="),
-        // A probe must actually probe: gain ≤ 1 or epoch ≥ interval is a
-        // configuration that silently never escapes the fixed point.
-        ("nimbus(mu=learned(probe=1,gain=0.5))", "exceed 1"),
-        ("nimbus(mu=learned(probe=1,dur=2))", "shorter than"),
-        ("nimbus(mu=learned(probe=1,loss=1.5))", "below 1"),
-        ("nimbus(mu=learned(quiesce=0.3))", "require probe="),
-        (
-            "nimbus(mu=learned(probe=1,quiesce=1.5))",
-            "quiesce probing unconditionally",
-        ),
-        ("nimbus(mu=learned(probe=3)", "closing"),
-        ("nimbus(mu=guessed)", "unknown mu mode"),
-        ("nimbus(zfilter=fft)", "unknown zfilter"),
-        ("nimbus(zfilter=notch)", "freq"),
-        ("nimbus(zfilter=notch(q=2))", "freq"),
-        ("nimbus(zfilter=adaptive(x=2))", "k=<gain>"),
-    ] {
-        let err = input
-            .parse::<SchemeSpec>()
-            .expect_err(&format!("`{input}` should not parse"));
-        let msg = format!("{err}");
-        assert!(
-            msg.contains(needle),
-            "error for `{input}` should mention `{needle}`, got: {msg}"
-        );
-    }
 }

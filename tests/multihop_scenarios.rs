@@ -2,9 +2,7 @@
 //! provably behaviour-preserving, and the new multi-hop cells must be
 //! deterministic regardless of how the matrix is scheduled across threads.
 
-use nimbus_repro::experiments::testkit::{
-    legacy_single_bottleneck_cells, multihop_cells, parallel_map,
-};
+use nimbus_repro::experiments::testkit::{multihop_cells, parallel_map, single_bottleneck_cells};
 use nimbus_repro::experiments::{PathSpec, SchemeSpec};
 use std::collections::HashMap;
 
@@ -39,15 +37,15 @@ const PRE_REFACTOR_FINGERPRINTS: &[(&str, u64)] = &[
 #[test]
 fn one_hop_paths_reproduce_pre_refactor_fingerprints() {
     let pinned: HashMap<&str, u64> = PRE_REFACTOR_FINGERPRINTS.iter().copied().collect();
-    let cells = legacy_single_bottleneck_cells();
+    let cells = single_bottleneck_cells();
     assert!(
-        cells.iter().all(|c| c.path == PathSpec::single()),
-        "the legacy slice is single-bottleneck by construction"
+        cells.iter().all(|c| c.scenario.path == PathSpec::single()),
+        "the slice is single-bottleneck by construction"
     );
     assert_eq!(
         cells.len(),
         pinned.len(),
-        "the legacy slice of the matrix must still be the original 18 cells"
+        "the single-bottleneck slice of the matrix must still be the original 18 cells"
     );
     let outcomes = parallel_map(&cells, None, |c| c.run());
     for o in &outcomes {
@@ -67,7 +65,7 @@ fn multihop_matrix_is_deterministic_across_thread_counts() {
     let cells = multihop_cells();
     assert!(cells.len() >= 4, "need at least 4 multi-hop cells");
     assert!(
-        cells.iter().any(|c| c.path.label().contains("mv")),
+        cells.iter().any(|c| c.scenario.path.label().contains("mv")),
         "the multi-hop slice must include a moving-bottleneck cell"
     );
     let serial = parallel_map(&cells, Some(1), |c| c.run());

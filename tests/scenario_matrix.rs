@@ -1,14 +1,74 @@
 //! The scenario-matrix harness: every (scheme × cross-traffic × seed) cell
-//! asserts at least one paper invariant, and the full matrix is run twice to
-//! pin seed-determinism of the complete recorder output.
+//! asserts at least one paper invariant and reproduces its pinned recorder
+//! fingerprint, and the full matrix is run twice to pin seed-determinism of
+//! the complete recorder output.
 
+use nimbus_repro::experiments::sweep::{read_report, sweep_matrix};
 use nimbus_repro::experiments::testkit::{matrix_report, paper_invariant_matrix, run_matrix};
 use std::collections::HashSet;
+use std::path::Path;
+
+/// Name and recorder fingerprint of every matrix cell, in matrix order,
+/// captured on the `Cell { … }`-literal matrix immediately before it became a
+/// table of scenario strings: the string-built cells must be the same
+/// simulations byte for byte.
+#[rustfmt::skip]
+const MATRIX_FINGERPRINTS: &[(&str, u64)] = &[
+    ("cubic@48M-vs-alone-seed3", 0xc9b047b3b3ca9a57),
+    ("cubic@48M-vs-alone-seed11", 0xc9b047b3b3ca9a57),
+    ("vegas@48M-vs-alone-seed3", 0x83faf44e9ea9526c),
+    ("vegas@48M-vs-alone-seed11", 0x83faf44e9ea9526c),
+    ("vegas@96M-vs-cubic-seed5", 0xdbcef018cbc67b16),
+    ("vegas@96M-vs-cubic-seed13", 0xdbcef018cbc67b16),
+    ("nimbus@96M-vs-cbr83-seed4", 0xee3b54fcd837df2b),
+    ("nimbus@96M-vs-cbr83-seed12", 0xee3b54fcd837df2b),
+    ("nimbus@48M-vs-poisson50-seed1", 0x9ccdd8ea3e1d80bf),
+    ("nimbus@48M-vs-poisson50-seed9", 0xc8f85627fb487a98),
+    ("nimbus@48M-vs-cubic-seed2", 0xd65ed71b29821cd1),
+    ("nimbus@48M-vs-cubic-seed10", 0xd65ed71b29821cd1),
+    ("nimbus@48M-vs-alone-seed6", 0xf06482e63a11d31f),
+    ("nimbus@48M-vs-alone-seed14", 0xf06482e63a11d31f),
+    ("nimbus-estmu@48M-sin25p20-vs-alone-seed7", 0xe6a36efc6b15f749),
+    ("nimbus@48M-sin10p10-vs-alone-seed8", 0xf20c462c4b0f7abb),
+    ("cubic@96M-step50@15-vs-alone-seed9", 0xc49ea25d2c814422),
+    ("nimbus@96M-step50@15-vs-alone-seed9", 0xf5ff8d4108218eb6),
+    ("nimbus@48M-2hop60-vs-alone-seed21", 0x9a4113cfbbda1eb0),
+    ("cubic@48M-2hop60-vs-alone-seed21", 0xcc5e55a3127ff561),
+    ("cubic@48M-step50@15-2hop50mv-vs-alone-seed25", 0x87c633e62384614f),
+    ("nimbus@48M-step50@15-2hop50mv-vs-alone-seed25", 0x456578efb4142196),
+    ("nimbus-estmu@48M-sin10p10-2hop60-vs-alone-seed27", 0x20e797d7702e1dcd),
+    ("nimbus@48M-2hop50-vs-cubic-hop0-seed29", 0x02556e129cb8fc5a),
+    ("nimbus@48M-2hop60-vs-cubic-hop0-seed31", 0xf01b6e1664d261fd),
+    ("nimbus-reno@48M-vs-cubic-seed35", 0x53db535a899c38de),
+    ("nimbus-copa-estmu@48M-vs-alone-seed36", 0xa51b0554cef28b7a),
+    ("nimbus@96M-vs-copa+cubic-seed37", 0xf53cf9051786daa0),
+    ("cubic@48M-trace-wifi-vs-alone-seed38", 0x125080aaa395d13a),
+    ("cubic@48M-trace-cellular-vs-alone-seed39", 0xcf0938394bcca9bf),
+    ("nimbus-estmu-probe1@48M-trace-cellular-vs-alone-seed44", 0x410676ab4cadeb7b),
+    ("nimbus-estmu-zadapt@48M-sin10p10-vs-alone-seed43", 0x4b1c0abadfa69362),
+    ("nimbus-estmu-zadapt@96M-vs-cubic-seed42", 0xcad8e62915e83469),
+    ("nimbus-estmu-probe1@48M-vs-alone-seed45", 0x7a8b0ff34beb2e62),
+    ("nimbus-estmu-probe1q0.4@48M-vs-alone-seed45", 0x4a88c6a605e3620b),
+    ("nimbus-estmu-probe1q0.4@48M-vs-cubic-seed45", 0x96f58554eb511f44),
+    ("nimbus-estmu-probe1@48M-vs-cubic-seed45", 0x9341cdfb1b6841ab),
+    ("nimbus-copa-estmu-zadapt@48M-sin10p10-vs-alone-seed43", 0xfb6051b0c4f39b64),
+    ("nimbus@48M-vs-fleet-poisson-l40-m20k-seed51", 0x749384456332588f),
+    ("nimbus@48M-vs-fleet-bursty-l40-m20k-seed51", 0x5cfed044991675c1),
+    ("nimbus@48M-vs-fleet-poisson-l50-seed52", 0x673353d92f8c3ae2),
+    ("cubic@48M-vs-fleet-poisson-l50-seed52", 0xce395328997e7ec5),
+    ("dctcp@48M-l4s-vs-alone-seed61", 0x345e7bd3fe8c45ca),
+    ("dctcp@48M-vs-alone-seed61", 0xb13720842d456fc3),
+    ("cubic@48M-ecn-vs-alone-seed61", 0xe1407c6e5c7cf84e),
+    ("nimbus@48M-l4s-vs-alone-seed62", 0x2bce3030b46ab765),
+    ("nimbus@48M-l4s-vs-dctcp-seed2", 0xcfc1c9cffdb47857),
+    ("nimbus-dctcp@48M-ecn-vs-dctcp-seed2", 0x39601692021c06d3),
+    ("nimbus@48M-ecn-vs-cubic-seed2", 0xc57aabfc9e09fe96),
+    ("dctcp@48M-ecn-vs-cubic-seed65", 0x477997875d2f6916),
+];
 
 #[test]
 fn paper_invariants_hold_across_the_matrix() {
     let cells = paper_invariant_matrix();
-    assert!(cells.len() >= 12, "matrix too small: {}", cells.len());
     let outcomes = run_matrix(&cells);
     println!("{}", matrix_report(&outcomes));
     let failing: Vec<String> = outcomes
@@ -23,6 +83,25 @@ fn paper_invariants_hold_across_the_matrix() {
         outcomes.len(),
         failing.join("\n")
     );
+    let observed: Vec<(&str, u64)> = outcomes
+        .iter()
+        .map(|o| (o.name.as_str(), o.fingerprint))
+        .collect();
+    assert_eq!(observed, MATRIX_FINGERPRINTS);
+}
+
+/// `BENCH_sweep.json` is keyed by cell name: the quick sweep matrix must keep
+/// producing exactly the committed baseline's cells, in its order.
+#[test]
+fn quick_sweep_cells_are_the_committed_baseline_cells() {
+    let baseline = read_report(Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/BENCH_sweep.json"
+    )))
+    .expect("committed sweep baseline reads");
+    let baseline: Vec<&str> = baseline.cells.iter().map(|c| c.name.as_str()).collect();
+    let matrix: Vec<String> = sweep_matrix(true).iter().map(|c| c.name()).collect();
+    assert_eq!(matrix, baseline);
 }
 
 #[test]
@@ -43,7 +122,7 @@ fn full_matrix_is_deterministic_and_seed_sensitive() {
     // (Poisson cross traffic) to produce different recorder output.
     let mut reseeded = cells.clone();
     for cell in &mut reseeded {
-        cell.seed += 1000;
+        cell.scenario.seed += 1000;
     }
     let third = run_matrix(&reseeded);
     let originals: HashSet<u64> = first.iter().map(|o| o.fingerprint).collect();

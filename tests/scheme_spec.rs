@@ -1,251 +1,428 @@
-//! The `SchemeSpec` redesign's contract tests.
+//! The spec grammar's contract tests.
 //!
-//! 1. **Behaviour preservation**: every legacy `Scheme` enum variant,
-//!    expressed as a `SchemeSpec` *parsed from its legacy alias string*,
-//!    reproduces the recorder fingerprints captured on the pre-redesign
-//!    enum path, byte for byte — alone on the link for all 12 variants and
-//!    against an elastic Cubic competitor for the five Nimbus flavours.
-//! 2. **Round-trips**: `FromStr` ↔ `Display` ↔ serde over randomly composed
-//!    valid specs (proptest).
-//! 3. **Rejection**: malformed spec strings fail with actionable messages.
+//! 1. **Behaviour preservation**: every variant of the pre-redesign closed
+//!    `Scheme` enum, written as a canonical spec string, reproduces the
+//!    recorder fingerprints captured on the enum path, byte for byte — alone
+//!    on the link for all 12 variants and against an elastic Cubic
+//!    competitor for the five Nimbus flavours.
+//! 2. **Round-trips**: `Display` → `FromStr` is the identity over randomly
+//!    generated whole cells — every scheme/µ/zfilter/schedule/path/ecn/
+//!    cross/fleet family in one proptest — and mutated valid strings error
+//!    or round-trip, never panic.
+//! 3. **Rejection**: one table of malformed strings for the whole grammar,
+//!    each with the needle its message must contain.
 
-use nimbus_repro::experiments::testkit::{parallel_map, Cell, CrossTraffic, Invariants};
-use nimbus_repro::experiments::{EcnSpec, LinkScheduleSpec, PathSpec, SchemeSpec};
+use nimbus_repro::experiments::testkit::{parallel_map, Cell};
+use nimbus_repro::experiments::SchemeSpec;
 use nimbus_repro::nimbus::{DelayScheme, TcpScheme};
-use nimbus_repro::transport::CcKind;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
-/// Per-variant recorder fingerprints captured on the legacy `Scheme` enum
-/// path immediately before the `SchemeSpec` redesign.  The first column is
-/// the legacy alias string the spec is parsed from; the cell name the run
-/// must produce (and the fingerprint it must hash to) follow.
-const LEGACY_FINGERPRINTS_ALONE: &[(&str, &str, u64)] = &[
+/// `(scheme, cell name, fingerprint)`: the 12 pre-redesign variants alone on
+/// a 48 Mbit/s link, fingerprints captured on the `Scheme` enum path
+/// immediately before the `SchemeSpec` redesign.
+const PRE_REDESIGN_ALONE: &[(&str, &str, u64)] = &[
+    ("nimbus", "nimbus@48M-vs-alone-seed17", 0xce3f74cac3359920),
     (
-        "NimbusCubicBasicDelay",
-        "nimbus@48M-vs-alone-seed17",
-        0xce3f74cac3359920,
-    ),
-    (
-        "NimbusCubicCopa",
+        "nimbus(delay=copa)",
         "nimbus-copa@48M-vs-alone-seed17",
         0x2d6e8740ed491d80,
     ),
     (
-        "NimbusCubicVegas",
+        "nimbus(delay=vegas)",
         "nimbus-vegas@48M-vs-alone-seed17",
         0x04572f105fb3b2aa,
     ),
     (
-        "NimbusDelayOnly",
+        "nimbus(switch=never)",
         "nimbus-delay@48M-vs-alone-seed17",
         0x9079dcd6146debec,
     ),
     (
-        "NimbusEstimatedMu",
+        "nimbus(mu=learned)",
         "nimbus-estmu@48M-vs-alone-seed17",
         0x098248daeaa57721,
     ),
-    ("Cubic", "cubic@48M-vs-alone-seed17", 0x468305ac73be07af),
-    ("NewReno", "newreno@48M-vs-alone-seed17", 0x7658b2ca552df73a),
-    ("Vegas", "vegas@48M-vs-alone-seed17", 0xe403a5a46156d992),
-    ("Copa", "copa@48M-vs-alone-seed17", 0x8732aa98b0df0887),
-    ("Bbr", "bbr@48M-vs-alone-seed17", 0x70282d8c84a358b9),
+    ("cubic", "cubic@48M-vs-alone-seed17", 0x468305ac73be07af),
+    ("newreno", "newreno@48M-vs-alone-seed17", 0x7658b2ca552df73a),
+    ("vegas", "vegas@48M-vs-alone-seed17", 0xe403a5a46156d992),
+    ("copa", "copa@48M-vs-alone-seed17", 0x8732aa98b0df0887),
+    ("bbr", "bbr@48M-vs-alone-seed17", 0x70282d8c84a358b9),
     (
-        "Vivace",
+        "vivace",
         "pcc-vivace@48M-vs-alone-seed17",
         0x0570645ce6cf0ee4,
     ),
     (
-        "Compound",
+        "compound",
         "compound@48M-vs-alone-seed17",
         0xc3624d30681e4d88,
     ),
 ];
 
-/// The five Nimbus flavours against an elastic Cubic competitor, this time
-/// parsed from the legacy *label* aliases (`nimbus-copa`, …) so both alias
-/// families are proven equivalent to the enum path.
-const LEGACY_FINGERPRINTS_VS_CUBIC: &[(&str, &str, u64)] = &[
+/// The five Nimbus flavours against an elastic Cubic competitor at 96 Mbit/s.
+const PRE_REDESIGN_VS_CUBIC: &[(&str, &str, u64)] = &[
     ("nimbus", "nimbus@96M-vs-cubic-seed18", 0x4fb8913e960cd2c2),
     (
-        "nimbus-copa",
+        "nimbus(delay=copa)",
         "nimbus-copa@96M-vs-cubic-seed18",
         0xba48b59353abe99b,
     ),
     (
-        "nimbus-vegas",
+        "nimbus(delay=vegas)",
         "nimbus-vegas@96M-vs-cubic-seed18",
         0xc04599233c8de4c0,
     ),
     (
-        "nimbus-delay",
+        "nimbus(switch=never)",
         "nimbus-delay@96M-vs-cubic-seed18",
         0xce660627c2f715ad,
     ),
     (
-        "nimbus-estmu",
+        "nimbus(mu=learned)",
         "nimbus-estmu@96M-vs-cubic-seed18",
         0xd323b5297c3678d4,
     ),
 ];
 
-fn preservation_cells() -> (Vec<Cell>, HashMap<String, u64>) {
-    let mut cells = Vec::new();
-    let mut pinned = HashMap::new();
-    for &(alias, name, fingerprint) in LEGACY_FINGERPRINTS_ALONE {
-        let scheme: SchemeSpec = alias.parse().expect("legacy alias parses");
-        cells.push(Cell {
-            scheme,
-            cross: CrossTraffic::None,
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 17,
-            duration_s: 20.0,
-            steady_start_s: 6.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants::default(),
-        });
-        pinned.insert(name.to_string(), fingerprint);
-    }
-    for &(alias, name, fingerprint) in LEGACY_FINGERPRINTS_VS_CUBIC {
-        let scheme: SchemeSpec = alias.parse().expect("legacy label parses");
-        cells.push(Cell {
-            scheme,
-            cross: CrossTraffic::elastic_cubic(),
-            link_rate_bps: 96e6,
-            schedule: LinkScheduleSpec::Constant,
-            path: PathSpec::single(),
-            seed: 18,
-            duration_s: 25.0,
-            steady_start_s: 8.0,
-            ecn: EcnSpec::Off,
-            invariants: Invariants::default(),
-        });
-        pinned.insert(name.to_string(), fingerprint);
-    }
-    (cells, pinned)
-}
-
 #[test]
-fn every_legacy_variant_reproduces_its_pre_redesign_fingerprint() {
-    let (cells, pinned) = preservation_cells();
+fn every_pre_redesign_variant_reproduces_its_fingerprint() {
+    let alone = PRE_REDESIGN_ALONE
+        .iter()
+        .map(|(scheme, _, _)| format!("{scheme}@48M vs alone seed=17 dur=20s steady=6s"));
+    let vs_cubic = PRE_REDESIGN_VS_CUBIC
+        .iter()
+        .map(|(scheme, _, _)| format!("{scheme}@96M vs cubic seed=18 dur=25s steady=8s"));
+    let cells: Vec<Cell> = alone
+        .chain(vs_cubic)
+        .map(|text| text.parse().expect("pinned cell parses"))
+        .collect();
+    let pinned = PRE_REDESIGN_ALONE.iter().chain(PRE_REDESIGN_VS_CUBIC);
     let outcomes = parallel_map(&cells, None, |c| c.run());
-    for o in &outcomes {
-        let expected = pinned
-            .get(&o.name)
-            .unwrap_or_else(|| panic!("cell {} not in the pinned set", o.name));
+    for (o, &(_, name, fingerprint)) in outcomes.iter().zip(pinned) {
+        assert_eq!(o.name, name);
         assert_eq!(
-            o.fingerprint, *expected,
-            "cell {} diverged from the legacy Scheme enum path",
-            o.name
+            o.fingerprint, fingerprint,
+            "cell {name} diverged from the pre-redesign Scheme enum path"
         );
     }
 }
 
 #[test]
 fn builder_alias_and_string_paths_agree() {
-    // Three routes to the same spec: the legacy enum-variant alias string,
-    // the canonical string, and the builder — all must be the same value.
-    let from_alias: SchemeSpec = "NimbusCubicCopa".parse().unwrap();
-    let from_string: SchemeSpec = "nimbus(delay=copa)".parse().unwrap();
-    let from_builder = SchemeSpec::nimbus().with_delay(DelayScheme::CopaDefault);
+    // Three routes to the same spec — `CcKind`'s `cbr(…)`/`reno` spelling
+    // aliases, the canonical string, and the builder — are the same value.
+    let from_alias: SchemeSpec = "cbr(24M)".parse().unwrap();
+    let from_string: SchemeSpec = "constant(24M)".parse().unwrap();
+    assert_eq!(from_alias, from_string);
+    assert_eq!(from_string, SchemeSpec::constant(24e6));
+    let from_alias: SchemeSpec = "nimbus(competitive=newreno,delay=copa)".parse().unwrap();
+    let from_string: SchemeSpec = "nimbus(competitive=reno,delay=copa)".parse().unwrap();
+    let from_builder = SchemeSpec::nimbus()
+        .with_competitive(TcpScheme::NewReno)
+        .with_delay(DelayScheme::CopaDefault);
     assert_eq!(from_alias, from_string);
     assert_eq!(from_string, from_builder);
 }
 
-fn compose_nimbus(comp: usize, delay: usize, mu: usize, sw: usize) -> SchemeSpec {
-    let mut spec = SchemeSpec::nimbus();
-    if comp == 1 {
-        spec = spec.with_competitive(TcpScheme::NewReno);
-    }
-    spec = match delay {
-        0 => spec,
-        1 => spec.with_delay(DelayScheme::CopaDefault),
-        _ => spec.with_delay(DelayScheme::Vegas),
-    };
-    if mu == 1 {
-        spec = spec.with_learned_mu();
-    }
-    if sw == 1 {
-        spec = spec.delay_only();
-    }
-    spec
+// ---- whole-cell generation -------------------------------------------------
+
+/// Spec fragments, a few per family, with holes: `#` becomes a random
+/// multiple of 1/64 in (0, 16] (exact in binary, readable on failure), `%`
+/// one in (0, 1), `^` one in (1, 17], `~` a random scheme and `$` the sample
+/// Mahimahi trace.  Holes sit only where any such value is valid.
+const SCHEMES: &[&str] = &[
+    "cubic",
+    "newreno",
+    "vegas",
+    "copa",
+    "bbr",
+    "vivace",
+    "compound",
+    "dctcp",
+    "unlimited",
+    "constant(#M)",
+    "nimbus",
+    "nimbus(competitive=reno,delay=vegas,switch=never)",
+    "nimbus(competitive=dctcp,delay=copa,mu=learned,zfilter=adaptive)",
+    "nimbus(mu=learned(window=#),zfilter=adaptive(k=#))",
+    "nimbus(mu=learned(probe=40,gain=^,dur=#,window=#),zfilter=notch(freq=%))",
+    "nimbus(mu=learned(probe=^,dur=0.4,loss=%,lossint=#,recent=#,cap=^,quiesce=%),\
+     zfilter=notch(freq=%,q=#))",
+];
+const SCHEDULES: &[&str] = &[
+    "",
+    "const",
+    "step(#s,%)",
+    "steps(#s=%,20s=#,21s=1)",
+    "sin(%,#s)",
+    "trace(#s,#,%,1)",
+    "trace-cellular",
+    "trace-wifi",
+    "trace-step-outage",
+    "mm($)",
+];
+const PATHS: &[&str] = &[
+    "",
+    "hop(%)",
+    "hop(#,sched=step(#s,^),buffer=#ms,delay=#ms,ecn=classic)",
+    "hop(%) hop(^,sched=trace-wifi,ecn=step(#ms))",
+];
+const ECN: &[&str] = &["", "ecn=off", "ecn=classic", "ecn=l4s", "ecn=step(#ms)"];
+const CROSS: &[&str] = &[
+    "alone",
+    "cbr@%",
+    "poisson@%",
+    "~",
+    "~@hop0-0",
+    "~+cbr@%+~+poisson@%",
+];
+const FLEETS: &[&str] = &[
+    "",
+    "+fleet(load=%)",
+    "+fleet(arrivals=bursty,load=%,mean=#k)",
+    "+fleet(arrivals=bursty(alpha=^),load=%,mean=#M,cc=reno)",
+];
+const LINK_OPTS: &[&str] = &["", "buffer=#ms rtt=#ms pie=#ms loss=%"];
+
+fn pick<'a>(family: &[&'a str], rng: &mut proptest::TestRng) -> &'a str {
+    family[rng.range_u64(0, family.len() as u64) as usize]
 }
 
-fn bare(index: usize, rate_bps: f64) -> SchemeSpec {
-    match index {
-        0 => SchemeSpec::cubic(),
-        1 => SchemeSpec::newreno(),
-        2 => SchemeSpec::vegas(),
-        3 => SchemeSpec::copa(),
-        4 => SchemeSpec::bbr(),
-        5 => SchemeSpec::vivace(),
-        6 => SchemeSpec::compound(),
-        7 => SchemeSpec::Bare(CcKind::Unlimited),
-        _ => SchemeSpec::constant(rate_bps),
+fn fill(template: &str, rng: &mut proptest::TestRng) -> String {
+    let mut out = String::new();
+    for c in template.chars() {
+        let sixty_fourths = match c {
+            '#' => 1..1025,
+            '%' => 1..64,
+            '^' => 65..1089,
+            '~' => {
+                out += &fill(pick(SCHEMES, rng), rng);
+                continue;
+            }
+            '$' => {
+                out += concat!(
+                    env!("CARGO_MANIFEST_DIR"),
+                    "/traces/sample-cellular.mahimahi"
+                );
+                continue;
+            }
+            c => {
+                out.push(c);
+                continue;
+            }
+        };
+        let n = rng.range_u64(sixty_fourths.start, sixty_fourths.end);
+        out += &(n as f64 / 64.0).to_string();
     }
+    out
+}
+
+/// A random whole-cell string covering every family of the grammar.
+fn generate(rng: &mut proptest::TestRng) -> String {
+    let path = pick(PATHS, rng);
+    // A flow confined to hops 0–1 needs a second hop to exit at.
+    let midpath = if path.is_empty() { "" } else { "+~@hop0-1" };
+    let template = [
+        "~@#M ",
+        pick(SCHEDULES, rng),
+        " ",
+        path,
+        " ",
+        pick(ECN, rng),
+        " vs ",
+        pick(CROSS, rng),
+        midpath,
+        pick(FLEETS, rng),
+        " ",
+        pick(LINK_OPTS, rng),
+        " dur=#s steady=#s",
+    ]
+    .concat();
+    format!("{} seed={}", fill(&template, rng), rng.range_u64(0, 1000))
 }
 
 proptest! {
     #[test]
-    fn random_specs_round_trip_through_display_and_serde(
-        pick in 0usize..2,
-        comp in 0usize..2,
-        delay in 0usize..3,
-        mu in 0usize..2,
-        sw in 0usize..2,
-        bare_index in 0usize..9,
-        rate_units in 1u64..4000,
-    ) {
-        // Rates are whole multiples of 100 kbit/s, so every generated rate
-        // has an exact decimal (and often a k/M-suffixed) rendering.
-        let spec = if pick == 0 {
-            compose_nimbus(comp, delay, mu, sw)
-        } else {
-            bare(bare_index, rate_units as f64 * 1e5)
-        };
-        // Display → FromStr.
-        let text = spec.to_string();
-        let parsed: SchemeSpec = text.parse()
-            .unwrap_or_else(|e| panic!("`{text}` failed to re-parse: {e}"));
-        prop_assert_eq!(parsed, spec);
-        // serde (JSON text) → back.
-        let json = serde_json::to_string(&spec).unwrap();
+    fn random_specs_round_trip_through_display_and_serde(seed in 0u64..u64::MAX) {
+        let text = generate(&mut proptest::TestRng::new(seed));
+        let cell: Cell = text.parse()
+            .unwrap_or_else(|e| panic!("generated `{text}` failed to parse: {e}"));
+        // Display → FromStr is the identity on the whole cell…
+        let canonical = cell.to_string();
+        let parsed: Cell = canonical.parse()
+            .unwrap_or_else(|e| panic!("`{canonical}` failed to re-parse: {e}"));
+        prop_assert_eq!(parsed.scheme, cell.scheme, "`{}`", canonical);
+        prop_assert_eq!(&parsed.scenario, &cell.scenario, "`{}`", canonical);
+        prop_assert_eq!(parsed.steady_start_s, cell.steady_start_s);
+        prop_assert_eq!(parsed.to_string(), canonical);
+        // …so the derived names are stable and non-empty…
+        prop_assert_eq!(parsed.name(), cell.name());
+        prop_assert!(!cell.scheme.label().is_empty());
+        // …and the scheme's serde form is that same canonical string.
+        let json = serde_json::to_string(&cell.scheme).unwrap();
+        prop_assert_eq!(&json, &format!("\"{}\"", cell.scheme));
         let back: SchemeSpec = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(back, spec);
-        // The derived label is stable and non-empty.
-        prop_assert_eq!(parsed.label(), spec.label());
-        prop_assert!(!spec.label().is_empty());
+        prop_assert_eq!(back, cell.scheme);
+    }
+}
+
+/// Damage `text` at one structural character (a paren, comma, `=`, `@`, `+`,
+/// space or unit suffix): drop it, double it, or cut the string there.
+fn mutate(text: &str, rng: &mut proptest::TestRng) -> String {
+    let targets: Vec<usize> = text
+        .char_indices()
+        .filter(|(_, c)| "(),=@+ kMGms".contains(*c))
+        .map(|(i, _)| i)
+        .collect();
+    let at = targets[rng.range_u64(0, targets.len() as u64) as usize];
+    let (before, after) = text.split_at(at);
+    match rng.range_u64(0, 3) {
+        0 => format!("{before}{}", &after[1..]),
+        1 => format!("{before}{}{after}", &after[..1]),
+        _ => before.to_string(),
     }
 }
 
 #[test]
+fn mutated_specs_error_or_round_trip_and_never_panic() {
+    let mut rng = proptest::TestRng::from_name("mutated_specs");
+    let (mut accepted, mut rejected) = (0, 0);
+    for _ in 0..2000 {
+        let mutated = mutate(&generate(&mut rng), &mut rng);
+        match mutated.parse::<Cell>() {
+            Ok(cell) => {
+                let canonical = cell.to_string();
+                let again: Cell = canonical.parse().unwrap_or_else(|e| {
+                    panic!("`{mutated}` was accepted but prints `{canonical}`: {e}")
+                });
+                assert_eq!(again.to_string(), canonical);
+                accepted += 1;
+            }
+            Err(e) => {
+                assert!(!e.0.is_empty());
+                rejected += 1;
+            }
+        }
+    }
+    assert!(
+        accepted > 0 && rejected > accepted,
+        "{accepted} / {rejected}"
+    );
+}
+
+// ---- rejection -------------------------------------------------------------
+
+/// `(slot, text, needle)`: `text` fills one slot of the valid cell
+/// `cubic@48M vs alone seed=1 dur=10s steady=2s` — the `scheme`, an extra
+/// `link` token after the rate, the `cross` entry — or is the whole `cell`;
+/// the parse must fail with a message containing `needle`.
+#[rustfmt::skip]
+const REJECTED: &[(&str, &str, &str)] = &[
+    // Schemes.
+    ("scheme", "", "unknown scheme"),
+    ("scheme", "quic", "unknown scheme"),
+    ("scheme", "nimbus(delay=bbr)", "unknown delay scheme"),
+    ("scheme", "nimbus(competitive=vegas)", "unknown competitive scheme"),
+    ("scheme", "nimbus(mu=guessed)", "unknown mu mode"),
+    ("scheme", "nimbus(switch=sometimes)", "unknown switch mode"),
+    ("scheme", "nimbus(pulse=0.5)", "unknown nimbus option"),
+    ("scheme", "nimbus(delay)", "key=value"),
+    ("scheme", "nimbus(delay=copa", "closing"),
+    ("scheme", "constant()", "invalid rate"),
+    ("scheme", "constant(-3M)", "invalid rate"),
+    ("scheme", "constant(12Q)", "invalid rate"),
+    // The `cbr(` alias gets the same precise diagnostics.
+    ("scheme", "cbr(fast)", "invalid rate"),
+    ("scheme", "cbr(24M", "closing"),
+    // µ strategies and ẑ filters.
+    ("scheme", "nimbus(mu=learned(probe=fast))", "not a number"),
+    ("scheme", "nimbus(mu=learned(probe=-1))", "positive"),
+    ("scheme", "nimbus(mu=learned(probe=0))", "positive"),
+    ("scheme", "nimbus(mu=learned(turbo=1))", "unknown mu=learned option"),
+    ("scheme", "nimbus(mu=learned(gain=2))", "require probe="),
+    ("scheme", "nimbus(mu=learned(quiesce=0.3))", "gain/dur/loss/lossint/recent/cap/quiesce"),
+    // A probe must actually probe: gain ≤ 1 or epoch ≥ interval is a
+    // configuration that silently never escapes the fixed point.
+    ("scheme", "nimbus(mu=learned(probe=1,gain=0.5))", "exceed 1"),
+    ("scheme", "nimbus(mu=learned(probe=1,dur=2))", "shorter than"),
+    ("scheme", "nimbus(mu=learned(probe=1,loss=1.5))", "below 1"),
+    ("scheme", "nimbus(mu=learned(probe=1,quiesce=1.5))", "quiesce probing unconditionally"),
+    ("scheme", "nimbus(mu=learned(probe=3)", "closing"),
+    ("scheme", "nimbus(zfilter=fft)", "unknown zfilter"),
+    ("scheme", "nimbus(zfilter=notch)", "freq"),
+    ("scheme", "nimbus(zfilter=notch(q=2))", "freq"),
+    ("scheme", "nimbus(zfilter=adaptive(x=2))", "k=<gain>"),
+    // Schedules: no string reaches `to_schedule`'s panics.
+    ("link", "trace-bogus", "available: cellular, wifi, step-outage"),
+    ("link", "mm(/nonexistent/x.trace)", "cannot read"),
+    ("link", "warp(3)", "unknown schedule"),
+    ("link", "step(15s)", "unknown schedule"),
+    ("link", "sin(0.1,-10s)", "positive"),
+    ("link", "steps(5s)", "<at>=<factor>"),
+    ("link", "trace(1s)", "unknown schedule"),
+    ("link", "sin(0.1,10s) step(1s,0.5)", "already has the schedule"),
+    // Paths.
+    ("link", "hop()", "not a number"),
+    ("link", "hop(0.5,speed=2)", "unknown hop option"),
+    ("link", "hop(0.5,sched=trace-bogus)", "available: cellular"),
+    // The ecn= axis.
+    ("link", "ecn=step(1ms", "closing"),
+    ("link", "ecn=step(-1ms)", "positive"),
+    ("link", "ecn=wide", "unknown ecn mode"),
+    // Cross traffic and fleets.
+    ("cross", "cbr", "fraction of µ"),
+    ("cross", "poisson@lots", "not a number"),
+    ("cross", "cubic@hop1-0", "invalid hop span"),
+    ("cross", "cubic@hop0-3", "exits at hop 3"),
+    ("cross", "cubic@0.5@0.5", "more than one `@`"),
+    ("cross", "poisson(load=0.5)", "unknown scheme"),
+    ("cross", "fleet(load=0)", "positive"),
+    ("cross", "fleet(load=5)", "out of range"),
+    ("cross", "fleet(arrivals=uniform,load=0.5)", "unknown arrivals"),
+    ("cross", "fleet(arrivals=bursty(alpha=0.9),load=0.5)", "exceed 1"),
+    ("cross", "fleet(speed=0.5)", "unknown fleet option"),
+    ("cross", "fleet(load=0.5", "closing"),
+    ("cross", "fleet(mean=-3,load=0.5)", "positive"),
+    ("cross", "fleet(cc=bbr)", "unknown fleet cc"),
+    ("cross", "fleet(load=0.5)+fleet(load=0.2)", "at most one fleet"),
+    // Whole cells.
+    ("cell", "cubic 48M vs alone dur=10s steady=2s", "not a cell"),
+    ("cell", "cubic@fast vs alone dur=10s steady=2s", "invalid rate"),
+    ("cell", "cubic@ vs alone dur=10s steady=2s", "invalid rate"),
+    ("cell", "cubic@48M vs alone steady=2s", "needs its duration"),
+    ("cell", "cubic@48M vs alone dur=10s", "steady=<dur>"),
+    ("cell", "cubic@48M vs alone dur=10s steady=2s steady=3s", "steady=<dur>"),
+    ("cell", "cubic@48M dur=10s steady=2s vs", "must be followed"),
+    ("cell", "cubic@48M vs alone seed=x dur=10s steady=2s", "not an integer"),
+    ("cell", "cubic@48M vs alone tempo=3 dur=10s steady=2s", "unknown scenario option"),
+];
+
+#[test]
 fn malformed_specs_fail_with_actionable_messages() {
-    for (input, needle) in [
-        ("", "unknown scheme"),
-        ("quic", "unknown scheme"),
-        ("nimbus(delay=bbr)", "unknown delay scheme"),
-        ("nimbus(competitive=vegas)", "unknown competitive scheme"),
-        ("nimbus(mu=guessed)", "unknown mu mode"),
-        ("nimbus(switch=sometimes)", "unknown switch mode"),
-        ("nimbus(pulse=0.5)", "unknown nimbus option"),
-        ("nimbus(delay)", "key=value"),
-        ("nimbus(delay=copa", "closing"),
-        ("constant()", "invalid rate"),
-        ("constant(-3M)", "invalid rate"),
-        ("constant(12Q)", "invalid rate"),
-        // The `cbr(` alias gets the same precise diagnostics.
-        ("cbr(fast)", "invalid rate"),
-        ("cbr(24M", "closing"),
-    ] {
-        let err = input
-            .parse::<SchemeSpec>()
-            .expect_err(&format!("`{input}` should not parse"));
+    let rejects = |input: &str, needle: &str| {
+        let err = match input.parse::<Cell>() {
+            Ok(cell) => panic!("`{input}` should not parse, got `{cell}`"),
+            Err(err) => err.to_string(),
+        };
         assert!(
-            err.0.contains(needle),
+            err.contains(needle),
             "error for `{input}` should mention `{needle}`, got: {err}"
         );
+    };
+    for &(slot, text, needle) in REJECTED {
+        let input = match slot {
+            "scheme" => format!("{text}@48M vs alone seed=1 dur=10s steady=2s"),
+            "link" => format!("cubic@48M {text} vs alone seed=1 dur=10s steady=2s"),
+            "cross" => format!("cubic@48M vs {text} seed=1 dur=10s steady=2s"),
+            _ => text.to_string(),
+        };
+        rejects(&input, needle);
     }
+    // A malformed Mahimahi file is rejected with the loader's line number.
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/malformed.mahimahi");
+    std::fs::write(path, "0\nfast\n").unwrap();
+    rejects(
+        &format!("cubic@48M mm({path}) vs alone dur=10s steady=2s"),
+        "line 2",
+    );
 }

@@ -13,44 +13,24 @@
 //! fingerprints in `tests/scheme_spec.rs` / `tests/multihop_scenarios.rs`
 //! prove that).
 
-use nimbus_repro::experiments::testkit::{parallel_map, Cell, CrossTraffic, Invariants};
-use nimbus_repro::experiments::{EcnSpec, LinkScheduleSpec, PathSpec, SchemeSpec};
+use nimbus_repro::experiments::testkit::{parallel_map, Cell};
 
-fn cell(scheme: SchemeSpec, schedule: LinkScheduleSpec, duration_s: f64) -> Cell {
-    Cell {
-        scheme,
-        cross: CrossTraffic::None,
-        link_rate_bps: 48e6,
-        schedule,
-        path: PathSpec::single(),
-        seed: 1,
-        duration_s,
-        steady_start_s: duration_s * 0.25,
-        ecn: EcnSpec::Off,
-        invariants: Invariants::default(),
-    }
+/// `scheme` alone on a 48 Mbit/s link under `schedule`, steady window from a
+/// quarter of the run.
+fn cell(scheme: &str, schedule: &str, duration_s: f64) -> Cell {
+    let steady_s = duration_s * 0.25;
+    format!("{scheme}@48M {schedule} vs alone seed=1 dur={duration_s}s steady={steady_s}s")
+        .parse()
+        .expect("valid cell")
 }
 
 #[test]
 fn deep_fade_staircase_does_not_wedge_the_window_path() {
     // The minimized repro: the cellular trace's first 6 seconds as a one-shot
     // staircase.  Before the fix Cubic sent nothing after t ≈ 2.5 s.
-    let stairs = LinkScheduleSpec::Steps {
-        steps: vec![
-            (0.5, 1.2),
-            (1.0, 0.9),
-            (1.5, 0.5),
-            (2.0, 0.3),
-            (2.5, 0.15),
-            (3.0, 0.4),
-            (3.5, 0.8),
-            (4.0, 1.1),
-            (4.5, 1.5),
-            (5.0, 1.3),
-            (5.5, 0.7),
-        ],
-    };
-    let outcome = cell(SchemeSpec::cubic(), stairs, 20.0).run();
+    let stairs = "steps(0.5s=1.2,1s=0.9,1.5s=0.5,2s=0.3,2.5s=0.15,3s=0.4,\
+                  3.5s=0.8,4s=1.1,4.5s=1.5,5s=1.3,5.5s=0.7)";
+    let outcome = cell("cubic", stairs, 20.0).run();
     let late: Vec<f64> = outcome
         .metrics
         .throughput_series
@@ -73,18 +53,8 @@ fn window_schemes_survive_every_builtin_trace() {
     let traces = ["cellular", "wifi", "step-outage"];
     let mut cells = Vec::new();
     for name in traces {
-        for scheme in [
-            SchemeSpec::cubic(),
-            SchemeSpec::newreno(),
-            SchemeSpec::bbr(),
-        ] {
-            cells.push(cell(
-                scheme,
-                LinkScheduleSpec::NamedTrace {
-                    name: name.to_string(),
-                },
-                30.0,
-            ));
+        for scheme in ["cubic", "newreno", "bbr"] {
+            cells.push(cell(scheme, &format!("trace-{name}"), 30.0));
         }
     }
     let outcomes = parallel_map(&cells, None, |c| c.run());
