@@ -8,6 +8,7 @@
 //!
 //! * [`Time`] — integer-nanosecond time points and durations.
 //! * [`transmission_time`] — serialization delay of a packet on a link.
+//! * [`REPORT_INTERVAL`] — the 10 ms CCP report cadence every layer shares.
 //! * [`parse_rate_bps`] / [`format_rate_bps`] — human-friendly bit-rate
 //!   strings (`48M`, `1200k`) used by scheme specs and CLI flags.
 
@@ -18,4 +19,4 @@ pub mod rate;
 pub mod time;
 
 pub use rate::{format_rate_bps, parse_rate_bps};
-pub use time::{transmission_time, Time};
+pub use time::{transmission_time, Time, REPORT_INTERVAL};

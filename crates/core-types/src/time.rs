@@ -139,6 +139,12 @@ impl fmt::Display for Time {
     }
 }
 
+/// The CCP report cadence (§4.2 of the paper: the datapath reports to the
+/// controller every 10 ms).  The one owner of that decision: the simulator's
+/// measurement tick, the detector's ẑ sample rate and the multi-flow
+/// election's decision interval τ (Eq. 5) are all this value.
+pub const REPORT_INTERVAL: Time = Time::from_millis(10);
+
 /// Convert a rate in bits/second and a size in bytes to the serialization
 /// time of that many bytes on that link.
 pub fn transmission_time(bytes: u32, rate_bps: f64) -> Time {

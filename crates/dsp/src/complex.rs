@@ -46,15 +46,6 @@ impl Complex {
         }
     }
 
-    /// Construct from polar coordinates `(r, θ)`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Complex {
-            re: r * theta.cos(),
-            im: r * theta.sin(),
-        }
-    }
-
     /// Complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
@@ -237,7 +228,7 @@ mod tests {
 
     #[test]
     fn polar_round_trip() {
-        let z = Complex::from_polar(2.0, std::f64::consts::FRAC_PI_3);
+        let z = Complex::from_polar_unit(std::f64::consts::FRAC_PI_3) * 2.0;
         assert!(close(z.abs(), 2.0));
         assert!(close(z.arg(), std::f64::consts::FRAC_PI_3));
     }

@@ -54,11 +54,6 @@ impl Ewma {
         self.value
     }
 
-    /// Current value or the provided default.
-    pub fn value_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
     /// Reset the filter to its initial (empty) state.
     pub fn reset(&mut self) {
         self.value = None;

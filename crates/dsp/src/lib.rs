@@ -21,7 +21,6 @@
 //! * [`filter`] — EWMA filters (used by Nimbus *watcher* flows to strip the
 //!   pulser's frequencies from their own transmissions) and simple moving
 //!   statistics (windowed min/max) used by the congestion controllers.
-//! * [`window`] — window functions applied before the FFT.
 //! * [`stats`] — percentiles, CDFs and accuracy summaries used throughout the
 //!   experiment harness.
 //!
@@ -38,13 +37,11 @@ pub mod filter;
 pub mod pulse;
 pub mod spectrum;
 pub mod stats;
-pub mod window;
 
 pub use biquad::Biquad;
 pub use complex::Complex;
 pub use fft::{dft_naive, fft, fft_real, ifft, Fft};
 pub use filter::{Ewma, WindowedMax, WindowedMin};
 pub use pulse::{AsymmetricPulse, PulseGenerator, PulseKind, PulseShape, SymmetricPulse};
-pub use spectrum::{band_peak, bin_for_frequency, magnitude_spectrum, Spectrum};
+pub use spectrum::{bin_for_frequency, Spectrum};
 pub use stats::{mean, percentile, stddev, Cdf, RunningStats};
-pub use window::WindowFunction;

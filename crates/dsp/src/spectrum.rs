@@ -125,22 +125,12 @@ impl Spectrum {
             .unwrap_or((0, &0.0));
         (idx, self.frequency_of_bin(idx))
     }
-
-    /// Total spectral energy excluding DC (useful in diagnostics).
-    pub fn energy_excluding_dc(&self) -> f64 {
-        self.magnitudes.iter().skip(1).map(|m| m * m).sum()
-    }
 }
 
 /// Bin index nearest to `freq_hz` for an `n`-point transform of a signal
 /// sampled at `sample_rate_hz`.
 pub fn bin_for_frequency(freq_hz: f64, sample_rate_hz: f64, n: usize) -> usize {
     ((freq_hz * n as f64 / sample_rate_hz).round().max(0.0)) as usize
-}
-
-/// One-sided magnitude spectrum of a real signal (convenience wrapper).
-pub fn magnitude_spectrum(signal: &[f64], sample_rate_hz: f64) -> Vec<f64> {
-    Spectrum::of_signal(signal, sample_rate_hz, true).magnitudes
 }
 
 /// Peak magnitude over the *open* band `(lo_hz, hi_hz)` of a one-sided
@@ -245,15 +235,5 @@ mod tests {
     fn inverted_band_panics() {
         let mags = vec![1.0; 8];
         band_peak(&mags, 100.0, 16, 10.0, 5.0);
-    }
-
-    #[test]
-    fn energy_reflects_signal_power() {
-        let fs = 100.0;
-        let quiet = tone_mix(256, fs, &[(5.0, 0.1)]);
-        let loud = tone_mix(256, fs, &[(5.0, 5.0)]);
-        let e_quiet = Spectrum::of_signal(&quiet, fs, true).energy_excluding_dc();
-        let e_loud = Spectrum::of_signal(&loud, fs, true).energy_excluding_dc();
-        assert!(e_loud > e_quiet * 100.0);
     }
 }

@@ -86,15 +86,6 @@ impl Cdf {
         self.sorted.is_empty()
     }
 
-    /// Fraction of samples `<= x`.
-    pub fn probability_at(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
     /// Value at quantile `q` in `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
         percentile_of_sorted(&self.sorted, q * 100.0)
@@ -330,9 +321,6 @@ mod tests {
     fn cdf_quantiles_and_probabilities() {
         let cdf = Cdf::from_samples(&[10.0, 20.0, 30.0, 40.0]);
         assert_eq!(cdf.len(), 4);
-        assert_eq!(cdf.probability_at(9.0), 0.0);
-        assert_eq!(cdf.probability_at(20.0), 0.5);
-        assert_eq!(cdf.probability_at(100.0), 1.0);
         assert_eq!(cdf.quantile(0.0), 10.0);
         assert_eq!(cdf.quantile(1.0), 40.0);
         assert_eq!(cdf.min(), Some(10.0));
@@ -411,14 +399,6 @@ mod tests {
                                      p1 in 0.0f64..100.0, p2 in 0.0f64..100.0) {
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
             prop_assert!(percentile(&xs, lo) <= percentile(&xs, hi) + 1e-9);
-        }
-
-        #[test]
-        fn prop_cdf_probability_monotone(xs in proptest::collection::vec(-1e3f64..1e3, 1..100),
-                                          a in -1e3f64..1e3, b in -1e3f64..1e3) {
-            let cdf = Cdf::from_samples(&xs);
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(cdf.probability_at(lo) <= cdf.probability_at(hi));
         }
 
         #[test]

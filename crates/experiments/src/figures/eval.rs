@@ -6,7 +6,7 @@ use crate::runner::{run_and_collect, run_scheme_vs_cross, ScenarioSpec};
 use crate::scheme::SchemeSpec;
 use nimbus_dsp::Cdf;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
-use nimbus_traffic::{PhaseSchedule, VideoQuality, VideoSource, WanWorkload, WanWorkloadConfig};
+use nimbus_traffic::{FleetWorkloadConfig, PhaseSchedule, VideoQuality, VideoSource};
 use nimbus_transport::{CcKind, PathInfo, Sender, SenderConfig};
 
 /// Fig. 8: the nine-phase scripted scenario on a 96 Mbit/s link, comparing
@@ -118,11 +118,10 @@ fn wan_cross(
     duration_s: f64,
     seed: u64,
 ) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
-    let cfg = WanWorkloadConfig {
+    super::drained_fleet(FleetWorkloadConfig {
         seed,
-        ..WanWorkloadConfig::default_for_link(link_rate_bps, load, duration_s)
-    };
-    WanWorkload::generate(cfg).instantiate()
+        ..FleetWorkloadConfig::default_for_link(link_rate_bps, load, duration_s)
+    })
 }
 
 /// Fig. 9: throughput and RTT CDFs against WAN (CAIDA-like) cross traffic at 50% load.

@@ -11,7 +11,7 @@ use crate::output::ExperimentResult;
 use crate::runner::{run_scheme_vs_cross, EcnSpec, ScenarioSpec};
 use crate::scheme::SchemeSpec;
 use nimbus_dsp::Cdf;
-use nimbus_traffic::{WanWorkload, WanWorkloadConfig};
+use nimbus_traffic::FleetWorkloadConfig;
 
 /// One synthetic Internet path profile.
 #[derive(Debug, Clone, Copy)]
@@ -84,12 +84,12 @@ fn run_path(
         fleet: None,
         ecn: EcnSpec::Off,
     };
-    let wl = WanWorkload::generate(WanWorkloadConfig {
+    let cross = super::drained_fleet(FleetWorkloadConfig {
         base_rtt_s: path.rtt_s,
         seed: 1900 + path.id as u64,
-        ..WanWorkloadConfig::default_for_link(path.rate_bps, path.cross_load, duration_s)
+        ..FleetWorkloadConfig::default_for_link(path.rate_bps, path.cross_load, duration_s)
     });
-    let out = run_scheme_vs_cross(&spec, scheme, None, wl.instantiate(), duration_s * 0.15);
+    let out = run_scheme_vs_cross(&spec, scheme, None, cross, duration_s * 0.15);
     out.flows.into_iter().next().unwrap()
 }
 

@@ -347,10 +347,11 @@ pub fn offline_eta(reacting: bool) -> f64 {
     let det = ElasticityDetector::new(cfg.clone());
     let est = CrossTrafficEstimator::with_known_mu(96e6, 10.0);
     let gen = PulseGenerator::asymmetric(cfg.pulse_freq_hz, 24e6);
-    let n = (6.0 / cfg.sample_interval_s) as usize;
+    let dt = 1.0 / cfg.sample_rate_hz();
+    let n = (6.0 / dt) as usize;
     let series: Vec<f64> = (0..n)
         .map(|i| {
-            let t = i as f64 * cfg.sample_interval_s;
+            let t = i as f64 * dt;
             let reaction = if reacting {
                 -0.3 * gen.offset_at(t - 0.05)
             } else {

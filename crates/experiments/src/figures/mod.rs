@@ -11,7 +11,8 @@ pub mod robust;
 pub mod varying;
 
 use crate::scheme::SchemeSpec;
-use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
+use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, Time};
+use nimbus_traffic::{FleetSpawner, FleetWorkloadConfig};
 use nimbus_transport::{
     BackloggedSource, CcKind, PathInfo, PoissonSource, ScriptedSource, Sender, SenderConfig, Source,
 };
@@ -117,6 +118,16 @@ pub fn cbr_cross_flow(
         source,
     ));
     (cfg, ep)
+}
+
+/// The CAIDA-like WAN cross traffic of §8.1 as a static flow list: the
+/// Poisson fleet of `cfg`, drained up front so it can ride along with other
+/// imperative cross flows.
+pub fn drained_fleet(cfg: FleetWorkloadConfig) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
+    let mut spawner = FleetSpawner::new(cfg);
+    std::iter::from_fn(|| spawner.next_flow())
+        .map(|(_, flow, endpoint)| (flow, endpoint))
+        .collect()
 }
 
 /// The Fig. 1 cross-traffic pattern on a scenario of the given duration:

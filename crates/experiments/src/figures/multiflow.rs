@@ -2,7 +2,7 @@
 
 use super::{cbr_cross_flow, elastic_cross_flow};
 use crate::output::ExperimentResult;
-use crate::runner::{nimbus_of, ScenarioSpec};
+use crate::runner::ScenarioSpec;
 use crate::scheme::SchemeSpec;
 use nimbus_core::MultiflowConfig;
 use nimbus_netsim::{FlowConfig, Time};
@@ -173,21 +173,5 @@ pub fn fig17(quick: bool) -> ExperimentResult {
         .collect();
     result.row("queue_delay_vs_cbr_ms", nimbus_dsp::mean(&qd));
     result.add_series("aggregate_throughput_mbps", total_series);
-
-    // Pulser-role accounting: how many flows ended the run as pulser.
-    let pulsers = out
-        .flows
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| {
-            // Re-derive from the recorder handles: use the Nimbus controller role.
-            let _ = i;
-            false
-        })
-        .count();
-    // (Role information needs the endpoints, which run_and_collect consumed;
-    // the per-flow delay-mode fractions above already capture the behaviour.)
-    let _ = pulsers;
-    let _ = nimbus_of;
     result
 }

@@ -23,7 +23,7 @@
 //! changes that re-baseline).
 
 use nimbus_experiments::{
-    run_experiment, EcnSpec, ExperimentResult, SchemeSpec, SweepConfig, ALL_EXPERIMENTS,
+    experiment_names, run_experiment, EcnSpec, ExperimentResult, SchemeSpec, SweepConfig,
 };
 use std::path::PathBuf;
 
@@ -183,7 +183,7 @@ fn main() {
         );
         eprintln!("spec grammar (--scheme takes a <scheme>, --ecn the value of ecn=):");
         eprintln!("{}", nimbus_experiments::runner::grammar_reference());
-        eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
+        eprintln!("experiments: {}", experiment_names().join(", "));
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
     let name = args[0].clone();
@@ -204,7 +204,7 @@ fn main() {
     }
 
     if name == "list" {
-        for e in ALL_EXPERIMENTS {
+        for e in experiment_names() {
             println!("{e}");
         }
         return;
@@ -230,7 +230,7 @@ fn main() {
         names
     };
     let to_run: Vec<&str> = if names.contains(&"all") {
-        ALL_EXPERIMENTS.to_vec()
+        experiment_names()
     } else {
         names
     };

@@ -21,9 +21,8 @@ use nimbus_netsim::{
     RateSchedule, Recorder, SimConfig, Time,
 };
 use nimbus_traffic::fleet::{
-    ArrivalProcess, FleetSpawner, FleetWorkloadConfig, DEFAULT_BURSTY_ALPHA,
+    ArrivalProcess, CcKindSerde, FleetSpawner, FleetWorkloadConfig, DEFAULT_BURSTY_ALPHA,
 };
-use nimbus_traffic::wan::CcKindSerde;
 use nimbus_traffic::FlowSizeDistribution;
 use nimbus_transport::{format_rate_bps, Sender};
 use serde::{Deserialize, Serialize};

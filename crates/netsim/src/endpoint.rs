@@ -73,7 +73,7 @@ pub trait FlowEndpoint: Send {
     /// An acknowledgement arrived back at the sender.
     fn on_ack(&mut self, ack: &AckInfo);
 
-    /// Periodic measurement tick (every `SimConfig::tick_interval`, default
+    /// Periodic measurement tick (every [`nimbus_core_types::REPORT_INTERVAL`],
     /// 10 ms — the CCP reporting cadence used by the paper's implementation).
     fn on_tick(&mut self, _now: Time) {}
 

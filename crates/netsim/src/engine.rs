@@ -45,7 +45,7 @@ use crate::queue::{
 use crate::recorder::{Recorder, RecorderConfig};
 use crate::schedule::RateSchedule;
 use crate::slab::Slab;
-use nimbus_core_types::Time;
+use nimbus_core_types::{Time, REPORT_INTERVAL};
 use std::collections::BTreeMap;
 
 /// Which queue discipline the bottleneck uses.
@@ -143,8 +143,6 @@ pub struct SimConfig {
     pub path: Vec<LinkConfig>,
     /// How long to simulate.
     pub duration: Time,
-    /// Measurement tick interval delivered to every endpoint (CCP cadence).
-    pub tick_interval: Time,
     /// Recorder configuration.
     pub recorder: RecorderConfig,
     /// Master seed for the engine's stochastic components (loss models).
@@ -158,7 +156,6 @@ impl SimConfig {
         SimConfig {
             path: vec![LinkConfig::drop_tail(rate_bps, buffer_s)],
             duration: Time::from_secs_f64(duration_s),
-            tick_interval: Time::from_millis(10),
             recorder: RecorderConfig::default(),
             seed: 1,
         }
@@ -544,30 +541,9 @@ impl Network {
         self.links[0].current_rate_bps
     }
 
-    /// The rate currently in effect on `hop`, bits/s.
-    pub fn hop_rate_bps(&self, hop: usize) -> f64 {
-        self.links[hop].current_rate_bps
-    }
-
-    /// The first hop's configured rate schedule µ(t) (the primary bottleneck
-    /// of single-hop configurations).
-    pub fn rate_schedule(&self) -> &RateSchedule {
-        &self.cfg.path[0].schedule
-    }
-
     /// Every hop's configured rate schedule, in path order.
     pub fn hop_schedules(&self) -> Vec<&RateSchedule> {
         self.cfg.path.iter().map(|l| &l.schedule).collect()
-    }
-
-    /// The path's true bottleneck rate at `t`: the minimum of every hop's
-    /// schedule — the rate an end-to-end flow can sustain at that instant.
-    pub fn path_rate_at(&self, t: Time) -> f64 {
-        self.cfg
-            .path
-            .iter()
-            .map(|l| l.schedule.rate_at(t))
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// Current virtual time.
@@ -641,15 +617,6 @@ impl Network {
         self.flows.len()
     }
 
-    /// Flows currently started and not finished.  (The internal active list
-    /// is compacted lazily at each tick, so filter here for an exact count.)
-    pub fn active_flow_count(&self) -> usize {
-        self.active_flows
-            .iter()
-            .filter(|&&id| !self.flows[id].finished)
-            .count()
-    }
-
     /// Flows that finished and had their endpoint/receiver state retired.
     pub fn retired_flow_count(&self) -> usize {
         self.flows
@@ -660,7 +627,7 @@ impl Network {
 
     /// Run the simulation to completion (until `duration`).
     pub fn run(&mut self) {
-        self.schedule(self.cfg.tick_interval, EventKind::Tick);
+        self.schedule(REPORT_INTERVAL, EventKind::Tick);
         self.schedule(self.cfg.recorder.sample_interval, EventKind::Sample);
         for hop in 0..self.cfg.path.len() {
             if let Some(at) = self.cfg.path[hop]
@@ -841,7 +808,7 @@ impl Network {
                     i += 1;
                 }
                 self.active_flows.retain(|&id| !self.flows[id].finished);
-                self.schedule(now + self.cfg.tick_interval, EventKind::Tick);
+                self.schedule(now + REPORT_INTERVAL, EventKind::Tick);
             }
             EventKind::Sample => {
                 self.take_sample();
@@ -1458,7 +1425,6 @@ mod tests {
         }));
         net.run();
         assert_eq!(net.flow_count(), 20);
-        assert_eq!(net.active_flow_count(), 0, "all spawned flows complete");
         assert_eq!(net.retired_flow_count(), 20);
         let (rec, endpoints) = net.finish();
         for (i, stats) in rec.flows.iter().enumerate() {

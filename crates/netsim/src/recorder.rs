@@ -164,23 +164,6 @@ impl FlowStats {
     pub fn fct(&self) -> Option<Time> {
         self.finish.map(|f| f.saturating_sub(self.start))
     }
-
-    /// Mean throughput in bits per second over the flow's lifetime (up to
-    /// `now` for unfinished flows), counting all bytes arriving at the
-    /// receiver.  NaN for flows that never started (no lifetime to average
-    /// over — distinct from a started flow that delivered nothing).
-    pub fn mean_throughput_bps(&self, now: Time) -> f64 {
-        if !self.started {
-            return f64::NAN;
-        }
-        let end = self.finish.unwrap_or(now);
-        let dur = end.saturating_sub(self.start).as_secs_f64();
-        if dur <= 0.0 {
-            0.0
-        } else {
-            self.received_bytes as f64 * 8.0 / dur
-        }
-    }
 }
 
 /// Default upper size bound (bytes, inclusive) for a "mouse" flow when
@@ -733,7 +716,6 @@ mod tests {
         r.on_finish(0, Time::from_millis(3000));
         let f = &r.flows[0];
         assert_eq!(f.fct(), Some(Time::from_millis(2000)));
-        assert!((f.mean_throughput_bps(Time::from_millis(9000)) - 4e6).abs() < 1.0);
         let fcts = r.completed_fcts();
         assert_eq!(fcts.len(), 1);
         assert_eq!(fcts[0].0, 1_000_000);
@@ -761,10 +743,6 @@ mod tests {
         assert_eq!(r.completed_fcts().len(), 1);
         assert_eq!(r.started_flows().count(), 1);
         assert!(!r.flows[1].started);
-        assert!(r.flows[1]
-            .mean_throughput_bps(Time::from_secs_f64(10.0))
-            .is_nan());
-        assert!(r.flows[0].mean_throughput_bps(Time::from_secs_f64(10.0)) > 0.0);
     }
 
     #[test]

@@ -13,38 +13,40 @@
 //! the bottleneck busy — a non-empty queue is exactly what the cross-traffic
 //! estimator needs (Eq. 1 is only valid while the link is busy).
 //!
-//! The paper's WAN experiments use `α = 0.8`, `β = 0.5`, `d_t = 12.5 ms`.
+//! The gains and the delay target are the constants of the paper's
+//! evaluation (§8.1); only µ differs from link to link.
 
 use crate::cc::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
 use crate::ccp::Report;
 use nimbus_core_types::Time;
 use serde::{Deserialize, Serialize};
 
+/// Gain on the spare-capacity term of Eq. 4, `α` (§8.1: 0.8).
+const ALPHA: f64 = 0.8;
+/// Gain on the delay-error term of Eq. 4, `β` (§8.1: 0.5).
+const BETA: f64 = 0.5;
+/// Target queueing delay `d_t`, seconds (§8.1: 12.5 ms).
+const TARGET_QUEUE_DELAY_S: f64 = 0.0125;
+/// The rate never falls below `µ` over this, so the flow can always keep
+/// probing (Eq. 1 needs a busy link to say anything about ẑ).
+const MIN_RATE_DIVISOR: f64 = 50.0;
+
 /// BasicDelay parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct BasicDelayConfig {
-    /// Gain on the spare-capacity term (`α < 1`).
-    pub alpha: f64,
-    /// Gain on the delay-error term (`β < 1`).
-    pub beta: f64,
-    /// Target queueing delay `d_t`, seconds.
-    pub target_queue_delay_s: f64,
     /// Bottleneck link rate `µ`, bits/s.
     pub mu_bps: f64,
-    /// Floor on the rate so the flow can always keep probing, bits/s.
-    pub min_rate_bps: f64,
 }
 
 impl BasicDelayConfig {
     /// The paper's parameters (§8.1) for a link of rate `mu_bps`.
     pub fn paper_defaults(mu_bps: f64) -> Self {
-        BasicDelayConfig {
-            alpha: 0.8,
-            beta: 0.5,
-            target_queue_delay_s: 0.0125,
-            mu_bps,
-            min_rate_bps: mu_bps / 50.0,
-        }
+        BasicDelayConfig { mu_bps }
+    }
+
+    /// Floor on the rate, bits/s.
+    fn min_rate_bps(&self) -> f64 {
+        self.mu_bps / MIN_RATE_DIVISOR
     }
 }
 
@@ -66,7 +68,7 @@ pub struct BasicDelay {
 impl BasicDelay {
     /// Create a BasicDelay controller.
     pub fn new(cfg: BasicDelayConfig) -> Self {
-        let initial = (cfg.mu_bps / 10.0).max(cfg.min_rate_bps);
+        let initial = (cfg.mu_bps / 10.0).max(cfg.min_rate_bps());
         BasicDelay {
             cfg,
             rate_bps: initial,
@@ -89,7 +91,7 @@ impl BasicDelay {
 
     /// Directly set the rate (used by Nimbus when switching modes).
     pub fn set_rate(&mut self, rate_bps: f64) {
-        self.rate_bps = rate_bps.max(self.cfg.min_rate_bps);
+        self.rate_bps = rate_bps.max(self.cfg.min_rate_bps());
     }
 
     /// Apply Eq. 4 given the latest measurements.
@@ -103,9 +105,9 @@ impl BasicDelay {
             self.rate_bps
         };
         let spare = self.cfg.mu_bps - s - self.z_bps;
-        let delay_err = self.min_rtt_s + self.cfg.target_queue_delay_s - rtt_s;
-        let rate = s + self.cfg.alpha * spare + self.cfg.beta * self.cfg.mu_bps / rtt_s * delay_err;
-        self.rate_bps = rate.clamp(self.cfg.min_rate_bps, self.cfg.mu_bps * 1.05);
+        let delay_err = self.min_rtt_s + TARGET_QUEUE_DELAY_S - rtt_s;
+        let rate = s + ALPHA * spare + BETA * self.cfg.mu_bps / rtt_s * delay_err;
+        self.rate_bps = rate.clamp(self.cfg.min_rate_bps(), self.cfg.mu_bps * 1.05);
     }
 }
 
@@ -118,13 +120,13 @@ impl CongestionControl for BasicDelay {
 
     fn on_packets_lost(&mut self, _loss: &LossEvent) {
         // Delay is the primary signal; on loss just ease off multiplicatively.
-        self.rate_bps = (self.rate_bps * 0.9).max(self.cfg.min_rate_bps);
+        self.rate_bps = (self.rate_bps * 0.9).max(self.cfg.min_rate_bps());
     }
 
     fn on_congestion_event(&mut self, event: &CongestionEvent) {
         match event {
             CongestionEvent::Rto { .. } => {
-                self.rate_bps = self.cfg.min_rate_bps;
+                self.rate_bps = self.cfg.min_rate_bps();
             }
             // Pure delay controller: the RTT term is its congestion signal.
             CongestionEvent::EcnCe { .. } => {}
@@ -278,7 +280,7 @@ mod tests {
         cc.on_packet_acked(&ack(50.0));
         cc.set_cross_traffic_estimate(200e6); // absurd estimate
         cc.on_report(&report(0.0, 96e6, 0.3));
-        assert!(cc.current_rate_bps() >= cfg.min_rate_bps);
+        assert!(cc.current_rate_bps() >= cfg.min_rate_bps());
         assert!(cc.current_rate_bps() <= 96e6 * 1.05);
         assert!(cc.pacing_rate_bps(Time::ZERO).unwrap() > 0.0);
         assert!(cc.cwnd_packets() >= 4.0);

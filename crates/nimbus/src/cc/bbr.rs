@@ -108,16 +108,6 @@ impl Bbr {
             self.pacing_gain = GAIN_CYCLE[self.cycle_index];
         }
     }
-
-    /// Current operating-state name (diagnostics).
-    pub fn state_name(&self) -> &'static str {
-        match self.state {
-            State::Startup => "startup",
-            State::Drain => "drain",
-            State::ProbeBw => "probe_bw",
-            State::ProbeRtt => "probe_rtt",
-        }
-    }
 }
 
 impl CongestionControl for Bbr {
@@ -249,7 +239,7 @@ mod tests {
     #[test]
     fn starts_in_startup_with_high_gain() {
         let bbr = Bbr::new(1500);
-        assert_eq!(bbr.state_name(), "startup");
+        assert_eq!(bbr.state, State::Startup);
         assert!(bbr.pacing_gain > 2.0);
         assert!(bbr.pacing_rate_bps(Time::ZERO).is_none());
     }
@@ -262,7 +252,7 @@ mod tests {
             bbr.on_report(&report(i as f64 * 0.05, 48e6));
             bbr.on_packet_acked(&ack(i * 50, 50, 100));
         }
-        assert_ne!(bbr.state_name(), "startup");
+        assert_ne!(bbr.state, State::Startup);
     }
 
     #[test]
@@ -276,7 +266,7 @@ mod tests {
         for i in 10..20 {
             bbr.on_packet_acked(&ack(i * 50, 50, 150));
         }
-        assert_eq!(bbr.state_name(), "probe_bw");
+        assert_eq!(bbr.state, State::ProbeBw);
         // Collect distinct pacing gains over several cycles.
         let mut gains = std::collections::BTreeSet::new();
         for i in 20..120 {
@@ -335,6 +325,6 @@ mod tests {
         bbr.on_congestion_event(&CongestionEvent::Rto {
             now: Time::from_secs_f64(2.0),
         });
-        assert_eq!(bbr.state_name(), "startup");
+        assert_eq!(bbr.state, State::Startup);
     }
 }

@@ -37,16 +37,6 @@ impl Compound {
             ssthresh: f64::INFINITY,
         }
     }
-
-    /// The loss-based component (diagnostics).
-    pub fn loss_window(&self) -> f64 {
-        self.cwnd
-    }
-
-    /// The delay-based component (diagnostics).
-    pub fn delay_window(&self) -> f64 {
-        self.dwnd
-    }
 }
 
 impl Default for Compound {
@@ -138,7 +128,7 @@ mod tests {
             now += 5;
             cc.on_packet_acked(&ack(now, 50, 50));
         }
-        assert!(cc.delay_window() > 5.0, "dwnd {}", cc.delay_window());
+        assert!(cc.dwnd > 5.0, "dwnd {}", cc.dwnd);
         // Total window grows noticeably faster than pure Reno would
         // (Reno adds ~1 per RTT = ~50 packets in 500 acks of window >= 10).
         assert!(cc.cwnd_packets() > 30.0);
@@ -156,9 +146,9 @@ mod tests {
             now += 5;
             cc.on_packet_acked(&ack(now, 150, 50));
         }
-        assert!(cc.delay_window() < 1.0, "dwnd {}", cc.delay_window());
+        assert!(cc.dwnd < 1.0, "dwnd {}", cc.dwnd);
         // But the loss window keeps it TCP-like (still grows slowly).
-        assert!(cc.loss_window() >= 50.0);
+        assert!(cc.cwnd >= 50.0);
     }
 
     #[test]
@@ -182,7 +172,7 @@ mod tests {
         cc.dwnd = 40.0;
         cc.on_congestion_event(&CongestionEvent::Rto { now: Time::ZERO });
         assert!(cc.cwnd_packets() <= 2.0);
-        assert_eq!(cc.delay_window(), 0.0);
+        assert_eq!(cc.dwnd, 0.0);
     }
 
     #[test]

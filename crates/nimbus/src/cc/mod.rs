@@ -123,12 +123,6 @@ impl PathInfo {
         }
     }
 
-    /// Replace the initial RTT estimate.
-    pub fn with_initial_rtt(mut self, rtt: Time) -> Self {
-        self.initial_rtt = rtt;
-        self
-    }
-
     /// Record the nominal bottleneck rate µ in bits/s.
     pub fn with_nominal_mu(mut self, mu_bps: f64) -> Self {
         self.nominal_mu_bps = Some(mu_bps);

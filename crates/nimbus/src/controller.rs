@@ -21,12 +21,13 @@
 //!   from the delay-mode rate, so resuming from the current rate would
 //!   concede it.
 //! * In competitive mode the pulse frequency is `f_pc` (5 Hz); in delay mode
-//!   it is `f_pd` (6 Hz), so watcher flows can follow the pulser's mode (§6).
+//!   it is `f_pd` = `f_pc` + `PULSE_FREQ_DELAY_OFFSET_HZ` (6 Hz), so watcher
+//!   flows can follow the pulser's mode (§6).
 
 use crate::basic_delay::{BasicDelay, BasicDelayConfig};
 use crate::cc::{AckEvent, CcKind, CongestionControl, CongestionEvent, LossEvent, PathInfo};
 use crate::ccp::Report;
-use crate::detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector};
+use crate::detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector, PEAK_TOLERANCE_HZ};
 use crate::estimator::{CrossTrafficEstimator, MuEstimatorConfig, ZFilterConfig};
 use crate::multiflow::{Multiflow, MultiflowConfig, Role};
 use nimbus_core_types::Time;
@@ -34,6 +35,12 @@ use nimbus_dsp::Biquad;
 use nimbus_dsp::PulseGenerator;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+
+/// How far above `f_pc` (`elasticity.pulse_freq_hz`) a multi-flow pulser
+/// pulses while in delay mode, Hz (§6: `f_pc` = 5 Hz, `f_pd` = 6 Hz).  The
+/// controller pulses at the sum and hands the same pair to its
+/// `Multiflow`, so pulser and watchers cannot disagree on where to look.
+const PULSE_FREQ_DELAY_OFFSET_HZ: f64 = 1.0;
 
 /// Which algorithm fills the TCP-competitive role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,8 +89,6 @@ pub struct NimbusConfig {
     pub pulse_amplitude_fraction: f64,
     /// Elasticity-detector settings (pulse frequency, FFT duration, threshold).
     pub elasticity: ElasticityConfig,
-    /// Pulse frequency used while in delay mode, Hz (`f_pd`, 6 Hz).
-    pub pulse_freq_delay_hz: f64,
     /// TCP-competitive inner scheme.
     pub tcp_scheme: TcpScheme,
     /// Delay-controlling inner scheme.
@@ -94,11 +99,6 @@ pub struct NimbusConfig {
     pub multiflow: MultiflowConfig,
     /// Seed for the controller's randomized decisions.
     pub seed: u64,
-    /// Cross-validate the elasticity verdict against the ECN mark rate: a
-    /// persistent mark fraction plus a non-trivial ẑ flips the controller to
-    /// competitive mode without waiting for a full FFT window.  Inert on
-    /// paths that never mark (the EWMA stays exactly zero).
-    pub ecn_mark_validation: bool,
 }
 
 impl NimbusConfig {
@@ -111,13 +111,11 @@ impl NimbusConfig {
             mss: 1500,
             pulse_amplitude_fraction: 0.25,
             elasticity: ElasticityConfig::default(),
-            pulse_freq_delay_hz: 6.0,
             tcp_scheme: TcpScheme::Cubic,
             delay_scheme: DelayScheme::BasicDelay,
             basic_delay: BasicDelayConfig::paper_defaults(mu_bps),
             multiflow: MultiflowConfig::default(),
             seed: 1,
-            ecn_mark_validation: true,
         }
     }
 
@@ -151,13 +149,6 @@ impl NimbusConfig {
         self
     }
 
-    /// Enable or disable ECN mark-rate cross-validation (on by default; a
-    /// no-op on paths that never mark).
-    pub fn with_ecn_mark_validation(mut self, on: bool) -> Self {
-        self.ecn_mark_validation = on;
-        self
-    }
-
     /// Learn µ at runtime from the max receive rate (§4.2) instead of
     /// trusting a configured link rate.  BasicDelay keeps the paper defaults
     /// derived from the nominal rate; the estimator and pulse amplitude
@@ -184,6 +175,11 @@ impl NimbusConfig {
     pub fn without_switching(mut self) -> Self {
         self.elasticity.eta_threshold = f64::INFINITY;
         self
+    }
+
+    /// The delay-mode pulse frequency `f_pd` of a multi-flow pulser, Hz.
+    fn f_pd_hz(&self) -> f64 {
+        self.elasticity.pulse_freq_hz + PULSE_FREQ_DELAY_OFFSET_HZ
     }
 }
 
@@ -254,8 +250,6 @@ pub struct NimbusController {
     /// hysteresis (§4.1): competitive → delay only after the detector has
     /// seen nothing elastic for a full FFT window.
     last_elastic_s: f64,
-    /// Log of detector verdicts exposed for experiments (`detector` also keeps them).
-    last_verdict: Option<DetectorVerdict>,
     /// EWMA-smoothed rate used while this flow is a watcher.
     watcher_rate_bps: Option<f64>,
     /// Sliding window of `(t_s, marked, acked)` packet counts from recent
@@ -297,6 +291,8 @@ impl NimbusController {
         let detector = ElasticityDetector::new(cfg.elasticity.clone());
         let multiflow = Multiflow::new(
             cfg.multiflow.clone(),
+            cfg.elasticity.pulse_freq_hz,
+            cfg.f_pd_hz(),
             cfg.elasticity.fft_duration_s,
             cfg.seed,
         );
@@ -316,7 +312,6 @@ impl NimbusController {
             now_s: 0.0,
             mode_log: Vec::new(),
             last_elastic_s: f64::NEG_INFINITY,
-            last_verdict: None,
             watcher_rate_bps: None,
             mark_window: VecDeque::new(),
             mark_streak: 0,
@@ -343,18 +338,6 @@ impl NimbusController {
         self.multiflow.role()
     }
 
-    /// The fraction of ACKed packets that carried a CE echo over the last
-    /// FFT window (exactly 0.0 on a path that has never marked).
-    pub fn mark_fraction(&self) -> f64 {
-        let marked: u64 = self.mark_window.iter().map(|&(_, m, _)| m).sum();
-        let acked: u64 = self.mark_window.iter().map(|&(_, _, a)| a).sum();
-        if acked == 0 {
-            0.0
-        } else {
-            marked as f64 / acked.max(marked) as f64
-        }
-    }
-
     /// Every mode switch as `(time_s, new_mode)`.
     pub fn mode_log(&self) -> &[ModeLogEntry] {
         &self.mode_log
@@ -368,11 +351,6 @@ impl NimbusController {
     /// The cross-traffic estimator (ẑ history).
     pub fn estimator(&self) -> &CrossTrafficEstimator {
         &self.estimator
-    }
-
-    /// The most recent detector verdict.
-    pub fn last_verdict(&self) -> Option<DetectorVerdict> {
-        self.last_verdict
     }
 
     /// Fraction of time spent in delay mode between `t0_s` and `t1_s`
@@ -449,7 +427,7 @@ impl NimbusController {
         }
         match self.mode {
             Mode::Competitive => self.cfg.elasticity.pulse_freq_hz,
-            Mode::Delay => self.cfg.pulse_freq_delay_hz,
+            Mode::Delay => self.cfg.f_pd_hz(),
         }
     }
 
@@ -548,9 +526,7 @@ impl CongestionControl for NimbusController {
         // perfectly persistent mark signal exactly when it matters most.
         // The whole block is provably inert without ECN: `marked_packets` is
         // 0 on every report, the window stays empty, and no state changes.
-        if self.cfg.ecn_mark_validation
-            && (report.marked_packets > 0 || !self.mark_window.is_empty())
-        {
+        if report.marked_packets > 0 || !self.mark_window.is_empty() {
             let acked_pkts = report.acked_bytes / self.cfg.mss.max(1) as u64;
             if report.marked_packets > 0 || acked_pkts > 0 {
                 self.mark_window
@@ -630,7 +606,6 @@ impl CongestionControl for NimbusController {
 
         // 4. Multi-flow coordination.
         let mu = self.estimator.mu_bps();
-        let sample_rate = 1.0 / self.cfg.elasticity.sample_interval_s;
         let window_s = self.cfg.elasticity.fft_duration_s;
         if self.cfg.multiflow.enabled {
             match self.multiflow.role() {
@@ -639,7 +614,7 @@ impl CongestionControl for NimbusController {
                     // mistake it for elastic cross traffic (§6).
                     self.watcher_rate_bps = Some(self.multiflow.shape_rate(rate_now));
                     let recv = self.estimator.recv_rate_series(window_s);
-                    let presence = self.multiflow.detect_pulser(&recv, sample_rate);
+                    let presence = self.multiflow.detect_pulser(&recv);
                     use crate::multiflow::PulserPresence;
                     match presence {
                         PulserPresence::Competitive => self.switch_mode(Mode::Competitive),
@@ -663,9 +638,8 @@ impl CongestionControl for NimbusController {
 
         // 5. Pulser path: evaluate elasticity and pick the mode.  The
         // minimum-peak guard tracks the current µ estimate (which may be
-        // learned at runtime): a configured value of 0 means "automatic",
-        // i.e. the f_p oscillation in ẑ must reach ~2% of µ peak-to-peak
-        // before the cross traffic can be called elastic.
+        // learned at runtime): the f_p oscillation in ẑ must reach ~2% of µ
+        // peak-to-peak before the cross traffic can be called elastic.
         let z_series = self.estimator.z_series_conditioned(window_s);
         // The adaptive ẑ-conditioning stage raises the detection bars (η
         // threshold and minimum peak) with the µ̂ uncertainty: when µ̂ is off
@@ -685,12 +659,11 @@ impl CongestionControl for NimbusController {
             }
             _ => 1.0,
         };
-        if self.cfg.elasticity.min_peak_bps == 0.0 && mu > 0.0 {
+        if mu > 0.0 {
             self.detector.set_min_peak_bps(0.01 * mu * bar_scale);
         }
         self.detector.set_eta_scale(bar_scale);
         if let Some(verdict) = self.detector.evaluate(report.now_s, &z_series) {
-            self.last_verdict = Some(verdict);
             if let Some(p) = &mut self.publisher {
                 p.on_verdict(report.now_s, &verdict);
             }
@@ -699,11 +672,13 @@ impl CongestionControl for NimbusController {
             if self.cfg.multiflow.enabled {
                 let recv = self.estimator.recv_rate_series(window_s);
                 if recv.len() >= self.cfg.elasticity.window_samples() {
-                    let recv_spectrum = nimbus_dsp::Spectrum::of_signal(&recv, sample_rate, true);
-                    let recv_peak = recv_spectrum.peak_near(
-                        self.current_pulse_freq(),
-                        self.cfg.elasticity.peak_tolerance_hz,
+                    let recv_spectrum = nimbus_dsp::Spectrum::of_signal(
+                        &recv,
+                        self.cfg.elasticity.sample_rate_hz(),
+                        true,
                     );
+                    let recv_peak =
+                        recv_spectrum.peak_near(self.current_pulse_freq(), PEAK_TOLERANCE_HZ);
                     if self
                         .multiflow
                         .maybe_step_down(report.now_s, verdict.peak_at_fp, recv_peak)
@@ -866,7 +841,6 @@ mod tests {
         // The FFT window is 5 s; the cross-validated flip must beat a fresh
         // window's worth of post-arrival data by a wide margin.
         assert!(t < 6.0, "flipped at {t}s, faster than the FFT window");
-        assert!(ctl.mark_fraction() > 0.05);
     }
 
     #[test]
@@ -884,6 +858,52 @@ mod tests {
             ctl.on_report(&r);
         }
         assert_eq!(ctl.mode(), Mode::Delay);
+    }
+
+    #[test]
+    fn multiflow_watchers_look_where_a_slow_pulser_pulses() {
+        use crate::multiflow::PulserPresence;
+        // App. F's 2 Hz pulse on a multi-flow run: f_pc and f_pd both follow
+        // `elasticity.pulse_freq_hz`, on the pulser and on the watchers.
+        let mu = 96e6;
+        let mut cfg = NimbusConfig::default_for_link(mu).with_multiflow(MultiflowConfig::enabled());
+        cfg.elasticity.pulse_freq_hz = 2.0;
+        let watcher = NimbusController::new(cfg.clone());
+        assert_eq!(watcher.role(), Role::Watcher);
+
+        // A receive rate carrying a competitive-mode pulser's 2 Hz pulses.
+        let gen = PulseGenerator::asymmetric(2.0, 6e6);
+        let recv: Vec<f64> = (0..600)
+            .map(|i| 20e6 + gen.offset_at(i as f64 * 0.01))
+            .collect();
+        assert_eq!(
+            watcher.multiflow.detect_pulser(&recv),
+            PulserPresence::Competitive
+        );
+
+        // Elect a pulser (alone on the link: R = µ, ẑ = 0, so it stays in
+        // delay mode) and record what it paces over one FFT window.
+        let mut pulser = NimbusController::new(cfg.with_seed(7));
+        let mut t = 0.0;
+        while pulser.role() == Role::Watcher {
+            assert!(t < 60.0, "never elected");
+            t += 0.01;
+            pulser.on_packet_acked(&ack(t, 50.0));
+            pulser.on_report(&report(t, mu, mu, 0.05));
+        }
+        t += 0.01;
+        pulser.on_report(&report(t, mu, mu, 0.05));
+        assert_eq!(pulser.mode(), Mode::Delay);
+        let paced: Vec<f64> = (0..500)
+            .map(|i| {
+                let at = Time::from_secs_f64(t + i as f64 * 0.01);
+                pulser.pacing_rate_bps(at).unwrap()
+            })
+            .collect();
+        assert_eq!(
+            watcher.multiflow.detect_pulser(&paced),
+            PulserPresence::Delay
+        );
     }
 
     #[test]
@@ -952,7 +972,7 @@ mod tests {
         // The switch must not have happened before a full FFT window existed.
         let first_switch = ctl.mode_log()[1].0;
         assert!(first_switch >= 4.95, "switched too early at {first_switch}");
-        assert!(ctl.last_verdict().unwrap().eta >= 2.0);
+        assert!(ctl.detector().last_verdict().unwrap().eta >= 2.0);
     }
 
     #[test]

@@ -14,13 +14,18 @@
 //! `η ≥ η_thresh` (2 by default, chosen in §3.4 from the Fig. 6 CDFs) yields
 //! the binary verdict.
 //!
-//! The time-domain cross-correlation detector that the paper describes — and
-//! rejects — as its first attempt (§3.3) is also implemented
-//! ([`ElasticityDetector::cross_correlation`]) so the ablation benches can
-//! compare the two.
+//! The ẑ series is sampled at the CCP report cadence
+//! ([`REPORT_INTERVAL`], §4.2) and goes into the FFT unwindowed (§3.4 takes
+//! the plain FFT of the last 5 s).
 
-use nimbus_dsp::{Fft, Spectrum, WindowFunction};
+use nimbus_core_types::REPORT_INTERVAL;
+use nimbus_dsp::{Fft, Spectrum};
 use serde::{Deserialize, Serialize};
+
+/// Half-width of the neighbourhood of `f_p` searched for its peak, Hz: just
+/// over one bin of the 5 s FFT (0.2 Hz), so the pulse's own leakage stays out
+/// of the (f_p, 2·f_p) comparison band of Eq. 3.
+pub(crate) const PEAK_TOLERANCE_HZ: f64 = 0.25;
 
 /// Detector configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -29,23 +34,8 @@ pub struct ElasticityConfig {
     pub pulse_freq_hz: f64,
     /// Length of the FFT window, seconds (5 s by default, §3.4).
     pub fft_duration_s: f64,
-    /// Sample interval of the ẑ series, seconds (10 ms: the CCP report tick).
-    pub sample_interval_s: f64,
     /// Decision threshold `η_thresh ≥ 1` (2 by default).
     pub eta_threshold: f64,
-    /// Tolerance around `f_p` when locating its peak, Hz.
-    pub peak_tolerance_hz: f64,
-    /// Window function applied before the FFT.
-    pub window: WindowFunction,
-    /// Minimum spectral magnitude at `f_p` (signal units, i.e. bits/s; a
-    /// sinusoid of amplitude `A` has magnitude `A/2`) for an *elastic*
-    /// verdict.  With no cross traffic ẑ is numerically tiny, and η — a ratio
-    /// of two near-zero magnitudes — is meaningless noise; requiring the
-    /// oscillation to be physically significant suppresses those spurious
-    /// verdicts.  `0.0` disables the guard when the detector is used
-    /// stand-alone; the Nimbus controller treats `0.0` as "automatic" and
-    /// keeps it at 1% of its current µ estimate (known or learned).
-    pub min_peak_bps: f64,
 }
 
 impl Default for ElasticityConfig {
@@ -53,11 +43,7 @@ impl Default for ElasticityConfig {
         ElasticityConfig {
             pulse_freq_hz: 5.0,
             fft_duration_s: 5.0,
-            sample_interval_s: 0.01,
             eta_threshold: 2.0,
-            peak_tolerance_hz: 0.25,
-            window: WindowFunction::Rectangular,
-            min_peak_bps: 0.0,
         }
     }
 }
@@ -65,12 +51,12 @@ impl Default for ElasticityConfig {
 impl ElasticityConfig {
     /// Number of samples in a full detection window.
     pub fn window_samples(&self) -> usize {
-        (self.fft_duration_s / self.sample_interval_s).round() as usize
+        (self.fft_duration_s / REPORT_INTERVAL.as_secs_f64()).round() as usize
     }
 
     /// Sampling rate of the ẑ series in Hz.
     pub fn sample_rate_hz(&self) -> f64 {
-        1.0 / self.sample_interval_s
+        1.0 / REPORT_INTERVAL.as_secs_f64()
     }
 }
 
@@ -100,6 +86,14 @@ pub struct ElasticityDetector {
     /// uncertain.  `1.0` (the default) reproduces the paper's fixed
     /// threshold exactly.
     eta_scale: f64,
+    /// Minimum spectral magnitude at `f_p` (signal units, i.e. bits/s; a
+    /// sinusoid of amplitude `A` has magnitude `A/2`) for an *elastic*
+    /// verdict.  With no cross traffic ẑ is numerically tiny, and η — a ratio
+    /// of two near-zero magnitudes — is meaningless noise; requiring the
+    /// oscillation to be physically significant suppresses those spurious
+    /// verdicts.  `0.0` (stand-alone use) disables the guard; the Nimbus
+    /// controller keeps it at 1% of its current µ estimate.
+    min_peak_bps: f64,
     /// Log of every verdict, for experiment post-processing.
     verdicts: Vec<DetectorVerdict>,
 }
@@ -112,6 +106,7 @@ impl ElasticityDetector {
             cfg,
             fft_plan: Fft::new(n),
             eta_scale: 1.0,
+            min_peak_bps: 0.0,
             verdicts: Vec::new(),
         }
     }
@@ -130,7 +125,7 @@ impl ElasticityDetector {
     /// Update the minimum-peak guard (the Nimbus controller keeps this at a
     /// fraction of its µ estimate, which may itself be learned at runtime).
     pub fn set_min_peak_bps(&mut self, min_peak_bps: f64) {
-        self.cfg.min_peak_bps = min_peak_bps;
+        self.min_peak_bps = min_peak_bps;
     }
 
     /// Scale the η threshold (µ-error-aware ẑ conditioning,
@@ -148,15 +143,13 @@ impl ElasticityDetector {
             return None;
         }
         let window = &z_series[z_series.len() - needed..];
-        let mut buf: Vec<f64> = window.to_vec();
-        self.cfg.window.apply(&mut buf);
         let spectrum =
-            Spectrum::of_signal_with_plan(&self.fft_plan, &buf, self.cfg.sample_rate_hz(), true);
+            Spectrum::of_signal_with_plan(&self.fft_plan, window, self.cfg.sample_rate_hz(), true);
         let fp = self.cfg.pulse_freq_hz;
-        let peak = spectrum.peak_near(fp, self.cfg.peak_tolerance_hz);
+        let peak = spectrum.peak_near(fp, PEAK_TOLERANCE_HZ);
         // The comparison band (f_p, 2 f_p): start just above the peak
         // tolerance so the pulse's own leakage is not counted.
-        let band = spectrum.peak_in_open_band(fp + self.cfg.peak_tolerance_hz, 2.0 * fp);
+        let band = spectrum.peak_in_open_band(fp + PEAK_TOLERANCE_HZ, 2.0 * fp);
         let eta = if band > 0.0 {
             peak / band
         } else {
@@ -172,8 +165,7 @@ impl ElasticityDetector {
         let verdict = DetectorVerdict {
             t_s,
             eta,
-            elastic: eta >= self.cfg.eta_threshold * self.eta_scale
-                && peak >= self.cfg.min_peak_bps,
+            elastic: eta >= self.cfg.eta_threshold * self.eta_scale && peak >= self.min_peak_bps,
             peak_at_fp: peak,
             band_max: band,
         };
@@ -203,36 +195,6 @@ impl ElasticityDetector {
         }
         in_range.iter().filter(|v| v.elastic).count() as f64 / in_range.len() as f64
     }
-
-    /// The time-domain alternative the paper discards (§3.3): normalized
-    /// cross-correlation between the pulse waveform `s(t)` and `ẑ(t)`,
-    /// maximized over lags up to `max_lag_s`.  Exposed for the ablation bench.
-    pub fn cross_correlation(&self, pulse_series: &[f64], z_series: &[f64], max_lag_s: f64) -> f64 {
-        let n = pulse_series.len().min(z_series.len());
-        if n < 8 {
-            return 0.0;
-        }
-        let s = &pulse_series[pulse_series.len() - n..];
-        let z = &z_series[z_series.len() - n..];
-        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-        let ms = mean(s);
-        let mz = mean(z);
-        let norm_s: f64 = s.iter().map(|x| (x - ms) * (x - ms)).sum::<f64>().sqrt();
-        let norm_z: f64 = z.iter().map(|x| (x - mz) * (x - mz)).sum::<f64>().sqrt();
-        if norm_s < 1e-12 || norm_z < 1e-12 {
-            return 0.0;
-        }
-        let max_lag = ((max_lag_s / self.cfg.sample_interval_s) as usize).min(n / 2);
-        let mut best: f64 = 0.0;
-        for lag in 0..=max_lag {
-            let mut acc = 0.0;
-            for i in 0..n - lag {
-                acc += (s[i] - ms) * (z[i + lag] - mz);
-            }
-            best = best.max((acc / (norm_s * norm_z)).abs());
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -254,10 +216,11 @@ mod tests {
     ) -> Vec<f64> {
         let gen = PulseGenerator::asymmetric(cfg.pulse_freq_hz, 1.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = (secs / cfg.sample_interval_s) as usize;
+        let dt = REPORT_INTERVAL.as_secs_f64();
+        let n = (secs / dt) as usize;
         (0..n)
             .map(|i| {
-                let t = i as f64 * cfg.sample_interval_s;
+                let t = i as f64 * dt;
                 // Elastic cross traffic reacts inversely to the pulse, one RTT later.
                 let reaction = -reaction_amp * gen.offset_at(t - lag_s);
                 let noise = noise_amp * (rng.gen::<f64>() - 0.5) * 2.0;
@@ -371,26 +334,5 @@ mod tests {
             "2 Hz detector fired on 5 Hz reaction: eta {}",
             v.eta
         );
-    }
-
-    #[test]
-    fn cross_correlation_needs_alignment_but_fft_does_not() {
-        // The time-domain method degrades with unknown lag; the FFT does not.
-        let cfg = ElasticityConfig::default();
-        let det = ElasticityDetector::new(cfg.clone());
-        let gen = PulseGenerator::asymmetric(cfg.pulse_freq_hz, 1.0);
-        let n = (6.0 / cfg.sample_interval_s) as usize;
-        let pulses: Vec<f64> = (0..n)
-            .map(|i| gen.offset_at(i as f64 * cfg.sample_interval_s))
-            .collect();
-        let aligned = synthetic_z(&cfg, 6.0, 48e6, 8e6, 0.0, 1e6, 31);
-        let late = synthetic_z(&cfg, 6.0, 48e6, 8e6, 0.13, 1e6, 31);
-        // With zero allowed lag the correlation collapses for the late signal...
-        let c_aligned = det.cross_correlation(&pulses, &aligned, 0.0);
-        let c_late = det.cross_correlation(&pulses, &late, 0.0);
-        assert!(c_aligned > c_late * 1.5, "{c_aligned} vs {c_late}");
-        // ...while η stays high for both.
-        let eta_late = det.eta(&late).unwrap().0;
-        assert!(eta_late > 2.0);
     }
 }

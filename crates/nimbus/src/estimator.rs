@@ -638,15 +638,6 @@ impl CrossTrafficEstimator {
         Self::with_strategy(Box::new(ConfiguredMu::new(mu_bps)), history_window_s)
     }
 
-    /// An estimator that learns `µ` as the maximum observed receive rate
-    /// over a 10-second window (the BBR-style approach of §4.2).
-    pub fn with_estimated_mu(history_window_s: f64) -> Self {
-        Self::with_strategy(
-            Box::new(MaxFilterMu::new(DEFAULT_MU_WINDOW_S)),
-            history_window_s,
-        )
-    }
-
     /// An estimator over an arbitrary µ strategy.
     pub fn with_strategy(strategy: Box<dyn MuEstimator>, history_window_s: f64) -> Self {
         CrossTrafficEstimator {
@@ -920,7 +911,7 @@ mod tests {
 
     #[test]
     fn mu_is_learned_from_max_receive_rate_when_not_configured() {
-        let mut est = CrossTrafficEstimator::with_estimated_mu(5.0);
+        let mut est = CrossTrafficEstimator::from_config(&MuEstimatorConfig::learned(), 5.0);
         assert_eq!(est.mu_bps(), 0.0);
         // Ramp up gently (within the per-report growth cap).
         let mut r = 40e6;
@@ -945,7 +936,7 @@ mod tests {
         // Regression: a cumulative-ACK artifact reporting a one-tick receive
         // rate of several times the link rate used to poison the max filter
         // for a whole window.
-        let mut est = CrossTrafficEstimator::with_estimated_mu(5.0);
+        let mut est = CrossTrafficEstimator::from_config(&MuEstimatorConfig::learned(), 5.0);
         for i in 0..100 {
             est.on_report(&report(i as f64 * 0.01, 44e6, 48e6));
         }
@@ -954,7 +945,7 @@ mod tests {
         est.on_report(&report(1.0, 44e6, 250e6));
         assert!(est.mu_bps() <= 48e6 * 1.25 + 1.0, "µ {}", est.mu_bps());
         // ...even as the very first sample (capped against the send rate).
-        let mut fresh = CrossTrafficEstimator::with_estimated_mu(5.0);
+        let mut fresh = CrossTrafficEstimator::from_config(&MuEstimatorConfig::learned(), 5.0);
         fresh.on_report(&report(0.0, 44e6, 250e6));
         assert!(fresh.mu_bps() <= 44e6 * 1.25 + 1.0, "µ {}", fresh.mu_bps());
         // ...and a *sustained* genuine rate increase still converges quickly.

@@ -18,10 +18,25 @@
 //!   in its own receive rate concludes another pulser exists and steps down
 //!   with a fixed probability.
 
+use nimbus_core_types::REPORT_INTERVAL;
 use nimbus_dsp::{Ewma, Spectrum};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+/// Expected number of volunteers per FFT window, κ in Eq. 5 (§6).
+const KAPPA: f64 = 1.0;
+/// Peak-to-background ratio above which a watcher considers a pulser present
+/// in its receive-rate spectrum (§6: "a pronounced peak" at `f_pc` or `f_pd`).
+const PRESENCE_THRESHOLD: f64 = 4.0;
+/// Half-width of the neighbourhoods of `f_pc` and `f_pd` a watcher searches,
+/// Hz: wide enough for one bin of leakage, narrower than half their spacing.
+const PRESENCE_TOLERANCE_HZ: f64 = 0.3;
+/// Probability that a pulser steps down when it suspects a second one (§6).
+const STEP_DOWN_PROBABILITY: f64 = 0.5;
+/// EWMA cutoff on a watcher's transmission rate, Hz: below the paper's
+/// `min(f_pc, f_pd)` = 5 Hz so watchers do not echo the pulses (§6).
+const WATCHER_CUTOFF_HZ: f64 = 2.0;
 
 /// The role a Nimbus flow currently plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,51 +47,18 @@ pub enum Role {
     Watcher,
 }
 
-/// Multi-flow coordination parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Multi-flow coordination switch.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MultiflowConfig {
     /// Whether coordination is enabled at all.  Disabled (single-flow mode)
     /// the flow is always the pulser.
     pub enabled: bool,
-    /// Pulse frequency used in TCP-competitive mode (`f_pc`, 5 Hz).
-    pub freq_competitive_hz: f64,
-    /// Pulse frequency used in delay mode (`f_pd`, 6 Hz).
-    pub freq_delay_hz: f64,
-    /// Expected number of volunteers per FFT window (κ).
-    pub kappa: f64,
-    /// Decision interval τ, seconds.
-    pub decision_interval_s: f64,
-    /// Peak-to-band ratio above which a pulser is considered present in the
-    /// receive-rate spectrum.
-    pub presence_threshold: f64,
-    /// Probability of stepping down when multiple pulsers are suspected.
-    pub step_down_probability: f64,
-    /// EWMA cutoff (Hz) applied to a watcher's transmission rate.
-    pub watcher_cutoff_hz: f64,
-}
-
-impl Default for MultiflowConfig {
-    fn default() -> Self {
-        MultiflowConfig {
-            enabled: false,
-            freq_competitive_hz: 5.0,
-            freq_delay_hz: 6.0,
-            kappa: 1.0,
-            decision_interval_s: 0.01,
-            presence_threshold: 4.0,
-            step_down_probability: 0.5,
-            watcher_cutoff_hz: 2.0,
-        }
-    }
 }
 
 impl MultiflowConfig {
-    /// A configuration with coordination enabled and the paper's frequencies.
+    /// A configuration with coordination enabled.
     pub fn enabled() -> Self {
-        MultiflowConfig {
-            enabled: true,
-            ..Default::default()
-        }
+        MultiflowConfig { enabled: true }
     }
 }
 
@@ -102,6 +84,10 @@ pub struct Multiflow {
     /// Log of `(time, role)` changes for experiment post-processing.
     role_log: Vec<(f64, Role)>,
     last_decision_s: f64,
+    /// The pulser's competitive-mode and delay-mode pulse frequencies
+    /// (`f_pc`, `f_pd`), as the controller pulses them.
+    f_pc_hz: f64,
+    f_pd_hz: f64,
     /// FFT duration used in the election probability (Eq. 5).
     fft_duration_s: f64,
 }
@@ -112,21 +98,29 @@ impl Multiflow {
     /// With coordination disabled the flow is a permanent [`Role::Pulser`];
     /// with it enabled every flow starts as a [`Role::Watcher`] and must win
     /// the election to start pulsing (§6: "Each new flow begins as a watcher").
-    pub fn new(cfg: MultiflowConfig, fft_duration_s: f64, seed: u64) -> Self {
+    /// `f_pc_hz` / `f_pd_hz` are the frequencies the controller pulses at in
+    /// competitive / delay mode, which is where watchers look for a pulser.
+    pub fn new(
+        cfg: MultiflowConfig,
+        f_pc_hz: f64,
+        f_pd_hz: f64,
+        fft_duration_s: f64,
+        seed: u64,
+    ) -> Self {
         let role = if cfg.enabled {
             Role::Watcher
         } else {
             Role::Pulser
         };
-        let sample_interval = cfg.decision_interval_s;
-        let cutoff = cfg.watcher_cutoff_hz;
         let mut mf = Multiflow {
             cfg,
             role,
             rng: StdRng::seed_from_u64(seed ^ 0x853c49e6748fea9b),
-            rate_smoother: Ewma::with_cutoff(cutoff, sample_interval),
+            rate_smoother: Ewma::with_cutoff(WATCHER_CUTOFF_HZ, REPORT_INTERVAL.as_secs_f64()),
             role_log: Vec::new(),
             last_decision_s: 0.0,
+            f_pc_hz,
+            f_pd_hz,
             fft_duration_s,
         };
         mf.role_log.push((0.0, role));
@@ -161,14 +155,15 @@ impl Multiflow {
     /// surrounding band rather than its maximum: the asymmetric pulse has
     /// harmonics at multiples of `f_p`, and a max-based background would let
     /// the pulser's own harmonics mask its fundamental.
-    pub fn detect_pulser(&self, recv_rate_series: &[f64], sample_rate_hz: f64) -> PulserPresence {
+    pub fn detect_pulser(&self, recv_rate_series: &[f64]) -> PulserPresence {
         if recv_rate_series.len() < 64 {
             return PulserPresence::None;
         }
+        let sample_rate_hz = 1.0 / REPORT_INTERVAL.as_secs_f64();
         let spectrum = Spectrum::of_signal(recv_rate_series, sample_rate_hz, true);
-        let tol = 0.3;
-        let fc = self.cfg.freq_competitive_hz;
-        let fd = self.cfg.freq_delay_hz;
+        let tol = PRESENCE_TOLERANCE_HZ;
+        let fc = self.f_pc_hz;
+        let fd = self.f_pd_hz;
         let peak_c = spectrum.peak_near(fc, tol);
         let peak_d = spectrum.peak_near(fd, tol);
         // Background: median magnitude between 1 Hz and 2·max(fc, fd),
@@ -186,8 +181,8 @@ impl Multiflow {
             background_bins.push(mag);
         }
         let background = nimbus_dsp::stats::median(&background_bins).max(1e-9);
-        let c_present = peak_c / background >= self.cfg.presence_threshold;
-        let d_present = peak_d / background >= self.cfg.presence_threshold;
+        let c_present = peak_c / background >= PRESENCE_THRESHOLD;
+        let d_present = peak_d / background >= PRESENCE_THRESHOLD;
         match (c_present, d_present) {
             (false, false) => PulserPresence::None,
             _ => {
@@ -213,15 +208,15 @@ impl Multiflow {
         if !self.cfg.enabled || self.role == Role::Pulser {
             return false;
         }
-        if now_s - self.last_decision_s < self.cfg.decision_interval_s {
+        let tau_s = REPORT_INTERVAL.as_secs_f64();
+        if now_s - self.last_decision_s < tau_s {
             return false;
         }
         self.last_decision_s = now_s;
         if pulser_detected || mu_bps <= 0.0 {
             return false;
         }
-        let p = (self.cfg.kappa * self.cfg.decision_interval_s / self.fft_duration_s)
-            * (recv_rate_bps / mu_bps).clamp(0.0, 1.0);
+        let p = (KAPPA * tau_s / self.fft_duration_s) * (recv_rate_bps / mu_bps).clamp(0.0, 1.0);
         if self.rng.gen::<f64>() < p {
             self.role = Role::Pulser;
             self.role_log.push((now_s, Role::Pulser));
@@ -238,21 +233,12 @@ impl Multiflow {
         if !self.cfg.enabled || self.role != Role::Pulser {
             return false;
         }
-        if z_peak_at_fp > recv_peak_at_fp && self.rng.gen::<f64>() < self.cfg.step_down_probability
-        {
+        if z_peak_at_fp > recv_peak_at_fp && self.rng.gen::<f64>() < STEP_DOWN_PROBABILITY {
             self.role = Role::Watcher;
             self.role_log.push((now_s, Role::Watcher));
             true
         } else {
             false
-        }
-    }
-
-    /// Force the role (used when coordination is disabled or in tests).
-    pub fn set_role(&mut self, now_s: f64, role: Role) {
-        if role != self.role {
-            self.role = role;
-            self.role_log.push((now_s, role));
         }
     }
 }
@@ -261,6 +247,10 @@ impl Multiflow {
 mod tests {
     use super::*;
     use nimbus_dsp::PulseGenerator;
+
+    fn multiflow(cfg: MultiflowConfig, seed: u64) -> Multiflow {
+        Multiflow::new(cfg, 5.0, 6.0, 5.0, seed)
+    }
 
     fn recv_series_with_pulses(freq: f64, secs: f64, amp: f64) -> Vec<f64> {
         let gen = PulseGenerator::asymmetric(freq, amp);
@@ -271,36 +261,33 @@ mod tests {
 
     #[test]
     fn disabled_config_is_always_pulser() {
-        let mf = Multiflow::new(MultiflowConfig::default(), 5.0, 1);
+        let mf = multiflow(MultiflowConfig::default(), 1);
         assert_eq!(mf.role(), Role::Pulser);
     }
 
     #[test]
     fn enabled_config_starts_as_watcher() {
-        let mf = Multiflow::new(MultiflowConfig::enabled(), 5.0, 1);
+        let mf = multiflow(MultiflowConfig::enabled(), 1);
         assert_eq!(mf.role(), Role::Watcher);
         assert_eq!(mf.role_log().len(), 1);
     }
 
     #[test]
     fn watcher_detects_pulser_and_its_mode() {
-        let mf = Multiflow::new(MultiflowConfig::enabled(), 5.0, 2);
+        let mf = multiflow(MultiflowConfig::enabled(), 2);
         let competitive = recv_series_with_pulses(5.0, 6.0, 6e6);
         let delay = recv_series_with_pulses(6.0, 6.0, 6e6);
         let silent: Vec<f64> = vec![20e6; 600];
-        assert_eq!(
-            mf.detect_pulser(&competitive, 100.0),
-            PulserPresence::Competitive
-        );
-        assert_eq!(mf.detect_pulser(&delay, 100.0), PulserPresence::Delay);
-        assert_eq!(mf.detect_pulser(&silent, 100.0), PulserPresence::None);
+        assert_eq!(mf.detect_pulser(&competitive), PulserPresence::Competitive);
+        assert_eq!(mf.detect_pulser(&delay), PulserPresence::Delay);
+        assert_eq!(mf.detect_pulser(&silent), PulserPresence::None);
     }
 
     #[test]
     fn election_eventually_elects_exactly_someone() {
         // With no pulser present, a watcher receiving a decent share of the
         // link must volunteer within a few FFT durations.
-        let mut mf = Multiflow::new(MultiflowConfig::enabled(), 5.0, 3);
+        let mut mf = multiflow(MultiflowConfig::enabled(), 3);
         let mut become_at = None;
         let mut t = 0.0;
         while t < 60.0 {
@@ -323,7 +310,7 @@ mod tests {
         let mut elected_within_one_window = 0;
         let trials = 200;
         for seed in 0..trials {
-            let mut mf = Multiflow::new(MultiflowConfig::enabled(), 5.0, seed);
+            let mut mf = multiflow(MultiflowConfig::enabled(), seed);
             let mut t = 0.0;
             while t < 5.0 {
                 t += 0.01;
@@ -339,7 +326,7 @@ mod tests {
 
     #[test]
     fn no_election_while_a_pulser_is_detected() {
-        let mut mf = Multiflow::new(MultiflowConfig::enabled(), 5.0, 5);
+        let mut mf = multiflow(MultiflowConfig::enabled(), 5);
         let mut t = 0.0;
         while t < 30.0 {
             t += 0.01;
@@ -350,25 +337,31 @@ mod tests {
 
     #[test]
     fn pulser_steps_down_on_conflict_evidence() {
-        let cfg = MultiflowConfig {
-            enabled: true,
-            step_down_probability: 1.0,
-            ..MultiflowConfig::enabled()
-        };
-        let mut mf = Multiflow::new(cfg, 5.0, 6);
-        mf.set_role(0.0, Role::Pulser);
-        // Cross traffic oscillates harder at f_p than our own receive rate.
-        assert!(mf.maybe_step_down(1.0, 10e6, 3e6));
-        assert_eq!(mf.role(), Role::Watcher);
-        // And never steps down on the opposite evidence.
-        mf.set_role(2.0, Role::Pulser);
-        assert!(!mf.maybe_step_down(3.0, 1e6, 5e6));
+        let mut mf = multiflow(MultiflowConfig::enabled(), 6);
+        let mut t = 0.0;
+        while mf.role() == Role::Watcher {
+            t += 0.01;
+            mf.maybe_become_pulser(t, false, 96e6, 96e6);
+        }
+        // Our own receive rate oscillates harder at f_p than the cross
+        // traffic: no evidence of a second pulser, so it never steps down.
+        for _ in 0..100 {
+            t += 0.01;
+            assert!(!mf.maybe_step_down(t, 1e6, 5e6));
+        }
         assert_eq!(mf.role(), Role::Pulser);
+        // On the opposite evidence it steps down within a few coin flips.
+        assert!(
+            (0..64).any(|_| mf.maybe_step_down(t, 10e6, 3e6)),
+            "never stepped down"
+        );
+        assert_eq!(mf.role(), Role::Watcher);
+        assert_eq!(mf.role_log().last(), Some(&(t, Role::Watcher)));
     }
 
     #[test]
     fn watcher_rate_shaping_removes_fast_oscillation() {
-        let mut mf = Multiflow::new(MultiflowConfig::enabled(), 5.0, 7);
+        let mut mf = multiflow(MultiflowConfig::enabled(), 7);
         // A 5 Hz oscillating raw rate should come out much smoother.
         let gen = PulseGenerator::asymmetric(5.0, 12e6);
         let mut min_out = f64::MAX;

@@ -26,9 +26,10 @@ fn sinusoid_plus_noise(
     seed: u64,
 ) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
+    let dt = 1.0 / cfg.sample_rate_hz();
     (0..cfg.window_samples())
         .map(|i| {
-            let t = i as f64 * cfg.sample_interval_s;
+            let t = i as f64 * dt;
             let osc = amplitude * (2.0 * std::f64::consts::PI * freq_hz * t + phase).sin();
             let noise = noise_amp * (rng.gen::<f64>() - 0.5) * 2.0;
             (48e6 + osc + noise).max(0.0)

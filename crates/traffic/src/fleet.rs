@@ -1,7 +1,14 @@
 //! Fleet workload: open-loop flow churn at population scale.
 //!
-//! Where [`crate::wan`] pre-generates a flow list and instantiates every
-//! sender up front, this module implements the simulator's
+//! "We generate Cubic cross-flows with flow sizes drawn from this data, with
+//! flow arrival times generated by a Poisson process to offer a fixed average
+//! load" (§8.1) — with the flow-size distribution of [`crate::flow_sizes`]
+//! standing in for the proprietary trace.  Because the sizes are
+//! heavy-tailed, the workload alternates naturally between inelastic periods
+//! (only mice in flight) and elastic periods (an elephant is active), which
+//! is what exercises Nimbus's mode switching.
+//!
+//! This module implements the simulator's
 //! [`nimbus_netsim::FlowSpawner`] interface: flows are created
 //! lazily at their arrival instants and *retired* (endpoint freed) when they
 //! complete, so a run can churn through thousands of flows while only the
@@ -14,12 +21,29 @@
 //! population churn.  Both are deterministic per seed.
 
 use crate::flow_sizes::FlowSizeDistribution;
-use crate::wan::CcKindSerde;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, Time};
 use nimbus_transport::{CcKind, FixedSizeSource, PathInfo, Sender, SenderConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+/// A serializable stand-in for [`CcKind`] (only the variants the workloads need).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CcKindSerde {
+    /// TCP Cubic.
+    Cubic,
+    /// TCP NewReno.
+    NewReno,
+}
+
+impl From<CcKindSerde> for CcKind {
+    fn from(k: CcKindSerde) -> CcKind {
+        match k {
+            CcKindSerde::Cubic => CcKind::Cubic,
+            CcKindSerde::NewReno => CcKind::NewReno,
+        }
+    }
+}
 
 /// How interarrival gaps between fleet flows are drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,7 +103,8 @@ pub struct FleetWorkloadConfig {
     pub cc: CcKindSerde,
     /// RNG seed; the whole workload is deterministic given this.
     pub seed: u64,
-    /// Size (bytes) above which a flow is tagged elastic for the ground truth.
+    /// Size (bytes) above which a flow is tagged elastic for the ground truth
+    /// (the paper uses 10 packets = the initial window).
     pub elastic_threshold_bytes: u64,
 }
 
@@ -267,19 +292,55 @@ mod tests {
     #[test]
     fn spawned_flows_are_finite_retiring_and_unmonitored() {
         let mut sp = FleetSpawner::new(FleetWorkloadConfig::default_for_link(48e6, 0.4, 10.0));
+        let mut rtts = std::collections::BTreeSet::new();
         let mut n = 0;
         while let Some((at, fc, ep)) = sp.next_flow() {
             assert_eq!(fc.start, at);
             assert!(fc.retire_on_finish);
             assert!(!fc.monitored);
             assert!(fc.size_bytes.is_some());
-            assert!(fc.counts_as_elastic.is_some());
+            assert_eq!(fc.counts_as_elastic, Some(fc.size_bytes.unwrap() > 15_000));
             assert!(fc.prop_rtt.as_secs_f64() >= 0.025 && fc.prop_rtt.as_secs_f64() <= 0.075);
+            rtts.insert(fc.prop_rtt);
             assert!(ep.label().starts_with("fleet-"));
             n += 1;
         }
         assert_eq!(sp.emitted(), n);
         assert!(n > 10, "expected a population, got {n}");
+        assert!(rtts.len() > 10, "RTTs are jittered per flow");
+    }
+
+    #[test]
+    fn poisson_workloads_of_the_wan_figures_are_pinned() {
+        // `(count, total bytes, first arrival ns, last arrival ns)` of the
+        // Poisson workload per (rate, load, duration, seed), recorded from
+        // the static `WanWorkload` generator this spawner replaced (flow
+        // for flow identical): the cross traffic under figs. 9–13, 18–21
+        // cannot drift silently.
+        let workloads = [
+            (96e6, 0.5, 40.0, 90),
+            (96e6, 0.3, 90.0, 100),
+            (48e6, 0.9, 60.0, 130),
+        ];
+        let pinned = [
+            (2450, 320607719, 15196068, 39978260666),
+            (3378, 269761907, 200416, 89939939531),
+            (3183, 316603731, 12328988, 59988856537),
+        ];
+        for ((rate, load, dur, seed), pinned) in workloads.into_iter().zip(pinned) {
+            let flows = drain_arrivals(FleetWorkloadConfig {
+                seed,
+                ..FleetWorkloadConfig::default_for_link(rate, load, dur)
+            });
+            let ns = |t_s: f64| Time::from_secs_f64(t_s).as_nanos();
+            let row = (
+                flows.len(),
+                flows.iter().map(|f| f.1).sum::<u64>(),
+                ns(flows[0].0),
+                ns(flows[flows.len() - 1].0),
+            );
+            assert_eq!(row, pinned, "seed {seed}");
+        }
     }
 
     #[test]

@@ -90,14 +90,6 @@ impl FlowSizeDistribution {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x2545f4914f6cdd1d);
         (0..n).map(|_| self.sample(&mut rng)).collect()
     }
-
-    /// Fraction of flows whose size exceeds `threshold_bytes` (Monte-Carlo, for tests
-    /// and ground-truth labelling of "guaranteed ACK-clocked" flows per Fig. 12:
-    /// flows larger than the initial window are labelled elastic).
-    pub fn fraction_larger_than(&self, threshold_bytes: u64, samples: usize, seed: u64) -> f64 {
-        let sizes = self.sample_many(samples, seed);
-        sizes.iter().filter(|&&s| s > threshold_bytes).count() as f64 / samples as f64
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +155,8 @@ mod tests {
         // Fig. 12 labels flows larger than 10 packets (15 kB) as elastic;
         // with the default mix a sizeable fraction of flows qualify.
         let dist = FlowSizeDistribution::default();
-        let frac = dist.fraction_larger_than(15_000, 50_000, 3);
+        let sizes = dist.sample_many(50_000, 3);
+        let frac = sizes.iter().filter(|&&s| s > 15_000).count() as f64 / sizes.len() as f64;
         assert!(frac > 0.2 && frac < 0.9, "fraction {frac}");
     }
 

@@ -5,21 +5,20 @@
 //! The paper's evaluation draws its cross traffic from three families, all of
 //! which are built here on top of `nimbus-transport` senders:
 //!
-//! * [`flow_sizes`] + [`wan`] — a CAIDA-like wide-area workload: Cubic
+//! * [`flow_sizes`] + [`fleet`] — a CAIDA-like wide-area workload: Cubic
 //!   cross-flows whose sizes come from a heavy-tailed distribution and whose
 //!   arrivals form a Poisson process targeting a configurable offered load
 //!   (§8.1 "Throughput and delay with WAN cross-traffic").  The real trace is
 //!   proprietary; [`flow_sizes`] documents the synthetic mixture standing in
-//!   for it.
-//! * [`fleet`] — the same size distribution driven open-loop at population
-//!   scale: flows are spawned at Poisson or bursty (Pareto) arrival instants
-//!   via the engine's `FlowSpawner` hook and retired on completion, so
-//!   1000+-flow churn runs only pay for the concurrently active population.
+//!   for it.  Flows are spawned open-loop at Poisson or bursty (Pareto)
+//!   arrival instants via the engine's `FlowSpawner` hook and retired on
+//!   completion, so 1000+-flow churn runs only pay for the concurrently
+//!   active population.
 //! * [`video`] — DASH-style adaptive video sources: a 4K ladder that exceeds
 //!   its fair share (network-limited, elastic) and a 1080p ladder that stays
 //!   below it (application-limited, inelastic), reproducing Fig. 11.
-//! * [`phases`] — the scripted elastic/inelastic phase schedules of Figs. 1
-//!   and 8 ("xM of Poisson cross traffic, yT long-running Cubic flows"),
+//! * [`phases`] — the scripted elastic/inelastic phase schedules of Figs. 8
+//!   and 17 ("xM of Poisson cross traffic, yT long-running Cubic flows"),
 //!   together with the fair-share reference line plotted in those figures.
 
 #![warn(missing_docs)]
@@ -29,10 +28,8 @@ pub mod fleet;
 pub mod flow_sizes;
 pub mod phases;
 pub mod video;
-pub mod wan;
 
-pub use fleet::{ArrivalProcess, FleetSpawner, FleetWorkloadConfig};
+pub use fleet::{ArrivalProcess, CcKindSerde, FleetSpawner, FleetWorkloadConfig};
 pub use flow_sizes::FlowSizeDistribution;
 pub use phases::{fair_share_mbps, Phase, PhaseSchedule};
 pub use video::{VideoQuality, VideoSource};
-pub use wan::{WanWorkload, WanWorkloadConfig};

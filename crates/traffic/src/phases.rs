@@ -1,4 +1,4 @@
-//! Scripted cross-traffic phase schedules (Figs. 1, 8, 17).
+//! Scripted cross-traffic phase schedules (Figs. 8, 17).
 //!
 //! The paper's time-varying scenarios are described as a sequence of phases,
 //! each with an inelastic Poisson component ("`xM` denotes x Mbit/s of
@@ -51,20 +51,6 @@ impl PhaseSchedule {
         }
     }
 
-    /// The Fig. 1 scenario: 30 s alone, 60 s with one Cubic flow, 60 s with
-    /// 24 Mbit/s of inelastic traffic, then alone again (on a 48 Mbit/s link).
-    pub fn fig1() -> Self {
-        PhaseSchedule::new(
-            vec![
-                (0.0, 0.0, 0),
-                (30.0, 0.0, 1),
-                (90.0, 24e6, 0),
-                (150.0, 0.0, 0),
-            ],
-            180.0,
-        )
-    }
-
     /// The Fig. 8 scenario (96 Mbit/s link): the nine phases annotated at the
     /// top of the figure, 20 s each: `16M/1T, 32M/2T, 0M/4T, 0M/3T, 0M/1T,
     /// 16M/0T, 32M/0T, 48M/0T, 16M/0T`.
@@ -115,14 +101,6 @@ impl PhaseSchedule {
             }
         }
         current
-    }
-
-    /// End time of the phase starting at index `i`.
-    pub fn phase_end(&self, i: usize) -> f64 {
-        self.phases
-            .get(i + 1)
-            .map(|p| p.start_s)
-            .unwrap_or(self.end_s)
     }
 
     /// The scripted Poisson-rate schedule, as `(start, rate_bps)` pairs for a
@@ -220,18 +198,6 @@ mod tests {
         assert!((s.fair_share_mbps(50.0, 96e6, 1) - 19.2).abs() < 1e-9);
         // Phase 8 (48M, 0T): 48.
         assert!((s.fair_share_mbps(150.0, 96e6, 1) - 48.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fig1_phases() {
-        let s = PhaseSchedule::fig1();
-        assert_eq!(s.phase_at(45.0).cubic_flows, 1);
-        assert_eq!(s.phase_at(100.0).poisson_rate_bps, 24e6);
-        assert_eq!(s.phase_at(170.0).cubic_flows, 0);
-        // Fair share on 48 Mbit/s: alone -> 48, vs 1 cubic -> 24, vs 24M CBR -> 24.
-        assert!((s.fair_share_mbps(10.0, 48e6, 1) - 48.0).abs() < 1e-9);
-        assert!((s.fair_share_mbps(60.0, 48e6, 1) - 24.0).abs() < 1e-9);
-        assert!((s.fair_share_mbps(120.0, 48e6, 1) - 24.0).abs() < 1e-9);
     }
 
     #[test]

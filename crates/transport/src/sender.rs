@@ -16,6 +16,19 @@ use nimbus_core::rtt::RttEstimator;
 use nimbus_netsim::{AckInfo, FlowEndpoint, SendAction, Time};
 use std::collections::{BTreeSet, VecDeque};
 
+/// Allow pacing catch-up after idle periods up to this long (to avoid giant
+/// bursts after an application-limited pause).  A detail of the datapath half
+/// of the §4.2 CCP split; the paper does not set it.
+const MAX_PACING_DEBT: Time = Time::from_millis(10);
+
+/// Receiver advertised window, in packets: `next_seq` never runs more than
+/// this far ahead of `cum_acked`.  Without it, a flow whose front hole keeps
+/// being re-lost (persistently full queue) would keep sending new data
+/// forever, growing the SACK scoreboard without bound.  4096 packets ≈ 6 MB
+/// is far above any bandwidth-delay product simulated here (§8.1: 96 Mbit/s ×
+/// 50 ms ≈ 400 packets).
+const MAX_WINDOW_PACKETS: u64 = 4096;
+
 /// Sender configuration.
 #[derive(Debug, Clone)]
 pub struct SenderConfig {
@@ -23,18 +36,6 @@ pub struct SenderConfig {
     pub mss: u32,
     /// Label used in logs and results.
     pub label: String,
-    /// Initial RTO before any RTT samples exist.
-    pub initial_rto: Time,
-    /// Allow pacing catch-up after idle periods up to this long (to avoid
-    /// giant bursts after an application-limited pause).
-    pub max_pacing_debt: Time,
-    /// Receiver advertised window, in packets: `next_seq` never runs more
-    /// than this far ahead of `cum_acked`.  Without it, a flow whose front
-    /// hole keeps being re-lost (persistently full queue) would keep sending
-    /// new data forever, growing the SACK scoreboard without bound.  The
-    /// default (4096 packets ≈ 6 MB) is far above any bandwidth-delay
-    /// product simulated here.
-    pub max_window_packets: u64,
     /// Hard stop: the flow terminates (like killing the sending process) at
     /// this time even if the application still has data queued.  Used to model
     /// "y long-running cross-flows during this phase" workloads.
@@ -46,9 +47,6 @@ impl Default for SenderConfig {
         SenderConfig {
             mss: 1500,
             label: "sender".to_string(),
-            initial_rto: Time::from_millis(1000),
-            max_pacing_debt: Time::from_millis(10),
-            max_window_packets: 4096,
             stop_at: None,
         }
     }
@@ -122,7 +120,6 @@ pub struct Sender {
 impl Sender {
     /// Create a sender from a configuration, a congestion controller and a source.
     pub fn new(cfg: SenderConfig, cc: Box<dyn CongestionControl>, source: Box<dyn Source>) -> Self {
-        let initial_rto = cfg.initial_rto;
         Sender {
             cfg,
             cc,
@@ -147,22 +144,11 @@ impl Sender {
             fast_retransmits: 0,
             ce_echoes: 0,
         }
-        .with_initial_rto(initial_rto)
-    }
-
-    fn with_initial_rto(mut self, _rto: Time) -> Self {
-        self.rto_deadline = Time::MAX;
-        self
     }
 
     /// The congestion controller, for post-run inspection.
     pub fn congestion_control(&self) -> &dyn CongestionControl {
         self.cc.as_ref()
-    }
-
-    /// Mutable access to the congestion controller.
-    pub fn congestion_control_mut(&mut self) -> &mut dyn CongestionControl {
-        self.cc.as_mut()
     }
 
     /// Segments currently believed to be in the network ("pipe", RFC 6675):
@@ -545,7 +531,7 @@ impl FlowEndpoint for Sender {
         let available = self.available_segments(now);
         let window_ok = (self.in_flight_packets() as f64) < cwnd
             && self.rtx_queue.is_empty()
-            && self.next_seq < self.cum_acked + self.cfg.max_window_packets;
+            && self.next_seq < self.cum_acked + MAX_WINDOW_PACKETS;
         let app_ok = self.next_seq < available;
 
         if window_ok && app_ok {
@@ -568,8 +554,8 @@ impl FlowEndpoint for Sender {
                     if self.next_send_time <= now {
                         // Cap accumulated sending "debt" so an idle period
                         // does not turn into a line-rate burst.
-                        if now.saturating_sub(self.next_send_time) > self.cfg.max_pacing_debt {
-                            self.next_send_time = now.saturating_sub(self.cfg.max_pacing_debt);
+                        if now.saturating_sub(self.next_send_time) > MAX_PACING_DEBT {
+                            self.next_send_time = now.saturating_sub(MAX_PACING_DEBT);
                         }
                         let seq = self.next_seq;
                         let bytes = self.segment_size(seq, now);

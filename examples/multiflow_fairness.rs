@@ -6,8 +6,7 @@
 //! cargo run --release --example multiflow_fairness
 //! ```
 
-use nimbus_repro::experiments::runner::ScenarioSpec;
-use nimbus_repro::experiments::runner::{nimbus_of, run_and_collect};
+use nimbus_repro::experiments::runner::{run_and_collect, ScenarioSpec};
 use nimbus_repro::experiments::SchemeSpec;
 use nimbus_repro::netsim::{FlowConfig, Time};
 use nimbus_repro::nimbus::MultiflowConfig;
@@ -41,5 +40,4 @@ fn main() {
             m.mean_throughput_mbps, m.mean_rtt_ms, m.delay_mode_fraction
         );
     }
-    let _ = nimbus_of; // see elasticity_probe.rs for role introspection
 }
