@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nimbus_core::{CrossTrafficEstimator, ElasticityConfig, ElasticityDetector};
-use nimbus_dsp::{fft_real, Fft, PulseGenerator, Spectrum};
+use nimbus_dsp::{fft_real, Fft, PulseGenerator, SlidingDft, Spectrum};
 use nimbus_netsim::{CalendarQueue, FlowConfig, Network, SimConfig, Time};
 use nimbus_transport::{BackloggedSource, CcKind, PathInfo, Sender, SenderConfig};
 
@@ -22,6 +22,17 @@ fn bench_fft(c: &mut Criterion) {
     c.bench_function("spectrum_with_dc_removal", |b| {
         b.iter(|| Spectrum::of_signal(black_box(&signal), 100.0, true))
     });
+    // What the detector runs per report instead: one sample into the 36
+    // bins η reads at 5 and 6 Hz (the once-per-window recompute included).
+    let mut bank = SlidingDft::new(500);
+    bank.cover(24, 59);
+    let mut i = 0;
+    c.bench_function("sliding_bank_push", |b| {
+        b.iter(|| {
+            i = (i + 1) % signal.len();
+            bank.push(black_box(signal[i]));
+        })
+    });
 }
 
 fn bench_detector(c: &mut Criterion) {
@@ -33,6 +44,16 @@ fn bench_detector(c: &mut Criterion) {
         .collect();
     c.bench_function("elasticity_metric_eta", |b| {
         b.iter(|| det.eta(black_box(&z)))
+    });
+    // The controller's per-report detector work: push a sample, read Eq. 3.
+    let mut streaming = ElasticityDetector::new(cfg.clone());
+    let mut k = 0usize;
+    c.bench_function("detector_push_and_verdict", |b| {
+        b.iter(|| {
+            k += 1;
+            streaming.push(k as f64 * 0.01, black_box(z[k % z.len()]));
+            streaming.eta_of_window()
+        })
     });
     let est = CrossTrafficEstimator::with_known_mu(96e6, 5.0);
     c.bench_function("cross_traffic_estimate", |b| {

@@ -1,8 +1,13 @@
 //! Fast Fourier Transform implementations.
 //!
-//! The elasticity detector computes an FFT of the cross-traffic rate estimate
-//! `z(t)` sampled every 10 ms over a 5-second window (§3.3 of the paper), so a
-//! 500-point transform is the common case.  Three implementations live here:
+//! The elasticity metric is read off the spectrum of the cross-traffic rate
+//! estimate `z(t)` sampled every 10 ms over a 5-second window (§3.3 of the
+//! paper), so a 500-point transform is the common case.  The detector does
+//! not run one per report — its window moves one sample at a time and
+//! it reads a few dozen bins, which [`crate::sliding`] maintains
+//! incrementally — but the transforms here are what that is checked
+//! against, what offline analysis of a whole series uses, and what the
+//! multi-flow watchers run on their receive rate.  Three implementations:
 //!
 //! * `fft_radix2` — iterative in-place Cooley–Tukey for power-of-two sizes.
 //! * `fft_bluestein` — Bluestein's chirp-z algorithm for arbitrary sizes
@@ -11,7 +16,7 @@
 //!   tests.
 //!
 //! [`fft`] dispatches automatically, and [`Fft`] is a plan object that caches
-//! twiddle factors so the detector does not recompute them every 10 ms.
+//! twiddle factors so repeated transforms of one length do not recompute them.
 
 use crate::complex::Complex;
 use std::f64::consts::PI;
@@ -19,9 +24,9 @@ use std::f64::consts::PI;
 /// A reusable FFT plan.
 ///
 /// Precomputes twiddle factors (and, for non-power-of-two sizes, the Bluestein
-/// chirp sequence) so that repeated transforms of the same length — exactly
-/// what the elasticity detector does every measurement tick — avoid repeated
-/// trigonometry.
+/// chirp sequence) so that repeated transforms of the same length — a
+/// watcher's receive-rate spectrum every measurement tick, the detector's
+/// batch reference — avoid repeated trigonometry.
 #[derive(Debug, Clone)]
 pub struct Fft {
     n: usize,

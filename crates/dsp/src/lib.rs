@@ -16,6 +16,10 @@
 //!   and a direct DFT used as a test oracle.
 //! * [`spectrum`] — magnitude spectra, frequency/bin conversion and the band
 //!   peak searches needed by the elasticity metric η (Eq. 3 of the paper).
+//! * [`sliding`] — a sliding DFT over a contiguous bin range: the spectrum
+//!   of a window that advances one sample at a time, at O(bins) per sample
+//!   and no allocation (what the detector runs per report; the FFT is its
+//!   reference).
 //! * [`pulse`] — the asymmetric sinusoidal pulse shape of Fig. 7 plus a
 //!   symmetric variant used for ablations.
 //! * [`filter`] — EWMA filters (used by Nimbus *watcher* flows to strip the
@@ -35,6 +39,7 @@ pub mod complex;
 pub mod fft;
 pub mod filter;
 pub mod pulse;
+pub mod sliding;
 pub mod spectrum;
 pub mod stats;
 
@@ -43,5 +48,6 @@ pub use complex::Complex;
 pub use fft::{dft_naive, fft, fft_real, ifft, Fft};
 pub use filter::{Ewma, WindowedMax, WindowedMin};
 pub use pulse::{AsymmetricPulse, PulseGenerator, PulseKind, PulseShape, SymmetricPulse};
+pub use sliding::SlidingDft;
 pub use spectrum::{bin_for_frequency, Spectrum};
 pub use stats::{mean, percentile, stddev, Cdf, RunningStats};

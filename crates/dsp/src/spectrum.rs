@@ -17,6 +17,7 @@
 use crate::complex::Complex;
 use crate::fft::Fft;
 use serde::{Deserialize, Serialize};
+use std::ops::{Range, RangeInclusive};
 
 /// Magnitude spectrum of a real-valued, uniformly sampled signal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -100,9 +101,7 @@ impl Spectrum {
     /// The pulse frequency never lands exactly on a bin for arbitrary FFT
     /// durations, so the detector searches a small neighborhood.
     pub fn peak_near(&self, freq_hz: f64, tolerance_hz: f64) -> f64 {
-        let lo = self.bin_of_frequency((freq_hz - tolerance_hz).max(0.0));
-        let hi = self.bin_of_frequency(freq_hz + tolerance_hz);
-        self.magnitudes[lo..=hi]
+        self.magnitudes[bins_near(freq_hz, tolerance_hz, self.sample_rate_hz, self.n)]
             .iter()
             .copied()
             .fold(0.0_f64, f64::max)
@@ -133,21 +132,46 @@ pub fn bin_for_frequency(freq_hz: f64, sample_rate_hz: f64, n: usize) -> usize {
     ((freq_hz * n as f64 / sample_rate_hz).round().max(0.0)) as usize
 }
 
+/// The bins of an `n`-point one-sided spectrum that [`Spectrum::peak_near`]
+/// searches: from the bin nearest `freq_hz - tolerance_hz` to the bin nearest
+/// `freq_hz + tolerance_hz`, both clamped to `0..=n/2`.
+pub fn bins_near(
+    freq_hz: f64,
+    tolerance_hz: f64,
+    sample_rate_hz: f64,
+    n: usize,
+) -> RangeInclusive<usize> {
+    let last = n / 2;
+    let lo = bin_for_frequency((freq_hz - tolerance_hz).max(0.0), sample_rate_hz, n).min(last);
+    let hi = bin_for_frequency(freq_hz + tolerance_hz, sample_rate_hz, n).min(last);
+    lo..=hi
+}
+
+/// The bins of an `n`-point one-sided spectrum whose centre frequency lies
+/// strictly inside the *open* band `(lo_hz, hi_hz)` — Eq. 3's comparison band
+/// leaves its endpoints out.  Empty when no bin centre falls inside.
+pub fn bins_in_open_band(lo_hz: f64, hi_hz: f64, sample_rate_hz: f64, n: usize) -> Range<usize> {
+    let bin_width = sample_rate_hz / n as f64;
+    let inside = |k: &usize| {
+        let f = *k as f64 * bin_width;
+        f > lo_hz + 1e-12 && f < hi_hz - 1e-12
+    };
+    let one_sided = 0..n / 2 + 1;
+    let start = one_sided.clone().find(inside).unwrap_or(one_sided.end);
+    start..start + (start..one_sided.end).take_while(inside).count()
+}
+
 /// Peak magnitude over the *open* band `(lo_hz, hi_hz)` of a one-sided
 /// magnitude spectrum (`mags[k]` is the magnitude of bin `k`).
 ///
 /// Returns 0.0 when the band contains no interior bins.
 pub fn band_peak(mags: &[f64], sample_rate_hz: f64, n: usize, lo_hz: f64, hi_hz: f64) -> f64 {
     assert!(hi_hz > lo_hz, "band must be non-empty");
-    let bin_width = sample_rate_hz / n as f64;
-    let mut peak = 0.0_f64;
-    for (k, &m) in mags.iter().enumerate() {
-        let f = k as f64 * bin_width;
-        if f > lo_hz + 1e-12 && f < hi_hz - 1e-12 {
-            peak = peak.max(m);
-        }
-    }
-    peak
+    let bins = bins_in_open_band(lo_hz, hi_hz, sample_rate_hz, n);
+    mags[bins.start.min(mags.len())..bins.end.min(mags.len())]
+        .iter()
+        .copied()
+        .fold(0.0_f64, f64::max)
 }
 
 #[cfg(test)]

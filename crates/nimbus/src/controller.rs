@@ -13,8 +13,9 @@
 //!
 //! Mode switching details from §4.1 that matter for fidelity:
 //!
-//! * The elasticity verdict is re-evaluated continuously from the FFT over
-//!   the last 5 seconds of ẑ samples, and the mode follows the verdict.
+//! * The elasticity verdict is re-evaluated on every report from the spectrum
+//!   of the last 5 seconds of ẑ samples (kept incrementally by the detector,
+//!   one sample in per report), and the mode follows the verdict.
 //! * When switching into TCP-competitive mode, the competitive controller is
 //!   (re)initialized to the rate the flow was sending **5 seconds ago** —
 //!   the elastic competitor has spent the detection delay stealing bandwidth
@@ -256,6 +257,9 @@ pub struct NimbusController {
     /// measurement reports, trimmed to the FFT duration.  Stays empty until
     /// the first CE mark arrives, keeping non-ECN runs bit-identical.
     mark_window: VecDeque<(f64, u64, u64)>,
+    /// Marked and ACKed packets summed over `mark_window`.
+    window_marked: u64,
+    window_acked: u64,
     /// Consecutive informative reports where the mark fraction and ẑ agreed.
     mark_streak: u64,
     /// Telemetry observer, if the host installed one.
@@ -314,6 +318,8 @@ impl NimbusController {
             last_elastic_s: f64::NEG_INFINITY,
             watcher_rate_bps: None,
             mark_window: VecDeque::new(),
+            window_marked: 0,
+            window_acked: 0,
             mark_streak: 0,
             publisher: None,
         };
@@ -509,6 +515,11 @@ impl CongestionControl for NimbusController {
             if let DelayCtl::Basic(bd) = &mut self.delay {
                 bd.set_cross_traffic_estimate(s.z_bps);
             }
+            // The detector's window takes the sample the estimator *stored*
+            // (held through probe epochs, notch-filtered), watcher or not.
+            let stored = self.estimator.latest_conditioned_z();
+            self.detector
+                .push(report.now_s, stored.expect("a sample was just stored"));
         }
         // 2. Let both inner controllers see the report.
         self.competitive.on_report(report);
@@ -531,17 +542,20 @@ impl CongestionControl for NimbusController {
             if report.marked_packets > 0 || acked_pkts > 0 {
                 self.mark_window
                     .push_back((report.now_s, report.marked_packets, acked_pkts));
+                self.window_marked += report.marked_packets;
+                self.window_acked += acked_pkts;
             }
             let horizon = report.now_s - self.cfg.elasticity.fft_duration_s;
-            while let Some(&(t, _, _)) = self.mark_window.front() {
+            while let Some(&(t, m, a)) = self.mark_window.front() {
                 if t < horizon {
                     self.mark_window.pop_front();
+                    self.window_marked -= m;
+                    self.window_acked -= a;
                 } else {
                     break;
                 }
             }
-            let marked: u64 = self.mark_window.iter().map(|&(_, m, _)| m).sum();
-            let acked: u64 = self.mark_window.iter().map(|&(_, _, a)| a).sum();
+            let (marked, acked) = (self.window_marked, self.window_acked);
             let span_s = match (self.mark_window.front(), self.mark_window.back()) {
                 (Some(&(t0, _, _)), Some(&(t1, _, _))) => t1 - t0,
                 _ => 0.0,
@@ -552,14 +566,10 @@ impl CongestionControl for NimbusController {
                 marked as f64 / acked.max(marked) as f64
             };
             let mu_now = self.estimator.mu_bps();
-            let z_now = self
+            let z_mean = self
                 .estimator
-                .z_series_conditioned(self.cfg.elasticity.fft_duration_s);
-            let z_mean = if z_now.is_empty() {
-                0.0
-            } else {
-                z_now.iter().sum::<f64>() / z_now.len() as f64
-            };
+                .mean_conditioned_z(self.cfg.elasticity.fft_duration_s)
+                .unwrap_or(0.0);
             let z_agrees = mu_now > 0.0 && z_mean > 0.05 * mu_now;
             // Don't trust ẑ before the first FFT window has filled: the
             // slow-start transient inflates both ẑ and the mark rate, and a
@@ -640,7 +650,6 @@ impl CongestionControl for NimbusController {
         // minimum-peak guard tracks the current µ estimate (which may be
         // learned at runtime): the f_p oscillation in ẑ must reach ~2% of µ
         // peak-to-peak before the cross traffic can be called elastic.
-        let z_series = self.estimator.z_series_conditioned(window_s);
         // The adaptive ẑ-conditioning stage raises the detection bars (η
         // threshold and minimum peak) with the µ̂ uncertainty: when µ̂ is off
         // by a fraction u, the flow's own pulse leaks into ẑ with amplitude
@@ -652,18 +661,20 @@ impl CongestionControl for NimbusController {
         // widens the recv-rate spread, the raised bar suppresses the
         // genuine verdict, and the starvation becomes self-reinforcing.
         let bar_scale = match self.cfg.z_filter {
-            ZFilterConfig::Adaptive { k } if mu > 0.0 && !z_series.is_empty() => {
-                let mean_z = z_series.iter().sum::<f64>() / z_series.len() as f64;
-                let damp = (1.0 - mean_z / (0.25 * mu)).clamp(0.0, 1.0);
-                1.0 + k * self.estimator.mu_uncertainty() * damp
-            }
+            ZFilterConfig::Adaptive { k } if mu > 0.0 => self
+                .estimator
+                .mean_conditioned_z(window_s)
+                .map_or(1.0, |mean_z| {
+                    let damp = (1.0 - mean_z / (0.25 * mu)).clamp(0.0, 1.0);
+                    1.0 + k * self.estimator.mu_uncertainty() * damp
+                }),
             _ => 1.0,
         };
         if mu > 0.0 {
             self.detector.set_min_peak_bps(0.01 * mu * bar_scale);
         }
         self.detector.set_eta_scale(bar_scale);
-        if let Some(verdict) = self.detector.evaluate(report.now_s, &z_series) {
+        if let Some(verdict) = self.detector.evaluate_window(report.now_s) {
             if let Some(p) = &mut self.publisher {
                 p.on_verdict(report.now_s, &verdict);
             }
@@ -672,13 +683,10 @@ impl CongestionControl for NimbusController {
             if self.cfg.multiflow.enabled {
                 let recv = self.estimator.recv_rate_series(window_s);
                 if recv.len() >= self.cfg.elasticity.window_samples() {
-                    let recv_spectrum = nimbus_dsp::Spectrum::of_signal(
-                        &recv,
-                        self.cfg.elasticity.sample_rate_hz(),
-                        true,
-                    );
-                    let recv_peak =
-                        recv_spectrum.peak_near(self.current_pulse_freq(), PEAK_TOLERANCE_HZ);
+                    let recv_peak = self
+                        .multiflow
+                        .spectrum_of(&recv)
+                        .peak_near(self.current_pulse_freq(), PEAK_TOLERANCE_HZ);
                     if self
                         .multiflow
                         .maybe_step_down(report.now_s, verdict.peak_at_fp, recv_peak)
@@ -868,7 +876,7 @@ mod tests {
         let mu = 96e6;
         let mut cfg = NimbusConfig::default_for_link(mu).with_multiflow(MultiflowConfig::enabled());
         cfg.elasticity.pulse_freq_hz = 2.0;
-        let watcher = NimbusController::new(cfg.clone());
+        let mut watcher = NimbusController::new(cfg.clone());
         assert_eq!(watcher.role(), Role::Watcher);
 
         // A receive rate carrying a competitive-mode pulser's 2 Hz pulses.

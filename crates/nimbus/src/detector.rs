@@ -1,8 +1,8 @@
 //! The elasticity detector (§3.3–§3.4 of the paper).
 //!
 //! The detector watches the estimated cross-traffic rate `ẑ(t)`, sampled on
-//! every measurement tick, over a sliding window (5 seconds by default).  It
-//! computes the FFT of that window and forms the elasticity metric
+//! every measurement tick, over a sliding window (5 seconds by default) and
+//! forms the elasticity metric from that window's spectrum:
 //!
 //! ```text
 //! η = |FFT_ẑ(f_p)| / max_{f ∈ (f_p, 2·f_p)} |FFT_ẑ(f)|        (Eq. 3)
@@ -15,12 +15,38 @@
 //! the binary verdict.
 //!
 //! The ẑ series is sampled at the CCP report cadence
-//! ([`REPORT_INTERVAL`], §4.2) and goes into the FFT unwindowed (§3.4 takes
+//! ([`REPORT_INTERVAL`], §4.2) and enters the spectrum unwindowed (§3.4 takes
 //! the plain FFT of the last 5 s).
+//!
+//! # Two ways in, one metric
+//!
+//! * **Streaming** — [`ElasticityDetector::push`] one sample per report,
+//!   [`ElasticityDetector::evaluate_window`] for the verdict.  This is what
+//!   the Nimbus controller runs.  No FFT happens: Eq. 3 reads ~30 of the
+//!   window's 251 bins and the window moves one sample per report, so the
+//!   detector keeps exactly those bins in a [`SlidingDft`] — O(bins) per
+//!   sample, no allocation.  The window's mean never needs removing (a
+//!   constant is invisible at every bin `k ≥ 1`, and the sliding update only
+//!   sees sample differences), and rounding drift cannot build up (every bin
+//!   is recomputed from the stored samples once per window); see
+//!   [`nimbus_dsp::sliding`].  A verdict exists once the window's samples all
+//!   lie within `fft_duration_s` of the newest — a flow whose reports carry
+//!   no rates leaves gaps, and a window stretched over a gap is not a 5 s
+//!   spectrum.
+//! * **Batch** — [`ElasticityDetector::eta`] / [`ElasticityDetector::evaluate`]
+//!   on a whole series: mean removal and a planned 500-point FFT.  Offline
+//!   analysis (Fig. 6) uses it, and it is the *reference* the streaming path
+//!   is held to (`tests/streaming_equivalence.rs`: same availability, same
+//!   verdict, magnitudes within 1e-9 of the signal's scale).  Its FFT plan is
+//!   built on first use, so a controller never pays for it.
 
 use nimbus_core_types::REPORT_INTERVAL;
-use nimbus_dsp::{Fft, Spectrum};
+use nimbus_dsp::spectrum::{bins_in_open_band, bins_near};
+use nimbus_dsp::{Fft, SlidingDft, Spectrum};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+use std::ops::{Range, RangeInclusive};
+use std::sync::OnceLock;
 
 /// Half-width of the neighbourhood of `f_p` searched for its peak, Hz: just
 /// over one bin of the 5 s FFT (0.2 Hz), so the pulse's own leakage stays out
@@ -79,7 +105,15 @@ pub struct DetectorVerdict {
 #[derive(Debug, Clone)]
 pub struct ElasticityDetector {
     cfg: ElasticityConfig,
-    fft_plan: Fft,
+    /// The batch path's FFT plan, built by its first [`Self::eta`] call.
+    fft_plan: OnceLock<Fft>,
+    /// The streaming path's window: its spectrum at the bins Eq. 3 reads,
+    /// and the time of each of its samples, oldest first.
+    bank: SlidingDft,
+    times: VecDeque<f64>,
+    /// The bins around `f_p` and inside `(f_p, 2·f_p)` at the current `f_p`.
+    peak_bins: RangeInclusive<usize>,
+    band_bins: Range<usize>,
     /// Multiplier on the η threshold (and the controller scales the
     /// minimum-peak guard by the same factor): the µ-error-aware
     /// ẑ-conditioning stage raises the detection bar when the µ estimate is
@@ -101,13 +135,39 @@ pub struct ElasticityDetector {
 impl ElasticityDetector {
     /// Create a detector.
     pub fn new(cfg: ElasticityConfig) -> Self {
-        let n = cfg.window_samples().max(8);
-        ElasticityDetector {
+        let n = cfg.window_samples().max(1);
+        let mut detector = ElasticityDetector {
             cfg,
-            fft_plan: Fft::new(n),
+            fft_plan: OnceLock::new(),
+            bank: SlidingDft::new(n),
+            times: VecDeque::with_capacity(n),
+            peak_bins: 0..=0,
+            band_bins: 0..0,
             eta_scale: 1.0,
             min_peak_bps: 0.0,
             verdicts: Vec::new(),
+        };
+        detector.select_bins();
+        detector
+    }
+
+    /// Point the streaming path at the bins Eq. 3 reads for the current
+    /// `f_p` — the ones [`Self::eta`] picks out of the full spectrum.  The
+    /// bank keeps every bin it has ever been asked for, so a controller
+    /// alternating between two pulse frequencies computes each set once.
+    fn select_bins(&mut self) {
+        let (fp, fs, n) = (
+            self.cfg.pulse_freq_hz,
+            self.cfg.sample_rate_hz(),
+            self.bank.window_len(),
+        );
+        self.peak_bins = bins_near(fp, PEAK_TOLERANCE_HZ, fs, n);
+        self.band_bins = bins_in_open_band(fp + PEAK_TOLERANCE_HZ, 2.0 * fp, fs, n);
+        self.bank
+            .cover(*self.peak_bins.start(), *self.peak_bins.end());
+        if !self.band_bins.is_empty() {
+            self.bank
+                .cover(self.band_bins.start, self.band_bins.end - 1);
         }
     }
 
@@ -119,7 +179,10 @@ impl ElasticityDetector {
     /// Change the pulse frequency being looked for (used by watchers that
     /// track the pulser's mode, and by the 2 Hz slow-pulse variant of App. F).
     pub fn set_pulse_freq(&mut self, freq_hz: f64) {
-        self.cfg.pulse_freq_hz = freq_hz;
+        if freq_hz != self.cfg.pulse_freq_hz {
+            self.cfg.pulse_freq_hz = freq_hz;
+            self.select_bins();
+        }
     }
 
     /// Update the minimum-peak guard (the Nimbus controller keeps this at a
@@ -135,33 +198,70 @@ impl ElasticityDetector {
         self.eta_scale = scale;
     }
 
-    /// Compute the elasticity metric η for a ẑ series sampled at the
-    /// configured rate.  Returns `None` until a full window of samples exists.
+    /// Compute the elasticity metric η — `(η, peak at f_p, band maximum)` —
+    /// for a ẑ series sampled at the configured rate: the batch reference.
+    /// Returns `None` until a full window of samples exists.
     pub fn eta(&self, z_series: &[f64]) -> Option<(f64, f64, f64)> {
         let needed = self.cfg.window_samples();
         if z_series.len() < needed {
             return None;
         }
         let window = &z_series[z_series.len() - needed..];
-        let spectrum =
-            Spectrum::of_signal_with_plan(&self.fft_plan, window, self.cfg.sample_rate_hz(), true);
+        let plan = self.fft_plan.get_or_init(|| Fft::new(needed.max(1)));
+        let spectrum = Spectrum::of_signal_with_plan(plan, window, self.cfg.sample_rate_hz(), true);
         let fp = self.cfg.pulse_freq_hz;
         let peak = spectrum.peak_near(fp, PEAK_TOLERANCE_HZ);
         // The comparison band (f_p, 2 f_p): start just above the peak
         // tolerance so the pulse's own leakage is not counted.
         let band = spectrum.peak_in_open_band(fp + PEAK_TOLERANCE_HZ, 2.0 * fp);
-        let eta = if band > 0.0 {
-            peak / band
-        } else {
-            f64::INFINITY
-        };
-        Some((eta, peak, band))
+        Some((eta_ratio(peak, band), peak, band))
     }
 
     /// Evaluate the detector at time `t_s` on the current ẑ series and record
     /// the verdict.  Returns `None` until a full window of samples exists.
     pub fn evaluate(&mut self, t_s: f64, z_series: &[f64]) -> Option<DetectorVerdict> {
-        let (eta, peak, band) = self.eta(z_series)?;
+        let metric = self.eta(z_series)?;
+        Some(self.record(t_s, metric))
+    }
+
+    /// Slide the streaming window by one ẑ sample taken at `t_s`.
+    pub fn push(&mut self, t_s: f64, z_bps: f64) {
+        if self.times.len() == self.bank.window_len() {
+            self.times.pop_front();
+        }
+        self.times.push_back(t_s);
+        self.bank.push(z_bps);
+    }
+
+    /// [`Self::eta`] of the streaming window.  `None` until the window is
+    /// full *and* spans at most `fft_duration_s`.
+    pub fn eta_of_window(&self) -> Option<(f64, f64, f64)> {
+        let n = self.bank.window_len();
+        let (oldest, newest) = (self.times.front()?, self.times.back()?);
+        if self.times.len() < n || newest - oldest > self.cfg.fft_duration_s {
+            return None;
+        }
+        let peak = self.largest_magnitude(self.peak_bins.clone());
+        let band = self.largest_magnitude(self.band_bins.clone());
+        Some((eta_ratio(peak, band), peak, band))
+    }
+
+    /// The largest magnitude among `bins` of the streaming window, in signal
+    /// units like [`Spectrum`]'s.  It is the root of the largest power: one
+    /// square root per search, not one per bin.
+    fn largest_magnitude(&self, bins: impl Iterator<Item = usize>) -> f64 {
+        let power = bins.map(|k| self.bank.power(k)).fold(0.0_f64, f64::max);
+        power.sqrt() / self.bank.window_len() as f64
+    }
+
+    /// Evaluate the detector at time `t_s` on the streaming window and record
+    /// the verdict.  `None` exactly when [`Self::eta_of_window`] is.
+    pub fn evaluate_window(&mut self, t_s: f64) -> Option<DetectorVerdict> {
+        let metric = self.eta_of_window()?;
+        Some(self.record(t_s, metric))
+    }
+
+    fn record(&mut self, t_s: f64, (eta, peak, band): (f64, f64, f64)) -> DetectorVerdict {
         let verdict = DetectorVerdict {
             t_s,
             eta,
@@ -170,7 +270,7 @@ impl ElasticityDetector {
             band_max: band,
         };
         self.verdicts.push(verdict);
-        Some(verdict)
+        verdict
     }
 
     /// The most recent verdict, if any.
@@ -185,15 +285,29 @@ impl ElasticityDetector {
 
     /// Fraction of recorded verdicts (in `[t0, t1]`) that judged the traffic elastic.
     pub fn elastic_fraction(&self, t0_s: f64, t1_s: f64) -> f64 {
-        let in_range: Vec<&DetectorVerdict> = self
+        let (mut in_range, mut elastic) = (0usize, 0usize);
+        for v in self
             .verdicts
             .iter()
             .filter(|v| v.t_s >= t0_s && v.t_s <= t1_s)
-            .collect();
-        if in_range.is_empty() {
+        {
+            in_range += 1;
+            elastic += v.elastic as usize;
+        }
+        if in_range == 0 {
             return 0.0;
         }
-        in_range.iter().filter(|v| v.elastic).count() as f64 / in_range.len() as f64
+        elastic as f64 / in_range as f64
+    }
+}
+
+/// Eq. 3 from its two magnitudes; an empty or silent comparison band makes
+/// any peak infinitely pronounced.
+fn eta_ratio(peak: f64, band: f64) -> f64 {
+    if band > 0.0 {
+        peak / band
+    } else {
+        f64::INFINITY
     }
 }
 

@@ -14,7 +14,9 @@
 //! where `S` and `R` are the flow's send and receive rates measured over the
 //! *same* window of packets (Eq. 2; the sender machinery provides them via
 //! the CCP-style [`Report`]).  The estimator also keeps the sampled history
-//! of `ẑ` (and of `R`) that the elasticity detector's FFT consumes.
+//! of `ẑ` (and of `R`) behind the controller's window means, the watchers'
+//! receive-rate spectra and offline analysis; the elasticity detector keeps
+//! its own window, fed one conditioned sample per report.
 //!
 //! # The strategy API
 //!
@@ -769,7 +771,7 @@ impl CrossTrafficEstimator {
     }
 
     /// The ẑ series (bits/s) covering at most the last `window_s` seconds,
-    /// oldest first — the input to the detector's FFT.
+    /// oldest first — the input to the detector's batch path.
     pub fn z_series(&self, window_s: f64) -> Vec<f64> {
         let latest = match self.samples.back() {
             Some(s) => s.t_s,
@@ -782,22 +784,24 @@ impl CrossTrafficEstimator {
             .collect()
     }
 
-    /// The ẑ series the *detector* should consume: the pre-filtered history
-    /// when a [`ZFilterConfig::Notch`] stage is installed, the raw series
-    /// otherwise.
-    pub fn z_series_conditioned(&self, window_s: f64) -> Vec<f64> {
-        if self.z_prefilter.is_none() {
-            return self.z_series(window_s);
+    /// The ẑ sample the *detector* should consume for the latest report: the
+    /// stored one — sample-and-held through probe epochs, and notch-filtered
+    /// when a [`ZFilterConfig::Notch`] stage is installed — not the raw
+    /// estimate [`Self::on_report`] returns.
+    pub fn latest_conditioned_z(&self) -> Option<f64> {
+        match &self.z_prefilter {
+            Some(_) => self.filtered.back().map(|&(_, z)| z),
+            None => self.samples.back().map(|s| s.z_bps),
         }
-        let latest = match self.filtered.back() {
-            Some(&(t, _)) => t,
-            None => return Vec::new(),
-        };
-        self.filtered
-            .iter()
-            .filter(|(t, _)| latest - t <= window_s)
-            .map(|&(_, z)| z)
-            .collect()
+    }
+
+    /// Mean of the conditioned ẑ samples within `window_s` of the latest one
+    /// (`None` before the first sample), summed in place, oldest first.
+    pub fn mean_conditioned_z(&self, window_s: f64) -> Option<f64> {
+        match &self.z_prefilter {
+            Some(_) => windowed_mean(window_s, self.filtered.iter().copied()),
+            None => windowed_mean(window_s, self.samples.iter().map(|s| (s.t_s, s.z_bps))),
+        }
     }
 
     /// The receive-rate series over the same window (used by watcher flows,
@@ -823,6 +827,22 @@ impl CrossTrafficEstimator {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
+}
+
+/// Mean of the values of `(t_s, value)` samples, oldest first, whose time
+/// lies within `window_s` of the last one's.
+fn windowed_mean(
+    window_s: f64,
+    samples: impl DoubleEndedIterator<Item = (f64, f64)> + Clone,
+) -> Option<f64> {
+    let latest = samples.clone().next_back()?.0;
+    let mut count = 0usize;
+    let sum: f64 = samples
+        .filter(|(t, _)| latest - t <= window_s)
+        .map(|(_, z)| z)
+        .inspect(|_| count += 1)
+        .sum();
+    Some(sum / count as f64)
 }
 
 #[cfg(test)]
@@ -1110,29 +1130,36 @@ mod tests {
         est.set_z_prefilter(Some(Biquad::notch(0.5, 0.7, 100.0)));
         // ẑ oscillating at 0.5 Hz (a link-variation artifact): S constant,
         // R modulated so the Eq. 1 output swings.
+        let mut conditioned = Vec::new();
         for i in 0..4000 {
             let t = i as f64 * 0.01;
             let z_true = 30e6 + 20e6 * (TAU * 0.5 * t).sin();
             let s = 40e6;
             let r = 96e6 * s / (s + z_true);
             est.on_report(&report(t, s, r));
+            conditioned.push(est.latest_conditioned_z().unwrap());
         }
         let raw = est.z_series(5.0);
-        let conditioned = est.z_series_conditioned(5.0);
-        assert_eq!(raw.len(), conditioned.len());
+        let conditioned = &conditioned[conditioned.len() - raw.len()..];
         let swing = |xs: &[f64]| {
             xs.iter().cloned().fold(f64::MIN, f64::max)
                 - xs.iter().cloned().fold(f64::MAX, f64::min)
         };
         assert!(
-            swing(&conditioned) < 0.2 * swing(&raw),
+            swing(conditioned) < 0.2 * swing(&raw),
             "notch left swing {} of {}",
-            swing(&conditioned),
+            swing(conditioned),
             swing(&raw)
         );
-        // Without a pre-filter the conditioned series IS the raw series.
+        // The window mean is over exactly those samples, oldest first.
+        let mean = conditioned.iter().sum::<f64>() / conditioned.len() as f64;
+        assert_eq!(est.mean_conditioned_z(5.0), Some(mean));
+        // Without a pre-filter the conditioned sample IS the stored raw one.
         let mut plain = CrossTrafficEstimator::with_known_mu(96e6, 20.0);
+        assert_eq!(plain.latest_conditioned_z(), None);
+        assert_eq!(plain.mean_conditioned_z(5.0), None);
         plain.on_report(&report(0.0, 40e6, 60e6));
-        assert_eq!(plain.z_series(5.0), plain.z_series_conditioned(5.0));
+        assert_eq!(plain.latest_conditioned_z(), Some(plain.z_series(5.0)[0]));
+        assert_eq!(plain.mean_conditioned_z(5.0), plain.latest_conditioned_z());
     }
 }

@@ -10,8 +10,9 @@
 //! 2. From the CCP-style measurement reports (send rate `S`, receive rate
 //!    `R`) and the known bottleneck rate `µ`, the [`estimator`] computes the
 //!    cross-traffic rate `ẑ = µ·S/R − S` (Eq. 1).
-//! 3. The [`detector`] keeps the last five seconds of `ẑ` samples, takes an
-//!    FFT, and computes the elasticity metric
+//! 3. The [`detector`] keeps the last five seconds of `ẑ` samples and their
+//!    spectrum at the bins Eq. 3 reads (a sliding DFT: one sample in per
+//!    report, no FFT, no allocation), and computes the elasticity metric
 //!    `η = |FFT_ẑ(f_p)| / max_{f∈(f_p,2f_p)} |FFT_ẑ(f)|` (Eq. 3).  `η ≥ 2`
 //!    means some of the cross traffic is reacting to the pulses — it contains
 //!    elastic (ACK-clocked) flows.

@@ -19,7 +19,7 @@
 //!   with a fixed probability.
 
 use nimbus_core_types::REPORT_INTERVAL;
-use nimbus_dsp::{Ewma, Spectrum};
+use nimbus_dsp::{Ewma, Fft, Spectrum};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -90,6 +90,11 @@ pub struct Multiflow {
     f_pd_hz: f64,
     /// FFT duration used in the election probability (Eq. 5).
     fft_duration_s: f64,
+    /// FFT plans for the receive-rate series, newest last.  The series grows
+    /// one sample per report while the window fills and then sits at one of
+    /// two lengths (whether the sample exactly one window old still counts
+    /// is a rounding matter), so the last two plans are the ones reused.
+    plans: Vec<Fft>,
 }
 
 impl Multiflow {
@@ -122,6 +127,7 @@ impl Multiflow {
             f_pc_hz,
             f_pd_hz,
             fft_duration_s,
+            plans: Vec::new(),
         };
         mf.role_log.push((0.0, role));
         mf
@@ -155,12 +161,11 @@ impl Multiflow {
     /// surrounding band rather than its maximum: the asymmetric pulse has
     /// harmonics at multiples of `f_p`, and a max-based background would let
     /// the pulser's own harmonics mask its fundamental.
-    pub fn detect_pulser(&self, recv_rate_series: &[f64]) -> PulserPresence {
+    pub fn detect_pulser(&mut self, recv_rate_series: &[f64]) -> PulserPresence {
         if recv_rate_series.len() < 64 {
             return PulserPresence::None;
         }
-        let sample_rate_hz = 1.0 / REPORT_INTERVAL.as_secs_f64();
-        let spectrum = Spectrum::of_signal(recv_rate_series, sample_rate_hz, true);
+        let spectrum = self.spectrum_of(recv_rate_series);
         let tol = PRESENCE_TOLERANCE_HZ;
         let fc = self.f_pc_hz;
         let fd = self.f_pd_hz;
@@ -193,6 +198,23 @@ impl Multiflow {
                 }
             }
         }
+    }
+
+    /// Mean-removed magnitude spectrum of a receive-rate series sampled at
+    /// the report cadence — [`Spectrum::of_signal`] without rebuilding the
+    /// FFT plan for a length seen on one of the last two calls.
+    pub fn spectrum_of(&mut self, recv_rate_series: &[f64]) -> Spectrum {
+        let n = recv_rate_series.len();
+        let held = self.plans.iter().position(|plan| plan.len() == n);
+        let held = held.unwrap_or_else(|| {
+            if self.plans.len() == 2 {
+                self.plans.remove(0);
+            }
+            self.plans.push(Fft::new(n));
+            self.plans.len() - 1
+        });
+        let sample_rate_hz = 1.0 / REPORT_INTERVAL.as_secs_f64();
+        Spectrum::of_signal_with_plan(&self.plans[held], recv_rate_series, sample_rate_hz, true)
     }
 
     /// Run one watcher election decision (Eq. 5).  `recv_rate_bps` is this
@@ -274,7 +296,7 @@ mod tests {
 
     #[test]
     fn watcher_detects_pulser_and_its_mode() {
-        let mf = multiflow(MultiflowConfig::enabled(), 2);
+        let mut mf = multiflow(MultiflowConfig::enabled(), 2);
         let competitive = recv_series_with_pulses(5.0, 6.0, 6e6);
         let delay = recv_series_with_pulses(6.0, 6.0, 6e6);
         let silent: Vec<f64> = vec![20e6; 600];

@@ -20,27 +20,32 @@ use proptest::prelude::*;
 /// `(scheme, cell name, fingerprint)`: the 12 pre-redesign variants alone on
 /// a 48 Mbit/s link, fingerprints captured on the `Scheme` enum path
 /// immediately before the `SchemeSpec` redesign.
+///
+/// The rows whose detector yields a verdict were re-pinned when η moved from
+/// the per-report FFT to the sliding DFT (`eta_series` is hashed at full
+/// precision and moved by ≤ 1e-12 relative); `FINGERPRINTS.md` has the
+/// per-cell diff — recorder output, verdicts and mode logs all identical.
 const PRE_REDESIGN_ALONE: &[(&str, &str, u64)] = &[
-    ("nimbus", "nimbus@48M-vs-alone-seed17", 0xce3f74cac3359920),
+    ("nimbus", "nimbus@48M-vs-alone-seed17", 0x9daf1fdfe15a0acc),
     (
         "nimbus(delay=copa)",
         "nimbus-copa@48M-vs-alone-seed17",
-        0x2d6e8740ed491d80,
+        0x5f41e0d2a01c2a1b,
     ),
     (
         "nimbus(delay=vegas)",
         "nimbus-vegas@48M-vs-alone-seed17",
-        0x04572f105fb3b2aa,
+        0x3a5af2429c2df5b0,
     ),
     (
         "nimbus(switch=never)",
         "nimbus-delay@48M-vs-alone-seed17",
-        0x9079dcd6146debec,
+        0x39dbcd0866d6e410,
     ),
     (
         "nimbus(mu=learned)",
         "nimbus-estmu@48M-vs-alone-seed17",
-        0x098248daeaa57721,
+        0x8404ff5bab056907,
     ),
     ("cubic", "cubic@48M-vs-alone-seed17", 0x468305ac73be07af),
     ("newreno", "newreno@48M-vs-alone-seed17", 0x7658b2ca552df73a),
@@ -61,26 +66,26 @@ const PRE_REDESIGN_ALONE: &[(&str, &str, u64)] = &[
 
 /// The five Nimbus flavours against an elastic Cubic competitor at 96 Mbit/s.
 const PRE_REDESIGN_VS_CUBIC: &[(&str, &str, u64)] = &[
-    ("nimbus", "nimbus@96M-vs-cubic-seed18", 0x4fb8913e960cd2c2),
+    ("nimbus", "nimbus@96M-vs-cubic-seed18", 0x8c301ace89c63244),
     (
         "nimbus(delay=copa)",
         "nimbus-copa@96M-vs-cubic-seed18",
-        0xba48b59353abe99b,
+        0xf40e65d76c0ec1a6,
     ),
     (
         "nimbus(delay=vegas)",
         "nimbus-vegas@96M-vs-cubic-seed18",
-        0xc04599233c8de4c0,
+        0x45059872698f1e48,
     ),
     (
         "nimbus(switch=never)",
         "nimbus-delay@96M-vs-cubic-seed18",
-        0xce660627c2f715ad,
+        0x5c754b34039df50f,
     ),
     (
         "nimbus(mu=learned)",
         "nimbus-estmu@96M-vs-cubic-seed18",
-        0xd323b5297c3678d4,
+        0xf567457982251b7b,
     ),
 ];
 
