@@ -67,18 +67,19 @@ fn bench_eventq(c: &mut Criterion) {
     // horizon and pops advance monotonically.  The LCG is the same cheap
     // mixer the queue's own unit tests use; jitter snaps to a grid so
     // same-timestamp ties occur.
-    let schedule: Vec<(u64, u64)> = {
+    let lcg_schedule = |max_jitter_ns: u64| -> Vec<(u64, u64)> {
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         (0..4096)
             .map(|_| {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                let jitter = (x >> 33) % 40_000_000; // 0..40 ms
+                let jitter = (x >> 33) % max_jitter_ns;
                 (jitter / 7 * 7, x)
             })
             .collect()
     };
+    let schedule = lcg_schedule(40_000_000); // 0..40 ms
     c.bench_function("eventq_push_pop_4096", |b| {
         b.iter(|| {
             let mut q: CalendarQueue<u64> = CalendarQueue::new();
@@ -119,6 +120,54 @@ fn bench_eventq(c: &mut Criterion) {
             while let Some((_, _, p)) = q.pop() {
                 black_box(p);
             }
+        })
+    });
+    // The dense regime: `fleet_churn`'s 1 Gbit/s link puts ~74 events through
+    // every 2^18 ns bucket.  Every iteration pushes as many events as it
+    // pops, uniformly over the next 16 buckets, so an event waits 8 buckets
+    // on average and `live` pending events put live / 8 through each bucket
+    // (Little's law) for the whole run instead of building up to it.
+    let dense = lcg_schedule(16 << 18);
+    let prefilled = |live: usize| {
+        let mut q: CalendarQueue<u64> = CalendarQueue::new();
+        let mut seq = 0u64;
+        for &(jitter, payload) in &dense[..live] {
+            seq += 1;
+            q.push(Time(jitter), seq, payload);
+        }
+        (q, seq)
+    };
+    c.bench_function("eventq_dense_push_pop_4096", |b| {
+        b.iter(|| {
+            let (mut q, mut seq) = prefilled(74 * 8);
+            let mut now = 0u64;
+            for &(jitter, payload) in &dense {
+                seq += 1;
+                q.push(Time(now + jitter), seq, payload);
+                let (at, _, p) = q.pop().expect("queue non-empty");
+                now = at.0;
+                black_box(p);
+            }
+            black_box(q.len())
+        })
+    });
+    c.bench_function("eventq_dense_reschedule_4096", |b| {
+        b.iter(|| {
+            // The stale twin waits 0.7 ms longer: 9.3 buckets on average.
+            let (mut q, mut seq) = prefilled(74 * 93 / 10);
+            let mut now = 0u64;
+            for &(jitter, payload) in &dense {
+                seq += 1;
+                q.push(Time(now + jitter), seq, payload);
+                seq += 1;
+                q.push(Time(now + jitter + 700_000), seq, payload ^ 1);
+                for _ in 0..2 {
+                    let (at, _, p) = q.pop().expect("queue non-empty");
+                    now = at.0;
+                    black_box(p);
+                }
+            }
+            black_box(q.len())
         })
     });
 }

@@ -27,34 +27,48 @@ pub fn stddev(xs: &[f64]) -> f64 {
 
 /// Percentile via linear interpolation between closest ranks.
 ///
-/// `p` is in `[0, 100]`. Returns 0.0 for an empty slice.
+/// `p` is in `[0, 100]`. Returns 0.0 for an empty slice.  Samples are ordered
+/// by [`f64::total_cmp`], so a NaN sorts above every number instead of
+/// panicking.  Selects the two ranks it reads instead of sorting: the result
+/// is the one [`percentile_of_sorted`] gives on the `total_cmp`-sorted copy.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
+    if xs.len() < 2 {
+        return xs.first().copied().unwrap_or(0.0);
     }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    percentile_of_sorted(&sorted, p)
+    let (lo, hi, frac) = closest_ranks(xs.len(), p);
+    let mut scratch = xs.to_vec();
+    let (_, &mut at_lo, above) = scratch.select_nth_unstable_by(lo, f64::total_cmp);
+    if lo == hi {
+        return at_lo;
+    }
+    // `hi == lo + 1`: the next rank is the smallest sample above `lo`.
+    let at_hi = above.iter().copied().min_by(f64::total_cmp);
+    interpolate(at_lo, at_hi.expect("hi < len"), frac)
 }
 
 /// Percentile of an already sorted slice.
 pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+    if sorted.len() < 2 {
+        return sorted.first().copied().unwrap_or(0.0);
     }
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let p = p.clamp(0.0, 100.0);
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
+    let (lo, hi, frac) = closest_ranks(sorted.len(), p);
     if lo == hi {
         sorted[lo]
     } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        interpolate(sorted[lo], sorted[hi], frac)
     }
+}
+
+/// The two ranks percentile `p` of `len >= 2` samples falls between, and how
+/// far from the lower one.
+fn closest_ranks(len: usize, p: f64) -> (usize, usize, f64) {
+    let rank = p.clamp(0.0, 100.0) / 100.0 * (len - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
+}
+
+fn interpolate(at_lo: f64, at_hi: f64, frac: f64) -> f64 {
+    at_lo * (1.0 - frac) + at_hi * frac
 }
 
 /// Median (50th percentile).
@@ -310,6 +324,16 @@ mod tests {
     }
 
     #[test]
+    fn percentile_orders_nan_last_instead_of_panicking() {
+        // A NaN among the samples used to hit `partial_cmp(..).unwrap()`.
+        let xs = [3.0, f64::NAN, 1.0, 2.0];
+        assert_eq!(percentile(&xs, 0.0), 1.0);
+        assert_eq!(median(&xs[..3]), 3.0);
+        assert_eq!(percentile(&xs, 50.0), 2.5);
+        assert!(percentile(&xs, 100.0).is_nan());
+    }
+
+    #[test]
     fn mean_and_stddev() {
         let xs = vec![2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
@@ -399,6 +423,29 @@ mod tests {
                                      p1 in 0.0f64..100.0, p2 in 0.0f64..100.0) {
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
             prop_assert!(percentile(&xs, lo) <= percentile(&xs, hi) + 1e-9);
+        }
+
+        // `percentile` selects; the reference sorts the whole copy.  Same
+        // bits for lengths 1, 2, odd and even, on samples drawn from a
+        // handful of values so that ranks sit inside runs of duplicates.
+        #[test]
+        fn prop_percentile_matches_sort_based_reference(
+            long in proptest::collection::vec(0u8..12, 3..200),
+            short in proptest::collection::vec(0u8..3, 1..3),
+            p_free in 0.0f64..100.0,
+        ) {
+            for xs in [long, short] {
+                let xs: Vec<f64> = xs.iter().map(|&v| (v as f64 - 4.0) * 0.3).collect();
+                let mut sorted = xs.clone();
+                sorted.sort_by(f64::total_cmp);
+                for p in [0.0, 37.5, 50.0, 99.0, 100.0, p_free] {
+                    prop_assert_eq!(
+                        percentile(&xs, p).to_bits(),
+                        percentile_of_sorted(&sorted, p).to_bits(),
+                        "p={} xs={:?}", p, xs
+                    );
+                }
+            }
         }
 
         #[test]

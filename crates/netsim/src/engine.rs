@@ -317,19 +317,19 @@ pub struct FlowHandle(pub FlowId);
 
 /// Pending-event descriptor.  Packet and ACK payloads live in the engine's
 /// slabs for the duration of their propagation; events carry only the 4-byte
-/// slab ticket, which keeps every queue entry small (two words) no matter the
-/// payload — the queue's push/pop traffic is dominated by the payload-free
-/// `LinkDone`/`PollSend` kinds.
+/// slab ticket, and flow, hop and spawner indices are stored as `u32`, so the
+/// descriptor is two words and a calendar-queue entry four — what the
+/// queue's bucket sort and ordered insert move around.
 #[derive(Debug)]
 enum EventKind {
-    FlowStart(FlowId),
-    PollSend(FlowId),
+    FlowStart(u32),
+    PollSend(u32),
     /// Hop `hop` finished serializing its in-flight packet.  Tagged with the
     /// link generation at scheduling time: a rate transition mid-
     /// serialization bumps the generation and reschedules, orphaning the old
     /// entry, which must then be ignored.
     LinkDone {
-        hop: usize,
+        hop: u32,
         gen: u64,
     },
     /// A data packet propagated from one hop's output to the next hop's
@@ -344,13 +344,20 @@ enum EventKind {
     /// in-flight packet's byte progress under the outgoing rate and
     /// reschedule its completion under the incoming one.
     RateChange {
-        hop: usize,
+        hop: u32,
     },
     /// Spawner `idx`'s next pending flow arrives now: add it, fetch the
     /// following arrival and reschedule.
-    Spawn(usize),
+    Spawn(u32),
     Tick,
     Sample,
+}
+
+const _: () = assert!(std::mem::size_of::<EventKind>() == 16);
+
+/// Narrow a flow, hop or spawner index for an [`EventKind`].
+fn idx32(i: usize) -> u32 {
+    u32::try_from(i).expect("more than u32::MAX flows, hops or spawners")
 }
 
 /// A registered [`FlowSpawner`] plus its pre-fetched next arrival (fetched
@@ -579,7 +586,7 @@ impl Network {
             cfg.start,
             cfg.size_bytes,
         );
-        self.schedule(cfg.start, EventKind::FlowStart(id));
+        self.schedule(cfg.start, EventKind::FlowStart(idx32(id)));
         self.flows.push(FlowState {
             cfg,
             endpoint,
@@ -607,7 +614,7 @@ impl Network {
             let at = next.0;
             state.pending = Some(next);
             let idx = self.spawners.len();
-            self.schedule(at, EventKind::Spawn(idx));
+            self.schedule(at, EventKind::Spawn(idx32(idx)));
         }
         self.spawners.push(Some(state));
     }
@@ -634,7 +641,7 @@ impl Network {
                 .schedule
                 .next_transition_after(Time::ZERO)
             {
-                self.schedule(at, EventKind::RateChange { hop });
+                self.schedule(at, EventKind::RateChange { hop: idx32(hop) });
             }
         }
         while let Some((at, _seq, kind)) = self.events.pop() {
@@ -738,6 +745,7 @@ impl Network {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::FlowStart(id) => {
+                let id = id as FlowId;
                 if !self.flows[id].started {
                     self.flows[id].started = true;
                     let pos = self.active_flows.binary_search(&id).unwrap_or_else(|p| p);
@@ -755,13 +763,14 @@ impl Network {
                 // reschedule itself and the poll chains would multiply without
                 // bound (each ACK that moves the wake-up earlier would leak
                 // one immortal chain).
+                let id = id as FlowId;
                 if self.now != self.flows[id].next_scheduled_poll {
                     return;
                 }
                 self.flows[id].next_scheduled_poll = Time::MAX;
                 self.poll_flow(id)
             }
-            EventKind::LinkDone { hop, gen } => self.on_link_done(hop, gen),
+            EventKind::LinkDone { hop, gen } => self.on_link_done(hop as usize, gen),
             EventKind::HopArrival(ticket) => {
                 let pkt = self.pkt_slab.take(ticket);
                 self.on_hop_arrival(pkt);
@@ -774,8 +783,9 @@ impl Network {
                 let ack = self.ack_slab.take(ticket);
                 self.on_ack_arrival(ack);
             }
-            EventKind::RateChange { hop } => self.on_rate_change(hop),
+            EventKind::RateChange { hop } => self.on_rate_change(hop as usize),
             EventKind::Spawn(idx) => {
+                let idx = idx as usize;
                 // Take the state out so `add_flow` can borrow `self` freely.
                 if let Some(mut state) = self.spawners[idx].take() {
                     if let Some((at, cfg, endpoint)) = state.pending.take() {
@@ -788,7 +798,7 @@ impl Network {
                     if let Some(next) = state.spawner.next_flow() {
                         let at = next.0;
                         state.pending = Some(next);
-                        self.schedule(at, EventKind::Spawn(idx));
+                        self.schedule(at, EventKind::Spawn(idx32(idx)));
                     }
                     self.spawners[idx] = Some(state);
                 }
@@ -849,7 +859,7 @@ impl Network {
                     // would pile up duplicate events.
                     if self.flows[id].next_scheduled_poll > t {
                         self.flows[id].next_scheduled_poll = t;
-                        self.schedule(t, EventKind::PollSend(id));
+                        self.schedule(t, EventKind::PollSend(idx32(id)));
                     }
                     break;
                 }
@@ -958,6 +968,7 @@ impl Network {
             });
             self.links[hop].gen += 1;
             let gen = self.links[hop].gen;
+            let hop = idx32(hop);
             self.schedule(self.now + tx, EventKind::LinkDone { hop, gen });
         }
     }
@@ -981,6 +992,7 @@ impl Network {
             link.gen += 1;
             let gen = link.gen;
             let at = self.now + tx;
+            let hop = idx32(hop);
             self.schedule(at, EventKind::LinkDone { hop, gen });
         }
         // Keep delay-specified buffers coherent with the new rate.
@@ -998,7 +1010,7 @@ impl Network {
         }
         link.queue.set_drain_rate_bps(new_rate);
         if let Some(at) = self.cfg.path[hop].schedule.next_transition_after(self.now) {
-            self.schedule(at, EventKind::RateChange { hop });
+            self.schedule(at, EventKind::RateChange { hop: idx32(hop) });
         }
     }
 
@@ -1037,12 +1049,19 @@ impl Network {
         let flow = &mut self.flows[id];
         // Receiver: cumulative ACK generation with duplicate-data suppression.
         let mut newly_delivered = 0u64;
-        if pkt.seq >= flow.next_expected && !flow.out_of_order.contains_key(&pkt.seq) {
-            flow.out_of_order.insert(pkt.seq, pkt.size_bytes);
-        }
-        while let Some(sz) = flow.out_of_order.remove(&flow.next_expected) {
-            newly_delivered += sz as u64;
+        if pkt.seq == flow.next_expected && flow.out_of_order.is_empty() {
+            // In order with nothing buffered — every packet of a loss-free
+            // flow: deliver it without a round trip through the map.
+            newly_delivered = pkt.size_bytes as u64;
             flow.next_expected += 1;
+        } else {
+            if pkt.seq >= flow.next_expected && !flow.out_of_order.contains_key(&pkt.seq) {
+                flow.out_of_order.insert(pkt.seq, pkt.size_bytes);
+            }
+            while let Some(sz) = flow.out_of_order.remove(&flow.next_expected) {
+                newly_delivered += sz as u64;
+                flow.next_expected += 1;
+            }
         }
         flow.delivered_bytes += newly_delivered;
         self.total_delivered_bytes += newly_delivered;

@@ -6,15 +6,20 @@
 //! ascending, i.e. timestamp then insertion order — for every schedule the
 //! engine can produce.  The engine's schedules are *monotone*: `schedule()`
 //! clamps `at` to `max(at, now)`, so no push is ever earlier than the last
-//! pop.  This test drives both queues through random monotone schedules and
-//! asserts identical pop sequences, covering the hard cases explicitly:
+//! pop.  These tests drive both queues through random monotone schedules and
+//! assert identical pop sequences, covering the hard cases explicitly:
 //!
 //! * same-timestamp ties (timestamps snapped to a coarse grid so collisions
 //!   are common — insertion order must break them);
 //! * pushes beyond the wheel horizon (the overflow heap path);
 //! * cancel/reschedule via generation tags, the engine's idiom for moving a
 //!   timer: the stale entry stays queued and is skipped on pop, so both
-//!   queues must agree on the *full* sequence including stale entries.
+//!   queues must agree on the *full* sequence including stale entries;
+//! * the dense regime (a 1 Gbit/s link puts ~74 events in every 262 µs
+//!   bucket): 64–256 live events per bucket, pushes into the bucket being
+//!   drained — at the last popped timestamp and below entries already sorted
+//!   there — overflow events that come due before the wheel's minimum, and
+//!   runs long enough to reuse every wheel slot.
 
 use nimbus_netsim::CalendarQueue;
 use nimbus_netsim::Time;
@@ -27,22 +32,74 @@ use std::collections::BinaryHeap;
 /// generation are "cancelled" and skipped by the consumer on pop.
 type Tag = (u32, u32);
 
-/// Reference implementation: the engine's old queue. `(at, seq)` is unique
-/// (seq strictly increases), so ordering by the full tuple equals ordering
-/// by `(at, seq)` — the payload never influences the order.
+/// The queue's geometry, restated here because the dense schedules aim at
+/// particular buckets: 2^18 ns buckets, 1024 of them.
+const BUCKET_NS: u64 = 1 << 18;
+const WHEEL_BUCKETS: u64 = 1024;
+
+/// The calendar queue and the reference it replaced — `(at, seq)` is unique
+/// (seq strictly increases), so a heap over the full tuple orders by
+/// `(at, seq)` and the payload never influences the order — driven in lock
+/// step.
 #[derive(Default)]
-struct HeapRef {
+struct Pair {
+    cal: CalendarQueue<Tag>,
     heap: BinaryHeap<Reverse<(u64, u64, Tag)>>,
+    /// Current generation per timer id.
+    gen: [u32; 16],
+    seq: u64,
+    /// Time of the last pop, ns.
+    now: u64,
+    pops: u64,
+    live_pops: Vec<(u64, u64, Tag)>,
 }
 
-impl HeapRef {
-    fn push(&mut self, at: Time, seq: u64, item: Tag) {
-        self.heap.push(Reverse((at.0, seq, item)));
+impl Pair {
+    fn push(&mut self, at: u64, id: u32) {
+        assert!(at >= self.now, "test schedule must be monotone");
+        self.seq += 1;
+        let tag = (id, self.gen[id as usize]);
+        self.cal.push(Time(at), self.seq, tag);
+        self.heap.push(Reverse((at, self.seq, tag)));
     }
-    fn pop(&mut self) -> Option<(Time, u64, Tag)> {
-        self.heap
+
+    /// Cancel timer `id` by bumping its generation, then push the
+    /// replacement; the stale entry stays in both queues.
+    fn reschedule(&mut self, at: u64, id: u32) {
+        self.gen[id as usize] += 1;
+        self.push(at, id);
+    }
+
+    /// Pop once from both; `false` once both are empty.  `label` names the
+    /// case and step in the failure message.
+    fn pop(&mut self, label: &dyn Fn() -> String) -> bool {
+        let got = self.cal.pop();
+        let want = self
+            .heap
             .pop()
-            .map(|Reverse((at, seq, item))| (Time(at), seq, item))
+            .map(|Reverse((at, seq, tag))| (Time(at), seq, tag));
+        assert_eq!(got, want, "{}", label());
+        let Some((at, s, tag)) = got else {
+            return false;
+        };
+        assert!(at.0 >= self.now, "pop went backwards: {}", label());
+        self.now = at.0;
+        self.pops += 1;
+        if tag.1 == self.gen[tag.0 as usize] {
+            self.live_pops.push((at.0, s, tag));
+        }
+        true
+    }
+
+    /// Drain both to empty — tails must agree too — then check that every
+    /// push was popped exactly once and the live stream is `(at, seq)`-sorted.
+    fn finish(mut self, label: &dyn Fn() -> String) {
+        while self.pop(label) {}
+        assert!(self.cal.is_empty());
+        assert_eq!(self.pops, self.seq, "{}", label());
+        for w in self.live_pops.windows(2) {
+            assert!((w[0].0, w[0].1) < (w[1].0, w[1].1), "{}", label());
+        }
     }
 }
 
@@ -59,76 +116,103 @@ proptest! {
     fn calendar_queue_matches_binary_heap_pop_for_pop(
         ops in collection::vec((0u8..10, 0u64..400, 0u32..16), 1..800),
     ) {
-        let mut cal: CalendarQueue<Tag> = CalendarQueue::new();
-        let mut heap = HeapRef::default();
-        let mut gen = [0u32; 16]; // current generation per timer id
-        let mut seq = 0u64;
-        let mut now = 0u64; // ns, time of the last pop
-        let mut pops = 0u64;
-        let mut live_pops: Vec<(u64, u64, Tag)> = Vec::new();
-
+        let mut pair = Pair::default();
+        let label = || "inputs above".to_string();
         // `delta` spans 0..400 ticks = 0..280 ms: the wheel horizon is
         // ~268 ms, so the top of the range lands in the overflow heap.
         for (op, delta, id) in ops {
+            let at = pair.now + delta * TICK;
             match op {
-                0..=5 => {
-                    // Plain push at or after `now` (monotone, tie-prone).
-                    let at = Time(now + delta * TICK);
-                    seq += 1;
-                    cal.push(at, seq, (id, gen[id as usize]));
-                    heap.push(at, seq, (id, gen[id as usize]));
-                }
+                0..=5 => pair.push(at, id),
                 6..=7 => {
-                    // Pop once from both; sequences must agree exactly.
-                    let got = cal.pop();
-                    let want = heap.pop();
-                    prop_assert_eq!(got, want);
-                    if let Some((at, s, tag)) = got {
-                        prop_assert!(at.0 >= now, "pop went backwards in time");
-                        now = at.0;
-                        pops += 1;
-                        if tag.1 == gen[tag.0 as usize] {
-                            live_pops.push((at.0, s, tag));
+                    pair.pop(&label);
+                }
+                _ => pair.reschedule(at, id),
+            }
+        }
+        pair.finish(&label);
+    }
+
+    // The dense regime.  Bursts of 64–256 events land in one bucket: the one
+    // being drained (`ahead == 0`, so some sit at the last popped timestamp
+    // and some below entries already sorted there), a nearby one, or one up
+    // to 1100 buckets out — past the 1024-bucket horizon, so into the
+    // overflow heap, where it comes due while later bursts fill the wheel
+    // behind it.  Pops run a few hundred at a time, so buckets are left
+    // half-drained when the next burst arrives, and virtual time crosses
+    // several wheel turns per case.
+    #[test]
+    fn dense_buckets_match_binary_heap_pop_for_pop(seed in 0u64..1_000_000) {
+        let mut rng = TestRng::new(seed);
+        let mut pair = Pair::default();
+        for step in 0..120 {
+            let label = || format!("seed={seed} step={step}");
+            match rng.range_u64(0, 10) {
+                0..=4 => {
+                    let ahead = match rng.range_u64(0, 4) {
+                        0 => 0,
+                        1 => rng.range_u64(0, 3),
+                        _ => rng.range_u64(0, WHEEL_BUCKETS + 76),
+                    };
+                    let bucket_start = (pair.now / BUCKET_NS + ahead) * BUCKET_NS;
+                    let n = rng.range_u64(64, 257);
+                    for _ in 0..n {
+                        // A 4 µs grid: 64 distinct timestamps per bucket, so
+                        // a burst is mostly ties.
+                        let at = bucket_start + rng.range_u64(0, 64) * (BUCKET_NS / 64);
+                        let id = rng.range_u64(0, 16) as u32;
+                        if rng.range_u64(0, 8) == 0 {
+                            pair.reschedule(at.max(pair.now), id);
+                        } else {
+                            pair.push(at.max(pair.now), id);
                         }
                     }
                 }
-                _ => {
-                    // Reschedule timer `id`: cancel by bumping the
-                    // generation, then push the replacement at a new time.
-                    // The stale entry stays in both queues.
-                    gen[id as usize] += 1;
-                    let at = Time(now + delta * TICK);
-                    seq += 1;
-                    cal.push(at, seq, (id, gen[id as usize]));
-                    heap.push(at, seq, (id, gen[id as usize]));
-                }
-            }
-        }
-
-        // Drain both to empty — tails must agree too.
-        loop {
-            let got = cal.pop();
-            let want = heap.pop();
-            prop_assert_eq!(got, want);
-            match got {
-                Some((at, s, tag)) => {
-                    prop_assert!(at.0 >= now);
-                    now = at.0;
-                    pops += 1;
-                    if tag.1 == gen[tag.0 as usize] {
-                        live_pops.push((at.0, s, tag));
+                5 => {
+                    // Exactly the last popped timestamp, several times over.
+                    for id in 0..4 {
+                        pair.push(pair.now, id);
                     }
                 }
-                None => break,
+                _ => {
+                    for _ in 0..rng.range_u64(1, 400) {
+                        pair.pop(&label);
+                    }
+                }
             }
         }
-        prop_assert!(cal.is_empty());
+        let label = || format!("seed={seed} drain");
+        pair.finish(&label);
+    }
+}
 
-        // Every push was popped exactly once (no loss, no duplication), and
-        // the live stream is itself (at, seq)-sorted.
-        prop_assert_eq!(pops, seq);
-        for w in live_pops.windows(2) {
-            prop_assert!((w[0].0, w[0].1) < (w[1].0, w[1].1));
+/// One long dense run: ~140 events through every bucket for more than a full
+/// turn of the wheel, so every slot is sorted, drained and reused by the
+/// bucket 1024 above it while its neighbours are still full.
+#[test]
+fn dense_population_survives_a_wheel_wrap() {
+    let mut rng = TestRng::new(16);
+    let mut pair = Pair::default();
+    let mut step = 0u64;
+    while pair.now / BUCKET_NS < WHEEL_BUCKETS + 200 {
+        step += 1;
+        let label = || format!("seed=16 step={step}");
+        // Keep ~600 events live across the next four buckets; one push in
+        // 500 is an RTO-scale timer that sits in the overflow heap until the
+        // dense cluster catches up with it.
+        while pair.cal.len() < 600 {
+            let jitter = if rng.range_u64(0, 500) == 0 {
+                WHEEL_BUCKETS * BUCKET_NS + rng.range_u64(0, 8 * BUCKET_NS)
+            } else {
+                rng.range_u64(0, 4 * BUCKET_NS) / 4096 * 4096
+            };
+            pair.push(pair.now + jitter, rng.range_u64(0, 16) as u32);
+        }
+        for _ in 0..rng.range_u64(1, 300) {
+            pair.pop(&label);
         }
     }
+    let per_bucket = pair.pops / (pair.now / BUCKET_NS);
+    assert!((64..=256).contains(&per_bucket), "{per_bucket} per bucket");
+    pair.finish(&|| "seed=16 drain".to_string());
 }

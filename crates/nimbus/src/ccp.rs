@@ -21,8 +21,9 @@ struct AckRecord {
     sent_at: Time,
     /// When its ACK arrived back at the sender.
     acked_at: Time,
-    /// Bytes covered by this ACK (newly acknowledged).
-    bytes: u64,
+    /// Bytes acknowledged by every record up to and including this one, so
+    /// the bytes between two records are one subtraction.
+    cum_bytes: u64,
 }
 
 /// Aggregate measurements delivered to a congestion controller on each tick.
@@ -54,7 +55,10 @@ pub struct Report {
 /// Builds [`Report`]s from per-ACK records.
 #[derive(Debug, Clone)]
 pub struct ReportAggregator {
+    /// Ordered by `acked_at` (see [`ReportAggregator::on_ack`]).
     records: VecDeque<AckRecord>,
+    /// Bytes over all records ever pushed; the next record's `cum_bytes`.
+    recorded_bytes: u64,
     /// Length of the S/R measurement window.
     measurement_window: Time,
     acked_since_report: u64,
@@ -71,6 +75,7 @@ impl ReportAggregator {
     pub fn new(measurement_window: Time) -> Self {
         ReportAggregator {
             records: VecDeque::new(),
+            recorded_bytes: 0,
             measurement_window,
             acked_since_report: 0,
             lost_since_report: 0,
@@ -92,7 +97,9 @@ impl ReportAggregator {
         self.measurement_window
     }
 
-    /// Record one acknowledgement.
+    /// Record one acknowledgement.  `acked_at` is the host's clock at ACK
+    /// arrival and must not decrease from one call to the next: eviction
+    /// and the rate window both read the records as ordered by it.
     pub fn on_ack(&mut self, sent_at: Time, acked_at: Time, newly_acked_bytes: u64, rtt: Time) {
         self.acked_since_report += newly_acked_bytes;
         self.latest_rtt = rtt;
@@ -101,10 +108,11 @@ impl ReportAggregator {
             Some(m) => m.min(rtt),
         });
         if newly_acked_bytes > 0 {
+            self.recorded_bytes += newly_acked_bytes;
             self.records.push_back(AckRecord {
                 sent_at,
                 acked_at,
-                bytes: newly_acked_bytes,
+                cum_bytes: self.recorded_bytes,
             });
         }
         // Evict records older than ~4 windows so memory stays bounded even if
@@ -135,18 +143,16 @@ impl ReportAggregator {
     /// the same set of packets is used for both rates.
     pub fn rates(&self, now: Time) -> (f64, f64, usize) {
         let start = now.saturating_sub(self.measurement_window);
-        let window: Vec<&AckRecord> = self
-            .records
-            .iter()
-            .filter(|r| r.acked_at >= start)
-            .collect();
-        if window.len() < 2 {
-            return (0.0, 0.0, window.len());
+        // Records are ordered by `acked_at`, so the window is a suffix.
+        let first_idx = self.records.partition_point(|r| r.acked_at < start);
+        let n = self.records.len() - first_idx;
+        if n < 2 {
+            return (0.0, 0.0, n);
         }
-        let first = window.first().unwrap();
-        let last = window.last().unwrap();
+        let first = &self.records[first_idx];
+        let last = &self.records[self.records.len() - 1];
         // Bytes covered by packets after the first (rate over n-1 gaps).
-        let bytes: u64 = window.iter().skip(1).map(|r| r.bytes).sum();
+        let bytes = last.cum_bytes - first.cum_bytes;
         let send_span = last.sent_at.saturating_sub(first.sent_at).as_secs_f64();
         let recv_span = last.acked_at.saturating_sub(first.acked_at).as_secs_f64();
         let s = if send_span > 1e-9 {
@@ -159,7 +165,7 @@ impl ReportAggregator {
         } else {
             0.0
         };
-        (s, r, window.len())
+        (s, r, n)
     }
 
     /// Produce the report for the tick at `now` and reset the per-report counters.
@@ -188,6 +194,97 @@ impl ReportAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The S/R measurement as it was before the window became a suffix
+    /// lookup: per-ACK byte counts, the window found by filtering every
+    /// record, the bytes summed one by one.  Kept as the reference
+    /// [`ReportAggregator::rates`] is held to, bit for bit.
+    struct FilteringAggregator {
+        records: VecDeque<(Time, Time, u64)>,
+        measurement_window: Time,
+    }
+
+    impl FilteringAggregator {
+        fn on_ack(&mut self, sent_at: Time, acked_at: Time, bytes: u64) {
+            if bytes > 0 {
+                self.records.push_back((sent_at, acked_at, bytes));
+            }
+            let horizon = acked_at.saturating_sub(self.measurement_window.mul_f64(4.0));
+            while self.records.front().is_some_and(|r| r.1 < horizon) {
+                self.records.pop_front();
+            }
+        }
+
+        fn rates(&self, now: Time) -> (f64, f64, usize) {
+            let start = now.saturating_sub(self.measurement_window);
+            let window: Vec<_> = self.records.iter().filter(|r| r.1 >= start).collect();
+            if window.len() < 2 {
+                return (0.0, 0.0, window.len());
+            }
+            let (first, last) = (window[0], window[window.len() - 1]);
+            let bytes: u64 = window.iter().skip(1).map(|r| r.2).sum();
+            let rate = |span: Time| {
+                let span = span.as_secs_f64();
+                if span > 1e-9 {
+                    bytes as f64 * 8.0 / span
+                } else {
+                    0.0
+                }
+            };
+            (
+                rate(last.0.saturating_sub(first.0)),
+                rate(last.1.saturating_sub(first.1)),
+                window.len(),
+            )
+        }
+    }
+
+    proptest! {
+        // Random ACK trains — bursts at one instant, stalls longer than the
+        // 4-window eviction horizon, zero-byte ACKs, the window moved
+        // mid-train — with the rates read after every ACK, at the ACK and a
+        // little later: same `(S, R, n)` bits as filter-and-collect.
+        #[test]
+        fn rates_match_the_filtering_reference_bit_for_bit(seed in 0u64..1_000_000) {
+            let mut rng = TestRng::new(seed);
+            let window = Time::from_millis(rng.range_u64(10, 200));
+            let mut agg = ReportAggregator::new(window);
+            let mut reference = FilteringAggregator {
+                records: VecDeque::new(),
+                measurement_window: window,
+            };
+            let mut now = Time::ZERO;
+            for step in 0..600 {
+                now += match rng.range_u64(0, 20) {
+                    0..=3 => Time::ZERO,
+                    4 => Time::from_millis(rng.range_u64(100, 3000)),
+                    _ => Time::from_nanos(rng.range_u64(1, 3_000_000)),
+                };
+                if rng.range_u64(0, 40) == 0 {
+                    agg.set_measurement_window(Time::from_millis(rng.range_u64(0, 2500)));
+                    reference.measurement_window = agg.measurement_window();
+                }
+                let rtt = Time::from_nanos(rng.range_u64(0, 80_000_000));
+                let bytes = match rng.range_u64(0, 8) {
+                    0 => 0,
+                    _ => rng.range_u64(1, 65_536),
+                };
+                let sent_at = now.saturating_sub(rtt);
+                agg.on_ack(sent_at, now, bytes, rtt);
+                reference.on_ack(sent_at, now, bytes);
+                for at in [now, now + Time::from_millis(rng.range_u64(0, 50))] {
+                    let (s, r, n) = agg.rates(at);
+                    let (want_s, want_r, want_n) = reference.rates(at);
+                    prop_assert_eq!(
+                        (s.to_bits(), r.to_bits(), n),
+                        (want_s.to_bits(), want_r.to_bits(), want_n),
+                        "seed={} step={}", seed, step
+                    );
+                }
+            }
+        }
+    }
 
     /// Feed ACKs for packets sent at a constant rate and acked at a constant
     /// (possibly different) rate, and check S and R.

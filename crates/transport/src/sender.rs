@@ -409,8 +409,13 @@ impl FlowEndpoint for Sender {
             self.dup_acks = 0;
             self.rto_backoff = 0;
             // Anything below the new cumulative ACK is no longer interesting.
-            self.sacked = self.sacked.split_off(&self.cum_acked);
-            self.rtx_pending = self.rtx_pending.split_off(&self.cum_acked);
+            // The sets are empty outside loss recovery, which is most ACKs.
+            if !self.sacked.is_empty() {
+                self.sacked = self.sacked.split_off(&self.cum_acked);
+            }
+            if !self.rtx_pending.is_empty() {
+                self.rtx_pending = self.rtx_pending.split_off(&self.cum_acked);
+            }
             self.rtx_queue.retain(|&s| s >= self.cum_acked);
 
             if let Some(rp) = self.recovery_point {
