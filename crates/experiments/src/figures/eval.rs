@@ -63,7 +63,7 @@ pub fn fig08(quick: bool) -> ExperimentResult {
                 Some(end * scale),
             ));
         }
-        let out = run_scheme_vs_cross(&spec, scheme, None, cross, 2.0);
+        let out = run_scheme_vs_cross(&spec, scheme, cross, 2.0);
         let m = &out.flows[0];
         result.row(
             &format!("{}_mean_throughput_mbps", m.label),
@@ -148,7 +148,7 @@ pub fn fig09(quick: bool) -> ExperimentResult {
             ..ScenarioSpec::default_96mbps(duration)
         };
         let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 90);
-        let out = run_scheme_vs_cross(&spec, scheme, None, cross, 5.0);
+        let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
         let m = &out.flows[0];
         let rtt_cdf = Cdf::from_samples(&m.rtt_samples_ms);
         let tput_cdf = Cdf::from_samples(&m.throughput_samples_mbps);
@@ -186,7 +186,7 @@ pub fn fig10(quick: bool) -> ExperimentResult {
             duration * 0.3,
             None,
         ));
-        let out = run_scheme_vs_cross(&spec, scheme, None, cross, 5.0);
+        let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
         let m = &out.flows[0];
         // Throughput during the elephant period.
         let during: Vec<f64> = m
@@ -244,7 +244,7 @@ pub fn fig11(quick: bool) -> ExperimentResult {
                     Box::new(VideoSource::new(quality, duration)),
                 )),
             );
-            let out = run_scheme_vs_cross(&spec, *scheme, None, vec![video], 5.0);
+            let out = run_scheme_vs_cross(&spec, *scheme, vec![video], 5.0);
             let m = &out.flows[0];
             let key = format!("{}_{}", quality.label(), m.label);
             result.row(&format!("{key}_throughput_mbps"), m.mean_throughput_mbps);
@@ -269,7 +269,7 @@ pub fn fig12(quick: bool) -> ExperimentResult {
         ..ScenarioSpec::default_96mbps(duration)
     };
     let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 120);
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 5.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 5.0);
     let m = &out.flows[0];
     // Ground truth per interval from the recorder; detector verdicts from the
     // controller.  A period is "elastic" if more than 30% of cross bytes came
@@ -348,7 +348,7 @@ pub fn fig13(quick: bool) -> ExperimentResult {
         };
         for scheme in [SchemeSpec::cubic(), SchemeSpec::vegas()] {
             let cross = wan_cross(spec.link_rate_bps, load, duration, 130);
-            let out = run_scheme_vs_cross(&spec, scheme, None, cross, 5.0);
+            let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
             let m = &out.flows[0];
             result.row(
                 &format!("load{}_{}_throughput_mbps", (load * 100.0) as u32, m.label),
@@ -390,7 +390,7 @@ pub fn fig21(quick: bool) -> ExperimentResult {
             ..ScenarioSpec::default_96mbps(duration)
         };
         let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 210);
-        let out = run_scheme_vs_cross(&spec, scheme, None, cross, 5.0);
+        let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
         let fcts = out.recorder.completed_fcts();
         for (lo, hi, label) in buckets {
             let bucket: Vec<f64> = fcts

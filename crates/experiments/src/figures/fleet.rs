@@ -48,13 +48,7 @@ pub fn fleet_churn(quick: bool) -> ExperimentResult {
         fleet: Some(FleetSpec::poisson(0.5)),
         ..ScenarioSpec::default_96mbps(duration)
     };
-    let out = run_scheme_vs_cross(
-        &spec,
-        SchemeSpec::nimbus(),
-        None,
-        Vec::new(),
-        duration * 0.25,
-    );
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), duration * 0.25);
     let m = &out.flows[0];
     result.row("monitored_throughput_mbps", m.mean_throughput_mbps);
     result.row("monitored_queue_delay_ms", m.mean_queue_delay_ms);
@@ -98,7 +92,7 @@ pub fn fleet_fct(quick: bool) -> ExperimentResult {
             fleet: Some(FleetSpec::poisson(0.5)),
             ..ScenarioSpec::default_96mbps(duration)
         };
-        let out = run_scheme_vs_cross(&spec, scheme, None, Vec::new(), duration * 0.2);
+        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), duration * 0.2);
         let label = scheme.label();
         let m = &out.flows[0];
         result.row(

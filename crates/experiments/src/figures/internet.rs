@@ -89,7 +89,7 @@ fn run_path(
         seed: 1900 + path.id as u64,
         ..FleetWorkloadConfig::default_for_link(path.rate_bps, path.cross_load, duration_s)
     });
-    let out = run_scheme_vs_cross(&spec, scheme, None, cross, duration_s * 0.15);
+    let out = run_scheme_vs_cross(&spec, scheme, cross, duration_s * 0.15);
     out.flows.into_iter().next().unwrap()
 }
 

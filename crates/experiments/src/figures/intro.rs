@@ -29,7 +29,7 @@ pub fn fig01(quick: bool) -> ExperimentResult {
             ..ScenarioSpec::fig1_48mbps(duration)
         };
         let cross = fig1_cross_traffic(scale, 24e6, 11);
-        let out = run_scheme_vs_cross(&spec, scheme, None, cross, 2.0);
+        let out = run_scheme_vs_cross(&spec, scheme, cross, 2.0);
         let m = &out.flows[0];
         // The elastic phase is 30–90 (scaled), the inelastic phase 90–150.
         let elastic_window = (35.0 * scale, 88.0 * scale);
@@ -100,7 +100,7 @@ pub fn fig03(quick: bool) -> ExperimentResult {
         ..ScenarioSpec::fig1_48mbps(duration)
     };
     let cross = fig1_cross_traffic(scale, 24e6, 13);
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), None, cross, 2.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), cross, 2.0);
     let m = &out.flows[0];
     // Self-inflicted delay ≈ total queueing delay × our share of throughput.
     let total_qd: Vec<(f64, f64)> = out
@@ -298,7 +298,7 @@ pub fn fig06(quick: bool) -> ExperimentResult {
                 None,
             ));
         }
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 2.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 2.0);
         let etas: Vec<f64> = out.flows[0]
             .eta_series
             .iter()

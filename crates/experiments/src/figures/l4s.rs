@@ -2,8 +2,9 @@
 //! and elasticity detection when congestion arrives as CE marks instead of
 //! drops or delay.
 //!
-//! Three questions the ECN scenario matrix ([`crate::testkit::ecn_cells`])
-//! pins as invariants are quantified here as full experiments:
+//! Three questions the ECN section of the scenario matrix
+//! ([`crate::testkit::paper_invariant_matrix`]) pins as invariants are
+//! quantified here as full experiments:
 //!
 //! * [`l4s_pulse`] — does the Nimbus pulse survive a shallow-marking
 //!   queue?  (Measured: yes — delay mode ignores CE, so the ±25% µ pulse
@@ -62,13 +63,7 @@ pub fn l4s_pulse(quick: bool) -> ExperimentResult {
     );
     for ecn in [EcnSpec::Off, EcnSpec::Classic, EcnSpec::l4s()] {
         let spec = ecn_scenario(duration, 62, ecn);
-        let out = run_scheme_vs_cross(
-            &spec,
-            SchemeSpec::nimbus(),
-            None,
-            Vec::new(),
-            duration * 0.25,
-        );
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), duration * 0.25);
         let m = &out.flows[0];
         let tag = if ecn.is_enabled() {
             ecn.label().trim_start_matches('-').to_string()
@@ -131,7 +126,6 @@ pub fn l4s_mark_validation(quick: bool) -> ExperimentResult {
         let out = run_scheme_vs_cross(
             &spec,
             SchemeSpec::nimbus().with_competitive(TcpScheme::Dctcp),
-            None,
             vec![cross],
             duration / 3.0,
         );
@@ -198,7 +192,7 @@ pub fn l4s_coexistence(quick: bool) -> ExperimentResult {
             0.0,
             None,
         );
-        let out = run_scheme_vs_cross(&spec, scheme, None, vec![cross], duration / 3.0);
+        let out = run_scheme_vs_cross(&spec, scheme, vec![cross], duration / 3.0);
         let m = &out.flows[0];
         result.row(&format!("{tag}_throughput_mbps"), m.mean_throughput_mbps);
         result.row(&format!("{tag}_queue_delay_ms"), m.mean_queue_delay_ms);

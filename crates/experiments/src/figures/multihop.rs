@@ -40,7 +40,7 @@ pub fn multihop_secondary(quick: bool) -> ExperimentResult {
             seed: 41,
             ..ScenarioSpec::default_96mbps(duration)
         };
-        let out = run_scheme_vs_cross(&spec, scheme, None, Vec::new(), 10.0);
+        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
         let m = &out.flows[0];
         result.row(
             &format!("{}_throughput_mbps", m.label),
@@ -92,7 +92,7 @@ pub fn multihop_moving(quick: bool) -> ExperimentResult {
             seed: 42,
             ..ScenarioSpec::default_96mbps(duration)
         };
-        let out = run_scheme_vs_cross(&spec, scheme, None, Vec::new(), 8.0);
+        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 8.0);
         let m = &out.flows[0];
         let pre: Vec<f64> = m
             .throughput_series
@@ -161,7 +161,7 @@ pub fn multihop_midpath(quick: bool) -> ExperimentResult {
             None,
         );
         let cross = vec![(cfg.entering_at(1), ep)];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 10.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 10.0);
         let m = &out.flows[0];
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
         result.row(&format!("delay_mode_fraction_{tag}"), m.delay_mode_fraction);

@@ -86,14 +86,14 @@ pub fn fig14(quick: bool) -> ExperimentResult {
         };
         // Nimbus against CBR at `share` of the link.
         let cross = vec![cbr_cross_flow("cbr", share * 96e6, 0.05, 0.0, None)];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 6.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 6.0);
         let acc = nimbus_accuracy(&out.flows[0], false, 6.0);
         result.row(&format!("nimbus_accuracy_share{:.0}", share * 100.0), acc);
         nimbus_left.push((share, acc));
 
         // Copa against the same traffic.
         let cross = vec![cbr_cross_flow("cbr", share * 96e6, 0.05, 0.0, None)];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), None, cross, 6.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), cross, 6.0);
         let acc = copa_accuracy(&out, 0, false, 6.0, duration);
         result.row(&format!("copa_accuracy_share{:.0}", share * 100.0), acc);
         copa_left.push((share, acc));
@@ -121,7 +121,7 @@ pub fn fig14(quick: bool) -> ExperimentResult {
             0.0,
             None,
         )];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 8.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
         let acc = nimbus_accuracy(&out.flows[0], true, 8.0);
         result.row(&format!("nimbus_accuracy_rttx{ratio}"), acc);
         nimbus_right.push((ratio, acc));
@@ -133,7 +133,7 @@ pub fn fig14(quick: bool) -> ExperimentResult {
             0.0,
             None,
         )];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), None, cross, 8.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), cross, 8.0);
         let acc = copa_accuracy(&out, 0, true, 8.0, duration);
         result.row(&format!("copa_accuracy_rttx{ratio}"), acc);
         copa_right.push((ratio, acc));
@@ -180,7 +180,7 @@ pub fn fig15(quick: bool) -> ExperimentResult {
                     ));
                 }
             }
-            let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 8.0);
+            let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
             let acc = nimbus_accuracy(&out.flows[0], truth_elastic, 8.0);
             result.row(&format!("{kind}_accuracy_rttx{ratio}"), acc);
         }
@@ -212,7 +212,7 @@ pub fn fig22(quick: bool) -> ExperimentResult {
                 ..ScenarioSpec::default_96mbps(duration)
             };
             let cross = vec![elastic_cross_flow("bbr", CcKind::Bbr, 0.05, 0.0, None)];
-            let out = run_scheme_vs_cross(&spec, scheme, None, cross, 6.0);
+            let out = run_scheme_vs_cross(&spec, scheme, cross, 6.0);
             result.row(
                 &format!("{}_throughput_mbps_buffer{bdp}bdp", scheme.label()),
                 out.flows[0].mean_throughput_mbps,
@@ -239,7 +239,7 @@ pub fn fig23(quick: bool) -> ExperimentResult {
                 ..ScenarioSpec::default_96mbps(duration)
             };
             let cross = vec![cbr_cross_flow("cbr", rate, 0.05, 0.0, None)];
-            let out = run_scheme_vs_cross(&spec, scheme, None, cross, 6.0);
+            let out = run_scheme_vs_cross(&spec, scheme, cross, 6.0);
             let m = &out.flows[0];
             result.row(
                 &format!("{}_{tag}_throughput_mbps", m.label),
@@ -281,7 +281,7 @@ pub fn fig24(quick: bool) -> ExperimentResult {
                 0.0,
                 None,
             )];
-            let out = run_scheme_vs_cross(&spec, scheme, None, cross, 6.0);
+            let out = run_scheme_vs_cross(&spec, scheme, cross, 6.0);
             let m = &out.flows[0];
             result.row(
                 &format!("{}_{tag}_throughput_mbps", m.label),
@@ -463,7 +463,7 @@ pub fn table1(quick: bool) -> ExperimentResult {
             ..ScenarioSpec::default_96mbps(duration)
         };
         let cross = vec![build(spec.seed + 1)];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 8.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
         let m = &out.flows[0];
         let elastic_frac = m
             .eta_series
@@ -527,7 +527,7 @@ pub fn robustness_sweep(quick: bool) -> ExperimentResult {
                         None,
                     )]
                 };
-                let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 8.0);
+                let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
                 let acc = nimbus_accuracy(&out.flows[0], truth_elastic, 8.0);
                 result.row(&format!("accuracy_{kind}_rtt{rtt_ms}ms_buf{buf}bdp"), acc);
             }
@@ -542,7 +542,7 @@ pub fn robustness_sweep(quick: bool) -> ExperimentResult {
             ..ScenarioSpec::default_96mbps(duration)
         };
         let cross = vec![elastic_cross_flow("reno", CcKind::NewReno, 0.05, 0.0, None)];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 8.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
         result.row(
             &format!("accuracy_elastic_{tag}"),
             nimbus_accuracy(&out.flows[0], true, 8.0),
@@ -586,7 +586,7 @@ pub fn cellular_estimators(quick: bool) -> ExperimentResult {
             ..ScenarioSpec::default_96mbps(duration)
         };
         let scheme: SchemeSpec = spec_text.parse().expect("estimator spec parses");
-        let out = run_scheme_vs_cross(&spec, scheme, None, Vec::new(), 10.0);
+        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
         let m = &out.flows[0];
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
         result.row(&format!("queue_delay_ms_{tag}"), m.mean_queue_delay_ms);

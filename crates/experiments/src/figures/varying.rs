@@ -72,7 +72,7 @@ pub fn varying_mu(quick: bool) -> ExperimentResult {
             seed: 31,
             ..ScenarioSpec::default_96mbps(duration)
         };
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus_estmu(), None, Vec::new(), 15.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus_estmu(), Vec::new(), 15.0);
         let m = &out.flows[0];
         result.row(&format!("mu_tracking_error_{tag}"), m.mu_tracking_error);
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
@@ -123,7 +123,7 @@ pub fn varying_detector(quick: bool) -> ExperimentResult {
             ..ScenarioSpec::default_96mbps(duration)
         };
         let scheme: SchemeSpec = spec_text.parse().expect("detector spec parses");
-        let out = run_scheme_vs_cross(&spec, scheme, None, Vec::new(), 10.0);
+        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
         let m = &out.flows[0];
         result.row(&format!("delay_mode_fraction_{tag}"), m.delay_mode_fraction);
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
@@ -170,7 +170,7 @@ pub fn varying_estimator(quick: bool) -> ExperimentResult {
             ..ScenarioSpec::default_96mbps(duration)
         };
         let scheme: SchemeSpec = spec_text.parse().expect("estimator spec parses");
-        let out = run_scheme_vs_cross(&spec, scheme, None, Vec::new(), 10.0);
+        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
         let m = &out.flows[0];
         result.row(&format!("delay_mode_fraction_{tag}"), m.delay_mode_fraction);
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
@@ -201,7 +201,7 @@ pub fn varying_step(quick: bool) -> ExperimentResult {
             seed: 33,
             ..ScenarioSpec::default_96mbps(duration)
         };
-        let out = run_scheme_vs_cross(&spec, scheme, None, Vec::new(), step_at + 5.0);
+        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), step_at + 5.0);
         let m = &out.flows[0];
         let pre: Vec<f64> = m
             .throughput_series

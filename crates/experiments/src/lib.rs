@@ -40,9 +40,7 @@ pub use runner::{
 pub use scheme::{MuSpec, NimbusSpec, SchemeSpec, SwitchSpec};
 pub use sweep::{run_sweep, sweep_matrix, sweep_matrix_with, SweepConfig, SweepReport};
 pub use testkit::{
-    cells, ecn_cells, estimator_cells, fleet_cells, multihop_cells, paper_invariant_matrix,
-    parallel_map, run_matrix, single_bottleneck_cells, spec_combination_cells, Cell, CellOutcome,
-    Invariants,
+    cells, paper_invariant_matrix, parallel_map, run_matrix, Cell, CellOutcome, Invariants,
 };
 
 /// A function regenerating one experiment (`quick` shortens the run).

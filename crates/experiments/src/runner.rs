@@ -15,7 +15,7 @@ use crate::grammar::{
     positive, split_call, split_top_level, Opt, ParseError,
 };
 use crate::scheme::{SchemeSpec, BARE_SCHEMES, NIMBUS};
-use nimbus_core::{Mode, MultiflowConfig, NimbusController};
+use nimbus_core::{Mode, NimbusController};
 use nimbus_netsim::{
     EcnMarking, FlowConfig, FlowEndpoint, FlowHandle, LinkConfig, LossModel, Network, QueueKind,
     RateSchedule, Recorder, SimConfig, Time,
@@ -47,7 +47,7 @@ pub enum LinkScheduleSpec {
     /// An arbitrary staircase: at each `(t_s, factor)` the rate becomes
     /// `factor·base`.
     Steps {
-        /// Sorted `(time_s, factor_of_base)` transitions.
+        /// `(time_s, factor_of_base)` transitions, times strictly increasing.
         steps: Vec<(f64, f64)>,
     },
     /// `µ(t) = base·(1 + amplitude_frac·sin(2π·t/period_s))`.
@@ -86,20 +86,27 @@ impl LinkScheduleSpec {
     ///
     /// # Panics
     /// Panics on an unknown built-in trace name or an unloadable trace
-    /// file; a parsed spec ([`FromStr`]) has been checked for both.
+    /// file, and (debug builds) on staircase step times out of order; a
+    /// parsed spec ([`FromStr`]) has been checked for all three.
     pub fn to_schedule(&self, base_bps: f64) -> RateSchedule {
         match self {
             LinkScheduleSpec::Constant => RateSchedule::constant(base_bps),
             LinkScheduleSpec::Step { at_s, factor } => {
                 RateSchedule::step(base_bps, Time::from_secs_f64(*at_s), factor * base_bps)
             }
-            LinkScheduleSpec::Steps { steps } => RateSchedule::Steps {
-                initial_bps: base_bps,
-                steps: steps
-                    .iter()
-                    .map(|&(t_s, f)| (Time::from_secs_f64(t_s), f * base_bps))
-                    .collect(),
-            },
+            LinkScheduleSpec::Steps { steps } => {
+                debug_assert!(
+                    steps.windows(2).all(|w| w[0].0 < w[1].0),
+                    "staircase step times must strictly increase: {steps:?}"
+                );
+                RateSchedule::Steps {
+                    initial_bps: base_bps,
+                    steps: steps
+                        .iter()
+                        .map(|&(t_s, f)| (Time::from_secs_f64(t_s), f * base_bps))
+                        .collect(),
+                }
+            }
             LinkScheduleSpec::Sinusoid {
                 amplitude_frac,
                 period_s,
@@ -231,7 +238,17 @@ impl FromStr for LinkScheduleSpec {
                     })?;
                     Ok((instant("step time", at)?, positive("step factor", factor)?))
                 };
-                let steps = args.iter().map(step).collect::<Result<_, ParseError>>()?;
+                let steps: Vec<(f64, f64)> = args.iter().map(step).collect::<Result<_, _>>()?;
+                // The schedule applies steps in list order, so an earlier
+                // time after a later one would silently never take effect.
+                if let Some(w) = steps.windows(2).find(|w| w[1].0 <= w[0].0) {
+                    return Err(ParseError(format!(
+                        "staircase step times must strictly increase: {} follows {} \
+                         (list the steps in time order)",
+                        fmt_duration(&w[1].0),
+                        fmt_duration(&w[0].0)
+                    )));
+                }
                 Ok(LinkScheduleSpec::Steps { steps })
             }
             ("sin", [amplitude, period]) => Ok(LinkScheduleSpec::Sinusoid {
@@ -1418,12 +1435,11 @@ pub fn run_and_collect(
 pub fn run_scheme_vs_cross(
     spec: &ScenarioSpec,
     scheme: SchemeSpec,
-    multiflow: Option<MultiflowConfig>,
     mut cross: Vec<(FlowConfig, Box<dyn FlowEndpoint>)>,
     steady_start_s: f64,
 ) -> RunOutput {
     let mut net = spec.build_network();
-    let endpoint = scheme.build_endpoint(spec.nominal_mu_bps(), spec.seed, multiflow);
+    let endpoint = scheme.build_endpoint(spec.nominal_mu_bps(), spec.seed);
     // The primary flow is ECN-capable when its scheme wants marks or the
     // scenario enables marking on the path (ECT on a non-marking queue is
     // harmless: no marks ever arrive, so every reaction path stays inert).
@@ -1519,7 +1535,7 @@ mod tests {
                 Box::new(FixedSizeSource::new(2_000_000)),
             )),
         )];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), None, cross, 3.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), cross, 3.0);
         assert_eq!(out.flows.len(), 1);
         let m = &out.flows[0];
         assert_eq!(m.label, "cubic");
@@ -1581,7 +1597,7 @@ mod tests {
         // A declarative heterogeneous scenario: monitored Cubic vs a paced
         // CBR scheme carried entirely by `ScenarioSpec::cross`.
         let spec: ScenarioSpec = "48M vs constant(24M) dur=15s".parse().unwrap();
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), None, Vec::new(), 5.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), Vec::new(), 5.0);
         let m = &out.flows[0];
         // The CBR flow holds its half, so Cubic lands near the other half.
         assert!(
@@ -1614,7 +1630,7 @@ mod tests {
             fleet: Some(FleetSpec::poisson(0.3)),
             ..ScenarioSpec::fig1_48mbps(15.0)
         };
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), None, Vec::new(), 5.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), Vec::new(), 5.0);
         // The fleet actually ran: many finite flows completed...
         let fcts = out.recorder.fct_stream();
         assert!(fcts.len() > 30, "only {} fleet completions", fcts.len());
@@ -1638,7 +1654,7 @@ mod tests {
             ecn: EcnSpec::l4s(),
             ..ScenarioSpec::fig1_48mbps(12.0)
         };
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::dctcp(), None, Vec::new(), 3.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::dctcp(), Vec::new(), 3.0);
         let marks: u64 = out.recorder.hop_marked_packets.iter().sum();
         let drops: u64 = out.recorder.hop_dropped_packets.iter().sum();
         assert!(marks > 100, "a 1 ms step marker should mark often: {marks}");
@@ -1660,7 +1676,7 @@ mod tests {
             duration_s: 10.0,
             ..ScenarioSpec::fig1_48mbps(10.0)
         };
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), None, Vec::new(), 3.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), Vec::new(), 3.0);
         assert!(out.recorder.hop_marked_packets.iter().all(|&m| m == 0));
     }
 
@@ -1670,7 +1686,7 @@ mod tests {
             duration_s: 12.0,
             ..ScenarioSpec::fig1_48mbps(12.0)
         };
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, Vec::new(), 3.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 3.0);
         let m = &out.flows[0];
         assert_eq!(m.label, "nimbus");
         assert!(!m.mode_log.is_empty());

@@ -413,17 +413,12 @@ impl SchemeSpec {
     /// Instantiate a backlogged flow endpoint running this spec.
     ///
     /// `mu_bps` is the path's nominal bottleneck rate (needed by Nimbus
-    /// wrappers with configured µ), `seed` drives any randomized behaviour,
-    /// and `multiflow` enables the pulser/watcher protocol on Nimbus specs.
-    pub fn build_endpoint(
-        &self,
-        mu_bps: f64,
-        seed: u64,
-        multiflow: Option<MultiflowConfig>,
-    ) -> Box<dyn FlowEndpoint> {
+    /// wrappers with configured µ) and `seed` drives any randomized
+    /// behaviour.
+    pub fn build_endpoint(&self, mu_bps: f64, seed: u64) -> Box<dyn FlowEndpoint> {
         Box::new(Sender::new(
             SenderConfig::labelled(&self.label()),
-            self.build_cc(mu_bps, seed, multiflow),
+            self.build_cc(mu_bps, seed, None),
             Box::new(BackloggedSource),
         ))
     }
@@ -800,7 +795,7 @@ mod tests {
         specs.push(SchemeSpec::nimbus_copa().with_learned_mu());
         specs.push(SchemeSpec::constant(12e6));
         for s in specs {
-            let ep = s.build_endpoint(96e6, 1, None);
+            let ep = s.build_endpoint(96e6, 1);
             assert_eq!(ep.label(), s.label());
         }
     }

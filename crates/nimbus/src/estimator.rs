@@ -361,7 +361,7 @@ impl MuEstimator for ConfiguredMu {
 
 /// `mu=learned`: the §4.2 windowed max filter over the receive rate, with
 /// the per-report growth cap.  Byte-identical to the pre-API hardwired
-/// estimator (pinned by `tests/estimator_api.rs`).
+/// estimator (pinned by the fingerprint ledger, `tests/scenario_matrix.rs`).
 #[derive(Debug, Clone)]
 pub struct MaxFilterMu {
     filter: WindowedMax,

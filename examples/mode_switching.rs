@@ -20,7 +20,7 @@ fn main() {
         ..ScenarioSpec::fig1_48mbps(180.0 * scale)
     };
     let cross = fig1_cross_traffic(scale, 24e6, 11);
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 2.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 2.0);
     let m = &out.flows[0];
     println!("Nimbus on the Fig. 1 scenario (quarter scale):");
     println!("  mean throughput : {:.1} Mbit/s", m.mean_throughput_mbps);

@@ -13,8 +13,8 @@ fn cubic_bufferbloats_while_vegas_does_not() {
         seed: 3,
         ..ScenarioSpec::fig1_48mbps(30.0)
     };
-    let cubic = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), None, Vec::new(), 8.0);
-    let vegas = run_scheme_vs_cross(&spec, SchemeSpec::vegas(), None, Vec::new(), 8.0);
+    let cubic = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), Vec::new(), 8.0);
+    let vegas = run_scheme_vs_cross(&spec, SchemeSpec::vegas(), Vec::new(), 8.0);
     assert!(cubic.flows[0].mean_queue_delay_ms > 40.0);
     assert!(vegas.flows[0].mean_queue_delay_ms < 15.0);
     assert!(cubic.flows[0].mean_throughput_mbps > 40.0);
@@ -36,7 +36,7 @@ fn nimbus_stays_in_delay_mode_against_heavy_cbr_cross_traffic() {
         ..ScenarioSpec::default_96mbps(40.0)
     };
     let cross = vec![cbr_cross_flow("cbr", 80e6, 0.05, 0.0, None)];
-    let nimbus = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 10.0);
+    let nimbus = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 10.0);
     let m = &nimbus.flows[0];
     assert!(
         m.mean_queue_delay_ms < 40.0,
@@ -63,7 +63,7 @@ fn vegas_is_starved_by_cubic_cross_traffic() {
         ..ScenarioSpec::default_96mbps(40.0)
     };
     let cross = vec![elastic_cross_flow("cubic", CcKind::Cubic, 0.05, 0.0, None)];
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::vegas(), None, cross, 15.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::vegas(), cross, 15.0);
     assert!(
         out.flows[0].mean_throughput_mbps < 30.0,
         "vegas should be starved, got {}",

@@ -30,7 +30,7 @@ fn nimbus_keeps_low_delay_against_inelastic_cross_traffic() {
         ..ScenarioSpec::fig1_48mbps(30.0)
     };
     let cross = vec![poisson_cross_flow("poisson", 24e6, 0.05, 5, 0.0, None)];
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 8.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
     let m = &out.flows[0];
     assert!(
         m.mean_throughput_mbps > 15.0,
@@ -57,7 +57,7 @@ fn nimbus_competes_against_an_elastic_cubic_flow() {
         ..ScenarioSpec::fig1_48mbps(45.0)
     };
     let cross = vec![elastic_cross_flow("cubic", CcKind::Cubic, 0.05, 0.0, None)];
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, cross, 15.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 15.0);
     let m = &out.flows[0];
     // Fair share is 24 Mbit/s; a pure delay scheme would collapse to a few Mbit/s.
     assert!(

@@ -28,7 +28,7 @@ fn snapshot_json(recorder: &Recorder) -> String {
 fn thousand_flow_churn_over_1gbps_is_deterministic() {
     let run = || {
         let spec = thousand_flow_spec(71);
-        run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, Vec::new(), 2.0)
+        run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 2.0)
     };
     let first = run();
     let second = run();
@@ -64,7 +64,7 @@ fn thousand_flow_churn_over_1gbps_is_deterministic() {
 
     // A different seed genuinely reshuffles arrivals and sizes.
     let spec = thousand_flow_spec(72);
-    let third = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, Vec::new(), 2.0);
+    let third = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 2.0);
     assert_ne!(
         snapshot_json(&first.recorder),
         snapshot_json(&third.recorder),
@@ -75,7 +75,7 @@ fn thousand_flow_churn_over_1gbps_is_deterministic() {
 #[test]
 fn fleet_fcts_are_complete_and_size_bucketed() {
     let spec = thousand_flow_spec(73);
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), None, Vec::new(), 2.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 2.0);
 
     // Every completed finite flow appears exactly once in the FCT stream,
     // and the stream agrees with the per-flow stats derivation.

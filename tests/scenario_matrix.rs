@@ -1,80 +1,18 @@
-//! The scenario-matrix harness: every (scheme × cross-traffic × seed) cell
-//! asserts at least one paper invariant and reproduces its pinned recorder
-//! fingerprint, and the full matrix is run twice to pin seed-determinism of
-//! the complete recorder output.
+//! The paper-invariant matrix: every cell asserts at least one paper
+//! invariant and reproduces its row of the fingerprint ledger
+//! (`tests/ledger/mod.rs`), which also pins the cells other test files
+//! simulate; on a mismatch the test prints the diff and the replacement
+//! table (`FINGERPRINTS.md` says how to re-pin).
+
+mod ledger;
 
 use nimbus_repro::experiments::sweep::{read_report, sweep_matrix};
 use nimbus_repro::experiments::testkit::{matrix_report, paper_invariant_matrix, run_matrix};
-use std::collections::HashSet;
 use std::path::Path;
-
-/// Name and recorder fingerprint of every matrix cell, in matrix order,
-/// captured on the `Cell { … }`-literal matrix immediately before it became a
-/// table of scenario strings: the string-built cells must be the same
-/// simulations byte for byte.
-///
-/// The rows whose detector yields a verdict were re-pinned when η moved from
-/// the per-report FFT to the sliding DFT (`eta_series` is hashed at full
-/// precision and moved by ≤ 1e-12 relative); `FINGERPRINTS.md` has the
-/// per-cell diff — recorder output, verdicts and mode logs all identical.
-#[rustfmt::skip]
-const MATRIX_FINGERPRINTS: &[(&str, u64)] = &[
-    ("cubic@48M-vs-alone-seed3", 0xc9b047b3b3ca9a57),
-    ("cubic@48M-vs-alone-seed11", 0xc9b047b3b3ca9a57),
-    ("vegas@48M-vs-alone-seed3", 0x83faf44e9ea9526c),
-    ("vegas@48M-vs-alone-seed11", 0x83faf44e9ea9526c),
-    ("vegas@96M-vs-cubic-seed5", 0xdbcef018cbc67b16),
-    ("vegas@96M-vs-cubic-seed13", 0xdbcef018cbc67b16),
-    ("nimbus@96M-vs-cbr83-seed4", 0x8dd12444f867e852),
-    ("nimbus@96M-vs-cbr83-seed12", 0x8dd12444f867e852),
-    ("nimbus@48M-vs-poisson50-seed1", 0x496fcfd0e58fb842),
-    ("nimbus@48M-vs-poisson50-seed9", 0x757cffc216460e7f),
-    ("nimbus@48M-vs-cubic-seed2", 0x9664db6d009d9a87),
-    ("nimbus@48M-vs-cubic-seed10", 0x9664db6d009d9a87),
-    ("nimbus@48M-vs-alone-seed6", 0xa046f599e5fb953c),
-    ("nimbus@48M-vs-alone-seed14", 0xa046f599e5fb953c),
-    ("nimbus-estmu@48M-sin25p20-vs-alone-seed7", 0x015188cd43f51c51),
-    ("nimbus@48M-sin10p10-vs-alone-seed8", 0x85f2d107a16689c7),
-    ("cubic@96M-step50@15-vs-alone-seed9", 0xc49ea25d2c814422),
-    ("nimbus@96M-step50@15-vs-alone-seed9", 0xfbb1320dd5da6f81),
-    ("nimbus@48M-2hop60-vs-alone-seed21", 0x9bd7724f5b41754e),
-    ("cubic@48M-2hop60-vs-alone-seed21", 0xcc5e55a3127ff561),
-    ("cubic@48M-step50@15-2hop50mv-vs-alone-seed25", 0x87c633e62384614f),
-    ("nimbus@48M-step50@15-2hop50mv-vs-alone-seed25", 0xe5d2edd9dfa79be5),
-    ("nimbus-estmu@48M-sin10p10-2hop60-vs-alone-seed27", 0x26ae80380e486ee8),
-    ("nimbus@48M-2hop50-vs-cubic-hop0-seed29", 0x7303b2c4d11ed724),
-    ("nimbus@48M-2hop60-vs-cubic-hop0-seed31", 0xad19826946f82466),
-    ("nimbus-reno@48M-vs-cubic-seed35", 0x4ac3650c758cad7b),
-    ("nimbus-copa-estmu@48M-vs-alone-seed36", 0xdb763a9cb7bde625),
-    ("nimbus@96M-vs-copa+cubic-seed37", 0x101e815d5c4b9ecc),
-    ("cubic@48M-trace-wifi-vs-alone-seed38", 0x125080aaa395d13a),
-    ("cubic@48M-trace-cellular-vs-alone-seed39", 0xcf0938394bcca9bf),
-    ("nimbus-estmu-probe1@48M-trace-cellular-vs-alone-seed44", 0x410676ab4cadeb7b),
-    ("nimbus-estmu-zadapt@48M-sin10p10-vs-alone-seed43", 0xacd5fe7180892704),
-    ("nimbus-estmu-zadapt@96M-vs-cubic-seed42", 0x6fcaaa51a5db2e29),
-    ("nimbus-estmu-probe1@48M-vs-alone-seed45", 0x646bb324dc5dcd5c),
-    ("nimbus-estmu-probe1q0.4@48M-vs-alone-seed45", 0x27101c4acd64d75d),
-    ("nimbus-estmu-probe1q0.4@48M-vs-cubic-seed45", 0x2b7f5300e8b35139),
-    ("nimbus-estmu-probe1@48M-vs-cubic-seed45", 0x2c6d3fd757bf3427),
-    ("nimbus-copa-estmu-zadapt@48M-sin10p10-vs-alone-seed43", 0x6ca610b4ba1cb368),
-    ("nimbus@48M-vs-fleet-poisson-l40-m20k-seed51", 0x749384456332588f),
-    ("nimbus@48M-vs-fleet-bursty-l40-m20k-seed51", 0x5cfed044991675c1),
-    ("nimbus@48M-vs-fleet-poisson-l50-seed52", 0x67c2630ce655382e),
-    ("cubic@48M-vs-fleet-poisson-l50-seed52", 0xce395328997e7ec5),
-    ("dctcp@48M-l4s-vs-alone-seed61", 0x345e7bd3fe8c45ca),
-    ("dctcp@48M-vs-alone-seed61", 0xb13720842d456fc3),
-    ("cubic@48M-ecn-vs-alone-seed61", 0xe1407c6e5c7cf84e),
-    ("nimbus@48M-l4s-vs-alone-seed62", 0x9cb2c6e4d0497c3e),
-    ("nimbus@48M-l4s-vs-dctcp-seed2", 0x843ddb6fbdd25c96),
-    ("nimbus-dctcp@48M-ecn-vs-dctcp-seed2", 0xbeec8c3f8c571c46),
-    ("nimbus@48M-ecn-vs-cubic-seed2", 0xc57aabfc9e09fe96),
-    ("dctcp@48M-ecn-vs-cubic-seed65", 0x477997875d2f6916),
-];
 
 #[test]
 fn paper_invariants_hold_across_the_matrix() {
-    let cells = paper_invariant_matrix();
-    let outcomes = run_matrix(&cells);
+    let outcomes = run_matrix(&paper_invariant_matrix());
     println!("{}", matrix_report(&outcomes));
     let failing: Vec<String> = outcomes
         .iter()
@@ -88,11 +26,7 @@ fn paper_invariants_hold_across_the_matrix() {
         outcomes.len(),
         failing.join("\n")
     );
-    let observed: Vec<(&str, u64)> = outcomes
-        .iter()
-        .map(|o| (o.name.as_str(), o.fingerprint))
-        .collect();
-    assert_eq!(observed, MATRIX_FINGERPRINTS);
+    ledger::assert_pinned(&outcomes);
 }
 
 /// `BENCH_sweep.json` is keyed by cell name: the quick sweep matrix must keep
@@ -107,36 +41,4 @@ fn quick_sweep_cells_are_the_committed_baseline_cells() {
     let baseline: Vec<&str> = baseline.cells.iter().map(|c| c.name.as_str()).collect();
     let matrix: Vec<String> = sweep_matrix(true).iter().map(|c| c.name()).collect();
     assert_eq!(matrix, baseline);
-}
-
-#[test]
-fn full_matrix_is_deterministic_and_seed_sensitive() {
-    let cells = paper_invariant_matrix();
-    let first = run_matrix(&cells);
-    let second = run_matrix(&cells);
-    for (a, b) in first.iter().zip(second.iter()) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(
-            a.fingerprint, b.fingerprint,
-            "cell {} is not deterministic across identical runs",
-            a.name
-        );
-    }
-    // A different seed must actually change the simulation: rerun the matrix
-    // with every seed shifted and require at least the stochastic cells
-    // (Poisson cross traffic) to produce different recorder output.
-    let mut reseeded = cells.clone();
-    for cell in &mut reseeded {
-        cell.scenario.seed += 1000;
-    }
-    let third = run_matrix(&reseeded);
-    let originals: HashSet<u64> = first.iter().map(|o| o.fingerprint).collect();
-    let changed = third
-        .iter()
-        .filter(|o| !originals.contains(&o.fingerprint))
-        .count();
-    assert!(
-        changed > 0,
-        "shifting every seed changed no cell's recorder output — seeds are not wired through"
-    );
 }

@@ -1,115 +1,29 @@
 //! The spec grammar's contract tests.
 //!
 //! 1. **Behaviour preservation**: every variant of the pre-redesign closed
-//!    `Scheme` enum, written as a canonical spec string, reproduces the
-//!    recorder fingerprints captured on the enum path, byte for byte — alone
-//!    on the link for all 12 variants and against an elastic Cubic
-//!    competitor for the five Nimbus flavours.
-//! 2. **Round-trips**: `Display` → `FromStr` is the identity over randomly
+//!    `Scheme` enum, written as a canonical spec string, reproduces its row
+//!    of the fingerprint ledger (`tests/ledger/mod.rs`), captured on the enum
+//!    path — alone on the link for all 12 variants and against an elastic
+//!    Cubic competitor for the five Nimbus flavours.
+//! 2. **Canonical strings**: aliases, builders and strings agree, and the
+//!    `mu=learned(...)` / `zfilter=...` forms print and parse as documented.
+//! 3. **Round-trips**: `Display` → `FromStr` is the identity over randomly
 //!    generated whole cells — every scheme/µ/zfilter/schedule/path/ecn/
 //!    cross/fleet family in one proptest — and mutated valid strings error
 //!    or round-trip, never panic.
-//! 3. **Rejection**: one table of malformed strings for the whole grammar,
+//! 4. **Rejection**: one table of malformed strings for the whole grammar,
 //!    each with the needle its message must contain.
 
-use nimbus_repro::experiments::testkit::{parallel_map, Cell};
+mod ledger;
+
+use nimbus_repro::experiments::testkit::{run_matrix, Cell};
 use nimbus_repro::experiments::SchemeSpec;
-use nimbus_repro::nimbus::{DelayScheme, TcpScheme};
+use nimbus_repro::nimbus::{DelayScheme, LearnedMuConfig, ProbingConfig, TcpScheme, ZFilterConfig};
 use proptest::prelude::*;
-
-/// `(scheme, cell name, fingerprint)`: the 12 pre-redesign variants alone on
-/// a 48 Mbit/s link, fingerprints captured on the `Scheme` enum path
-/// immediately before the `SchemeSpec` redesign.
-///
-/// The rows whose detector yields a verdict were re-pinned when η moved from
-/// the per-report FFT to the sliding DFT (`eta_series` is hashed at full
-/// precision and moved by ≤ 1e-12 relative); `FINGERPRINTS.md` has the
-/// per-cell diff — recorder output, verdicts and mode logs all identical.
-const PRE_REDESIGN_ALONE: &[(&str, &str, u64)] = &[
-    ("nimbus", "nimbus@48M-vs-alone-seed17", 0x9daf1fdfe15a0acc),
-    (
-        "nimbus(delay=copa)",
-        "nimbus-copa@48M-vs-alone-seed17",
-        0x5f41e0d2a01c2a1b,
-    ),
-    (
-        "nimbus(delay=vegas)",
-        "nimbus-vegas@48M-vs-alone-seed17",
-        0x3a5af2429c2df5b0,
-    ),
-    (
-        "nimbus(switch=never)",
-        "nimbus-delay@48M-vs-alone-seed17",
-        0x39dbcd0866d6e410,
-    ),
-    (
-        "nimbus(mu=learned)",
-        "nimbus-estmu@48M-vs-alone-seed17",
-        0x8404ff5bab056907,
-    ),
-    ("cubic", "cubic@48M-vs-alone-seed17", 0x468305ac73be07af),
-    ("newreno", "newreno@48M-vs-alone-seed17", 0x7658b2ca552df73a),
-    ("vegas", "vegas@48M-vs-alone-seed17", 0xe403a5a46156d992),
-    ("copa", "copa@48M-vs-alone-seed17", 0x8732aa98b0df0887),
-    ("bbr", "bbr@48M-vs-alone-seed17", 0x70282d8c84a358b9),
-    (
-        "vivace",
-        "pcc-vivace@48M-vs-alone-seed17",
-        0x0570645ce6cf0ee4,
-    ),
-    (
-        "compound",
-        "compound@48M-vs-alone-seed17",
-        0xc3624d30681e4d88,
-    ),
-];
-
-/// The five Nimbus flavours against an elastic Cubic competitor at 96 Mbit/s.
-const PRE_REDESIGN_VS_CUBIC: &[(&str, &str, u64)] = &[
-    ("nimbus", "nimbus@96M-vs-cubic-seed18", 0x8c301ace89c63244),
-    (
-        "nimbus(delay=copa)",
-        "nimbus-copa@96M-vs-cubic-seed18",
-        0xf40e65d76c0ec1a6,
-    ),
-    (
-        "nimbus(delay=vegas)",
-        "nimbus-vegas@96M-vs-cubic-seed18",
-        0x45059872698f1e48,
-    ),
-    (
-        "nimbus(switch=never)",
-        "nimbus-delay@96M-vs-cubic-seed18",
-        0x5c754b34039df50f,
-    ),
-    (
-        "nimbus(mu=learned)",
-        "nimbus-estmu@96M-vs-cubic-seed18",
-        0xf567457982251b7b,
-    ),
-];
 
 #[test]
 fn every_pre_redesign_variant_reproduces_its_fingerprint() {
-    let alone = PRE_REDESIGN_ALONE
-        .iter()
-        .map(|(scheme, _, _)| format!("{scheme}@48M vs alone seed=17 dur=20s steady=6s"));
-    let vs_cubic = PRE_REDESIGN_VS_CUBIC
-        .iter()
-        .map(|(scheme, _, _)| format!("{scheme}@96M vs cubic seed=18 dur=25s steady=8s"));
-    let cells: Vec<Cell> = alone
-        .chain(vs_cubic)
-        .map(|text| text.parse().expect("pinned cell parses"))
-        .collect();
-    let pinned = PRE_REDESIGN_ALONE.iter().chain(PRE_REDESIGN_VS_CUBIC);
-    let outcomes = parallel_map(&cells, None, |c| c.run());
-    for (o, &(_, name, fingerprint)) in outcomes.iter().zip(pinned) {
-        assert_eq!(o.name, name);
-        assert_eq!(
-            o.fingerprint, fingerprint,
-            "cell {name} diverged from the pre-redesign Scheme enum path"
-        );
-    }
+    ledger::assert_pinned(&run_matrix(&ledger::cells(ledger::PRE_REDESIGN)));
 }
 
 #[test]
@@ -127,6 +41,78 @@ fn builder_alias_and_string_paths_agree() {
         .with_delay(DelayScheme::CopaDefault);
     assert_eq!(from_alias, from_string);
     assert_eq!(from_string, from_builder);
+}
+
+#[test]
+fn canonical_estimator_spec_strings() {
+    // Defaults render compactly; non-defaults render their parameters.
+    assert_eq!(
+        SchemeSpec::nimbus().with_learned_mu().to_string(),
+        "nimbus(mu=learned)"
+    );
+    let probing = |cfg| SchemeSpec::nimbus().with_mu_strategy(LearnedMuConfig::Probing(cfg));
+    let quiesced = ProbingConfig {
+        quiesce_uncertainty_floor: 0.4,
+        ..ProbingConfig::default()
+    };
+    assert_eq!(
+        probing(ProbingConfig::default()).to_string(),
+        "nimbus(mu=learned(probe=1))"
+    );
+    assert_eq!(
+        probing(quiesced).to_string(),
+        "nimbus(mu=learned(probe=1,quiesce=0.4))"
+    );
+    assert_eq!(
+        "nimbus(mu=learned(probe=1,quiesce=0.4))"
+            .parse::<SchemeSpec>()
+            .unwrap(),
+        probing(quiesced)
+    );
+    assert_eq!(
+        SchemeSpec::nimbus()
+            .with_learned_mu()
+            .with_z_filter(ZFilterConfig::adaptive())
+            .to_string(),
+        "nimbus(mu=learned,zfilter=adaptive)"
+    );
+    assert_eq!(
+        SchemeSpec::nimbus()
+            .with_z_filter(ZFilterConfig::notch(0.1))
+            .to_string(),
+        "nimbus(zfilter=notch(freq=0.1))"
+    );
+    // Parameterised forms parse back to exactly the right configs.
+    let spec: SchemeSpec = "nimbus(mu=learned(probe=2,gain=3,dur=0.5,window=8))"
+        .parse()
+        .unwrap();
+    assert_eq!(
+        spec,
+        SchemeSpec::nimbus().with_mu_strategy(LearnedMuConfig::Probing(ProbingConfig {
+            probe_interval_s: 2.0,
+            probe_gain: 3.0,
+            probe_duration_s: 0.5,
+            window_s: 8.0,
+            ..ProbingConfig::default()
+        }))
+    );
+    let spec: SchemeSpec = "nimbus(mu=learned(window=5))".parse().unwrap();
+    assert_eq!(
+        spec,
+        SchemeSpec::nimbus().with_mu_strategy(LearnedMuConfig::MaxFilter { window_s: 5.0 })
+    );
+    // Labels keep the historical `-estmu` stem and append strategy slugs.
+    assert_eq!(
+        probing(ProbingConfig::default()).label(),
+        "nimbus-estmu-probe1"
+    );
+    assert_eq!(
+        SchemeSpec::nimbus()
+            .with_learned_mu()
+            .with_z_filter(ZFilterConfig::adaptive())
+            .label(),
+        "nimbus-estmu-zadapt"
+    );
 }
 
 // ---- whole-cell generation -------------------------------------------------
@@ -364,6 +350,8 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("link", "step(15s)", "unknown schedule"),
     ("link", "sin(0.1,-10s)", "positive"),
     ("link", "steps(5s)", "<at>=<factor>"),
+    // Out of order, the 0.5 step would never apply.
+    ("link", "steps(20s=0.5,5s=2)", "must strictly increase"),
     ("link", "trace(1s)", "unknown schedule"),
     ("link", "sin(0.1,10s) step(1s,0.5)", "already has the schedule"),
     // Paths.

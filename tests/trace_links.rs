@@ -9,9 +9,8 @@
 //! 60 s cap — the flow is dead for the rest of the run.  The fix deems the
 //! whole unsacked flight lost on the *second* consecutive zero-progress
 //! timeout (RFC 5681 empty-pipe semantics), which re-opens the gate while
-//! leaving every single-timeout recovery byte-identical (the pinned
-//! fingerprints in `tests/scheme_spec.rs` / `tests/multihop_scenarios.rs`
-//! prove that).
+//! leaving every single-timeout recovery byte-identical (the fingerprint
+//! ledger in `tests/ledger/mod.rs` proves that).
 
 use nimbus_repro::experiments::testkit::{parallel_map, Cell};
 
