@@ -1,8 +1,8 @@
 //! Figures 8–13 and 21: the main emulation evaluation (§5, §8.1).
 
-use super::elastic_cross_flow;
+use super::{after, elastic_cross_flow, is_elastic, pairs, scenario, window_mean};
 use crate::output::ExperimentResult;
-use crate::runner::{run_and_collect, run_scheme_vs_cross, ScenarioSpec};
+use crate::runner::{run_scenario, run_scheme_vs_cross, Monitored};
 use crate::scheme::SchemeSpec;
 use nimbus_dsp::Cdf;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
@@ -33,11 +33,7 @@ pub fn fig08(quick: bool) -> ExperimentResult {
         s
     };
     for scheme in schemes {
-        let spec = ScenarioSpec {
-            duration_s: duration,
-            seed: 8,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
+        let spec = scenario(&format!("96M seed=8 dur={duration}s"));
         let mut cross: Vec<(FlowConfig, Box<dyn FlowEndpoint>)> = Vec::new();
         // Poisson aggregate following the scripted schedule (scaled in time).
         let scripted: Vec<(Time, f64)> = schedule
@@ -142,11 +138,7 @@ pub fn fig09(quick: bool) -> ExperimentResult {
         SchemeSpec::headline_set()
     };
     for scheme in schemes {
-        let spec = ScenarioSpec {
-            duration_s: duration,
-            seed: 9,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
+        let spec = scenario(&format!("96M seed=9 dur={duration}s"));
         let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 90);
         let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
         let m = &out.flows[0];
@@ -172,11 +164,7 @@ pub fn fig10(quick: bool) -> ExperimentResult {
         quick,
     );
     for scheme in [SchemeSpec::nimbus(), SchemeSpec::copa()] {
-        let spec = ScenarioSpec {
-            duration_s: duration,
-            seed: 10,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
+        let spec = scenario(&format!("96M seed=10 dur={duration}s"));
         // One long-lived elastic flow arrives mid-experiment.
         let mut cross = wan_cross(spec.link_rate_bps, 0.3, duration, 100);
         cross.push(elastic_cross_flow(
@@ -189,15 +177,9 @@ pub fn fig10(quick: bool) -> ExperimentResult {
         let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
         let m = &out.flows[0];
         // Throughput during the elephant period.
-        let during: Vec<f64> = m
-            .throughput_series
-            .iter()
-            .filter(|(t, _)| *t > duration * 0.4)
-            .map(|(_, v)| *v)
-            .collect();
         result.row(
             &format!("{}_throughput_vs_elephant_mbps", m.label),
-            nimbus_dsp::mean(&during),
+            window_mean(&m.throughput_series, after(duration * 0.4)),
         );
         result.add_series(
             &format!("{}_throughput_mbps", m.label),
@@ -226,12 +208,7 @@ pub fn fig11(quick: bool) -> ExperimentResult {
     };
     for quality in [VideoQuality::Uhd4k, VideoQuality::Fhd1080p] {
         for scheme in &schemes {
-            let spec = ScenarioSpec {
-                link_rate_bps: 48e6,
-                duration_s: duration,
-                seed: 11,
-                ..ScenarioSpec::fig1_48mbps(duration)
-            };
+            let spec = scenario(&format!("48M seed=11 dur={duration}s"));
             let video: (FlowConfig, Box<dyn FlowEndpoint>) = (
                 FlowConfig::cross(
                     &format!("video-{}", quality.label()),
@@ -263,38 +240,22 @@ pub fn fig12(quick: bool) -> ExperimentResult {
         "Elasticity metric vs ground-truth elastic fraction (WAN workload); detector accuracy",
         quick,
     );
-    let spec = ScenarioSpec {
-        duration_s: duration,
-        seed: 12,
-        ..ScenarioSpec::default_96mbps(duration)
-    };
+    let spec = scenario(&format!("96M seed=12 dur={duration}s"));
     let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 120);
     let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 5.0);
     let m = &out.flows[0];
     // Ground truth per interval from the recorder; detector verdicts from the
     // controller.  A period is "elastic" if more than 30% of cross bytes came
     // from flows large enough to be ACK-clocked.
-    let truth: Vec<(f64, f64)> = out
-        .recorder
-        .elastic_fraction
-        .t
-        .iter()
-        .zip(out.recorder.elastic_fraction.v.iter())
-        .map(|(t, v)| (*t, *v))
-        .collect();
+    let truth = pairs(&out.recorder.elastic_fraction);
     let mut acc = nimbus_dsp::stats::ClassificationAccuracy::default();
     for (t, eta) in &m.eta_series {
         if *t < 6.0 {
             continue;
         }
         // Ground truth averaged over the preceding detector window.
-        let window: Vec<f64> = truth
-            .iter()
-            .filter(|(tt, _)| *tt <= *t && *tt >= *t - 5.0)
-            .map(|(_, v)| *v)
-            .collect();
-        let truth_elastic = nimbus_dsp::mean(&window) > 0.3;
-        acc.record(truth_elastic, *eta >= 2.0);
+        let truth_elastic = window_mean(&truth, *t - 5.0..=*t) > 0.3;
+        acc.record(truth_elastic, is_elastic(*eta));
     }
     result.row("detector_accuracy", acc.accuracy());
     result.row("elastic_recall", acc.elastic_accuracy());
@@ -314,26 +275,13 @@ pub fn fig13(quick: bool) -> ExperimentResult {
         quick,
     );
     for &load in &[0.5, 0.9] {
+        let spec = scenario(&format!("96M seed=13 dur={duration}s"));
         for &pulse in &[0.125, 0.25] {
-            let spec = ScenarioSpec {
-                duration_s: duration,
-                seed: 13,
-                ..ScenarioSpec::default_96mbps(duration)
-            };
             let cross = wan_cross(spec.link_rate_bps, load, duration, 130);
-            let mut net = spec.build_network();
-            let cfg = SchemeSpec::nimbus()
-                .nimbus_config(spec.link_rate_bps, spec.seed)
-                .unwrap()
-                .with_pulse_amplitude(pulse);
-            let h = net.add_flow(
-                FlowConfig::primary("nimbus", Time::from_secs_f64(spec.prop_rtt_s)),
-                Box::new(nimbus_sim::nimbus_flow(cfg, "nimbus")),
-            );
-            for (fc, ep) in cross {
-                net.add_flow(fc, ep);
-            }
-            let out = run_and_collect(net, &[(h, SchemeSpec::nimbus())], 5.0);
+            let nimbus = Monitored::tweaked(&spec, SchemeSpec::nimbus(), |cfg| {
+                cfg.with_pulse_amplitude(pulse)
+            });
+            let out = run_scenario(&spec, vec![nimbus], cross, 5.0);
             let m = &out.flows[0];
             let key = format!("load{}_pulse{}", (load * 100.0) as u32, pulse);
             result.row(&format!("{key}_throughput_mbps"), m.mean_throughput_mbps);
@@ -341,11 +289,6 @@ pub fn fig13(quick: bool) -> ExperimentResult {
             result.row(&format!("{key}_delay_mode_fraction"), m.delay_mode_fraction);
         }
         // Cubic and Vegas references per load.
-        let spec = ScenarioSpec {
-            duration_s: duration,
-            seed: 13,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
         for scheme in [SchemeSpec::cubic(), SchemeSpec::vegas()] {
             let cross = wan_cross(spec.link_rate_bps, load, duration, 130);
             let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
@@ -384,11 +327,7 @@ pub fn fig21(quick: bool) -> ExperimentResult {
         (1_500_000, u64::MAX, ">1.5MB"),
     ];
     for scheme in schemes {
-        let spec = ScenarioSpec {
-            duration_s: duration,
-            seed: 21,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
+        let spec = scenario(&format!("96M seed=21 dur={duration}s"));
         let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 210);
         let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
         let fcts = out.recorder.completed_fcts();

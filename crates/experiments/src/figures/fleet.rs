@@ -14,11 +14,11 @@
 //!   multiflow protocol enabled converge to a fair pulse-frequency
 //!   allocation?
 
+use super::{jain_index, scenario};
 use crate::output::ExperimentResult;
-use crate::runner::{run_scheme_vs_cross, FleetSpec, ScenarioSpec};
+use crate::runner::{run_scenario, run_scheme_vs_cross, Monitored};
 use crate::scheme::SchemeSpec;
-use nimbus_core::MultiflowConfig;
-use nimbus_netsim::{FctBucket, FlowConfig, Time};
+use nimbus_netsim::FctBucket;
 
 /// Append one FCT bucket's percentile rows under a `prefix`.
 fn fct_rows(result: &mut ExperimentResult, prefix: &str, bucket: &FctBucket) {
@@ -41,13 +41,7 @@ pub fn fleet_churn(quick: bool) -> ExperimentResult {
         "1000+-flow churn over 1 Gbit/s: Nimbus detector stability under arrival/departure dynamics",
         quick,
     );
-    let spec = ScenarioSpec {
-        link_rate_bps: 1e9,
-        duration_s: duration,
-        seed: 61,
-        fleet: Some(FleetSpec::poisson(0.5)),
-        ..ScenarioSpec::default_96mbps(duration)
-    };
+    let spec = scenario(&format!("1G vs fleet(load=0.5) seed=61 dur={duration}s"));
     let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), duration * 0.25);
     let m = &out.flows[0];
     result.row("monitored_throughput_mbps", m.mean_throughput_mbps);
@@ -84,14 +78,8 @@ pub fn fleet_fct(quick: bool) -> ExperimentResult {
         "Fleet FCT distributions (mice/medium/elephant percentiles): sharing with Nimbus vs with Cubic",
         quick,
     );
+    let spec = scenario(&format!("48M vs fleet(load=0.5) seed=62 dur={duration}s"));
     for scheme in [SchemeSpec::nimbus(), SchemeSpec::cubic()] {
-        let spec = ScenarioSpec {
-            link_rate_bps: 48e6,
-            duration_s: duration,
-            seed: 62,
-            fleet: Some(FleetSpec::poisson(0.5)),
-            ..ScenarioSpec::default_96mbps(duration)
-        };
         let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), duration * 0.2);
         let label = scheme.label();
         let m = &out.flows[0];
@@ -126,27 +114,9 @@ fn run_multiflow_population(
     steady_start_s: f64,
     seed_base: u64,
 ) -> (Vec<f64>, Vec<f64>, f64) {
-    let spec = ScenarioSpec {
-        link_rate_bps,
-        duration_s: duration,
-        seed: seed_base,
-        ..ScenarioSpec::default_96mbps(duration)
-    };
-    let mut net = spec.build_network();
-    let mut handles = Vec::new();
-    for i in 0..n {
-        let cfg = SchemeSpec::nimbus_vegas()
-            .nimbus_config(spec.link_rate_bps, seed_base + i as u64)
-            .unwrap()
-            .with_multiflow(MultiflowConfig::enabled());
-        let endpoint = Box::new(nimbus_sim::nimbus_flow(cfg, &format!("nimbus-{i}")));
-        let h = net.add_flow(
-            FlowConfig::primary(&format!("nimbus-{i}"), Time::from_millis(50)),
-            endpoint,
-        );
-        handles.push((h, SchemeSpec::nimbus_vegas()));
-    }
-    let out = crate::runner::run_and_collect(net, &handles, steady_start_s);
+    let spec = scenario(&format!("{link_rate_bps} seed={seed_base} dur={duration}s"));
+    let flows = Monitored::multiflow(&spec, SchemeSpec::nimbus_vegas(), n, seed_base, 0.0);
+    let out = run_scenario(&spec, flows, Vec::new(), steady_start_s);
     let rates: Vec<f64> = out
         .flows
         .iter()
@@ -161,16 +131,6 @@ fn run_multiflow_population(
         .filter(|v| v.is_finite())
         .collect();
     (rates, delay_fracs, nimbus_dsp::mean(&qds))
-}
-
-/// Jain's fairness index: `(Σx)² / (n·Σx²)`, 1.0 = perfectly fair.
-pub fn jain_index(rates: &[f64]) -> f64 {
-    if rates.is_empty() {
-        return f64::NAN;
-    }
-    let sum: f64 = rates.iter().sum();
-    let sumsq: f64 = rates.iter().map(|r| r * r).sum();
-    sum * sum / (rates.len() as f64 * sumsq)
 }
 
 /// Pulse-frequency allocation convergence at population scale: ~100

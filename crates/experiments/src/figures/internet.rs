@@ -7,8 +7,9 @@
 //! and the profiles keep each regime reproducible per seed.  Cross traffic
 //! on each path is a light WAN-like mix.
 
+use super::scenario;
 use crate::output::ExperimentResult;
-use crate::runner::{run_scheme_vs_cross, EcnSpec, ScenarioSpec};
+use crate::runner::{run_scheme_vs_cross, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
 use nimbus_dsp::Cdf;
 use nimbus_traffic::FleetWorkloadConfig;
@@ -65,25 +66,17 @@ pub fn path_suite() -> Vec<PathProfile> {
     paths
 }
 
-fn run_path(
-    path: &PathProfile,
-    scheme: SchemeSpec,
-    duration_s: f64,
-) -> crate::runner::SingleFlowMetrics {
-    let spec = ScenarioSpec {
-        link_rate_bps: path.rate_bps,
-        schedule: crate::runner::LinkScheduleSpec::Constant,
-        buffer_s: path.buffer_s,
-        prop_rtt_s: path.rtt_s,
-        duration_s,
-        seed: 1800 + path.id as u64,
-        pie_target_s: None,
-        loss_probability: path.loss,
-        path: crate::runner::PathSpec::single(),
-        cross: Vec::new(),
-        fleet: None,
-        ecn: EcnSpec::Off,
-    };
+fn run_path(path: &PathProfile, scheme: SchemeSpec, duration_s: f64) -> SingleFlowMetrics {
+    // `loss=` takes a probability above zero; a clean path omits it.
+    let loss = (path.loss > 0.0).then(|| format!(" loss={}", path.loss));
+    let spec = scenario(&format!(
+        "{} buffer={}s rtt={}s{} seed={} dur={duration_s}s",
+        path.rate_bps,
+        path.buffer_s,
+        path.rtt_s,
+        loss.unwrap_or_default(),
+        1800 + path.id
+    ));
     let cross = super::drained_fleet(FleetWorkloadConfig {
         base_rtt_s: path.rtt_s,
         seed: 1900 + path.id as u64,

@@ -1,8 +1,11 @@
 //! Figures 1, 3–7: the motivating example and the detector's building blocks.
 
-use super::{fig1_cross_traffic, poisson_cross_flow};
+use super::{
+    after, elastic_cross_flow, fig1_cross_traffic, pairs, poisson_cross_flow, scenario, window,
+    window_mean,
+};
 use crate::output::ExperimentResult;
-use crate::runner::{run_scheme_vs_cross, ScenarioSpec};
+use crate::runner::run_scheme_vs_cross;
 use crate::scheme::SchemeSpec;
 use nimbus_core::{CrossTrafficEstimator, ElasticityConfig, ElasticityDetector};
 use nimbus_dsp::{AsymmetricPulse, PulseGenerator, PulseShape, Spectrum};
@@ -23,51 +26,22 @@ pub fn fig01(quick: bool) -> ExperimentResult {
         ("delay_control", SchemeSpec::nimbus_delay_only()),
         ("nimbus", SchemeSpec::nimbus()),
     ] {
-        let spec = ScenarioSpec {
-            duration_s: duration,
-            seed: 7,
-            ..ScenarioSpec::fig1_48mbps(duration)
-        };
+        let spec = scenario(&format!("48M seed=7 dur={duration}s"));
         let cross = fig1_cross_traffic(scale, 24e6, 11);
         let out = run_scheme_vs_cross(&spec, scheme, cross, 2.0);
         let m = &out.flows[0];
         // The elastic phase is 30–90 (scaled), the inelastic phase 90–150.
-        let elastic_window = (35.0 * scale, 88.0 * scale);
-        let inelastic_window = (95.0 * scale, 148.0 * scale);
-        let tput = |w: (f64, f64)| {
-            m.throughput_series
-                .iter()
-                .filter(|(t, _)| *t >= w.0 && *t <= w.1)
-                .map(|(_, v)| v)
-                .sum::<f64>()
-                / m.throughput_series
-                    .iter()
-                    .filter(|(t, _)| *t >= w.0 && *t <= w.1)
-                    .count()
-                    .max(1) as f64
-        };
-        let qd = |w: (f64, f64)| {
-            let vals: Vec<f64> = m
-                .queue_delay_series
-                .iter()
-                .filter(|(t, _)| *t >= w.0 && *t <= w.1)
-                .map(|(_, v)| *v)
-                .collect();
-            nimbus_dsp::mean(&vals)
-        };
-        result.row(
-            &format!("{key}_elastic_throughput_mbps"),
-            tput(elastic_window),
-        );
-        result.row(
-            &format!("{key}_inelastic_throughput_mbps"),
-            tput(inelastic_window),
-        );
-        result.row(&format!("{key}_elastic_queue_delay_ms"), qd(elastic_window));
-        result.row(
-            &format!("{key}_inelastic_queue_delay_ms"),
-            qd(inelastic_window),
-        );
+        for (phase, lo, hi) in [("elastic", 35.0, 88.0), ("inelastic", 95.0, 148.0)] {
+            let w = lo * scale..=hi * scale;
+            result.row(
+                &format!("{key}_{phase}_throughput_mbps"),
+                window_mean(&m.throughput_series, w.clone()),
+            );
+            result.row(
+                &format!("{key}_{phase}_queue_delay_ms"),
+                window_mean(&m.queue_delay_series, w),
+            );
+        }
         result.add_series(
             &format!("{key}_throughput_mbps"),
             m.throughput_series.clone(),
@@ -94,46 +68,22 @@ pub fn fig03(quick: bool) -> ExperimentResult {
         quick,
     );
     let duration = 180.0 * scale;
-    let spec = ScenarioSpec {
-        duration_s: duration,
-        seed: 3,
-        ..ScenarioSpec::fig1_48mbps(duration)
-    };
+    let spec = scenario(&format!("48M seed=3 dur={duration}s"));
     let cross = fig1_cross_traffic(scale, 24e6, 13);
     let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), cross, 2.0);
     let m = &out.flows[0];
     // Self-inflicted delay ≈ total queueing delay × our share of throughput.
-    let total_qd: Vec<(f64, f64)> = out
-        .recorder
-        .queue_bytes
-        .t
-        .iter()
-        .zip(out.recorder.queue_bytes.v.iter())
-        .map(|(t, bytes)| (*t, bytes * 8.0 / 48e6 * 1000.0))
+    let total_qd: Vec<(f64, f64)> = pairs(&out.recorder.queue_bytes)
+        .into_iter()
+        .map(|(t, bytes)| (t, bytes * 8.0 / 48e6 * 1000.0))
         .collect();
-    let elastic_window = (35.0 * scale, 88.0 * scale);
-    let inelastic_window = (95.0 * scale, 148.0 * scale);
-    let share = |w: (f64, f64)| {
-        let own: Vec<f64> = m
-            .throughput_series
-            .iter()
-            .filter(|(t, _)| *t >= w.0 && *t <= w.1)
-            .map(|(_, v)| *v)
-            .collect();
-        nimbus_dsp::mean(&own) / 48.0
-    };
-    let qd_in = |w: (f64, f64)| {
-        let vals: Vec<f64> = total_qd
-            .iter()
-            .filter(|(t, _)| *t >= w.0 && *t <= w.1)
-            .map(|(_, v)| *v)
-            .collect();
-        nimbus_dsp::mean(&vals)
-    };
-    let self_elastic = share(elastic_window) * qd_in(elastic_window);
-    let self_inelastic = share(inelastic_window) * qd_in(inelastic_window);
-    result.row("total_delay_elastic_ms", qd_in(elastic_window));
-    result.row("total_delay_inelastic_ms", qd_in(inelastic_window));
+    let (elastic, inelastic) = (35.0 * scale..=88.0 * scale, 95.0 * scale..=148.0 * scale);
+    let qd_elastic = window_mean(&total_qd, elastic.clone());
+    let qd_inelastic = window_mean(&total_qd, inelastic.clone());
+    let self_elastic = window_mean(&m.throughput_series, elastic) / 48.0 * qd_elastic;
+    let self_inelastic = window_mean(&m.throughput_series, inelastic) / 48.0 * qd_inelastic;
+    result.row("total_delay_elastic_ms", qd_elastic);
+    result.row("total_delay_inelastic_ms", qd_inelastic);
     result.row("self_inflicted_elastic_ms", self_elastic);
     result.row("self_inflicted_inelastic_ms", self_inelastic);
     // The paper's point: the two self-inflicted values are nearly identical.
@@ -151,52 +101,18 @@ pub fn fig03(quick: bool) -> ExperimentResult {
 }
 
 /// Run a Nimbus pulser against a single kind of cross traffic and return the
-/// ẑ(t) series plus the detector's η — shared by Figs. 4, 5 and 26.
-fn z_series_against(
-    elastic: bool,
-    duration_s: f64,
-    pulse_freq_hz: f64,
-    seed: u64,
-) -> (Vec<(f64, f64)>, f64) {
-    let spec = ScenarioSpec {
-        duration_s,
-        seed,
-        ..ScenarioSpec::default_96mbps(duration_s)
-    };
-    let mut scheme_cfg = SchemeSpec::nimbus()
-        .nimbus_config(spec.link_rate_bps, seed)
-        .unwrap();
-    scheme_cfg.elasticity.pulse_freq_hz = pulse_freq_hz;
-    let endpoint = Box::new(nimbus_sim::nimbus_flow(scheme_cfg, "nimbus"));
-    let mut net = spec.build_network();
-    let h = net.add_flow(
-        nimbus_netsim::FlowConfig::primary("nimbus", nimbus_netsim::Time::from_secs_f64(0.05)),
-        endpoint,
-    );
+/// cross traffic's rate series (ground truth from the recorder) plus the
+/// detector's last η — shared by Figs. 4 and 5.
+fn z_series_against(elastic: bool, duration_s: f64, seed: u64) -> (Vec<(f64, f64)>, f64) {
+    let spec = scenario(&format!("96M seed={seed} dur={duration_s}s"));
     let cross = if elastic {
-        super::elastic_cross_flow("cubic", CcKind::Cubic, 0.05, 0.0, None)
+        elastic_cross_flow("cubic", CcKind::Cubic, 0.05, 0.0, None)
     } else {
         poisson_cross_flow("poisson", 48e6, 0.05, seed + 1, 0.0, None)
     };
-    net.add_flow(cross.0, cross.1);
-    let out = crate::runner::run_and_collect(net, &[(h, SchemeSpec::nimbus())], 2.0);
-    let endpoint = &out.flows[0];
-    let eta = endpoint
-        .eta_series
-        .last()
-        .map(|(_, e)| *e)
-        .unwrap_or(f64::NAN);
-    // Reconstruct ẑ(t) from the recorder's ground-truth cross rate for the
-    // series plot (the controller's internal estimate mirrors it).
-    let z: Vec<(f64, f64)> = out
-        .recorder
-        .cross_rate_mbps
-        .t
-        .iter()
-        .zip(out.recorder.cross_rate_mbps.v.iter())
-        .map(|(t, v)| (*t, *v))
-        .collect();
-    (z, eta)
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), vec![cross], 2.0);
+    let eta = out.flows[0].eta_series.last().map_or(f64::NAN, |&(_, e)| e);
+    (pairs(&out.recorder.cross_rate_mbps), eta)
 }
 
 /// Fig. 4: the cross traffic's reaction to pulses — elastic traffic reacts,
@@ -208,18 +124,11 @@ pub fn fig04(quick: bool) -> ExperimentResult {
         "Cross-traffic reaction to rate pulses (elastic reacts, inelastic does not)",
         quick,
     );
-    let (z_elastic, eta_e) = z_series_against(true, duration, 5.0, 21);
-    let (z_inelastic, eta_i) = z_series_against(false, duration, 5.0, 22);
+    let (z_elastic, eta_e) = z_series_against(true, duration, 21);
+    let (z_inelastic, eta_i) = z_series_against(false, duration, 22);
     // Quantify the reaction as the standard deviation of z over the last
     // stretch of the run (the pulse-induced oscillation).
-    let tail_std = |z: &[(f64, f64)]| {
-        let vals: Vec<f64> = z
-            .iter()
-            .filter(|(t, _)| *t > duration * 0.5)
-            .map(|(_, v)| *v)
-            .collect();
-        nimbus_dsp::stddev(&vals)
-    };
+    let tail_std = |z: &[(f64, f64)]| nimbus_dsp::stddev(&window(z, after(duration * 0.5)));
     result.row("elastic_z_stddev_mbps", tail_std(&z_elastic));
     result.row("inelastic_z_stddev_mbps", tail_std(&z_inelastic));
     result.row("elastic_eta", eta_e);
@@ -239,12 +148,8 @@ pub fn fig05(quick: bool) -> ExperimentResult {
         quick,
     );
     for (key, elastic, seed) in [("elastic", true, 31), ("inelastic", false, 32)] {
-        let (z, eta) = z_series_against(elastic, duration, 5.0, seed);
-        let tail: Vec<f64> = z
-            .iter()
-            .filter(|(t, _)| *t > duration - 5.0)
-            .map(|(_, v)| *v)
-            .collect();
+        let (z, eta) = z_series_against(elastic, duration, seed);
+        let tail = window(&z, after(duration - 5.0));
         if tail.len() > 16 {
             // Recorder samples every 100 ms → 10 Hz sample rate.
             let spectrum = Spectrum::of_signal(&tail, 10.0, true);
@@ -271,22 +176,13 @@ pub fn fig06(quick: bool) -> ExperimentResult {
     let total_cross = 48e6;
     let fractions = [0.0, 0.25, 0.5, 0.75, 1.0];
     for &frac in &fractions {
-        let spec = ScenarioSpec {
-            duration_s: duration,
-            seed: 41 + (frac * 4.0) as u64,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
+        let seed = 41 + (frac * 4.0) as u64;
+        let spec = scenario(&format!("96M seed={seed} dur={duration}s"));
         let mut cross = Vec::new();
         if frac > 0.0 {
             // The elastic share: a backlogged Cubic flow (it will take what it
             // can; with the inelastic share fixed this approximates the mix).
-            cross.push(super::elastic_cross_flow(
-                "cubic",
-                CcKind::Cubic,
-                0.05,
-                0.0,
-                None,
-            ));
+            cross.push(elastic_cross_flow("cubic", CcKind::Cubic, 0.05, 0.0, None));
         }
         if frac < 1.0 {
             cross.push(poisson_cross_flow(
@@ -299,12 +195,7 @@ pub fn fig06(quick: bool) -> ExperimentResult {
             ));
         }
         let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 2.0);
-        let etas: Vec<f64> = out.flows[0]
-            .eta_series
-            .iter()
-            .filter(|(t, _)| *t > 6.0)
-            .map(|(_, e)| *e)
-            .collect();
+        let etas = window(&out.flows[0].eta_series, after(6.0));
         let label = format!("{:.0}%", frac * 100.0);
         let cdf = nimbus_dsp::Cdf::from_samples(&etas);
         result.add_series(&format!("eta_cdf_{label}"), cdf.curve(50));

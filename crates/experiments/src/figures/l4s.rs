@@ -22,31 +22,11 @@
 //!   link; the default loss-dialect competitive mode on a mark-per-window
 //!   L4S queue does not.)
 
+use super::{first_flip_s, scenario};
 use crate::output::ExperimentResult;
-use crate::runner::{run_scheme_vs_cross, EcnSpec, ScenarioSpec, SingleFlowMetrics};
+use crate::runner::{run_scheme_vs_cross, EcnSpec};
 use crate::scheme::SchemeSpec;
 use nimbus_core::TcpScheme;
-
-/// Time of the first switch into competitive mode, or `-1.0` if the flow
-/// held delay mode for the whole run.
-fn first_flip_s(m: &SingleFlowMetrics) -> f64 {
-    m.mode_log
-        .iter()
-        .find(|(_, mode)| mode == "competitive")
-        .map(|&(t, _)| t)
-        .unwrap_or(-1.0)
-}
-
-/// The 48 Mbit/s single-bottleneck scenario every ECN experiment runs on.
-fn ecn_scenario(duration_s: f64, seed: u64, ecn: EcnSpec) -> ScenarioSpec {
-    ScenarioSpec {
-        link_rate_bps: 48e6,
-        duration_s,
-        seed,
-        ecn,
-        ..ScenarioSpec::default_96mbps(duration_s)
-    }
-}
 
 /// Pulse survival across marking profiles: the same solo Nimbus flow on a
 /// drop-tail, a classic-marking, and an L4S step queue.  Delay mode treats
@@ -62,7 +42,7 @@ pub fn l4s_pulse(quick: bool) -> ExperimentResult {
         quick,
     );
     for ecn in [EcnSpec::Off, EcnSpec::Classic, EcnSpec::l4s()] {
-        let spec = ecn_scenario(duration, 62, ecn);
+        let spec = scenario(&format!("48M ecn={ecn} seed=62 dur={duration}s"));
         let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), duration * 0.25);
         let m = &out.flows[0];
         let tag = if ecn.is_enabled() {
@@ -113,20 +93,11 @@ pub fn l4s_mark_validation(quick: bool) -> ExperimentResult {
         .fft_duration_s;
     result.row("fft_window_s", fft_window_s);
     for (tag, ecn) in [("off", EcnSpec::Off), ("ecn", EcnSpec::Classic)] {
-        let spec = ecn_scenario(duration, 2, ecn);
-        let cross = super::scheme_cross_flow(
-            "dctcp-cross",
-            &SchemeSpec::dctcp(),
-            spec.nominal_mu_bps(),
-            spec.seed.wrapping_mul(67).wrapping_add(11),
-            0.05,
-            0.0,
-            None,
-        );
+        let spec = scenario(&format!("48M ecn={ecn} vs dctcp seed=2 dur={duration}s"));
         let out = run_scheme_vs_cross(
             &spec,
             SchemeSpec::nimbus().with_competitive(TcpScheme::Dctcp),
-            vec![cross],
+            Vec::new(),
             duration / 3.0,
         );
         let m = &out.flows[0];
@@ -182,17 +153,10 @@ pub fn l4s_coexistence(quick: bool) -> ExperimentResult {
         ),
     ];
     for (tag, scheme, competitor, ecn) in pairs {
-        let spec = ecn_scenario(duration, 2, ecn);
-        let cross = super::scheme_cross_flow(
-            &format!("{}-cross", competitor.label()),
-            &competitor,
-            spec.nominal_mu_bps(),
-            spec.seed.wrapping_mul(67).wrapping_add(11),
-            0.05,
-            0.0,
-            None,
-        );
-        let out = run_scheme_vs_cross(&spec, scheme, vec![cross], duration / 3.0);
+        let spec = scenario(&format!(
+            "48M ecn={ecn} vs {competitor} seed=2 dur={duration}s"
+        ));
+        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), duration / 3.0);
         let m = &out.flows[0];
         result.row(&format!("{tag}_throughput_mbps"), m.mean_throughput_mbps);
         result.row(&format!("{tag}_queue_delay_ms"), m.mean_queue_delay_ms);

@@ -1,4 +1,13 @@
-//! One module per group of figures, plus shared cross-traffic builders.
+//! One module per group of figures, plus what they share.
+//!
+//! A figure is scenario strings ([`scenario`], in the grammar of
+//! [`grammar_reference`](crate::runner::grammar_reference)), run through the
+//! one lowering ([`run_scenario`](crate::runner::run_scenario), or its
+//! one-flow case [`run_scheme_vs_cross`](crate::runner::run_scheme_vs_cross))
+//! with any cross traffic the grammar cannot express built by the helpers
+//! below, and read back through the projections below: time windows of a
+//! `(t, v)` series, detector verdicts against ground truth, Jain's index and
+//! the first mode flip.
 
 pub mod eval;
 pub mod fleet;
@@ -10,12 +19,101 @@ pub mod multihop;
 pub mod robust;
 pub mod varying;
 
+use crate::runner::{ScenarioSpec, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
-use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, Time};
+use nimbus_core::ElasticityConfig;
+use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, Time, TimeSeries};
 use nimbus_traffic::{FleetSpawner, FleetWorkloadConfig};
 use nimbus_transport::{
     BackloggedSource, CcKind, PathInfo, PoissonSource, ScriptedSource, Sender, SenderConfig, Source,
 };
+use std::ops::{Bound, RangeBounds};
+
+/// Parse a figure's scenario string.
+///
+/// # Panics
+/// Panics on a malformed string — figure scenarios are source code.
+pub fn scenario(text: &str) -> ScenarioSpec {
+    text.parse()
+        .unwrap_or_else(|e| panic!("figure scenario `{text}`: {e}"))
+}
+
+/// A recorder series as `(t, v)` pairs.
+pub fn pairs(series: &TimeSeries) -> Vec<(f64, f64)> {
+    series
+        .t
+        .iter()
+        .copied()
+        .zip(series.v.iter().copied())
+        .collect()
+}
+
+/// The values of a `(t, v)` series whose time lies in `range`.
+pub fn window(series: &[(f64, f64)], range: impl RangeBounds<f64>) -> Vec<f64> {
+    let inside = series.iter().filter(|(t, _)| range.contains(t));
+    inside.map(|&(_, v)| v).collect()
+}
+
+/// The mean of [`window`]; 0.0 for an empty window (as `nimbus_dsp::mean`).
+pub fn window_mean(series: &[(f64, f64)], range: impl RangeBounds<f64>) -> f64 {
+    nimbus_dsp::mean(&window(series, range))
+}
+
+/// Every time strictly after `t_s`, as a [`window`] range.
+pub fn after(t_s: f64) -> (Bound<f64>, Bound<f64>) {
+    (Bound::Excluded(t_s), Bound::Unbounded)
+}
+
+/// Whether a detector verdict reads elastic: η at or above the detector's
+/// own threshold.
+pub fn is_elastic(eta: f64) -> bool {
+    eta >= ElasticityConfig::default().eta_threshold
+}
+
+/// The fraction of `verdicts` equal to `truth`; 0.0 when there are none.
+pub fn agreement(verdicts: impl IntoIterator<Item = bool>, truth: bool) -> f64 {
+    let (mut agree, mut total) = (0usize, 0usize);
+    for verdict in verdicts {
+        agree += usize::from(verdict == truth);
+        total += 1;
+    }
+    if total == 0 {
+        0.0
+    } else {
+        agree as f64 / total as f64
+    }
+}
+
+/// Detector accuracy: the fraction of η verdicts that agree with whether
+/// the cross traffic is elastic.
+pub fn accuracy(etas: &[f64], truth_elastic: bool) -> f64 {
+    agreement(etas.iter().map(|&eta| is_elastic(eta)), truth_elastic)
+}
+
+/// The fraction of η verdicts that read elastic.
+pub fn elastic_fraction(etas: &[f64]) -> f64 {
+    accuracy(etas, true)
+}
+
+/// Jain's fairness index: `(Σx)² / (n·Σx²)`, 1.0 = perfectly fair.
+pub fn jain_index(rates: &[f64]) -> f64 {
+    if rates.is_empty() {
+        return f64::NAN;
+    }
+    let sum: f64 = rates.iter().sum();
+    let sumsq: f64 = rates.iter().map(|r| r * r).sum();
+    sum * sum / (rates.len() as f64 * sumsq)
+}
+
+/// Time of a Nimbus flow's first switch into competitive mode, or `-1.0` if
+/// it held delay mode for the whole run.
+pub fn first_flip_s(m: &SingleFlowMetrics) -> f64 {
+    m.mode_log
+        .iter()
+        .find(|(_, mode)| mode == "competitive")
+        .map(|&(t, _)| t)
+        .unwrap_or(-1.0)
+}
 
 /// A backlogged elastic cross-flow using the given loss-based scheme.
 /// `stop_s` terminates the flow at that time (the application goes away).
@@ -155,4 +253,39 @@ pub fn fig1_cross_traffic(
             Some(150.0 * scale),
         ),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn windows_keep_each_sites_bounds() {
+        let series = [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)];
+        assert_eq!(window(&series, 1.0..=3.0), [10.0, 20.0, 30.0]);
+        assert_eq!(window(&series, 2.0..), [20.0, 30.0]);
+        assert_eq!(window(&series, after(2.0)), [30.0]);
+        let open = (Bound::Excluded(1.0), Bound::Excluded(3.0));
+        assert_eq!(window_mean(&series, open), 20.0);
+        // An empty window reads 0.0, not NaN.
+        assert_eq!(window_mean(&series, after(3.0)), 0.0);
+    }
+
+    #[test]
+    fn eta_at_the_threshold_reads_elastic() {
+        let threshold = ElasticityConfig::default().eta_threshold;
+        assert!(is_elastic(threshold));
+        assert!(!is_elastic(threshold - 1e-9));
+        let etas = [threshold, 0.5, 3.0, 1.0];
+        assert_eq!(elastic_fraction(&etas), 0.5);
+        assert_eq!(accuracy(&etas, false), 0.5);
+        assert_eq!(accuracy(&[], true), 0.0);
+    }
+
+    #[test]
+    fn jain_index_is_one_for_equal_rates() {
+        assert_eq!(jain_index(&[7.5; 4]), 1.0);
+        assert!(jain_index(&[1.0, 0.0]) < 1.0);
+        assert!(jain_index(&[]).is_nan());
+    }
 }

@@ -18,10 +18,11 @@
 //!   cross traffic's effect on its own ACK stream and must still classify it
 //!   as inelastic.
 
-use crate::figures::cbr_cross_flow;
+use super::{after, cbr_cross_flow, scenario, window_mean};
 use crate::output::ExperimentResult;
-use crate::runner::{run_scheme_vs_cross, LinkScheduleSpec, PathSpec, ScenarioSpec};
+use crate::runner::run_scheme_vs_cross;
 use crate::scheme::SchemeSpec;
+use std::ops::Bound::Excluded;
 
 /// Fixed secondary bottleneck: hop 0 at 48 Mbit/s feeding a 28.8 Mbit/s
 /// (60%) second hop.  Cubic vs Nimbus, alone on the path.
@@ -32,14 +33,8 @@ pub fn multihop_secondary(quick: bool) -> ExperimentResult {
         "Cubic vs Nimbus through a fixed 60% secondary bottleneck (2-hop path)",
         quick,
     );
+    let spec = scenario(&format!("48M hop(0.6) seed=41 dur={duration}s"));
     for scheme in [SchemeSpec::cubic(), SchemeSpec::nimbus()] {
-        let spec = ScenarioSpec {
-            link_rate_bps: 48e6,
-            path: PathSpec::with_secondary(0.6),
-            duration_s: duration,
-            seed: 41,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
         let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
         let m = &out.flows[0];
         result.row(
@@ -80,36 +75,22 @@ pub fn multihop_moving(quick: bool) -> ExperimentResult {
         "Moving bottleneck via anti-phase steps on hops 0 and 1 (constant path minimum)",
         quick,
     );
+    // Hop 1 starts at half rate and doubles as hop 0 halves.
+    let spec = scenario(&format!(
+        "48M step({swap_at}s,0.5) hop(0.5,sched=step({swap_at}s,2)) seed=42 dur={duration}s"
+    ));
     for scheme in [SchemeSpec::cubic(), SchemeSpec::nimbus()] {
-        let spec = ScenarioSpec {
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Step {
-                at_s: swap_at,
-                factor: 0.5,
-            },
-            path: PathSpec::moving_bottleneck(0.5, swap_at),
-            duration_s: duration,
-            seed: 42,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
         let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 8.0);
         let m = &out.flows[0];
-        let pre: Vec<f64> = m
-            .throughput_series
-            .iter()
-            .filter(|(t, _)| *t > 8.0 && *t < swap_at)
-            .map(|(_, v)| *v)
-            .collect();
-        let pre_mean = pre.iter().sum::<f64>() / pre.len().max(1) as f64;
-        let post = m
-            .throughput_series
-            .iter()
-            .filter(|(t, _)| *t > swap_at + 5.0)
-            .map(|(_, v)| *v)
-            .collect::<Vec<_>>();
-        let post_mean = post.iter().sum::<f64>() / post.len().max(1) as f64;
-        result.row(&format!("{}_pre_swap_mbps", m.label), pre_mean);
-        result.row(&format!("{}_post_swap_mbps", m.label), post_mean);
+        let tput = &m.throughput_series;
+        result.row(
+            &format!("{}_pre_swap_mbps", m.label),
+            window_mean(tput, (Excluded(8.0), Excluded(swap_at))),
+        );
+        result.row(
+            &format!("{}_post_swap_mbps", m.label),
+            window_mean(tput, after(swap_at + 5.0)),
+        );
         result.row(
             &format!("{}_delay_mode_fraction", m.label),
             m.delay_mode_fraction,
@@ -144,14 +125,8 @@ pub fn multihop_midpath(quick: bool) -> ExperimentResult {
         "Nimbus vs CBR cross traffic entering at the interior bottleneck hop",
         quick,
     );
+    let spec = scenario(&format!("48M hop(0.6) seed=43 dur={duration}s"));
     for &(fraction, tag) in &[(0.3, "cbr30"), (0.5, "cbr50")] {
-        let spec = ScenarioSpec {
-            link_rate_bps: 48e6,
-            path: PathSpec::with_secondary(0.6),
-            duration_s: duration,
-            seed: 43,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
         let bottleneck_bps = spec.nominal_mu_bps();
         let (cfg, ep) = cbr_cross_flow(
             &format!("midpath-{tag}"),

@@ -1,64 +1,32 @@
 //! Figures 14, 15, 22–26, Table 1 and the buffer/RTT/AQM robustness sweep (§8.2, Appendices C–F).
 
-use super::{cbr_cross_flow, elastic_cross_flow, poisson_cross_flow};
+use super::{
+    accuracy, after, agreement, elastic_cross_flow, elastic_fraction, poisson_cross_flow, scenario,
+    window,
+};
 use crate::output::ExperimentResult;
-use crate::runner::{run_and_collect, run_scheme_vs_cross, ScenarioSpec};
+use crate::runner::{run_scenario, run_scheme_vs_cross, Monitored, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
-use nimbus_core::Mode;
-use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
 use nimbus_transport::CcKind;
 
 /// Classification accuracy of a Nimbus run given the ground truth ("the cross
-/// traffic is elastic during the whole steady state" or not): fraction of
-/// post-warmup detector verdicts that agree.
-fn nimbus_accuracy(
-    metrics: &crate::runner::SingleFlowMetrics,
-    truth_elastic: bool,
-    warmup_s: f64,
-) -> f64 {
-    let verdicts: Vec<bool> = metrics
-        .eta_series
-        .iter()
-        .filter(|(t, _)| *t >= warmup_s)
-        .map(|(_, eta)| *eta >= 2.0)
-        .collect();
-    if verdicts.is_empty() {
-        return 0.0;
-    }
-    verdicts.iter().filter(|&&v| v == truth_elastic).count() as f64 / verdicts.len() as f64
+/// traffic is elastic during the whole steady state" or not): the fraction
+/// of detector verdicts from `warmup_s` on that agree.
+fn nimbus_accuracy(m: &SingleFlowMetrics, truth_elastic: bool, warmup_s: f64) -> f64 {
+    accuracy(&window(&m.eta_series, warmup_s..), truth_elastic)
 }
 
-/// Copa's "accuracy": fraction of time it is in the correct mode
-/// (competitive when the competitor is buffer-filling, default otherwise).
+/// Copa's "accuracy": the fraction of queueing-delay samples over
+/// `[warmup_s, duration_s]` whose mode reads right, a queue above 25 ms
+/// meaning competitive.
 fn copa_accuracy(
-    out: &crate::runner::RunOutput,
-    handle_idx: usize,
+    m: &SingleFlowMetrics,
     truth_elastic: bool,
     warmup_s: f64,
     duration_s: f64,
 ) -> f64 {
-    // Reconstruct Copa's mode over time from its mode log via the endpoint
-    // downcast path used for Nimbus; Copa is embedded in a Sender, so fetch
-    // the controller by name through the recorder label (the mode log is not
-    // exposed); instead, approximate with queueing delay: Copa is effectively
-    // in competitive mode when the standing queue stays high.  To stay honest
-    // we instead measure the *outcome* the paper measures: the fraction of
-    // time the queue behaviour matches the correct mode.
-    let m = &out.flows[handle_idx];
-    let samples: Vec<bool> = m
-        .queue_delay_series
-        .iter()
-        .filter(|(t, _)| *t >= warmup_s && *t <= duration_s)
-        .map(|(_, qd)| *qd > 25.0)
-        .collect();
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples
-        .iter()
-        .filter(|&&high_queue| high_queue == truth_elastic)
-        .count() as f64
-        / samples.len() as f64
+    let queue = window(&m.queue_delay_series, warmup_s..=duration_s);
+    agreement(queue.into_iter().map(|qd| qd > 25.0), truth_elastic)
 }
 
 /// Fig. 14: classification accuracy, Nimbus vs Copa.
@@ -79,22 +47,15 @@ pub fn fig14(quick: bool) -> ExperimentResult {
     let mut nimbus_left = Vec::new();
     let mut copa_left = Vec::new();
     for &share in &shares {
-        let spec = ScenarioSpec {
-            duration_s: duration,
-            seed: 14,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
-        // Nimbus against CBR at `share` of the link.
-        let cross = vec![cbr_cross_flow("cbr", share * 96e6, 0.05, 0.0, None)];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 6.0);
+        // Nimbus, then Copa, against CBR at `share` of the link.
+        let spec = scenario(&format!("96M vs cbr@{share} seed=14 dur={duration}s"));
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 6.0);
         let acc = nimbus_accuracy(&out.flows[0], false, 6.0);
         result.row(&format!("nimbus_accuracy_share{:.0}", share * 100.0), acc);
         nimbus_left.push((share, acc));
 
-        // Copa against the same traffic.
-        let cross = vec![cbr_cross_flow("cbr", share * 96e6, 0.05, 0.0, None)];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), cross, 6.0);
-        let acc = copa_accuracy(&out, 0, false, 6.0, duration);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), Vec::new(), 6.0);
+        let acc = copa_accuracy(&out.flows[0], false, 6.0, duration);
         result.row(&format!("copa_accuracy_share{:.0}", share * 100.0), acc);
         copa_left.push((share, acc));
     }
@@ -108,33 +69,24 @@ pub fn fig14(quick: bool) -> ExperimentResult {
     };
     let mut nimbus_right = Vec::new();
     let mut copa_right = Vec::new();
+    let spec = scenario(&format!("96M seed=15 dur={duration}s"));
     for &ratio in &ratios {
-        let spec = ScenarioSpec {
-            duration_s: duration,
-            seed: 15,
-            ..ScenarioSpec::default_96mbps(duration)
+        let cross = || {
+            vec![elastic_cross_flow(
+                "newreno",
+                CcKind::NewReno,
+                0.05 * ratio,
+                0.0,
+                None,
+            )]
         };
-        let cross = vec![elastic_cross_flow(
-            "newreno",
-            CcKind::NewReno,
-            0.05 * ratio,
-            0.0,
-            None,
-        )];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross(), 8.0);
         let acc = nimbus_accuracy(&out.flows[0], true, 8.0);
         result.row(&format!("nimbus_accuracy_rttx{ratio}"), acc);
         nimbus_right.push((ratio, acc));
 
-        let cross = vec![elastic_cross_flow(
-            "newreno",
-            CcKind::NewReno,
-            0.05 * ratio,
-            0.0,
-            None,
-        )];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), cross, 8.0);
-        let acc = copa_accuracy(&out, 0, true, 8.0, duration);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), cross(), 8.0);
+        let acc = copa_accuracy(&out.flows[0], true, 8.0, duration);
         result.row(&format!("copa_accuracy_rttx{ratio}"), acc);
         copa_right.push((ratio, acc));
     }
@@ -159,27 +111,16 @@ pub fn fig15(quick: bool) -> ExperimentResult {
     };
     for &ratio in &ratios {
         let rtt = 0.05 * ratio;
+        let seed = 150 + (ratio * 10.0) as u64;
+        let spec = scenario(&format!("96M seed={seed} dur={duration}s"));
+        let reno = || elastic_cross_flow("reno", CcKind::NewReno, rtt, 0.0, None);
+        let poisson = |rate| poisson_cross_flow("poisson", rate, rtt, spec.seed, 0.0, None);
         for (kind, truth_elastic) in [("elastic", true), ("mix", true), ("inelastic", false)] {
-            let spec = ScenarioSpec {
-                duration_s: duration,
-                seed: 150 + (ratio * 10.0) as u64,
-                ..ScenarioSpec::default_96mbps(duration)
+            let cross = match kind {
+                "elastic" => vec![reno()],
+                "inelastic" => vec![poisson(48e6)],
+                _ => vec![reno(), poisson(24e6)],
             };
-            let mut cross: Vec<(FlowConfig, Box<dyn FlowEndpoint>)> = Vec::new();
-            match kind {
-                "elastic" => {
-                    cross.push(elastic_cross_flow("reno", CcKind::NewReno, rtt, 0.0, None))
-                }
-                "inelastic" => cross.push(poisson_cross_flow(
-                    "poisson", 48e6, rtt, spec.seed, 0.0, None,
-                )),
-                _ => {
-                    cross.push(elastic_cross_flow("reno", CcKind::NewReno, rtt, 0.0, None));
-                    cross.push(poisson_cross_flow(
-                        "poisson", 24e6, rtt, spec.seed, 0.0, None,
-                    ));
-                }
-            }
             let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
             let acc = nimbus_accuracy(&out.flows[0], truth_elastic, 8.0);
             result.row(&format!("{kind}_accuracy_rttx{ratio}"), acc);
@@ -204,15 +145,12 @@ pub fn fig22(quick: bool) -> ExperimentResult {
         vec![0.5, 1.0, 2.0, 4.0]
     };
     for &bdp in &buffers {
+        let buffer_s = bdp * bdp_s;
+        let spec = scenario(&format!(
+            "96M vs bbr buffer={buffer_s}s seed=22 dur={duration}s"
+        ));
         for scheme in [SchemeSpec::nimbus(), SchemeSpec::cubic()] {
-            let spec = ScenarioSpec {
-                buffer_s: bdp * bdp_s,
-                duration_s: duration,
-                seed: 22,
-                ..ScenarioSpec::default_96mbps(duration)
-            };
-            let cross = vec![elastic_cross_flow("bbr", CcKind::Bbr, 0.05, 0.0, None)];
-            let out = run_scheme_vs_cross(&spec, scheme, cross, 6.0);
+            let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 6.0);
             result.row(
                 &format!("{}_throughput_mbps_buffer{bdp}bdp", scheme.label()),
                 out.flows[0].mean_throughput_mbps,
@@ -232,14 +170,10 @@ pub fn fig23(quick: bool) -> ExperimentResult {
         quick,
     );
     for &(rate, tag) in &[(24e6, "24M"), (80e6, "80M")] {
+        let fraction = rate / 96e6;
+        let spec = scenario(&format!("96M vs cbr@{fraction} seed=23 dur={duration}s"));
         for scheme in [SchemeSpec::copa(), SchemeSpec::nimbus()] {
-            let spec = ScenarioSpec {
-                duration_s: duration,
-                seed: 23,
-                ..ScenarioSpec::default_96mbps(duration)
-            };
-            let cross = vec![cbr_cross_flow("cbr", rate, 0.05, 0.0, None)];
-            let out = run_scheme_vs_cross(&spec, scheme, cross, 6.0);
+            let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 6.0);
             let m = &out.flows[0];
             result.row(
                 &format!("{}_{tag}_throughput_mbps", m.label),
@@ -267,13 +201,9 @@ pub fn fig24(quick: bool) -> ExperimentResult {
         "Copa vs Nimbus against elastic NewReno cross traffic at 1x and 4x RTT",
         quick,
     );
+    let spec = scenario(&format!("96M seed=24 dur={duration}s"));
     for &(ratio, tag) in &[(1.0, "1x"), (4.0, "4x")] {
         for scheme in [SchemeSpec::copa(), SchemeSpec::nimbus()] {
-            let spec = ScenarioSpec {
-                duration_s: duration,
-                seed: 24,
-                ..ScenarioSpec::default_96mbps(duration)
-            };
             let cross = vec![elastic_cross_flow(
                 "newreno",
                 CcKind::NewReno,
@@ -317,14 +247,9 @@ pub fn fig25(quick: bool) -> ExperimentResult {
     };
     let rates: Vec<f64> = if quick { vec![96e6] } else { vec![96e6, 192e6] };
     for &rate in &rates {
+        let spec = scenario(&format!("{rate} seed=25 dur={duration}s"));
         for &pulse in &pulse_sizes {
             for &share in &shares {
-                let spec = ScenarioSpec {
-                    link_rate_bps: rate,
-                    duration_s: duration,
-                    seed: 25,
-                    ..ScenarioSpec::default_96mbps(duration)
-                };
                 // Mixed cross traffic occupying (1 − share) of the link:
                 // half elastic (one Reno flow) and half Poisson.
                 let inelastic_rate = (1.0 - share) * rate * 0.5;
@@ -332,19 +257,10 @@ pub fn fig25(quick: bool) -> ExperimentResult {
                     elastic_cross_flow("reno", CcKind::NewReno, 0.05, 0.0, None),
                     poisson_cross_flow("poisson", inelastic_rate, 0.05, 251, 0.0, None),
                 ];
-                let mut net = spec.build_network();
-                let cfg = SchemeSpec::nimbus()
-                    .nimbus_config(rate, spec.seed)
-                    .unwrap()
-                    .with_pulse_amplitude(pulse);
-                let h = net.add_flow(
-                    FlowConfig::primary("nimbus", Time::from_secs_f64(spec.prop_rtt_s)),
-                    Box::new(nimbus_sim::nimbus_flow(cfg, "nimbus")),
-                );
-                for (fc, ep) in cross {
-                    net.add_flow(fc, ep);
-                }
-                let out = run_and_collect(net, &[(h, SchemeSpec::nimbus())], 8.0);
+                let nimbus = Monitored::tweaked(&spec, SchemeSpec::nimbus(), |cfg| {
+                    cfg.with_pulse_amplitude(pulse)
+                });
+                let out = run_scenario(&spec, vec![nimbus], cross, 8.0);
                 let acc = nimbus_accuracy(&out.flows[0], true, 8.0);
                 result.row(
                     &format!(
@@ -370,35 +286,19 @@ pub fn fig26(quick: bool) -> ExperimentResult {
         "Detecting PCC-Vivace: elasticity CDF at 5 Hz vs 2 Hz pulses",
         quick,
     );
+    let spec = scenario(&format!("96M vs vivace seed=26 dur={duration}s"));
     for &(freq, tag) in &[(5.0, "5hz"), (2.0, "2hz")] {
-        let spec = ScenarioSpec {
-            duration_s: duration,
-            seed: 26,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
-        let mut cfg = SchemeSpec::nimbus()
-            .nimbus_config(spec.link_rate_bps, spec.seed)
-            .unwrap();
-        cfg.elasticity.pulse_freq_hz = freq;
-        let mut net = spec.build_network();
-        let h = net.add_flow(
-            FlowConfig::primary("nimbus", Time::from_secs_f64(spec.prop_rtt_s)),
-            Box::new(nimbus_sim::nimbus_flow(cfg, "nimbus")),
-        );
-        let cross = elastic_cross_flow("vivace", CcKind::Vivace, 0.05, 0.0, None);
-        net.add_flow(cross.0, cross.1);
-        let out = run_and_collect(net, &[(h, SchemeSpec::nimbus())], 8.0);
-        let etas: Vec<f64> = out.flows[0]
-            .eta_series
-            .iter()
-            .filter(|(t, _)| *t > 8.0)
-            .map(|(_, e)| *e)
-            .collect();
+        let nimbus = Monitored::tweaked(&spec, SchemeSpec::nimbus(), |mut cfg| {
+            cfg.elasticity.pulse_freq_hz = freq;
+            cfg
+        });
+        let out = run_scenario(&spec, vec![nimbus], Vec::new(), 8.0);
+        let etas = window(&out.flows[0].eta_series, after(8.0));
         let cdf = nimbus_dsp::Cdf::from_samples(&etas);
         result.row(&format!("median_eta_{tag}"), cdf.median());
         result.row(
             &format!("fraction_classified_elastic_{tag}"),
-            etas.iter().filter(|&&e| e >= 2.0).count() as f64 / etas.len().max(1) as f64,
+            elastic_fraction(&etas),
         );
         result.add_series(&format!("eta_cdf_{tag}"), cdf.curve(50));
     }
@@ -413,65 +313,32 @@ pub fn table1(quick: bool) -> ExperimentResult {
         "Classification of cross-traffic types by the elasticity detector",
         quick,
     );
-    type CrossBuilder = Box<dyn Fn(u64) -> (FlowConfig, Box<dyn FlowEndpoint>)>;
-    let cases: Vec<(&str, CrossBuilder, bool)> = vec![
-        (
-            "cubic",
-            Box::new(|_s| elastic_cross_flow("cubic", CcKind::Cubic, 0.05, 0.0, None)),
-            true,
-        ),
-        (
-            "reno",
-            Box::new(|_s| elastic_cross_flow("reno", CcKind::NewReno, 0.05, 0.0, None)),
-            true,
-        ),
-        (
-            "copa",
-            Box::new(|_s| elastic_cross_flow("copa", CcKind::Copa, 0.05, 0.0, None)),
-            true,
-        ),
-        (
-            "vegas",
-            Box::new(|_s| elastic_cross_flow("vegas", CcKind::Vegas, 0.05, 0.0, None)),
-            true,
-        ),
-        (
-            "bbr",
-            Box::new(|_s| elastic_cross_flow("bbr", CcKind::Bbr, 0.05, 0.0, None)),
-            true,
-        ),
-        (
-            "pcc_vivace",
-            Box::new(|_s| elastic_cross_flow("vivace", CcKind::Vivace, 0.05, 0.0, None)),
-            false,
-        ),
-        (
-            "const_stream",
-            Box::new(|_s| cbr_cross_flow("cbr", 48e6, 0.05, 0.0, None)),
-            false,
-        ),
-        (
-            "app_limited",
-            Box::new(|s| poisson_cross_flow("poisson", 30e6, 0.05, s, 0.0, None)),
-            false,
-        ),
-    ];
-    for (name, build, expected_elastic) in cases {
-        let spec = ScenarioSpec {
-            duration_s: duration,
-            seed: 100,
-            ..ScenarioSpec::default_96mbps(duration)
+    for (name, vs, expected_elastic) in [
+        ("cubic", "vs cubic", true),
+        ("reno", "vs newreno", true),
+        ("copa", "vs copa", true),
+        ("vegas", "vs vegas", true),
+        ("bbr", "vs bbr", true),
+        ("pcc_vivace", "vs vivace", false),
+        ("const_stream", "vs cbr@0.5", false),
+        ("app_limited", "", false),
+    ] {
+        let spec = scenario(&format!("96M {vs} seed=100 dur={duration}s"));
+        // The app-limited Poisson source draws from `seed + 1`, not the
+        // seed a `poisson@` entry would, so it stays imperative.
+        let cross = match vs {
+            "" => vec![poisson_cross_flow(
+                "poisson",
+                30e6,
+                0.05,
+                spec.seed + 1,
+                0.0,
+                None,
+            )],
+            _ => Vec::new(),
         };
-        let cross = vec![build(spec.seed + 1)];
         let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
-        let m = &out.flows[0];
-        let elastic_frac = m
-            .eta_series
-            .iter()
-            .filter(|(t, _)| *t > 8.0)
-            .filter(|(_, e)| *e >= 2.0)
-            .count() as f64
-            / m.eta_series.iter().filter(|(t, _)| *t > 8.0).count().max(1) as f64;
+        let elastic_frac = elastic_fraction(&window(&out.flows[0].eta_series, after(8.0)));
         result.row(&format!("{name}_classified_elastic_fraction"), elastic_frac);
         result.row(
             &format!("{name}_expected_elastic"),
@@ -501,32 +368,16 @@ pub fn robustness_sweep(quick: bool) -> ExperimentResult {
     };
     for &rtt_ms in &rtts_ms {
         for &buf in &buffers_bdp {
+            let (buffer_s, rtt_s) = (buf * rtt_ms / 1000.0, rtt_ms / 1000.0);
+            let spec = scenario(&format!(
+                "96M buffer={buffer_s}s rtt={rtt_s}s seed=82 dur={duration}s"
+            ));
             for (kind, truth_elastic) in [("elastic", true), ("inelastic", false)] {
-                let spec = ScenarioSpec {
-                    buffer_s: buf * rtt_ms / 1000.0,
-                    prop_rtt_s: rtt_ms / 1000.0,
-                    duration_s: duration,
-                    seed: 82,
-                    ..ScenarioSpec::default_96mbps(duration)
-                };
-                let cross = if truth_elastic {
-                    vec![elastic_cross_flow(
-                        "reno",
-                        CcKind::NewReno,
-                        rtt_ms / 1000.0,
-                        0.0,
-                        None,
-                    )]
+                let cross = vec![if truth_elastic {
+                    elastic_cross_flow("reno", CcKind::NewReno, rtt_s, 0.0, None)
                 } else {
-                    vec![poisson_cross_flow(
-                        "poisson",
-                        48e6,
-                        rtt_ms / 1000.0,
-                        83,
-                        0.0,
-                        None,
-                    )]
-                };
+                    poisson_cross_flow("poisson", 48e6, rtt_s, 83, 0.0, None)
+                }];
                 let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
                 let acc = nimbus_accuracy(&out.flows[0], truth_elastic, 8.0);
                 result.row(&format!("accuracy_{kind}_rtt{rtt_ms}ms_buf{buf}bdp"), acc);
@@ -535,14 +386,10 @@ pub fn robustness_sweep(quick: bool) -> ExperimentResult {
     }
     // PIE AQM cases.
     for &(target, tag) in &[(0.0125, "pie12.5ms"), (0.05, "pie50ms")] {
-        let spec = ScenarioSpec {
-            pie_target_s: Some(target),
-            duration_s: duration,
-            seed: 84,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
-        let cross = vec![elastic_cross_flow("reno", CcKind::NewReno, 0.05, 0.0, None)];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
+        let spec = scenario(&format!(
+            "96M vs newreno pie={target}s seed=84 dur={duration}s"
+        ));
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
         result.row(
             &format!("accuracy_elastic_{tag}"),
             nimbus_accuracy(&out.flows[0], true, 8.0),
@@ -552,7 +399,6 @@ pub fn robustness_sweep(quick: bool) -> ExperimentResult {
             out.flows[0].mean_throughput_mbps,
         );
     }
-    let _ = Mode::Delay; // referenced for documentation purposes
     result
 }
 
@@ -569,6 +415,7 @@ pub fn cellular_estimators(quick: bool) -> ExperimentResult {
         "µ-estimation strategies on the cellular deep-fade trace",
         quick,
     );
+    let spec = scenario(&format!("48M trace-cellular seed=44 dur={duration}s"));
     for (spec_text, tag) in [
         ("nimbus(mu=learned)", "maxfilt"),
         ("nimbus(mu=learned(probe=1))", "probing"),
@@ -576,15 +423,6 @@ pub fn cellular_estimators(quick: bool) -> ExperimentResult {
         ("bbr", "bbr"),
         ("cubic", "cubic"),
     ] {
-        let spec = ScenarioSpec {
-            link_rate_bps: 48e6,
-            schedule: crate::runner::LinkScheduleSpec::NamedTrace {
-                name: "cellular".to_string(),
-            },
-            duration_s: duration,
-            seed: 44,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
         let scheme: SchemeSpec = spec_text.parse().expect("estimator spec parses");
         let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
         let m = &out.flows[0];

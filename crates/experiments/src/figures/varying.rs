@@ -14,9 +14,11 @@
 //!   sinusoid where the plain max filter loses delay mode: every
 //!   learned-µ/ẑ-filter combination side by side.
 
+use super::{after, elastic_fraction, scenario, window, window_mean};
 use crate::output::ExperimentResult;
-use crate::runner::{run_scheme_vs_cross, LinkScheduleSpec, ScenarioSpec};
+use crate::runner::run_scheme_vs_cross;
 use crate::scheme::SchemeSpec;
+use std::ops::Bound::Excluded;
 
 /// First time (seconds) after `after_s` at which the throughput series stays
 /// within `tolerance` of `target` for a full second — the convergence point
@@ -62,16 +64,9 @@ pub fn varying_mu(quick: bool) -> ExperimentResult {
         quick,
     );
     for &(period_s, tag) in &[(10.0, "p10"), (20.0, "p20")] {
-        let spec = ScenarioSpec {
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Sinusoid {
-                amplitude_frac: 0.25,
-                period_s,
-            },
-            duration_s: duration,
-            seed: 31,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
+        let spec = scenario(&format!(
+            "48M sin(0.25,{period_s}s) seed=31 dur={duration}s"
+        ));
         let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus_estmu(), Vec::new(), 15.0);
         let m = &out.flows[0];
         result.row(&format!("mu_tracking_error_{tag}"), m.mu_tracking_error);
@@ -112,30 +107,17 @@ pub fn varying_detector(quick: bool) -> ExperimentResult {
             "amp25_adaptive_learned",
         ),
     ] {
-        let spec = ScenarioSpec {
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Sinusoid {
-                amplitude_frac: amplitude,
-                period_s: 10.0,
-            },
-            duration_s: duration,
-            seed: 32,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
+        let spec = scenario(&format!("48M sin({amplitude},10s) seed=32 dur={duration}s"));
         let scheme: SchemeSpec = spec_text.parse().expect("detector spec parses");
         let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
         let m = &out.flows[0];
         result.row(&format!("delay_mode_fraction_{tag}"), m.delay_mode_fraction);
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
-        let etas: Vec<f64> = m
-            .eta_series
-            .iter()
-            .filter(|(t, _)| *t > 10.0)
-            .map(|(_, e)| *e)
-            .collect();
-        let elastic_frac =
-            etas.iter().filter(|&&e| e >= 2.0).count() as f64 / etas.len().max(1) as f64;
-        result.row(&format!("spurious_elastic_fraction_{tag}"), elastic_frac);
+        let etas = window(&m.eta_series, after(10.0));
+        result.row(
+            &format!("spurious_elastic_fraction_{tag}"),
+            elastic_fraction(&etas),
+        );
         result.add_series(&format!("eta_series_{tag}"), m.eta_series.clone());
     }
     result
@@ -152,6 +134,7 @@ pub fn varying_estimator(quick: bool) -> ExperimentResult {
         "µ-estimation strategies and ẑ filters alone on a ±10% sinusoidal bottleneck",
         quick,
     );
+    let spec = scenario(&format!("48M sin(0.1,10s) seed=43 dur={duration}s"));
     for (spec_text, tag) in [
         ("nimbus", "configured"),
         ("nimbus(mu=learned)", "maxfilt"),
@@ -159,16 +142,6 @@ pub fn varying_estimator(quick: bool) -> ExperimentResult {
         ("nimbus(mu=learned,zfilter=notch(freq=0.1))", "notch"),
         ("nimbus(mu=learned(probe=1))", "probing"),
     ] {
-        let spec = ScenarioSpec {
-            link_rate_bps: 48e6,
-            schedule: LinkScheduleSpec::Sinusoid {
-                amplitude_frac: 0.1,
-                period_s: 10.0,
-            },
-            duration_s: duration,
-            seed: 43,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
         let scheme: SchemeSpec = spec_text.parse().expect("estimator spec parses");
         let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
         let m = &out.flows[0];
@@ -190,27 +163,14 @@ pub fn varying_step(quick: bool) -> ExperimentResult {
         "Cubic vs Nimbus under a 96 -> 48 Mbit/s rate step",
         quick,
     );
+    let spec = scenario(&format!("96M step({step_at}s,0.5) seed=33 dur={duration}s"));
     for scheme in [SchemeSpec::cubic(), SchemeSpec::nimbus()] {
-        let spec = ScenarioSpec {
-            link_rate_bps: 96e6,
-            schedule: LinkScheduleSpec::Step {
-                at_s: step_at,
-                factor: 0.5,
-            },
-            duration_s: duration,
-            seed: 33,
-            ..ScenarioSpec::default_96mbps(duration)
-        };
         let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), step_at + 5.0);
         let m = &out.flows[0];
-        let pre: Vec<f64> = m
-            .throughput_series
-            .iter()
-            .filter(|(t, _)| *t > 8.0 && *t < step_at)
-            .map(|(_, v)| *v)
-            .collect();
-        let pre_mean = pre.iter().sum::<f64>() / pre.len().max(1) as f64;
-        result.row(&format!("{}_pre_step_mbps", m.label), pre_mean);
+        result.row(
+            &format!("{}_pre_step_mbps", m.label),
+            window_mean(&m.throughput_series, (Excluded(8.0), Excluded(step_at))),
+        );
         result.row(
             &format!("{}_post_step_mbps", m.label),
             m.mean_throughput_mbps,

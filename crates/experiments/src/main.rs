@@ -27,15 +27,18 @@ use nimbus_experiments::{
 };
 use std::path::PathBuf;
 
-/// The operand of `flag`, if the flag is present; a flag present without its
-/// operand is an error, not a silent no-op.
+/// The operand of `flag`, if the flag is present.  A flag present without
+/// its operand — last, or followed by another `--flag` — exits 2 instead of
+/// silently dropping or swallowing an argument.
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1).unwrap_or_else(|| {
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(operand) if !operand.starts_with("--") => Some(operand),
+        _ => {
             eprintln!("{flag} requires a value");
             std::process::exit(2);
-        })
-    })
+        }
+    }
 }
 
 /// Parse a flag operand, exiting with the parser's own message on failure.
@@ -188,12 +191,8 @@ fn main() {
     }
     let name = args[0].clone();
     let quick = args.iter().any(|a| a == "--quick");
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(ExperimentResult::default_output_dir);
+    let out_dir =
+        flag_value(&args, "--out").map_or_else(ExperimentResult::default_output_dir, PathBuf::from);
 
     if name == "sweep" {
         run_sweep_command(&args[1..]);

@@ -15,11 +15,12 @@ use crate::grammar::{
     positive, split_call, split_top_level, Opt, ParseError,
 };
 use crate::scheme::{SchemeSpec, BARE_SCHEMES, NIMBUS};
-use nimbus_core::{Mode, NimbusController};
+use nimbus_core::{Mode, MultiflowConfig, NimbusConfig, NimbusController};
 use nimbus_netsim::{
     EcnMarking, FlowConfig, FlowEndpoint, FlowHandle, LinkConfig, LossModel, Network, QueueKind,
     RateSchedule, Recorder, SimConfig, Time,
 };
+use nimbus_sim::nimbus_flow;
 use nimbus_traffic::fleet::{
     ArrivalProcess, CcKindSerde, FleetSpawner, FleetWorkloadConfig, DEFAULT_BURSTY_ALPHA,
 };
@@ -480,32 +481,6 @@ impl PathSpec {
     /// The classic single-bottleneck path.
     pub fn single() -> Self {
         PathSpec::default()
-    }
-
-    /// A two-hop path with a constant secondary bottleneck at
-    /// `rate_factor·link_rate_bps` downstream of the primary hop.
-    pub fn with_secondary(rate_factor: f64) -> Self {
-        PathSpec {
-            extra_hops: vec![HopSpec::constant(rate_factor)],
-        }
-    }
-
-    /// A two-hop *moving-bottleneck* path: at `swap_at_s` the primary hop
-    /// steps down to `low_factor·base` while the secondary hop — which
-    /// started at `low_factor·base` — steps up to full rate.  The path's
-    /// minimum rate is `low_factor·base` throughout, but the hop imposing it
-    /// changes, which is exactly the regime a single-link simulator cannot
-    /// express.
-    pub fn moving_bottleneck(low_factor: f64, swap_at_s: f64) -> Self {
-        PathSpec {
-            extra_hops: vec![HopSpec {
-                schedule: LinkScheduleSpec::Step {
-                    at_s: swap_at_s,
-                    factor: 1.0 / low_factor,
-                },
-                ..HopSpec::constant(low_factor)
-            }],
-        }
     }
 
     /// Total number of hops including the primary bottleneck.
@@ -1009,14 +984,6 @@ impl ScenarioSpec {
         }
     }
 
-    /// Scale the duration down for quick runs.
-    pub fn quick(mut self, quick: bool, factor: f64) -> Self {
-        if quick {
-            self.duration_s = (self.duration_s * factor).max(12.0);
-        }
-        self
-    }
-
     /// The nominal bottleneck rate a configured-µ scheme should be handed:
     /// the minimum base rate over every hop of the path.  Equal to
     /// `link_rate_bps` for single-hop scenarios.
@@ -1343,21 +1310,19 @@ pub fn run_and_collect(
         let tput = &recorder.throughput_mbps[slot];
         let rtt = &recorder.rtt_ms[slot];
         let qd = &recorder.queue_delay_ms[slot];
-        let window = (steady_start_s, duration_s);
+        let rtt_samples_ms: Vec<f64> = rtt
+            .values()
+            .iter()
+            .copied()
+            .filter(|v| v.is_finite())
+            .collect();
 
         let mut metrics = SingleFlowMetrics {
             label: scheme.label(),
-            mean_throughput_mbps: tput.mean_in_range(window.0, window.1),
-            mean_rtt_ms: rtt.mean_in_range(window.0, window.1),
-            median_rtt_ms: nimbus_dsp::percentile(
-                &rtt.values()
-                    .iter()
-                    .copied()
-                    .filter(|v| v.is_finite())
-                    .collect::<Vec<_>>(),
-                50.0,
-            ),
-            mean_queue_delay_ms: qd.mean_in_range(window.0, window.1),
+            mean_throughput_mbps: tput.mean_in_range(steady_start_s, duration_s),
+            mean_rtt_ms: rtt.mean_in_range(steady_start_s, duration_s),
+            median_rtt_ms: nimbus_dsp::percentile(&rtt_samples_ms, 50.0),
+            mean_queue_delay_ms: qd.mean_in_range(steady_start_s, duration_s),
             median_queue_delay_ms: nimbus_dsp::percentile(
                 &recorder.packet_delay_samples_ms[slot],
                 50.0,
@@ -1365,12 +1330,7 @@ pub fn run_and_collect(
             throughput_series: series_of(tput),
             queue_delay_series: series_of(qd),
             rtt_series: series_of(rtt),
-            rtt_samples_ms: rtt
-                .values()
-                .iter()
-                .copied()
-                .filter(|v| v.is_finite())
-                .collect(),
+            rtt_samples_ms,
             throughput_samples_mbps: tput.values().to_vec(),
             delay_mode_fraction: 1.0,
             mode_log: Vec::new(),
@@ -1384,14 +1344,12 @@ pub fn run_and_collect(
             metrics.mode_log = nimbus
                 .mode_log()
                 .iter()
-                .map(|(t, m)| {
-                    (
-                        *t,
-                        match m {
-                            Mode::Delay => "delay".to_string(),
-                            Mode::Competitive => "competitive".to_string(),
-                        },
-                    )
+                .map(|&(t, mode)| {
+                    let name = match mode {
+                        Mode::Delay => "delay",
+                        Mode::Competitive => "competitive",
+                    };
+                    (t, name.to_string())
                 })
                 .collect();
             metrics.eta_series = nimbus
@@ -1428,38 +1386,117 @@ pub fn run_and_collect(
     }
 }
 
-/// Convenience: run a single monitored scheme against an arbitrary set of
-/// cross-traffic flows on the given scenario.  The scenario's own
-/// spec-described cross traffic ([`ScenarioSpec::cross`]) is added after the
-/// imperative `cross` set, the fleet spawner last.
-pub fn run_scheme_vs_cross(
-    spec: &ScenarioSpec,
+/// One monitored flow of a run: a backlogged sender on the scenario's
+/// propagation RTT whose metrics [`run_and_collect`] reports under `scheme`.
+pub struct Monitored {
     scheme: SchemeSpec,
+    flow: FlowConfig,
+    endpoint: Box<dyn FlowEndpoint>,
+}
+
+impl Monitored {
+    fn new(
+        spec: &ScenarioSpec,
+        scheme: SchemeSpec,
+        label: &str,
+        start_s: f64,
+        endpoint: Box<dyn FlowEndpoint>,
+    ) -> Self {
+        let flow = FlowConfig::primary(label, Time::from_secs_f64(spec.prop_rtt_s))
+            .with_ecn(scheme.uses_ecn())
+            .starting_at(Time::from_secs_f64(start_s));
+        Monitored {
+            scheme,
+            flow,
+            endpoint,
+        }
+    }
+
+    /// The scenario's monitored flow: `scheme` labelled with itself, handed
+    /// the path's nominal µ and the scenario seed.
+    pub fn scheme(spec: &ScenarioSpec, scheme: SchemeSpec) -> Self {
+        let endpoint = scheme.build_endpoint(spec.nominal_mu_bps(), spec.seed);
+        Self::new(spec, scheme, &scheme.label(), 0.0, endpoint)
+    }
+
+    /// [`Monitored::scheme`] for a Nimbus `scheme` whose configuration
+    /// `tweak` adjusts first (a pulse size or frequency the grammar does not
+    /// carry).
+    ///
+    /// # Panics
+    /// Panics on a bare (non-Nimbus) scheme.
+    pub fn tweaked(
+        spec: &ScenarioSpec,
+        scheme: SchemeSpec,
+        tweak: impl FnOnce(NimbusConfig) -> NimbusConfig,
+    ) -> Self {
+        let label = scheme.label();
+        let cfg = tweak(nimbus_config(spec, scheme, spec.seed));
+        Self::new(
+            spec,
+            scheme,
+            &label,
+            0.0,
+            Box::new(nimbus_flow(cfg, &label)),
+        )
+    }
+
+    /// A population of `n` Nimbus flows `nimbus-<i>` running the multiflow
+    /// protocol (§6): flow `i` is seeded `seed + i` and starts at
+    /// `i·stagger_s`.
+    ///
+    /// # Panics
+    /// Panics on a bare (non-Nimbus) scheme.
+    pub fn multiflow(
+        spec: &ScenarioSpec,
+        scheme: SchemeSpec,
+        n: usize,
+        seed: u64,
+        stagger_s: f64,
+    ) -> Vec<Self> {
+        let flow = |i: usize| {
+            let label = format!("nimbus-{i}");
+            let cfg = nimbus_config(spec, scheme, seed + i as u64)
+                .with_multiflow(MultiflowConfig::enabled());
+            let endpoint = Box::new(nimbus_flow(cfg, &label));
+            Self::new(spec, scheme, &label, i as f64 * stagger_s, endpoint)
+        };
+        (0..n).map(flow).collect()
+    }
+}
+
+fn nimbus_config(spec: &ScenarioSpec, scheme: SchemeSpec, seed: u64) -> NimbusConfig {
+    scheme
+        .nimbus_config(spec.nominal_mu_bps(), seed)
+        .expect("only Nimbus schemes take a Nimbus configuration")
+}
+
+/// The one lowering every run takes: the scenario's network, then the
+/// `monitored` flows, the imperative `cross` flows, the scenario's own
+/// [`ScenarioSpec::cross`] flows and its fleet spawner, in that order.
+pub fn run_scenario(
+    spec: &ScenarioSpec,
+    monitored: Vec<Monitored>,
     mut cross: Vec<(FlowConfig, Box<dyn FlowEndpoint>)>,
     steady_start_s: f64,
 ) -> RunOutput {
     let mut net = spec.build_network();
-    let endpoint = scheme.build_endpoint(spec.nominal_mu_bps(), spec.seed);
-    // The primary flow is ECN-capable when its scheme wants marks or the
-    // scenario enables marking on the path (ECT on a non-marking queue is
-    // harmless: no marks ever arrive, so every reaction path stays inert).
-    let primary_ecn = scheme.uses_ecn() || spec.ecn.is_enabled();
-    let handle = net.add_flow(
-        FlowConfig::primary(&scheme.label(), Time::from_secs_f64(spec.prop_rtt_s))
-            .with_ecn(primary_ecn),
-        endpoint,
-    );
+    // Scenario-wide ECN makes every flow ECT: a non-ECT competitor on a
+    // classic-ECN queue would fill the buffer to the drop point while ECT
+    // flows back off at the (lower) marking threshold, starving them — a
+    // queue-configuration artifact, not a scheme property.  (ECT on a
+    // non-marking queue is harmless: no marks ever arrive.)
+    let ecn = |cfg: FlowConfig| {
+        let forced = cfg.ecn || spec.ecn.is_enabled();
+        cfg.with_ecn(forced)
+    };
+    let handles: Vec<(FlowHandle, SchemeSpec)> = monitored
+        .into_iter()
+        .map(|m| (net.add_flow(ecn(m.flow), m.endpoint), m.scheme))
+        .collect();
     cross.extend(spec.cross_flows());
-    for (mut cfg, ep) in cross {
-        // Scenario-wide ECN makes every competitor ECT too: a non-ECT
-        // competitor on a classic-ECN queue would fill the buffer to the
-        // drop point while ECT flows back off at the (lower) marking
-        // threshold, starving them — a queue-configuration artifact, not a
-        // scheme property.
-        if spec.ecn.is_enabled() {
-            cfg = cfg.with_ecn(true);
-        }
-        net.add_flow(cfg, ep);
+    for (cfg, ep) in cross {
+        net.add_flow(ecn(cfg), ep);
     }
     if let Some(fleet) = &spec.fleet {
         net.add_spawner(Box::new(fleet.build_spawner(
@@ -1468,7 +1505,23 @@ pub fn run_scheme_vs_cross(
             spec.seed,
         )));
     }
-    run_and_collect(net, &[(handle, scheme)], steady_start_s)
+    run_and_collect(net, &handles, steady_start_s)
+}
+
+/// Run `scheme` alone as the monitored flow: the one-flow case of
+/// [`run_scenario`].
+pub fn run_scheme_vs_cross(
+    spec: &ScenarioSpec,
+    scheme: SchemeSpec,
+    cross: Vec<(FlowConfig, Box<dyn FlowEndpoint>)>,
+    steady_start_s: f64,
+) -> RunOutput {
+    run_scenario(
+        spec,
+        vec![Monitored::scheme(spec, scheme)],
+        cross,
+        steady_start_s,
+    )
 }
 
 #[cfg(test)]
@@ -1477,14 +1530,10 @@ mod tests {
     use nimbus_transport::{CcKind, FixedSizeSource, PathInfo, SenderConfig};
 
     #[test]
-    fn spec_builders_and_quick_scaling() {
+    fn spec_builders() {
         let spec = ScenarioSpec::default_96mbps(180.0);
         assert_eq!(spec.link_rate_bps, 96e6);
         assert_eq!(spec.schedule, LinkScheduleSpec::Constant);
-        let quick = spec.clone().quick(true, 0.2);
-        assert!((quick.duration_s - 36.0).abs() < 1e-9);
-        let not_quick = spec.quick(false, 0.2);
-        assert_eq!(not_quick.duration_s, 180.0);
     }
 
     #[test]

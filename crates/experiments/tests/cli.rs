@@ -1,0 +1,56 @@
+//! The `nimbus-experiments` binary's flag handling, driven as a user would.
+
+use std::path::Path;
+use std::process::Command;
+
+/// Run the binary in a fresh directory; returns the exit code, stderr and
+/// the number of paths the run left behind.
+fn run(tag: &str, args: &[&str]) -> (Option<i32>, String, usize) {
+    let dir = std::env::temp_dir().join(format!("nimbus-cli-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_nimbus-experiments"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let left = count_paths(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr, left)
+}
+
+fn count_paths(dir: &Path) -> usize {
+    let paths = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    paths
+        .map(|p| if p.is_dir() { 1 + count_paths(&p) } else { 1 })
+        .sum()
+}
+
+#[test]
+fn a_flag_without_its_operand_exits_2_and_writes_nothing() {
+    for (i, (flag, args)) in [
+        ("--out", &["fig07", "--out"][..]),
+        ("--out", &["fig07", "--out", "--quick"]),
+        ("--threads", &["sweep", "--quick", "--threads"]),
+        ("--timings", &["sweep", "--timings", "--quick"]),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (code, stderr, left) = run(&format!("bad{i}"), args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} requires a value")),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(left, 0, "{args:?} wrote {left} paths");
+    }
+}
+
+#[test]
+fn out_takes_its_operand() {
+    let (code, stderr, left) = run("good", &["fig07", "--out", "figs", "--quick"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    // figs/, fig07.json and one CSV per series.
+    assert!(left >= 3, "only {left} paths written");
+}

@@ -14,11 +14,7 @@ fn main() {
     // Quarter-scale Fig. 1: 45 s total, elastic phase 7.5–22.5 s, inelastic
     // phase 22.5–37.5 s.
     let scale = 0.25;
-    let spec = ScenarioSpec {
-        duration_s: 180.0 * scale,
-        seed: 7,
-        ..ScenarioSpec::fig1_48mbps(180.0 * scale)
-    };
+    let spec: ScenarioSpec = "48M seed=7 dur=45s".parse().unwrap();
     let cross = fig1_cross_traffic(scale, 24e6, 11);
     let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 2.0);
     let m = &out.flows[0];
