@@ -1,0 +1,676 @@
+//! The scenario itself — its cross traffic and fleet, its string form — and
+//! the grammar reference.
+
+use super::path::{ecn_hint, EcnSpec, LinkScheduleSpec, PathSpec, HOP, SCHEDULE_FORMS};
+use crate::figures::{cbr_cross_flow, poisson_cross_flow, scheme_cross_flow};
+use crate::grammar::{
+    self, choice_opt, duration, field_opt, fmt_duration, fmt_size, key_value, parsed, positive,
+    split_call, split_top_level, Opt, ParseError,
+};
+use crate::scheme::{SchemeSpec, BARE_SCHEMES, NIMBUS};
+use nimbus_netsim::{
+    FlowConfig, FlowEndpoint, LinkConfig, LossModel, Network, QueueKind, RateSchedule, SimConfig,
+    Time,
+};
+use nimbus_traffic::fleet::{
+    ArrivalProcess, CcKindSerde, FleetSpawner, FleetWorkloadConfig, DEFAULT_BURSTY_ALPHA,
+};
+use nimbus_traffic::FlowSizeDistribution;
+use nimbus_transport::format_rate_bps;
+use std::fmt;
+use std::str::FromStr;
+
+/// One static cross-traffic flow sharing the path with the monitored flow.
+/// A scenario carries a list of these ([`ScenarioSpec::cross`]): empty is
+/// "alone", several entries are heterogeneous competition on one bottleneck
+/// (e.g. nimbus vs. standalone Copa vs. Cubic).  Rates of the inelastic
+/// families are fractions of the *hop-0 base* rate; all cross flows have a
+/// 50 ms RTT and run for the whole scenario.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CrossSpec {
+    /// Constant-bit-rate (inelastic) traffic at this fraction of µ.
+    Cbr {
+        /// Offered CBR rate as a fraction of the bottleneck rate.
+        fraction_of_mu: f64,
+    },
+    /// Poisson (inelastic) traffic at this fraction of µ.
+    Poisson {
+        /// Mean offered rate as a fraction of the bottleneck rate.
+        fraction_of_mu: f64,
+    },
+    /// One backlogged competitor running any scheme the algebra can express
+    /// — a bare CCA, a paced `constant(<rate>)`, or another Nimbus wrapper.
+    Scheme {
+        /// The competitor's scheme.
+        spec: SchemeSpec,
+        /// Confine the flow to hops `[enter, exit]` of a multi-hop path
+        /// (`None` = the whole path).
+        hops: Option<(usize, usize)>,
+    },
+}
+
+impl CrossSpec {
+    /// The classic single backlogged Cubic competitor on the whole path.
+    pub fn cubic() -> Self {
+        CrossSpec::Scheme {
+            spec: SchemeSpec::cubic(),
+            hops: None,
+        }
+    }
+
+    /// A short slug for cell names (`cbr83`, `poisson50`, `cubic`,
+    /// `cubic-hop0`).
+    pub fn label(&self) -> String {
+        match self {
+            CrossSpec::Cbr { fraction_of_mu } => format!("cbr{:.0}", fraction_of_mu * 100.0),
+            CrossSpec::Poisson { fraction_of_mu } => {
+                format!("poisson{:.0}", fraction_of_mu * 100.0)
+            }
+            CrossSpec::Scheme { spec, hops: None } => spec.label(),
+            CrossSpec::Scheme {
+                spec,
+                hops: Some((enter, _)),
+            } => format!("{}-hop{enter}", spec.label()),
+        }
+    }
+}
+
+impl fmt::Display for CrossSpec {
+    /// `cbr@<fraction>`, `poisson@<fraction>`, `<scheme>` or
+    /// `<scheme>@hop<enter>-<exit>`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CrossSpec::Cbr { fraction_of_mu } => write!(f, "cbr@{fraction_of_mu}"),
+            CrossSpec::Poisson { fraction_of_mu } => write!(f, "poisson@{fraction_of_mu}"),
+            CrossSpec::Scheme { spec, hops: None } => write!(f, "{spec}"),
+            CrossSpec::Scheme {
+                spec,
+                hops: Some((enter, exit)),
+            } => write!(f, "{spec}@hop{enter}-{exit}"),
+        }
+    }
+}
+
+impl FromStr for CrossSpec {
+    type Err = ParseError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let (head, at) = match split_top_level(s, '@').as_slice() {
+            [head] => (head.trim(), None),
+            [head, at] => (head.trim(), Some(at.trim())),
+            _ => {
+                return Err(ParseError(format!(
+                    "cross flow `{s}` has more than one `@`"
+                )))
+            }
+        };
+        let fraction = |family: &str| {
+            let at = at.ok_or_else(|| {
+                ParseError(format!(
+                    "`{family}` cross traffic needs its rate as a fraction of µ: {family}@0.5"
+                ))
+            })?;
+            positive("fraction of µ", at)
+        };
+        match head {
+            "cbr" => Ok(CrossSpec::Cbr {
+                fraction_of_mu: fraction("cbr")?,
+            }),
+            "poisson" => Ok(CrossSpec::Poisson {
+                fraction_of_mu: fraction("poisson")?,
+            }),
+            _ => {
+                let hops = at.map(|at| {
+                    let hop = |h: &str| h.parse::<usize>().ok();
+                    at.strip_prefix("hop")
+                        .and_then(|range| range.split_once('-'))
+                        .and_then(|(enter, exit)| Some((hop(enter)?, hop(exit)?)))
+                        .filter(|(enter, exit)| enter <= exit)
+                        .ok_or_else(|| {
+                            ParseError(format!(
+                                "invalid hop span `@{at}` (expected @hop<enter>-<exit>, e.g. @hop0-0)"
+                            ))
+                        })
+                });
+                Ok(CrossSpec::Scheme {
+                    spec: head.parse()?,
+                    hops: hops.transpose()?,
+                })
+            }
+        }
+    }
+}
+
+/// An open-loop fleet workload riding on a scenario: a churning population
+/// of finite flows (Poisson or bursty arrivals × heavy-tailed sizes) offered
+/// at a fraction of the base link rate.  This is the `arrivals=`/`load=`
+/// axis of the scenario grammar:
+///
+/// ```text
+/// fleet(arrivals=poisson,load=0.5)
+/// fleet(arrivals=bursty(alpha=1.5),load=0.3,mean=50k,cc=reno)
+/// ```
+///
+/// Materialized into a [`FleetSpawner`] at network-build time; flows spawn
+/// at their arrival instants and retire on completion, so the run only pays
+/// for the concurrently active population.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetSpec {
+    /// Interarrival process (`arrivals=poisson|bursty|bursty(alpha=…)`).
+    pub arrivals: ArrivalProcess,
+    /// Offered load as a fraction of the scenario's base link rate (`load=`).
+    pub load: f64,
+    /// Override the size distribution's mean flow size in bytes (`mean=`);
+    /// `None` keeps the default CAIDA-like mixture (~100 kB mean).
+    pub mean_flow_bytes: Option<f64>,
+    /// Congestion control run by the fleet flows (`cc=cubic|reno`).
+    pub cc: CcKindSerde,
+}
+
+fn parse_arrivals(v: &str) -> Result<ArrivalProcess, ParseError> {
+    let alpha = match split_call(v)? {
+        ("poisson", None) => return Ok(ArrivalProcess::Poisson),
+        ("bursty", None) => DEFAULT_BURSTY_ALPHA,
+        ("bursty", Some(arg)) if arg.starts_with("alpha=") => {
+            positive("bursty alpha", &arg["alpha=".len()..])?
+        }
+        _ => {
+            return Err(ParseError(format!(
+                "unknown arrivals `{v}` (expected poisson, bursty or bursty(alpha=…))"
+            )))
+        }
+    };
+    if alpha <= 1.0 {
+        return Err(ParseError(format!(
+            "bursty alpha must exceed 1 (finite mean), got `{alpha}`"
+        )));
+    }
+    Ok(ArrivalProcess::Bursty { alpha })
+}
+
+const FLEET_CC: &[(&str, CcKindSerde)] = &[
+    ("cubic", CcKindSerde::Cubic),
+    ("reno", CcKindSerde::NewReno),
+    ("newreno", CcKindSerde::NewReno),
+];
+
+/// The `fleet(…)` options.
+const FLEET: &[Opt<FleetSpec>] = &[
+    Opt {
+        key: "arrivals",
+        hint: || "poisson|bursty|bursty(alpha=<a>)".to_string(),
+        slug: "",
+        show: |fleet| {
+            Some(match fleet.arrivals {
+                ArrivalProcess::Poisson => "poisson".to_string(),
+                ArrivalProcess::Bursty { alpha } => format!("bursty(alpha={alpha})"),
+            })
+        },
+        set: |fleet, v| {
+            fleet.arrivals = parse_arrivals(v)?;
+            Ok(())
+        },
+    },
+    Opt {
+        key: "load",
+        hint: || "<fraction of the link rate, in (0, 2]>".to_string(),
+        slug: "",
+        show: |fleet| Some(fleet.load.to_string()),
+        set: |fleet, v| {
+            fleet.load = positive("load", v)?;
+            if fleet.load > 2.0 {
+                return Err(ParseError(format!(
+                    "load `{v}` out of range (0, 2]: it is a fraction of link rate"
+                )));
+            }
+            Ok(())
+        },
+    },
+    Opt {
+        key: "mean",
+        hint: || "<bytes>[k|M]".to_string(),
+        slug: "",
+        show: |fleet| fleet.mean_flow_bytes.as_ref().map(fmt_size),
+        set: |fleet, v| {
+            fleet.mean_flow_bytes = Some(grammar::size("mean flow size", v)?);
+            Ok(())
+        },
+    },
+    choice_opt!("cc", "fleet cc", FLEET_CC, cc),
+];
+
+impl FleetSpec {
+    /// A Poisson fleet at the given offered-load fraction, default sizes,
+    /// Cubic flows.
+    pub fn poisson(load: f64) -> Self {
+        FleetSpec {
+            arrivals: ArrivalProcess::Poisson,
+            load,
+            mean_flow_bytes: None,
+            cc: CcKindSerde::Cubic,
+        }
+    }
+
+    /// The size distribution this fleet samples from: the default mixture,
+    /// linearly rescaled when `mean_flow_bytes` overrides the mean.
+    pub fn size_distribution(&self) -> FlowSizeDistribution {
+        let mut sizes = FlowSizeDistribution::default();
+        if let Some(target_mean) = self.mean_flow_bytes {
+            // Scaling every byte-dimensioned parameter by the same factor
+            // scales the analytic mean exactly linearly.
+            let factor = target_mean / sizes.mean_bytes();
+            sizes.body_median_bytes *= factor;
+            sizes.tail_min_bytes *= factor;
+            sizes.max_bytes *= factor;
+        }
+        sizes
+    }
+
+    /// A short slug for cell names: `fleet-poisson-l50`, `fleet-bursty-l30-reno`.
+    pub fn label(&self) -> String {
+        let arrivals = match self.arrivals {
+            ArrivalProcess::Poisson => "poisson",
+            ArrivalProcess::Bursty { .. } => "bursty",
+        };
+        let mut s = format!("fleet-{arrivals}-l{:.0}", self.load * 100.0);
+        if let Some(mean) = self.mean_flow_bytes {
+            s.push_str(&format!("-m{:.0}k", mean / 1000.0));
+        }
+        if self.cc == CcKindSerde::NewReno {
+            s.push_str("-reno");
+        }
+        s
+    }
+
+    /// Materialize the fleet against a scenario: arrivals over the whole run,
+    /// offered load relative to `link_rate_bps`, workload seed derived from
+    /// the scenario seed (distinct from the cross-flow controller seeds).
+    pub fn build_spawner(&self, link_rate_bps: f64, duration_s: f64, seed: u64) -> FleetSpawner {
+        FleetSpawner::new(FleetWorkloadConfig {
+            offered_load_bps: self.load * link_rate_bps,
+            arrivals: self.arrivals,
+            sizes: self.size_distribution(),
+            start_s: 0.0,
+            stop_s: duration_s,
+            base_rtt_s: 0.05,
+            jitter_rtt: true,
+            cc: self.cc,
+            seed: seed.wrapping_mul(131).wrapping_add(29),
+            elastic_threshold_bytes: 15_000,
+        })
+    }
+}
+
+impl fmt::Display for FleetSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "fleet({})", grammar::show_opts(FLEET, self, ","))
+    }
+}
+
+impl FromStr for FleetSpec {
+    type Err = ParseError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let ("fleet", Some(inner)) = split_call(s)? else {
+            return Err(ParseError(format!(
+                "`{s}` is not a fleet spec: expected fleet({})",
+                grammar::expected(FLEET)
+            )));
+        };
+        let mut spec = FleetSpec::poisson(0.5);
+        grammar::set_opts("fleet", FLEET, &mut spec, inner)?;
+        Ok(spec)
+    }
+}
+
+/// The one description of a scenario: bottleneck, path, cross traffic, seed
+/// and duration.  Its canonical string form (see [`grammar_reference`]) is
+///
+/// ```text
+/// 48M sin(0.1,10s) hop(0.6) vs cubic+fleet(arrivals=poisson,load=0.5) ecn=l4s seed=61 dur=40s
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScenarioSpec {
+    /// Base link rate µ of the primary bottleneck (hop 0), bits/s.
+    pub link_rate_bps: f64,
+    /// How the primary hop's rate moves over the run (constant unless overridden).
+    pub schedule: LinkScheduleSpec,
+    /// Buffer size in seconds of line rate (drop-tail unless `pie_target_s` set).
+    pub buffer_s: f64,
+    /// Propagation RTT of the monitored flow(s), seconds.
+    pub prop_rtt_s: f64,
+    /// Experiment duration, seconds.
+    pub duration_s: f64,
+    /// Random seed.
+    pub seed: u64,
+    /// Optional PIE AQM target delay (seconds) on the primary hop;
+    /// drop-tail when `None`.
+    pub pie_target_s: Option<f64>,
+    /// Random loss probability on the primary hop (0 = none).
+    pub loss_probability: f64,
+    /// Extra hops after the primary bottleneck (empty = single-link dumbbell).
+    pub path: PathSpec,
+    /// Static cross-traffic flows, added to the network after the monitored
+    /// flow (and after any imperatively built cross traffic) in list order.
+    pub cross: Vec<CrossSpec>,
+    /// Optional open-loop fleet workload churning alongside the monitored
+    /// flow (installed as a spawner after every static flow).
+    pub fleet: Option<FleetSpec>,
+    /// ECN marking on the primary (hop-0) bottleneck (`ecn=` axis).  When
+    /// enabled, every flow in the scenario negotiates ECN.
+    pub ecn: EcnSpec,
+}
+
+/// The scenario's `key=value` options (`dur` is mandatory).
+const SCENARIO: &[Opt<ScenarioSpec>] = &[
+    field_opt!(
+        "ecn",
+        "",
+        ecn_hint(),
+        parsed,
+        EcnSpec::to_string,
+        ecn,
+        EcnSpec::Off
+    ),
+    field_opt!("buffer", "", "<dur>", duration, fmt_duration, buffer_s, 0.1),
+    field_opt!("rtt", "", "<dur>", duration, fmt_duration, prop_rtt_s, 0.05),
+    Opt {
+        key: "pie",
+        hint: || "<dur>".to_string(),
+        slug: "",
+        show: |spec| spec.pie_target_s.as_ref().map(fmt_duration),
+        set: |spec, v| {
+            spec.pie_target_s = Some(duration("pie", v)?);
+            Ok(())
+        },
+    },
+    field_opt!(
+        "loss",
+        "",
+        "<prob>",
+        positive,
+        f64::to_string,
+        loss_probability,
+        0.0
+    ),
+    Opt {
+        key: "seed",
+        hint: || "<n>".to_string(),
+        slug: "",
+        show: |spec| Some(spec.seed.to_string()),
+        set: |spec, v| {
+            spec.seed = v
+                .parse()
+                .map_err(|_| ParseError(format!("invalid seed `{v}`: not an integer")))?;
+            Ok(())
+        },
+    },
+    field_opt!(
+        "dur",
+        "",
+        "<dur>",
+        duration,
+        fmt_duration,
+        duration_s,
+        required
+    ),
+];
+
+impl ScenarioSpec {
+    /// The paper's default evaluation link: 96 Mbit/s, 50 ms RTT, 100 ms buffer.
+    pub fn default_96mbps(duration_s: f64) -> Self {
+        ScenarioSpec {
+            link_rate_bps: 96e6,
+            schedule: LinkScheduleSpec::Constant,
+            buffer_s: 0.1,
+            prop_rtt_s: 0.05,
+            duration_s,
+            seed: 1,
+            pie_target_s: None,
+            loss_probability: 0.0,
+            path: PathSpec::single(),
+            cross: Vec::new(),
+            fleet: None,
+            ecn: EcnSpec::Off,
+        }
+    }
+
+    /// The Fig. 1 link: 48 Mbit/s, 50 ms RTT, 100 ms buffer.
+    pub fn fig1_48mbps(duration_s: f64) -> Self {
+        ScenarioSpec {
+            link_rate_bps: 48e6,
+            ..Self::default_96mbps(duration_s)
+        }
+    }
+
+    /// The nominal bottleneck rate a configured-µ scheme should be handed:
+    /// the minimum base rate over every hop of the path.  Equal to
+    /// `link_rate_bps` for single-hop scenarios.
+    pub fn nominal_mu_bps(&self) -> f64 {
+        self.path.nominal_mu_over_hops(self.link_rate_bps, 0, None)
+    }
+
+    /// Build the simulator network for this spec.
+    pub fn build_network(&self) -> Network {
+        let mut cfg = SimConfig::new(self.link_rate_bps, self.buffer_s, self.duration_s);
+        cfg.seed = self.seed;
+        cfg.path[0].schedule = self.schedule.to_schedule(self.link_rate_bps);
+        if let Some(target) = self.pie_target_s {
+            cfg.path[0].queue = QueueKind::Pie {
+                target_delay_s: target,
+                buffer_s: self.buffer_s,
+            };
+        }
+        if self.loss_probability > 0.0 {
+            cfg.path[0].loss = LossModel::Bernoulli {
+                p: self.loss_probability,
+            };
+        }
+        cfg.path[0].ecn = self.ecn.to_marking();
+        for hop in &self.path.extra_hops {
+            let base = hop.rate_factor * self.link_rate_bps;
+            let link = LinkConfig::drop_tail(base, hop.buffer_s)
+                .with_schedule(hop.schedule.to_schedule(base))
+                .with_prop_delay(Time::from_secs_f64(hop.prop_delay_s))
+                .with_ecn(hop.ecn.to_marking());
+            cfg.path.push(link);
+        }
+        Network::new(cfg)
+    }
+
+    /// The `-vs-<…>` part of a cell name: `alone`, or the cross flows' (and
+    /// the fleet's) labels joined by `+`.
+    pub fn cross_label(&self) -> String {
+        let labels = self.cross.iter().map(CrossSpec::label);
+        cross_list(labels.chain(self.fleet.iter().map(FleetSpec::label)))
+    }
+
+    /// Lower the spec-described cross traffic onto the imperative
+    /// `figures` helpers.  The conventions the pinned recorder fingerprints
+    /// depend on live here: CBR → `cbr-cross`; Poisson → `poisson-cross`,
+    /// source seed `seed·31+7`; scheme → `<label>[-hop<enter>]-cross`, cc
+    /// seed `seed·67+11`, µ = the minimum over the hops it traverses; with
+    /// more than one entry the label and the seed take the entry's index
+    /// (`-cross<i>`, `+i`).
+    pub(super) fn cross_flows(&self) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
+        let lower = |(i, cross): (usize, &CrossSpec)| {
+            let tag = if self.cross.len() == 1 {
+                "cross".to_string()
+            } else {
+                format!("cross{i}")
+            };
+            let seed =
+                |mul: u64, add: u64| self.seed.wrapping_mul(mul).wrapping_add(add + i as u64);
+            match *cross {
+                CrossSpec::Cbr { fraction_of_mu } => cbr_cross_flow(
+                    &format!("cbr-{tag}"),
+                    fraction_of_mu * self.link_rate_bps,
+                    0.05,
+                    0.0,
+                    None,
+                ),
+                CrossSpec::Poisson { fraction_of_mu } => poisson_cross_flow(
+                    &format!("poisson-{tag}"),
+                    fraction_of_mu * self.link_rate_bps,
+                    0.05,
+                    seed(31, 7),
+                    0.0,
+                    None,
+                ),
+                CrossSpec::Scheme { spec, hops } => {
+                    let (enter, exit) = hops.map_or((0, None), |(a, b)| (a, Some(b)));
+                    let (cfg, ep) = scheme_cross_flow(
+                        &format!("{}-{tag}", cross.label()),
+                        &spec,
+                        self.path
+                            .nominal_mu_over_hops(self.link_rate_bps, enter, exit),
+                        seed(67, 11),
+                        0.05,
+                        0.0,
+                        None,
+                    );
+                    match hops {
+                        Some((enter, exit)) => (cfg.entering_at(enter).exiting_at(exit), ep),
+                        None => (cfg, ep),
+                    }
+                }
+            }
+        };
+        self.cross.iter().enumerate().map(lower).collect()
+    }
+
+    /// Parse the whitespace-separated tokens after the link rate.
+    fn set_tokens(&mut self, tokens: &[&str]) -> Result<(), ParseError> {
+        let mut seen = Vec::new();
+        let mut tokens = tokens.iter();
+        while let Some(&token) = tokens.next() {
+            if token == "vs" {
+                let cross = tokens
+                    .next()
+                    .ok_or_else(|| ParseError("`vs` must be followed by cross traffic".into()))?;
+                for entry in split_top_level(cross, '+').into_iter().map(str::trim) {
+                    if !entry.starts_with("fleet(") {
+                        if entry != "alone" {
+                            self.cross.push(entry.parse()?);
+                        }
+                    } else if self.fleet.replace(entry.parse()?).is_some() {
+                        return Err(ParseError(
+                            "a scenario carries at most one fleet".to_string(),
+                        ));
+                    }
+                }
+            } else if key_value(token).is_some() {
+                seen.extend(grammar::set_opts("scenario", SCENARIO, self, token)?);
+            } else if token.starts_with("hop(") {
+                self.path.extra_hops.push(token.parse()?);
+            } else if self.schedule == LinkScheduleSpec::Constant {
+                self.schedule = token.parse()?;
+            } else {
+                return Err(ParseError(format!(
+                    "`{token}`: the scenario already has the schedule `{}`",
+                    self.schedule
+                )));
+            }
+        }
+        if !seen.contains(&"dur") {
+            return Err(ParseError(
+                "a scenario needs its duration: dur=<dur>".to_string(),
+            ));
+        }
+        for cross in &self.cross {
+            if let CrossSpec::Scheme {
+                hops: Some((_, exit)),
+                ..
+            } = cross
+            {
+                if *exit >= self.path.hop_count() {
+                    return Err(ParseError(format!(
+                        "cross flow `{cross}` exits at hop {exit} but the path has {} hop(s)",
+                        self.path.hop_count()
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// `alone`, or the entries joined by `+`.
+fn cross_list(entries: impl Iterator<Item = String>) -> String {
+    let entries: Vec<String> = entries.collect();
+    if entries.is_empty() {
+        "alone".to_string()
+    } else {
+        entries.join("+")
+    }
+}
+
+impl fmt::Display for ScenarioSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", format_rate_bps(self.link_rate_bps))?;
+        if self.schedule != LinkScheduleSpec::Constant {
+            write!(f, " {}", self.schedule)?;
+        }
+        for hop in &self.path.extra_hops {
+            write!(f, " {hop}")?;
+        }
+        let cross = self.cross.iter().map(CrossSpec::to_string);
+        write!(
+            f,
+            " vs {} {}",
+            cross_list(cross.chain(self.fleet.iter().map(FleetSpec::to_string))),
+            grammar::show_opts(SCENARIO, self, " ")
+        )
+    }
+}
+
+impl FromStr for ScenarioSpec {
+    type Err = ParseError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let tokens = grammar::tokens(s)?;
+        let (rate, rest) = tokens
+            .split_first()
+            .ok_or_else(|| ParseError("empty scenario: expected <rate> …".to_string()))?;
+        let mut spec = ScenarioSpec {
+            link_rate_bps: grammar::rate(rate)?,
+            ..ScenarioSpec::default_96mbps(f64::NAN)
+        };
+        spec.set_tokens(rest)?;
+        Ok(spec)
+    }
+}
+
+/// The whole spec grammar as text, every option list rendered from the table
+/// the parsers read — printed by `nimbus-experiments --help` and embedded in
+/// the README, which this doctest holds to it:
+///
+/// ```
+/// let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+/// assert!(readme.contains(&nimbus_experiments::runner::grammar_reference()));
+/// ```
+pub fn grammar_reference() -> String {
+    format!(
+        "\
+cell      := <scheme>@<scenario> steady=<dur>
+scenario  := <rate> [<schedule>] {{<hop>}} vs <cross> {{<key>=<value>}}
+             keys: {scenario}
+schedule  := {SCHEDULE_FORMS}
+             names: {traces}
+hop       := hop(<factor>[,<key>=<value>…])
+             keys: {hop}
+cross     := alone | <entry>{{+<entry>}}
+entry     := cbr@<fraction of µ> | poisson@<fraction of µ>
+           | <scheme>[@hop<enter>-<exit>] | fleet(<key>=<value>,…)
+             keys: {fleet}
+scheme    := {BARE_SCHEMES}
+           | nimbus | nimbus(<key>=<value>,…)
+             keys: {nimbus}
+units     := <rate> 48M (k|M|G bit/s), <dur> 5ms | 40s, <bytes> 50k (k|M)",
+        scenario = grammar::expected(SCENARIO),
+        traces = RateSchedule::builtin_trace_names().join(", "),
+        hop = grammar::expected(HOP),
+        fleet = grammar::expected(FLEET),
+        nimbus = grammar::expected(NIMBUS),
+    )
+}

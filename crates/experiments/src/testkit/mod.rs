@@ -1,0 +1,443 @@
+//! Scenario-matrix test harness: declarative (scheme × cross-traffic ×
+//! bottleneck × seed) cells with per-cell paper invariants.
+//!
+//! The paper's core claims are *qualitative behavioural invariants* — Cubic
+//! bufferbloats while Vegas does not, Nimbus stays in delay mode under heavy
+//! CBR cross traffic, Vegas is starved by an elastic competitor.  This module
+//! pins those claims down the way TCP Prague's fall-back validation does:
+//! enumerate a matrix of scenarios, run every cell (in parallel across
+//! threads — each cell is an independent deterministic simulation), and
+//! assert the invariants cell by cell.
+//!
+//! A [`Cell`] is a scheme on a [`ScenarioSpec`] plus its steady-state window
+//! and [`Invariants`]; the first three have one canonical string (the
+//! grammar is [`grammar_reference`](crate::runner::grammar_reference)), so
+//! the matrix below is a table of `(scenario strings, Invariants)` rows:
+//!
+//! ```no_run
+//! use nimbus_experiments::testkit::{cells, run_matrix, Invariants};
+//!
+//! let outcomes = run_matrix(&cells(&[(
+//!     &["nimbus@48M vs cubic seed=2 dur=45s steady=15s"],
+//!     Invariants {
+//!         min_throughput_mbps: Some(12.0),
+//!         must_enter_competitive: true,
+//!         ..Invariants::default()
+//!     },
+//! )]));
+//! for o in &outcomes {
+//!     assert!(o.violations.is_empty(), "{}: {:?}", o.name, o.violations);
+//! }
+//! ```
+//!
+//! Every [`CellOutcome`] also carries a fingerprint of the cell's full
+//! [`Recorder`](nimbus_netsim::Recorder) snapshot, so the same matrix doubles
+//! as a whole-system regression: `tests/scenario_matrix.rs` pins the
+//! fingerprint of every [`paper_invariant_matrix`] cell against the one
+//! table in `tests/ledger/mod.rs`.
+
+use crate::grammar::{fmt_duration, instant, tokens, ParseError};
+use crate::runner::{run_scheme_vs_cross, LinkScheduleSpec, ScenarioSpec, SingleFlowMetrics};
+use crate::scheme::SchemeSpec;
+use std::fmt;
+use std::str::FromStr;
+
+mod matrix;
+
+pub use matrix::paper_invariant_matrix;
+
+/// Bounds asserted against a cell's [`SingleFlowMetrics`].  `None` bounds are
+/// not checked; every cell in a matrix should set at least one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Invariants {
+    /// Steady-state mean throughput must be at least this (Mbit/s).
+    pub min_throughput_mbps: Option<f64>,
+    /// Steady-state mean throughput must stay below this (Mbit/s) — for
+    /// starvation claims.
+    pub max_throughput_mbps: Option<f64>,
+    /// Steady-state mean queueing delay must stay below this (ms).
+    pub max_queue_delay_ms: Option<f64>,
+    /// Steady-state mean queueing delay must be at least this (ms) — for
+    /// bufferbloat claims.
+    pub min_queue_delay_ms: Option<f64>,
+    /// Nimbus: fraction of time in delay mode must be at least this.
+    pub min_delay_mode_fraction: Option<f64>,
+    /// Nimbus: fraction of time in delay mode must stay below this.
+    pub max_delay_mode_fraction: Option<f64>,
+    /// Nimbus with learned µ: mean relative µ-tracking error against the true
+    /// schedule must stay below this.
+    pub max_mu_error: Option<f64>,
+    /// Nimbus: the mode log must contain at least one switch to competitive.
+    pub must_enter_competitive: bool,
+}
+
+/// One (scheme × scenario) cell of a matrix.  Everything about the link,
+/// path, cross traffic, seed and duration is the [`ScenarioSpec`]'s.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// Scheme on the monitored flow.
+    pub scheme: SchemeSpec,
+    /// The scenario the monitored flow runs in.
+    pub scenario: ScenarioSpec,
+    /// Start of the steady-state window used for the scalar metrics.
+    pub steady_start_s: f64,
+    /// The invariants this cell asserts.
+    pub invariants: Invariants,
+}
+
+impl Cell {
+    /// `scheme@mu[-schedule][-path][-ecn]-vs-cross-seedN` — a derived slug,
+    /// unique within a well-formed matrix; it keys the fingerprint table in
+    /// `tests/ledger/mod.rs` and `BENCH_sweep.json`.
+    pub fn name(&self) -> String {
+        let s = &self.scenario;
+        let schedule = if s.schedule == LinkScheduleSpec::Constant {
+            String::new()
+        } else {
+            format!("-{}", s.schedule.label())
+        };
+        format!(
+            "{}@{:.0}M{}{}{}-vs-{}-seed{}",
+            self.scheme.label(),
+            s.link_rate_bps / 1e6,
+            schedule,
+            s.path.label(),
+            s.ecn.label(),
+            s.cross_label(),
+            s.seed
+        )
+    }
+
+    /// Run this cell to completion and evaluate its invariants.
+    pub fn run(&self) -> CellOutcome {
+        let out = run_scheme_vs_cross(&self.scenario, self.scheme, Vec::new(), self.steady_start_s);
+        let events = out.events_processed;
+        let sim_s = out.duration_s;
+        let metrics = out.flows.into_iter().next().expect("one monitored flow");
+        let violations = self.invariants.check(self.scheme, &metrics);
+        let fingerprint = fingerprint_of(&out.recorder.snapshot(), &metrics);
+        CellOutcome {
+            name: self.name(),
+            metrics,
+            violations,
+            fingerprint,
+            events,
+            sim_s,
+        }
+    }
+}
+
+impl fmt::Display for Cell {
+    /// The whole-cell canonical string (invariants are not part of it):
+    /// `nimbus(mu=learned)@48M sin(0.1,10s) vs cubic seed=2 dur=45s steady=15s`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}@{} steady={}",
+            self.scheme,
+            self.scenario,
+            fmt_duration(&self.steady_start_s)
+        )
+    }
+}
+
+impl FromStr for Cell {
+    type Err = ParseError;
+
+    /// Parse `<scheme>@<scenario> steady=<dur>` into a cell asserting nothing.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let (scheme, rest) = s.split_once('@').ok_or_else(|| {
+            ParseError(format!("`{s}` is not a cell: expected <scheme>@<scenario>"))
+        })?;
+        let (steady, scenario): (Vec<&str>, Vec<&str>) = tokens(rest)?
+            .into_iter()
+            .partition(|token| token.starts_with("steady="));
+        let [steady] = steady.as_slice() else {
+            return Err(ParseError(
+                "a cell needs its steady-state window once: steady=<dur>".to_string(),
+            ));
+        };
+        Ok(Cell {
+            scheme: scheme.parse()?,
+            scenario: scenario.join(" ").parse()?,
+            steady_start_s: instant("steady", &steady["steady=".len()..])?,
+            invariants: Invariants::default(),
+        })
+    }
+}
+
+impl Invariants {
+    /// Evaluate the bounds against a cell's metrics; returns one message per
+    /// violated bound (empty = cell passes).  A NaN metric (an empty
+    /// measurement window — see `TimeSeries::mean_in_range`) holds no bound,
+    /// so it counts as a violation rather than silently passing.
+    pub fn check(&self, scheme: SchemeSpec, m: &SingleFlowMetrics) -> Vec<String> {
+        let (tput, qd) = (m.mean_throughput_mbps, m.mean_queue_delay_ms);
+        let mode = m.delay_mode_fraction;
+        // (bound, metric, is a floor, what, what the paper expects instead)
+        let bounds = [
+            (
+                self.min_throughput_mbps,
+                tput,
+                true,
+                "throughput Mbit/s",
+                "",
+            ),
+            (
+                self.max_throughput_mbps,
+                tput,
+                false,
+                "throughput Mbit/s",
+                " (starvation expected)",
+            ),
+            (self.max_queue_delay_ms, qd, false, "queue delay ms", ""),
+            (
+                self.min_queue_delay_ms,
+                qd,
+                true,
+                "queue delay ms",
+                " (bufferbloat expected)",
+            ),
+            (
+                self.min_delay_mode_fraction,
+                mode,
+                true,
+                "delay-mode fraction",
+                "",
+            ),
+            (
+                self.max_delay_mode_fraction,
+                mode,
+                false,
+                "delay-mode fraction",
+                "",
+            ),
+            (
+                self.max_mu_error,
+                m.mu_tracking_error,
+                false,
+                "µ-tracking error",
+                "",
+            ),
+        ];
+        let mut violations = Vec::new();
+        for (bound, metric, is_floor, what, expected) in bounds {
+            let Some(bound) = bound else { continue };
+            let (holds, side) = if is_floor {
+                (metric >= bound, "below floor")
+            } else {
+                (metric <= bound, "above ceiling")
+            };
+            if !holds {
+                violations.push(format!("{what} {metric:.3} {side} {bound}{expected}"));
+            }
+        }
+        if self.must_enter_competitive {
+            assert!(
+                scheme.is_nimbus(),
+                "must_enter_competitive only makes sense for Nimbus schemes"
+            );
+            if !m.mode_log.iter().any(|(_, mode)| mode == "competitive") {
+                violations.push("never entered competitive mode".to_string());
+            }
+        }
+        violations
+    }
+}
+
+/// The result of one cell run.
+#[derive(Debug, Clone)]
+pub struct CellOutcome {
+    /// `Cell::name()` of the cell that produced this outcome.
+    pub name: String,
+    /// The monitored flow's metrics.
+    pub metrics: SingleFlowMetrics,
+    /// Invariant violations (empty = pass).
+    pub violations: Vec<String>,
+    /// FNV-1a hash over the serialized recorder snapshot and metrics; two
+    /// runs of the same cell must agree byte for byte.
+    pub fingerprint: u64,
+    /// Engine events processed by this cell's simulation.
+    pub events: u64,
+    /// Simulated seconds covered.
+    pub sim_s: f64,
+}
+
+fn fingerprint_of(recorder_snapshot: &serde::Value, metrics: &SingleFlowMetrics) -> u64 {
+    let mut text = serde_json::to_string(recorder_snapshot).expect("snapshot serializes");
+    text.push_str(&serde_json::to_string(metrics).expect("metrics serialize"));
+    fnv1a(text.as_bytes())
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Map `f` over `items` in parallel across up to `max_threads` worker
+/// threads (each item is expected to be an independent deterministic
+/// computation).  Items are handed to workers through a shared index, so a
+/// slow item never idles the other workers; results come back in input order
+/// regardless of completion order.
+///
+/// This is the work queue behind both [`run_matrix`] and the experiments
+/// binary's `sweep` subcommand.
+pub fn parallel_map<T, R, F>(items: &[T], max_threads: Option<usize>, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    let parallelism = max_threads
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        })
+        .max(1)
+        .min(items.len().max(1));
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..parallelism {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                *slots[i].lock().expect("result slot poisoned") = Some(f(item));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("all items ran")
+        })
+        .collect()
+}
+
+/// Run every cell of a matrix, in parallel across threads (each cell is an
+/// independent deterministic simulation).
+pub fn run_matrix(cells: &[Cell]) -> Vec<CellOutcome> {
+    parallel_map(cells, None, Cell::run)
+}
+
+/// Render a one-line-per-cell report (for `--nocapture` debugging).
+pub fn matrix_report(outcomes: &[CellOutcome]) -> String {
+    let mut out = String::new();
+    for o in outcomes {
+        out.push_str(&format!(
+            "{:46} tput {:7.2} Mbit/s  qd {:7.2} ms  delay-frac {:.2}  {}\n",
+            o.name,
+            o.metrics.mean_throughput_mbps,
+            o.metrics.mean_queue_delay_ms,
+            o.metrics.delay_mode_fraction,
+            if o.violations.is_empty() {
+                "ok".to_string()
+            } else {
+                format!("VIOLATIONS: {:?}", o.violations)
+            }
+        ));
+    }
+    out
+}
+
+/// One row of a matrix table: the cells (whole-cell canonical strings,
+/// typically one scenario across seeds) that share a rationale and a set of
+/// invariants.
+pub type Row<'a> = (&'a [&'a str], Invariants);
+
+/// Expand table rows into cells, in row order.
+///
+/// # Panics
+/// Panics on a row that does not parse — matrix tables are source code.
+pub fn cells(rows: &[Row<'_>]) -> Vec<Cell> {
+    let cell = |text: &&str, invariants| Cell {
+        invariants,
+        ..text
+            .parse()
+            .unwrap_or_else(|e| panic!("matrix row `{text}`: {e}"))
+    };
+    rows.iter()
+        .flat_map(|&(texts, invariants)| texts.iter().map(move |text| cell(text, invariants)))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn matrix_is_well_formed() {
+        let cells = paper_invariant_matrix();
+        assert!(cells.len() >= 12, "matrix must cover at least 12 cells");
+        let mut names: Vec<String> = cells.iter().map(|c| c.name()).collect();
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), cells.len(), "cell names must be unique");
+        // Every cell asserts at least one invariant.
+        for c in &cells {
+            let inv = &c.invariants;
+            let any = inv.min_throughput_mbps.is_some()
+                || inv.max_throughput_mbps.is_some()
+                || inv.max_queue_delay_ms.is_some()
+                || inv.min_queue_delay_ms.is_some()
+                || inv.min_delay_mode_fraction.is_some()
+                || inv.max_delay_mode_fraction.is_some()
+                || inv.max_mu_error.is_some()
+                || inv.must_enter_competitive;
+            assert!(any, "cell {} asserts nothing", c.name());
+        }
+    }
+
+    #[test]
+    fn invariant_checks_fire() {
+        let m = SingleFlowMetrics {
+            label: "x".to_string(),
+            mean_throughput_mbps: 10.0,
+            mean_rtt_ms: 60.0,
+            median_rtt_ms: 55.0,
+            mean_queue_delay_ms: 50.0,
+            median_queue_delay_ms: 45.0,
+            throughput_series: Vec::new(),
+            queue_delay_series: Vec::new(),
+            rtt_series: Vec::new(),
+            rtt_samples_ms: Vec::new(),
+            throughput_samples_mbps: Vec::new(),
+            delay_mode_fraction: 0.4,
+            mode_log: Vec::new(),
+            eta_series: Vec::new(),
+            mu_series: Vec::new(),
+            mu_tracking_error: f64::NAN,
+        };
+        let inv = Invariants {
+            min_throughput_mbps: Some(20.0),
+            max_queue_delay_ms: Some(40.0),
+            min_delay_mode_fraction: Some(0.5),
+            must_enter_competitive: true,
+            ..Invariants::default()
+        };
+        let violations = inv.check(SchemeSpec::nimbus(), &m);
+        assert_eq!(violations.len(), 4, "{violations:?}");
+        let ok = Invariants {
+            max_throughput_mbps: Some(20.0),
+            min_queue_delay_ms: Some(40.0),
+            ..Invariants::default()
+        };
+        assert!(ok.check(SchemeSpec::cubic(), &m).is_empty());
+    }
+
+    #[test]
+    fn fingerprints_are_order_sensitive() {
+        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
+        assert_ne!(fnv1a(b""), fnv1a(b"\0"));
+    }
+}
