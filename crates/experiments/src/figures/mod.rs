@@ -1,13 +1,19 @@
 //! One module per group of figures, plus what they share.
 //!
-//! A figure is scenario strings ([`scenario`], in the grammar of
-//! [`grammar_reference`](crate::runner::grammar_reference)), run through the
-//! one lowering ([`run_scenario`](crate::runner::run_scenario), or its
-//! one-flow case [`run_scheme_vs_cross`](crate::runner::run_scheme_vs_cross))
-//! with any cross traffic the grammar cannot express built by the helpers
-//! below, and read back through the projections below: time windows of a
-//! `(t, v)` series, detector verdicts against ground truth, Jain's index and
-//! the first mode flip.
+//! A figure is three things:
+//!
+//! * **scenario strings** — each run's link, path, cross traffic, seed and
+//!   duration in the grammar of
+//!   [`grammar_reference`](crate::runner::grammar_reference), parsed by
+//!   [`scenario`];
+//! * **one run path** — [`run_scenario`](crate::runner::run_scenario), or
+//!   its one-flow case
+//!   [`run_scheme_vs_cross`](crate::runner::run_scheme_vs_cross), with
+//!   only the cross traffic the grammar cannot express (time-windowed
+//!   flows, other RTTs, fixed seeds) built by the helpers below;
+//! * **projections** — the rows and series read back from the run through
+//!   the shared ones below: time windows of a `(t, v)` series, detector
+//!   verdicts against ground truth, Jain's index and the first mode flip.
 
 pub mod eval;
 pub mod fleet;
@@ -40,12 +46,8 @@ pub fn scenario(text: &str) -> ScenarioSpec {
 
 /// A recorder series as `(t, v)` pairs.
 pub fn pairs(series: &TimeSeries) -> Vec<(f64, f64)> {
-    series
-        .t
-        .iter()
-        .copied()
-        .zip(series.v.iter().copied())
-        .collect()
+    let values = series.v.iter().copied();
+    series.t.iter().copied().zip(values).collect()
 }
 
 /// The values of a `(t, v)` series whose time lies in `range`.
@@ -72,16 +74,9 @@ pub fn is_elastic(eta: f64) -> bool {
 
 /// The fraction of `verdicts` equal to `truth`; 0.0 when there are none.
 pub fn agreement(verdicts: impl IntoIterator<Item = bool>, truth: bool) -> f64 {
-    let (mut agree, mut total) = (0usize, 0usize);
-    for verdict in verdicts {
-        agree += usize::from(verdict == truth);
-        total += 1;
-    }
-    if total == 0 {
-        0.0
-    } else {
-        agree as f64 / total as f64
-    }
+    let verdicts: Vec<bool> = verdicts.into_iter().collect();
+    let agree = verdicts.iter().filter(|&&v| v == truth).count();
+    agree as f64 / verdicts.len().max(1) as f64
 }
 
 /// Detector accuracy: the fraction of η verdicts that agree with whether

@@ -71,21 +71,13 @@ pub fn fig14(quick: bool) -> ExperimentResult {
     let mut copa_right = Vec::new();
     let spec = scenario(&format!("96M seed=15 dur={duration}s"));
     for &ratio in &ratios {
-        let cross = || {
-            vec![elastic_cross_flow(
-                "newreno",
-                CcKind::NewReno,
-                0.05 * ratio,
-                0.0,
-                None,
-            )]
-        };
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross(), 8.0);
+        let reno = || elastic_cross_flow("newreno", CcKind::NewReno, 0.05 * ratio, 0.0, None);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), vec![reno()], 8.0);
         let acc = nimbus_accuracy(&out.flows[0], true, 8.0);
         result.row(&format!("nimbus_accuracy_rttx{ratio}"), acc);
         nimbus_right.push((ratio, acc));
 
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), cross(), 8.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), vec![reno()], 8.0);
         let acc = copa_accuracy(&out.flows[0], true, 8.0, duration);
         result.row(&format!("copa_accuracy_rttx{ratio}"), acc);
         copa_right.push((ratio, acc));
@@ -326,16 +318,11 @@ pub fn table1(quick: bool) -> ExperimentResult {
         let spec = scenario(&format!("96M {vs} seed=100 dur={duration}s"));
         // The app-limited Poisson source draws from `seed + 1`, not the
         // seed a `poisson@` entry would, so it stays imperative.
-        let cross = match vs {
-            "" => vec![poisson_cross_flow(
-                "poisson",
-                30e6,
-                0.05,
-                spec.seed + 1,
-                0.0,
-                None,
-            )],
-            _ => Vec::new(),
+        let app_limited = || poisson_cross_flow("poisson", 30e6, 0.05, spec.seed + 1, 0.0, None);
+        let cross = if vs.is_empty() {
+            vec![app_limited()]
+        } else {
+            Vec::new()
         };
         let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
         let elastic_frac = elastic_fraction(&window(&out.flows[0].eta_series, after(8.0)));

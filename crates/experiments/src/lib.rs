@@ -1,9 +1,13 @@
 //! # nimbus-experiments
 //!
-//! The experiment harness: one function per table/figure of the paper, each
-//! building the corresponding scenario on the `nimbus-netsim` simulator,
-//! running it, and returning (and printing) the same rows or series the paper
-//! reports.
+//! The experiment harness: one function per table/figure of the paper,
+//! returning (and printing) the same rows or series the paper reports.  A
+//! figure writes its scenarios as strings of the scenario grammar
+//! ([`runner::grammar_reference`]), runs each through the one lowering onto
+//! the `nimbus-netsim` simulator ([`runner::run_scenario`]), and reads its
+//! rows back through shared projections ([`figures`]).  The same scenario
+//! strings drive the paper-invariant matrix ([`testkit`]) and the benchmark
+//! sweep ([`sweep`]).
 //!
 //! Every experiment supports a `quick` flag that scales the run down (shorter
 //! duration, fewer repetitions) so the whole suite — and the Criterion benches

@@ -28,7 +28,7 @@ mod tests {
     use nimbus_transport::{CcKind, FixedSizeSource, PathInfo, Sender, SenderConfig};
 
     #[test]
-    fn spec_builders() {
+    fn paper_default_link() {
         let spec = ScenarioSpec::default_96mbps(180.0);
         assert_eq!(spec.link_rate_bps, 96e6);
         assert_eq!(spec.schedule, LinkScheduleSpec::Constant);

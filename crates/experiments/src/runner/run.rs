@@ -225,13 +225,8 @@ impl Monitored {
     ) -> Self {
         let label = scheme.label();
         let cfg = tweak(nimbus_config(spec, scheme, spec.seed));
-        Self::new(
-            spec,
-            scheme,
-            &label,
-            0.0,
-            Box::new(nimbus_flow(cfg, &label)),
-        )
+        let endpoint = Box::new(nimbus_flow(cfg, &label));
+        Self::new(spec, scheme, &label, 0.0, endpoint)
     }
 
     /// A population of `n` Nimbus flows `nimbus-<i>` running the multiflow
