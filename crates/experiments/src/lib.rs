@@ -10,9 +10,8 @@
 //! sweep ([`sweep`]).
 //!
 //! Every experiment supports a `quick` flag that scales the run down (shorter
-//! duration, fewer repetitions) so the whole suite — and the Criterion benches
-//! wrapping it — stays tractable on a laptop; the full-size variants use the
-//! paper's durations.
+//! duration, fewer repetitions) so the whole suite stays tractable on a
+//! laptop; the full-size variants use the paper's durations.
 //!
 //! Run experiments with the `nimbus-experiments` binary:
 //!

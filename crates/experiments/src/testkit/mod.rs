@@ -88,7 +88,7 @@ pub struct Cell {
 impl Cell {
     /// `scheme@mu[-schedule][-path][-ecn]-vs-cross-seedN` — a derived slug,
     /// unique within a well-formed matrix; it keys the fingerprint table in
-    /// `tests/ledger/mod.rs` and `BENCH_sweep.json`.
+    /// `tests/ledger/mod.rs` and the rows of a sweep report.
     pub fn name(&self) -> String {
         let s = &self.scenario;
         let schedule = if s.schedule == LinkScheduleSpec::Constant {
@@ -278,11 +278,25 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Map `f` over `items` in parallel across up to `max_threads` worker
-/// threads (each item is expected to be an independent deterministic
-/// computation).  Items are handed to workers through a shared index, so a
-/// slow item never idles the other workers; results come back in input order
-/// regardless of completion order.
+/// The number of worker threads [`parallel_map`] spawns for `items` items:
+/// `max_threads` (one per available core when `None`), at least one, and
+/// never more than there are items.
+pub fn worker_count(max_threads: Option<usize>, items: usize) -> usize {
+    max_threads
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        })
+        .max(1)
+        .min(items.max(1))
+}
+
+/// Map `f` over `items` in parallel across [`worker_count`] worker threads
+/// (each item is expected to be an independent deterministic computation).
+/// Items are handed to workers through a shared index, so a slow item never
+/// idles the other workers; results come back in input order regardless of
+/// completion order.
 ///
 /// This is the work queue behind both [`run_matrix`] and the experiments
 /// binary's `sweep` subcommand.
@@ -295,18 +309,10 @@ where
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    let parallelism = max_threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .max(1)
-        .min(items.len().max(1));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..parallelism {
+        for _ in 0..worker_count(max_threads, items.len()) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
@@ -433,6 +439,16 @@ mod tests {
             ..Invariants::default()
         };
         assert!(ok.check(SchemeSpec::cubic(), &m).is_empty());
+    }
+
+    #[test]
+    fn worker_count_is_capped_by_the_items() {
+        assert_eq!(worker_count(Some(64), 26), 26);
+        assert_eq!(worker_count(Some(4), 26), 4);
+        assert_eq!(worker_count(Some(0), 26), 1);
+        assert_eq!(worker_count(Some(4), 0), 1);
+        assert_eq!(worker_count(None, 1), 1);
+        assert!(worker_count(None, usize::MAX) >= 1);
     }
 
     #[test]

@@ -27,22 +27,30 @@ fn count_paths(dir: &Path) -> usize {
 }
 
 #[test]
-fn a_flag_without_its_operand_exits_2_and_writes_nothing() {
-    for (i, (flag, args)) in [
-        ("--out", &["fig07", "--out"][..]),
-        ("--out", &["fig07", "--out", "--quick"]),
-        ("--threads", &["sweep", "--quick", "--threads"]),
-        ("--timings", &["sweep", "--timings", "--quick"]),
+fn a_malformed_flag_exits_2_and_writes_nothing() {
+    for (i, (message, args)) in [
+        ("--out requires a value", &["fig07", "--out"][..]),
+        ("--out requires a value", &["fig07", "--out", "--quick"]),
+        (
+            "--threads requires a value",
+            &["sweep", "--quick", "--threads"],
+        ),
+        ("unknown flag: --fast", &["fig07", "--fast"]),
+        (
+            "unknown flag: --timings",
+            &["sweep", "--timings", "t.folded"],
+        ),
+        (
+            "unknown flag: --thread",
+            &["sweep", "--quick", "--thread", "4"],
+        ),
     ]
     .into_iter()
     .enumerate()
     {
         let (code, stderr, left) = run(&format!("bad{i}"), args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("{flag} requires a value")),
-            "{args:?}: {stderr}"
-        );
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
         assert_eq!(left, 0, "{args:?} wrote {left} paths");
     }
 }

@@ -1,10 +1,9 @@
 //! Regression tests for the `step50-vs-cbr50` event-loop pathology.
 //!
-//! The committed BENCH_sweep.json baseline once carried
-//! `nimbus@48M-step50@7-vs-cbr50-seed1` at 666k events/s while every
-//! neighboring cell ran 3.2–3.9M — a 5× per-event slowdown the median-
-//! normalized sweep gate could not see because it was baked into the
-//! baseline itself.  Root cause: after the rate step halves µ, the CBR cross
+//! The quick sweep once ran `nimbus@48M-step50@7-vs-cbr50-seed1` at 666k
+//! events/s while every neighboring cell ran 3.2–3.9M — a 5× per-event
+//! slowdown that went unnoticed because it was already there when the cell
+//! was first timed.  Root cause: after the rate step halves µ, the CBR cross
 //! flow offers exactly the new link rate, never exits SACK recovery, and
 //! `Sender::infer_losses` re-walked its entire ~2000-entry scoreboard on
 //! every ACK — O(ACKs × window) scoreboard work dominating the event loop.
@@ -16,12 +15,14 @@
 //!   counter (no timing, cannot flake);
 //! * a *wall-clock* test asserting the pathological sweep cell's events/sec
 //!   within 2× of the plain `vs-cbr50` cell on the same machine, so any new
-//!   per-event pathology in that cell fails loudly instead of silently
-//!   re-baselining;
+//!   per-event pathology in that cell fails loudly;
 //! * a *wall-clock* test asserting a Nimbus cell's events/sec within 2× of
 //!   its Cubic twin's: the engine and sender do the same per-event work for
 //!   both, so what is left is the controller — and a spectrum rebuilt from
 //!   scratch on every report (2.2–2.4× on its own, once) does not fit.
+//!
+//! A cell that does more *events* per packet (an event storm) is caught
+//! without a clock by the event budget in `tests/scenario_matrix.rs`.
 
 use nimbus_experiments::sweep::sweep_matrix;
 use nimbus_netsim::endpoint::{AckInfo, FlowEndpoint, SendAction};
