@@ -67,14 +67,12 @@ pub fn path_suite() -> Vec<PathProfile> {
 }
 
 fn run_path(path: &PathProfile, scheme: SchemeSpec, duration_s: f64) -> SingleFlowMetrics {
-    // `loss=` takes a probability above zero; a clean path omits it.
-    let loss = (path.loss > 0.0).then(|| format!(" loss={}", path.loss));
     let spec = scenario(&format!(
-        "{} buffer={}s rtt={}s{} seed={} dur={duration_s}s",
+        "{} buffer={}s rtt={}s loss={} seed={} dur={duration_s}s",
         path.rate_bps,
         path.buffer_s,
         path.rtt_s,
-        loss.unwrap_or_default(),
+        path.loss,
         1800 + path.id
     ));
     let cross = super::drained_fleet(FleetWorkloadConfig {

@@ -123,6 +123,17 @@ pub fn positive(what: &str, value: &str) -> Result<f64, ParseError> {
     number(what, value, &[], false)
 }
 
+/// A probability in `[0, 1)`: one would drop every packet.
+pub fn probability(what: &str, value: &str) -> Result<f64, ParseError> {
+    let p = number(what, value, &[], true)?;
+    if p >= 1.0 {
+        return Err(ParseError(format!(
+            "invalid {what} `{value}`: must be a probability below 1"
+        )));
+    }
+    Ok(p)
+}
+
 /// A bit rate with an optional `k`/`M`/`G` suffix (`48M`); the parser is
 /// [`parse_rate_bps`], shared with `constant(<rate>)`.
 pub fn rate(value: &str) -> Result<f64, ParseError> {

@@ -35,6 +35,13 @@ mod tests {
     }
 
     #[test]
+    fn loss_zero_is_the_lossless_default() {
+        let lossless: ScenarioSpec = "48M vs alone loss=0 dur=1s".parse().unwrap();
+        assert_eq!(lossless, "48M vs alone dur=1s".parse().unwrap());
+        assert_eq!(lossless.to_string(), "48M vs alone seed=1 dur=1s");
+    }
+
+    #[test]
     fn schedule_specs_materialize_against_the_base_rate() {
         use nimbus_netsim::Time;
         let step = LinkScheduleSpec::Step {

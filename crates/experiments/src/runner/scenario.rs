@@ -5,12 +5,11 @@ use super::path::{ecn_hint, EcnSpec, LinkScheduleSpec, PathSpec, HOP, SCHEDULE_F
 use crate::figures::{cbr_cross_flow, poisson_cross_flow, scheme_cross_flow};
 use crate::grammar::{
     self, choice_opt, duration, field_opt, fmt_duration, fmt_size, key_value, parsed, positive,
-    split_call, split_top_level, Opt, ParseError,
+    probability, split_call, split_top_level, Opt, ParseError,
 };
 use crate::scheme::{SchemeSpec, BARE_SCHEMES, NIMBUS};
 use nimbus_netsim::{
-    FlowConfig, FlowEndpoint, LinkConfig, LossModel, Network, QueueKind, RateSchedule, SimConfig,
-    Time,
+    FlowConfig, FlowEndpoint, LinkConfig, Network, QueueKind, RateSchedule, SimConfig, Time,
 };
 use nimbus_traffic::fleet::{
     ArrivalProcess, CcKindSerde, FleetSpawner, FleetWorkloadConfig, DEFAULT_BURSTY_ALPHA,
@@ -388,7 +387,7 @@ const SCENARIO: &[Opt<ScenarioSpec>] = &[
         "loss",
         "",
         "<prob>",
-        positive,
+        probability,
         f64::to_string,
         loss_probability,
         0.0
@@ -458,14 +457,9 @@ impl ScenarioSpec {
         if let Some(target) = self.pie_target_s {
             cfg.path[0].queue = QueueKind::Pie {
                 target_delay_s: target,
-                buffer_s: self.buffer_s,
             };
         }
-        if self.loss_probability > 0.0 {
-            cfg.path[0].loss = LossModel::Bernoulli {
-                p: self.loss_probability,
-            };
-        }
+        cfg.path[0].loss = self.loss_probability;
         cfg.path[0].ecn = self.ecn.to_marking();
         for hop in &self.path.extra_hops {
             let base = hop.rate_factor * self.link_rate_bps;

@@ -1,6 +1,6 @@
 //! The discrete-event engine: a dumbbell network whose forward direction is a
 //! **path** — an ordered chain of links, each with its own rate schedule,
-//! queue discipline, loss model and propagation delay.
+//! queue policy and buffer, random loss and propagation delay.
 //!
 //! A single-hop path is exactly the network model of Fig. 2 in the paper: any
 //! number of senders share one bottleneck link of rate `µ` fronted by a
@@ -36,7 +36,6 @@
 
 use crate::endpoint::{AckInfo, FlowEndpoint, SendAction};
 use crate::eventq::CalendarQueue;
-use crate::loss::{LossModel, LossProcess, Policer};
 use crate::packet::{AckPacket, EcnCodepoint, FlowId, Packet};
 use crate::queue::{
     delay_capacity_bytes, CoDelQueue, DropTailQueue, EcnMarking, EnqueueResult, PieQueue,
@@ -46,33 +45,24 @@ use crate::recorder::{Recorder, RecorderConfig};
 use crate::schedule::RateSchedule;
 use crate::slab::Slab;
 use nimbus_core_types::{Time, REPORT_INTERVAL};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-/// Which queue discipline the bottleneck uses.
+/// Which queue policy a hop uses (see [`crate::queue`]).
 #[derive(Debug, Clone)]
 pub enum QueueKind {
-    /// Drop-tail with an explicit byte capacity.
-    DropTailBytes(u64),
-    /// Drop-tail sized to this many seconds of buffering at the link rate
-    /// ("100 ms of buffering" in the paper's experiment descriptions).
-    DropTailDelay(f64),
-    /// PIE AQM with the given target delay (seconds) and physical buffer (seconds).
+    /// Drop-tail.
+    DropTail,
+    /// PIE AQM with the given target delay.
     Pie {
         /// Target queueing delay in seconds.
         target_delay_s: f64,
-        /// Physical buffer size in seconds of line rate.
-        buffer_s: f64,
     },
-    /// RED with a physical buffer of this many seconds of line rate.
-    Red {
-        /// Physical buffer size in seconds of line rate.
-        buffer_s: f64,
-    },
-    /// CoDel with standard parameters and a physical buffer of this many seconds.
-    CoDel {
-        /// Physical buffer size in seconds of line rate.
-        buffer_s: f64,
-    },
+    /// RED.
+    Red,
+    /// CoDel with the RFC 8289 target and interval.
+    CoDel,
 }
 
 /// Configuration of one link (hop) on the forward path.
@@ -80,12 +70,16 @@ pub enum QueueKind {
 pub struct LinkConfig {
     /// Link rate µ(t) in bits per second — constant or time-varying.
     pub schedule: RateSchedule,
-    /// Queue discipline in front of the link.
+    /// Queue policy in front of the link.
     pub queue: QueueKind,
-    /// Random-loss model applied to packets before they reach the queue.
-    pub loss: LossModel,
-    /// Optional token-bucket policer in front of the queue.
-    pub policer: Option<(f64, f64)>,
+    /// Physical buffer in seconds of line rate ("100 ms of buffering" in the
+    /// paper's experiment descriptions): re-sized whenever the rate changes,
+    /// so it keeps meaning that many seconds.
+    pub buffer_s: f64,
+    /// Non-congestive loss: each packet offered to the hop is dropped
+    /// independently with this probability before it reaches the queue (the
+    /// lossy paths of Fig. 18c, §8.4); 0 for none.
+    pub loss: f64,
     /// ECN marking profile of the queue: [`EcnMarking::None`] keeps the pure
     /// drop behaviour; `Classic` / `Step` convert the discipline's congestion
     /// signal into CE marks for ECT packets (drops for everything else).
@@ -102,9 +96,9 @@ impl LinkConfig {
     pub fn drop_tail(rate_bps: f64, buffer_s: f64) -> Self {
         LinkConfig {
             schedule: RateSchedule::constant(rate_bps),
-            queue: QueueKind::DropTailDelay(buffer_s),
-            loss: LossModel::None,
-            policer: None,
+            queue: QueueKind::DropTail,
+            buffer_s,
+            loss: 0.0,
             ecn: EcnMarking::None,
             prop_delay: Time::ZERO,
         }
@@ -145,7 +139,8 @@ pub struct SimConfig {
     pub duration: Time,
     /// Recorder configuration.
     pub recorder: RecorderConfig,
-    /// Master seed for the engine's stochastic components (loss models).
+    /// Master seed for the engine's stochastic components (random loss and
+    /// the AQMs' draws).
     pub seed: u64,
 }
 
@@ -399,15 +394,15 @@ struct InFlight {
 /// Runtime state of one path hop.
 struct LinkState {
     queue: Box<dyn QueueDiscipline>,
-    busy: bool,
-    /// Packet currently being serialized on this hop's link.
+    /// Packet currently being serialized on this hop's link (the link is
+    /// busy exactly while there is one).
     in_flight: Option<InFlight>,
     /// Link rate currently in effect, bits/s.
     current_rate_bps: f64,
     /// Generation counter validating `LinkDone` events across rate changes.
     gen: u64,
-    loss: LossProcess,
-    policer: Option<Policer>,
+    /// Draws the hop's non-congestive losses.
+    loss_rng: StdRng,
 }
 
 /// The path network simulator (a dumbbell when the path has one hop).
@@ -442,7 +437,8 @@ pub struct Network {
     total_delivered_bytes: u64,
     /// Bytes that arrived at receivers regardless of order.
     total_received_bytes: u64,
-    /// Bytes dropped after admission (at interior hops of a multi-hop path).
+    /// Bytes dropped after admission: at an interior hop's ingress, or at
+    /// dequeue by an AQM that drops there.
     dropped_in_transit_bytes: u64,
     /// Bytes currently propagating between hops or towards a receiver
     /// (inside a scheduled `HopArrival` / `ReceiverArrival` event).
@@ -474,43 +470,26 @@ impl Network {
                 let rate = link.schedule.initial_rate_bps();
                 assert!(rate > 0.0, "hop {hop} rate must be positive");
                 let seed = hop_seed(cfg.seed, hop);
-                let queue: Box<dyn QueueDiscipline> = match link.queue {
-                    QueueKind::DropTailBytes(b) => Box::new(DropTailQueue::new(b)),
-                    QueueKind::DropTailDelay(s) => {
-                        Box::new(DropTailQueue::with_delay_capacity(rate, s))
-                    }
-                    QueueKind::Pie {
-                        target_delay_s,
-                        buffer_s,
-                    } => Box::new(PieQueue::new(
-                        delay_capacity_bytes(rate, buffer_s),
+                let capacity = delay_capacity_bytes(rate, link.buffer_s);
+                let mut queue: Box<dyn QueueDiscipline> = match link.queue {
+                    QueueKind::DropTail => Box::new(DropTailQueue::new(capacity)),
+                    QueueKind::Pie { target_delay_s } => Box::new(PieQueue::new(
+                        capacity,
                         rate,
                         Time::from_secs_f64(target_delay_s),
                         seed,
                     )),
-                    QueueKind::Red { buffer_s } => {
-                        Box::new(RedQueue::new(delay_capacity_bytes(rate, buffer_s), seed))
-                    }
-                    QueueKind::CoDel { buffer_s } => {
-                        Box::new(CoDelQueue::new(delay_capacity_bytes(rate, buffer_s)))
-                    }
+                    QueueKind::Red => Box::new(RedQueue::new(capacity, seed)),
+                    QueueKind::CoDel => Box::new(CoDelQueue::new(capacity)),
                 };
-                let mut queue = queue;
                 queue.set_ecn_marking(link.ecn);
-                // Step profiles measure depth in drain time; give every
-                // discipline the initial rate (PIE already has it, the
-                // others store it only for marking).
                 queue.set_drain_rate_bps(rate);
                 LinkState {
                     queue,
-                    busy: false,
                     in_flight: None,
                     current_rate_bps: rate,
                     gen: 0,
-                    loss: LossProcess::new(link.loss.clone(), seed),
-                    policer: link
-                        .policer
-                        .map(|(rate_bps, burst)| Policer::new(rate_bps, burst)),
+                    loss_rng: StdRng::seed_from_u64(seed ^ 0xd1b54a32d192ed03),
                 }
             })
             .collect();
@@ -717,7 +696,8 @@ impl Network {
         self.total_received_bytes
     }
 
-    /// Bytes dropped after admission (interior hops of a multi-hop path).
+    /// Bytes dropped after admission: at an interior hop's ingress, or at
+    /// dequeue by an AQM that drops there (CoDel).
     pub fn dropped_in_transit_bytes(&self) -> u64 {
         self.dropped_in_transit_bytes
     }
@@ -892,22 +872,14 @@ impl Network {
         self.flows[id].cfg.exit_hop.unwrap_or(self.links.len() - 1)
     }
 
-    /// Offer `pkt` to `hop`'s ingress: policer, then random loss, then the
-    /// queue — the same order the single-link engine used.  On a drop the
-    /// recorder and the owning endpoint are notified; returns whether the
-    /// packet was accepted.
+    /// Offer `pkt` to `hop`'s ingress: random loss, then the queue.  On a
+    /// drop the recorder and the owning endpoint are notified; returns
+    /// whether the packet was accepted.
     fn offer_to_hop(&mut self, hop: usize, pkt: Packet) -> bool {
-        let id = pkt.flow;
-        let seq = pkt.seq;
-        let bytes = pkt.size_bytes;
+        let (id, seq) = (pkt.flow, pkt.seq);
+        let loss = self.cfg.path[hop].loss;
         let link = &mut self.links[hop];
-        let policed = match &mut link.policer {
-            Some(pol) => !pol.conforms(bytes, self.now),
-            None => false,
-        };
-        // Short-circuit keeps the loss RNG untouched on a policer drop,
-        // exactly as the single-link engine behaved.
-        let lost = policed || link.loss.should_drop();
+        let lost = loss > 0.0 && link.loss_rng.gen::<f64>() < loss;
         let accepted = !lost && link.queue.enqueue(pkt, self.now) == EnqueueResult::Accepted;
         if !accepted {
             self.recorder.on_drop(id, hop);
@@ -947,11 +919,20 @@ impl Network {
     }
 
     fn maybe_start_transmission(&mut self, hop: usize) {
-        if self.links[hop].busy {
+        let link = &mut self.links[hop];
+        if link.in_flight.is_some() {
             return;
         }
-        if let Some(mut pkt) = self.links[hop].queue.dequeue(self.now) {
-            self.links[hop].busy = true;
+        let (now, recorder, flows) = (self.now, &mut self.recorder, &mut self.flows);
+        let lost = &mut self.dropped_in_transit_bytes;
+        // An AQM that drops at dequeue (CoDel) discards admitted bytes: the
+        // recorder and the endpoint hear of each packet, as at the ingress.
+        let next = link.queue.dequeue_reporting(now, &mut |pkt| {
+            *lost += pkt.size_bytes as u64;
+            recorder.on_drop(pkt.flow, hop);
+            flows[pkt.flow].endpoint.on_packet_dropped(pkt.seq, now);
+        });
+        if let Some(mut pkt) = next {
             let delay = pkt.queueing_delay(self.now);
             pkt.cum_queue_delay += delay;
             // The recorder sees one sample per packet: its whole-path
@@ -995,19 +976,10 @@ impl Network {
             let hop = idx32(hop);
             self.schedule(at, EventKind::LinkDone { hop, gen });
         }
-        // Keep delay-specified buffers coherent with the new rate.
-        let buffer_s = match self.cfg.path[hop].queue {
-            QueueKind::DropTailBytes(_) => None,
-            QueueKind::DropTailDelay(s) => Some(s),
-            QueueKind::Pie { buffer_s, .. } => Some(buffer_s),
-            QueueKind::Red { buffer_s } => Some(buffer_s),
-            QueueKind::CoDel { buffer_s } => Some(buffer_s),
-        };
+        // Keep "x seconds of buffering" meaning x seconds.
         let link = &mut self.links[hop];
-        if let Some(s) = buffer_s {
-            link.queue
-                .set_capacity_bytes(delay_capacity_bytes(new_rate, s));
-        }
+        let capacity = delay_capacity_bytes(new_rate, self.cfg.path[hop].buffer_s);
+        link.queue.set_capacity_bytes(capacity);
         link.queue.set_drain_rate_bps(new_rate);
         if let Some(at) = self.cfg.path[hop].schedule.next_transition_after(self.now) {
             self.schedule(at, EventKind::RateChange { hop: idx32(hop) });
@@ -1020,7 +992,6 @@ impl Network {
         if gen != self.links[hop].gen {
             return;
         }
-        self.links[hop].busy = false;
         if let Some(inf) = self.links[hop].in_flight.take() {
             let mut pkt = inf.pkt;
             self.in_transit_bytes += pkt.size_bytes as u64;
@@ -1371,24 +1342,29 @@ mod tests {
     }
 
     #[test]
-    fn random_loss_model_drops_packets() {
+    fn random_loss_drops_at_its_probability() {
+        // 20 Mbit/s on a 96 Mbit/s link never fills the queue, so every drop
+        // is a random loss.
         let mut cfg = base_config(96e6, 5.0);
-        cfg.link_mut().loss = LossModel::Bernoulli { p: 0.05 };
+        cfg.link_mut().loss = 0.05;
         let mut net = Network::new(cfg);
         let h = net.add_flow(
             FlowConfig::primary("lossy", Time::from_millis(20)),
             Box::new(PacedCbr::new(20e6)),
         );
         net.run();
+        let admitted = net.total_enqueued_bytes() / 1500;
         let (rec, _) = net.finish();
-        assert!(rec.flows[h.0].dropped_packets > 50);
+        let dropped = rec.flows[h.0].dropped_packets;
+        let rate = dropped as f64 / (dropped + admitted) as f64;
+        assert!((rate - 0.05).abs() < 0.01, "loss rate {rate}");
     }
 
     #[test]
     fn simulation_is_deterministic() {
         let run = || {
             let mut cfg = base_config(48e6, 5.0);
-            cfg.link_mut().loss = LossModel::Bernoulli { p: 0.01 };
+            cfg.link_mut().loss = 0.01;
             cfg.seed = 99;
             let mut net = Network::new(cfg);
             net.add_flow(
@@ -1462,7 +1438,7 @@ mod tests {
     fn spawned_runs_are_deterministic() {
         let run = || {
             let mut cfg = base_config(48e6, 8.0);
-            cfg.link_mut().loss = LossModel::Bernoulli { p: 0.005 };
+            cfg.link_mut().loss = 0.005;
             cfg.seed = 7;
             let mut net = Network::new(cfg);
             net.add_flow(

@@ -18,8 +18,8 @@
 //!   ACKs return, and the bottleneck queue shapes the inter-packet (and hence
 //!   inter-ACK) spacing.
 //! * **Deterministic.** All randomness comes from seeded RNGs owned by the
-//!   loss models and workload generators; two runs with the same seed produce
-//!   identical event sequences.
+//!   hops (random loss, the AQMs) and the workload generators; two runs with
+//!   the same seed produce identical event sequences.
 //! * **Instrumented.** The [`recorder::Recorder`] produces the throughput,
 //!   queueing-delay, flow-completion-time and ground-truth-elasticity time
 //!   series that the paper's figures are drawn from.
@@ -36,7 +36,6 @@
 pub mod endpoint;
 pub mod engine;
 pub mod eventq;
-pub mod loss;
 pub mod packet;
 pub mod queue;
 pub mod recorder;
@@ -46,7 +45,6 @@ pub mod slab;
 pub use endpoint::{AckInfo, FlowEndpoint, SendAction};
 pub use engine::{FlowConfig, FlowHandle, FlowSpawner, LinkConfig, Network, QueueKind, SimConfig};
 pub use eventq::CalendarQueue;
-pub use loss::{LossModel, Policer};
 pub use nimbus_core_types::Time;
 pub use packet::{EcnCodepoint, FlowId, Packet};
 pub use queue::{CoDelQueue, DropTailQueue, EcnMarking, PieQueue, QueueDiscipline, RedQueue};

@@ -153,7 +153,7 @@ pub struct FlowStats {
     /// Total bytes that arrived at the receiver, regardless of order
     /// (the throughput the paper's figures plot).
     pub received_bytes: u64,
-    /// Total data packets that were dropped (at the queue, policer or loss model).
+    /// Total data packets that were dropped (by a queue or the loss model).
     pub dropped_packets: u64,
     /// Flow size in bytes if the flow was finite.
     pub size_bytes: Option<u64>,
@@ -289,7 +289,7 @@ pub struct Recorder {
     /// path hop.  `hop_queue_bytes[0]` duplicates `queue_bytes` on a
     /// single-hop path.
     pub hop_queue_bytes: Vec<TimeSeries>,
-    /// Packets dropped at each hop (queue, AQM, policer or loss model).
+    /// Packets dropped at each hop (queue, AQM or loss model).
     pub hop_dropped_packets: Vec<u64>,
     /// Cumulative CE marks applied by each hop's queue (ECN runs only;
     /// stays all-zero — and out of the snapshot — when nothing marks).
@@ -413,8 +413,8 @@ impl Recorder {
         }
     }
 
-    /// A data packet from `flow` was dropped at `hop` (queue, AQM, policer
-    /// or loss model).
+    /// A data packet from `flow` was dropped at `hop` (queue, AQM or loss
+    /// model).
     pub fn on_drop(&mut self, flow: FlowId, hop: usize) {
         self.flows[flow].dropped_packets += 1;
         self.hop_dropped_packets[hop] += 1;

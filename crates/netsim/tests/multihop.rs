@@ -10,8 +10,8 @@
 //! corrupt the recorder's closing sample.
 
 use nimbus_netsim::{
-    AckInfo, FlowConfig, FlowEndpoint, LinkConfig, LossModel, Network, RateSchedule, SendAction,
-    SimConfig, Time,
+    AckInfo, FlowConfig, FlowEndpoint, LinkConfig, Network, RateSchedule, SendAction, SimConfig,
+    Time,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -317,8 +317,8 @@ proptest! {
                 8.0,
             );
             cfg.seed = seed;
-            cfg.path[0].loss = LossModel::Bernoulli { p: 0.01 };
-            cfg.path[2].loss = LossModel::Bernoulli { p: 0.005 };
+            cfg.path[0].loss = 0.01;
+            cfg.path[2].loss = 0.005;
             let mut net = Network::new(cfg);
             net.add_flow(
                 FlowConfig::primary("a", Time::from_millis(30)),

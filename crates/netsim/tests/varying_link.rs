@@ -7,8 +7,7 @@
 //! and stay bit-for-bit deterministic.
 
 use nimbus_netsim::{
-    AckInfo, FlowConfig, FlowEndpoint, LossModel, Network, RateSchedule, SendAction, SimConfig,
-    Time,
+    AckInfo, FlowConfig, FlowEndpoint, Network, RateSchedule, SendAction, SimConfig, Time,
 };
 use proptest::prelude::*;
 
@@ -194,7 +193,7 @@ fn varying_link_runs_are_deterministic() {
     let run = || {
         let schedule = RateSchedule::sinusoid(24e6, 0.25, Time::from_secs_f64(4.0));
         let mut cfg = varying_config(schedule, 10.0);
-        cfg.link_mut().loss = LossModel::Bernoulli { p: 0.01 };
+        cfg.link_mut().loss = 0.01;
         cfg.seed = 7;
         let mut net = Network::new(cfg);
         net.add_flow(

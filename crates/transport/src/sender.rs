@@ -804,7 +804,7 @@ mod tests {
     #[test]
     fn loss_recovery_retransmits_and_completes_under_random_loss() {
         let mut cfg = SimConfig::new(24e6, 0.1, 60.0);
-        cfg.link_mut().loss = nimbus_netsim::LossModel::Bernoulli { p: 0.01 };
+        cfg.link_mut().loss = 0.01;
         let mut net = Network::new(cfg);
         let h = net.add_flow(
             FlowConfig::cross("lossy-transfer", Time::from_millis(40), true).with_size(6_000_000),
@@ -826,7 +826,7 @@ mod tests {
     #[test]
     fn sender_statistics_are_consistent() {
         let mut cfg = SimConfig::new(24e6, 0.05, 30.0);
-        cfg.link_mut().loss = nimbus_netsim::LossModel::Bernoulli { p: 0.02 };
+        cfg.link_mut().loss = 0.02;
         let mut net = Network::new(cfg);
         net.add_flow(
             FlowConfig::primary("cubic", Time::from_millis(40)),

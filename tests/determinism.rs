@@ -1,7 +1,7 @@
 //! Determinism regression: two simulator runs with the same `SimConfig` seed
 //! must produce byte-identical recorder output; different seeds must not.
 
-use nimbus_repro::netsim::{FlowConfig, LossModel, Network, SimConfig, Time};
+use nimbus_repro::netsim::{FlowConfig, Network, SimConfig, Time};
 use nimbus_repro::transport::{
     BackloggedSource, CcKind, PathInfo, PoissonSource, Sender, SenderConfig,
 };
@@ -11,7 +11,7 @@ use nimbus_repro::transport::{
 fn run_snapshot(seed: u64) -> String {
     let mut cfg = SimConfig::new(48e6, 0.1, 12.0);
     cfg.seed = seed;
-    cfg.link_mut().loss = LossModel::Bernoulli { p: 0.005 };
+    cfg.link_mut().loss = 0.005;
     let mut net = Network::new(cfg);
     net.add_flow(
         FlowConfig::primary("cubic", Time::from_millis(50)),

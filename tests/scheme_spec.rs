@@ -358,6 +358,9 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("link", "hop()", "not a number"),
     ("link", "hop(0.5,speed=2)", "unknown hop option"),
     ("link", "hop(0.5,sched=trace-bogus)", "available: cellular"),
+    // A loss probability of one or more would make a hop drop every packet.
+    ("link", "loss=1.5", "probability below 1"),
+    ("link", "loss=1", "probability below 1"),
     // The ecn= axis.
     ("link", "ecn=step(1ms", "closing"),
     ("link", "ecn=step(-1ms)", "positive"),
