@@ -50,4 +50,4 @@ pub use filter::{Ewma, WindowedMax, WindowedMin};
 pub use pulse::{AsymmetricPulse, PulseGenerator, PulseKind, PulseShape, SymmetricPulse};
 pub use sliding::SlidingDft;
 pub use spectrum::{bin_for_frequency, Spectrum};
-pub use stats::{mean, percentile, stddev, Cdf, RunningStats};
+pub use stats::{mean, percentile, percentile_of_chunks, stddev, Cdf, RunningStats};

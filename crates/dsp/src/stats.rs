@@ -29,21 +29,195 @@ pub fn stddev(xs: &[f64]) -> f64 {
 ///
 /// `p` is in `[0, 100]`. Returns 0.0 for an empty slice.  Samples are ordered
 /// by [`f64::total_cmp`], so a NaN sorts above every number instead of
-/// panicking.  Selects the two ranks it reads instead of sorting: the result
-/// is the one [`percentile_of_sorted`] gives on the `total_cmp`-sorted copy.
+/// panicking.  Selects the two ranks it reads in place, without sorting or
+/// copying (see [`percentile_of_chunks`]): the result is the one
+/// [`percentile_of_sorted`] gives on the `total_cmp`-sorted copy.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.len() < 2 {
-        return xs.first().copied().unwrap_or(0.0);
+    percentile_of_chunks([xs], p)
+}
+
+/// [`percentile`] of the samples of every slice in `chunks` taken together:
+/// bit for bit the result on their concatenation, which is never built.
+///
+/// Scratch memory is a constant of about 85 kB of stack, whatever the sample
+/// count, and nothing is allocated.  Past 2 048 samples, they are read in
+/// radix passes over 11-bit digits of the `total_cmp` order until at most
+/// 2 048 are left around the rank, then once more to gather those; the
+/// median of a run's per-packet queueing delays takes one radix pass.  A
+/// rank inside a run of more than 2 048 equal samples takes one per digit.
+pub fn percentile_of_chunks<'a, C>(chunks: C, p: f64) -> f64
+where
+    C: IntoIterator<Item = &'a [f64]>,
+    C::IntoIter: Clone,
+{
+    let chunks = chunks.into_iter();
+    let len: usize = chunks.clone().map(<[f64]>::len).sum();
+    if len < 2 {
+        return chunks.flatten().next().copied().unwrap_or(0.0);
     }
-    let (lo, hi, frac) = closest_ranks(xs.len(), p);
-    let mut scratch = xs.to_vec();
-    let (_, &mut at_lo, above) = scratch.select_nth_unstable_by(lo, f64::total_cmp);
+    let (lo, hi, frac) = closest_ranks(len, p);
+    let (at_lo, next) = select(chunks.clone(), len, lo);
     if lo == hi {
-        return at_lo;
+        return value(at_lo);
     }
     // `hi == lo + 1`: the next rank is the smallest sample above `lo`.
-    let at_hi = above.iter().copied().min_by(f64::total_cmp);
-    interpolate(at_lo, at_hi.expect("hi < len"), frac)
+    let at_hi = next.unwrap_or_else(|| smallest_above(chunks, at_lo));
+    interpolate(value(at_lo), value(at_hi), frac)
+}
+
+/// Key bits one radix pass of [`select`] decides.
+const RADIX_BITS: u32 = 11;
+
+/// Digit values; the two slots after them count the keys below and above
+/// the selected prefix.
+const SLOTS: usize = 1 << RADIX_BITS;
+
+/// Samples [`select`] gathers onto its stack (16 kB) to rank them by
+/// sorting, once no more share the selected key prefix.
+const GATHER: usize = 2048;
+
+/// Evenly spaced samples [`select`] reads to guess the first digit.
+const PROBES: usize = 256;
+
+/// `x`'s position in the [`f64::total_cmp`] order as an unsigned integer:
+/// `key(a) < key(b)` exactly when `a.total_cmp(&b)` is `Less`.  A sample
+/// with the sign bit clear gets it set; one with it set (a negative number,
+/// -0.0 or a negative NaN) has every bit flipped, so larger magnitudes sort
+/// lower.
+fn key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The sample whose [`key`] is `key`.
+fn value(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
+}
+
+/// The `fixed` high bits of a key set, the rest clear.
+fn high_bits(fixed: u32) -> u64 {
+    u64::MAX.checked_shr(fixed).map_or(u64::MAX, |low| !low)
+}
+
+/// The key at `rank` in `total_cmp` order among the `len` samples in
+/// `chunks`, and the key at `rank + 1` when it is among the samples that
+/// share the selected prefix.
+///
+/// Radix selection: each pass counts the keys below and above the selected
+/// prefix and histograms the next [`RADIX_BITS`] bits of those that share
+/// it, then extends the prefix by the digit holding `rank`, until at most
+/// [`GATHER`] samples share it (or all 64 bits are fixed).  A last pass
+/// gathers those to sort them.  The first digit, which nearly every sample
+/// of one magnitude shares, is guessed from [`PROBES`] evenly spaced samples
+/// instead of counted; the first pass checks the guess, and a wrong one
+/// costs that pass.
+fn select<'a>(
+    chunks: impl Iterator<Item = &'a [f64]> + Clone,
+    len: usize,
+    rank: usize,
+) -> (u64, Option<u64>) {
+    // The keys whose high `fixed` bits equal `prefix`: `below` keys lie
+    // below them, and there are `count` of them (`len` until counted).
+    let (mut prefix, mut fixed) = if len > GATHER {
+        (guess_prefix(chunks.clone(), len, rank), RADIX_BITS)
+    } else {
+        (0, 0)
+    };
+    let (mut below, mut count) = (0, len);
+    while count > GATHER && fixed < 64 {
+        let shift = (64 - fixed).saturating_sub(RADIX_BITS);
+        let high = high_bits(fixed);
+        let slot = |x: f64| {
+            let k = key(x);
+            if k & high == prefix {
+                ((k & !high) >> shift) as usize
+            } else if k < prefix {
+                SLOTS
+            } else {
+                SLOTS + 1
+            }
+        };
+        // Four interleaved histograms: a run of samples in one slot (most of
+        // them, in the first pass) would otherwise wait on one counter.
+        let mut lanes = [[0usize; SLOTS + 2]; 4];
+        for chunk in chunks.clone() {
+            let mut quads = chunk.chunks_exact(4);
+            for quad in &mut quads {
+                for (lane, &x) in lanes.iter_mut().zip(quad) {
+                    lane[slot(x)] += 1;
+                }
+            }
+            for &x in quads.remainder() {
+                lanes[0][slot(x)] += 1;
+            }
+        }
+        let total = |at: usize| -> usize { lanes.iter().map(|lane| lane[at]).sum() };
+        below = total(SLOTS);
+        if rank < below || rank >= len - total(SLOTS + 1) {
+            // The guessed first digit does not hold `rank`: count it.
+            (prefix, fixed) = (0, 0);
+            continue;
+        }
+        let mut digit = 0;
+        loop {
+            count = total(digit);
+            if rank < below + count {
+                break;
+            }
+            below += count;
+            digit += 1;
+        }
+        prefix |= (digit as u64) << shift;
+        fixed = 64 - shift;
+    }
+    let high = high_bits(fixed);
+    let mut gathered = [0u64; GATHER];
+    let mut got = 0;
+    for chunk in chunks {
+        for &x in chunk {
+            let k = key(x);
+            if k & high == prefix && got < GATHER {
+                gathered[got] = k;
+                got += 1;
+            }
+        }
+    }
+    let bucket = &mut gathered[..got];
+    bucket.sort_unstable();
+    // `got < count` only when all 64 bits are fixed: every key is `prefix`.
+    let at = |r: usize| bucket[r.min(got - 1)];
+    let rank = rank - below;
+    (at(rank), (rank + 1 < count).then(|| at(rank + 1)))
+}
+
+/// The first digit of the key at `rank`'s place among [`PROBES`] evenly
+/// spaced samples of the `len` in `chunks`.
+fn guess_prefix<'a>(chunks: impl Iterator<Item = &'a [f64]>, len: usize, rank: usize) -> u64 {
+    let mut probes = [0u64; PROBES];
+    let (mut taken, mut start) = (0, 0);
+    for chunk in chunks {
+        // Probe `i` reads sample `i * len / PROBES`.
+        while taken < PROBES && taken * len / PROBES < start + chunk.len() {
+            probes[taken] = key(chunk[taken * len / PROBES - start]);
+            taken += 1;
+        }
+        start += chunk.len();
+    }
+    probes.sort_unstable();
+    probes[rank * PROBES / len] & high_bits(RADIX_BITS)
+}
+
+/// The smallest key in `chunks` above `below` (`u64::MAX` when none is).
+fn smallest_above<'a>(chunks: impl Iterator<Item = &'a [f64]>, below: u64) -> u64 {
+    chunks
+        .flatten()
+        .map(|&x| key(x))
+        .filter(|&k| k > below)
+        .fold(u64::MAX, u64::min)
 }
 
 /// Percentile of an already sorted slice.
@@ -427,22 +601,61 @@ mod tests {
 
         // `percentile` selects; the reference sorts the whole copy.  Same
         // bits for lengths 1, 2, odd and even, on samples drawn from a
-        // handful of values so that ranks sit inside runs of duplicates.
+        // handful of values so that ranks sit inside runs of duplicates;
+        // past `GATHER` samples (radix passes), with ±0, ±∞ and NaN among
+        // them and with more than `GATHER` copies of one value at the rank.
+        // Each input is checked whole and split at random chunk boundaries,
+        // empty chunks included.
         #[test]
         fn prop_percentile_matches_sort_based_reference(
-            long in proptest::collection::vec(0u8..12, 3..200),
-            short in proptest::collection::vec(0u8..3, 1..3),
+            families in (
+                proptest::collection::vec(0u8..12, 3..200),
+                proptest::collection::vec(0u8..3, 1..3),
+                proptest::collection::vec(0u16..6000, GATHER + 1..3 * GATHER),
+                proptest::collection::vec(0u16..3, GATHER + 1..4 * GATHER),
+            ),
+            cuts in proptest::collection::vec(0.0f64..1.2, 0..8),
             p_free in 0.0f64..100.0,
         ) {
-            for xs in [long, short] {
-                let xs: Vec<f64> = xs.iter().map(|&v| (v as f64 - 4.0) * 0.3).collect();
+            let (long, short, wide, dups) = families;
+            let special = |v: u16| match v {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f64::NAN,
+                3 => f64::INFINITY,
+                4 => f64::NEG_INFINITY,
+                _ => (v as f64 - 3000.0) * 0.37,
+            };
+            let inputs = [
+                long.iter().map(|&v| (v as f64 - 4.0) * 0.3).collect::<Vec<_>>(),
+                short.iter().map(|&v| (v as f64 - 4.0) * 0.3).collect(),
+                wide.into_iter().map(special).collect(),
+                dups.into_iter().map(special).collect(),
+            ];
+            for xs in inputs {
                 let mut sorted = xs.clone();
                 sorted.sort_by(f64::total_cmp);
+                // Cut positions as fractions of the length; past 1.0 they
+                // clamp to the end, and repeats leave empty chunks.
+                let mut at: Vec<usize> = cuts
+                    .iter()
+                    .map(|f| ((f * xs.len() as f64) as usize).min(xs.len()))
+                    .collect();
+                at.sort_unstable();
+                let mut chunks = vec![&xs[..0]];
+                let mut start = 0;
+                for &end in &at {
+                    chunks.push(&xs[start..end]);
+                    start = end;
+                }
+                chunks.push(&xs[start..]);
                 for p in [0.0, 37.5, 50.0, 99.0, 100.0, p_free] {
+                    let reference = percentile_of_sorted(&sorted, p).to_bits();
+                    prop_assert_eq!(percentile(&xs, p).to_bits(), reference, "p={} xs={:?}", p, xs);
                     prop_assert_eq!(
-                        percentile(&xs, p).to_bits(),
-                        percentile_of_sorted(&sorted, p).to_bits(),
-                        "p={} xs={:?}", p, xs
+                        percentile_of_chunks(chunks.iter().copied(), p).to_bits(),
+                        reference,
+                        "p={} cuts={:?} xs={:?}", p, at, xs
                     );
                 }
             }

@@ -116,8 +116,8 @@ pub fn run_and_collect(
             mean_rtt_ms: rtt.mean_in_range(steady_start_s, duration_s),
             median_rtt_ms: nimbus_dsp::percentile(&rtt_samples_ms, 50.0),
             mean_queue_delay_ms: qd.mean_in_range(steady_start_s, duration_s),
-            median_queue_delay_ms: nimbus_dsp::percentile(
-                &recorder.packet_delay_samples_ms[slot],
+            median_queue_delay_ms: nimbus_dsp::percentile_of_chunks(
+                recorder.packet_delay_samples_ms[slot].chunks(),
                 50.0,
             ),
             throughput_series: series_of(tput),

@@ -47,28 +47,18 @@ impl TimeSeries {
     /// observations is *not* the same thing as a genuine zero throughput or
     /// RTT, and callers must be able to tell the two apart.
     pub fn mean_in_range(&self, t0: f64, t1: f64) -> f64 {
-        let vals: Vec<f64> = self
-            .t
-            .iter()
-            .zip(self.v.iter())
-            .filter(|(t, v)| **t >= t0 && **t <= t1 && v.is_finite())
-            .map(|(_, v)| *v)
-            .collect();
-        if vals.is_empty() {
-            f64::NAN
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
+        mean_of_finite(
+            self.t
+                .iter()
+                .zip(&self.v)
+                .filter(|(t, _)| **t >= t0 && **t <= t1)
+                .map(|(_, v)| *v),
+        )
     }
 
     /// Mean over all (finite) samples; NaN when there are none.
     pub fn mean(&self) -> f64 {
-        let vals: Vec<f64> = self.v.iter().copied().filter(|v| v.is_finite()).collect();
-        if vals.is_empty() {
-            f64::NAN
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
+        mean_of_finite(self.v.iter().copied())
     }
 
     /// The values as a slice (for CDFs and percentile computations).
@@ -77,21 +67,93 @@ impl TimeSeries {
     }
 }
 
+/// Mean of the finite values, summed in order; NaN when there are none.
+fn mean_of_finite(values: impl Iterator<Item = f64>) -> f64 {
+    let mut n = 0usize;
+    let sum: f64 = values.filter(|v| v.is_finite()).inspect(|_| n += 1).sum();
+    if n == 0 {
+        f64::NAN
+    } else {
+        sum / n as f64
+    }
+}
+
+/// Samples per chunk of a [`ChunkedSamples`] store: 64 kB of `f64`.
+pub const SAMPLE_CHUNK: usize = 8192;
+
+/// An append-only store of samples in chunks of [`SAMPLE_CHUNK`].
+///
+/// Growing allocates one more chunk and moves no sample, so the unused space
+/// is at most one chunk; a doubling `Vec` leaves up to half its buffer unused
+/// and copies every sample on each growth.  It serializes as the one flat
+/// list of its samples, exactly like a `Vec<f64>` holding them.
+#[derive(Debug, Default)]
+pub struct ChunkedSamples {
+    /// The chunks filled so far, in order.
+    full: Vec<Vec<f64>>,
+    /// The chunk being filled: unallocated until the first sample, then
+    /// allocated one chunk at a time.
+    tail: Vec<f64>,
+}
+
+impl ChunkedSamples {
+    /// Append a sample.
+    pub fn push(&mut self, x: f64) {
+        if self.tail.len() == self.tail.capacity() {
+            self.start_chunk();
+        }
+        self.tail.push(x);
+    }
+
+    #[cold]
+    fn start_chunk(&mut self) {
+        let filled = std::mem::replace(&mut self.tail, Vec::with_capacity(SAMPLE_CHUNK));
+        if !filled.is_empty() {
+            self.full.push(filled);
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.chunks().map(<[f64]>::len).sum()
+    }
+
+    /// True when there are no samples.
+    pub fn is_empty(&self) -> bool {
+        self.tail.is_empty()
+    }
+
+    /// The samples in order, one slice per chunk — what a chunk-aware
+    /// reduction such as `nimbus_dsp::percentile_of_chunks` reads in place.
+    pub fn chunks(&self) -> impl Iterator<Item = &[f64]> + Clone {
+        self.full
+            .iter()
+            .map(Vec::as_slice)
+            .chain(std::iter::once(self.tail.as_slice()))
+    }
+}
+
+impl Serialize for ChunkedSamples {
+    fn to_value(&self) -> serde::Value {
+        let mut seq = Vec::with_capacity(self.len());
+        for chunk in self.chunks() {
+            seq.extend(chunk.iter().map(Serialize::to_value));
+        }
+        serde::Value::Seq(seq)
+    }
+}
+
 /// Recorder configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RecorderConfig {
     /// Sampling interval for all time series.
     pub sample_interval: Time,
-    /// Record per-packet queueing-delay samples for monitored flows
-    /// (costs memory on long runs; on by default).
-    pub record_packet_delays: bool,
 }
 
 impl Default for RecorderConfig {
     fn default() -> Self {
         RecorderConfig {
             sample_interval: Time::from_millis(100),
-            record_packet_delays: true,
         }
     }
 }
@@ -280,7 +342,7 @@ pub struct Recorder {
     /// Per monitored flow: mean per-packet bottleneck queueing delay (ms) per interval.
     pub queue_delay_ms: Vec<TimeSeries>,
     /// Per monitored flow: raw per-packet queueing delay samples (ms).
-    pub packet_delay_samples_ms: Vec<Vec<f64>>,
+    pub packet_delay_samples_ms: Vec<ChunkedSamples>,
     /// Total path queue occupancy (bytes) summed over every hop, sampled
     /// every interval.  For a single-hop path this *is* the bottleneck
     /// occupancy, exactly as in the single-link engine.
@@ -387,7 +449,7 @@ impl Recorder {
             self.throughput_mbps.push(TimeSeries::default());
             self.rtt_ms.push(TimeSeries::default());
             self.queue_delay_ms.push(TimeSeries::default());
-            self.packet_delay_samples_ms.push(Vec::new());
+            self.packet_delay_samples_ms.push(ChunkedSamples::default());
             self.intervals.push_slot();
         } else {
             self.monitored_index.push(None);
@@ -426,9 +488,7 @@ impl Recorder {
             let ms = delay.as_millis_f64();
             self.intervals.qdelay_sum_ms[slot] += ms;
             self.intervals.qdelay_count[slot] += 1;
-            if self.cfg.record_packet_delays {
-                self.packet_delay_samples_ms[slot].push(ms);
-            }
+            self.packet_delay_samples_ms[slot].push(ms);
         }
     }
 
@@ -854,6 +914,31 @@ mod tests {
         let marked = serde_json::to_string(&r.snapshot()).unwrap();
         assert!(marked.contains("hop_marked_packets"));
         assert!(marked.contains("hop_mark_series"));
+    }
+
+    #[test]
+    fn chunked_delay_samples_snapshot_as_one_flat_list() {
+        let mut r = Recorder::new(RecorderConfig::default(), 1);
+        r.register_flow(0, "a".into(), None, true, Time::ZERO, None);
+        let delays_ms: Vec<f64> = (0..3 * SAMPLE_CHUNK as u64 + 17)
+            .map(|i| {
+                let delay = Time::from_nanos(i * 104_729 % 50_000_000);
+                r.on_dequeue(0, delay);
+                delay.as_millis_f64()
+            })
+            .collect();
+        assert_eq!(r.packet_delay_samples_ms[0].chunks().count(), 4);
+        let serde::Value::Map(entries) = r.snapshot() else {
+            panic!("a snapshot is a map");
+        };
+        let (_, samples) = entries
+            .iter()
+            .find(|(name, _)| name == "packet_delay_samples_ms")
+            .expect("the snapshot holds the delay samples");
+        assert_eq!(
+            serde_json::to_string(samples).unwrap(),
+            serde_json::to_string(&vec![delays_ms]).unwrap()
+        );
     }
 
     #[test]

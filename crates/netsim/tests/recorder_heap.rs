@@ -1,0 +1,99 @@
+//! The recorder keeps one `f64` per packet of every monitored flow for the
+//! run's median queueing delay, so on a long run those samples are most of
+//! the heap.  They must cost their 8 bytes each plus at most one partly
+//! filled chunk, and reading their median must not copy them.
+
+use nimbus_netsim::{Recorder, RecorderConfig, Time, SAMPLE_CHUNK};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes this thread has allocated and not yet freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// Bytes this thread has ever allocated (a reallocation counts its new size).
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn on_alloc(size: usize) {
+    LIVE.with(|n| n.set(n.get() + size as i64));
+    ALLOCATED.with(|n| n.set(n.get() + size as u64));
+}
+
+fn on_free(size: usize) {
+    LIVE.with(|n| n.set(n.get() - size as i64));
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters are
+// const-initialised thread-local `Cell`s, which neither allocate nor unwind.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        on_alloc(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        on_free(layout.size());
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        on_free(layout.size());
+        on_alloc(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Per-packet delay samples fed to the one monitored flow.
+const SAMPLES: usize = 600_000;
+
+/// A recorder whose monitored flow dequeued `samples` packets, with delays
+/// spread over 0–40 ms.
+fn recorder_with(samples: usize) -> Recorder {
+    let mut rec = Recorder::new(RecorderConfig::default(), 1);
+    rec.register_flow(0, "monitored".into(), None, true, Time::ZERO, None);
+    for i in 0..samples as u64 {
+        rec.on_dequeue(0, Time::from_nanos(i * 7_919 % 40_000_000));
+    }
+    rec
+}
+
+fn median_delay_ms(rec: &Recorder) -> f64 {
+    nimbus_dsp::percentile_of_chunks(rec.packet_delay_samples_ms[0].chunks(), 50.0)
+}
+
+#[test]
+fn delay_samples_cost_eight_bytes_each_plus_one_chunk() {
+    let before = LIVE.with(Cell::get);
+    let rec = recorder_with(SAMPLES);
+    let held = LIVE.with(Cell::get) - before;
+    let bound = (8 * SAMPLES + 8 * SAMPLE_CHUNK) as i64;
+    assert!(
+        held <= bound,
+        "the recorder holds {held} B for {SAMPLES} samples, over the {bound} B bound"
+    );
+    assert_eq!(rec.packet_delay_samples_ms[0].len(), SAMPLES);
+}
+
+#[test]
+fn the_median_delay_allocates_the_same_bounded_bytes_at_any_sample_count() {
+    let allocated_by_median = |rec: &Recorder| {
+        let before = ALLOCATED.with(Cell::get);
+        std::hint::black_box(median_delay_ms(rec));
+        ALLOCATED.with(Cell::get) - before
+    };
+    let small = allocated_by_median(&recorder_with(SAMPLES / 10));
+    let large = allocated_by_median(&recorder_with(SAMPLES));
+    assert_eq!(
+        small,
+        large,
+        "the median of {} samples allocated {small} B, of {SAMPLES} samples {large} B",
+        SAMPLES / 10
+    );
+    assert!(
+        large <= 8 * SAMPLE_CHUNK as u64,
+        "the median allocated {large} B, more than one chunk"
+    );
+}
