@@ -43,8 +43,10 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 /// count, and nothing is allocated.  Past 2 048 samples, they are read in
 /// radix passes over 11-bit digits of the `total_cmp` order until at most
 /// 2 048 are left around the rank, then once more to gather those; the
-/// median of a run's per-packet queueing delays takes one radix pass.  A
-/// rank inside a run of more than 2 048 equal samples takes one per digit.
+/// median of a run's per-packet queueing delays usually takes one radix
+/// pass.  A rank inside a run of more than 2 048 equal samples costs one
+/// radix pass and one cheaper pass that finds them all equal, or a few more
+/// of each when near neighbours share the run's leading bits.
 pub fn percentile_of_chunks<'a, C>(chunks: C, p: f64) -> f64
 where
     C: IntoIterator<Item = &'a [f64]>,
@@ -110,11 +112,12 @@ fn high_bits(fixed: u32) -> u64 {
 /// Radix selection: each pass counts the keys below and above the selected
 /// prefix and histograms the next [`RADIX_BITS`] bits of those that share
 /// it, then extends the prefix by the digit holding `rank`, until at most
-/// [`GATHER`] samples share it (or all 64 bits are fixed).  A last pass
-/// gathers those to sort them.  The first digit, which nearly every sample
-/// of one magnitude shares, is guessed from [`PROBES`] evenly spaced samples
-/// instead of counted; the first pass checks the guess, and a wrong one
-/// costs that pass.
+/// [`GATHER`] samples share it (or all 64 bits are fixed).  While more do,
+/// a cheaper pass extends the prefix by every bit they all share.  A last
+/// pass gathers those to sort them.  The first digit, which nearly every
+/// sample of one magnitude shares, is guessed from [`PROBES`] evenly spaced
+/// samples instead of counted; the first pass checks the guess, and a wrong
+/// one costs that pass.
 fn select<'a>(
     chunks: impl Iterator<Item = &'a [f64]> + Clone,
     len: usize,
@@ -141,8 +144,9 @@ fn select<'a>(
                 SLOTS + 1
             }
         };
-        // Four interleaved histograms: a run of samples in one slot (most of
-        // them, in the first pass) would otherwise wait on one counter.
+        // Four interleaved histograms: a run of samples in one slot (one
+        // delay repeated, or one standing queue's) would otherwise wait on
+        // one counter.
         let mut lanes = [[0usize; SLOTS + 2]; 4];
         for chunk in chunks.clone() {
             let mut quads = chunk.chunks_exact(4);
@@ -173,6 +177,19 @@ fn select<'a>(
         }
         prefix |= (digit as u64) << shift;
         fixed = 64 - shift;
+        if count > GATHER && fixed < 64 {
+            // Too many to gather: often one delay repeated (exact zeros, one
+            // serialization time) with a few neighbours.  Fix every bit the
+            // smallest and largest of them share, all 64 when they are equal.
+            let (lo, hi) = key_range(chunks.clone(), prefix, high_bits(fixed));
+            fixed = (lo ^ hi).leading_zeros();
+            prefix = lo & high_bits(fixed);
+        }
+    }
+    let rank = rank - below;
+    if count > GATHER {
+        // All 64 bits are fixed: each of the `count` keys is `prefix`.
+        return (prefix, (rank + 1 < count).then_some(prefix));
     }
     let high = high_bits(fixed);
     let mut gathered = [0u64; GATHER];
@@ -180,7 +197,7 @@ fn select<'a>(
     for chunk in chunks {
         for &x in chunk {
             let k = key(x);
-            if k & high == prefix && got < GATHER {
+            if k & high == prefix {
                 gathered[got] = k;
                 got += 1;
             }
@@ -188,10 +205,18 @@ fn select<'a>(
     }
     let bucket = &mut gathered[..got];
     bucket.sort_unstable();
-    // `got < count` only when all 64 bits are fixed: every key is `prefix`.
-    let at = |r: usize| bucket[r.min(got - 1)];
-    let rank = rank - below;
-    (at(rank), (rank + 1 < count).then(|| at(rank + 1)))
+    (bucket[rank], (rank + 1 < count).then(|| bucket[rank + 1]))
+}
+
+/// The smallest and largest key in `chunks` whose `high` bits are `prefix`.
+fn key_range<'a>(chunks: impl Iterator<Item = &'a [f64]>, prefix: u64, high: u64) -> (u64, u64) {
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    for k in chunks.flatten().map(|&x| key(x)) {
+        if k & high == prefix {
+            (lo, hi) = (lo.min(k), hi.max(k));
+        }
+    }
+    (lo, hi)
 }
 
 /// The first digit of the key at `rank`'s place among [`PROBES`] evenly
@@ -508,6 +533,64 @@ mod tests {
     }
 
     #[test]
+    fn percentile_interpolates_past_the_end_of_a_long_run() {
+        // Rank 2 999 is the last zero: rank 3 000 lies outside the run.
+        let xs: Vec<f64> = (0..6000)
+            .map(|i| if i % 2 == 0 { 0.0 } else { 1.0 })
+            .collect();
+        assert_eq!(median(&xs), 0.5);
+        assert_eq!(percentile(&xs, 25.0), 0.0);
+    }
+
+    /// Chunks that count how often they are read to the end.
+    #[derive(Clone)]
+    struct CountWalks<'a, I> {
+        chunks: I,
+        walks: &'a std::cell::Cell<usize>,
+    }
+
+    impl<'a, I: Iterator<Item = &'a [f64]>> Iterator for CountWalks<'a, I> {
+        type Item = &'a [f64];
+
+        fn next(&mut self) -> Option<&'a [f64]> {
+            let next = self.chunks.next();
+            if next.is_none() {
+                self.walks.set(self.walks.get() + 1);
+            }
+            next
+        }
+    }
+
+    #[test]
+    fn percentile_reads_the_samples_a_bounded_number_of_times() {
+        // Delays spread over 0–40 ms, and the same with 60 % exact zeros.
+        let spread: Vec<f64> = (0..400_000u64)
+            .map(|i| (i * 7919 % 400_000) as f64 / 9973.0)
+            .collect();
+        let zeros: Vec<f64> = spread
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| if i % 5 < 3 { 0.0 } else { x })
+            .collect();
+        for xs in [spread, zeros] {
+            let mut sorted = xs.clone();
+            sorted.sort_by(f64::total_cmp);
+            let walks = std::cell::Cell::new(0);
+            let chunks = CountWalks {
+                chunks: xs.chunks(8192),
+                walks: &walks,
+            };
+            assert_eq!(
+                percentile_of_chunks(chunks, 50.0).to_bits(),
+                percentile_of_sorted(&sorted, 50.0).to_bits()
+            );
+            // Counting them, guessing the first digit, one radix pass, then
+            // gathering the spread delays or finding the zeros all equal.
+            assert_eq!(walks.get(), 4);
+        }
+    }
+
+    #[test]
     fn mean_and_stddev() {
         let xs = vec![2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
@@ -603,7 +686,8 @@ mod tests {
         // bits for lengths 1, 2, odd and even, on samples drawn from a
         // handful of values so that ranks sit inside runs of duplicates;
         // past `GATHER` samples (radix passes), with ±0, ±∞ and NaN among
-        // them and with more than `GATHER` copies of one value at the rank.
+        // them, with more than `GATHER` copies of one value at the rank,
+        // and with such a run among neighbours 1, 2^20 and 2^30 ulps above.
         // Each input is checked whole and split at random chunk boundaries,
         // empty chunks included.
         #[test]
@@ -614,10 +698,12 @@ mod tests {
                 proptest::collection::vec(0u16..6000, GATHER + 1..3 * GATHER),
                 proptest::collection::vec(0u16..3, GATHER + 1..4 * GATHER),
             ),
+            near in proptest::collection::vec(0usize..8, 2 * GATHER..5 * GATHER),
             cuts in proptest::collection::vec(0.0f64..1.2, 0..8),
             p_free in 0.0f64..100.0,
         ) {
             let (long, short, wide, dups) = families;
+            let ulps_above = [0, 0, 0, 0, 0, 1, 1 << 20, 1 << 30];
             let special = |v: u16| match v {
                 0 => -0.0,
                 1 => 0.0,
@@ -631,6 +717,7 @@ mod tests {
                 short.iter().map(|&v| (v as f64 - 4.0) * 0.3).collect(),
                 wide.into_iter().map(special).collect(),
                 dups.into_iter().map(special).collect(),
+                near.into_iter().map(|v| f64::from_bits(3.25f64.to_bits() + ulps_above[v])).collect(),
             ];
             for xs in inputs {
                 let mut sorted = xs.clone();
