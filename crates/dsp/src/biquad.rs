@@ -7,8 +7,8 @@
 //! that error into a spurious cross-traffic swing that both dwarfs and (via
 //! spectral leakage) contaminates the pulse band the detector inspects.
 //! A narrow notch at the known link-variation frequency removes exactly that
-//! component while leaving the pulse frequency `f_p` untouched — one of the
-//! `ZFilter` strategies of the µ-estimation API (see
+//! component while leaving the pulse frequency `f_p` untouched — the
+//! `zfilter=notch` stage of the cross-traffic estimator (see
 //! `nimbus_core::estimator`).
 //!
 //! Coefficients follow the RBJ Audio-EQ cookbook; the filter is applied as a
@@ -96,14 +96,6 @@ impl Biquad {
         y
     }
 
-    /// Reset the delay lines to zero.
-    pub fn reset(&mut self) {
-        self.x1 = 0.0;
-        self.x2 = 0.0;
-        self.y1 = 0.0;
-        self.y2 = 0.0;
-    }
-
     /// Magnitude response at `freq_hz` for sample rate `sample_rate_hz`
     /// (evaluates `|H(e^{jω})|` analytically; used by tests and docs).
     pub fn magnitude_at(&self, freq_hz: f64, sample_rate_hz: f64) -> f64 {
@@ -175,15 +167,13 @@ mod tests {
     }
 
     #[test]
-    fn filter_is_stable_on_a_step_and_resets() {
+    fn filter_is_stable_on_a_step() {
         let mut f = Biquad::notch(0.5, 0.7, 100.0);
         let step = vec![1.0; 20_000];
         let out = filtered(&mut f, &step);
         // DC is in the passband of a notch: settles back to 1.
         assert!((out.last().unwrap() - 1.0).abs() < 1e-6);
         assert!(out.iter().all(|y| y.is_finite() && y.abs() < 10.0));
-        f.reset();
-        assert_eq!(f.process(0.0), 0.0);
     }
 
     #[test]

@@ -67,12 +67,6 @@ impl Complex {
         self.norm_sqr().sqrt()
     }
 
-    /// Argument (phase angle) in radians.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiply by a real scalar.
     #[inline]
     pub fn scale(self, s: f64) -> Self {
@@ -230,7 +224,7 @@ mod tests {
     fn polar_round_trip() {
         let z = Complex::from_polar_unit(std::f64::consts::FRAC_PI_3) * 2.0;
         assert!(close(z.abs(), 2.0));
-        assert!(close(z.arg(), std::f64::consts::FRAC_PI_3));
+        assert!(close(z.im.atan2(z.re), std::f64::consts::FRAC_PI_3));
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`dft_naive`] — the O(n²) textbook DFT, kept as the oracle for property
 //!   tests.
 //!
-//! [`fft`] dispatches automatically, and [`Fft`] is a plan object that caches
-//! twiddle factors so repeated transforms of one length do not recompute them.
+//! [`Fft`] is a plan object that picks one of the first two by length and
+//! caches twiddle factors so repeated transforms of one length do not
+//! recompute them.
 
 use crate::complex::Complex;
 use std::f64::consts::PI;
@@ -141,16 +142,6 @@ impl Fft {
         let buf: Vec<Complex> = input.iter().map(|&x| Complex::from_real(x)).collect();
         self.forward(&buf)
     }
-
-    /// Inverse transform (unnormalized FFT divided by `n`, so that
-    /// `inverse(forward(x)) == x`).
-    pub fn inverse(&self, input: &[Complex]) -> Vec<Complex> {
-        assert_eq!(input.len(), self.n, "input length must match the plan");
-        // IFFT(x) = conj(FFT(conj(x))) / n
-        let conj_in: Vec<Complex> = input.iter().map(|z| z.conj()).collect();
-        let out = self.forward(&conj_in);
-        out.iter().map(|z| z.conj() / self.n as f64).collect()
-    }
 }
 
 /// Precompute the forward twiddle factors `exp(-2πi k / n)` for `k < n/2`.
@@ -209,24 +200,6 @@ fn ifft_in_place(buf: &mut [Complex], twiddles: &[Complex]) {
     }
 }
 
-/// Forward FFT of a complex slice of any length.
-///
-/// Dispatches to radix-2 for power-of-two lengths and Bluestein otherwise.
-/// For repeated transforms of the same length prefer building an [`Fft`] plan.
-pub fn fft(input: &[Complex]) -> Vec<Complex> {
-    Fft::new(input.len()).forward(input)
-}
-
-/// Forward FFT of a real-valued slice of any length.
-pub fn fft_real(input: &[f64]) -> Vec<Complex> {
-    Fft::new(input.len()).forward_real(input)
-}
-
-/// Inverse FFT such that `ifft(fft(x)) == x`.
-pub fn ifft(input: &[Complex]) -> Vec<Complex> {
-    Fft::new(input.len()).inverse(input)
-}
-
 /// Direct O(n²) DFT, used as the oracle in tests.
 pub fn dft_naive(input: &[Complex]) -> Vec<Complex> {
     let n = input.len();
@@ -246,6 +219,10 @@ pub fn dft_naive(input: &[Complex]) -> Vec<Complex> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn fft(input: &[Complex]) -> Vec<Complex> {
+        Fft::new(input.len()).forward(input)
+    }
 
     fn assert_close(a: &[Complex], b: &[Complex], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -315,24 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_round_trips_power_of_two() {
-        let x: Vec<Complex> = (0..256)
-            .map(|i| Complex::new((i as f64).sin(), (i as f64 * 0.5).cos()))
-            .collect();
-        let y = ifft(&fft(&x));
-        assert_close(&x, &y, 1e-9);
-    }
-
-    #[test]
-    fn inverse_round_trips_arbitrary_length() {
-        let x: Vec<Complex> = (0..500)
-            .map(|i| Complex::new((i as f64 * 0.013).sin(), 0.0))
-            .collect();
-        let y = ifft(&fft(&x));
-        assert_close(&x, &y, 1e-8);
-    }
-
-    #[test]
     fn plan_reuse_is_consistent() {
         let plan = Fft::new(500);
         let x: Vec<Complex> = (0..500)
@@ -359,7 +318,7 @@ mod tests {
         let x: Vec<f64> = (0..n)
             .map(|t| (2.0 * PI * 4.0 * t as f64 / n as f64).cos())
             .collect();
-        let y = fft_real(&x);
+        let y = Fft::new(n).forward_real(&x);
         // Real signal => conjugate symmetry.
         for k in 1..n / 2 {
             let a = y[k];
@@ -381,20 +340,10 @@ mod tests {
         }
 
         #[test]
-        fn prop_fft_ifft_round_trips_random_signals(values in proptest::collection::vec(-1e6f64..1e6, 2..256)) {
-            let x: Vec<Complex> = values.iter().map(|&v| Complex::from_real(v)).collect();
-            let back = ifft(&fft(&x));
-            for (orig, rt) in x.iter().zip(back.iter()) {
-                prop_assert!((orig.re - rt.re).abs() < 1e-6 * (1.0 + orig.re.abs()));
-                prop_assert!(rt.im.abs() < 1e-4, "imaginary residue {}", rt.im);
-            }
-        }
-
-        #[test]
         fn prop_parseval_energy_conserved(values in proptest::collection::vec(-100f64..100.0, 4..128)) {
             let n = values.len() as f64;
             let time_energy: f64 = values.iter().map(|v| v * v).sum();
-            let spec = fft_real(&values);
+            let spec = Fft::new(values.len()).forward_real(&values);
             let freq_energy: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / n;
             prop_assert!((time_energy - freq_energy).abs() < 1e-6 * (1.0 + time_energy));
         }

@@ -20,8 +20,7 @@
 //!   of a window that advances one sample at a time, at O(bins) per sample
 //!   and no allocation (what the detector runs per report; the FFT is its
 //!   reference).
-//! * [`pulse`] — the asymmetric sinusoidal pulse shape of Fig. 7 plus a
-//!   symmetric variant used for ablations.
+//! * [`pulse`] — the asymmetric sinusoidal pulse shape of Fig. 7.
 //! * [`filter`] — EWMA filters (used by Nimbus *watcher* flows to strip the
 //!   pulser's frequencies from their own transmissions) and simple moving
 //!   statistics (windowed min/max) used by the congestion controllers.
@@ -45,9 +44,9 @@ pub mod stats;
 
 pub use biquad::Biquad;
 pub use complex::Complex;
-pub use fft::{dft_naive, fft, fft_real, ifft, Fft};
+pub use fft::{dft_naive, Fft};
 pub use filter::{Ewma, WindowedMax, WindowedMin};
-pub use pulse::{AsymmetricPulse, PulseGenerator, PulseKind, PulseShape, SymmetricPulse};
+pub use pulse::{AsymmetricPulse, PulseGenerator};
 pub use sliding::SlidingDft;
 pub use spectrum::{bin_for_frequency, Spectrum};
-pub use stats::{mean, percentile, percentile_of_chunks, stddev, Cdf, RunningStats};
+pub use stats::{mean, percentile, percentile_of_chunks, stddev, Cdf};

@@ -11,39 +11,13 @@
 //! The two half-sines integrate to the same area, so the mean added rate over
 //! a full period is zero, and a sender whose base rate is as low as `A/3` can
 //! still pulse without going negative.
-//!
-//! The symmetric pulse (a plain sinusoid of amplitude `A`) is also provided
-//! for the ablation experiments.
 
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
-/// A rate-modulation pulse: given the phase of the current pulse period it
-/// returns the rate *offset* (in the same units as the amplitude, e.g. bits
-/// per second) to add to the base sending rate.
-pub trait PulseShape {
-    /// Rate offset at time `t` seconds for a pulse of frequency `freq_hz` and
-    /// peak amplitude `amplitude` (positive peak).
-    fn offset_at(&self, t: f64, freq_hz: f64, amplitude: f64) -> f64;
-
-    /// The minimum base rate (as a fraction of `amplitude`) a sender needs so
-    /// that `base + offset` never goes negative.
-    fn min_base_rate_fraction(&self) -> f64;
-
-    /// Mean of the offset over one full period (should be ~0 for well-formed
-    /// pulses). Computed numerically; mostly useful for tests/diagnostics.
-    fn mean_offset(&self, freq_hz: f64, amplitude: f64) -> f64 {
-        let period = 1.0 / freq_hz;
-        let steps = 10_000;
-        let dt = period / steps as f64;
-        let sum: f64 = (0..steps)
-            .map(|i| self.offset_at((i as f64 + 0.5) * dt, freq_hz, amplitude))
-            .sum();
-        sum / steps as f64
-    }
-}
-
-/// The asymmetric sinusoidal pulse of Fig. 7.
+/// The asymmetric sinusoidal pulse of Fig. 7: given the time it returns
+/// the rate *offset* (in the same units as the amplitude, e.g. bits per
+/// second) to add to the base sending rate.
 ///
 /// Positive half-sine of amplitude `A` over `T/4`, negative half-sine of
 /// amplitude `A/3` over `3T/4`. The positive and negative areas cancel:
@@ -51,8 +25,10 @@ pub trait PulseShape {
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct AsymmetricPulse;
 
-impl PulseShape for AsymmetricPulse {
-    fn offset_at(&self, t: f64, freq_hz: f64, amplitude: f64) -> f64 {
+impl AsymmetricPulse {
+    /// Rate offset at time `t` seconds for a pulse of frequency `freq_hz` and
+    /// peak amplitude `amplitude` (positive peak).
+    pub fn offset_at(&self, t: f64, freq_hz: f64, amplitude: f64) -> f64 {
         assert!(freq_hz > 0.0, "pulse frequency must be positive");
         let period = 1.0 / freq_hz;
         let phase = (t / period).rem_euclid(1.0); // in [0, 1)
@@ -65,24 +41,16 @@ impl PulseShape for AsymmetricPulse {
         }
     }
 
-    fn min_base_rate_fraction(&self) -> f64 {
-        // The most negative excursion is -A/3.
-        1.0 / 3.0
-    }
-}
-
-/// A plain symmetric sinusoid `A·sin(2π f t)`, used for ablation comparisons.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct SymmetricPulse;
-
-impl PulseShape for SymmetricPulse {
-    fn offset_at(&self, t: f64, freq_hz: f64, amplitude: f64) -> f64 {
-        assert!(freq_hz > 0.0, "pulse frequency must be positive");
-        amplitude * (2.0 * PI * freq_hz * t).sin()
-    }
-
-    fn min_base_rate_fraction(&self) -> f64 {
-        1.0
+    /// Mean of the offset over one full period (~0 by construction).
+    /// Computed numerically; mostly useful for tests/diagnostics.
+    pub fn mean_offset(&self, freq_hz: f64, amplitude: f64) -> f64 {
+        let period = 1.0 / freq_hz;
+        let steps = 10_000;
+        let dt = period / steps as f64;
+        let sum: f64 = (0..steps)
+            .map(|i| self.offset_at((i as f64 + 0.5) * dt, freq_hz, amplitude))
+            .sum();
+        sum / steps as f64
     }
 }
 
@@ -95,22 +63,8 @@ pub struct PulseGenerator {
     /// Peak pulse amplitude in the rate unit used by the caller
     /// (the paper uses a fraction of the bottleneck rate, e.g. `µ/4`).
     pub amplitude: f64,
-    /// Which pulse shape to use.
-    pub shape: PulseKind,
     /// Whether pulsing is currently enabled (watchers do not pulse).
     pub enabled: bool,
-}
-
-/// Enumerates the available pulse shapes (object-safe alternative to carrying
-/// a `dyn PulseShape`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PulseKind {
-    /// Asymmetric pulse of Fig. 7 (default).
-    Asymmetric,
-    /// Plain sinusoid (ablation).
-    Symmetric,
-    /// No pulsing at all (ablation / watcher behaviour).
-    None,
 }
 
 impl PulseGenerator {
@@ -119,28 +73,7 @@ impl PulseGenerator {
         PulseGenerator {
             freq_hz,
             amplitude,
-            shape: PulseKind::Asymmetric,
             enabled: true,
-        }
-    }
-
-    /// Create a symmetric (pure sinusoid) pulse generator.
-    pub fn symmetric(freq_hz: f64, amplitude: f64) -> Self {
-        PulseGenerator {
-            freq_hz,
-            amplitude,
-            shape: PulseKind::Symmetric,
-            enabled: true,
-        }
-    }
-
-    /// A generator that never modulates the rate.
-    pub fn disabled() -> Self {
-        PulseGenerator {
-            freq_hz: 1.0,
-            amplitude: 0.0,
-            shape: PulseKind::None,
-            enabled: false,
         }
     }
 
@@ -149,11 +82,7 @@ impl PulseGenerator {
         if !self.enabled {
             return 0.0;
         }
-        match self.shape {
-            PulseKind::Asymmetric => AsymmetricPulse.offset_at(t, self.freq_hz, self.amplitude),
-            PulseKind::Symmetric => SymmetricPulse.offset_at(t, self.freq_hz, self.amplitude),
-            PulseKind::None => 0.0,
-        }
+        AsymmetricPulse.offset_at(t, self.freq_hz, self.amplitude)
     }
 
     /// Apply the pulse to a base rate, clamping at a small positive floor so
@@ -169,17 +98,8 @@ impl PulseGenerator {
     /// the asymmetric pulse with peak `A`, which for `A = µ/4` is
     /// `µT/(8π) ≈ 0.04·µT`.
     pub fn burst_bits(&self) -> f64 {
-        match self.shape {
-            PulseKind::Asymmetric => {
-                let period = 1.0 / self.freq_hz;
-                self.amplitude * (period / 4.0) * 2.0 / PI
-            }
-            PulseKind::Symmetric => {
-                let period = 1.0 / self.freq_hz;
-                self.amplitude * (period / 2.0) * 2.0 / PI
-            }
-            PulseKind::None => 0.0,
-        }
+        let period = 1.0 / self.freq_hz;
+        self.amplitude * (period / 4.0) * 2.0 / PI
     }
 }
 
@@ -210,18 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_pulse_integrates_to_zero() {
-        let p = SymmetricPulse;
-        let mean = p.mean_offset(5.0, 24e6);
-        assert!(mean.abs() < 24e6 * 1e-4);
-    }
-
-    #[test]
-    fn asymmetric_allows_lower_base_rates_than_symmetric() {
-        assert!(AsymmetricPulse.min_base_rate_fraction() < SymmetricPulse.min_base_rate_fraction());
-    }
-
-    #[test]
     fn pulse_is_periodic() {
         let p = AsymmetricPulse;
         let fp = 5.0;
@@ -246,7 +154,10 @@ mod tests {
 
     #[test]
     fn disabled_generator_never_modulates() {
-        let gen = PulseGenerator::disabled();
+        let gen = PulseGenerator {
+            enabled: false,
+            ..PulseGenerator::asymmetric(5.0, 24e6)
+        };
         for i in 0..100 {
             assert_eq!(gen.offset_at(i as f64 * 0.01), 0.0);
             assert_eq!(gen.modulate(10e6, i as f64 * 0.01), 10e6);
@@ -275,8 +186,8 @@ mod tests {
             .map(|i| gen.modulate(48e6, i as f64 / fs))
             .collect();
         let spec = Spectrum::of_signal(&sig, fs, true);
-        let (_, freq) = spec.dominant_frequency();
-        assert!((freq - fp).abs() <= spec.bin_width_hz() + 1e-9);
+        let peak = spec.peak_near(fp, spec.bin_width_hz());
+        assert!(spec.magnitudes[1..].iter().all(|&m| m <= peak));
     }
 
     proptest! {

@@ -86,16 +86,6 @@ impl Spectrum {
         bin as f64 * self.bin_width_hz()
     }
 
-    /// The bin index closest to `freq_hz` (clamped to the valid range).
-    pub fn bin_of_frequency(&self, freq_hz: f64) -> usize {
-        bin_for_frequency(freq_hz, self.sample_rate_hz, self.n).min(self.magnitudes.len() - 1)
-    }
-
-    /// Magnitude at the bin nearest to `freq_hz`.
-    pub fn magnitude_at(&self, freq_hz: f64) -> f64 {
-        self.magnitudes[self.bin_of_frequency(freq_hz)]
-    }
-
     /// Peak magnitude within `freq_hz ± tolerance_hz` (inclusive).
     ///
     /// The pulse frequency never lands exactly on a bin for arbitrary FFT
@@ -111,18 +101,6 @@ impl Spectrum {
     /// endpoints excluded, matching Eq. 3's `(f_p, 2 f_p)` band.
     pub fn peak_in_open_band(&self, lo_hz: f64, hi_hz: f64) -> f64 {
         band_peak(&self.magnitudes, self.sample_rate_hz, self.n, lo_hz, hi_hz)
-    }
-
-    /// Index and frequency of the overall (non-DC) peak.
-    pub fn dominant_frequency(&self) -> (usize, f64) {
-        let (idx, _) = self
-            .magnitudes
-            .iter()
-            .enumerate()
-            .skip(1)
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap_or((0, &0.0));
-        (idx, self.frequency_of_bin(idx))
     }
 }
 
@@ -197,8 +175,9 @@ mod tests {
         let fs = 100.0;
         let sig = tone_mix(500, fs, &[(5.0, 3.0)]);
         let spec = Spectrum::of_signal(&sig, fs, true);
-        let (_, freq) = spec.dominant_frequency();
-        assert!((freq - 5.0).abs() < spec.bin_width_hz() + 1e-9);
+        // The 5 Hz bin holds the largest magnitude.
+        let peak = spec.peak_near(5.0, spec.bin_width_hz());
+        assert!(spec.magnitudes[1..].iter().all(|&m| m <= peak));
         // Amplitude-a sine splits between the positive and negative bins:
         // the one-sided magnitude is a/2.
         assert!((spec.peak_near(5.0, 0.3) - 1.5).abs() < 0.1);
@@ -228,7 +207,7 @@ mod tests {
         let spec = Spectrum::of_signal(&vec![0.0; 500], 100.0, true);
         for bin in [0usize, 5, 25, 50, 100, 250] {
             let f = spec.frequency_of_bin(bin);
-            assert_eq!(spec.bin_of_frequency(f), bin);
+            assert_eq!(bin_for_frequency(f, 100.0, 500), bin);
         }
         assert!((spec.bin_width_hz() - 0.2).abs() < 1e-12);
     }

@@ -339,105 +339,6 @@ impl Cdf {
     }
 }
 
-/// Online mean/variance/extrema accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// A fresh accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add an observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of observations (0.0 if none).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (0.0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation, if any.
-    pub fn min(&self) -> Option<f64> {
-        if self.n == 0 {
-            None
-        } else {
-            Some(self.min)
-        }
-    }
-
-    /// Maximum observation, if any.
-    pub fn max(&self) -> Option<f64> {
-        if self.n == 0 {
-            None
-        } else {
-            Some(self.max)
-        }
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.n as f64 / total as f64;
-        self.m2 =
-            self.m2 + other.m2 + delta * delta * (self.n as f64) * (other.n as f64) / total as f64;
-        self.mean = new_mean;
-        self.n = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Binary-classification accuracy accumulator used by the robustness
 /// experiments (§8.2): "fraction of time the detector is in the correct mode".
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -619,39 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn running_stats_matches_batch() {
-        let xs = vec![1.0, -2.0, 3.5, 10.0, 0.0, 4.25];
-        let mut rs = RunningStats::new();
-        for &x in &xs {
-            rs.push(x);
-        }
-        assert_eq!(rs.count(), xs.len() as u64);
-        assert!((rs.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((rs.stddev() - stddev(&xs)).abs() < 1e-12);
-        assert_eq!(rs.min(), Some(-2.0));
-        assert_eq!(rs.max(), Some(10.0));
-    }
-
-    #[test]
-    fn running_stats_merge_matches_combined() {
-        let a = vec![1.0, 2.0, 3.0];
-        let b = vec![10.0, 20.0];
-        let mut ra = RunningStats::new();
-        let mut rb = RunningStats::new();
-        for &x in &a {
-            ra.push(x);
-        }
-        for &x in &b {
-            rb.push(x);
-        }
-        ra.merge(&rb);
-        let mut all = a.clone();
-        all.extend(&b);
-        assert!((ra.mean() - mean(&all)).abs() < 1e-12);
-        assert!((ra.stddev() - stddev(&all)).abs() < 1e-12);
-    }
-
-    #[test]
     fn classification_accuracy_bookkeeping() {
         let mut acc = ClassificationAccuracy::default();
         // 3 elastic decisions, 2 correct; 2 inelastic decisions, 2 correct.
@@ -746,14 +614,6 @@ mod tests {
                     );
                 }
             }
-        }
-
-        #[test]
-        fn prop_running_stats_mean_within_bounds(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-            let mut rs = RunningStats::new();
-            for &x in &xs { rs.push(x); }
-            prop_assert!(rs.mean() >= rs.min().unwrap() - 1e-9);
-            prop_assert!(rs.mean() <= rs.max().unwrap() + 1e-9);
         }
     }
 }

@@ -8,7 +8,7 @@ use crate::output::ExperimentResult;
 use crate::runner::run_scheme_vs_cross;
 use crate::scheme::SchemeSpec;
 use nimbus_core::{CrossTrafficEstimator, ElasticityConfig, ElasticityDetector};
-use nimbus_dsp::{AsymmetricPulse, PulseGenerator, PulseShape, Spectrum};
+use nimbus_dsp::{AsymmetricPulse, PulseGenerator, Spectrum};
 use nimbus_transport::CcKind;
 
 /// Fig. 1: Cubic vs a delay-controlling scheme vs Nimbus on a 48 Mbit/s link

@@ -41,7 +41,7 @@ pub fn l4s_pulse(quick: bool) -> ExperimentResult {
         "Solo Nimbus pulse survival on drop-tail vs classic-ECN vs L4S step queues",
         quick,
     );
-    for ecn in [EcnSpec::Off, EcnSpec::Classic, EcnSpec::l4s()] {
+    for ecn in [EcnSpec::Off, EcnSpec::Classic, EcnSpec::L4s] {
         let spec = scenario(&format!("48M ecn={ecn} seed=62 dur={duration}s"));
         let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), duration * 0.25);
         let m = &out.flows[0];
@@ -65,7 +65,7 @@ pub fn l4s_pulse(quick: bool) -> ExperimentResult {
             &format!("{tag}_dropped_packets"),
             out.recorder.hop_dropped_packets.iter().sum::<u64>() as f64,
         );
-        if ecn == EcnSpec::l4s() {
+        if ecn == EcnSpec::L4s {
             result.add_series("l4s_throughput_series", m.throughput_series.clone());
             result.add_series("l4s_queue_delay_series", m.queue_delay_series.clone());
         }
@@ -149,7 +149,7 @@ pub fn l4s_coexistence(quick: bool) -> ExperimentResult {
             "nimbus_vs_dctcp_l4s",
             SchemeSpec::nimbus(),
             SchemeSpec::dctcp(),
-            EcnSpec::l4s(),
+            EcnSpec::L4s,
         ),
     ];
     for (tag, scheme, competitor, ecn) in pairs {

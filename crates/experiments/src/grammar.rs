@@ -82,7 +82,7 @@ pub fn split_call(value: &str) -> Result<(&str, Option<&str>), ParseError> {
 }
 
 /// Split `key=value` at the first top-level `=` (so `hop(rate=1)` is not a
-/// pair but `ecn=step(5ms)` is); both halves trimmed.
+/// pair but `mu=learned(probe=3)` is); both halves trimmed.
 pub fn key_value(pair: &str) -> Option<(&str, &str)> {
     let key = split_top_level(pair, '=')[0];
     let value = pair.get(key.len() + 1..)?;

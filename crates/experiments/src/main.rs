@@ -10,9 +10,9 @@
 //! — a bare CCA (`cubic`, `constant(24M)`) or a Nimbus wrapper composition
 //! (`nimbus(competitive=reno,delay=copa,mu=learned)`) — and may be repeated
 //! to replace the sweep's scheme axis.  `--ecn` takes an
-//! [`EcnSpec`](nimbus_experiments::EcnSpec) string (`off`, `classic`,
-//! `l4s`, `step(<duration>)`) and runs every cell with that marking
-//! profile on the primary bottleneck.  `--help` prints the whole spec
+//! [`EcnSpec`](nimbus_experiments::EcnSpec) string (`off`, `classic` or
+//! `l4s`) and runs every cell with that marking profile on the primary
+//! bottleneck.  `--help` prints the whole spec
 //! grammar from the parsers' own option tables
 //! ([`grammar_reference`](nimbus_experiments::runner::grammar_reference)).
 //!

@@ -166,8 +166,8 @@ mod tests {
         let fleet = |s: &str| s.parse::<FleetSpec>().unwrap();
         assert_eq!(FleetSpec::poisson(0.5).label(), "fleet-poisson-l50");
         assert_eq!(
-            fleet("fleet(arrivals=bursty,load=0.3,mean=50k,cc=reno)").label(),
-            "fleet-bursty-l30-m50k-reno"
+            fleet("fleet(arrivals=bursty,load=0.3,mean=50k)").label(),
+            "fleet-bursty-l30-m50k"
         );
         let sizes = fleet("fleet(load=0.5,mean=50k)").size_distribution();
         assert!(
@@ -205,7 +205,7 @@ mod tests {
     fn l4s_scenario_marks_instead_of_dropping_for_dctcp() {
         let spec = ScenarioSpec {
             duration_s: 12.0,
-            ecn: EcnSpec::l4s(),
+            ecn: EcnSpec::L4s,
             ..ScenarioSpec::fig1_48mbps(12.0)
         };
         let out = run_scheme_vs_cross(&spec, SchemeSpec::dctcp(), Vec::new(), 3.0);

@@ -249,14 +249,13 @@ impl FromStr for LinkScheduleSpec {
     }
 }
 
-/// The `ecn=` axis of the scenario grammar: whether — and how — a hop marks
-/// ECT packets instead of dropping them.
+/// The `ecn=` axis of the scenario grammar: whether — and how — the primary
+/// bottleneck marks ECT packets instead of dropping them.
 ///
 /// ```text
 /// ecn=off            no marking (the default; ECN-capable flows are inert)
 /// ecn=classic        RFC 3168-style marking at the AQM's drop points
 /// ecn=l4s            L4S step marking at a 1 ms sojourn threshold (RFC 9331)
-/// ecn=step(5ms)      step marking at an explicit sojourn threshold
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EcnSpec {
@@ -265,33 +264,24 @@ pub enum EcnSpec {
     Off,
     /// Classic ECN: mark ECT packets where the queue would have dropped.
     Classic,
-    /// L4S-style step marking at a sojourn-time threshold (seconds).
-    Step {
-        /// Queue sojourn above which every ECT packet is marked, seconds.
-        threshold_s: f64,
-    },
+    /// L4S step marking at a 1 ms sojourn threshold.
+    L4s,
 }
 
-/// The named `ecn=` modes (canonical name first); `step(<dur>)` is the one
-/// parameterised form beside them.
-const ECN_MODES: &[(&str, EcnSpec)] = &[
+/// The L4S step-marking threshold: the queue sojourn above which every ECT
+/// packet is marked, seconds (RFC 9331's recommended 1 ms).
+const L4S_STEP_THRESHOLD_S: f64 = 0.001;
+
+/// The `ecn=` modes, canonical name first.
+pub(super) const ECN_MODES: &[(&str, EcnSpec)] = &[
     ("off", EcnSpec::Off),
     ("none", EcnSpec::Off),
     ("classic", EcnSpec::Classic),
     ("ecn", EcnSpec::Classic),
-    ("l4s", EcnSpec::Step { threshold_s: 0.001 }),
+    ("l4s", EcnSpec::L4s),
 ];
 
-pub(super) fn ecn_hint() -> String {
-    format!("{}|step(<dur>)", grammar::choices(ECN_MODES))
-}
-
 impl EcnSpec {
-    /// The L4S profile: step marking at the RFC 9331-recommended 1 ms.
-    pub fn l4s() -> Self {
-        EcnSpec::Step { threshold_s: 0.001 }
-    }
-
     /// Whether any marking is configured.
     pub fn is_enabled(&self) -> bool {
         !matches!(self, EcnSpec::Off)
@@ -299,36 +289,33 @@ impl EcnSpec {
 
     /// The netsim queue-level marking profile this spec materializes to.
     pub fn to_marking(&self) -> EcnMarking {
-        match *self {
+        match self {
             EcnSpec::Off => EcnMarking::None,
             EcnSpec::Classic => EcnMarking::Classic,
-            EcnSpec::Step { threshold_s } => EcnMarking::Step { threshold_s },
+            EcnSpec::L4s => EcnMarking::Step {
+                threshold_s: L4S_STEP_THRESHOLD_S,
+            },
         }
     }
 
-    /// A short slug for cell names: empty when off, `-ecn`, `-l4s`, or
-    /// `-step<ms>ms`.
+    /// A short slug for cell names: empty when off, `-ecn` or `-l4s`.
     pub fn label(&self) -> String {
-        match *self {
+        match self {
             EcnSpec::Off => String::new(),
             EcnSpec::Classic => "-ecn".to_string(),
-            EcnSpec::Step { threshold_s: 0.001 } => "-l4s".to_string(),
-            EcnSpec::Step { threshold_s } => format!("-step{}ms", threshold_s * 1000.0),
+            EcnSpec::L4s => "-l4s".to_string(),
         }
     }
 }
 
 impl fmt::Display for EcnSpec {
-    /// Canonical re-parseable form: `off`, `classic`, `l4s` (the 1 ms step),
-    /// or `step(<dur>)`.
+    /// Canonical re-parseable form: `off`, `classic` or `l4s`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (ECN_MODES.iter().find(|(_, mode)| mode == self), self) {
-            (Some((name, _)), _) => write!(f, "{name}"),
-            (None, EcnSpec::Step { threshold_s }) => {
-                write!(f, "step({})", fmt_duration(threshold_s))
-            }
-            (None, _) => unreachable!("every unparameterised mode is in ECN_MODES"),
-        }
+        let (name, _) = ECN_MODES
+            .iter()
+            .find(|(_, mode)| mode == self)
+            .expect("every mode is in ECN_MODES");
+        f.write_str(name)
     }
 }
 
@@ -336,25 +323,16 @@ impl FromStr for EcnSpec {
     type Err = ParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let t = s.trim().to_ascii_lowercase();
-        if let Some(&(_, mode)) = ECN_MODES.iter().find(|&&(name, _)| name == t) {
-            return Ok(mode);
-        }
-        match split_call(&t)? {
-            ("step", Some(threshold)) => Ok(EcnSpec::Step {
-                threshold_s: duration("step threshold", threshold)?,
-            }),
-            _ => Err(ParseError(format!(
-                "unknown ecn mode `{s}` (expected {})",
-                ecn_hint()
-            ))),
-        }
+        grammar::choice("ecn mode", ECN_MODES, &s.trim().to_ascii_lowercase())
     }
 }
 
 /// One additional hop appended after the scenario's primary (hop-0)
 /// bottleneck, described relative to the scenario's base `link_rate_bps` so
-/// the same path shape can be swept across link rates.
+/// the same path shape can be swept across link rates.  Every extra hop is a
+/// drop-tail queue without ECN marking, 100 ms of buffering and 10 ms of
+/// upstream propagation
+/// ([`ScenarioSpec::build_network`](crate::runner::ScenarioSpec::build_network)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HopSpec {
     /// The hop's base rate as a fraction of the scenario's `link_rate_bps`
@@ -363,56 +341,25 @@ pub struct HopSpec {
     /// How the hop's rate moves over the run, materialized against
     /// `rate_factor·link_rate_bps`.
     pub schedule: LinkScheduleSpec,
-    /// Buffer size in seconds of this hop's line rate (drop-tail).
-    pub buffer_s: f64,
-    /// Propagation delay from the previous hop's output to this hop, seconds.
-    pub prop_delay_s: f64,
-    /// Whether this hop marks ECT packets instead of dropping (`ecn=` axis).
-    pub ecn: EcnSpec,
 }
 
 /// The options after the rate factor in `hop(<factor>,…)`.
-pub(super) const HOP: &[Opt<HopSpec>] = &[
-    field_opt!(
-        "sched",
-        "",
-        "<schedule>",
-        parsed,
-        LinkScheduleSpec::to_string,
-        schedule,
-        LinkScheduleSpec::Constant
-    ),
-    field_opt!("buffer", "", "<dur>", duration, fmt_duration, buffer_s, 0.1),
-    field_opt!(
-        "delay",
-        "",
-        "<dur>",
-        duration,
-        fmt_duration,
-        prop_delay_s,
-        0.01
-    ),
-    field_opt!(
-        "ecn",
-        "",
-        ecn_hint(),
-        parsed,
-        EcnSpec::to_string,
-        ecn,
-        EcnSpec::Off
-    ),
-];
+pub(super) const HOP: &[Opt<HopSpec>] = &[field_opt!(
+    "sched",
+    "",
+    "<schedule>",
+    parsed,
+    LinkScheduleSpec::to_string,
+    schedule,
+    LinkScheduleSpec::Constant
+)];
 
 impl HopSpec {
-    /// A constant-rate drop-tail hop at `rate_factor·base` with 100 ms of
-    /// buffering and 10 ms of upstream propagation.
+    /// A constant-rate hop at `rate_factor·base`.
     pub fn constant(rate_factor: f64) -> Self {
         HopSpec {
             rate_factor,
             schedule: LinkScheduleSpec::Constant,
-            buffer_s: 0.1,
-            prop_delay_s: 0.01,
-            ecn: EcnSpec::Off,
         }
     }
 }

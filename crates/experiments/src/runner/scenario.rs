@@ -1,19 +1,17 @@
 //! The scenario itself — its cross traffic and fleet, its string form — and
 //! the grammar reference.
 
-use super::path::{ecn_hint, EcnSpec, LinkScheduleSpec, PathSpec, HOP, SCHEDULE_FORMS};
+use super::path::{EcnSpec, LinkScheduleSpec, PathSpec, ECN_MODES, HOP, SCHEDULE_FORMS};
 use crate::figures::{cbr_cross_flow, poisson_cross_flow, scheme_cross_flow};
 use crate::grammar::{
-    self, choice_opt, duration, field_opt, fmt_duration, fmt_size, key_value, parsed, positive,
-    probability, split_call, split_top_level, Opt, ParseError,
+    self, duration, field_opt, fmt_duration, fmt_size, key_value, parsed, positive, probability,
+    split_call, split_top_level, Opt, ParseError,
 };
 use crate::scheme::{SchemeSpec, BARE_SCHEMES, NIMBUS};
 use nimbus_netsim::{
     FlowConfig, FlowEndpoint, LinkConfig, Network, QueueKind, RateSchedule, SimConfig, Time,
 };
-use nimbus_traffic::fleet::{
-    ArrivalProcess, CcKindSerde, FleetSpawner, FleetWorkloadConfig, DEFAULT_BURSTY_ALPHA,
-};
+use nimbus_traffic::fleet::{ArrivalProcess, FleetSpawner, FleetWorkloadConfig};
 use nimbus_traffic::FlowSizeDistribution;
 use nimbus_transport::format_rate_bps;
 use std::fmt;
@@ -141,13 +139,13 @@ impl FromStr for CrossSpec {
 }
 
 /// An open-loop fleet workload riding on a scenario: a churning population
-/// of finite flows (Poisson or bursty arrivals × heavy-tailed sizes) offered
-/// at a fraction of the base link rate.  This is the `arrivals=`/`load=`
-/// axis of the scenario grammar:
+/// of finite Cubic flows (Poisson or bursty arrivals × heavy-tailed sizes)
+/// offered at a fraction of the base link rate.  This is the
+/// `arrivals=`/`load=` axis of the scenario grammar:
 ///
 /// ```text
 /// fleet(arrivals=poisson,load=0.5)
-/// fleet(arrivals=bursty(alpha=1.5),load=0.3,mean=50k,cc=reno)
+/// fleet(arrivals=bursty,load=0.3,mean=50k)
 /// ```
 ///
 /// Materialized into a [`FleetSpawner`] at network-build time; flows spawn
@@ -155,58 +153,32 @@ impl FromStr for CrossSpec {
 /// for the concurrently active population.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
-    /// Interarrival process (`arrivals=poisson|bursty|bursty(alpha=…)`).
+    /// Interarrival process (`arrivals=poisson|bursty`).
     pub arrivals: ArrivalProcess,
     /// Offered load as a fraction of the scenario's base link rate (`load=`).
     pub load: f64,
     /// Override the size distribution's mean flow size in bytes (`mean=`);
     /// `None` keeps the default CAIDA-like mixture (~100 kB mean).
     pub mean_flow_bytes: Option<f64>,
-    /// Congestion control run by the fleet flows (`cc=cubic|reno`).
-    pub cc: CcKindSerde,
 }
 
-fn parse_arrivals(v: &str) -> Result<ArrivalProcess, ParseError> {
-    let alpha = match split_call(v)? {
-        ("poisson", None) => return Ok(ArrivalProcess::Poisson),
-        ("bursty", None) => DEFAULT_BURSTY_ALPHA,
-        ("bursty", Some(arg)) if arg.starts_with("alpha=") => {
-            positive("bursty alpha", &arg["alpha=".len()..])?
-        }
-        _ => {
-            return Err(ParseError(format!(
-                "unknown arrivals `{v}` (expected poisson, bursty or bursty(alpha=…))"
-            )))
-        }
-    };
-    if alpha <= 1.0 {
-        return Err(ParseError(format!(
-            "bursty alpha must exceed 1 (finite mean), got `{alpha}`"
-        )));
-    }
-    Ok(ArrivalProcess::Bursty { alpha })
-}
-
-const FLEET_CC: &[(&str, CcKindSerde)] = &[
-    ("cubic", CcKindSerde::Cubic),
-    ("reno", CcKindSerde::NewReno),
-    ("newreno", CcKindSerde::NewReno),
+const ARRIVALS: &[(&str, ArrivalProcess)] = &[
+    ("poisson", ArrivalProcess::Poisson),
+    ("bursty", ArrivalProcess::Bursty),
 ];
 
 /// The `fleet(…)` options.
 const FLEET: &[Opt<FleetSpec>] = &[
     Opt {
         key: "arrivals",
-        hint: || "poisson|bursty|bursty(alpha=<a>)".to_string(),
+        hint: || grammar::choices(ARRIVALS),
         slug: "",
         show: |fleet| {
-            Some(match fleet.arrivals {
-                ArrivalProcess::Poisson => "poisson".to_string(),
-                ArrivalProcess::Bursty { alpha } => format!("bursty(alpha={alpha})"),
-            })
+            let (name, _) = ARRIVALS.iter().find(|(_, a)| *a == fleet.arrivals)?;
+            Some(name.to_string())
         },
         set: |fleet, v| {
-            fleet.arrivals = parse_arrivals(v)?;
+            fleet.arrivals = grammar::choice("arrivals", ARRIVALS, v)?;
             Ok(())
         },
     },
@@ -235,18 +207,15 @@ const FLEET: &[Opt<FleetSpec>] = &[
             Ok(())
         },
     },
-    choice_opt!("cc", "fleet cc", FLEET_CC, cc),
 ];
 
 impl FleetSpec {
-    /// A Poisson fleet at the given offered-load fraction, default sizes,
-    /// Cubic flows.
+    /// A Poisson fleet at the given offered-load fraction, default sizes.
     pub fn poisson(load: f64) -> Self {
         FleetSpec {
             arrivals: ArrivalProcess::Poisson,
             load,
             mean_flow_bytes: None,
-            cc: CcKindSerde::Cubic,
         }
     }
 
@@ -265,18 +234,15 @@ impl FleetSpec {
         sizes
     }
 
-    /// A short slug for cell names: `fleet-poisson-l50`, `fleet-bursty-l30-reno`.
+    /// A short slug for cell names: `fleet-poisson-l50`, `fleet-bursty-l30-m50k`.
     pub fn label(&self) -> String {
         let arrivals = match self.arrivals {
             ArrivalProcess::Poisson => "poisson",
-            ArrivalProcess::Bursty { .. } => "bursty",
+            ArrivalProcess::Bursty => "bursty",
         };
         let mut s = format!("fleet-{arrivals}-l{:.0}", self.load * 100.0);
         if let Some(mean) = self.mean_flow_bytes {
             s.push_str(&format!("-m{:.0}k", mean / 1000.0));
-        }
-        if self.cc == CcKindSerde::NewReno {
-            s.push_str("-reno");
         }
         s
     }
@@ -289,13 +255,9 @@ impl FleetSpec {
             offered_load_bps: self.load * link_rate_bps,
             arrivals: self.arrivals,
             sizes: self.size_distribution(),
-            start_s: 0.0,
             stop_s: duration_s,
             base_rtt_s: 0.05,
-            jitter_rtt: true,
-            cc: self.cc,
             seed: seed.wrapping_mul(131).wrapping_add(29),
-            elastic_threshold_bytes: 15_000,
         })
     }
 }
@@ -360,12 +322,19 @@ pub struct ScenarioSpec {
     pub ecn: EcnSpec,
 }
 
+/// An extra hop's buffer, seconds of its line rate.
+const HOP_BUFFER_S: f64 = 0.1;
+
+/// Propagation delay from the previous hop's output into an extra hop,
+/// seconds.
+const HOP_PROP_DELAY_S: f64 = 0.01;
+
 /// The scenario's `key=value` options (`dur` is mandatory).
 const SCENARIO: &[Opt<ScenarioSpec>] = &[
     field_opt!(
         "ecn",
         "",
-        ecn_hint(),
+        grammar::choices(ECN_MODES),
         parsed,
         EcnSpec::to_string,
         ecn,
@@ -449,7 +418,9 @@ impl ScenarioSpec {
         self.path.nominal_mu_over_hops(self.link_rate_bps, 0, None)
     }
 
-    /// Build the simulator network for this spec.
+    /// Build the simulator network for this spec.  Each extra hop is a
+    /// drop-tail queue with `HOP_BUFFER_S` of buffering, `HOP_PROP_DELAY_S`
+    /// downstream of the previous hop, and no ECN marking.
     pub fn build_network(&self) -> Network {
         let mut cfg = SimConfig::new(self.link_rate_bps, self.buffer_s, self.duration_s);
         cfg.seed = self.seed;
@@ -463,10 +434,9 @@ impl ScenarioSpec {
         cfg.path[0].ecn = self.ecn.to_marking();
         for hop in &self.path.extra_hops {
             let base = hop.rate_factor * self.link_rate_bps;
-            let link = LinkConfig::drop_tail(base, hop.buffer_s)
+            let link = LinkConfig::drop_tail(base, HOP_BUFFER_S)
                 .with_schedule(hop.schedule.to_schedule(base))
-                .with_prop_delay(Time::from_secs_f64(hop.prop_delay_s))
-                .with_ecn(hop.ecn.to_marking());
+                .with_prop_delay(Time::from_secs_f64(HOP_PROP_DELAY_S));
             cfg.path.push(link);
         }
         Network::new(cfg)

@@ -1,9 +1,9 @@
 //! The `mu=` and `zfilter=` values of a `nimbus(…)` spec: the learned-µ and
-//! ẑ-filter option tables, with the printers and parsers that read them.
+//! notch option tables, with the printers and parsers that read them.
 
 use super::{call_form, MuSpec};
-use crate::grammar::{self, num_opt, Opt, ParseError};
-use nimbus_core::{LearnedMuConfig, ProbingConfig, ZFilterConfig};
+use crate::grammar::{self, num_opt, positive, Opt, ParseError};
+use nimbus_core::{ElasticityConfig, LearnedMuConfig, ProbingConfig, ZFilterConfig};
 
 pub(super) fn mu_hint() -> String {
     format!(
@@ -13,64 +13,31 @@ pub(super) fn mu_hint() -> String {
 }
 
 pub(super) fn zfilter_hint() -> String {
-    format!(
-        "none|notch({})|adaptive|adaptive({})",
-        grammar::expected(NOTCH),
-        grammar::expected(ADAPTIVE)
-    )
+    format!("none|notch({})|adaptive", grammar::expected(NOTCH))
 }
 
-/// The `mu=learned(…)` options, over the [`ProbingConfig`] they fill in.
-/// `probe` is mandatory for a probing strategy; a plain max filter is the
-/// `window` row alone ([`probing_view`]) — both strategies default their
-/// window to `DEFAULT_MU_WINDOW_S`.
-const MU_LEARNED: &[Opt<ProbingConfig>] = &[
+/// The `mu=learned(…)` options of a probing estimate, over the
+/// [`ProbingConfig`] they fill in; `probe` is mandatory, and without any
+/// option µ is the plain max filter.
+pub(super) const MU_LEARNED: &[Opt<ProbingConfig>] = &[
     num_opt!("probe", "probe", "<s>", probe_interval_s, required),
     num_opt!("gain", "g", "<x>", probe_gain),
-    num_opt!("dur", "d", "<s>", probe_duration_s),
-    num_opt!("window", "w", "<s>", window_s),
-    num_opt!("loss", "l", "<frac>", loss_backoff),
-    num_opt!("lossint", "li", "<s>", backoff_interval_s),
-    num_opt!("recent", "r", "<s>", recent_window_s),
-    num_opt!("cap", "c", "<x>", cap_margin),
     num_opt!("quiesce", "q", "<frac>", quiesce_uncertainty_floor),
 ];
 
-/// A learned-µ strategy as the [`ProbingConfig`] the option table reads,
-/// plus the rows of [`MU_LEARNED`] that apply to it.
-pub(super) fn probing_view(
-    lc: &LearnedMuConfig,
-) -> (
-    ProbingConfig,
-    impl Iterator<Item = &'static Opt<ProbingConfig>>,
-) {
-    let (p, probing) = match *lc {
-        LearnedMuConfig::Probing(p) => (p, true),
-        LearnedMuConfig::MaxFilter { window_s } => (
-            ProbingConfig {
-                window_s,
-                ..ProbingConfig::default()
-            },
-            false,
-        ),
-    };
-    let rows = MU_LEARNED
-        .iter()
-        .filter(move |o| probing || o.key == "window");
-    (p, rows)
-}
-
 /// The canonical `mu=` value (`learned`, `learned(probe=3)`, …).
 pub(super) fn show_mu(mu: &MuSpec) -> Option<String> {
-    let MuSpec::Learned(lc) = mu else {
-        return None;
-    };
-    let (p, rows) = probing_view(lc);
-    Some(call_form("learned", grammar::show_opts(rows, &p, ",")))
+    match mu {
+        MuSpec::Configured => None,
+        MuSpec::Learned(LearnedMuConfig::MaxFilter) => Some("learned".to_string()),
+        MuSpec::Learned(LearnedMuConfig::Probing(p)) => {
+            Some(call_form("learned", grammar::show_opts(MU_LEARNED, p, ",")))
+        }
+    }
 }
 
-/// Parse the value of `mu=`: `configured`, `learned`, or a parameterised
-/// `learned(…)` strategy over the [`MU_LEARNED`] keys.
+/// Parse the value of `mu=`: `configured`, `learned`, or a probing
+/// `learned(…)` over the [`MU_LEARNED`] keys.
 pub(super) fn parse_mu(value: &str) -> Result<MuSpec, ParseError> {
     match grammar::split_call(value)? {
         ("configured", None) => Ok(MuSpec::Configured),
@@ -78,49 +45,17 @@ pub(super) fn parse_mu(value: &str) -> Result<MuSpec, ParseError> {
         ("learned" | "estimated", Some(args)) => {
             let mut cfg = ProbingConfig::default();
             let seen = grammar::set_opts("mu=learned", MU_LEARNED, &mut cfg, args)?;
+            if seen.is_empty() {
+                return Ok(MuSpec::learned());
+            }
             if !seen.contains(&"probe") {
-                if seen.iter().any(|&k| k != "window") {
-                    let probing_only: Vec<&str> = MU_LEARNED
-                        .iter()
-                        .map(|o| o.key)
-                        .filter(|&k| k != "probe" && k != "window")
-                        .collect();
-                    return Err(ParseError(format!(
-                        "mu=learned probing parameters ({}) require probe=<interval>",
-                        probing_only.join("/")
-                    )));
-                }
-                return Ok(MuSpec::Learned(LearnedMuConfig::MaxFilter {
-                    window_s: cfg.window_s,
-                }));
-            }
-            if 2.0 * cfg.probe_duration_s >= cfg.probe_interval_s {
+                let probing_only: Vec<&str> = MU_LEARNED[1..].iter().map(|o| o.key).collect();
                 return Err(ParseError(format!(
-                    "probe duration {} s plus its equal-length drain (during which \
-                     ẑ is held) must be shorter than the probe interval {} s — \
-                     use dur < probe/2",
-                    cfg.probe_duration_s, cfg.probe_interval_s
+                    "mu=learned probing parameters ({}) require probe=<interval>",
+                    probing_only.join("/")
                 )));
             }
-            if cfg.probe_gain <= 1.0 {
-                return Err(ParseError(format!(
-                    "probe gain {} must exceed 1 (a probe paces *above* the base rate)",
-                    cfg.probe_gain
-                )));
-            }
-            if cfg.loss_backoff >= 1.0 {
-                return Err(ParseError(format!(
-                    "loss backoff {} must be a decay factor below 1",
-                    cfg.loss_backoff
-                )));
-            }
-            if cfg.quiesce_uncertainty_floor >= 1.0 {
-                return Err(ParseError(format!(
-                    "quiesce floor {} is compared against the µ̂ uncertainty in \
-                     [0, 1) — 1 or above would quiesce probing unconditionally",
-                    cfg.quiesce_uncertainty_floor
-                )));
-            }
+            cfg.check().map_err(ParseError)?;
             Ok(MuSpec::Learned(LearnedMuConfig::Probing(cfg)))
         }
         (v, _) => Err(ParseError(format!(
@@ -130,90 +65,58 @@ pub(super) fn parse_mu(value: &str) -> Result<MuSpec, ParseError> {
     }
 }
 
-/// The arguments of `zfilter=notch(…)`; the default is
-/// [`ZFilterConfig::notch`]'s `q` with the frequency still to be given (NaN).
-pub(super) struct NotchArgs {
-    pub(super) freq_hz: f64,
-    pub(super) q: f64,
-}
-
-impl Default for NotchArgs {
-    fn default() -> Self {
-        let ZFilterConfig::Notch { q, .. } = ZFilterConfig::notch(f64::NAN) else {
-            unreachable!("notch() builds a Notch")
-        };
-        NotchArgs {
-            freq_hz: f64::NAN,
-            q,
+/// The `zfilter=notch(…)` option, over the notch frequency (NaN until given).
+pub(super) const NOTCH: &[Opt<f64>] = &[Opt {
+    key: "freq",
+    hint: || "<hz>".to_string(),
+    slug: "",
+    show: |freq_hz| Some(freq_hz.to_string()),
+    set: |freq_hz, v| {
+        *freq_hz = positive("notch frequency", v)?;
+        // ẑ is sampled once per report, so nothing at or above half the
+        // report rate exists to notch (and `Biquad::notch` rejects it).
+        let sample_rate_hz = ElasticityConfig::default().sample_rate_hz();
+        if *freq_hz >= sample_rate_hz / 2.0 {
+            return Err(ParseError(format!(
+                "notch frequency `{v}` must be below {} Hz, the Nyquist rate of the {} ms \
+                 report cadence",
+                sample_rate_hz / 2.0,
+                1e3 / sample_rate_hz
+            )));
         }
-    }
-}
-
-/// The `zfilter=notch(…)` options.
-pub(super) const NOTCH: &[Opt<NotchArgs>] = &[
-    num_opt!("freq", "", "<hz>", freq_hz, required),
-    num_opt!("q", "q", "<q>", q),
-];
-
-/// The arguments of `zfilter=adaptive(…)`, defaulting to
-/// [`ZFilterConfig::adaptive`]'s gain.
-pub(super) struct AdaptiveArgs {
-    pub(super) k: f64,
-}
-
-impl Default for AdaptiveArgs {
-    fn default() -> Self {
-        let ZFilterConfig::Adaptive { k } = ZFilterConfig::adaptive() else {
-            unreachable!("adaptive() builds an Adaptive")
-        };
-        AdaptiveArgs { k }
-    }
-}
-
-/// The `zfilter=adaptive(…)` options.
-pub(super) const ADAPTIVE: &[Opt<AdaptiveArgs>] = &[num_opt!("k", "", "<gain>", k)];
+        Ok(())
+    },
+}];
 
 /// The canonical `zfilter=` value (`notch(freq=0.1)`, `adaptive`, …).
 pub(super) fn show_zfilter(zf: &ZFilterConfig) -> Option<String> {
-    match *zf {
+    match zf {
         ZFilterConfig::None => None,
-        ZFilterConfig::Notch { freq_hz, q } => Some(call_form(
-            "notch",
-            grammar::show_opts(NOTCH, &NotchArgs { freq_hz, q }, ","),
-        )),
-        ZFilterConfig::Adaptive { k } => Some(call_form(
-            "adaptive",
-            grammar::show_opts(ADAPTIVE, &AdaptiveArgs { k }, ","),
-        )),
+        ZFilterConfig::Notch { freq_hz } => {
+            Some(call_form("notch", grammar::show_opts(NOTCH, freq_hz, ",")))
+        }
+        ZFilterConfig::Adaptive => Some("adaptive".to_string()),
     }
 }
 
-/// Parse the value of `zfilter=`: `none`, `notch(freq=…[,q=…])`, or
-/// `adaptive[(k=…)]`.
+/// Parse the value of `zfilter=`: `none`, `notch(freq=…)` or `adaptive`.
 pub(super) fn parse_zfilter(value: &str) -> Result<ZFilterConfig, ParseError> {
     match grammar::split_call(value)? {
         ("none", None) => Ok(ZFilterConfig::None),
-        ("adaptive", args) => {
-            let mut a = AdaptiveArgs::default();
-            grammar::set_opts("zfilter=adaptive", ADAPTIVE, &mut a, args.unwrap_or(""))?;
-            Ok(ZFilterConfig::Adaptive { k: a.k })
-        }
+        ("adaptive", None) => Ok(ZFilterConfig::Adaptive),
         ("notch", args) => {
-            let mut a = NotchArgs::default();
-            grammar::set_opts("zfilter=notch", NOTCH, &mut a, args.unwrap_or(""))?;
-            if a.freq_hz.is_nan() {
+            let mut freq_hz = f64::NAN;
+            grammar::set_opts("zfilter=notch", NOTCH, &mut freq_hz, args.unwrap_or(""))?;
+            if freq_hz.is_nan() {
                 return Err(ParseError(
                     "zfilter=notch requires the link-variation frequency: notch(freq=<hz>)"
                         .to_string(),
                 ));
             }
-            Ok(ZFilterConfig::Notch {
-                freq_hz: a.freq_hz,
-                q: a.q,
-            })
+            Ok(ZFilterConfig::Notch { freq_hz })
         }
-        (v, _) => Err(ParseError(format!(
-            "unknown zfilter `{v}` (expected {})",
+        _ => Err(ParseError(format!(
+            "unknown zfilter `{value}` (expected {})",
             zfilter_hint()
         ))),
     }

@@ -33,16 +33,15 @@
 //! nimbus(switch=never)                    delay mode only ("Nimbus delay")
 //! ```
 //!
-//! The `mu=`/`zfilter=` axes select a µ-estimation strategy and a
-//! ẑ-conditioning stage from the pluggable estimation API
-//! ([`nimbus_core::estimator`]); see that module for the strategy catalogue
-//! and a worked "which estimator when" table.
+//! The `mu=`/`zfilter=` axes select where µ comes from and a ẑ-conditioning
+//! stage ([`nimbus_core::estimator`]); see that module for a worked "which
+//! estimator when" table.
 //!
 //! Result labels ([`SchemeSpec::label`]) are derived from the spec.  The
 //! tokenizer, the number parsers and the error type are the shared
 //! [`grammar`] module's; every option list below (`nimbus(…)`,
-//! `mu=learned(…)`, `zfilter=notch(…)`, `zfilter=adaptive(…)`) is one table
-//! that `Display`, `FromStr`, `label()` and the error text all read.
+//! `mu=learned(…)`, `zfilter=notch(…)`) is one table that `Display`,
+//! `FromStr`, `label()` and the error text all read.
 
 use crate::grammar::{self, choice_opt, non_default, Opt, ParseError};
 use nimbus_core::{
@@ -60,19 +59,17 @@ use std::str::FromStr;
 mod estimation;
 
 use estimation::{
-    mu_hint, parse_mu, parse_zfilter, probing_view, show_mu, show_zfilter, zfilter_hint,
-    AdaptiveArgs, NotchArgs, ADAPTIVE, NOTCH,
+    mu_hint, parse_mu, parse_zfilter, show_mu, show_zfilter, zfilter_hint, MU_LEARNED, NOTCH,
 };
 
 /// Where the Nimbus wrapper gets the bottleneck rate µ from: configured up
-/// front, or one of the pluggable learned-µ estimation strategies
-/// ([`LearnedMuConfig`], §4.2 and beyond).
+/// front, or learned at runtime ([`LearnedMuConfig`], §4.2 and beyond).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum MuSpec {
     /// µ is configured up front from the scenario's nominal link rate.
     #[default]
     Configured,
-    /// µ is learned at runtime (`mu=learned`, `mu=learned(probe=…)`, …).
+    /// µ is learned at runtime (`mu=learned`, `mu=learned(probe=…)`).
     Learned(LearnedMuConfig),
 }
 
@@ -82,7 +79,7 @@ impl MuSpec {
         MuSpec::Learned(LearnedMuConfig::default())
     }
 
-    /// Whether µ is learned at runtime (any strategy).
+    /// Whether µ is learned at runtime.
     pub fn is_learned(&self) -> bool {
         matches!(self, MuSpec::Learned(_))
     }
@@ -255,7 +252,7 @@ impl SchemeSpec {
         self.map_nimbus(|n| n.mu = MuSpec::learned())
     }
 
-    /// Learn µ with an arbitrary strategy (`mu=learned(…)`).
+    /// Learn µ as `strategy` says (`mu=learned(…)`).
     ///
     /// # Panics
     /// Panics on a bare (non-Nimbus) spec.
@@ -346,27 +343,22 @@ impl SchemeSpec {
                     label.push('-');
                     label.push_str(&name);
                 }
-                if let MuSpec::Learned(lc) = &n.mu {
-                    // The plain default max filter keeps the historical
-                    // bare `-estmu`.
-                    let (p, rows) = probing_view(lc);
-                    label.push_str("-estmu");
-                    let slugs = grammar::slugs(rows, &p);
-                    if !slugs.is_empty() {
-                        label.push('-');
-                        label.push_str(&slugs);
+                // The plain max filter keeps the historical bare `-estmu`.
+                match &n.mu {
+                    MuSpec::Configured => {}
+                    MuSpec::Learned(LearnedMuConfig::MaxFilter) => label.push_str("-estmu"),
+                    MuSpec::Learned(LearnedMuConfig::Probing(p)) => {
+                        label.push_str("-estmu-");
+                        label.push_str(&grammar::slugs(MU_LEARNED, p));
                     }
                 }
-                match n.zfilter {
+                match &n.zfilter {
                     ZFilterConfig::None => {}
-                    ZFilterConfig::Notch { freq_hz, q } => {
+                    ZFilterConfig::Notch { freq_hz } => {
                         label.push_str("-notch");
-                        label.push_str(&grammar::slugs(NOTCH, &NotchArgs { freq_hz, q }));
+                        label.push_str(&grammar::slugs(NOTCH, freq_hz));
                     }
-                    ZFilterConfig::Adaptive { k } => {
-                        label.push_str("-zadapt");
-                        label.push_str(&grammar::slugs(ADAPTIVE, &AdaptiveArgs { k }));
-                    }
+                    ZFilterConfig::Adaptive => label.push_str("-zadapt"),
                 }
                 label
             }
@@ -620,18 +612,14 @@ mod tests {
         );
         assert_eq!(SchemeSpec::constant(24e6).label(), "cbr24M");
         assert_eq!(SchemeSpec::constant(4e5).label(), "cbr400k");
-        // Strategy parameters: only the non-default ones, in table order.
+        // Probing parameters: only the non-default ones, in table order.
         let label = |s: &str| s.parse::<SchemeSpec>().unwrap().label();
-        assert_eq!(label("nimbus(mu=learned(window=5))"), "nimbus-estmu-w5");
         assert_eq!(
             label("nimbus(mu=learned(probe=2,gain=4,quiesce=0.4))"),
             "nimbus-estmu-probe2g4q0.4"
         );
-        assert_eq!(
-            label("nimbus(zfilter=notch(freq=0.1,q=2))"),
-            "nimbus-notch0.1q2"
-        );
-        assert_eq!(label("nimbus(zfilter=adaptive(k=4))"), "nimbus-zadapt4");
+        assert_eq!(label("nimbus(zfilter=notch(freq=0.1))"), "nimbus-notch0.1");
+        assert_eq!(label("nimbus(zfilter=adaptive)"), "nimbus-zadapt");
     }
 
     #[test]

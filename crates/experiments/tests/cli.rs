@@ -44,6 +44,17 @@ fn a_malformed_flag_exits_2_and_writes_nothing() {
             "unknown flag: --thread",
             &["sweep", "--quick", "--thread", "4"],
         ),
+        // Parsed, this notch would panic when the sweep builds its
+        // controller: ẑ is sampled every 10 ms.
+        (
+            "must be below 50 Hz",
+            &[
+                "sweep",
+                "--quick",
+                "--scheme",
+                "nimbus(zfilter=notch(freq=60))",
+            ],
+        ),
     ]
     .into_iter()
     .enumerate()

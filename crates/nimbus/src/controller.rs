@@ -43,6 +43,14 @@ use std::collections::VecDeque;
 /// `Multiflow`, so pulser and watchers cannot disagree on where to look.
 const PULSE_FREQ_DELAY_OFFSET_HZ: f64 = 1.0;
 
+/// Quality factor of the `zfilter=notch` stage: the −3 dB bandwidth is
+/// `freq_hz / 0.7`, and a 0.1 Hz notch passes the 5 Hz pulse band within 5%.
+const NOTCH_Q: f64 = 0.7;
+
+/// Gain of `zfilter=adaptive` on the µ̂ uncertainty `u`: the detector's η
+/// threshold and minimum-peak guard scale by `1 + 8·u` (before damping).
+const ADAPTIVE_GAIN: f64 = 8.0;
+
 /// Which algorithm fills the TCP-competitive role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TcpScheme {
@@ -77,9 +85,8 @@ pub enum Mode {
 /// Nimbus configuration.
 #[derive(Debug, Clone)]
 pub struct NimbusConfig {
-    /// Where the bottleneck rate µ comes from: configured up front, or one
-    /// of the pluggable learned-µ strategies of §4.2 and beyond (see
-    /// [`crate::estimator`] for the strategy catalogue).
+    /// Where the bottleneck rate µ comes from: configured up front, or
+    /// learned at runtime (§4.2 and beyond; see [`crate::estimator`]).
     pub mu: MuEstimatorConfig,
     /// ẑ conditioning between the estimator and the detector (none, a notch
     /// at the link-variation frequency, or µ-uncertainty-scaled thresholds).
@@ -158,7 +165,7 @@ impl NimbusConfig {
         self.with_mu_estimator(MuEstimatorConfig::learned())
     }
 
-    /// Select an arbitrary µ-estimation strategy (see [`crate::estimator`]).
+    /// Select where µ comes from (see [`crate::estimator`]).
     pub fn with_mu_estimator(mut self, mu: MuEstimatorConfig) -> Self {
         self.mu = mu;
         self
@@ -285,10 +292,10 @@ impl NimbusController {
         };
         let mut estimator =
             CrossTrafficEstimator::from_config(&cfg.mu, cfg.elasticity.fft_duration_s * 2.0);
-        if let ZFilterConfig::Notch { freq_hz, q } = cfg.z_filter {
+        if let ZFilterConfig::Notch { freq_hz } = cfg.z_filter {
             estimator.set_z_prefilter(Some(Biquad::notch(
                 freq_hz,
-                q,
+                NOTCH_Q,
                 cfg.elasticity.sample_rate_hz(),
             )));
         }
@@ -661,12 +668,12 @@ impl CongestionControl for NimbusController {
         // widens the recv-rate spread, the raised bar suppresses the
         // genuine verdict, and the starvation becomes self-reinforcing.
         let bar_scale = match self.cfg.z_filter {
-            ZFilterConfig::Adaptive { k } if mu > 0.0 => self
+            ZFilterConfig::Adaptive if mu > 0.0 => self
                 .estimator
                 .mean_conditioned_z(window_s)
                 .map_or(1.0, |mean_z| {
                     let damp = (1.0 - mean_z / (0.25 * mu)).clamp(0.0, 1.0);
-                    1.0 + k * self.estimator.mu_uncertainty() * damp
+                    1.0 + ADAPTIVE_GAIN * self.estimator.mu_uncertainty() * damp
                 }),
             _ => 1.0,
         };

@@ -1,5 +1,5 @@
-//! Cross-traffic rate estimation (Eq. 1 of the paper) and the pluggable
-//! µ-estimation strategy API.
+//! Cross-traffic rate estimation (Eq. 1 of the paper) and the µ estimate it
+//! rests on.
 //!
 //! # The estimate
 //!
@@ -18,19 +18,19 @@
 //! receive-rate spectra and offline analysis; the elasticity detector keeps
 //! its own window, fed one conditioned sample per report.
 //!
-//! # The strategy API
+//! # Where µ comes from
 //!
 //! Everything above is only as good as the µ estimate.  §4.2 of the paper
 //! sketches *one* way to obtain µ when it is not configured — a BBR-style
-//! windowed max filter over the receive rate — but that strategy has known
-//! failure modes (see the table below), so the source of µ̂ is a pluggable
-//! [`MuEstimator`] strategy selected by [`MuEstimatorConfig`]:
+//! windowed max filter over the receive rate — but that has known failure
+//! modes (see below), so [`MuEstimatorConfig`] selects one of three sources,
+//! all held by the one [`CrossTrafficEstimator`]:
 //!
-//! | strategy | spec grammar | behaviour |
+//! | source | spec grammar | behaviour |
 //! |---|---|---|
-//! | [`ConfiguredMu`] | `mu=configured` | trust the provisioned link rate |
-//! | [`MaxFilterMu`] | `mu=learned` | §4.2 windowed max of `R` (byte-identical to the pre-API estimator) |
-//! | [`ProbingMu`] | `mu=learned(probe=…)` | max filter + periodic probe-up epochs (optionally auto-quiesced via `quiesce=`) + loss-informed µ̂ floor |
+//! | configured | `mu=configured` | trust the provisioned link rate |
+//! | max filter | `mu=learned` | §4.2 windowed max of `R` over 10 s, each input capped at 25% growth |
+//! | probing | `mu=learned(probe=…)` | the max filter plus periodic probe-up epochs (optionally auto-quiesced via `quiesce=`), a loss-informed µ̂ floor and a delivery-informed pace cap |
 //!
 //! **Which estimator when?**
 //!
@@ -79,104 +79,106 @@ pub struct ZSample {
 /// CCP tick).
 const MU_GROWTH_CAP: f64 = 1.25;
 
-/// Default length of the learned-µ max-filter window, seconds (§4.2).
-pub const DEFAULT_MU_WINDOW_S: f64 = 10.0;
+/// Length of the learned-µ max-filter window, seconds (§4.2).
+const MU_WINDOW_S: f64 = 10.0;
+
+/// Length of each probe-up epoch, seconds.  A quarter second every second
+/// recovers ~14 Mbit/s on the cellular deep-fade trace, where 3-second
+/// epochs leave half of every fade's aftermath unprobed.
+const PROBE_DURATION_S: f64 = 0.25;
+
+/// Multiplicative decay applied to the loss floor while losses are
+/// reported (at most once per [`BACKOFF_INTERVAL_S`]).
+const LOSS_BACKOFF: f64 = 0.7;
+
+/// Minimum spacing between loss-floor decays, seconds (a single loss
+/// episode spans many 10 ms report ticks; decaying per tick would erase the
+/// floor in under a second).
+const BACKOFF_INTERVAL_S: f64 = 0.5;
+
+/// Window of the short delivery filter behind the pace cap, seconds.
+const RECENT_WINDOW_S: f64 = 1.5;
+
+/// Cruise pace cap as a multiple of the recent delivery rate: outside probe
+/// epochs the controller may not pace further above what the link recently
+/// delivered (BBR's cruise/probe separation).
+const CAP_MARGIN: f64 = 1.25;
 
 // ---------------------------------------------------------------------------
-// Strategy configuration
+// Configuration
 // ---------------------------------------------------------------------------
 
-/// Parameters of the probing µ estimator ([`ProbingMu`]): the §4.2 max
-/// filter augmented with BBR-style probe-up epochs and a loss-informed µ̂
-/// floor.
+/// The settable parameters of `mu=learned(probe=…)`: the §4.2 max filter
+/// augmented with BBR-style probe-up epochs and a loss-informed µ̂ floor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProbingConfig {
-    /// Max-filter window over the receive rate, seconds.
-    pub window_s: f64,
     /// Seconds between probe-up epochs.
     pub probe_interval_s: f64,
-    /// Length of each probe-up epoch, seconds.
-    pub probe_duration_s: f64,
     /// Pacing-rate multiplier applied during a probe epoch (> 1).
     pub probe_gain: f64,
-    /// Multiplicative decay applied to the loss floor when losses are
-    /// reported (at most once per `backoff_interval_s`).
-    pub loss_backoff: f64,
-    /// Minimum spacing between loss-floor decays, seconds (a single loss
-    /// episode spans many 10 ms report ticks; decaying per tick would erase
-    /// the floor in under a second).
-    pub backoff_interval_s: f64,
-    /// Window of the short delivery filter behind the pace cap, seconds.
-    pub recent_window_s: f64,
-    /// Cruise pace cap as a multiple of the recent delivery rate: outside
-    /// probe epochs the controller may not pace further above what the link
-    /// recently delivered (BBR's cruise/probe separation).
-    pub cap_margin: f64,
     /// Probe auto-quiesce: skip probe-up epochs (and their ẑ
-    /// sample-and-hold) while [`MuEstimator::mu_uncertainty`] sits below
-    /// this floor.  On a stable link the max filter converges and every
-    /// probe after that point only perturbs ẑ for nothing; quiescing hands
-    /// the detector an uninterrupted signal until the uncertainty rises
-    /// again (a fade re-widens the filter spread and probing resumes).
-    /// `0.0` — the default — disables quiescing: probes run on schedule
-    /// forever, preserving the pre-quiesce behaviour bit for bit.
+    /// sample-and-hold) while [`CrossTrafficEstimator::mu_uncertainty`]
+    /// sits below this floor.  On a stable link the max filter converges
+    /// and every probe after that point only perturbs ẑ for nothing;
+    /// quiescing hands the detector an uninterrupted signal until the
+    /// uncertainty rises again (a fade re-widens the filter spread and
+    /// probing resumes).  `0.0` — the default — disables quiescing: probes
+    /// run on schedule forever.
     pub quiesce_uncertainty_floor: f64,
 }
 
 impl Default for ProbingConfig {
-    /// Probe for 0.25 s every second at 2× pace (a BBR-like cadence — on the
-    /// cellular deep-fade trace this recovers ~14 Mbit/s where 3-second
-    /// epochs leave half of every fade's aftermath unprobed), 10 s
-    /// max-filter window, loss floor backing off by 0.7 at most twice per
-    /// second, pace cap at 1.25× the delivery seen in the last 1.5 s.
+    /// Probe every second at 2× pace, never quiesced.
     fn default() -> Self {
         ProbingConfig {
-            window_s: DEFAULT_MU_WINDOW_S,
             probe_interval_s: 1.0,
-            probe_duration_s: 0.25,
             probe_gain: 2.0,
-            loss_backoff: 0.7,
-            backoff_interval_s: 0.5,
-            recent_window_s: 1.5,
-            cap_margin: 1.25,
             quiesce_uncertainty_floor: 0.0,
         }
     }
 }
 
-/// How µ is *learned* when it is not configured: the strategy axis of
-/// `mu=learned(...)` specs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+impl ProbingConfig {
+    /// Why this configuration cannot run, if it cannot: the spec parser's
+    /// error text and the estimator's panic message.
+    pub fn check(&self) -> Result<(), String> {
+        if self.probe_interval_s <= 2.0 * PROBE_DURATION_S {
+            Err(format!(
+                "probe interval {} s must exceed {} s: each {PROBE_DURATION_S} s probe epoch \
+                 and its equal-length drain (during which ẑ is held) must fit inside it, \
+                 or the hold never releases and the detector's input freezes",
+                self.probe_interval_s,
+                2.0 * PROBE_DURATION_S
+            ))
+        } else if self.probe_gain <= 1.0 {
+            Err(format!(
+                "probe gain {} must exceed 1 (a probe paces *above* the base rate)",
+                self.probe_gain
+            ))
+        } else if !(0.0..1.0).contains(&self.quiesce_uncertainty_floor) {
+            Err(format!(
+                "quiesce floor {} is compared against the µ̂ uncertainty in [0, 1) — \
+                 1 or above would quiesce probing unconditionally",
+                self.quiesce_uncertainty_floor
+            ))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// How µ is *learned* when it is not configured: the `mu=learned(...)`
+/// axis.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum LearnedMuConfig {
     /// The §4.2 windowed max filter over the receive rate (`mu=learned`).
-    MaxFilter {
-        /// Filter window, seconds (10 by default).
-        window_s: f64,
-    },
+    #[default]
+    MaxFilter,
     /// Max filter + probe-up epochs + loss floor (`mu=learned(probe=…)`).
     Probing(ProbingConfig),
 }
 
-impl Default for LearnedMuConfig {
-    fn default() -> Self {
-        LearnedMuConfig::MaxFilter {
-            window_s: DEFAULT_MU_WINDOW_S,
-        }
-    }
-}
-
-impl LearnedMuConfig {
-    /// The max-filter window this configuration uses.
-    pub fn window_s(&self) -> f64 {
-        match self {
-            LearnedMuConfig::MaxFilter { window_s } => *window_s,
-            LearnedMuConfig::Probing(p) => p.window_s,
-        }
-    }
-}
-
-/// Where the estimator's µ comes from: the full strategy configuration
-/// carried by `NimbusConfig`.
+/// Where the estimator's µ comes from, as carried by `NimbusConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum MuEstimatorConfig {
     /// µ is provisioned up front (`mu=configured`, the paper's default).
@@ -194,7 +196,7 @@ impl MuEstimatorConfig {
         MuEstimatorConfig::Learned(LearnedMuConfig::default())
     }
 
-    /// The configured rate, if this is a configured-µ strategy.
+    /// The configured rate, if µ is configured.
     pub fn configured_mu_bps(&self) -> Option<f64> {
         match self {
             MuEstimatorConfig::Configured { mu_bps } => Some(*mu_bps),
@@ -205,19 +207,6 @@ impl MuEstimatorConfig {
     /// Whether µ is learned at runtime.
     pub fn is_learned(&self) -> bool {
         matches!(self, MuEstimatorConfig::Learned(_))
-    }
-
-    /// Instantiate the strategy.
-    pub fn build(&self) -> Box<dyn MuEstimator> {
-        match self {
-            MuEstimatorConfig::Configured { mu_bps } => Box::new(ConfiguredMu::new(*mu_bps)),
-            MuEstimatorConfig::Learned(LearnedMuConfig::MaxFilter { window_s }) => {
-                Box::new(MaxFilterMu::new(*window_s))
-            }
-            MuEstimatorConfig::Learned(LearnedMuConfig::Probing(cfg)) => {
-                Box::new(ProbingMu::new(*cfg))
-            }
-        }
     }
 }
 
@@ -235,223 +224,56 @@ pub enum ZFilterConfig {
     Notch {
         /// Centre frequency of the notch — the link's variation frequency, Hz.
         freq_hz: f64,
-        /// Quality factor (−3 dB bandwidth is `freq_hz / q`).
-        q: f64,
     },
-    /// Scale the detector's η threshold and minimum-peak guard by
-    /// `1 + k·u`, where `u` is the µ estimator's reported relative
-    /// uncertainty: when µ̂ is shaky, the flow's own pulse leaks into ẑ with
-    /// amplitude proportional to the µ̂ error, and the detection bar must
-    /// rise with it.
-    Adaptive {
-        /// Gain on the uncertainty (how aggressively the bar rises).
-        k: f64,
-    },
-}
-
-impl ZFilterConfig {
-    /// The default notch (`q = 0.7`) at the given link-variation frequency.
-    pub fn notch(freq_hz: f64) -> Self {
-        ZFilterConfig::Notch { freq_hz, q: 0.7 }
-    }
-
-    /// The default adaptive thresholding (`k = 8`).
-    pub fn adaptive() -> Self {
-        ZFilterConfig::Adaptive { k: 8.0 }
-    }
+    /// Scale the detector's η threshold and minimum-peak guard with the
+    /// estimator's relative µ̂ uncertainty: when µ̂ is shaky, the flow's own
+    /// pulse leaks into ẑ with amplitude proportional to the µ̂ error, and
+    /// the detection bar must rise with it.
+    Adaptive,
 }
 
 // ---------------------------------------------------------------------------
-// The strategy trait and its implementations
+// The estimator
 // ---------------------------------------------------------------------------
 
-/// A µ-estimation strategy: one deterministic object that ingests every
-/// measurement report and answers "what is the bottleneck rate right now".
-///
-/// Implementations must be deterministic (simulation fingerprints are pinned
-/// across refactors) and cheap per report (called on every 10 ms CCP tick).
-/// `Send` because the testkit runs whole simulations — controllers included —
-/// across worker threads.
-pub trait MuEstimator: std::fmt::Debug + Send {
-    /// Clone into a box (strategies are held as trait objects).
-    fn clone_box(&self) -> Box<dyn MuEstimator>;
-
-    /// Ingest one measurement report.
-    fn on_report(&mut self, report: &Report);
-
-    /// The current µ estimate, bits/s (`0.0` until one exists).
-    fn mu_bps(&self) -> f64;
-
-    /// Whether µ is learned at runtime (and a µ̂ history is worth recording).
-    fn is_learned(&self) -> bool;
-
-    /// Pacing-rate multiplier the controller should apply right now (> 1
-    /// during a probe-up epoch, 1 otherwise).  This is the estimator's lever
-    /// for breaking µ̂/pace/recv-rate fixed points: a max filter can only
-    /// ever confirm the rate the pacer already allows.
-    fn pace_gain(&self, now_s: f64) -> f64 {
-        let _ = now_s;
-        1.0
-    }
-
-    /// Relative uncertainty of µ̂ in `[0, 1]`: roughly "by what fraction has
-    /// the observed receive rate strayed below µ̂ over the filter window".
-    /// `0.0` when µ is exact.  Consumed by [`ZFilterConfig::Adaptive`].
-    fn mu_uncertainty(&self) -> f64 {
-        0.0
-    }
-
-    /// Whether the ẑ stream should be sample-and-held at `now_s` instead of
-    /// recorded.  A probe-up epoch doubles the send rate for half a second;
-    /// Eq. 1 turns that into a square pulse in ẑ whose broadband spectrum
-    /// floods the detector's comparison band and blinds it to genuine
-    /// elasticity, so probing strategies blank ẑ for the epoch (plus a
-    /// drain interval).
-    fn suppress_z_at(&self, now_s: f64) -> bool {
-        let _ = now_s;
-        false
-    }
-
-    /// An upper bound on the cruise pacing rate, bits/s (`None` = no cap).
-    /// A rate-based delay controller driven by a stale or nominal µ paces
-    /// straight into a rate fade, melts the queue down and wedges the
-    /// transport in RTO backoff; a delivery-informed cap bounds the
-    /// overdrive to what the link recently proved it can carry, leaving the
-    /// probe epochs as the one sanctioned way to pace above it.
-    fn pace_cap_bps(&self) -> Option<f64> {
-        None
-    }
-}
-
-impl Clone for Box<dyn MuEstimator> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// `mu=configured`: trust the provisioned link rate.
+/// Where µ̂ comes from, with the state behind it.
 #[derive(Debug, Clone)]
-pub struct ConfiguredMu {
-    mu_bps: f64,
+enum MuSource {
+    /// The provisioned link rate, bits/s.
+    Configured(f64),
+    /// The §4.2 windowed max over the capped receive rate.
+    Learned {
+        filter: WindowedMax,
+        /// Windowed min over the same capped inputs; feeds
+        /// [`CrossTrafficEstimator::mu_uncertainty`] only and never touches
+        /// µ̂ itself.
+        min_tracker: WindowedMin,
+        /// The probe-up epochs, loss floor and pace cap of
+        /// `mu=learned(probe=…)`.
+        probing: Option<Probing>,
+    },
 }
 
-impl ConfiguredMu {
-    /// A configured-µ strategy.
-    ///
-    /// # Panics
-    /// Panics unless `mu_bps > 0`.
-    pub fn new(mu_bps: f64) -> Self {
-        assert!(mu_bps > 0.0, "µ must be positive");
-        ConfiguredMu { mu_bps }
-    }
-}
-
-impl MuEstimator for ConfiguredMu {
-    fn clone_box(&self) -> Box<dyn MuEstimator> {
-        Box::new(self.clone())
-    }
-    fn on_report(&mut self, _report: &Report) {}
-    fn mu_bps(&self) -> f64 {
-        self.mu_bps
-    }
-    fn is_learned(&self) -> bool {
-        false
-    }
-}
-
-/// `mu=learned`: the §4.2 windowed max filter over the receive rate, with
-/// the per-report growth cap.  Byte-identical to the pre-API hardwired
-/// estimator (pinned by the fingerprint ledger, `tests/scenario_matrix.rs`).
-#[derive(Debug, Clone)]
-pub struct MaxFilterMu {
-    filter: WindowedMax,
-    /// Windowed min over the same capped inputs; feeds [`MuEstimator::
-    /// mu_uncertainty`] only and never touches µ̂ itself.
-    min_tracker: WindowedMin,
-}
-
-impl MaxFilterMu {
-    /// A max-filter strategy with the given window (seconds).
-    pub fn new(window_s: f64) -> Self {
-        MaxFilterMu {
-            filter: WindowedMax::new(window_s),
-            min_tracker: WindowedMin::new(window_s),
-        }
-    }
-
-    /// The capped filter input for this report, shared with [`ProbingMu`]:
-    /// the receive rate clamped to 25% above the current estimate (or above
-    /// the send rate when no estimate exists yet — over the same packet
-    /// window R can only exceed S through bounded queue-drain compression,
-    /// so a first sample several times S is the same ACK-compression
-    /// artifact the growth cap rejects).
-    fn capped_input(current: f64, report: &Report) -> f64 {
-        let cap = if current > 0.0 {
-            current * MU_GROWTH_CAP
-        } else if report.send_rate_bps > 0.0 {
-            report.send_rate_bps * MU_GROWTH_CAP
-        } else {
-            f64::INFINITY
-        };
-        report.recv_rate_bps.min(cap)
-    }
-}
-
-impl MuEstimator for MaxFilterMu {
-    fn clone_box(&self) -> Box<dyn MuEstimator> {
-        Box::new(self.clone())
-    }
-
-    fn on_report(&mut self, report: &Report) {
-        if report.recv_rate_bps <= 0.0 {
-            return;
-        }
-        let current = self.filter.max().unwrap_or(0.0);
-        let input = Self::capped_input(current, report);
-        self.filter.update(report.now_s, input);
-        self.min_tracker.update(report.now_s, input);
-    }
-
-    fn mu_bps(&self) -> f64 {
-        self.filter.max().unwrap_or(0.0)
-    }
-
-    fn is_learned(&self) -> bool {
-        true
-    }
-
-    fn mu_uncertainty(&self) -> f64 {
-        let mu = self.mu_bps();
-        match self.min_tracker.min() {
-            Some(min) if mu > 0.0 => ((mu - min) / mu).clamp(0.0, 1.0),
-            _ => 0.0,
-        }
-    }
-}
-
-/// `mu=learned(probe=…)`: the max filter augmented with two mechanisms from
-/// the BBR/loss-fallback playbook (see the ROADMAP's cellular deep-fade
-/// finding for the failure they fix):
+/// `mu=learned(probe=…)` on top of the max filter: two mechanisms from the
+/// BBR/loss-fallback playbook, for the cellular deep-fade failure.
 ///
-/// * **Probe-up epochs** — every `probe_interval_s` the strategy asks the
-///   controller (via [`MuEstimator::pace_gain`]) to pace at `probe_gain`×
-///   for `probe_duration_s`.  A pure max filter can never observe a rate
-///   above what the pacer already sends, so after µ̂ collapses the system
-///   sits at a fixed point (µ̂ ≈ recv rate ≈ pace); the epoch breaks it
-///   exactly the way BBR's PROBE_BW up-phase does.
+/// * **Probe-up epochs** — every `probe_interval_s` the controller (via
+///   [`CrossTrafficEstimator::pace_gain`]) paces at `probe_gain`× for
+///   [`PROBE_DURATION_S`].  A pure max filter can never observe a rate above
+///   what the pacer already sends, so after µ̂ collapses the system sits at a
+///   fixed point (µ̂ ≈ recv rate ≈ pace); the epoch breaks it exactly the
+///   way BBR's PROBE_BW up-phase does.
 /// * **Loss-informed µ̂ floor** — the highest receive rate observed on a
-///   loss-free report, decayed multiplicatively (at most once per
-///   `backoff_interval_s`) while losses are being reported.  A deep fade
+///   loss-free report, decayed by [`LOSS_BACKOFF`] (at most once per
+///   [`BACKOFF_INTERVAL_S`]) while losses are being reported.  A deep fade
 ///   empties the 10-second max window of every pre-fade sample; the floor
 ///   remembers what the link recently sustained *without* loss so µ̂
 ///   re-expands from megabits, not from the pacing floor.
 #[derive(Debug, Clone)]
-pub struct ProbingMu {
+struct Probing {
     cfg: ProbingConfig,
-    filter: WindowedMax,
-    min_tracker: WindowedMin,
     /// Short-window max over the raw receive rate: the "what did the link
-    /// deliver lately" evidence behind [`MuEstimator::pace_cap_bps`].
+    /// deliver lately" evidence behind [`CrossTrafficEstimator::pace_cap_bps`].
     recent: WindowedMax,
     /// Highest loss-free receive rate, decayed on loss (bits/s).
     loss_floor_bps: f64,
@@ -459,162 +281,79 @@ pub struct ProbingMu {
     last_backoff_s: f64,
 }
 
-impl ProbingMu {
-    /// A probing strategy with the given parameters.
-    pub fn new(cfg: ProbingConfig) -> Self {
-        assert!(cfg.window_s > 0.0, "filter window must be positive");
-        assert!(
-            cfg.probe_interval_s > 2.0 * cfg.probe_duration_s && cfg.probe_duration_s > 0.0,
-            "a probe epoch plus its drain interval (2x the epoch, during which ẑ is \
-             sample-and-held) must fit inside the probe interval — otherwise the hold \
-             never releases and the detector's input freezes"
-        );
-        assert!(cfg.probe_gain > 1.0, "a probe must pace above 1x");
-        assert!(
-            cfg.loss_backoff > 0.0 && cfg.loss_backoff < 1.0,
-            "loss backoff must be a decay factor in (0, 1)"
-        );
-        assert!(
-            cfg.recent_window_s > 0.0 && cfg.cap_margin >= 1.0,
-            "the pace cap needs a positive window and a margin of at least 1"
-        );
-        assert!(
-            (0.0..1.0).contains(&cfg.quiesce_uncertainty_floor),
-            "the quiesce floor is compared against mu_uncertainty in [0, 1); \
-             1 or above would quiesce probing unconditionally"
-        );
-        ProbingMu {
+impl Probing {
+    fn new(cfg: ProbingConfig) -> Self {
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
+        }
+        Probing {
             cfg,
-            filter: WindowedMax::new(cfg.window_s),
-            min_tracker: WindowedMin::new(cfg.window_s),
-            recent: WindowedMax::new(cfg.recent_window_s),
+            recent: WindowedMax::new(RECENT_WINDOW_S),
             loss_floor_bps: 0.0,
             last_backoff_s: f64::NEG_INFINITY,
         }
-    }
-
-    /// The probing parameters in use.
-    pub fn config(&self) -> &ProbingConfig {
-        &self.cfg
-    }
-
-    /// The current loss-informed floor (bits/s).
-    pub fn loss_floor_bps(&self) -> f64 {
-        self.loss_floor_bps
     }
 
     /// Whether a probe-up epoch is active at `now_s`.  The schedule is a
     /// deterministic function of simulation time: the first epoch starts at
     /// `probe_interval_s` (never in the FFT warm-up) and one runs every
     /// interval after that.
-    pub fn probing_at(&self, now_s: f64) -> bool {
-        now_s >= self.cfg.probe_interval_s
-            && now_s % self.cfg.probe_interval_s < self.cfg.probe_duration_s
+    fn probing_at(&self, now_s: f64) -> bool {
+        now_s >= self.cfg.probe_interval_s && now_s % self.cfg.probe_interval_s < PROBE_DURATION_S
     }
 
     /// Whether `now_s` falls in a probe epoch *or* its drain interval (one
     /// extra epoch length for the queue the probe built to empty).
-    pub fn settling_at(&self, now_s: f64) -> bool {
+    fn settling_at(&self, now_s: f64) -> bool {
         now_s >= self.cfg.probe_interval_s
-            && now_s % self.cfg.probe_interval_s < 2.0 * self.cfg.probe_duration_s
+            && now_s % self.cfg.probe_interval_s < 2.0 * PROBE_DURATION_S
     }
 
-    /// Whether probing is auto-quiesced right now: a non-zero floor is
-    /// configured and the current µ̂ uncertainty sits below it.  Evaluated
-    /// fresh on every call, so probing resumes by itself the moment the
-    /// filter spread re-widens (e.g. after a fade).
-    pub fn quiesced(&self) -> bool {
-        self.cfg.quiesce_uncertainty_floor > 0.0
-            && self.mu_uncertainty() < self.cfg.quiesce_uncertainty_floor
+    /// React to a report that carries losses.
+    fn on_loss(&mut self, report: &Report) {
+        if report.now_s - self.last_backoff_s >= BACKOFF_INTERVAL_S {
+            self.loss_floor_bps *= LOSS_BACKOFF;
+            self.last_backoff_s = report.now_s;
+        }
+        // Losses mean the link stopped carrying what it recently did: drop
+        // the delivery evidence behind the pace cap on the spot, so the
+        // cruise rate falls to *current* delivery within a report instead of
+        // riding crest samples up to `RECENT_WINDOW_S` old into the fade
+        // (the overshoot that drops whole flights and wedges the transport
+        // in RTO backoff).  The max filter and the loss floor keep their
+        // slow dynamics — only the cap reacts instantly.  Re-seeding with
+        // this report's delivery keeps the filter non-empty: an *empty*
+        // filter would return no cap at all, un-capping the pace at the
+        // exact moment the link is faltering.
+        self.recent.reset();
+        self.recent
+            .update(report.now_s, report.recv_rate_bps.max(0.0));
     }
 }
 
-impl MuEstimator for ProbingMu {
-    fn clone_box(&self) -> Box<dyn MuEstimator> {
-        Box::new(self.clone())
-    }
-
-    fn on_report(&mut self, report: &Report) {
-        if report.lost_packets > 0 {
-            if report.now_s - self.last_backoff_s >= self.cfg.backoff_interval_s {
-                self.loss_floor_bps *= self.cfg.loss_backoff;
-                self.last_backoff_s = report.now_s;
-            }
-            // Losses mean the link stopped carrying what it recently did:
-            // drop the delivery evidence behind the pace cap on the spot, so
-            // the cruise rate falls to *current* delivery within a report
-            // instead of riding `recent_window_s`-old crest samples into the
-            // fade (the overshoot that drops whole flights and wedges the
-            // transport in RTO backoff).  The max filter and the loss floor
-            // keep their slow dynamics — only the cap reacts instantly.
-            // Re-seeding with this report's delivery keeps the filter
-            // non-empty: an *empty* filter would return no cap at all
-            // (`pace_cap_bps` → `None`), un-capping the pace at the exact
-            // moment the link is faltering.
-            self.recent.reset();
-            self.recent
-                .update(report.now_s, report.recv_rate_bps.max(0.0));
-        }
-        if report.recv_rate_bps <= 0.0 {
-            return;
-        }
-        let current = self.filter.max().unwrap_or(0.0);
-        let input = MaxFilterMu::capped_input(current, report);
-        self.filter.update(report.now_s, input);
-        self.min_tracker.update(report.now_s, input);
-        self.recent.update(report.now_s, report.recv_rate_bps);
-        if report.lost_packets == 0 {
-            self.loss_floor_bps = self.loss_floor_bps.max(input);
-        }
-    }
-
-    fn mu_bps(&self) -> f64 {
-        self.filter.max().unwrap_or(0.0).max(self.loss_floor_bps)
-    }
-
-    fn is_learned(&self) -> bool {
-        true
-    }
-
-    fn pace_gain(&self, now_s: f64) -> f64 {
-        if !self.quiesced() && self.probing_at(now_s) {
-            self.cfg.probe_gain
-        } else {
-            1.0
-        }
-    }
-
-    fn mu_uncertainty(&self) -> f64 {
-        let mu = self.mu_bps();
-        match self.min_tracker.min() {
-            Some(min) if mu > 0.0 => ((mu - min) / mu).clamp(0.0, 1.0),
-            _ => 0.0,
-        }
-    }
-
-    fn suppress_z_at(&self, now_s: f64) -> bool {
-        // A quiesced epoch never paced above 1x, so there is nothing to
-        // hold ẑ over — suppressing anyway would blank the detector's input
-        // on the exact schedule quiescing exists to protect.
-        !self.quiesced() && self.settling_at(now_s)
-    }
-
-    fn pace_cap_bps(&self) -> Option<f64> {
-        self.recent.max().map(|r| r * self.cfg.cap_margin)
-    }
+/// The capped filter input for this report: the receive rate clamped to 25%
+/// above the current estimate (or above the send rate when no estimate
+/// exists yet — over the same packet window R can only exceed S through
+/// bounded queue-drain compression, so a first sample several times S is
+/// the same ACK-compression artifact the growth cap rejects).
+fn capped_input(current: f64, report: &Report) -> f64 {
+    let cap = if current > 0.0 {
+        current * MU_GROWTH_CAP
+    } else if report.send_rate_bps > 0.0 {
+        report.send_rate_bps * MU_GROWTH_CAP
+    } else {
+        f64::INFINITY
+    };
+    report.recv_rate_bps.min(cap)
 }
-
-// ---------------------------------------------------------------------------
-// The estimator pipeline
-// ---------------------------------------------------------------------------
 
 /// Cross-traffic rate estimator with sample history: Eq. 1 evaluated on
-/// every report with µ̂ supplied by a pluggable [`MuEstimator`] strategy,
-/// plus the optional streaming ẑ pre-filter of [`ZFilterConfig::Notch`].
+/// every report against the µ̂ of its [`MuEstimatorConfig`], plus the
+/// optional streaming ẑ pre-filter of [`ZFilterConfig::Notch`].
 #[derive(Debug, Clone)]
 pub struct CrossTrafficEstimator {
-    /// The µ-estimation strategy.
-    strategy: Box<dyn MuEstimator>,
+    /// Where µ̂ comes from.
+    mu: MuSource,
     /// History of samples, bounded to `history_window_s`.
     samples: VecDeque<ZSample>,
     history_window_s: f64,
@@ -627,9 +366,9 @@ pub struct CrossTrafficEstimator {
     z_prefilter: Option<Biquad>,
     /// `(t_s, filtered ẑ)` history, maintained only when a pre-filter is set.
     filtered: VecDeque<(f64, f64)>,
-    /// Whether the strategy's probe epochs are actually being paced right
-    /// now (the controller pauses probing outside delay mode).  Gates the
-    /// ẑ sample-and-hold: holding samples for epochs that never ran would
+    /// Whether the probe epochs are actually being paced right now (the
+    /// controller pauses probing outside delay mode).  Gates the ẑ
+    /// sample-and-hold: holding samples for epochs that never ran would
     /// blank half the detector's input for nothing.
     probing_paced: bool,
 }
@@ -637,13 +376,31 @@ pub struct CrossTrafficEstimator {
 impl CrossTrafficEstimator {
     /// An estimator with a known (configured) bottleneck rate.
     pub fn with_known_mu(mu_bps: f64, history_window_s: f64) -> Self {
-        Self::with_strategy(Box::new(ConfiguredMu::new(mu_bps)), history_window_s)
+        Self::from_config(&MuEstimatorConfig::Configured { mu_bps }, history_window_s)
     }
 
-    /// An estimator over an arbitrary µ strategy.
-    pub fn with_strategy(strategy: Box<dyn MuEstimator>, history_window_s: f64) -> Self {
+    /// An estimator whose µ comes from `cfg`.
+    ///
+    /// # Panics
+    /// Panics on a configured µ that is not positive, or a probing
+    /// configuration that fails [`ProbingConfig::check`].
+    pub fn from_config(cfg: &MuEstimatorConfig, history_window_s: f64) -> Self {
+        let mu = match *cfg {
+            MuEstimatorConfig::Configured { mu_bps } => {
+                assert!(mu_bps > 0.0, "µ must be positive");
+                MuSource::Configured(mu_bps)
+            }
+            MuEstimatorConfig::Learned(learned) => MuSource::Learned {
+                filter: WindowedMax::new(MU_WINDOW_S),
+                min_tracker: WindowedMin::new(MU_WINDOW_S),
+                probing: match learned {
+                    LearnedMuConfig::MaxFilter => None,
+                    LearnedMuConfig::Probing(p) => Some(Probing::new(p)),
+                },
+            },
+        };
         CrossTrafficEstimator {
-            strategy,
+            mu,
             samples: VecDeque::new(),
             history_window_s,
             last: None,
@@ -654,11 +411,6 @@ impl CrossTrafficEstimator {
         }
     }
 
-    /// An estimator built from a strategy configuration.
-    pub fn from_config(cfg: &MuEstimatorConfig, history_window_s: f64) -> Self {
-        Self::with_strategy(cfg.build(), history_window_s)
-    }
-
     /// Install (or remove) the streaming ẑ pre-filter consulted by the
     /// detector.  Must be set before samples arrive: the filter's state is
     /// continuous across the whole run.
@@ -667,37 +419,87 @@ impl CrossTrafficEstimator {
         self.filtered.clear();
     }
 
-    /// The µ-estimation strategy in use.
-    pub fn strategy(&self) -> &dyn MuEstimator {
-        self.strategy.as_ref()
-    }
-
-    /// The bottleneck rate currently in use.
+    /// The bottleneck rate currently in use (`0.0` until a learned µ has
+    /// seen a report).
     pub fn mu_bps(&self) -> f64 {
-        self.strategy.mu_bps()
+        match &self.mu {
+            MuSource::Configured(mu_bps) => *mu_bps,
+            MuSource::Learned {
+                filter, probing, ..
+            } => {
+                let max = filter.max().unwrap_or(0.0);
+                match probing {
+                    Some(p) => max.max(p.loss_floor_bps),
+                    None => max,
+                }
+            }
+        }
     }
 
-    /// The pacing multiplier the strategy wants at `now_s` (probe epochs).
+    /// Relative uncertainty of µ̂ in `[0, 1]`: roughly "by what fraction has
+    /// the observed receive rate strayed below µ̂ over the filter window".
+    /// `0.0` when µ is configured.  Consumed by [`ZFilterConfig::Adaptive`]
+    /// and the probing quiesce floor.
+    pub fn mu_uncertainty(&self) -> f64 {
+        let MuSource::Learned { min_tracker, .. } = &self.mu else {
+            return 0.0;
+        };
+        let mu = self.mu_bps();
+        match min_tracker.min() {
+            Some(min) if mu > 0.0 => ((mu - min) / mu).clamp(0.0, 1.0),
+            _ => 0.0,
+        }
+    }
+
+    /// The probing state, unless µ is not probed or probing is auto-quiesced
+    /// right now: a non-zero floor is configured and the current µ̂
+    /// uncertainty sits below it.  Evaluated fresh on every call, so probing
+    /// resumes by itself the moment the filter spread re-widens (e.g. after
+    /// a fade).
+    fn active_probing(&self) -> Option<&Probing> {
+        let MuSource::Learned {
+            probing: Some(p), ..
+        } = &self.mu
+        else {
+            return None;
+        };
+        let floor = p.cfg.quiesce_uncertainty_floor;
+        let quiesced = floor > 0.0 && self.mu_uncertainty() < floor;
+        (!quiesced).then_some(p)
+    }
+
+    /// Pacing-rate multiplier the controller should apply at `now_s`: > 1
+    /// during a probe-up epoch, 1 otherwise.  This is the estimator's lever
+    /// for breaking µ̂/pace/recv-rate fixed points: a max filter can only
+    /// ever confirm the rate the pacer already allows.
     pub fn pace_gain(&self, now_s: f64) -> f64 {
-        self.strategy.pace_gain(now_s)
+        match self.active_probing() {
+            Some(p) if p.probing_at(now_s) => p.cfg.probe_gain,
+            _ => 1.0,
+        }
     }
 
-    /// The strategy's delivery-informed cruise pace cap, if it keeps one.
+    /// An upper bound on the cruise pacing rate, bits/s (`None` unless µ is
+    /// probed).  A rate-based delay controller driven by a stale or nominal
+    /// µ paces straight into a rate fade, melts the queue down and wedges
+    /// the transport in RTO backoff; a delivery-informed cap bounds the
+    /// overdrive to what the link recently proved it can carry, leaving the
+    /// probe epochs as the one sanctioned way to pace above it.
     pub fn pace_cap_bps(&self) -> Option<f64> {
-        self.strategy.pace_cap_bps()
+        match &self.mu {
+            MuSource::Learned {
+                probing: Some(p), ..
+            } => p.recent.max().map(|r| r * CAP_MARGIN),
+            _ => None,
+        }
     }
 
-    /// Tell the estimator whether the strategy's probe epochs are actually
-    /// reaching the pacer (the controller pauses probing outside delay
-    /// mode).  While paused, ẑ samples are recorded normally — there is no
-    /// self-inflicted burst to blank out.
+    /// Tell the estimator whether the probe epochs are actually reaching the
+    /// pacer (the controller pauses probing outside delay mode).  While
+    /// paused, ẑ samples are recorded normally — there is no self-inflicted
+    /// burst to blank out.
     pub fn set_probing_paced(&mut self, paced: bool) {
         self.probing_paced = paced;
-    }
-
-    /// The strategy's current relative µ̂ uncertainty in `[0, 1]`.
-    pub fn mu_uncertainty(&self) -> f64 {
-        self.strategy.mu_uncertainty()
     }
 
     /// Estimate ẑ from send and receive rates (Eq. 1), clamped to `[0, µ]`.
@@ -710,6 +512,38 @@ impl CrossTrafficEstimator {
         Some(z.clamp(0.0, mu))
     }
 
+    /// Feed one report to the learned µ, if µ is learned.
+    fn learn_mu(&mut self, report: &Report) {
+        let MuSource::Learned {
+            filter,
+            min_tracker,
+            probing,
+        } = &mut self.mu
+        else {
+            return;
+        };
+        if report.lost_packets > 0 {
+            if let Some(p) = probing.as_mut() {
+                p.on_loss(report);
+            }
+        }
+        if report.recv_rate_bps <= 0.0 {
+            return;
+        }
+        let current = filter.max().unwrap_or(0.0);
+        let input = capped_input(current, report);
+        filter.update(report.now_s, input);
+        min_tracker.update(report.now_s, input);
+        if let Some(p) = probing {
+            p.recent.update(report.now_s, report.recv_rate_bps);
+            if report.lost_packets == 0 {
+                p.loss_floor_bps = p.loss_floor_bps.max(input);
+            }
+        }
+        let mu = self.mu_bps();
+        self.mu_history.push((report.now_s, mu));
+    }
+
     /// Ingest a measurement report; returns the new sample if one was
     /// produced.  The returned sample carries the *raw* Eq. 1 estimate (what
     /// a rate controller consuming ẑ should see); the stored history that
@@ -717,12 +551,16 @@ impl CrossTrafficEstimator {
     /// epoch's pacing burst is self-inflicted, not cross traffic, and its
     /// square edge floods the detector's comparison band).
     pub fn on_report(&mut self, report: &Report) -> Option<ZSample> {
-        self.strategy.on_report(report);
-        if self.strategy.is_learned() && report.recv_rate_bps > 0.0 {
-            self.mu_history.push((report.now_s, self.mu_bps()));
-        }
+        self.learn_mu(report);
         let raw_z = self.estimate(report.send_rate_bps, report.recv_rate_bps)?;
-        let held_z = if self.probing_paced && self.strategy.suppress_z_at(report.now_s) {
+        // A quiesced epoch never paced above 1x, so there is nothing to hold
+        // ẑ over — holding anyway would blank the detector's input on the
+        // exact schedule quiescing exists to protect.
+        let held = self.probing_paced
+            && self
+                .active_probing()
+                .is_some_and(|p| p.settling_at(report.now_s));
+        let held_z = if held {
             self.last.map(|s| s.z_bps).unwrap_or(raw_z)
         } else {
             raw_z
@@ -986,39 +824,72 @@ mod tests {
         assert!(rs.windows(2).all(|w| w[1] >= w[0]));
     }
 
-    // ---- strategy API ----------------------------------------------------
+    // ---- µ sources ----------------------------------------------------------
+
+    fn learned(learned: LearnedMuConfig) -> CrossTrafficEstimator {
+        CrossTrafficEstimator::from_config(&MuEstimatorConfig::Learned(learned), 5.0)
+    }
+
+    fn probing(cfg: ProbingConfig) -> CrossTrafficEstimator {
+        learned(LearnedMuConfig::Probing(cfg))
+    }
+
+    fn probing_state(est: &CrossTrafficEstimator) -> &Probing {
+        match &est.mu {
+            MuSource::Learned {
+                probing: Some(p), ..
+            } => p,
+            _ => panic!("µ is not probed"),
+        }
+    }
+
+    /// Whether the stored ẑ is held at `now_s` (probe epochs being paced).
+    fn holds_z_at(est: &CrossTrafficEstimator, now_s: f64) -> bool {
+        est.active_probing().is_some_and(|p| p.settling_at(now_s))
+    }
 
     #[test]
-    fn config_builds_the_matching_strategy() {
+    fn config_builds_the_matching_source() {
         let c = MuEstimatorConfig::Configured { mu_bps: 48e6 };
-        assert!(!c.build().is_learned());
+        assert!(!c.is_learned());
         assert_eq!(c.configured_mu_bps(), Some(48e6));
         let l = MuEstimatorConfig::learned();
-        assert!(l.build().is_learned());
         assert!(l.is_learned());
         assert_eq!(l.configured_mu_bps(), None);
-        let p = MuEstimatorConfig::Learned(LearnedMuConfig::Probing(ProbingConfig::default()));
-        let strat = p.build();
-        assert!(strat.is_learned());
-        // The probing strategy is the only one with a non-unit pace gain.
-        assert_eq!(c.build().pace_gain(3.1), 1.0);
-        assert_eq!(l.build().pace_gain(3.1), 1.0);
-        assert!(strat.pace_gain(3.1) > 1.0);
+        let configured = CrossTrafficEstimator::from_config(&c, 5.0);
+        assert_eq!(configured.mu_bps(), 48e6);
+        // Probing is the only source with a non-unit pace gain or a cap.
+        let max_filter = learned(LearnedMuConfig::MaxFilter);
+        let probed = probing(ProbingConfig::default());
+        assert_eq!(configured.pace_gain(3.1), 1.0);
+        assert_eq!(max_filter.pace_gain(3.1), 1.0);
+        assert!(probed.pace_gain(3.1) > 1.0);
+        assert_eq!(max_filter.pace_cap_bps(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "must exceed 0.5 s")]
+    fn probe_epochs_must_fit_their_interval() {
+        probing(ProbingConfig {
+            probe_interval_s: 0.5,
+            ..ProbingConfig::default()
+        });
     }
 
     #[test]
     fn probing_schedule_is_deterministic_and_shaped() {
-        let p = ProbingMu::new(ProbingConfig::default());
+        let est = probing(ProbingConfig::default());
+        let p = probing_state(&est);
         // No probe before the first interval.
         assert!(!p.probing_at(0.0));
         assert!(!p.probing_at(0.9));
-        // Epochs of `probe_duration_s` every `probe_interval_s` (1 s).
+        // Epochs of `PROBE_DURATION_S` every `probe_interval_s` (1 s).
         assert!(p.probing_at(1.0));
         assert!(p.probing_at(1.24));
         assert!(!p.probing_at(1.26));
         assert!(p.probing_at(2.2));
-        assert_eq!(p.pace_gain(1.1), ProbingConfig::default().probe_gain);
-        assert_eq!(p.pace_gain(1.5), 1.0);
+        assert_eq!(est.pace_gain(1.1), ProbingConfig::default().probe_gain);
+        assert_eq!(est.pace_gain(1.5), 1.0);
         // ẑ is held for the epoch plus one drain interval.
         assert!(p.settling_at(1.4));
         assert!(!p.settling_at(1.6));
@@ -1026,100 +897,104 @@ mod tests {
 
     #[test]
     fn probing_quiesces_below_the_uncertainty_floor_and_resumes_on_spread() {
-        let cfg = ProbingConfig {
+        let mut est = probing(ProbingConfig {
             quiesce_uncertainty_floor: 0.3,
             ..ProbingConfig::default()
-        };
-        let mut p = ProbingMu::new(cfg);
+        });
         // No samples yet: uncertainty is 0, so a configured floor quiesces
         // immediately (nothing to probe above until the filter has content).
-        assert!(p.quiesced());
+        assert!(est.active_probing().is_none());
         // A steady link: min ≈ max in the window, uncertainty ≈ 0 → probes
         // stay off and ẑ is never held.
         for i in 0..200 {
-            p.on_report(&report(i as f64 * 0.01, 44e6, 46e6));
+            est.on_report(&report(i as f64 * 0.01, 44e6, 46e6));
         }
-        assert!(p.quiesced());
-        assert_eq!(p.pace_gain(1.1), 1.0, "probe epoch must be skipped");
-        assert!(!p.suppress_z_at(1.1), "no probe ran, nothing to hold over");
+        assert!(est.active_probing().is_none());
+        assert_eq!(est.pace_gain(1.1), 1.0, "probe epoch must be skipped");
+        assert!(!holds_z_at(&est, 1.1), "no probe ran, nothing to hold over");
         // A fade re-widens the filter spread (min drops while the 10 s max
         // window still holds pre-fade samples) → probing resumes by itself.
         for i in 0..100 {
-            p.on_report(&report(2.0 + i as f64 * 0.01, 10e6, 10e6));
+            est.on_report(&report(2.0 + i as f64 * 0.01, 10e6, 10e6));
         }
-        assert!(p.mu_uncertainty() > 0.3, "fade must raise the uncertainty");
-        assert!(!p.quiesced());
-        assert_eq!(p.pace_gain(4.1), ProbingConfig::default().probe_gain);
-        assert!(p.suppress_z_at(4.1));
+        assert!(
+            est.mu_uncertainty() > 0.3,
+            "fade must raise the uncertainty"
+        );
+        assert!(est.active_probing().is_some());
+        assert_eq!(est.pace_gain(4.1), ProbingConfig::default().probe_gain);
+        assert!(holds_z_at(&est, 4.1));
     }
 
     #[test]
     fn zero_floor_disables_quiescing_entirely() {
-        // The default floor of 0 must leave the pre-quiesce schedule intact:
-        // uncertainty 0 on a steady link, probes still run.
-        let mut p = ProbingMu::new(ProbingConfig::default());
+        // The default floor of 0 leaves the schedule intact: uncertainty 0
+        // on a steady link, probes still run.
+        let mut est = probing(ProbingConfig::default());
         for i in 0..200 {
-            p.on_report(&report(i as f64 * 0.01, 44e6, 46e6));
+            est.on_report(&report(i as f64 * 0.01, 44e6, 46e6));
         }
-        assert!(!p.quiesced());
-        assert_eq!(p.pace_gain(1.1), ProbingConfig::default().probe_gain);
-        assert!(p.suppress_z_at(1.1));
+        assert!(est.active_probing().is_some());
+        assert_eq!(est.pace_gain(1.1), ProbingConfig::default().probe_gain);
+        assert!(holds_z_at(&est, 1.1));
     }
 
     #[test]
     fn probing_floor_remembers_loss_free_rate_and_decays_on_loss() {
-        let mut p = ProbingMu::new(ProbingConfig::default());
+        let mut est = probing(ProbingConfig::default());
         for i in 0..100 {
-            p.on_report(&report(i as f64 * 0.01, 44e6, 46e6));
+            est.on_report(&report(i as f64 * 0.01, 44e6, 46e6));
         }
-        let mu_before = p.mu_bps();
-        assert!((p.loss_floor_bps() - 46e6).abs() < 1e3);
+        let mu_before = est.mu_bps();
+        assert!((probing_state(&est).loss_floor_bps - 46e6).abs() < 1e3);
         // A fade: tiny receive rate with losses.  The max filter's window
         // (10 s) still holds the old samples, but the floor starts decaying
         // (at most once per backoff interval).
         for i in 0..200 {
-            p.on_report(&lossy_report(1.0 + i as f64 * 0.01, 2e6, 1e6, 3));
+            est.on_report(&lossy_report(1.0 + i as f64 * 0.01, 2e6, 1e6, 3));
         }
         // 2 s of losses at 0.5 s backoff interval = 4 decays of 0.7.
         let expect = 46e6 * 0.7f64.powi(4);
+        let floor = probing_state(&est).loss_floor_bps;
         assert!(
-            (p.loss_floor_bps() - expect).abs() / expect < 0.05,
-            "floor {} vs {expect}",
-            p.loss_floor_bps()
+            (floor - expect).abs() / expect < 0.05,
+            "floor {floor} vs {expect}"
         );
-        assert!(p.mu_bps() <= mu_before);
+        assert!(est.mu_bps() <= mu_before);
+        // The pace cap dropped to the current delivery on the first loss.
+        assert_eq!(est.pace_cap_bps(), Some(1e6 * CAP_MARGIN));
         // Long after the fade the max-filter window is empty of pre-fade
         // samples; the floor (not the pacing floor) is what µ̂ rests on.
         for i in 0..100 {
-            p.on_report(&report(20.0 + i as f64 * 0.01, 1e6, 1e6));
+            est.on_report(&report(20.0 + i as f64 * 0.01, 1e6, 1e6));
         }
         assert!(
-            p.mu_bps() >= expect * 0.99,
+            est.mu_bps() >= expect * 0.99,
             "µ̂ {} collapsed below the loss floor {expect}",
-            p.mu_bps()
+            est.mu_bps()
         );
     }
 
     #[test]
     fn uncertainty_tracks_the_spread_of_the_filter_inputs() {
-        let mut m = MaxFilterMu::new(10.0);
-        assert_eq!(m.mu_uncertainty(), 0.0);
+        let mut est = learned(LearnedMuConfig::MaxFilter);
+        assert_eq!(est.mu_uncertainty(), 0.0);
         for i in 0..100 {
-            m.on_report(&report(i as f64 * 0.01, 44e6, 48e6));
+            est.on_report(&report(i as f64 * 0.01, 44e6, 48e6));
         }
         // Steady input: no spread.
-        assert!(m.mu_uncertainty() < 0.01, "{}", m.mu_uncertainty());
+        assert!(est.mu_uncertainty() < 0.01, "{}", est.mu_uncertainty());
         // A dip to half rate: uncertainty rises toward 0.5.
         for i in 0..100 {
-            m.on_report(&report(1.0 + i as f64 * 0.01, 24e6, 24e6));
+            est.on_report(&report(1.0 + i as f64 * 0.01, 24e6, 24e6));
         }
         assert!(
-            m.mu_uncertainty() > 0.4,
+            est.mu_uncertainty() > 0.4,
             "uncertainty {} after a 50% dip",
-            m.mu_uncertainty()
+            est.mu_uncertainty()
         );
         // Configured µ is always certain.
-        let c = ConfiguredMu::new(48e6);
+        let c = CrossTrafficEstimator::with_known_mu(48e6, 5.0);
         assert_eq!(c.mu_uncertainty(), 0.0);
     }
 

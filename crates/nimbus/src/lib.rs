@@ -63,8 +63,7 @@ pub use ccp::{Report, ReportAggregator};
 pub use controller::{DelayScheme, Mode, NimbusConfig, NimbusController, Publisher, TcpScheme};
 pub use detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector};
 pub use estimator::{
-    ConfiguredMu, CrossTrafficEstimator, LearnedMuConfig, MaxFilterMu, MuEstimator,
-    MuEstimatorConfig, ProbingConfig, ProbingMu, ZFilterConfig,
+    CrossTrafficEstimator, LearnedMuConfig, MuEstimatorConfig, ProbingConfig, ZFilterConfig,
 };
 pub use multiflow::{MultiflowConfig, Role};
 pub use rtt::RttEstimator;

@@ -8,7 +8,7 @@
 //! at the worst possible moments.  The simulator never does any of that, so
 //! this harness generates the abuse synthetically:
 //!
-//! * every µ strategy × ẑ-filter combination (3 × 3 = 9 combos), plus the
+//! * every µ strategy × ẑ-filter combination (4 × 3 = 12 combos), plus the
 //!   bare DCTCP controller (the CCA most exposed to CE abuse);
 //! * ≥ 256 randomized callback sequences per combo, mixing reordered and
 //!   timestamp-compressed ACKs, zero-byte ACKs, zero/near-zero RTTs,
@@ -20,20 +20,56 @@
 //!   hysteresis: a Competitive→Delay switch may happen no earlier than
 //!   `fft_duration_s` after the preceding Delay→Competitive switch (the
 //!   detector holds competitive mode for at least one full FFT window after
-//!   the last elastic verdict).
+//!   the last elastic verdict);
+//! * per combo, one FNV-1a hash of `(pacing rate, cwnd, mode, µ̂)` after
+//!   every callback must equal its pinned value.  Loss storms drive the
+//!   loss floor and the pace-cap reset, and a chaotic µ̂ spread toggles
+//!   probe quiescing on and off: a 1% shift of the quiesce threshold, which
+//!   no simulated fingerprint notices, fails here.
 //!
 //! Everything is seeded — a failure reproduces by rerunning the test.
 
 mod corpus;
 
-use corpus::{generate_sequence, mu_configs, z_filters, Event, MU};
-use nimbus_core::cc::{CongestionControl, CongestionEvent};
+use corpus::{deliver, generate_sequence, mu_configs, z_filters, MU};
+use nimbus_core::cc::CongestionControl;
 use nimbus_core::{Mode, MuEstimatorConfig, NimbusConfig, NimbusController, ZFilterConfig};
 use nimbus_core_types::Time;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const SEQUENCES_PER_COMBO: usize = 256;
+
+/// `(µ strategy, ẑ filter, hash)`: the FNV-1a hash of the controller's
+/// `(pacing rate, cwnd, mode, µ̂)` bits after every callback of every
+/// sequence of the combo, captured on the trait-object estimator that the
+/// one concrete estimator type replaced.
+#[rustfmt::skip]
+const PINNED: &[(&str, &str, u64)] = &[
+    ("configured", "raw", 0x3bee6422448841b6),
+    ("configured", "notch", 0x852d8cd9c8594c22),
+    ("configured", "adaptive", 0x89c3d2f65ba250fd),
+    ("learned", "raw", 0xc277127d29dcb8f9),
+    ("learned", "notch", 0x9d36bf389a23628b),
+    ("learned", "adaptive", 0xfa25935fee60d1a1),
+    ("probing", "raw", 0xbb9cc4c26c3f510e),
+    ("probing", "notch", 0x75ff5342917c3b00),
+    ("probing", "adaptive", 0xa3ef7166fc1adf84),
+    ("quiesced", "raw", 0x1da0bf7f0cdab079),
+    ("quiesced", "notch", 0x075e29876f8d401b),
+    ("quiesced", "adaptive", 0xec19121a104535a4),
+];
+
+/// 64-bit FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 = (self.0 ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
 
 /// The invariant checked after every single callback.
 fn assert_sane(ctl: &dyn CongestionControl, now: Time, combo: &str, seq: usize, step: usize) {
@@ -68,10 +104,16 @@ fn assert_hysteresis(ctl: &NimbusController, fft_duration_s: f64, combo: &str, s
 
 /// Fuzz every sequence of one (µ strategy, ẑ filter) combo; returns how many
 /// sequences actually exercised a mode switch, so the caller can assert the
-/// hysteresis check is not vacuous.
-fn fuzz_combo(mu_label: &str, mu: &MuEstimatorConfig, z_label: &str, zf: &ZFilterConfig) -> usize {
+/// hysteresis check is not vacuous, and the combo's output hash.
+fn fuzz_combo(
+    mu_label: &str,
+    mu: &MuEstimatorConfig,
+    z_label: &str,
+    zf: &ZFilterConfig,
+) -> (usize, u64) {
     let combo = format!("mu={mu_label},zfilter={z_label}");
     let mut switched = 0;
+    let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
     for seq in 0..SEQUENCES_PER_COMBO {
         // A distinct, reproducible stream per (combo, sequence).
         let seed = (mu_label.len() as u64) << 32 ^ (z_label.len() as u64) << 16 ^ seq as u64;
@@ -83,80 +125,73 @@ fn fuzz_combo(mu_label: &str, mu: &MuEstimatorConfig, z_label: &str, zf: &ZFilte
         let fft_duration_s = cfg.elasticity.fft_duration_s;
         let pulse_freq_hz = cfg.elasticity.pulse_freq_hz;
         let mut ctl = NimbusController::new(cfg);
-        let mut last_now = Time::ZERO;
+        let mut now = Time::ZERO;
         for (step, event) in generate_sequence(&mut rng, pulse_freq_hz)
-            .into_iter()
+            .iter()
             .enumerate()
         {
-            match event {
-                Event::Ack(ack) => {
-                    last_now = last_now.max(ack.now);
-                    ctl.on_packet_acked(&ack);
-                }
-                Event::Loss(loss) => {
-                    last_now = last_now.max(loss.now);
-                    ctl.on_packets_lost(&loss);
-                }
-                Event::Rto(now) => {
-                    last_now = last_now.max(now);
-                    ctl.on_congestion_event(&CongestionEvent::Rto { now });
-                }
-                Event::EcnCe(now, marked_bytes) => {
-                    last_now = last_now.max(now);
-                    ctl.on_congestion_event(&CongestionEvent::EcnCe { now, marked_bytes });
-                }
-                Event::Report(report) => {
-                    last_now = last_now.max(Time::from_secs_f64(report.now_s));
-                    ctl.on_report(&report);
-                }
-            }
-            assert_sane(&ctl, last_now, &combo, seq, step);
+            deliver(&mut ctl, event, &mut now);
+            assert_sane(&ctl, now, &combo, seq, step);
+            hash.word(ctl.pacing_rate_bps(now).map_or(u64::MAX, f64::to_bits));
+            hash.word(ctl.cwnd_packets().to_bits());
+            hash.word(ctl.mode() as u64);
+            hash.word(ctl.mu_bps().to_bits());
         }
         assert_hysteresis(&ctl, fft_duration_s, &combo, seq);
         if ctl.mode_log().len() > 1 {
             switched += 1;
         }
     }
-    switched
+    (switched, hash.0)
 }
 
-// One test per µ strategy so the nine combos run on three threads and a
+/// Fuzz one µ strategy under every ẑ filter: some sequence must switch
+/// mode (or the hysteresis assertion checked nothing), and each combo's
+/// hash must be its pinned one.
+fn fuzz_strategy(index: usize) {
+    let (label, mu) = &mu_configs()[index];
+    let mut switched = 0;
+    let mut moved = Vec::new();
+    for (z_label, zf) in &z_filters() {
+        let (n, hash) = fuzz_combo(label, mu, z_label, zf);
+        switched += n;
+        let pinned = PINNED
+            .iter()
+            .find(|&&(m, z, _)| (m, z) == (*label, *z_label))
+            .map(|&(_, _, h)| h);
+        if pinned != Some(hash) {
+            moved.push(format!("    (\"{label}\", \"{z_label}\", {hash:#018x}),"));
+        }
+    }
+    assert!(switched > 0, "mu={label}: no sequence ever switched mode");
+    assert!(
+        moved.is_empty(),
+        "controller outputs moved over the corpus; the rows now read\n{}",
+        moved.join("\n")
+    );
+}
+
+// One test per µ strategy so the combos run on separate threads and a
 // failure names its strategy in the test name, not just the panic message.
 
 #[test]
 fn fuzz_callbacks_configured_mu() {
-    let (label, mu) = &mu_configs()[0];
-    let mut switched = 0;
-    for (z_label, zf) in &z_filters() {
-        switched += fuzz_combo(label, mu, z_label, zf);
-    }
-    // The warmup phase must actually drive mode switches somewhere in this
-    // strategy's combos, or the hysteresis assertion above checked nothing.
-    assert!(switched > 0, "mu={label}: no sequence ever switched mode");
+    fuzz_strategy(0);
 }
 
 #[test]
 fn fuzz_callbacks_learned_mu() {
-    let (label, mu) = &mu_configs()[1];
-    let mut switched = 0;
-    for (z_label, zf) in &z_filters() {
-        switched += fuzz_combo(label, mu, z_label, zf);
-    }
-    // The warmup phase must actually drive mode switches somewhere in this
-    // strategy's combos, or the hysteresis assertion above checked nothing.
-    assert!(switched > 0, "mu={label}: no sequence ever switched mode");
+    fuzz_strategy(1);
 }
 
 #[test]
 fn fuzz_callbacks_probing_mu() {
-    let (label, mu) = &mu_configs()[2];
-    let mut switched = 0;
-    for (z_label, zf) in &z_filters() {
-        switched += fuzz_combo(label, mu, z_label, zf);
-    }
-    // The warmup phase must actually drive mode switches somewhere in this
-    // strategy's combos, or the hysteresis assertion above checked nothing.
-    assert!(switched > 0, "mu={label}: no sequence ever switched mode");
+    fuzz_strategy(2);
+}
+
+#[test]
+fn fuzz_callbacks_quiesced_probing_mu() {
+    fuzz_strategy(3);
 }
 
 #[test]
@@ -165,31 +200,10 @@ fn fuzz_callbacks_dctcp() {
     for seq in 0..SEQUENCES_PER_COMBO {
         let mut rng = StdRng::seed_from_u64((seq as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut cc = Dctcp::new();
-        let mut last_now = Time::ZERO;
-        for (step, event) in generate_sequence(&mut rng, 5.0).into_iter().enumerate() {
-            match event {
-                Event::Ack(ack) => {
-                    last_now = last_now.max(ack.now);
-                    cc.on_packet_acked(&ack);
-                }
-                Event::Loss(loss) => {
-                    last_now = last_now.max(loss.now);
-                    cc.on_packets_lost(&loss);
-                }
-                Event::Rto(now) => {
-                    last_now = last_now.max(now);
-                    cc.on_congestion_event(&CongestionEvent::Rto { now });
-                }
-                Event::EcnCe(now, marked_bytes) => {
-                    last_now = last_now.max(now);
-                    cc.on_congestion_event(&CongestionEvent::EcnCe { now, marked_bytes });
-                }
-                Event::Report(report) => {
-                    last_now = last_now.max(Time::from_secs_f64(report.now_s));
-                    cc.on_report(&report);
-                }
-            }
-            assert_sane(&cc, last_now, "dctcp", seq, step);
+        let mut now = Time::ZERO;
+        for (step, event) in generate_sequence(&mut rng, 5.0).iter().enumerate() {
+            deliver(&mut cc, event, &mut now);
+            assert_sane(&cc, now, "dctcp", seq, step);
             let alpha = cc.alpha();
             assert!(
                 (0.0..=1.0).contains(&alpha),

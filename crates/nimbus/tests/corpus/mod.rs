@@ -1,10 +1,11 @@
 //! The adversarial host-callback corpus: seeded sequences of reordered and
 //! compressed ACKs, degenerate reports, loss/RTO/CE storms, optionally
 //! wrapped in coherent elastic and inelastic phases.  `callback_fuzz.rs`
-//! holds a controller's outputs sane under it; `streaming_equivalence.rs`
-//! holds the streaming detector to its batch reference on the ẑ it induces.
+//! holds a controller's outputs sane under it and pins them by hash;
+//! `streaming_equivalence.rs` holds the streaming detector to its batch
+//! reference on the ẑ it induces.
 
-use nimbus_core::cc::{AckEvent, LossEvent};
+use nimbus_core::cc::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
 use nimbus_core::ccp::Report;
 use nimbus_core::{LearnedMuConfig, MuEstimatorConfig, ProbingConfig, ZFilterConfig};
 use nimbus_core_types::Time;
@@ -25,6 +26,13 @@ pub fn mu_configs() -> Vec<(&'static str, MuEstimatorConfig)> {
             "probing",
             MuEstimatorConfig::Learned(LearnedMuConfig::Probing(ProbingConfig::default())),
         ),
+        (
+            "quiesced",
+            MuEstimatorConfig::Learned(LearnedMuConfig::Probing(ProbingConfig {
+                quiesce_uncertainty_floor: 0.4,
+                ..ProbingConfig::default()
+            })),
+        ),
     ]
 }
 
@@ -32,8 +40,8 @@ pub fn mu_configs() -> Vec<(&'static str, MuEstimatorConfig)> {
 pub fn z_filters() -> Vec<(&'static str, ZFilterConfig)> {
     vec![
         ("raw", ZFilterConfig::None),
-        ("notch", ZFilterConfig::notch(0.1)),
-        ("adaptive", ZFilterConfig::adaptive()),
+        ("notch", ZFilterConfig::Notch { freq_hz: 0.1 }),
+        ("adaptive", ZFilterConfig::Adaptive),
     ]
 }
 
@@ -46,6 +54,36 @@ pub enum Event {
     /// A receiver-echoed CE mark (`CongestionEvent::EcnCe`).
     EcnCe(Time, u64),
     Report(Report),
+}
+
+/// Hand `event` to `cc`, first advancing `now` to the latest instant any
+/// callback has claimed (the clock a host reads the pacing rate at).
+pub fn deliver(cc: &mut dyn CongestionControl, event: &Event, now: &mut Time) {
+    match event {
+        Event::Ack(ack) => {
+            *now = (*now).max(ack.now);
+            cc.on_packet_acked(ack);
+        }
+        Event::Loss(loss) => {
+            *now = (*now).max(loss.now);
+            cc.on_packets_lost(loss);
+        }
+        &Event::Rto(at) => {
+            *now = (*now).max(at);
+            cc.on_congestion_event(&CongestionEvent::Rto { now: at });
+        }
+        &Event::EcnCe(at, marked_bytes) => {
+            *now = (*now).max(at);
+            cc.on_congestion_event(&CongestionEvent::EcnCe {
+                now: at,
+                marked_bytes,
+            });
+        }
+        Event::Report(report) => {
+            *now = (*now).max(Time::from_secs_f64(report.now_s));
+            cc.on_report(report);
+        }
+    }
 }
 
 /// Push `ticks` coherent 10 ms CCP reports in which ẑ = µ·S/R − S traces a

@@ -27,9 +27,9 @@
 
 mod corpus;
 
-use corpus::{generate_sequence, mu_configs, z_filters, Event, MU};
-use nimbus_core::cc::{CongestionControl, CongestionEvent};
+use corpus::{deliver, generate_sequence, mu_configs, z_filters, Event, MU};
 use nimbus_core::{ElasticityConfig, ElasticityDetector, NimbusConfig, NimbusController};
+use nimbus_core_types::Time;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -384,27 +384,12 @@ fn fuzz_corpus_through_a_controller() {
                 let mut reference = Reference::new(&cfg.elasticity);
                 let mut ctl = NimbusController::new(cfg);
                 let events = generate_sequence(&mut rng, reference.detector.config().pulse_freq_hz);
-                for (step, event) in events.into_iter().enumerate() {
-                    let report = match event {
-                        Event::Ack(ack) => {
-                            ctl.on_packet_acked(&ack);
-                            continue;
-                        }
-                        Event::Loss(loss) => {
-                            ctl.on_packets_lost(&loss);
-                            continue;
-                        }
-                        Event::Rto(now) => {
-                            ctl.on_congestion_event(&CongestionEvent::Rto { now });
-                            continue;
-                        }
-                        Event::EcnCe(now, marked_bytes) => {
-                            ctl.on_congestion_event(&CongestionEvent::EcnCe { now, marked_bytes });
-                            continue;
-                        }
-                        Event::Report(report) => report,
+                let mut now = Time::ZERO;
+                for (step, event) in events.iter().enumerate() {
+                    deliver(&mut ctl, event, &mut now);
+                    let Event::Report(report) = event else {
+                        continue;
                     };
-                    ctl.on_report(&report);
                     // A sample was stored iff Eq. 1 had an answer for this
                     // report under the µ̂ the report itself updated.
                     let estimator = ctl.estimator();

@@ -27,42 +27,24 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// A serializable stand-in for [`CcKind`] (only the variants the workloads need).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CcKindSerde {
-    /// TCP Cubic.
-    Cubic,
-    /// TCP NewReno.
-    NewReno,
-}
-
-impl From<CcKindSerde> for CcKind {
-    fn from(k: CcKindSerde) -> CcKind {
-        match k {
-            CcKindSerde::Cubic => CcKind::Cubic,
-            CcKindSerde::NewReno => CcKind::NewReno,
-        }
-    }
-}
-
 /// How interarrival gaps between fleet flows are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ArrivalProcess {
     /// Exponential interarrivals — memoryless churn at a constant mean rate.
     Poisson,
-    /// Pareto interarrivals with shape `alpha` (must satisfy `1 < alpha`):
-    /// same mean rate as Poisson, but heavy-tailed gaps make arrivals clump
-    /// into bursts separated by long silences.
-    Bursty {
-        /// Pareto shape parameter; smaller means burstier (variance is
-        /// infinite for `alpha <= 2`).
-        alpha: f64,
-    },
+    /// Pareto interarrivals of shape 1.5: same mean rate as Poisson, but
+    /// heavy-tailed gaps make arrivals clump into bursts separated by long
+    /// silences.
+    Bursty,
 }
 
-/// The default shape for [`ArrivalProcess::Bursty`]: infinite-variance
-/// interarrivals while keeping the mean finite.
-pub const DEFAULT_BURSTY_ALPHA: f64 = 1.5;
+/// The Pareto shape of [`ArrivalProcess::Bursty`]: infinite-variance
+/// interarrivals (any shape ≤ 2) while keeping the mean finite (> 1).
+const BURSTY_ALPHA: f64 = 1.5;
+
+/// Size (bytes) above which a fleet flow is tagged elastic for the ground
+/// truth: 10 packets, the initial window (§8.1).
+const ELASTIC_THRESHOLD_BYTES: u64 = 15_000;
 
 impl ArrivalProcess {
     /// Draw one interarrival gap in seconds for mean arrival rate `lambda`
@@ -71,11 +53,11 @@ impl ArrivalProcess {
         let u: f64 = rng.gen::<f64>().max(1e-12);
         match *self {
             ArrivalProcess::Poisson => -u.ln() / lambda,
-            ArrivalProcess::Bursty { alpha } => {
+            ArrivalProcess::Bursty => {
                 // Pareto(xm, alpha) has mean xm * alpha / (alpha - 1); choose
                 // xm so the mean gap is exactly 1/lambda.
-                let xm = (alpha - 1.0) / (alpha * lambda);
-                xm / u.powf(1.0 / alpha)
+                let xm = (BURSTY_ALPHA - 1.0) / (BURSTY_ALPHA * lambda);
+                xm / u.powf(1.0 / BURSTY_ALPHA)
             }
         }
     }
@@ -83,6 +65,8 @@ impl ArrivalProcess {
 
 /// Configuration of a fleet workload: an open-loop arrival process paired
 /// with a heavy-tailed size distribution, targeting a fixed offered load.
+/// Arrivals start at t = 0; every flow runs Cubic over a propagation RTT
+/// jittered by up to ±50% around `base_rtt_s`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetWorkloadConfig {
     /// Target offered load in bits per second.
@@ -91,38 +75,25 @@ pub struct FleetWorkloadConfig {
     pub arrivals: ArrivalProcess,
     /// Flow-size distribution.
     pub sizes: FlowSizeDistribution,
-    /// Time of the first possible arrival, seconds.
-    pub start_s: f64,
     /// No arrivals at or after this time, seconds.
     pub stop_s: f64,
     /// Base propagation RTT for fleet flows, seconds.
     pub base_rtt_s: f64,
-    /// If true, jitter each flow's RTT by up to ±50%.
-    pub jitter_rtt: bool,
-    /// Congestion control used by the fleet flows.
-    pub cc: CcKindSerde,
     /// RNG seed; the whole workload is deterministic given this.
     pub seed: u64,
-    /// Size (bytes) above which a flow is tagged elastic for the ground truth
-    /// (the paper uses 10 packets = the initial window).
-    pub elastic_threshold_bytes: u64,
 }
 
 impl FleetWorkloadConfig {
     /// A fleet offering `load_fraction` of `link_rate_bps`, arriving over
-    /// `[0, stop_s)`: Poisson arrivals, default sizes, 50 ms base RTT, Cubic.
+    /// `[0, stop_s)`: Poisson arrivals, default sizes, 50 ms base RTT.
     pub fn default_for_link(link_rate_bps: f64, load_fraction: f64, stop_s: f64) -> Self {
         FleetWorkloadConfig {
             offered_load_bps: link_rate_bps * load_fraction,
             arrivals: ArrivalProcess::Poisson,
             sizes: FlowSizeDistribution::default(),
-            start_s: 0.0,
             stop_s,
             base_rtt_s: 0.05,
-            jitter_rtt: true,
-            cc: CcKindSerde::Cubic,
             seed: 1,
-            elastic_threshold_bytes: 15_000,
         }
     }
 
@@ -148,11 +119,10 @@ impl FleetSpawner {
     /// Build the spawner; all randomness derives from `cfg.seed`.
     pub fn new(cfg: FleetWorkloadConfig) -> Self {
         let rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let t_s = cfg.start_s;
         FleetSpawner {
             cfg,
             rng,
-            t_s,
+            t_s: 0.0,
             emitted: 0,
         }
     }
@@ -171,11 +141,7 @@ impl FlowSpawner for FleetSpawner {
             return None;
         }
         let size = self.cfg.sizes.sample(&mut self.rng);
-        let rtt_s = if self.cfg.jitter_rtt {
-            self.cfg.base_rtt_s * self.rng.gen_range(0.5..1.5)
-        } else {
-            self.cfg.base_rtt_s
-        };
+        let rtt_s = self.cfg.base_rtt_s * self.rng.gen_range(0.5..1.5);
         let i = self.emitted;
         self.emitted += 1;
         let label = format!("fleet-{i}");
@@ -183,14 +149,14 @@ impl FlowSpawner for FleetSpawner {
         let flow_cfg = FlowConfig::cross(
             &label,
             Time::from_secs_f64(rtt_s),
-            size > self.cfg.elastic_threshold_bytes,
+            size > ELASTIC_THRESHOLD_BYTES,
         )
         .starting_at(at)
         .with_size(size)
         .retiring();
         let endpoint: Box<dyn FlowEndpoint> = Box::new(Sender::new(
             SenderConfig::labelled(&label),
-            CcKind::from(self.cfg.cc).build(&PathInfo::new(1500)),
+            CcKind::Cubic.build(&PathInfo::new(1500)),
             Box::new(FixedSizeSource::new(size)),
         ));
         Some((at, flow_cfg, endpoint))
@@ -224,12 +190,7 @@ mod tests {
 
     #[test]
     fn arrivals_are_ordered_and_bounded() {
-        for arrivals in [
-            ArrivalProcess::Poisson,
-            ArrivalProcess::Bursty {
-                alpha: DEFAULT_BURSTY_ALPHA,
-            },
-        ] {
+        for arrivals in [ArrivalProcess::Poisson, ArrivalProcess::Bursty] {
             let mut cfg = FleetWorkloadConfig::default_for_link(96e6, 0.6, 60.0);
             cfg.arrivals = arrivals;
             let flows = drain_arrivals(cfg);
@@ -240,12 +201,7 @@ mod tests {
 
     #[test]
     fn offered_load_is_near_target_for_both_processes() {
-        for arrivals in [
-            ArrivalProcess::Poisson,
-            ArrivalProcess::Bursty {
-                alpha: DEFAULT_BURSTY_ALPHA,
-            },
-        ] {
+        for arrivals in [ArrivalProcess::Poisson, ArrivalProcess::Bursty] {
             let mut cfg = FleetWorkloadConfig::default_for_link(96e6, 0.5, 600.0);
             cfg.arrivals = arrivals;
             let flows = drain_arrivals(cfg);
@@ -274,9 +230,7 @@ mod tests {
             var.sqrt() / mean
         };
         let poisson_cv = cv(&gaps(ArrivalProcess::Poisson));
-        let bursty_cv = cv(&gaps(ArrivalProcess::Bursty {
-            alpha: DEFAULT_BURSTY_ALPHA,
-        }));
+        let bursty_cv = cv(&gaps(ArrivalProcess::Bursty));
         // Exponential gaps have CV ≈ 1; Pareto(1.5) gaps have unbounded
         // variance, so their sample CV must come out clearly higher.
         assert!(

@@ -17,9 +17,9 @@
 //! * [`video`] — DASH-style adaptive video sources: a 4K ladder that exceeds
 //!   its fair share (network-limited, elastic) and a 1080p ladder that stays
 //!   below it (application-limited, inelastic), reproducing Fig. 11.
-//! * [`phases`] — the scripted elastic/inelastic phase schedules of Figs. 8
-//!   and 17 ("xM of Poisson cross traffic, yT long-running Cubic flows"),
-//!   together with the fair-share reference line plotted in those figures.
+//! * [`phases`] — the scripted elastic/inelastic phase schedule of Fig. 8
+//!   ("xM of Poisson cross traffic, yT long-running Cubic flows"), together
+//!   with the fair-share reference line plotted in it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -29,7 +29,7 @@ pub mod flow_sizes;
 pub mod phases;
 pub mod video;
 
-pub use fleet::{ArrivalProcess, CcKindSerde, FleetSpawner, FleetWorkloadConfig};
+pub use fleet::{ArrivalProcess, FleetSpawner, FleetWorkloadConfig};
 pub use flow_sizes::FlowSizeDistribution;
 pub use phases::{fair_share_mbps, Phase, PhaseSchedule};
 pub use video::{VideoQuality, VideoSource};

@@ -1,4 +1,4 @@
-//! Scripted cross-traffic phase schedules (Figs. 8, 17).
+//! Scripted cross-traffic phase schedules (Fig. 8).
 //!
 //! The paper's time-varying scenarios are described as a sequence of phases,
 //! each with an inelastic Poisson component ("`xM` denotes x Mbit/s of
@@ -71,21 +71,6 @@ impl PhaseSchedule {
                 .enumerate()
                 .map(|(i, &(m, t))| (i as f64 * 20.0, m, t))
                 .collect(),
-            180.0,
-        )
-    }
-
-    /// The Fig. 17 scenario (192 Mbit/s link, 3 Nimbus flows): elastic cross
-    /// traffic (3 Cubic flows) from 30–90 s, a 96 Mbit/s constant-bit-rate
-    /// stream from 90–150 s.
-    pub fn fig17() -> Self {
-        PhaseSchedule::new(
-            vec![
-                (0.0, 0.0, 0),
-                (30.0, 0.0, 3),
-                (90.0, 96e6, 0),
-                (150.0, 0.0, 0),
-            ],
             180.0,
         )
     }

@@ -72,34 +72,30 @@ fn canonical_estimator_spec_strings() {
     assert_eq!(
         SchemeSpec::nimbus()
             .with_learned_mu()
-            .with_z_filter(ZFilterConfig::adaptive())
+            .with_z_filter(ZFilterConfig::Adaptive)
             .to_string(),
         "nimbus(mu=learned,zfilter=adaptive)"
     );
     assert_eq!(
         SchemeSpec::nimbus()
-            .with_z_filter(ZFilterConfig::notch(0.1))
+            .with_z_filter(ZFilterConfig::Notch { freq_hz: 0.1 })
             .to_string(),
         "nimbus(zfilter=notch(freq=0.1))"
     );
     // Parameterised forms parse back to exactly the right configs.
-    let spec: SchemeSpec = "nimbus(mu=learned(probe=2,gain=3,dur=0.5,window=8))"
-        .parse()
-        .unwrap();
+    let spec: SchemeSpec = "nimbus(mu=learned(probe=2,gain=3))".parse().unwrap();
     assert_eq!(
         spec,
         SchemeSpec::nimbus().with_mu_strategy(LearnedMuConfig::Probing(ProbingConfig {
             probe_interval_s: 2.0,
             probe_gain: 3.0,
-            probe_duration_s: 0.5,
-            window_s: 8.0,
             ..ProbingConfig::default()
         }))
     );
-    let spec: SchemeSpec = "nimbus(mu=learned(window=5))".parse().unwrap();
+    let spec: SchemeSpec = "nimbus(mu=learned())".parse().unwrap();
     assert_eq!(
         spec,
-        SchemeSpec::nimbus().with_mu_strategy(LearnedMuConfig::MaxFilter { window_s: 5.0 })
+        SchemeSpec::nimbus().with_mu_strategy(LearnedMuConfig::MaxFilter)
     );
     // Labels keep the historical `-estmu` stem and append strategy slugs.
     assert_eq!(
@@ -109,7 +105,7 @@ fn canonical_estimator_spec_strings() {
     assert_eq!(
         SchemeSpec::nimbus()
             .with_learned_mu()
-            .with_z_filter(ZFilterConfig::adaptive())
+            .with_z_filter(ZFilterConfig::Adaptive)
             .label(),
         "nimbus-estmu-zadapt"
     );
@@ -135,10 +131,8 @@ const SCHEMES: &[&str] = &[
     "nimbus",
     "nimbus(competitive=reno,delay=vegas,switch=never)",
     "nimbus(competitive=dctcp,delay=copa,mu=learned,zfilter=adaptive)",
-    "nimbus(mu=learned(window=#),zfilter=adaptive(k=#))",
-    "nimbus(mu=learned(probe=40,gain=^,dur=#,window=#),zfilter=notch(freq=%))",
-    "nimbus(mu=learned(probe=^,dur=0.4,loss=%,lossint=#,recent=#,cap=^,quiesce=%),\
-     zfilter=notch(freq=%,q=#))",
+    "nimbus(mu=learned(probe=40,gain=^),zfilter=notch(freq=%))",
+    "nimbus(mu=learned(probe=^,quiesce=%),zfilter=notch(freq=#))",
 ];
 const SCHEDULES: &[&str] = &[
     "",
@@ -155,10 +149,10 @@ const SCHEDULES: &[&str] = &[
 const PATHS: &[&str] = &[
     "",
     "hop(%)",
-    "hop(#,sched=step(#s,^),buffer=#ms,delay=#ms,ecn=classic)",
-    "hop(%) hop(^,sched=trace-wifi,ecn=step(#ms))",
+    "hop(#,sched=step(#s,^))",
+    "hop(%) hop(^,sched=trace-wifi)",
 ];
-const ECN: &[&str] = &["", "ecn=off", "ecn=classic", "ecn=l4s", "ecn=step(#ms)"];
+const ECN: &[&str] = &["", "ecn=off", "ecn=classic", "ecn=l4s"];
 const CROSS: &[&str] = &[
     "alone",
     "cbr@%",
@@ -171,7 +165,7 @@ const FLEETS: &[&str] = &[
     "",
     "+fleet(load=%)",
     "+fleet(arrivals=bursty,load=%,mean=#k)",
-    "+fleet(arrivals=bursty(alpha=^),load=%,mean=#M,cc=reno)",
+    "+fleet(arrivals=bursty,load=%,mean=#M)",
 ];
 const LINK_OPTS: &[&str] = &["", "buffer=#ms rtt=#ms pie=#ms loss=%"];
 
@@ -330,19 +324,24 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("scheme", "nimbus(mu=learned(probe=-1))", "positive"),
     ("scheme", "nimbus(mu=learned(probe=0))", "positive"),
     ("scheme", "nimbus(mu=learned(turbo=1))", "unknown mu=learned option"),
+    // The probe epoch, filter windows, loss decay and pace cap are constants.
+    ("scheme", "nimbus(mu=learned(probe=1,dur=0.1))", "unknown mu=learned option `dur` (expected probe=<s>, gain=<x>, quiesce=<frac>)"),
+    ("scheme", "nimbus(mu=learned(window=5))", "unknown mu=learned option `window`"),
     ("scheme", "nimbus(mu=learned(gain=2))", "require probe="),
-    ("scheme", "nimbus(mu=learned(quiesce=0.3))", "gain/dur/loss/lossint/recent/cap/quiesce"),
-    // A probe must actually probe: gain ≤ 1 or epoch ≥ interval is a
-    // configuration that silently never escapes the fixed point.
+    ("scheme", "nimbus(mu=learned(quiesce=0.3))", "(gain/quiesce) require probe="),
+    // A probe must actually probe: gain ≤ 1, or an interval too short for
+    // the epoch and its drain, silently never escapes the fixed point.
     ("scheme", "nimbus(mu=learned(probe=1,gain=0.5))", "exceed 1"),
-    ("scheme", "nimbus(mu=learned(probe=1,dur=2))", "shorter than"),
-    ("scheme", "nimbus(mu=learned(probe=1,loss=1.5))", "below 1"),
+    ("scheme", "nimbus(mu=learned(probe=0.5))", "must exceed 0.5 s"),
     ("scheme", "nimbus(mu=learned(probe=1,quiesce=1.5))", "quiesce probing unconditionally"),
     ("scheme", "nimbus(mu=learned(probe=3)", "closing"),
     ("scheme", "nimbus(zfilter=fft)", "unknown zfilter"),
     ("scheme", "nimbus(zfilter=notch)", "freq"),
-    ("scheme", "nimbus(zfilter=notch(q=2))", "freq"),
-    ("scheme", "nimbus(zfilter=adaptive(x=2))", "k=<gain>"),
+    ("scheme", "nimbus(zfilter=notch(q=2))", "unknown zfilter=notch option `q` (expected freq=<hz>)"),
+    ("scheme", "nimbus(zfilter=adaptive(k=4))", "unknown zfilter `adaptive(k=4)`"),
+    // ẑ is sampled every 10 ms: nothing at or above 50 Hz can be notched.
+    ("scheme", "nimbus(zfilter=notch(freq=60))", "below 50 Hz"),
+    ("scheme", "nimbus(zfilter=notch(freq=50))", "below 50 Hz"),
     // Schedules: no string reaches `to_schedule`'s panics.
     ("link", "trace-bogus", "available: cellular, wifi, step-outage"),
     ("link", "mm(/nonexistent/x.trace)", "cannot read"),
@@ -357,13 +356,15 @@ const REJECTED: &[(&str, &str, &str)] = &[
     // Paths.
     ("link", "hop()", "not a number"),
     ("link", "hop(0.5,speed=2)", "unknown hop option"),
+    // A hop's buffer, propagation delay and ECN marking are constants.
+    ("link", "hop(0.5,buffer=20ms)", "unknown hop option `buffer` (expected sched=<schedule>)"),
     ("link", "hop(0.5,sched=trace-bogus)", "available: cellular"),
     // A loss probability of one or more would make a hop drop every packet.
     ("link", "loss=1.5", "probability below 1"),
     ("link", "loss=1", "probability below 1"),
     // The ecn= axis.
     ("link", "ecn=step(1ms", "closing"),
-    ("link", "ecn=step(-1ms)", "positive"),
+    ("link", "ecn=step(5ms)", "unknown ecn mode `step(5ms)` (expected off|none|classic|ecn|l4s)"),
     ("link", "ecn=wide", "unknown ecn mode"),
     // Cross traffic and fleets.
     ("cross", "cbr", "fraction of µ"),
@@ -375,11 +376,12 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("cross", "fleet(load=0)", "positive"),
     ("cross", "fleet(load=5)", "out of range"),
     ("cross", "fleet(arrivals=uniform,load=0.5)", "unknown arrivals"),
-    ("cross", "fleet(arrivals=bursty(alpha=0.9),load=0.5)", "exceed 1"),
+    ("cross", "fleet(arrivals=bursty(alpha=2),load=0.5)", "unknown arrivals `bursty(alpha=2)` (expected poisson|bursty)"),
     ("cross", "fleet(speed=0.5)", "unknown fleet option"),
     ("cross", "fleet(load=0.5", "closing"),
     ("cross", "fleet(mean=-3,load=0.5)", "positive"),
-    ("cross", "fleet(cc=bbr)", "unknown fleet cc"),
+    // Fleet flows always run Cubic.
+    ("cross", "fleet(load=0.5,cc=reno)", "unknown fleet option `cc` (expected arrivals="),
     ("cross", "fleet(load=0.5)+fleet(load=0.2)", "at most one fleet"),
     // Whole cells.
     ("cell", "cubic 48M vs alone dur=10s steady=2s", "not a cell"),
