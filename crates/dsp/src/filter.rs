@@ -6,7 +6,7 @@
 //!   pulser's oscillation (§6 of the paper).
 //! * [`WindowedMin`] / [`WindowedMax`] — sliding-window extrema used by the
 //!   congestion controllers (BBR's max-delivery-rate and min-RTT filters,
-//!   Nimbus's bottleneck-rate estimate, Vegas/Copa's base RTT).
+//!   Nimbus's bottleneck-rate estimate).
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;

@@ -211,7 +211,7 @@ pub fn fig11(quick: bool) -> ExperimentResult {
             let spec = scenario(&format!("48M seed=11 dur={duration}s"));
             let video: (FlowConfig, Box<dyn FlowEndpoint>) = (
                 FlowConfig::cross(
-                    &format!("video-{}", quality.label()),
+                    format!("video-{}", quality.label()),
                     Time::from_millis(50),
                     quality == VideoQuality::Uhd4k,
                 ),

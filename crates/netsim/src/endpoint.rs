@@ -30,13 +30,9 @@ pub struct AckInfo {
     pub data_sent_at: Time,
     /// Round-trip time sample for the triggering segment.
     pub rtt_sample: Time,
-    /// True when the cumulative ACK did not advance (a duplicate ACK).
-    pub is_duplicate: bool,
     /// Bytes newly delivered in order at the receiver because of the
     /// triggering segment (0 for out-of-order arrivals).
     pub newly_delivered_bytes: u64,
-    /// Total bytes delivered in order at the receiver so far.
-    pub total_delivered_bytes: u64,
     /// True when the triggering data segment arrived at the receiver
     /// carrying a CE mark (the receiver's ECN echo; always false for flows
     /// that did not negotiate ECN).
@@ -132,9 +128,7 @@ mod tests {
             triggering_bytes: 1500,
             data_sent_at: Time::from_millis(50),
             rtt_sample: Time::from_millis(50),
-            is_duplicate: false,
             newly_delivered_bytes: 1500,
-            total_delivered_bytes: 15_000,
             ce: false,
         };
         let b = a;

@@ -206,9 +206,9 @@ pub struct FlowConfig {
 
 impl FlowConfig {
     /// A monitored, backlogged primary flow.
-    pub fn primary(label: &str, prop_rtt: Time) -> Self {
+    pub fn primary(label: impl Into<String>, prop_rtt: Time) -> Self {
         FlowConfig {
-            label: label.to_string(),
+            label: label.into(),
             prop_rtt,
             start: Time::ZERO,
             counts_as_elastic: None,
@@ -222,9 +222,9 @@ impl FlowConfig {
     }
 
     /// An unmonitored cross-traffic flow.
-    pub fn cross(label: &str, prop_rtt: Time, elastic: bool) -> Self {
+    pub fn cross(label: impl Into<String>, prop_rtt: Time, elastic: bool) -> Self {
         FlowConfig {
-            label: label.to_string(),
+            label: label.into(),
             prop_rtt,
             start: Time::ZERO,
             counts_as_elastic: Some(elastic),
@@ -364,6 +364,8 @@ struct SpawnerState {
 }
 
 struct FlowState {
+    /// The flow's configuration, minus its label: [`Network::add_flow`]
+    /// moves that into the recorder's [`FlowStats`](crate::FlowStats).
     cfg: FlowConfig,
     endpoint: Box<dyn FlowEndpoint>,
     started: bool,
@@ -372,8 +374,6 @@ struct FlowState {
     next_expected: u64,
     out_of_order: BTreeMap<u64, u32>,
     delivered_bytes: u64,
-    // Sender-side bookkeeping maintained by the engine.
-    last_cum_ack: u64,
     /// Earliest pending `PollSend` event for this flow, used to avoid
     /// scheduling redundant polls (which would otherwise accumulate and blow
     /// up the event queue on paced flows).
@@ -539,7 +539,7 @@ impl Network {
 
     /// Add a flow. Returns a handle whose index identifies the flow in the
     /// recorder output.
-    pub fn add_flow(&mut self, cfg: FlowConfig, endpoint: Box<dyn FlowEndpoint>) -> FlowHandle {
+    pub fn add_flow(&mut self, mut cfg: FlowConfig, endpoint: Box<dyn FlowEndpoint>) -> FlowHandle {
         assert!(
             cfg.entry_hop < self.links.len(),
             "flow '{}' enters at hop {} of a {}-hop path",
@@ -559,7 +559,7 @@ impl Network {
         let id = self.flows.len();
         self.recorder.register_flow(
             id,
-            cfg.label.clone(),
+            std::mem::take(&mut cfg.label),
             cfg.counts_as_elastic,
             cfg.monitored,
             cfg.start,
@@ -574,7 +574,6 @@ impl Network {
             next_expected: 0,
             out_of_order: BTreeMap::new(),
             delivered_bytes: 0,
-            last_cum_ack: 0,
             next_scheduled_poll: Time::MAX,
         });
         FlowHandle(id)
@@ -819,7 +818,7 @@ impl Network {
             assert!(
                 iteration < MAX_BURST,
                 "flow {id} ({}) transmitted {MAX_BURST} packets in one poll; runaway endpoint",
-                self.flows[id].cfg.label
+                self.recorder.flows[id].label
             );
             let action = self.flows[id].endpoint.poll_send(self.now);
             match action {
@@ -1047,7 +1046,6 @@ impl Network {
             data_sent_at: pkt.sent_at,
             received_at: self.now,
             newly_delivered_bytes: newly_delivered,
-            total_delivered_bytes: flow.delivered_bytes,
             ce: pkt.ecn == EcnCodepoint::Ce,
         };
         let ack_delay = Time::from_nanos(flow.cfg.prop_rtt.as_nanos() / 2);
@@ -1060,8 +1058,6 @@ impl Network {
         if self.flows[id].finished {
             return;
         }
-        let is_duplicate = ack.cum_ack <= self.flows[id].last_cum_ack;
-        self.flows[id].last_cum_ack = self.flows[id].last_cum_ack.max(ack.cum_ack);
         let rtt = self.now.saturating_sub(ack.data_sent_at);
         self.recorder.on_rtt_sample(id, rtt);
         let info = AckInfo {
@@ -1071,9 +1067,7 @@ impl Network {
             triggering_bytes: ack.triggering_bytes,
             data_sent_at: ack.data_sent_at,
             rtt_sample: rtt,
-            is_duplicate,
             newly_delivered_bytes: ack.newly_delivered_bytes,
-            total_delivered_bytes: ack.total_delivered_bytes,
             ce: ack.ce,
         };
         self.flows[id].endpoint.on_ack(&info);
@@ -1401,7 +1395,7 @@ mod tests {
             let i = self.emitted;
             self.emitted += 1;
             let at = Time::from_secs_f64(0.5 + i as f64 * self.interval_s);
-            let cfg = FlowConfig::cross(&format!("spawn-{i}"), Time::from_millis(20), false)
+            let cfg = FlowConfig::cross(format!("spawn-{i}"), Time::from_millis(20), false)
                 .starting_at(at)
                 .with_size(15_000)
                 .retiring();

@@ -109,8 +109,6 @@ pub struct AckPacket {
     /// Number of data bytes newly delivered to the receiver in order as a
     /// result of the triggering segment (0 for out-of-order arrivals).
     pub newly_delivered_bytes: u64,
-    /// Total bytes the receiver has delivered in order so far.
-    pub total_delivered_bytes: u64,
     /// Whether the triggering data segment arrived carrying
     /// [`EcnCodepoint::Ce`] — the receiver's CE echo (ECE, in TCP terms).
     pub ce: bool,

@@ -100,6 +100,10 @@ impl CongestionControl for Compound {
     fn name(&self) -> &'static str {
         "compound"
     }
+
+    fn reads_reports(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

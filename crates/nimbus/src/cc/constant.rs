@@ -52,6 +52,10 @@ impl CongestionControl for ConstantRate {
     fn name(&self) -> &'static str {
         "cbr"
     }
+
+    fn reads_reports(&self) -> bool {
+        false
+    }
 }
 
 /// No congestion control: transmit whenever the application has data.
@@ -81,6 +85,10 @@ impl CongestionControl for Unlimited {
 
     fn name(&self) -> &'static str {
         "unlimited"
+    }
+
+    fn reads_reports(&self) -> bool {
+        false
     }
 }
 

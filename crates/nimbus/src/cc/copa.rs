@@ -250,6 +250,10 @@ impl CongestionControl for Copa {
     fn name(&self) -> &'static str {
         "copa"
     }
+
+    fn reads_reports(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

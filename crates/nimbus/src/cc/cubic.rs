@@ -152,6 +152,10 @@ impl CongestionControl for Cubic {
     fn name(&self) -> &'static str {
         "cubic"
     }
+
+    fn reads_reports(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

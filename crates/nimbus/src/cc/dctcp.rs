@@ -157,6 +157,10 @@ impl CongestionControl for Dctcp {
     fn name(&self) -> &'static str {
         "dctcp"
     }
+
+    fn reads_reports(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

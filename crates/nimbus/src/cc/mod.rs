@@ -154,6 +154,21 @@ pub trait CongestionControl: Send {
     /// A periodic (10 ms) CCP-style measurement report.
     fn on_report(&mut self, _report: &Report) {}
 
+    /// Whether this controller reads [`Report`]s at all.  A host may skip
+    /// building reports — and the per-ACK records behind them — for a
+    /// controller that answers `false`, and then never calls
+    /// [`CongestionControl::on_report`].
+    ///
+    /// The contract: the answer is constant for the controller's lifetime
+    /// (hosts ask once, at construction), and it must be `true` whenever
+    /// `on_report` does anything.  The default is `true`, so a controller
+    /// or wrapper that does not override it — a timing shim around a Nimbus,
+    /// say — keeps receiving its reports; only controllers whose
+    /// `on_report` is the no-op default answer `false`.
+    fn reads_reports(&self) -> bool {
+        true
+    }
+
     /// Current congestion window in packets.
     fn cwnd_packets(&self) -> f64;
 

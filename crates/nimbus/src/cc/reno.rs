@@ -99,6 +99,10 @@ impl CongestionControl for NewReno {
     fn name(&self) -> &'static str {
         "newreno"
     }
+
+    fn reads_reports(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

@@ -140,6 +140,10 @@ impl CongestionControl for Vegas {
     fn name(&self) -> &'static str {
         "vegas"
     }
+
+    fn reads_reports(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

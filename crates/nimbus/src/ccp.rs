@@ -7,7 +7,11 @@
 //!
 //! [`ReportAggregator`] reproduces that interface.  The sender machinery feeds
 //! it one record per ACK; congestion controllers receive a [`Report`] on every
-//! tick.  `S` and `R` are computed over the ACKs received in the last
+//! tick.  A controller that never reads one
+//! ([`CongestionControl::reads_reports`](crate::cc::CongestionControl::reads_reports)
+//! is `false`: NewReno, Cubic, Vegas, Copa, Compound, DCTCP and the
+//! constant-rate senders) gets no aggregator, so its flow keeps no per-ACK
+//! records.  `S` and `R` are computed over the ACKs received in the last
 //! `measurement_window` (one RTT by default, per §3.4: "we measure rates over
 //! an RTT because sub-RTT measurements are confounded by burstiness").
 

@@ -1,40 +1,29 @@
 //! Round-trip-time estimation.
 //!
-//! Standard RFC 6298 SRTT/RTTVAR smoothing with an RTO floor, plus a windowed
-//! minimum used as the propagation-delay estimate by the delay-based
-//! controllers (Vegas, Copa, BasicDelay) and by Nimbus.
+//! Standard RFC 6298 SRTT/RTTVAR smoothing with an RTO floor, plus the
+//! minimum RTT ever observed, which the sender machinery hands to its
+//! controller in every [`AckEvent`](crate::cc::AckEvent) and uses as the
+//! CCP report's S/R measurement window.  Controllers that want a windowed
+//! minimum (BBR's 10 s `min_rtt`) keep their own filter.
 
 use nimbus_core_types::Time;
-use nimbus_dsp::WindowedMin;
+
+/// RFC 6298's lower bound on the retransmission timeout is 1 s; the
+/// simulated transport uses Linux's 200 ms.
+const RTO_FLOOR: Time = Time::from_millis(200);
 
 /// SRTT / RTTVAR / RTO estimator plus min-RTT tracking.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RttEstimator {
     srtt: Option<f64>,
     rttvar: f64,
     latest: Option<Time>,
-    min_filter: WindowedMin,
     global_min: Option<Time>,
-    rto_floor: Time,
 }
 
 impl RttEstimator {
-    /// Create an estimator. `min_window_s` bounds how long a min-RTT sample
-    /// is believed (BBR uses 10 s; delay-based schemes often keep it forever —
-    /// pass `f64::INFINITY`-ish large values for that).
-    pub fn new(min_window_s: f64) -> Self {
-        RttEstimator {
-            srtt: None,
-            rttvar: 0.0,
-            latest: None,
-            min_filter: WindowedMin::new(min_window_s.max(1e-3)),
-            global_min: None,
-            rto_floor: Time::from_millis(200),
-        }
-    }
-
-    /// Feed an RTT sample observed at time `now`.
-    pub fn on_sample(&mut self, rtt: Time, now: Time) {
+    /// Feed one RTT sample.
+    pub fn on_sample(&mut self, rtt: Time) {
         let r = rtt.as_secs_f64();
         self.latest = Some(rtt);
         match self.srtt {
@@ -48,7 +37,6 @@ impl RttEstimator {
                 self.srtt = Some(0.875 * srtt + 0.125 * r);
             }
         }
-        self.min_filter.update(now.as_secs_f64(), r);
         self.global_min = Some(match self.global_min {
             None => rtt,
             Some(m) => m.min(rtt),
@@ -65,12 +53,8 @@ impl RttEstimator {
         self.latest
     }
 
-    /// Windowed minimum RTT (the propagation-delay estimate).
-    pub fn min_rtt(&self) -> Option<Time> {
-        self.min_filter.min().map(Time::from_secs_f64)
-    }
-
-    /// Minimum RTT ever observed (never expires).
+    /// Minimum RTT ever observed (the propagation-delay estimate; never
+    /// expires).
     pub fn global_min_rtt(&self) -> Option<Time> {
         self.global_min
     }
@@ -81,7 +65,7 @@ impl RttEstimator {
             None => Time::from_millis(1000),
             Some(srtt) => {
                 let rto = Time::from_secs_f64(srtt + 4.0 * self.rttvar.max(0.001));
-                rto.max(self.rto_floor)
+                rto.max(RTO_FLOOR)
             }
         }
     }
@@ -95,12 +79,6 @@ impl RttEstimator {
     }
 }
 
-impl Default for RttEstimator {
-    fn default() -> Self {
-        RttEstimator::new(1e6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +87,7 @@ mod tests {
     fn first_sample_initializes_srtt() {
         let mut e = RttEstimator::default();
         assert!(e.srtt().is_none());
-        e.on_sample(Time::from_millis(100), Time::ZERO);
+        e.on_sample(Time::from_millis(100));
         assert_eq!(e.srtt().unwrap(), Time::from_millis(100));
         assert_eq!(e.latest().unwrap(), Time::from_millis(100));
     }
@@ -117,9 +95,9 @@ mod tests {
     #[test]
     fn srtt_smooths_towards_samples() {
         let mut e = RttEstimator::default();
-        e.on_sample(Time::from_millis(100), Time::ZERO);
-        for i in 1..200 {
-            e.on_sample(Time::from_millis(50), Time::from_millis(i * 10));
+        e.on_sample(Time::from_millis(100));
+        for _ in 1..200 {
+            e.on_sample(Time::from_millis(50));
         }
         let srtt = e.srtt().unwrap().as_millis_f64();
         assert!((srtt - 50.0).abs() < 1.0, "srtt {srtt}");
@@ -127,38 +105,25 @@ mod tests {
 
     #[test]
     fn min_rtt_tracks_smallest_sample() {
-        let mut e = RttEstimator::new(1e6);
-        e.on_sample(Time::from_millis(80), Time::from_secs_f64(0.0));
-        e.on_sample(Time::from_millis(52), Time::from_secs_f64(1.0));
-        e.on_sample(Time::from_millis(95), Time::from_secs_f64(2.0));
-        assert_eq!(e.min_rtt().unwrap(), Time::from_millis(52));
+        let mut e = RttEstimator::default();
+        e.on_sample(Time::from_millis(80));
+        e.on_sample(Time::from_millis(52));
+        e.on_sample(Time::from_millis(95));
         assert_eq!(e.global_min_rtt().unwrap(), Time::from_millis(52));
         assert_eq!(e.queueing_delay().unwrap(), Time::from_millis(43));
-    }
-
-    #[test]
-    fn windowed_min_expires_but_global_does_not() {
-        let mut e = RttEstimator::new(10.0);
-        e.on_sample(Time::from_millis(40), Time::from_secs_f64(0.0));
-        for s in 1..30 {
-            e.on_sample(Time::from_millis(90), Time::from_secs_f64(s as f64));
-        }
-        // The 40 ms sample is outside the 10 s window.
-        assert_eq!(e.min_rtt().unwrap(), Time::from_millis(90));
-        assert_eq!(e.global_min_rtt().unwrap(), Time::from_millis(40));
     }
 
     #[test]
     fn rto_has_floor_and_grows_with_variance() {
         let mut e = RttEstimator::default();
         assert_eq!(e.rto(), Time::from_millis(1000));
-        e.on_sample(Time::from_millis(10), Time::ZERO);
+        e.on_sample(Time::from_millis(10));
         assert!(e.rto() >= Time::from_millis(200));
         // Large variance inflates the RTO.
         let mut noisy = RttEstimator::default();
         for i in 0..50 {
             let r = if i % 2 == 0 { 50 } else { 350 };
-            noisy.on_sample(Time::from_millis(r), Time::from_millis(i * 100));
+            noisy.on_sample(Time::from_millis(r));
         }
         assert!(noisy.rto() > Time::from_millis(400));
     }

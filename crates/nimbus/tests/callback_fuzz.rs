@@ -25,15 +25,21 @@
 //!   every callback must equal its pinned value.  Loss storms drive the
 //!   loss floor and the pace-cap reset, and a chaotic µ̂ spread toggles
 //!   probe quiescing on and off: a 1% shift of the quiesce threshold, which
-//!   no simulated fingerprint notices, fails here.
+//!   no simulated fingerprint notices, fails here;
+//! * every controller that answers `reads_reports() == false` — and so is
+//!   never handed a report by the sender — must produce bit-identical
+//!   `(cwnd, pacing rate)` whether or not the corpus's reports reach it.
 //!
 //! Everything is seeded — a failure reproduces by rerunning the test.
 
 mod corpus;
 
-use corpus::{deliver, generate_sequence, mu_configs, z_filters, MU};
-use nimbus_core::cc::CongestionControl;
-use nimbus_core::{Mode, MuEstimatorConfig, NimbusConfig, NimbusController, ZFilterConfig};
+use corpus::{deliver, generate_sequence, mu_configs, z_filters, Event, MU};
+use nimbus_core::cc::{CcKind, CongestionControl, PathInfo};
+use nimbus_core::{
+    BasicDelay, BasicDelayConfig, Mode, MuEstimatorConfig, NimbusConfig, NimbusController,
+    ZFilterConfig,
+};
 use nimbus_core_types::Time;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -211,4 +217,64 @@ fn fuzz_callbacks_dctcp() {
             );
         }
     }
+}
+
+/// Every scheme [`CcKind::build`] offers.
+const KINDS: [CcKind; 10] = [
+    CcKind::NewReno,
+    CcKind::Cubic,
+    CcKind::Vegas,
+    CcKind::Copa,
+    CcKind::Bbr,
+    CcKind::Vivace,
+    CcKind::Compound,
+    CcKind::Dctcp,
+    CcKind::ConstantRate(24e6),
+    CcKind::Unlimited,
+];
+
+/// A controller that says it does not read reports must not depend on
+/// them: the sender builds no reports for it, so driving one copy with the
+/// corpus and a twin with the same corpus minus its reports must give the
+/// same `(cwnd, pacing rate)` bits after every callback.
+#[test]
+fn controllers_that_skip_reports_ignore_them() {
+    let path = PathInfo::new(1500);
+    let mut checked = 0;
+    for kind in KINDS {
+        let mut with_reports = kind.build(&path);
+        let mut without = kind.build(&path);
+        if with_reports.reads_reports() {
+            continue;
+        }
+        checked += 1;
+        for seq in 0..SEQUENCES_PER_COMBO {
+            let mut rng = StdRng::seed_from_u64((seq as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let (mut now, mut twin_now) = (Time::ZERO, Time::ZERO);
+            for (step, event) in generate_sequence(&mut rng, 5.0).iter().enumerate() {
+                deliver(with_reports.as_mut(), event, &mut now);
+                if !matches!(event, Event::Report(_)) {
+                    deliver(without.as_mut(), event, &mut twin_now);
+                }
+                let outputs = |cc: &dyn CongestionControl| {
+                    let pacing = cc.pacing_rate_bps(now).map_or(u64::MAX, f64::to_bits);
+                    (cc.cwnd_packets().to_bits(), pacing)
+                };
+                assert_eq!(
+                    outputs(with_reports.as_ref()),
+                    outputs(without.as_ref()),
+                    "[{kind} seq {seq} step {step}] reads_reports() is false, \
+                     but a report moved (cwnd, pacing)"
+                );
+            }
+        }
+    }
+    assert_eq!(checked, 8, "the eight report-blind schemes");
+    // The controllers whose `on_report` does the work must keep receiving
+    // reports.
+    for kind in [CcKind::Bbr, CcKind::Vivace] {
+        assert!(kind.build(&path).reads_reports(), "{kind}");
+    }
+    assert!(BasicDelay::new(BasicDelayConfig::paper_defaults(MU)).reads_reports());
+    assert!(NimbusController::new(NimbusConfig::default_for_link(MU)).reads_reports());
 }

@@ -14,6 +14,7 @@ use nimbus_core::cc::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
 use nimbus_core::ccp::ReportAggregator;
 use nimbus_core::rtt::RttEstimator;
 use nimbus_netsim::{AckInfo, FlowEndpoint, SendAction, Time};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 
 /// Allow pacing catch-up after idle periods up to this long (to avoid giant
@@ -34,8 +35,9 @@ const MAX_WINDOW_PACKETS: u64 = 4096;
 pub struct SenderConfig {
     /// Maximum segment size in bytes.
     pub mss: u32,
-    /// Label used in logs and results.
-    pub label: String,
+    /// Label used in logs and results.  Borrowed when static, so a flow
+    /// whose label is a constant (every fleet flow) allocates none.
+    pub label: Cow<'static, str>,
     /// Hard stop: the flow terminates (like killing the sending process) at
     /// this time even if the application still has data queued.  Used to model
     /// "y long-running cross-flows during this phase" workloads.
@@ -46,7 +48,7 @@ impl Default for SenderConfig {
     fn default() -> Self {
         SenderConfig {
             mss: 1500,
-            label: "sender".to_string(),
+            label: Cow::Borrowed("sender"),
             stop_at: None,
         }
     }
@@ -56,7 +58,7 @@ impl SenderConfig {
     /// A default configuration with the given label.
     pub fn labelled(label: &str) -> Self {
         SenderConfig {
-            label: label.to_string(),
+            label: Cow::Owned(label.to_string()),
             ..Default::default()
         }
     }
@@ -107,8 +109,11 @@ pub struct Sender {
     rto_backoff: u32,
     /// Pacing state.
     next_send_time: Time,
-    /// Measurement aggregation for CCP-style reports.
-    reports: ReportAggregator,
+    /// Measurement aggregation for CCP-style reports; `None` when the
+    /// controller does not read reports (see
+    /// [`CongestionControl::reads_reports`]), which spares it the per-ACK
+    /// records.
+    reports: Option<ReportAggregator>,
     /// Statistics.
     packets_sent: u64,
     packets_retransmitted: u64,
@@ -120,6 +125,9 @@ pub struct Sender {
 impl Sender {
     /// Create a sender from a configuration, a congestion controller and a source.
     pub fn new(cfg: SenderConfig, cc: Box<dyn CongestionControl>, source: Box<dyn Source>) -> Self {
+        let reports = cc
+            .reads_reports()
+            .then(|| ReportAggregator::new(Time::from_millis(100)));
         Sender {
             cfg,
             cc,
@@ -137,7 +145,7 @@ impl Sender {
             rto_deadline: Time::MAX,
             rto_backoff: 0,
             next_send_time: Time::ZERO,
-            reports: ReportAggregator::new(Time::from_millis(100)),
+            reports,
             packets_sent: 0,
             packets_retransmitted: 0,
             timeouts: 0,
@@ -196,11 +204,6 @@ impl Sender {
     /// test in `tests/` pins this counter so the pathology cannot return.
     pub fn scoreboard_scan_steps(&self) -> u64 {
         self.scan_steps
-    }
-
-    /// The RTT estimator (for inspection).
-    pub fn rtt(&self) -> &RttEstimator {
-        &self.rtt
     }
 
     /// Total segments the application has made available by `now`.
@@ -273,7 +276,9 @@ impl Sender {
         self.dup_acks = 0;
         self.recovery_point = None;
         self.cc.on_congestion_event(&CongestionEvent::Rto { now });
-        self.reports.on_loss(1);
+        if let Some(reports) = &mut self.reports {
+            reports.on_loss(1);
+        }
         self.arm_rto(now);
     }
 
@@ -364,37 +369,42 @@ impl FlowEndpoint for Sender {
     fn on_ack(&mut self, ack: &AckInfo) {
         let now = ack.now;
         // Feed the measurement machinery with every ACK.
-        self.rtt.on_sample(ack.rtt_sample, now);
-        // Rates are measured over the packets that physically arrived (the
-        // ACK trigger), not over in-order delivery progress: a hole-filling
-        // retransmission makes `newly_delivered_bytes` jump by the whole
-        // reordering buffer at one instant, which used to spike the measured
-        // receive rate to several times the link rate and poison the learned
-        // µ's max filter for a full window.
-        self.reports.on_ack(
-            ack.data_sent_at,
-            now,
-            ack.triggering_bytes as u64,
-            ack.rtt_sample,
-        );
+        self.rtt.on_sample(ack.rtt_sample);
+        if let Some(reports) = &mut self.reports {
+            // Rates are measured over the packets that physically arrived
+            // (the ACK trigger), not over in-order delivery progress: a
+            // hole-filling retransmission makes `newly_delivered_bytes` jump
+            // by the whole reordering buffer at one instant, which used to
+            // spike the measured receive rate to several times the link rate
+            // and poison the learned µ's max filter for a full window.
+            reports.on_ack(
+                ack.data_sent_at,
+                now,
+                ack.triggering_bytes as u64,
+                ack.rtt_sample,
+            );
+            if ack.ce {
+                reports.on_mark(ack.triggering_bytes as u64);
+            }
+            if let Some(min_rtt) = self.rtt.global_min_rtt() {
+                // S/R are measured over one RTT of packets (§3.4).  The
+                // *base* (minimum) RTT is used, not the smoothed RTT: under
+                // bufferbloat the smoothed RTT approaches the 5 Hz pulse
+                // period and a window that long averages the pulse — and the
+                // cross traffic's reaction to it — out of the measured rates
+                // entirely.
+                reports.set_measurement_window(min_rtt);
+            }
+        }
         // The receiver echoes CE marks on the very next ACK; surface each
         // echo to the controller before the ACK's own bookkeeping so a
         // once-per-window reaction gate sees the pre-ACK window.
         if ack.ce {
             self.ce_echoes += 1;
-            self.reports.on_mark(ack.triggering_bytes as u64);
             self.cc.on_congestion_event(&CongestionEvent::EcnCe {
                 now,
                 marked_bytes: ack.triggering_bytes as u64,
             });
-        }
-        if let Some(min_rtt) = self.rtt.global_min_rtt() {
-            // S/R are measured over one RTT of packets (§3.4).  The *base*
-            // (minimum) RTT is used, not the smoothed RTT: under bufferbloat
-            // the smoothed RTT approaches the 5 Hz pulse period and a window
-            // that long averages the pulse — and the cross traffic's reaction
-            // to it — out of the measured rates entirely.
-            self.reports.set_measurement_window(min_rtt);
         }
 
         // Update the SACK scoreboard with the segment that triggered this ACK.
@@ -462,7 +472,9 @@ impl FlowEndpoint for Sender {
                     lost_packets: 1,
                     in_flight_packets: self.in_flight_packets(),
                 });
-                self.reports.on_loss(1);
+                if let Some(reports) = &mut self.reports {
+                    reports.on_loss(1);
+                }
             } else if self.recovery_point.is_some() {
                 // Keep discovering holes as more SACK information arrives.
                 self.infer_losses();
@@ -471,8 +483,10 @@ impl FlowEndpoint for Sender {
     }
 
     fn on_tick(&mut self, now: Time) {
-        let report = self.reports.report(now);
-        self.cc.on_report(&report);
+        if let Some(reports) = &mut self.reports {
+            let report = reports.report(now);
+            self.cc.on_report(&report);
+        }
     }
 
     fn poll_send(&mut self, now: Time) -> SendAction {
@@ -864,9 +878,7 @@ mod tests {
             triggering_bytes: 1500,
             data_sent_at: Time::from_millis(1),
             rtt_sample: Time::from_millis(50),
-            is_duplicate: false,
             newly_delivered_bytes: 1500,
-            total_delivered_bytes: cum * 1500,
             ce: false,
         };
         s.on_ack(&mk_ack(1, 0, 51));
@@ -906,9 +918,7 @@ mod tests {
             triggering_bytes: 1500,
             data_sent_at: Time::from_millis(1),
             rtt_sample: Time::from_millis(50),
-            is_duplicate: false,
             newly_delivered_bytes: 1500,
-            total_delivered_bytes: cum * 1500,
             ce,
         };
         let before = s.congestion_control().cwnd_packets();

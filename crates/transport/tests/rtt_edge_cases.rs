@@ -10,15 +10,13 @@ fn first_sample_initializes_all_outputs() {
     let mut e = RttEstimator::default();
     assert!(e.srtt().is_none());
     assert!(e.latest().is_none());
-    assert!(e.min_rtt().is_none());
     assert!(e.global_min_rtt().is_none());
     assert!(e.queueing_delay().is_none());
     assert_eq!(e.rto(), Time::from_millis(1000), "pre-sample RTO default");
 
-    e.on_sample(Time::from_millis(80), Time::ZERO);
+    e.on_sample(Time::from_millis(80));
     // RFC 6298: SRTT := R, RTTVAR := R/2 on the first sample.
     assert_eq!(e.srtt().unwrap(), Time::from_millis(80));
-    assert_eq!(e.min_rtt().unwrap(), Time::from_millis(80));
     assert_eq!(e.global_min_rtt().unwrap(), Time::from_millis(80));
     assert_eq!(e.queueing_delay().unwrap(), Time::ZERO);
     // RTO = SRTT + 4·RTTVAR = 80 + 160 = 240 ms.
@@ -28,18 +26,17 @@ fn first_sample_initializes_all_outputs() {
 #[test]
 fn single_spike_barely_moves_srtt_and_never_moves_the_min() {
     let mut e = RttEstimator::default();
-    for i in 0..100u64 {
-        e.on_sample(Time::from_millis(50), Time::from_millis(i * 10));
+    for _ in 0..100 {
+        e.on_sample(Time::from_millis(50));
     }
     let srtt_before = e.srtt().unwrap().as_millis_f64();
     // One 1-second spike.
-    e.on_sample(Time::from_secs_f64(1.0), Time::from_millis(1010));
+    e.on_sample(Time::from_secs_f64(1.0));
     let srtt_after = e.srtt().unwrap().as_millis_f64();
     // EWMA with alpha 1/8: the spike moves SRTT by (1000-50)/8 ≈ 119 ms.
     assert!(srtt_after - srtt_before < 125.0, "srtt moved {srtt_after}");
     assert!(srtt_after > srtt_before, "spike must move srtt somewhat");
     // The propagation-delay estimate must be immune to the spike.
-    assert_eq!(e.min_rtt().unwrap(), Time::from_millis(50));
     assert_eq!(e.global_min_rtt().unwrap(), Time::from_millis(50));
     // Queueing-delay estimate reflects the spike (latest − min).
     assert_eq!(e.queueing_delay().unwrap(), Time::from_millis(950));
@@ -48,19 +45,19 @@ fn single_spike_barely_moves_srtt_and_never_moves_the_min() {
 #[test]
 fn spike_inflates_rto_then_recovery_drains_it() {
     let mut e = RttEstimator::default();
-    for i in 0..100u64 {
-        e.on_sample(Time::from_millis(50), Time::from_millis(i * 10));
+    for _ in 0..100 {
+        e.on_sample(Time::from_millis(50));
     }
     let rto_before = e.rto();
-    e.on_sample(Time::from_secs_f64(1.0), Time::from_millis(1010));
+    e.on_sample(Time::from_secs_f64(1.0));
     let rto_spiked = e.rto();
     assert!(
         rto_spiked > rto_before,
         "a spike must inflate the RTO ({rto_before:?} -> {rto_spiked:?})"
     );
     // Steady samples afterwards pull the RTO back toward the floor.
-    for i in 0..200u64 {
-        e.on_sample(Time::from_millis(50), Time::from_millis(1020 + i * 10));
+    for _ in 0..200 {
+        e.on_sample(Time::from_millis(50));
     }
     assert!(
         e.rto() < rto_spiked.mul_f64(0.5),
@@ -70,29 +67,10 @@ fn spike_inflates_rto_then_recovery_drains_it() {
 }
 
 #[test]
-fn min_rtt_window_expires_but_global_min_survives() {
-    let mut e = RttEstimator::new(5.0);
-    e.on_sample(Time::from_millis(40), Time::ZERO);
-    for s in 1..20u64 {
-        e.on_sample(Time::from_millis(90), Time::from_secs_f64(s as f64));
-    }
-    assert_eq!(
-        e.min_rtt().unwrap(),
-        Time::from_millis(90),
-        "windowed min expired"
-    );
-    assert_eq!(
-        e.global_min_rtt().unwrap(),
-        Time::from_millis(40),
-        "global min never expires"
-    );
-}
-
-#[test]
 fn rto_is_floored_for_low_jitter_paths() {
     let mut e = RttEstimator::default();
-    for i in 0..500u64 {
-        e.on_sample(Time::from_millis(10), Time::from_millis(i * 10));
+    for _ in 0..500 {
+        e.on_sample(Time::from_millis(10));
     }
     // SRTT 10 ms with ~zero variance: the 200 ms floor must apply.
     assert_eq!(e.rto(), Time::from_millis(200));

@@ -2,10 +2,15 @@
 //! and the 10 ms `on_tick` that draws a CCP report — runs once per packet of
 //! every flow in a simulation, so once a flow is warmed up it must not
 //! allocate: no window `Vec` per report, no rebuilt scoreboard per ACK.
+//! A fleet run spawns thousands of short flows that never warm up, so a
+//! whole flow lifetime and the spawn itself are held to a budget too.
 
-use nimbus_netsim::{AckInfo, FlowEndpoint, SendAction, Time};
+use nimbus_core::cc::{AckEvent, CongestionEvent, LossEvent};
+use nimbus_netsim::{AckInfo, FlowEndpoint, FlowSpawner, SendAction, Time};
+use nimbus_traffic::{FleetSpawner, FleetWorkloadConfig};
 use nimbus_transport::{
-    BackloggedSource, CcKind, PathInfo, ReportAggregator, Sender, SenderConfig,
+    BackloggedSource, CcKind, CongestionControl, FixedSizeSource, PathInfo, Report,
+    ReportAggregator, Sender, SenderConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -57,25 +62,61 @@ struct Path {
     sender: Sender,
     now: Time,
     in_flight: VecDeque<(u64, Time, bool)>,
+    /// The one segment whose first transmission the path drops.
+    lost_seq: Option<u64>,
     next_expected: u64,
     out_of_order: BTreeSet<u64>,
-    /// Allocations made inside the sender's callbacks.
+    /// Allocations made inside the sender's callbacks, except those of
+    /// the loss episode.
     allocations: u64,
+    /// Allocations made inside `on_ack` — and the polls it releases — for
+    /// the ACKs of the loss episode: from the first ACK that finds a hole
+    /// at the receiver to the one whose segment fills it.  The SACK
+    /// scoreboard and the retransmission queue grow from empty there.
+    episode_allocations: u64,
+    episode_acks: u64,
     acks: u64,
+    /// The sender answered `SendAction::Finished`.
+    finished: bool,
 }
 
 impl Path {
+    /// A fresh path in front of `sender`, before `on_start`.
+    fn new(sender: Sender, lost_seq: Option<u64>) -> Self {
+        Path {
+            sender,
+            now: Time::ZERO,
+            in_flight: VecDeque::new(),
+            lost_seq,
+            next_expected: 0,
+            out_of_order: BTreeSet::new(),
+            allocations: 0,
+            episode_allocations: 0,
+            episode_acks: 0,
+            acks: 0,
+            finished: false,
+        }
+    }
+
+    fn start(&mut self) {
+        self.allocations += allocations_in(|| self.sender.on_start(self.now));
+        self.poll();
+    }
+
     fn poll(&mut self) {
         loop {
             let mut action = SendAction::Idle;
             self.allocations += allocations_in(|| action = self.sender.poll_send(self.now));
-            let SendAction::Transmit {
-                seq, retransmit, ..
-            } = action
-            else {
-                break;
-            };
-            self.in_flight.push_back((seq, self.now, retransmit));
+            match action {
+                SendAction::Transmit {
+                    seq, retransmit, ..
+                } => self.in_flight.push_back((seq, self.now, retransmit)),
+                SendAction::Finished => {
+                    self.finished = true;
+                    break;
+                }
+                SendAction::WaitUntil(_) | SendAction::Idle => break,
+            }
         }
     }
 
@@ -94,9 +135,10 @@ impl Path {
             return;
         }
         self.in_flight.pop_front();
-        if seq == LOST_SEQ && !retransmit {
+        if Some(seq) == self.lost_seq && !retransmit {
             return;
         }
+        let hole_before = !self.out_of_order.is_empty();
         let mut newly_delivered = 0;
         if seq >= self.next_expected {
             self.out_of_order.insert(seq);
@@ -112,55 +154,87 @@ impl Path {
             triggering_bytes: 1500,
             data_sent_at: sent_at,
             rtt_sample: self.now.saturating_sub(sent_at),
-            is_duplicate: newly_delivered == 0,
             newly_delivered_bytes: newly_delivered,
-            total_delivered_bytes: self.next_expected * 1500,
             ce: false,
         };
+        let outside = self.allocations;
         self.allocations += allocations_in(|| self.sender.on_ack(&ack));
         self.acks += 1;
         self.poll();
+        if hole_before || !self.out_of_order.is_empty() {
+            self.episode_allocations += self.allocations - outside;
+            self.episode_acks += 1;
+            self.allocations = outside;
+        }
+    }
+}
+
+/// A controller behind a wrapper that keeps the default
+/// [`CongestionControl::reads_reports`], so the sender records every ACK
+/// and draws a report per tick for it, as it does for Nimbus.
+struct ReadsReports(Box<dyn CongestionControl>);
+
+impl CongestionControl for ReadsReports {
+    fn on_packet_acked(&mut self, ack: &AckEvent) {
+        self.0.on_packet_acked(ack);
+    }
+    fn on_packets_lost(&mut self, loss: &LossEvent) {
+        self.0.on_packets_lost(loss);
+    }
+    fn on_congestion_event(&mut self, event: &CongestionEvent) {
+        self.0.on_congestion_event(event);
+    }
+    fn on_report(&mut self, report: &Report) {
+        self.0.on_report(report);
+    }
+    fn cwnd_packets(&self) -> f64 {
+        self.0.cwnd_packets()
+    }
+    fn pacing_rate_bps(&self, now: Time) -> Option<f64> {
+        self.0.pacing_rate_bps(now)
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
     }
 }
 
 #[test]
 fn warmed_up_ack_poll_tick_cycle_does_not_allocate() {
-    let sender = Sender::new(
-        SenderConfig::labelled("cubic"),
-        CcKind::Cubic.build(&PathInfo::new(1500)),
-        Box::new(BackloggedSource),
-    );
-    let mut path = Path {
-        sender,
-        now: Time::ZERO,
-        in_flight: VecDeque::new(),
-        next_expected: 0,
-        out_of_order: BTreeSet::new(),
-        allocations: 0,
-        acks: 0,
-    };
-    path.sender.on_start(path.now);
-    path.poll();
-    // Warm-up: slow start, the loss, fast retransmit and recovery, then
-    // congestion avoidance long enough for the report window to fill.
-    while path.now < Time::from_millis(3000) {
-        path.step();
-    }
-    assert_eq!(path.sender.fast_retransmits(), 1, "warm-up must recover");
-    assert!(path.next_expected > LOST_SEQ);
+    // Plain Cubic keeps no report records; wrapped, the same Cubic runs the
+    // CCP report path on every ACK and tick.
+    for reads_reports in [false, true] {
+        let mut cc = CcKind::Cubic.build(&PathInfo::new(1500));
+        if reads_reports {
+            cc = Box::new(ReadsReports(cc));
+        }
+        let sender = Sender::new(
+            SenderConfig::labelled("cubic"),
+            cc,
+            Box::new(BackloggedSource),
+        );
+        let mut path = Path::new(sender, Some(LOST_SEQ));
+        path.start();
+        // Warm-up: slow start, the loss, fast retransmit and recovery, then
+        // congestion avoidance long enough for the report window to fill.
+        while path.now < Time::from_millis(3000) {
+            path.step();
+        }
+        assert_eq!(path.sender.fast_retransmits(), 1, "warm-up must recover");
+        assert!(path.next_expected > LOST_SEQ);
 
-    path.allocations = 0;
-    path.acks = 0;
-    while path.now < Time::from_millis(5000) {
-        path.step();
+        path.allocations = 0;
+        path.acks = 0;
+        while path.now < Time::from_millis(5000) {
+            path.step();
+        }
+        assert!(path.acks > 10_000, "only {} cycles measured", path.acks);
+        assert_eq!(path.sender.fast_retransmits(), 1);
+        assert_eq!(
+            path.allocations, 0,
+            "allocations in {} ack/poll/tick cycles (reads reports: {reads_reports})",
+            path.acks
+        );
     }
-    assert!(path.acks > 10_000, "only {} cycles measured", path.acks);
-    assert_eq!(path.sender.fast_retransmits(), 1);
-    assert_eq!(
-        path.allocations, 0,
-        "allocations in {} ack/poll/tick cycles",
-        path.acks
-    );
 }
 
 #[test]
@@ -177,4 +251,68 @@ fn drawing_a_report_never_allocates() {
         assert_eq!(allocations, 0, "report {tick}");
         assert!(window_acks >= 80, "report {tick} saw {window_acks} ACKs");
     }
+}
+
+#[test]
+fn a_short_cubic_flow_allocates_only_to_recover_its_loss() {
+    // 3 MB through slow start to `Finished`: the whole life of a fleet
+    // elephant, once loss-free and once with the segment at `LOST_SEQ`
+    // dropped.  Nothing the flow measures per ACK may allocate (no report
+    // records a Cubic never reads, no RTT filter regrowing while the queue
+    // builds); the only allocations are the loss episode's scoreboard.
+    const SIZE: u64 = 3_000_000;
+    for lost_seq in [None, Some(LOST_SEQ)] {
+        let sender = Sender::new(
+            SenderConfig::labelled("cubic"),
+            CcKind::Cubic.build(&PathInfo::new(1500)),
+            Box::new(FixedSizeSource::new(SIZE)),
+        );
+        let mut path = Path::new(sender, lost_seq);
+        path.start();
+        while !path.finished {
+            assert!(path.now < Time::from_millis(10_000), "flow never finished");
+            path.step();
+        }
+        assert_eq!(path.next_expected, SIZE / 1500);
+        assert_eq!(
+            path.sender.fast_retransmits(),
+            u64::from(lost_seq.is_some())
+        );
+        assert_eq!(path.sender.timeouts(), 0);
+        assert_eq!(
+            path.allocations,
+            0,
+            "allocations over {} ACKs outside the loss episode (loss at {lost_seq:?})",
+            path.acks - path.episode_acks
+        );
+        // The scoreboard's nodes, not a per-ACK cost: well under one
+        // allocation per ACK of the episode.
+        assert!(
+            path.episode_allocations * 4 <= path.episode_acks,
+            "{} allocations over the loss episode's {} ACKs",
+            path.episode_allocations,
+            path.episode_acks
+        );
+        if lost_seq.is_none() {
+            assert_eq!(path.episode_acks, 0);
+        }
+    }
+}
+
+#[test]
+fn spawning_a_fleet_flow_costs_its_label_and_three_boxes() {
+    let mut spawner = FleetSpawner::new(FleetWorkloadConfig::default_for_link(1e9, 0.5, 20.0));
+    const FLOWS: u64 = 1000;
+    let allocations = allocations_in(|| {
+        for _ in 0..FLOWS {
+            let flow = spawner.next_flow().expect("20 s of arrivals");
+            std::hint::black_box(&flow);
+        }
+    });
+    // The `format!`ed recorder label plus the boxed sender, controller and
+    // source — and nothing copied.  Dropping the flows frees, never allocates.
+    assert!(
+        allocations <= 4 * FLOWS,
+        "{allocations} allocations for {FLOWS} spawned flows"
+    );
 }
