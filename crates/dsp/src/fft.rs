@@ -3,11 +3,11 @@
 //! The elasticity metric is read off the spectrum of the cross-traffic rate
 //! estimate `z(t)` sampled every 10 ms over a 5-second window (§3.3 of the
 //! paper), so a 500-point transform is the common case.  The detector does
-//! not run one per report — its window moves one sample at a time and
-//! it reads a few dozen bins, which [`crate::sliding`] maintains
-//! incrementally — but the transforms here are what that is checked
-//! against, what offline analysis of a whole series uses, and what the
-//! multi-flow watchers run on their receive rate.  Three implementations:
+//! not run one per report, and neither do multi-flow watchers on their
+//! receive rate — each window moves one sample at a time and is read at a
+//! few dozen bins, which [`crate::sliding`] maintains incrementally — but
+//! the transforms here are what that is checked against and what offline
+//! analysis of a whole series uses.  Three implementations:
 //!
 //! * `fft_radix2` — iterative in-place Cooley–Tukey for power-of-two sizes.
 //! * `fft_bluestein` — Bluestein's chirp-z algorithm for arbitrary sizes
@@ -25,9 +25,9 @@ use std::f64::consts::PI;
 /// A reusable FFT plan.
 ///
 /// Precomputes twiddle factors (and, for non-power-of-two sizes, the Bluestein
-/// chirp sequence) so that repeated transforms of the same length — a
-/// watcher's receive-rate spectrum every measurement tick, the detector's
-/// batch reference — avoid repeated trigonometry.
+/// chirp sequence) so that repeated transforms of the same length — the
+/// detector's batch reference over many windows — avoid repeated
+/// trigonometry.
 #[derive(Debug, Clone)]
 pub struct Fft {
     n: usize,

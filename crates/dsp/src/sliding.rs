@@ -2,7 +2,7 @@
 //!
 //! The elasticity detector reads the spectrum of a window that advances by
 //! one sample per report, and only at a few dozen bins around the pulse
-//! frequency.  When the window `x[0..N)` drops `x_old` and takes `x_new`, each
+//! frequency; a multi-flow watcher reads its receive rate the same way.  When the window `x[0..N)` drops `x_old` and takes `x_new`, each
 //! bin of its DFT follows from the previous one in O(1):
 //!
 //! ```text

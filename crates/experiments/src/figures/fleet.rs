@@ -139,14 +139,18 @@ fn run_multiflow_population(
 /// §5 claim at 4 flows — fair sharing, coordinated pulsing — must survive
 /// two orders of magnitude more participants.
 ///
-/// Measured: the *allocation* converges at every scale (Jain ≥ 0.92 at
-/// both 16 and 96 flows, aggregate ≥ 98% of µ), but the mode story flips
+/// Every flow watches its receive rate in a sliding DFT and the elected
+/// pulser checks it for a second pulser, so no report runs an FFT.
+///
+/// Measured: the *allocation* converges at every scale (Jain 0.95 at 16
+/// flows and 0.93 at 96, aggregate ≥ 98% of µ), but the mode story flips
 /// with population size.  At 16 flows each competitor is a macroscopic
 /// slice of the link, the watcher/pulser coordination saturates, and the
-/// whole population settles in competitive mode behind a standing queue;
-/// at 96 flows statistical multiplexing smooths the other flows into an
-/// inelastic-looking aggregate and every flow holds delay mode at ~5 ms of
-/// queueing delay.  Scale *restores* the low-delay operating point.
+/// population settles in competitive mode (delay-mode fraction 0.02) behind
+/// a 50 ms standing queue; at 96 flows statistical multiplexing smooths the
+/// other flows into an inelastic-looking aggregate and every flow holds
+/// delay mode at 5.5 ms of queueing delay.  Scale *restores* the low-delay
+/// operating point.
 pub fn fleet_multiflow(quick: bool) -> ExperimentResult {
     let n = if quick { 16 } else { 96 };
     let duration = if quick { 25.0 } else { 60.0 };

@@ -305,15 +305,17 @@ pub fn table1(quick: bool) -> ExperimentResult {
         "Classification of cross-traffic types by the elasticity detector",
         quick,
     );
-    for (name, vs, expected_elastic) in [
-        ("cubic", "vs cubic", true),
-        ("reno", "vs newreno", true),
-        ("copa", "vs copa", true),
-        ("vegas", "vs vegas", true),
-        ("bbr", "vs bbr", true),
-        ("pcc_vivace", "vs vivace", false),
-        ("const_stream", "vs cbr@0.5", false),
-        ("app_limited", "", false),
+    // Each row's cross traffic and the CCA behind it: a CBR stream paces at
+    // a constant rate, and the app-limited Poisson source sends unlimited.
+    for (name, vs, kind) in [
+        ("cubic", "vs cubic", CcKind::Cubic),
+        ("reno", "vs newreno", CcKind::NewReno),
+        ("copa", "vs copa", CcKind::Copa),
+        ("vegas", "vs vegas", CcKind::Vegas),
+        ("bbr", "vs bbr", CcKind::Bbr),
+        ("pcc_vivace", "vs vivace", CcKind::Vivace),
+        ("const_stream", "vs cbr@0.5", CcKind::ConstantRate(48e6)),
+        ("app_limited", "", CcKind::Unlimited),
     ] {
         let spec = scenario(&format!("96M {vs} seed=100 dur={duration}s"));
         // The app-limited Poisson source draws from `seed + 1`, not the
@@ -329,7 +331,7 @@ pub fn table1(quick: bool) -> ExperimentResult {
         result.row(&format!("{name}_classified_elastic_fraction"), elastic_frac);
         result.row(
             &format!("{name}_expected_elastic"),
-            if expected_elastic { 1.0 } else { 0.0 },
+            if kind.expected_elastic() { 1.0 } else { 0.0 },
         );
     }
     result

@@ -7,7 +7,7 @@ use crate::grammar::{
     self, duration, field_opt, fmt_duration, fmt_size, key_value, parsed, positive, probability,
     split_call, split_top_level, Opt, ParseError,
 };
-use crate::scheme::{SchemeSpec, BARE_SCHEMES, NIMBUS};
+use crate::scheme::{bare_schemes, SchemeSpec, NIMBUS};
 use nimbus_netsim::{
     FlowConfig, FlowEndpoint, LinkConfig, Network, QueueKind, RateSchedule, SimConfig, Time,
 };
@@ -627,7 +627,7 @@ cross     := alone | <entry>{{+<entry>}}
 entry     := cbr@<fraction of µ> | poisson@<fraction of µ>
            | <scheme>[@hop<enter>-<exit>] | fleet(<key>=<value>,…)
              keys: {fleet}
-scheme    := {BARE_SCHEMES}
+scheme    := {bare}
            | nimbus | nimbus(<key>=<value>,…)
              keys: {nimbus}
 units     := <rate> 48M (k|M|G bit/s), <dur> 5ms | 40s, <bytes> 50k (k|M)",
@@ -636,5 +636,6 @@ units     := <rate> 48M (k|M|G bit/s), <dur> 5ms | 40s, <bytes> 50k (k|M)",
         hop = grammar::expected(HOP),
         fleet = grammar::expected(FLEET),
         nimbus = grammar::expected(NIMBUS),
+        bare = bare_schemes(),
     )
 }

@@ -426,8 +426,10 @@ impl SchemeSpec {
 // ---- canonical text form -------------------------------------------------
 
 /// The bare CCAs `CcKind`'s own parser accepts, for error text and `--help`.
-pub const BARE_SCHEMES: &str =
-    "cubic, newreno, vegas, copa, bbr, vivace, compound, dctcp, unlimited, constant(<rate>)";
+pub fn bare_schemes() -> String {
+    let names: Vec<_> = CcKind::bare_names().collect();
+    format!("{}, constant(<rate>)", names.join(", "))
+}
 
 const COMPETITIVE: &[(&str, TcpScheme)] = &[
     ("cubic", TcpScheme::Cubic),
@@ -524,9 +526,10 @@ impl FromStr for SchemeSpec {
                 Ok(kind) => Ok(SchemeSpec::Bare(kind)),
                 Err(e) if matches!(head, "constant" | "cbr") => Err(ParseError(e)),
                 Err(_) => Err(ParseError(format!(
-                    "unknown scheme `{}` (expected a bare CCA — {BARE_SCHEMES} — or a \
+                    "unknown scheme `{}` (expected a bare CCA — {} — or a \
                      wrapper spec such as nimbus(competitive=reno,delay=copa,mu=learned))",
-                    s.trim()
+                    s.trim(),
+                    bare_schemes()
                 ))),
             },
         }

@@ -275,14 +275,42 @@ impl CcKind {
 // them through this module.
 pub use nimbus_core_types::{format_rate_bps, parse_rate_bps};
 
+/// Every bare CCA name the spec grammar accepts.  A kind's first entry is
+/// its canonical spelling, which `Display` prints and error text lists;
+/// later entries are aliases.  `constant(<rate>)` (alias `cbr(<rate>)`)
+/// carries an argument and is parsed on its own.
+const BARE_NAMES: &[(&str, CcKind)] = &[
+    ("cubic", CcKind::Cubic),
+    ("newreno", CcKind::NewReno),
+    ("vegas", CcKind::Vegas),
+    ("copa", CcKind::Copa),
+    ("bbr", CcKind::Bbr),
+    ("vivace", CcKind::Vivace),
+    ("compound", CcKind::Compound),
+    ("dctcp", CcKind::Dctcp),
+    ("unlimited", CcKind::Unlimited),
+    ("reno", CcKind::NewReno),
+    ("pcc-vivace", CcKind::Vivace),
+];
+
+impl CcKind {
+    /// The canonical bare names (those `Display` prints), in table order.
+    pub fn bare_names() -> impl Iterator<Item = &'static str> {
+        let canonical = |&&(name, kind): &&(&str, CcKind)| kind.to_string() == name;
+        BARE_NAMES.iter().filter(canonical).map(|&(name, _)| name)
+    }
+}
+
 impl std::fmt::Display for CcKind {
     /// The canonical spec-string form, re-parseable by the `FromStr` impl:
     /// bare lowercase names plus `constant(<rate>)` for CBR senders.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CcKind::Vivace => write!(f, "vivace"),
             CcKind::ConstantRate(bps) => write!(f, "constant({})", format_rate_bps(*bps)),
-            other => write!(f, "{}", other.name()),
+            kind => {
+                let bare = BARE_NAMES.iter().find(|(_, k)| k == kind);
+                f.write_str(bare.expect("every rate-free kind has a bare name").0)
+            }
         }
     }
 }
@@ -290,23 +318,13 @@ impl std::fmt::Display for CcKind {
 impl std::str::FromStr for CcKind {
     type Err = String;
 
-    /// Parse a bare-CCA spec string: `cubic`, `newreno` (alias `reno`),
-    /// `vegas`, `copa`, `bbr`, `vivace` (alias `pcc-vivace`), `compound`,
-    /// `dctcp`, `unlimited`, or `constant(<rate>)` (alias `cbr(<rate>)`).
+    /// Parse a bare-CCA spec string: a name from the bare-name table, or
+    /// `constant(<rate>)` (alias `cbr(<rate>)`).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim();
         let lower = s.to_ascii_lowercase();
-        match lower.as_str() {
-            "cubic" => return Ok(CcKind::Cubic),
-            "newreno" | "reno" => return Ok(CcKind::NewReno),
-            "vegas" => return Ok(CcKind::Vegas),
-            "copa" => return Ok(CcKind::Copa),
-            "bbr" => return Ok(CcKind::Bbr),
-            "vivace" | "pcc-vivace" => return Ok(CcKind::Vivace),
-            "compound" => return Ok(CcKind::Compound),
-            "dctcp" => return Ok(CcKind::Dctcp),
-            "unlimited" => return Ok(CcKind::Unlimited),
-            _ => {}
+        if let Some(&(_, kind)) = BARE_NAMES.iter().find(|(name, _)| *name == lower) {
+            return Ok(kind);
         }
         if let Some(args) = lower
             .strip_prefix("constant(")
@@ -318,9 +336,9 @@ impl std::str::FromStr for CcKind {
             return Ok(CcKind::ConstantRate(parse_rate_bps(rate)?));
         }
         Err(format!(
-            "unknown congestion-control scheme `{s}` (expected cubic, newreno, vegas, copa, \
-             bbr, vivace, compound, dctcp, unlimited, or constant(<rate>) such as \
-             constant(24M))"
+            "unknown congestion-control scheme `{s}` (expected {}, or constant(<rate>) such \
+             as constant(24M))",
+            Self::bare_names().collect::<Vec<_>>().join(", ")
         ))
     }
 }

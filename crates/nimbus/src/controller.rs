@@ -28,9 +28,9 @@
 use crate::basic_delay::{BasicDelay, BasicDelayConfig};
 use crate::cc::{AckEvent, CcKind, CongestionControl, CongestionEvent, LossEvent, PathInfo};
 use crate::ccp::Report;
-use crate::detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector, PEAK_TOLERANCE_HZ};
+use crate::detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector};
 use crate::estimator::{CrossTrafficEstimator, MuEstimatorConfig, ZFilterConfig};
-use crate::multiflow::{Multiflow, MultiflowConfig, Role};
+use crate::multiflow::{Multiflow, MultiflowConfig, PulserPresence, Role};
 use nimbus_core_types::Time;
 use nimbus_dsp::Biquad;
 use nimbus_dsp::PulseGenerator;
@@ -291,7 +291,7 @@ impl NimbusController {
             DelayScheme::CopaDefault => DelayCtl::Other(CcKind::Copa.build(&path)),
         };
         let mut estimator =
-            CrossTrafficEstimator::from_config(&cfg.mu, cfg.elasticity.fft_duration_s * 2.0);
+            CrossTrafficEstimator::from_config(&cfg.mu, cfg.elasticity.fft_duration_s);
         if let ZFilterConfig::Notch { freq_hz } = cfg.z_filter {
             estimator.set_z_prefilter(Some(Biquad::notch(
                 freq_hz,
@@ -302,9 +302,8 @@ impl NimbusController {
         let detector = ElasticityDetector::new(cfg.elasticity.clone());
         let multiflow = Multiflow::new(
             cfg.multiflow.clone(),
-            cfg.elasticity.pulse_freq_hz,
+            &cfg.elasticity,
             cfg.f_pd_hz(),
-            cfg.elasticity.fft_duration_s,
             cfg.seed,
         );
         let amplitude = cfg.pulse_amplitude_fraction * cfg.mu.configured_mu_bps().unwrap_or(0.0);
@@ -514,19 +513,20 @@ impl CongestionControl for NimbusController {
         // to blank out, and holding anyway would starve the detector of the
         // very samples that tell it the competition went away.
         self.estimator.set_probing_paced(self.mode == Mode::Delay);
-        let sample = self.estimator.on_report(report);
-        if let Some(s) = sample {
+        if let Some(z_bps) = self.estimator.on_report(report) {
             if let Some(p) = &mut self.publisher {
-                p.on_estimate(report.now_s, self.estimator.mu_bps(), s.z_bps);
+                p.on_estimate(report.now_s, self.estimator.mu_bps(), z_bps);
             }
             if let DelayCtl::Basic(bd) = &mut self.delay {
-                bd.set_cross_traffic_estimate(s.z_bps);
+                bd.set_cross_traffic_estimate(z_bps);
             }
             // The detector's window takes the sample the estimator *stored*
-            // (held through probe epochs, notch-filtered), watcher or not.
+            // (held through probe epochs, notch-filtered), watcher or not;
+            // the receive-rate window moves with it.
             let stored = self.estimator.latest_conditioned_z();
             self.detector
                 .push(report.now_s, stored.expect("a sample was just stored"));
+            self.multiflow.push_recv(report.now_s, report.recv_rate_bps);
         }
         // 2. Let both inner controllers see the report.
         self.competitive.on_report(report);
@@ -612,7 +612,7 @@ impl CongestionControl for NimbusController {
         let now_t = Time::from_secs_f64(report.now_s);
         let rate_now = self.base_rate_bps(now_t);
         self.rate_history.push_back((report.now_s, rate_now));
-        let horizon = report.now_s - 2.0 * self.cfg.elasticity.fft_duration_s;
+        let horizon = report.now_s - self.cfg.elasticity.fft_duration_s;
         while let Some(&(t, _)) = self.rate_history.front() {
             if t < horizon {
                 self.rate_history.pop_front();
@@ -621,37 +621,26 @@ impl CongestionControl for NimbusController {
             }
         }
 
-        // 4. Multi-flow coordination.
+        // 4. Multi-flow coordination (§6).  A watcher smooths its own rate
+        // so the pulser does not mistake it for elastic cross traffic,
+        // follows the mode of any pulser it sees, and never pulses.
         let mu = self.estimator.mu_bps();
-        let window_s = self.cfg.elasticity.fft_duration_s;
-        if self.cfg.multiflow.enabled {
-            match self.multiflow.role() {
-                Role::Watcher => {
-                    // Smooth this flow's own rate so the pulser does not
-                    // mistake it for elastic cross traffic (§6).
-                    self.watcher_rate_bps = Some(self.multiflow.shape_rate(rate_now));
-                    let recv = self.estimator.recv_rate_series(window_s);
-                    let presence = self.multiflow.detect_pulser(&recv);
-                    use crate::multiflow::PulserPresence;
-                    match presence {
-                        PulserPresence::Competitive => self.switch_mode(Mode::Competitive),
-                        PulserPresence::Delay => self.switch_mode(Mode::Delay),
-                        PulserPresence::None => {
-                            let recv_rate = report.recv_rate_bps;
-                            self.multiflow
-                                .maybe_become_pulser(report.now_s, false, recv_rate, mu);
-                        }
-                    }
-                    // Watchers never pulse.
-                    self.pulse.enabled = false;
-                    return;
-                }
-                Role::Pulser => {
-                    self.watcher_rate_bps = None;
-                    self.pulse.enabled = true;
+        if self.multiflow.role() == Role::Watcher {
+            self.watcher_rate_bps = Some(self.multiflow.shape_rate(rate_now));
+            match self.multiflow.detect_pulser() {
+                PulserPresence::Competitive => self.switch_mode(Mode::Competitive),
+                PulserPresence::Delay => self.switch_mode(Mode::Delay),
+                PulserPresence::None => {
+                    let recv_rate = report.recv_rate_bps;
+                    self.multiflow
+                        .maybe_become_pulser(report.now_s, recv_rate, mu);
                 }
             }
+            self.pulse.enabled = false;
+            return;
         }
+        self.watcher_rate_bps = None;
+        self.pulse.enabled = true;
 
         // 5. Pulser path: evaluate elasticity and pick the mode.  The
         // minimum-peak guard tracks the current µ estimate (which may be
@@ -670,7 +659,7 @@ impl CongestionControl for NimbusController {
         let bar_scale = match self.cfg.z_filter {
             ZFilterConfig::Adaptive if mu > 0.0 => self
                 .estimator
-                .mean_conditioned_z(window_s)
+                .mean_conditioned_z(self.cfg.elasticity.fft_duration_s)
                 .map_or(1.0, |mean_z| {
                     let damp = (1.0 - mean_z / (0.25 * mu)).clamp(0.0, 1.0);
                     1.0 + ADAPTIVE_GAIN * self.estimator.mu_uncertainty() * damp
@@ -686,21 +675,16 @@ impl CongestionControl for NimbusController {
                 p.on_verdict(report.now_s, &verdict);
             }
             // Multi-pulser conflict check: compare the pulse-frequency content
-            // of ẑ against our own receive rate.
-            if self.cfg.multiflow.enabled {
-                let recv = self.estimator.recv_rate_series(window_s);
-                if recv.len() >= self.cfg.elasticity.window_samples() {
-                    let recv_peak = self
-                        .multiflow
-                        .spectrum_of(&recv)
-                        .peak_near(self.current_pulse_freq(), PEAK_TOLERANCE_HZ);
-                    if self
-                        .multiflow
-                        .maybe_step_down(report.now_s, verdict.peak_at_fp, recv_peak)
-                    {
-                        self.pulse.enabled = false;
-                        return;
-                    }
+            // of ẑ against our own receive rate, at the same bins of the
+            // same window.
+            let fp = self.detector.config().pulse_freq_hz;
+            if let Some(recv_peak) = self.multiflow.recv_peak(fp) {
+                if self
+                    .multiflow
+                    .maybe_step_down(verdict.peak_at_fp, recv_peak)
+                {
+                    self.pulse.enabled = false;
+                    return;
                 }
             }
             // Asymmetric hysteresis (§4.1): elastic cross traffic flips the
@@ -763,7 +747,7 @@ impl CongestionControl for NimbusController {
 
     fn pacing_rate_bps(&self, now: Time) -> Option<f64> {
         let base = self.base_rate_bps(now);
-        let shaped = if self.cfg.multiflow.enabled && self.multiflow.role() == Role::Watcher {
+        let shaped = if self.multiflow.role() == Role::Watcher {
             // Watchers smooth their rate (EWMA, updated on the report path)
             // instead of pulsing.
             self.watcher_rate_bps.unwrap_or(base)
@@ -877,7 +861,6 @@ mod tests {
 
     #[test]
     fn multiflow_watchers_look_where_a_slow_pulser_pulses() {
-        use crate::multiflow::PulserPresence;
         // App. F's 2 Hz pulse on a multi-flow run: f_pc and f_pd both follow
         // `elasticity.pulse_freq_hz`, on the pulser and on the watchers.
         let mu = 96e6;
@@ -885,16 +868,19 @@ mod tests {
         cfg.elasticity.pulse_freq_hz = 2.0;
         let mut watcher = NimbusController::new(cfg.clone());
         assert_eq!(watcher.role(), Role::Watcher);
+        let mut watch = |from: usize, recv: &[f64]| {
+            for (i, &x) in recv.iter().enumerate() {
+                watcher.multiflow.push_recv((from + i) as f64 * 0.01, x);
+            }
+            watcher.multiflow.detect_pulser()
+        };
 
         // A receive rate carrying a competitive-mode pulser's 2 Hz pulses.
         let gen = PulseGenerator::asymmetric(2.0, 6e6);
         let recv: Vec<f64> = (0..600)
             .map(|i| 20e6 + gen.offset_at(i as f64 * 0.01))
             .collect();
-        assert_eq!(
-            watcher.multiflow.detect_pulser(&recv),
-            PulserPresence::Competitive
-        );
+        assert_eq!(watch(0, &recv), PulserPresence::Competitive);
 
         // Elect a pulser (alone on the link: R = µ, ẑ = 0, so it stays in
         // delay mode) and record what it paces over one FFT window.
@@ -915,10 +901,8 @@ mod tests {
                 pulser.pacing_rate_bps(at).unwrap()
             })
             .collect();
-        assert_eq!(
-            watcher.multiflow.detect_pulser(&paced),
-            PulserPresence::Delay
-        );
+        // A whole window of it replaces the competitive-mode pulses.
+        assert_eq!(watch(600, &paced), PulserPresence::Delay);
     }
 
     #[test]

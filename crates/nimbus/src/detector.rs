@@ -101,16 +101,74 @@ pub struct DetectorVerdict {
     pub band_max: f64,
 }
 
+/// A [`SlidingDft`] whose samples carry their times: the window the detector
+/// reads ẑ from, and the one a multi-flow watcher reads its receive rate
+/// from.  Its magnitudes count once the window is full *and* spans at most
+/// `fft_duration_s`.
+#[derive(Debug, Clone)]
+pub(crate) struct TimedWindow {
+    bank: SlidingDft,
+    /// The time of each sample in the window, oldest first.
+    times: VecDeque<f64>,
+    duration_s: f64,
+}
+
+impl TimedWindow {
+    /// An empty window of [`ElasticityConfig::window_samples`], no bins held.
+    pub(crate) fn new(cfg: &ElasticityConfig) -> Self {
+        let n = cfg.window_samples().max(1);
+        TimedWindow {
+            bank: SlidingDft::new(n),
+            times: VecDeque::with_capacity(n),
+            duration_s: cfg.fft_duration_s,
+        }
+    }
+
+    /// The window length `N`.
+    pub(crate) fn len(&self) -> usize {
+        self.bank.window_len()
+    }
+
+    /// Hold at least the bins from the lowest to the highest of `bins` from
+    /// now on (see [`SlidingDft::cover`]).
+    pub(crate) fn cover(&mut self, bins: impl Iterator<Item = usize> + Clone) {
+        if let (Some(lo), Some(hi)) = (bins.clone().min(), bins.max()) {
+            self.bank.cover(lo, hi);
+        }
+    }
+
+    /// Slide the window by one sample taken at `t_s`.
+    pub(crate) fn push(&mut self, t_s: f64, x: f64) {
+        if self.times.len() == self.len() {
+            self.times.pop_front();
+        }
+        self.times.push_back(t_s);
+        self.bank.push(x);
+    }
+
+    /// Whether the window is full and spans at most `fft_duration_s`.
+    pub(crate) fn ready(&self) -> bool {
+        let n = self.len();
+        self.times.len() == n && self.times[n - 1] - self.times[0] <= self.duration_s
+    }
+
+    /// The largest magnitude among held `bins`, in signal units like
+    /// [`Spectrum`]'s: the root of the largest power, one square root per
+    /// search rather than one per bin.
+    pub(crate) fn largest_magnitude(&self, bins: impl Iterator<Item = usize>) -> f64 {
+        let power = bins.map(|k| self.bank.power(k)).fold(0.0_f64, f64::max);
+        power.sqrt() / self.len() as f64
+    }
+}
+
 /// The elasticity detector.
 #[derive(Debug, Clone)]
 pub struct ElasticityDetector {
     cfg: ElasticityConfig,
     /// The batch path's FFT plan, built by its first [`Self::eta`] call.
     fft_plan: OnceLock<Fft>,
-    /// The streaming path's window: its spectrum at the bins Eq. 3 reads,
-    /// and the time of each of its samples, oldest first.
-    bank: SlidingDft,
-    times: VecDeque<f64>,
+    /// The streaming path's window, at the bins Eq. 3 reads.
+    window: TimedWindow,
     /// The bins around `f_p` and inside `(f_p, 2·f_p)` at the current `f_p`.
     peak_bins: RangeInclusive<usize>,
     band_bins: Range<usize>,
@@ -135,12 +193,10 @@ pub struct ElasticityDetector {
 impl ElasticityDetector {
     /// Create a detector.
     pub fn new(cfg: ElasticityConfig) -> Self {
-        let n = cfg.window_samples().max(1);
         let mut detector = ElasticityDetector {
+            window: TimedWindow::new(&cfg),
             cfg,
             fft_plan: OnceLock::new(),
-            bank: SlidingDft::new(n),
-            times: VecDeque::with_capacity(n),
             peak_bins: 0..=0,
             band_bins: 0..0,
             eta_scale: 1.0,
@@ -159,16 +215,12 @@ impl ElasticityDetector {
         let (fp, fs, n) = (
             self.cfg.pulse_freq_hz,
             self.cfg.sample_rate_hz(),
-            self.bank.window_len(),
+            self.window.len(),
         );
         self.peak_bins = bins_near(fp, PEAK_TOLERANCE_HZ, fs, n);
         self.band_bins = bins_in_open_band(fp + PEAK_TOLERANCE_HZ, 2.0 * fp, fs, n);
-        self.bank
-            .cover(*self.peak_bins.start(), *self.peak_bins.end());
-        if !self.band_bins.is_empty() {
-            self.bank
-                .cover(self.band_bins.start, self.band_bins.end - 1);
-        }
+        self.window
+            .cover(self.peak_bins.clone().chain(self.band_bins.clone()));
     }
 
     /// The configuration in use.
@@ -176,8 +228,9 @@ impl ElasticityDetector {
         &self.cfg
     }
 
-    /// Change the pulse frequency being looked for (used by watchers that
-    /// track the pulser's mode, and by the 2 Hz slow-pulse variant of App. F).
+    /// Change the pulse frequency being looked for (used by a multi-flow
+    /// pulser moving between `f_pc` and `f_pd` with its mode, and by the 2 Hz
+    /// slow-pulse variant of App. F).
     pub fn set_pulse_freq(&mut self, freq_hz: f64) {
         if freq_hz != self.cfg.pulse_freq_hz {
             self.cfg.pulse_freq_hz = freq_hz;
@@ -226,32 +279,18 @@ impl ElasticityDetector {
 
     /// Slide the streaming window by one ẑ sample taken at `t_s`.
     pub fn push(&mut self, t_s: f64, z_bps: f64) {
-        if self.times.len() == self.bank.window_len() {
-            self.times.pop_front();
-        }
-        self.times.push_back(t_s);
-        self.bank.push(z_bps);
+        self.window.push(t_s, z_bps);
     }
 
     /// [`Self::eta`] of the streaming window.  `None` until the window is
     /// full *and* spans at most `fft_duration_s`.
     pub fn eta_of_window(&self) -> Option<(f64, f64, f64)> {
-        let n = self.bank.window_len();
-        let (oldest, newest) = (self.times.front()?, self.times.back()?);
-        if self.times.len() < n || newest - oldest > self.cfg.fft_duration_s {
+        if !self.window.ready() {
             return None;
         }
-        let peak = self.largest_magnitude(self.peak_bins.clone());
-        let band = self.largest_magnitude(self.band_bins.clone());
+        let peak = self.window.largest_magnitude(self.peak_bins.clone());
+        let band = self.window.largest_magnitude(self.band_bins.clone());
         Some((eta_ratio(peak, band), peak, band))
-    }
-
-    /// The largest magnitude among `bins` of the streaming window, in signal
-    /// units like [`Spectrum`]'s.  It is the root of the largest power: one
-    /// square root per search, not one per bin.
-    fn largest_magnitude(&self, bins: impl Iterator<Item = usize>) -> f64 {
-        let power = bins.map(|k| self.bank.power(k)).fold(0.0_f64, f64::max);
-        power.sqrt() / self.bank.window_len() as f64
     }
 
     /// Evaluate the detector at time `t_s` on the streaming window and record

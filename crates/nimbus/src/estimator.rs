@@ -13,10 +13,10 @@
 //!
 //! where `S` and `R` are the flow's send and receive rates measured over the
 //! *same* window of packets (Eq. 2; the sender machinery provides them via
-//! the CCP-style [`Report`]).  The estimator also keeps the sampled history
-//! of `ẑ` (and of `R`) behind the controller's window means, the watchers'
-//! receive-rate spectra and offline analysis; the elasticity detector keeps
-//! its own window, fed one conditioned sample per report.
+//! the CCP-style [`Report`]).  The estimator also keeps the last window of
+//! `(t, ẑ)` samples behind the controller's window means and offline
+//! analysis; the elasticity detector keeps its own window, fed one
+//! conditioned sample per report.
 //!
 //! # Where µ comes from
 //!
@@ -56,19 +56,6 @@ use crate::ccp::Report;
 use nimbus_dsp::{Biquad, WindowedMax, WindowedMin};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// One sample of the estimator's output.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ZSample {
-    /// Sample time in seconds.
-    pub t_s: f64,
-    /// Estimated cross-traffic rate, bits/s.
-    pub z_bps: f64,
-    /// The flow's own receive rate at that time, bits/s.
-    pub recv_rate_bps: f64,
-    /// The flow's own send rate at that time, bits/s.
-    pub send_rate_bps: f64,
-}
 
 /// Per-report growth cap on the learned-µ filter input.  A cumulative-ACK
 /// jump after loss recovery can report a one-tick receive rate several times
@@ -354,11 +341,9 @@ fn capped_input(current: f64, report: &Report) -> f64 {
 pub struct CrossTrafficEstimator {
     /// Where µ̂ comes from.
     mu: MuSource,
-    /// History of samples, bounded to `history_window_s`.
-    samples: VecDeque<ZSample>,
+    /// `(t_s, ẑ)` history, oldest first, bounded to `history_window_s`.
+    samples: VecDeque<(f64, f64)>,
     history_window_s: f64,
-    /// Last computed value (for cheap access between reports).
-    last: Option<ZSample>,
     /// `(t_s, µ̂_bps)` per report while µ is being learned (empty when µ is
     /// configured) — the series varying-link experiments score µ-tracking on.
     mu_history: Vec<(f64, f64)>,
@@ -403,7 +388,6 @@ impl CrossTrafficEstimator {
             mu,
             samples: VecDeque::new(),
             history_window_s,
-            last: None,
             mu_history: Vec::new(),
             z_prefilter: None,
             filtered: VecDeque::new(),
@@ -544,13 +528,13 @@ impl CrossTrafficEstimator {
         self.mu_history.push((report.now_s, mu));
     }
 
-    /// Ingest a measurement report; returns the new sample if one was
-    /// produced.  The returned sample carries the *raw* Eq. 1 estimate (what
+    /// Ingest a measurement report; returns the new ẑ sample, bits/s, if one
+    /// was produced.  The returned sample is the *raw* Eq. 1 estimate (what
     /// a rate controller consuming ẑ should see); the stored history that
     /// the detector reads is sample-and-held through probe epochs (the
     /// epoch's pacing burst is self-inflicted, not cross traffic, and its
     /// square edge floods the detector's comparison band).
-    pub fn on_report(&mut self, report: &Report) -> Option<ZSample> {
+    pub fn on_report(&mut self, report: &Report) -> Option<f64> {
         self.learn_mu(report);
         let raw_z = self.estimate(report.send_rate_bps, report.recv_rate_bps)?;
         // A quiesced epoch never paced above 1x, so there is nothing to hold
@@ -560,46 +544,17 @@ impl CrossTrafficEstimator {
             && self
                 .active_probing()
                 .is_some_and(|p| p.settling_at(report.now_s));
-        let held_z = if held {
-            self.last.map(|s| s.z_bps).unwrap_or(raw_z)
-        } else {
-            raw_z
+        let held_z = match self.samples.back() {
+            Some(&(_, last_z)) if held => last_z,
+            _ => raw_z,
         };
-        let sample = ZSample {
-            t_s: report.now_s,
-            z_bps: held_z,
-            recv_rate_bps: report.recv_rate_bps,
-            send_rate_bps: report.send_rate_bps,
-        };
-        self.samples.push_back(sample);
+        let window_s = self.history_window_s;
+        push_windowed(&mut self.samples, (report.now_s, held_z), window_s);
         if let Some(filter) = &mut self.z_prefilter {
-            self.filtered
-                .push_back((report.now_s, filter.process(held_z)));
-            while let Some(&(t, _)) = self.filtered.front() {
-                if report.now_s - t > self.history_window_s {
-                    self.filtered.pop_front();
-                } else {
-                    break;
-                }
-            }
+            let filtered_z = filter.process(held_z);
+            push_windowed(&mut self.filtered, (report.now_s, filtered_z), window_s);
         }
-        while let Some(front) = self.samples.front() {
-            if report.now_s - front.t_s > self.history_window_s {
-                self.samples.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.last = Some(sample);
-        Some(ZSample {
-            z_bps: raw_z,
-            ..sample
-        })
-    }
-
-    /// The most recent sample.
-    pub fn last(&self) -> Option<ZSample> {
-        self.last
+        Some(raw_z)
     }
 
     /// The learned-µ series as `(t_s, µ̂_bps)` pairs.  Empty when µ was
@@ -611,15 +566,23 @@ impl CrossTrafficEstimator {
     /// The ẑ series (bits/s) covering at most the last `window_s` seconds,
     /// oldest first — the input to the detector's batch path.
     pub fn z_series(&self, window_s: f64) -> Vec<f64> {
-        let latest = match self.samples.back() {
-            Some(s) => s.t_s,
-            None => return Vec::new(),
+        let Some(&(latest, _)) = self.samples.back() else {
+            return Vec::new();
         };
         self.samples
             .iter()
-            .filter(|s| latest - s.t_s <= window_s)
-            .map(|s| s.z_bps)
+            .filter(|(t, _)| latest - t <= window_s)
+            .map(|&(_, z)| z)
             .collect()
+    }
+
+    /// The `(t_s, ẑ)` history the detector consumes: notch-filtered when a
+    /// [`ZFilterConfig::Notch`] stage is installed, the stored one otherwise.
+    fn conditioned(&self) -> &VecDeque<(f64, f64)> {
+        match &self.z_prefilter {
+            Some(_) => &self.filtered,
+            None => &self.samples,
+        }
     }
 
     /// The ẑ sample the *detector* should consume for the latest report: the
@@ -627,60 +590,35 @@ impl CrossTrafficEstimator {
     /// when a [`ZFilterConfig::Notch`] stage is installed — not the raw
     /// estimate [`Self::on_report`] returns.
     pub fn latest_conditioned_z(&self) -> Option<f64> {
-        match &self.z_prefilter {
-            Some(_) => self.filtered.back().map(|&(_, z)| z),
-            None => self.samples.back().map(|s| s.z_bps),
-        }
+        self.conditioned().back().map(|&(_, z)| z)
     }
 
     /// Mean of the conditioned ẑ samples within `window_s` of the latest one
     /// (`None` before the first sample), summed in place, oldest first.
     pub fn mean_conditioned_z(&self, window_s: f64) -> Option<f64> {
-        match &self.z_prefilter {
-            Some(_) => windowed_mean(window_s, self.filtered.iter().copied()),
-            None => windowed_mean(window_s, self.samples.iter().map(|s| (s.t_s, s.z_bps))),
-        }
-    }
-
-    /// The receive-rate series over the same window (used by watcher flows,
-    /// which look for the pulser's oscillation in their own `R`).
-    pub fn recv_rate_series(&self, window_s: f64) -> Vec<f64> {
-        let latest = match self.samples.back() {
-            Some(s) => s.t_s,
-            None => return Vec::new(),
-        };
-        self.samples
+        let history = self.conditioned();
+        let &(latest, _) = history.back()?;
+        let mut count = 0usize;
+        let sum: f64 = history
             .iter()
-            .filter(|s| latest - s.t_s <= window_s)
-            .map(|s| s.recv_rate_bps)
-            .collect()
-    }
-
-    /// Number of stored samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if no samples have been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+            .filter(|(t, _)| latest - t <= window_s)
+            .map(|&(_, z)| z)
+            .inspect(|_| count += 1)
+            .sum();
+        Some(sum / count as f64)
     }
 }
 
-/// Mean of the values of `(t_s, value)` samples, oldest first, whose time
-/// lies within `window_s` of the last one's.
-fn windowed_mean(
-    window_s: f64,
-    samples: impl DoubleEndedIterator<Item = (f64, f64)> + Clone,
-) -> Option<f64> {
-    let latest = samples.clone().next_back()?.0;
-    let mut count = 0usize;
-    let sum: f64 = samples
-        .filter(|(t, _)| latest - t <= window_s)
-        .map(|(_, z)| z)
-        .inspect(|_| count += 1)
-        .sum();
-    Some(sum / count as f64)
+/// Append `sample` to a `(t_s, value)` history and drop the samples more
+/// than `window_s` older than it.
+fn push_windowed(history: &mut VecDeque<(f64, f64)>, sample: (f64, f64), window_s: f64) {
+    history.push_back(sample);
+    while history
+        .front()
+        .is_some_and(|&(t, _)| sample.0 - t > window_s)
+    {
+        history.pop_front();
+    }
 }
 
 #[cfg(test)]
@@ -758,7 +696,8 @@ mod tests {
             let t = i as f64 * 0.01;
             est.on_report(&report(t, 48e6, 64e6));
         }
-        assert!(est.len() <= 502, "history length {}", est.len());
+        let kept = est.z_series(f64::INFINITY).len();
+        assert!(kept <= 502, "history length {kept}");
         let series = est.z_series(5.0);
         assert!(!series.is_empty());
         // All values equal the analytic z = 96*48/64 - 48 = 24 Mbit/s.
@@ -782,8 +721,8 @@ mod tests {
         est.on_report(&report(t, 80e6, 88e6));
         assert!((est.mu_bps() - 88e6).abs() < 1.0);
         // With µ learned, estimates become available.
-        let s = est.on_report(&report(t + 0.1, 44e6, 44e6)).unwrap();
-        assert!((s.z_bps - 44e6).abs() < 1e3);
+        let z = est.on_report(&report(t + 0.1, 44e6, 44e6)).unwrap();
+        assert!((z - 44e6).abs() < 1e3);
         // The learned series was recorded.
         assert!(!est.mu_series().is_empty());
         assert!((est.mu_series().last().unwrap().1 - 88e6).abs() < 1.0);
@@ -811,17 +750,6 @@ mod tests {
             est.on_report(&report(1.01 + i as f64 * 0.01, 90e6, 96e6));
         }
         assert!((est.mu_bps() - 96e6).abs() < 1.0, "µ {}", est.mu_bps());
-    }
-
-    #[test]
-    fn recv_series_matches_reports() {
-        let mut est = CrossTrafficEstimator::with_known_mu(96e6, 5.0);
-        for i in 0..100 {
-            est.on_report(&report(i as f64 * 0.01, 48e6, 50e6 + i as f64 * 1e5));
-        }
-        let rs = est.recv_rate_series(5.0);
-        assert_eq!(rs.len(), est.len());
-        assert!(rs.windows(2).all(|w| w[1] >= w[0]));
     }
 
     // ---- µ sources ----------------------------------------------------------

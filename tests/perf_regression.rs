@@ -8,18 +8,14 @@
 //! `Sender::infer_losses` re-walked its entire ~2000-entry scoreboard on
 //! every ACK — O(ACKs × window) scoreboard work dominating the event loop.
 //!
-//! Three guards:
+//! Two guards:
 //!
 //! * a *deterministic* unit-level test pinning the sender's scoreboard scan
 //!   cost to O(ACKs + holes) via the [`Sender::scoreboard_scan_steps`]
 //!   counter (no timing, cannot flake);
 //! * a *wall-clock* test asserting the pathological sweep cell's events/sec
 //!   within 2× of the plain `vs-cbr50` cell on the same machine, so any new
-//!   per-event pathology in that cell fails loudly;
-//! * a *wall-clock* test asserting a Nimbus cell's events/sec within 2× of
-//!   its Cubic twin's: the engine and sender do the same per-event work for
-//!   both, so what is left is the controller — and a spectrum rebuilt from
-//!   scratch on every report (2.2–2.4× on its own, once) does not fit.
+//!   per-event pathology in that cell fails loudly.
 //!
 //! A cell that does more *events* per packet (an event storm) is caught
 //! without a clock by the event budget in `tests/scenario_matrix.rs`.
@@ -98,13 +94,8 @@ fn sweep_cell(name: &str) -> nimbus_experiments::Cell {
 }
 
 /// `(wall seconds, events)` of the faster of two runs of `cell`: best-of-two
-/// damps scheduler noise on shared runners, and the lock keeps this file's
-/// wall-clock tests from timing each other's threads.
+/// damps scheduler noise on shared runners.
 fn best_of_two(cell: &nimbus_experiments::Cell) -> (f64, u64) {
-    static ONE_TIMING_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _alone = ONE_TIMING_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     (0..2)
         .map(|_| {
             let started = std::time::Instant::now();
@@ -133,21 +124,5 @@ fn step50_vs_cbr50_cell_runs_within_2x_of_plain_vs_cbr50() {
         step_eps * 2.0 >= plain_eps,
         "step50-vs-cbr50 pathology is back: {step_eps:.0} ev/s vs {plain_eps:.0} ev/s \
          on the plain vs-cbr50 cell (allowed within 2×)"
-    );
-}
-
-/// A lone Nimbus flow and a lone Cubic flow on the same 48 Mbit/s link for
-/// the same 15 s: per event the engine costs the same, so the events/sec
-/// ratio is the price of the Nimbus controller plus the CCP reports its
-/// sender keeps (a Cubic sender keeps none).  With the streaming detector
-/// it is about 1.4×, with runs from 1.0× to 1.8× on a shared 2-core host.
-#[test]
-fn nimbus_cell_runs_within_2x_of_its_cubic_twin() {
-    let nimbus_eps = events_per_sec("nimbus@48M-vs-alone-seed1");
-    let cubic_eps = events_per_sec("cubic@48M-vs-alone-seed1");
-    assert!(
-        nimbus_eps * 2.0 >= cubic_eps,
-        "the Nimbus tax is back: {nimbus_eps:.0} ev/s vs {cubic_eps:.0} ev/s \
-         on the Cubic twin (allowed within 2×)"
     );
 }

@@ -41,7 +41,7 @@ const EVENTS_PER_DELIVERED_PACKET: u64 = 8;
 /// bound, a timer re-arming itself every nanosecond — makes one cell do many
 /// times the work per packet its neighbours do.  Events and delivered bytes
 /// are both deterministic, so this is an exact check of every quick-sweep
-/// cell, not a timing; it shares no threads with the wall-clock ratios in
+/// cell, not a timing; it shares no threads with the wall-clock ratio in
 /// `tests/perf_regression.rs`.
 #[test]
 fn quick_sweep_cells_stay_within_the_event_budget() {
