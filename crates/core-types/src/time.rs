@@ -12,8 +12,10 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// A point in virtual time (nanoseconds since simulation start).
 ///
-/// `Time` is also used for durations; the arithmetic saturates at zero on
-/// subtraction so transient ordering noise can never produce a negative time.
+/// `Time` is also used for durations.  The arithmetic saturates: at zero on
+/// subtraction, so transient ordering noise can never produce a negative
+/// time, and at [`Time::MAX`] on addition, so a deadline pushed past the far
+/// future stays there instead of wrapping into the past.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -40,12 +42,15 @@ impl Time {
         Time(ms * 1_000_000)
     }
 
-    /// Construct from (possibly fractional) seconds. Negative values clamp to zero.
+    /// Construct from (possibly fractional) seconds, rounded to the nearest
+    /// nanosecond (ties away from zero).  Negative values and NaN give
+    /// [`Time::ZERO`]; values past `u64::MAX` nanoseconds, and +∞, give
+    /// [`Time::MAX`].
     pub fn from_secs_f64(secs: f64) -> Time {
         if secs <= 0.0 {
             Time::ZERO
         } else {
-            Time((secs * 1e9).round() as u64)
+            Time(round_ns(secs * 1e9))
         }
     }
 
@@ -79,12 +84,14 @@ impl Time {
         self.0.checked_add(other.0).map(Time)
     }
 
-    /// Multiply a duration by a scalar (used for RTO backoff and the like).
+    /// Multiply a duration by a scalar (used for RTO backoff and the like),
+    /// rounded like [`Time::from_secs_f64`]: a non-positive or NaN factor
+    /// gives [`Time::ZERO`], a product past `u64::MAX` gives [`Time::MAX`].
     pub fn mul_f64(self, factor: f64) -> Time {
         if factor <= 0.0 {
             Time::ZERO
         } else {
-            Time((self.0 as f64 * factor).round() as u64)
+            Time(round_ns(self.0 as f64 * factor))
         }
     }
 
@@ -107,16 +114,33 @@ impl Time {
     }
 }
 
+/// 2^53: below it an `f64`'s integer part, and so its fraction, are exact.
+const EXACT_INTEGERS_F64: f64 = 9_007_199_254_740_992.0;
+
+/// `x.round() as u64`, bit for bit, without the library `round` call on the
+/// per-packet path: below 2^53 the truncation and the remainder are both
+/// exact, so one comparison rounds half away from zero (negative `x` gives 0,
+/// as the saturating cast does).  NaN, +∞ and values from 2^53 up keep
+/// `round` and the saturating cast.
+fn round_ns(x: f64) -> u64 {
+    if x < EXACT_INTEGERS_F64 {
+        let whole = x as u64;
+        whole + u64::from(x - whole as f64 >= 0.5)
+    } else {
+        x.round() as u64
+    }
+}
+
 impl Add for Time {
     type Output = Time;
     fn add(self, rhs: Time) -> Time {
-        Time(self.0 + rhs.0)
+        Time(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for Time {
     fn add_assign(&mut self, rhs: Time) {
-        self.0 += rhs.0;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 
@@ -194,6 +218,134 @@ mod tests {
         assert_eq!(rto.mul_f64(2.0), Time::from_millis(400));
         assert_eq!(rto.mul_f64(0.0), Time::ZERO);
         assert_eq!(rto.mul_f64(-3.0), Time::ZERO);
+    }
+
+    /// The expressions `from_secs_f64` and `mul_f64` evaluated before
+    /// `round_ns` replaced the library `round`.
+    fn reference_from_secs(secs: f64) -> Time {
+        if secs <= 0.0 {
+            Time::ZERO
+        } else {
+            Time((secs * 1e9).round() as u64)
+        }
+    }
+
+    fn reference_mul(t: Time, factor: f64) -> Time {
+        if factor <= 0.0 {
+            Time::ZERO
+        } else {
+            Time((t.0 as f64 * factor).round() as u64)
+        }
+    }
+
+    /// Inputs where rounding can go wrong: ties at x.5 ns and their
+    /// neighbours, both sides of 2^53, past `u64::MAX`, NaN, ±∞,
+    /// subnormals and negatives.
+    fn edge_inputs() -> Vec<f64> {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            u64::MAX as f64,
+            1.8e19,
+            1e30,
+            EXACT_INTEGERS_F64,
+            EXACT_INTEGERS_F64 * 2.0,
+        ];
+        let ties = [0.5, 1.5, 2.5, 12_345.5, 4_503_599_627_370_495.5];
+        for tie in ties.into_iter().chain([EXACT_INTEGERS_F64]) {
+            for x in [tie, -tie] {
+                xs.extend([x, next_up(x), next_down(x), next_up(next_up(x))]);
+            }
+        }
+        xs
+    }
+
+    fn next_up(x: f64) -> f64 {
+        if x == 0.0 {
+            f64::from_bits(1)
+        } else if x > 0.0 {
+            f64::from_bits(x.to_bits() + 1)
+        } else {
+            f64::from_bits(x.to_bits() - 1)
+        }
+    }
+
+    fn next_down(x: f64) -> f64 {
+        -next_up(-x)
+    }
+
+    /// A xorshift stream: random bit patterns cover every exponent, NaN
+    /// payloads included.
+    fn random_bits(n: usize) -> impl Iterator<Item = f64> {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        (0..n).map(move |_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            f64::from_bits(state)
+        })
+    }
+
+    #[test]
+    fn round_ns_matches_library_round_bit_for_bit() {
+        for x in edge_inputs().into_iter().chain(random_bits(1 << 20)) {
+            assert_eq!(round_ns(x), x.round() as u64, "x = {x:e}");
+            // The same bits scaled into the exact range, where ties occur.
+            let y = x.abs() % EXACT_INTEGERS_F64;
+            assert_eq!(round_ns(y), y.round() as u64, "y = {y:e}");
+            let half = y.trunc() + 0.5;
+            assert_eq!(round_ns(half), half.round() as u64, "tie {half:e}");
+        }
+    }
+
+    #[test]
+    fn from_secs_and_mul_match_the_round_expressions() {
+        let scales = [1e-9, 1e-3, 1.0, 1e3, 1e9];
+        for x in edge_inputs().into_iter().chain(random_bits(1 << 18)) {
+            for scale in scales {
+                let secs = x * scale;
+                assert_eq!(Time::from_secs_f64(secs), reference_from_secs(secs));
+                for t in [Time::ZERO, Time(1), Time(200_000_000), Time::MAX] {
+                    assert_eq!(t.mul_f64(secs), reference_mul(t, secs));
+                }
+            }
+        }
+        // The half-nanosecond ties round away from zero.
+        assert_eq!(Time::from_secs_f64(2.5e-9), Time(3));
+        assert_eq!(Time(5).mul_f64(0.5), Time(3));
+    }
+
+    #[test]
+    fn nan_gives_zero_and_overflow_gives_max() {
+        assert_eq!(Time::from_secs_f64(f64::NAN), Time::ZERO);
+        assert_eq!(Time::from_secs_f64(f64::INFINITY), Time::MAX);
+        assert_eq!(Time::from_secs_f64(f64::NEG_INFINITY), Time::ZERO);
+        assert_eq!(Time::from_secs_f64(1e30), Time::MAX);
+        assert_eq!(Time::from_millis(1).mul_f64(f64::NAN), Time::ZERO);
+        assert_eq!(Time::from_millis(1).mul_f64(f64::INFINITY), Time::MAX);
+        assert_eq!(Time::MAX.mul_f64(2.0), Time::MAX);
+        assert_eq!(Time::ZERO.mul_f64(f64::INFINITY), Time::ZERO);
+    }
+
+    #[test]
+    fn addition_saturates_at_max() {
+        let late = Time::from_millis(5);
+        assert_eq!(late + Time::MAX, Time::MAX);
+        assert_eq!(Time::MAX + Time(1), Time::MAX);
+        let mut t = late;
+        t += Time::MAX;
+        assert_eq!(t, Time::MAX);
+        assert_eq!(late + late, Time::from_millis(10));
+        assert_eq!(Time::MAX.checked_add(Time(1)), None);
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl AsymmetricPulse {
     pub fn offset_at(&self, t: f64, freq_hz: f64, amplitude: f64) -> f64 {
         assert!(freq_hz > 0.0, "pulse frequency must be positive");
         let period = 1.0 / freq_hz;
-        let phase = (t / period).rem_euclid(1.0); // in [0, 1)
+        let phase = unit_phase(t / period); // in [0, 1)
         if phase < 0.25 {
             // Half sine over the first quarter: sin goes 0 -> 1 -> 0.
             amplitude * (PI * phase / 0.25).sin()
@@ -51,6 +51,25 @@ impl AsymmetricPulse {
             .map(|i| self.offset_at((i as f64 + 0.5) * dt, freq_hz, amplitude))
             .sum();
         sum / steps as f64
+    }
+}
+
+/// `x.rem_euclid(1.0)` without a library call: the remainder `fmod` returns
+/// is exactly `x - x.trunc()`, and below 2^52 in magnitude (where `x` may
+/// have a fraction) truncating through `i64` gives the same `x.trunc()`
+/// inline.  Bit-identical for every `x ≥ 0`; at a negative integer the
+/// result is `+0.0` where `rem_euclid` gives `-0.0`.
+fn unit_phase(x: f64) -> f64 {
+    const NO_FRACTION_FROM: f64 = 4_503_599_627_370_496.0; // 2^52
+    let r = if x.abs() < NO_FRACTION_FROM {
+        x - x as i64 as f64
+    } else {
+        x - x.trunc()
+    };
+    if r < 0.0 {
+        r + 1.0
+    } else {
+        r
     }
 }
 
@@ -188,6 +207,44 @@ mod tests {
         let spec = Spectrum::of_signal(&sig, fs, true);
         let peak = spec.peak_near(fp, spec.bin_width_hz());
         assert!(spec.magnitudes[1..].iter().all(|&m| m <= peak));
+    }
+
+    #[test]
+    fn unit_phase_is_rem_euclid_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+        let edges = [
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.25,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0 + f64::EPSILON,
+            12_345.999_999_999_998,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            9_007_199_254_740_992.0,
+            9.3e18,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut xs = edges.to_vec();
+        // Random non-negative bit patterns (NaN payloads included), and run
+        // times scaled by a 6 Hz pulse.
+        xs.extend((0..1 << 18).map(|_| f64::from_bits(rng.gen::<u64>() >> 1)));
+        xs.extend((0..1 << 18).map(|_| rng.gen_range(0.0..1e5) * 6.0));
+        for x in xs {
+            let (got, want) = (unit_phase(x), x.rem_euclid(1.0));
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "x = {x:e}: {got:e} vs {want:e}"
+            );
+        }
+        // Negative phases wrap the same way, up to the sign of zero.
+        for x in [-0.3, -1.0, -2.75, -1e-300, -1e6 - 0.5, -1e19] {
+            assert_eq!(unit_phase(x), x.rem_euclid(1.0), "x = {x:e}");
+        }
     }
 
     proptest! {

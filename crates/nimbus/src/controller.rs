@@ -35,6 +35,7 @@ use nimbus_core_types::Time;
 use nimbus_dsp::Biquad;
 use nimbus_dsp::PulseGenerator;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// How far above `f_pc` (`elasticity.pulse_freq_hz`) a multi-flow pulser
@@ -235,6 +236,24 @@ impl DelayCtl {
     }
 }
 
+/// The last answers to the transport's two poll-path queries.  Both are pure
+/// functions of state that only the `&mut self` callbacks change (and, for
+/// the pace, of `now`), while a sender asks them about three times per
+/// callback: the callbacks clear the memo, the queries fill it lazily.
+#[derive(Default)]
+struct PollMemo {
+    cwnd_packets: Cell<Option<f64>>,
+    /// `(now, pacing_rate_bps(now))`: a pace is reused only at the same `now`.
+    pace: Cell<Option<(Time, f64)>>,
+}
+
+impl PollMemo {
+    fn clear(&mut self) {
+        *self.cwnd_packets.get_mut() = None;
+        *self.pace.get_mut() = None;
+    }
+}
+
 /// The Nimbus controller.  Implements [`CongestionControl`], so it plugs into
 /// any host sender machinery (in the simulator: `nimbus_transport::Sender`).
 pub struct NimbusController {
@@ -271,6 +290,8 @@ pub struct NimbusController {
     mark_streak: u64,
     /// Telemetry observer, if the host installed one.
     publisher: Option<Box<dyn Publisher>>,
+    /// `cwnd_packets` and `pacing_rate_bps` since the last callback.
+    poll_memo: PollMemo,
 }
 
 impl NimbusController {
@@ -328,6 +349,7 @@ impl NimbusController {
             window_acked: 0,
             mark_streak: 0,
             publisher: None,
+            poll_memo: PollMemo::default(),
         };
         controller.mode_log.push((0.0, Mode::Delay));
         controller
@@ -454,6 +476,68 @@ impl NimbusController {
         }
     }
 
+    /// The window of the active controller, with enough head-room that the
+    /// window never clips the pulse's positive excursion — pacing (which
+    /// carries the pulse) must stay the binding constraint.  Without this a
+    /// starved delay-mode flow has a window of a few packets, the pulse never
+    /// reaches the wire, and the detector goes blind exactly when it is
+    /// needed most.
+    fn compute_cwnd_packets(&self) -> f64 {
+        let inner = match self.mode {
+            Mode::Competitive => self.competitive.cwnd_packets(),
+            Mode::Delay => self.delay.as_cc().cwnd_packets(),
+        };
+        let rtt = if self.srtt_s > 0.0 { self.srtt_s } else { 0.1 };
+        // A probe-up epoch must fit through the window as well as the pulse:
+        // the estimator's pace gain scales the headroom exactly as it scales
+        // the paced rate (gain is 1.0 outside probing estimators).
+        let gain = self.probe_gain(self.now_s);
+        let peak_rate =
+            (self.base_rate_bps(Time::from_secs_f64(self.now_s)) + self.pulse.amplitude) * gain;
+        let pulse_headroom = 2.0 * peak_rate * rtt / (8.0 * self.cfg.mss as f64);
+        let cwnd = inner.max(pulse_headroom);
+        // A probing estimator's delivery cap bounds the *window* as well as
+        // the pace: retransmissions are never paced (only cwnd-gated), so
+        // after a timeout an inner controller whose rate has rebounded off
+        // the nominal µ would flood the whole go-back-N queue into a faded
+        // link and wedge it again.  Two delivery-BDPs of window keep
+        // recovery ACK-clocked at the rate the link actually carries (the
+        // same 2× that BBR's cwnd gain uses, covering the probe epochs too).
+        match (self.mode, self.estimator.pace_cap_bps()) {
+            (Mode::Delay, Some(cap_bps)) => {
+                let cap_window = 2.0 * cap_bps * rtt / (8.0 * self.cfg.mss as f64);
+                cwnd.min(cap_window.max(4.0))
+            }
+            _ => cwnd,
+        }
+    }
+
+    /// The pulsed (or, for a watcher, smoothed) pace at `now`.
+    fn compute_pacing_rate_bps(&self, now: Time) -> f64 {
+        let base = self.base_rate_bps(now);
+        let shaped = if self.multiflow.role() == Role::Watcher {
+            // Watchers smooth their rate (EWMA, updated on the report path)
+            // instead of pulsing.
+            self.watcher_rate_bps.unwrap_or(base)
+        } else {
+            self.pulse.modulate(base, now.as_secs_f64())
+        };
+        // A probing estimator's delivery-informed cap bounds the cruise rate
+        // in delay mode: a rate-based inner controller chasing a nominal or
+        // crest-riding µ paces straight into a rate fade, melts the queue
+        // down and wedges the transport in RTO backoff (the ROADMAP cellular
+        // deadlock's other half).  Probe epochs then multiply *after* both
+        // the cap and the pacing floor, so probing remains the one way to
+        // pace above recent delivery — and the floor (the exact fixed point
+        // µ̂ deadlocks at) can never mask the escape mechanism.
+        let shaped = match (self.mode, self.estimator.pace_cap_bps()) {
+            (Mode::Delay, Some(cap)) => shaped.min(cap),
+            _ => shaped,
+        };
+        let gain = self.probe_gain(now.as_secs_f64());
+        shaped.max(self.cfg.mss as f64 * 8.0 / 0.1) * gain
+    }
+
     fn switch_mode(&mut self, new_mode: Mode) {
         if new_mode == self.mode {
             return;
@@ -483,6 +567,7 @@ impl NimbusController {
 
 impl CongestionControl for NimbusController {
     fn on_packet_acked(&mut self, ack: &AckEvent) {
+        self.poll_memo.clear();
         let rtt = ack.rtt.as_secs_f64();
         self.srtt_s = if self.srtt_s == 0.0 {
             rtt
@@ -496,16 +581,19 @@ impl CongestionControl for NimbusController {
     }
 
     fn on_packets_lost(&mut self, loss: &LossEvent) {
+        self.poll_memo.clear();
         self.competitive.on_packets_lost(loss);
         self.delay.as_cc_mut().on_packets_lost(loss);
     }
 
     fn on_congestion_event(&mut self, event: &CongestionEvent) {
+        self.poll_memo.clear();
         self.competitive.on_congestion_event(event);
         self.delay.as_cc_mut().on_congestion_event(event);
     }
 
     fn on_report(&mut self, report: &Report) {
+        self.poll_memo.clear();
         self.now_s = report.now_s;
         // 1. Feed the measurement pipeline.  Probe epochs only pace in delay
         // mode (`probe_gain`), so the estimator's ẑ sample-and-hold must
@@ -710,67 +798,27 @@ impl CongestionControl for NimbusController {
     }
 
     fn cwnd_packets(&self) -> f64 {
-        // The window of the active controller, with enough head-room that the
-        // window never clips the pulse's positive excursion — pacing (which
-        // carries the pulse) must stay the binding constraint.  Without this
-        // a starved delay-mode flow has a window of a few packets, the pulse
-        // never reaches the wire, and the detector goes blind exactly when it
-        // is needed most.
-        let inner = match self.mode {
-            Mode::Competitive => self.competitive.cwnd_packets(),
-            Mode::Delay => self.delay.as_cc().cwnd_packets(),
-        };
-        let rtt = if self.srtt_s > 0.0 { self.srtt_s } else { 0.1 };
-        // A probe-up epoch must fit through the window as well as the pulse:
-        // the estimator's pace gain scales the headroom exactly as it scales
-        // the paced rate (gain is 1.0 outside probing estimators).
-        let gain = self.probe_gain(self.now_s);
-        let peak_rate =
-            (self.base_rate_bps(Time::from_secs_f64(self.now_s)) + self.pulse.amplitude) * gain;
-        let pulse_headroom = 2.0 * peak_rate * rtt / (8.0 * self.cfg.mss as f64);
-        let cwnd = inner.max(pulse_headroom);
-        // A probing estimator's delivery cap bounds the *window* as well as
-        // the pace: retransmissions are never paced (only cwnd-gated), so
-        // after a timeout an inner controller whose rate has rebounded off
-        // the nominal µ would flood the whole go-back-N queue into a faded
-        // link and wedge it again.  Two delivery-BDPs of window keep
-        // recovery ACK-clocked at the rate the link actually carries (the
-        // same 2× that BBR's cwnd gain uses, covering the probe epochs too).
-        match (self.mode, self.estimator.pace_cap_bps()) {
-            (Mode::Delay, Some(cap_bps)) => {
-                let cap_window = 2.0 * cap_bps * rtt / (8.0 * self.cfg.mss as f64);
-                cwnd.min(cap_window.max(4.0))
-            }
-            _ => cwnd,
+        if let Some(cwnd) = self.poll_memo.cwnd_packets.get() {
+            return cwnd;
         }
+        let cwnd = self.compute_cwnd_packets();
+        self.poll_memo.cwnd_packets.set(Some(cwnd));
+        cwnd
     }
 
     fn pacing_rate_bps(&self, now: Time) -> Option<f64> {
-        let base = self.base_rate_bps(now);
-        let shaped = if self.multiflow.role() == Role::Watcher {
-            // Watchers smooth their rate (EWMA, updated on the report path)
-            // instead of pulsing.
-            self.watcher_rate_bps.unwrap_or(base)
-        } else {
-            self.pulse.modulate(base, now.as_secs_f64())
-        };
-        // A probing estimator's delivery-informed cap bounds the cruise rate
-        // in delay mode: a rate-based inner controller chasing a nominal or
-        // crest-riding µ paces straight into a rate fade, melts the queue
-        // down and wedges the transport in RTO backoff (the ROADMAP cellular
-        // deadlock's other half).  Probe epochs then multiply *after* both
-        // the cap and the pacing floor, so probing remains the one way to
-        // pace above recent delivery — and the floor (the exact fixed point
-        // µ̂ deadlocks at) can never mask the escape mechanism.
-        let shaped = match (self.mode, self.estimator.pace_cap_bps()) {
-            (Mode::Delay, Some(cap)) => shaped.min(cap),
-            _ => shaped,
-        };
-        let gain = self.probe_gain(now.as_secs_f64());
-        Some(shaped.max(self.cfg.mss as f64 * 8.0 / 0.1) * gain)
+        match self.poll_memo.pace.get() {
+            Some((at, rate)) if at == now => Some(rate),
+            _ => {
+                let rate = self.compute_pacing_rate_bps(now);
+                self.poll_memo.pace.set(Some((now, rate)));
+                Some(rate)
+            }
+        }
     }
 
     fn reinitialize(&mut self, rate_bps: f64, rtt_s: f64, mss: u32) {
+        self.poll_memo.clear();
         self.competitive.reinitialize(rate_bps, rtt_s, mss);
         self.delay.as_cc_mut().reinitialize(rate_bps, rtt_s, mss);
     }
@@ -903,6 +951,41 @@ mod tests {
             .collect();
         // A whole window of it replaces the competitive-mode pulses.
         assert_eq!(watch(600, &paced), PulserPresence::Delay);
+    }
+
+    #[test]
+    fn every_callback_clears_the_poll_memo() {
+        type Callback = (&'static str, fn(&mut NimbusController));
+        let callbacks: [Callback; 5] = [
+            ("on_packet_acked", |c| c.on_packet_acked(&ack(0.02, 50.0))),
+            ("on_packets_lost", |c| {
+                c.on_packets_lost(&LossEvent {
+                    now: Time::from_millis(20),
+                    lost_packets: 3,
+                    in_flight_packets: 40,
+                })
+            }),
+            ("on_congestion_event", |c| {
+                c.on_congestion_event(&CongestionEvent::Rto {
+                    now: Time::from_millis(20),
+                })
+            }),
+            ("on_report", |c| {
+                c.on_report(&report(0.02, 40e6, 40e6, 0.05))
+            }),
+            ("reinitialize", |c| c.reinitialize(48e6, 0.05, 1500)),
+        ];
+        let mut ctl = NimbusController::new(NimbusConfig::default_for_link(96e6));
+        let now = Time::from_millis(20);
+        for (name, callback) in callbacks {
+            let cwnd = ctl.cwnd_packets();
+            let pace = ctl.pacing_rate_bps(now);
+            assert_eq!(ctl.poll_memo.cwnd_packets.get(), Some(cwnd));
+            assert_eq!(ctl.poll_memo.pace.get(), pace.map(|rate| (now, rate)));
+            callback(&mut ctl);
+            assert_eq!(ctl.poll_memo.cwnd_packets.get(), None, "{name}");
+            assert_eq!(ctl.poll_memo.pace.get(), None, "{name}");
+        }
     }
 
     #[test]

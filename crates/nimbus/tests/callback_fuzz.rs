@@ -219,6 +219,60 @@ fn fuzz_callbacks_dctcp() {
     }
 }
 
+/// `NimbusController` memoizes its window and pace between callbacks.  A
+/// controller polled many times per step — at the same `now` over and over,
+/// at later instants, and back at `now` again, the way a paced sender polls
+/// — must give bit for bit what a twin polled once per step gives.
+#[test]
+fn repeated_polls_match_one_poll_per_step() {
+    const SEQUENCES: usize = 64;
+    let offsets = [
+        Time::ZERO,
+        Time::from_nanos(1),
+        Time::from_micros(120),
+        Time::from_millis(7),
+    ];
+    let bits = |cwnd: f64, pace: Option<f64>| (cwnd.to_bits(), pace.map(f64::to_bits));
+    for (mu_label, mu) in &mu_configs() {
+        for (z_label, zf) in &z_filters() {
+            for seq in 0..SEQUENCES {
+                let seed = (seq as u64) << 8 ^ (mu_label.len() as u64) << 4 ^ z_label.len() as u64;
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let mut cfg = NimbusConfig::default_for_link(MU);
+                cfg.mu = *mu;
+                cfg.z_filter = *zf;
+                cfg.seed = seq as u64 + 1;
+                let pulse_freq_hz = cfg.elasticity.pulse_freq_hz;
+                let mut polled = NimbusController::new(cfg.clone());
+                let mut once = NimbusController::new(cfg);
+                let (mut now, mut twin_now) = (Time::ZERO, Time::ZERO);
+                for (step, event) in generate_sequence(&mut rng, pulse_freq_hz)
+                    .iter()
+                    .enumerate()
+                {
+                    deliver(&mut polled, event, &mut now);
+                    deliver(&mut once, event, &mut twin_now);
+                    let probe = now + offsets[step % offsets.len()];
+                    let want = bits(once.cwnd_packets(), once.pacing_rate_bps(probe));
+                    for i in [0, 0, 0, 1, 2, 2, 3, 0, 0, 3] {
+                        let at = now + offsets[i];
+                        let got = bits(polled.cwnd_packets(), polled.pacing_rate_bps(at));
+                        if at == probe {
+                            assert_eq!(
+                                got, want,
+                                "[mu={mu_label},zfilter={z_label} seq {seq} step {step}] \
+                                 polled at {at} after {event:?}"
+                            );
+                        } else {
+                            assert_eq!(got.0, want.0, "cwnd at step {step}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Every scheme [`CcKind::build`] offers.
 const KINDS: [CcKind; 10] = [
     CcKind::NewReno,

@@ -2,7 +2,8 @@
 //! someone else's datapath, so in steady state it must not allocate in any
 //! role: no window `Vec`, no FFT buffers (a transform cannot run without
 //! several).  The only allocations left are the amortised doublings of the
-//! verdict, mode and role logs — a handful per thousand reports.
+//! verdict, mode and role logs — a handful per thousand reports.  The window
+//! and pace queries a sender makes between callbacks allocate nothing at all.
 
 use nimbus_core::cc::{AckEvent, CongestionControl};
 use nimbus_core::{Mode, MultiflowConfig, NimbusConfig, NimbusController, Report, Role};
@@ -215,4 +216,44 @@ fn elected_pulser_reports_do_not_allocate() {
         "the measured stretch must switch back"
     );
     assert_within_bar(allocations, "pulser");
+}
+
+/// A paced sender asks for the window and the pace several times between
+/// callbacks; the controller memoizes both.  Neither the query that fills
+/// the memo nor the ones it answers may allocate.
+#[test]
+fn poll_queries_do_not_allocate_on_memo_hit_or_miss() {
+    let mut ctl = NimbusController::new(NimbusConfig::default_for_link(MU));
+    let mut k = 0u64;
+    while k < 1_000 {
+        k += 1;
+        let t = k as f64 * 0.01;
+        tick(&mut ctl, t, |s| against_cross(t, s, 5.0, 0.4));
+    }
+    for i in 0..MEASURED {
+        k += 1;
+        let t = k as f64 * 0.01;
+        tick(&mut ctl, t, |s| against_cross(t, s, 5.0, 0.4));
+        let now = Time::from_secs_f64(t + 0.001);
+        let later = now + Time::from_micros(125);
+        let queries: [(&str, &dyn Fn() -> f64); 5] = [
+            ("window miss", &|| ctl.cwnd_packets()),
+            ("window hit", &|| ctl.cwnd_packets()),
+            ("pace miss", &|| {
+                ctl.pacing_rate_bps(now).expect("nimbus paces")
+            }),
+            ("pace hit", &|| {
+                ctl.pacing_rate_bps(now).expect("nimbus paces")
+            }),
+            ("pace miss at a later now", &|| {
+                ctl.pacing_rate_bps(later).expect("nimbus paces")
+            }),
+        ];
+        for (what, query) in queries {
+            let before = ALLOCATIONS.with(Cell::get);
+            std::hint::black_box(query());
+            let allocations = ALLOCATIONS.with(Cell::get) - before;
+            assert_eq!(allocations, 0, "{what} after report {i}");
+        }
+    }
 }

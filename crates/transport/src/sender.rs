@@ -230,7 +230,7 @@ impl Sender {
     }
 
     fn arm_rto(&mut self, now: Time) {
-        let rto = self.rtt.rto().mul_f64(2f64.powi(self.rto_backoff as i32));
+        let rto = self.rtt.rto().mul_f64(backoff_factor(self.rto_backoff));
         self.rto_deadline = now + rto.min(Time::from_secs_f64(60.0));
     }
 
@@ -358,6 +358,12 @@ impl Sender {
         let total = self.available_segments(now);
         self.cum_acked >= total
     }
+}
+
+/// The RTO multiplier 2^`backoff`, exactly `2f64.powi(backoff)` for the
+/// capped exponents (≤ 6) without the library `powi` call.
+fn backoff_factor(backoff: u32) -> f64 {
+    (1u64 << backoff) as f64
 }
 
 impl FlowEndpoint for Sender {
@@ -932,6 +938,39 @@ mod tests {
             s.congestion_control().cwnd_packets() < before,
             "CE should shrink the window"
         );
+    }
+
+    #[test]
+    fn backoff_factor_matches_powi() {
+        for k in 0..=6 {
+            assert_eq!(
+                backoff_factor(k).to_bits(),
+                2f64.powi(k as i32).to_bits(),
+                "k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_near_zero_constant_rate_waits_instead_of_overflowing_its_pace() {
+        // A 12 000-bit packet at 1e-9 bit/s is a pacing gap past
+        // `Time::MAX`; adding it to a pacing clock past zero must saturate,
+        // not wrap into the past and unpace the flow.
+        let kind: CcKind = "constant(1e-9)".parse().unwrap();
+        let mut s = sender(kind, Box::new(BackloggedSource));
+        let start = Time::from_millis(5);
+        s.on_start(start);
+        assert!(matches!(
+            s.poll_send(start),
+            SendAction::Transmit { seq: 0, .. }
+        ));
+        for _ in 0..3 {
+            match s.poll_send(start) {
+                SendAction::WaitUntil(t) => assert!(t > start, "woken at {t}"),
+                other => panic!("expected a wait, got {other:?}"),
+            }
+        }
+        assert_eq!(s.packets_sent(), 1);
     }
 
     #[test]
