@@ -1,6 +1,6 @@
 //! Figures 8–13 and 21: the main emulation evaluation (§5, §8.1).
 
-use super::{after, elastic_cross_flow, is_elastic, pairs, scenario, window_mean};
+use super::{after, is_elastic, pairs, scenario, window_mean};
 use crate::output::ExperimentResult;
 use crate::runner::{run_scenario, run_scheme_vs_cross, Monitored};
 use crate::scheme::SchemeSpec;
@@ -32,34 +32,30 @@ pub fn fig08(quick: bool) -> ExperimentResult {
         s.push(SchemeSpec::compound());
         s
     };
+    // Long-running Cubic flows per the schedule (scaled in time).
+    let cubic: Vec<String> = schedule
+        .cubic_flow_intervals()
+        .into_iter()
+        .map(|(start, end)| format!("cubic@start={}s,stop={}s", start * scale, end * scale))
+        .collect();
+    let cubic = cubic.join("+");
     for scheme in schemes {
-        let spec = scenario(&format!("96M seed=8 dur={duration}s"));
-        let mut cross: Vec<(FlowConfig, Box<dyn FlowEndpoint>)> = Vec::new();
+        let spec = scenario(&format!("96M vs {cubic} seed=8 dur={duration}s"));
         // Poisson aggregate following the scripted schedule (scaled in time).
         let scripted: Vec<(Time, f64)> = schedule
             .poisson_schedule()
             .into_iter()
             .map(|(t, r)| (Time::from_secs_f64(t.as_secs_f64() * scale), r))
             .collect();
-        cross.push((
+        let phases: (FlowConfig, Box<dyn FlowEndpoint>) = (
             FlowConfig::cross("poisson-phases", Time::from_millis(50), false),
             Box::new(Sender::new(
                 SenderConfig::labelled("poisson-phases"),
                 CcKind::Unlimited.build(&PathInfo::new(1500)),
                 Box::new(nimbus_transport::ScriptedSource::scheduled(scripted)),
             )),
-        ));
-        // Long-running Cubic flows per the schedule.
-        for (i, (start, end)) in schedule.cubic_flow_intervals().into_iter().enumerate() {
-            cross.push(elastic_cross_flow(
-                &format!("cubic-{i}"),
-                CcKind::Cubic,
-                0.05,
-                start * scale,
-                Some(end * scale),
-            ));
-        }
-        let out = run_scheme_vs_cross(&spec, scheme, cross, 2.0);
+        );
+        let out = run_scheme_vs_cross(&spec, scheme, vec![phases], 2.0);
         let m = &out.flows[0];
         result.row(
             &format!("{}_mean_throughput_mbps", m.label),
@@ -164,16 +160,10 @@ pub fn fig10(quick: bool) -> ExperimentResult {
         quick,
     );
     for scheme in [SchemeSpec::nimbus(), SchemeSpec::copa()] {
-        let spec = scenario(&format!("96M seed=10 dur={duration}s"));
         // One long-lived elastic flow arrives mid-experiment.
-        let mut cross = wan_cross(spec.link_rate_bps, 0.3, duration, 100);
-        cross.push(elastic_cross_flow(
-            "elephant",
-            CcKind::Cubic,
-            0.05,
-            duration * 0.3,
-            None,
-        ));
+        let elephant = format!("cubic@start={}s", duration * 0.3);
+        let spec = scenario(&format!("96M vs {elephant} seed=10 dur={duration}s"));
+        let cross = wan_cross(spec.link_rate_bps, 0.3, duration, 100);
         let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
         let m = &out.flows[0];
         // Throughput during the elephant period.

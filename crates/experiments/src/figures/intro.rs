@@ -1,15 +1,11 @@
 //! Figures 1, 3–7: the motivating example and the detector's building blocks.
 
-use super::{
-    after, elastic_cross_flow, fig1_cross_traffic, pairs, poisson_cross_flow, scenario, window,
-    window_mean,
-};
+use super::{after, fig1_cross, pairs, scenario, window, window_mean};
 use crate::output::ExperimentResult;
 use crate::runner::run_scheme_vs_cross;
 use crate::scheme::SchemeSpec;
 use nimbus_core::{CrossTrafficEstimator, ElasticityConfig, ElasticityDetector};
 use nimbus_dsp::{AsymmetricPulse, PulseGenerator, Spectrum};
-use nimbus_transport::CcKind;
 
 /// Fig. 1: Cubic vs a delay-controlling scheme vs Nimbus on a 48 Mbit/s link
 /// with 60 s of elastic then 60 s of inelastic cross traffic.
@@ -26,9 +22,9 @@ pub fn fig01(quick: bool) -> ExperimentResult {
         ("delay_control", SchemeSpec::nimbus_delay_only()),
         ("nimbus", SchemeSpec::nimbus()),
     ] {
-        let spec = scenario(&format!("48M seed=7 dur={duration}s"));
-        let cross = fig1_cross_traffic(scale, 24e6, 11);
-        let out = run_scheme_vs_cross(&spec, scheme, cross, 2.0);
+        let cross = fig1_cross(scale, 11);
+        let spec = scenario(&format!("48M vs {cross} seed=7 dur={duration}s"));
+        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 2.0);
         let m = &out.flows[0];
         // The elastic phase is 30–90 (scaled), the inelastic phase 90–150.
         for (phase, lo, hi) in [("elastic", 35.0, 88.0), ("inelastic", 95.0, 148.0)] {
@@ -68,9 +64,9 @@ pub fn fig03(quick: bool) -> ExperimentResult {
         quick,
     );
     let duration = 180.0 * scale;
-    let spec = scenario(&format!("48M seed=3 dur={duration}s"));
-    let cross = fig1_cross_traffic(scale, 24e6, 13);
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), cross, 2.0);
+    let cross = fig1_cross(scale, 13);
+    let spec = scenario(&format!("48M vs {cross} seed=3 dur={duration}s"));
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), Vec::new(), 2.0);
     let m = &out.flows[0];
     // Self-inflicted delay ≈ total queueing delay × our share of throughput.
     let total_qd: Vec<(f64, f64)> = pairs(&out.recorder.queue_bytes)
@@ -104,13 +100,13 @@ pub fn fig03(quick: bool) -> ExperimentResult {
 /// cross traffic's rate series (ground truth from the recorder) plus the
 /// detector's last η — shared by Figs. 4 and 5.
 fn z_series_against(elastic: bool, duration_s: f64, seed: u64) -> (Vec<(f64, f64)>, f64) {
-    let spec = scenario(&format!("96M seed={seed} dur={duration_s}s"));
     let cross = if elastic {
-        elastic_cross_flow("cubic", CcKind::Cubic, 0.05, 0.0, None)
+        "cubic".to_string()
     } else {
-        poisson_cross_flow("poisson", 48e6, 0.05, seed + 1, 0.0, None)
+        format!("poisson@48M@seed={}", seed + 1)
     };
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), vec![cross], 2.0);
+    let spec = scenario(&format!("96M vs {cross} seed={seed} dur={duration_s}s"));
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 2.0);
     let eta = out.flows[0].eta_series.last().map_or(f64::NAN, |&(_, e)| e);
     (pairs(&out.recorder.cross_rate_mbps), eta)
 }
@@ -173,28 +169,23 @@ pub fn fig06(quick: bool) -> ExperimentResult {
         "CDF of elasticity metric vs elastic fraction of cross traffic",
         quick,
     );
-    let total_cross = 48e6;
     let fractions = [0.0, 0.25, 0.5, 0.75, 1.0];
     for &frac in &fractions {
         let seed = 41 + (frac * 4.0) as u64;
-        let spec = scenario(&format!("96M seed={seed} dur={duration}s"));
         let mut cross = Vec::new();
         if frac > 0.0 {
             // The elastic share: a backlogged Cubic flow (it will take what it
             // can; with the inelastic share fixed this approximates the mix).
-            cross.push(elastic_cross_flow("cubic", CcKind::Cubic, 0.05, 0.0, None));
+            cross.push("cubic".to_string());
         }
         if frac < 1.0 {
-            cross.push(poisson_cross_flow(
-                "poisson",
-                total_cross * (1.0 - frac),
-                0.05,
-                spec.seed + 1,
-                0.0,
-                None,
-            ));
+            // The inelastic share of cross traffic totalling half the link.
+            let load = 0.5 * (1.0 - frac);
+            cross.push(format!("poisson@{load}@seed={}", seed + 1));
         }
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 2.0);
+        let cross = cross.join("+");
+        let spec = scenario(&format!("96M vs {cross} seed={seed} dur={duration}s"));
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 2.0);
         let etas = window(&out.flows[0].eta_series, after(6.0));
         let label = format!("{:.0}%", frac * 100.0);
         let cdf = nimbus_dsp::Cdf::from_samples(&etas);

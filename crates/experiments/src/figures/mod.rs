@@ -9,8 +9,9 @@
 //! * **one run path** — [`run_scenario`](crate::runner::run_scenario), or
 //!   its one-flow case
 //!   [`run_scheme_vs_cross`](crate::runner::run_scheme_vs_cross), with
-//!   only the cross traffic the grammar cannot express (time-windowed
-//!   flows, other RTTs, fixed seeds) built by the helpers below;
+//!   only the cross traffic the grammar has no family for built by hand:
+//!   Fig. 8's scripted Poisson phases, Fig. 11's video and the drained WAN
+//!   fleets ([`drained_fleet`]);
 //! * **projections** — the rows and series read back from the run through
 //!   the shared ones below: time windows of a `(t, v)` series, detector
 //!   verdicts against ground truth, Jain's index and the first mode flip.
@@ -25,14 +26,11 @@ pub mod multihop;
 pub mod robust;
 pub mod varying;
 
-use crate::runner::{ScenarioSpec, SingleFlowMetrics};
+use crate::runner::{CrossRate, CrossSource, CrossSpec, ScenarioSpec, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
 use nimbus_core::ElasticityConfig;
-use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, Time, TimeSeries};
+use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, TimeSeries};
 use nimbus_traffic::{FleetSpawner, FleetWorkloadConfig};
-use nimbus_transport::{
-    BackloggedSource, CcKind, PathInfo, PoissonSource, ScriptedSource, Sender, SenderConfig, Source,
-};
 use std::ops::{Bound, RangeBounds};
 
 /// Parse a figure's scenario string.
@@ -110,59 +108,10 @@ pub fn first_flip_s(m: &SingleFlowMetrics) -> f64 {
         .unwrap_or(-1.0)
 }
 
-/// A backlogged elastic cross-flow using the given loss-based scheme.
-/// `stop_s` terminates the flow at that time (the application goes away).
-pub fn elastic_cross_flow(
-    label: &str,
-    kind: CcKind,
-    rtt_s: f64,
-    start_s: f64,
-    stop_s: Option<f64>,
-) -> (FlowConfig, Box<dyn FlowEndpoint>) {
-    scheme_cross_flow(
-        label,
-        &SchemeSpec::Bare(kind),
-        0.0,
-        0,
-        rtt_s,
-        start_s,
-        stop_s,
-    )
-}
-
-/// A backlogged cross-flow running an arbitrary [`SchemeSpec`] — the
-/// generalization of [`elastic_cross_flow`] that lets *any* scheme the
-/// algebra can express (including Nimbus wrappers) act as cross traffic.
-/// `mu_bps` is the nominal bottleneck rate handed to configured-µ wrappers
-/// (ignored by bare CCAs) and `seed` drives any randomized behaviour.
-/// The flow negotiates ECN when its scheme is ECN-native (`dctcp`,
-/// `nimbus(competitive=dctcp)`).  This is the single lowering target of every
-/// spec-described scheme cross flow (`ScenarioSpec::cross`).
-pub fn scheme_cross_flow(
-    label: &str,
-    spec: &SchemeSpec,
-    mu_bps: f64,
-    seed: u64,
-    rtt_s: f64,
-    start_s: f64,
-    stop_s: Option<f64>,
-) -> (FlowConfig, Box<dyn FlowEndpoint>) {
-    let mut sender_cfg = SenderConfig::labelled(label);
-    if let Some(stop) = stop_s {
-        sender_cfg = sender_cfg.stopping_at(Time::from_secs_f64(stop));
-    }
-    let cfg = FlowConfig::cross(label, Time::from_secs_f64(rtt_s), spec.is_elastic())
-        .with_ecn(spec.uses_ecn())
-        .starting_at(Time::from_secs_f64(start_s));
-    let ep: Box<dyn FlowEndpoint> = Box::new(Sender::new(
-        sender_cfg,
-        spec.build_cc(mu_bps, seed, None),
-        Box::new(BackloggedSource),
-    ));
-    (cfg, ep)
-}
-
-/// An inelastic Poisson cross-traffic aggregate at `rate_bps`.
+/// An inelastic Poisson cross flow at `rate_bps`: a `poisson@<rate>` entry
+/// ([`CrossSpec`]) lowered under `label`.  Figures write such flows in their
+/// scenario strings; this stays for the benchmark, which builds its cross
+/// traffic by hand.
 pub fn poisson_cross_flow(
     label: &str,
     rate_bps: f64,
@@ -171,46 +120,14 @@ pub fn poisson_cross_flow(
     start_s: f64,
     stop_s: Option<f64>,
 ) -> (FlowConfig, Box<dyn FlowEndpoint>) {
-    let mut source = PoissonSource::new(rate_bps, 1500, seed);
-    let mut sender_cfg = SenderConfig::labelled(label);
-    if let Some(stop) = stop_s {
-        source = source.until(Time::from_secs_f64(stop));
-        sender_cfg = sender_cfg.stopping_at(Time::from_secs_f64(stop));
-    }
-    let cfg = FlowConfig::cross(label, Time::from_secs_f64(rtt_s), false)
-        .starting_at(Time::from_secs_f64(start_s));
-    let ep: Box<dyn FlowEndpoint> = Box::new(Sender::new(
-        sender_cfg,
-        CcKind::Unlimited.build(&PathInfo::new(1500)),
-        Box::new(source),
-    ));
-    (cfg, ep)
-}
-
-/// An inelastic constant-bit-rate cross flow at `rate_bps`.
-pub fn cbr_cross_flow(
-    label: &str,
-    rate_bps: f64,
-    rtt_s: f64,
-    start_s: f64,
-    stop_s: Option<f64>,
-) -> (FlowConfig, Box<dyn FlowEndpoint>) {
-    let source: Box<dyn Source> = match stop_s {
-        Some(stop) => Box::new(ScriptedSource::constant(rate_bps).until(Time::from_secs_f64(stop))),
-        None => Box::new(ScriptedSource::constant(rate_bps)),
+    let poisson = CrossSpec {
+        rtt_s,
+        start_s,
+        stop_s,
+        ..CrossSpec::new(CrossSource::Poisson(CrossRate::Bps(rate_bps)))
     };
-    let mut sender_cfg = SenderConfig::labelled(label);
-    if let Some(stop) = stop_s {
-        sender_cfg = sender_cfg.stopping_at(Time::from_secs_f64(stop));
-    }
-    let cfg = FlowConfig::cross(label, Time::from_secs_f64(rtt_s), false)
-        .starting_at(Time::from_secs_f64(start_s));
-    let ep: Box<dyn FlowEndpoint> = Box::new(Sender::new(
-        sender_cfg,
-        CcKind::Unlimited.build(&PathInfo::new(1500)),
-        source,
-    ));
-    (cfg, ep)
+    // An absolute rate scales no hop rate, and a Poisson source takes no µ.
+    poisson.flow(label, 0.0, 0.0, seed)
 }
 
 /// The CAIDA-like WAN cross traffic of §8.1 as a static flow list: the
@@ -223,30 +140,47 @@ pub fn drained_fleet(cfg: FleetWorkloadConfig) -> Vec<(FlowConfig, Box<dyn FlowE
         .collect()
 }
 
-/// The Fig. 1 cross-traffic pattern on a scenario of the given duration:
-/// one Cubic flow during `[elastic_start, elastic_end)`, a Poisson aggregate
-/// at `inelastic_rate` during `[inelastic_start, inelastic_end)`.
+/// The Fig. 1 cross traffic: one Cubic flow over `[30, 90)·scale` s, then
+/// Poisson traffic at `inelastic_rate_bps` drawing from `seed` over
+/// `[90, 150)·scale` s.
+fn fig1_flows(scale: f64, inelastic_rate_bps: f64, seed: u64) -> [CrossSpec; 2] {
+    let [elastic, inelastic, end] = [30.0, 90.0, 150.0].map(|t| t * scale);
+    let window = |source, start_s, stop| CrossSpec {
+        start_s,
+        stop_s: Some(stop),
+        ..CrossSpec::new(source)
+    };
+    let poisson = CrossSource::Poisson(CrossRate::Bps(inelastic_rate_bps));
+    [
+        window(CrossSource::Scheme(SchemeSpec::cubic()), elastic, inelastic),
+        CrossSpec {
+            seed: Some(seed),
+            ..window(poisson, inelastic, end)
+        },
+    ]
+}
+
+/// The Fig. 1 cross traffic, with 24 Mbit/s of Poisson traffic, as a
+/// scenario's `vs` list.
+pub fn fig1_cross(scale: f64, seed: u64) -> String {
+    let [cubic, poisson] = fig1_flows(scale, 24e6, seed);
+    format!("{cubic}+{poisson}")
+}
+
+/// The Fig. 1 cross traffic lowered onto flows named `cubic-cross` and
+/// `poisson-cross`.  Figures write [`fig1_cross`]; this stays for the
+/// benchmark, which builds its cross traffic by hand.
 pub fn fig1_cross_traffic(
     scale: f64,
     inelastic_rate_bps: f64,
     seed: u64,
 ) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
+    let [cubic, poisson] = fig1_flows(scale, inelastic_rate_bps, seed);
+    // Neither flow scales a hop rate or takes a µ; the Poisson source keeps
+    // its own seed, and a bare CCA draws nothing.
     vec![
-        elastic_cross_flow(
-            "cubic-cross",
-            CcKind::Cubic,
-            0.05,
-            30.0 * scale,
-            Some(90.0 * scale),
-        ),
-        poisson_cross_flow(
-            "poisson-cross",
-            inelastic_rate_bps,
-            0.05,
-            seed,
-            90.0 * scale,
-            Some(150.0 * scale),
-        ),
+        cubic.flow("cubic-cross", 0.0, 0.0, 0),
+        poisson.flow("poisson-cross", 0.0, 0.0, seed),
     ]
 }
 

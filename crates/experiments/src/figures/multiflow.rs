@@ -1,10 +1,9 @@
 //! Figures 16 and 17: multiple Nimbus flows sharing a bottleneck (§8.3).
 
-use super::{cbr_cross_flow, elastic_cross_flow, jain_index, scenario, window_mean};
+use super::{jain_index, scenario, window_mean};
 use crate::output::ExperimentResult;
 use crate::runner::{run_scenario, Monitored};
 use crate::scheme::SchemeSpec;
-use nimbus_transport::CcKind;
 
 /// Fig. 16: four Nimbus flows arriving 120 s apart share the link fairly,
 /// elect a single pulser and stay in delay mode.
@@ -64,30 +63,16 @@ pub fn fig17(quick: bool) -> ExperimentResult {
         "Three Nimbus flows with elastic then inelastic cross traffic (192 Mbit/s)",
         quick,
     );
-    let spec = scenario(&format!("192M seed=17 dur={duration}s"));
-    let flows = Monitored::multiflow(&spec, SchemeSpec::nimbus(), 3, 170, 0.0);
     // Elastic phase: 3 Cubic flows from 30–90 s (scaled); inelastic phase:
     // 96 Mbit/s CBR from 90–150 s (scaled).
-    let mut cross: Vec<_> = (0..3)
-        .map(|i| {
-            let label = format!("cubic-{i}");
-            elastic_cross_flow(
-                &label,
-                CcKind::Cubic,
-                0.05,
-                30.0 * scale,
-                Some(90.0 * scale),
-            )
-        })
-        .collect();
-    cross.push(cbr_cross_flow(
-        "cbr",
-        96e6,
-        0.05,
-        90.0 * scale,
-        Some(150.0 * scale),
+    let [elastic, inelastic, end] = [30.0, 90.0, 150.0].map(|t| t * scale);
+    let cubic = format!("cubic@start={elastic}s,stop={inelastic}s");
+    let spec = scenario(&format!(
+        "192M vs {cubic}+{cubic}+{cubic}+cbr@96M@start={inelastic}s,stop={end}s \
+         seed=17 dur={duration}s"
     ));
-    let out = run_scenario(&spec, flows, cross, 5.0 * scale);
+    let flows = Monitored::multiflow(&spec, SchemeSpec::nimbus(), 3, 170, 0.0);
+    let out = run_scenario(&spec, flows, Vec::new(), 5.0 * scale);
     let mut total_series: Vec<(f64, f64)> = Vec::new();
     for m in &out.flows {
         for (i, (t, v)) in m.throughput_series.iter().enumerate() {

@@ -18,7 +18,7 @@
 //!   cross traffic's effect on its own ACK stream and must still classify it
 //!   as inelastic.
 
-use super::{after, cbr_cross_flow, scenario, window_mean};
+use super::{after, scenario, window_mean};
 use crate::output::ExperimentResult;
 use crate::runner::run_scheme_vs_cross;
 use crate::scheme::SchemeSpec;
@@ -125,18 +125,12 @@ pub fn multihop_midpath(quick: bool) -> ExperimentResult {
         "Nimbus vs CBR cross traffic entering at the interior bottleneck hop",
         quick,
     );
-    let spec = scenario(&format!("48M hop(0.6) seed=43 dur={duration}s"));
     for &(fraction, tag) in &[(0.3, "cbr30"), (0.5, "cbr50")] {
-        let bottleneck_bps = spec.nominal_mu_bps();
-        let (cfg, ep) = cbr_cross_flow(
-            &format!("midpath-{tag}"),
-            fraction * bottleneck_bps,
-            0.03,
-            0.0,
-            None,
-        );
-        let cross = vec![(cfg.entering_at(1), ep)];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 10.0);
+        // The fraction is of hop 1's rate, the path's bottleneck.
+        let spec = scenario(&format!(
+            "48M hop(0.6) vs cbr@{fraction}@hop1-1@rtt=0.03s seed=43 dur={duration}s"
+        ));
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 10.0);
         let m = &out.flows[0];
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
         result.row(&format!("delay_mode_fraction_{tag}"), m.delay_mode_fraction);

@@ -1,9 +1,6 @@
 //! Figures 14, 15, 22–26, Table 1 and the buffer/RTT/AQM robustness sweep (§8.2, Appendices C–F).
 
-use super::{
-    accuracy, after, agreement, elastic_cross_flow, elastic_fraction, poisson_cross_flow, scenario,
-    window,
-};
+use super::{accuracy, after, agreement, elastic_fraction, scenario, window};
 use crate::output::ExperimentResult;
 use crate::runner::{run_scenario, run_scheme_vs_cross, Monitored, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
@@ -69,15 +66,15 @@ pub fn fig14(quick: bool) -> ExperimentResult {
     };
     let mut nimbus_right = Vec::new();
     let mut copa_right = Vec::new();
-    let spec = scenario(&format!("96M seed=15 dur={duration}s"));
     for &ratio in &ratios {
-        let reno = || elastic_cross_flow("newreno", CcKind::NewReno, 0.05 * ratio, 0.0, None);
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), vec![reno()], 8.0);
+        let reno = format!("newreno@rtt={}s", 0.05 * ratio);
+        let spec = scenario(&format!("96M vs {reno} seed=15 dur={duration}s"));
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
         let acc = nimbus_accuracy(&out.flows[0], true, 8.0);
         result.row(&format!("nimbus_accuracy_rttx{ratio}"), acc);
         nimbus_right.push((ratio, acc));
 
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), vec![reno()], 8.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), Vec::new(), 8.0);
         let acc = copa_accuracy(&out.flows[0], true, 8.0, duration);
         result.row(&format!("copa_accuracy_rttx{ratio}"), acc);
         copa_right.push((ratio, acc));
@@ -104,16 +101,16 @@ pub fn fig15(quick: bool) -> ExperimentResult {
     for &ratio in &ratios {
         let rtt = 0.05 * ratio;
         let seed = 150 + (ratio * 10.0) as u64;
-        let spec = scenario(&format!("96M seed={seed} dur={duration}s"));
-        let reno = || elastic_cross_flow("reno", CcKind::NewReno, rtt, 0.0, None);
-        let poisson = |rate| poisson_cross_flow("poisson", rate, rtt, spec.seed, 0.0, None);
+        let reno = format!("newreno@rtt={rtt}s");
+        let poisson = |rate| format!("poisson@{rate}@rtt={rtt}s,seed={seed}");
         for (kind, truth_elastic) in [("elastic", true), ("mix", true), ("inelastic", false)] {
             let cross = match kind {
-                "elastic" => vec![reno()],
-                "inelastic" => vec![poisson(48e6)],
-                _ => vec![reno(), poisson(24e6)],
+                "elastic" => reno.clone(),
+                "inelastic" => poisson("48M"),
+                _ => format!("{reno}+{}", poisson("24M")),
             };
-            let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
+            let spec = scenario(&format!("96M vs {cross} seed={seed} dur={duration}s"));
+            let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
             let acc = nimbus_accuracy(&out.flows[0], truth_elastic, 8.0);
             result.row(&format!("{kind}_accuracy_rttx{ratio}"), acc);
         }
@@ -193,17 +190,11 @@ pub fn fig24(quick: bool) -> ExperimentResult {
         "Copa vs Nimbus against elastic NewReno cross traffic at 1x and 4x RTT",
         quick,
     );
-    let spec = scenario(&format!("96M seed=24 dur={duration}s"));
     for &(ratio, tag) in &[(1.0, "1x"), (4.0, "4x")] {
+        let reno = format!("newreno@rtt={}s", 0.05 * ratio);
+        let spec = scenario(&format!("96M vs {reno} seed=24 dur={duration}s"));
         for scheme in [SchemeSpec::copa(), SchemeSpec::nimbus()] {
-            let cross = vec![elastic_cross_flow(
-                "newreno",
-                CcKind::NewReno,
-                0.05 * ratio,
-                0.0,
-                None,
-            )];
-            let out = run_scheme_vs_cross(&spec, scheme, cross, 6.0);
+            let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 6.0);
             let m = &out.flows[0];
             result.row(
                 &format!("{}_{tag}_throughput_mbps", m.label),
@@ -239,20 +230,18 @@ pub fn fig25(quick: bool) -> ExperimentResult {
     };
     let rates: Vec<f64> = if quick { vec![96e6] } else { vec![96e6, 192e6] };
     for &rate in &rates {
-        let spec = scenario(&format!("{rate} seed=25 dur={duration}s"));
         for &pulse in &pulse_sizes {
             for &share in &shares {
                 // Mixed cross traffic occupying (1 − share) of the link:
                 // half elastic (one Reno flow) and half Poisson.
-                let inelastic_rate = (1.0 - share) * rate * 0.5;
-                let cross = vec![
-                    elastic_cross_flow("reno", CcKind::NewReno, 0.05, 0.0, None),
-                    poisson_cross_flow("poisson", inelastic_rate, 0.05, 251, 0.0, None),
-                ];
+                let load = (1.0 - share) * 0.5;
+                let spec = scenario(&format!(
+                    "{rate} vs newreno+poisson@{load}@seed=251 seed=25 dur={duration}s"
+                ));
                 let nimbus = Monitored::tweaked(&spec, SchemeSpec::nimbus(), |cfg| {
                     cfg.with_pulse_amplitude(pulse)
                 });
-                let out = run_scenario(&spec, vec![nimbus], cross, 8.0);
+                let out = run_scenario(&spec, vec![nimbus], Vec::new(), 8.0);
                 let acc = nimbus_accuracy(&out.flows[0], true, 8.0);
                 result.row(
                     &format!(
@@ -308,25 +297,17 @@ pub fn table1(quick: bool) -> ExperimentResult {
     // Each row's cross traffic and the CCA behind it: a CBR stream paces at
     // a constant rate, and the app-limited Poisson source sends unlimited.
     for (name, vs, kind) in [
-        ("cubic", "vs cubic", CcKind::Cubic),
-        ("reno", "vs newreno", CcKind::NewReno),
-        ("copa", "vs copa", CcKind::Copa),
-        ("vegas", "vs vegas", CcKind::Vegas),
-        ("bbr", "vs bbr", CcKind::Bbr),
-        ("pcc_vivace", "vs vivace", CcKind::Vivace),
-        ("const_stream", "vs cbr@0.5", CcKind::ConstantRate(48e6)),
-        ("app_limited", "", CcKind::Unlimited),
+        ("cubic", "cubic", CcKind::Cubic),
+        ("reno", "newreno", CcKind::NewReno),
+        ("copa", "copa", CcKind::Copa),
+        ("vegas", "vegas", CcKind::Vegas),
+        ("bbr", "bbr", CcKind::Bbr),
+        ("pcc_vivace", "vivace", CcKind::Vivace),
+        ("const_stream", "cbr@0.5", CcKind::ConstantRate(48e6)),
+        ("app_limited", "poisson@30M@seed=101", CcKind::Unlimited),
     ] {
-        let spec = scenario(&format!("96M {vs} seed=100 dur={duration}s"));
-        // The app-limited Poisson source draws from `seed + 1`, not the
-        // seed a `poisson@` entry would, so it stays imperative.
-        let app_limited = || poisson_cross_flow("poisson", 30e6, 0.05, spec.seed + 1, 0.0, None);
-        let cross = if vs.is_empty() {
-            vec![app_limited()]
-        } else {
-            Vec::new()
-        };
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
+        let spec = scenario(&format!("96M vs {vs} seed=100 dur={duration}s"));
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
         let elastic_frac = elastic_fraction(&window(&out.flows[0].eta_series, after(8.0)));
         result.row(&format!("{name}_classified_elastic_fraction"), elastic_frac);
         result.row(
@@ -358,16 +339,16 @@ pub fn robustness_sweep(quick: bool) -> ExperimentResult {
     for &rtt_ms in &rtts_ms {
         for &buf in &buffers_bdp {
             let (buffer_s, rtt_s) = (buf * rtt_ms / 1000.0, rtt_ms / 1000.0);
-            let spec = scenario(&format!(
-                "96M buffer={buffer_s}s rtt={rtt_s}s seed=82 dur={duration}s"
-            ));
             for (kind, truth_elastic) in [("elastic", true), ("inelastic", false)] {
-                let cross = vec![if truth_elastic {
-                    elastic_cross_flow("reno", CcKind::NewReno, rtt_s, 0.0, None)
+                let cross = if truth_elastic {
+                    format!("newreno@rtt={rtt_s}s")
                 } else {
-                    poisson_cross_flow("poisson", 48e6, rtt_s, 83, 0.0, None)
-                }];
-                let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
+                    format!("poisson@48M@rtt={rtt_s}s,seed=83")
+                };
+                let spec = scenario(&format!(
+                    "96M vs {cross} buffer={buffer_s}s rtt={rtt_s}s seed=82 dur={duration}s"
+                ));
+                let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
                 let acc = nimbus_accuracy(&out.flows[0], truth_elastic, 8.0);
                 result.row(&format!("accuracy_{kind}_rtt{rtt_ms}ms_buf{buf}bdp"), acc);
             }

@@ -134,6 +134,14 @@ pub fn probability(what: &str, value: &str) -> Result<f64, ParseError> {
     Ok(p)
 }
 
+/// A non-negative integer (`seed=`).
+pub fn integer(what: &str, value: &str) -> Result<u64, ParseError> {
+    value
+        .trim()
+        .parse()
+        .map_err(|_| ParseError(format!("invalid {what} `{value}`: not an integer")))
+}
+
 /// A bit rate with an optional `k`/`M`/`G` suffix (`48M`); the parser is
 /// [`parse_rate_bps`], shared with `constant(<rate>)`.
 pub fn rate(value: &str) -> Result<f64, ParseError> {

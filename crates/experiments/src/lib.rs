@@ -37,8 +37,8 @@ pub mod testkit;
 pub use grammar::ParseError;
 pub use output::ExperimentResult;
 pub use runner::{
-    CrossSpec, EcnSpec, FleetSpec, HopSpec, LinkScheduleSpec, PathSpec, ScenarioSpec,
-    SingleFlowMetrics,
+    CrossRate, CrossSource, CrossSpec, EcnSpec, FleetSpec, HopSpec, LinkScheduleSpec, PathSpec,
+    ScenarioSpec, SingleFlowMetrics,
 };
 pub use scheme::{MuSpec, NimbusSpec, SchemeSpec, SwitchSpec};
 pub use sweep::{run_sweep, sweep_matrix, sweep_matrix_with, SweepConfig, SweepReport};

@@ -9,16 +9,18 @@
 //! [`grammar`](crate::grammar) tokenizer; [`grammar_reference`] renders the
 //! whole grammar from the option tables.
 
+mod cross;
 mod path;
 mod run;
 mod scenario;
 
-pub use path::{EcnSpec, HopSpec, LinkScheduleSpec, PathSpec};
+pub use cross::{CrossRate, CrossSource, CrossSpec};
+pub use path::{BuiltinTrace, EcnSpec, HopSpec, LinkScheduleSpec, LoadedTrace, PathSpec};
 pub use run::{
     nimbus_of, run_and_collect, run_scenario, run_scheme_vs_cross, Monitored, RunOutput,
     SingleFlowMetrics,
 };
-pub use scenario::{grammar_reference, CrossSpec, FleetSpec, ScenarioSpec};
+pub use scenario::{grammar_reference, FleetSpec, ScenarioSpec};
 
 #[cfg(test)]
 mod tests {
@@ -43,7 +45,6 @@ mod tests {
 
     #[test]
     fn schedule_specs_materialize_against_the_base_rate() {
-        use nimbus_netsim::Time;
         let step = LinkScheduleSpec::Step {
             at_s: 10.0,
             factor: 0.5,
@@ -107,9 +108,7 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/../../traces/sample-cellular.mahimahi"
         );
-        let spec = LinkScheduleSpec::TraceFile {
-            path: path.to_string(),
-        };
+        let spec = LinkScheduleSpec::TraceFile(LoadedTrace::load(path).unwrap());
         let s = spec.to_schedule(48e6);
         // Absolute rates from the file: the 48 Mbit/s base does not scale them.
         assert!(s.max_rate_bps() < 20e6, "max {}", s.max_rate_bps());
@@ -118,32 +117,53 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot load mahimahi trace")]
-    fn missing_trace_file_panics_with_the_path() {
-        LinkScheduleSpec::TraceFile {
-            path: "/nonexistent/x.trace".to_string(),
-        }
-        .to_schedule(48e6);
+    fn a_missing_trace_file_is_rejected_with_its_path() {
+        let err = LoadedTrace::load("/nonexistent/x.trace").unwrap_err();
+        assert!(err.0.contains("cannot load mahimahi trace"), "{err}");
+        assert!(err.0.contains("/nonexistent/x.trace"), "{err}");
     }
 
     #[test]
     fn named_trace_schedules_materialize_and_label() {
-        let spec = LinkScheduleSpec::NamedTrace {
-            name: "cellular".to_string(),
-        };
+        let spec = LinkScheduleSpec::NamedTrace(BuiltinTrace::named("cellular").unwrap());
         let s = spec.to_schedule(48e6);
-        assert_eq!(s.rate_at(Time::ZERO), 48e6);
-        assert!(!s.is_constant());
         assert_eq!(spec.label(), "trace-cellular");
+        // The factors scale the base rate, and the trace repeats.
+        let (interval_s, factors) =
+            nimbus_netsim::RateSchedule::builtin_trace_factors("cellular").unwrap();
+        let mid = |t_s: f64| s.rate_at(Time::from_secs_f64(t_s + interval_s / 2.0));
+        assert_eq!(mid(0.0), factors[0] * 48e6);
+        assert_eq!(mid(interval_s * factors.len() as f64), mid(0.0));
     }
 
     #[test]
-    #[should_panic(expected = "unknown built-in trace")]
-    fn unknown_named_trace_panics_with_the_catalogue() {
-        LinkScheduleSpec::NamedTrace {
-            name: "bogus".to_string(),
-        }
-        .to_schedule(48e6);
+    fn an_unknown_trace_name_is_rejected_with_the_catalogue() {
+        let err = BuiltinTrace::named("bogus").unwrap_err();
+        let catalogue = "`bogus` (available: cellular, wifi, step-outage)";
+        assert!(err.0.contains(catalogue), "{err}");
+    }
+
+    #[test]
+    fn cross_qualifiers_reach_the_label_and_the_flow() {
+        let label = |s: &str| s.parse::<CrossSpec>().unwrap().label();
+        assert_eq!(label("poisson@24M@hop1-1"), "poisson-24M-hop1");
+        let windowed = "nimbus@rtt=200ms,start=5s,stop=9s,seed=3";
+        assert_eq!(label(windowed), "nimbus-rtt200ms-at5s-to9s-seed3");
+        let text = format!("48M hop(0.5) vs cbr@0.5@hop1-1+{windowed} dur=10s");
+        let flows = text.parse::<ScenarioSpec>().unwrap().cross_flows();
+        let (cbr, nimbus) = (&flows[0].0, &flows[1].0);
+        assert_eq!(cbr.label, "cbr-cross0");
+        assert_eq!((cbr.entry_hop, cbr.exit_hop), (1, Some(1)));
+        assert_eq!(nimbus.prop_rtt, Time::from_millis(200));
+        assert_eq!(nimbus.start, Time::from_millis(5000));
+        // A fraction scales the base rate of the hop the flow enters at.
+        let spec: ScenarioSpec = "48M hop(0.5) vs cbr@0.1@stop=1s+cbr@0.2@hop1-1 dur=2s"
+            .parse()
+            .unwrap();
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::constant(1e6), Vec::new(), 1.0);
+        let mbit = |i: usize| out.recorder.flows[i].delivered_bytes as f64 * 8e-6;
+        assert!((mbit(1) - 4.8).abs() < 0.3, "48M·0.1 for 1 s: {}", mbit(1));
+        assert!((mbit(2) - 9.6).abs() < 0.6, "24M·0.2 for 2 s: {}", mbit(2));
     }
 
     #[test]

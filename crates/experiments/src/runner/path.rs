@@ -27,7 +27,8 @@ pub enum LinkScheduleSpec {
     /// An arbitrary staircase: at each `(t_s, factor)` the rate becomes
     /// `factor·base`.
     Steps {
-        /// `(time_s, factor_of_base)` transitions, times strictly increasing.
+        /// `(time_s, factor_of_base)` transitions, times strictly increasing
+        /// (the parser checks; a step listed after a later one never applies).
         steps: Vec<(f64, f64)>,
     },
     /// `µ(t) = base·(1 + amplitude_frac·sin(2π·t/period_s))`.
@@ -44,49 +45,80 @@ pub enum LinkScheduleSpec {
         /// Per-interval rates as fractions of the base rate.
         factors: Vec<f64>,
     },
-    /// One of the curated built-in traces shipped with the simulator
-    /// ([`RateSchedule::builtin_trace`]): `cellular`, `wifi`, `step-outage`.
-    NamedTrace {
-        /// The built-in trace's name.
-        name: String,
-    },
-    /// An external Mahimahi-format packet-delivery trace loaded from disk
-    /// ([`RateSchedule::from_mahimahi_file`]).  Unlike every other family
-    /// the trace carries *absolute* rates — the scenario's base rate does
-    /// not scale it (it still sizes delay-specified buffers and is handed
-    /// to configured-µ schemes as the nominal rate).
-    TraceFile {
-        /// Path to the trace file (one millisecond timestamp per line).
-        path: String,
-    },
+    /// One of the curated built-in traces shipped with the simulator.
+    NamedTrace(BuiltinTrace),
+    /// An external Mahimahi-format packet-delivery trace.  Unlike every
+    /// other family the trace carries *absolute* rates — the scenario's base
+    /// rate does not scale it (it still sizes delay-specified buffers and is
+    /// handed to configured-µ schemes as the nominal rate).
+    TraceFile(LoadedTrace),
+}
+
+/// A built-in trace that exists ([`RateSchedule::builtin_trace_factors`]);
+/// only [`BuiltinTrace::named`] makes one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BuiltinTrace {
+    name: String,
+    interval_s: f64,
+    factors: &'static [f64],
+}
+
+impl BuiltinTrace {
+    /// The built-in trace called `name`, or an error listing the catalogue.
+    pub fn named(name: &str) -> Result<Self, ParseError> {
+        let (interval_s, factors) = RateSchedule::builtin_trace_factors(name).ok_or_else(|| {
+            ParseError(format!(
+                "unknown built-in trace `{name}` (available: {})",
+                RateSchedule::builtin_trace_names().join(", ")
+            ))
+        })?;
+        Ok(BuiltinTrace {
+            name: name.to_string(),
+            interval_s,
+            factors,
+        })
+    }
+}
+
+/// A Mahimahi trace file, read and parsed once when the spec is made: only
+/// [`LoadedTrace::load`] makes one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoadedTrace {
+    path: String,
+    schedule: RateSchedule,
+}
+
+impl LoadedTrace {
+    /// Read and parse the trace file at `path`.
+    pub fn load(path: &str) -> Result<Self, ParseError> {
+        let schedule = RateSchedule::from_mahimahi_file(path)
+            .map_err(|e| ParseError(format!("cannot load mahimahi trace: {e}")))?;
+        Ok(LoadedTrace {
+            path: path.to_string(),
+            schedule,
+        })
+    }
 }
 
 impl LinkScheduleSpec {
     /// Materialize the schedule against a concrete base rate.
-    ///
-    /// # Panics
-    /// Panics on an unknown built-in trace name or an unloadable trace
-    /// file, and (debug builds) on staircase step times out of order; a
-    /// parsed spec ([`FromStr`]) has been checked for all three.
     pub fn to_schedule(&self, base_bps: f64) -> RateSchedule {
+        let trace = |interval_s: f64, factors: &[f64]| {
+            let rates = factors.iter().map(|f| f * base_bps).collect();
+            RateSchedule::trace(Time::from_secs_f64(interval_s), rates, true)
+        };
         match self {
             LinkScheduleSpec::Constant => RateSchedule::constant(base_bps),
             LinkScheduleSpec::Step { at_s, factor } => {
                 RateSchedule::step(base_bps, Time::from_secs_f64(*at_s), factor * base_bps)
             }
-            LinkScheduleSpec::Steps { steps } => {
-                debug_assert!(
-                    steps.windows(2).all(|w| w[0].0 < w[1].0),
-                    "staircase step times must strictly increase: {steps:?}"
-                );
-                RateSchedule::Steps {
-                    initial_bps: base_bps,
-                    steps: steps
-                        .iter()
-                        .map(|&(t_s, f)| (Time::from_secs_f64(t_s), f * base_bps))
-                        .collect(),
-                }
-            }
+            LinkScheduleSpec::Steps { steps } => RateSchedule::Steps {
+                initial_bps: base_bps,
+                steps: steps
+                    .iter()
+                    .map(|&(t_s, f)| (Time::from_secs_f64(t_s), f * base_bps))
+                    .collect(),
+            },
             LinkScheduleSpec::Sinusoid {
                 amplitude_frac,
                 period_s,
@@ -94,15 +126,9 @@ impl LinkScheduleSpec {
             LinkScheduleSpec::Trace {
                 interval_s,
                 factors,
-            } => RateSchedule::trace(
-                Time::from_secs_f64(*interval_s),
-                factors.iter().map(|f| f * base_bps).collect(),
-                true,
-            ),
-            LinkScheduleSpec::NamedTrace { name } => RateSchedule::builtin_trace(name, base_bps)
-                .unwrap_or_else(|| panic!("{}", unknown_trace(name))),
-            LinkScheduleSpec::TraceFile { path } => RateSchedule::from_mahimahi_file(path)
-                .unwrap_or_else(|e| panic!("cannot load mahimahi trace: {e}")),
+            } => trace(*interval_s, factors),
+            LinkScheduleSpec::NamedTrace(named) => trace(named.interval_s, named.factors),
+            LinkScheduleSpec::TraceFile(file) => file.schedule.clone(),
         }
     }
 
@@ -119,9 +145,9 @@ impl LinkScheduleSpec {
                 period_s,
             } => format!("sin{:.0}p{period_s:.0}", amplitude_frac * 100.0),
             LinkScheduleSpec::Trace { factors, .. } => format!("trace{}", factors.len()),
-            LinkScheduleSpec::NamedTrace { name } => format!("trace-{name}"),
-            LinkScheduleSpec::TraceFile { path } => {
-                let stem = std::path::Path::new(path)
+            LinkScheduleSpec::NamedTrace(trace) => format!("trace-{}", trace.name),
+            LinkScheduleSpec::TraceFile(trace) => {
+                let stem = std::path::Path::new(&trace.path)
                     .file_stem()
                     .map(|s| s.to_string_lossy().into_owned())
                     .unwrap_or_else(|| "file".to_string());
@@ -129,13 +155,6 @@ impl LinkScheduleSpec {
             }
         }
     }
-}
-
-fn unknown_trace(name: &str) -> String {
-    format!(
-        "unknown built-in trace `{name}` (available: {})",
-        RateSchedule::builtin_trace_names().join(", ")
-    )
 }
 
 /// The schedule forms, for error text and [`grammar_reference`].
@@ -174,8 +193,8 @@ impl fmt::Display for LinkScheduleSpec {
                     join(factors.collect())
                 )
             }
-            LinkScheduleSpec::NamedTrace { name } => write!(f, "trace-{name}"),
-            LinkScheduleSpec::TraceFile { path } => write!(f, "mm({path})"),
+            LinkScheduleSpec::NamedTrace(trace) => write!(f, "trace-{}", trace.name),
+            LinkScheduleSpec::TraceFile(trace) => write!(f, "mm({})", trace.path),
         }
     }
 }
@@ -183,26 +202,16 @@ impl fmt::Display for LinkScheduleSpec {
 impl FromStr for LinkScheduleSpec {
     type Err = ParseError;
 
-    /// Parse a schedule.  Named traces are checked against the built-in
-    /// catalogue and trace files are loaded once here, so a parsed spec
-    /// cannot reach [`LinkScheduleSpec::to_schedule`]'s panics.
+    /// Parse a schedule.  Named traces are looked up in the built-in
+    /// catalogue and trace files are loaded here, once.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim();
         if let Some(name) = s.strip_prefix("trace-") {
-            if !RateSchedule::builtin_trace_names().contains(&name) {
-                return Err(ParseError(unknown_trace(name)));
-            }
-            return Ok(LinkScheduleSpec::NamedTrace {
-                name: name.to_string(),
-            });
+            return BuiltinTrace::named(name).map(LinkScheduleSpec::NamedTrace);
         }
         let (head, inner) = split_call(s)?;
         if let ("mm", Some(path)) = (head, inner) {
-            RateSchedule::from_mahimahi_file(path)
-                .map_err(|e| ParseError(format!("cannot load mahimahi trace: {e}")))?;
-            return Ok(LinkScheduleSpec::TraceFile {
-                path: path.to_string(),
-            });
+            return LoadedTrace::load(path).map(LinkScheduleSpec::TraceFile);
         }
         let args = inner.map_or_else(Vec::new, |i| split_top_level(i, ','));
         match (head, args.as_slice()) {

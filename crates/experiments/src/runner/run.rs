@@ -260,8 +260,10 @@ fn nimbus_config(spec: &ScenarioSpec, scheme: SchemeSpec, seed: u64) -> NimbusCo
 }
 
 /// The one lowering every run takes: the scenario's network, then the
-/// `monitored` flows, the imperative `cross` flows, the scenario's own
-/// [`ScenarioSpec::cross`] flows and its fleet spawner, in that order.
+/// `monitored` flows, the imperative `cross` flows (only families the
+/// grammar has no string for: scripted phases, video, drained fleets), the
+/// scenario's own [`ScenarioSpec::cross`] flows and its fleet spawner, in
+/// that order.
 pub fn run_scenario(
     spec: &ScenarioSpec,
     monitored: Vec<Monitored>,

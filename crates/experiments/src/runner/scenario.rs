@@ -1,13 +1,13 @@
 //! The scenario itself — its cross traffic and fleet, its string form — and
 //! the grammar reference.
 
+use super::cross::{CrossSource, CrossSpec, CROSS};
 use super::path::{EcnSpec, LinkScheduleSpec, PathSpec, ECN_MODES, HOP, SCHEDULE_FORMS};
-use crate::figures::{cbr_cross_flow, poisson_cross_flow, scheme_cross_flow};
 use crate::grammar::{
-    self, duration, field_opt, fmt_duration, fmt_size, key_value, parsed, positive, probability,
-    split_call, split_top_level, Opt, ParseError,
+    self, duration, field_opt, fmt_duration, fmt_size, integer, key_value, parsed, positive,
+    probability, split_call, split_top_level, Opt, ParseError,
 };
-use crate::scheme::{bare_schemes, SchemeSpec, NIMBUS};
+use crate::scheme::{bare_schemes, NIMBUS};
 use nimbus_netsim::{
     FlowConfig, FlowEndpoint, LinkConfig, Network, QueueKind, RateSchedule, SimConfig, Time,
 };
@@ -16,127 +16,6 @@ use nimbus_traffic::FlowSizeDistribution;
 use nimbus_transport::format_rate_bps;
 use std::fmt;
 use std::str::FromStr;
-
-/// One static cross-traffic flow sharing the path with the monitored flow.
-/// A scenario carries a list of these ([`ScenarioSpec::cross`]): empty is
-/// "alone", several entries are heterogeneous competition on one bottleneck
-/// (e.g. nimbus vs. standalone Copa vs. Cubic).  Rates of the inelastic
-/// families are fractions of the *hop-0 base* rate; all cross flows have a
-/// 50 ms RTT and run for the whole scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CrossSpec {
-    /// Constant-bit-rate (inelastic) traffic at this fraction of µ.
-    Cbr {
-        /// Offered CBR rate as a fraction of the bottleneck rate.
-        fraction_of_mu: f64,
-    },
-    /// Poisson (inelastic) traffic at this fraction of µ.
-    Poisson {
-        /// Mean offered rate as a fraction of the bottleneck rate.
-        fraction_of_mu: f64,
-    },
-    /// One backlogged competitor running any scheme the algebra can express
-    /// — a bare CCA, a paced `constant(<rate>)`, or another Nimbus wrapper.
-    Scheme {
-        /// The competitor's scheme.
-        spec: SchemeSpec,
-        /// Confine the flow to hops `[enter, exit]` of a multi-hop path
-        /// (`None` = the whole path).
-        hops: Option<(usize, usize)>,
-    },
-}
-
-impl CrossSpec {
-    /// The classic single backlogged Cubic competitor on the whole path.
-    pub fn cubic() -> Self {
-        CrossSpec::Scheme {
-            spec: SchemeSpec::cubic(),
-            hops: None,
-        }
-    }
-
-    /// A short slug for cell names (`cbr83`, `poisson50`, `cubic`,
-    /// `cubic-hop0`).
-    pub fn label(&self) -> String {
-        match self {
-            CrossSpec::Cbr { fraction_of_mu } => format!("cbr{:.0}", fraction_of_mu * 100.0),
-            CrossSpec::Poisson { fraction_of_mu } => {
-                format!("poisson{:.0}", fraction_of_mu * 100.0)
-            }
-            CrossSpec::Scheme { spec, hops: None } => spec.label(),
-            CrossSpec::Scheme {
-                spec,
-                hops: Some((enter, _)),
-            } => format!("{}-hop{enter}", spec.label()),
-        }
-    }
-}
-
-impl fmt::Display for CrossSpec {
-    /// `cbr@<fraction>`, `poisson@<fraction>`, `<scheme>` or
-    /// `<scheme>@hop<enter>-<exit>`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CrossSpec::Cbr { fraction_of_mu } => write!(f, "cbr@{fraction_of_mu}"),
-            CrossSpec::Poisson { fraction_of_mu } => write!(f, "poisson@{fraction_of_mu}"),
-            CrossSpec::Scheme { spec, hops: None } => write!(f, "{spec}"),
-            CrossSpec::Scheme {
-                spec,
-                hops: Some((enter, exit)),
-            } => write!(f, "{spec}@hop{enter}-{exit}"),
-        }
-    }
-}
-
-impl FromStr for CrossSpec {
-    type Err = ParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (head, at) = match split_top_level(s, '@').as_slice() {
-            [head] => (head.trim(), None),
-            [head, at] => (head.trim(), Some(at.trim())),
-            _ => {
-                return Err(ParseError(format!(
-                    "cross flow `{s}` has more than one `@`"
-                )))
-            }
-        };
-        let fraction = |family: &str| {
-            let at = at.ok_or_else(|| {
-                ParseError(format!(
-                    "`{family}` cross traffic needs its rate as a fraction of µ: {family}@0.5"
-                ))
-            })?;
-            positive("fraction of µ", at)
-        };
-        match head {
-            "cbr" => Ok(CrossSpec::Cbr {
-                fraction_of_mu: fraction("cbr")?,
-            }),
-            "poisson" => Ok(CrossSpec::Poisson {
-                fraction_of_mu: fraction("poisson")?,
-            }),
-            _ => {
-                let hops = at.map(|at| {
-                    let hop = |h: &str| h.parse::<usize>().ok();
-                    at.strip_prefix("hop")
-                        .and_then(|range| range.split_once('-'))
-                        .and_then(|(enter, exit)| Some((hop(enter)?, hop(exit)?)))
-                        .filter(|(enter, exit)| enter <= exit)
-                        .ok_or_else(|| {
-                            ParseError(format!(
-                                "invalid hop span `@{at}` (expected @hop<enter>-<exit>, e.g. @hop0-0)"
-                            ))
-                        })
-                });
-                Ok(CrossSpec::Scheme {
-                    spec: head.parse()?,
-                    hops: hops.transpose()?,
-                })
-            }
-        }
-    }
-}
 
 /// An open-loop fleet workload riding on a scenario: a churning population
 /// of finite Cubic flows (Poisson or bursty arrivals × heavy-tailed sizes)
@@ -361,18 +240,7 @@ const SCENARIO: &[Opt<ScenarioSpec>] = &[
         loss_probability,
         0.0
     ),
-    Opt {
-        key: "seed",
-        hint: || "<n>".to_string(),
-        slug: "",
-        show: |spec| Some(spec.seed.to_string()),
-        set: |spec, v| {
-            spec.seed = v
-                .parse()
-                .map_err(|_| ParseError(format!("invalid seed `{v}`: not an integer")))?;
-            Ok(())
-        },
-    },
+    field_opt!("seed", "", "<n>", integer, u64::to_string, seed, required),
     field_opt!(
         "dur",
         "",
@@ -449,13 +317,14 @@ impl ScenarioSpec {
         cross_list(labels.chain(self.fleet.iter().map(FleetSpec::label)))
     }
 
-    /// Lower the spec-described cross traffic onto the imperative
-    /// `figures` helpers.  The conventions the pinned recorder fingerprints
-    /// depend on live here: CBR → `cbr-cross`; Poisson → `poisson-cross`,
-    /// source seed `seed·31+7`; scheme → `<label>[-hop<enter>]-cross`, cc
-    /// seed `seed·67+11`, µ = the minimum over the hops it traverses; with
-    /// more than one entry the label and the seed take the entry's index
-    /// (`-cross<i>`, `+i`).
+    /// Lower the spec-described cross traffic, the one lowering of every
+    /// [`CrossSpec`].  The conventions the pinned recorder fingerprints
+    /// depend on live here: a flow is named `cbr-cross`, `poisson-cross` or
+    /// `<label>-cross` (`-cross<i>` with more than one entry); a Poisson
+    /// source draws from `seed·31+7+i` and a scheme's controller from
+    /// `seed·67+11+i` unless the entry fixes its seed; a fraction-of-µ rate
+    /// scales the base rate of the hop the flow enters at, and a scheme's µ
+    /// is the minimum over the hops it traverses.
     pub(super) fn cross_flows(&self) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
         let lower = |(i, cross): (usize, &CrossSpec)| {
             let tag = if self.cross.len() == 1 {
@@ -465,40 +334,17 @@ impl ScenarioSpec {
             };
             let seed =
                 |mul: u64, add: u64| self.seed.wrapping_mul(mul).wrapping_add(add + i as u64);
-            match *cross {
-                CrossSpec::Cbr { fraction_of_mu } => cbr_cross_flow(
-                    &format!("cbr-{tag}"),
-                    fraction_of_mu * self.link_rate_bps,
-                    0.05,
-                    0.0,
-                    None,
-                ),
-                CrossSpec::Poisson { fraction_of_mu } => poisson_cross_flow(
-                    &format!("poisson-{tag}"),
-                    fraction_of_mu * self.link_rate_bps,
-                    0.05,
-                    seed(31, 7),
-                    0.0,
-                    None,
-                ),
-                CrossSpec::Scheme { spec, hops } => {
-                    let (enter, exit) = hops.map_or((0, None), |(a, b)| (a, Some(b)));
-                    let (cfg, ep) = scheme_cross_flow(
-                        &format!("{}-{tag}", cross.label()),
-                        &spec,
-                        self.path
-                            .nominal_mu_over_hops(self.link_rate_bps, enter, exit),
-                        seed(67, 11),
-                        0.05,
-                        0.0,
-                        None,
-                    );
-                    match hops {
-                        Some((enter, exit)) => (cfg.entering_at(enter).exiting_at(exit), ep),
-                        None => (cfg, ep),
-                    }
-                }
-            }
+            let (name, seed) = match cross.source {
+                CrossSource::Cbr(_) => ("cbr".to_string(), 0),
+                CrossSource::Poisson(_) => ("poisson".to_string(), seed(31, 7)),
+                CrossSource::Scheme(_) => (cross.label(), seed(67, 11)),
+            };
+            let (enter, exit) = cross.hops.map_or((0, None), |(a, b)| (a, Some(b)));
+            let mu = |exit| {
+                self.path
+                    .nominal_mu_over_hops(self.link_rate_bps, enter, exit)
+            };
+            cross.flow(&format!("{name}-{tag}"), mu(Some(enter)), mu(exit), seed)
         };
         self.cross.iter().enumerate().map(lower).collect()
     }
@@ -542,12 +388,8 @@ impl ScenarioSpec {
             ));
         }
         for cross in &self.cross {
-            if let CrossSpec::Scheme {
-                hops: Some((_, exit)),
-                ..
-            } = cross
-            {
-                if *exit >= self.path.hop_count() {
+            if let Some((_, exit)) = cross.hops {
+                if exit >= self.path.hop_count() {
                     return Err(ParseError(format!(
                         "cross flow `{cross}` exits at hop {exit} but the path has {} hop(s)",
                         self.path.hop_count()
@@ -624,9 +466,11 @@ schedule  := {SCHEDULE_FORMS}
 hop       := hop(<factor>[,<key>=<value>…])
              keys: {hop}
 cross     := alone | <entry>{{+<entry>}}
-entry     := cbr@<fraction of µ> | poisson@<fraction of µ>
-           | <scheme>[@hop<enter>-<exit>] | fleet(<key>=<value>,…)
-             keys: {fleet}
+entry     := <flow>[@hop<enter>-<exit>][@<key>=<value>,…] | fleet(<key>=<value>,…)
+             keys: {cross}
+             fleet keys: {fleet}
+flow      := cbr@<load> | poisson@<load> | <scheme>
+load      := <fraction of the entry hop's µ> | <rate>
 scheme    := {bare}
            | nimbus | nimbus(<key>=<value>,…)
              keys: {nimbus}
@@ -634,6 +478,7 @@ units     := <rate> 48M (k|M|G bit/s), <dur> 5ms | 40s, <bytes> 50k (k|M)",
         scenario = grammar::expected(SCENARIO),
         traces = RateSchedule::builtin_trace_names().join(", "),
         hop = grammar::expected(HOP),
+        cross = grammar::expected(CROSS),
         fleet = grammar::expected(FLEET),
         nimbus = grammar::expected(NIMBUS),
         bare = bare_schemes(),

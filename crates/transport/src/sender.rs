@@ -62,12 +62,6 @@ impl SenderConfig {
             ..Default::default()
         }
     }
-
-    /// Terminate the flow at `stop` even if data remains unsent.
-    pub fn stopping_at(mut self, stop: Time) -> Self {
-        self.stop_at = Some(stop);
-        self
-    }
 }
 
 /// The generic sender: reliability + pacing + windowing around a
@@ -119,7 +113,6 @@ pub struct Sender {
     packets_retransmitted: u64,
     timeouts: u64,
     fast_retransmits: u64,
-    ce_echoes: u64,
 }
 
 impl Sender {
@@ -150,7 +143,6 @@ impl Sender {
             packets_retransmitted: 0,
             timeouts: 0,
             fast_retransmits: 0,
-            ce_echoes: 0,
         }
     }
 
@@ -187,11 +179,6 @@ impl Sender {
     /// Number of fast retransmits triggered by triple duplicate ACKs.
     pub fn fast_retransmits(&self) -> u64 {
         self.fast_retransmits
-    }
-
-    /// Number of ACKs received carrying a CE echo (0 on non-ECN paths).
-    pub fn ce_echoes(&self) -> u64 {
-        self.ce_echoes
     }
 
     /// Scoreboard positions (SACK entries and hole candidates) examined by
@@ -406,7 +393,6 @@ impl FlowEndpoint for Sender {
         // echo to the controller before the ACK's own bookkeeping so a
         // once-per-window reaction gate sees the pre-ACK window.
         if ack.ce {
-            self.ce_echoes += 1;
             self.cc.on_congestion_event(&CongestionEvent::EcnCe {
                 now,
                 marked_bytes: ack.triggering_bytes as u64,
@@ -929,11 +915,9 @@ mod tests {
         };
         let before = s.congestion_control().cwnd_packets();
         s.on_ack(&mk_ack(1, 51, false));
-        assert_eq!(s.ce_echoes(), 0);
         assert!(s.congestion_control().cwnd_packets() >= before);
-        // A CE echo must reach the controller (NewReno halves) and count.
+        // A CE echo must reach the controller (NewReno halves).
         s.on_ack(&mk_ack(2, 52, true));
-        assert_eq!(s.ce_echoes(), 1);
         assert!(
             s.congestion_control().cwnd_packets() < before,
             "CE should shrink the window"

@@ -1,10 +1,8 @@
 //! Integration: the baseline congestion controllers exhibit the qualitative
 //! behaviours the paper's comparisons rely on.
 
-use nimbus_repro::experiments::figures::{cbr_cross_flow, elastic_cross_flow};
 use nimbus_repro::experiments::runner::{run_scheme_vs_cross, ScenarioSpec};
 use nimbus_repro::experiments::SchemeSpec;
-use nimbus_repro::transport::CcKind;
 
 #[test]
 fn cubic_bufferbloats_while_vegas_does_not() {
@@ -30,13 +28,8 @@ fn nimbus_stays_in_delay_mode_against_heavy_cbr_cross_traffic() {
     // reproduction Copa's detector happens to cope with this particular load,
     // so the assertion is on Nimbus's absolute behaviour rather than a strict
     // ordering between the two.)
-    let spec = ScenarioSpec {
-        duration_s: 40.0,
-        seed: 4,
-        ..ScenarioSpec::default_96mbps(40.0)
-    };
-    let cross = vec![cbr_cross_flow("cbr", 80e6, 0.05, 0.0, None)];
-    let nimbus = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 10.0);
+    let spec: ScenarioSpec = "96M vs cbr@80M seed=4 dur=40s".parse().unwrap();
+    let nimbus = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 10.0);
     let m = &nimbus.flows[0];
     assert!(
         m.mean_queue_delay_ms < 40.0,
@@ -57,13 +50,8 @@ fn nimbus_stays_in_delay_mode_against_heavy_cbr_cross_traffic() {
 
 #[test]
 fn vegas_is_starved_by_cubic_cross_traffic() {
-    let spec = ScenarioSpec {
-        duration_s: 40.0,
-        seed: 5,
-        ..ScenarioSpec::default_96mbps(40.0)
-    };
-    let cross = vec![elastic_cross_flow("cubic", CcKind::Cubic, 0.05, 0.0, None)];
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::vegas(), cross, 15.0);
+    let spec: ScenarioSpec = "96M vs cubic seed=5 dur=40s".parse().unwrap();
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::vegas(), Vec::new(), 15.0);
     assert!(
         out.flows[0].mean_throughput_mbps < 30.0,
         "vegas should be starved, got {}",

@@ -3,10 +3,8 @@
 //! the resulting mode switching delivers the paper's headline behaviour.
 
 use nimbus_repro::experiments::figures::intro::offline_eta;
-use nimbus_repro::experiments::figures::{elastic_cross_flow, poisson_cross_flow};
 use nimbus_repro::experiments::runner::{run_scheme_vs_cross, ScenarioSpec};
 use nimbus_repro::experiments::SchemeSpec;
-use nimbus_repro::transport::CcKind;
 
 #[test]
 fn offline_detector_separates_reacting_from_non_reacting_cross_traffic() {
@@ -24,13 +22,8 @@ fn offline_detector_separates_reacting_from_non_reacting_cross_traffic() {
 
 #[test]
 fn nimbus_keeps_low_delay_against_inelastic_cross_traffic() {
-    let spec = ScenarioSpec {
-        duration_s: 30.0,
-        seed: 1,
-        ..ScenarioSpec::fig1_48mbps(30.0)
-    };
-    let cross = vec![poisson_cross_flow("poisson", 24e6, 0.05, 5, 0.0, None)];
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 8.0);
+    let spec: ScenarioSpec = "48M vs poisson@24M@seed=5 seed=1 dur=30s".parse().unwrap();
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
     let m = &out.flows[0];
     assert!(
         m.mean_throughput_mbps > 15.0,
@@ -51,13 +44,8 @@ fn nimbus_keeps_low_delay_against_inelastic_cross_traffic() {
 
 #[test]
 fn nimbus_competes_against_an_elastic_cubic_flow() {
-    let spec = ScenarioSpec {
-        duration_s: 45.0,
-        seed: 2,
-        ..ScenarioSpec::fig1_48mbps(45.0)
-    };
-    let cross = vec![elastic_cross_flow("cubic", CcKind::Cubic, 0.05, 0.0, None)];
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 15.0);
+    let spec: ScenarioSpec = "48M vs cubic seed=2 dur=45s".parse().unwrap();
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 15.0);
     let m = &out.flows[0];
     // Fair share is 24 Mbit/s; a pure delay scheme would collapse to a few Mbit/s.
     assert!(

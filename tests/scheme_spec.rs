@@ -160,6 +160,14 @@ const CROSS: &[&str] = &[
     "~",
     "~@hop0-0",
     "~+cbr@%+~+poisson@%",
+    // The per-flow qualifiers: an absolute rate, a hop span on every
+    // family, and rtt=/start=/stop=/seed= (stop after start by construction).
+    "cbr@#M@hop0-0@rtt=#ms,start=%s,stop=^s",
+    "poisson@^M@start=#s,seed=7",
+    "poisson@%@hop0-0@rtt=#s,stop=^s,seed=1234",
+    "~@rtt=#ms,start=%s",
+    "nimbus(delay=copa)@hop0-0@stop=^s,seed=42",
+    "~@start=%s,stop=^s+cbr@#M@stop=^s",
 ];
 const FLEETS: &[&str] = &[
     "",
@@ -367,11 +375,22 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("link", "ecn=step(5ms)", "unknown ecn mode `step(5ms)` (expected off|none|classic|ecn|l4s)"),
     ("link", "ecn=wide", "unknown ecn mode"),
     // Cross traffic and fleets.
-    ("cross", "cbr", "fraction of µ"),
+    ("cross", "cbr", "fraction of µ or a rate"),
     ("cross", "poisson@lots", "not a number"),
     ("cross", "cubic@hop1-0", "invalid hop span"),
     ("cross", "cubic@hop0-3", "exits at hop 3"),
-    ("cross", "cubic@0.5@0.5", "more than one `@`"),
+    ("cross", "cbr@0.5@hop0-2", "exits at hop 2"),
+    ("cross", "cbr@0.5@0.5", "`@0.5` twice"),
+    ("cross", "cubic@0.5", "sets its own rate"),
+    // A flow's window, RTT, seed and rate, and the keys it takes.
+    ("cross", "cubic@start=5s,stop=5s", "must stop after it starts"),
+    ("cross", "cubic@rtt=0ms", "positive"),
+    ("cross", "poisson@0.5@seed=1.5", "not an integer"),
+    ("cross", "cbr@0.5@seed=3", "`cbr` draws nothing random, so takes no seed="),
+    ("cross", "cubic@seed=3", "`cubic` draws nothing random, so takes no seed="),
+    ("cross", "cbr@24Q", "k|M|G unit"),
+    ("cross", "poisson@0.5k", "no exact k|M|G form"),
+    ("cross", "cubic@rate=5", "unknown cross option `rate` (expected rtt=<dur>, start=<dur>, stop=<dur>, seed=<n>)"),
     ("cross", "poisson(load=0.5)", "unknown scheme"),
     ("cross", "fleet(load=0)", "positive"),
     ("cross", "fleet(load=5)", "out of range"),
