@@ -43,11 +43,11 @@ use crate::queue::{
 };
 use crate::recorder::{Recorder, RecorderConfig};
 use crate::schedule::RateSchedule;
+use crate::seq_window::SeqWindow;
 use crate::slab::Slab;
 use nimbus_core_types::{Time, REPORT_INTERVAL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 
 /// Which queue policy a hop uses (see [`crate::queue`]).
 #[derive(Debug, Clone)]
@@ -198,7 +198,7 @@ pub struct FlowConfig {
     pub ecn: bool,
     /// Retire the flow when its endpoint reports `Finished`: drop the boxed
     /// endpoint (sender windows, SACK scoreboard, controller state) and the
-    /// receiver's reassembly map, replacing the endpoint with an inert stub.
+    /// receiver's reassembly window, replacing the endpoint with an inert stub.
     /// Essential for fleet workloads where thousands of short flows churn
     /// through one run; meaningless for endpoints callers inspect afterwards.
     pub retire_on_finish: bool,
@@ -370,9 +370,11 @@ struct FlowState {
     endpoint: Box<dyn FlowEndpoint>,
     started: bool,
     finished: bool,
-    // Receiver-side state.
-    next_expected: u64,
-    out_of_order: BTreeMap<u64, u32>,
+    /// Receiver: the reassembly window.  Its base is the next in-order
+    /// sequence number, the cumulative ACK; it holds the sizes of segments
+    /// received above a hole.  Empty for a loss-free flow; it keeps its
+    /// capacity across holes.
+    reassembly: SeqWindow<u32>,
     delivered_bytes: u64,
     /// Earliest pending `PollSend` event for this flow, used to avoid
     /// scheduling redundant polls (which would otherwise accumulate and blow
@@ -571,8 +573,7 @@ impl Network {
             endpoint,
             started: false,
             finished: false,
-            next_expected: 0,
-            out_of_order: BTreeMap::new(),
+            reassembly: SeqWindow::new(),
             delivered_bytes: 0,
             next_scheduled_poll: Time::MAX,
         });
@@ -857,13 +858,16 @@ impl Network {
 
     /// Free a finished flow's heavyweight state: the boxed endpoint (sender
     /// window, SACK scoreboard, congestion controller) and the receiver's
-    /// reassembly map.  Straggler events — an ACK still propagating, a packet
+    /// reassembly window.  Straggler events — an ACK still propagating, a packet
     /// dropped in transit — find a no-op endpoint and a `finished` flag that
     /// short-circuits the ACK path, so late arrivals are harmless.
     fn retire_flow(&mut self, id: FlowId) {
         let flow = &mut self.flows[id];
         flow.endpoint = Box::new(RetiredEndpoint);
-        flow.out_of_order = BTreeMap::new();
+        // A straggler still finds the cumulative ACK where the flow left it.
+        let next_expected = flow.reassembly.base();
+        flow.reassembly = SeqWindow::new();
+        flow.reassembly.advance_to(next_expected);
     }
 
     /// The last hop flow `id` traverses.
@@ -1018,19 +1022,20 @@ impl Network {
         self.total_received_bytes += pkt.size_bytes as u64;
         let flow = &mut self.flows[id];
         // Receiver: cumulative ACK generation with duplicate-data suppression.
+        let window = &mut flow.reassembly;
         let mut newly_delivered = 0u64;
-        if pkt.seq == flow.next_expected && flow.out_of_order.is_empty() {
+        if pkt.seq == window.base() && window.is_empty() {
             // In order with nothing buffered — every packet of a loss-free
-            // flow: deliver it without a round trip through the map.
+            // flow: deliver it without touching the window's slots.
             newly_delivered = pkt.size_bytes as u64;
-            flow.next_expected += 1;
+            window.advance_to(pkt.seq + 1);
         } else {
-            if pkt.seq >= flow.next_expected && !flow.out_of_order.contains_key(&pkt.seq) {
-                flow.out_of_order.insert(pkt.seq, pkt.size_bytes);
+            if pkt.seq >= window.base() {
+                // A duplicate keeps the size first buffered.
+                window.insert(pkt.seq, pkt.size_bytes);
             }
-            while let Some(sz) = flow.out_of_order.remove(&flow.next_expected) {
+            while let Some(sz) = window.pop_base() {
                 newly_delivered += sz as u64;
-                flow.next_expected += 1;
             }
         }
         flow.delivered_bytes += newly_delivered;
@@ -1040,7 +1045,7 @@ impl Network {
 
         let ack = AckPacket {
             flow: id,
-            cum_ack: flow.next_expected,
+            cum_ack: flow.reassembly.base(),
             triggering_seq: pkt.seq,
             triggering_bytes: pkt.size_bytes,
             data_sent_at: pkt.sent_at,
@@ -1333,6 +1338,120 @@ mod tests {
         // Cross rate ground truth ~40 Mbit/s.
         let z = rec.cross_rate_mbps.mean_in_range(2.0, 10.0);
         assert!((z - 40.0).abs() < 3.0, "cross rate {z}");
+    }
+
+    /// A fixed-window sender that repairs its losses: every third duplicate
+    /// ACK resends the segment at the cumulative ACK, and so does a poll
+    /// 200 ms after the last progress.  Its holes fill out of order at the
+    /// receiver, and its repeated resends arrive there as duplicates.
+    struct Repairing {
+        window: u64,
+        next_seq: u64,
+        cum_ack: u64,
+        dup_acks: u64,
+        resend: bool,
+        progress_at: Time,
+    }
+
+    impl Repairing {
+        const STALL: Time = Time::from_millis(200);
+
+        fn new(window: u64) -> Self {
+            Repairing {
+                window,
+                next_seq: 0,
+                cum_ack: 0,
+                dup_acks: 0,
+                resend: false,
+                progress_at: Time::ZERO,
+            }
+        }
+    }
+
+    impl FlowEndpoint for Repairing {
+        fn on_ack(&mut self, ack: &AckInfo) {
+            if ack.cum_ack > self.cum_ack {
+                self.cum_ack = ack.cum_ack;
+                self.dup_acks = 0;
+                self.progress_at = ack.now;
+            } else {
+                self.dup_acks += 1;
+                self.resend |= self.dup_acks.is_multiple_of(3);
+            }
+        }
+        fn poll_send(&mut self, now: Time) -> SendAction {
+            if now >= self.progress_at + Self::STALL && self.cum_ack < self.next_seq {
+                self.resend = true;
+                self.progress_at = now;
+            }
+            let (seq, retransmit) =
+                if std::mem::take(&mut self.resend) && self.cum_ack < self.next_seq {
+                    (self.cum_ack, true)
+                } else if self.next_seq < self.cum_ack + self.window {
+                    self.next_seq += 1;
+                    (self.next_seq - 1, false)
+                } else {
+                    return SendAction::WaitUntil(self.progress_at + Self::STALL);
+                };
+            SendAction::Transmit {
+                seq,
+                bytes: 1500,
+                retransmit,
+            }
+        }
+        fn label(&self) -> &str {
+            "repairing"
+        }
+    }
+
+    /// FNV-1a of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn lossy_reassembly_conserves_bytes_and_reproduces_its_recorder() {
+        // Random loss plus tail drops (320 windowed packets against an 80
+        // packet BDP and a 200 packet buffer): both receivers buffer
+        // segments above holes that retransmissions fill out of order.
+        let mut cfg = base_config(24e6, 10.0);
+        cfg.link_mut().loss = 0.02;
+        cfg.seed = 5;
+        let mut net = Network::new(cfg);
+        net.add_flow(
+            FlowConfig::primary("a", Time::from_millis(40)),
+            Box::new(Repairing::new(200)),
+        );
+        net.add_flow(
+            FlowConfig::cross("b", Time::from_millis(60), true),
+            Box::new(Repairing::new(120)),
+        );
+        net.run();
+        assert_eq!(
+            net.total_enqueued_bytes(),
+            net.total_received_bytes() + net.dropped_in_transit_bytes() + net.in_network_bytes()
+        );
+        let duplicates = net.total_received_bytes() - net.total_delivered_bytes();
+        assert!(duplicates > 0, "no retransmission arrived as a duplicate");
+        let counters = (
+            net.events_processed(),
+            net.total_enqueued_bytes(),
+            net.total_received_bytes(),
+            net.total_delivered_bytes(),
+        );
+        let (rec, _) = net.finish();
+        assert!(rec.flows.iter().all(|f| f.dropped_packets > 0));
+        let snapshot = serde_json::to_string(&rec.snapshot()).unwrap();
+        // Pinned on the engine whose reassembly buffer was a `BTreeMap`.
+        assert_eq!(
+            (counters, fnv1a(snapshot.as_bytes())),
+            (
+                (34_534, 16_657_500, 16_653_000, 11_281_500),
+                0x49d6_ca34_e29a_e134
+            ),
+        );
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub mod packet;
 pub mod queue;
 pub mod recorder;
 pub mod schedule;
+pub mod seq_window;
 pub mod slab;
 
 pub use endpoint::{AckInfo, FlowEndpoint, SendAction};
@@ -53,6 +54,7 @@ pub use recorder::{
     ELEPHANT_MIN_BYTES, MICE_MAX_BYTES, SAMPLE_CHUNK,
 };
 pub use schedule::RateSchedule;
+pub use seq_window::SeqWindow;
 
 /// Default maximum segment size, in bytes, used when a flow does not override it.
 pub const DEFAULT_MSS_BYTES: u32 = 1500;

@@ -13,9 +13,9 @@ use crate::source::Source;
 use nimbus_core::cc::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
 use nimbus_core::ccp::ReportAggregator;
 use nimbus_core::rtt::RttEstimator;
-use nimbus_netsim::{AckInfo, FlowEndpoint, SendAction, Time};
+use nimbus_netsim::{AckInfo, FlowEndpoint, SendAction, SeqWindow, Time};
 use std::borrow::Cow;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Allow pacing catch-up after idle periods up to this long (to avoid giant
 /// bursts after an application-limited pause).  A detail of the datapath half
@@ -78,13 +78,15 @@ pub struct Sender {
     /// Duplicate-ACK counter.
     dup_acks: u32,
     /// Segments above `cum_acked` known (from the ACKs' triggering sequence
-    /// numbers) to have reached the receiver — a SACK scoreboard.
-    sacked: BTreeSet<u64>,
+    /// numbers) to have reached the receiver — the SACK scoreboard, a
+    /// window based at `cum_acked`.  Empty outside loss recovery; it grows
+    /// on a flow's first loss and keeps its capacity after that.
+    sacked: SeqWindow<()>,
     /// Segments scheduled for retransmission.
     rtx_queue: VecDeque<u64>,
     /// Segments already queued or re-sent for retransmission in the current
-    /// recovery episode (avoid duplicates).
-    rtx_pending: BTreeSet<u64>,
+    /// recovery episode (avoid duplicates), in a window based at `cum_acked`.
+    rtx_pending: SeqWindow<()>,
     /// Fast-recovery state: recovery ends when cum_acked passes this point.
     recovery_point: Option<u64>,
     /// Loss-inference resume point: every hole below this sequence has
@@ -128,9 +130,9 @@ impl Sender {
             next_seq: 0,
             cum_acked: 0,
             dup_acks: 0,
-            sacked: BTreeSet::new(),
+            sacked: SeqWindow::new(),
             rtx_queue: VecDeque::new(),
-            rtx_pending: BTreeSet::new(),
+            rtx_pending: SeqWindow::new(),
             recovery_point: None,
             scan_frontier: 0,
             scan_steps: 0,
@@ -270,7 +272,7 @@ impl Sender {
     }
 
     fn queue_retransmit(&mut self, seq: u64) {
-        if seq >= self.cum_acked && !self.sacked.contains(&seq) && self.rtx_pending.insert(seq) {
+        if seq >= self.cum_acked && !self.sacked.contains(seq) && self.rtx_pending.insert(seq, ()) {
             self.rtx_queue.push_back(seq);
         }
     }
@@ -301,22 +303,24 @@ impl Sender {
         }
         // Holes strictly below `bound` have >= DUPTHRESH sacked segments
         // above them — the standard SACK dup-threshold rule.
-        let bound = *self
+        let bound = self
             .sacked
-            .iter()
-            .nth_back(DUPTHRESH - 1)
+            .nth_highest(DUPTHRESH - 1)
             .expect("len checked above");
         let mut expected = self.scan_frontier.max(self.cum_acked);
         if expected >= bound {
             return;
         }
+        // A hole is at or above `cum_acked` and not SACKed, so queueing it
+        // only marks it pending; the walk never looks back at a position it
+        // has passed, so each hole is queued as the walk reaches it.
         const MAX_HOLES: usize = 2048;
-        let mut holes: Vec<u64> = Vec::new();
-        'walk: for &s in self.sacked.range(expected..=bound) {
+        let mut queued = 0;
+        'walk: for s in self.sacked.range(expected, bound) {
             self.scan_steps += 1;
             let mut seq = expected;
             while seq < s {
-                if holes.len() >= MAX_HOLES {
+                if queued >= MAX_HOLES {
                     // Budget spent: remember where we stopped and resume on
                     // the next ACK (everything queued below is in
                     // `rtx_pending`, so the invariant holds up to `seq`).
@@ -324,17 +328,15 @@ impl Sender {
                     break 'walk;
                 }
                 self.scan_steps += 1;
-                if !self.rtx_pending.contains(&seq) {
-                    holes.push(seq);
+                if self.rtx_pending.insert(seq, ()) {
+                    self.rtx_queue.push_back(seq);
+                    queued += 1;
                 }
                 seq += 1;
             }
             expected = s + 1;
         }
         self.scan_frontier = expected;
-        for h in holes {
-            self.queue_retransmit(h);
-        }
     }
 
     /// The flow has delivered everything it ever will.
@@ -399,9 +401,17 @@ impl FlowEndpoint for Sender {
             });
         }
 
+        // ACKs of one flow arrive in the order the receiver sent them, so
+        // the cumulative ACK never moves back below the scoreboard's base.
+        assert!(
+            ack.cum_ack >= self.cum_acked,
+            "cumulative ACK {} fell below {}",
+            ack.cum_ack,
+            self.cum_acked
+        );
         // Update the SACK scoreboard with the segment that triggered this ACK.
         if ack.triggering_seq >= ack.cum_ack {
-            self.sacked.insert(ack.triggering_seq);
+            self.sacked.insert(ack.triggering_seq, ());
         }
 
         if ack.cum_ack > self.cum_acked {
@@ -411,13 +421,8 @@ impl FlowEndpoint for Sender {
             self.dup_acks = 0;
             self.rto_backoff = 0;
             // Anything below the new cumulative ACK is no longer interesting.
-            // The sets are empty outside loss recovery, which is most ACKs.
-            if !self.sacked.is_empty() {
-                self.sacked = self.sacked.split_off(&self.cum_acked);
-            }
-            if !self.rtx_pending.is_empty() {
-                self.rtx_pending = self.rtx_pending.split_off(&self.cum_acked);
-            }
+            self.sacked.advance_to(self.cum_acked);
+            self.rtx_pending.advance_to(self.cum_acked);
             self.rtx_queue.retain(|&s| s >= self.cum_acked);
 
             if let Some(rp) = self.recovery_point {
@@ -510,8 +515,8 @@ impl FlowEndpoint for Sender {
                 break;
             };
             self.rtx_queue.pop_front();
-            if seq < self.cum_acked || self.sacked.contains(&seq) {
-                self.rtx_pending.remove(&seq);
+            if seq < self.cum_acked || self.sacked.contains(seq) {
+                self.rtx_pending.remove(seq);
                 continue; // already received meanwhile
             }
             let bytes = self.segment_size(seq, now);

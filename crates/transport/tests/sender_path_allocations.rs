@@ -2,6 +2,8 @@
 //! and the 10 ms `on_tick` that draws a CCP report — runs once per packet of
 //! every flow in a simulation, so once a flow is warmed up it must not
 //! allocate: no window `Vec` per report, no rebuilt scoreboard per ACK.
+//! Loss recovery allocates only to grow a flow's scoreboard to its deepest
+//! episode so far, so a warmed-up flow recovers from a loss allocation-free.
 //! A fleet run spawns thousands of short flows that never warm up, so a
 //! whole flow lifetime and the spawn itself are held to a budget too.
 
@@ -10,7 +12,7 @@ use nimbus_netsim::{AckInfo, FlowEndpoint, FlowSpawner, SendAction, Time};
 use nimbus_traffic::{FleetSpawner, FleetWorkloadConfig};
 use nimbus_transport::{
     BackloggedSource, CcKind, CongestionControl, FixedSizeSource, PathInfo, Report,
-    ReportAggregator, Sender, SenderConfig,
+    ReportAggregator, Sender, SenderConfig, Source,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -52,18 +54,19 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 const RTT: Time = Time::from_millis(50);
 /// One 1500 B segment at 96 Mbit/s.
 const SERVICE: Time = Time::from_micros(125);
-/// The one segment the path loses, while the sender is still in slow start.
+/// The segment whose first transmission the path loses, while the sender is
+/// still in slow start.
 const LOST_SEQ: u64 = 400;
 
 /// What the engine does for one flow, without the engine: a FIFO that
 /// delivers one segment per `SERVICE` no earlier than `RTT` after it was
 /// sent, a cumulative-ACK receiver, and the 10 ms report tick.
 struct Path {
-    sender: Sender,
+    sender: Box<dyn FlowEndpoint>,
     now: Time,
     in_flight: VecDeque<(u64, Time, bool)>,
-    /// The one segment whose first transmission the path drops.
-    lost_seq: Option<u64>,
+    /// The segments whose first transmissions the path drops.
+    lost: Vec<u64>,
     next_expected: u64,
     out_of_order: BTreeSet<u64>,
     /// Allocations made inside the sender's callbacks, except those of
@@ -82,12 +85,12 @@ struct Path {
 
 impl Path {
     /// A fresh path in front of `sender`, before `on_start`.
-    fn new(sender: Sender, lost_seq: Option<u64>) -> Self {
+    fn new(sender: Box<dyn FlowEndpoint>, lost: &[u64]) -> Self {
         Path {
             sender,
             now: Time::ZERO,
             in_flight: VecDeque::new(),
-            lost_seq,
+            lost: lost.to_vec(),
             next_expected: 0,
             out_of_order: BTreeSet::new(),
             allocations: 0,
@@ -96,6 +99,14 @@ impl Path {
             acks: 0,
             finished: false,
         }
+    }
+
+    /// The transport sender behind the endpoint.
+    fn sender(&self) -> &Sender {
+        self.sender
+            .as_any()
+            .and_then(|any| any.downcast_ref())
+            .expect("a transport sender")
     }
 
     fn start(&mut self) {
@@ -135,7 +146,7 @@ impl Path {
             return;
         }
         self.in_flight.pop_front();
-        if Some(seq) == self.lost_seq && !retransmit {
+        if !retransmit && self.lost.contains(&seq) {
             return;
         }
         let hole_before = !self.out_of_order.is_empty();
@@ -198,28 +209,37 @@ impl CongestionControl for ReadsReports {
     }
 }
 
+/// A Cubic sender over `source`; `reads_reports` wraps the controller in
+/// [`ReadsReports`].
+fn cubic(reads_reports: bool, source: Box<dyn Source>) -> Box<dyn FlowEndpoint> {
+    let mut cc = CcKind::Cubic.build(&PathInfo::new(1500));
+    if reads_reports {
+        cc = Box::new(ReadsReports(cc));
+    }
+    Box::new(Sender::new(SenderConfig::labelled("cubic"), cc, source))
+}
+
+/// Allocations the first loss episode of a flow may make: the scoreboard,
+/// the retransmission marks and the retransmission queue each grow from
+/// empty, a few doublings at most.  Nothing per ACK.
+const FIRST_EPISODE_ALLOCATIONS: u64 = 16;
+
 #[test]
 fn warmed_up_ack_poll_tick_cycle_does_not_allocate() {
     // Plain Cubic keeps no report records; wrapped, the same Cubic runs the
     // CCP report path on every ACK and tick.
     for reads_reports in [false, true] {
-        let mut cc = CcKind::Cubic.build(&PathInfo::new(1500));
-        if reads_reports {
-            cc = Box::new(ReadsReports(cc));
-        }
-        let sender = Sender::new(
-            SenderConfig::labelled("cubic"),
-            cc,
-            Box::new(BackloggedSource),
+        let mut path = Path::new(
+            cubic(reads_reports, Box::new(BackloggedSource)),
+            &[LOST_SEQ],
         );
-        let mut path = Path::new(sender, Some(LOST_SEQ));
         path.start();
         // Warm-up: slow start, the loss, fast retransmit and recovery, then
         // congestion avoidance long enough for the report window to fill.
         while path.now < Time::from_millis(3000) {
             path.step();
         }
-        assert_eq!(path.sender.fast_retransmits(), 1, "warm-up must recover");
+        assert_eq!(path.sender().fast_retransmits(), 1, "warm-up must recover");
         assert!(path.next_expected > LOST_SEQ);
 
         path.allocations = 0;
@@ -228,11 +248,54 @@ fn warmed_up_ack_poll_tick_cycle_does_not_allocate() {
             path.step();
         }
         assert!(path.acks > 10_000, "only {} cycles measured", path.acks);
-        assert_eq!(path.sender.fast_retransmits(), 1);
+        assert_eq!(path.sender().fast_retransmits(), 1);
         assert_eq!(
             path.allocations, 0,
             "allocations in {} ack/poll/tick cycles (reads reports: {reads_reports})",
             path.acks
+        );
+    }
+}
+
+#[test]
+fn a_warmed_up_sender_recovers_a_second_loss_without_allocating() {
+    // The first episode, in slow start, grows the scoreboard; the second,
+    // seconds later in congestion avoidance, must fit in what it left.
+    const SECOND_LOST_SEQ: u64 = 30_000;
+    for reads_reports in [false, true] {
+        let mut path = Path::new(
+            cubic(reads_reports, Box::new(BackloggedSource)),
+            &[LOST_SEQ, SECOND_LOST_SEQ],
+        );
+        path.start();
+        while path.next_expected < SECOND_LOST_SEQ - 1000 {
+            path.step();
+        }
+        assert_eq!(path.sender().fast_retransmits(), 1, "warm-up must recover");
+        assert!(
+            path.episode_allocations > 0,
+            "the first episode grew nothing"
+        );
+
+        path.allocations = 0;
+        path.episode_allocations = 0;
+        path.episode_acks = 0;
+        while path.next_expected < SECOND_LOST_SEQ + 10_000 {
+            path.step();
+        }
+        assert_eq!(path.sender().fast_retransmits(), 2);
+        assert_eq!(path.sender().timeouts(), 0);
+        assert!(
+            path.episode_acks > 100,
+            "{} ACKs in the episode",
+            path.episode_acks
+        );
+        assert_eq!(
+            (path.episode_allocations, path.allocations),
+            (0, 0),
+            "allocations in and outside the second episode's {} ACKs (reads reports: \
+             {reads_reports})",
+            path.episode_acks
         );
     }
 }
@@ -261,39 +324,29 @@ fn a_short_cubic_flow_allocates_only_to_recover_its_loss() {
     // records a Cubic never reads, no RTT filter regrowing while the queue
     // builds); the only allocations are the loss episode's scoreboard.
     const SIZE: u64 = 3_000_000;
-    for lost_seq in [None, Some(LOST_SEQ)] {
-        let sender = Sender::new(
-            SenderConfig::labelled("cubic"),
-            CcKind::Cubic.build(&PathInfo::new(1500)),
-            Box::new(FixedSizeSource::new(SIZE)),
-        );
-        let mut path = Path::new(sender, lost_seq);
+    for lost in [&[][..], &[LOST_SEQ]] {
+        let mut path = Path::new(cubic(false, Box::new(FixedSizeSource::new(SIZE))), lost);
         path.start();
         while !path.finished {
             assert!(path.now < Time::from_millis(10_000), "flow never finished");
             path.step();
         }
         assert_eq!(path.next_expected, SIZE / 1500);
-        assert_eq!(
-            path.sender.fast_retransmits(),
-            u64::from(lost_seq.is_some())
-        );
-        assert_eq!(path.sender.timeouts(), 0);
+        assert_eq!(path.sender().fast_retransmits(), lost.len() as u64);
+        assert_eq!(path.sender().timeouts(), 0);
         assert_eq!(
             path.allocations,
             0,
-            "allocations over {} ACKs outside the loss episode (loss at {lost_seq:?})",
+            "allocations over {} ACKs outside the loss episode (lost: {lost:?})",
             path.acks - path.episode_acks
         );
-        // The scoreboard's nodes, not a per-ACK cost: well under one
-        // allocation per ACK of the episode.
         assert!(
-            path.episode_allocations * 4 <= path.episode_acks,
+            path.episode_allocations <= FIRST_EPISODE_ALLOCATIONS,
             "{} allocations over the loss episode's {} ACKs",
             path.episode_allocations,
             path.episode_acks
         );
-        if lost_seq.is_none() {
+        if lost.is_empty() {
             assert_eq!(path.episode_acks, 0);
         }
     }
@@ -314,5 +367,43 @@ fn spawning_a_fleet_flow_costs_its_label_and_three_boxes() {
     assert!(
         allocations <= 4 * FLOWS,
         "{allocations} allocations for {FLOWS} spawned flows"
+    );
+}
+
+#[test]
+fn a_fleet_flow_with_a_loss_allocates_its_spawn_and_one_episode() {
+    // The fleet's whole cycle, flow by flow: spawn, run to `Finished` with
+    // the middle segment's first transmission lost, retire.  A flow too
+    // short for three duplicate ACKs recovers by timeout instead.
+    let mut spawner = FleetSpawner::new(FleetWorkloadConfig::default_for_link(1e9, 0.5, 20.0));
+    const FLOWS: u64 = 100;
+    let (mut spawn, mut life, mut recovered) = (0, 0, 0);
+    for _ in 0..FLOWS {
+        let mut flow = None;
+        spawn += allocations_in(|| flow = spawner.next_flow());
+        let (_, cfg, endpoint) = flow.expect("20 s of arrivals");
+        let segments = cfg.size_bytes.expect("a sized flow").div_ceil(1500);
+        let mut path = Path::new(endpoint, &[segments / 2]);
+        path.start();
+        while !path.finished {
+            assert!(path.now < Time::from_millis(60_000), "flow never finished");
+            path.step();
+        }
+        assert_eq!(path.next_expected, segments);
+        let sender = path.sender();
+        recovered += sender.fast_retransmits() + sender.timeouts();
+        life += path.allocations + path.episode_allocations;
+        life += allocations_in(|| drop(path.sender));
+    }
+    assert!(
+        recovered >= FLOWS,
+        "only {recovered} recoveries in {FLOWS} flows"
+    );
+    assert!(spawn <= 4 * FLOWS, "{spawn} allocations for {FLOWS} spawns");
+    // Most fleet flows are mice, whose episode spans a handful of slots:
+    // each window grows once or twice.
+    assert!(
+        life <= 6 * FLOWS,
+        "{life} allocations over the lives of {FLOWS} flows with a loss each"
     );
 }

@@ -93,23 +93,11 @@ fn sweep_cell(name: &str) -> nimbus_experiments::Cell {
         .unwrap_or_else(|| panic!("quick sweep matrix no longer contains {name}"))
 }
 
-/// `(wall seconds, events)` of the faster of two runs of `cell`: best-of-two
-/// damps scheduler noise on shared runners.
-fn best_of_two(cell: &nimbus_experiments::Cell) -> (f64, u64) {
-    (0..2)
-        .map(|_| {
-            let started = std::time::Instant::now();
-            let outcome = cell.run();
-            (started.elapsed().as_secs_f64().max(1e-9), outcome.events)
-        })
-        .min_by(|a, b| a.0.total_cmp(&b.0))
-        .expect("two runs")
-}
-
-/// Events per wall second of the quick-sweep cell called `name`.
-fn events_per_sec(name: &str) -> f64 {
-    let (wall_s, events) = best_of_two(&sweep_cell(name));
-    events as f64 / wall_s
+/// Events per wall second of one run of `cell`.
+fn events_per_sec(cell: &nimbus_experiments::Cell) -> f64 {
+    let started = std::time::Instant::now();
+    let outcome = cell.run();
+    outcome.events as f64 / started.elapsed().as_secs_f64().max(1e-9)
 }
 
 /// The sweep cell that regressed must stay within 2× of its plain-schedule
@@ -118,8 +106,16 @@ fn events_per_sec(name: &str) -> f64 {
 /// The pre-fix gap (5×) is far outside the 2× bar plus any plausible jitter.
 #[test]
 fn step50_vs_cbr50_cell_runs_within_2x_of_plain_vs_cbr50() {
-    let step_eps = events_per_sec("nimbus@48M-step50@7-vs-cbr50-seed1");
-    let plain_eps = events_per_sec("nimbus@48M-vs-cbr50-seed1");
+    let step = sweep_cell("nimbus@48M-step50@7-vs-cbr50-seed1");
+    let plain = sweep_cell("nimbus@48M-vs-cbr50-seed1");
+    // The fastest of five runs per cell counts, and the cells' runs
+    // alternate: a stretch of load on a shared host then slows runs of
+    // both cells rather than every run of one.
+    let (mut step_eps, mut plain_eps) = (0.0f64, 0.0f64);
+    for _ in 0..5 {
+        step_eps = step_eps.max(events_per_sec(&step));
+        plain_eps = plain_eps.max(events_per_sec(&plain));
+    }
     assert!(
         step_eps * 2.0 >= plain_eps,
         "step50-vs-cbr50 pathology is back: {step_eps:.0} ev/s vs {plain_eps:.0} ev/s \
