@@ -66,114 +66,83 @@ impl Ewma {
 }
 
 /// Sliding-window minimum over timestamped samples.
+pub type WindowedMin = WindowedExtremum<false>;
+
+/// Sliding-window maximum over timestamped samples.
+pub type WindowedMax = WindowedExtremum<true>;
+
+/// Sliding-window extremum over timestamped samples: the maximum when `MAX`,
+/// the minimum otherwise ([`WindowedMax`] / [`WindowedMin`]).
 ///
 /// Samples older than `window` (in the caller's time unit) relative to the
 /// newest sample are evicted.  Uses a monotonic deque so updates are O(1)
 /// amortized.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WindowedMin {
+#[derive(Debug, Clone)]
+pub struct WindowedExtremum<const MAX: bool> {
     window: f64,
-    /// (timestamp, value), values increasing from front to back.
+    /// (timestamp, value), the extremum at the front: every later value is
+    /// less extreme than the one before it.
     deque: VecDeque<(f64, f64)>,
+}
+
+impl<const MAX: bool> WindowedExtremum<MAX> {
+    /// Create a windowed filter with the given window length.
+    pub fn new(window: f64) -> Self {
+        assert!(window > 0.0, "window must be positive");
+        WindowedExtremum {
+            window,
+            deque: VecDeque::new(),
+        }
+    }
+
+    /// Insert a sample observed at `now` and return the current extremum.
+    pub fn update(&mut self, now: f64, value: f64) -> f64 {
+        // A sample the new one matches or beats can never be the extremum
+        // again: it leaves the window first.
+        while let Some(&(_, back)) = self.deque.back() {
+            let beaten = if MAX { back <= value } else { back >= value };
+            if !beaten {
+                break;
+            }
+            self.deque.pop_back();
+        }
+        self.deque.push_back((now, value));
+        self.expire(now);
+        self.deque.front().map(|&(_, v)| v).unwrap_or(value)
+    }
+
+    fn extremum(&self) -> Option<f64> {
+        self.deque.front().map(|&(_, v)| v)
+    }
+
+    /// Drop samples older than the window relative to `now`.
+    pub fn expire(&mut self, now: f64) {
+        while let Some(&(t, _)) = self.deque.front() {
+            if now - t > self.window {
+                self.deque.pop_front();
+            } else {
+                break;
+            }
+        }
+    }
+
+    /// Clear all samples.
+    pub fn reset(&mut self) {
+        self.deque.clear();
+    }
 }
 
 impl WindowedMin {
-    /// Create a windowed-min filter with the given window length.
-    pub fn new(window: f64) -> Self {
-        assert!(window > 0.0, "window must be positive");
-        WindowedMin {
-            window,
-            deque: VecDeque::new(),
-        }
-    }
-
-    /// Insert a sample observed at `now` and return the current minimum.
-    pub fn update(&mut self, now: f64, value: f64) -> f64 {
-        while let Some(&(_, back)) = self.deque.back() {
-            if back >= value {
-                self.deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        self.deque.push_back((now, value));
-        self.expire(now);
-        self.deque.front().map(|&(_, v)| v).unwrap_or(value)
-    }
-
     /// Current minimum, if any sample is in the window.
     pub fn min(&self) -> Option<f64> {
-        self.deque.front().map(|&(_, v)| v)
+        self.extremum()
     }
-
-    /// Drop samples older than the window relative to `now`.
-    pub fn expire(&mut self, now: f64) {
-        while let Some(&(t, _)) = self.deque.front() {
-            if now - t > self.window {
-                self.deque.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Clear all samples.
-    pub fn reset(&mut self) {
-        self.deque.clear();
-    }
-}
-
-/// Sliding-window maximum over timestamped samples (mirror of [`WindowedMin`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WindowedMax {
-    window: f64,
-    /// (timestamp, value), values decreasing from front to back.
-    deque: VecDeque<(f64, f64)>,
 }
 
 impl WindowedMax {
-    /// Create a windowed-max filter with the given window length.
-    pub fn new(window: f64) -> Self {
-        assert!(window > 0.0, "window must be positive");
-        WindowedMax {
-            window,
-            deque: VecDeque::new(),
-        }
-    }
-
-    /// Insert a sample observed at `now` and return the current maximum.
-    pub fn update(&mut self, now: f64, value: f64) -> f64 {
-        while let Some(&(_, back)) = self.deque.back() {
-            if back <= value {
-                self.deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        self.deque.push_back((now, value));
-        self.expire(now);
-        self.deque.front().map(|&(_, v)| v).unwrap_or(value)
-    }
-
     /// Current maximum, if any sample is in the window.
     pub fn max(&self) -> Option<f64> {
-        self.deque.front().map(|&(_, v)| v)
-    }
-
-    /// Drop samples older than the window relative to `now`.
-    pub fn expire(&mut self, now: f64) {
-        while let Some(&(t, _)) = self.deque.front() {
-            if now - t > self.window {
-                self.deque.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Clear all samples.
-    pub fn reset(&mut self) {
-        self.deque.clear();
+        self.extremum()
     }
 }
 

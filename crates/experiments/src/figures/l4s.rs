@@ -26,7 +26,7 @@ use super::{first_flip_s, scenario};
 use crate::output::ExperimentResult;
 use crate::runner::{run_scheme_vs_cross, EcnSpec};
 use crate::scheme::SchemeSpec;
-use nimbus_core::TcpScheme;
+use nimbus_core::{NimbusSpec, TcpScheme};
 
 /// Pulse survival across marking profiles: the same solo Nimbus flow on a
 /// drop-tail, a classic-marking, and an L4S step queue.  Delay mode treats
@@ -94,12 +94,7 @@ pub fn l4s_mark_validation(quick: bool) -> ExperimentResult {
     result.row("fft_window_s", fft_window_s);
     for (tag, ecn) in [("off", EcnSpec::Off), ("ecn", EcnSpec::Classic)] {
         let spec = scenario(&format!("48M ecn={ecn} vs dctcp seed=2 dur={duration}s"));
-        let out = run_scheme_vs_cross(
-            &spec,
-            SchemeSpec::nimbus().with_competitive(TcpScheme::Dctcp),
-            Vec::new(),
-            duration / 3.0,
-        );
+        let out = run_scheme_vs_cross(&spec, nimbus_dctcp(), Vec::new(), duration / 3.0);
         let m = &out.flows[0];
         result.row(&format!("{tag}_first_flip_s"), first_flip_s(m));
         result.row(&format!("{tag}_throughput_mbps"), m.mean_throughput_mbps);
@@ -115,6 +110,14 @@ pub fn l4s_mark_validation(quick: bool) -> ExperimentResult {
         );
     }
     result
+}
+
+/// `nimbus(competitive=dctcp)`: the wrapper speaking DCTCP's ECN dialect.
+fn nimbus_dctcp() -> SchemeSpec {
+    SchemeSpec::Nimbus(NimbusSpec {
+        competitive: TcpScheme::Dctcp,
+        ..NimbusSpec::default()
+    })
 }
 
 /// The coexistence matrix behind the Prague question: who shares fairly
@@ -135,7 +138,7 @@ pub fn l4s_coexistence(quick: bool) -> ExperimentResult {
     let pairs: [(&str, SchemeSpec, SchemeSpec, EcnSpec); 3] = [
         (
             "nimbus_dctcp_vs_dctcp_classic",
-            SchemeSpec::nimbus().with_competitive(TcpScheme::Dctcp),
+            nimbus_dctcp(),
             SchemeSpec::dctcp(),
             EcnSpec::Classic,
         ),

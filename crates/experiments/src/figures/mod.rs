@@ -28,7 +28,7 @@ pub mod varying;
 
 use crate::runner::{CrossRate, CrossSource, CrossSpec, ScenarioSpec, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
-use nimbus_core::ElasticityConfig;
+use nimbus_core::ETA_THRESHOLD;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, TimeSeries};
 use nimbus_traffic::{FleetSpawner, FleetWorkloadConfig};
 use std::ops::{Bound, RangeBounds};
@@ -64,10 +64,17 @@ pub fn after(t_s: f64) -> (Bound<f64>, Bound<f64>) {
     (Bound::Excluded(t_s), Bound::Unbounded)
 }
 
-/// Whether a detector verdict reads elastic: η at or above the detector's
-/// own threshold.
+/// Whether a detector verdict reads elastic by η alone: η at or above the
+/// detector's [`ETA_THRESHOLD`].
+///
+/// The controller's own verdict asks more: the peak at `f_p` must also
+/// reach 1% of µ̂, and under `zfilter=adaptive` both bars scale with the µ̂
+/// uncertainty.  So every row scored through here — [`accuracy`],
+/// [`elastic_fraction`], Fig. 12's `detector_accuracy` and `elastic_recall`
+/// — scores a bare-η detector, not the one that switches modes; how far the
+/// two disagree is unmeasured.
 pub fn is_elastic(eta: f64) -> bool {
-    eta >= ElasticityConfig::default().eta_threshold
+    eta >= ETA_THRESHOLD
 }
 
 /// The fraction of `verdicts` equal to `truth`; 0.0 when there are none.
@@ -202,10 +209,9 @@ mod tests {
 
     #[test]
     fn eta_at_the_threshold_reads_elastic() {
-        let threshold = ElasticityConfig::default().eta_threshold;
-        assert!(is_elastic(threshold));
-        assert!(!is_elastic(threshold - 1e-9));
-        let etas = [threshold, 0.5, 3.0, 1.0];
+        assert!(is_elastic(ETA_THRESHOLD));
+        assert!(!is_elastic(ETA_THRESHOLD - 1e-9));
+        let etas = [ETA_THRESHOLD, 0.5, 3.0, 1.0];
         assert_eq!(elastic_fraction(&etas), 0.5);
         assert_eq!(accuracy(&etas, false), 0.5);
         assert_eq!(accuracy(&[], true), 0.0);

@@ -40,7 +40,7 @@ pub use runner::{
     CrossRate, CrossSource, CrossSpec, EcnSpec, FleetSpec, HopSpec, LinkScheduleSpec, PathSpec,
     ScenarioSpec, SingleFlowMetrics,
 };
-pub use scheme::{MuSpec, NimbusSpec, SchemeSpec, SwitchSpec};
+pub use scheme::SchemeSpec;
 pub use sweep::{run_sweep, sweep_matrix, sweep_matrix_with, SweepConfig, SweepReport};
 pub use testkit::{
     cells, paper_invariant_matrix, parallel_map, run_matrix, Cell, CellOutcome, Invariants,

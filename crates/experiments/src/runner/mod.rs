@@ -269,4 +269,19 @@ mod tests {
             "alone on the link Nimbus should stay in delay mode"
         );
     }
+
+    #[test]
+    fn switch_never_holds_delay_mode_on_every_path() {
+        // A DCTCP competitor on a classic-ECN queue: mark-rate
+        // cross-validation wants competitive mode within seconds of warm-up,
+        // and `switch=never` must decline it as it declines the detector.
+        let scheme: SchemeSpec = "nimbus(competitive=dctcp,switch=never)".parse().unwrap();
+        let spec: ScenarioSpec = "48M ecn=classic vs dctcp seed=2 dur=10s".parse().unwrap();
+        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 3.0);
+        let log = &out.flows[0].mode_log;
+        assert!(
+            log.iter().all(|(_, mode)| mode == "delay"),
+            "switch=never left delay mode: {log:?}"
+        );
+    }
 }

@@ -1,9 +1,9 @@
 //! The `mu=` and `zfilter=` values of a `nimbus(…)` spec: the learned-µ and
 //! notch option tables, with the printers and parsers that read them.
 
-use super::{call_form, MuSpec};
+use super::call_form;
 use crate::grammar::{self, num_opt, positive, Opt, ParseError};
-use nimbus_core::{ElasticityConfig, LearnedMuConfig, ProbingConfig, ZFilterConfig};
+use nimbus_core::{ElasticityConfig, LearnedMuConfig, MuSpec, ProbingConfig, ZFilterConfig};
 
 pub(super) fn mu_hint() -> String {
     format!(

@@ -10,10 +10,12 @@
 //!
 //! * [`SchemeSpec::Bare`] — a standalone CCA ([`CcKind`]): `cubic`, `reno`,
 //!   `vegas`, `copa`, `bbr`, `vivace`, `compound`, `constant(<rate>)`, …
-//! * [`SchemeSpec::Nimbus`] — the wrapper, parameterized by a
+//! * [`SchemeSpec::Nimbus`] — the wrapper, parameterized by nimbus-core's
 //!   [`NimbusSpec`]: which competitive scheme, which delay scheme, whether µ
 //!   is configured or learned at runtime (§4.2), and whether mode switching
 //!   is enabled at all (the paper's "Nimbus delay" baseline disables it).
+//!   The spec *is* the controller's configuration: [`SchemeSpec::nimbus_config`]
+//!   only adds the link rate and the seed.
 //!
 //! Every spec is **string-parseable** ([`std::str::FromStr`]) and prints
 //! back to its canonical form ([`std::fmt::Display`]), so CLI flags, sweep
@@ -45,8 +47,8 @@
 
 use crate::grammar::{self, choice_opt, non_default, Opt, ParseError};
 use nimbus_core::{
-    DelayScheme, LearnedMuConfig, MuEstimatorConfig, MultiflowConfig, NimbusConfig,
-    NimbusController, TcpScheme, ZFilterConfig,
+    DelayScheme, LearnedMuConfig, MuSpec, MultiflowConfig, NimbusConfig, NimbusController,
+    NimbusSpec, SwitchSpec, TcpScheme, ZFilterConfig,
 };
 use nimbus_netsim::FlowEndpoint;
 use nimbus_transport::{
@@ -61,69 +63,6 @@ mod estimation;
 use estimation::{
     mu_hint, parse_mu, parse_zfilter, show_mu, show_zfilter, zfilter_hint, MU_LEARNED, NOTCH,
 };
-
-/// Where the Nimbus wrapper gets the bottleneck rate µ from: configured up
-/// front, or learned at runtime ([`LearnedMuConfig`], §4.2 and beyond).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum MuSpec {
-    /// µ is configured up front from the scenario's nominal link rate.
-    #[default]
-    Configured,
-    /// µ is learned at runtime (`mu=learned`, `mu=learned(probe=…)`).
-    Learned(LearnedMuConfig),
-}
-
-impl MuSpec {
-    /// The classic §4.2 max-filter learned µ (`mu=learned`).
-    pub fn learned() -> Self {
-        MuSpec::Learned(LearnedMuConfig::default())
-    }
-
-    /// Whether µ is learned at runtime.
-    pub fn is_learned(&self) -> bool {
-        matches!(self, MuSpec::Learned(_))
-    }
-}
-
-/// Whether the Nimbus wrapper may switch into TCP-competitive mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SwitchSpec {
-    /// Follow the elasticity detector (the paper's Nimbus).
-    #[default]
-    Auto,
-    /// Never switch: stay in delay mode forever ("Nimbus delay").
-    Never,
-}
-
-/// The parameters of the Nimbus wrapper: elasticity detection layered over
-/// an inner competitive scheme and an inner delay scheme.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NimbusSpec {
-    /// The inner TCP-competitive scheme (used when cross traffic is elastic).
-    pub competitive: TcpScheme,
-    /// The inner delay-controlling scheme (used when it is not).
-    pub delay: DelayScheme,
-    /// Where the bottleneck-rate estimate µ comes from.
-    pub mu: MuSpec,
-    /// ẑ conditioning between the estimator and the detector.
-    pub zfilter: ZFilterConfig,
-    /// Whether mode switching is enabled.
-    pub switch: SwitchSpec,
-}
-
-impl Default for NimbusSpec {
-    /// The paper's default wrapper: Cubic + BasicDelay, configured µ, raw ẑ,
-    /// detector-driven switching.
-    fn default() -> Self {
-        NimbusSpec {
-            competitive: TcpScheme::Cubic,
-            delay: DelayScheme::BasicDelay,
-            mu: MuSpec::Configured,
-            zfilter: ZFilterConfig::None,
-            switch: SwitchSpec::Auto,
-        }
-    }
-}
 
 /// A congestion-control scheme specification: either a bare CCA or the
 /// Nimbus wrapper composed over inner CCAs.  See the [module docs](self)
@@ -147,24 +86,36 @@ impl SchemeSpec {
 
     /// Nimbus with Copa's default mode as the delay scheme (`nimbus-copa`).
     pub fn nimbus_copa() -> Self {
-        Self::nimbus().with_delay(DelayScheme::CopaDefault)
+        SchemeSpec::Nimbus(NimbusSpec {
+            delay: DelayScheme::CopaDefault,
+            ..NimbusSpec::default()
+        })
     }
 
     /// Nimbus with Vegas as the delay scheme (`nimbus-vegas`).
     pub fn nimbus_vegas() -> Self {
-        Self::nimbus().with_delay(DelayScheme::Vegas)
+        SchemeSpec::Nimbus(NimbusSpec {
+            delay: DelayScheme::Vegas,
+            ..NimbusSpec::default()
+        })
     }
 
     /// Nimbus's delay controller alone, mode switching disabled
     /// (`nimbus-delay`).
     pub fn nimbus_delay_only() -> Self {
-        Self::nimbus().delay_only()
+        SchemeSpec::Nimbus(NimbusSpec {
+            switch: SwitchSpec::Never,
+            ..NimbusSpec::default()
+        })
     }
 
     /// Nimbus learning µ at runtime from the max receive rate
     /// (`nimbus-estmu`, §4.2).
     pub fn nimbus_estmu() -> Self {
-        Self::nimbus().with_learned_mu()
+        SchemeSpec::Nimbus(NimbusSpec {
+            mu: MuSpec::learned(),
+            ..NimbusSpec::default()
+        })
     }
 
     /// Bare TCP Cubic.
@@ -210,70 +161,6 @@ impl SchemeSpec {
     /// A constant-bit-rate (inelastic) sender at `rate_bps`.
     pub fn constant(rate_bps: f64) -> Self {
         SchemeSpec::Bare(CcKind::ConstantRate(rate_bps))
-    }
-
-    // ---- builders (Nimbus only) ----------------------------------------
-
-    fn map_nimbus(self, f: impl FnOnce(&mut NimbusSpec)) -> Self {
-        match self {
-            SchemeSpec::Nimbus(mut n) => {
-                f(&mut n);
-                SchemeSpec::Nimbus(n)
-            }
-            SchemeSpec::Bare(kind) => panic!(
-                "scheme `{}` is a bare CCA; Nimbus options only apply to nimbus(...) specs",
-                kind
-            ),
-        }
-    }
-
-    /// Replace the wrapper's inner TCP-competitive scheme.
-    ///
-    /// # Panics
-    /// Panics on a bare (non-Nimbus) spec.
-    pub fn with_competitive(self, competitive: TcpScheme) -> Self {
-        self.map_nimbus(|n| n.competitive = competitive)
-    }
-
-    /// Replace the wrapper's inner delay-controlling scheme.
-    ///
-    /// # Panics
-    /// Panics on a bare (non-Nimbus) spec.
-    pub fn with_delay(self, delay: DelayScheme) -> Self {
-        self.map_nimbus(|n| n.delay = delay)
-    }
-
-    /// Learn µ at runtime instead of configuring it (§4.2), with the
-    /// classic max-filter strategy.
-    ///
-    /// # Panics
-    /// Panics on a bare (non-Nimbus) spec.
-    pub fn with_learned_mu(self) -> Self {
-        self.map_nimbus(|n| n.mu = MuSpec::learned())
-    }
-
-    /// Learn µ as `strategy` says (`mu=learned(…)`).
-    ///
-    /// # Panics
-    /// Panics on a bare (non-Nimbus) spec.
-    pub fn with_mu_strategy(self, strategy: LearnedMuConfig) -> Self {
-        self.map_nimbus(|n| n.mu = MuSpec::Learned(strategy))
-    }
-
-    /// Install a ẑ-conditioning stage (`zfilter=…`).
-    ///
-    /// # Panics
-    /// Panics on a bare (non-Nimbus) spec.
-    pub fn with_z_filter(self, zfilter: ZFilterConfig) -> Self {
-        self.map_nimbus(|n| n.zfilter = zfilter)
-    }
-
-    /// Disable mode switching (the "Nimbus delay" baseline).
-    ///
-    /// # Panics
-    /// Panics on a bare (non-Nimbus) spec.
-    pub fn delay_only(self) -> Self {
-        self.map_nimbus(|n| n.switch = SwitchSpec::Never)
     }
 
     // ---- inspection -----------------------------------------------------
@@ -370,23 +257,13 @@ impl SchemeSpec {
     /// Build a Nimbus configuration for this spec on a link of `mu_bps`
     /// (`None` for bare specs).
     pub fn nimbus_config(&self, mu_bps: f64, seed: u64) -> Option<NimbusConfig> {
-        let SchemeSpec::Nimbus(n) = self else {
+        let SchemeSpec::Nimbus(spec) = *self else {
             return None;
         };
-        let mut cfg = NimbusConfig::default_for_link(mu_bps)
-            .with_seed(seed)
-            .with_tcp_scheme(n.competitive)
-            .with_delay_scheme(n.delay);
-        if let MuSpec::Learned(lc) = n.mu {
-            cfg = cfg.with_mu_estimator(MuEstimatorConfig::Learned(lc));
-        }
-        if n.zfilter != ZFilterConfig::None {
-            cfg = cfg.with_z_filter(n.zfilter);
-        }
-        if n.switch == SwitchSpec::Never {
-            cfg = cfg.without_switching();
-        }
-        Some(cfg)
+        Some(NimbusConfig {
+            spec,
+            ..NimbusConfig::default_for_link(mu_bps).with_seed(seed)
+        })
     }
 
     /// Build just the congestion controller for this spec (the piece a
@@ -579,8 +456,15 @@ mod tests {
     #[test]
     fn every_spec_builds_an_endpoint_with_its_label() {
         let mut specs = paper_flavours();
-        specs.push(SchemeSpec::nimbus().with_competitive(TcpScheme::NewReno));
-        specs.push(SchemeSpec::nimbus_copa().with_learned_mu());
+        specs.push(SchemeSpec::Nimbus(NimbusSpec {
+            competitive: TcpScheme::NewReno,
+            ..NimbusSpec::default()
+        }));
+        specs.push(SchemeSpec::Nimbus(NimbusSpec {
+            delay: DelayScheme::CopaDefault,
+            mu: MuSpec::learned(),
+            ..NimbusSpec::default()
+        }));
         specs.push(SchemeSpec::constant(12e6));
         for s in specs {
             let ep = s.build_endpoint(96e6, 1);
@@ -590,33 +474,18 @@ mod tests {
 
     #[test]
     fn novel_combinations_compose_labels() {
-        assert_eq!(
-            SchemeSpec::nimbus()
-                .with_competitive(TcpScheme::NewReno)
-                .label(),
-            "nimbus-reno"
-        );
-        assert_eq!(
-            SchemeSpec::nimbus()
-                .with_competitive(TcpScheme::Dctcp)
-                .label(),
-            "nimbus-dctcp"
-        );
+        let label = |s: &str| s.parse::<SchemeSpec>().unwrap().label();
+        assert_eq!(label("nimbus(competitive=reno)"), "nimbus-reno");
+        assert_eq!(label("nimbus(competitive=dctcp)"), "nimbus-dctcp");
         assert_eq!(SchemeSpec::dctcp().label(), "dctcp");
+        assert_eq!(label("nimbus(delay=copa,mu=learned)"), "nimbus-copa-estmu");
         assert_eq!(
-            SchemeSpec::nimbus_copa().with_learned_mu().label(),
-            "nimbus-copa-estmu"
-        );
-        assert_eq!(
-            SchemeSpec::nimbus_delay_only()
-                .with_delay(DelayScheme::Vegas)
-                .label(),
+            label("nimbus(delay=vegas,switch=never)"),
             "nimbus-delay-vegas"
         );
         assert_eq!(SchemeSpec::constant(24e6).label(), "cbr24M");
         assert_eq!(SchemeSpec::constant(4e5).label(), "cbr400k");
         // Probing parameters: only the non-default ones, in table order.
-        let label = |s: &str| s.parse::<SchemeSpec>().unwrap().label();
         assert_eq!(
             label("nimbus(mu=learned(probe=2,gain=4,quiesce=0.4))"),
             "nimbus-estmu-probe2g4q0.4"
@@ -638,12 +507,17 @@ mod tests {
             " Nimbus( Competitive = Reno , Mu = Learned ) "
                 .parse::<SchemeSpec>()
                 .unwrap(),
-            SchemeSpec::nimbus()
-                .with_competitive(TcpScheme::NewReno)
-                .with_learned_mu()
+            SchemeSpec::Nimbus(NimbusSpec {
+                competitive: TcpScheme::NewReno,
+                mu: MuSpec::learned(),
+                ..NimbusSpec::default()
+            })
         );
         // The ECN family.
-        let prague = SchemeSpec::nimbus().with_competitive(TcpScheme::Dctcp);
+        let prague = SchemeSpec::Nimbus(NimbusSpec {
+            competitive: TcpScheme::Dctcp,
+            ..NimbusSpec::default()
+        });
         assert_eq!(prague.to_string(), "nimbus(competitive=dctcp)");
         assert!(prague.uses_ecn());
         assert!(SchemeSpec::dctcp().uses_ecn());
@@ -657,19 +531,13 @@ mod tests {
         assert!(SchemeSpec::cubic().nimbus_config(96e6, 1).is_none());
         assert!(SchemeSpec::nimbus().is_nimbus());
         assert!(!SchemeSpec::bbr().is_nimbus());
-        // The spec options actually reach the config.
-        let cfg = SchemeSpec::nimbus()
-            .with_competitive(TcpScheme::NewReno)
-            .nimbus_config(96e6, 1)
+        // The spec is the config's, beside the link rate and the seed.
+        let spec: SchemeSpec = "nimbus(competitive=reno,mu=learned,switch=never)"
+            .parse()
             .unwrap();
-        assert_eq!(cfg.tcp_scheme, TcpScheme::NewReno);
-        let cfg = SchemeSpec::nimbus_delay_only()
-            .nimbus_config(96e6, 1)
-            .unwrap();
-        assert!(cfg.elasticity.eta_threshold.is_infinite());
-        let cfg = SchemeSpec::nimbus_estmu().nimbus_config(96e6, 1).unwrap();
-        assert!(cfg.mu.is_learned());
-        assert_eq!(cfg.mu, MuEstimatorConfig::learned());
+        let cfg = spec.nimbus_config(96e6, 7).unwrap();
+        assert_eq!(SchemeSpec::Nimbus(cfg.spec), spec);
+        assert_eq!((cfg.mu_bps, cfg.seed), (96e6, 7));
     }
 
     #[test]

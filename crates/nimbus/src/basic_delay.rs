@@ -19,7 +19,6 @@
 use crate::cc::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
 use crate::ccp::Report;
 use nimbus_core_types::Time;
-use serde::{Deserialize, Serialize};
 
 /// Gain on the spare-capacity term of Eq. 4, `α` (§8.1: 0.8).
 const ALPHA: f64 = 0.8;
@@ -31,25 +30,6 @@ const TARGET_QUEUE_DELAY_S: f64 = 0.0125;
 /// probing (Eq. 1 needs a busy link to say anything about ẑ).
 const MIN_RATE_DIVISOR: f64 = 50.0;
 
-/// BasicDelay parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct BasicDelayConfig {
-    /// Bottleneck link rate `µ`, bits/s.
-    pub mu_bps: f64,
-}
-
-impl BasicDelayConfig {
-    /// The paper's parameters (§8.1) for a link of rate `mu_bps`.
-    pub fn paper_defaults(mu_bps: f64) -> Self {
-        BasicDelayConfig { mu_bps }
-    }
-
-    /// Floor on the rate, bits/s.
-    fn min_rate_bps(&self) -> f64 {
-        self.mu_bps / MIN_RATE_DIVISOR
-    }
-}
-
 /// The BasicDelay controller.
 ///
 /// It needs the cross-traffic estimate ẑ, which the Nimbus controller feeds
@@ -57,7 +37,8 @@ impl BasicDelayConfig {
 /// Nimbus) it assumes ẑ = 0 and behaves like a pure delay-target controller.
 #[derive(Debug, Clone)]
 pub struct BasicDelay {
-    cfg: BasicDelayConfig,
+    /// Bottleneck link rate `µ`, bits/s.
+    mu_bps: f64,
     rate_bps: f64,
     z_bps: f64,
     min_rtt_s: f64,
@@ -66,17 +47,22 @@ pub struct BasicDelay {
 }
 
 impl BasicDelay {
-    /// Create a BasicDelay controller.
-    pub fn new(cfg: BasicDelayConfig) -> Self {
-        let initial = (cfg.mu_bps / 10.0).max(cfg.min_rate_bps());
+    /// Create a BasicDelay controller for a link of rate `mu_bps`.
+    pub fn new(mu_bps: f64) -> Self {
+        let initial = (mu_bps / 10.0).max(mu_bps / MIN_RATE_DIVISOR);
         BasicDelay {
-            cfg,
+            mu_bps,
             rate_bps: initial,
             z_bps: 0.0,
             min_rtt_s: f64::INFINITY,
             last_rtt_s: 0.0,
             last_send_rate_bps: initial,
         }
+    }
+
+    /// Floor on the rate, bits/s.
+    fn min_rate_bps(&self) -> f64 {
+        self.mu_bps / MIN_RATE_DIVISOR
     }
 
     /// Provide the latest cross-traffic estimate ẑ (bits/s).
@@ -91,7 +77,7 @@ impl BasicDelay {
 
     /// Directly set the rate (used by Nimbus when switching modes).
     pub fn set_rate(&mut self, rate_bps: f64) {
-        self.rate_bps = rate_bps.max(self.cfg.min_rate_bps());
+        self.rate_bps = rate_bps.max(self.min_rate_bps());
     }
 
     /// Apply Eq. 4 given the latest measurements.
@@ -104,10 +90,10 @@ impl BasicDelay {
         } else {
             self.rate_bps
         };
-        let spare = self.cfg.mu_bps - s - self.z_bps;
+        let spare = self.mu_bps - s - self.z_bps;
         let delay_err = self.min_rtt_s + TARGET_QUEUE_DELAY_S - rtt_s;
-        let rate = s + ALPHA * spare + BETA * self.cfg.mu_bps / rtt_s * delay_err;
-        self.rate_bps = rate.clamp(self.cfg.min_rate_bps(), self.cfg.mu_bps * 1.05);
+        let rate = s + ALPHA * spare + BETA * self.mu_bps / rtt_s * delay_err;
+        self.rate_bps = rate.clamp(self.min_rate_bps(), self.mu_bps * 1.05);
     }
 }
 
@@ -120,13 +106,13 @@ impl CongestionControl for BasicDelay {
 
     fn on_packets_lost(&mut self, _loss: &LossEvent) {
         // Delay is the primary signal; on loss just ease off multiplicatively.
-        self.rate_bps = (self.rate_bps * 0.9).max(self.cfg.min_rate_bps());
+        self.rate_bps = (self.rate_bps * 0.9).max(self.min_rate_bps());
     }
 
     fn on_congestion_event(&mut self, event: &CongestionEvent) {
         match event {
             CongestionEvent::Rto { .. } => {
-                self.rate_bps = self.cfg.min_rate_bps();
+                self.rate_bps = self.min_rate_bps();
             }
             // Pure delay controller: the RTT term is its congestion signal.
             CongestionEvent::EcnCe { .. } => {}
@@ -208,7 +194,7 @@ mod tests {
 
     #[test]
     fn rate_climbs_towards_spare_capacity() {
-        let mut cc = BasicDelay::new(BasicDelayConfig::paper_defaults(96e6));
+        let mut cc = BasicDelay::new(96e6);
         cc.on_packet_acked(&ack(50.0));
         // No cross traffic, RTT at the minimum: the rate should converge to ~µ.
         let mut s = cc.current_rate_bps();
@@ -221,7 +207,7 @@ mod tests {
 
     #[test]
     fn rate_leaves_room_for_cross_traffic() {
-        let mut cc = BasicDelay::new(BasicDelayConfig::paper_defaults(96e6));
+        let mut cc = BasicDelay::new(96e6);
         cc.on_packet_acked(&ack(50.0));
         cc.set_cross_traffic_estimate(48e6);
         // Hold the RTT exactly at x_min + d_t so the delay term vanishes and
@@ -236,7 +222,7 @@ mod tests {
 
     #[test]
     fn high_delay_pushes_the_rate_down() {
-        let mut cc = BasicDelay::new(BasicDelayConfig::paper_defaults(96e6));
+        let mut cc = BasicDelay::new(96e6);
         cc.on_packet_acked(&ack(50.0));
         cc.set_rate(90e6);
         // RTT far above min + target: strong negative correction.
@@ -248,8 +234,7 @@ mod tests {
     fn queue_is_kept_slightly_full_not_empty() {
         // At exactly x = x_min + d_t the delay term vanishes; below the target
         // the correction is positive (keep the queue from emptying).
-        let cfg = BasicDelayConfig::paper_defaults(96e6);
-        let mut cc = BasicDelay::new(cfg);
+        let mut cc = BasicDelay::new(96e6);
         cc.on_packet_acked(&ack(50.0));
         cc.set_cross_traffic_estimate(96e6 - 40e6); // spare ≈ 0 when S = 40M
         cc.on_report(&report(0.0, 40e6, 0.050)); // queue empty: x == x_min
@@ -261,7 +246,7 @@ mod tests {
 
     #[test]
     fn loss_and_timeout_back_off() {
-        let mut cc = BasicDelay::new(BasicDelayConfig::paper_defaults(48e6));
+        let mut cc = BasicDelay::new(48e6);
         cc.set_rate(40e6);
         cc.on_packets_lost(&LossEvent {
             now: Time::ZERO,
@@ -275,12 +260,11 @@ mod tests {
 
     #[test]
     fn rate_is_always_within_physical_bounds() {
-        let cfg = BasicDelayConfig::paper_defaults(96e6);
-        let mut cc = BasicDelay::new(cfg);
+        let mut cc = BasicDelay::new(96e6);
         cc.on_packet_acked(&ack(50.0));
         cc.set_cross_traffic_estimate(200e6); // absurd estimate
         cc.on_report(&report(0.0, 96e6, 0.3));
-        assert!(cc.current_rate_bps() >= cfg.min_rate_bps());
+        assert!(cc.current_rate_bps() >= cc.min_rate_bps());
         assert!(cc.current_rate_bps() <= 96e6 * 1.05);
         assert!(cc.pacing_rate_bps(Time::ZERO).unwrap() > 0.0);
         assert!(cc.cwnd_packets() >= 4.0);
@@ -288,7 +272,7 @@ mod tests {
 
     #[test]
     fn reinitialize_sets_the_rate() {
-        let mut cc = BasicDelay::new(BasicDelayConfig::paper_defaults(96e6));
+        let mut cc = BasicDelay::new(96e6);
         cc.reinitialize(30e6, 0.05, 1500);
         assert!((cc.current_rate_bps() - 30e6).abs() < 1.0);
     }

@@ -25,11 +25,11 @@
 //!   it is `f_pd` = `f_pc` + `PULSE_FREQ_DELAY_OFFSET_HZ` (6 Hz), so watcher
 //!   flows can follow the pulser's mode (§6).
 
-use crate::basic_delay::{BasicDelay, BasicDelayConfig};
+use crate::basic_delay::BasicDelay;
 use crate::cc::{AckEvent, CcKind, CongestionControl, CongestionEvent, LossEvent, PathInfo};
 use crate::ccp::Report;
 use crate::detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector};
-use crate::estimator::{CrossTrafficEstimator, MuEstimatorConfig, ZFilterConfig};
+use crate::estimator::{CrossTrafficEstimator, MuSpec, ZFilterConfig};
 use crate::multiflow::{Multiflow, MultiflowConfig, PulserPresence, Role};
 use nimbus_core_types::Time;
 use nimbus_dsp::Biquad;
@@ -83,27 +83,66 @@ pub enum Mode {
     Competitive,
 }
 
+/// Whether the controller may switch into TCP-competitive mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SwitchSpec {
+    /// Follow the elasticity detector (the paper's Nimbus).
+    #[default]
+    Auto,
+    /// Measure, don't switch: the detector keeps issuing verdicts, but the
+    /// flow stays in delay mode forever ("Nimbus delay").
+    Never,
+}
+
+/// What a Nimbus flow runs: elasticity detection layered over an inner
+/// competitive scheme and an inner delay scheme.  The `nimbus(…)` scheme
+/// grammar reads and writes exactly these fields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NimbusSpec {
+    /// The inner TCP-competitive scheme (used when cross traffic is elastic).
+    pub competitive: TcpScheme,
+    /// The inner delay-controlling scheme (used when it is not).
+    pub delay: DelayScheme,
+    /// Where the bottleneck-rate estimate µ comes from (see
+    /// [`crate::estimator`]).
+    pub mu: MuSpec,
+    /// ẑ conditioning between the estimator and the detector (none, a notch
+    /// at the link-variation frequency, or µ-uncertainty-scaled thresholds).
+    pub zfilter: ZFilterConfig,
+    /// Whether mode switching is enabled.
+    pub switch: SwitchSpec,
+}
+
+impl Default for NimbusSpec {
+    /// The paper's default wrapper: Cubic + BasicDelay, configured µ, raw ẑ,
+    /// detector-driven switching.
+    fn default() -> Self {
+        NimbusSpec {
+            competitive: TcpScheme::Cubic,
+            delay: DelayScheme::BasicDelay,
+            mu: MuSpec::Configured,
+            zfilter: ZFilterConfig::None,
+            switch: SwitchSpec::Auto,
+        }
+    }
+}
+
 /// Nimbus configuration.
 #[derive(Debug, Clone)]
 pub struct NimbusConfig {
-    /// Where the bottleneck rate µ comes from: configured up front, or
-    /// learned at runtime (§4.2 and beyond; see [`crate::estimator`]).
-    pub mu: MuEstimatorConfig,
-    /// ẑ conditioning between the estimator and the detector (none, a notch
-    /// at the link-variation frequency, or µ-uncertainty-scaled thresholds).
-    pub z_filter: ZFilterConfig,
+    /// What the flow runs.
+    pub spec: NimbusSpec,
+    /// The nominal bottleneck rate µ, bits/s: BasicDelay's µ, and the
+    /// estimator's too when `spec.mu` is configured.  A learned µ starts
+    /// from nothing: it reaches neither the inner schemes' [`PathInfo`] nor
+    /// the initial pulse amplitude.
+    pub mu_bps: f64,
     /// Maximum segment size of the flow, bytes.
     pub mss: u32,
     /// Pulse amplitude as a fraction of µ (0.25 by default).
     pub pulse_amplitude_fraction: f64,
-    /// Elasticity-detector settings (pulse frequency, FFT duration, threshold).
+    /// Elasticity-detector settings (pulse frequency, FFT duration).
     pub elasticity: ElasticityConfig,
-    /// TCP-competitive inner scheme.
-    pub tcp_scheme: TcpScheme,
-    /// Delay-controlling inner scheme.
-    pub delay_scheme: DelayScheme,
-    /// BasicDelay parameters (used when `delay_scheme` is BasicDelay).
-    pub basic_delay: BasicDelayConfig,
     /// Multi-flow (pulser/watcher) coordination.
     pub multiflow: MultiflowConfig,
     /// Seed for the controller's randomized decisions.
@@ -115,29 +154,14 @@ impl NimbusConfig {
     /// BasicDelay, 0.25·µ pulses at 5/6 Hz, 5-second FFT, η threshold 2.
     pub fn default_for_link(mu_bps: f64) -> Self {
         NimbusConfig {
-            mu: MuEstimatorConfig::Configured { mu_bps },
-            z_filter: ZFilterConfig::None,
+            spec: NimbusSpec::default(),
+            mu_bps,
             mss: 1500,
             pulse_amplitude_fraction: 0.25,
             elasticity: ElasticityConfig::default(),
-            tcp_scheme: TcpScheme::Cubic,
-            delay_scheme: DelayScheme::BasicDelay,
-            basic_delay: BasicDelayConfig::paper_defaults(mu_bps),
             multiflow: MultiflowConfig::default(),
             seed: 1,
         }
-    }
-
-    /// Use a different TCP-competitive scheme.
-    pub fn with_tcp_scheme(mut self, scheme: TcpScheme) -> Self {
-        self.tcp_scheme = scheme;
-        self
-    }
-
-    /// Use a different delay-controlling scheme.
-    pub fn with_delay_scheme(mut self, scheme: DelayScheme) -> Self {
-        self.delay_scheme = scheme;
-        self
     }
 
     /// Enable pulser/watcher coordination (for multiple Nimbus flows).
@@ -155,34 +179,6 @@ impl NimbusConfig {
     /// Change the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Learn µ at runtime from the max receive rate (§4.2) instead of
-    /// trusting a configured link rate.  BasicDelay keeps the paper defaults
-    /// derived from the nominal rate; the estimator and pulse amplitude
-    /// follow the learned value.
-    pub fn with_learned_mu(self) -> Self {
-        self.with_mu_estimator(MuEstimatorConfig::learned())
-    }
-
-    /// Select where µ comes from (see [`crate::estimator`]).
-    pub fn with_mu_estimator(mut self, mu: MuEstimatorConfig) -> Self {
-        self.mu = mu;
-        self
-    }
-
-    /// Install a ẑ-conditioning stage between the estimator and the detector.
-    pub fn with_z_filter(mut self, z_filter: ZFilterConfig) -> Self {
-        self.z_filter = z_filter;
-        self
-    }
-
-    /// Disable mode switching: the controller stays in delay mode forever
-    /// (the paper's "Nimbus delay" baseline) by setting an unreachable
-    /// elasticity threshold.
-    pub fn without_switching(mut self) -> Self {
-        self.elasticity.eta_threshold = f64::INFINITY;
         self
     }
 
@@ -296,24 +292,34 @@ pub struct NimbusController {
 
 impl NimbusController {
     /// Create a Nimbus controller.
+    ///
+    /// # Panics
+    /// Panics if µ is configured (`spec.mu` is [`MuSpec::Configured`]) and
+    /// `mu_bps` is not positive, or if a probing learned µ fails
+    /// [`crate::ProbingConfig::check`].
     pub fn new(cfg: NimbusConfig) -> Self {
-        let path = match cfg.mu.configured_mu_bps() {
+        let spec = cfg.spec;
+        let configured_mu_bps = (!spec.mu.is_learned()).then_some(cfg.mu_bps);
+        let path = match configured_mu_bps {
             Some(mu) => PathInfo::new(cfg.mss).with_nominal_mu(mu),
             None => PathInfo::new(cfg.mss),
         };
-        let competitive: Box<dyn CongestionControl> = match cfg.tcp_scheme {
+        let competitive: Box<dyn CongestionControl> = match spec.competitive {
             TcpScheme::Cubic => CcKind::Cubic.build(&path),
             TcpScheme::NewReno => CcKind::NewReno.build(&path),
             TcpScheme::Dctcp => CcKind::Dctcp.build(&path),
         };
-        let delay: DelayCtl = match cfg.delay_scheme {
-            DelayScheme::BasicDelay => DelayCtl::Basic(BasicDelay::new(cfg.basic_delay)),
+        let delay: DelayCtl = match spec.delay {
+            DelayScheme::BasicDelay => DelayCtl::Basic(BasicDelay::new(cfg.mu_bps)),
             DelayScheme::Vegas => DelayCtl::Other(CcKind::Vegas.build(&path)),
             DelayScheme::CopaDefault => DelayCtl::Other(CcKind::Copa.build(&path)),
         };
-        let mut estimator =
-            CrossTrafficEstimator::from_config(&cfg.mu, cfg.elasticity.fft_duration_s);
-        if let ZFilterConfig::Notch { freq_hz } = cfg.z_filter {
+        let history_s = cfg.elasticity.fft_duration_s;
+        let mut estimator = match spec.mu {
+            MuSpec::Configured => CrossTrafficEstimator::with_known_mu(cfg.mu_bps, history_s),
+            MuSpec::Learned(learned) => CrossTrafficEstimator::learning(learned, history_s),
+        };
+        if let ZFilterConfig::Notch { freq_hz } = spec.zfilter {
             estimator.set_z_prefilter(Some(Biquad::notch(
                 freq_hz,
                 NOTCH_Q,
@@ -327,7 +333,7 @@ impl NimbusController {
             cfg.f_pd_hz(),
             cfg.seed,
         );
-        let amplitude = cfg.pulse_amplitude_fraction * cfg.mu.configured_mu_bps().unwrap_or(0.0);
+        let amplitude = cfg.pulse_amplitude_fraction * configured_mu_bps.unwrap_or(0.0);
         let pulse = PulseGenerator::asymmetric(cfg.elasticity.pulse_freq_hz, amplitude);
         let mut controller = NimbusController {
             cfg,
@@ -538,8 +544,13 @@ impl NimbusController {
         shaped.max(self.cfg.mss as f64 * 8.0 / 0.1) * gain
     }
 
+    /// The one place the mode changes.  Every path into competitive mode —
+    /// the detector's verdict, mark-rate cross-validation, a watcher
+    /// following a competitive pulser — comes through here, so this is
+    /// where `switch=never` declines it.
     fn switch_mode(&mut self, new_mode: Mode) {
-        if new_mode == self.mode {
+        let held = new_mode == Mode::Competitive && self.cfg.spec.switch == SwitchSpec::Never;
+        if new_mode == self.mode || held {
             return;
         }
         if new_mode == Mode::Competitive {
@@ -744,7 +755,7 @@ impl CongestionControl for NimbusController {
         // µ̂.  Without the damping a competitor that squeezes the flow also
         // widens the recv-rate spread, the raised bar suppresses the
         // genuine verdict, and the starvation becomes self-reinforcing.
-        let bar_scale = match self.cfg.z_filter {
+        let bar_scale = match self.cfg.spec.zfilter {
             ZFilterConfig::Adaptive if mu > 0.0 => self
                 .estimator
                 .mean_conditioned_z(self.cfg.elasticity.fft_duration_s)
@@ -1016,11 +1027,14 @@ mod tests {
         assert!(mean < base * 3.0 && mean > base / 3.0);
     }
 
-    /// Drive the controller open-loop with reports synthesized from a given
-    /// cross-traffic behaviour and return the final mode.
-    fn drive_with_cross_traffic(elastic: bool, secs: f64) -> NimbusController {
+    /// Drive a controller running `spec` open-loop with reports synthesized
+    /// from a given cross-traffic behaviour.
+    fn drive_with_cross_traffic(spec: NimbusSpec, elastic: bool, secs: f64) -> NimbusController {
         let mu = 96e6;
-        let mut ctl = NimbusController::new(NimbusConfig::default_for_link(mu));
+        let mut ctl = NimbusController::new(NimbusConfig {
+            spec,
+            ..NimbusConfig::default_for_link(mu)
+        });
         ctl.on_packet_acked(&ack(0.0, 60.0));
         let pulse_probe = PulseGenerator::asymmetric(5.0, 0.25 * mu);
         let mut t = 0.0;
@@ -1045,7 +1059,7 @@ mod tests {
 
     #[test]
     fn elastic_cross_traffic_switches_to_competitive_mode() {
-        let ctl = drive_with_cross_traffic(true, 12.0);
+        let ctl = drive_with_cross_traffic(NimbusSpec::default(), true, 12.0);
         assert_eq!(ctl.mode(), Mode::Competitive);
         assert!(
             ctl.mode_log().len() >= 2,
@@ -1059,9 +1073,25 @@ mod tests {
 
     #[test]
     fn inelastic_cross_traffic_stays_in_delay_mode() {
-        let ctl = drive_with_cross_traffic(false, 12.0);
+        let ctl = drive_with_cross_traffic(NimbusSpec::default(), false, 12.0);
         assert_eq!(ctl.mode(), Mode::Delay);
         assert!(ctl.delay_mode_fraction(0.0, 12.0) > 0.95);
+    }
+
+    #[test]
+    fn switch_never_measures_but_never_switches() {
+        let never = NimbusSpec {
+            switch: SwitchSpec::Never,
+            ..NimbusSpec::default()
+        };
+        // The detector still calls the cross traffic elastic...
+        let mut ctl = drive_with_cross_traffic(never, true, 12.0);
+        assert!(ctl.detector().verdicts().iter().any(|v| v.elastic));
+        assert_eq!(ctl.mode_log(), [(0.0, Mode::Delay)]);
+        // ...and mark-rate cross-validation and a watcher following a
+        // competitive pulser end at the same gate.
+        ctl.switch_mode(Mode::Competitive);
+        assert_eq!(ctl.mode(), Mode::Delay);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! If the cross traffic contains ACK-clocked (elastic) flows they oscillate
 //! at the pulse frequency `f_p`, producing a pronounced peak there; inelastic
 //! traffic spreads its energy over all frequencies.  A hard threshold
-//! `η ≥ η_thresh` (2 by default, chosen in §3.4 from the Fig. 6 CDFs) yields
+//! `η ≥` [`ETA_THRESHOLD`] (2, chosen in §3.4 from the Fig. 6 CDFs) yields
 //! the binary verdict.
 //!
 //! The ẑ series is sampled at the CCP report cadence
@@ -53,6 +53,11 @@ use std::sync::OnceLock;
 /// of the (f_p, 2·f_p) comparison band of Eq. 3.
 pub(crate) const PEAK_TOLERANCE_HZ: f64 = 0.25;
 
+/// The decision threshold `η_thresh` (§3.4: 2, from the Fig. 6 CDFs).  A
+/// Nimbus flow that must not switch (`switch=never`) keeps it: the mode
+/// machine, not the detector, declines the switch.
+pub const ETA_THRESHOLD: f64 = 2.0;
+
 /// Detector configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ElasticityConfig {
@@ -60,8 +65,6 @@ pub struct ElasticityConfig {
     pub pulse_freq_hz: f64,
     /// Length of the FFT window, seconds (5 s by default, §3.4).
     pub fft_duration_s: f64,
-    /// Decision threshold `η_thresh ≥ 1` (2 by default).
-    pub eta_threshold: f64,
 }
 
 impl Default for ElasticityConfig {
@@ -69,7 +72,6 @@ impl Default for ElasticityConfig {
         ElasticityConfig {
             pulse_freq_hz: 5.0,
             fft_duration_s: 5.0,
-            eta_threshold: 2.0,
         }
     }
 }
@@ -245,8 +247,8 @@ impl ElasticityDetector {
     }
 
     /// Scale the η threshold (µ-error-aware ẑ conditioning,
-    /// [`crate::estimator::ZFilterConfig::Adaptive`]).  `1.0` restores the
-    /// configured threshold exactly.
+    /// [`crate::estimator::ZFilterConfig::Adaptive`]).  `1.0` restores
+    /// [`ETA_THRESHOLD`] exactly.
     pub fn set_eta_scale(&mut self, scale: f64) {
         self.eta_scale = scale;
     }
@@ -304,7 +306,7 @@ impl ElasticityDetector {
         let verdict = DetectorVerdict {
             t_s,
             eta,
-            elastic: eta >= self.cfg.eta_threshold * self.eta_scale && peak >= self.min_peak_bps,
+            elastic: eta >= ETA_THRESHOLD * self.eta_scale && peak >= self.min_peak_bps,
             peak_at_fp: peak,
             band_max: band,
         };

@@ -23,7 +23,7 @@
 //! Everything above is only as good as the µ estimate.  §4.2 of the paper
 //! sketches *one* way to obtain µ when it is not configured — a BBR-style
 //! windowed max filter over the receive rate — but that has known failure
-//! modes (see below), so [`MuEstimatorConfig`] selects one of three sources,
+//! modes (see below), so [`MuSpec`] selects one of three sources,
 //! all held by the one [`CrossTrafficEstimator`]:
 //!
 //! | source | spec grammar | behaviour |
@@ -165,35 +165,26 @@ pub enum LearnedMuConfig {
     Probing(ProbingConfig),
 }
 
-/// Where the estimator's µ comes from, as carried by `NimbusConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum MuEstimatorConfig {
+/// Where the bottleneck rate µ comes from: configured up front (the rate is
+/// `NimbusConfig::mu_bps`), or learned at runtime (§4.2 and beyond).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum MuSpec {
     /// µ is provisioned up front (`mu=configured`, the paper's default).
-    Configured {
-        /// The configured bottleneck rate, bits/s.
-        mu_bps: f64,
-    },
-    /// µ is learned at runtime (§4.2 and extensions).
+    #[default]
+    Configured,
+    /// µ is learned at runtime (`mu=learned`, `mu=learned(probe=…)`).
     Learned(LearnedMuConfig),
 }
 
-impl MuEstimatorConfig {
-    /// The classic learned-µ configuration (`mu=learned`).
+impl MuSpec {
+    /// The classic §4.2 max-filter learned µ (`mu=learned`).
     pub fn learned() -> Self {
-        MuEstimatorConfig::Learned(LearnedMuConfig::default())
-    }
-
-    /// The configured rate, if µ is configured.
-    pub fn configured_mu_bps(&self) -> Option<f64> {
-        match self {
-            MuEstimatorConfig::Configured { mu_bps } => Some(*mu_bps),
-            MuEstimatorConfig::Learned(_) => None,
-        }
+        MuSpec::Learned(LearnedMuConfig::default())
     }
 
     /// Whether µ is learned at runtime.
     pub fn is_learned(&self) -> bool {
-        matches!(self, MuEstimatorConfig::Learned(_))
+        matches!(self, MuSpec::Learned(_))
     }
 }
 
@@ -335,7 +326,7 @@ fn capped_input(current: f64, report: &Report) -> f64 {
 }
 
 /// Cross-traffic rate estimator with sample history: Eq. 1 evaluated on
-/// every report against the µ̂ of its [`MuEstimatorConfig`], plus the
+/// every report against the µ̂ of its [`MuSpec`], plus the
 /// optional streaming ẑ pre-filter of [`ZFilterConfig::Notch`].
 #[derive(Debug, Clone)]
 pub struct CrossTrafficEstimator {
@@ -360,30 +351,31 @@ pub struct CrossTrafficEstimator {
 
 impl CrossTrafficEstimator {
     /// An estimator with a known (configured) bottleneck rate.
-    pub fn with_known_mu(mu_bps: f64, history_window_s: f64) -> Self {
-        Self::from_config(&MuEstimatorConfig::Configured { mu_bps }, history_window_s)
-    }
-
-    /// An estimator whose µ comes from `cfg`.
     ///
     /// # Panics
-    /// Panics on a configured µ that is not positive, or a probing
-    /// configuration that fails [`ProbingConfig::check`].
-    pub fn from_config(cfg: &MuEstimatorConfig, history_window_s: f64) -> Self {
-        let mu = match *cfg {
-            MuEstimatorConfig::Configured { mu_bps } => {
-                assert!(mu_bps > 0.0, "µ must be positive");
-                MuSource::Configured(mu_bps)
-            }
-            MuEstimatorConfig::Learned(learned) => MuSource::Learned {
-                filter: WindowedMax::new(MU_WINDOW_S),
-                min_tracker: WindowedMin::new(MU_WINDOW_S),
-                probing: match learned {
-                    LearnedMuConfig::MaxFilter => None,
-                    LearnedMuConfig::Probing(p) => Some(Probing::new(p)),
-                },
+    /// Panics if `mu_bps` is not positive.
+    pub fn with_known_mu(mu_bps: f64, history_window_s: f64) -> Self {
+        assert!(mu_bps > 0.0, "µ must be positive");
+        Self::from_source(MuSource::Configured(mu_bps), history_window_s)
+    }
+
+    /// An estimator that learns µ as `learned` says.
+    ///
+    /// # Panics
+    /// Panics on a probing configuration that fails [`ProbingConfig::check`].
+    pub fn learning(learned: LearnedMuConfig, history_window_s: f64) -> Self {
+        let source = MuSource::Learned {
+            filter: WindowedMax::new(MU_WINDOW_S),
+            min_tracker: WindowedMin::new(MU_WINDOW_S),
+            probing: match learned {
+                LearnedMuConfig::MaxFilter => None,
+                LearnedMuConfig::Probing(p) => Some(Probing::new(p)),
             },
         };
+        Self::from_source(source, history_window_s)
+    }
+
+    fn from_source(mu: MuSource, history_window_s: f64) -> Self {
         CrossTrafficEstimator {
             mu,
             samples: VecDeque::new(),
@@ -708,7 +700,7 @@ mod tests {
 
     #[test]
     fn mu_is_learned_from_max_receive_rate_when_not_configured() {
-        let mut est = CrossTrafficEstimator::from_config(&MuEstimatorConfig::learned(), 5.0);
+        let mut est = CrossTrafficEstimator::learning(LearnedMuConfig::MaxFilter, 5.0);
         assert_eq!(est.mu_bps(), 0.0);
         // Ramp up gently (within the per-report growth cap).
         let mut r = 40e6;
@@ -733,7 +725,7 @@ mod tests {
         // Regression: a cumulative-ACK artifact reporting a one-tick receive
         // rate of several times the link rate used to poison the max filter
         // for a whole window.
-        let mut est = CrossTrafficEstimator::from_config(&MuEstimatorConfig::learned(), 5.0);
+        let mut est = CrossTrafficEstimator::learning(LearnedMuConfig::MaxFilter, 5.0);
         for i in 0..100 {
             est.on_report(&report(i as f64 * 0.01, 44e6, 48e6));
         }
@@ -742,7 +734,7 @@ mod tests {
         est.on_report(&report(1.0, 44e6, 250e6));
         assert!(est.mu_bps() <= 48e6 * 1.25 + 1.0, "µ {}", est.mu_bps());
         // ...even as the very first sample (capped against the send rate).
-        let mut fresh = CrossTrafficEstimator::from_config(&MuEstimatorConfig::learned(), 5.0);
+        let mut fresh = CrossTrafficEstimator::learning(LearnedMuConfig::MaxFilter, 5.0);
         fresh.on_report(&report(0.0, 44e6, 250e6));
         assert!(fresh.mu_bps() <= 44e6 * 1.25 + 1.0, "µ {}", fresh.mu_bps());
         // ...and a *sustained* genuine rate increase still converges quickly.
@@ -755,7 +747,7 @@ mod tests {
     // ---- µ sources ----------------------------------------------------------
 
     fn learned(learned: LearnedMuConfig) -> CrossTrafficEstimator {
-        CrossTrafficEstimator::from_config(&MuEstimatorConfig::Learned(learned), 5.0)
+        CrossTrafficEstimator::learning(learned, 5.0)
     }
 
     fn probing(cfg: ProbingConfig) -> CrossTrafficEstimator {
@@ -778,13 +770,9 @@ mod tests {
 
     #[test]
     fn config_builds_the_matching_source() {
-        let c = MuEstimatorConfig::Configured { mu_bps: 48e6 };
-        assert!(!c.is_learned());
-        assert_eq!(c.configured_mu_bps(), Some(48e6));
-        let l = MuEstimatorConfig::learned();
-        assert!(l.is_learned());
-        assert_eq!(l.configured_mu_bps(), None);
-        let configured = CrossTrafficEstimator::from_config(&c, 5.0);
+        assert!(!MuSpec::Configured.is_learned());
+        assert!(MuSpec::learned().is_learned());
+        let configured = CrossTrafficEstimator::with_known_mu(48e6, 5.0);
         assert_eq!(configured.mu_bps(), 48e6);
         // Probing is the only source with a non-unit pace gain or a cap.
         let max_filter = learned(LearnedMuConfig::MaxFilter);

@@ -54,16 +54,16 @@ pub mod estimator;
 pub mod multiflow;
 pub mod rtt;
 
-pub use basic_delay::{BasicDelay, BasicDelayConfig};
+pub use basic_delay::BasicDelay;
 pub use cc::{
     format_rate_bps, parse_rate_bps, AckEvent, CcKind, CongestionControl, CongestionEvent,
     LossEvent, PathInfo,
 };
 pub use ccp::{Report, ReportAggregator};
-pub use controller::{DelayScheme, Mode, NimbusConfig, NimbusController, Publisher, TcpScheme};
-pub use detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector};
-pub use estimator::{
-    CrossTrafficEstimator, LearnedMuConfig, MuEstimatorConfig, ProbingConfig, ZFilterConfig,
+pub use controller::{
+    DelayScheme, Mode, NimbusConfig, NimbusController, NimbusSpec, Publisher, SwitchSpec, TcpScheme,
 };
+pub use detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector, ETA_THRESHOLD};
+pub use estimator::{CrossTrafficEstimator, LearnedMuConfig, MuSpec, ProbingConfig, ZFilterConfig};
 pub use multiflow::{MultiflowConfig, Role};
 pub use rtt::RttEstimator;

@@ -8,8 +8,9 @@
 //! at the worst possible moments.  The simulator never does any of that, so
 //! this harness generates the abuse synthetically:
 //!
-//! * every µ strategy × ẑ-filter combination (4 × 3 = 12 combos), plus the
-//!   bare DCTCP controller (the CCA most exposed to CE abuse);
+//! * every µ strategy × ẑ-filter combination (4 × 3 = 12 combos), every
+//!   non-default competitive × delay scheme pair (2 × 2 = 4 combos), plus
+//!   the bare DCTCP controller (the CCA most exposed to CE abuse);
 //! * ≥ 256 randomized callback sequences per combo, mixing reordered and
 //!   timestamp-compressed ACKs, zero-byte ACKs, zero/near-zero RTTs,
 //!   zero-rate and extreme-rate reports, loss storms and RTO events, CE-echo
@@ -34,11 +35,10 @@
 
 mod corpus;
 
-use corpus::{deliver, generate_sequence, mu_configs, z_filters, Event, MU};
+use corpus::{config, deliver, generate_sequence, mu_configs, z_filters, Event, MU};
 use nimbus_core::cc::{CcKind, CongestionControl, PathInfo};
 use nimbus_core::{
-    BasicDelay, BasicDelayConfig, Mode, MuEstimatorConfig, NimbusConfig, NimbusController,
-    ZFilterConfig,
+    BasicDelay, DelayScheme, Mode, NimbusConfig, NimbusController, NimbusSpec, TcpScheme,
 };
 use nimbus_core_types::Time;
 use rand::rngs::StdRng;
@@ -64,6 +64,18 @@ const PINNED: &[(&str, &str, u64)] = &[
     ("quiesced", "raw", 0x1da0bf7f0cdab079),
     ("quiesced", "notch", 0x075e29876f8d401b),
     ("quiesced", "adaptive", 0xec19121a104535a4),
+];
+
+/// `(competitive scheme, delay scheme, hash)` over the same corpus with a
+/// configured µ and raw ẑ, captured while the scheme pair was still set
+/// through `NimbusConfig`'s own fields, before `NimbusSpec` became the
+/// configuration.
+#[rustfmt::skip]
+const PINNED_SCHEMES: &[(&str, &str, u64)] = &[
+    ("reno", "copa", 0xdd71e8d755cf5e7f),
+    ("reno", "vegas", 0xbefa925548fc3aa9),
+    ("dctcp", "copa", 0x39cf484255d15715),
+    ("dctcp", "vegas", 0x0f20a6673ff4dfa0),
 ];
 
 /// 64-bit FNV-1a over little-endian words.
@@ -108,26 +120,19 @@ fn assert_hysteresis(ctl: &NimbusController, fft_duration_s: f64, combo: &str, s
     }
 }
 
-/// Fuzz every sequence of one (µ strategy, ẑ filter) combo; returns how many
-/// sequences actually exercised a mode switch, so the caller can assert the
-/// hysteresis check is not vacuous, and the combo's output hash.
-fn fuzz_combo(
-    mu_label: &str,
-    mu: &MuEstimatorConfig,
-    z_label: &str,
-    zf: &ZFilterConfig,
-) -> (usize, u64) {
-    let combo = format!("mu={mu_label},zfilter={z_label}");
+/// Fuzz every sequence of one combo (labelled by its two varied axes);
+/// returns how many sequences actually exercised a mode switch, so the
+/// caller can assert the hysteresis check is not vacuous, and the combo's
+/// output hash.
+fn fuzz_combo(labels: (&str, &str), spec: NimbusSpec) -> (usize, u64) {
+    let combo = format!("{}/{}", labels.0, labels.1);
     let mut switched = 0;
     let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
     for seq in 0..SEQUENCES_PER_COMBO {
         // A distinct, reproducible stream per (combo, sequence).
-        let seed = (mu_label.len() as u64) << 32 ^ (z_label.len() as u64) << 16 ^ seq as u64;
+        let seed = (labels.0.len() as u64) << 32 ^ (labels.1.len() as u64) << 16 ^ seq as u64;
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut cfg = NimbusConfig::default_for_link(MU);
-        cfg.mu = *mu;
-        cfg.z_filter = *zf;
-        cfg.seed = seq as u64 + 1;
+        let cfg = config(spec, seq as u64 + 1);
         let fft_duration_s = cfg.elasticity.fft_duration_s;
         let pulse_freq_hz = cfg.elasticity.pulse_freq_hz;
         let mut ctl = NimbusController::new(cfg);
@@ -151,30 +156,42 @@ fn fuzz_combo(
     (switched, hash.0)
 }
 
-/// Fuzz one µ strategy under every ẑ filter: some sequence must switch
-/// mode (or the hysteresis assertion checked nothing), and each combo's
-/// hash must be its pinned one.
-fn fuzz_strategy(index: usize) {
-    let (label, mu) = &mu_configs()[index];
+/// Fuzz every `(labels, spec)` combo: some sequence must switch mode (or
+/// the hysteresis assertion checked nothing), and each combo's hash must be
+/// its row of `pinned`.
+fn fuzz_pinned(combos: Vec<((&str, &str), NimbusSpec)>, pinned: &[(&str, &str, u64)]) {
     let mut switched = 0;
     let mut moved = Vec::new();
-    for (z_label, zf) in &z_filters() {
-        let (n, hash) = fuzz_combo(label, mu, z_label, zf);
+    for ((a, b), spec) in combos {
+        let (n, hash) = fuzz_combo((a, b), spec);
         switched += n;
-        let pinned = PINNED
-            .iter()
-            .find(|&&(m, z, _)| (m, z) == (*label, *z_label))
-            .map(|&(_, _, h)| h);
-        if pinned != Some(hash) {
-            moved.push(format!("    (\"{label}\", \"{z_label}\", {hash:#018x}),"));
+        if !pinned.contains(&(a, b, hash)) {
+            moved.push(format!("    (\"{a}\", \"{b}\", {hash:#018x}),"));
         }
     }
-    assert!(switched > 0, "mu={label}: no sequence ever switched mode");
+    assert!(switched > 0, "no sequence ever switched mode");
     assert!(
         moved.is_empty(),
         "controller outputs moved over the corpus; the rows now read\n{}",
         moved.join("\n")
     );
+}
+
+/// Fuzz one µ strategy under every ẑ filter.
+fn fuzz_strategy(index: usize) {
+    let (label, mu) = mu_configs()[index];
+    let combos = z_filters()
+        .into_iter()
+        .map(|(z_label, zfilter)| {
+            let spec = NimbusSpec {
+                mu,
+                zfilter,
+                ..NimbusSpec::default()
+            };
+            ((label, z_label), spec)
+        })
+        .collect();
+    fuzz_pinned(combos, PINNED);
 }
 
 // One test per µ strategy so the combos run on separate threads and a
@@ -198,6 +215,25 @@ fn fuzz_callbacks_probing_mu() {
 #[test]
 fn fuzz_callbacks_quiesced_probing_mu() {
     fuzz_strategy(3);
+}
+
+#[test]
+fn fuzz_callbacks_inner_schemes() {
+    let mut combos = Vec::new();
+    for (c_label, competitive) in [("reno", TcpScheme::NewReno), ("dctcp", TcpScheme::Dctcp)] {
+        for (d_label, delay) in [
+            ("copa", DelayScheme::CopaDefault),
+            ("vegas", DelayScheme::Vegas),
+        ] {
+            let spec = NimbusSpec {
+                competitive,
+                delay,
+                ..NimbusSpec::default()
+            };
+            combos.push(((c_label, d_label), spec));
+        }
+    }
+    fuzz_pinned(combos, PINNED_SCHEMES);
 }
 
 #[test]
@@ -238,10 +274,12 @@ fn repeated_polls_match_one_poll_per_step() {
             for seq in 0..SEQUENCES {
                 let seed = (seq as u64) << 8 ^ (mu_label.len() as u64) << 4 ^ z_label.len() as u64;
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let mut cfg = NimbusConfig::default_for_link(MU);
-                cfg.mu = *mu;
-                cfg.z_filter = *zf;
-                cfg.seed = seq as u64 + 1;
+                let spec = NimbusSpec {
+                    mu: *mu,
+                    zfilter: *zf,
+                    ..NimbusSpec::default()
+                };
+                let cfg = config(spec, seq as u64 + 1);
                 let pulse_freq_hz = cfg.elasticity.pulse_freq_hz;
                 let mut polled = NimbusController::new(cfg.clone());
                 let mut once = NimbusController::new(cfg);
@@ -329,6 +367,6 @@ fn controllers_that_skip_reports_ignore_them() {
     for kind in [CcKind::Bbr, CcKind::Vivace] {
         assert!(kind.build(&path).reads_reports(), "{kind}");
     }
-    assert!(BasicDelay::new(BasicDelayConfig::paper_defaults(MU)).reads_reports());
+    assert!(BasicDelay::new(MU).reads_reports());
     assert!(NimbusController::new(NimbusConfig::default_for_link(MU)).reads_reports());
 }

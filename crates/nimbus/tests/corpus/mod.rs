@@ -7,7 +7,9 @@
 
 use nimbus_core::cc::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
 use nimbus_core::ccp::Report;
-use nimbus_core::{LearnedMuConfig, MuEstimatorConfig, ProbingConfig, ZFilterConfig};
+use nimbus_core::{
+    LearnedMuConfig, MuSpec, NimbusConfig, NimbusSpec, ProbingConfig, ZFilterConfig,
+};
 use nimbus_core_types::Time;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -17,23 +19,33 @@ pub const EVENTS_PER_SEQUENCE: usize = 120;
 /// The link rate every sequence is scaled to, bits/s.
 pub const MU: f64 = 48e6;
 
-/// Every µ strategy the corpus is driven through.
-pub fn mu_configs() -> Vec<(&'static str, MuEstimatorConfig)> {
+/// Every µ strategy the corpus is driven through (a configured µ is
+/// [`MU`]).
+pub fn mu_configs() -> Vec<(&'static str, MuSpec)> {
     vec![
-        ("configured", MuEstimatorConfig::Configured { mu_bps: MU }),
-        ("learned", MuEstimatorConfig::learned()),
+        ("configured", MuSpec::Configured),
+        ("learned", MuSpec::learned()),
         (
             "probing",
-            MuEstimatorConfig::Learned(LearnedMuConfig::Probing(ProbingConfig::default())),
+            MuSpec::Learned(LearnedMuConfig::Probing(ProbingConfig::default())),
         ),
         (
             "quiesced",
-            MuEstimatorConfig::Learned(LearnedMuConfig::Probing(ProbingConfig {
+            MuSpec::Learned(LearnedMuConfig::Probing(ProbingConfig {
                 quiesce_uncertainty_floor: 0.4,
                 ..ProbingConfig::default()
             })),
         ),
     ]
+}
+
+/// A controller running `spec` on a [`MU`] link, seeded with `seed`.
+pub fn config(spec: NimbusSpec, seed: u64) -> NimbusConfig {
+    NimbusConfig {
+        spec,
+        ..NimbusConfig::default_for_link(MU)
+    }
+    .with_seed(seed)
 }
 
 /// Every ẑ filter the corpus is driven through.

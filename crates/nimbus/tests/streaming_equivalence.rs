@@ -27,8 +27,8 @@
 
 mod corpus;
 
-use corpus::{deliver, generate_sequence, mu_configs, z_filters, Event, MU};
-use nimbus_core::{ElasticityConfig, ElasticityDetector, NimbusConfig, NimbusController};
+use corpus::{config, deliver, generate_sequence, mu_configs, z_filters, Event, MU};
+use nimbus_core::{ElasticityConfig, ElasticityDetector, NimbusController, NimbusSpec};
 use nimbus_core_types::Time;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -377,10 +377,12 @@ fn fuzz_corpus_through_a_controller() {
             for seq in 0..SEQUENCES_PER_COMBO {
                 let seed = (mu_label.len() as u64) << 32 ^ (z_label.len() as u64) << 16 ^ seq;
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let mut cfg = NimbusConfig::default_for_link(MU);
-                cfg.mu = mu;
-                cfg.z_filter = zf;
-                cfg.seed = seq + 1;
+                let spec = NimbusSpec {
+                    mu,
+                    zfilter: zf,
+                    ..NimbusSpec::default()
+                };
+                let cfg = config(spec, seq + 1);
                 let mut reference = Reference::new(&cfg.elasticity);
                 let mut ctl = NimbusController::new(cfg);
                 let events = generate_sequence(&mut rng, reference.detector.config().pulse_freq_hz);

@@ -33,7 +33,7 @@ use nimbus_core_types::{format_rate_bps, Time};
 
 /// Bottleneck rate µ.  The paper's baseline assumes the sender knows it (a
 /// provisioned access link); hosts that don't would set
-/// `cfg.mu = MuEstimatorConfig::learned()` and let the estimator track it.
+/// `cfg.spec.mu = MuSpec::learned()` and let the estimator track it.
 const MU: f64 = 48e6;
 /// Host tick — the CCP report interval (§4.2 uses 10 ms).
 const TICK_S: f64 = 0.01;

@@ -5,7 +5,7 @@
 //!    of the fingerprint ledger (`tests/ledger/mod.rs`), captured on the enum
 //!    path — alone on the link for all 12 variants and against an elastic
 //!    Cubic competitor for the five Nimbus flavours.
-//! 2. **Canonical strings**: aliases, builders and strings agree, and the
+//! 2. **Canonical strings**: aliases, structs and strings agree, and the
 //!    `mu=learned(...)` / `zfilter=...` forms print and parse as documented.
 //! 3. **Round-trips**: `Display` → `FromStr` is the identity over randomly
 //!    generated whole cells — every scheme/µ/zfilter/schedule/path/ecn/
@@ -18,7 +18,9 @@ mod ledger;
 
 use nimbus_repro::experiments::testkit::{run_matrix, Cell};
 use nimbus_repro::experiments::SchemeSpec;
-use nimbus_repro::nimbus::{DelayScheme, LearnedMuConfig, ProbingConfig, TcpScheme, ZFilterConfig};
+use nimbus_repro::nimbus::{
+    DelayScheme, LearnedMuConfig, MuSpec, NimbusSpec, ProbingConfig, TcpScheme, ZFilterConfig,
+};
 use proptest::prelude::*;
 
 #[test]
@@ -29,28 +31,43 @@ fn every_pre_redesign_variant_reproduces_its_fingerprint() {
 #[test]
 fn builder_alias_and_string_paths_agree() {
     // Three routes to the same spec — `CcKind`'s `cbr(…)`/`reno` spelling
-    // aliases, the canonical string, and the builder — are the same value.
+    // aliases, the canonical string, and the constructor or the
+    // `NimbusSpec` the grammar fills in — are the same value.
     let from_alias: SchemeSpec = "cbr(24M)".parse().unwrap();
     let from_string: SchemeSpec = "constant(24M)".parse().unwrap();
     assert_eq!(from_alias, from_string);
     assert_eq!(from_string, SchemeSpec::constant(24e6));
     let from_alias: SchemeSpec = "nimbus(competitive=newreno,delay=copa)".parse().unwrap();
     let from_string: SchemeSpec = "nimbus(competitive=reno,delay=copa)".parse().unwrap();
-    let from_builder = SchemeSpec::nimbus()
-        .with_competitive(TcpScheme::NewReno)
-        .with_delay(DelayScheme::CopaDefault);
+    let from_struct = SchemeSpec::Nimbus(NimbusSpec {
+        competitive: TcpScheme::NewReno,
+        delay: DelayScheme::CopaDefault,
+        ..NimbusSpec::default()
+    });
     assert_eq!(from_alias, from_string);
-    assert_eq!(from_string, from_builder);
+    assert_eq!(from_string, from_struct);
 }
 
 #[test]
 fn canonical_estimator_spec_strings() {
+    let nimbus = |mu, zfilter| {
+        SchemeSpec::Nimbus(NimbusSpec {
+            mu,
+            zfilter,
+            ..NimbusSpec::default()
+        })
+    };
+    let probing = |cfg| {
+        nimbus(
+            MuSpec::Learned(LearnedMuConfig::Probing(cfg)),
+            ZFilterConfig::None,
+        )
+    };
     // Defaults render compactly; non-defaults render their parameters.
     assert_eq!(
-        SchemeSpec::nimbus().with_learned_mu().to_string(),
+        nimbus(MuSpec::learned(), ZFilterConfig::None).to_string(),
         "nimbus(mu=learned)"
     );
-    let probing = |cfg| SchemeSpec::nimbus().with_mu_strategy(LearnedMuConfig::Probing(cfg));
     let quiesced = ProbingConfig {
         quiesce_uncertainty_floor: 0.4,
         ..ProbingConfig::default()
@@ -70,32 +87,30 @@ fn canonical_estimator_spec_strings() {
         probing(quiesced)
     );
     assert_eq!(
-        SchemeSpec::nimbus()
-            .with_learned_mu()
-            .with_z_filter(ZFilterConfig::Adaptive)
-            .to_string(),
+        nimbus(MuSpec::learned(), ZFilterConfig::Adaptive).to_string(),
         "nimbus(mu=learned,zfilter=adaptive)"
     );
     assert_eq!(
-        SchemeSpec::nimbus()
-            .with_z_filter(ZFilterConfig::Notch { freq_hz: 0.1 })
-            .to_string(),
+        nimbus(MuSpec::Configured, ZFilterConfig::Notch { freq_hz: 0.1 }).to_string(),
         "nimbus(zfilter=notch(freq=0.1))"
     );
     // Parameterised forms parse back to exactly the right configs.
     let spec: SchemeSpec = "nimbus(mu=learned(probe=2,gain=3))".parse().unwrap();
     assert_eq!(
         spec,
-        SchemeSpec::nimbus().with_mu_strategy(LearnedMuConfig::Probing(ProbingConfig {
+        probing(ProbingConfig {
             probe_interval_s: 2.0,
             probe_gain: 3.0,
             ..ProbingConfig::default()
-        }))
+        })
     );
     let spec: SchemeSpec = "nimbus(mu=learned())".parse().unwrap();
     assert_eq!(
         spec,
-        SchemeSpec::nimbus().with_mu_strategy(LearnedMuConfig::MaxFilter)
+        nimbus(
+            MuSpec::Learned(LearnedMuConfig::MaxFilter),
+            ZFilterConfig::None
+        )
     );
     // Labels keep the historical `-estmu` stem and append strategy slugs.
     assert_eq!(
@@ -103,10 +118,7 @@ fn canonical_estimator_spec_strings() {
         "nimbus-estmu-probe1"
     );
     assert_eq!(
-        SchemeSpec::nimbus()
-            .with_learned_mu()
-            .with_z_filter(ZFilterConfig::Adaptive)
-            .label(),
+        nimbus(MuSpec::learned(), ZFilterConfig::Adaptive).label(),
         "nimbus-estmu-zadapt"
     );
 }
