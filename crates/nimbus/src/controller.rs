@@ -1,56 +1,33 @@
-//! The Nimbus mode-switching congestion controller (§4 of the paper).
-//!
-//! Nimbus layers four pieces on top of the generic sender machinery:
-//!
-//! * an inner **TCP-competitive** controller (Cubic or NewReno), used when
-//!   elastic cross traffic is present;
-//! * an inner **delay-controlling** controller ([`BasicDelay`], Vegas or the
-//!   Copa default mode), used when it is not;
-//! * the **cross-traffic estimator** and **elasticity detector** that decide
-//!   which of the two should be driving;
-//! * the **pulse modulation** applied to whatever rate the active inner
-//!   controller wants, so the detector has something to measure.
-//!
-//! Mode switching details from §4.1 that matter for fidelity:
+//! The Nimbus mode-switching congestion controller (§4 of the paper): an
+//! [`ElasticityProbe`] over two inner controllers, a **TCP-competitive** one
+//! (Cubic, NewReno or DCTCP) for elastic cross traffic and a
+//! **delay-controlling** one ([`BasicDelay`], Vegas or Copa's default mode)
+//! for the rest.  The probe pulses whatever rate the active one wants; this
+//! controller is the mode machine that turns the probe's evidence into a
+//! mode, behind the `switch=never` gate.  The §4.1 details that matter for
+//! fidelity:
 //!
 //! * The elasticity verdict is re-evaluated on every report from the spectrum
 //!   of the last 5 seconds of ẑ samples (kept incrementally by the detector,
-//!   one sample in per report), and the mode follows the verdict.
+//!   one sample in per report), and the mode follows the verdict: into
+//!   competitive mode at once, back only after a full FFT window without
+//!   any elastic evidence.
 //! * When switching into TCP-competitive mode, the competitive controller is
 //!   (re)initialized to the rate the flow was sending **5 seconds ago** —
 //!   the elastic competitor has spent the detection delay stealing bandwidth
 //!   from the delay-mode rate, so resuming from the current rate would
 //!   concede it.
-//! * In competitive mode the pulse frequency is `f_pc` (5 Hz); in delay mode
-//!   it is `f_pd` = `f_pc` + `PULSE_FREQ_DELAY_OFFSET_HZ` (6 Hz), so watcher
-//!   flows can follow the pulser's mode (§6).
 
 use crate::basic_delay::BasicDelay;
 use crate::cc::{AckEvent, CcKind, CongestionControl, CongestionEvent, LossEvent, PathInfo};
 use crate::ccp::Report;
 use crate::detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector};
 use crate::estimator::{CrossTrafficEstimator, MuSpec, ZFilterConfig};
-use crate::multiflow::{Multiflow, MultiflowConfig, PulserPresence, Role};
+use crate::probe::{ElasticityProbe, Evidence, MultiflowConfig, Role};
 use nimbus_core_types::Time;
-use nimbus_dsp::Biquad;
-use nimbus_dsp::PulseGenerator;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::VecDeque;
-
-/// How far above `f_pc` (`elasticity.pulse_freq_hz`) a multi-flow pulser
-/// pulses while in delay mode, Hz (§6: `f_pc` = 5 Hz, `f_pd` = 6 Hz).  The
-/// controller pulses at the sum and hands the same pair to its
-/// `Multiflow`, so pulser and watchers cannot disagree on where to look.
-const PULSE_FREQ_DELAY_OFFSET_HZ: f64 = 1.0;
-
-/// Quality factor of the `zfilter=notch` stage: the −3 dB bandwidth is
-/// `freq_hz / 0.7`, and a 0.1 Hz notch passes the 5 Hz pulse band within 5%.
-const NOTCH_Q: f64 = 0.7;
-
-/// Gain of `zfilter=adaptive` on the µ̂ uncertainty `u`: the detector's η
-/// threshold and minimum-peak guard scale by `1 + 8·u` (before damping).
-const ADAPTIVE_GAIN: f64 = 8.0;
 
 /// Which algorithm fills the TCP-competitive role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,9 +110,8 @@ pub struct NimbusConfig {
     /// What the flow runs.
     pub spec: NimbusSpec,
     /// The nominal bottleneck rate µ, bits/s: BasicDelay's µ, and the
-    /// estimator's too when `spec.mu` is configured.  A learned µ starts
-    /// from nothing: it reaches neither the inner schemes' [`PathInfo`] nor
-    /// the initial pulse amplitude.
+    /// estimator's too when `spec.mu` is configured (see
+    /// [`Self::nominal_mu_bps`]).
     pub mu_bps: f64,
     /// Maximum segment size of the flow, bytes.
     pub mss: u32,
@@ -164,6 +140,13 @@ impl NimbusConfig {
         }
     }
 
+    /// The µ the inner schemes' [`PathInfo`] and the initial pulse amplitude
+    /// start from: `mu_bps` when µ is configured, none when it is learned (a
+    /// learned µ starts from nothing).
+    pub fn nominal_mu_bps(&self) -> Option<f64> {
+        (!self.spec.mu.is_learned()).then_some(self.mu_bps)
+    }
+
     /// Enable pulser/watcher coordination (for multiple Nimbus flows).
     pub fn with_multiflow(mut self, multiflow: MultiflowConfig) -> Self {
         self.multiflow = multiflow;
@@ -181,11 +164,6 @@ impl NimbusConfig {
         self.seed = seed;
         self
     }
-
-    /// The delay-mode pulse frequency `f_pd` of a multi-flow pulser, Hz.
-    fn f_pd_hz(&self) -> f64 {
-        self.elasticity.pulse_freq_hz + PULSE_FREQ_DELAY_OFFSET_HZ
-    }
 }
 
 /// A `(time, mode)` entry in the mode log.
@@ -195,9 +173,7 @@ pub type ModeLogEntry = (f64, Mode);
 /// "publisher" shape): a host installs one with
 /// [`NimbusController::set_publisher`] to stream mode transitions, µ̂/ẑ
 /// estimates and detector verdicts without polling the logs.  Every method
-/// has an empty default, so implementors subscribe only to what they need;
-/// with no publisher installed the controller's behaviour is bit-for-bit
-/// what it was before the hook existed.
+/// has an empty default, so implementors subscribe only to what they need.
 pub trait Publisher: Send {
     /// The controller switched operating mode at `now_s`.
     fn on_mode_change(&mut self, _now_s: f64, _mode: Mode) {}
@@ -257,10 +233,7 @@ pub struct NimbusController {
     mode: Mode,
     competitive: Box<dyn CongestionControl>,
     delay: DelayCtl,
-    estimator: CrossTrafficEstimator,
-    detector: ElasticityDetector,
-    multiflow: Multiflow,
-    pulse: PulseGenerator,
+    probe: ElasticityProbe,
     /// Smoothed RTT from ACKs (seconds), for rate/window conversions.
     srtt_s: f64,
     /// Rate history for the 5-seconds-ago reset: `(time_s, rate_bps)`.
@@ -269,21 +242,9 @@ pub struct NimbusController {
     now_s: f64,
     /// Log of mode switches.
     mode_log: Vec<ModeLogEntry>,
-    /// Time of the most recent *elastic* verdict, for the switch-back
-    /// hysteresis (§4.1): competitive → delay only after the detector has
-    /// seen nothing elastic for a full FFT window.
+    /// Time of the most recent *elastic* evidence, for `heed`'s
+    /// switch-back hysteresis (§4.1).
     last_elastic_s: f64,
-    /// EWMA-smoothed rate used while this flow is a watcher.
-    watcher_rate_bps: Option<f64>,
-    /// Sliding window of `(t_s, marked, acked)` packet counts from recent
-    /// measurement reports, trimmed to the FFT duration.  Stays empty until
-    /// the first CE mark arrives, keeping non-ECN runs bit-identical.
-    mark_window: VecDeque<(f64, u64, u64)>,
-    /// Marked and ACKed packets summed over `mark_window`.
-    window_marked: u64,
-    window_acked: u64,
-    /// Consecutive informative reports where the mark fraction and ẑ agreed.
-    mark_streak: u64,
     /// Telemetry observer, if the host installed one.
     publisher: Option<Box<dyn Publisher>>,
     /// `cwnd_packets` and `pacing_rate_bps` since the last callback.
@@ -299,8 +260,7 @@ impl NimbusController {
     /// [`crate::ProbingConfig::check`].
     pub fn new(cfg: NimbusConfig) -> Self {
         let spec = cfg.spec;
-        let configured_mu_bps = (!spec.mu.is_learned()).then_some(cfg.mu_bps);
-        let path = match configured_mu_bps {
+        let path = match cfg.nominal_mu_bps() {
             Some(mu) => PathInfo::new(cfg.mss).with_nominal_mu(mu),
             None => PathInfo::new(cfg.mss),
         };
@@ -314,46 +274,17 @@ impl NimbusController {
             DelayScheme::Vegas => DelayCtl::Other(CcKind::Vegas.build(&path)),
             DelayScheme::CopaDefault => DelayCtl::Other(CcKind::Copa.build(&path)),
         };
-        let history_s = cfg.elasticity.fft_duration_s;
-        let mut estimator = match spec.mu {
-            MuSpec::Configured => CrossTrafficEstimator::with_known_mu(cfg.mu_bps, history_s),
-            MuSpec::Learned(learned) => CrossTrafficEstimator::learning(learned, history_s),
-        };
-        if let ZFilterConfig::Notch { freq_hz } = spec.zfilter {
-            estimator.set_z_prefilter(Some(Biquad::notch(
-                freq_hz,
-                NOTCH_Q,
-                cfg.elasticity.sample_rate_hz(),
-            )));
-        }
-        let detector = ElasticityDetector::new(cfg.elasticity.clone());
-        let multiflow = Multiflow::new(
-            cfg.multiflow.clone(),
-            &cfg.elasticity,
-            cfg.f_pd_hz(),
-            cfg.seed,
-        );
-        let amplitude = cfg.pulse_amplitude_fraction * configured_mu_bps.unwrap_or(0.0);
-        let pulse = PulseGenerator::asymmetric(cfg.elasticity.pulse_freq_hz, amplitude);
         let mut controller = NimbusController {
+            probe: ElasticityProbe::new(&cfg),
             cfg,
             mode: Mode::Delay,
             competitive,
             delay,
-            estimator,
-            detector,
-            multiflow,
-            pulse,
             srtt_s: 0.0,
             rate_history: VecDeque::new(),
             now_s: 0.0,
             mode_log: Vec::new(),
             last_elastic_s: f64::NEG_INFINITY,
-            watcher_rate_bps: None,
-            mark_window: VecDeque::new(),
-            window_marked: 0,
-            window_acked: 0,
-            mark_streak: 0,
             publisher: None,
             poll_memo: PollMemo::default(),
         };
@@ -375,7 +306,7 @@ impl NimbusController {
 
     /// The current pulser/watcher role.
     pub fn role(&self) -> Role {
-        self.multiflow.role()
+        self.probe.role()
     }
 
     /// Every mode switch as `(time_s, new_mode)`.
@@ -385,12 +316,12 @@ impl NimbusController {
 
     /// The elasticity detector (verdict history, η time series).
     pub fn detector(&self) -> &ElasticityDetector {
-        &self.detector
+        self.probe.detector()
     }
 
     /// The cross-traffic estimator (ẑ history).
     pub fn estimator(&self) -> &CrossTrafficEstimator {
-        &self.estimator
+        self.probe.estimator()
     }
 
     /// Fraction of time spent in delay mode between `t0_s` and `t1_s`
@@ -400,31 +331,23 @@ impl NimbusController {
             return 0.0;
         }
         let mut total_delay = 0.0;
-        let mut current_mode = Mode::Delay;
-        let mut current_start = t0_s;
-        for &(t, mode) in &self.mode_log {
-            if t <= t0_s {
-                current_mode = mode;
-                continue;
+        // The mode in force from `start` on (the log is in time order).
+        let (mut mode, mut start) = (Mode::Delay, t0_s);
+        for &(t, next) in self.mode_log.iter().take_while(|&&(t, _)| t < t1_s) {
+            if t > t0_s && mode == Mode::Delay {
+                total_delay += t - start;
             }
-            if t >= t1_s {
-                break;
-            }
-            if current_mode == Mode::Delay {
-                total_delay += t - current_start;
-            }
-            current_mode = mode;
-            current_start = t;
+            (mode, start) = (next, t.max(t0_s));
         }
-        if current_mode == Mode::Delay {
-            total_delay += t1_s - current_start;
+        if mode == Mode::Delay {
+            total_delay += t1_s - start;
         }
         total_delay / (t1_s - t0_s)
     }
 
     /// The bottleneck-rate estimate in use.
     pub fn mu_bps(&self) -> f64 {
-        self.estimator.mu_bps()
+        self.probe.estimator().mu_bps()
     }
 
     fn active(&self) -> &dyn CongestionControl {
@@ -447,101 +370,25 @@ impl NimbusController {
         }
     }
 
-    /// Rate the flow was using `lookback_s` seconds ago (for the reset on
-    /// switching to competitive mode).
-    fn rate_at_lookback(&self, lookback_s: f64) -> Option<f64> {
-        let target = self.now_s - lookback_s;
-        self.rate_history
-            .iter()
-            .find(|(t, _)| *t >= target)
-            .map(|&(_, r)| r)
-    }
-
-    /// Current pulse frequency.  A lone Nimbus flow always pulses at `f_p`;
-    /// with multi-flow coordination enabled the pulser uses `f_pc` in
-    /// competitive mode and `f_pd` in delay mode so watchers can read its
-    /// mode out of their receive-rate spectrum (§6).
-    fn current_pulse_freq(&self) -> f64 {
-        if !self.cfg.multiflow.enabled {
-            return self.cfg.elasticity.pulse_freq_hz;
-        }
-        match self.mode {
-            Mode::Competitive => self.cfg.elasticity.pulse_freq_hz,
-            Mode::Delay => self.cfg.f_pd_hz(),
-        }
-    }
-
-    /// The pacing multiplier a probing µ estimator wants right now.  Probe
-    /// epochs only run in delay mode: there the flow is self-limited and a
-    /// max filter can never see past its own pace, while in competitive
-    /// mode the inner TCP already probes the link by design.
-    fn probe_gain(&self, now_s: f64) -> f64 {
-        match self.mode {
-            Mode::Delay => self.estimator.pace_gain(now_s),
-            Mode::Competitive => 1.0,
-        }
-    }
-
-    /// The window of the active controller, with enough head-room that the
-    /// window never clips the pulse's positive excursion — pacing (which
-    /// carries the pulse) must stay the binding constraint.  Without this a
-    /// starved delay-mode flow has a window of a few packets, the pulse never
-    /// reaches the wire, and the detector goes blind exactly when it is
-    /// needed most.
-    fn compute_cwnd_packets(&self) -> f64 {
-        let inner = match self.mode {
-            Mode::Competitive => self.competitive.cwnd_packets(),
-            Mode::Delay => self.delay.as_cc().cwnd_packets(),
-        };
-        let rtt = if self.srtt_s > 0.0 { self.srtt_s } else { 0.1 };
-        // A probe-up epoch must fit through the window as well as the pulse:
-        // the estimator's pace gain scales the headroom exactly as it scales
-        // the paced rate (gain is 1.0 outside probing estimators).
-        let gain = self.probe_gain(self.now_s);
-        let peak_rate =
-            (self.base_rate_bps(Time::from_secs_f64(self.now_s)) + self.pulse.amplitude) * gain;
-        let pulse_headroom = 2.0 * peak_rate * rtt / (8.0 * self.cfg.mss as f64);
-        let cwnd = inner.max(pulse_headroom);
-        // A probing estimator's delivery cap bounds the *window* as well as
-        // the pace: retransmissions are never paced (only cwnd-gated), so
-        // after a timeout an inner controller whose rate has rebounded off
-        // the nominal µ would flood the whole go-back-N queue into a faded
-        // link and wedge it again.  Two delivery-BDPs of window keep
-        // recovery ACK-clocked at the rate the link actually carries (the
-        // same 2× that BBR's cwnd gain uses, covering the probe epochs too).
-        match (self.mode, self.estimator.pace_cap_bps()) {
-            (Mode::Delay, Some(cap_bps)) => {
-                let cap_window = 2.0 * cap_bps * rtt / (8.0 * self.cfg.mss as f64);
-                cwnd.min(cap_window.max(4.0))
+    /// Act on what the probe saw.  Elastic evidence flips the controller to
+    /// competitive mode immediately (every tick in delay mode concedes
+    /// throughput), but it only returns to delay mode after a full FFT
+    /// window without any (§4.1) — a competitor briefly backing off (e.g.
+    /// Cubic right after a loss) must not bounce Nimbus back into the mode
+    /// it gets starved in.  A watcher follows the pulser it sees.
+    fn heed(&mut self, evidence: Evidence) {
+        match evidence {
+            Evidence::Elastic => {
+                self.last_elastic_s = self.now_s;
+                self.switch_mode(Mode::Competitive);
             }
-            _ => cwnd,
+            Evidence::Inelastic => {
+                if self.now_s - self.last_elastic_s >= self.cfg.elasticity.fft_duration_s {
+                    self.switch_mode(Mode::Delay);
+                }
+            }
+            Evidence::Pulser(mode) => self.switch_mode(mode),
         }
-    }
-
-    /// The pulsed (or, for a watcher, smoothed) pace at `now`.
-    fn compute_pacing_rate_bps(&self, now: Time) -> f64 {
-        let base = self.base_rate_bps(now);
-        let shaped = if self.multiflow.role() == Role::Watcher {
-            // Watchers smooth their rate (EWMA, updated on the report path)
-            // instead of pulsing.
-            self.watcher_rate_bps.unwrap_or(base)
-        } else {
-            self.pulse.modulate(base, now.as_secs_f64())
-        };
-        // A probing estimator's delivery-informed cap bounds the cruise rate
-        // in delay mode: a rate-based inner controller chasing a nominal or
-        // crest-riding µ paces straight into a rate fade, melts the queue
-        // down and wedges the transport in RTO backoff (the ROADMAP cellular
-        // deadlock's other half).  Probe epochs then multiply *after* both
-        // the cap and the pacing floor, so probing remains the one way to
-        // pace above recent delivery — and the floor (the exact fixed point
-        // µ̂ deadlocks at) can never mask the escape mechanism.
-        let shaped = match (self.mode, self.estimator.pace_cap_bps()) {
-            (Mode::Delay, Some(cap)) => shaped.min(cap),
-            _ => shaped,
-        };
-        let gain = self.probe_gain(now.as_secs_f64());
-        shaped.max(self.cfg.mss as f64 * 8.0 / 0.1) * gain
     }
 
     /// The one place the mode changes.  Every path into competitive mode —
@@ -553,19 +400,19 @@ impl NimbusController {
         if new_mode == self.mode || held {
             return;
         }
+        let rtt = if self.srtt_s > 0.0 { self.srtt_s } else { 0.05 };
         if new_mode == Mode::Competitive {
             // §4.1: reset to the rate from one detection period (5 s) ago.
-            let lookback = self.cfg.elasticity.fft_duration_s;
-            let rate = self
-                .rate_at_lookback(lookback)
-                .unwrap_or_else(|| self.base_rate_bps(Time::from_secs_f64(self.now_s)));
-            let rtt = if self.srtt_s > 0.0 { self.srtt_s } else { 0.05 };
+            let target = self.now_s - self.cfg.elasticity.fft_duration_s;
+            let rate = match self.rate_history.iter().find(|&&(t, _)| t >= target) {
+                Some(&(_, rate)) => rate,
+                None => self.base_rate_bps(Time::from_secs_f64(self.now_s)),
+            };
             self.competitive.reinitialize(rate, rtt, self.cfg.mss);
         } else {
             // Entering delay mode: start the delay controller from the rate
             // the flow is currently achieving so it does not spike the queue.
             let rate = self.base_rate_bps(Time::from_secs_f64(self.now_s));
-            let rtt = if self.srtt_s > 0.0 { self.srtt_s } else { 0.05 };
             self.delay.as_cc_mut().reinitialize(rate, rtt, self.cfg.mss);
         }
         self.mode = new_mode;
@@ -606,213 +453,60 @@ impl CongestionControl for NimbusController {
     fn on_report(&mut self, report: &Report) {
         self.poll_memo.clear();
         self.now_s = report.now_s;
-        // 1. Feed the measurement pipeline.  Probe epochs only pace in delay
-        // mode (`probe_gain`), so the estimator's ẑ sample-and-hold must
-        // follow the same gate — in competitive mode there is no probe burst
-        // to blank out, and holding anyway would starve the detector of the
-        // very samples that tell it the competition went away.
-        self.estimator.set_probing_paced(self.mode == Mode::Delay);
-        if let Some(z_bps) = self.estimator.on_report(report) {
+        // 1. Feed the probe; BasicDelay takes ẑ before its own report.
+        let (z_bps, marks) = self.probe.measure(report, self.mode);
+        if let Some(z_bps) = z_bps {
             if let Some(p) = &mut self.publisher {
-                p.on_estimate(report.now_s, self.estimator.mu_bps(), z_bps);
+                p.on_estimate(report.now_s, self.probe.estimator().mu_bps(), z_bps);
             }
             if let DelayCtl::Basic(bd) = &mut self.delay {
                 bd.set_cross_traffic_estimate(z_bps);
             }
-            // The detector's window takes the sample the estimator *stored*
-            // (held through probe epochs, notch-filtered), watcher or not;
-            // the receive-rate window moves with it.
-            let stored = self.estimator.latest_conditioned_z();
-            self.detector
-                .push(report.now_s, stored.expect("a sample was just stored"));
-            self.multiflow.push_recv(report.now_s, report.recv_rate_bps);
         }
         // 2. Let both inner controllers see the report.
         self.competitive.on_report(report);
         self.delay.as_cc_mut().on_report(report);
-
-        // 2b. ECN mark-rate cross-validation.  A queue that keeps marking
-        // while we sit in delay mode is a queue somebody else keeps full —
-        // and the ẑ estimate says who.  When both signals agree (persistent
-        // mark fraction AND ẑ a non-trivial share of µ) the controller can
-        // call the cross traffic elastic in a few hundred milliseconds
-        // instead of waiting out a full FFT window.  The fraction is counted
-        // over a sliding window of ACKed packets (the way DCTCP computes α)
-        // rather than EWMA-smoothed per report: a starved flow's reports are
-        // mostly empty, and folding those in as "zero marks" would erase a
-        // perfectly persistent mark signal exactly when it matters most.
-        // The whole block is provably inert without ECN: `marked_packets` is
-        // 0 on every report, the window stays empty, and no state changes.
-        if report.marked_packets > 0 || !self.mark_window.is_empty() {
-            let acked_pkts = report.acked_bytes / self.cfg.mss.max(1) as u64;
-            if report.marked_packets > 0 || acked_pkts > 0 {
-                self.mark_window
-                    .push_back((report.now_s, report.marked_packets, acked_pkts));
-                self.window_marked += report.marked_packets;
-                self.window_acked += acked_pkts;
-            }
-            let horizon = report.now_s - self.cfg.elasticity.fft_duration_s;
-            while let Some(&(t, m, a)) = self.mark_window.front() {
-                if t < horizon {
-                    self.mark_window.pop_front();
-                    self.window_marked -= m;
-                    self.window_acked -= a;
-                } else {
-                    break;
-                }
-            }
-            let (marked, acked) = (self.window_marked, self.window_acked);
-            let span_s = match (self.mark_window.front(), self.mark_window.back()) {
-                (Some(&(t0, _, _)), Some(&(t1, _, _))) => t1 - t0,
-                _ => 0.0,
-            };
-            let frac = if acked == 0 {
-                0.0
-            } else {
-                marked as f64 / acked.max(marked) as f64
-            };
-            let mu_now = self.estimator.mu_bps();
-            let z_mean = self
-                .estimator
-                .mean_conditioned_z(self.cfg.elasticity.fft_duration_s)
-                .unwrap_or(0.0);
-            let z_agrees = mu_now > 0.0 && z_mean > 0.05 * mu_now;
-            // Don't trust ẑ before the first FFT window has filled: the
-            // slow-start transient inflates both ẑ and the mark rate, and a
-            // solo flow on a shallow marking queue would misread its own
-            // startup as an elastic competitor.
-            let warmed = report.now_s >= self.cfg.elasticity.fft_duration_s;
-            // A couple of marked packets per window is already abnormal for
-            // a delay-mode flow that targets a sub-threshold queue, so the
-            // fraction bar is low (2%); the false-positive guards are the
-            // ẑ agreement, the warm-up, the minimum evidence (≥ 8 ACKed
-            // packets spanning ≥ 250 ms), and the persistence streak — a
-            // transient ẑ crossing on a solo flow must not flip the mode,
-            // so both signals have to hold across 25 informative reports
-            // (~250 ms at the CCP cadence, a few seconds when starved).
-            if warmed
-                && self.mode == Mode::Delay
-                && acked >= 8
-                && span_s >= 0.25
-                && frac > 0.02
-                && z_agrees
-            {
-                self.mark_streak += 1;
-                if self.mark_streak >= 25 {
-                    self.last_elastic_s = report.now_s;
-                    self.switch_mode(Mode::Competitive);
-                }
-            } else {
-                self.mark_streak = 0;
-            }
+        // 3. ECN marks that ẑ agrees with: a switch resets the competitive
+        // controller from state the inner controllers just updated.
+        if let Some(evidence) = marks {
+            self.heed(evidence);
         }
 
-        // 3. Record the rate history (for the 5-seconds-ago reset).
+        // 4. Record the rate history (for the 5-seconds-ago reset).
         let now_t = Time::from_secs_f64(report.now_s);
         let rate_now = self.base_rate_bps(now_t);
         self.rate_history.push_back((report.now_s, rate_now));
         let horizon = report.now_s - self.cfg.elasticity.fft_duration_s;
-        while let Some(&(t, _)) = self.rate_history.front() {
-            if t < horizon {
-                self.rate_history.pop_front();
-            } else {
-                break;
-            }
+        while self
+            .rate_history
+            .pop_front_if(|&mut (t, _)| t < horizon)
+            .is_some()
+        {}
+
+        // 5. The role step and the verdict, then the mode they call for.
+        let (verdict, evidence) = self.probe.assess(report, rate_now);
+        if let (Some(verdict), Some(p)) = (&verdict, &mut self.publisher) {
+            p.on_verdict(report.now_s, verdict);
+        }
+        if let Some(evidence) = evidence {
+            self.heed(evidence);
         }
 
-        // 4. Multi-flow coordination (§6).  A watcher smooths its own rate
-        // so the pulser does not mistake it for elastic cross traffic,
-        // follows the mode of any pulser it sees, and never pulses.
-        let mu = self.estimator.mu_bps();
-        if self.multiflow.role() == Role::Watcher {
-            self.watcher_rate_bps = Some(self.multiflow.shape_rate(rate_now));
-            match self.multiflow.detect_pulser() {
-                PulserPresence::Competitive => self.switch_mode(Mode::Competitive),
-                PulserPresence::Delay => self.switch_mode(Mode::Delay),
-                PulserPresence::None => {
-                    let recv_rate = report.recv_rate_bps;
-                    self.multiflow
-                        .maybe_become_pulser(report.now_s, recv_rate, mu);
-                }
-            }
-            self.pulse.enabled = false;
-            return;
-        }
-        self.watcher_rate_bps = None;
-        self.pulse.enabled = true;
-
-        // 5. Pulser path: evaluate elasticity and pick the mode.  The
-        // minimum-peak guard tracks the current µ estimate (which may be
-        // learned at runtime): the f_p oscillation in ẑ must reach ~2% of µ
-        // peak-to-peak before the cross traffic can be called elastic.
-        // The adaptive ẑ-conditioning stage raises the detection bars (η
-        // threshold and minimum peak) with the µ̂ uncertainty: when µ̂ is off
-        // by a fraction u, the flow's own pulse leaks into ẑ with amplitude
-        // ∝ u·0.25·µ̂ and η values in exactly the genuine-elasticity range.
-        // The leak can only masquerade as cross traffic when there is not
-        // much *actual* cross traffic — a real competitor fills ẑ itself —
-        // so the scaling is damped to nothing as mean ẑ approaches 25% of
-        // µ̂.  Without the damping a competitor that squeezes the flow also
-        // widens the recv-rate spread, the raised bar suppresses the
-        // genuine verdict, and the starvation becomes self-reinforcing.
-        let bar_scale = match self.cfg.spec.zfilter {
-            ZFilterConfig::Adaptive if mu > 0.0 => self
-                .estimator
-                .mean_conditioned_z(self.cfg.elasticity.fft_duration_s)
-                .map_or(1.0, |mean_z| {
-                    let damp = (1.0 - mean_z / (0.25 * mu)).clamp(0.0, 1.0);
-                    1.0 + ADAPTIVE_GAIN * self.estimator.mu_uncertainty() * damp
-                }),
-            _ => 1.0,
-        };
-        if mu > 0.0 {
-            self.detector.set_min_peak_bps(0.01 * mu * bar_scale);
-        }
-        self.detector.set_eta_scale(bar_scale);
-        if let Some(verdict) = self.detector.evaluate_window(report.now_s) {
-            if let Some(p) = &mut self.publisher {
-                p.on_verdict(report.now_s, &verdict);
-            }
-            // Multi-pulser conflict check: compare the pulse-frequency content
-            // of ẑ against our own receive rate, at the same bins of the
-            // same window.
-            let fp = self.detector.config().pulse_freq_hz;
-            if let Some(recv_peak) = self.multiflow.recv_peak(fp) {
-                if self
-                    .multiflow
-                    .maybe_step_down(verdict.peak_at_fp, recv_peak)
-                {
-                    self.pulse.enabled = false;
-                    return;
-                }
-            }
-            // Asymmetric hysteresis (§4.1): elastic cross traffic flips the
-            // controller to competitive mode immediately (every tick in delay
-            // mode concedes throughput), but it only returns to delay mode
-            // after a full FFT window without a single elastic verdict — a
-            // competitor briefly backing off (e.g. Cubic right after a loss)
-            // must not bounce Nimbus back into the mode it gets starved in.
-            if verdict.elastic {
-                self.last_elastic_s = report.now_s;
-                self.switch_mode(Mode::Competitive);
-            } else if report.now_s - self.last_elastic_s >= self.cfg.elasticity.fft_duration_s {
-                self.switch_mode(Mode::Delay);
-            }
-        }
-
-        // 6. Keep the pulse generator aligned with the current mode and µ.
-        self.pulse.freq_hz = self.current_pulse_freq();
-        self.pulse.amplitude = self.cfg.pulse_amplitude_fraction * mu;
-        // The detector always listens at the competitive-mode frequency?  No:
-        // it listens at whatever frequency we are currently pulsing at.
-        self.detector.set_pulse_freq(self.current_pulse_freq());
+        // 6. Keep the pulse and the detector aligned with the mode.
+        self.probe.retune(self.mode);
     }
 
     fn cwnd_packets(&self) -> f64 {
         if let Some(cwnd) = self.poll_memo.cwnd_packets.get() {
             return cwnd;
         }
-        let cwnd = self.compute_cwnd_packets();
+        // The active controller's window, with the probe's head-room.
+        let rtt = if self.srtt_s > 0.0 { self.srtt_s } else { 0.1 };
+        let base = self.base_rate_bps(Time::from_secs_f64(self.now_s));
+        let inner = self.active().cwnd_packets();
+        let cwnd = self
+            .probe
+            .window_packets(inner, base, self.mode, self.now_s, rtt);
         self.poll_memo.cwnd_packets.set(Some(cwnd));
         cwnd
     }
@@ -821,7 +515,8 @@ impl CongestionControl for NimbusController {
         match self.poll_memo.pace.get() {
             Some((at, rate)) if at == now => Some(rate),
             _ => {
-                let rate = self.compute_pacing_rate_bps(now);
+                let base = self.base_rate_bps(now);
+                let rate = self.probe.pace_bps(base, self.mode, now.as_secs_f64());
                 self.poll_memo.pace.set(Some((now, rate)));
                 Some(rate)
             }
@@ -844,10 +539,11 @@ impl CongestionControl for NimbusController {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use nimbus_dsp::PulseGenerator;
 
-    fn report(now_s: f64, s_bps: f64, r_bps: f64, rtt_s: f64) -> Report {
+    pub(crate) fn report(now_s: f64, s_bps: f64, r_bps: f64, rtt_s: f64) -> Report {
         Report {
             now_s,
             send_rate_bps: s_bps,
@@ -862,7 +558,7 @@ mod tests {
         }
     }
 
-    fn ack(now_s: f64, rtt_ms: f64) -> AckEvent {
+    pub(crate) fn ack(now_s: f64, rtt_ms: f64) -> AckEvent {
         AckEvent {
             now: Time::from_secs_f64(now_s),
             newly_acked_packets: 1,
@@ -916,52 +612,6 @@ mod tests {
             ctl.on_report(&r);
         }
         assert_eq!(ctl.mode(), Mode::Delay);
-    }
-
-    #[test]
-    fn multiflow_watchers_look_where_a_slow_pulser_pulses() {
-        // App. F's 2 Hz pulse on a multi-flow run: f_pc and f_pd both follow
-        // `elasticity.pulse_freq_hz`, on the pulser and on the watchers.
-        let mu = 96e6;
-        let mut cfg = NimbusConfig::default_for_link(mu).with_multiflow(MultiflowConfig::enabled());
-        cfg.elasticity.pulse_freq_hz = 2.0;
-        let mut watcher = NimbusController::new(cfg.clone());
-        assert_eq!(watcher.role(), Role::Watcher);
-        let mut watch = |from: usize, recv: &[f64]| {
-            for (i, &x) in recv.iter().enumerate() {
-                watcher.multiflow.push_recv((from + i) as f64 * 0.01, x);
-            }
-            watcher.multiflow.detect_pulser()
-        };
-
-        // A receive rate carrying a competitive-mode pulser's 2 Hz pulses.
-        let gen = PulseGenerator::asymmetric(2.0, 6e6);
-        let recv: Vec<f64> = (0..600)
-            .map(|i| 20e6 + gen.offset_at(i as f64 * 0.01))
-            .collect();
-        assert_eq!(watch(0, &recv), PulserPresence::Competitive);
-
-        // Elect a pulser (alone on the link: R = µ, ẑ = 0, so it stays in
-        // delay mode) and record what it paces over one FFT window.
-        let mut pulser = NimbusController::new(cfg.with_seed(7));
-        let mut t = 0.0;
-        while pulser.role() == Role::Watcher {
-            assert!(t < 60.0, "never elected");
-            t += 0.01;
-            pulser.on_packet_acked(&ack(t, 50.0));
-            pulser.on_report(&report(t, mu, mu, 0.05));
-        }
-        t += 0.01;
-        pulser.on_report(&report(t, mu, mu, 0.05));
-        assert_eq!(pulser.mode(), Mode::Delay);
-        let paced: Vec<f64> = (0..500)
-            .map(|i| {
-                let at = Time::from_secs_f64(t + i as f64 * 0.01);
-                pulser.pacing_rate_bps(at).unwrap()
-            })
-            .collect();
-        // A whole window of it replaces the competitive-mode pulses.
-        assert_eq!(watch(600, &paced), PulserPresence::Delay);
     }
 
     #[test]
@@ -1027,14 +677,22 @@ mod tests {
         assert!(mean < base * 3.0 && mean > base / 3.0);
     }
 
-    /// Drive a controller running `spec` open-loop with reports synthesized
-    /// from a given cross-traffic behaviour.
-    fn drive_with_cross_traffic(spec: NimbusSpec, elastic: bool, secs: f64) -> NimbusController {
-        let mu = 96e6;
-        let mut ctl = NimbusController::new(NimbusConfig {
+    /// A controller running `spec` on a 96 Mbit/s link.
+    fn nimbus(spec: NimbusSpec) -> NimbusController {
+        NimbusController::new(NimbusConfig {
             spec,
-            ..NimbusConfig::default_for_link(mu)
-        });
+            ..NimbusConfig::default_for_link(96e6)
+        })
+    }
+
+    /// Drive a controller on a 96 Mbit/s link open-loop with reports
+    /// synthesized from a given cross-traffic behaviour.
+    fn drive_with_cross_traffic(
+        mut ctl: NimbusController,
+        elastic: bool,
+        secs: f64,
+    ) -> NimbusController {
+        let mu = 96e6;
         ctl.on_packet_acked(&ack(0.0, 60.0));
         let pulse_probe = PulseGenerator::asymmetric(5.0, 0.25 * mu);
         let mut t = 0.0;
@@ -1059,7 +717,7 @@ mod tests {
 
     #[test]
     fn elastic_cross_traffic_switches_to_competitive_mode() {
-        let ctl = drive_with_cross_traffic(NimbusSpec::default(), true, 12.0);
+        let ctl = drive_with_cross_traffic(nimbus(NimbusSpec::default()), true, 12.0);
         assert_eq!(ctl.mode(), Mode::Competitive);
         assert!(
             ctl.mode_log().len() >= 2,
@@ -1073,7 +731,7 @@ mod tests {
 
     #[test]
     fn inelastic_cross_traffic_stays_in_delay_mode() {
-        let ctl = drive_with_cross_traffic(NimbusSpec::default(), false, 12.0);
+        let ctl = drive_with_cross_traffic(nimbus(NimbusSpec::default()), false, 12.0);
         assert_eq!(ctl.mode(), Mode::Delay);
         assert!(ctl.delay_mode_fraction(0.0, 12.0) > 0.95);
     }
@@ -1085,7 +743,7 @@ mod tests {
             ..NimbusSpec::default()
         };
         // The detector still calls the cross traffic elastic...
-        let mut ctl = drive_with_cross_traffic(never, true, 12.0);
+        let mut ctl = drive_with_cross_traffic(nimbus(never), true, 12.0);
         assert!(ctl.detector().verdicts().iter().any(|v| v.elastic));
         assert_eq!(ctl.mode_log(), [(0.0, Mode::Delay)]);
         // ...and mark-rate cross-validation and a watcher following a
@@ -1137,53 +795,48 @@ mod tests {
     }
 
     #[test]
-    fn publisher_sees_mode_changes_and_estimates() {
+    fn publisher_sees_estimate_verdict_and_mode_change_in_order() {
         use std::sync::{Arc, Mutex};
 
-        #[derive(Default)]
-        struct Log {
-            modes: Vec<(f64, Mode)>,
-            estimates: usize,
-            verdicts: usize,
-        }
+        /// Each event's time and rank (an estimate, a verdict, a mode change),
+        /// and the new mode of a mode change.
+        type Log = Vec<(f64, u8, Option<Mode>)>;
         struct Recorder(Arc<Mutex<Log>>);
         impl Publisher for Recorder {
             fn on_mode_change(&mut self, now_s: f64, mode: Mode) {
-                self.0.lock().unwrap().modes.push((now_s, mode));
+                self.0.lock().unwrap().push((now_s, 2, Some(mode)));
             }
-            fn on_estimate(&mut self, _now_s: f64, mu_bps: f64, z_bps: f64) {
+            fn on_estimate(&mut self, now_s: f64, mu_bps: f64, z_bps: f64) {
                 assert!(mu_bps.is_finite() && z_bps.is_finite());
-                self.0.lock().unwrap().estimates += 1;
+                self.0.lock().unwrap().push((now_s, 0, None));
             }
-            fn on_verdict(&mut self, _now_s: f64, verdict: &DetectorVerdict) {
-                assert!(
-                    verdict.eta.is_finite() || verdict.eta.is_nan() || verdict.eta.is_infinite()
-                );
-                self.0.lock().unwrap().verdicts += 1;
+            fn on_verdict(&mut self, now_s: f64, verdict: &DetectorVerdict) {
+                assert_eq!(verdict.t_s, now_s);
+                self.0.lock().unwrap().push((now_s, 1, None));
             }
         }
 
-        let log = Arc::new(Mutex::new(Log::default()));
-        let mu = 96e6;
-        let mut ctl = NimbusController::new(NimbusConfig::default_for_link(mu));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut ctl = nimbus(NimbusSpec::default());
         ctl.set_publisher(Box::new(Recorder(Arc::clone(&log))));
-        ctl.on_packet_acked(&ack(0.0, 60.0));
-        let pulse_probe = PulseGenerator::asymmetric(5.0, 0.25 * mu);
-        let mut t = 0.0;
-        while t < 12.0 {
-            t += 0.01;
-            ctl.on_packet_acked(&ack(t, 60.0));
-            let s = ctl.pacing_rate_bps(Time::from_secs_f64(t)).unwrap().min(mu);
-            let z = 48e6 - 0.4 * pulse_probe.offset_at(t - 0.05);
-            let r = mu * s / (s + z);
-            ctl.on_report(&report(t, s, r, 0.06));
-        }
-        let log = log.lock().unwrap();
-        // The publisher saw the same switches the mode log recorded (minus
-        // the constructor's initial delay-mode entry).
-        assert_eq!(ctl.mode_log().len(), log.modes.len() + 1);
-        assert!(log.modes.iter().any(|&(_, m)| m == Mode::Competitive));
-        assert!(log.estimates > 100, "estimates {}", log.estimates);
-        assert!(log.verdicts > 0);
+        let ctl = drive_with_cross_traffic(ctl, true, 12.0);
+        let events = log.lock().unwrap();
+        let count = |rank| events.iter().filter(|&&(_, r, _)| r == rank).count();
+        // The publisher saw the switches the mode log recorded (minus the
+        // constructor's initial delay-mode entry), every verdict, and many
+        // estimates...
+        let switches: Vec<_> = events
+            .iter()
+            .filter_map(|&(t, _, m)| Some((t, m?)))
+            .collect();
+        assert_eq!(ctl.mode_log()[1..], switches);
+        assert_eq!(ctl.mode(), Mode::Competitive);
+        assert_eq!(ctl.detector().verdicts().len(), count(1));
+        assert!(count(0) > 100, "estimates {}", count(0));
+        // ...and, within a report, the estimate before the verdict before the
+        // mode change it caused.
+        assert!(events
+            .windows(2)
+            .all(|pair| pair[0].0 < pair[1].0 || pair[0].1 <= pair[1].1));
     }
 }

@@ -174,7 +174,7 @@ pub struct ElasticityDetector {
     /// The bins around `f_p` and inside `(f_p, 2·f_p)` at the current `f_p`.
     peak_bins: RangeInclusive<usize>,
     band_bins: Range<usize>,
-    /// Multiplier on the η threshold (and the controller scales the
+    /// Multiplier on the η threshold (and the elasticity probe scales the
     /// minimum-peak guard by the same factor): the µ-error-aware
     /// ẑ-conditioning stage raises the detection bar when the µ estimate is
     /// uncertain.  `1.0` (the default) reproduces the paper's fixed
@@ -185,8 +185,8 @@ pub struct ElasticityDetector {
     /// verdict.  With no cross traffic ẑ is numerically tiny, and η — a ratio
     /// of two near-zero magnitudes — is meaningless noise; requiring the
     /// oscillation to be physically significant suppresses those spurious
-    /// verdicts.  `0.0` (stand-alone use) disables the guard; the Nimbus
-    /// controller keeps it at 1% of its current µ estimate.
+    /// verdicts.  `0.0` (stand-alone use) disables the guard; the elasticity
+    /// probe keeps it at 1% of its current µ estimate.
     min_peak_bps: f64,
     /// Log of every verdict, for experiment post-processing.
     verdicts: Vec<DetectorVerdict>,
@@ -240,7 +240,7 @@ impl ElasticityDetector {
         }
     }
 
-    /// Update the minimum-peak guard (the Nimbus controller keeps this at a
+    /// Update the minimum-peak guard (the elasticity probe keeps this at a
     /// fraction of its µ estimate, which may itself be learned at runtime).
     pub fn set_min_peak_bps(&mut self, min_peak_bps: f64) {
         self.min_peak_bps = min_peak_bps;

@@ -129,7 +129,12 @@ impl ProbingConfig {
     /// Why this configuration cannot run, if it cannot: the spec parser's
     /// error text and the estimator's panic message.
     pub fn check(&self) -> Result<(), String> {
-        if self.probe_interval_s <= 2.0 * PROBE_DURATION_S {
+        if !(self.probe_interval_s.is_finite() && self.probe_gain.is_finite()) {
+            Err(format!(
+                "probe interval {} s and probe gain {} must be finite numbers",
+                self.probe_interval_s, self.probe_gain
+            ))
+        } else if self.probe_interval_s <= 2.0 * PROBE_DURATION_S {
             Err(format!(
                 "probe interval {} s must exceed {} s: each {PROBE_DURATION_S} s probe epoch \
                  and its equal-length drain (during which ẑ is held) must fit inside it, \
@@ -790,6 +795,22 @@ mod tests {
             probe_interval_s: 0.5,
             ..ProbingConfig::default()
         });
+    }
+
+    #[test]
+    fn non_finite_probe_settings_are_rejected() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for (probe_interval_s, probe_gain) in [(nan, 2.0), (inf, 2.0), (1.0, nan), (1.0, inf)] {
+            let cfg = ProbingConfig {
+                probe_interval_s,
+                probe_gain,
+                ..ProbingConfig::default()
+            };
+            let err = cfg.check().expect_err("a non-finite setting must not run");
+            assert!(err.contains("must be finite numbers"), "{err}");
+            let panicked = std::panic::catch_unwind(|| probing(cfg)).is_err();
+            assert!(panicked, "{cfg:?}");
+        }
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!    `η = |FFT_ẑ(f_p)| / max_{f∈(f_p,2f_p)} |FFT_ẑ(f)|` (Eq. 3).  `η ≥ 2`
 //!    means some of the cross traffic is reacting to the pulses — it contains
 //!    elastic (ACK-clocked) flows.
-//! 4. The [`controller`] uses the detector to switch between a
-//!    **TCP-competitive** inner controller (Cubic or NewReno) and a
-//!    **delay-controlling** one ([`basic_delay::BasicDelay`], Vegas or Copa's
-//!    default mode), resetting the rate to its value from five seconds ago
-//!    when entering competitive mode (§4.1).
-//! 5. With several Nimbus flows on one bottleneck, [`multiflow`] implements
-//!    the pulser/watcher protocol and the randomized pulser election of §6.
+//! 4. An [`ElasticityProbe`] ([`probe`]) is steps 1–3 as one building block,
+//!    with ECN mark-rate cross-validation and, for several Nimbus flows on one
+//!    bottleneck, the pulser/watcher protocol of §6; it reports [`Evidence`].
+//! 5. The [`controller`] turns that evidence into a mode: a **TCP-competitive**
+//!    inner controller (Cubic, NewReno or DCTCP) or a **delay-controlling**
+//!    one ([`basic_delay::BasicDelay`], Vegas or Copa's default mode), reset to
+//!    the rate of five seconds ago on entering competitive mode (§4.1).
 //!
 //! Everything is deterministic and **simulator-free**: this crate depends
 //! only on the DSP library and the tiny `nimbus-core-types` crate (`Time`,
@@ -51,7 +51,7 @@ pub mod ccp;
 pub mod controller;
 pub mod detector;
 pub mod estimator;
-pub mod multiflow;
+pub mod probe;
 pub mod rtt;
 
 pub use basic_delay::BasicDelay;
@@ -65,5 +65,5 @@ pub use controller::{
 };
 pub use detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector, ETA_THRESHOLD};
 pub use estimator::{CrossTrafficEstimator, LearnedMuConfig, MuSpec, ProbingConfig, ZFilterConfig};
-pub use multiflow::{MultiflowConfig, Role};
+pub use probe::{ElasticityProbe, Evidence, MultiflowConfig, Role};
 pub use rtt::RttEstimator;

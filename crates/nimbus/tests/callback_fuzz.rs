@@ -9,8 +9,10 @@
 //! this harness generates the abuse synthetically:
 //!
 //! * every µ strategy × ẑ-filter combination (4 × 3 = 12 combos), every
-//!   non-default competitive × delay scheme pair (2 × 2 = 4 combos), plus
-//!   the bare DCTCP controller (the CCA most exposed to CE abuse);
+//!   non-default competitive × delay scheme pair (2 × 2 = 4 combos), every
+//!   µ strategy with pulser/watcher coordination on (4 combos: elections,
+//!   step-downs and watchers following a pulser all happen), plus the bare
+//!   DCTCP controller (the CCA most exposed to CE abuse);
 //! * ≥ 256 randomized callback sequences per combo, mixing reordered and
 //!   timestamp-compressed ACKs, zero-byte ACKs, zero/near-zero RTTs,
 //!   zero-rate and extreme-rate reports, loss storms and RTO events, CE-echo
@@ -38,7 +40,8 @@ mod corpus;
 use corpus::{config, deliver, generate_sequence, mu_configs, z_filters, Event, MU};
 use nimbus_core::cc::{CcKind, CongestionControl, PathInfo};
 use nimbus_core::{
-    BasicDelay, DelayScheme, Mode, NimbusConfig, NimbusController, NimbusSpec, TcpScheme,
+    BasicDelay, DelayScheme, Mode, MultiflowConfig, NimbusConfig, NimbusController, NimbusSpec,
+    Role, TcpScheme,
 };
 use nimbus_core_types::Time;
 use rand::rngs::StdRng;
@@ -76,6 +79,17 @@ const PINNED_SCHEMES: &[(&str, &str, u64)] = &[
     ("reno", "vegas", 0xbefa925548fc3aa9),
     ("dctcp", "copa", 0x39cf484255d15715),
     ("dctcp", "vegas", 0x0f20a6673ff4dfa0),
+];
+
+/// `(µ strategy, "multiflow", hash)` over the same corpus with raw ẑ and
+/// pulser/watcher coordination enabled, captured while the roles still
+/// lived in their own `Multiflow` type beside the controller.
+#[rustfmt::skip]
+const PINNED_MULTIFLOW: &[(&str, &str, u64)] = &[
+    ("configured", "multiflow", 0xbe9c3c2d6ce815b2),
+    ("learned", "multiflow", 0xeedec9338b085c19),
+    ("probing", "multiflow", 0x9687ea57a8c68a6a),
+    ("quiesced", "multiflow", 0xa9c13fc3fdaf02ea),
 ];
 
 /// 64-bit FNV-1a over little-endian words.
@@ -120,61 +134,101 @@ fn assert_hysteresis(ctl: &NimbusController, fft_duration_s: f64, combo: &str, s
     }
 }
 
-/// Fuzz every sequence of one combo (labelled by its two varied axes);
-/// returns how many sequences actually exercised a mode switch, so the
-/// caller can assert the hysteresis check is not vacuous, and the combo's
-/// output hash.
-fn fuzz_combo(labels: (&str, &str), spec: NimbusSpec) -> (usize, u64) {
+/// What fuzzing one combo saw: how many sequences switched mode (or the
+/// hysteresis assertion checked nothing), the pulser/watcher events a
+/// coordinated combo went through, and the combo's output hash.
+#[derive(Default)]
+struct Tally {
+    switched: usize,
+    /// Watcher → pulser transitions.
+    elections: usize,
+    /// Pulser → watcher transitions.
+    step_downs: usize,
+    /// Sequences in which a watcher followed a pulser into competitive mode:
+    /// it switched there with no CE mark reported in the FFT window before,
+    /// so mark-rate cross-validation cannot have done it.
+    followed: usize,
+    hash: u64,
+}
+
+/// Fuzz every sequence of one combo (labelled by its two varied axes).
+fn fuzz_combo(labels: (&str, &str), spec: NimbusSpec, multiflow: &MultiflowConfig) -> Tally {
     let combo = format!("{}/{}", labels.0, labels.1);
-    let mut switched = 0;
+    let mut tally = Tally::default();
     let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
     for seq in 0..SEQUENCES_PER_COMBO {
         // A distinct, reproducible stream per (combo, sequence).
         let seed = (labels.0.len() as u64) << 32 ^ (labels.1.len() as u64) << 16 ^ seq as u64;
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let cfg = config(spec, seq as u64 + 1);
+        let cfg = config(spec, seq as u64 + 1).with_multiflow(multiflow.clone());
         let fft_duration_s = cfg.elasticity.fft_duration_s;
         let pulse_freq_hz = cfg.elasticity.pulse_freq_hz;
         let mut ctl = NimbusController::new(cfg);
         let mut now = Time::ZERO;
+        let (mut followed, mut last_mark_s) = (false, f64::NEG_INFINITY);
         for (step, event) in generate_sequence(&mut rng, pulse_freq_hz)
             .iter()
             .enumerate()
         {
+            let (role, mode) = (ctl.role(), ctl.mode());
+            // Only a report switches the mode; did its mark window hold a mark?
+            let mut unmarked = false;
+            if let Event::Report(report) = event {
+                if report.marked_packets > 0 {
+                    last_mark_s = report.now_s;
+                }
+                unmarked = report.now_s - last_mark_s > fft_duration_s;
+            }
             deliver(&mut ctl, event, &mut now);
             assert_sane(&ctl, now, &combo, seq, step);
             hash.word(ctl.pacing_rate_bps(now).map_or(u64::MAX, f64::to_bits));
             hash.word(ctl.cwnd_packets().to_bits());
             hash.word(ctl.mode() as u64);
             hash.word(ctl.mu_bps().to_bits());
+            match (role, ctl.role()) {
+                (Role::Watcher, Role::Pulser) => tally.elections += 1,
+                (Role::Pulser, Role::Watcher) => tally.step_downs += 1,
+                (Role::Watcher, Role::Watcher) => {
+                    followed |= unmarked && mode == Mode::Delay && ctl.mode() == Mode::Competitive;
+                }
+                (Role::Pulser, Role::Pulser) => {}
+            }
         }
         assert_hysteresis(&ctl, fft_duration_s, &combo, seq);
-        if ctl.mode_log().len() > 1 {
-            switched += 1;
-        }
+        tally.switched += (ctl.mode_log().len() > 1) as usize;
+        tally.followed += followed as usize;
     }
-    (switched, hash.0)
+    tally.hash = hash.0;
+    tally
 }
 
 /// Fuzz every `(labels, spec)` combo: some sequence must switch mode (or
 /// the hysteresis assertion checked nothing), and each combo's hash must be
-/// its row of `pinned`.
-fn fuzz_pinned(combos: Vec<((&str, &str), NimbusSpec)>, pinned: &[(&str, &str, u64)]) {
-    let mut switched = 0;
+/// its row of `pinned`.  Returns each combo's tally.
+fn fuzz_pinned(
+    combos: Vec<((&str, &str), NimbusSpec)>,
+    multiflow: &MultiflowConfig,
+    pinned: &[(&str, &str, u64)],
+) -> Vec<Tally> {
     let mut moved = Vec::new();
+    let mut tallies = Vec::new();
     for ((a, b), spec) in combos {
-        let (n, hash) = fuzz_combo((a, b), spec);
-        switched += n;
-        if !pinned.contains(&(a, b, hash)) {
-            moved.push(format!("    (\"{a}\", \"{b}\", {hash:#018x}),"));
+        let tally = fuzz_combo((a, b), spec, multiflow);
+        if !pinned.contains(&(a, b, tally.hash)) {
+            moved.push(format!("    (\"{a}\", \"{b}\", {:#018x}),", tally.hash));
         }
+        tallies.push(tally);
     }
-    assert!(switched > 0, "no sequence ever switched mode");
+    assert!(
+        tallies.iter().any(|t| t.switched > 0),
+        "no sequence ever switched mode"
+    );
     assert!(
         moved.is_empty(),
         "controller outputs moved over the corpus; the rows now read\n{}",
         moved.join("\n")
     );
+    tallies
 }
 
 /// Fuzz one µ strategy under every ẑ filter.
@@ -191,7 +245,7 @@ fn fuzz_strategy(index: usize) {
             ((label, z_label), spec)
         })
         .collect();
-    fuzz_pinned(combos, PINNED);
+    fuzz_pinned(combos, &MultiflowConfig::default(), PINNED);
 }
 
 // One test per µ strategy so the combos run on separate threads and a
@@ -233,7 +287,39 @@ fn fuzz_callbacks_inner_schemes() {
             combos.push(((c_label, d_label), spec));
         }
     }
-    fuzz_pinned(combos, PINNED_SCHEMES);
+    fuzz_pinned(combos, &MultiflowConfig::default(), PINNED_SCHEMES);
+}
+
+/// Every µ strategy with pulser/watcher coordination: the corpus's coherent
+/// phases make watchers see a pulser's pulses in their receive rate, its
+/// chaos elects pulsers and makes them step down, and each of the three
+/// must happen or the rows pin a protocol that never ran.
+#[test]
+fn fuzz_callbacks_multiflow() {
+    let combos = mu_configs()
+        .into_iter()
+        .map(|(label, mu)| {
+            let spec = NimbusSpec {
+                mu,
+                ..NimbusSpec::default()
+            };
+            ((label, "multiflow"), spec)
+        })
+        .collect();
+    let tallies = fuzz_pinned(combos, &MultiflowConfig::enabled(), PINNED_MULTIFLOW);
+    for ((label, _), tally) in mu_configs().iter().zip(&tallies) {
+        let Tally {
+            elections,
+            step_downs,
+            followed,
+            ..
+        } = *tally;
+        assert!(
+            elections > 0 && step_downs > 0 && followed > 0,
+            "{label}: {elections} elections, {step_downs} step-downs, \
+             {followed} sequences with a watcher following a competitive pulser"
+        );
+    }
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! A multi-flow watcher's receive-rate window is held to the batch statistic
 //! it replaced.
 //!
-//! `Multiflow` keeps the flow's receive rate in a sliding DFT and reads the
-//! watcher's presence test and the pulser's conflict-check peak from its
-//! bins.  The reference is the statistic as it was computed on a whole
+//! A coordinated `ElasticityProbe` keeps the flow's receive rate in a
+//! sliding DFT, its `RecvWindow`, and reads the watcher's presence test and
+//! the pulser's conflict-check peak from its bins.  The reference is the statistic as it was computed on a whole
 //! series: the mean-removed 500-point FFT of the last window, the peaks the
 //! largest magnitudes within 0.3 Hz of `f_pc` and `f_pd`, the background the
 //! median magnitude over `(1 Hz, 2·max(f_pc, f_pd))` outside both
@@ -12,16 +12,18 @@
 //! neither, at 5/6 Hz and at App. F's 2/3 Hz, this file asserts at every
 //! checked step
 //!
-//! 1. the same [`PulserPresence`], except where a ratio lies within 1e-6 of
-//!    the threshold or the two peaks within the magnitude bound of each
-//!    other (there either answer is rounding);
+//! 1. the same presence verdict (no pulser, or one in competitive or delay
+//!    mode), except where a ratio lies within 1e-6 of the threshold or the
+//!    two peaks within the magnitude bound of each other (there either
+//!    answer is rounding);
 //! 2. conflict-check peaks (within the detector's 0.25 Hz of `f_pc` and of
 //!    `f_pd`) within `1e-9 · scale` of the reference's, where `scale` is the
 //!    largest `|x|` among the last two windows of samples, the bound
 //!    `streaming_equivalence.rs` holds the detector to.
 
-use nimbus_core::multiflow::{Multiflow, MultiflowConfig, PulserPresence};
+use nimbus_core::probe::RecvWindow;
 use nimbus_core::ElasticityConfig;
+use nimbus_core::Mode;
 use nimbus_dsp::{PulseGenerator, Spectrum};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +35,7 @@ const PEAK_TOLERANCE_HZ: f64 = 0.25;
 
 /// The batch statistic on one window: the presence verdict, both
 /// peak-to-background ratios, and the window's spectrum.
-fn reference(window: &[f64], fc: f64, fd: f64) -> (PulserPresence, [f64; 2], [f64; 2], Spectrum) {
+fn reference(window: &[f64], fc: f64, fd: f64) -> (Option<Mode>, [f64; 2], [f64; 2], Spectrum) {
     let spectrum = Spectrum::of_signal(window, SAMPLE_RATE_HZ, true);
     let tol = PRESENCE_TOLERANCE_HZ;
     let peaks = [spectrum.peak_near(fc, tol), spectrum.peak_near(fd, tol)];
@@ -48,9 +50,9 @@ fn reference(window: &[f64], fc: f64, fd: f64) -> (PulserPresence, [f64; 2], [f6
     let background = nimbus_dsp::stats::median(&background_bins).max(1e-9);
     let ratios = peaks.map(|peak| peak / background);
     let presence = match (ratios[0] >= 4.0, ratios[1] >= 4.0) {
-        (false, false) => PulserPresence::None,
-        _ if peaks[0] >= peaks[1] => PulserPresence::Competitive,
-        _ => PulserPresence::Delay,
+        (false, false) => None,
+        _ if peaks[0] >= peaks[1] => Some(Mode::Competitive),
+        _ => Some(Mode::Delay),
     };
     (presence, ratios, peaks, spectrum)
 }
@@ -78,7 +80,7 @@ fn streaming_presence_and_peaks_match_the_batch_statistic() {
         for (family, at_c, at_d) in FAMILIES {
             for seed in 0..4u64 {
                 let mut rng = StdRng::seed_from_u64(seed * 97 + fc as u64);
-                let mut mf = Multiflow::new(MultiflowConfig::enabled(), &cfg, fd, seed);
+                let mut recv = RecvWindow::new(&cfg, fc, fd);
                 // Amplitudes and noise that put the peak-to-background
                 // ratio on both sides of the threshold across seeds.
                 let (amp_c, amp_d) = (
@@ -98,11 +100,11 @@ fn streaming_presence_and_peaks_match_the_batch_statistic() {
                         + pulse_d.offset_at(t)
                         + noise * (rng.gen::<f64>() - 0.5) * 2.0;
                     series.push(x);
-                    mf.push_recv(t, x);
+                    recv.push(t, x);
                     let label = || format!("f_pc={fc} {family} seed={seed} step {i}");
                     if series.len() < N {
-                        assert_eq!(mf.detect_pulser(), PulserPresence::None, "{}", label());
-                        assert_eq!(mf.recv_peak(fc), None, "{}", label());
+                        assert_eq!(recv.presence(), None, "{}", label());
+                        assert_eq!(recv.peak(fc), None, "{}", label());
                         continue;
                     }
                     if i % 10 != 0 {
@@ -118,7 +120,7 @@ fn streaming_presence_and_peaks_match_the_batch_statistic() {
                         .fold(0.0_f64, |m, x| m.max(x.abs()));
                     let tol = 1e-9 * scale;
                     for f in [fc, fd] {
-                        let got = mf.recv_peak(f).expect("the window is full");
+                        let got = recv.peak(f).expect("the window is full");
                         let want = spectrum.peak_near(f, PEAK_TOLERANCE_HZ);
                         assert!(
                             (got - want).abs() <= tol,
@@ -126,14 +128,14 @@ fn streaming_presence_and_peaks_match_the_batch_statistic() {
                             label()
                         );
                     }
-                    let got = mf.detect_pulser();
+                    let got = recv.presence();
                     let on_threshold = ratios.iter().any(|r| (r / 4.0 - 1.0).abs() <= 1e-6);
                     if on_threshold || (peaks[0] - peaks[1]).abs() <= 2.0 * tol {
                         skipped += 1;
                         continue;
                     }
                     assert_eq!(got, want, "{}: ratios {ratios:?}", label());
-                    seen[want as usize] += 1;
+                    seen[want.map_or(0, |mode| 1 + mode as usize)] += 1;
                 }
             }
         }
@@ -146,6 +148,6 @@ fn streaming_presence_and_peaks_match_the_batch_statistic() {
     // Every verdict occurs, so the comparison is not vacuous.
     assert!(
         seen.iter().all(|&count| count >= 50),
-        "verdicts None/Competitive/Delay seen {seen:?} times"
+        "verdicts none/delay/competitive seen {seen:?} times"
     );
 }
