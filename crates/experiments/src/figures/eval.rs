@@ -11,6 +11,10 @@ use nimbus_transport::{CcKind, PathInfo, Sender, SenderConfig};
 
 /// Fig. 8: the nine-phase scripted scenario on a 96 Mbit/s link, comparing
 /// the mode-switching protocols against every baseline.
+///
+/// Deviation: the paper's inelastic cross traffic is Poisson; here each
+/// phase's inelastic rate is a smooth constant stream (a `ScriptedSource`
+/// with no congestion control), so it carries no arrival burstiness.
 pub fn fig08(quick: bool) -> ExperimentResult {
     let scale = if quick { 0.2 } else { 1.0 };
     let mut result = ExperimentResult::new(
@@ -41,16 +45,17 @@ pub fn fig08(quick: bool) -> ExperimentResult {
     let cubic = cubic.join("+");
     for scheme in schemes {
         let spec = scenario(&format!("96M vs {cubic} seed=8 dur={duration}s"));
-        // Poisson aggregate following the scripted schedule (scaled in time).
+        // Constant-rate inelastic traffic following the scripted schedule
+        // (scaled in time).
         let scripted: Vec<(Time, f64)> = schedule
             .poisson_schedule()
             .into_iter()
             .map(|(t, r)| (Time::from_secs_f64(t.as_secs_f64() * scale), r))
             .collect();
         let phases: (FlowConfig, Box<dyn FlowEndpoint>) = (
-            FlowConfig::cross("poisson-phases", Time::from_millis(50), false),
+            FlowConfig::cross("cbr-phases", Time::from_millis(50), false),
             Box::new(Sender::new(
-                SenderConfig::labelled("poisson-phases"),
+                SenderConfig::labelled("cbr-phases"),
                 CcKind::Unlimited.build(&PathInfo::new(1500)),
                 Box::new(nimbus_transport::ScriptedSource::scheduled(scripted)),
             )),

@@ -6,7 +6,7 @@ use crate::scheme::SchemeSpec;
 use nimbus_core::{Mode, MultiflowConfig, NimbusConfig, NimbusController};
 use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowHandle, Network, RateSchedule, Recorder, Time};
 use nimbus_sim::nimbus_flow;
-use nimbus_transport::Sender;
+use nimbus_transport::{BackloggedSource, CongestionControl, Sender, SenderConfig};
 use serde::{Deserialize, Serialize};
 
 /// Summary metrics for one monitored flow after a run.
@@ -205,11 +205,27 @@ impl Monitored {
         }
     }
 
+    /// A backlogged [`Sender`] labelled `label` around `cc`.
+    fn backlogged(
+        spec: &ScenarioSpec,
+        scheme: SchemeSpec,
+        label: &str,
+        start_s: f64,
+        cc: Box<dyn CongestionControl>,
+    ) -> Self {
+        let sender = Sender::new(
+            SenderConfig::labelled(label),
+            cc,
+            Box::new(BackloggedSource),
+        );
+        Self::new(spec, scheme, label, start_s, Box::new(sender))
+    }
+
     /// The scenario's monitored flow: `scheme` labelled with itself, handed
     /// the path's nominal µ and the scenario seed.
     pub fn scheme(spec: &ScenarioSpec, scheme: SchemeSpec) -> Self {
-        let endpoint = scheme.build_endpoint(spec.nominal_mu_bps(), spec.seed);
-        Self::new(spec, scheme, &scheme.label(), 0.0, endpoint)
+        let cc = scheme.build_cc(spec.nominal_mu_bps(), spec.seed, None);
+        Self::backlogged(spec, scheme, &scheme.label(), 0.0, cc)
     }
 
     /// [`Monitored::scheme`] for a Nimbus `scheme` whose configuration
@@ -224,8 +240,10 @@ impl Monitored {
         tweak: impl FnOnce(NimbusConfig) -> NimbusConfig,
     ) -> Self {
         let label = scheme.label();
-        let cfg = tweak(nimbus_config(spec, scheme, spec.seed));
-        let endpoint = Box::new(nimbus_flow(cfg, &label));
+        let cfg = scheme
+            .nimbus_config(spec.nominal_mu_bps(), spec.seed)
+            .expect("only Nimbus schemes take a Nimbus configuration");
+        let endpoint = Box::new(nimbus_flow(tweak(cfg), &label));
         Self::new(spec, scheme, &label, 0.0, endpoint)
     }
 
@@ -242,21 +260,15 @@ impl Monitored {
         seed: u64,
         stagger_s: f64,
     ) -> Vec<Self> {
+        assert!(scheme.is_nimbus(), "multiflow needs a Nimbus scheme");
         let flow = |i: usize| {
+            let multiflow = Some(MultiflowConfig::enabled());
+            let cc = scheme.build_cc(spec.nominal_mu_bps(), seed + i as u64, multiflow);
             let label = format!("nimbus-{i}");
-            let cfg = nimbus_config(spec, scheme, seed + i as u64)
-                .with_multiflow(MultiflowConfig::enabled());
-            let endpoint = Box::new(nimbus_flow(cfg, &label));
-            Self::new(spec, scheme, &label, i as f64 * stagger_s, endpoint)
+            Self::backlogged(spec, scheme, &label, i as f64 * stagger_s, cc)
         };
         (0..n).map(flow).collect()
     }
-}
-
-fn nimbus_config(spec: &ScenarioSpec, scheme: SchemeSpec, seed: u64) -> NimbusConfig {
-    scheme
-        .nimbus_config(spec.nominal_mu_bps(), seed)
-        .expect("only Nimbus schemes take a Nimbus configuration")
 }
 
 /// The one lowering every run takes: the scenario's network, then the
@@ -312,4 +324,35 @@ pub fn run_scheme_vs_cross(
         cross,
         steady_start_s,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_spec_builds_an_endpoint_with_its_label() {
+        let spec = ScenarioSpec::default_96mbps(10.0);
+        let specs = [
+            SchemeSpec::nimbus(),
+            SchemeSpec::nimbus_copa(),
+            SchemeSpec::nimbus_vegas(),
+            SchemeSpec::nimbus_delay_only(),
+            SchemeSpec::nimbus_estmu(),
+            SchemeSpec::cubic(),
+            SchemeSpec::newreno(),
+            SchemeSpec::vegas(),
+            SchemeSpec::copa(),
+            SchemeSpec::bbr(),
+            SchemeSpec::vivace(),
+            SchemeSpec::compound(),
+            "nimbus(competitive=reno)".parse().unwrap(),
+            "nimbus(delay=copa,mu=learned)".parse().unwrap(),
+            SchemeSpec::constant(12e6),
+        ];
+        for s in specs {
+            let monitored = Monitored::scheme(&spec, s);
+            assert_eq!(monitored.endpoint.label(), s.label());
+        }
+    }
 }

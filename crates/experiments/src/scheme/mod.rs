@@ -41,19 +41,16 @@
 //!
 //! Result labels ([`SchemeSpec::label`]) are derived from the spec.  The
 //! tokenizer, the number parsers and the error type are the shared
-//! [`grammar`] module's; every option list below (`nimbus(…)`,
-//! `mu=learned(…)`, `zfilter=notch(…)`) is one table that `Display`,
-//! `FromStr`, `label()` and the error text all read.
+//! [`grammar`] module's; every option list below (the bare CCA names,
+//! `nimbus(…)`, `mu=learned(…)`, `zfilter=notch(…)`) is one table that
+//! `Display`, `FromStr`, `label()` and the error text all read.
 
 use crate::grammar::{self, choice_opt, non_default, Opt, ParseError};
 use nimbus_core::{
     DelayScheme, LearnedMuConfig, MuSpec, MultiflowConfig, NimbusConfig, NimbusController,
     NimbusSpec, SwitchSpec, TcpScheme, ZFilterConfig,
 };
-use nimbus_netsim::FlowEndpoint;
-use nimbus_transport::{
-    format_rate_bps, BackloggedSource, CcKind, CongestionControl, PathInfo, Sender, SenderConfig,
-};
+use nimbus_transport::{format_rate_bps, CcKind, CongestionControl, PathInfo};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::str::FromStr;
@@ -267,7 +264,7 @@ impl SchemeSpec {
     }
 
     /// Build just the congestion controller for this spec (the piece a
-    /// [`Sender`] is generic over).
+    /// [`Sender`](nimbus_transport::Sender) is generic over).
     pub fn build_cc(
         &self,
         mu_bps: f64,
@@ -285,26 +282,38 @@ impl SchemeSpec {
             SchemeSpec::Bare(kind) => kind.build(&PathInfo::new(1500)),
         }
     }
-
-    /// Instantiate a backlogged flow endpoint running this spec.
-    ///
-    /// `mu_bps` is the path's nominal bottleneck rate (needed by Nimbus
-    /// wrappers with configured µ) and `seed` drives any randomized
-    /// behaviour.
-    pub fn build_endpoint(&self, mu_bps: f64, seed: u64) -> Box<dyn FlowEndpoint> {
-        Box::new(Sender::new(
-            SenderConfig::labelled(&self.label()),
-            self.build_cc(mu_bps, seed, None),
-            Box::new(BackloggedSource),
-        ))
-    }
 }
 
 // ---- canonical text form -------------------------------------------------
 
-/// The bare CCAs `CcKind`'s own parser accepts, for error text and `--help`.
+/// Every bare CCA name.  A kind's first entry is its canonical spelling,
+/// which `Display` prints and error text lists; later entries are aliases.
+/// `constant(<rate>)` (alias `cbr(<rate>)`) carries a rate and is parsed on
+/// its own.
+const BARE: &[(&str, CcKind)] = &[
+    ("cubic", CcKind::Cubic),
+    ("newreno", CcKind::NewReno),
+    ("vegas", CcKind::Vegas),
+    ("copa", CcKind::Copa),
+    ("bbr", CcKind::Bbr),
+    ("vivace", CcKind::Vivace),
+    ("compound", CcKind::Compound),
+    ("dctcp", CcKind::Dctcp),
+    ("unlimited", CcKind::Unlimited),
+    ("reno", CcKind::NewReno),
+    ("pcc-vivace", CcKind::Vivace),
+];
+
+/// The canonical spelling of a rate-free `kind`.
+fn bare_name(kind: CcKind) -> &'static str {
+    let entry = BARE.iter().find(|&&(_, k)| k == kind);
+    entry.expect("every rate-free kind has a bare name").0
+}
+
+/// The bare CCAs the grammar accepts, for error text and `--help`.
 pub fn bare_schemes() -> String {
-    let names: Vec<_> = CcKind::bare_names().collect();
+    let canonical = BARE.iter().filter(|&&(name, kind)| bare_name(kind) == name);
+    let names: Vec<&str> = canonical.map(|&(name, _)| name).collect();
     format!("{}, constant(<rate>)", names.join(", "))
 }
 
@@ -375,7 +384,10 @@ impl fmt::Display for SchemeSpec {
     /// the non-default keys otherwise.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SchemeSpec::Bare(kind) => write!(f, "{kind}"),
+            SchemeSpec::Bare(CcKind::ConstantRate(bps)) => {
+                write!(f, "constant({})", format_rate_bps(*bps))
+            }
+            SchemeSpec::Bare(kind) => f.write_str(bare_name(*kind)),
             SchemeSpec::Nimbus(n) => {
                 f.write_str(&call_form("nimbus", grammar::show_opts(NIMBUS, n, ",")))
             }
@@ -386,29 +398,31 @@ impl fmt::Display for SchemeSpec {
 impl FromStr for SchemeSpec {
     type Err = ParseError;
 
-    /// Parse a spec string (case-insensitively): a bare CCA via `CcKind`'s
-    /// own parser, or `nimbus[(…)]` over the `NIMBUS` options.
+    /// Parse a spec string (case-insensitively): a name from the `BARE`
+    /// table, `constant(<rate>)`/`cbr(<rate>)`, or `nimbus[(…)]` over the
+    /// `NIMBUS` options.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let lower = s.trim().to_ascii_lowercase();
+        let unknown = || {
+            ParseError(format!(
+                "unknown scheme `{}` (expected a bare CCA — {} — or a wrapper spec such as \
+                 nimbus(competitive=reno,delay=copa,mu=learned))",
+                s.trim(),
+                bare_schemes()
+            ))
+        };
         match grammar::split_call(&lower)? {
             ("nimbus", args) => {
                 let mut spec = NimbusSpec::default();
                 grammar::set_opts("nimbus", NIMBUS, &mut spec, args.unwrap_or(""))?;
                 Ok(SchemeSpec::Nimbus(spec))
             }
-            // The constant(<rate>)/cbr(<rate>) grammar lives in `CcKind`'s
-            // own `FromStr`; for those heads its diagnostics (bad rate) are
-            // the actionable message, anything else gets the overview.
-            (head, _) => match lower.parse::<CcKind>() {
-                Ok(kind) => Ok(SchemeSpec::Bare(kind)),
-                Err(e) if matches!(head, "constant" | "cbr") => Err(ParseError(e)),
-                Err(_) => Err(ParseError(format!(
-                    "unknown scheme `{}` (expected a bare CCA — {} — or a \
-                     wrapper spec such as nimbus(competitive=reno,delay=copa,mu=learned))",
-                    s.trim(),
-                    bare_schemes()
-                ))),
+            ("constant" | "cbr", Some(rate)) => Ok(SchemeSpec::constant(grammar::rate(rate)?)),
+            (name, None) => match BARE.iter().find(|&&(bare, _)| bare == name) {
+                Some(&(_, kind)) => Ok(SchemeSpec::Bare(kind)),
+                None => Err(unknown()),
             },
+            _ => Err(unknown()),
         }
     }
 }
@@ -436,40 +450,29 @@ impl Deserialize for SchemeSpec {
 mod tests {
     use super::*;
 
-    fn paper_flavours() -> Vec<SchemeSpec> {
-        vec![
-            SchemeSpec::nimbus(),
-            SchemeSpec::nimbus_copa(),
-            SchemeSpec::nimbus_vegas(),
-            SchemeSpec::nimbus_delay_only(),
-            SchemeSpec::nimbus_estmu(),
-            SchemeSpec::cubic(),
-            SchemeSpec::newreno(),
-            SchemeSpec::vegas(),
-            SchemeSpec::copa(),
-            SchemeSpec::bbr(),
-            SchemeSpec::vivace(),
-            SchemeSpec::compound(),
-        ]
-    }
-
     #[test]
-    fn every_spec_builds_an_endpoint_with_its_label() {
-        let mut specs = paper_flavours();
-        specs.push(SchemeSpec::Nimbus(NimbusSpec {
-            competitive: TcpScheme::NewReno,
-            ..NimbusSpec::default()
-        }));
-        specs.push(SchemeSpec::Nimbus(NimbusSpec {
-            delay: DelayScheme::CopaDefault,
-            mu: MuSpec::learned(),
-            ..NimbusSpec::default()
-        }));
-        specs.push(SchemeSpec::constant(12e6));
-        for s in specs {
-            let ep = s.build_endpoint(96e6, 1);
-            assert_eq!(ep.label(), s.label());
+    fn bare_kinds_round_trip_through_the_table() {
+        for kind in [
+            CcKind::NewReno,
+            CcKind::Cubic,
+            CcKind::Vegas,
+            CcKind::Copa,
+            CcKind::Bbr,
+            CcKind::Vivace,
+            CcKind::Compound,
+            CcKind::Dctcp,
+            CcKind::ConstantRate(2.5e6),
+            CcKind::Unlimited,
+        ] {
+            let spec = SchemeSpec::Bare(kind);
+            let text = spec.to_string();
+            assert_eq!(text.parse::<SchemeSpec>().unwrap(), spec, "via `{text}`");
         }
+        let parse = |s: &str| s.parse::<SchemeSpec>().unwrap();
+        assert_eq!(parse("reno"), SchemeSpec::newreno());
+        assert_eq!(parse("pcc-vivace"), SchemeSpec::vivace());
+        assert_eq!(parse("cbr(24M)"), SchemeSpec::constant(24e6));
+        assert!("quic".parse::<SchemeSpec>().is_err());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! The engine owns packet delivery, the bottleneck queue and the ACK path;
 //! everything above that — windows, pacing, loss recovery, congestion control
-//! — lives behind [`FlowEndpoint`], which `nimbus-transport` implements once
-//! (as [`Sender`](../../nimbus_transport) machinery) for every congestion
-//! control algorithm, and `nimbus-core` implements for Nimbus.
+//! — lives behind [`FlowEndpoint`], which `nimbus-transport`'s `Sender`
+//! implements once for every congestion-control algorithm.  The algorithms
+//! themselves, Nimbus included, are `nimbus-core`'s `CongestionControl`
+//! implementations and never see this trait.
 //!
 //! The engine *polls* an endpoint for its next action whenever something that
 //! could unblock it happens (an ACK arrives, a timer it asked for fires, the

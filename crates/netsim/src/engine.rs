@@ -261,12 +261,6 @@ impl FlowConfig {
         self
     }
 
-    /// Mark the flow as monitored (full time series recorded).
-    pub fn monitored(mut self, yes: bool) -> Self {
-        self.monitored = yes;
-        self
-    }
-
     /// Negotiate ECN: send data packets as ECT so marking queues mark
     /// instead of dropping.
     pub fn with_ecn(mut self, yes: bool) -> Self {

@@ -228,11 +228,11 @@ impl FlowStats {
     }
 }
 
-/// Default upper size bound (bytes, inclusive) for a "mouse" flow when
-/// bucketing FCTs: roughly what fits in a few initial windows.
+/// Upper size bound (bytes, inclusive) for a "mouse" flow when bucketing
+/// FCTs: roughly what fits in a few initial windows.
 pub const MICE_MAX_BYTES: u64 = 100_000;
 
-/// Default lower size bound (bytes, inclusive) for an "elephant" flow when
+/// Lower size bound (bytes, inclusive) for an "elephant" flow when
 /// bucketing FCTs.
 pub const ELEPHANT_MIN_BYTES: u64 = 1_000_000;
 
@@ -287,33 +287,19 @@ impl FctBucket {
 /// means hide).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct FctSummary {
-    /// Upper size bound (bytes, inclusive) of the mice bucket.
-    pub mice_max_bytes: u64,
-    /// Lower size bound (bytes, inclusive) of the elephant bucket.
-    pub elephant_min_bytes: u64,
     /// All completed finite flows.
     pub all: FctBucket,
-    /// Flows of at most `mice_max_bytes`.
+    /// Flows of at most [`MICE_MAX_BYTES`].
     pub mice: FctBucket,
     /// Flows strictly between the mice and elephant bounds.
     pub medium: FctBucket,
-    /// Flows of at least `elephant_min_bytes`.
+    /// Flows of at least [`ELEPHANT_MIN_BYTES`].
     pub elephant: FctBucket,
 }
 
 impl FctSummary {
-    /// Summarize `(size_bytes, fct_seconds)` pairs with the default
-    /// mice/elephant boundaries.
+    /// Summarize `(size_bytes, fct_seconds)` pairs.
     pub fn from_fcts(fcts: &[(u64, f64)]) -> Self {
-        Self::with_thresholds(fcts, MICE_MAX_BYTES, ELEPHANT_MIN_BYTES)
-    }
-
-    /// Summarize with explicit size boundaries (`mice_max < elephant_min`).
-    pub fn with_thresholds(fcts: &[(u64, f64)], mice_max: u64, elephant_min: u64) -> Self {
-        assert!(
-            mice_max < elephant_min,
-            "mice bound {mice_max} must lie below elephant bound {elephant_min}"
-        );
         let select = |pred: &dyn Fn(u64) -> bool| -> Vec<f64> {
             fcts.iter()
                 .filter(|(sz, _)| pred(*sz))
@@ -321,12 +307,12 @@ impl FctSummary {
                 .collect()
         };
         FctSummary {
-            mice_max_bytes: mice_max,
-            elephant_min_bytes: elephant_min,
             all: FctBucket::from_fcts(select(&|_| true)),
-            mice: FctBucket::from_fcts(select(&|sz| sz <= mice_max)),
-            medium: FctBucket::from_fcts(select(&|sz| sz > mice_max && sz < elephant_min)),
-            elephant: FctBucket::from_fcts(select(&|sz| sz >= elephant_min)),
+            mice: FctBucket::from_fcts(select(&|sz| sz <= MICE_MAX_BYTES)),
+            medium: FctBucket::from_fcts(select(&|sz| {
+                sz > MICE_MAX_BYTES && sz < ELEPHANT_MIN_BYTES
+            })),
+            elephant: FctBucket::from_fcts(select(&|sz| sz >= ELEPHANT_MIN_BYTES)),
         }
     }
 }
@@ -853,17 +839,6 @@ mod tests {
         assert!((s.mice.p50_s - 0.1).abs() < 1e-9);
         assert!((s.medium.p50_s - 1.0).abs() < 1e-9);
         assert!((s.elephant.p99_s - 9.0).abs() < 1e-9);
-        // Custom thresholds shift the membership.
-        let s2 = FctSummary::with_thresholds(&fcts, 10_000, 2_000_000);
-        assert_eq!(s2.mice.count, 0);
-        assert_eq!(s2.medium.count, 4);
-        assert_eq!(s2.elephant.count, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "must lie below")]
-    fn fct_summary_rejects_inverted_thresholds() {
-        let _ = FctSummary::with_thresholds(&[], 1_000_000, 100_000);
     }
 
     #[test]

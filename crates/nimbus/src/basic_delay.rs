@@ -75,8 +75,8 @@ impl BasicDelay {
         self.rate_bps
     }
 
-    /// Directly set the rate (used by Nimbus when switching modes).
-    pub fn set_rate(&mut self, rate_bps: f64) {
+    /// Directly set the rate, floored at the minimum (`reinitialize`).
+    fn set_rate(&mut self, rate_bps: f64) {
         self.rate_bps = rate_bps.max(self.min_rate_bps());
     }
 

@@ -28,12 +28,6 @@ impl ConstantRate {
         assert!(rate_bps > 0.0, "rate must be positive");
         ConstantRate { rate_bps }
     }
-
-    /// Change the target rate (used by scripted scenarios).
-    pub fn set_rate(&mut self, rate_bps: f64) {
-        assert!(rate_bps > 0.0);
-        self.rate_bps = rate_bps;
-    }
 }
 
 impl CongestionControl for ConstantRate {
@@ -122,13 +116,6 @@ mod tests {
         assert_eq!(cc.pacing_rate_bps(Time::from_secs_f64(10.0)), before);
         assert_eq!(before, Some(24e6));
         assert!(cc.cwnd_packets() > 1e6);
-    }
-
-    #[test]
-    fn constant_rate_can_be_retargeted() {
-        let mut cc = ConstantRate::new(24e6);
-        cc.set_rate(80e6);
-        assert_eq!(cc.pacing_rate_bps(Time::ZERO), Some(80e6));
     }
 
     #[test]

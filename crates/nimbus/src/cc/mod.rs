@@ -97,36 +97,19 @@ pub enum CongestionEvent {
     },
 }
 
-/// Path and connection parameters a host hands to [`CcKind::build`] when
-/// instantiating a controller (the s2n-quic `PathInfo` shape): everything a
-/// scheme may want for initialization, independent of any simulator.
+/// Path parameters a host hands to [`CcKind::build`] when instantiating a
+/// controller (the s2n-quic `PathInfo` shape), independent of any simulator.
 #[derive(Debug, Clone, Copy)]
 pub struct PathInfo {
-    /// The flow's maximum segment size in bytes.
+    /// The flow's maximum segment size in bytes (BBR and Vivace size their
+    /// initial rate from it).
     pub mss: u32,
-    /// The host's initial RTT estimate, before any sample arrives.
-    pub initial_rtt: Time,
-    /// Nominal bottleneck rate µ in bits/s, when the host knows it
-    /// (configured-µ Nimbus does; most schemes ignore it).
-    pub nominal_mu_bps: Option<f64>,
 }
 
 impl PathInfo {
-    /// Path info with the given MSS, a 100 ms initial RTT estimate and no
-    /// nominal µ — the defaults every experiment used before `PathInfo`
-    /// existed.
+    /// Path info with the given MSS.
     pub fn new(mss: u32) -> Self {
-        PathInfo {
-            mss,
-            initial_rtt: Time::from_millis(100),
-            nominal_mu_bps: None,
-        }
-    }
-
-    /// Record the nominal bottleneck rate µ in bits/s.
-    pub fn with_nominal_mu(mut self, mu_bps: f64) -> Self {
-        self.nominal_mu_bps = Some(mu_bps);
-        self
+        PathInfo { mss }
     }
 }
 
@@ -219,9 +202,8 @@ pub enum CcKind {
 }
 
 impl CcKind {
-    /// Instantiate the scheme for the path described by `path` (the MSS and
-    /// the initial RTT estimate are needed by some controllers for
-    /// initialization).
+    /// Instantiate the scheme for the path described by `path` (BBR and
+    /// Vivace need the MSS for initialization).
     pub fn build(self, path: &PathInfo) -> Box<dyn CongestionControl> {
         match self {
             CcKind::NewReno => Box::new(reno::NewReno::new()),
@@ -270,78 +252,9 @@ impl CcKind {
     }
 }
 
-// The rate-string parser/printer moved to the dependency-free types crate
-// with `Time`; re-exported here because every scheme-spec parser reaches for
-// them through this module.
+// The rate-string parser/printer lives in the dependency-free types crate
+// with `Time`; re-exported here so hosts reach it beside the schemes.
 pub use nimbus_core_types::{format_rate_bps, parse_rate_bps};
-
-/// Every bare CCA name the spec grammar accepts.  A kind's first entry is
-/// its canonical spelling, which `Display` prints and error text lists;
-/// later entries are aliases.  `constant(<rate>)` (alias `cbr(<rate>)`)
-/// carries an argument and is parsed on its own.
-const BARE_NAMES: &[(&str, CcKind)] = &[
-    ("cubic", CcKind::Cubic),
-    ("newreno", CcKind::NewReno),
-    ("vegas", CcKind::Vegas),
-    ("copa", CcKind::Copa),
-    ("bbr", CcKind::Bbr),
-    ("vivace", CcKind::Vivace),
-    ("compound", CcKind::Compound),
-    ("dctcp", CcKind::Dctcp),
-    ("unlimited", CcKind::Unlimited),
-    ("reno", CcKind::NewReno),
-    ("pcc-vivace", CcKind::Vivace),
-];
-
-impl CcKind {
-    /// The canonical bare names (those `Display` prints), in table order.
-    pub fn bare_names() -> impl Iterator<Item = &'static str> {
-        let canonical = |&&(name, kind): &&(&str, CcKind)| kind.to_string() == name;
-        BARE_NAMES.iter().filter(canonical).map(|&(name, _)| name)
-    }
-}
-
-impl std::fmt::Display for CcKind {
-    /// The canonical spec-string form, re-parseable by the `FromStr` impl:
-    /// bare lowercase names plus `constant(<rate>)` for CBR senders.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CcKind::ConstantRate(bps) => write!(f, "constant({})", format_rate_bps(*bps)),
-            kind => {
-                let bare = BARE_NAMES.iter().find(|(_, k)| k == kind);
-                f.write_str(bare.expect("every rate-free kind has a bare name").0)
-            }
-        }
-    }
-}
-
-impl std::str::FromStr for CcKind {
-    type Err = String;
-
-    /// Parse a bare-CCA spec string: a name from the bare-name table, or
-    /// `constant(<rate>)` (alias `cbr(<rate>)`).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        let lower = s.to_ascii_lowercase();
-        if let Some(&(_, kind)) = BARE_NAMES.iter().find(|(name, _)| *name == lower) {
-            return Ok(kind);
-        }
-        if let Some(args) = lower
-            .strip_prefix("constant(")
-            .or_else(|| lower.strip_prefix("cbr("))
-        {
-            let rate = args.strip_suffix(')').ok_or_else(|| {
-                format!("invalid scheme `{s}`: missing closing `)` after the rate")
-            })?;
-            return Ok(CcKind::ConstantRate(parse_rate_bps(rate)?));
-        }
-        Err(format!(
-            "unknown congestion-control scheme `{s}` (expected {}, or constant(<rate>) such \
-             as constant(24M))",
-            Self::bare_names().collect::<Vec<_>>().join(", ")
-        ))
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -369,32 +282,6 @@ mod tests {
                 cc.name()
             );
         }
-    }
-
-    #[test]
-    fn kind_display_round_trips_through_from_str() {
-        for kind in [
-            CcKind::NewReno,
-            CcKind::Cubic,
-            CcKind::Vegas,
-            CcKind::Copa,
-            CcKind::Bbr,
-            CcKind::Vivace,
-            CcKind::Compound,
-            CcKind::Dctcp,
-            CcKind::ConstantRate(2.5e6),
-            CcKind::Unlimited,
-        ] {
-            let text = kind.to_string();
-            assert_eq!(text.parse::<CcKind>().unwrap(), kind, "via `{text}`");
-        }
-        assert_eq!("reno".parse::<CcKind>().unwrap(), CcKind::NewReno);
-        assert_eq!("pcc-vivace".parse::<CcKind>().unwrap(), CcKind::Vivace);
-        assert_eq!(
-            "cbr(24M)".parse::<CcKind>().unwrap(),
-            CcKind::ConstantRate(24e6)
-        );
-        assert!("quic".parse::<CcKind>().is_err());
     }
 
     #[test]

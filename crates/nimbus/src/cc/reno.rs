@@ -34,11 +34,6 @@ impl NewReno {
     pub fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
-
-    /// The current slow-start threshold in packets.
-    pub fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
 }
 
 impl Default for NewReno {
@@ -156,7 +151,7 @@ mod tests {
             in_flight_packets: 64,
         });
         assert!((cc.cwnd_packets() - 32.0).abs() < 1e-9);
-        assert!((cc.ssthresh() - 32.0).abs() < 1e-9);
+        assert!((cc.ssthresh - 32.0).abs() < 1e-9);
         cc.on_congestion_event(&CongestionEvent::Rto { now: Time::ZERO });
         assert!(cc.cwnd_packets() <= 10.0);
     }

@@ -9,15 +9,16 @@
 use super::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
 use nimbus_core_types::Time;
 
+/// Lower bound on queued packets (Vegas's standard `α`).
+const ALPHA: f64 = 2.0;
+/// Upper bound on queued packets (Vegas's standard `β`).
+const BETA: f64 = 4.0;
+
 /// TCP Vegas.
 #[derive(Debug, Clone)]
 pub struct Vegas {
     cwnd: f64,
     ssthresh: f64,
-    /// Lower bound on queued packets.
-    alpha: f64,
-    /// Upper bound on queued packets.
-    beta: f64,
     /// Per-RTT adjustment bookkeeping: the window is adjusted once per RTT.
     rtt_start: Option<Time>,
     rtt_min_in_round: f64,
@@ -29,17 +30,9 @@ pub struct Vegas {
 impl Vegas {
     /// Vegas with the standard `α = 2`, `β = 4` thresholds.
     pub fn new() -> Self {
-        Self::with_thresholds(2.0, 4.0)
-    }
-
-    /// Vegas with custom thresholds.
-    pub fn with_thresholds(alpha: f64, beta: f64) -> Self {
-        assert!(alpha <= beta);
         Vegas {
             cwnd: 10.0,
             ssthresh: f64::INFINITY,
-            alpha,
-            beta,
             rtt_start: None,
             rtt_min_in_round: f64::INFINITY,
             growth_round: true,
@@ -108,9 +101,9 @@ impl CongestionControl for Vegas {
             } else {
                 self.cwnd += 1.0;
             }
-        } else if diff < self.alpha {
+        } else if diff < ALPHA {
             self.cwnd += 1.0;
-        } else if diff > self.beta {
+        } else if diff > BETA {
             self.cwnd -= 1.0;
         }
         self.cwnd = self.cwnd.max(2.0);

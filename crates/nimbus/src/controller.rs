@@ -140,9 +140,8 @@ impl NimbusConfig {
         }
     }
 
-    /// The µ the inner schemes' [`PathInfo`] and the initial pulse amplitude
-    /// start from: `mu_bps` when µ is configured, none when it is learned (a
-    /// learned µ starts from nothing).
+    /// The µ the initial pulse amplitude starts from: `mu_bps` when µ is
+    /// configured, none when it is learned (a learned µ starts from nothing).
     pub fn nominal_mu_bps(&self) -> Option<f64> {
         (!self.spec.mu.is_learned()).then_some(self.mu_bps)
     }
@@ -260,10 +259,7 @@ impl NimbusController {
     /// [`crate::ProbingConfig::check`].
     pub fn new(cfg: NimbusConfig) -> Self {
         let spec = cfg.spec;
-        let path = match cfg.nominal_mu_bps() {
-            Some(mu) => PathInfo::new(cfg.mss).with_nominal_mu(mu),
-            None => PathInfo::new(cfg.mss),
-        };
+        let path = PathInfo::new(cfg.mss);
         let competitive: Box<dyn CongestionControl> = match spec.competitive {
             TcpScheme::Cubic => CcKind::Cubic.build(&path),
             TcpScheme::NewReno => CcKind::NewReno.build(&path),

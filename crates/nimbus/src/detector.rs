@@ -323,23 +323,6 @@ impl ElasticityDetector {
     pub fn verdicts(&self) -> &[DetectorVerdict] {
         &self.verdicts
     }
-
-    /// Fraction of recorded verdicts (in `[t0, t1]`) that judged the traffic elastic.
-    pub fn elastic_fraction(&self, t0_s: f64, t1_s: f64) -> f64 {
-        let (mut in_range, mut elastic) = (0usize, 0usize);
-        for v in self
-            .verdicts
-            .iter()
-            .filter(|v| v.t_s >= t0_s && v.t_s <= t1_s)
-        {
-            in_range += 1;
-            elastic += v.elastic as usize;
-        }
-        if in_range == 0 {
-            return 0.0;
-        }
-        elastic as f64 / in_range as f64
-    }
 }
 
 /// Eq. 3 from its two magnitudes; an empty or silent comparison band makes
@@ -467,9 +450,8 @@ mod tests {
         det.evaluate(1.0, &elastic);
         det.evaluate(2.0, &elastic);
         det.evaluate(3.0, &inelastic);
-        assert_eq!(det.verdicts().len(), 3);
-        assert!((det.elastic_fraction(0.0, 10.0) - 2.0 / 3.0).abs() < 1e-9);
-        assert!((det.elastic_fraction(2.5, 10.0) - 0.0).abs() < 1e-9);
+        let elastic: Vec<bool> = det.verdicts().iter().map(|v| v.elastic).collect();
+        assert_eq!(elastic, [true, true, false]);
         assert!(det.last_verdict().is_some());
     }
 

@@ -33,8 +33,9 @@
 //! / `on_report`) and reads back a window and a pacing rate.  Alongside the
 //! Nimbus pipeline this crate therefore also hosts:
 //!
-//! * [`cc`] — the host-abstraction trait, [`cc::PathInfo`], and every
-//!   baseline congestion-control algorithm the paper evaluates;
+//! * [`cc`] — the host-abstraction trait, [`cc::PathInfo`] (the MSS a
+//!   scheme starts from), and every baseline congestion-control algorithm
+//!   the paper evaluates, built through [`cc::CcKind`];
 //! * [`ccp`] — the CCP-style measurement-report aggregator (§4.2) that
 //!   produces the [`ccp::Report`]s the `on_report` callback consumes;
 //! * [`rtt`] — SRTT/RTTVAR/RTO estimation (RFC 6298) and min-RTT tracking.

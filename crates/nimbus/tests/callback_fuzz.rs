@@ -441,7 +441,7 @@ fn controllers_that_skip_reports_ignore_them() {
                 assert_eq!(
                     outputs(with_reports.as_ref()),
                     outputs(without.as_ref()),
-                    "[{kind} seq {seq} step {step}] reads_reports() is false, \
+                    "[{kind:?} seq {seq} step {step}] reads_reports() is false, \
                      but a report moved (cwnd, pacing)"
                 );
             }
@@ -451,7 +451,7 @@ fn controllers_that_skip_reports_ignore_them() {
     // The controllers whose `on_report` does the work must keep receiving
     // reports.
     for kind in [CcKind::Bbr, CcKind::Vivace] {
-        assert!(kind.build(&path).reads_reports(), "{kind}");
+        assert!(kind.build(&path).reads_reports(), "{kind:?}");
     }
     assert!(BasicDelay::new(MU).reads_reports());
     assert!(NimbusController::new(NimbusConfig::default_for_link(MU)).reads_reports());

@@ -1,11 +1,13 @@
 //! Scripted cross-traffic phase schedules (Fig. 8).
 //!
 //! The paper's time-varying scenarios are described as a sequence of phases,
-//! each with an inelastic Poisson component ("`xM` denotes x Mbit/s of
-//! inelastic Poisson cross-traffic") and a number of long-running Cubic
-//! cross-flows ("`yT` denotes y long-running Cubic cross-flows").  This
-//! module turns such a schedule into concrete flows for the simulator and
-//! computes the fair-share reference line plotted in those figures.
+//! each with an inelastic component ("`xM` denotes x Mbit/s of inelastic
+//! Poisson cross-traffic") and a number of long-running Cubic cross-flows
+//! ("`yT` denotes y long-running Cubic cross-flows").  This module turns such
+//! a schedule into concrete flows for the simulator and computes the
+//! fair-share reference line plotted in those figures.  The inelastic
+//! component is offered at a smooth constant rate within each phase, not as
+//! Poisson arrivals (see `fig08` in `nimbus-experiments`).
 
 use nimbus_netsim::Time;
 use serde::{Deserialize, Serialize};
@@ -15,7 +17,8 @@ use serde::{Deserialize, Serialize};
 pub struct Phase {
     /// Phase start time, seconds.
     pub start_s: f64,
-    /// Inelastic Poisson cross-traffic rate during this phase, bits/s.
+    /// Inelastic cross-traffic rate during this phase, bits/s (the paper's
+    /// Poisson component, offered here at a constant rate).
     pub poisson_rate_bps: f64,
     /// Number of long-running Cubic (elastic) cross-flows during this phase.
     pub cubic_flows: usize,
@@ -88,8 +91,9 @@ impl PhaseSchedule {
         current
     }
 
-    /// The scripted Poisson-rate schedule, as `(start, rate_bps)` pairs for a
-    /// [`ScriptedSource`](nimbus_transport::ScriptedSource)-driven aggregate.
+    /// The inelastic rate schedule, as `(start, rate_bps)` pairs for a
+    /// [`ScriptedSource`](nimbus_transport::ScriptedSource), which sends at
+    /// each phase's rate as a smooth constant stream.
     pub fn poisson_schedule(&self) -> Vec<(Time, f64)> {
         self.phases
             .iter()

@@ -30,11 +30,13 @@ const MAX_PACING_DEBT: Time = Time::from_millis(10);
 /// 50 ms ≈ 400 packets).
 const MAX_WINDOW_PACKETS: u64 = 4096;
 
+/// Maximum segment size in bytes: 1500 on every simulated path, the
+/// sender-side twin of the controller's `PathInfo::mss`.
+const MSS: u32 = 1500;
+
 /// Sender configuration.
 #[derive(Debug, Clone)]
 pub struct SenderConfig {
-    /// Maximum segment size in bytes.
-    pub mss: u32,
     /// Label used in logs and results.  Borrowed when static, so a flow
     /// whose label is a constant (every fleet flow) allocates none.
     pub label: Cow<'static, str>,
@@ -47,7 +49,6 @@ pub struct SenderConfig {
 impl Default for SenderConfig {
     fn default() -> Self {
         SenderConfig {
-            mss: 1500,
             label: Cow::Borrowed("sender"),
             stop_at: None,
         }
@@ -198,7 +199,7 @@ impl Sender {
     /// Total segments the application has made available by `now`.
     fn available_segments(&mut self, now: Time) -> u64 {
         let bytes = self.source.bytes_available(now);
-        let mss = self.cfg.mss as u64;
+        let mss = MSS as u64;
         if self.source.done_writing() {
             bytes.div_ceil(mss)
         } else {
@@ -208,11 +209,11 @@ impl Sender {
 
     /// The size in bytes of segment `seq`.
     fn segment_size(&mut self, seq: u64, now: Time) -> u32 {
-        let mss = self.cfg.mss as u64;
+        let mss = MSS as u64;
         let bytes = self.source.bytes_available(now);
         let start = seq * mss;
         if bytes <= start {
-            self.cfg.mss
+            MSS
         } else {
             ((bytes - start).min(mss)) as u32
         }
@@ -439,13 +440,11 @@ impl FlowEndpoint for Sender {
             let event = AckEvent {
                 now,
                 newly_acked_packets: newly_acked,
-                newly_acked_bytes: ack
-                    .newly_delivered_bytes
-                    .max(newly_acked * self.cfg.mss as u64),
+                newly_acked_bytes: ack.newly_delivered_bytes.max(newly_acked * MSS as u64),
                 rtt: ack.rtt_sample,
                 min_rtt: self.rtt.global_min_rtt().unwrap_or(ack.rtt_sample),
                 in_flight_packets: self.in_flight_packets(),
-                mss: self.cfg.mss,
+                mss: MSS,
             };
             self.cc.on_packet_acked(&event);
             if self.next_seq > self.cum_acked {
@@ -945,7 +944,7 @@ mod tests {
         // A 12 000-bit packet at 1e-9 bit/s is a pacing gap past
         // `Time::MAX`; adding it to a pacing clock past zero must saturate,
         // not wrap into the past and unpace the flow.
-        let kind: CcKind = "constant(1e-9)".parse().unwrap();
+        let kind = CcKind::ConstantRate(1e-9);
         let mut s = sender(kind, Box::new(BackloggedSource));
         let start = Time::from_millis(5);
         s.on_start(start);

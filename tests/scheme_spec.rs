@@ -30,9 +30,10 @@ fn every_pre_redesign_variant_reproduces_its_fingerprint() {
 
 #[test]
 fn builder_alias_and_string_paths_agree() {
-    // Three routes to the same spec — `CcKind`'s `cbr(…)`/`reno` spelling
-    // aliases, the canonical string, and the constructor or the
-    // `NimbusSpec` the grammar fills in — are the same value.
+    // Three routes to the same spec — the `cbr(…)`/`reno` spelling aliases
+    // of the scheme grammar's tables, the canonical string, and the
+    // constructor or the `NimbusSpec` the grammar fills in — are the same
+    // value.
     let from_alias: SchemeSpec = "cbr(24M)".parse().unwrap();
     let from_string: SchemeSpec = "constant(24M)".parse().unwrap();
     assert_eq!(from_alias, from_string);
