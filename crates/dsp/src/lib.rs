@@ -24,8 +24,8 @@
 //! * [`filter`] — EWMA filters (used by Nimbus *watcher* flows to strip the
 //!   pulser's frequencies from their own transmissions) and simple moving
 //!   statistics (windowed min/max) used by the congestion controllers.
-//! * [`stats`] — percentiles, CDFs and accuracy summaries used throughout the
-//!   experiment harness.
+//! * [`stats`] — means, percentiles and CDFs used throughout the experiment
+//!   harness.
 //!
 //! The crate is deliberately dependency-free (apart from `serde` for result
 //! serialization) and completely deterministic.

@@ -2,8 +2,8 @@
 //!
 //! Every figure in the paper is either a time series, a CDF, or a
 //! scatter/summary of throughput and delay distributions.  The helpers here —
-//! percentiles, empirical CDFs, running statistics, classification-accuracy
-//! summaries — are shared by the experiment runners and the benches.
+//! means, percentiles and empirical CDFs — are shared by the experiment
+//! runners and the benches.
 
 use serde::{Deserialize, Serialize};
 
@@ -339,68 +339,6 @@ impl Cdf {
     }
 }
 
-/// Binary-classification accuracy accumulator used by the robustness
-/// experiments (§8.2): "fraction of time the detector is in the correct mode".
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ClassificationAccuracy {
-    /// Decisions where ground truth was "elastic".
-    pub elastic_total: u64,
-    /// Correct decisions when ground truth was "elastic".
-    pub elastic_correct: u64,
-    /// Decisions where ground truth was "inelastic".
-    pub inelastic_total: u64,
-    /// Correct decisions when ground truth was "inelastic".
-    pub inelastic_correct: u64,
-}
-
-impl ClassificationAccuracy {
-    /// Record one decision: `truth_elastic` is the ground truth,
-    /// `detected_elastic` the detector's output.
-    pub fn record(&mut self, truth_elastic: bool, detected_elastic: bool) {
-        if truth_elastic {
-            self.elastic_total += 1;
-            if detected_elastic {
-                self.elastic_correct += 1;
-            }
-        } else {
-            self.inelastic_total += 1;
-            if !detected_elastic {
-                self.inelastic_correct += 1;
-            }
-        }
-    }
-
-    /// Overall fraction of correct decisions.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.elastic_total + self.inelastic_total;
-        if total == 0 {
-            return 0.0;
-        }
-        (self.elastic_correct + self.inelastic_correct) as f64 / total as f64
-    }
-
-    /// Accuracy restricted to elastic ground truth (recall of "elastic").
-    pub fn elastic_accuracy(&self) -> f64 {
-        if self.elastic_total == 0 {
-            return 0.0;
-        }
-        self.elastic_correct as f64 / self.elastic_total as f64
-    }
-
-    /// Accuracy restricted to inelastic ground truth.
-    pub fn inelastic_accuracy(&self) -> f64 {
-        if self.inelastic_total == 0 {
-            return 0.0;
-        }
-        self.inelastic_correct as f64 / self.inelastic_total as f64
-    }
-
-    /// Total number of decisions recorded.
-    pub fn total(&self) -> u64 {
-        self.elastic_total + self.inelastic_total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,29 +455,6 @@ mod tests {
     fn cdf_filters_non_finite() {
         let cdf = Cdf::from_samples(&[1.0, f64::NAN, 2.0, f64::INFINITY]);
         assert_eq!(cdf.len(), 2);
-    }
-
-    #[test]
-    fn classification_accuracy_bookkeeping() {
-        let mut acc = ClassificationAccuracy::default();
-        // 3 elastic decisions, 2 correct; 2 inelastic decisions, 2 correct.
-        acc.record(true, true);
-        acc.record(true, true);
-        acc.record(true, false);
-        acc.record(false, false);
-        acc.record(false, false);
-        assert_eq!(acc.total(), 5);
-        assert!((acc.accuracy() - 0.8).abs() < 1e-12);
-        assert!((acc.elastic_accuracy() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((acc.inelastic_accuracy() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_accuracy_is_zero() {
-        let acc = ClassificationAccuracy::default();
-        assert_eq!(acc.accuracy(), 0.0);
-        assert_eq!(acc.elastic_accuracy(), 0.0);
-        assert_eq!(acc.inelastic_accuracy(), 0.0);
     }
 
     proptest! {

@@ -1,13 +1,65 @@
 //! Figures 8–13 and 21: the main emulation evaluation (§5, §8.1).
 
-use super::{after, is_elastic, pairs, scenario, window_mean};
+use super::{after, agreement, is_elastic, pairs, scenario, window_mean};
 use crate::output::ExperimentResult;
 use crate::runner::{run_scenario, run_scheme_vs_cross, Monitored};
 use crate::scheme::SchemeSpec;
 use nimbus_dsp::Cdf;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
-use nimbus_traffic::{FleetWorkloadConfig, PhaseSchedule, VideoQuality, VideoSource};
+use nimbus_traffic::{FleetWorkloadConfig, VideoQuality, VideoSource};
 use nimbus_transport::{CcKind, PathInfo, Sender, SenderConfig};
+
+/// Fig. 8's nine phases, 20 s each, as annotated at the top of the figure:
+/// `(inelastic bits/s, long-running Cubic flows)`, i.e. `16M/1T, 32M/2T,
+/// 0M/4T, 0M/3T, 0M/1T, 16M/0T, 32M/0T, 48M/0T, 16M/0T`.
+const FIG8_PHASES: [(f64, usize); 9] = [
+    (16e6, 1),
+    (32e6, 2),
+    (0.0, 4),
+    (0.0, 3),
+    (0.0, 1),
+    (16e6, 0),
+    (32e6, 0),
+    (48e6, 0),
+    (16e6, 0),
+];
+
+/// The length of each Fig. 8 phase, seconds.
+const FIG8_PHASE_S: f64 = 20.0;
+
+/// The fair share (Mbit/s) of the one monitored flow at `t_s` on Fig. 8's
+/// 96 Mbit/s link — the figure's solid black line: the capacity the
+/// inelastic traffic leaves, split equally with the Cubic cross flows.
+fn fig8_fair_share_mbps(t_s: f64) -> f64 {
+    let started = (1..FIG8_PHASES.len()).take_while(|&i| i as f64 * FIG8_PHASE_S <= t_s);
+    let (inelastic_bps, cubic) = FIG8_PHASES[started.count()];
+    (96e6 - inelastic_bps) / (cubic + 1) as f64 / 1e6
+}
+
+/// Fig. 8's Cubic flows as `(start_s, stop_s)`, slot-major: flow slot `k`
+/// runs through each maximal stretch of phases with more than `k` Cubic
+/// flows, so contiguous phases share one flow.
+fn fig8_cubic_intervals() -> Vec<(f64, f64)> {
+    let slots = FIG8_PHASES.iter().map(|p| p.1).max().unwrap_or(0);
+    // A closing phase with no flows ends every slot still running at 180 s.
+    let phases = FIG8_PHASES.iter().chain([&(0.0, 0)]).enumerate();
+    let mut intervals = Vec::new();
+    for slot in 0..slots {
+        let mut since = None;
+        for (i, &(_, cubic)) in phases.clone() {
+            let t_s = i as f64 * FIG8_PHASE_S;
+            match (cubic > slot, since) {
+                (true, None) => since = Some(t_s),
+                (false, Some(start_s)) => {
+                    intervals.push((start_s, t_s));
+                    since = None;
+                }
+                _ => {}
+            }
+        }
+    }
+    intervals
+}
 
 /// Fig. 8: the nine-phase scripted scenario on a 96 Mbit/s link, comparing
 /// the mode-switching protocols against every baseline.
@@ -22,8 +74,7 @@ pub fn fig08(quick: bool) -> ExperimentResult {
         "Scripted elastic/inelastic phases (96 Mbit/s): throughput, delay and fair share per scheme",
         quick,
     );
-    let schedule = PhaseSchedule::fig8();
-    let duration = schedule.end_s * scale;
+    let duration = FIG8_PHASES.len() as f64 * FIG8_PHASE_S * scale;
     let schemes: Vec<SchemeSpec> = if quick {
         vec![
             SchemeSpec::nimbus(),
@@ -37,8 +88,7 @@ pub fn fig08(quick: bool) -> ExperimentResult {
         s
     };
     // Long-running Cubic flows per the schedule (scaled in time).
-    let cubic: Vec<String> = schedule
-        .cubic_flow_intervals()
+    let cubic: Vec<String> = fig8_cubic_intervals()
         .into_iter()
         .map(|(start, end)| format!("cubic@start={}s,stop={}s", start * scale, end * scale))
         .collect();
@@ -47,10 +97,10 @@ pub fn fig08(quick: bool) -> ExperimentResult {
         let spec = scenario(&format!("96M vs {cubic} seed=8 dur={duration}s"));
         // Constant-rate inelastic traffic following the scripted schedule
         // (scaled in time).
-        let scripted: Vec<(Time, f64)> = schedule
-            .poisson_schedule()
-            .into_iter()
-            .map(|(t, r)| (Time::from_secs_f64(t.as_secs_f64() * scale), r))
+        let scripted: Vec<(Time, f64)> = FIG8_PHASES
+            .iter()
+            .enumerate()
+            .map(|(i, &(bps, _))| (Time::from_secs_f64(i as f64 * FIG8_PHASE_S * scale), bps))
             .collect();
         let phases: (FlowConfig, Box<dyn FlowEndpoint>) = (
             FlowConfig::cross("cbr-phases", Time::from_millis(50), false),
@@ -74,7 +124,7 @@ pub fn fig08(quick: bool) -> ExperimentResult {
         let err: Vec<f64> = m
             .throughput_series
             .iter()
-            .map(|(t, v)| (v - schedule.fair_share_mbps(t / scale, 96e6, 1)).abs())
+            .map(|(t, v)| (v - fig8_fair_share_mbps(t / scale)).abs())
             .collect();
         result.row(
             &format!("{}_fair_share_error_mbps", m.label),
@@ -97,12 +147,7 @@ pub fn fig08(quick: bool) -> ExperimentResult {
     }
     // The reference fair-share line.
     let fair: Vec<(f64, f64)> = (0..(duration as usize))
-        .map(|t| {
-            (
-                t as f64,
-                schedule.fair_share_mbps(t as f64 / scale, 96e6, 1),
-            )
-        })
+        .map(|t| (t as f64, fig8_fair_share_mbps(t as f64 / scale)))
         .collect();
     result.add_series("fair_share_mbps", fair);
     result
@@ -243,19 +288,25 @@ pub fn fig12(quick: bool) -> ExperimentResult {
     // controller.  A period is "elastic" if more than 30% of cross bytes came
     // from flows large enough to be ACK-clocked.
     let truth = pairs(&out.recorder.elastic_fraction);
-    let mut acc = nimbus_dsp::stats::ClassificationAccuracy::default();
-    for (t, eta) in &m.eta_series {
-        if *t < 6.0 {
-            continue;
-        }
-        // Ground truth averaged over the preceding detector window.
-        let truth_elastic = window_mean(&truth, *t - 5.0..=*t) > 0.3;
-        acc.record(truth_elastic, is_elastic(*eta));
-    }
-    result.row("detector_accuracy", acc.accuracy());
-    result.row("elastic_recall", acc.elastic_accuracy());
-    result.row("inelastic_recall", acc.inelastic_accuracy());
-    result.row("decisions", acc.total() as f64);
+    // (truth, verdict) per decision, averaging the ground truth over the
+    // preceding detector window.
+    let decisions: Vec<(bool, bool)> = m
+        .eta_series
+        .iter()
+        .filter(|(t, _)| *t >= 6.0)
+        .map(|(t, eta)| (window_mean(&truth, *t - 5.0..=*t) > 0.3, is_elastic(*eta)))
+        .collect();
+    let recall = |truth_elastic: bool| {
+        let verdicts = decisions.iter().filter(|(t, _)| *t == truth_elastic);
+        agreement(verdicts.map(|&(_, v)| v), truth_elastic)
+    };
+    result.row(
+        "detector_accuracy",
+        agreement(decisions.iter().map(|(t, v)| t == v), true),
+    );
+    result.row("elastic_recall", recall(true));
+    result.row("inelastic_recall", recall(false));
+    result.row("decisions", decisions.len() as f64);
     result.add_series("elastic_fraction_truth", truth);
     result.add_series("eta", m.eta_series.clone());
     result
@@ -345,4 +396,27 @@ pub fn fig21(quick: bool) -> ExperimentResult {
         );
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig8_fair_share_line_matches_the_paper() {
+        // 16M/1T: (96 − 16)/2; 0M/4T: 96/5; 48M/0T: 96 − 48.
+        for (t_s, share) in [(10.0, 40.0), (50.0, 19.2), (150.0, 48.0)] {
+            assert!((fig8_fair_share_mbps(t_s) - share).abs() < 1e-9, "{t_s} s");
+        }
+    }
+
+    #[test]
+    fn fig8_cubic_flows_span_contiguous_phases() {
+        // Four slots, in slot order: slot 0 runs through phases 0–4 as one
+        // flow, slot 3 only in phase 2.
+        assert_eq!(
+            fig8_cubic_intervals(),
+            [(0.0, 100.0), (20.0, 80.0), (40.0, 80.0), (40.0, 60.0)]
+        );
+    }
 }

@@ -37,11 +37,11 @@ pub mod testkit;
 pub use grammar::ParseError;
 pub use output::ExperimentResult;
 pub use runner::{
-    CrossRate, CrossSource, CrossSpec, EcnSpec, FleetSpec, HopSpec, LinkScheduleSpec, PathSpec,
-    ScenarioSpec, SingleFlowMetrics,
+    CrossRate, CrossSource, CrossSpec, EcnSpec, FleetSpec, HopSpec, LinkScheduleSpec, ScenarioSpec,
+    SingleFlowMetrics,
 };
 pub use scheme::SchemeSpec;
-pub use sweep::{run_sweep, sweep_matrix, sweep_matrix_with, SweepConfig, SweepReport};
+pub use sweep::{run_sweep, sweep_matrix, SweepConfig, SweepReport};
 pub use testkit::{
     cells, paper_invariant_matrix, parallel_map, run_matrix, Cell, CellOutcome, Invariants,
 };

@@ -3,26 +3,20 @@
 //!
 //! ```text
 //! nimbus-experiments <experiment...|all|list> [--quick] [--out DIR]
-//! nimbus-experiments sweep [--quick] [--threads N] [--out PATH] [--scheme SPEC]... [--ecn SPEC]
+//! nimbus-experiments sweep [--quick] [--threads N] [--out PATH] [CELL]...
 //! ```
 //!
-//! `--scheme` takes a [`SchemeSpec`](nimbus_experiments::SchemeSpec) string
-//! — a bare CCA (`cubic`, `constant(24M)`) or a Nimbus wrapper composition
-//! (`nimbus(competitive=reno,delay=copa,mu=learned)`) — and may be repeated
-//! to replace the sweep's scheme axis.  `--ecn` takes an
-//! [`EcnSpec`](nimbus_experiments::EcnSpec) string (`off`, `classic` or
-//! `l4s`) and runs every cell with that marking profile on the primary
-//! bottleneck.  `--help` prints the whole spec
-//! grammar from the parsers' own option tables
-//! ([`grammar_reference`](nimbus_experiments::runner::grammar_reference)).
+//! Each `CELL` operand is a whole-cell [`Cell`](nimbus_experiments::Cell)
+//! string (`'dctcp@48M ecn=l4s vs alone seed=1 dur=3s steady=1s'`); when any
+//! are given, the sweep runs exactly those cells instead of its matrix.
+//! `--help` prints the whole spec grammar from the parsers' own option
+//! tables ([`grammar_reference`](nimbus_experiments::runner::grammar_reference)).
 //!
 //! The sweep writes a per-cell table to stdout and a JSON report to
 //! `target/sweep/sweep.json` (or `--out PATH`); it gates nothing.  Either
 //! path exits 2 on an unknown flag.
 
-use nimbus_experiments::{
-    experiment_names, run_experiment, EcnSpec, ExperimentResult, SchemeSpec, SweepConfig,
-};
+use nimbus_experiments::{experiment_names, run_experiment, ExperimentResult, SweepConfig};
 use std::path::PathBuf;
 
 /// The operand of `flag`, if the flag is present.  A flag present without
@@ -57,18 +51,12 @@ fn unknown_flag(arg: &str) -> ! {
 
 fn run_sweep_command(args: &[String]) -> ! {
     let mut cfg = SweepConfig::default();
-    // Repeated `--scheme SPEC` flags replace the matrix's scheme axis.
-    let mut schemes: Vec<SchemeSpec> = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--quick" {
-            cfg.quick = true;
-            i += 1;
-            continue;
-        }
-        let value = || flag_value(&args[i..], flag).expect("the flag is at index 0");
-        match flag {
+        let arg = args[i].as_str();
+        let value = || flag_value(&args[i..], arg).expect("the flag is at index 0");
+        match arg {
+            "--quick" => cfg.quick = true,
             "--threads" => match value().parse::<usize>() {
                 Ok(n) if n > 0 => cfg.threads = Some(n),
                 _ => {
@@ -77,14 +65,11 @@ fn run_sweep_command(args: &[String]) -> ! {
                 }
             },
             "--out" => cfg.out = PathBuf::from(value()),
-            "--scheme" => schemes.push(parse_or_exit(value())),
-            "--ecn" => cfg.ecn = Some(parse_or_exit::<EcnSpec>(value())),
-            _ => unknown_flag(flag),
+            flag if flag.starts_with("--") => unknown_flag(flag),
+            cell => cfg.cells.push(parse_or_exit(cell)),
         }
-        i += 2;
-    }
-    if !schemes.is_empty() {
-        cfg.schemes = Some(schemes);
+        // A flag with a value consumes its operand too.
+        i += 1 + usize::from(matches!(arg, "--threads" | "--out"));
     }
     match nimbus_experiments::run_sweep(&cfg) {
         Ok(report) => {
@@ -103,10 +88,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
         eprintln!("usage: nimbus-experiments <experiment...|all|list> [--quick] [--out DIR]");
-        eprintln!(
-            "       nimbus-experiments sweep [--quick] [--threads N] [--out PATH] [--scheme SPEC]... [--ecn SPEC]"
-        );
-        eprintln!("spec grammar (--scheme takes a <scheme>, --ecn the value of ecn=):");
+        eprintln!("       nimbus-experiments sweep [--quick] [--threads N] [--out PATH] [CELL]...");
+        eprintln!("spec grammar (a sweep CELL is a <cell>):");
         eprintln!("{}", nimbus_experiments::runner::grammar_reference());
         eprintln!("experiments: {}", experiment_names().join(", "));
         std::process::exit(if args.is_empty() { 2 } else { 0 });

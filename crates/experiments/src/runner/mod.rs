@@ -15,7 +15,7 @@ mod run;
 mod scenario;
 
 pub use cross::{CrossRate, CrossSource, CrossSpec};
-pub use path::{BuiltinTrace, EcnSpec, HopSpec, LinkScheduleSpec, LoadedTrace, PathSpec};
+pub use path::{BuiltinTrace, EcnSpec, HopSpec, LinkScheduleSpec, LoadedTrace};
 pub use run::{
     nimbus_of, run_and_collect, run_scenario, run_scheme_vs_cross, Monitored, RunOutput,
     SingleFlowMetrics,

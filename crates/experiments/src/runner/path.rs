@@ -401,97 +401,3 @@ impl FromStr for HopSpec {
         Ok(hop)
     }
 }
-
-/// The shape of the forward path beyond the primary bottleneck: a (possibly
-/// empty) chain of extra hops the packets traverse after hop 0.  The default
-/// — no extra hops — is the paper's single-bottleneck dumbbell, and every
-/// pre-path scenario is exactly a `PathSpec::single()` path.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PathSpec {
-    /// Hops appended after the primary bottleneck, in path order.
-    pub extra_hops: Vec<HopSpec>,
-}
-
-impl PathSpec {
-    /// The classic single-bottleneck path.
-    pub fn single() -> Self {
-        PathSpec::default()
-    }
-
-    /// Total number of hops including the primary bottleneck.
-    pub fn hop_count(&self) -> usize {
-        1 + self.extra_hops.len()
-    }
-
-    /// The nominal bottleneck rate seen by a flow traversing hops
-    /// `[enter, exit]` of this path (inclusive; `None` = the path's tail):
-    /// the minimum base rate over exactly those hops.  Hop 0 is the primary
-    /// bottleneck at `link_rate_bps`.
-    pub fn nominal_mu_over_hops(
-        &self,
-        link_rate_bps: f64,
-        enter: usize,
-        exit: Option<usize>,
-    ) -> f64 {
-        let last = exit
-            .unwrap_or(self.extra_hops.len())
-            .min(self.extra_hops.len());
-        let mut mu = f64::INFINITY;
-        for hop in enter..=last {
-            let rate = if hop == 0 {
-                link_rate_bps
-            } else {
-                self.extra_hops[hop - 1].rate_factor * link_rate_bps
-            };
-            mu = mu.min(rate);
-        }
-        if mu.is_finite() {
-            mu
-        } else {
-            link_rate_bps
-        }
-    }
-
-    /// A short slug for cell/result names: empty for a single hop, otherwise
-    /// e.g. `-2hop60` (two hops, tightest extra hop at 60% of base).
-    pub fn label(&self) -> String {
-        if self.extra_hops.is_empty() {
-            return String::new();
-        }
-        let tightest = self
-            .extra_hops
-            .iter()
-            .map(|h| h.rate_factor)
-            .fold(f64::INFINITY, f64::min);
-        let moving = self
-            .extra_hops
-            .iter()
-            .any(|h| h.schedule != LinkScheduleSpec::Constant);
-        format!(
-            "-{}hop{:.0}{}",
-            self.hop_count(),
-            tightest * 100.0,
-            if moving { "mv" } else { "" }
-        )
-    }
-}
-
-impl fmt::Display for PathSpec {
-    /// The extra hops as space-separated `hop(…)` tokens (empty for the
-    /// single-bottleneck path).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let hops: Vec<String> = self.extra_hops.iter().map(HopSpec::to_string).collect();
-        write!(f, "{}", hops.join(" "))
-    }
-}
-
-impl FromStr for PathSpec {
-    type Err = ParseError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let hops = grammar::tokens(s)?.into_iter().map(str::parse);
-        Ok(PathSpec {
-            extra_hops: hops.collect::<Result<_, _>>()?,
-        })
-    }
-}

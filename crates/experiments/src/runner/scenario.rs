@@ -2,7 +2,7 @@
 //! the grammar reference.
 
 use super::cross::{CrossSource, CrossSpec, CROSS};
-use super::path::{EcnSpec, LinkScheduleSpec, PathSpec, ECN_MODES, HOP, SCHEDULE_FORMS};
+use super::path::{EcnSpec, HopSpec, LinkScheduleSpec, ECN_MODES, HOP, SCHEDULE_FORMS};
 use crate::grammar::{
     self, duration, field_opt, fmt_duration, fmt_size, integer, key_value, parsed, positive,
     probability, split_call, split_top_level, Opt, ParseError,
@@ -188,8 +188,9 @@ pub struct ScenarioSpec {
     pub pie_target_s: Option<f64>,
     /// Random loss probability on the primary hop (0 = none).
     pub loss_probability: f64,
-    /// Extra hops after the primary bottleneck (empty = single-link dumbbell).
-    pub path: PathSpec,
+    /// Hops appended after the primary bottleneck, in path order (empty =
+    /// the paper's single-bottleneck dumbbell).
+    pub hops: Vec<HopSpec>,
     /// Static cross-traffic flows, added to the network after the monitored
     /// flow (and after any imperatively built cross traffic) in list order.
     pub cross: Vec<CrossSpec>,
@@ -264,7 +265,7 @@ impl ScenarioSpec {
             seed: 1,
             pie_target_s: None,
             loss_probability: 0.0,
-            path: PathSpec::single(),
+            hops: Vec::new(),
             cross: Vec::new(),
             fleet: None,
             ecn: EcnSpec::Off,
@@ -283,7 +284,53 @@ impl ScenarioSpec {
     /// the minimum base rate over every hop of the path.  Equal to
     /// `link_rate_bps` for single-hop scenarios.
     pub fn nominal_mu_bps(&self) -> f64 {
-        self.path.nominal_mu_over_hops(self.link_rate_bps, 0, None)
+        self.nominal_mu_over_hops(0, None)
+    }
+
+    /// The nominal bottleneck rate seen by a flow traversing hops
+    /// `[enter, exit]` of the path (inclusive; `None` = the path's tail): the
+    /// minimum base rate over exactly those hops.  Hop 0 is the primary
+    /// bottleneck at `link_rate_bps`.
+    pub fn nominal_mu_over_hops(&self, enter: usize, exit: Option<usize>) -> f64 {
+        let last = exit.unwrap_or(self.hops.len()).min(self.hops.len());
+        let mut mu = f64::INFINITY;
+        for hop in enter..=last {
+            let rate = if hop == 0 {
+                self.link_rate_bps
+            } else {
+                self.hops[hop - 1].rate_factor * self.link_rate_bps
+            };
+            mu = mu.min(rate);
+        }
+        if mu.is_finite() {
+            mu
+        } else {
+            self.link_rate_bps
+        }
+    }
+
+    /// The path part of a cell name: empty for a single hop, otherwise e.g.
+    /// `-2hop60` (two hops, tightest extra hop at 60% of base; `mv` appended
+    /// when an extra hop's rate moves).
+    pub fn path_label(&self) -> String {
+        if self.hops.is_empty() {
+            return String::new();
+        }
+        let tightest = self
+            .hops
+            .iter()
+            .map(|h| h.rate_factor)
+            .fold(f64::INFINITY, f64::min);
+        let moving = self
+            .hops
+            .iter()
+            .any(|h| h.schedule != LinkScheduleSpec::Constant);
+        format!(
+            "-{}hop{:.0}{}",
+            1 + self.hops.len(),
+            tightest * 100.0,
+            if moving { "mv" } else { "" }
+        )
     }
 
     /// Build the simulator network for this spec.  Each extra hop is a
@@ -300,7 +347,7 @@ impl ScenarioSpec {
         }
         cfg.path[0].loss = self.loss_probability;
         cfg.path[0].ecn = self.ecn.to_marking();
-        for hop in &self.path.extra_hops {
+        for hop in &self.hops {
             let base = hop.rate_factor * self.link_rate_bps;
             let link = LinkConfig::drop_tail(base, HOP_BUFFER_S)
                 .with_schedule(hop.schedule.to_schedule(base))
@@ -340,10 +387,7 @@ impl ScenarioSpec {
                 CrossSource::Scheme(_) => (cross.label(), seed(67, 11)),
             };
             let (enter, exit) = cross.hops.map_or((0, None), |(a, b)| (a, Some(b)));
-            let mu = |exit| {
-                self.path
-                    .nominal_mu_over_hops(self.link_rate_bps, enter, exit)
-            };
+            let mu = |exit| self.nominal_mu_over_hops(enter, exit);
             cross.flow(&format!("{name}-{tag}"), mu(Some(enter)), mu(exit), seed)
         };
         self.cross.iter().enumerate().map(lower).collect()
@@ -372,7 +416,7 @@ impl ScenarioSpec {
             } else if key_value(token).is_some() {
                 seen.extend(grammar::set_opts("scenario", SCENARIO, self, token)?);
             } else if token.starts_with("hop(") {
-                self.path.extra_hops.push(token.parse()?);
+                self.hops.push(token.parse()?);
             } else if self.schedule == LinkScheduleSpec::Constant {
                 self.schedule = token.parse()?;
             } else {
@@ -389,10 +433,10 @@ impl ScenarioSpec {
         }
         for cross in &self.cross {
             if let Some((_, exit)) = cross.hops {
-                if exit >= self.path.hop_count() {
+                if exit > self.hops.len() {
                     return Err(ParseError(format!(
                         "cross flow `{cross}` exits at hop {exit} but the path has {} hop(s)",
-                        self.path.hop_count()
+                        1 + self.hops.len()
                     )));
                 }
             }
@@ -417,7 +461,7 @@ impl fmt::Display for ScenarioSpec {
         if self.schedule != LinkScheduleSpec::Constant {
             write!(f, " {}", self.schedule)?;
         }
-        for hop in &self.path.extra_hops {
+        for hop in &self.hops {
             write!(f, " {hop}")?;
         }
         let cross = self.cross.iter().map(CrossSpec::to_string);

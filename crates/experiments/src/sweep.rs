@@ -9,13 +9,10 @@
 //! matrix) and for finding a cell to profile; `tests/scenario_matrix.rs`
 //! holds every quick cell to an exact event budget.
 //!
-//! The scheme axis takes [`SchemeSpec`] strings: repeated `--scheme` flags
-//! (`sweep --scheme 'nimbus(competitive=reno,mu=learned)' --scheme cubic`)
-//! replace the default axis, benchmarking exactly those schemes across the
-//! cross-traffic/rate/schedule dimensions.
+//! Whole-cell strings in the testkit's grammar
+//! (`sweep 'dctcp@48M ecn=l4s vs alone seed=1 dur=3s steady=1s'`) replace
+//! the matrix, benchmarking exactly those cells.
 
-use crate::runner::EcnSpec;
-use crate::scheme::SchemeSpec;
 use crate::testkit::{parallel_map, worker_count, Cell};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -30,12 +27,9 @@ pub struct SweepConfig {
     pub threads: Option<usize>,
     /// Where to write the JSON report (`target/sweep/sweep.json` by default).
     pub out: PathBuf,
-    /// Override the matrix's scheme axis (`--scheme` on the CLI, repeatable,
-    /// each value a [`SchemeSpec`] string).  `None` runs the default axis.
-    pub schemes: Option<Vec<SchemeSpec>>,
-    /// Run every cell with this marking profile on the primary bottleneck
-    /// (`--ecn` on the CLI).  `None` keeps each cell's own setting.
-    pub ecn: Option<EcnSpec>,
+    /// The cells to run instead of the matrix (the CLI's `CELL` operands);
+    /// empty runs [`sweep_matrix`].
+    pub cells: Vec<Cell>,
 }
 
 impl Default for SweepConfig {
@@ -44,8 +38,7 @@ impl Default for SweepConfig {
             quick: false,
             threads: None,
             out: PathBuf::from("target").join("sweep").join("sweep.json"),
-            schemes: None,
-            ecn: None,
+            cells: Vec::new(),
         }
     }
 }
@@ -94,31 +87,15 @@ pub struct SweepReport {
 /// The benchmark matrix: schemes × cross traffic × link rates × schedules ×
 /// seeds.  The quick variant covers every schedule family but trims the
 /// slower dimensions so CI can afford it per-PR.
-pub fn sweep_matrix(quick: bool) -> Vec<Cell> {
-    sweep_matrix_with(quick, None)
-}
-
-/// [`sweep_matrix`] with an optional override of the scheme axis: pass the
-/// specs from repeated `--scheme` flags to benchmark exactly those schemes
-/// across the cross/rate/schedule dimensions and the multi-hop path shapes.
-/// The fixed new-combination slice (spec-built wrapper compositions, the
-/// built-in trace) is only appended for the default axis — it exists to
-/// keep the quick matrix covering those paths, not to dilute an explicit
-/// axis.
 ///
 /// Every cell is a whole-cell string (`<scheme>@<link> vs <cross> …`, the
 /// testkit's grammar) built from the axes below; the sweep benchmarks, it
 /// does not assert, so the cells carry no invariants.
-pub fn sweep_matrix_with(quick: bool, scheme_axis: Option<&[SchemeSpec]>) -> Vec<Cell> {
-    let schemes: Vec<String> = match scheme_axis {
-        Some(axis) => axis.iter().map(SchemeSpec::to_string).collect(),
-        None if quick => vec!["nimbus".into(), "cubic".into()],
-        None => vec![
-            "nimbus".into(),
-            "cubic".into(),
-            "vegas".into(),
-            "bbr".into(),
-        ],
+pub fn sweep_matrix(quick: bool) -> Vec<Cell> {
+    let schemes: &[&str] = if quick {
+        &["nimbus", "cubic"]
+    } else {
+        &["nimbus", "cubic", "vegas", "bbr"]
     };
     let crosses: &[&str] = if quick {
         &["alone", "cbr@0.5"]
@@ -142,7 +119,7 @@ pub fn sweep_matrix_with(quick: bool, scheme_axis: Option<&[SchemeSpec]>) -> Vec
     };
 
     let mut cells = Vec::new();
-    for scheme in &schemes {
+    for scheme in schemes {
         for cross in crosses {
             for rate in rates {
                 for schedule in &schedules {
@@ -168,7 +145,7 @@ pub fn sweep_matrix_with(quick: bool, scheme_axis: Option<&[SchemeSpec]>) -> Vec
     } else {
         &["alone", "cbr@0.3"]
     };
-    for scheme in &schemes {
+    for scheme in schemes {
         for path in &paths {
             for cross in path_crosses {
                 cells.push(cell(scheme, path, cross, 1));
@@ -176,60 +153,60 @@ pub fn sweep_matrix_with(quick: bool, scheme_axis: Option<&[SchemeSpec]>) -> Vec
         }
     }
 
-    if scheme_axis.is_none() {
-        let extras = [
-            // New-combination cells (default axis only): schemes and
-            // competition shapes only the compositional `SchemeSpec` grammar
-            // can assemble, plus a curated built-in trace.  Keeping them in
-            // the quick matrix means the event budget covers the spec-built
-            // path, not just the paper's own combinations.
-            ("nimbus(competitive=reno)", "48M", "cubic"),
-            ("nimbus(delay=copa,mu=learned)", "48M sin(0.1,10s)", "alone"),
-            ("nimbus", "48M", "copa+cubic"),
-            ("cubic", "48M trace-cellular", "alone"),
-            // The estimator axis of the µ-estimation API: the probing
-            // strategy on the deep-fade trace it recovers, and the adaptive
-            // ẑ thresholds on the sinusoid regime they recover — both in
-            // the quick matrix so the strategy hot paths are covered.
-            ("nimbus(mu=learned(probe=1))", "48M trace-cellular", "alone"),
-            (
-                "nimbus(mu=learned,zfilter=adaptive)",
-                "48M sin(0.1,10s)",
-                "alone",
-            ),
-            // ECN cells in the quick matrix: the marking hot path (per-
-            // enqueue threshold checks + CE echo + the mark recorder series)
-            // and the DCTCP reaction are exercised under the three marking
-            // profiles, so a regression in the mark path shows up here rather
-            // than only in the gated matrix.
-            ("dctcp", "48M ecn=l4s", "alone"),
-            ("cubic", "48M ecn=classic", "alone"),
-            ("nimbus", "48M ecn=classic", "cubic"),
-            // Population-scale churn in the quick matrix: a 1 Gbit/s
-            // bottleneck with an open-loop Poisson fleet at 50% load spawns and
-            // retires ~550 flows/s, so this one cell churns through thousands of
-            // flow lifetimes — the spawner/retirement hot path regresses here
-            // long before it would show in the static-flow cells.
-            ("nimbus", "1G", "fleet(load=0.5)"),
-        ];
-        for (scheme, link, cross) in extras {
-            cells.push(cell(scheme, link, cross, 1));
-        }
+    let extras = [
+        // New-combination cells: schemes and competition shapes only the
+        // compositional `SchemeSpec` grammar can assemble, plus a curated
+        // built-in trace.  Keeping them in the quick matrix means the event
+        // budget covers the spec-built path, not just the paper's own
+        // combinations.
+        ("nimbus(competitive=reno)", "48M", "cubic"),
+        ("nimbus(delay=copa,mu=learned)", "48M sin(0.1,10s)", "alone"),
+        ("nimbus", "48M", "copa+cubic"),
+        ("cubic", "48M trace-cellular", "alone"),
+        // The estimator axis of the µ-estimation API: the probing strategy
+        // on the deep-fade trace it recovers, and the adaptive ẑ thresholds
+        // on the sinusoid regime they recover — both in the quick matrix so
+        // the strategy hot paths are covered.
+        ("nimbus(mu=learned(probe=1))", "48M trace-cellular", "alone"),
+        (
+            "nimbus(mu=learned,zfilter=adaptive)",
+            "48M sin(0.1,10s)",
+            "alone",
+        ),
+        // ECN cells in the quick matrix: the marking hot path (per-enqueue
+        // threshold checks + CE echo + the mark recorder series) and the
+        // DCTCP reaction are exercised under the three marking profiles, so
+        // a regression in the mark path shows up here rather than only in
+        // the gated matrix.
+        ("dctcp", "48M ecn=l4s", "alone"),
+        ("cubic", "48M ecn=classic", "alone"),
+        ("nimbus", "48M ecn=classic", "cubic"),
+        // Population-scale churn in the quick matrix: a 1 Gbit/s bottleneck
+        // with an open-loop Poisson fleet at 50% load spawns and retires
+        // ~550 flows/s, so this one cell churns through thousands of flow
+        // lifetimes — the spawner/retirement hot path regresses here long
+        // before it would show in the static-flow cells.
+        ("nimbus", "1G", "fleet(load=0.5)"),
+    ];
+    for (scheme, link, cross) in extras {
+        cells.push(cell(scheme, link, cross, 1));
     }
     cells
 }
 
-/// Run the sweep matrix in parallel, timing each cell, and write the report.
+/// Run the sweep's cells ([`SweepConfig::cells`], or else the matrix) in
+/// parallel, timing each cell, and write the report.
 pub fn run_sweep(cfg: &SweepConfig) -> std::io::Result<SweepReport> {
-    let mut cells = sweep_matrix_with(cfg.quick, cfg.schemes.as_deref());
-    if let Some(ecn) = cfg.ecn {
-        for cell in &mut cells {
-            cell.scenario.ecn = ecn;
-        }
-    }
+    let matrix;
+    let cells = if cfg.cells.is_empty() {
+        matrix = sweep_matrix(cfg.quick);
+        &matrix
+    } else {
+        &cfg.cells
+    };
     let threads = worker_count(cfg.threads, cells.len());
     let started = Instant::now();
-    let results = parallel_map(&cells, Some(threads), |cell| {
+    let results = parallel_map(cells, Some(threads), |cell| {
         let cell_start = Instant::now();
         let outcome = cell.run();
         let wall_s = cell_start.elapsed().as_secs_f64();
@@ -305,15 +282,5 @@ mod tests {
         // The full matrix is a strict superset in every dimension.
         let full = sweep_matrix(false);
         assert!(full.len() > cells.len() * 4);
-    }
-
-    #[test]
-    fn scheme_axis_override_benchmarks_exactly_those_schemes() {
-        let axis = vec![SchemeSpec::vegas()];
-        let cells = sweep_matrix_with(true, Some(&axis));
-        assert!(!cells.is_empty());
-        assert!(cells.iter().all(|c| c.scheme == SchemeSpec::vegas()));
-        // The default-axis extras are not appended for an explicit axis.
-        assert!(cells.iter().all(|c| !c.name().contains("copa+cubic")));
     }
 }

@@ -101,7 +101,7 @@ impl Cell {
             self.scheme.label(),
             s.link_rate_bps / 1e6,
             schedule,
-            s.path.label(),
+            s.path_label(),
             s.ecn.label(),
             s.cross_label(),
             s.seed

@@ -50,9 +50,7 @@ fn a_malformed_flag_exits_2_and_writes_nothing() {
             "must be below 50 Hz",
             &[
                 "sweep",
-                "--quick",
-                "--scheme",
-                "nimbus(zfilter=notch(freq=60))",
+                "nimbus(zfilter=notch(freq=60))@48M vs alone seed=1 dur=3s steady=1s",
             ],
         ),
     ]
@@ -72,4 +70,23 @@ fn out_takes_its_operand() {
     assert_eq!(code, Some(0), "{stderr}");
     // figs/, fig07.json and one CSV per series.
     assert!(left >= 3, "only {left} paths written");
+}
+
+#[test]
+fn a_cell_operand_replaces_the_sweep_matrix() {
+    let report = std::env::temp_dir().join(format!("nimbus-cli-{}-cell.json", std::process::id()));
+    let (code, stderr, _) = run(
+        "cell",
+        &[
+            "sweep",
+            "dctcp@48M ecn=l4s vs alone seed=1 dur=3s steady=1s",
+            "--out",
+            report.to_str().unwrap(),
+        ],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let text = std::fs::read_to_string(&report).unwrap();
+    std::fs::remove_file(&report).ok();
+    let report: serde::Value = serde_json::from_str(&text).unwrap();
+    assert_eq!(report.field("cell_count").unwrap().as_u64().unwrap(), 1);
 }

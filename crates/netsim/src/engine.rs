@@ -369,7 +369,6 @@ struct FlowState {
     /// received above a hole.  Empty for a loss-free flow; it keeps its
     /// capacity across holes.
     reassembly: SeqWindow<u32>,
-    delivered_bytes: u64,
     /// Earliest pending `PollSend` event for this flow, used to avoid
     /// scheduling redundant polls (which would otherwise accumulate and blow
     /// up the event queue on paced flows).
@@ -568,7 +567,6 @@ impl Network {
             started: false,
             finished: false,
             reassembly: SeqWindow::new(),
-            delivered_bytes: 0,
             next_scheduled_poll: Time::MAX,
         });
         FlowHandle(id)
@@ -1032,7 +1030,6 @@ impl Network {
                 newly_delivered += sz as u64;
             }
         }
-        flow.delivered_bytes += newly_delivered;
         self.total_delivered_bytes += newly_delivered;
         self.recorder.on_arrival(id, pkt.size_bytes as u64);
         self.recorder.on_delivered(id, newly_delivered);

@@ -25,10 +25,10 @@
 //!   series that the paper's figures are drawn from.
 //!
 //! The simulator knows nothing about congestion control: senders are
-//! abstracted behind the [`endpoint::FlowEndpoint`] trait, which the
-//! `nimbus-transport` crate implements for every algorithm the paper
-//! evaluates (Cubic, NewReno, Vegas, Copa, BBR, PCC-Vivace, Compound, …) and
-//! `nimbus-core` implements for Nimbus itself.
+//! abstracted behind the [`endpoint::FlowEndpoint`] trait, which only the
+//! `nimbus-transport` crate's `Sender` implements: it wraps any
+//! `nimbus-core` controller, Nimbus itself and every algorithm the paper
+//! evaluates (Cubic, NewReno, Vegas, Copa, BBR, PCC-Vivace, Compound, …).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -55,6 +55,3 @@ pub use recorder::{
 };
 pub use schedule::RateSchedule;
 pub use seq_window::SeqWindow;
-
-/// Default maximum segment size, in bytes, used when a flow does not override it.
-pub const DEFAULT_MSS_BYTES: u32 = 1500;

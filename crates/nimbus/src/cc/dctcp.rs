@@ -12,8 +12,10 @@
 //!
 //! Without marks DCTCP grows exactly like Reno (slow start, then one segment
 //! per RTT), so [`CcKind::expected_elastic`](super::CcKind::expected_elastic)
-//! reports it elastic.
+//! reports it elastic.  The window itself is a [`NewReno`]'s: DCTCP keeps
+//! only `α`, its observation window and the proportional CE cut.
 
+use super::reno::NewReno;
 use super::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
 
 /// EWMA gain `g` for the mark-fraction estimate (the DCTCP paper's 1/16).
@@ -22,9 +24,9 @@ const G: f64 = 1.0 / 16.0;
 /// DCTCP: ECN mark-fraction EWMA with proportional window cuts.
 #[derive(Debug, Clone)]
 pub struct Dctcp {
-    cwnd: f64,
-    ssthresh: f64,
-    initial_cwnd: f64,
+    /// The window: slow start, congestion avoidance, the loss halving and
+    /// the timeout are NewReno's.
+    reno: NewReno,
     /// EWMA of the fraction of a window's bytes that carried CE marks.
     alpha: f64,
     /// Bytes acknowledged in the current observation window.
@@ -43,9 +45,7 @@ impl Dctcp {
     /// A DCTCP controller with the Linux-default initial window.
     pub fn new() -> Self {
         Dctcp {
-            cwnd: 10.0,
-            ssthresh: f64::INFINITY,
-            initial_cwnd: 10.0,
+            reno: NewReno::new(),
             alpha: 0.0,
             window_acked_bytes: 0,
             window_marked_bytes: 0,
@@ -56,7 +56,7 @@ impl Dctcp {
 
     /// Whether the controller is currently in slow start.
     pub fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
+        self.reno.in_slow_start()
     }
 
     /// The current mark-fraction EWMA `α` (0 when no marks have been seen).
@@ -75,9 +75,14 @@ impl Dctcp {
             let f = (self.window_marked_bytes as f64 / self.window_acked_bytes as f64).min(1.0);
             self.alpha = (1.0 - G) * self.alpha + G * f;
         }
+        self.restart_window();
+    }
+
+    /// Start a fresh observation window of one cwnd's worth of ACKs.
+    fn restart_window(&mut self) {
         self.window_acked_bytes = 0;
         self.window_marked_bytes = 0;
-        self.acks_to_window_end = self.cwnd.max(1.0);
+        self.acks_to_window_end = self.reno.cwnd_packets();
         self.cut_armed = true;
     }
 }
@@ -90,53 +95,41 @@ impl Default for Dctcp {
 
 impl CongestionControl for Dctcp {
     fn on_packet_acked(&mut self, ack: &AckEvent) {
-        let acked = ack.newly_acked_packets as f64;
         self.window_acked_bytes += ack.newly_acked_bytes;
-        if self.in_slow_start() {
-            self.cwnd += acked;
-            if self.cwnd > self.ssthresh {
-                self.cwnd = self.ssthresh;
-            }
-        } else {
-            self.cwnd += acked / self.cwnd;
-        }
-        self.acks_to_window_end -= acked;
+        self.reno.on_packet_acked(ack);
+        self.acks_to_window_end -= ack.newly_acked_packets as f64;
         if self.acks_to_window_end <= 0.0 {
             self.close_window();
         }
     }
 
-    fn on_packets_lost(&mut self, _loss: &LossEvent) {
+    fn on_packets_lost(&mut self, loss: &LossEvent) {
         // Loss still means loss: fall back to the Reno halving.
-        self.ssthresh = (self.cwnd / 2.0).max(2.0);
-        self.cwnd = self.ssthresh;
+        self.reno.on_packets_lost(loss);
     }
 
     fn on_congestion_event(&mut self, event: &CongestionEvent) {
         match event {
             CongestionEvent::Rto { .. } => {
-                self.ssthresh = (self.cwnd / 2.0).max(2.0);
-                self.cwnd = self.initial_cwnd.min(self.ssthresh).max(1.0);
+                self.reno.on_congestion_event(event);
                 // The feedback the open window accumulated predates the
                 // timeout; restart measurement cleanly.
-                self.window_acked_bytes = 0;
-                self.window_marked_bytes = 0;
-                self.acks_to_window_end = self.cwnd.max(1.0);
-                self.cut_armed = true;
+                self.restart_window();
             }
             CongestionEvent::EcnCe { marked_bytes, .. } => {
                 self.window_marked_bytes += marked_bytes;
                 // The first mark ends slow start: from here on the
                 // proportional law governs.
-                if self.in_slow_start() {
-                    self.ssthresh = self.cwnd.max(2.0);
+                let reno = &mut self.reno;
+                if reno.in_slow_start() {
+                    reno.ssthresh = reno.cwnd.max(2.0);
                 }
                 if self.cut_armed {
                     // Bootstrap: α starts at 0, so the very first window of
                     // marks would otherwise cut nothing.  Use the incoming
                     // fraction floor of one MSS per window as a minimum.
                     let alpha = self.alpha.max(G);
-                    self.cwnd = (self.cwnd * (1.0 - alpha / 2.0)).max(2.0);
+                    reno.cwnd = (reno.cwnd * (1.0 - alpha / 2.0)).max(2.0);
                     self.cut_armed = false;
                 }
             }
@@ -144,14 +137,12 @@ impl CongestionControl for Dctcp {
     }
 
     fn cwnd_packets(&self) -> f64 {
-        self.cwnd.max(1.0)
+        self.reno.cwnd_packets()
     }
 
     fn reinitialize(&mut self, rate_bps: f64, rtt_s: f64, mss: u32) {
-        let cwnd = (rate_bps * rtt_s / 8.0 / mss as f64).max(2.0);
-        self.cwnd = cwnd;
-        self.ssthresh = cwnd;
-        self.acks_to_window_end = cwnd;
+        self.reno.reinitialize(rate_bps, rtt_s, mss);
+        self.acks_to_window_end = self.reno.cwnd;
     }
 
     fn name(&self) -> &'static str {
@@ -201,7 +192,7 @@ mod tests {
     #[test]
     fn first_mark_exits_slow_start_and_cuts_once() {
         let mut cc = Dctcp::new();
-        cc.cwnd = 64.0;
+        cc.reno.cwnd = 64.0;
         cc.acks_to_window_end = 64.0;
         assert!(cc.in_slow_start());
         let before = cc.cwnd_packets();
@@ -217,9 +208,9 @@ mod tests {
     #[test]
     fn alpha_tracks_the_mark_fraction() {
         let mut cc = Dctcp::new();
-        cc.cwnd = 10.0;
+        cc.reno.cwnd = 10.0;
         cc.acks_to_window_end = 10.0;
-        cc.ssthresh = 10.0;
+        cc.reno.ssthresh = 10.0;
         // Many windows where ~half the bytes are marked; the EWMA needs
         // roughly 3/g of them to converge.
         for _ in 0..80 {
@@ -240,8 +231,8 @@ mod tests {
     #[test]
     fn heavy_marking_converges_to_near_halving() {
         let mut cc = Dctcp::new();
-        cc.ssthresh = 2.0; // out of slow start
-        cc.cwnd = 100.0;
+        cc.reno.ssthresh = 2.0; // out of slow start
+        cc.reno.cwnd = 100.0;
         cc.acks_to_window_end = 100.0;
         // Every packet marked for many windows: alpha -> 1, cut -> cwnd/2.
         for _ in 0..60 {
@@ -256,7 +247,7 @@ mod tests {
     #[test]
     fn rto_collapses_and_clears_the_window() {
         let mut cc = Dctcp::new();
-        cc.cwnd = 80.0;
+        cc.reno.cwnd = 80.0;
         cc.on_congestion_event(&ce(1500));
         cc.on_congestion_event(&CongestionEvent::Rto { now: Time::ZERO });
         assert!(cc.cwnd_packets() <= 10.0);

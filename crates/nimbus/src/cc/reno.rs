@@ -11,8 +11,8 @@ use super::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
 /// TCP NewReno.
 #[derive(Debug, Clone)]
 pub struct NewReno {
-    cwnd: f64,
-    ssthresh: f64,
+    pub(crate) cwnd: f64,
+    pub(crate) ssthresh: f64,
     initial_cwnd: f64,
     /// ACKed packets still to count before another classic-ECN reaction is
     /// allowed (RFC 3168: at most one multiplicative decrease per window).

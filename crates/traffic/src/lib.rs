@@ -2,8 +2,8 @@
 //!
 //! Cross-traffic workload generators for the Nimbus reproduction.
 //!
-//! The paper's evaluation draws its cross traffic from three families, all of
-//! which are built here on top of `nimbus-transport` senders:
+//! The paper's evaluation draws much of its cross traffic from two families,
+//! both built here on top of `nimbus-transport` senders:
 //!
 //! * [`flow_sizes`] + [`fleet`] — a CAIDA-like wide-area workload: Cubic
 //!   cross-flows whose sizes come from a heavy-tailed distribution and whose
@@ -17,19 +17,14 @@
 //! * [`video`] — DASH-style adaptive video sources: a 4K ladder that exceeds
 //!   its fair share (network-limited, elastic) and a 1080p ladder that stays
 //!   below it (application-limited, inelastic), reproducing Fig. 11.
-//! * [`phases`] — the scripted elastic/inelastic phase schedule of Fig. 8
-//!   ("xM of Poisson cross traffic, yT long-running Cubic flows"), together
-//!   with the fair-share reference line plotted in it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod fleet;
 pub mod flow_sizes;
-pub mod phases;
 pub mod video;
 
 pub use fleet::{ArrivalProcess, FleetSpawner, FleetWorkloadConfig};
 pub use flow_sizes::FlowSizeDistribution;
-pub use phases::{fair_share_mbps, Phase, PhaseSchedule};
 pub use video::{VideoQuality, VideoSource};

@@ -14,7 +14,7 @@
 //! * [`netsim`] — the discrete-event dumbbell simulator (Mahimahi stand-in).
 //! * [`transport`] — sender machinery and application sources (the
 //!   simulator-free congestion controllers it drives live in [`nimbus`]).
-//! * [`traffic`] — WAN, video and scripted-phase cross-traffic generators.
+//! * [`traffic`] — WAN and video cross-traffic generators.
 //! * [`nimbus`] — the paper's contribution, simulator-free: estimator,
 //!   detector, BasicDelay, the Nimbus controller, the multi-flow
 //!   pulser/watcher protocol and every baseline congestion controller.

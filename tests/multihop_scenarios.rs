@@ -5,7 +5,6 @@
 mod ledger;
 
 use nimbus_repro::experiments::testkit::{paper_invariant_matrix, parallel_map, Cell, CellOutcome};
-use nimbus_repro::experiments::PathSpec;
 use std::sync::OnceLock;
 
 /// The seven multi-hop matrix cells, simulated once on one worker thread and
@@ -15,7 +14,7 @@ fn multihop_outcomes() -> &'static [CellOutcome] {
     OUTCOMES.get_or_init(|| {
         let cells: Vec<Cell> = paper_invariant_matrix()
             .into_iter()
-            .filter(|c| c.scenario.path != PathSpec::single())
+            .filter(|c| !c.scenario.hops.is_empty())
             .collect();
         assert_eq!(cells.len(), 7, "the matrix has seven multi-hop cells");
         parallel_map(&cells, Some(1), Cell::run)
