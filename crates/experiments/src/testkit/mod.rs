@@ -157,10 +157,22 @@ impl FromStr for Cell {
                 "a cell needs its steady-state window once: steady=<dur>".to_string(),
             ));
         };
+        let scheme = scheme.parse()?;
+        let scenario: ScenarioSpec = scenario.join(" ").parse()?;
+        let steady_start_s = instant("steady", &steady["steady=".len()..])?;
+        // The steady-state window runs from `steady` to the end of the run,
+        // so it must start before `dur` ends the run or it measures nothing.
+        if steady_start_s >= scenario.duration_s {
+            return Err(ParseError(format!(
+                "steady={} must be before the end of the run, dur={}",
+                fmt_duration(&steady_start_s),
+                fmt_duration(&scenario.duration_s)
+            )));
+        }
         Ok(Cell {
-            scheme: scheme.parse()?,
-            scenario: scenario.join(" ").parse()?,
-            steady_start_s: instant("steady", &steady["steady=".len()..])?,
+            scheme,
+            scenario,
+            steady_start_s,
             invariants: Invariants::default(),
         })
     }

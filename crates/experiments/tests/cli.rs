@@ -53,6 +53,12 @@ fn a_malformed_flag_exits_2_and_writes_nothing() {
                 "nimbus(zfilter=notch(freq=60))@48M vs alone seed=1 dur=3s steady=1s",
             ],
         ),
+        // Parsed, this cell would run and report a null throughput: its
+        // steady-state window starts after the run ends.
+        (
+            "steady=5s must be before the end of the run, dur=1s",
+            &["sweep", "nimbus@48M vs alone dur=1s steady=5s"],
+        ),
     ]
     .into_iter()
     .enumerate()

@@ -35,7 +35,7 @@
 //! * `Sample` — the recorder's sampling interval elapsed.
 
 use crate::endpoint::{AckInfo, FlowEndpoint, SendAction};
-use crate::eventq::CalendarQueue;
+use crate::eventq::{CalendarQueue, Lane, LanePool};
 use crate::packet::{AckPacket, EcnCodepoint, FlowId, Packet};
 use crate::queue::{
     delay_capacity_bytes, CoDelQueue, DropTailQueue, EcnMarking, EnqueueResult, PieQueue,
@@ -44,7 +44,6 @@ use crate::queue::{
 use crate::recorder::{Recorder, RecorderConfig};
 use crate::schedule::RateSchedule;
 use crate::seq_window::SeqWindow;
-use crate::slab::Slab;
 use nimbus_core_types::{Time, REPORT_INTERVAL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -304,11 +303,11 @@ impl FlowEndpoint for RetiredEndpoint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowHandle(pub FlowId);
 
-/// Pending-event descriptor.  Packet and ACK payloads live in the engine's
-/// slabs for the duration of their propagation; events carry only the 4-byte
-/// slab ticket, and flow, hop and spawner indices are stored as `u32`, so the
-/// descriptor is two words and a calendar-queue entry four — what the
-/// queue's bucket sort and ordered insert move around.
+/// Pending-event descriptor.  Packets and ACKs propagate in the engine's
+/// lanes (see [`Lane`]); the event for a lane's head names only the lane,
+/// and flow, hop and spawner indices are stored as `u32`, so the descriptor
+/// is two words and a calendar-queue entry four — what the queue's bucket
+/// sort and ordered insert move around.
 #[derive(Debug)]
 enum EventKind {
     FlowStart(u32),
@@ -321,13 +320,12 @@ enum EventKind {
         hop: u32,
         gen: u64,
     },
-    /// A data packet propagated from one hop's output to the next hop's
-    /// queue (the packet's `hop` field names the destination hop); the
-    /// ticket indexes the engine's packet slab.
+    /// The head of hop `h`'s inbound lane propagated from hop `h − 1`'s
+    /// output into hop `h`'s queue.
     HopArrival(u32),
-    /// A data packet reached its receiver (packet-slab ticket).
+    /// The head of flow `id`'s data lane reached its receiver.
     ReceiverArrival(u32),
-    /// An ACK reached its sender (ACK-slab ticket).
+    /// The head of flow `id`'s ACK lane reached its sender.
     AckArrival(u32),
     /// Hop `hop`'s rate schedule reaches its next transition: advance the
     /// in-flight packet's byte progress under the outgoing rate and
@@ -343,6 +341,42 @@ enum EventKind {
 }
 
 const _: () = assert!(std::mem::size_of::<EventKind>() == 16);
+
+/// Send `item` down `lane`, due at `at` under the next insertion number from
+/// `event_seq`.  The calendar gets `head`, the lane's event, only when the
+/// lane was empty; otherwise [`leave_lane`] pushes it when the item reaches
+/// the front.
+fn enter_lane<T: Copy>(
+    events: &mut CalendarQueue<EventKind>,
+    event_seq: &mut u64,
+    pool: &mut LanePool<T>,
+    lane: &mut Lane,
+    at: Time,
+    item: T,
+    head: EventKind,
+) {
+    *event_seq += 1;
+    if pool.push(lane, at, *event_seq, item) {
+        events.push(at, *event_seq, head);
+    }
+}
+
+/// Take the item at the front of `lane`, whose `head` event is being
+/// dispatched.  Before its handler runs, the successor's `head` enters the
+/// calendar under the `(at, seq)` the successor was given on entry, so the
+/// calendar pops every item in the order one queue holding them all would.
+fn leave_lane<T: Copy>(
+    events: &mut CalendarQueue<EventKind>,
+    pool: &mut LanePool<T>,
+    lane: &mut Lane,
+    head: EventKind,
+) -> T {
+    let (item, next) = pool.pop(lane);
+    if let Some((at, seq)) = next {
+        events.push(at, seq, head);
+    }
+    item
+}
 
 /// Narrow a flow, hop or spawner index for an [`EventKind`].
 fn idx32(i: usize) -> u32 {
@@ -373,6 +407,12 @@ struct FlowState {
     /// scheduling redundant polls (which would otherwise accumulate and blow
     /// up the event queue on paced flows).
     next_scheduled_poll: Time,
+    /// Data packets propagating from the exit hop to the receiver, over the
+    /// data half of `prop_rtt`.
+    data_lane: Lane,
+    /// ACKs propagating from the receiver to the sender, over the ACK half
+    /// of `prop_rtt`.
+    ack_lane: Lane,
 }
 
 /// The packet currently being serialized on a link, tracked by byte progress
@@ -398,6 +438,9 @@ struct LinkState {
     gen: u64,
     /// Draws the hop's non-congestive losses.
     loss_rng: StdRng,
+    /// Packets propagating from the previous hop's output into this hop's
+    /// queue, over its `prop_delay`; always empty on hop 0.
+    arrivals: Lane,
 }
 
 /// The path network simulator (a dumbbell when the path has one hop).
@@ -406,11 +449,11 @@ pub struct Network {
     now: Time,
     events: CalendarQueue<EventKind>,
     event_seq: u64,
-    /// Data packets mid-propagation (inside a scheduled `HopArrival` /
-    /// `ReceiverArrival` event).
-    pkt_slab: Slab<Packet>,
-    /// ACKs mid-propagation (inside a scheduled `AckArrival` event).
-    ack_slab: Slab<AckPacket>,
+    /// The links of every data lane and hop lane: packets propagating
+    /// between hops or towards their receivers.
+    pkts: LanePool<Packet>,
+    /// The links of every ACK lane: ACKs propagating towards their senders.
+    acks: LanePool<AckPacket>,
     links: Vec<LinkState>,
     flows: Vec<FlowState>,
     /// Registered flow spawners (`None` only transiently during dispatch).
@@ -435,8 +478,8 @@ pub struct Network {
     /// Bytes dropped after admission: at an interior hop's ingress, or at
     /// dequeue by an AQM that drops there.
     dropped_in_transit_bytes: u64,
-    /// Bytes currently propagating between hops or towards a receiver
-    /// (inside a scheduled `HopArrival` / `ReceiverArrival` event).
+    /// Bytes currently propagating between hops or towards a receiver: the
+    /// sizes of the packets waiting in hop lanes and data lanes.
     in_transit_bytes: u64,
     events_processed: u64,
 }
@@ -485,6 +528,7 @@ impl Network {
                     current_rate_bps: rate,
                     gen: 0,
                     loss_rng: StdRng::seed_from_u64(seed ^ 0xd1b54a32d192ed03),
+                    arrivals: Lane::default(),
                 }
             })
             .collect();
@@ -494,8 +538,8 @@ impl Network {
             now: Time::ZERO,
             events: CalendarQueue::new(),
             event_seq: 0,
-            pkt_slab: Slab::new(),
-            ack_slab: Slab::new(),
+            pkts: LanePool::new(),
+            acks: LanePool::new(),
             links,
             flows: Vec::new(),
             spawners: Vec::new(),
@@ -568,6 +612,8 @@ impl Network {
             finished: false,
             reassembly: SeqWindow::new(),
             next_scheduled_poll: Time::MAX,
+            data_lane: Lane::default(),
+            ack_lane: Lane::default(),
         });
         FlowHandle(id)
     }
@@ -605,6 +651,14 @@ impl Network {
 
     /// Run the simulation to completion (until `duration`).
     pub fn run(&mut self) {
+        self.schedule_clocks();
+        while self.step() {}
+        self.close();
+    }
+
+    /// Schedule the first tick, the first recorder sample and each hop's
+    /// first rate transition.
+    fn schedule_clocks(&mut self) {
         self.schedule(REPORT_INTERVAL, EventKind::Tick);
         self.schedule(self.cfg.recorder.sample_interval, EventKind::Sample);
         for hop in 0..self.cfg.path.len() {
@@ -615,16 +669,26 @@ impl Network {
                 self.schedule(at, EventKind::RateChange { hop: idx32(hop) });
             }
         }
-        while let Some((at, _seq, kind)) = self.events.pop() {
-            if at > self.cfg.duration {
-                break;
-            }
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            self.events_processed += 1;
-            self.dispatch(kind);
+    }
+
+    /// Dispatch the next event; false once none is left at or before the
+    /// end of the run.
+    fn step(&mut self) -> bool {
+        let Some((at, _seq, kind)) = self.events.pop() else {
+            return false;
+        };
+        if at > self.cfg.duration {
+            return false;
         }
-        // Advance the clock to the configured end of the run: the loop above
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        self.events_processed += 1;
+        self.dispatch(kind);
+        true
+    }
+
+    fn close(&mut self) {
+        // Advance the clock to the configured end of the run: the event loop
         // leaves `now` at the last event at or before `duration`, which would
         // stamp the closing sample early and truncate `now()`-based
         // steady-state windows.  This must not depend on any hop's `LinkDone`
@@ -743,16 +807,19 @@ impl Network {
                 self.poll_flow(id)
             }
             EventKind::LinkDone { hop, gen } => self.on_link_done(hop as usize, gen),
-            EventKind::HopArrival(ticket) => {
-                let pkt = self.pkt_slab.take(ticket);
+            EventKind::HopArrival(hop) => {
+                let lane = &mut self.links[hop as usize].arrivals;
+                let pkt = leave_lane(&mut self.events, &mut self.pkts, lane, kind);
                 self.on_hop_arrival(pkt);
             }
-            EventKind::ReceiverArrival(ticket) => {
-                let pkt = self.pkt_slab.take(ticket);
+            EventKind::ReceiverArrival(id) => {
+                let lane = &mut self.flows[id as usize].data_lane;
+                let pkt = leave_lane(&mut self.events, &mut self.pkts, lane, kind);
                 self.on_receiver_arrival(pkt);
             }
-            EventKind::AckArrival(ticket) => {
-                let ack = self.ack_slab.take(ticket);
+            EventKind::AckArrival(id) => {
+                let lane = &mut self.flows[id as usize].ack_lane;
+                let ack = leave_lane(&mut self.events, &mut self.acks, lane, kind);
                 self.on_ack_arrival(ack);
             }
             EventKind::RateChange { hop } => self.on_rate_change(hop as usize),
@@ -990,19 +1057,23 @@ impl Network {
         if let Some(inf) = self.links[hop].in_flight.take() {
             let mut pkt = inf.pkt;
             self.in_transit_bytes += pkt.size_bytes as u64;
-            if hop >= self.exit_hop_of(pkt.flow) {
+            let exits = hop >= self.exit_hop_of(pkt.flow);
+            let (events, seq, pkts) = (&mut self.events, &mut self.event_seq, &mut self.pkts);
+            if exits {
                 // Last hop for this flow: propagate to the receiver over the
                 // data half of the configured RTT.
-                let prop = Time::from_nanos(self.flows[pkt.flow].cfg.prop_rtt.as_nanos() / 2);
-                let ticket = self.pkt_slab.insert(pkt);
-                self.schedule(self.now + prop, EventKind::ReceiverArrival(ticket));
+                let flow = &mut self.flows[pkt.flow];
+                let at = self.now + Time::from_nanos(flow.cfg.prop_rtt.as_nanos() / 2);
+                let head = EventKind::ReceiverArrival(idx32(pkt.flow));
+                enter_lane(events, seq, pkts, &mut flow.data_lane, at, pkt, head);
             } else {
                 // Interior hop: propagate into the next hop's queue over
                 // that hop's configured inbound delay.
-                let delay = self.cfg.path[hop + 1].prop_delay;
+                let at = self.now + self.cfg.path[hop + 1].prop_delay;
                 pkt.hop = hop + 1;
-                let ticket = self.pkt_slab.insert(pkt);
-                self.schedule(self.now + delay, EventKind::HopArrival(ticket));
+                let head = EventKind::HopArrival(idx32(hop + 1));
+                let lane = &mut self.links[hop + 1].arrivals;
+                enter_lane(events, seq, pkts, lane, at, pkt, head);
             }
         }
         self.maybe_start_transmission(hop);
@@ -1044,9 +1115,18 @@ impl Network {
             newly_delivered_bytes: newly_delivered,
             ce: pkt.ecn == EcnCodepoint::Ce,
         };
-        let ack_delay = Time::from_nanos(flow.cfg.prop_rtt.as_nanos() / 2);
-        let ticket = self.ack_slab.insert(ack);
-        self.schedule(self.now + ack_delay, EventKind::AckArrival(ticket));
+        let at = self.now + Time::from_nanos(flow.cfg.prop_rtt.as_nanos() / 2);
+        let (events, seq) = (&mut self.events, &mut self.event_seq);
+        let head = EventKind::AckArrival(idx32(id));
+        enter_lane(
+            events,
+            seq,
+            &mut self.acks,
+            &mut flow.ack_lane,
+            at,
+            ack,
+            head,
+        );
     }
 
     fn on_ack_arrival(&mut self, ack: AckPacket) {
@@ -1682,6 +1762,142 @@ mod tests {
         assert!(
             (after - 10.0).abs() < 1.0,
             "traffic after start, got {after}"
+        );
+    }
+
+    /// Counts shared by [`ShortFlows`] and its [`ShortWindow`] flows.
+    #[derive(Default)]
+    struct Census {
+        finished: std::sync::atomic::AtomicU64,
+        acks: std::sync::atomic::AtomicU64,
+    }
+
+    /// A window-limited sender of `total` packets that finishes once all are
+    /// acknowledged; it never asks for a timer.
+    struct ShortWindow {
+        census: std::sync::Arc<Census>,
+        window: u64,
+        total: u64,
+        next_seq: u64,
+        cum_ack: u64,
+    }
+
+    impl FlowEndpoint for ShortWindow {
+        fn on_ack(&mut self, ack: &AckInfo) {
+            use std::sync::atomic::Ordering::Relaxed;
+            self.census.acks.fetch_add(1, Relaxed);
+            self.cum_ack = self.cum_ack.max(ack.cum_ack);
+        }
+        fn poll_send(&mut self, _now: Time) -> SendAction {
+            use std::sync::atomic::Ordering::Relaxed;
+            if self.cum_ack >= self.total {
+                self.census.finished.fetch_add(1, Relaxed);
+                SendAction::Finished
+            } else if self.next_seq < self.total.min(self.cum_ack + self.window) {
+                self.next_seq += 1;
+                SendAction::Transmit {
+                    seq: self.next_seq - 1,
+                    bytes: 1500,
+                    retransmit: false,
+                }
+            } else {
+                SendAction::Idle
+            }
+        }
+        fn label(&self) -> &str {
+            "short-window"
+        }
+    }
+
+    /// `count` retiring [`ShortWindow`] flows (window 16, 48 packets, 100 ms
+    /// RTT), one every 2 ms.
+    struct ShortFlows {
+        census: std::sync::Arc<Census>,
+        emitted: u64,
+        count: u64,
+    }
+
+    impl FlowSpawner for ShortFlows {
+        fn next_flow(&mut self) -> Option<(Time, FlowConfig, Box<dyn FlowEndpoint>)> {
+            if self.emitted == self.count {
+                return None;
+            }
+            let at = Time::from_millis(2 * self.emitted);
+            self.emitted += 1;
+            let cfg = FlowConfig::cross("short", Time::from_millis(100), true)
+                .starting_at(at)
+                .retiring();
+            let ep = ShortWindow {
+                census: self.census.clone(),
+                window: 16,
+                total: 48,
+                next_seq: 0,
+                cum_ack: 0,
+            };
+            Some((at, cfg, Box::new(ep)))
+        }
+    }
+
+    #[test]
+    fn lanes_bound_the_pools_by_items_in_flight_and_the_calendar_by_flows() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let census = std::sync::Arc::new(Census::default());
+        let hop = LinkConfig::drop_tail(1e9, 0.1).with_prop_delay(Time::from_millis(5));
+        let mut net = Network::new(SimConfig::new(1e9, 0.1, 5.0).with_hop(hop));
+        net.add_spawner(Box::new(ShortFlows {
+            census: census.clone(),
+            emitted: 0,
+            count: 2_000,
+        }));
+        net.schedule_clocks();
+        let (mut peak_pkts, mut peak_acks, mut peak_flows, mut peak_events) = (0, 0, 0, 0);
+        while net.step() {
+            // Counted outside the pools: packets by the engine's byte count,
+            // ACKs as those sent by receivers minus those seen by senders.
+            let pkts = net.in_transit_bytes / 1500;
+            let acks = net.total_received_bytes / 1500 - census.acks.load(Relaxed);
+            let flows = net.flows.len() as u64 - census.finished.load(Relaxed);
+            peak_pkts = peak_pkts.max(pkts as usize);
+            peak_acks = peak_acks.max(acks as usize);
+            peak_flows = peak_flows.max(flows as usize);
+            peak_events = peak_events.max(net.events.len());
+        }
+        net.close();
+        assert_eq!(net.retired_flow_count(), 2_000);
+        assert_eq!(
+            net.recorder()
+                .flows
+                .iter()
+                .map(|f| f.dropped_packets)
+                .sum::<u64>(),
+            0
+        );
+        // A link is reused before the pool grows, so the high-water mark
+        // tracks what propagates at once, not the 2000 flows' lanes.
+        assert!(
+            net.pkts.high_water() <= peak_pkts,
+            "{} > {peak_pkts}",
+            net.pkts.high_water()
+        );
+        assert!(
+            net.acks.high_water() <= peak_acks,
+            "{} > {peak_acks}",
+            net.acks.high_water()
+        );
+        // The calendar holds at most two lane heads per live flow (no flow
+        // here sets a timer, and a flow not yet started holds only its
+        // `FlowStart`), per hop a `LinkDone` and its inbound lane's head,
+        // the spawner's next arrival and the tick and sample clocks.
+        let bound = 2 * peak_flows + 2 * net.num_hops() + 1 + 2;
+        assert!(
+            peak_events < bound,
+            "calendar peaked at {peak_events}, bound {bound}"
+        );
+        // ...whereas one event per item in flight would have needed several
+        // times that.
+        assert!(
+            peak_pkts + peak_acks > 3 * bound,
+            "{peak_pkts} + {peak_acks} vs {bound}"
         );
     }
 }

@@ -41,11 +41,10 @@ pub mod queue;
 pub mod recorder;
 pub mod schedule;
 pub mod seq_window;
-pub mod slab;
 
 pub use endpoint::{AckInfo, FlowEndpoint, SendAction};
 pub use engine::{FlowConfig, FlowHandle, FlowSpawner, LinkConfig, Network, QueueKind, SimConfig};
-pub use eventq::CalendarQueue;
+pub use eventq::{CalendarQueue, Lane, LanePool};
 pub use nimbus_core_types::Time;
 pub use packet::{EcnCodepoint, FlowId, Packet};
 pub use queue::{CoDelQueue, DropTailQueue, EcnMarking, PieQueue, QueueDiscipline, RedQueue};

@@ -19,10 +19,14 @@
 //!   bucket): 64–256 live events per bucket, pushes into the bucket being
 //!   drained — at the last popped timestamp and below entries already sorted
 //!   there — overflow events that come due before the wheel's minimum, and
-//!   runs long enough to reuse every wheel slot.
+//!   runs long enough to reuse every wheel slot;
+//! * lanes: the engine keeps each fixed-delay wire as a FIFO [`Lane`] and
+//!   the calendar holds only each lane's head, pushing the successor under
+//!   its original `(at, seq)` when the head pops.  Merged with calendar-only
+//!   timers, that must still pop every item in the heap's order.
 
-use nimbus_netsim::CalendarQueue;
 use nimbus_netsim::Time;
+use nimbus_netsim::{CalendarQueue, Lane, LanePool};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -215,4 +219,159 @@ fn dense_population_survives_a_wheel_wrap() {
     let per_bucket = pair.pops / (pair.now / BUCKET_NS);
     assert!((64..=256).contains(&per_bucket), "{per_bucket} per bucket");
     pair.finish(&|| "seed=16 drain".to_string());
+}
+
+/// What a calendar entry stands for in [`LaneRig`]: the head of a lane, or
+/// a timer that never enters a lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Src {
+    Lane(usize),
+    Timer,
+}
+
+/// Lanes with constant delays and calendar-only timers, merged through one
+/// calendar, beside a heap holding every item; each item's payload is its
+/// own `seq`.
+struct LaneRig {
+    cal: CalendarQueue<Src>,
+    pool: LanePool<u64>,
+    lanes: Vec<Lane>,
+    delays: Vec<u64>,
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    timers: usize,
+    seq: u64,
+    now: u64,
+    pops: u64,
+    /// Pushes into a lane that had drained to empty after holding items.
+    refills: u64,
+    drained: Vec<bool>,
+}
+
+impl LaneRig {
+    fn new(delays: Vec<u64>) -> Self {
+        LaneRig {
+            cal: CalendarQueue::new(),
+            pool: LanePool::new(),
+            lanes: vec![Lane::default(); delays.len()],
+            drained: vec![false; delays.len()],
+            delays,
+            heap: BinaryHeap::new(),
+            timers: 0,
+            seq: 0,
+            now: 0,
+            pops: 0,
+            refills: 0,
+        }
+    }
+
+    fn push_lane(&mut self, lane: usize) {
+        self.seq += 1;
+        let (at, seq) = (self.now + self.delays[lane], self.seq);
+        self.heap.push(Reverse((at, seq, seq)));
+        if std::mem::take(&mut self.drained[lane]) {
+            self.refills += 1;
+        }
+        if self.pool.push(&mut self.lanes[lane], Time(at), seq, seq) {
+            self.cal.push(Time(at), seq, Src::Lane(lane));
+        }
+    }
+
+    fn push_timer(&mut self, at: u64) {
+        self.seq += 1;
+        self.heap.push(Reverse((at, self.seq, self.seq)));
+        self.cal.push(Time(at), self.seq, Src::Timer);
+        self.timers += 1;
+    }
+
+    /// Pop once from both; `false` once both are empty.
+    fn pop(&mut self, label: &dyn Fn() -> String) -> bool {
+        let got = self.cal.pop().map(|(at, seq, src)| {
+            let item = match src {
+                Src::Timer => {
+                    self.timers -= 1;
+                    seq
+                }
+                Src::Lane(lane) => {
+                    let (item, next) = self.pool.pop(&mut self.lanes[lane]);
+                    match next {
+                        Some((at, seq)) => self.cal.push(at, seq, Src::Lane(lane)),
+                        None => self.drained[lane] = true,
+                    }
+                    item
+                }
+            };
+            (at.0, seq, item)
+        });
+        let want = self.heap.pop().map(|Reverse(x)| x);
+        assert_eq!(got, want, "{}", label());
+        // Every lane holds at most one calendar entry, its head.
+        assert!(
+            self.cal.len() <= self.lanes.len() + self.timers,
+            "{}",
+            label()
+        );
+        let Some((at, _, _)) = got else {
+            return false;
+        };
+        self.now = at;
+        self.pops += 1;
+        true
+    }
+}
+
+proptest! {
+    // Lanes plus calendar against the heap, pop for pop.  Delays sit on a
+    // half-bucket grid and a third of the lanes copy another lane's delay,
+    // so lane items tie on `at` with each other and with the timers, which
+    // share the grid; lane 0's delay lies past the 268 ms wheel horizon, so
+    // its heads wait in the overflow heap.  One step in 20 drains both
+    // queues to empty before the lanes refill, and every case runs 2000
+    // steps and past 1.5 wheel turns.
+    #[test]
+    fn lanes_merged_through_the_calendar_match_binary_heap_pop_for_pop(
+        seed in 0u64..1_000_000,
+    ) {
+        const GRID: u64 = BUCKET_NS / 2;
+        let horizon = WHEEL_BUCKETS * BUCKET_NS;
+        let mut rng = TestRng::new(seed);
+        let lanes = rng.range_u64(2, 9) as usize;
+        let mut delays = vec![horizon + rng.range_u64(0, 512) * GRID];
+        while delays.len() < lanes {
+            let delay = if rng.range_u64(0, 3) == 0 {
+                delays[rng.range_u64(0, delays.len() as u64) as usize]
+            } else {
+                rng.range_u64(0, 2 * WHEEL_BUCKETS) * GRID
+            };
+            delays.push(delay);
+        }
+        let mut rig = LaneRig::new(delays);
+        let mut step = 0u64;
+        while rig.now < horizon * 3 / 2 || step < 2_000 {
+            step += 1;
+            assert!(step < 100_000, "seed={seed}: time stalled at {} ns", rig.now);
+            let label = || format!("seed={seed} step={step}");
+            match rng.range_u64(0, 20) {
+                0 => while rig.pop(&label) {},
+                1..=9 => {
+                    for _ in 0..rng.range_u64(1, 5) {
+                        rig.push_lane(rng.range_u64(0, lanes as u64) as usize);
+                    }
+                }
+                10..=11 => {
+                    let at = rig.now + rng.range_u64(0, 2 * WHEEL_BUCKETS + 600) * GRID;
+                    rig.push_timer(at);
+                }
+                _ => {
+                    for _ in 0..rng.range_u64(1, 6) {
+                        rig.pop(&label);
+                    }
+                }
+            }
+        }
+        while rig.pop(&|| format!("seed={seed} drain")) {}
+        assert!(rig.lanes.iter().all(Lane::is_empty));
+        assert_eq!(rig.pops, rig.seq, "seed={seed}: pushed items went missing");
+        assert!(rig.refills > 0, "seed={seed}: no lane drained and refilled");
+        assert!(rig.pool.high_water() < rig.seq as usize, "seed={seed}: links not reused");
+    }
 }

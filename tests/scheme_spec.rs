@@ -241,10 +241,18 @@ fn generate(rng: &mut proptest::TestRng) -> String {
         pick(FLEETS, rng),
         " ",
         pick(LINK_OPTS, rng),
-        " dur=#s steady=#s",
     ]
     .concat();
-    format!("{} seed={}", fill(&template, rng), rng.range_u64(0, 1000))
+    let cell = fill(&template, rng);
+    // A cell's steady-state window starts before its run ends.
+    let dur = rng.range_u64(2, 1025);
+    let steady = rng.range_u64(1, dur);
+    format!(
+        "{cell} dur={}s steady={}s seed={}",
+        dur as f64 / 64.0,
+        steady as f64 / 64.0,
+        rng.range_u64(0, 1000)
+    )
 }
 
 proptest! {
@@ -422,6 +430,7 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("cell", "cubic@48M vs alone steady=2s", "needs its duration"),
     ("cell", "cubic@48M vs alone dur=10s", "steady=<dur>"),
     ("cell", "cubic@48M vs alone dur=10s steady=2s steady=3s", "steady=<dur>"),
+    ("cell", "cubic@48M vs alone dur=2s steady=2s", "must be before the end of the run"),
     ("cell", "cubic@48M dur=10s steady=2s vs", "must be followed"),
     ("cell", "cubic@48M vs alone seed=x dur=10s steady=2s", "not an integer"),
     ("cell", "cubic@48M vs alone tempo=3 dur=10s steady=2s", "unknown scenario option"),
