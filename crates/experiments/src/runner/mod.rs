@@ -17,8 +17,8 @@ mod scenario;
 pub use cross::{CrossRate, CrossSource, CrossSpec};
 pub use path::{BuiltinTrace, EcnSpec, HopSpec, LinkScheduleSpec, LoadedTrace};
 pub use run::{
-    nimbus_of, run_and_collect, run_scenario, run_scheme_vs_cross, Monitored, RunOutput,
-    SingleFlowMetrics,
+    nimbus_of, run_and_collect, run_scenario, run_scheme_vs_cross, Monitored, NimbusTrace,
+    RunOutput, SingleFlowMetrics,
 };
 pub use scenario::{grammar_reference, FleetSpec, ScenarioSpec};
 

@@ -3,11 +3,13 @@
 
 use super::ScenarioSpec;
 use crate::scheme::SchemeSpec;
-use nimbus_core::{Mode, MultiflowConfig, NimbusConfig, NimbusController};
+use nimbus_core::{
+    DetectorVerdict, Mode, MultiflowConfig, NimbusConfig, NimbusController, Publisher,
+};
 use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowHandle, Network, RateSchedule, Recorder, Time};
-use nimbus_sim::nimbus_flow;
 use nimbus_transport::{BackloggedSource, CongestionControl, Sender, SenderConfig};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 
 /// Summary metrics for one monitored flow after a run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -79,6 +81,45 @@ pub fn nimbus_of(endpoint: &dyn FlowEndpoint) -> Option<&NimbusController> {
         .downcast_ref::<NimbusController>()
 }
 
+/// The η and learned-µ̂ series of one Nimbus flow, recorded as it runs.
+/// nimbus-core keeps a tally of its verdicts and no µ̂ history, so every
+/// Nimbus controller the harness builds carries one of these as its
+/// [`Publisher`] ([`NimbusTrace::install`]), and [`run_and_collect`] reads
+/// it back.
+#[derive(Debug, Default)]
+pub struct NimbusTrace {
+    /// `(t_s, η)` per detector verdict, η capped at 1e3 (a silent
+    /// comparison band makes it infinite).
+    eta: Vec<(f64, f64)>,
+    /// `(t_s, µ̂_bps)` per learned-µ sample.
+    mu: Vec<(f64, f64)>,
+}
+
+impl Publisher for NimbusTrace {
+    fn on_mu_sample(&mut self, now_s: f64, mu_bps: f64) {
+        self.mu.push((now_s, mu_bps));
+    }
+
+    fn on_verdict(&mut self, _now_s: f64, verdict: &DetectorVerdict) {
+        self.eta.push((verdict.t_s, verdict.eta.min(1e3)));
+    }
+}
+
+impl NimbusTrace {
+    /// A controller running `cfg` with a fresh trace installed.
+    pub fn install(cfg: NimbusConfig) -> NimbusController {
+        let mut nimbus = NimbusController::new(cfg);
+        nimbus.set_publisher(Box::<NimbusTrace>::default());
+        nimbus
+    }
+
+    /// The trace of a controller built by [`Self::install`].
+    pub fn of(nimbus: &NimbusController) -> Option<&NimbusTrace> {
+        let publisher: &dyn Any = nimbus.publisher()?;
+        publisher.downcast_ref()
+    }
+}
+
 /// Run a prepared network and extract per-monitored-flow metrics.
 ///
 /// `steady_start_s` excludes the start-up transient from the scalar summaries
@@ -145,13 +186,10 @@ pub fn run_and_collect(
                     (t, name.to_string())
                 })
                 .collect();
-            metrics.eta_series = nimbus
-                .detector()
-                .verdicts()
-                .iter()
-                .map(|v| (v.t_s, v.eta.min(1e3)))
-                .collect();
-            metrics.mu_series = nimbus.estimator().mu_series().to_vec();
+            let trace = NimbusTrace::of(nimbus)
+                .expect("a monitored Nimbus flow is built with a NimbusTrace installed");
+            metrics.eta_series = trace.eta.clone();
+            metrics.mu_series = trace.mu.clone();
             let errors: Vec<f64> = metrics
                 .mu_series
                 .iter()
@@ -243,8 +281,8 @@ impl Monitored {
         let cfg = scheme
             .nimbus_config(spec.nominal_mu_bps(), spec.seed)
             .expect("only Nimbus schemes take a Nimbus configuration");
-        let endpoint = Box::new(nimbus_flow(tweak(cfg), &label));
-        Self::new(spec, scheme, &label, 0.0, endpoint)
+        let cc = Box::new(NimbusTrace::install(tweak(cfg)));
+        Self::backlogged(spec, scheme, &label, 0.0, cc)
     }
 
     /// A population of `n` Nimbus flows `nimbus-<i>` running the multiflow
@@ -353,6 +391,38 @@ mod tests {
         for s in specs {
             let monitored = Monitored::scheme(&spec, s);
             assert_eq!(monitored.endpoint.label(), s.label());
+        }
+    }
+
+    /// Both ways the harness builds a Nimbus flow — `SchemeSpec::build_cc`
+    /// and `Monitored::tweaked` — install the trace the metrics are read
+    /// from: the collected η series has one point per detector verdict (the
+    /// count read off a second, identical run's controller), and a learned
+    /// µ leaves a µ̂ series.
+    #[test]
+    fn every_nimbus_construction_path_is_traced() {
+        let spec = ScenarioSpec::default_96mbps(8.0);
+        let scheme: SchemeSpec = "nimbus(mu=learned)".parse().unwrap();
+        let paths: [(&str, &dyn Fn() -> Monitored); 2] = [
+            ("build_cc", &|| Monitored::scheme(&spec, scheme)),
+            ("tweaked", &|| {
+                Monitored::tweaked(&spec, scheme, |cfg| cfg.with_pulse_amplitude(0.125))
+            }),
+        ];
+        for (path, monitored) in paths {
+            let out = run_scenario(&spec, vec![monitored()], Vec::new(), 2.0);
+            let metrics = &out.flows[0];
+
+            let m = monitored();
+            let mut net = spec.build_network();
+            let handle = net.add_flow(m.flow, m.endpoint);
+            net.run();
+            let nimbus = nimbus_of(net.endpoint(handle)).expect("a Nimbus flow");
+            let verdicts = nimbus.detector().verdicts().len();
+
+            assert!(verdicts > 0, "{path}: no verdicts in {} s", spec.duration_s);
+            assert_eq!(metrics.eta_series.len(), verdicts, "{path}");
+            assert!(!metrics.mu_series.is_empty(), "{path}: no µ̂ series");
         }
     }
 }

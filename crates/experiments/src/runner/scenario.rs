@@ -78,15 +78,26 @@ const FLEET: &[Opt<FleetSpec>] = &[
     },
     Opt {
         key: "mean",
-        hint: || "<bytes>[k|M]".to_string(),
+        hint: || "<bytes, ≥ 1500>[k|M]".to_string(),
         slug: "",
         show: |fleet| fleet.mean_flow_bytes.as_ref().map(fmt_size),
         set: |fleet, v| {
-            fleet.mean_flow_bytes = Some(grammar::size("mean flow size", v)?);
+            let mean = grammar::size("mean flow size", v)?;
+            if mean < MIN_MEAN_FLOW_BYTES {
+                return Err(ParseError(format!(
+                    "mean flow size `{v}` is below one segment ({MIN_MEAN_FLOW_BYTES} B, the \
+                     sender's MSS): the fleet would start load·µ/mean flows per second, each \
+                     with its own sender; use mean=1.5k or more"
+                )));
+            }
+            fleet.mean_flow_bytes = Some(mean);
             Ok(())
         },
     },
 ];
+
+/// The smallest `fleet(mean=…)`: one segment, the simulated sender's MSS.
+const MIN_MEAN_FLOW_BYTES: f64 = 1500.0;
 
 impl FleetSpec {
     /// A Poisson fleet at the given offered-load fraction, default sizes.

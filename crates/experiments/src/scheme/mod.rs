@@ -46,9 +46,10 @@
 //! `Display`, `FromStr`, `label()` and the error text all read.
 
 use crate::grammar::{self, choice_opt, non_default, Opt, ParseError};
+use crate::runner::NimbusTrace;
 use nimbus_core::{
-    DelayScheme, LearnedMuConfig, MuSpec, MultiflowConfig, NimbusConfig, NimbusController,
-    NimbusSpec, SwitchSpec, TcpScheme, ZFilterConfig,
+    DelayScheme, LearnedMuConfig, MuSpec, MultiflowConfig, NimbusConfig, NimbusSpec, SwitchSpec,
+    TcpScheme, ZFilterConfig,
 };
 use nimbus_transport::{format_rate_bps, CcKind, CongestionControl, PathInfo};
 use serde::{Deserialize, Serialize, Value};
@@ -264,7 +265,8 @@ impl SchemeSpec {
     }
 
     /// Build just the congestion controller for this spec (the piece a
-    /// [`Sender`](nimbus_transport::Sender) is generic over).
+    /// [`Sender`](nimbus_transport::Sender) is generic over).  A Nimbus
+    /// controller comes with a [`NimbusTrace`] installed.
     pub fn build_cc(
         &self,
         mu_bps: f64,
@@ -277,7 +279,7 @@ impl SchemeSpec {
                 if let Some(mf) = multiflow {
                     cfg = cfg.with_multiflow(mf);
                 }
-                Box::new(NimbusController::new(cfg))
+                Box::new(NimbusTrace::install(cfg))
             }
             SchemeSpec::Bare(kind) => kind.build(&PathInfo::new(1500)),
         }

@@ -26,6 +26,7 @@ use crate::estimator::{CrossTrafficEstimator, MuSpec, ZFilterConfig};
 use crate::probe::{ElasticityProbe, Evidence, MultiflowConfig, Role};
 use nimbus_core_types::Time;
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 
@@ -171,11 +172,20 @@ pub type ModeLogEntry = (f64, Mode);
 /// Observer hook for the controller's internal telemetry (the s2n-quic
 /// "publisher" shape): a host installs one with
 /// [`NimbusController::set_publisher`] to stream mode transitions, µ̂/ẑ
-/// estimates and detector verdicts without polling the logs.  Every method
-/// has an empty default, so implementors subscribe only to what they need.
-pub trait Publisher: Send {
+/// estimates and detector verdicts.  The controller keeps no history of
+/// verdicts or µ̂ samples itself — only a tally — so a host that wants the
+/// series records them here.  Every method has an empty default, so
+/// implementors subscribe only to what they need.  A publisher is `Any`,
+/// so the host can read its own type back through
+/// [`NimbusController::publisher`].
+pub trait Publisher: Send + Any {
     /// The controller switched operating mode at `now_s`.
     fn on_mode_change(&mut self, _now_s: f64, _mode: Mode) {}
+
+    /// A learned µ took this report's receive rate: µ̂ after it, bits/s
+    /// (see [`CrossTrafficEstimator::mu_sample`]).  Never fires when µ is
+    /// configured.
+    fn on_mu_sample(&mut self, _now_s: f64, _mu_bps: f64) {}
 
     /// A new estimator sample: the current µ̂ and cross-traffic estimate ẑ
     /// (both bits/s).
@@ -239,7 +249,8 @@ pub struct NimbusController {
     rate_history: VecDeque<(f64, f64)>,
     /// Current time as of the last report (seconds).
     now_s: f64,
-    /// Log of mode switches.
+    /// Log of mode switches: the one record that grows after warm-up, by
+    /// one entry per switch.
     mode_log: Vec<ModeLogEntry>,
     /// Time of the most recent *elastic* evidence, for `heed`'s
     /// switch-back hysteresis (§4.1).
@@ -295,6 +306,12 @@ impl NimbusController {
         self.publisher = Some(publisher);
     }
 
+    /// The installed telemetry observer, if any; `as &dyn Any` downcasts it
+    /// back to the host's type.
+    pub fn publisher(&self) -> Option<&dyn Publisher> {
+        self.publisher.as_deref()
+    }
+
     /// The current operating mode.
     pub fn mode(&self) -> Mode {
         self.mode
@@ -310,12 +327,12 @@ impl NimbusController {
         &self.mode_log
     }
 
-    /// The elasticity detector (verdict history, η time series).
+    /// The elasticity detector (its window and verdict tally).
     pub fn detector(&self) -> &ElasticityDetector {
         self.probe.detector()
     }
 
-    /// The cross-traffic estimator (ẑ history).
+    /// The cross-traffic estimator (µ̂ and the last window of ẑ).
     pub fn estimator(&self) -> &CrossTrafficEstimator {
         self.probe.estimator()
     }
@@ -451,10 +468,16 @@ impl CongestionControl for NimbusController {
         self.now_s = report.now_s;
         // 1. Feed the probe; BasicDelay takes ẑ before its own report.
         let (z_bps, marks) = self.probe.measure(report, self.mode);
-        if let Some(z_bps) = z_bps {
-            if let Some(p) = &mut self.publisher {
-                p.on_estimate(report.now_s, self.probe.estimator().mu_bps(), z_bps);
+        if let Some(p) = &mut self.publisher {
+            let estimator = self.probe.estimator();
+            if let Some(mu_bps) = estimator.mu_sample() {
+                p.on_mu_sample(report.now_s, mu_bps);
             }
+            if let Some(z_bps) = z_bps {
+                p.on_estimate(report.now_s, estimator.mu_bps(), z_bps);
+            }
+        }
+        if let Some(z_bps) = z_bps {
             if let DelayCtl::Basic(bd) = &mut self.delay {
                 bd.set_cross_traffic_estimate(z_bps);
             }
@@ -722,7 +745,7 @@ pub(crate) mod tests {
         // The switch must not have happened before a full FFT window existed.
         let first_switch = ctl.mode_log()[1].0;
         assert!(first_switch >= 4.95, "switched too early at {first_switch}");
-        assert!(ctl.detector().last_verdict().unwrap().eta >= 2.0);
+        assert!(ctl.detector().verdicts().last().unwrap().eta >= 2.0);
     }
 
     #[test]
@@ -740,7 +763,7 @@ pub(crate) mod tests {
         };
         // The detector still calls the cross traffic elastic...
         let mut ctl = drive_with_cross_traffic(nimbus(never), true, 12.0);
-        assert!(ctl.detector().verdicts().iter().any(|v| v.elastic));
+        assert!(ctl.detector().verdicts().elastic() > 0);
         assert_eq!(ctl.mode_log(), [(0.0, Mode::Delay)]);
         // ...and mark-rate cross-validation and a watcher following a
         // competitive pulser end at the same gate.
@@ -834,5 +857,41 @@ pub(crate) mod tests {
         assert!(events
             .windows(2)
             .all(|pair| pair[0].0 < pair[1].0 || pair[0].1 <= pair[1].1));
+    }
+
+    #[test]
+    fn a_learned_mu_is_published_on_every_report_with_a_receive_rate() {
+        use std::sync::{Arc, Mutex};
+
+        /// µ̂ samples and ẑ estimates, by report time.
+        #[derive(Default)]
+        struct Seen {
+            mu: Vec<f64>,
+            estimates: Vec<f64>,
+        }
+        struct Recorder(Arc<Mutex<Seen>>);
+        impl Publisher for Recorder {
+            fn on_mu_sample(&mut self, now_s: f64, _mu_bps: f64) {
+                self.0.lock().unwrap().mu.push(now_s);
+            }
+            fn on_estimate(&mut self, now_s: f64, _mu_bps: f64, _z_bps: f64) {
+                self.0.lock().unwrap().estimates.push(now_s);
+            }
+        }
+
+        let seen = Arc::new(Mutex::new(Seen::default()));
+        let mut ctl = nimbus(NimbusSpec {
+            mu: MuSpec::Learned(crate::estimator::LearnedMuConfig::MaxFilter),
+            ..NimbusSpec::default()
+        });
+        ctl.set_publisher(Box::new(Recorder(Arc::clone(&seen))));
+        // A receive rate without a send rate feeds µ̂ but yields no ẑ; no
+        // receive rate feeds neither.
+        ctl.on_report(&report(0.01, 40e6, 48e6, 0.05));
+        ctl.on_report(&report(0.02, 0.0, 48e6, 0.05));
+        ctl.on_report(&report(0.03, 40e6, 0.0, 0.05));
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.mu, [0.01, 0.02]);
+        assert_eq!(seen.estimates, [0.01]);
     }
 }

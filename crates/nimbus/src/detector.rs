@@ -39,6 +39,12 @@
 //!   is held to (`tests/streaming_equivalence.rs`: same availability, same
 //!   verdict, magnitudes within 1e-9 of the signal's scale).  Its FFT plan is
 //!   built on first use, so a controller never pays for it.
+//!
+//! Both ways in tally their verdicts ([`VerdictTally`]: how many, how many
+//! elastic, the last one) and keep none of them: a detector's memory is its
+//! window, however long the connection runs.  The Nimbus controller hands
+//! each verdict to its host's [`crate::Publisher`], which records the η
+//! series if it wants one.
 
 use nimbus_core_types::REPORT_INTERVAL;
 use nimbus_dsp::spectrum::{bins_in_open_band, bins_near};
@@ -188,8 +194,46 @@ pub struct ElasticityDetector {
     /// verdicts.  `0.0` (stand-alone use) disables the guard; the elasticity
     /// probe keeps it at 1% of its current µ estimate.
     min_peak_bps: f64,
-    /// Log of every verdict, for experiment post-processing.
-    verdicts: Vec<DetectorVerdict>,
+    /// How many verdicts there were, and the last one.
+    verdicts: VerdictTally,
+}
+
+/// What the detector remembers of its verdicts: how many, how many were
+/// elastic, and the last one.  O(1) — a host that wants the whole history
+/// records it from [`crate::Publisher::on_verdict`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct VerdictTally {
+    count: usize,
+    elastic: usize,
+    last: Option<DetectorVerdict>,
+}
+
+impl VerdictTally {
+    /// Verdicts issued so far.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether no verdict has been issued yet.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Verdicts so far that called the cross traffic elastic.
+    pub fn elastic(&self) -> usize {
+        self.elastic
+    }
+
+    /// The most recent verdict, if any.
+    pub fn last(&self) -> Option<DetectorVerdict> {
+        self.last
+    }
+
+    fn record(&mut self, verdict: DetectorVerdict) {
+        self.count += 1;
+        self.elastic += verdict.elastic as usize;
+        self.last = Some(verdict);
+    }
 }
 
 impl ElasticityDetector {
@@ -203,7 +247,7 @@ impl ElasticityDetector {
             band_bins: 0..0,
             eta_scale: 1.0,
             min_peak_bps: 0.0,
-            verdicts: Vec::new(),
+            verdicts: VerdictTally::default(),
         };
         detector.select_bins();
         detector
@@ -272,7 +316,7 @@ impl ElasticityDetector {
         Some((eta_ratio(peak, band), peak, band))
     }
 
-    /// Evaluate the detector at time `t_s` on the current ẑ series and record
+    /// Evaluate the detector at time `t_s` on the current ẑ series and tally
     /// the verdict.  Returns `None` until a full window of samples exists.
     pub fn evaluate(&mut self, t_s: f64, z_series: &[f64]) -> Option<DetectorVerdict> {
         let metric = self.eta(z_series)?;
@@ -295,7 +339,7 @@ impl ElasticityDetector {
         Some((eta_ratio(peak, band), peak, band))
     }
 
-    /// Evaluate the detector at time `t_s` on the streaming window and record
+    /// Evaluate the detector at time `t_s` on the streaming window and tally
     /// the verdict.  `None` exactly when [`Self::eta_of_window`] is.
     pub fn evaluate_window(&mut self, t_s: f64) -> Option<DetectorVerdict> {
         let metric = self.eta_of_window()?;
@@ -310,17 +354,12 @@ impl ElasticityDetector {
             peak_at_fp: peak,
             band_max: band,
         };
-        self.verdicts.push(verdict);
+        self.verdicts.record(verdict);
         verdict
     }
 
-    /// The most recent verdict, if any.
-    pub fn last_verdict(&self) -> Option<DetectorVerdict> {
-        self.verdicts.last().copied()
-    }
-
-    /// Every verdict recorded so far.
-    pub fn verdicts(&self) -> &[DetectorVerdict] {
+    /// The tally of the verdicts issued so far.
+    pub fn verdicts(&self) -> &VerdictTally {
         &self.verdicts
     }
 }
@@ -442,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn verdict_log_and_fraction() {
+    fn verdict_tally_counts_and_keeps_the_last() {
         let cfg = ElasticityConfig::default();
         let mut det = ElasticityDetector::new(cfg.clone());
         let elastic = synthetic_z(&cfg, 6.0, 48e6, 8e6, 0.05, 2e6, 4);
@@ -450,9 +489,10 @@ mod tests {
         det.evaluate(1.0, &elastic);
         det.evaluate(2.0, &elastic);
         det.evaluate(3.0, &inelastic);
-        let elastic: Vec<bool> = det.verdicts().iter().map(|v| v.elastic).collect();
-        assert_eq!(elastic, [true, true, false]);
-        assert!(det.last_verdict().is_some());
+        let tally = det.verdicts();
+        assert_eq!((tally.len(), tally.elastic()), (3, 2));
+        let last = tally.last().expect("three verdicts");
+        assert_eq!((last.t_s, last.elastic), (3.0, false));
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! the CCP-style [`Report`]).  The estimator also keeps the last window of
 //! `(t, ẑ)` samples behind the controller's window means and offline
 //! analysis; the elasticity detector keeps its own window, fed one
-//! conditioned sample per report.
+//! conditioned sample per report.  Nothing here grows with the connection's
+//! lifetime: a learned µ̂ leaves as one sample per report
+//! ([`CrossTrafficEstimator::mu_sample`], published to the host through
+//! [`crate::Publisher::on_mu_sample`]), and a host that wants the series
+//! records it.
 //!
 //! # Where µ comes from
 //!
@@ -330,9 +334,10 @@ fn capped_input(current: f64, report: &Report) -> f64 {
     report.recv_rate_bps.min(cap)
 }
 
-/// Cross-traffic rate estimator with sample history: Eq. 1 evaluated on
-/// every report against the µ̂ of its [`MuSpec`], plus the
-/// optional streaming ẑ pre-filter of [`ZFilterConfig::Notch`].
+/// Cross-traffic rate estimator: Eq. 1 evaluated on every report against
+/// the µ̂ of its [`MuSpec`], plus the optional streaming ẑ pre-filter of
+/// [`ZFilterConfig::Notch`].  Its memory is bounded: the ẑ samples of the
+/// last `history_window_s` and the µ filters' windows, no per-report log.
 #[derive(Debug, Clone)]
 pub struct CrossTrafficEstimator {
     /// Where µ̂ comes from.
@@ -340,9 +345,8 @@ pub struct CrossTrafficEstimator {
     /// `(t_s, ẑ)` history, oldest first, bounded to `history_window_s`.
     samples: VecDeque<(f64, f64)>,
     history_window_s: f64,
-    /// `(t_s, µ̂_bps)` per report while µ is being learned (empty when µ is
-    /// configured) — the series varying-link experiments score µ-tracking on.
-    mu_history: Vec<(f64, f64)>,
+    /// Whether the latest report fed the learned µ (see [`Self::mu_sample`]).
+    mu_sampled: bool,
     /// Streaming notch over the ẑ samples (None = raw ẑ to the detector).
     z_prefilter: Option<Biquad>,
     /// `(t_s, filtered ẑ)` history, maintained only when a pre-filter is set.
@@ -385,7 +389,7 @@ impl CrossTrafficEstimator {
             mu,
             samples: VecDeque::new(),
             history_window_s,
-            mu_history: Vec::new(),
+            mu_sampled: false,
             z_prefilter: None,
             filtered: VecDeque::new(),
             probing_paced: true,
@@ -493,15 +497,16 @@ impl CrossTrafficEstimator {
         Some(z.clamp(0.0, mu))
     }
 
-    /// Feed one report to the learned µ, if µ is learned.
-    fn learn_mu(&mut self, report: &Report) {
+    /// Feed one report to the learned µ, if µ is learned.  Returns whether
+    /// µ̂ took a sample: µ is learned and the report has a receive rate.
+    fn learn_mu(&mut self, report: &Report) -> bool {
         let MuSource::Learned {
             filter,
             min_tracker,
             probing,
         } = &mut self.mu
         else {
-            return;
+            return false;
         };
         if report.lost_packets > 0 {
             if let Some(p) = probing.as_mut() {
@@ -509,7 +514,7 @@ impl CrossTrafficEstimator {
             }
         }
         if report.recv_rate_bps <= 0.0 {
-            return;
+            return false;
         }
         let current = filter.max().unwrap_or(0.0);
         let input = capped_input(current, report);
@@ -521,8 +526,7 @@ impl CrossTrafficEstimator {
                 p.loss_floor_bps = p.loss_floor_bps.max(input);
             }
         }
-        let mu = self.mu_bps();
-        self.mu_history.push((report.now_s, mu));
+        true
     }
 
     /// Ingest a measurement report; returns the new ẑ sample, bits/s, if one
@@ -532,7 +536,7 @@ impl CrossTrafficEstimator {
     /// epoch's pacing burst is self-inflicted, not cross traffic, and its
     /// square edge floods the detector's comparison band).
     pub fn on_report(&mut self, report: &Report) -> Option<f64> {
-        self.learn_mu(report);
+        self.mu_sampled = self.learn_mu(report);
         let raw_z = self.estimate(report.send_rate_bps, report.recv_rate_bps)?;
         // A quiesced epoch never paced above 1x, so there is nothing to hold
         // ẑ over — holding anyway would blank the detector's input on the
@@ -554,10 +558,13 @@ impl CrossTrafficEstimator {
         Some(raw_z)
     }
 
-    /// The learned-µ series as `(t_s, µ̂_bps)` pairs.  Empty when µ was
-    /// configured rather than estimated.
-    pub fn mu_series(&self) -> &[(f64, f64)] {
-        &self.mu_history
+    /// µ̂ after the latest report, if that report fed the learned µ: µ is
+    /// learned and the report carried a positive receive rate.  `None` when
+    /// µ is configured.  One such sample per report is the µ-tracking series;
+    /// the estimator keeps none of them (a host records them from
+    /// [`crate::Publisher::on_mu_sample`]).
+    pub fn mu_sample(&self) -> Option<f64> {
+        self.mu_sampled.then(|| self.mu_bps())
     }
 
     /// The ẑ series (bits/s) covering at most the last `window_s` seconds,
@@ -720,9 +727,14 @@ mod tests {
         // With µ learned, estimates become available.
         let z = est.on_report(&report(t + 0.1, 44e6, 44e6)).unwrap();
         assert!((z - 44e6).abs() < 1e3);
-        // The learned series was recorded.
-        assert!(!est.mu_series().is_empty());
-        assert!((est.mu_series().last().unwrap().1 - 88e6).abs() < 1.0);
+        // Every report with a receive rate was a µ̂ sample...
+        assert_eq!(est.mu_sample(), Some(est.mu_bps()));
+        // ...and one without is not; a configured µ never samples.
+        est.on_report(&report(t + 0.2, 44e6, 0.0));
+        assert_eq!(est.mu_sample(), None);
+        let mut known = CrossTrafficEstimator::with_known_mu(96e6, 5.0);
+        known.on_report(&report(0.0, 40e6, 60e6));
+        assert_eq!(known.mu_sample(), None);
     }
 
     #[test]

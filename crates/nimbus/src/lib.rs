@@ -24,6 +24,14 @@
 //!    one ([`basic_delay::BasicDelay`], Vegas or Copa's default mode), reset to
 //!    the rate of five seconds ago on entering competitive mode (§4.1).
 //!
+//! A building block has to fit inside a long-lived connection, so a
+//! controller's memory stops growing once its windows have filled: the
+//! detector keeps a [`VerdictTally`] (count, elastic count, last verdict), the
+//! estimator no µ̂ history, and only the mode log grows, by one entry per
+//! switch.  The η and µ̂ series reach a host that wants them through the
+//! [`Publisher`] it installs ([`NimbusController::set_publisher`]); the
+//! experiments harness records its figures' series that way.
+//!
 //! Everything is deterministic and **simulator-free**: this crate depends
 //! only on the DSP library and the tiny `nimbus-core-types` crate (`Time`,
 //! rate strings), never on `nimbus-netsim`.  A host — the simulator's sender
@@ -64,7 +72,9 @@ pub use ccp::{Report, ReportAggregator};
 pub use controller::{
     DelayScheme, Mode, NimbusConfig, NimbusController, NimbusSpec, Publisher, SwitchSpec, TcpScheme,
 };
-pub use detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector, ETA_THRESHOLD};
+pub use detector::{
+    DetectorVerdict, ElasticityConfig, ElasticityDetector, VerdictTally, ETA_THRESHOLD,
+};
 pub use estimator::{CrossTrafficEstimator, LearnedMuConfig, MuSpec, ProbingConfig, ZFilterConfig};
 pub use probe::{ElasticityProbe, Evidence, MultiflowConfig, Role};
 pub use rtt::RttEstimator;

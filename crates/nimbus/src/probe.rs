@@ -289,12 +289,12 @@ impl ElasticityProbe {
         self.role
     }
 
-    /// The elasticity detector (verdict history, η time series).
+    /// The elasticity detector (its window and verdict tally).
     pub fn detector(&self) -> &ElasticityDetector {
         &self.detector
     }
 
-    /// The cross-traffic estimator (ẑ history).
+    /// The cross-traffic estimator (µ̂ and the last window of ẑ).
     pub fn estimator(&self) -> &CrossTrafficEstimator {
         &self.estimator
     }

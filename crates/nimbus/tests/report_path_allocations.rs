@@ -1,12 +1,18 @@
 //! `NimbusController::on_report` runs per connection per 10 ms inside
 //! someone else's datapath, so in steady state it must not allocate in any
-//! role: no window `Vec`, no FFT buffers (a transform cannot run without
-//! several).  The only allocations left are the amortised doublings of the
-//! verdict, mode and role logs — a handful per thousand reports.  The window
-//! and pace queries a sender makes between callbacks allocate nothing at all.
+//! role, with µ configured or learned: no window `Vec`, no FFT buffers (a
+//! transform cannot run without several), and no per-report log — the
+//! detector keeps a tally of its verdicts and the estimator no µ̂ history.
+//! Every window is bounded, so once warmed up a controller's memory is
+//! fixed; only the mode log grows, by one entry per switch, and the few
+//! switches here fit its first allocation.  The window and pace queries a
+//! sender makes between callbacks allocate nothing either.
 
 use nimbus_core::cc::{AckEvent, CongestionControl};
-use nimbus_core::{Mode, MultiflowConfig, NimbusConfig, NimbusController, Report, Role};
+use nimbus_core::{
+    LearnedMuConfig, Mode, MuSpec, MultiflowConfig, NimbusConfig, NimbusController, NimbusSpec,
+    Report, Role,
+};
 use nimbus_core_types::Time;
 use nimbus_dsp::PulseGenerator;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -42,9 +48,6 @@ const MU: f64 = 96e6;
 
 /// Reports measured per controller once it is warmed up.
 const MEASURED: u64 = 2_000;
-
-/// The single-flow bar, held in every role.
-const MAX_ALLOCATIONS_PER_REPORT: f64 = 0.02;
 
 /// One 10 ms host tick at `t`: an ACK, then a report whose receive rate
 /// `recv_of` derives from the rate the controller paces at.  Returns the
@@ -88,21 +91,21 @@ fn against_cross(t: f64, send: f64, freq_hz: f64, echo: f64) -> f64 {
     MU * send / (send + 48e6 - echo * pulse)
 }
 
-fn assert_within_bar(allocations: u64, role: &str) {
-    let per_report = allocations as f64 / MEASURED as f64;
-    assert!(
-        per_report < MAX_ALLOCATIONS_PER_REPORT,
-        "{role}: {allocations} allocations in {MEASURED} reports = {per_report} per on_report"
+fn assert_no_allocations(allocations: u64, role: &str) {
+    assert_eq!(
+        allocations, 0,
+        "{role}: {allocations} allocations in {MEASURED} reports"
     );
 }
 
-#[test]
-fn steady_state_reports_do_not_allocate() {
-    let mut ctl = NimbusController::new(NimbusConfig::default_for_link(MU));
-    // 10 s against an elastic competitor: delay mode while the first window
-    // fills, competitive once it has.
+/// A lone flow: `warm_up` reports against an elastic competitor (delay mode
+/// while the first window fills, competitive once it has), then 2 000
+/// measured reports with the competitor gone a quarter of the way in, so the
+/// §4.1 switch back to delay mode is inside the measured stretch.
+fn single_flow(cfg: NimbusConfig, warm_up: u64, role: &str) {
+    let mut ctl = NimbusController::new(cfg);
     let mut k = 0u64;
-    while k < 1_000 {
+    while k < warm_up {
         k += 1;
         let t = k as f64 * 0.01;
         tick(&mut ctl, t, |s| against_cross(t, s, 5.0, 0.4));
@@ -114,8 +117,6 @@ fn steady_state_reports_do_not_allocate() {
     );
     assert!(ctl.detector().verdicts().len() > 400);
 
-    // The next 2 000 reports, the competitor gone a quarter of the way in so
-    // the §4.1 switch back to delay mode is inside the measured stretch.
     let mut allocations = 0;
     for i in 0..MEASURED {
         k += 1;
@@ -129,7 +130,28 @@ fn steady_state_reports_do_not_allocate() {
         Mode::Delay,
         "the measured stretch must switch back"
     );
-    assert_within_bar(allocations, "single flow");
+    assert_no_allocations(allocations, role);
+}
+
+#[test]
+fn steady_state_reports_do_not_allocate() {
+    single_flow(NimbusConfig::default_for_link(MU), 1_000, "single flow");
+}
+
+/// A learned µ takes a sample on every report; none of them is kept.  Its
+/// max and min filters span 10 s, twice the detector's window, so the
+/// warm-up is twice as long: the filters' bounded queues reach their
+/// largest size before the measured stretch.
+#[test]
+fn learned_mu_reports_do_not_allocate() {
+    let cfg = NimbusConfig {
+        spec: NimbusSpec {
+            mu: MuSpec::Learned(LearnedMuConfig::MaxFilter),
+            ..NimbusSpec::default()
+        },
+        ..NimbusConfig::default_for_link(MU)
+    };
+    single_flow(cfg, 2_000, "learned µ");
 }
 
 /// A multi-flow watcher reads another flow's pulses out of its own receive
@@ -157,7 +179,7 @@ fn watcher_reports_do_not_allocate() {
     }
     assert_eq!(ctl.role(), Role::Watcher, "a watcher that sees a pulser");
     assert_eq!(ctl.mode(), Mode::Delay, "follows the pulser back");
-    assert_within_bar(allocations, "watcher");
+    assert_no_allocations(allocations, "watcher");
 }
 
 /// An elected multi-flow pulser runs the detector and, on every verdict, the
@@ -215,7 +237,7 @@ fn elected_pulser_reports_do_not_allocate() {
         Mode::Delay,
         "the measured stretch must switch back"
     );
-    assert_within_bar(allocations, "pulser");
+    assert_no_allocations(allocations, "pulser");
 }
 
 /// A paced sender asks for the window and the pace several times between

@@ -357,9 +357,11 @@ fn silent_and_constant_windows() {
         };
         pair.step(i as f64 * DT_S, x, &label);
     }
-    assert!(pair.streaming.verdicts().iter().all(|v| !v.elastic));
+    let verdicts = pair.streaming.verdicts();
+    assert!(!verdicts.is_empty());
+    assert_eq!(verdicts.elastic(), 0);
     // Once the step edge has left the window there is exactly nothing in it.
-    let last = pair.streaming.last_verdict().expect("window is full");
+    let last = verdicts.last().expect("window is full");
     assert_eq!((last.peak_at_fp, last.band_max), (0.0, 0.0));
 }
 

@@ -128,8 +128,9 @@ fn canonical_estimator_spec_strings() {
 
 /// Spec fragments, a few per family, with holes: `#` becomes a random
 /// multiple of 1/64 in (0, 16] (exact in binary, readable on failure), `%`
-/// one in (0, 1), `^` one in (1, 17], `~` a random scheme and `$` the sample
-/// Mahimahi trace.  Holes sit only where any such value is valid.
+/// one in (0, 1), `^` one in (1, 17], `&` one in [2, 16], `~` a random
+/// scheme and `$` the sample Mahimahi trace.  Holes sit only where any such
+/// value is valid.
 const SCHEMES: &[&str] = &[
     "cubic",
     "newreno",
@@ -185,7 +186,7 @@ const CROSS: &[&str] = &[
 const FLEETS: &[&str] = &[
     "",
     "+fleet(load=%)",
-    "+fleet(arrivals=bursty,load=%,mean=#k)",
+    "+fleet(arrivals=bursty,load=%,mean=&k)",
     "+fleet(arrivals=bursty,load=%,mean=#M)",
 ];
 const LINK_OPTS: &[&str] = &["", "buffer=#ms rtt=#ms pie=#ms loss=%"];
@@ -201,6 +202,7 @@ fn fill(template: &str, rng: &mut proptest::TestRng) -> String {
             '#' => 1..1025,
             '%' => 1..64,
             '^' => 65..1089,
+            '&' => 128..1025,
             '~' => {
                 out += &fill(pick(SCHEMES, rng), rng);
                 continue;
@@ -420,6 +422,8 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("cross", "fleet(speed=0.5)", "unknown fleet option"),
     ("cross", "fleet(load=0.5", "closing"),
     ("cross", "fleet(mean=-3,load=0.5)", "positive"),
+    // Sub-segment flows would spawn millions of flows per simulated second.
+    ("cross", "fleet(load=2,mean=1)", "mean flow size `1` is below one segment (1500 B"),
     // Fleet flows always run Cubic.
     ("cross", "fleet(load=0.5,cc=reno)", "unknown fleet option `cc` (expected arrivals="),
     ("cross", "fleet(load=0.5)+fleet(load=0.2)", "at most one fleet"),
