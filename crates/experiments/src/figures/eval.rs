@@ -7,7 +7,7 @@ use crate::scheme::SchemeSpec;
 use nimbus_dsp::Cdf;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
 use nimbus_traffic::{FleetWorkloadConfig, VideoQuality, VideoSource};
-use nimbus_transport::{CcKind, PathInfo, Sender, SenderConfig};
+use nimbus_transport::{CcKind, PathInfo, Sender, SenderConfig, MSS};
 
 /// Fig. 8's nine phases, 20 s each, as annotated at the top of the figure:
 /// `(inelastic bits/s, long-running Cubic flows)`, i.e. `16M/1T, 32M/2T,
@@ -106,7 +106,7 @@ pub fn fig08(quick: bool) -> ExperimentResult {
             FlowConfig::cross("cbr-phases", Time::from_millis(50), false),
             Box::new(Sender::new(
                 SenderConfig::labelled("cbr-phases"),
-                CcKind::Unlimited.build(&PathInfo::new(1500)),
+                CcKind::Unlimited.build(&PathInfo::new(MSS)),
                 Box::new(nimbus_transport::ScriptedSource::scheduled(scripted)),
             )),
         );
@@ -257,7 +257,7 @@ pub fn fig11(quick: bool) -> ExperimentResult {
                 ),
                 Box::new(Sender::new(
                     SenderConfig::labelled("video"),
-                    CcKind::Cubic.build(&PathInfo::new(1500)),
+                    CcKind::Cubic.build(&PathInfo::new(MSS)),
                     Box::new(VideoSource::new(quality, duration)),
                 )),
             );
@@ -376,7 +376,7 @@ pub fn fig21(quick: bool) -> ExperimentResult {
         let spec = scenario(&format!("96M seed=21 dur={duration}s"));
         let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 210);
         let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
-        let fcts = out.recorder.completed_fcts();
+        let fcts = out.recorder.fct_stream();
         for (lo, hi, label) in buckets {
             let bucket: Vec<f64> = fcts
                 .iter()

@@ -9,7 +9,7 @@ use crate::scheme::SchemeSpec;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
 use nimbus_transport::{
     format_rate_bps, BackloggedSource, CcKind, PathInfo, PoissonSource, ScriptedSource, Sender,
-    SenderConfig, Source,
+    SenderConfig, Source, MSS,
 };
 use std::fmt;
 use std::str::FromStr;
@@ -184,21 +184,14 @@ impl CrossSpec {
         seed: u64,
     ) -> (FlowConfig, Box<dyn FlowEndpoint>) {
         let seed = self.seed.unwrap_or(seed);
-        let stop = self.stop_s.map(Time::from_secs_f64);
-        let unlimited = || CcKind::Unlimited.build(&PathInfo::new(1500));
+        let unlimited = || CcKind::Unlimited.build(&PathInfo::new(MSS));
         let (cc, source, elastic, ecn): (_, Box<dyn Source>, _, _) = match self.source {
             CrossSource::Cbr(rate) => {
-                let mut cbr = ScriptedSource::constant(rate.bps(hop_bps));
-                if let Some(stop) = stop {
-                    cbr = cbr.until(stop);
-                }
+                let cbr = ScriptedSource::constant(rate.bps(hop_bps));
                 (unlimited(), Box::new(cbr), false, false)
             }
             CrossSource::Poisson(rate) => {
-                let mut poisson = PoissonSource::new(rate.bps(hop_bps), 1500, seed);
-                if let Some(stop) = stop {
-                    poisson = poisson.until(stop);
-                }
+                let poisson = PoissonSource::new(rate.bps(hop_bps), seed);
                 (unlimited(), Box::new(poisson), false, false)
             }
             CrossSource::Scheme(spec) => (
@@ -209,7 +202,7 @@ impl CrossSpec {
             ),
         };
         let sender = SenderConfig {
-            stop_at: stop,
+            stop_at: self.stop_s.map(Time::from_secs_f64),
             ..SenderConfig::labelled(label)
         };
         let mut cfg = FlowConfig::cross(label, Time::from_secs_f64(self.rtt_s), elastic)

@@ -27,7 +27,7 @@ mod tests {
     use super::*;
     use crate::scheme::SchemeSpec;
     use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
-    use nimbus_transport::{CcKind, FixedSizeSource, PathInfo, Sender, SenderConfig};
+    use nimbus_transport::{CcKind, FixedSizeSource, PathInfo, Sender, SenderConfig, MSS};
 
     #[test]
     fn paper_default_link() {
@@ -86,7 +86,7 @@ mod tests {
             FlowConfig::cross("short", Time::from_millis(50), true).with_size(2_000_000),
             Box::new(Sender::new(
                 SenderConfig::labelled("short"),
-                CcKind::Cubic.build(&PathInfo::new(1500)),
+                CcKind::Cubic.build(&PathInfo::new(MSS)),
                 Box::new(FixedSizeSource::new(2_000_000)),
             )),
         )];
@@ -156,14 +156,17 @@ mod tests {
         assert_eq!((cbr.entry_hop, cbr.exit_hop), (1, Some(1)));
         assert_eq!(nimbus.prop_rtt, Time::from_millis(200));
         assert_eq!(nimbus.start, Time::from_millis(5000));
-        // A fraction scales the base rate of the hop the flow enters at.
-        let spec: ScenarioSpec = "48M hop(0.5) vs cbr@0.1@stop=1s+cbr@0.2@hop1-1 dur=2s"
-            .parse()
-            .unwrap();
+        // A fraction scales the base rate of the hop the flow enters at, and
+        // the sender stops either inelastic source at its `stop=`.
+        let spec: ScenarioSpec =
+            "48M hop(0.5) vs cbr@0.1@stop=1s+cbr@0.2@hop1-1+poisson@0.2@stop=1s dur=2s"
+                .parse()
+                .unwrap();
         let out = run_scheme_vs_cross(&spec, SchemeSpec::constant(1e6), Vec::new(), 1.0);
         let mbit = |i: usize| out.recorder.flows[i].delivered_bytes as f64 * 8e-6;
         assert!((mbit(1) - 4.8).abs() < 0.3, "48M·0.1 for 1 s: {}", mbit(1));
         assert!((mbit(2) - 9.6).abs() < 0.6, "24M·0.2 for 2 s: {}", mbit(2));
+        assert!((mbit(3) - 9.6).abs() < 1.0, "48M·0.2 for 1 s: {}", mbit(3));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use nimbus_netsim::{
 };
 use nimbus_traffic::fleet::{ArrivalProcess, FleetSpawner, FleetWorkloadConfig};
 use nimbus_traffic::FlowSizeDistribution;
-use nimbus_transport::format_rate_bps;
+use nimbus_transport::{format_rate_bps, MSS};
 use std::fmt;
 use std::str::FromStr;
 
@@ -78,14 +78,14 @@ const FLEET: &[Opt<FleetSpec>] = &[
     },
     Opt {
         key: "mean",
-        hint: || "<bytes, ≥ 1500>[k|M]".to_string(),
+        hint: || format!("<bytes, ≥ {MSS}>[k|M]"),
         slug: "",
         show: |fleet| fleet.mean_flow_bytes.as_ref().map(fmt_size),
         set: |fleet, v| {
             let mean = grammar::size("mean flow size", v)?;
-            if mean < MIN_MEAN_FLOW_BYTES {
+            if mean < MSS as f64 {
                 return Err(ParseError(format!(
-                    "mean flow size `{v}` is below one segment ({MIN_MEAN_FLOW_BYTES} B, the \
+                    "mean flow size `{v}` is below one segment ({MSS} B, the \
                      sender's MSS): the fleet would start load·µ/mean flows per second, each \
                      with its own sender; use mean=1.5k or more"
                 )));
@@ -95,9 +95,6 @@ const FLEET: &[Opt<FleetSpec>] = &[
         },
     },
 ];
-
-/// The smallest `fleet(mean=…)`: one segment, the simulated sender's MSS.
-const MIN_MEAN_FLOW_BYTES: f64 = 1500.0;
 
 impl FleetSpec {
     /// A Poisson fleet at the given offered-load fraction, default sizes.

@@ -51,7 +51,7 @@ use nimbus_core::{
     DelayScheme, LearnedMuConfig, MuSpec, MultiflowConfig, NimbusConfig, NimbusSpec, SwitchSpec,
     TcpScheme, ZFilterConfig,
 };
-use nimbus_transport::{format_rate_bps, CcKind, CongestionControl, PathInfo};
+use nimbus_transport::{format_rate_bps, CcKind, CongestionControl, PathInfo, MSS};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::str::FromStr;
@@ -281,7 +281,7 @@ impl SchemeSpec {
                 }
                 Box::new(NimbusTrace::install(cfg))
             }
-            SchemeSpec::Bare(kind) => kind.build(&PathInfo::new(1500)),
+            SchemeSpec::Bare(kind) => kind.build(&PathInfo::new(MSS)),
         }
     }
 }

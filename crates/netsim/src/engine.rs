@@ -178,10 +178,10 @@ pub struct FlowConfig {
     /// When the flow starts.
     pub start: Time,
     /// For the experiment ground truth: is this cross-traffic flow elastic?
-    /// `None` marks the monitored (primary) flows, which are not cross traffic.
+    /// `None` marks the monitored (primary) flows, which are not cross
+    /// traffic; the recorder keeps full time series for those and only
+    /// those.
     pub counts_as_elastic: Option<bool>,
-    /// Whether the recorder keeps full time series for this flow.
-    pub monitored: bool,
     /// Flow size in bytes, if finite (used for FCT bookkeeping only; the
     /// endpoint itself decides when it is `Finished`).
     pub size_bytes: Option<u64>,
@@ -211,7 +211,6 @@ impl FlowConfig {
             prop_rtt,
             start: Time::ZERO,
             counts_as_elastic: None,
-            monitored: true,
             size_bytes: None,
             entry_hop: 0,
             exit_hop: None,
@@ -223,16 +222,8 @@ impl FlowConfig {
     /// An unmonitored cross-traffic flow.
     pub fn cross(label: impl Into<String>, prop_rtt: Time, elastic: bool) -> Self {
         FlowConfig {
-            label: label.into(),
-            prop_rtt,
-            start: Time::ZERO,
             counts_as_elastic: Some(elastic),
-            monitored: false,
-            size_bytes: None,
-            entry_hop: 0,
-            exit_hop: None,
-            ecn: false,
-            retire_on_finish: false,
+            ..FlowConfig::primary(label, prop_rtt)
         }
     }
 
@@ -600,7 +591,7 @@ impl Network {
             id,
             std::mem::take(&mut cfg.label),
             cfg.counts_as_elastic,
-            cfg.monitored,
+            cfg.counts_as_elastic.is_none(),
             cfg.start,
             cfg.size_bytes,
         );
@@ -1366,14 +1357,17 @@ mod tests {
     #[test]
     fn byte_conservation_delivered_never_exceeds_enqueued() {
         let mut net = Network::new(base_config(24e6, 10.0));
-        net.add_flow(
+        let a = net.add_flow(
             FlowConfig::primary("a", Time::from_millis(30)),
             Box::new(PacedCbr::new(30e6)),
         );
-        net.add_flow(
+        let b = net.add_flow(
             FlowConfig::cross("b", Time::from_millis(60), false),
             Box::new(PacedCbr::new(10e6)),
         );
+        // A primary flow is monitored and a cross flow is not.
+        assert!(net.recorder().monitored_slot(a.0).is_some());
+        assert_eq!(net.recorder().monitored_slot(b.0), None);
         net.run();
         assert!(net.total_delivered_bytes() <= net.total_enqueued_bytes());
         assert!(net.total_delivered_bytes() > 0);

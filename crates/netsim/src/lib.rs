@@ -46,7 +46,7 @@ pub use endpoint::{AckInfo, FlowEndpoint, SendAction};
 pub use engine::{FlowConfig, FlowHandle, FlowSpawner, LinkConfig, Network, QueueKind, SimConfig};
 pub use eventq::{CalendarQueue, Lane, LanePool};
 pub use nimbus_core_types::Time;
-pub use packet::{EcnCodepoint, FlowId, Packet};
+pub use packet::{EcnCodepoint, FlowId, Packet, MSS};
 pub use queue::{CoDelQueue, DropTailQueue, EcnMarking, PieQueue, QueueDiscipline, RedQueue};
 pub use recorder::{
     ChunkedSamples, FctBucket, FctSummary, FlowStats, Recorder, RecorderConfig, TimeSeries,

@@ -29,6 +29,11 @@ pub enum EcnCodepoint {
     Ce,
 }
 
+/// The maximum segment size, in bytes, of every simulated flow.  The sender
+/// cuts its data into segments of this size, the controllers' `PathInfo`
+/// carries it, and a queue always admits at least one segment of it.
+pub const MSS: u32 = 1500;
+
 /// A data packet travelling from a sender towards its receiver.
 ///
 /// Sequence numbers count whole segments (not bytes): every congestion

@@ -24,7 +24,7 @@
 //! its RNG draw, is the same with or without marking, so non-ECT traffic and
 //! [`EcnMarking::None`] queues behave exactly as without ECN.
 
-use crate::packet::{EcnCodepoint, Packet};
+use crate::packet::{EcnCodepoint, Packet, MSS};
 use nimbus_core_types::Time;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,11 +59,11 @@ pub enum EcnMarking {
 }
 
 /// Byte capacity of a buffer specified as `buffer_secs` of line rate at
-/// `rate_bps` ("100 ms of buffering"), floored at one MSS so a tiny rate or
+/// `rate_bps` ("100 ms of buffering"), floored at one [`MSS`] so a tiny rate or
 /// buffer still admits a packet.  The single sizing rule shared by initial
 /// queue construction and the engine's rate-transition re-sizing.
 pub fn delay_capacity_bytes(rate_bps: f64, buffer_secs: f64) -> u64 {
-    (rate_bps * buffer_secs / 8.0).max(1500.0) as u64
+    (rate_bps * buffer_secs / 8.0).max(MSS as f64) as u64
 }
 
 /// Outcome of an enqueue attempt.
@@ -293,7 +293,7 @@ impl<P: Policy> QueueDiscipline for Queue<P> {
     }
 
     fn set_capacity_bytes(&mut self, bytes: u64) {
-        self.backlog.capacity_bytes = bytes.max(1500);
+        self.backlog.capacity_bytes = bytes.max(MSS as u64);
     }
 
     fn set_drain_rate_bps(&mut self, rate_bps: f64) {
@@ -506,7 +506,8 @@ impl Policy for CoDel {
 
     fn on_dequeue(&mut self, q: &Backlog, head: &Packet, now: Time) -> Signal {
         let left_behind = q.bytes - head.size_bytes as u64;
-        let ok_to_drop = if head.queueing_delay(now) < CODEL_TARGET || left_behind < 1500 * 2 {
+        let ok_to_drop = if head.queueing_delay(now) < CODEL_TARGET || left_behind < 2 * MSS as u64
+        {
             self.first_above_time = None;
             false
         } else {

@@ -318,6 +318,12 @@ impl FctSummary {
 }
 
 /// The instrumentation sink for a simulation run.
+///
+/// A *monitored* flow (one a [`crate::FlowConfig`] registers with
+/// `counts_as_elastic: None`) gets the per-interval series below, indexed
+/// by its [`Recorder::monitored_slot`]; every flow gets its [`FlowStats`];
+/// and a finite flow that finishes appends its completion to
+/// [`Recorder::fct_stream`].
 #[derive(Debug)]
 pub struct Recorder {
     cfg: RecorderConfig,
@@ -354,12 +360,9 @@ pub struct Recorder {
     /// Final per-flow summaries (indexed by FlowId).
     pub flows: Vec<FlowStats>,
 
-    monitored: Vec<FlowId>,
+    /// Per flow: its slot in the per-monitored-flow series, if monitored.
     monitored_index: Vec<Option<usize>>,
-    /// `(size_bytes, fct_seconds)` appended as finite flows finish — the
-    /// streaming view of completions, available mid-run and in completion
-    /// order (unlike [`Recorder::completed_fcts`], which rederives the same
-    /// pairs in flow-id order after the fact).
+    /// `(size_bytes, fct_seconds)` appended as finite flows finish.
     fct_stream: Vec<(u64, f64)>,
     intervals: IntervalBuf,
     cross_elastic_bytes: u64,
@@ -386,7 +389,6 @@ impl Recorder {
             cross_rate_mbps: TimeSeries::default(),
             elastic_fraction: TimeSeries::default(),
             flows: Vec::new(),
-            monitored: Vec::new(),
             monitored_index: Vec::new(),
             fct_stream: Vec::new(),
             intervals: IntervalBuf::default(),
@@ -406,7 +408,9 @@ impl Recorder {
         self.hop_queue_bytes.len()
     }
 
-    /// Register a flow. `monitored` flows get full time series.
+    /// Register a flow. `monitored` flows get full time series; the engine
+    /// monitors exactly the flows that are not cross traffic
+    /// (`counts_as_elastic` is `None`).
     pub fn register_flow(
         &mut self,
         id: FlowId,
@@ -430,8 +434,7 @@ impl Recorder {
             size_bytes,
         });
         if monitored {
-            self.monitored_index.push(Some(self.monitored.len()));
-            self.monitored.push(id);
+            self.monitored_index.push(Some(self.throughput_mbps.len()));
             self.throughput_mbps.push(TimeSeries::default());
             self.rtt_ms.push(TimeSeries::default());
             self.queue_delay_ms.push(TimeSeries::default());
@@ -445,11 +448,6 @@ impl Recorder {
     /// Monitored-series index for a flow, if it is monitored.
     pub fn monitored_slot(&self, id: FlowId) -> Option<usize> {
         self.monitored_index.get(id).copied().flatten()
-    }
-
-    /// IDs of the monitored flows, in registration order.
-    pub fn monitored_flows(&self) -> &[FlowId] {
-        &self.monitored
     }
 
     /// A data packet of `bytes` from `flow` was accepted into the bottleneck queue.
@@ -546,7 +544,7 @@ impl Recorder {
         self.cross_elastic_bytes = 0;
         self.cross_inelastic_bytes = 0;
 
-        for slot in 0..self.monitored.len() {
+        for slot in 0..self.throughput_mbps.len() {
             let tput = if dt > 0.0 {
                 self.intervals.received_bytes[slot] as f64 * 8.0 / dt / 1e6
             } else {
@@ -640,21 +638,10 @@ impl Recorder {
         serde::Value::Map(entries)
     }
 
-    /// Flow completion times (seconds) together with flow sizes, for every
-    /// finite flow that actually ran and finished.
-    pub fn completed_fcts(&self) -> Vec<(u64, f64)> {
-        self.flows
-            .iter()
-            .filter(|f| f.started)
-            .filter_map(|f| match (f.size_bytes, f.fct()) {
-                (Some(sz), Some(fct)) => Some((sz, fct.as_secs_f64())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// `(size_bytes, fct_seconds)` pairs in completion order, appended as
-    /// flows finish — usable mid-run without walking the whole flow table.
+    /// The completion record: one `(size_bytes, fct_seconds)` pair for
+    /// every finite flow that actually ran and finished, in completion
+    /// order, appended as flows finish — usable mid-run without walking the
+    /// whole flow table.
     pub fn fct_stream(&self) -> &[(u64, f64)] {
         &self.fct_stream
     }
@@ -664,14 +651,6 @@ impl Recorder {
     /// part of [`Recorder::snapshot`], so pinned fingerprints are unaffected.
     pub fn fct_summary(&self) -> FctSummary {
         FctSummary::from_fcts(&self.fct_stream)
-    }
-
-    /// Per-flow summaries restricted to flows that actually started during
-    /// the run — the view sweep aggregates and ground-truth tables should
-    /// consume so never-started flows (configured `start` past the run's
-    /// duration) don't pollute them.
-    pub fn started_flows(&self) -> impl Iterator<Item = &FlowStats> {
-        self.flows.iter().filter(|f| f.started)
     }
 }
 
@@ -762,7 +741,7 @@ mod tests {
         r.on_finish(0, Time::from_millis(3000));
         let f = &r.flows[0];
         assert_eq!(f.fct(), Some(Time::from_millis(2000)));
-        let fcts = r.completed_fcts();
+        let fcts = r.fct_stream();
         assert_eq!(fcts.len(), 1);
         assert_eq!(fcts[0].0, 1_000_000);
         assert!((fcts[0].1 - 2.0).abs() < 1e-9);
@@ -786,8 +765,7 @@ mod tests {
         r.on_arrival(0, 500);
         r.on_delivered(0, 500);
         r.on_finish(0, Time::from_secs_f64(1.0));
-        assert_eq!(r.completed_fcts().len(), 1);
-        assert_eq!(r.started_flows().count(), 1);
+        assert_eq!(r.fct_stream().len(), 1);
         assert!(!r.flows[1].started);
     }
 
@@ -796,7 +774,7 @@ mod tests {
         let mut r = Recorder::new(RecorderConfig::default(), 1);
         r.register_flow(0, "a".into(), Some(false), false, Time::ZERO, None);
         assert_eq!(r.monitored_slot(0), None);
-        assert!(r.monitored_flows().is_empty());
+        assert!(r.throughput_mbps.is_empty());
         // Feeding events must not panic.
         r.on_rtt_sample(0, Time::from_millis(10));
         r.on_dequeue(0, Time::from_millis(1));
@@ -842,7 +820,7 @@ mod tests {
     }
 
     #[test]
-    fn fct_stream_matches_derived_completions() {
+    fn fct_stream_keeps_completion_order() {
         let mut r = Recorder::new(RecorderConfig::default(), 1);
         r.register_flow(0, "a".into(), Some(false), false, Time::ZERO, Some(1_000));
         r.register_flow(
@@ -863,11 +841,6 @@ mod tests {
         r.on_finish(0, Time::from_secs_f64(4.0));
         r.on_finish(2, Time::from_secs_f64(5.0));
         assert_eq!(r.fct_stream(), &[(2_000, 2.0), (1_000, 4.0)]);
-        let mut derived = r.completed_fcts();
-        derived.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut streamed = r.fct_stream().to_vec();
-        streamed.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(derived, streamed);
         let s = r.fct_summary();
         assert_eq!(s.all.count, 2);
         assert!((s.all.p50_s - 2.0).abs() < 1e-9);

@@ -263,12 +263,7 @@ fn flows_starting_after_duration_never_run_and_are_flagged() {
     let (rec, _) = net.finish();
     assert!(rec.flows[ran.0].started);
     assert!(!rec.flows[never.0].started);
-    assert_eq!(
-        rec.completed_fcts().len(),
-        1,
-        "only the flow that ran counts"
-    );
-    assert_eq!(rec.started_flows().count(), 1);
+    assert_eq!(rec.fct_stream().len(), 1, "only the flow that ran counts");
 }
 
 // Work conservation: however the schedule moves, the link can never deliver

@@ -39,6 +39,8 @@ const MIN_RATE_DIVISOR: f64 = 50.0;
 pub struct BasicDelay {
     /// Bottleneck link rate `µ`, bits/s.
     mu_bps: f64,
+    /// The host's segment size, bytes, which turns the rate into a window.
+    mss: u32,
     rate_bps: f64,
     z_bps: f64,
     min_rtt_s: f64,
@@ -47,11 +49,13 @@ pub struct BasicDelay {
 }
 
 impl BasicDelay {
-    /// Create a BasicDelay controller for a link of rate `mu_bps`.
-    pub fn new(mu_bps: f64) -> Self {
+    /// Create a BasicDelay controller for a link of rate `mu_bps` on a host
+    /// sending `mss`-byte segments.
+    pub fn new(mu_bps: f64, mss: u32) -> Self {
         let initial = (mu_bps / 10.0).max(mu_bps / MIN_RATE_DIVISOR);
         BasicDelay {
             mu_bps,
+            mss,
             rate_bps: initial,
             z_bps: 0.0,
             min_rtt_s: f64::INFINITY,
@@ -145,7 +149,7 @@ impl CongestionControl for BasicDelay {
         } else {
             0.1
         };
-        (2.0 * self.rate_bps * rtt / 8.0 / 1500.0).max(4.0)
+        (2.0 * self.rate_bps * rtt / 8.0 / self.mss as f64).max(4.0)
     }
 
     fn pacing_rate_bps(&self, _now: Time) -> Option<f64> {
@@ -194,7 +198,7 @@ mod tests {
 
     #[test]
     fn rate_climbs_towards_spare_capacity() {
-        let mut cc = BasicDelay::new(96e6);
+        let mut cc = BasicDelay::new(96e6, 1500);
         cc.on_packet_acked(&ack(50.0));
         // No cross traffic, RTT at the minimum: the rate should converge to ~µ.
         let mut s = cc.current_rate_bps();
@@ -207,7 +211,7 @@ mod tests {
 
     #[test]
     fn rate_leaves_room_for_cross_traffic() {
-        let mut cc = BasicDelay::new(96e6);
+        let mut cc = BasicDelay::new(96e6, 1500);
         cc.on_packet_acked(&ack(50.0));
         cc.set_cross_traffic_estimate(48e6);
         // Hold the RTT exactly at x_min + d_t so the delay term vanishes and
@@ -222,7 +226,7 @@ mod tests {
 
     #[test]
     fn high_delay_pushes_the_rate_down() {
-        let mut cc = BasicDelay::new(96e6);
+        let mut cc = BasicDelay::new(96e6, 1500);
         cc.on_packet_acked(&ack(50.0));
         cc.set_rate(90e6);
         // RTT far above min + target: strong negative correction.
@@ -234,7 +238,7 @@ mod tests {
     fn queue_is_kept_slightly_full_not_empty() {
         // At exactly x = x_min + d_t the delay term vanishes; below the target
         // the correction is positive (keep the queue from emptying).
-        let mut cc = BasicDelay::new(96e6);
+        let mut cc = BasicDelay::new(96e6, 1500);
         cc.on_packet_acked(&ack(50.0));
         cc.set_cross_traffic_estimate(96e6 - 40e6); // spare ≈ 0 when S = 40M
         cc.on_report(&report(0.0, 40e6, 0.050)); // queue empty: x == x_min
@@ -246,7 +250,7 @@ mod tests {
 
     #[test]
     fn loss_and_timeout_back_off() {
-        let mut cc = BasicDelay::new(48e6);
+        let mut cc = BasicDelay::new(48e6, 1500);
         cc.set_rate(40e6);
         cc.on_packets_lost(&LossEvent {
             now: Time::ZERO,
@@ -260,7 +264,7 @@ mod tests {
 
     #[test]
     fn rate_is_always_within_physical_bounds() {
-        let mut cc = BasicDelay::new(96e6);
+        let mut cc = BasicDelay::new(96e6, 1500);
         cc.on_packet_acked(&ack(50.0));
         cc.set_cross_traffic_estimate(200e6); // absurd estimate
         cc.on_report(&report(0.0, 96e6, 0.3));
@@ -271,8 +275,20 @@ mod tests {
     }
 
     #[test]
+    fn window_counts_the_hosts_segments() {
+        // Same rate and RTT: 9000-byte segments make a sixth of the window.
+        let window = |mss| {
+            let mut cc = BasicDelay::new(96e6, mss);
+            cc.on_packet_acked(&ack(50.0));
+            cc.cwnd_packets()
+        };
+        assert!((window(1500) - 80.0).abs() < 1e-9, "{}", window(1500));
+        assert!((window(9000) - window(1500) / 6.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn reinitialize_sets_the_rate() {
-        let mut cc = BasicDelay::new(96e6);
+        let mut cc = BasicDelay::new(96e6, 1500);
         cc.reinitialize(30e6, 0.05, 1500);
         assert!((cc.current_rate_bps() - 30e6).abs() < 1.0);
     }

@@ -277,7 +277,7 @@ impl NimbusController {
             TcpScheme::Dctcp => CcKind::Dctcp.build(&path),
         };
         let delay: DelayCtl = match spec.delay {
-            DelayScheme::BasicDelay => DelayCtl::Basic(BasicDelay::new(cfg.mu_bps)),
+            DelayScheme::BasicDelay => DelayCtl::Basic(BasicDelay::new(cfg.mu_bps, cfg.mss)),
             DelayScheme::Vegas => DelayCtl::Other(CcKind::Vegas.build(&path)),
             DelayScheme::CopaDefault => DelayCtl::Other(CcKind::Copa.build(&path)),
         };

@@ -453,6 +453,6 @@ fn controllers_that_skip_reports_ignore_them() {
     for kind in [CcKind::Bbr, CcKind::Vivace] {
         assert!(kind.build(&path).reads_reports(), "{kind:?}");
     }
-    assert!(BasicDelay::new(MU).reads_reports());
+    assert!(BasicDelay::new(MU, 1500).reads_reports());
     assert!(NimbusController::new(NimbusConfig::default_for_link(MU)).reads_reports());
 }

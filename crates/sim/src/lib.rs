@@ -38,6 +38,7 @@ mod tests {
     use super::*;
     use nimbus_core::{CcKind, PathInfo};
     use nimbus_netsim::{FlowConfig, Network, SimConfig, Time};
+    use nimbus_transport::{PoissonSource, MSS};
 
     #[test]
     fn end_to_end_low_delay_against_inelastic_cross_traffic() {
@@ -54,8 +55,8 @@ mod tests {
             FlowConfig::cross("poisson", Time::from_millis(50), false),
             Box::new(Sender::new(
                 SenderConfig::labelled("poisson"),
-                CcKind::Unlimited.build(&PathInfo::new(1500)),
-                Box::new(nimbus_transport::PoissonSource::new(24e6, 1500, 3)),
+                CcKind::Unlimited.build(&PathInfo::new(MSS)),
+                Box::new(PoissonSource::new(24e6, 3)),
             )),
         );
         net.run();
@@ -82,7 +83,7 @@ mod tests {
             FlowConfig::cross("cubic", Time::from_millis(50), true),
             Box::new(Sender::new(
                 SenderConfig::labelled("cubic"),
-                CcKind::Cubic.build(&PathInfo::new(1500)),
+                CcKind::Cubic.build(&PathInfo::new(MSS)),
                 Box::new(BackloggedSource),
             )),
         );

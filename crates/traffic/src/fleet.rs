@@ -22,7 +22,7 @@
 
 use crate::flow_sizes::FlowSizeDistribution;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, Time};
-use nimbus_transport::{CcKind, FixedSizeSource, PathInfo, Sender, SenderConfig};
+use nimbus_transport::{CcKind, FixedSizeSource, PathInfo, Sender, SenderConfig, MSS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -163,7 +163,7 @@ impl FlowSpawner for FleetSpawner {
                 label: Cow::Borrowed("fleet"),
                 ..SenderConfig::default()
             },
-            CcKind::Cubic.build(&PathInfo::new(1500)),
+            CcKind::Cubic.build(&PathInfo::new(MSS)),
             Box::new(FixedSizeSource::new(size)),
         ));
         Some((at, flow_cfg, endpoint))
@@ -258,7 +258,6 @@ mod tests {
         while let Some((at, fc, ep)) = sp.next_flow() {
             assert_eq!(fc.start, at);
             assert!(fc.retire_on_finish);
-            assert!(!fc.monitored);
             assert!(fc.size_bytes.is_some());
             assert_eq!(fc.counts_as_elastic, Some(fc.size_bytes.unwrap() > 15_000));
             assert!(fc.prop_rtt.as_secs_f64() >= 0.025 && fc.prop_rtt.as_secs_f64() <= 0.075);

@@ -28,5 +28,6 @@ pub mod source;
 pub use nimbus_core::cc::{format_rate_bps, parse_rate_bps, CcKind, CongestionControl, PathInfo};
 pub use nimbus_core::ccp::{Report, ReportAggregator};
 pub use nimbus_core::rtt::RttEstimator;
+pub use nimbus_netsim::MSS;
 pub use sender::{Sender, SenderConfig};
 pub use source::{BackloggedSource, FixedSizeSource, PoissonSource, ScriptedSource, Source};

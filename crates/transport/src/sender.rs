@@ -13,7 +13,7 @@ use crate::source::Source;
 use nimbus_core::cc::{AckEvent, CongestionControl, CongestionEvent, LossEvent};
 use nimbus_core::ccp::ReportAggregator;
 use nimbus_core::rtt::RttEstimator;
-use nimbus_netsim::{AckInfo, FlowEndpoint, SendAction, SeqWindow, Time};
+use nimbus_netsim::{AckInfo, FlowEndpoint, SendAction, SeqWindow, Time, MSS};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 
@@ -30,19 +30,16 @@ const MAX_PACING_DEBT: Time = Time::from_millis(10);
 /// 50 ms ≈ 400 packets).
 const MAX_WINDOW_PACKETS: u64 = 4096;
 
-/// Maximum segment size in bytes: 1500 on every simulated path, the
-/// sender-side twin of the controller's `PathInfo::mss`.
-const MSS: u32 = 1500;
-
 /// Sender configuration.
 #[derive(Debug, Clone)]
 pub struct SenderConfig {
     /// Label used in logs and results.  Borrowed when static, so a flow
     /// whose label is a constant (every fleet flow) allocates none.
     pub label: Cow<'static, str>,
-    /// Hard stop: the flow terminates (like killing the sending process) at
-    /// this time even if the application still has data queued.  Used to model
-    /// "y long-running cross-flows during this phase" workloads.
+    /// When the flow stops: from this time on [`Sender`] reports the flow
+    /// finished before it asks its source anything, even if the application
+    /// still has data queued (like killing the sending process).  A source
+    /// says only when data exists; this is the one place a flow's end is set.
     pub stop_at: Option<Time>,
 }
 
@@ -636,7 +633,7 @@ mod tests {
     fn sender(kind: CcKind, source: Box<dyn Source>) -> Box<Sender> {
         Box::new(Sender::new(
             SenderConfig::labelled(kind.name()),
-            kind.build(&PathInfo::new(1500)),
+            kind.build(&PathInfo::new(MSS)),
             source,
         ))
     }
@@ -773,10 +770,7 @@ mod tests {
         let mut net = Network::new(SimConfig::new(96e6, 0.1, 30.0));
         let h = net.add_flow(
             FlowConfig::primary("poisson", Time::from_millis(50)),
-            sender(
-                CcKind::Unlimited,
-                Box::new(PoissonSource::new(24e6, 1500, 11)),
-            ),
+            sender(CcKind::Unlimited, Box::new(PoissonSource::new(24e6, 11))),
         );
         net.run();
         let (rec, _) = net.finish();
@@ -852,7 +846,7 @@ mod tests {
         // retransmit and no timeout.
         let mut s = Sender::new(
             SenderConfig::labelled("manual"),
-            CcKind::NewReno.build(&PathInfo::new(1500)),
+            CcKind::NewReno.build(&PathInfo::new(MSS)),
             Box::new(BackloggedSource),
         );
         s.on_start(Time::ZERO);
@@ -900,7 +894,7 @@ mod tests {
     fn ce_echo_reaches_the_controller_and_counts() {
         let mut s = Sender::new(
             SenderConfig::labelled("ce"),
-            CcKind::NewReno.build(&PathInfo::new(1500)),
+            CcKind::NewReno.build(&PathInfo::new(MSS)),
             Box::new(BackloggedSource),
         );
         s.on_start(Time::ZERO);
@@ -965,7 +959,7 @@ mod tests {
     fn timeout_fires_when_no_acks_return() {
         let mut s = Sender::new(
             SenderConfig::labelled("timeout"),
-            CcKind::NewReno.build(&PathInfo::new(1500)),
+            CcKind::NewReno.build(&PathInfo::new(MSS)),
             Box::new(BackloggedSource),
         );
         s.on_start(Time::ZERO);

@@ -14,8 +14,13 @@
 //! * a [`PoissonSource`] produces packets with exponential inter-arrivals —
 //!   the "Poisson packet arrivals at the specified mean rate" inelastic
 //!   traffic of §5.
+//!
+//! A source says only when data exists.  When the flow stops is the
+//! sender's to decide ([`SenderConfig::stop_at`](crate::SenderConfig::stop_at)):
+//! from that time on the sender reports the flow finished without asking
+//! its source anything.
 
-use nimbus_netsim::Time;
+use nimbus_netsim::{Time, MSS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -106,8 +111,6 @@ impl Source for FixedSizeSource {
 pub struct ScriptedSource {
     /// (segment start, rate in bits/s), sorted by start time.
     schedule: Vec<(Time, f64)>,
-    /// Optional hard end: no bytes produced after this time.
-    end: Option<Time>,
     /// Bytes the schedule had accrued when the flow started; production
     /// before the flow exists is discarded (see [`Source::on_flow_start`]).
     base_bytes: u64,
@@ -116,11 +119,7 @@ pub struct ScriptedSource {
 impl ScriptedSource {
     /// Constant rate forever.
     pub fn constant(rate_bps: f64) -> Self {
-        ScriptedSource {
-            schedule: vec![(Time::ZERO, rate_bps)],
-            end: None,
-            base_bytes: 0,
-        }
+        ScriptedSource::scheduled(vec![(Time::ZERO, rate_bps)])
     }
 
     /// A schedule of `(start, rate_bps)` segments (must be sorted by start).
@@ -132,23 +131,12 @@ impl ScriptedSource {
         );
         ScriptedSource {
             schedule,
-            end: None,
             base_bytes: 0,
         }
     }
 
-    /// Stop producing data at `end`.
-    pub fn until(mut self, end: Time) -> Self {
-        self.end = Some(end);
-        self
-    }
-
     /// Integral of the rate schedule from 0 to `t`, in bytes.
     fn cumulative_bytes(&self, t: Time) -> u64 {
-        let t = match self.end {
-            Some(e) => t.min(e),
-            None => t,
-        };
         let mut total_bits = 0.0;
         for (i, &(start, rate)) in self.schedule.iter().enumerate() {
             if start >= t {
@@ -175,9 +163,6 @@ impl Source for ScriptedSource {
         self.cumulative_bytes(now).saturating_sub(self.base_bytes)
     }
     fn next_data_time(&self, now: Time) -> Option<Time> {
-        if self.done_writing() && Some(now) >= self.end {
-            return None;
-        }
         // Data accrues continuously; wake the sender one packet-time-ish later.
         Some(now + Time::from_millis(1))
     }
@@ -189,7 +174,7 @@ impl Source for ScriptedSource {
     }
 }
 
-/// Poisson packet arrivals: each arrival makes one MSS of data available.
+/// Poisson packet arrivals: each arrival makes one [`MSS`] of data available.
 ///
 /// This is the paper's inelastic cross traffic for most robustness
 /// experiments ("We generate inelastic cross-traffic using Poisson packet
@@ -197,43 +182,28 @@ impl Source for ScriptedSource {
 #[derive(Debug)]
 pub struct PoissonSource {
     mean_rate_bps: f64,
-    packet_bytes: u64,
     rng: StdRng,
     /// Arrival times generated so far (cumulative bytes counter + next arrival).
     generated_bytes: u64,
     next_arrival: Time,
-    end: Option<Time>,
 }
 
 impl PoissonSource {
-    /// Poisson arrivals of `packet_bytes`-sized writes at `mean_rate_bps`.
-    pub fn new(mean_rate_bps: f64, packet_bytes: u64, seed: u64) -> Self {
+    /// Poisson arrivals at `mean_rate_bps`.
+    pub fn new(mean_rate_bps: f64, seed: u64) -> Self {
         assert!(mean_rate_bps > 0.0);
         PoissonSource {
             mean_rate_bps,
-            packet_bytes,
             rng: StdRng::seed_from_u64(seed ^ 0x5851f42d4c957f2d),
             generated_bytes: 0,
             next_arrival: Time::ZERO,
-            end: None,
         }
     }
 
-    /// Stop producing data at `end`.
-    pub fn until(mut self, end: Time) -> Self {
-        self.end = Some(end);
-        self
-    }
-
     fn advance_to(&mut self, now: Time) {
-        let mean_gap_s = self.packet_bytes as f64 * 8.0 / self.mean_rate_bps;
+        let mean_gap_s = MSS as f64 * 8.0 / self.mean_rate_bps;
         while self.next_arrival <= now {
-            if let Some(end) = self.end {
-                if self.next_arrival > end {
-                    break;
-                }
-            }
-            self.generated_bytes += self.packet_bytes;
+            self.generated_bytes += MSS as u64;
             // Exponential inter-arrival via inverse CDF.
             let u: f64 = self.rng.gen::<f64>().max(1e-12);
             let gap = -mean_gap_s * u.ln();
@@ -254,11 +224,6 @@ impl Source for PoissonSource {
         self.generated_bytes
     }
     fn next_data_time(&self, now: Time) -> Option<Time> {
-        if let Some(end) = self.end {
-            if now >= end {
-                return None;
-            }
-        }
         Some(self.next_arrival.max(now + Time::from_micros(100)))
     }
     fn done_writing(&self) -> bool {
@@ -315,14 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn scripted_until_caps_production() {
-        let mut s = ScriptedSource::constant(8e6).until(Time::from_secs_f64(5.0));
-        let at_5 = s.bytes_available(Time::from_secs_f64(5.0));
-        let at_50 = s.bytes_available(Time::from_secs_f64(50.0));
-        assert_eq!(at_5, at_50);
-    }
-
-    #[test]
     #[should_panic]
     fn scripted_unsorted_schedule_panics() {
         let _ =
@@ -331,7 +288,7 @@ mod tests {
 
     #[test]
     fn poisson_long_run_rate_matches_mean() {
-        let mut s = PoissonSource::new(24e6, 1500, 7);
+        let mut s = PoissonSource::new(24e6, 7);
         let bytes = s.bytes_available(Time::from_secs_f64(100.0));
         let rate = bytes as f64 * 8.0 / 100.0;
         assert!((rate - 24e6).abs() < 1.5e6, "rate {rate}");
@@ -340,7 +297,7 @@ mod tests {
     #[test]
     fn poisson_is_deterministic_per_seed_and_bursty() {
         let gen = |seed| {
-            let mut s = PoissonSource::new(10e6, 1500, seed);
+            let mut s = PoissonSource::new(10e6, seed);
             (0..100)
                 .map(|i| s.bytes_available(Time::from_millis(i * 10)))
                 .collect::<Vec<_>>()
@@ -352,14 +309,5 @@ mod tests {
         let increments: Vec<u64> = series.windows(2).map(|w| w[1] - w[0]).collect();
         let distinct: std::collections::HashSet<_> = increments.iter().collect();
         assert!(distinct.len() > 5);
-    }
-
-    #[test]
-    fn poisson_until_stops_production() {
-        let mut s = PoissonSource::new(24e6, 1500, 9).until(Time::from_secs_f64(1.0));
-        let b1 = s.bytes_available(Time::from_secs_f64(1.5));
-        let b2 = s.bytes_available(Time::from_secs_f64(100.0));
-        assert_eq!(b1, b2);
-        assert_eq!(s.next_data_time(Time::from_secs_f64(2.0)), None);
     }
 }

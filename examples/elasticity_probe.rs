@@ -12,7 +12,7 @@
 use nimbus_repro::netsim::{FlowConfig, Network, SimConfig, Time};
 use nimbus_repro::nimbus::{DetectorVerdict, NimbusConfig, NimbusController, Publisher};
 use nimbus_repro::transport::{
-    BackloggedSource, CcKind, PathInfo, PoissonSource, Sender, SenderConfig,
+    BackloggedSource, CcKind, PathInfo, PoissonSource, Sender, SenderConfig, MSS,
 };
 use std::sync::{Arc, Mutex};
 
@@ -72,8 +72,8 @@ fn main() {
                 FlowConfig::cross("poisson", Time::from_millis(50), false),
                 Box::new(Sender::new(
                     SenderConfig::labelled("poisson"),
-                    CcKind::Unlimited.build(&PathInfo::new(1500)),
-                    Box::new(PoissonSource::new(48e6, 1500, 3)),
+                    CcKind::Unlimited.build(&PathInfo::new(MSS)),
+                    Box::new(PoissonSource::new(48e6, 3)),
                 )),
             );
         }
@@ -82,7 +82,7 @@ fn main() {
                 FlowConfig::cross("cubic", Time::from_millis(50), true),
                 Box::new(Sender::new(
                     SenderConfig::labelled("cubic"),
-                    CcKind::Cubic.build(&PathInfo::new(1500)),
+                    CcKind::Cubic.build(&PathInfo::new(MSS)),
                     Box::new(BackloggedSource),
                 )),
             );

@@ -39,7 +39,6 @@ const MU: f64 = 48e6;
 const TICK_S: f64 = 0.01;
 /// Propagation RTT of the mock path.
 const BASE_RTT_S: f64 = 0.05;
-const MSS: u32 = 1500;
 
 /// Telemetry observer: prints every mode transition as it happens and the
 /// current µ̂/ẑ estimates once per second, straight from the controller's
@@ -132,8 +131,9 @@ impl MockLink {
 }
 
 fn main() {
-    let mut cfg = NimbusConfig::default_for_link(MU);
-    cfg.mss = MSS;
+    let cfg = NimbusConfig::default_for_link(MU);
+    // The mock host sends segments of the controller's default size.
+    let mss = cfg.mss;
     let mut ctl = NimbusController::new(cfg);
     ctl.set_publisher(Box::new(Stdout {
         last_mu_print_s: 0.0,
@@ -162,12 +162,12 @@ fn main() {
         let acked_bytes = (recv_bps * TICK_S / 8.0) as u64;
         ctl.on_packet_acked(&AckEvent {
             now,
-            newly_acked_packets: acked_bytes / MSS as u64,
+            newly_acked_packets: acked_bytes / mss as u64,
             newly_acked_bytes: acked_bytes,
             rtt: Time::from_secs_f64(rtt_s),
             min_rtt: Time::from_secs_f64(min_rtt_s),
             in_flight_packets: ctl.cwnd_packets() as u64,
-            mss: MSS,
+            mss,
         });
 
         // 4. Deliver the CCP measurement report the estimator/detector eat.
@@ -179,7 +179,7 @@ fn main() {
             lost_packets: 0,
             rtt_s,
             min_rtt_s,
-            window_acks: (acked_bytes / MSS as u64) as usize,
+            window_acks: (acked_bytes / mss as u64) as usize,
             marked_packets: 0,
             marked_bytes: 0,
         });

@@ -8,7 +8,7 @@
 use nimbus_repro::netsim::{FlowConfig, Network, SimConfig, Time};
 use nimbus_repro::nimbus::NimbusConfig;
 use nimbus_repro::sim::nimbus_flow;
-use nimbus_repro::transport::{CcKind, PathInfo, PoissonSource, Sender, SenderConfig};
+use nimbus_repro::transport::{CcKind, PathInfo, PoissonSource, Sender, SenderConfig, MSS};
 
 fn main() {
     // A 48 Mbit/s bottleneck with 50 ms propagation RTT and 100 ms of buffering.
@@ -26,8 +26,8 @@ fn main() {
         FlowConfig::cross("poisson", Time::from_millis(50), false),
         Box::new(Sender::new(
             SenderConfig::labelled("poisson"),
-            CcKind::Unlimited.build(&PathInfo::new(1500)),
-            Box::new(PoissonSource::new(24e6, 1500, 7)),
+            CcKind::Unlimited.build(&PathInfo::new(MSS)),
+            Box::new(PoissonSource::new(24e6, 7)),
         )),
     );
 

@@ -26,7 +26,7 @@ fn run_snapshot(seed: u64) -> String {
         Box::new(Sender::new(
             SenderConfig::labelled("poisson"),
             CcKind::Unlimited.build(&PathInfo::new(1500)),
-            Box::new(PoissonSource::new(12e6, 1500, seed.wrapping_add(17))),
+            Box::new(PoissonSource::new(12e6, seed.wrapping_add(17))),
         )),
     );
     net.run();
