@@ -6,7 +6,7 @@
 //! nanosecond resolution is ample for serialization times down to single
 //! bytes on multi-gigabit links.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -16,9 +16,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// subtraction, so transient ordering noise can never produce a negative
 /// time, and at [`Time::MAX`] on addition, so a deadline pushed past the far
 /// future stays there instead of wrapping into the past.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Time(pub u64);
 
 impl Time {
@@ -92,24 +90,6 @@ impl Time {
             Time::ZERO
         } else {
             Time(round_ns(self.0 as f64 * factor))
-        }
-    }
-
-    /// The larger of two times.
-    pub fn max(self, other: Time) -> Time {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two times.
-    pub fn min(self, other: Time) -> Time {
-        if self <= other {
-            self
-        } else {
-            other
         }
     }
 }

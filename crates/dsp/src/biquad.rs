@@ -16,7 +16,6 @@
 //! detector's sliding windows (re-filtering each window from scratch would
 //! put the filter's own transient inside every FFT).
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
 
 /// A second-order IIR section with normalized coefficients (`a0 == 1`):
@@ -24,7 +23,7 @@ use std::f64::consts::TAU;
 /// ```text
 /// y[n] = b0·x[n] + b1·x[n−1] + b2·x[n−2] − a1·y[n−1] − a2·y[n−2]
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Biquad {
     /// Feed-forward coefficients.
     b0: f64,

@@ -8,11 +8,10 @@
 //!   congestion controllers (BBR's max-delivery-rate and min-RTT filters,
 //!   Nimbus's bottleneck-rate estimate).
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Exponentially weighted moving average of a scalar signal.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,

@@ -27,8 +27,7 @@
 //! * [`stats`] — means, percentiles and CDFs used throughout the experiment
 //!   harness.
 //!
-//! The crate is deliberately dependency-free (apart from `serde` for result
-//! serialization) and completely deterministic.
+//! The crate's code uses no other crate, and it is completely deterministic.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -12,7 +12,6 @@
 //! a full period is zero, and a sender whose base rate is as low as `A/3` can
 //! still pulse without going negative.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// The asymmetric sinusoidal pulse of Fig. 7: given the time it returns
@@ -22,7 +21,7 @@ use std::f64::consts::PI;
 /// Positive half-sine of amplitude `A` over `T/4`, negative half-sine of
 /// amplitude `A/3` over `3T/4`. The positive and negative areas cancel:
 /// `A·(T/4)·(2/π) = (A/3)·(3T/4)·(2/π)`.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AsymmetricPulse;
 
 impl AsymmetricPulse {
@@ -75,7 +74,7 @@ fn unit_phase(x: f64) -> f64 {
 
 /// A pulse generator bound to a particular frequency and amplitude, so the
 /// sender machinery can just ask "what's my rate multiplier right now?".
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PulseGenerator {
     /// Pulse frequency in Hz (`f_p` in the paper, default 5 Hz).
     pub freq_hz: f64,

@@ -16,11 +16,10 @@
 
 use crate::complex::Complex;
 use crate::fft::Fft;
-use serde::{Deserialize, Serialize};
 use std::ops::{Range, RangeInclusive};
 
 /// Magnitude spectrum of a real-valued, uniformly sampled signal.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Spectrum {
     /// Magnitudes for bins `0..=n/2` (the one-sided spectrum).
     pub magnitudes: Vec<f64>,

@@ -5,8 +5,6 @@
 //! means, percentiles and empirical CDFs — are shared by the experiment
 //! runners and the benches.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean. Returns 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -276,7 +274,7 @@ pub fn median(xs: &[f64]) -> f64 {
 }
 
 /// An empirical cumulative distribution function over a sample set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

@@ -8,11 +8,11 @@ use nimbus_core::{
 };
 use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowHandle, Network, RateSchedule, Recorder, Time};
 use nimbus_transport::{BackloggedSource, CongestionControl, Sender, SenderConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::any::Any;
 
 /// Summary metrics for one monitored flow after a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SingleFlowMetrics {
     /// Scheme label.
     pub label: String,

@@ -52,7 +52,6 @@ use nimbus_core::{
     TcpScheme, ZFilterConfig,
 };
 use nimbus_transport::{format_rate_bps, CcKind, CongestionControl, PathInfo, MSS};
-use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::str::FromStr;
 
@@ -425,25 +424,6 @@ impl FromStr for SchemeSpec {
                 None => Err(unknown()),
             },
             _ => Err(unknown()),
-        }
-    }
-}
-
-impl Serialize for SchemeSpec {
-    /// Serialized as the canonical spec string.
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for SchemeSpec {
-    /// Deserialized from any string [`FromStr`] accepts.
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        match v {
-            Value::Str(s) => s.parse().map_err(|e: ParseError| serde::Error(e.0)),
-            other => Err(serde::Error(format!(
-                "expected scheme spec string, got {other:?}"
-            ))),
         }
     }
 }

@@ -1,7 +1,6 @@
 //! Packets and flow identifiers.
 
 use nimbus_core_types::Time;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a flow within one simulation.
 pub type FlowId = usize;
@@ -18,7 +17,7 @@ pub type FlowId = usize;
 /// [`Ect`]: EcnCodepoint::Ect
 /// [`Ce`]: EcnCodepoint::Ce
 /// [`NotEct`]: EcnCodepoint::NotEct
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EcnCodepoint {
     /// Not ECN-capable: the queue must drop, never mark.
     #[default]
@@ -40,7 +39,7 @@ pub const MSS: u32 = 1500;
 /// controller in the paper is evaluated with MSS-sized segments, and working
 /// in segments keeps the arithmetic in the controllers identical to the
 /// papers they come from (Cubic, Vegas and Copa are all expressed in packets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// The flow this packet belongs to.
     pub flow: FlowId,
@@ -93,7 +92,7 @@ impl Packet {
 /// The receiver acknowledges cumulatively and additionally echoes which
 /// segment triggered the ACK, so senders can detect reordering/duplication
 /// and take RTT samples exactly as a real TCP timestamp option would allow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AckPacket {
     /// The flow being acknowledged.
     pub flow: FlowId,

@@ -28,7 +28,6 @@ use crate::packet::{EcnCodepoint, Packet, MSS};
 use nimbus_core_types::Time;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How (and whether) a queue marks ECN-capable packets instead of dropping
@@ -37,7 +36,7 @@ use std::collections::VecDeque;
 /// Marking only ever applies to ECN-capable packets; non-ECT traffic always
 /// takes the drop path, and physical buffer overflow always drops regardless
 /// of codepoint.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EcnMarking {
     /// No marking: every congestion signal is a drop (the default).
     #[default]

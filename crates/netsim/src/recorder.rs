@@ -12,10 +12,10 @@
 
 use crate::packet::FlowId;
 use nimbus_core_types::Time;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A uniformly sampled time series.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TimeSeries {
     /// Sample timestamps in seconds.
     pub t: Vec<f64>,
@@ -144,7 +144,7 @@ impl Serialize for ChunkedSamples {
 }
 
 /// Recorder configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RecorderConfig {
     /// Sampling interval for all time series.
     pub sample_interval: Time,
@@ -193,7 +193,7 @@ impl IntervalBuf {
 }
 
 /// Summary of a finished (or still running) flow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FlowStats {
     /// Flow identifier.
     pub id: FlowId,
@@ -239,7 +239,7 @@ pub const ELEPHANT_MIN_BYTES: u64 = 1_000_000;
 /// Percentile statistics over the flow completion times of one size bucket.
 /// Empty buckets report `count == 0` and NaN statistics — absence of flows is
 /// not the same thing as instantaneous completion.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FctBucket {
     /// Number of completed flows in the bucket.
     pub count: u64,
@@ -285,7 +285,7 @@ impl FctBucket {
 /// the population-level view a fleet workload is judged by (mice should not
 /// starve behind elephants; tail percentiles expose queueing pathologies that
 /// means hide).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FctSummary {
     /// All completed finite flows.
     pub all: FctBucket,

@@ -24,7 +24,6 @@
 //! event loop.
 
 use nimbus_core_types::Time;
-use serde::{Deserialize, Serialize};
 
 /// The minimum rate any schedule will report, in bits per second.  A segment
 /// configured at or below zero is clamped here, which models a (near-)outage
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 pub const MIN_RATE_BPS: f64 = 1.0;
 
 /// A piecewise-constant bottleneck-rate schedule µ(t).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RateSchedule {
     /// A fixed rate for the whole run.
     Constant(f64),

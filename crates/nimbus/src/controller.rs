@@ -25,13 +25,12 @@ use crate::detector::{DetectorVerdict, ElasticityConfig, ElasticityDetector};
 use crate::estimator::{CrossTrafficEstimator, MuSpec, ZFilterConfig};
 use crate::probe::{ElasticityProbe, Evidence, MultiflowConfig, Role};
 use nimbus_core_types::Time;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// Which algorithm fills the TCP-competitive role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpScheme {
     /// TCP Cubic (the paper's default).
     Cubic,
@@ -42,7 +41,7 @@ pub enum TcpScheme {
 }
 
 /// Which algorithm fills the delay-controlling role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DelayScheme {
     /// The paper's BasicDelay rule (Eq. 4).
     BasicDelay,
@@ -53,7 +52,7 @@ pub enum DelayScheme {
 }
 
 /// Nimbus's operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Delay-controlling mode (no elastic cross traffic detected).
     Delay,

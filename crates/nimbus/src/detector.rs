@@ -49,7 +49,6 @@
 use nimbus_core_types::REPORT_INTERVAL;
 use nimbus_dsp::spectrum::{bins_in_open_band, bins_near};
 use nimbus_dsp::{Fft, SlidingDft, Spectrum};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::{Range, RangeInclusive};
 use std::sync::OnceLock;
@@ -65,7 +64,7 @@ pub(crate) const PEAK_TOLERANCE_HZ: f64 = 0.25;
 pub const ETA_THRESHOLD: f64 = 2.0;
 
 /// Detector configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ElasticityConfig {
     /// Pulse frequency `f_p` to look for, Hz (5 Hz by default).
     pub pulse_freq_hz: f64,
@@ -95,7 +94,7 @@ impl ElasticityConfig {
 }
 
 /// The detector's output for one evaluation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DetectorVerdict {
     /// Evaluation time (seconds).
     pub t_s: f64,

@@ -58,7 +58,6 @@
 
 use crate::ccp::Report;
 use nimbus_dsp::{Biquad, WindowedMax, WindowedMin};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Per-report growth cap on the learned-µ filter input.  A cumulative-ACK
@@ -101,7 +100,7 @@ const CAP_MARGIN: f64 = 1.25;
 
 /// The settable parameters of `mu=learned(probe=…)`: the §4.2 max filter
 /// augmented with BBR-style probe-up epochs and a loss-informed µ̂ floor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbingConfig {
     /// Seconds between probe-up epochs.
     pub probe_interval_s: f64,
@@ -165,7 +164,7 @@ impl ProbingConfig {
 
 /// How µ is *learned* when it is not configured: the `mu=learned(...)`
 /// axis.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LearnedMuConfig {
     /// The §4.2 windowed max filter over the receive rate (`mu=learned`).
     #[default]
@@ -200,7 +199,7 @@ impl MuSpec {
 /// ẑ conditioning between the estimator and the detector: compensates for
 /// *known* structure in the µ̂ error instead of letting it masquerade as
 /// cross traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ZFilterConfig {
     /// Hand the raw ẑ series to the detector (the paper's pipeline).
     #[default]

@@ -40,7 +40,6 @@ use nimbus_dsp::spectrum::bins_near;
 use nimbus_dsp::{Biquad, Ewma, PulseGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
 
@@ -72,7 +71,7 @@ const STEP_DOWN_PROBABILITY: f64 = 0.5;
 const WATCHER_CUTOFF_HZ: f64 = 2.0;
 
 /// The role a Nimbus flow currently plays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// This flow modulates its rate with pulses and runs the elasticity detector.
     Pulser,
@@ -81,7 +80,7 @@ pub enum Role {
 }
 
 /// Multi-flow coordination switch.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MultiflowConfig {
     /// Whether coordination is enabled at all.  Disabled (single-flow mode)
     /// the flow is always the pulser.

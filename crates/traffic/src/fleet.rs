@@ -25,11 +25,10 @@ use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, Time};
 use nimbus_transport::{CcKind, FixedSizeSource, PathInfo, Sender, SenderConfig, MSS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// How interarrival gaps between fleet flows are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalProcess {
     /// Exponential interarrivals — memoryless churn at a constant mean rate.
     Poisson,
@@ -68,7 +67,7 @@ impl ArrivalProcess {
 /// with a heavy-tailed size distribution, targeting a fixed offered load.
 /// Arrivals start at t = 0; every flow runs Cubic over a propagation RTT
 /// jittered by up to ±50% around `base_rtt_s`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetWorkloadConfig {
     /// Target offered load in bits per second.
     pub offered_load_bps: f64,

@@ -17,10 +17,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A sampler for heavy-tailed flow sizes (in bytes).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowSizeDistribution {
     /// Median of the log-normal body, bytes.
     pub body_median_bytes: f64,

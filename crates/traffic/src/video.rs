@@ -19,10 +19,9 @@
 
 use nimbus_netsim::Time;
 use nimbus_transport::Source;
-use serde::{Deserialize, Serialize};
 
 /// Video quality presets used by the Fig. 11 experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VideoQuality {
     /// 4K ladder: ~25 Mbit/s encoded bitrate.
     Uhd4k,
