@@ -50,18 +50,40 @@ where
     C: IntoIterator<Item = &'a [f64]>,
     C::IntoIter: Clone,
 {
+    percentile_of_keyed_chunks(chunks, p, key, value)
+}
+
+/// [`percentile_of_chunks`] of samples of any type, read through two maps:
+/// `key` sends a sample to a `u64` that orders the samples, and `value`
+/// sends a key to the `f64` the sample stands for.  `value` must not
+/// decrease as the key grows; the result is then bit for bit [`percentile`]
+/// of the samples' values.  The radix passes read a key from its top bits,
+/// so a `u32` sample is best keyed in the high half: `u64::from(x) << 32`,
+/// with the value of `k >> 32`.
+pub fn percentile_of_keyed_chunks<'a, T, C, K>(
+    chunks: C,
+    p: f64,
+    key: K,
+    value: impl Fn(u64) -> f64,
+) -> f64
+where
+    T: Copy + 'a,
+    C: IntoIterator<Item = &'a [T]>,
+    C::IntoIter: Clone,
+    K: Fn(T) -> u64 + Copy,
+{
     let chunks = chunks.into_iter();
-    let len: usize = chunks.clone().map(<[f64]>::len).sum();
+    let len: usize = chunks.clone().map(<[T]>::len).sum();
     if len < 2 {
-        return chunks.flatten().next().copied().unwrap_or(0.0);
+        return chunks.flatten().next().map_or(0.0, |&x| value(key(x)));
     }
     let (lo, hi, frac) = closest_ranks(len, p);
-    let (at_lo, next) = select(chunks.clone(), len, lo);
+    let (at_lo, next) = select(chunks.clone(), len, lo, key);
     if lo == hi {
         return value(at_lo);
     }
     // `hi == lo + 1`: the next rank is the smallest sample above `lo`.
-    let at_hi = next.unwrap_or_else(|| smallest_above(chunks, at_lo));
+    let at_hi = next.unwrap_or_else(|| smallest_above(chunks, at_lo, key));
     interpolate(value(at_lo), value(at_hi), frac)
 }
 
@@ -103,9 +125,9 @@ fn high_bits(fixed: u32) -> u64 {
     u64::MAX.checked_shr(fixed).map_or(u64::MAX, |low| !low)
 }
 
-/// The key at `rank` in `total_cmp` order among the `len` samples in
-/// `chunks`, and the key at `rank + 1` when it is among the samples that
-/// share the selected prefix.
+/// The key at `rank` in key order among the `len` samples in `chunks`, and
+/// the key at `rank + 1` when it is among the samples that share the
+/// selected prefix.
 ///
 /// Radix selection: each pass counts the keys below and above the selected
 /// prefix and histograms the next [`RADIX_BITS`] bits of those that share
@@ -116,15 +138,16 @@ fn high_bits(fixed: u32) -> u64 {
 /// sample of one magnitude shares, is guessed from [`PROBES`] evenly spaced
 /// samples instead of counted; the first pass checks the guess, and a wrong
 /// one costs that pass.
-fn select<'a>(
-    chunks: impl Iterator<Item = &'a [f64]> + Clone,
+fn select<'a, T: Copy + 'a>(
+    chunks: impl Iterator<Item = &'a [T]> + Clone,
     len: usize,
     rank: usize,
+    key: impl Fn(T) -> u64 + Copy,
 ) -> (u64, Option<u64>) {
     // The keys whose high `fixed` bits equal `prefix`: `below` keys lie
     // below them, and there are `count` of them (`len` until counted).
     let (mut prefix, mut fixed) = if len > GATHER {
-        (guess_prefix(chunks.clone(), len, rank), RADIX_BITS)
+        (guess_prefix(chunks.clone(), len, rank, key), RADIX_BITS)
     } else {
         (0, 0)
     };
@@ -132,7 +155,7 @@ fn select<'a>(
     while count > GATHER && fixed < 64 {
         let shift = (64 - fixed).saturating_sub(RADIX_BITS);
         let high = high_bits(fixed);
-        let slot = |x: f64| {
+        let slot = |x: T| {
             let k = key(x);
             if k & high == prefix {
                 ((k & !high) >> shift) as usize
@@ -179,7 +202,7 @@ fn select<'a>(
             // Too many to gather: often one delay repeated (exact zeros, one
             // serialization time) with a few neighbours.  Fix every bit the
             // smallest and largest of them share, all 64 when they are equal.
-            let (lo, hi) = key_range(chunks.clone(), prefix, high_bits(fixed));
+            let (lo, hi) = key_range(chunks.clone(), prefix, high_bits(fixed), key);
             fixed = (lo ^ hi).leading_zeros();
             prefix = lo & high_bits(fixed);
         }
@@ -207,7 +230,12 @@ fn select<'a>(
 }
 
 /// The smallest and largest key in `chunks` whose `high` bits are `prefix`.
-fn key_range<'a>(chunks: impl Iterator<Item = &'a [f64]>, prefix: u64, high: u64) -> (u64, u64) {
+fn key_range<'a, T: Copy + 'a>(
+    chunks: impl Iterator<Item = &'a [T]>,
+    prefix: u64,
+    high: u64,
+    key: impl Fn(T) -> u64,
+) -> (u64, u64) {
     let (mut lo, mut hi) = (u64::MAX, 0);
     for k in chunks.flatten().map(|&x| key(x)) {
         if k & high == prefix {
@@ -219,7 +247,12 @@ fn key_range<'a>(chunks: impl Iterator<Item = &'a [f64]>, prefix: u64, high: u64
 
 /// The first digit of the key at `rank`'s place among [`PROBES`] evenly
 /// spaced samples of the `len` in `chunks`.
-fn guess_prefix<'a>(chunks: impl Iterator<Item = &'a [f64]>, len: usize, rank: usize) -> u64 {
+fn guess_prefix<'a, T: Copy + 'a>(
+    chunks: impl Iterator<Item = &'a [T]>,
+    len: usize,
+    rank: usize,
+    key: impl Fn(T) -> u64,
+) -> u64 {
     let mut probes = [0u64; PROBES];
     let (mut taken, mut start) = (0, 0);
     for chunk in chunks {
@@ -235,7 +268,11 @@ fn guess_prefix<'a>(chunks: impl Iterator<Item = &'a [f64]>, len: usize, rank: u
 }
 
 /// The smallest key in `chunks` above `below` (`u64::MAX` when none is).
-fn smallest_above<'a>(chunks: impl Iterator<Item = &'a [f64]>, below: u64) -> u64 {
+fn smallest_above<'a, T: Copy + 'a>(
+    chunks: impl Iterator<Item = &'a [T]>,
+    below: u64,
+    key: impl Fn(T) -> u64,
+) -> u64 {
     chunks
         .flatten()
         .map(|&x| key(x))

@@ -6,10 +6,34 @@ use crate::scheme::SchemeSpec;
 use nimbus_core::{
     DetectorVerdict, Mode, MultiflowConfig, NimbusConfig, NimbusController, Publisher,
 };
-use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowHandle, Network, RateSchedule, Recorder, Time};
+use nimbus_netsim::{
+    ChunkedSamples, FlowConfig, FlowEndpoint, FlowHandle, Network, RateSchedule, Recorder, Time,
+};
 use nimbus_transport::{BackloggedSource, CongestionControl, Sender, SenderConfig};
 use serde::Serialize;
 use std::any::Any;
+use std::cell::RefCell;
+
+/// The median of one flow's per-packet queueing delays, in milliseconds:
+/// one radix selection over the stored nanoseconds, bit for bit
+/// `nimbus_dsp::percentile` of the delays in milliseconds.  A narrow delay
+/// sits in the key's high half, so the first radix digit reads its top bits.
+pub fn median_delay_ms(delays: &ChunkedSamples) -> f64 {
+    match delays {
+        ChunkedSamples::Narrow(narrow) => nimbus_dsp::percentile_of_keyed_chunks(
+            narrow.chunks(),
+            50.0,
+            |ns| u64::from(ns) << 32,
+            |k| Time::from_nanos(k >> 32).as_millis_f64(),
+        ),
+        ChunkedSamples::Wide(wide) => nimbus_dsp::percentile_of_keyed_chunks(
+            wide.chunks(),
+            50.0,
+            |ns| ns,
+            |k| Time::from_nanos(k).as_millis_f64(),
+        ),
+    }
+}
 
 /// Summary metrics for one monitored flow after a run.
 #[derive(Debug, Clone, Serialize)]
@@ -84,24 +108,25 @@ pub fn nimbus_of(endpoint: &dyn FlowEndpoint) -> Option<&NimbusController> {
 /// The η and learned-µ̂ series of one Nimbus flow, recorded as it runs.
 /// nimbus-core keeps a tally of its verdicts and no µ̂ history, so every
 /// Nimbus controller the harness builds carries one of these as its
-/// [`Publisher`] ([`NimbusTrace::install`]), and [`run_and_collect`] reads
-/// it back.
+/// [`Publisher`] ([`NimbusTrace::install`]), and [`run_and_collect`] takes
+/// the series out of it.  The endpoints a finished network hands back are
+/// reachable only by shared reference, so the series sit in `RefCell`s.
 #[derive(Debug, Default)]
 pub struct NimbusTrace {
     /// `(t_s, η)` per detector verdict, η capped at 1e3 (a silent
     /// comparison band makes it infinite).
-    eta: Vec<(f64, f64)>,
+    eta: RefCell<Vec<(f64, f64)>>,
     /// `(t_s, µ̂_bps)` per learned-µ sample.
-    mu: Vec<(f64, f64)>,
+    mu: RefCell<Vec<(f64, f64)>>,
 }
 
 impl Publisher for NimbusTrace {
     fn on_mu_sample(&mut self, now_s: f64, mu_bps: f64) {
-        self.mu.push((now_s, mu_bps));
+        self.mu.get_mut().push((now_s, mu_bps));
     }
 
     fn on_verdict(&mut self, _now_s: f64, verdict: &DetectorVerdict) {
-        self.eta.push((verdict.t_s, verdict.eta.min(1e3)));
+        self.eta.get_mut().push((verdict.t_s, verdict.eta.min(1e3)));
     }
 }
 
@@ -157,10 +182,7 @@ pub fn run_and_collect(
             mean_rtt_ms: rtt.mean_in_range(steady_start_s, duration_s),
             median_rtt_ms: nimbus_dsp::percentile(&rtt_samples_ms, 50.0),
             mean_queue_delay_ms: qd.mean_in_range(steady_start_s, duration_s),
-            median_queue_delay_ms: nimbus_dsp::percentile_of_chunks(
-                recorder.packet_delay_samples_ms[slot].chunks(),
-                50.0,
-            ),
+            median_queue_delay_ms: median_delay_ms(&recorder.packet_delays[slot]),
             throughput_series: series_of(tput),
             queue_delay_series: series_of(qd),
             rtt_series: series_of(rtt),
@@ -188,8 +210,8 @@ pub fn run_and_collect(
                 .collect();
             let trace = NimbusTrace::of(nimbus)
                 .expect("a monitored Nimbus flow is built with a NimbusTrace installed");
-            metrics.eta_series = trace.eta.clone();
-            metrics.mu_series = trace.mu.clone();
+            metrics.eta_series = trace.eta.take();
+            metrics.mu_series = trace.mu.take();
             let errors: Vec<f64> = metrics
                 .mu_series
                 .iter()

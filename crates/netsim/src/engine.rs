@@ -299,7 +299,7 @@ pub struct FlowHandle(pub FlowId);
 /// and flow, hop and spawner indices are stored as `u32`, so the descriptor
 /// is two words and a calendar-queue entry four — what the queue's bucket
 /// sort and ordered insert move around.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum EventKind {
     FlowStart(u32),
     PollSend(u32),
@@ -382,13 +382,13 @@ struct SpawnerState {
     pending: Option<(Time, FlowConfig, Box<dyn FlowEndpoint>)>,
 }
 
+/// What the engine keeps of one flow for the whole run.  Of its
+/// [`FlowConfig`], [`Network::add_flow`] hands the label, start, size and
+/// elasticity tag to the recorder and keeps only the five facts the packet
+/// path reads, with the exit hop resolved: a slot is 112 bytes, and a fleet
+/// run holds one per flow ever spawned.
 struct FlowState {
-    /// The flow's configuration, minus its label: [`Network::add_flow`]
-    /// moves that into the recorder's [`FlowStats`](crate::FlowStats).
-    cfg: FlowConfig,
     endpoint: Box<dyn FlowEndpoint>,
-    started: bool,
-    finished: bool,
     /// Receiver: the reassembly window.  Its base is the next in-order
     /// sequence number, the cumulative ACK; it holds the sizes of segments
     /// received above a hole.  Empty for a loss-free flow; it keeps its
@@ -398,12 +398,24 @@ struct FlowState {
     /// scheduling redundant polls (which would otherwise accumulate and blow
     /// up the event queue on paced flows).
     next_scheduled_poll: Time,
-    /// Data packets propagating from the exit hop to the receiver, over the
-    /// data half of `prop_rtt`.
+    /// Half the flow's propagation RTT: the delay of each of its two lanes.
+    half_prop_rtt: Time,
+    /// Data packets propagating from the exit hop to the receiver, over
+    /// `half_prop_rtt`.
     data_lane: Lane,
-    /// ACKs propagating from the receiver to the sender, over the ACK half
-    /// of `prop_rtt`.
+    /// ACKs propagating from the receiver to the sender, over
+    /// `half_prop_rtt`.
     ack_lane: Lane,
+    /// First path hop the flow's packets traverse.
+    entry_hop: u32,
+    /// Last path hop the flow's packets traverse, inclusive.
+    exit_hop: u32,
+    /// Whether data packets are sent as [`EcnCodepoint::Ect`].
+    ecn: bool,
+    /// Whether the flow is retired when its endpoint finishes.
+    retire_on_finish: bool,
+    started: bool,
+    finished: bool,
 }
 
 /// The packet currently being serialized on a link, tracked by byte progress
@@ -569,7 +581,7 @@ impl Network {
 
     /// Add a flow. Returns a handle whose index identifies the flow in the
     /// recorder output.
-    pub fn add_flow(&mut self, mut cfg: FlowConfig, endpoint: Box<dyn FlowEndpoint>) -> FlowHandle {
+    pub fn add_flow(&mut self, cfg: FlowConfig, endpoint: Box<dyn FlowEndpoint>) -> FlowHandle {
         assert!(
             cfg.entry_hop < self.links.len(),
             "flow '{}' enters at hop {} of a {}-hop path",
@@ -589,7 +601,7 @@ impl Network {
         let id = self.flows.len();
         self.recorder.register_flow(
             id,
-            std::mem::take(&mut cfg.label),
+            cfg.label,
             cfg.counts_as_elastic,
             cfg.counts_as_elastic.is_none(),
             cfg.start,
@@ -597,14 +609,18 @@ impl Network {
         );
         self.schedule(cfg.start, EventKind::FlowStart(idx32(id)));
         self.flows.push(FlowState {
-            cfg,
             endpoint,
-            started: false,
-            finished: false,
             reassembly: SeqWindow::new(),
             next_scheduled_poll: Time::MAX,
+            half_prop_rtt: Time::from_nanos(cfg.prop_rtt.as_nanos() / 2),
             data_lane: Lane::default(),
             ack_lane: Lane::default(),
+            entry_hop: idx32(cfg.entry_hop),
+            exit_hop: idx32(cfg.exit_hop.unwrap_or(self.links.len() - 1)),
+            ecn: cfg.ecn,
+            retire_on_finish: cfg.retire_on_finish,
+            started: false,
+            finished: false,
         });
         FlowHandle(id)
     }
@@ -636,7 +652,7 @@ impl Network {
     pub fn retired_flow_count(&self) -> usize {
         self.flows
             .iter()
-            .filter(|f| f.finished && f.cfg.retire_on_finish)
+            .filter(|f| f.finished && f.retire_on_finish)
             .count()
     }
 
@@ -897,7 +913,7 @@ impl Network {
                 SendAction::Finished => {
                     self.flows[id].finished = true;
                     self.recorder.on_finish(id, self.now);
-                    if self.flows[id].cfg.retire_on_finish {
+                    if self.flows[id].retire_on_finish {
                         self.retire_flow(id);
                     }
                     break;
@@ -922,7 +938,7 @@ impl Network {
 
     /// The last hop flow `id` traverses.
     fn exit_hop_of(&self, id: FlowId) -> usize {
-        self.flows[id].cfg.exit_hop.unwrap_or(self.links.len() - 1)
+        self.flows[id].exit_hop as usize
     }
 
     /// Offer `pkt` to `hop`'s ingress: random loss, then the queue.  On a
@@ -943,10 +959,10 @@ impl Network {
 
     fn transmit(&mut self, id: FlowId, seq: u64, bytes: u32, retransmit: bool) {
         debug_assert!(bytes > 0, "cannot transmit an empty packet");
-        let entry = self.flows[id].cfg.entry_hop;
+        let entry = self.flows[id].entry_hop as usize;
         let mut pkt = Packet::new(id, seq, bytes, self.now, retransmit);
         pkt.hop = entry;
-        if self.flows[id].cfg.ecn {
+        if self.flows[id].ecn {
             pkt.ecn = EcnCodepoint::Ect;
         }
         if self.offer_to_hop(entry, pkt) {
@@ -1054,7 +1070,7 @@ impl Network {
                 // Last hop for this flow: propagate to the receiver over the
                 // data half of the configured RTT.
                 let flow = &mut self.flows[pkt.flow];
-                let at = self.now + Time::from_nanos(flow.cfg.prop_rtt.as_nanos() / 2);
+                let at = self.now + flow.half_prop_rtt;
                 let head = EventKind::ReceiverArrival(idx32(pkt.flow));
                 enter_lane(events, seq, pkts, &mut flow.data_lane, at, pkt, head);
             } else {
@@ -1106,7 +1122,7 @@ impl Network {
             newly_delivered_bytes: newly_delivered,
             ce: pkt.ecn == EcnCodepoint::Ce,
         };
-        let at = self.now + Time::from_nanos(flow.cfg.prop_rtt.as_nanos() / 2);
+        let at = self.now + flow.half_prop_rtt;
         let (events, seq) = (&mut self.events, &mut self.event_seq);
         let head = EventKind::AckArrival(idx32(id));
         enter_lane(
@@ -1844,7 +1860,8 @@ mod tests {
             count: 2_000,
         }));
         net.schedule_clocks();
-        let (mut peak_pkts, mut peak_acks, mut peak_flows, mut peak_events) = (0, 0, 0, 0);
+        let (mut peak_pkts, mut peak_acks, mut peak_flows) = (0, 0, 0);
+        let mut peak_events = net.events.len();
         while net.step() {
             // Counted outside the pools: packets by the engine's byte count,
             // ACKs as those sent by receivers minus those seen by senders.
@@ -1893,5 +1910,20 @@ mod tests {
             peak_pkts + peak_acks > 3 * bound,
             "{peak_pkts} + {peak_acks} vs {bound}"
         );
+        // The calendar's bucket lists share one pool, so its links track the
+        // pending events too, not each of 1 024 buckets' busiest moment.
+        assert!(
+            net.events.high_water() <= peak_events,
+            "{} > {peak_events}",
+            net.events.high_water()
+        );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_flow_slot_keeps_only_what_the_packet_path_reads() {
+        // 64-bit layout: the boxed endpoint, the reassembly window, the poll
+        // time, half the RTT, two lanes, two `u32` hops and four flags.
+        assert_eq!(std::mem::size_of::<FlowState>(), 112);
     }
 }

@@ -23,19 +23,29 @@
 //! calendar so holds one entry per non-empty lane instead of one per item in
 //! flight, and pops exactly what one queue holding every item would.
 //!
-//! Cost model.  A push to a *future* bucket is an O(1) append.  When the
-//! cursor first reaches a bucket, the bucket is sorted once (descending by
-//! `(at, seq)`) and from then on it is the *current* bucket: `pop` takes its
-//! last element, and a push that lands in it does an ordered insert, walking
-//! from the minimum end.  So a bucket holding k events costs one O(k log k)
-//! sort for its k pops — the per-event cost does not grow with k the way a
-//! min-scan per pop does — and the bucket width only has to keep the wheel's
-//! horizon useful, not keep buckets short.  With lanes most pushes are a
-//! successor due shortly after the event just popped, so on a dense link they
-//! land in the current bucket near its minimum.  Seed 1 of the benchmark
-//! workloads (share of pushes that land in the current bucket, entries such a
-//! push walks past, mean / peak calendar population): `fleet_churn` 91 %, 3.0,
-//! 947 / 1 402; `bulk_cubic` 36 %, 2.2, 9 / 11; `fig1_nimbus` 4 %, 2.5, 8 / 11.
+//! Storage.  A *future* bucket is a FIFO list whose links live in one
+//! [`LanePool`] shared by the whole wheel, so the links allocated are the
+//! peak number of events waiting in future buckets at once, not 1 024 times
+//! each bucket's busiest moment; the wheel itself is 1 024 list heads.  Only
+//! the *current* bucket is a `Vec`, and one buffer serves every bucket in
+//! turn.
+//!
+//! Cost model.  A push to a future bucket is an O(1) append: it takes a
+//! link from the pool's free list (the pool grows only past its high-water
+//! mark) and writes the bucket's tail.  When the cursor first reaches a
+//! bucket, its list is moved into the current-bucket buffer and sorted once
+//! (descending by `(at, seq)`), and from then on it is the current bucket:
+//! `pop` takes its last element, and a push that lands in it does an
+//! ordered insert, walking from the minimum end.  So a bucket holding k
+//! events costs one O(k log k) sort for its k pops — the per-event cost does
+//! not grow with k the way a min-scan per pop does — and the bucket width
+//! only has to keep the wheel's horizon useful, not keep buckets short.
+//! With lanes most pushes are a successor due shortly after the event just
+//! popped, so on a dense link they land in the current bucket near its
+//! minimum.  Seed 1 of the benchmark workloads (share of pushes that land in
+//! the current bucket, entries such a push walks past, mean / peak calendar
+//! population): `fleet_churn` 91 %, 3.0, 947 / 1 402; `bulk_cubic` 36 %,
+//! 2.2, 9 / 11; `fig1_nimbus` 4 %, 2.5, 8 / 11.
 //!
 //! Ordering contract — identical to the `BinaryHeap<Reverse<EventEntry>>` it
 //! replaces, and pinned by the equivalence tests in this module, by
@@ -114,16 +124,22 @@ impl<T> Ord for OverflowEntry<T> {
 /// `(at, seq)` order under the monotone-push precondition documented above.
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    /// Fixed wheel of buckets; an event whose absolute bucket number is `b`
-    /// lives in slot `b & BUCKET_MASK`.  Invariant: every wheel event has
-    /// bucket number in `[cursor, cursor + NUM_BUCKETS)`, so slots map
-    /// one-to-one onto live bucket numbers.  Buckets are in push order
-    /// except the one numbered `sorted`.
-    buckets: Vec<Vec<Entry<T>>>,
-    /// Absolute number of the current bucket: the one `pop` last sorted,
-    /// held in descending `(at, seq)` order so its minimum is its last
-    /// element.  `push` keeps that order, so the bucket stays sorted until
-    /// `pop` moves on to another one.
+    /// Fixed wheel of buckets, each a FIFO list threaded through `nodes`; an
+    /// event whose absolute bucket number is `b` lives in slot
+    /// `b & BUCKET_MASK`.  Invariant: every wheel event has bucket number in
+    /// `[cursor, cursor + NUM_BUCKETS)`, so slots map one-to-one onto live
+    /// bucket numbers.  The list of the bucket numbered `sorted` is empty:
+    /// its events are in `current`.
+    buckets: Vec<Lane>,
+    /// The links of every bucket list, with a free list: its high-water mark
+    /// is the peak number of events waiting in future buckets at once.
+    nodes: LanePool<T>,
+    /// The events of bucket `sorted`, in descending `(at, seq)` order so the
+    /// minimum is the last element.  `push` keeps that order; the buffer is
+    /// reused for every bucket that becomes current.
+    current: Vec<Entry<T>>,
+    /// Absolute number of the current bucket: the one `pop` last moved into
+    /// `current`.
     sorted: u64,
     /// Absolute bucket number of the last popped event (the wheel's lower
     /// edge).  Pushes beyond `cursor + NUM_BUCKETS` spill to `overflow`.
@@ -140,17 +156,19 @@ pub struct CalendarQueue<T> {
     overflow: BinaryHeap<Reverse<OverflowEntry<T>>>,
 }
 
-impl<T> Default for CalendarQueue<T> {
+impl<T: Copy> Default for CalendarQueue<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> CalendarQueue<T> {
+impl<T: Copy> CalendarQueue<T> {
     /// An empty queue with the cursor at time zero.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: std::iter::repeat_with(Vec::new).take(NUM_BUCKETS).collect(),
+            buckets: vec![Lane::default(); NUM_BUCKETS],
+            nodes: LanePool::new(),
+            current: Vec::new(),
             // Bucket 0 is empty, hence sorted.
             sorted: 0,
             cursor: 0,
@@ -170,6 +188,13 @@ impl<T> CalendarQueue<T> {
         self.len() == 0
     }
 
+    /// Bucket-list links allocated so far: the peak number of events that
+    /// waited in future buckets at once.
+    #[cfg(test)]
+    pub(crate) fn high_water(&self) -> usize {
+        self.nodes.high_water()
+    }
+
     /// Insert an event.  `seq` must be unique and increasing across pushes
     /// (the engine's insertion counter); `at` must be no older than the last
     /// popped timestamp.
@@ -183,17 +208,18 @@ impl<T> CalendarQueue<T> {
                 .push(Reverse(OverflowEntry(Entry { at, seq, item })));
             return;
         }
-        let bucket = &mut self.buckets[(b & BUCKET_MASK) as usize];
         if b == self.sorted {
             // Most pushes into the current bucket land a few entries above
             // its minimum, so walk from that end.
-            let mut pos = bucket.len();
-            while pos > 0 && bucket[pos - 1].key() < (at, seq) {
+            let current = &mut self.current;
+            let mut pos = current.len();
+            while pos > 0 && current[pos - 1].key() < (at, seq) {
                 pos -= 1;
             }
-            bucket.insert(pos, Entry { at, seq, item });
+            current.insert(pos, Entry { at, seq, item });
         } else {
-            bucket.push(Entry { at, seq, item });
+            let lane = &mut self.buckets[(b & BUCKET_MASK) as usize];
+            self.nodes.append(lane, at, seq, item);
         }
         self.wheel_len += 1;
         if b < self.hint {
@@ -210,31 +236,52 @@ impl<T> CalendarQueue<T> {
         // NUM_BUCKETS because the wheel is non-empty and every wheel event
         // lies within the horizon.
         let mut b = self.hint.max(self.cursor);
-        let slot = loop {
-            let slot = (b & BUCKET_MASK) as usize;
-            if !self.buckets[slot].is_empty() {
-                break slot;
-            }
+        while self.bucket_is_empty(b) {
             b += 1;
-        };
+        }
         self.hint = b;
         if b != self.sorted {
-            // `(at, seq)` is unique, so an unstable sort is deterministic.
-            self.buckets[slot].sort_unstable_by_key(|e| Reverse(e.key()));
-            self.sorted = b;
+            self.make_current(b);
         }
-        let bucket = &mut self.buckets[slot];
         // The overflow minimum can precede the wheel minimum only while the
         // wheel's next cluster sits beyond a long-dormant timer.
-        if let (Some(Reverse(top)), Some(min)) = (self.overflow.peek(), bucket.last()) {
+        if let (Some(Reverse(top)), Some(min)) = (self.overflow.peek(), self.current.last()) {
             if top.0.key() < min.key() {
                 return self.pop_overflow();
             }
         }
-        let entry = bucket.pop()?;
+        let entry = self.current.pop()?;
         self.wheel_len -= 1;
         self.cursor = b;
         Some((entry.at, entry.seq, entry.item))
+    }
+
+    /// True when bucket `b` holds no event: in `current` if it is the
+    /// current bucket, in its list otherwise.
+    #[inline]
+    fn bucket_is_empty(&self, b: u64) -> bool {
+        if b == self.sorted {
+            self.current.is_empty()
+        } else {
+            self.buckets[(b & BUCKET_MASK) as usize].is_empty()
+        }
+    }
+
+    /// Move bucket `b`'s list into `current` and sort it.  What is left of
+    /// the previous current bucket goes back to its list first: an overflow
+    /// pop can move the cursor below a half-drained current bucket, and a
+    /// push can then make an earlier bucket the next one to drain.
+    fn make_current(&mut self, b: u64) {
+        let (nodes, current) = (&mut self.nodes, &mut self.current);
+        let old = &mut self.buckets[(self.sorted & BUCKET_MASK) as usize];
+        for e in current.drain(..) {
+            nodes.append(old, e.at, e.seq, e.item);
+        }
+        let lane = &mut self.buckets[(b & BUCKET_MASK) as usize];
+        nodes.drain(lane, |at, seq, item| current.push(Entry { at, seq, item }));
+        // `(at, seq)` is unique, so an unstable sort is deterministic.
+        current.sort_unstable_by_key(|e| Reverse(e.key()));
+        self.sorted = b;
     }
 
     fn pop_overflow(&mut self) -> Option<(Time, u64, T)> {
@@ -323,6 +370,19 @@ impl<T: Copy> LanePool<T> {
     /// Returns true when the lane was empty: the item is its head, and the
     /// caller puts `(at, seq)` into the calendar.
     pub fn push(&mut self, lane: &mut Lane, at: Time, seq: u64, item: T) -> bool {
+        debug_assert!(
+            lane.tail == NIL || {
+                let tail = &self.nodes[lane.tail as usize];
+                (tail.at, tail.seq) < (at, seq)
+            },
+            "lane push earlier than the lane's tail"
+        );
+        self.append(lane, at, seq, item)
+    }
+
+    /// [`LanePool::push`] without the FIFO order: a calendar bucket's list
+    /// holds its events in push order, whatever their `(at, seq)`.
+    fn append(&mut self, lane: &mut Lane, at: Time, seq: u64, item: T) -> bool {
         let node = Node {
             at,
             seq,
@@ -345,14 +405,24 @@ impl<T: Copy> LanePool<T> {
             lane.tail = idx;
             return true;
         }
-        let tail = &mut self.nodes[lane.tail as usize];
-        debug_assert!(
-            (tail.at, tail.seq) < (at, seq),
-            "lane push earlier than the lane's tail"
-        );
-        tail.next = idx;
+        self.nodes[lane.tail as usize].next = idx;
         lane.tail = idx;
         false
+    }
+
+    /// Empty `lane`, handing each item with its `(at, seq)` to `f` from head
+    /// to tail.
+    fn drain(&mut self, lane: &mut Lane, mut f: impl FnMut(Time, u64, T)) {
+        let mut idx = lane.head;
+        while idx != NIL {
+            let node = &mut self.nodes[idx as usize];
+            f(node.at, node.seq, node.item);
+            let next = node.next;
+            node.next = self.free;
+            self.free = idx;
+            idx = next;
+        }
+        *lane = Lane::default();
     }
 
     /// Remove `lane`'s head and return its item, with the `(at, seq)` of the
@@ -435,6 +505,59 @@ mod tests {
         assert_eq!(q.pop().map(|(_, _, i)| i), Some("far"));
         assert!(q.pop().is_none());
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn an_overflow_timer_due_before_the_current_bucket_sends_it_back_to_its_list() {
+        let width = 1u64 << BUCKET_SHIFT;
+        let horizon = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapQueue::new();
+        let mut seq = 0;
+        let mut push = |cal: &mut CalendarQueue<u64>, heap: &mut HeapQueue<u64>, at: u64| {
+            seq += 1;
+            cal.push(Time(at), seq, seq);
+            heap.push(Time(at), seq, seq);
+        };
+        let pop = |cal: &mut CalendarQueue<u64>, heap: &mut HeapQueue<u64>| {
+            let got = cal.pop();
+            assert_eq!(got, heap.pop());
+            got.map(|(at, _, _)| at.0)
+        };
+        // A timer one horizon out waits in the overflow heap.
+        let timer = horizon + 10 * width;
+        push(&mut cal, &mut heap, timer);
+        push(&mut cal, &mut heap, 20 * width);
+        assert_eq!(pop(&mut cal, &mut heap), Some(20 * width));
+        // Three events in a bucket beyond the timer's, inside the wheel now.
+        let late = horizon + 15 * width;
+        for at in [late + 3, late + 1, late + 2] {
+            push(&mut cal, &mut heap, at);
+        }
+        // This pop makes their bucket current, then finds the timer earlier:
+        // the cursor drops below the current bucket.
+        assert_eq!(pop(&mut cal, &mut heap), Some(timer));
+        // Pushes land between the timer and the current bucket, and one in
+        // the current bucket itself.
+        for at in [timer + 2 * width, timer + width, late] {
+            push(&mut cal, &mut heap, at);
+        }
+        assert_eq!(pop(&mut cal, &mut heap), Some(timer + width));
+        // Another push into the bucket that was current, now a list again.
+        push(&mut cal, &mut heap, late + 4);
+        let rest: Vec<_> = std::iter::from_fn(|| pop(&mut cal, &mut heap)).collect();
+        assert_eq!(
+            rest,
+            [
+                timer + 2 * width,
+                late,
+                late + 1,
+                late + 2,
+                late + 3,
+                late + 4
+            ]
+        );
+        assert!(cal.is_empty());
     }
 
     /// A deterministic LCG drives an interleaved push/pop schedule whose

@@ -78,27 +78,35 @@ fn mean_of_finite(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Samples per chunk of a [`ChunkedSamples`] store: 64 kB of `f64`.
+/// Samples per chunk of a [`SampleChunks`] list.
 pub const SAMPLE_CHUNK: usize = 8192;
 
-/// An append-only store of samples in chunks of [`SAMPLE_CHUNK`].
+/// An append-only list of samples in chunks of [`SAMPLE_CHUNK`].
 ///
 /// Growing allocates one more chunk and moves no sample, so the unused space
 /// is at most one chunk; a doubling `Vec` leaves up to half its buffer unused
-/// and copies every sample on each growth.  It serializes as the one flat
-/// list of its samples, exactly like a `Vec<f64>` holding them.
-#[derive(Debug, Default)]
-pub struct ChunkedSamples {
+/// and copies every sample on each growth.
+#[derive(Debug)]
+pub struct SampleChunks<T> {
     /// The chunks filled so far, in order.
-    full: Vec<Vec<f64>>,
+    full: Vec<Vec<T>>,
     /// The chunk being filled: unallocated until the first sample, then
     /// allocated one chunk at a time.
-    tail: Vec<f64>,
+    tail: Vec<T>,
 }
 
-impl ChunkedSamples {
+impl<T> Default for SampleChunks<T> {
+    fn default() -> Self {
+        SampleChunks {
+            full: Vec::new(),
+            tail: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> SampleChunks<T> {
     /// Append a sample.
-    pub fn push(&mut self, x: f64) {
+    fn push(&mut self, x: T) {
         if self.tail.len() == self.tail.capacity() {
             self.start_chunk();
         }
@@ -115,7 +123,7 @@ impl ChunkedSamples {
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.chunks().map(<[f64]>::len).sum()
+        self.chunks().map(<[T]>::len).sum()
     }
 
     /// True when there are no samples.
@@ -124,8 +132,9 @@ impl ChunkedSamples {
     }
 
     /// The samples in order, one slice per chunk — what a chunk-aware
-    /// reduction such as `nimbus_dsp::percentile_of_chunks` reads in place.
-    pub fn chunks(&self) -> impl Iterator<Item = &[f64]> + Clone {
+    /// reduction such as `nimbus_dsp::percentile_of_keyed_chunks` reads in
+    /// place.
+    pub fn chunks(&self) -> impl Iterator<Item = &[T]> + Clone {
         self.full
             .iter()
             .map(Vec::as_slice)
@@ -133,11 +142,77 @@ impl ChunkedSamples {
     }
 }
 
+/// One flow's per-packet queueing delays, as exact integer nanoseconds.
+///
+/// A delay takes 4 bytes while every delay so far is below 2^32 ns
+/// (4.29 s).  The first one that is not converts the store, once, to
+/// 8-byte samples, and it stays wide.  It serializes as the one flat list of
+/// the delays in milliseconds, [`Time::as_millis_f64`] of each: the `f64`s
+/// a store of milliseconds would have held.
+#[derive(Debug)]
+pub enum ChunkedSamples {
+    /// Every delay is below 2^32 ns.
+    Narrow(SampleChunks<u32>),
+    /// Some delay reached 2^32 ns.
+    Wide(SampleChunks<u64>),
+}
+
+impl Default for ChunkedSamples {
+    fn default() -> Self {
+        ChunkedSamples::Narrow(SampleChunks::default())
+    }
+}
+
+impl ChunkedSamples {
+    /// Append a delay.
+    fn push(&mut self, delay: Time) {
+        let ns = delay.as_nanos();
+        match self {
+            ChunkedSamples::Narrow(narrow) => match u32::try_from(ns) {
+                Ok(ns) => narrow.push(ns),
+                Err(_) => {
+                    let mut wide = widen(narrow);
+                    wide.push(ns);
+                    *self = ChunkedSamples::Wide(wide);
+                }
+            },
+            ChunkedSamples::Wide(wide) => wide.push(ns),
+        }
+    }
+
+    /// Number of delays.
+    pub fn len(&self) -> usize {
+        match self {
+            ChunkedSamples::Narrow(narrow) => narrow.len(),
+            ChunkedSamples::Wide(wide) => wide.len(),
+        }
+    }
+
+    /// True when there are no delays.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The 8-byte copy of a narrow store's delays.
+#[cold]
+fn widen(narrow: &SampleChunks<u32>) -> SampleChunks<u64> {
+    let mut wide = SampleChunks::default();
+    for &ns in narrow.chunks().flatten() {
+        wide.push(u64::from(ns));
+    }
+    wide
+}
+
 impl Serialize for ChunkedSamples {
     fn to_value(&self) -> serde::Value {
+        let ms = |ns: u64| Time::from_nanos(ns).as_millis_f64().to_value();
         let mut seq = Vec::with_capacity(self.len());
-        for chunk in self.chunks() {
-            seq.extend(chunk.iter().map(Serialize::to_value));
+        match self {
+            ChunkedSamples::Narrow(narrow) => {
+                seq.extend(narrow.chunks().flatten().map(|&ns| ms(ns.into())));
+            }
+            ChunkedSamples::Wide(wide) => seq.extend(wide.chunks().flatten().map(|&ns| ms(ns))),
         }
         serde::Value::Seq(seq)
     }
@@ -333,8 +408,9 @@ pub struct Recorder {
     pub rtt_ms: Vec<TimeSeries>,
     /// Per monitored flow: mean per-packet bottleneck queueing delay (ms) per interval.
     pub queue_delay_ms: Vec<TimeSeries>,
-    /// Per monitored flow: raw per-packet queueing delay samples (ms).
-    pub packet_delay_samples_ms: Vec<ChunkedSamples>,
+    /// Per monitored flow: every packet's queueing delay, serialized as
+    /// `packet_delay_samples_ms`.
+    pub packet_delays: Vec<ChunkedSamples>,
     /// Total path queue occupancy (bytes) summed over every hop, sampled
     /// every interval.  For a single-hop path this *is* the bottleneck
     /// occupancy, exactly as in the single-link engine.
@@ -380,7 +456,7 @@ impl Recorder {
             throughput_mbps: Vec::new(),
             rtt_ms: Vec::new(),
             queue_delay_ms: Vec::new(),
-            packet_delay_samples_ms: Vec::new(),
+            packet_delays: Vec::new(),
             queue_bytes: TimeSeries::default(),
             hop_queue_bytes: vec![TimeSeries::default(); num_hops],
             hop_dropped_packets: vec![0; num_hops],
@@ -438,7 +514,7 @@ impl Recorder {
             self.throughput_mbps.push(TimeSeries::default());
             self.rtt_ms.push(TimeSeries::default());
             self.queue_delay_ms.push(TimeSeries::default());
-            self.packet_delay_samples_ms.push(ChunkedSamples::default());
+            self.packet_delays.push(ChunkedSamples::default());
             self.intervals.push_slot();
         } else {
             self.monitored_index.push(None);
@@ -472,7 +548,7 @@ impl Recorder {
             let ms = delay.as_millis_f64();
             self.intervals.qdelay_sum_ms[slot] += ms;
             self.intervals.qdelay_count[slot] += 1;
-            self.packet_delay_samples_ms[slot].push(ms);
+            self.packet_delays[slot].push(delay);
         }
     }
 
@@ -599,7 +675,7 @@ impl Recorder {
             ("queue_delay_ms".to_string(), self.queue_delay_ms.to_value()),
             (
                 "packet_delay_samples_ms".to_string(),
-                self.packet_delay_samples_ms.to_value(),
+                self.packet_delays.to_value(),
             ),
             ("queue_bytes".to_string(), self.queue_bytes.to_value()),
             (
@@ -875,7 +951,10 @@ mod tests {
                 delay.as_millis_f64()
             })
             .collect();
-        assert_eq!(r.packet_delay_samples_ms[0].chunks().count(), 4);
+        let ChunkedSamples::Narrow(narrow) = &r.packet_delays[0] else {
+            panic!("delays below 2^32 ns stay narrow");
+        };
+        assert_eq!(narrow.chunks().count(), 4);
         let serde::Value::Map(entries) = r.snapshot() else {
             panic!("a snapshot is a map");
         };

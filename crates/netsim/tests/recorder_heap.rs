@@ -1,9 +1,9 @@
-//! The recorder keeps one `f64` per packet of every monitored flow for the
+//! The recorder keeps one delay per packet of every monitored flow for the
 //! run's median queueing delay, so on a long run those samples are most of
-//! the heap.  They must cost their 8 bytes each plus at most one partly
-//! filled chunk, and reading their median must not copy them.
+//! the heap.  Below 2^32 ns they must cost 4 bytes each plus at most one
+//! partly filled chunk, and reading their median must not copy them.
 
-use nimbus_netsim::{Recorder, RecorderConfig, Time, SAMPLE_CHUNK};
+use nimbus_netsim::{ChunkedSamples, Recorder, RecorderConfig, Time, SAMPLE_CHUNK};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -61,20 +61,28 @@ fn recorder_with(samples: usize) -> Recorder {
 }
 
 fn median_delay_ms(rec: &Recorder) -> f64 {
-    nimbus_dsp::percentile_of_chunks(rec.packet_delay_samples_ms[0].chunks(), 50.0)
+    let ChunkedSamples::Narrow(narrow) = &rec.packet_delays[0] else {
+        panic!("delays below 2^32 ns stay narrow");
+    };
+    nimbus_dsp::percentile_of_keyed_chunks(
+        narrow.chunks(),
+        50.0,
+        |ns| u64::from(ns) << 32,
+        |k| Time::from_nanos(k >> 32).as_millis_f64(),
+    )
 }
 
 #[test]
-fn delay_samples_cost_eight_bytes_each_plus_one_chunk() {
+fn delay_samples_cost_four_bytes_each_plus_one_chunk() {
     let before = LIVE.with(Cell::get);
     let rec = recorder_with(SAMPLES);
     let held = LIVE.with(Cell::get) - before;
-    let bound = (8 * SAMPLES + 8 * SAMPLE_CHUNK) as i64;
+    let bound = (4 * SAMPLES + 4 * SAMPLE_CHUNK) as i64;
     assert!(
         held <= bound,
         "the recorder holds {held} B for {SAMPLES} samples, over the {bound} B bound"
     );
-    assert_eq!(rec.packet_delay_samples_ms[0].len(), SAMPLES);
+    assert_eq!(rec.packet_delays[0].len(), SAMPLES);
 }
 
 #[test]
