@@ -27,39 +27,31 @@ pub fn stddev(xs: &[f64]) -> f64 {
 ///
 /// `p` is in `[0, 100]`. Returns 0.0 for an empty slice.  Samples are ordered
 /// by [`f64::total_cmp`], so a NaN sorts above every number instead of
-/// panicking.  Selects the two ranks it reads in place, without sorting or
-/// copying (see [`percentile_of_chunks`]): the result is the one
-/// [`percentile_of_sorted`] gives on the `total_cmp`-sorted copy.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    percentile_of_chunks([xs], p)
-}
-
-/// [`percentile`] of the samples of every slice in `chunks` taken together:
-/// bit for bit the result on their concatenation, which is never built.
+/// panicking: the result is the one linear interpolation gives on the
+/// `total_cmp`-sorted copy, which is never built.
 ///
-/// Scratch memory is a constant of about 85 kB of stack, whatever the sample
-/// count, and nothing is allocated.  Past 2 048 samples, they are read in
-/// radix passes over 11-bit digits of the `total_cmp` order until at most
-/// 2 048 are left around the rank, then once more to gather those; the
-/// median of a run's per-packet queueing delays usually takes one radix
-/// pass.  A rank inside a run of more than 2 048 equal samples costs one
-/// radix pass and one cheaper pass that finds them all equal, or a few more
-/// of each when near neighbours share the run's leading bits.
-pub fn percentile_of_chunks<'a, C>(chunks: C, p: f64) -> f64
-where
-    C: IntoIterator<Item = &'a [f64]>,
-    C::IntoIter: Clone,
-{
-    percentile_of_keyed_chunks(chunks, p, key, value)
+/// The two ranks it reads are selected in place (see
+/// [`percentile_of_keyed_chunks`]).  Scratch memory is a constant of about
+/// 85 kB of stack, whatever the sample count, and nothing is allocated.
+/// Past 2 048 samples, they are read in radix passes over 11-bit digits of
+/// the `total_cmp` order until at most 2 048 are left around the rank, then
+/// once more to gather those; the median of a run's per-packet queueing
+/// delays usually takes one radix pass.  A rank inside a run of more than
+/// 2 048 equal samples costs one radix pass and one cheaper pass that finds
+/// them all equal, or a few more of each when near neighbours share the
+/// run's leading bits.
+pub fn percentile(xs: &[f64], p: f64) -> f64 {
+    percentile_of_keyed_chunks([xs], p, key, value)
 }
 
-/// [`percentile_of_chunks`] of samples of any type, read through two maps:
-/// `key` sends a sample to a `u64` that orders the samples, and `value`
-/// sends a key to the `f64` the sample stands for.  `value` must not
-/// decrease as the key grows; the result is then bit for bit [`percentile`]
-/// of the samples' values.  The radix passes read a key from its top bits,
-/// so a `u32` sample is best keyed in the high half: `u64::from(x) << 32`,
-/// with the value of `k >> 32`.
+/// [`percentile`] of the samples of every slice in `chunks` taken together,
+/// samples of any type, read through two maps: `key` sends a sample to a
+/// `u64` that orders the samples, and `value` sends a key to the `f64` the
+/// sample stands for.  `value` must not decrease as the key grows; the
+/// result is then bit for bit [`percentile`] of the concatenated samples'
+/// values, and their concatenation is never built.  The radix passes read a
+/// key from its top bits, so a `u32` sample is best keyed in the high half:
+/// `u64::from(x) << 32`, with the value of `k >> 32`.
 pub fn percentile_of_keyed_chunks<'a, T, C, K>(
     chunks: C,
     p: f64,
@@ -280,19 +272,6 @@ fn smallest_above<'a, T: Copy + 'a>(
         .fold(u64::MAX, u64::min)
 }
 
-/// Percentile of an already sorted slice.
-pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.len() < 2 {
-        return sorted.first().copied().unwrap_or(0.0);
-    }
-    let (lo, hi, frac) = closest_ranks(sorted.len(), p);
-    if lo == hi {
-        sorted[lo]
-    } else {
-        interpolate(sorted[lo], sorted[hi], frac)
-    }
-}
-
 /// The two ranks percentile `p` of `len >= 2` samples falls between, and how
 /// far from the lower one.
 fn closest_ranks(len: usize, p: f64) -> (usize, usize, f64) {
@@ -310,33 +289,23 @@ pub fn median(xs: &[f64]) -> f64 {
     percentile(xs, 50.0)
 }
 
-/// An empirical cumulative distribution function over a sample set.
+/// An empirical cumulative distribution function over a sample set: its
+/// finite samples, unsorted, with every quantile read through [`percentile`].
 #[derive(Debug, Clone)]
 pub struct Cdf {
-    sorted: Vec<f64>,
+    samples: Vec<f64>,
 }
 
 impl Cdf {
-    /// Build a CDF from (unsorted) samples.
+    /// Build a CDF from samples; NaN and ±∞ are dropped.
     pub fn from_samples(samples: &[f64]) -> Self {
-        let mut sorted: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        Cdf { sorted }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when there are no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        let samples = samples.iter().copied().filter(|v| v.is_finite()).collect();
+        Cdf { samples }
     }
 
     /// Value at quantile `q` in `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
-        percentile_of_sorted(&self.sorted, q * 100.0)
+        percentile(&self.samples, q * 100.0)
     }
 
     /// Median of the samples.
@@ -344,15 +313,10 @@ impl Cdf {
         self.quantile(0.5)
     }
 
-    /// Mean of the samples.
-    pub fn mean(&self) -> f64 {
-        mean(&self.sorted)
-    }
-
     /// Sample the CDF at `points` evenly spaced quantiles — exactly the series
     /// a plotted CDF figure needs. Returns `(value, cumulative_probability)` pairs.
     pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
+        if self.samples.is_empty() || points == 0 {
             return Vec::new();
         }
         (0..=points)
@@ -362,22 +326,26 @@ impl Cdf {
             })
             .collect()
     }
-
-    /// The minimum sample.
-    pub fn min(&self) -> Option<f64> {
-        self.sorted.first().copied()
-    }
-
-    /// The maximum sample.
-    pub fn max(&self) -> Option<f64> {
-        self.sorted.last().copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The reference [`percentile`] is held to: linear interpolation on an
+    /// already sorted slice.
+    fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+        if sorted.len() < 2 {
+            return sorted.first().copied().unwrap_or(0.0);
+        }
+        let (lo, hi, frac) = closest_ranks(sorted.len(), p);
+        if lo == hi {
+            sorted[lo]
+        } else {
+            interpolate(sorted[lo], sorted[hi], frac)
+        }
+    }
 
     #[test]
     fn percentile_of_known_data() {
@@ -455,7 +423,7 @@ mod tests {
                 walks: &walks,
             };
             assert_eq!(
-                percentile_of_chunks(chunks, 50.0).to_bits(),
+                percentile_of_keyed_chunks(chunks, 50.0, key, value).to_bits(),
                 percentile_of_sorted(&sorted, 50.0).to_bits()
             );
             // Counting them, guessing the first digit, one radix pass, then
@@ -475,21 +443,26 @@ mod tests {
     #[test]
     fn cdf_quantiles_and_probabilities() {
         let cdf = Cdf::from_samples(&[10.0, 20.0, 30.0, 40.0]);
-        assert_eq!(cdf.len(), 4);
         assert_eq!(cdf.quantile(0.0), 10.0);
         assert_eq!(cdf.quantile(1.0), 40.0);
-        assert_eq!(cdf.min(), Some(10.0));
-        assert_eq!(cdf.max(), Some(40.0));
         let curve = cdf.curve(4);
         assert_eq!(curve.len(), 5);
         assert_eq!(curve[0].1, 0.0);
         assert_eq!(curve[4].1, 1.0);
-    }
-
-    #[test]
-    fn cdf_filters_non_finite() {
-        let cdf = Cdf::from_samples(&[1.0, f64::NAN, 2.0, f64::INFINITY]);
-        assert_eq!(cdf.len(), 2);
+        // NaN and ±∞ are dropped: every quantile is `percentile` of the
+        // finite samples.
+        let finite = [3.5, -1.0, 0.0, 7.25, -0.0, 2.0];
+        let mut with_non_finite = finite.to_vec();
+        with_non_finite.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        with_non_finite.rotate_left(4);
+        let cdf = Cdf::from_samples(&with_non_finite);
+        for q in [0.0, 0.1, 0.25, 0.5, 0.9, 1.0] {
+            assert_eq!(
+                cdf.quantile(q).to_bits(),
+                percentile(&finite, q * 100.0).to_bits(),
+                "q={q}"
+            );
+        }
     }
 
     proptest! {
@@ -558,7 +531,7 @@ mod tests {
                     let reference = percentile_of_sorted(&sorted, p).to_bits();
                     prop_assert_eq!(percentile(&xs, p).to_bits(), reference, "p={} xs={:?}", p, xs);
                     prop_assert_eq!(
-                        percentile_of_chunks(chunks.iter().copied(), p).to_bits(),
+                        percentile_of_keyed_chunks(chunks.iter().copied(), p, key, value).to_bits(),
                         reference,
                         "p={} cuts={:?} xs={:?}", p, at, xs
                     );

@@ -1,6 +1,6 @@
 //! Figures 8–13 and 21: the main emulation evaluation (§5, §8.1).
 
-use super::{after, agreement, is_elastic, pairs, scenario, window_mean};
+use super::{after, agreement, fct_stats, is_elastic, pairs, scenario, window_mean};
 use crate::output::ExperimentResult;
 use crate::runner::{run_scenario, run_scheme_vs_cross, Monitored};
 use crate::scheme::SchemeSpec;
@@ -352,6 +352,14 @@ pub fn fig13(quick: bool) -> ExperimentResult {
     result
 }
 
+/// Fig. 21's flow-size buckets `(label, lo, hi)` in bytes.
+const FIG21_SIZE_BUCKETS: [(&str, u64, u64); 4] = [
+    ("15KB", 0, 15_000),
+    ("150KB", 15_000, 150_000),
+    ("1.5MB", 150_000, 1_500_000),
+    (">1.5MB", 1_500_000, u64::MAX),
+];
+
 /// Fig. 21 (Appendix B): p95 flow completion times of the WAN cross-flows by
 /// size bucket, under each scheme.
 pub fn fig21(quick: bool) -> ExperimentResult {
@@ -366,27 +374,17 @@ pub fn fig21(quick: bool) -> ExperimentResult {
     } else {
         SchemeSpec::headline_set()
     };
-    let buckets: [(u64, u64, &str); 4] = [
-        (0, 15_000, "15KB"),
-        (15_000, 150_000, "150KB"),
-        (150_000, 1_500_000, "1.5MB"),
-        (1_500_000, u64::MAX, ">1.5MB"),
-    ];
     for scheme in schemes {
         let spec = scenario(&format!("96M seed=21 dur={duration}s"));
         let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 210);
         let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
         let fcts = out.recorder.fct_stream();
-        for (lo, hi, label) in buckets {
-            let bucket: Vec<f64> = fcts
-                .iter()
-                .filter(|(sz, _)| *sz > lo && *sz <= hi)
-                .map(|(_, fct)| *fct)
-                .collect();
-            if !bucket.is_empty() {
+        for (label, lo, hi) in FIG21_SIZE_BUCKETS {
+            let stats = fct_stats(fcts, (lo, hi));
+            if stats.count > 0 {
                 result.row(
                     &format!("{}_p95_fct_{label}_s", scheme.label()),
-                    nimbus_dsp::percentile(&bucket, 95.0),
+                    stats.p95_s,
                 );
             }
         }

@@ -14,19 +14,20 @@
 //!   multiflow protocol enabled converge to a fair pulse-frequency
 //!   allocation?
 
-use super::{jain_index, scenario};
+use super::{fct_stats, jain_index, scenario, ALL_SIZES, FLEET_SIZE_BUCKETS};
 use crate::output::ExperimentResult;
 use crate::runner::{run_scenario, run_scheme_vs_cross, Monitored};
 use crate::scheme::SchemeSpec;
-use nimbus_netsim::FctBucket;
 
-/// Append one FCT bucket's percentile rows under a `prefix`.
-fn fct_rows(result: &mut ExperimentResult, prefix: &str, bucket: &FctBucket) {
-    result.row(&format!("{prefix}_count"), bucket.count as f64);
-    result.row(&format!("{prefix}_mean_s"), bucket.mean_s);
-    result.row(&format!("{prefix}_p50_s"), bucket.p50_s);
-    result.row(&format!("{prefix}_p95_s"), bucket.p95_s);
-    result.row(&format!("{prefix}_p99_s"), bucket.p99_s);
+/// Append the FCT rows of the flows in `record` of `lo < size <= hi` bytes
+/// under a `prefix`.
+fn fct_rows(result: &mut ExperimentResult, prefix: &str, record: &[(u64, f64)], sizes: (u64, u64)) {
+    let stats = fct_stats(record, sizes);
+    result.row(&format!("{prefix}_count"), stats.count as f64);
+    result.row(&format!("{prefix}_mean_s"), stats.mean_s);
+    result.row(&format!("{prefix}_p50_s"), stats.p50_s);
+    result.row(&format!("{prefix}_p95_s"), stats.p95_s);
+    result.row(&format!("{prefix}_p99_s"), stats.p99_s);
 }
 
 /// Population-scale churn against a long-lived Nimbus flow: a 1 Gbit/s
@@ -59,8 +60,7 @@ pub fn fleet_churn(quick: bool) -> ExperimentResult {
         out.recorder.fct_stream().len() as f64,
     );
     result.row("events_processed", out.events_processed as f64);
-    let summary = out.recorder.fct_summary();
-    fct_rows(&mut result, "fct_all", &summary.all);
+    fct_rows(&mut result, "fct_all", out.recorder.fct_stream(), ALL_SIZES);
     result.add_series("monitored_throughput_series", m.throughput_series.clone());
     result.add_series("monitored_queue_delay_series", m.queue_delay_series.clone());
     result
@@ -91,15 +91,16 @@ pub fn fleet_fct(quick: bool) -> ExperimentResult {
             &format!("{label}_monitored_queue_delay_ms"),
             m.mean_queue_delay_ms,
         );
-        let summary = out.recorder.fct_summary();
-        fct_rows(&mut result, &format!("{label}_fct_all"), &summary.all);
-        fct_rows(&mut result, &format!("{label}_fct_mice"), &summary.mice);
-        fct_rows(&mut result, &format!("{label}_fct_medium"), &summary.medium);
-        fct_rows(
-            &mut result,
-            &format!("{label}_fct_elephant"),
-            &summary.elephant,
-        );
+        let record = out.recorder.fct_stream();
+        fct_rows(&mut result, &format!("{label}_fct_all"), record, ALL_SIZES);
+        for (bucket, lo, hi) in FLEET_SIZE_BUCKETS {
+            fct_rows(
+                &mut result,
+                &format!("{label}_fct_{bucket}"),
+                record,
+                (lo, hi),
+            );
+        }
     }
     result
 }

@@ -14,7 +14,8 @@
 //!   fleets ([`drained_fleet`]);
 //! * **projections** — the rows and series read back from the run through
 //!   the shared ones below: time windows of a `(t, v)` series, detector
-//!   verdicts against ground truth, Jain's index and the first mode flip.
+//!   verdicts against ground truth, Jain's index, the first mode flip and
+//!   completion times by flow size ([`fct_stats`]).
 
 pub mod eval;
 pub mod fleet;
@@ -103,6 +104,56 @@ pub fn jain_index(rates: &[f64]) -> f64 {
     let sum: f64 = rates.iter().sum();
     let sumsq: f64 = rates.iter().map(|r| r * r).sum();
     sum * sum / (rates.len() as f64 * sumsq)
+}
+
+/// Every flow of at least one byte, as a [`fct_stats`] bucket.
+pub const ALL_SIZES: (u64, u64) = (0, u64::MAX);
+
+/// The fleet figures' flow-size buckets `(label, lo, hi)`: mice up to
+/// 100 kB, elephants from 1 MB, and medium flows between them.
+pub const FLEET_SIZE_BUCKETS: [(&str, u64, u64); 3] = [
+    ("mice", 0, 100_000),
+    ("medium", 100_000, 999_999),
+    ("elephant", 999_999, u64::MAX),
+];
+
+/// Completion-time statistics of the flows in one size bucket, seconds.
+/// An empty bucket reads `count == 0` and NaN statistics: no flows is not
+/// instantaneous completion.
+#[derive(Debug, Clone, Copy)]
+pub struct FctStats {
+    /// Completed flows in the bucket.
+    pub count: usize,
+    /// Mean completion time.
+    pub mean_s: f64,
+    /// Median completion time.
+    pub p50_s: f64,
+    /// 95th-percentile completion time.
+    pub p95_s: f64,
+    /// 99th-percentile completion time.
+    pub p99_s: f64,
+}
+
+/// The completion times in `record` (a recorder's `fct_stream`) of flows
+/// of `lo < size <= hi` bytes, summarised by `nimbus_dsp::mean` and
+/// `nimbus_dsp::percentile`.
+pub fn fct_stats(record: &[(u64, f64)], (lo, hi): (u64, u64)) -> FctStats {
+    let inside = record.iter().filter(|&&(size, _)| lo < size && size <= hi);
+    let fcts: Vec<f64> = inside.map(|&(_, fct)| fct).collect();
+    let stat = |read: fn(&[f64]) -> f64| {
+        if fcts.is_empty() {
+            f64::NAN
+        } else {
+            read(&fcts)
+        }
+    };
+    FctStats {
+        count: fcts.len(),
+        mean_s: stat(nimbus_dsp::mean),
+        p50_s: stat(|xs| nimbus_dsp::percentile(xs, 50.0)),
+        p95_s: stat(|xs| nimbus_dsp::percentile(xs, 95.0)),
+        p99_s: stat(|xs| nimbus_dsp::percentile(xs, 99.0)),
+    }
 }
 
 /// Time of a Nimbus flow's first switch into competitive mode, or `-1.0` if
@@ -215,6 +266,53 @@ mod tests {
         assert_eq!(elastic_fraction(&etas), 0.5);
         assert_eq!(accuracy(&etas, false), 0.5);
         assert_eq!(accuracy(&[], true), 0.0);
+    }
+
+    #[test]
+    fn fct_buckets_partition_the_record_and_read_dsp_statistics() {
+        // Sizes on and beside every fleet bound, in no order.
+        let sizes = [
+            1_000_000, 500, 100_000, 100_001, 999_999, 20_000_000, 50_000, 1_000_000,
+        ];
+        let record: Vec<(u64, f64)> = (sizes.iter().enumerate())
+            .map(|(i, &size)| (size, 0.01 * (i as f64 + 1.0).powf(1.7)))
+            .collect();
+        let counts = FLEET_SIZE_BUCKETS.map(|(_, lo, hi)| fct_stats(&record, (lo, hi)).count);
+        assert_eq!(counts, [3, 2, 3]);
+        assert_eq!(fct_stats(&record, ALL_SIZES).count, record.len());
+        // The upper bound is inclusive: 100 000 B is a mouse, 999 999 B is
+        // medium and 1 000 000 B an elephant.
+        for (size, bucket) in [(100_000, 0), (999_999, 1), (1_000_000, 2)] {
+            let counts =
+                FLEET_SIZE_BUCKETS.map(|(_, lo, hi)| fct_stats(&[(size, 1.0)], (lo, hi)).count);
+            let mut only = [0; 3];
+            only[bucket] = 1;
+            assert_eq!(counts, only, "{size} B");
+        }
+        // Every statistic is nimbus-dsp's, bit for bit.
+        let buckets = FLEET_SIZE_BUCKETS.map(|(_, lo, hi)| (lo, hi));
+        for (lo, hi) in buckets.into_iter().chain([ALL_SIZES]) {
+            let fcts: Vec<f64> = record
+                .iter()
+                .filter(|&&(size, _)| lo < size && size <= hi)
+                .map(|&(_, fct)| fct)
+                .collect();
+            let stats = fct_stats(&record, (lo, hi));
+            assert_eq!(stats.count, fcts.len());
+            assert_eq!(stats.mean_s.to_bits(), nimbus_dsp::mean(&fcts).to_bits());
+            for (got, p) in [
+                (stats.p50_s, 50.0),
+                (stats.p95_s, 95.0),
+                (stats.p99_s, 99.0),
+            ] {
+                let want = nimbus_dsp::percentile(&fcts, p);
+                assert_eq!(got.to_bits(), want.to_bits(), "p{p} of ({lo}, {hi}]");
+            }
+        }
+        let empty = fct_stats(&record, (20_000_000, u64::MAX));
+        assert_eq!(empty.count, 0);
+        let statistics = [empty.mean_s, empty.p50_s, empty.p95_s, empty.p99_s];
+        assert!(statistics.iter().all(|s| s.is_nan()));
     }
 
     #[test]

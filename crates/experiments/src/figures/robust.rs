@@ -4,7 +4,6 @@ use super::{accuracy, after, agreement, elastic_fraction, scenario, window};
 use crate::output::ExperimentResult;
 use crate::runner::{run_scenario, run_scheme_vs_cross, Monitored, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
-use nimbus_transport::CcKind;
 
 /// Classification accuracy of a Nimbus run given the ground truth ("the cross
 /// traffic is elastic during the whole steady state" or not): the fraction
@@ -286,6 +285,22 @@ pub fn fig26(quick: bool) -> ExperimentResult {
     result
 }
 
+/// Table 1's rows: the row name, its cross traffic in the scenario grammar
+/// and the paper's classification, elastic or not.  A CBR stream paces at a
+/// constant rate and the app-limited Poisson source sends unlimited, so both
+/// are inelastic; BBR is "Elastic*" (only when cwnd-limited) and PCC Vivace
+/// "Inelastic*".
+const TABLE1_ROWS: [(&str, &str, bool); 8] = [
+    ("cubic", "cubic", true),
+    ("reno", "newreno", true),
+    ("copa", "copa", true),
+    ("vegas", "vegas", true),
+    ("bbr", "bbr", true),
+    ("pcc_vivace", "vivace", false),
+    ("const_stream", "cbr@0.5", false),
+    ("app_limited", "poisson@30M@seed=101", false),
+];
+
 /// Table 1: the detector's classification of each cross-traffic type.
 pub fn table1(quick: bool) -> ExperimentResult {
     let duration = if quick { 30.0 } else { 60.0 };
@@ -294,25 +309,14 @@ pub fn table1(quick: bool) -> ExperimentResult {
         "Classification of cross-traffic types by the elasticity detector",
         quick,
     );
-    // Each row's cross traffic and the CCA behind it: a CBR stream paces at
-    // a constant rate, and the app-limited Poisson source sends unlimited.
-    for (name, vs, kind) in [
-        ("cubic", "cubic", CcKind::Cubic),
-        ("reno", "newreno", CcKind::NewReno),
-        ("copa", "copa", CcKind::Copa),
-        ("vegas", "vegas", CcKind::Vegas),
-        ("bbr", "bbr", CcKind::Bbr),
-        ("pcc_vivace", "vivace", CcKind::Vivace),
-        ("const_stream", "cbr@0.5", CcKind::ConstantRate(48e6)),
-        ("app_limited", "poisson@30M@seed=101", CcKind::Unlimited),
-    ] {
+    for (name, vs, expected_elastic) in TABLE1_ROWS {
         let spec = scenario(&format!("96M vs {vs} seed=100 dur={duration}s"));
         let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
         let elastic_frac = elastic_fraction(&window(&out.flows[0].eta_series, after(8.0)));
         result.row(&format!("{name}_classified_elastic_fraction"), elastic_frac);
         result.row(
             &format!("{name}_expected_elastic"),
-            if kind.expected_elastic() { 1.0 } else { 0.0 },
+            if expected_elastic { 1.0 } else { 0.0 },
         );
     }
     result
@@ -411,4 +415,20 @@ pub fn cellular_estimators(quick: bool) -> ExperimentResult {
         );
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table1_paper_column() {
+        // Table 1 of the paper: the loss- and delay-based TCPs and BBR read
+        // elastic; Vivace, a constant stream and app-limited traffic do not.
+        let elastic: Vec<&str> = (TABLE1_ROWS.iter())
+            .filter(|&&(_, _, elastic)| elastic)
+            .map(|&(name, _, _)| name)
+            .collect();
+        assert_eq!(elastic, ["cubic", "reno", "copa", "vegas", "bbr"]);
+    }
 }

@@ -14,7 +14,8 @@
 //!
 //! The sweep writes a per-cell table to stdout and a JSON report to
 //! `target/sweep/sweep.json` (or `--out PATH`); it gates nothing.  Either
-//! path exits 2 on an unknown flag.
+//! path exits 2 on an unknown flag, and flags that name no experiment print
+//! the usage and exit 2.
 
 use nimbus_experiments::{experiment_names, run_experiment, ExperimentResult, SweepConfig};
 use std::path::PathBuf;
@@ -42,6 +43,15 @@ where
         eprintln!("{e}");
         std::process::exit(2);
     })
+}
+
+/// Print the usage, the spec grammar and the experiment names to stderr.
+fn usage() {
+    eprintln!("usage: nimbus-experiments <experiment...|all|list> [--quick] [--out DIR]");
+    eprintln!("       nimbus-experiments sweep [--quick] [--threads N] [--out PATH] [CELL]...");
+    eprintln!("spec grammar (a sweep CELL is a <cell>):");
+    eprintln!("{}", nimbus_experiments::runner::grammar_reference());
+    eprintln!("experiments: {}", experiment_names().join(", "));
 }
 
 fn unknown_flag(arg: &str) -> ! {
@@ -87,29 +97,16 @@ fn run_sweep_command(args: &[String]) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        eprintln!("usage: nimbus-experiments <experiment...|all|list> [--quick] [--out DIR]");
-        eprintln!("       nimbus-experiments sweep [--quick] [--threads N] [--out PATH] [CELL]...");
-        eprintln!("spec grammar (a sweep CELL is a <cell>):");
-        eprintln!("{}", nimbus_experiments::runner::grammar_reference());
-        eprintln!("experiments: {}", experiment_names().join(", "));
+        usage();
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
-    let name = args[0].clone();
-
-    if name == "sweep" {
+    if args[0] == "sweep" {
         run_sweep_command(&args[1..]);
     }
 
     let quick = args.iter().any(|a| a == "--quick");
     let out_dir =
         flag_value(&args, "--out").map_or_else(ExperimentResult::default_output_dir, PathBuf::from);
-
-    if name == "list" {
-        for e in experiment_names() {
-            println!("{e}");
-        }
-        return;
-    }
 
     // Every leading non-flag argument is an experiment name, so one
     // invocation can regenerate a family: `l4s_pulse l4s_coexistence --quick`.
@@ -127,6 +124,20 @@ fn main() {
         }
         names
     };
+    match names.first() {
+        // Flags alone name nothing to run.
+        None => {
+            usage();
+            std::process::exit(2);
+        }
+        Some(&"list") => {
+            for e in experiment_names() {
+                println!("{e}");
+            }
+            return;
+        }
+        Some(_) => {}
+    }
     let to_run: Vec<&str> = if names.contains(&"all") {
         experiment_names()
     } else {

@@ -25,6 +25,7 @@ pub use scenario::{grammar_reference, FleetSpec, ScenarioSpec};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::{fct_stats, ALL_SIZES, FLEET_SIZE_BUCKETS};
     use crate::scheme::SchemeSpec;
     use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
     use nimbus_transport::{CcKind, FixedSizeSource, PathInfo, Sender, SenderConfig, MSS};
@@ -218,10 +219,14 @@ mod tests {
             "cubic got {} Mbit/s under 30% churn",
             m.mean_throughput_mbps
         );
-        let summary = out.recorder.fct_summary();
-        assert_eq!(summary.all.count as usize, fcts.len());
-        assert!(summary.mice.count > 0, "churn must include mice");
-        assert!(summary.all.p50_s > 0.0);
+        let all = fct_stats(fcts, ALL_SIZES);
+        assert_eq!(all.count, fcts.len());
+        let (_, lo, hi) = FLEET_SIZE_BUCKETS[0];
+        assert!(
+            fct_stats(fcts, (lo, hi)).count > 0,
+            "churn must include mice"
+        );
+        assert!(all.p50_s > 0.0);
     }
 
     #[test]

@@ -36,6 +36,8 @@ fn a_malformed_flag_exits_2_and_writes_nothing() {
             &["sweep", "--quick", "--threads"],
         ),
         ("unknown flag: --fast", &["fig07", "--fast"]),
+        // Flags without an experiment name run nothing.
+        ("usage: nimbus-experiments", &["--quick", "--out", "figs"]),
         (
             "unknown flag: --timings",
             &["sweep", "--timings", "t.folded"],
@@ -95,4 +97,11 @@ fn a_cell_operand_replaces_the_sweep_matrix() {
     std::fs::remove_file(&report).ok();
     let report: serde::Value = serde_json::from_str(&text).unwrap();
     assert_eq!(report.field("cell_count").unwrap().as_u64().unwrap(), 1);
+}
+
+#[test]
+fn list_may_follow_a_flag() {
+    let (code, stderr, left) = run("list", &["--quick", "list"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(left, 0, "list wrote {left} paths");
 }

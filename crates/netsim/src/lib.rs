@@ -49,8 +49,7 @@ pub use nimbus_core_types::Time;
 pub use packet::{EcnCodepoint, FlowId, Packet, MSS};
 pub use queue::{CoDelQueue, DropTailQueue, EcnMarking, PieQueue, QueueDiscipline, RedQueue};
 pub use recorder::{
-    ChunkedSamples, FctBucket, FctSummary, FlowStats, Recorder, RecorderConfig, SampleChunks,
-    TimeSeries, ELEPHANT_MIN_BYTES, MICE_MAX_BYTES, SAMPLE_CHUNK,
+    ChunkedSamples, FlowStats, Recorder, RecorderConfig, SampleChunks, TimeSeries, SAMPLE_CHUNK,
 };
 pub use schedule::RateSchedule;
 pub use seq_window::SeqWindow;

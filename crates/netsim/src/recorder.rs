@@ -303,95 +303,6 @@ impl FlowStats {
     }
 }
 
-/// Upper size bound (bytes, inclusive) for a "mouse" flow when bucketing
-/// FCTs: roughly what fits in a few initial windows.
-pub const MICE_MAX_BYTES: u64 = 100_000;
-
-/// Lower size bound (bytes, inclusive) for an "elephant" flow when
-/// bucketing FCTs.
-pub const ELEPHANT_MIN_BYTES: u64 = 1_000_000;
-
-/// Percentile statistics over the flow completion times of one size bucket.
-/// Empty buckets report `count == 0` and NaN statistics — absence of flows is
-/// not the same thing as instantaneous completion.
-#[derive(Debug, Clone, Copy)]
-pub struct FctBucket {
-    /// Number of completed flows in the bucket.
-    pub count: u64,
-    /// Mean completion time, seconds.
-    pub mean_s: f64,
-    /// Median completion time, seconds.
-    pub p50_s: f64,
-    /// 95th-percentile completion time, seconds.
-    pub p95_s: f64,
-    /// 99th-percentile completion time, seconds.
-    pub p99_s: f64,
-}
-
-impl FctBucket {
-    fn from_fcts(mut fcts: Vec<f64>) -> Self {
-        if fcts.is_empty() {
-            return FctBucket {
-                count: 0,
-                mean_s: f64::NAN,
-                p50_s: f64::NAN,
-                p95_s: f64::NAN,
-                p99_s: f64::NAN,
-            };
-        }
-        fcts.sort_by(|a, b| a.partial_cmp(b).expect("FCTs are finite"));
-        let n = fcts.len();
-        // Nearest-rank percentile on the sorted sample.
-        let rank = |p: f64| -> f64 {
-            let idx = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n) - 1;
-            fcts[idx]
-        };
-        FctBucket {
-            count: n as u64,
-            mean_s: fcts.iter().sum::<f64>() / n as f64,
-            p50_s: rank(50.0),
-            p95_s: rank(95.0),
-            p99_s: rank(99.0),
-        }
-    }
-}
-
-/// Size-bucketed FCT percentile summary over a run's completed finite flows:
-/// the population-level view a fleet workload is judged by (mice should not
-/// starve behind elephants; tail percentiles expose queueing pathologies that
-/// means hide).
-#[derive(Debug, Clone, Copy)]
-pub struct FctSummary {
-    /// All completed finite flows.
-    pub all: FctBucket,
-    /// Flows of at most [`MICE_MAX_BYTES`].
-    pub mice: FctBucket,
-    /// Flows strictly between the mice and elephant bounds.
-    pub medium: FctBucket,
-    /// Flows of at least [`ELEPHANT_MIN_BYTES`].
-    pub elephant: FctBucket,
-}
-
-impl FctSummary {
-    /// Summarize `(size_bytes, fct_seconds)` pairs.
-    pub fn from_fcts(fcts: &[(u64, f64)]) -> Self {
-        let select = |pred: &dyn Fn(u64) -> bool| -> Vec<f64> {
-            fcts.iter()
-                .filter(|(sz, _)| pred(*sz))
-                .map(|(_, f)| *f)
-                .collect()
-        };
-        FctSummary {
-            all: FctBucket::from_fcts(select(&|_| true)),
-            mice: FctBucket::from_fcts(select(&|sz| sz <= MICE_MAX_BYTES)),
-            medium: FctBucket::from_fcts(select(&|sz| {
-                sz > MICE_MAX_BYTES && sz < ELEPHANT_MIN_BYTES
-            })),
-            elephant: FctBucket::from_fcts(select(&|sz| sz >= ELEPHANT_MIN_BYTES)),
-        }
-    }
-}
-
 /// The instrumentation sink for a simulation run.
 ///
 /// A *monitored* flow (one a [`crate::FlowConfig`] registers with
@@ -721,13 +632,6 @@ impl Recorder {
     pub fn fct_stream(&self) -> &[(u64, f64)] {
         &self.fct_stream
     }
-
-    /// Size-bucketed p50/p95/p99 summary of every completed finite flow,
-    /// using the default mice/elephant boundaries.  Computed on demand; not
-    /// part of [`Recorder::snapshot`], so pinned fingerprints are unaffected.
-    pub fn fct_summary(&self) -> FctSummary {
-        FctSummary::from_fcts(&self.fct_stream)
-    }
 }
 
 #[cfg(test)]
@@ -861,41 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn fct_bucket_percentiles_use_nearest_rank() {
-        let fcts: Vec<(u64, f64)> = (1..=100).map(|i| (1000, i as f64)).collect();
-        let s = FctSummary::from_fcts(&fcts);
-        assert_eq!(s.all.count, 100);
-        assert_eq!(s.all.p50_s, 50.0);
-        assert_eq!(s.all.p95_s, 95.0);
-        assert_eq!(s.all.p99_s, 99.0);
-        assert!((s.all.mean_s - 50.5).abs() < 1e-9);
-        // All flows are 1000 B: mice bucket holds everything.
-        assert_eq!(s.mice.count, 100);
-        assert_eq!(s.medium.count, 0);
-        assert!(s.medium.p50_s.is_nan());
-        assert_eq!(s.elephant.count, 0);
-    }
-
-    #[test]
-    fn fct_summary_buckets_split_by_size() {
-        let fcts = vec![
-            (50_000, 0.1),     // mouse
-            (100_000, 0.2),    // mouse (inclusive bound)
-            (500_000, 1.0),    // medium
-            (1_000_000, 5.0),  // elephant (inclusive bound)
-            (20_000_000, 9.0), // elephant
-        ];
-        let s = FctSummary::from_fcts(&fcts);
-        assert_eq!(s.all.count, 5);
-        assert_eq!(s.mice.count, 2);
-        assert_eq!(s.medium.count, 1);
-        assert_eq!(s.elephant.count, 2);
-        assert!((s.mice.p50_s - 0.1).abs() < 1e-9);
-        assert!((s.medium.p50_s - 1.0).abs() < 1e-9);
-        assert!((s.elephant.p99_s - 9.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn fct_stream_keeps_completion_order() {
         let mut r = Recorder::new(RecorderConfig::default(), 1);
         r.register_flow(0, "a".into(), Some(false), false, Time::ZERO, Some(1_000));
@@ -917,9 +786,6 @@ mod tests {
         r.on_finish(0, Time::from_secs_f64(4.0));
         r.on_finish(2, Time::from_secs_f64(5.0));
         assert_eq!(r.fct_stream(), &[(2_000, 2.0), (1_000, 4.0)]);
-        let s = r.fct_summary();
-        assert_eq!(s.all.count, 2);
-        assert!((s.all.p50_s - 2.0).abs() < 1e-9);
     }
 
     #[test]

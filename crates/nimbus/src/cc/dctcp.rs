@@ -11,8 +11,8 @@
 //! an ECN flow.
 //!
 //! Without marks DCTCP grows exactly like Reno (slow start, then one segment
-//! per RTT), so [`CcKind::expected_elastic`](super::CcKind::expected_elastic)
-//! reports it elastic.  The window itself is a [`NewReno`]'s: DCTCP keeps
+//! per RTT), so as a backlogged flow it is elastic in the sense of the
+//! paper's Table 1.  The window itself is a [`NewReno`]'s: DCTCP keeps
 //! only `α`, its observation window and the proportional CE cut.
 
 use super::reno::NewReno;

@@ -219,22 +219,6 @@ impl CcKind {
         }
     }
 
-    /// Whether this scheme is, per Table 1 of the paper, expected to be
-    /// classified as elastic by the detector when running as a backlogged flow.
-    pub fn expected_elastic(self) -> bool {
-        match self {
-            CcKind::NewReno | CcKind::Cubic | CcKind::Vegas | CcKind::Copa | CcKind::Compound => {
-                true
-            }
-            // BBR: "Elastic*" (only when CWND-limited); Vivace: "Inelastic*".
-            CcKind::Bbr => true,
-            // Window-based and ACK-clocked; without marks it grows like Reno.
-            CcKind::Dctcp => true,
-            CcKind::Vivace => false,
-            CcKind::ConstantRate(_) | CcKind::Unlimited => false,
-        }
-    }
-
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -282,17 +266,5 @@ mod tests {
                 cc.name()
             );
         }
-    }
-
-    #[test]
-    fn table1_expectations() {
-        // Table 1 of the paper.
-        assert!(CcKind::Cubic.expected_elastic());
-        assert!(CcKind::NewReno.expected_elastic());
-        assert!(CcKind::Copa.expected_elastic());
-        assert!(CcKind::Vegas.expected_elastic());
-        assert!(!CcKind::Vivace.expected_elastic());
-        assert!(CcKind::Dctcp.expected_elastic());
-        assert!(!CcKind::ConstantRate(1e6).expected_elastic());
     }
 }

@@ -33,3 +33,9 @@ pub use nimbus_netsim as netsim;
 pub use nimbus_sim as sim;
 pub use nimbus_traffic as traffic;
 pub use nimbus_transport as transport;
+
+// README's Rust snippets run as doctests of this crate, so one that uses a
+// removed or renamed API fails `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

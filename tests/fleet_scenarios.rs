@@ -2,9 +2,10 @@
 //! must be deterministic per seed, must retire its flows (bounded hot-path
 //! state), and the multiflow population must converge to a fair allocation.
 
+use nimbus_repro::experiments::figures::{fct_stats, ALL_SIZES, FLEET_SIZE_BUCKETS};
 use nimbus_repro::experiments::runner::run_scheme_vs_cross;
 use nimbus_repro::experiments::{FleetSpec, ScenarioSpec, SchemeSpec};
-use nimbus_repro::netsim::{Recorder, MICE_MAX_BYTES};
+use nimbus_repro::netsim::Recorder;
 
 /// A 1 Gbit/s churn scenario: Poisson arrivals at 50% offered load spawn
 /// ~550 flows/s, so a few simulated seconds cover well over 1000 complete
@@ -87,27 +88,22 @@ fn fleet_fcts_are_complete_and_size_bucketed() {
         .count();
     assert_eq!(out.recorder.fct_stream().len(), finished);
 
-    // The summary's buckets partition the completions.
-    let summary = out.recorder.fct_summary();
-    assert_eq!(
-        summary.all.count,
-        summary.mice.count + summary.medium.count + summary.elephant.count
-    );
-    assert!(summary.all.count >= 1000);
+    // The fleet buckets partition the completions.
+    let record = out.recorder.fct_stream();
+    let all = fct_stats(record, ALL_SIZES);
+    let [mice, medium, elephant] =
+        FLEET_SIZE_BUCKETS.map(|(_, lo, hi)| fct_stats(record, (lo, hi)));
+    assert_eq!(all.count, mice.count + medium.count + elephant.count);
+    assert!(all.count >= 1000);
     // The heavy-tailed mixture makes mice the large majority of *flows*.
     assert!(
-        summary.mice.count as f64 >= 0.7 * summary.all.count as f64,
+        mice.count as f64 >= 0.7 * all.count as f64,
         "mice {} of {}",
-        summary.mice.count,
-        summary.all.count
+        mice.count,
+        all.count
     );
     // Percentiles are ordered within every non-empty bucket.
-    for bucket in [
-        &summary.all,
-        &summary.mice,
-        &summary.medium,
-        &summary.elephant,
-    ] {
+    for bucket in [all, mice, medium, elephant] {
         if bucket.count > 0 {
             assert!(bucket.p50_s <= bucket.p95_s && bucket.p95_s <= bucket.p99_s);
             assert!(bucket.p50_s > 0.0);
@@ -116,12 +112,12 @@ fn fleet_fcts_are_complete_and_size_bucketed() {
     // Mice finish fast on a 1 Gbit/s link: a 100 kB flow at even a tenth of
     // fair share is sub-second.
     assert!(
-        summary.mice.p95_s < 1.0,
+        mice.p95_s < 1.0,
         "mice p95 {:.3} s on a 1 Gbit/s link",
-        summary.mice.p95_s
+        mice.p95_s
     );
-    // Sanity on the bucket boundary constant this test relies on.
-    assert_eq!(MICE_MAX_BYTES, 100_000);
+    // Sanity on the bucket boundary this test relies on.
+    assert_eq!(FLEET_SIZE_BUCKETS[0], ("mice", 0, 100_000));
 }
 
 #[test]
