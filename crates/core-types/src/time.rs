@@ -6,7 +6,6 @@
 //! nanosecond resolution is ample for serialization times down to single
 //! bytes on multi-gigabit links.
 
-use serde::Serialize;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -16,7 +15,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// subtraction, so transient ordering noise can never produce a negative
 /// time, and at [`Time::MAX`] on addition, so a deadline pushed past the far
 /// future stays there instead of wrapping into the past.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(pub u64);
 
 impl Time {
@@ -134,6 +133,13 @@ impl Sub for Time {
 impl SubAssign for Time {
     fn sub_assign(&mut self, rhs: Time) {
         self.0 = self.0.saturating_sub(rhs.0);
+    }
+}
+
+/// `[ns]`, the one-element array a tuple struct writes in JSON.
+impl serde::Serialize for Time {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.seq([self.0]);
     }
 }
 

@@ -50,7 +50,7 @@ pub struct SweepCellResult {
     pub name: String,
     /// Simulated seconds covered by the cell.
     pub sim_s: f64,
-    /// Wall-clock seconds the cell took.
+    /// Wall-clock seconds the cell took, its fingerprint's hash included.
     pub wall_s: f64,
     /// Engine events processed.
     pub events: u64,
@@ -61,6 +61,9 @@ pub struct SweepCellResult {
     /// Steady-state throughput of the monitored flow, Mbit/s (sanity anchor
     /// so a "faster" sweep that simulates garbage is caught).
     pub mean_throughput_mbps: f64,
+    /// `CellOutcome::fingerprint`, the hash a ledger row pins, as `0x` and 16
+    /// hex digits (a JSON number would lose the bits above 2^53).
+    pub fingerprint: String,
 }
 
 /// The whole sweep report (serialized to [`SweepConfig::out`]).
@@ -218,6 +221,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> std::io::Result<SweepReport> {
             events_per_sec: outcome.events as f64 / wall_s.max(1e-9),
             sim_speedup: outcome.sim_s / wall_s.max(1e-9),
             mean_throughput_mbps: outcome.metrics.mean_throughput_mbps,
+            fingerprint: format!("{:#018x}", outcome.fingerprint),
         }
     });
     let total_wall_s = started.elapsed().as_secs_f64();

@@ -115,7 +115,7 @@ impl Cell {
         let sim_s = out.duration_s;
         let metrics = out.flows.into_iter().next().expect("one monitored flow");
         let violations = self.invariants.check(self.scheme, &metrics);
-        let fingerprint = fingerprint_of(&out.recorder.snapshot(), &metrics);
+        let fingerprint = fingerprint_of(&out.recorder, &metrics);
         CellOutcome {
             name: self.name(),
             metrics,
@@ -275,19 +275,26 @@ pub struct CellOutcome {
     pub sim_s: f64,
 }
 
-fn fingerprint_of(recorder_snapshot: &serde::Value, metrics: &SingleFlowMetrics) -> u64 {
-    let mut text = serde_json::to_string(recorder_snapshot).expect("snapshot serializes");
-    text.push_str(&serde_json::to_string(metrics).expect("metrics serialize"));
-    fnv1a(text.as_bytes())
+/// FNV-1a over the recorder snapshot's JSON, then the metrics', hashed as
+/// the text is written: no tree and no `String` is built.
+fn fingerprint_of(recorder: &nimbus_netsim::Recorder, metrics: &SingleFlowMetrics) -> u64 {
+    let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+    serde_json::to_writer(&mut hash, &recorder.snapshot()).expect("hashing never fails");
+    serde_json::to_writer(&mut hash, metrics).expect("hashing never fails");
+    hash.0
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// A 64-bit FNV-1a hash of the bytes written to it.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        Ok(())
     }
-    h
 }
 
 /// The number of worker threads [`parallel_map`] spawns for `items` items:
@@ -465,7 +472,14 @@ mod tests {
 
     #[test]
     fn fingerprints_are_order_sensitive() {
-        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
-        assert_ne!(fnv1a(b""), fnv1a(b"\0"));
+        let fnv1a = |s: &str| {
+            let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+            fmt::Write::write_str(&mut hash, s).unwrap();
+            hash.0
+        };
+        assert_ne!(fnv1a("ab"), fnv1a("ba"));
+        assert_ne!(fnv1a(""), fnv1a("\0"));
+        // The published FNV-1a test vector.
+        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

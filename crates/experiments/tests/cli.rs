@@ -82,21 +82,25 @@ fn out_takes_its_operand() {
 
 #[test]
 fn a_cell_operand_replaces_the_sweep_matrix() {
+    let cell = "dctcp@48M ecn=l4s vs alone seed=1 dur=3s steady=1s";
     let report = std::env::temp_dir().join(format!("nimbus-cli-{}-cell.json", std::process::id()));
-    let (code, stderr, _) = run(
-        "cell",
-        &[
-            "sweep",
-            "dctcp@48M ecn=l4s vs alone seed=1 dur=3s steady=1s",
-            "--out",
-            report.to_str().unwrap(),
-        ],
-    );
+    let (code, stderr, _) = run("cell", &["sweep", cell, "--out", report.to_str().unwrap()]);
     assert_eq!(code, Some(0), "{stderr}");
     let text = std::fs::read_to_string(&report).unwrap();
     std::fs::remove_file(&report).ok();
     let report: serde::Value = serde_json::from_str(&text).unwrap();
     assert_eq!(report.field("cell_count").unwrap().as_u64().unwrap(), 1);
+    // The row carries the fingerprint the testkit computes for the cell.
+    let row = &report.field("cells").unwrap().as_seq().unwrap()[0];
+    let fingerprint = cell
+        .parse::<nimbus_experiments::testkit::Cell>()
+        .unwrap()
+        .run()
+        .fingerprint;
+    assert_eq!(
+        row.field("fingerprint").unwrap(),
+        &serde::Value::Str(format!("{fingerprint:#018x}"))
+    );
 }
 
 #[test]

@@ -205,16 +205,12 @@ fn widen(narrow: &SampleChunks<u32>) -> SampleChunks<u64> {
 }
 
 impl Serialize for ChunkedSamples {
-    fn to_value(&self) -> serde::Value {
-        let ms = |ns: u64| Time::from_nanos(ns).as_millis_f64().to_value();
-        let mut seq = Vec::with_capacity(self.len());
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        let ms = |ns: u64| Time::from_nanos(ns).as_millis_f64();
         match self {
-            ChunkedSamples::Narrow(narrow) => {
-                seq.extend(narrow.chunks().flatten().map(|&ns| ms(ns.into())));
-            }
-            ChunkedSamples::Wide(wide) => seq.extend(wide.chunks().flatten().map(|&ns| ms(ns))),
+            ChunkedSamples::Narrow(c) => w.seq(c.chunks().flatten().map(|&ns| ms(ns.into()))),
+            ChunkedSamples::Wide(c) => w.seq(c.chunks().flatten().map(|&ns| ms(ns))),
         }
-        serde::Value::Seq(seq)
     }
 }
 
@@ -567,62 +563,12 @@ impl Recorder {
         }
     }
 
-    /// Serialize every public time series and per-flow summary.  This is the
-    /// record the determinism tests compare byte-for-byte: two runs with the
-    /// same `SimConfig` seed must produce identical snapshots.
-    ///
-    /// Per-hop entries are appended only for multi-hop paths: on a one-hop
-    /// path they would merely duplicate `queue_bytes` and the per-flow drop
-    /// counts, and omitting them keeps single-bottleneck snapshots (and the
-    /// fingerprints pinned against the pre-path engine) byte-identical.
-    pub fn snapshot(&self) -> serde::Value {
-        use serde::Serialize as _;
-        let mut entries = vec![
-            (
-                "throughput_mbps".to_string(),
-                self.throughput_mbps.to_value(),
-            ),
-            ("rtt_ms".to_string(), self.rtt_ms.to_value()),
-            ("queue_delay_ms".to_string(), self.queue_delay_ms.to_value()),
-            (
-                "packet_delay_samples_ms".to_string(),
-                self.packet_delays.to_value(),
-            ),
-            ("queue_bytes".to_string(), self.queue_bytes.to_value()),
-            (
-                "cross_rate_mbps".to_string(),
-                self.cross_rate_mbps.to_value(),
-            ),
-            (
-                "elastic_fraction".to_string(),
-                self.elastic_fraction.to_value(),
-            ),
-            ("flows".to_string(), self.flows.to_value()),
-        ];
-        if self.num_hops() > 1 {
-            entries.push((
-                "hop_queue_bytes".to_string(),
-                self.hop_queue_bytes.to_value(),
-            ));
-            entries.push((
-                "hop_dropped_packets".to_string(),
-                self.hop_dropped_packets.to_value(),
-            ));
-        }
-        // Mark entries appear only when something actually marked: an
-        // ECN-off run never does, so its snapshot — and every fingerprint
-        // pinned before ECN existed — is byte-identical.
-        if self.hop_marked_packets.iter().any(|&m| m > 0) {
-            entries.push((
-                "hop_marked_packets".to_string(),
-                self.hop_marked_packets.to_value(),
-            ));
-            entries.push((
-                "hop_mark_series".to_string(),
-                self.hop_mark_series.to_value(),
-            ));
-        }
-        serde::Value::Map(entries)
+    /// Every public time series and per-flow summary, borrowed for
+    /// serialization.  This is the record the determinism tests compare
+    /// byte-for-byte: two runs with the same `SimConfig` seed must produce
+    /// identical snapshots.
+    pub fn snapshot(&self) -> Snapshot<'_> {
+        Snapshot(self)
     }
 
     /// The completion record: one `(size_bytes, fct_seconds)` pair for
@@ -631,6 +577,38 @@ impl Recorder {
     /// whole flow table.
     pub fn fct_stream(&self) -> &[(u64, f64)] {
         &self.fct_stream
+    }
+}
+
+/// A [`Recorder`]'s state as one JSON object, written straight from the
+/// recorder's own stores ([`Recorder::snapshot`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Snapshot<'a>(&'a Recorder);
+
+impl Serialize for Snapshot<'_> {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        let r = self.0;
+        // Per-hop entries are written only for multi-hop paths (on one hop
+        // they would duplicate `queue_bytes` and the per-flow drops), and mark
+        // entries only once something marked: single-bottleneck and ECN-off
+        // snapshots stay byte-identical to the engine's before paths and ECN.
+        let hops = r.num_hops() > 1;
+        let marks = r.hop_marked_packets.iter().any(|&m| m > 0);
+        let entries: [(&str, &dyn Serialize, bool); 12] = [
+            ("throughput_mbps", &r.throughput_mbps, true),
+            ("rtt_ms", &r.rtt_ms, true),
+            ("queue_delay_ms", &r.queue_delay_ms, true),
+            ("packet_delay_samples_ms", &r.packet_delays, true),
+            ("queue_bytes", &r.queue_bytes, true),
+            ("cross_rate_mbps", &r.cross_rate_mbps, true),
+            ("elastic_fraction", &r.elastic_fraction, true),
+            ("flows", &r.flows, true),
+            ("hop_queue_bytes", &r.hop_queue_bytes, hops),
+            ("hop_dropped_packets", &r.hop_dropped_packets, hops),
+            ("hop_marked_packets", &r.hop_marked_packets, marks),
+            ("hop_mark_series", &r.hop_mark_series, marks),
+        ];
+        w.map(entries.iter().filter(|e| e.2).map(|e| (e.0, e.1)));
     }
 }
 
@@ -821,17 +799,9 @@ mod tests {
             panic!("delays below 2^32 ns stay narrow");
         };
         assert_eq!(narrow.chunks().count(), 4);
-        let serde::Value::Map(entries) = r.snapshot() else {
-            panic!("a snapshot is a map");
-        };
-        let (_, samples) = entries
-            .iter()
-            .find(|(name, _)| name == "packet_delay_samples_ms")
-            .expect("the snapshot holds the delay samples");
-        assert_eq!(
-            serde_json::to_string(samples).unwrap(),
-            serde_json::to_string(&vec![delays_ms]).unwrap()
-        );
+        let snapshot = serde_json::to_string(&r.snapshot()).unwrap();
+        let samples = serde_json::to_string(&vec![delays_ms]).unwrap();
+        assert!(snapshot.contains(&format!("\"packet_delay_samples_ms\":{samples},")));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The recorder keeps one delay per packet of every monitored flow for the
 //! run's median queueing delay, so on a long run those samples are most of
 //! the heap.  Below 2^32 ns they must cost 4 bytes each plus at most one
-//! partly filled chunk, and reading their median must not copy them.
+//! partly filled chunk, and neither reading their median nor serializing
+//! the snapshot that holds them may copy them.
 
 use nimbus_netsim::{ChunkedSamples, Recorder, RecorderConfig, Time, SAMPLE_CHUNK};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -103,5 +104,52 @@ fn the_median_delay_allocates_the_same_bounded_bytes_at_any_sample_count() {
     assert!(
         large <= 8 * SAMPLE_CHUNK as u64,
         "the median allocated {large} B, more than one chunk"
+    );
+}
+
+/// A sink that only counts the bytes written to it.
+struct ByteCount(usize);
+
+impl std::fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+#[test]
+fn a_snapshot_streams_its_delays_without_building_a_copy() {
+    let rec = recorder_with(SAMPLES);
+    let before = ALLOCATED.with(Cell::get);
+    let mut sink = ByteCount(0);
+    serde_json::to_writer(&mut sink, &rec.snapshot()).unwrap();
+    let allocated = ALLOCATED.with(Cell::get) - before;
+    assert!(sink.0 > SAMPLES, "{SAMPLES} delays wrote only {} B", sink.0);
+    assert!(
+        allocated < 64_000,
+        "streaming a {} B snapshot allocated {allocated} B",
+        sink.0
+    );
+}
+
+#[test]
+fn a_snapshot_string_allocates_only_its_own_growth() {
+    let rec = recorder_with(SAMPLES);
+    let before = ALLOCATED.with(Cell::get);
+    let text = serde_json::to_string(&rec.snapshot()).unwrap();
+    let allocated = ALLOCATED.with(Cell::get) - before;
+    // The same text pushed a character at a time into a fresh `String`:
+    // what its amortised growth allocates, and nothing else.
+    let before = ALLOCATED.with(Cell::get);
+    let mut grown = String::new();
+    for c in text.chars() {
+        grown.push(c);
+    }
+    let growth = ALLOCATED.with(Cell::get) - before;
+    assert_eq!(grown, text);
+    assert!(
+        allocated <= growth,
+        "writing {} B allocated {allocated} B, its growth alone {growth} B",
+        text.len()
     );
 }

@@ -8,8 +8,9 @@
 //!
 //! This facade crate re-exports the workspace members under short names:
 //!
-//! * [`core_types`] — dependency-free primitives ([`core_types::Time`],
-//!   rate parsing/formatting) shared by every layer.
+//! * [`core_types`] — host-independent primitives ([`core_types::Time`],
+//!   rate parsing/formatting) shared by every layer; their one dependency
+//!   is the vendored `serde`, for `Time`'s JSON.
 //! * [`dsp`] — FFT, pulse shapes, filters, statistics.
 //! * [`netsim`] — the discrete-event dumbbell simulator (Mahimahi stand-in).
 //! * [`transport`] — sender machinery and application sources (the
