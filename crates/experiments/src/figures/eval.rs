@@ -5,9 +5,7 @@ use crate::output::ExperimentResult;
 use crate::runner::{run_scenario, run_scheme_vs_cross, Monitored};
 use crate::scheme::SchemeSpec;
 use nimbus_dsp::Cdf;
-use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
-use nimbus_traffic::{FleetWorkloadConfig, VideoQuality, VideoSource};
-use nimbus_transport::{CcKind, PathInfo, Sender, SenderConfig, MSS};
+use nimbus_transport::format_rate_bps;
 
 /// Fig. 8's nine phases, 20 s each, as annotated at the top of the figure:
 /// `(inelastic bits/s, long-running Cubic flows)`, i.e. `16M/1T, 32M/2T,
@@ -62,11 +60,9 @@ fn fig8_cubic_intervals() -> Vec<(f64, f64)> {
 }
 
 /// Fig. 8: the nine-phase scripted scenario on a 96 Mbit/s link, comparing
-/// the mode-switching protocols against every baseline.
-///
-/// Deviation: the paper's inelastic cross traffic is Poisson; here each
-/// phase's inelastic rate is a smooth constant stream (a `ScriptedSource`
-/// with no congestion control), so it carries no arrival burstiness.
+/// the mode-switching protocols against every baseline.  Each phase's
+/// inelastic cross traffic is Poisson at the phase's rate (no flow at all
+/// in a 0 bit/s phase).
 pub fn fig08(quick: bool) -> ExperimentResult {
     let scale = if quick { 0.2 } else { 1.0 };
     let mut result = ExperimentResult::new(
@@ -87,30 +83,26 @@ pub fn fig08(quick: bool) -> ExperimentResult {
         s.push(SchemeSpec::compound());
         s
     };
-    // Long-running Cubic flows per the schedule (scaled in time).
-    let cubic: Vec<String> = fig8_cubic_intervals()
+    // Long-running Cubic flows per the schedule, then each phase's Poisson
+    // traffic (scaled in time).
+    let cubic = fig8_cubic_intervals()
         .into_iter()
-        .map(|(start, end)| format!("cubic@start={}s,stop={}s", start * scale, end * scale))
-        .collect();
-    let cubic = cubic.join("+");
+        .map(|(start, end)| format!("cubic@start={}s,stop={}s", start * scale, end * scale));
+    let phase_s = |i: usize| i as f64 * FIG8_PHASE_S * scale;
+    let poisson = (FIG8_PHASES.iter().enumerate())
+        .filter(|(_, &(bps, _))| bps > 0.0)
+        .map(|(i, &(bps, _))| {
+            let rate = format_rate_bps(bps);
+            format!(
+                "poisson@{rate}@start={}s,stop={}s",
+                phase_s(i),
+                phase_s(i + 1)
+            )
+        });
+    let cross = cubic.chain(poisson).collect::<Vec<_>>().join("+");
+    let spec = scenario(&format!("96M vs {cross} seed=8 dur={duration}s"));
     for scheme in schemes {
-        let spec = scenario(&format!("96M vs {cubic} seed=8 dur={duration}s"));
-        // Constant-rate inelastic traffic following the scripted schedule
-        // (scaled in time).
-        let scripted: Vec<(Time, f64)> = FIG8_PHASES
-            .iter()
-            .enumerate()
-            .map(|(i, &(bps, _))| (Time::from_secs_f64(i as f64 * FIG8_PHASE_S * scale), bps))
-            .collect();
-        let phases: (FlowConfig, Box<dyn FlowEndpoint>) = (
-            FlowConfig::cross("cbr-phases", Time::from_millis(50), false),
-            Box::new(Sender::new(
-                SenderConfig::labelled("cbr-phases"),
-                CcKind::Unlimited.build(&PathInfo::new(MSS)),
-                Box::new(nimbus_transport::ScriptedSource::scheduled(scripted)),
-            )),
-        );
-        let out = run_scheme_vs_cross(&spec, scheme, vec![phases], 2.0);
+        let out = run_scheme_vs_cross(&spec, scheme, 2.0);
         let m = &out.flows[0];
         result.row(
             &format!("{}_mean_throughput_mbps", m.label),
@@ -153,19 +145,6 @@ pub fn fig08(quick: bool) -> ExperimentResult {
     result
 }
 
-/// Build the CAIDA-like WAN cross traffic for a given load and duration.
-fn wan_cross(
-    link_rate_bps: f64,
-    load: f64,
-    duration_s: f64,
-    seed: u64,
-) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
-    super::drained_fleet(FleetWorkloadConfig {
-        seed,
-        ..FleetWorkloadConfig::default_for_link(link_rate_bps, load, duration_s)
-    })
-}
-
 /// Fig. 9: throughput and RTT CDFs against WAN (CAIDA-like) cross traffic at 50% load.
 pub fn fig09(quick: bool) -> ExperimentResult {
     let duration = if quick { 40.0 } else { 120.0 };
@@ -183,10 +162,9 @@ pub fn fig09(quick: bool) -> ExperimentResult {
     } else {
         SchemeSpec::headline_set()
     };
+    let spec = scenario(&format!("96M vs fleet(load=0.5) seed=9 dur={duration}s"));
     for scheme in schemes {
-        let spec = scenario(&format!("96M seed=9 dur={duration}s"));
-        let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 90);
-        let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
+        let out = run_scheme_vs_cross(&spec, scheme, 5.0);
         let m = &out.flows[0];
         let rtt_cdf = Cdf::from_samples(&m.rtt_samples_ms);
         let tput_cdf = Cdf::from_samples(&m.throughput_samples_mbps);
@@ -209,12 +187,12 @@ pub fn fig10(quick: bool) -> ExperimentResult {
         "Copa vs Nimbus throughput in the presence of large elastic cross flows",
         quick,
     );
+    // One long-lived elastic flow arrives mid-experiment.
+    let elephant = format!("cubic@start={}s", duration * 0.3);
+    let cross = format!("{elephant}+fleet(load=0.3)");
+    let spec = scenario(&format!("96M vs {cross} seed=10 dur={duration}s"));
     for scheme in [SchemeSpec::nimbus(), SchemeSpec::copa()] {
-        // One long-lived elastic flow arrives mid-experiment.
-        let elephant = format!("cubic@start={}s", duration * 0.3);
-        let spec = scenario(&format!("96M vs {elephant} seed=10 dur={duration}s"));
-        let cross = wan_cross(spec.link_rate_bps, 0.3, duration, 100);
-        let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
+        let out = run_scheme_vs_cross(&spec, scheme, 5.0);
         let m = &out.flows[0];
         // Throughput during the elephant period.
         result.row(
@@ -246,24 +224,12 @@ pub fn fig11(quick: bool) -> ExperimentResult {
     } else {
         SchemeSpec::headline_set()
     };
-    for quality in [VideoQuality::Uhd4k, VideoQuality::Fhd1080p] {
+    for quality in ["4k", "1080p"] {
+        let spec = scenario(&format!("48M vs video({quality}) seed=11 dur={duration}s"));
         for scheme in &schemes {
-            let spec = scenario(&format!("48M seed=11 dur={duration}s"));
-            let video: (FlowConfig, Box<dyn FlowEndpoint>) = (
-                FlowConfig::cross(
-                    format!("video-{}", quality.label()),
-                    Time::from_millis(50),
-                    quality == VideoQuality::Uhd4k,
-                ),
-                Box::new(Sender::new(
-                    SenderConfig::labelled("video"),
-                    CcKind::Cubic.build(&PathInfo::new(MSS)),
-                    Box::new(VideoSource::new(quality, duration)),
-                )),
-            );
-            let out = run_scheme_vs_cross(&spec, *scheme, vec![video], 5.0);
+            let out = run_scheme_vs_cross(&spec, *scheme, 5.0);
             let m = &out.flows[0];
-            let key = format!("{}_{}", quality.label(), m.label);
+            let key = format!("{quality}_{}", m.label);
             result.row(&format!("{key}_throughput_mbps"), m.mean_throughput_mbps);
             result.row(&format!("{key}_mean_rtt_ms"), m.mean_rtt_ms);
         }
@@ -280,9 +246,8 @@ pub fn fig12(quick: bool) -> ExperimentResult {
         "Elasticity metric vs ground-truth elastic fraction (WAN workload); detector accuracy",
         quick,
     );
-    let spec = scenario(&format!("96M seed=12 dur={duration}s"));
-    let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 120);
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), cross, 5.0);
+    let spec = scenario(&format!("96M vs fleet(load=0.5) seed=12 dur={duration}s"));
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 5.0);
     let m = &out.flows[0];
     // Ground truth per interval from the recorder; detector verdicts from the
     // controller.  A period is "elastic" if more than 30% of cross bytes came
@@ -321,13 +286,13 @@ pub fn fig13(quick: bool) -> ExperimentResult {
         quick,
     );
     for &load in &[0.5, 0.9] {
-        let spec = scenario(&format!("96M seed=13 dur={duration}s"));
+        let cross = format!("fleet(load={load})");
+        let spec = scenario(&format!("96M vs {cross} seed=13 dur={duration}s"));
         for &pulse in &[0.125, 0.25] {
-            let cross = wan_cross(spec.link_rate_bps, load, duration, 130);
             let nimbus = Monitored::tweaked(&spec, SchemeSpec::nimbus(), |cfg| {
                 cfg.with_pulse_amplitude(pulse)
             });
-            let out = run_scenario(&spec, vec![nimbus], cross, 5.0);
+            let out = run_scenario(&spec, vec![nimbus], 5.0);
             let m = &out.flows[0];
             let key = format!("load{}_pulse{}", (load * 100.0) as u32, pulse);
             result.row(&format!("{key}_throughput_mbps"), m.mean_throughput_mbps);
@@ -336,8 +301,7 @@ pub fn fig13(quick: bool) -> ExperimentResult {
         }
         // Cubic and Vegas references per load.
         for scheme in [SchemeSpec::cubic(), SchemeSpec::vegas()] {
-            let cross = wan_cross(spec.link_rate_bps, load, duration, 130);
-            let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
+            let out = run_scheme_vs_cross(&spec, scheme, 5.0);
             let m = &out.flows[0];
             result.row(
                 &format!("load{}_{}_throughput_mbps", (load * 100.0) as u32, m.label),
@@ -374,10 +338,9 @@ pub fn fig21(quick: bool) -> ExperimentResult {
     } else {
         SchemeSpec::headline_set()
     };
+    let spec = scenario(&format!("96M vs fleet(load=0.5) seed=21 dur={duration}s"));
     for scheme in schemes {
-        let spec = scenario(&format!("96M seed=21 dur={duration}s"));
-        let cross = wan_cross(spec.link_rate_bps, 0.5, duration, 210);
-        let out = run_scheme_vs_cross(&spec, scheme, cross, 5.0);
+        let out = run_scheme_vs_cross(&spec, scheme, 5.0);
         let fcts = out.recorder.fct_stream();
         for (label, lo, hi) in FIG21_SIZE_BUCKETS {
             let stats = fct_stats(fcts, (lo, hi));

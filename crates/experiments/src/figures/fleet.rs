@@ -43,7 +43,7 @@ pub fn fleet_churn(quick: bool) -> ExperimentResult {
         quick,
     );
     let spec = scenario(&format!("1G vs fleet(load=0.5) seed=61 dur={duration}s"));
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), duration * 0.25);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), duration * 0.25);
     let m = &out.flows[0];
     result.row("monitored_throughput_mbps", m.mean_throughput_mbps);
     result.row("monitored_queue_delay_ms", m.mean_queue_delay_ms);
@@ -80,7 +80,7 @@ pub fn fleet_fct(quick: bool) -> ExperimentResult {
     );
     let spec = scenario(&format!("48M vs fleet(load=0.5) seed=62 dur={duration}s"));
     for scheme in [SchemeSpec::nimbus(), SchemeSpec::cubic()] {
-        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), duration * 0.2);
+        let out = run_scheme_vs_cross(&spec, scheme, duration * 0.2);
         let label = scheme.label();
         let m = &out.flows[0];
         result.row(
@@ -117,7 +117,7 @@ fn run_multiflow_population(
 ) -> (Vec<f64>, Vec<f64>, f64) {
     let spec = scenario(&format!("{link_rate_bps} seed={seed_base} dur={duration}s"));
     let flows = Monitored::multiflow(&spec, SchemeSpec::nimbus_vegas(), n, seed_base, 0.0);
-    let out = run_scenario(&spec, flows, Vec::new(), steady_start_s);
+    let out = run_scenario(&spec, flows, steady_start_s);
     let rates: Vec<f64> = out
         .flows
         .iter()

@@ -5,14 +5,14 @@
 //! same regimes (deep-buffered clean paths, shallow/policed paths, lossy
 //! paths, varying RTTs and rates): real paths cannot be replayed offline,
 //! and the profiles keep each regime reproducible per seed.  Cross traffic
-//! on each path is a light WAN-like mix.
+//! on each path is a WAN fleet (`fleet(load=…)`) at the path's cross load;
+//! its flows keep the fleet's own 50 ms ± 50 % RTT, whatever the path's.
 
 use super::scenario;
 use crate::output::ExperimentResult;
 use crate::runner::{run_scheme_vs_cross, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
 use nimbus_dsp::Cdf;
-use nimbus_traffic::FleetWorkloadConfig;
 
 /// One synthetic Internet path profile.
 #[derive(Debug, Clone, Copy)]
@@ -68,19 +68,15 @@ pub fn path_suite() -> Vec<PathProfile> {
 
 fn run_path(path: &PathProfile, scheme: SchemeSpec, duration_s: f64) -> SingleFlowMetrics {
     let spec = scenario(&format!(
-        "{} buffer={}s rtt={}s loss={} seed={} dur={duration_s}s",
+        "{} vs fleet(load={}) buffer={}s rtt={}s loss={} seed={} dur={duration_s}s",
         path.rate_bps,
+        path.cross_load,
         path.buffer_s,
         path.rtt_s,
         path.loss,
         1800 + path.id
     ));
-    let cross = super::drained_fleet(FleetWorkloadConfig {
-        base_rtt_s: path.rtt_s,
-        seed: 1900 + path.id as u64,
-        ..FleetWorkloadConfig::default_for_link(path.rate_bps, path.cross_load, duration_s)
-    });
-    let out = run_scheme_vs_cross(&spec, scheme, cross, duration_s * 0.15);
+    let out = run_scheme_vs_cross(&spec, scheme, duration_s * 0.15);
     out.flows.into_iter().next().unwrap()
 }
 

@@ -24,7 +24,7 @@ pub fn fig01(quick: bool) -> ExperimentResult {
     ] {
         let cross = fig1_cross(scale, 11);
         let spec = scenario(&format!("48M vs {cross} seed=7 dur={duration}s"));
-        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 2.0);
+        let out = run_scheme_vs_cross(&spec, scheme, 2.0);
         let m = &out.flows[0];
         // The elastic phase is 30–90 (scaled), the inelastic phase 90–150.
         for (phase, lo, hi) in [("elastic", 35.0, 88.0), ("inelastic", 95.0, 148.0)] {
@@ -66,7 +66,7 @@ pub fn fig03(quick: bool) -> ExperimentResult {
     let duration = 180.0 * scale;
     let cross = fig1_cross(scale, 13);
     let spec = scenario(&format!("48M vs {cross} seed=3 dur={duration}s"));
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), Vec::new(), 2.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), 2.0);
     let m = &out.flows[0];
     // Self-inflicted delay ≈ total queueing delay × our share of throughput.
     let total_qd: Vec<(f64, f64)> = pairs(&out.recorder.queue_bytes)
@@ -106,7 +106,7 @@ fn z_series_against(elastic: bool, duration_s: f64, seed: u64) -> (Vec<(f64, f64
         format!("poisson@48M@seed={}", seed + 1)
     };
     let spec = scenario(&format!("96M vs {cross} seed={seed} dur={duration_s}s"));
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 2.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 2.0);
     let eta = out.flows[0].eta_series.last().map_or(f64::NAN, |&(_, e)| e);
     (pairs(&out.recorder.cross_rate_mbps), eta)
 }
@@ -185,7 +185,7 @@ pub fn fig06(quick: bool) -> ExperimentResult {
         }
         let cross = cross.join("+");
         let spec = scenario(&format!("96M vs {cross} seed={seed} dur={duration}s"));
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 2.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 2.0);
         let etas = window(&out.flows[0].eta_series, after(6.0));
         let label = format!("{:.0}%", frac * 100.0);
         let cdf = nimbus_dsp::Cdf::from_samples(&etas);

@@ -43,7 +43,7 @@ pub fn l4s_pulse(quick: bool) -> ExperimentResult {
     );
     for ecn in [EcnSpec::Off, EcnSpec::Classic, EcnSpec::L4s] {
         let spec = scenario(&format!("48M ecn={ecn} seed=62 dur={duration}s"));
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), duration * 0.25);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), duration * 0.25);
         let m = &out.flows[0];
         let tag = if ecn.is_enabled() {
             ecn.label().trim_start_matches('-').to_string()
@@ -94,7 +94,7 @@ pub fn l4s_mark_validation(quick: bool) -> ExperimentResult {
     result.row("fft_window_s", fft_window_s);
     for (tag, ecn) in [("off", EcnSpec::Off), ("ecn", EcnSpec::Classic)] {
         let spec = scenario(&format!("48M ecn={ecn} vs dctcp seed=2 dur={duration}s"));
-        let out = run_scheme_vs_cross(&spec, nimbus_dctcp(), Vec::new(), duration / 3.0);
+        let out = run_scheme_vs_cross(&spec, nimbus_dctcp(), duration / 3.0);
         let m = &out.flows[0];
         result.row(&format!("{tag}_first_flip_s"), first_flip_s(m));
         result.row(&format!("{tag}_throughput_mbps"), m.mean_throughput_mbps);
@@ -159,7 +159,7 @@ pub fn l4s_coexistence(quick: bool) -> ExperimentResult {
         let spec = scenario(&format!(
             "48M ecn={ecn} vs {competitor} seed=2 dur={duration}s"
         ));
-        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), duration / 3.0);
+        let out = run_scheme_vs_cross(&spec, scheme, duration / 3.0);
         let m = &out.flows[0];
         result.row(&format!("{tag}_throughput_mbps"), m.mean_throughput_mbps);
         result.row(&format!("{tag}_queue_delay_ms"), m.mean_queue_delay_ms);

@@ -8,10 +8,7 @@
 //!   [`scenario`];
 //! * **one run path** — [`run_scenario`](crate::runner::run_scenario), or
 //!   its one-flow case
-//!   [`run_scheme_vs_cross`](crate::runner::run_scheme_vs_cross), with
-//!   only the cross traffic the grammar has no family for built by hand:
-//!   Fig. 8's scripted Poisson phases, Fig. 11's video and the drained WAN
-//!   fleets ([`drained_fleet`]);
+//!   [`run_scheme_vs_cross`](crate::runner::run_scheme_vs_cross);
 //! * **projections** — the rows and series read back from the run through
 //!   the shared ones below: time windows of a `(t, v)` series, detector
 //!   verdicts against ground truth, Jain's index, the first mode flip and
@@ -30,8 +27,7 @@ pub mod varying;
 use crate::runner::{CrossRate, CrossSource, CrossSpec, ScenarioSpec, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
 use nimbus_core::ETA_THRESHOLD;
-use nimbus_netsim::{FlowConfig, FlowEndpoint, FlowSpawner, TimeSeries};
-use nimbus_traffic::{FleetSpawner, FleetWorkloadConfig};
+use nimbus_netsim::{FlowConfig, FlowEndpoint, TimeSeries};
 use std::ops::{Bound, RangeBounds};
 
 /// Parse a figure's scenario string.
@@ -184,18 +180,9 @@ pub fn poisson_cross_flow(
         stop_s,
         ..CrossSpec::new(CrossSource::Poisson(CrossRate::Bps(rate_bps)))
     };
-    // An absolute rate scales no hop rate, and a Poisson source takes no µ.
-    poisson.flow(label, 0.0, 0.0, seed)
-}
-
-/// The CAIDA-like WAN cross traffic of §8.1 as a static flow list: the
-/// Poisson fleet of `cfg`, drained up front so it can ride along with other
-/// imperative cross flows.
-pub fn drained_fleet(cfg: FleetWorkloadConfig) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
-    let mut spawner = FleetSpawner::new(cfg);
-    std::iter::from_fn(|| spawner.next_flow())
-        .map(|(_, flow, endpoint)| (flow, endpoint))
-        .collect()
+    // An absolute rate scales no hop rate, and a Poisson source takes no µ
+    // and runs no video.
+    poisson.flow(label, 0.0, 0.0, seed, 0.0)
 }
 
 /// The Fig. 1 cross traffic: one Cubic flow over `[30, 90)·scale` s, then
@@ -234,11 +221,11 @@ pub fn fig1_cross_traffic(
     seed: u64,
 ) -> Vec<(FlowConfig, Box<dyn FlowEndpoint>)> {
     let [cubic, poisson] = fig1_flows(scale, inelastic_rate_bps, seed);
-    // Neither flow scales a hop rate or takes a µ; the Poisson source keeps
-    // its own seed, and a bare CCA draws nothing.
+    // Neither flow scales a hop rate, takes a µ or runs a video; the Poisson
+    // source keeps its own seed, and a bare CCA draws nothing.
     vec![
-        cubic.flow("cubic-cross", 0.0, 0.0, 0),
-        poisson.flow("poisson-cross", 0.0, 0.0, seed),
+        cubic.flow("cubic-cross", 0.0, 0.0, 0, 0.0),
+        poisson.flow("poisson-cross", 0.0, 0.0, seed, 0.0),
     ]
 }
 

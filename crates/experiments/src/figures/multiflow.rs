@@ -19,7 +19,7 @@ pub fn fig16(quick: bool) -> ExperimentResult {
     );
     let spec = scenario(&format!("96M seed=16 dur={duration}s"));
     let flows = Monitored::multiflow(&spec, SchemeSpec::nimbus_vegas(), 4, 160, stagger);
-    let out = run_scenario(&spec, flows, Vec::new(), stagger * 2.0);
+    let out = run_scenario(&spec, flows, stagger * 2.0);
     // Fairness during the window where all four flows are active.
     let all_active = 3.0 * stagger + 10.0 * scale..=flow_duration - 5.0 * scale;
     let mut rates = Vec::new();
@@ -72,7 +72,7 @@ pub fn fig17(quick: bool) -> ExperimentResult {
          seed=17 dur={duration}s"
     ));
     let flows = Monitored::multiflow(&spec, SchemeSpec::nimbus(), 3, 170, 0.0);
-    let out = run_scenario(&spec, flows, Vec::new(), 5.0 * scale);
+    let out = run_scenario(&spec, flows, 5.0 * scale);
     let mut total_series: Vec<(f64, f64)> = Vec::new();
     for m in &out.flows {
         for (i, (t, v)) in m.throughput_series.iter().enumerate() {

@@ -35,7 +35,7 @@ pub fn multihop_secondary(quick: bool) -> ExperimentResult {
     );
     let spec = scenario(&format!("48M hop(0.6) seed=41 dur={duration}s"));
     for scheme in [SchemeSpec::cubic(), SchemeSpec::nimbus()] {
-        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
+        let out = run_scheme_vs_cross(&spec, scheme, 10.0);
         let m = &out.flows[0];
         result.row(
             &format!("{}_throughput_mbps", m.label),
@@ -80,7 +80,7 @@ pub fn multihop_moving(quick: bool) -> ExperimentResult {
         "48M step({swap_at}s,0.5) hop(0.5,sched=step({swap_at}s,2)) seed=42 dur={duration}s"
     ));
     for scheme in [SchemeSpec::cubic(), SchemeSpec::nimbus()] {
-        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 8.0);
+        let out = run_scheme_vs_cross(&spec, scheme, 8.0);
         let m = &out.flows[0];
         let tput = &m.throughput_series;
         result.row(
@@ -130,7 +130,7 @@ pub fn multihop_midpath(quick: bool) -> ExperimentResult {
         let spec = scenario(&format!(
             "48M hop(0.6) vs cbr@{fraction}@hop1-1@rtt=0.03s seed=43 dur={duration}s"
         ));
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 10.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 10.0);
         let m = &out.flows[0];
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
         result.row(&format!("delay_mode_fraction_{tag}"), m.delay_mode_fraction);

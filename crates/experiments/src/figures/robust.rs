@@ -45,12 +45,12 @@ pub fn fig14(quick: bool) -> ExperimentResult {
     for &share in &shares {
         // Nimbus, then Copa, against CBR at `share` of the link.
         let spec = scenario(&format!("96M vs cbr@{share} seed=14 dur={duration}s"));
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 6.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 6.0);
         let acc = nimbus_accuracy(&out.flows[0], false, 6.0);
         result.row(&format!("nimbus_accuracy_share{:.0}", share * 100.0), acc);
         nimbus_left.push((share, acc));
 
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), Vec::new(), 6.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), 6.0);
         let acc = copa_accuracy(&out.flows[0], false, 6.0, duration);
         result.row(&format!("copa_accuracy_share{:.0}", share * 100.0), acc);
         copa_left.push((share, acc));
@@ -68,12 +68,12 @@ pub fn fig14(quick: bool) -> ExperimentResult {
     for &ratio in &ratios {
         let reno = format!("newreno@rtt={}s", 0.05 * ratio);
         let spec = scenario(&format!("96M vs {reno} seed=15 dur={duration}s"));
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 8.0);
         let acc = nimbus_accuracy(&out.flows[0], true, 8.0);
         result.row(&format!("nimbus_accuracy_rttx{ratio}"), acc);
         nimbus_right.push((ratio, acc));
 
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), Vec::new(), 8.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::copa(), 8.0);
         let acc = copa_accuracy(&out.flows[0], true, 8.0, duration);
         result.row(&format!("copa_accuracy_rttx{ratio}"), acc);
         copa_right.push((ratio, acc));
@@ -109,7 +109,7 @@ pub fn fig15(quick: bool) -> ExperimentResult {
                 _ => format!("{reno}+{}", poisson("24M")),
             };
             let spec = scenario(&format!("96M vs {cross} seed={seed} dur={duration}s"));
-            let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
+            let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 8.0);
             let acc = nimbus_accuracy(&out.flows[0], truth_elastic, 8.0);
             result.row(&format!("{kind}_accuracy_rttx{ratio}"), acc);
         }
@@ -138,7 +138,7 @@ pub fn fig22(quick: bool) -> ExperimentResult {
             "96M vs bbr buffer={buffer_s}s seed=22 dur={duration}s"
         ));
         for scheme in [SchemeSpec::nimbus(), SchemeSpec::cubic()] {
-            let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 6.0);
+            let out = run_scheme_vs_cross(&spec, scheme, 6.0);
             result.row(
                 &format!("{}_throughput_mbps_buffer{bdp}bdp", scheme.label()),
                 out.flows[0].mean_throughput_mbps,
@@ -161,7 +161,7 @@ pub fn fig23(quick: bool) -> ExperimentResult {
         let fraction = rate / 96e6;
         let spec = scenario(&format!("96M vs cbr@{fraction} seed=23 dur={duration}s"));
         for scheme in [SchemeSpec::copa(), SchemeSpec::nimbus()] {
-            let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 6.0);
+            let out = run_scheme_vs_cross(&spec, scheme, 6.0);
             let m = &out.flows[0];
             result.row(
                 &format!("{}_{tag}_throughput_mbps", m.label),
@@ -193,7 +193,7 @@ pub fn fig24(quick: bool) -> ExperimentResult {
         let reno = format!("newreno@rtt={}s", 0.05 * ratio);
         let spec = scenario(&format!("96M vs {reno} seed=24 dur={duration}s"));
         for scheme in [SchemeSpec::copa(), SchemeSpec::nimbus()] {
-            let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 6.0);
+            let out = run_scheme_vs_cross(&spec, scheme, 6.0);
             let m = &out.flows[0];
             result.row(
                 &format!("{}_{tag}_throughput_mbps", m.label),
@@ -240,7 +240,7 @@ pub fn fig25(quick: bool) -> ExperimentResult {
                 let nimbus = Monitored::tweaked(&spec, SchemeSpec::nimbus(), |cfg| {
                     cfg.with_pulse_amplitude(pulse)
                 });
-                let out = run_scenario(&spec, vec![nimbus], Vec::new(), 8.0);
+                let out = run_scenario(&spec, vec![nimbus], 8.0);
                 let acc = nimbus_accuracy(&out.flows[0], true, 8.0);
                 result.row(
                     &format!(
@@ -272,7 +272,7 @@ pub fn fig26(quick: bool) -> ExperimentResult {
             cfg.elasticity.pulse_freq_hz = freq;
             cfg
         });
-        let out = run_scenario(&spec, vec![nimbus], Vec::new(), 8.0);
+        let out = run_scenario(&spec, vec![nimbus], 8.0);
         let etas = window(&out.flows[0].eta_series, after(8.0));
         let cdf = nimbus_dsp::Cdf::from_samples(&etas);
         result.row(&format!("median_eta_{tag}"), cdf.median());
@@ -311,7 +311,7 @@ pub fn table1(quick: bool) -> ExperimentResult {
     );
     for (name, vs, expected_elastic) in TABLE1_ROWS {
         let spec = scenario(&format!("96M vs {vs} seed=100 dur={duration}s"));
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 8.0);
         let elastic_frac = elastic_fraction(&window(&out.flows[0].eta_series, after(8.0)));
         result.row(&format!("{name}_classified_elastic_fraction"), elastic_frac);
         result.row(
@@ -352,7 +352,7 @@ pub fn robustness_sweep(quick: bool) -> ExperimentResult {
                 let spec = scenario(&format!(
                     "96M vs {cross} buffer={buffer_s}s rtt={rtt_s}s seed=82 dur={duration}s"
                 ));
-                let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
+                let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 8.0);
                 let acc = nimbus_accuracy(&out.flows[0], truth_elastic, 8.0);
                 result.row(&format!("accuracy_{kind}_rtt{rtt_ms}ms_buf{buf}bdp"), acc);
             }
@@ -363,7 +363,7 @@ pub fn robustness_sweep(quick: bool) -> ExperimentResult {
         let spec = scenario(&format!(
             "96M vs newreno pie={target}s seed=84 dur={duration}s"
         ));
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 8.0);
         result.row(
             &format!("accuracy_elastic_{tag}"),
             nimbus_accuracy(&out.flows[0], true, 8.0),
@@ -398,7 +398,7 @@ pub fn cellular_estimators(quick: bool) -> ExperimentResult {
         ("cubic", "cubic"),
     ] {
         let scheme: SchemeSpec = spec_text.parse().expect("estimator spec parses");
-        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
+        let out = run_scheme_vs_cross(&spec, scheme, 10.0);
         let m = &out.flows[0];
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
         result.row(&format!("queue_delay_ms_{tag}"), m.mean_queue_delay_ms);

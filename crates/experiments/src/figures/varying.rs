@@ -67,7 +67,7 @@ pub fn varying_mu(quick: bool) -> ExperimentResult {
         let spec = scenario(&format!(
             "48M sin(0.25,{period_s}s) seed=31 dur={duration}s"
         ));
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus_estmu(), Vec::new(), 15.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus_estmu(), 15.0);
         let m = &out.flows[0];
         result.row(&format!("mu_tracking_error_{tag}"), m.mu_tracking_error);
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
@@ -109,7 +109,7 @@ pub fn varying_detector(quick: bool) -> ExperimentResult {
     ] {
         let spec = scenario(&format!("48M sin({amplitude},10s) seed=32 dur={duration}s"));
         let scheme: SchemeSpec = spec_text.parse().expect("detector spec parses");
-        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
+        let out = run_scheme_vs_cross(&spec, scheme, 10.0);
         let m = &out.flows[0];
         result.row(&format!("delay_mode_fraction_{tag}"), m.delay_mode_fraction);
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
@@ -143,7 +143,7 @@ pub fn varying_estimator(quick: bool) -> ExperimentResult {
         ("nimbus(mu=learned(probe=1))", "probing"),
     ] {
         let scheme: SchemeSpec = spec_text.parse().expect("estimator spec parses");
-        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 10.0);
+        let out = run_scheme_vs_cross(&spec, scheme, 10.0);
         let m = &out.flows[0];
         result.row(&format!("delay_mode_fraction_{tag}"), m.delay_mode_fraction);
         result.row(&format!("throughput_mbps_{tag}"), m.mean_throughput_mbps);
@@ -165,7 +165,7 @@ pub fn varying_step(quick: bool) -> ExperimentResult {
     );
     let spec = scenario(&format!("96M step({step_at}s,0.5) seed=33 dur={duration}s"));
     for scheme in [SchemeSpec::cubic(), SchemeSpec::nimbus()] {
-        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), step_at + 5.0);
+        let out = run_scheme_vs_cross(&spec, scheme, step_at + 5.0);
         let m = &out.flows[0];
         result.row(
             &format!("{}_pre_step_mbps", m.label),

@@ -2,11 +2,12 @@
 //! lowering onto a simulator flow.
 
 use crate::grammar::{
-    self, duration, field_opt, fmt_duration, instant, integer, positive, split_top_level, Opt,
-    ParseError,
+    self, duration, field_opt, fmt_duration, instant, integer, positive, split_call,
+    split_top_level, Opt, ParseError,
 };
 use crate::scheme::SchemeSpec;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
+use nimbus_traffic::{VideoQuality, VideoSource};
 use nimbus_transport::{
     format_rate_bps, BackloggedSource, CcKind, PathInfo, PoissonSource, ScriptedSource, Sender,
     SenderConfig, Source, MSS,
@@ -21,8 +22,8 @@ use std::str::FromStr;
 /// nimbus vs. standalone Copa vs. Cubic).  By default a flow has a 50 ms
 /// RTT, crosses the whole path and runs for the whole scenario; `rtt=`,
 /// `@hop<enter>-<exit>`, `start=` and `stop=` change that, and `seed=` fixes
-/// the seed its Poisson source or Nimbus controller draws from (CBR and bare
-/// CCAs draw nothing, so take no seed).
+/// the seed its Poisson source or Nimbus controller draws from (CBR, video
+/// and bare CCAs draw nothing, so take no seed).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossSpec {
     /// What the flow sends.
@@ -48,6 +49,10 @@ pub enum CrossSource {
     Cbr(CrossRate),
     /// Poisson (inelastic) traffic at this mean rate.
     Poisson(CrossRate),
+    /// A DASH video client streaming over Cubic for the whole run (Fig. 11):
+    /// elastic at 4k, whose bitrate exceeds its fair share, and
+    /// application-limited at 1080p.
+    Video(VideoQuality),
     /// One backlogged competitor running any scheme the algebra can express
     /// — a bare CCA, a paced `constant(<rate>)`, or another Nimbus wrapper.
     Scheme(SchemeSpec),
@@ -117,6 +122,21 @@ impl fmt::Display for CrossRate {
 /// A cross flow's RTT unless `rtt=` says otherwise, seconds.
 const RTT_S: f64 = 0.05;
 
+/// The qualities of a `video(…)` entry.
+pub(super) const VIDEO: &[(&str, VideoQuality)] = &[
+    ("4k", VideoQuality::Uhd4k),
+    ("1080p", VideoQuality::Fhd1080p),
+];
+
+/// The name of a video quality in [`VIDEO`].
+fn video_name(quality: VideoQuality) -> &'static str {
+    let (name, _) = VIDEO
+        .iter()
+        .find(|&&(_, q)| q == quality)
+        .expect("every quality is named");
+    name
+}
+
 /// The `@key=value,…` options of a cross entry.
 pub(super) const CROSS: &[Opt<CrossSpec>] = &[
     field_opt!("rtt", "-rtt", "<dur>", duration, fmt_duration, rtt_s, RTT_S),
@@ -157,12 +177,13 @@ impl CrossSpec {
         }
     }
 
-    /// A short slug for cell names (`cbr83`, `poisson-24M`, `cubic`,
-    /// `cubic-hop0`, `newreno-rtt0.2s`).
+    /// A short slug for cell names (`cbr83`, `poisson-24M`, `video-4k`,
+    /// `cubic`, `cubic-hop0`, `newreno-rtt0.2s`).
     pub fn label(&self) -> String {
         let mut label = match self.source {
             CrossSource::Cbr(rate) => format!("cbr{}", rate.slug()),
             CrossSource::Poisson(rate) => format!("poisson{}", rate.slug()),
+            CrossSource::Video(quality) => format!("video-{}", video_name(quality)),
             CrossSource::Scheme(spec) => spec.label(),
         };
         if let Some((enter, _)) = self.hops {
@@ -174,25 +195,32 @@ impl CrossSpec {
     /// Lower this entry onto the flow `label`.  A fraction-of-µ rate scales
     /// `hop_bps`, the base rate of the hop the flow enters at; a scheme is
     /// handed `mu_bps` as its nominal µ; the source or controller draws from
-    /// `seed` unless the entry fixes its own.  The flow negotiates ECN when
-    /// its scheme is ECN-native (`dctcp`, `nimbus(competitive=dctcp)`).
+    /// `seed` unless the entry fixes its own; a video stream lasts `run_s`,
+    /// the run's duration.  The flow negotiates ECN when its scheme is
+    /// ECN-native (`dctcp`, `nimbus(competitive=dctcp)`).
     pub(crate) fn flow(
         &self,
         label: &str,
         hop_bps: f64,
         mu_bps: f64,
         seed: u64,
+        run_s: f64,
     ) -> (FlowConfig, Box<dyn FlowEndpoint>) {
         let seed = self.seed.unwrap_or(seed);
-        let unlimited = || CcKind::Unlimited.build(&PathInfo::new(MSS));
+        let build = |kind: CcKind| kind.build(&PathInfo::new(MSS));
         let (cc, source, elastic, ecn): (_, Box<dyn Source>, _, _) = match self.source {
             CrossSource::Cbr(rate) => {
                 let cbr = ScriptedSource::constant(rate.bps(hop_bps));
-                (unlimited(), Box::new(cbr), false, false)
+                (build(CcKind::Unlimited), Box::new(cbr), false, false)
             }
             CrossSource::Poisson(rate) => {
                 let poisson = PoissonSource::new(rate.bps(hop_bps), seed);
-                (unlimited(), Box::new(poisson), false, false)
+                (build(CcKind::Unlimited), Box::new(poisson), false, false)
+            }
+            CrossSource::Video(quality) => {
+                let video = VideoSource::new(quality, run_s);
+                let elastic = quality == VideoQuality::Uhd4k;
+                (build(CcKind::Cubic), Box::new(video), elastic, false)
             }
             CrossSource::Scheme(spec) => (
                 spec.build_cc(mu_bps, seed, None),
@@ -216,12 +244,14 @@ impl CrossSpec {
 }
 
 impl fmt::Display for CrossSpec {
-    /// `cbr@<rate>`, `poisson@<rate>` or `<scheme>`, then the hop span and
-    /// the non-default options: `poisson@24M@hop1-1@start=5s,seed=3`.
+    /// `cbr@<rate>`, `poisson@<rate>`, `video(<quality>)` or `<scheme>`,
+    /// then the hop span and the non-default options:
+    /// `poisson@24M@hop1-1@start=5s,seed=3`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.source {
             CrossSource::Cbr(rate) => write!(f, "cbr@{rate}")?,
             CrossSource::Poisson(rate) => write!(f, "poisson@{rate}")?,
+            CrossSource::Video(quality) => write!(f, "video({})", video_name(quality))?,
             CrossSource::Scheme(spec) => write!(f, "{spec}")?,
         }
         if let Some((enter, exit)) = self.hops {
@@ -276,7 +306,14 @@ impl FromStr for CrossSpec {
                     "`{head}` needs its rate as a fraction of µ or a rate: {head}@0.5 or {head}@24M"
                 ))
             }
-            (_, None) => CrossSource::Scheme(head.parse()?),
+            (_, None) => match split_call(head)? {
+                ("video", quality) => CrossSource::Video(grammar::choice(
+                    "video quality",
+                    VIDEO,
+                    quality.unwrap_or_default(),
+                )?),
+                _ => CrossSource::Scheme(head.parse()?),
+            },
             (_, Some(rate)) => return err(format!("`{head}` sets its own rate, not `@{rate}`")),
         };
         if cross.stop_s.is_some_and(|stop| stop <= cross.start_s) {
@@ -284,7 +321,7 @@ impl FromStr for CrossSpec {
         }
         let draws_nothing = matches!(
             cross.source,
-            CrossSource::Cbr(_) | CrossSource::Scheme(SchemeSpec::Bare(_))
+            CrossSource::Cbr(_) | CrossSource::Video(_) | CrossSource::Scheme(SchemeSpec::Bare(_))
         );
         if cross.seed.is_some() && draws_nothing {
             return err(format!("`{head}` draws nothing random, so takes no seed="));

@@ -27,8 +27,7 @@ mod tests {
     use super::*;
     use crate::figures::{fct_stats, ALL_SIZES, FLEET_SIZE_BUCKETS};
     use crate::scheme::SchemeSpec;
-    use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
-    use nimbus_transport::{CcKind, FixedSizeSource, PathInfo, Sender, SenderConfig, MSS};
+    use nimbus_netsim::Time;
 
     #[test]
     fn paper_default_link() {
@@ -79,19 +78,8 @@ mod tests {
 
     #[test]
     fn run_scheme_vs_cross_produces_metrics() {
-        let spec = ScenarioSpec {
-            duration_s: 15.0,
-            ..ScenarioSpec::fig1_48mbps(15.0)
-        };
-        let cross: Vec<(FlowConfig, Box<dyn FlowEndpoint>)> = vec![(
-            FlowConfig::cross("short", Time::from_millis(50), true).with_size(2_000_000),
-            Box::new(Sender::new(
-                SenderConfig::labelled("short"),
-                CcKind::Cubic.build(&PathInfo::new(MSS)),
-                Box::new(FixedSizeSource::new(2_000_000)),
-            )),
-        )];
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), cross, 3.0);
+        let spec: ScenarioSpec = "48M vs poisson@12M dur=15s".parse().unwrap();
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), 3.0);
         assert_eq!(out.flows.len(), 1);
         let m = &out.flows[0];
         assert_eq!(m.label, "cubic");
@@ -163,7 +151,7 @@ mod tests {
             "48M hop(0.5) vs cbr@0.1@stop=1s+cbr@0.2@hop1-1+poisson@0.2@stop=1s dur=2s"
                 .parse()
                 .unwrap();
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::constant(1e6), Vec::new(), 1.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::constant(1e6), 1.0);
         let mbit = |i: usize| out.recorder.flows[i].delivered_bytes as f64 * 8e-6;
         assert!((mbit(1) - 4.8).abs() < 0.3, "48M·0.1 for 1 s: {}", mbit(1));
         assert!((mbit(2) - 9.6).abs() < 0.6, "24M·0.2 for 2 s: {}", mbit(2));
@@ -171,11 +159,26 @@ mod tests {
     }
 
     #[test]
+    fn video_entries_lower_onto_the_figure_11_flow() {
+        // Cubic over a 50 ms RTT for the whole run, elastic only at 4k.
+        for (quality, elastic) in [("4k", true), ("1080p", false)] {
+            let text = format!("48M vs video({quality}) seed=11 dur=40s");
+            let spec: ScenarioSpec = text.parse().unwrap();
+            assert_eq!(spec.to_string(), text);
+            let flows = spec.cross_flows();
+            let (flow, _) = &flows[0];
+            assert_eq!(flow.label, format!("video-{quality}-cross"));
+            assert_eq!(flow.counts_as_elastic, Some(elastic), "{quality}");
+            assert_eq!(flow.prop_rtt, Time::from_millis(50), "{quality}");
+        }
+    }
+
+    #[test]
     fn spec_described_cross_flows_compete() {
         // A declarative heterogeneous scenario: monitored Cubic vs a paced
         // CBR scheme carried entirely by `ScenarioSpec::cross`.
         let spec: ScenarioSpec = "48M vs constant(24M) dur=15s".parse().unwrap();
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), Vec::new(), 5.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), 5.0);
         let m = &out.flows[0];
         // The CBR flow holds its half, so Cubic lands near the other half.
         assert!(
@@ -208,7 +211,7 @@ mod tests {
             fleet: Some(FleetSpec::poisson(0.3)),
             ..ScenarioSpec::fig1_48mbps(15.0)
         };
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), Vec::new(), 5.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), 5.0);
         // The fleet actually ran: many finite flows completed...
         let fcts = out.recorder.fct_stream();
         assert!(fcts.len() > 30, "only {} fleet completions", fcts.len());
@@ -236,7 +239,7 @@ mod tests {
             ecn: EcnSpec::L4s,
             ..ScenarioSpec::fig1_48mbps(12.0)
         };
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::dctcp(), Vec::new(), 3.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::dctcp(), 3.0);
         let marks: u64 = out.recorder.hop_marked_packets.iter().sum();
         let drops: u64 = out.recorder.hop_dropped_packets.iter().sum();
         assert!(marks > 100, "a 1 ms step marker should mark often: {marks}");
@@ -258,7 +261,7 @@ mod tests {
             duration_s: 10.0,
             ..ScenarioSpec::fig1_48mbps(10.0)
         };
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), Vec::new(), 3.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), 3.0);
         assert!(out.recorder.hop_marked_packets.iter().all(|&m| m == 0));
     }
 
@@ -268,7 +271,7 @@ mod tests {
             duration_s: 12.0,
             ..ScenarioSpec::fig1_48mbps(12.0)
         };
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 3.0);
+        let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 3.0);
         let m = &out.flows[0];
         assert_eq!(m.label, "nimbus");
         assert!(!m.mode_log.is_empty());
@@ -285,7 +288,7 @@ mod tests {
         // and `switch=never` must decline it as it declines the detector.
         let scheme: SchemeSpec = "nimbus(competitive=dctcp,switch=never)".parse().unwrap();
         let spec: ScenarioSpec = "48M ecn=classic vs dctcp seed=2 dur=10s".parse().unwrap();
-        let out = run_scheme_vs_cross(&spec, scheme, Vec::new(), 3.0);
+        let out = run_scheme_vs_cross(&spec, scheme, 3.0);
         let log = &out.flows[0].mode_log;
         assert!(
             log.iter().all(|(_, mode)| mode == "delay"),

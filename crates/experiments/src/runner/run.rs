@@ -332,14 +332,11 @@ impl Monitored {
 }
 
 /// The one lowering every run takes: the scenario's network, then the
-/// `monitored` flows, the imperative `cross` flows (only families the
-/// grammar has no string for: scripted phases, video, drained fleets), the
-/// scenario's own [`ScenarioSpec::cross`] flows and its fleet spawner, in
-/// that order.
+/// `monitored` flows, the scenario's [`ScenarioSpec::cross`] flows and its
+/// fleet spawner, in that order.
 pub fn run_scenario(
     spec: &ScenarioSpec,
     monitored: Vec<Monitored>,
-    mut cross: Vec<(FlowConfig, Box<dyn FlowEndpoint>)>,
     steady_start_s: f64,
 ) -> RunOutput {
     let mut net = spec.build_network();
@@ -356,8 +353,7 @@ pub fn run_scenario(
         .into_iter()
         .map(|m| (net.add_flow(ecn(m.flow), m.endpoint), m.scheme))
         .collect();
-    cross.extend(spec.cross_flows());
-    for (cfg, ep) in cross {
+    for (cfg, ep) in spec.cross_flows() {
         net.add_flow(ecn(cfg), ep);
     }
     if let Some(fleet) = &spec.fleet {
@@ -375,15 +371,9 @@ pub fn run_scenario(
 pub fn run_scheme_vs_cross(
     spec: &ScenarioSpec,
     scheme: SchemeSpec,
-    cross: Vec<(FlowConfig, Box<dyn FlowEndpoint>)>,
     steady_start_s: f64,
 ) -> RunOutput {
-    run_scenario(
-        spec,
-        vec![Monitored::scheme(spec, scheme)],
-        cross,
-        steady_start_s,
-    )
+    run_scenario(spec, vec![Monitored::scheme(spec, scheme)], steady_start_s)
 }
 
 #[cfg(test)]
@@ -432,7 +422,7 @@ mod tests {
             }),
         ];
         for (path, monitored) in paths {
-            let out = run_scenario(&spec, vec![monitored()], Vec::new(), 2.0);
+            let out = run_scenario(&spec, vec![monitored()], 2.0);
             let metrics = &out.flows[0];
 
             let m = monitored();

@@ -1,7 +1,7 @@
 //! The scenario itself — its cross traffic and fleet, its string form — and
 //! the grammar reference.
 
-use super::cross::{CrossSource, CrossSpec, CROSS};
+use super::cross::{CrossSource, CrossSpec, CROSS, VIDEO};
 use super::path::{EcnSpec, HopSpec, LinkScheduleSpec, ECN_MODES, HOP, SCHEDULE_FORMS};
 use crate::grammar::{
     self, duration, field_opt, fmt_duration, fmt_size, integer, key_value, parsed, positive,
@@ -200,7 +200,7 @@ pub struct ScenarioSpec {
     /// the paper's single-bottleneck dumbbell).
     pub hops: Vec<HopSpec>,
     /// Static cross-traffic flows, added to the network after the monitored
-    /// flow (and after any imperatively built cross traffic) in list order.
+    /// flows in list order.
     pub cross: Vec<CrossSpec>,
     /// Optional open-loop fleet workload churning alongside the monitored
     /// flow (installed as a spawner after every static flow).
@@ -392,11 +392,13 @@ impl ScenarioSpec {
             let (name, seed) = match cross.source {
                 CrossSource::Cbr(_) => ("cbr".to_string(), 0),
                 CrossSource::Poisson(_) => ("poisson".to_string(), seed(31, 7)),
+                CrossSource::Video(_) => (cross.label(), 0),
                 CrossSource::Scheme(_) => (cross.label(), seed(67, 11)),
             };
             let (enter, exit) = cross.hops.map_or((0, None), |(a, b)| (a, Some(b)));
             let mu = |exit| self.nominal_mu_over_hops(enter, exit);
-            cross.flow(&format!("{name}-{tag}"), mu(Some(enter)), mu(exit), seed)
+            let label = format!("{name}-{tag}");
+            cross.flow(&label, mu(Some(enter)), mu(exit), seed, self.duration_s)
         };
         self.cross.iter().enumerate().map(lower).collect()
     }
@@ -521,7 +523,7 @@ cross     := alone | <entry>{{+<entry>}}
 entry     := <flow>[@hop<enter>-<exit>][@<key>=<value>,…] | fleet(<key>=<value>,…)
              keys: {cross}
              fleet keys: {fleet}
-flow      := cbr@<load> | poisson@<load> | <scheme>
+flow      := cbr@<load> | poisson@<load> | video({video}) | <scheme>
 load      := <fraction of the entry hop's µ> | <rate>
 scheme    := {bare}
            | nimbus | nimbus(<key>=<value>,…)
@@ -532,6 +534,7 @@ units     := <rate> 48M (k|M|G bit/s), <dur> 5ms | 40s, <bytes> 50k (k|M)",
         hop = grammar::expected(HOP),
         cross = grammar::expected(CROSS),
         fleet = grammar::expected(FLEET),
+        video = grammar::choices(VIDEO),
         nimbus = grammar::expected(NIMBUS),
         bare = bare_schemes(),
     )

@@ -1485,13 +1485,6 @@ mod tests {
         }
     }
 
-    /// FNV-1a of `bytes`.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
     #[test]
     fn lossy_reassembly_conserves_bytes_and_reproduces_its_recorder() {
         // Random loss plus tail drops (320 windowed packets against an 80
@@ -1524,10 +1517,11 @@ mod tests {
         );
         let (rec, _) = net.finish();
         assert!(rec.flows.iter().all(|f| f.dropped_packets > 0));
-        let snapshot = serde_json::to_string(&rec.snapshot()).unwrap();
+        let mut hash = crate::Fnv1a::default();
+        serde_json::to_writer(&mut hash, &rec.snapshot()).unwrap();
         // Pinned on the engine whose reassembly buffer was a `BTreeMap`.
         assert_eq!(
-            (counters, fnv1a(snapshot.as_bytes())),
+            (counters, hash.finish()),
             (
                 (34_534, 16_657_500, 16_653_000, 11_281_500),
                 0x49d6_ca34_e29a_e134

@@ -49,7 +49,8 @@ pub use nimbus_core_types::Time;
 pub use packet::{EcnCodepoint, FlowId, Packet, MSS};
 pub use queue::{CoDelQueue, DropTailQueue, EcnMarking, PieQueue, QueueDiscipline, RedQueue};
 pub use recorder::{
-    ChunkedSamples, FlowStats, Recorder, RecorderConfig, SampleChunks, TimeSeries, SAMPLE_CHUNK,
+    ChunkedSamples, FlowStats, Fnv1a, Recorder, RecorderConfig, SampleChunks, TimeSeries,
+    SAMPLE_CHUNK,
 };
 pub use schedule::RateSchedule;
 pub use seq_window::SeqWindow;

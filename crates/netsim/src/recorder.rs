@@ -13,6 +13,7 @@
 use crate::packet::FlowId;
 use nimbus_core_types::Time;
 use serde::Serialize;
+use std::fmt;
 
 /// A uniformly sampled time series.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -612,9 +613,51 @@ impl Serialize for Snapshot<'_> {
     }
 }
 
+/// A 64-bit FNV-1a hash of the bytes written to it: a [`Snapshot`]'s
+/// fingerprint is `serde_json::to_writer` into one of these, so the text
+/// is hashed as it is written and never held.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprints_are_order_sensitive() {
+        let fnv1a = |s: &str| {
+            let mut hash = Fnv1a::default();
+            fmt::Write::write_str(&mut hash, s).unwrap();
+            hash.finish()
+        };
+        assert_ne!(fnv1a("ab"), fnv1a("ba"));
+        assert_ne!(fnv1a(""), fnv1a("\0"));
+        // The published FNV-1a test vector.
+        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn time_series_basic_ops() {

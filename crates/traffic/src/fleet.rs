@@ -275,8 +275,8 @@ mod tests {
         // `(count, total bytes, first arrival ns, last arrival ns)` of the
         // Poisson workload per (rate, load, duration, seed), recorded from
         // the static `WanWorkload` generator this spawner replaced (flow
-        // for flow identical): the cross traffic under figs. 9–13, 18–21
-        // cannot drift silently.
+        // for flow identical): the arrival and size draws behind every
+        // `fleet(…)` entry cannot drift silently.
         let workloads = [
             (96e6, 0.5, 40.0, 90),
             (96e6, 0.3, 90.0, 100),

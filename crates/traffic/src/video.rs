@@ -20,15 +20,13 @@
 use nimbus_netsim::Time;
 use nimbus_transport::Source;
 
-/// Video quality presets used by the Fig. 11 experiments.
+/// The two video qualities of Fig. 11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VideoQuality {
     /// 4K ladder: ~25 Mbit/s encoded bitrate.
     Uhd4k,
     /// 1080p ladder: ~8 Mbit/s encoded bitrate.
     Fhd1080p,
-    /// 720p ladder: ~5 Mbit/s (extra point for robustness sweeps).
-    Hd720p,
 }
 
 impl VideoQuality {
@@ -37,16 +35,6 @@ impl VideoQuality {
         match self {
             VideoQuality::Uhd4k => 25e6,
             VideoQuality::Fhd1080p => 8e6,
-            VideoQuality::Hd720p => 5e6,
-        }
-    }
-
-    /// Label for results.
-    pub fn label(self) -> &'static str {
-        match self {
-            VideoQuality::Uhd4k => "4k",
-            VideoQuality::Fhd1080p => "1080p",
-            VideoQuality::Hd720p => "720p",
         }
     }
 }
@@ -169,7 +157,7 @@ mod tests {
 
     #[test]
     fn stream_ends_and_stops_releasing() {
-        let mut v = VideoSource::new(VideoQuality::Hd720p, 40.0);
+        let mut v = VideoSource::new(VideoQuality::Fhd1080p, 40.0);
         let at_end = v.bytes_available(Time::from_secs_f64(40.0));
         let later = v.bytes_available(Time::from_secs_f64(400.0));
         assert_eq!(at_end, later);
@@ -192,7 +180,5 @@ mod tests {
     #[test]
     fn quality_presets_are_ordered() {
         assert!(VideoQuality::Uhd4k.bitrate_bps() > VideoQuality::Fhd1080p.bitrate_bps());
-        assert!(VideoQuality::Fhd1080p.bitrate_bps() > VideoQuality::Hd720p.bitrate_bps());
-        assert_eq!(VideoQuality::Uhd4k.label(), "4k");
     }
 }

@@ -10,7 +10,7 @@
 //!   over a [`CongestionControl`] implementation, mirroring how the
 //!   paper's system layers congestion-control "programs" on top of a CCP
 //!   datapath.
-//! * [`source`] — application models: backlogged, fixed-size, scripted-rate
+//! * [`source`] — application models: backlogged, fixed-size, constant-rate
 //!   and Poisson sources deciding *when data exists to send* (elastic vs.
 //!   application-limited behaviour starts here).
 //!

@@ -8,12 +8,15 @@
 //!   congestion controller the flow is elastic (ACK-clocked);
 //! * a [`FixedSizeSource`] produces a finite transfer (the CAIDA-style
 //!   cross-flows of §8.1);
-//! * a [`ScriptedSource`] produces bytes at a scripted, time-varying rate —
-//!   the application-limited / constant-bit-rate cross traffic of Figs. 1
-//!   and 8 (paired with an unconstrained controller this is inelastic);
+//! * a [`ScriptedSource`] produces bytes at a constant rate — the
+//!   constant-bit-rate cross traffic of `cbr@<rate>` (paired with an
+//!   unconstrained controller this is inelastic);
 //! * a [`PoissonSource`] produces packets with exponential inter-arrivals —
 //!   the "Poisson packet arrivals at the specified mean rate" inelastic
-//!   traffic of §5.
+//!   traffic of §5 (Figs. 1 and 8).
+//!
+//! The DASH video client of Fig. 11 is a [`Source`] of its own, in
+//! `nimbus-traffic`.
 //!
 //! A source says only when data exists.  When the flow stops is the
 //! sender's to decide ([`SenderConfig::stop_at`](crate::SenderConfig::stop_at)):
@@ -27,7 +30,7 @@ use rand::{Rng, SeedableRng};
 /// An application data source.
 pub trait Source: Send {
     /// The flow this source feeds started at `now`.  Time-accruing sources
-    /// (scripted rates, Poisson arrivals) discard anything they would have
+    /// (constant rates, Poisson arrivals) discard anything they would have
     /// produced *before* the start: a cross flow configured to arrive at
     /// t = 90 s offers its rate from 90 s on, it does not dump 90 seconds of
     /// backlog into the network in one burst.  Sources whose data exists all
@@ -101,17 +104,14 @@ impl Source for FixedSizeSource {
     }
 }
 
-/// A piecewise-constant-rate source: the application writes at `rate_bps`
-/// according to a schedule of `(start_time, rate_bps)` segments.
-///
-/// Used for constant-bit-rate cross traffic, the scripted phases of Fig. 8
-/// ("xM denotes x Mbit/s of inelastic cross-traffic") and as the base of the
-/// DASH video model in `nimbus-traffic`.
+/// A constant-rate source: the application writes at `rate_bps` from the
+/// moment its flow starts — the constant-bit-rate cross traffic of a
+/// `cbr@<rate>` entry (paired with an unconstrained controller this is
+/// inelastic).
 #[derive(Debug, Clone)]
 pub struct ScriptedSource {
-    /// (segment start, rate in bits/s), sorted by start time.
-    schedule: Vec<(Time, f64)>,
-    /// Bytes the schedule had accrued when the flow started; production
+    rate_bps: f64,
+    /// Bytes the rate had accrued when the flow started; production
     /// before the flow exists is discarded (see [`Source::on_flow_start`]).
     base_bytes: u64,
 }
@@ -119,39 +119,15 @@ pub struct ScriptedSource {
 impl ScriptedSource {
     /// Constant rate forever.
     pub fn constant(rate_bps: f64) -> Self {
-        ScriptedSource::scheduled(vec![(Time::ZERO, rate_bps)])
-    }
-
-    /// A schedule of `(start, rate_bps)` segments (must be sorted by start).
-    pub fn scheduled(schedule: Vec<(Time, f64)>) -> Self {
-        assert!(!schedule.is_empty(), "schedule must not be empty");
-        assert!(
-            schedule.windows(2).all(|w| w[0].0 <= w[1].0),
-            "schedule must be sorted by start time"
-        );
         ScriptedSource {
-            schedule,
+            rate_bps,
             base_bytes: 0,
         }
     }
 
-    /// Integral of the rate schedule from 0 to `t`, in bytes.
+    /// The bytes the rate accrues from 0 to `t`.
     fn cumulative_bytes(&self, t: Time) -> u64 {
-        let mut total_bits = 0.0;
-        for (i, &(start, rate)) in self.schedule.iter().enumerate() {
-            if start >= t {
-                break;
-            }
-            let seg_end = self
-                .schedule
-                .get(i + 1)
-                .map(|&(s, _)| s)
-                .unwrap_or(Time::MAX)
-                .min(t);
-            let dur = seg_end.saturating_sub(start).as_secs_f64();
-            total_bits += rate * dur;
-        }
-        (total_bits / 8.0) as u64
+        (self.rate_bps * t.as_secs_f64() / 8.0) as u64
     }
 }
 
@@ -261,29 +237,6 @@ mod tests {
         assert!((b1 as f64 - 3e6).abs() < 1e3);
         let b10 = s.bytes_available(Time::from_secs_f64(10.0));
         assert!((b10 as f64 - 30e6).abs() < 1e4);
-    }
-
-    #[test]
-    fn scripted_schedule_switches_rates() {
-        // 8 Mbit/s for 10 s, then 0 for 10 s, then 16 Mbit/s.
-        let mut s = ScriptedSource::scheduled(vec![
-            (Time::ZERO, 8e6),
-            (Time::from_secs_f64(10.0), 0.0),
-            (Time::from_secs_f64(20.0), 16e6),
-        ]);
-        let at_10 = s.bytes_available(Time::from_secs_f64(10.0));
-        assert!((at_10 as f64 - 10e6).abs() < 1e4); // 8 Mbit/s * 10 s = 10 MB
-        let at_20 = s.bytes_available(Time::from_secs_f64(20.0));
-        assert_eq!(at_20, at_10); // idle period adds nothing
-        let at_25 = s.bytes_available(Time::from_secs_f64(25.0));
-        assert!((at_25 as f64 - at_10 as f64 - 10e6).abs() < 1e4);
-    }
-
-    #[test]
-    #[should_panic]
-    fn scripted_unsorted_schedule_panics() {
-        let _ =
-            ScriptedSource::scheduled(vec![(Time::from_secs_f64(10.0), 1e6), (Time::ZERO, 2e6)]);
     }
 
     #[test]

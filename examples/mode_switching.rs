@@ -15,7 +15,7 @@ fn main() {
     // phase 22.5–37.5 s.
     let cross = fig1_cross(0.25, 11);
     let spec: ScenarioSpec = format!("48M vs {cross} seed=7 dur=45s").parse().unwrap();
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 2.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 2.0);
     let m = &out.flows[0];
     println!("Nimbus on the Fig. 1 scenario (quarter scale):");
     println!("  mean throughput : {:.1} Mbit/s", m.mean_throughput_mbps);

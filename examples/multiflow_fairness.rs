@@ -13,7 +13,7 @@ fn main() {
     let spec: ScenarioSpec = "96M seed=16 dur=60s".parse().unwrap();
     // Flows seeded 40, 41, 42, arriving 10 s apart.
     let flows = Monitored::multiflow(&spec, SchemeSpec::nimbus(), 3, 40, 10.0);
-    let out = run_scenario(&spec, flows, Vec::new(), 35.0);
+    let out = run_scenario(&spec, flows, 35.0);
     println!("three Nimbus flows (staggered arrivals) on a 96 Mbit/s link:");
     for (i, m) in out.flows.iter().enumerate() {
         println!(

@@ -11,8 +11,8 @@ fn cubic_bufferbloats_while_vegas_does_not() {
         seed: 3,
         ..ScenarioSpec::fig1_48mbps(30.0)
     };
-    let cubic = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), Vec::new(), 8.0);
-    let vegas = run_scheme_vs_cross(&spec, SchemeSpec::vegas(), Vec::new(), 8.0);
+    let cubic = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), 8.0);
+    let vegas = run_scheme_vs_cross(&spec, SchemeSpec::vegas(), 8.0);
     assert!(cubic.flows[0].mean_queue_delay_ms > 40.0);
     assert!(vegas.flows[0].mean_queue_delay_ms < 15.0);
     assert!(cubic.flows[0].mean_throughput_mbps > 40.0);
@@ -29,7 +29,7 @@ fn nimbus_stays_in_delay_mode_against_heavy_cbr_cross_traffic() {
     // so the assertion is on Nimbus's absolute behaviour rather than a strict
     // ordering between the two.)
     let spec: ScenarioSpec = "96M vs cbr@80M seed=4 dur=40s".parse().unwrap();
-    let nimbus = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 10.0);
+    let nimbus = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 10.0);
     let m = &nimbus.flows[0];
     assert!(
         m.mean_queue_delay_ms < 40.0,
@@ -51,7 +51,7 @@ fn nimbus_stays_in_delay_mode_against_heavy_cbr_cross_traffic() {
 #[test]
 fn vegas_is_starved_by_cubic_cross_traffic() {
     let spec: ScenarioSpec = "96M vs cubic seed=5 dur=40s".parse().unwrap();
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::vegas(), Vec::new(), 15.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::vegas(), 15.0);
     assert!(
         out.flows[0].mean_throughput_mbps < 30.0,
         "vegas should be starved, got {}",

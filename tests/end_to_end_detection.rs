@@ -23,7 +23,7 @@ fn offline_detector_separates_reacting_from_non_reacting_cross_traffic() {
 #[test]
 fn nimbus_keeps_low_delay_against_inelastic_cross_traffic() {
     let spec: ScenarioSpec = "48M vs poisson@24M@seed=5 seed=1 dur=30s".parse().unwrap();
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 8.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 8.0);
     let m = &out.flows[0];
     assert!(
         m.mean_throughput_mbps > 15.0,
@@ -45,7 +45,7 @@ fn nimbus_keeps_low_delay_against_inelastic_cross_traffic() {
 #[test]
 fn nimbus_competes_against_an_elastic_cubic_flow() {
     let spec: ScenarioSpec = "48M vs cubic seed=2 dur=45s".parse().unwrap();
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 15.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 15.0);
     let m = &out.flows[0];
     // Fair share is 24 Mbit/s; a pure delay scheme would collapse to a few Mbit/s.
     assert!(

@@ -29,7 +29,7 @@ fn snapshot_json(recorder: &Recorder) -> String {
 fn thousand_flow_churn_over_1gbps_is_deterministic() {
     let run = || {
         let spec = thousand_flow_spec(71);
-        run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 2.0)
+        run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 2.0)
     };
     let first = run();
     let second = run();
@@ -65,7 +65,7 @@ fn thousand_flow_churn_over_1gbps_is_deterministic() {
 
     // A different seed genuinely reshuffles arrivals and sizes.
     let spec = thousand_flow_spec(72);
-    let third = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 2.0);
+    let third = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 2.0);
     assert_ne!(
         snapshot_json(&first.recorder),
         snapshot_json(&third.recorder),
@@ -76,7 +76,7 @@ fn thousand_flow_churn_over_1gbps_is_deterministic() {
 #[test]
 fn fleet_fcts_are_complete_and_size_bucketed() {
     let spec = thousand_flow_spec(73);
-    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), Vec::new(), 2.0);
+    let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 2.0);
 
     // Every finite flow that ran and finished appears exactly once in the
     // completion record.

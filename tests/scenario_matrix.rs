@@ -46,7 +46,7 @@ const EVENTS_PER_DELIVERED_PACKET: u64 = 8;
 #[test]
 fn quick_sweep_cells_stay_within_the_event_budget() {
     let rows = parallel_map(&sweep_matrix(true), None, |cell| {
-        let out = run_scheme_vs_cross(&cell.scenario, cell.scheme, Vec::new(), cell.steady_start_s);
+        let out = run_scheme_vs_cross(&cell.scenario, cell.scheme, cell.steady_start_s);
         let packets: u64 = out
             .recorder
             .flows

@@ -182,6 +182,9 @@ const CROSS: &[&str] = &[
     "~@rtt=#ms,start=%s",
     "nimbus(delay=copa)@hop0-0@stop=^s,seed=42",
     "~@start=%s,stop=^s+cbr@#M@stop=^s",
+    // Fig. 11's video client, in both qualities.
+    "video(4k)",
+    "video(1080p)@hop0-0@rtt=#ms,start=%s,stop=^s",
 ];
 const FLEETS: &[&str] = &[
     "",
@@ -406,6 +409,9 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("cross", "poisson@0.5@seed=1.5", "not an integer"),
     ("cross", "cbr@0.5@seed=3", "`cbr` draws nothing random, so takes no seed="),
     ("cross", "cubic@seed=3", "`cubic` draws nothing random, so takes no seed="),
+    ("cross", "video(720p)", "unknown video quality `720p` (expected 4k|1080p)"),
+    ("cross", "video(4k)@seed=3", "`video(4k)` draws nothing random, so takes no seed="),
+    ("cross", "video(4k)@24M", "`video(4k)` sets its own rate, not `@24M`"),
     ("cross", "cbr@24Q", "k|M|G unit"),
     ("cross", "poisson@0.5k", "no exact k|M|G form"),
     ("cross", "cubic@rate=5", "unknown cross option `rate` (expected rtt=<dur>, start=<dur>, stop=<dur>, seed=<n>)"),
