@@ -15,7 +15,7 @@ mod run;
 mod scenario;
 
 pub use cross::{CrossRate, CrossSource, CrossSpec};
-pub use path::{BuiltinTrace, EcnSpec, HopSpec, LinkScheduleSpec, LoadedTrace};
+pub use path::{BuiltinTrace, EcnSpec, HopSpec, LinkScheduleSpec, LoadedTrace, BUILTIN_TRACES};
 pub use run::{
     median_delay_ms, nimbus_of, run_and_collect, run_scenario, run_scheme_vs_cross, Monitored,
     NimbusTrace, RunOutput, SingleFlowMetrics,
@@ -113,23 +113,37 @@ mod tests {
     }
 
     #[test]
-    fn named_trace_schedules_materialize_and_label() {
-        let spec = LinkScheduleSpec::NamedTrace(BuiltinTrace::named("cellular").unwrap());
-        let s = spec.to_schedule(48e6);
-        assert_eq!(spec.label(), "trace-cellular");
-        // The factors scale the base rate, and the trace repeats.
-        let (interval_s, factors) =
-            nimbus_netsim::RateSchedule::builtin_trace_factors("cellular").unwrap();
-        let mid = |t_s: f64| s.rate_at(Time::from_secs_f64(t_s + interval_s / 2.0));
-        assert_eq!(mid(0.0), factors[0] * 48e6);
-        assert_eq!(mid(interval_s * factors.len() as f64), mid(0.0));
+    fn every_builtin_trace_parses_prints_and_lowers_onto_its_factors() {
+        for &(name, interval_s, factors) in BUILTIN_TRACES {
+            let text = format!("trace-{name}");
+            let spec: LinkScheduleSpec = text.parse().unwrap();
+            assert_eq!(spec.to_string(), text);
+            assert_eq!(spec.label(), text);
+            assert!(factors.len() >= 8, "trace {name} too short to be useful");
+            assert!(factors.iter().all(|&f| f > 0.0), "trace {name}");
+            // Each factor scales the base over its interval, and the trace
+            // repeats.
+            let s = spec.to_schedule(48e6);
+            for (k, &f) in factors.iter().chain(factors).enumerate() {
+                let mid = Time::from_secs_f64((k as f64 + 0.5) * interval_s);
+                assert_eq!(s.rate_at(mid), f * 48e6, "trace {name} bin {k}");
+            }
+        }
+        // The outage trace actually dips near zero but never to zero.
+        let (_, _, outage) = BUILTIN_TRACES
+            .iter()
+            .find(|&&(name, ..)| name == "step-outage")
+            .unwrap();
+        assert!(outage.iter().any(|&f| f * 48e6 < 2e6));
     }
 
     #[test]
     fn an_unknown_trace_name_is_rejected_with_the_catalogue() {
         let err = BuiltinTrace::named("bogus").unwrap_err();
-        let catalogue = "`bogus` (available: cellular, wifi, step-outage)";
-        assert!(err.0.contains(catalogue), "{err}");
+        for &(name, ..) in BUILTIN_TRACES {
+            assert!(err.0.contains(name), "{err}");
+        }
+        assert!(err.0.contains("`bogus` (available: "), "{err}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub enum LinkScheduleSpec {
     /// `factor·base`.
     Steps {
         /// `(time_s, factor_of_base)` transitions, times strictly increasing
-        /// (the parser checks; a step listed after a later one never applies).
+        /// (the parser checks; the schedule is a sorted table).
         steps: Vec<(f64, f64)>,
     },
     /// `µ(t) = base·(1 + amplitude_frac·sin(2π·t/period_s))`.
@@ -54,11 +54,54 @@ pub enum LinkScheduleSpec {
     TraceFile(LoadedTrace),
 }
 
-/// A built-in trace that exists ([`RateSchedule::builtin_trace_factors`]);
-/// only [`BuiltinTrace::named`] makes one.
+/// The curated built-in traces, `(name, interval_s, factors-of-base)`:
+/// `trace-<name>` applies each factor of the base rate for `interval_s`,
+/// repeating.
+///
+/// * `cellular` — LTE-like: large swings (0.15–1.5× base) with deep fades,
+///   500 ms granularity, repeating every 16 s.
+/// * `wifi` — moderate variation (0.55–1.2× base) with occasional dips from
+///   contention, 200 ms granularity, repeating every 4.8 s.
+/// * `step-outage` — nominal rate with a 2-second near-outage (0.02×) and a
+///   staged recovery, 1 s granularity, repeating every 16 s.
+pub const BUILTIN_TRACES: &[(&str, f64, &[f64])] = &[
+    (
+        "cellular",
+        0.5,
+        &[
+            1.0, 1.2, 0.9, 0.5, 0.3, 0.15, 0.4, 0.8, 1.1, 1.5, 1.3, 0.7, 0.45, 0.25, 0.6, 1.0, 1.4,
+            1.1, 0.8, 0.35, 0.2, 0.55, 0.9, 1.2, 1.0, 0.65, 0.4, 0.85, 1.3, 1.5, 1.1, 0.75,
+        ],
+    ),
+    (
+        "wifi",
+        0.2,
+        &[
+            1.0, 1.1, 1.2, 1.0, 0.9, 1.1, 0.7, 0.6, 1.0, 1.2, 1.1, 0.95, 0.8, 0.55, 0.9, 1.15,
+            1.05, 1.0, 0.85, 0.7, 1.1, 1.2, 0.95, 0.65,
+        ],
+    ),
+    (
+        "step-outage",
+        1.0,
+        &[
+            1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.02, 0.02, 0.3, 0.6, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+        ],
+    ),
+];
+
+/// The names in [`BUILTIN_TRACES`], for error text and [`grammar_reference`].
+///
+/// [`grammar_reference`]: super::grammar_reference
+pub(super) fn builtin_trace_names() -> String {
+    let names: Vec<&str> = BUILTIN_TRACES.iter().map(|&(name, ..)| name).collect();
+    names.join(", ")
+}
+
+/// A trace of [`BUILTIN_TRACES`]; only [`BuiltinTrace::named`] makes one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuiltinTrace {
-    name: String,
+    name: &'static str,
     interval_s: f64,
     factors: &'static [f64],
 }
@@ -66,14 +109,17 @@ pub struct BuiltinTrace {
 impl BuiltinTrace {
     /// The built-in trace called `name`, or an error listing the catalogue.
     pub fn named(name: &str) -> Result<Self, ParseError> {
-        let (interval_s, factors) = RateSchedule::builtin_trace_factors(name).ok_or_else(|| {
-            ParseError(format!(
-                "unknown built-in trace `{name}` (available: {})",
-                RateSchedule::builtin_trace_names().join(", ")
-            ))
-        })?;
+        let &(name, interval_s, factors) = BUILTIN_TRACES
+            .iter()
+            .find(|&&(known, ..)| known == name)
+            .ok_or_else(|| {
+                ParseError(format!(
+                    "unknown built-in trace `{name}` (available: {})",
+                    builtin_trace_names()
+                ))
+            })?;
         Ok(BuiltinTrace {
-            name: name.to_string(),
+            name,
             interval_s,
             factors,
         })
@@ -105,20 +151,20 @@ impl LinkScheduleSpec {
     pub fn to_schedule(&self, base_bps: f64) -> RateSchedule {
         let trace = |interval_s: f64, factors: &[f64]| {
             let rates = factors.iter().map(|f| f * base_bps).collect();
-            RateSchedule::trace(Time::from_secs_f64(interval_s), rates, true)
+            RateSchedule::trace(Time::from_secs_f64(interval_s), rates)
         };
         match self {
             LinkScheduleSpec::Constant => RateSchedule::constant(base_bps),
             LinkScheduleSpec::Step { at_s, factor } => {
                 RateSchedule::step(base_bps, Time::from_secs_f64(*at_s), factor * base_bps)
             }
-            LinkScheduleSpec::Steps { steps } => RateSchedule::Steps {
-                initial_bps: base_bps,
-                steps: steps
+            LinkScheduleSpec::Steps { steps } => RateSchedule::steps(
+                base_bps,
+                steps
                     .iter()
                     .map(|&(t_s, f)| (Time::from_secs_f64(t_s), f * base_bps))
                     .collect(),
-            },
+            ),
             LinkScheduleSpec::Sinusoid {
                 amplitude_frac,
                 period_s,
@@ -228,8 +274,8 @@ impl FromStr for LinkScheduleSpec {
                     Ok((instant("step time", at)?, positive("step factor", factor)?))
                 };
                 let steps: Vec<(f64, f64)> = args.iter().map(step).collect::<Result<_, _>>()?;
-                // The schedule applies steps in list order, so an earlier
-                // time after a later one would silently never take effect.
+                // The schedule is a table sorted by time, and of two steps
+                // at one time only the later would ever take effect.
                 if let Some(w) = steps.windows(2).find(|w| w[1].0 <= w[0].0) {
                     return Err(ParseError(format!(
                         "staircase step times must strictly increase: {} follows {} \
@@ -277,10 +323,6 @@ pub enum EcnSpec {
     L4s,
 }
 
-/// The L4S step-marking threshold: the queue sojourn above which every ECT
-/// packet is marked, seconds (RFC 9331's recommended 1 ms).
-const L4S_STEP_THRESHOLD_S: f64 = 0.001;
-
 /// The `ecn=` modes, canonical name first.
 pub(super) const ECN_MODES: &[(&str, EcnSpec)] = &[
     ("off", EcnSpec::Off),
@@ -301,9 +343,7 @@ impl EcnSpec {
         match self {
             EcnSpec::Off => EcnMarking::None,
             EcnSpec::Classic => EcnMarking::Classic,
-            EcnSpec::L4s => EcnMarking::Step {
-                threshold_s: L4S_STEP_THRESHOLD_S,
-            },
+            EcnSpec::L4s => EcnMarking::Step,
         }
     }
 

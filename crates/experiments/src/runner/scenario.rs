@@ -2,15 +2,15 @@
 //! the grammar reference.
 
 use super::cross::{CrossSource, CrossSpec, CROSS, VIDEO};
-use super::path::{EcnSpec, HopSpec, LinkScheduleSpec, ECN_MODES, HOP, SCHEDULE_FORMS};
+use super::path::{
+    builtin_trace_names, EcnSpec, HopSpec, LinkScheduleSpec, ECN_MODES, HOP, SCHEDULE_FORMS,
+};
 use crate::grammar::{
     self, duration, field_opt, fmt_duration, fmt_size, integer, key_value, parsed, positive,
     probability, split_call, split_top_level, Opt, ParseError,
 };
 use crate::scheme::{bare_schemes, NIMBUS};
-use nimbus_netsim::{
-    FlowConfig, FlowEndpoint, LinkConfig, Network, QueueKind, RateSchedule, SimConfig, Time,
-};
+use nimbus_netsim::{FlowConfig, FlowEndpoint, LinkConfig, Network, QueueKind, SimConfig, Time};
 use nimbus_traffic::fleet::{ArrivalProcess, FleetSpawner, FleetWorkloadConfig};
 use nimbus_traffic::FlowSizeDistribution;
 use nimbus_transport::{format_rate_bps, MSS};
@@ -143,7 +143,6 @@ impl FleetSpec {
             arrivals: self.arrivals,
             sizes: self.size_distribution(),
             stop_s: duration_s,
-            base_rtt_s: 0.05,
             seed: seed.wrapping_mul(131).wrapping_add(29),
         })
     }
@@ -530,7 +529,7 @@ scheme    := {bare}
              keys: {nimbus}
 units     := <rate> 48M (k|M|G bit/s), <dur> 5ms | 40s, <bytes> 50k (k|M)",
         scenario = grammar::expected(SCENARIO),
-        traces = RateSchedule::builtin_trace_names().join(", "),
+        traces = builtin_trace_names(),
         hop = grammar::expected(HOP),
         cross = grammar::expected(CROSS),
         fleet = grammar::expected(FLEET),

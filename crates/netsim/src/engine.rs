@@ -1693,7 +1693,7 @@ mod tests {
         // packets are marked, the receiver echoes CE, and no packets drop
         // (the 100 ms physical buffer is never reached by a 100-packet window).
         let mut cfg = base_config(12e6, 10.0);
-        cfg.link_mut().ecn = EcnMarking::Step { threshold_s: 0.001 };
+        cfg.link_mut().ecn = EcnMarking::Step;
         let mut net = Network::new(cfg);
         let h = net.add_flow(
             FlowConfig::primary("ecn-window", Time::from_millis(20)).with_ecn(true),
@@ -1743,7 +1743,7 @@ mod tests {
             )
         };
         let off = run(EcnMarking::None);
-        let on = run(EcnMarking::Step { threshold_s: 0.001 });
+        let on = run(EcnMarking::Step);
         assert_eq!(off.3, 0);
         assert_eq!(on.3, 0, "NotEct packets must never be marked");
         assert_eq!(off, on);

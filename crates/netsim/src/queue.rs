@@ -48,14 +48,15 @@ pub enum EcnMarking {
     Classic,
     /// L4S-style step marking (RFC 9331): ECT packets are CE-marked as soon
     /// as the queue's sojourn time — projected at enqueue, measured at
-    /// dequeue under CoDel — meets `threshold_s` (typically ~1 ms, far below
-    /// any drop threshold).  AQM drop decisions on ECN-capable packets also
-    /// convert to marks, as under [`EcnMarking::Classic`].
-    Step {
-        /// Sojourn-time marking threshold, seconds.
-        threshold_s: f64,
-    },
+    /// dequeue under CoDel — meets [`STEP_THRESHOLD_S`] (far below any drop
+    /// threshold).  AQM drop decisions on ECN-capable packets also convert
+    /// to marks, as under [`EcnMarking::Classic`].
+    Step,
 }
+
+/// The sojourn time at which [`EcnMarking::Step`] marks every ECT packet,
+/// seconds (RFC 9331's recommended 1 ms).
+pub const STEP_THRESHOLD_S: f64 = 0.001;
 
 /// Byte capacity of a buffer specified as `buffer_secs` of line rate at
 /// `rate_bps` ("100 ms of buffering"), floored at one [`MSS`] so a tiny rate or
@@ -215,7 +216,8 @@ impl<P: Policy> Queue<P> {
     /// true if it did.
     fn step_mark(&self, pkt: &mut Packet, sojourn_s: f64) -> bool {
         let hit = pkt.ecn == EcnCodepoint::Ect
-            && matches!(self.ecn, EcnMarking::Step { threshold_s } if sojourn_s >= threshold_s);
+            && self.ecn == EcnMarking::Step
+            && sojourn_s >= STEP_THRESHOLD_S;
         if hit {
             pkt.ecn = EcnCodepoint::Ce;
         }
@@ -680,7 +682,7 @@ mod tests {
         // 1 ms step threshold the second queued packet projects over it.
         let mut q = DropTailQueue::new(1_000_000);
         q.set_drain_rate_bps(12e6);
-        q.set_ecn_marking(EcnMarking::Step { threshold_s: 0.001 });
+        q.set_ecn_marking(EcnMarking::Step);
         assert_eq!(
             q.enqueue(ect(0, 0, 1500, 0), Time::ZERO),
             EnqueueResult::Accepted
@@ -782,7 +784,7 @@ mod tests {
     #[test]
     fn codel_step_profile_marks_on_measured_sojourn() {
         let mut q = CoDelQueue::new(10_000_000);
-        q.set_ecn_marking(EcnMarking::Step { threshold_s: 0.001 });
+        q.set_ecn_marking(EcnMarking::Step);
         q.enqueue(ect(0, 0, 1500, 0), Time::ZERO);
         q.enqueue(ect(0, 1, 1500, 0), Time::ZERO);
         // Dequeued within the threshold: unmarked.
@@ -812,7 +814,7 @@ mod tests {
                 _ => Box::new(CoDelQueue::new(20_000)),
             };
             q.set_drain_rate_bps(12e6);
-            q.set_ecn_marking(EcnMarking::Step { threshold_s: 0.002 });
+            q.set_ecn_marking(EcnMarking::Step);
             let mut offered = 0u64;
             let mut accepted_bytes = 0u64;
             let mut dropped_at_enqueue = 0u64;

@@ -8,16 +8,23 @@
 //! (including packets that are mid-serialization when the rate changes) and
 //! for keeping delay-sized queue capacities coherent as µ(t) moves.
 //!
-//! Four families are supported:
+//! A schedule is one table: an initial rate, sorted `(time, new_rate)`
+//! transitions and an optional period after which the table repeats.  Five
+//! constructors fill it:
 //!
-//! * [`RateSchedule::Constant`] — the classic fixed-µ link.
-//! * [`RateSchedule::Steps`] — an initial rate plus a sorted sequence of
-//!   `(time, new_rate)` transitions (rate steps, outages, staircases).
-//! * [`RateSchedule::Sinusoid`] — µ oscillates around a mean, quantized into
-//!   piecewise-constant segments of `update_interval` so event scheduling
-//!   stays exact and deterministic.
-//! * [`RateSchedule::Trace`] — a slice of rates applied in fixed intervals
-//!   (trace-driven cellular-like links), optionally repeating.
+//! * [`RateSchedule::constant`] — the classic fixed-µ link: no transitions.
+//! * [`RateSchedule::step`] and [`RateSchedule::steps`] — rate steps,
+//!   outages and staircases: transitions at absolute times, no period.
+//! * [`RateSchedule::trace`] — per-interval rates (trace-driven
+//!   cellular-like links), laid out over one period that repeats.
+//! * [`RateSchedule::sinusoid`] — µ oscillating around a mean, quantized
+//!   into one period of equal segments so event scheduling stays exact and
+//!   deterministic.  A period that is not a whole number of segments — only
+//!   possible below millisecond resolution — repeats after the whole number
+//!   of segments that covers it instead of drifting against them.
+//!
+//! [`RateSchedule::from_mahimahi_str`] bins a Mahimahi trace into a
+//! [`RateSchedule::trace`].
 //!
 //! All schedules floor the rate at [`MIN_RATE_BPS`] so a "zero-rate outage"
 //! segment serializes glacially instead of dividing by zero or wedging the
@@ -32,108 +39,57 @@ pub const MIN_RATE_BPS: f64 = 1.0;
 
 /// A piecewise-constant bottleneck-rate schedule µ(t).
 #[derive(Debug, Clone, PartialEq)]
-pub enum RateSchedule {
-    /// A fixed rate for the whole run.
-    Constant(f64),
-    /// An initial rate plus sorted `(transition_time, new_rate)` steps.
-    Steps {
-        /// Rate before the first transition, bits/s.
-        initial_bps: f64,
-        /// Sorted transition points: at each `Time` the rate becomes the paired value.
-        steps: Vec<(Time, f64)>,
-    },
-    /// `µ(t) = mean + amplitude·sin(2π·t/period)`, quantized into
-    /// piecewise-constant segments of `update_interval`.
-    Sinusoid {
-        /// Mean rate, bits/s.
-        mean_bps: f64,
-        /// Peak deviation from the mean, bits/s.
-        amplitude_bps: f64,
-        /// Oscillation period.
-        period: Time,
-        /// Quantization interval: the rate is re-evaluated (and the engine
-        /// notified) every `update_interval`.
-        update_interval: Time,
-    },
-    /// A rate trace sampled at a fixed interval.
-    Trace {
-        /// Duration of each trace sample.
-        interval: Time,
-        /// The per-interval rates, bits/s.
-        rates_bps: Vec<f64>,
-        /// Whether the trace wraps around when exhausted (otherwise the last
-        /// sample's rate holds forever).
-        repeat: bool,
-    },
+pub struct RateSchedule {
+    /// Rate before the first transition (of every period, when periodic),
+    /// bits/s.
+    initial_bps: f64,
+    /// Sorted transition points: at each `Time` the rate becomes the paired
+    /// value.  Offsets into the period when periodic, all below it.
+    steps: Vec<(Time, f64)>,
+    /// When set, µ(t) is the table read at `t mod period`.
+    period: Option<Time>,
 }
 
 impl RateSchedule {
     /// A constant-rate schedule.
     pub fn constant(rate_bps: f64) -> Self {
-        RateSchedule::Constant(rate_bps)
+        Self::steps(rate_bps, Vec::new())
     }
 
     /// A single rate step: `initial_bps` until `at`, then `to_bps`.
     pub fn step(initial_bps: f64, at: Time, to_bps: f64) -> Self {
-        RateSchedule::Steps {
+        Self::steps(initial_bps, vec![(at, to_bps)])
+    }
+
+    /// `initial_bps` until the first of `steps`; at each `(time, rate)` the
+    /// rate becomes `rate`.  The times must not decrease.
+    pub fn steps(initial_bps: f64, steps: Vec<(Time, f64)>) -> Self {
+        assert!(
+            steps.windows(2).all(|w| w[0].0 <= w[1].0),
+            "step times must not decrease"
+        );
+        RateSchedule {
             initial_bps,
-            steps: vec![(at, to_bps)],
+            steps,
+            period: None,
         }
     }
 
     /// A sinusoid of `amplitude_frac·mean_bps` around `mean_bps`, quantized
-    /// at `period/64` (bounded below by 1 ms).
+    /// at `period/64` (bounded below by 1 ms): each segment holds the
+    /// sinusoid's value at its start.
     pub fn sinusoid(mean_bps: f64, amplitude_frac: f64, period: Time) -> Self {
-        let update = Time::from_nanos((period.as_nanos() / 64).max(1_000_000));
-        RateSchedule::Sinusoid {
-            mean_bps,
-            amplitude_bps: amplitude_frac * mean_bps,
-            period,
-            update_interval: update,
-        }
-    }
-
-    /// The names of the curated built-in traces accepted by
-    /// [`RateSchedule::builtin_trace_factors`], for error messages and docs.
-    pub fn builtin_trace_names() -> &'static [&'static str] {
-        &["cellular", "wifi", "step-outage"]
-    }
-
-    /// The curated built-in trace with the given name, as `(interval_s,
-    /// factors-of-base-rate)`, or `None` for an unknown name.
-    ///
-    /// * `cellular` — LTE-like: large swings (0.15–1.5× base) with deep
-    ///   fades, 500 ms granularity, repeating every 16 s.
-    /// * `wifi` — moderate variation (0.55–1.2× base) with occasional dips
-    ///   from contention, 200 ms granularity, repeating every 4.8 s.
-    /// * `step-outage` — nominal rate with a 2-second near-outage (0.02×)
-    ///   and a staged recovery, 1 s granularity, repeating every 16 s.
-    pub fn builtin_trace_factors(name: &str) -> Option<(f64, &'static [f64])> {
-        match name {
-            "cellular" => Some((
-                0.5,
-                &[
-                    1.0, 1.2, 0.9, 0.5, 0.3, 0.15, 0.4, 0.8, 1.1, 1.5, 1.3, 0.7, 0.45, 0.25, 0.6,
-                    1.0, 1.4, 1.1, 0.8, 0.35, 0.2, 0.55, 0.9, 1.2, 1.0, 0.65, 0.4, 0.85, 1.3, 1.5,
-                    1.1, 0.75,
-                ],
-            )),
-            "wifi" => Some((
-                0.2,
-                &[
-                    1.0, 1.1, 1.2, 1.0, 0.9, 1.1, 0.7, 0.6, 1.0, 1.2, 1.1, 0.95, 0.8, 0.55, 0.9,
-                    1.15, 1.05, 1.0, 0.85, 0.7, 1.1, 1.2, 0.95, 0.65,
-                ],
-            )),
-            "step-outage" => Some((
-                1.0,
-                &[
-                    1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.02, 0.02, 0.3, 0.6, 1.0, 1.0, 1.0, 1.0, 1.0,
-                    1.0,
-                ],
-            )),
-            _ => None,
-        }
+        let p = period.as_nanos().max(1);
+        let update = (p / 64).max(1_000_000);
+        let amplitude_bps = amplitude_frac * mean_bps;
+        let segment = |k: u64| {
+            let phase = (k * update % p) as f64 / p as f64;
+            mean_bps + amplitude_bps * (std::f64::consts::TAU * phase).sin()
+        };
+        Self::trace(
+            Time::from_nanos(update),
+            (0..p.div_ceil(update)).map(segment).collect(),
+        )
     }
 
     /// Bytes one Mahimahi delivery opportunity carries (the mahimahi shell's
@@ -157,9 +113,8 @@ impl RateSchedule {
     /// rounding.
     ///
     /// Opportunities are binned into `bin`-sized intervals and converted to
-    /// a repeating piecewise-constant [`RateSchedule::Trace`]; the absolute
-    /// rates come from the file (unlike the factor-based built-in traces, no
-    /// base rate scales them).
+    /// a [`RateSchedule::trace`]; the absolute rates come from the file
+    /// (unlike the factor-based built-in traces, no base rate scales them).
     ///
     /// Errors carry the 1-based line number and the offending token.
     pub fn from_mahimahi_str(text: &str, bin: Time) -> Result<Self, String> {
@@ -209,7 +164,7 @@ impl RateSchedule {
                 c as f64 * Self::MAHIMAHI_BYTES_PER_OPPORTUNITY * 8.0 / width
             })
             .collect();
-        Ok(Self::trace(bin, rates, true))
+        Ok(Self::trace(bin, rates))
     }
 
     /// [`RateSchedule::from_mahimahi_str`] reading from a file, at the
@@ -222,92 +177,53 @@ impl RateSchedule {
             .map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// A trace schedule from per-interval rates.
-    pub fn trace(interval: Time, rates_bps: Vec<f64>, repeat: bool) -> Self {
-        assert!(
-            !rates_bps.is_empty(),
-            "trace must contain at least one rate"
-        );
+    /// A trace schedule: `rates_bps[k]` holds over the `k`-th `interval`,
+    /// and the trace repeats once exhausted.
+    pub fn trace(interval: Time, rates_bps: Vec<f64>) -> Self {
         assert!(interval > Time::ZERO, "trace interval must be positive");
-        RateSchedule::Trace {
-            interval,
-            rates_bps,
-            repeat,
+        let mut rates = rates_bps.into_iter();
+        let initial_bps = rates.next().expect("trace must contain at least one rate");
+        let at = |k: u64| Time::from_nanos(k * interval.as_nanos());
+        let steps: Vec<(Time, f64)> = (1..).map(at).zip(rates).collect();
+        let period = Some(at(steps.len() as u64 + 1));
+        RateSchedule {
+            initial_bps,
+            steps,
+            period,
         }
+    }
+
+    /// Where `t` falls in the table: `t` itself, or its offset into the
+    /// period.
+    fn offset(&self, t: Time) -> Time {
+        self.period
+            .map_or(t, |p| Time::from_nanos(t.as_nanos() % p.as_nanos()))
+    }
+
+    /// The index of the first transition after `offset` in the table.
+    fn next_index(&self, offset: Time) -> usize {
+        self.steps.partition_point(|&(at, _)| at <= offset)
     }
 
     /// The instantaneous rate at time `t`, floored at [`MIN_RATE_BPS`].
     pub fn rate_at(&self, t: Time) -> f64 {
-        let raw = match self {
-            RateSchedule::Constant(r) => *r,
-            RateSchedule::Steps { initial_bps, steps } => {
-                let mut rate = *initial_bps;
-                for &(at, to) in steps {
-                    if t >= at {
-                        rate = to;
-                    } else {
-                        break;
-                    }
-                }
-                rate
-            }
-            RateSchedule::Sinusoid {
-                mean_bps,
-                amplitude_bps,
-                period,
-                update_interval,
-            } => {
-                // Quantize to the start of the containing segment so the value
-                // is constant between transitions the engine knows about.
-                let seg_start =
-                    (t.as_nanos() / update_interval.as_nanos()) * update_interval.as_nanos();
-                let phase =
-                    (seg_start % period.as_nanos().max(1)) as f64 / period.as_nanos().max(1) as f64;
-                mean_bps + amplitude_bps * (std::f64::consts::TAU * phase).sin()
-            }
-            RateSchedule::Trace {
-                interval,
-                rates_bps,
-                repeat,
-            } => {
-                let idx = (t.as_nanos() / interval.as_nanos()) as usize;
-                let idx = if *repeat {
-                    idx % rates_bps.len()
-                } else {
-                    idx.min(rates_bps.len() - 1)
-                };
-                rates_bps[idx]
-            }
+        let raw = match self.next_index(self.offset(t)) {
+            0 => self.initial_bps,
+            i => self.steps[i - 1].1,
         };
         raw.max(MIN_RATE_BPS)
     }
 
     /// The earliest time strictly after `t` at which the rate changes, or
-    /// `None` if the rate is constant from `t` on.
+    /// `None` if the rate is constant from `t` on.  A periodic schedule
+    /// changes at every transition of every period, and at each period's end.
     pub fn next_transition_after(&self, t: Time) -> Option<Time> {
-        match self {
-            RateSchedule::Constant(_) => None,
-            RateSchedule::Steps { steps, .. } => steps.iter().map(|&(at, _)| at).find(|&at| at > t),
-            RateSchedule::Sinusoid {
-                update_interval, ..
-            } => {
-                let iv = update_interval.as_nanos();
-                Some(Time::from_nanos((t.as_nanos() / iv + 1) * iv))
-            }
-            RateSchedule::Trace {
-                interval,
-                rates_bps,
-                repeat,
-            } => {
-                let iv = interval.as_nanos();
-                let next_k = t.as_nanos() / iv + 1;
-                if !*repeat && next_k as usize >= rates_bps.len() {
-                    // After the last sample the final rate holds forever.
-                    return None;
-                }
-                Some(Time::from_nanos(next_k * iv))
-            }
-        }
+        let offset = self.offset(t);
+        let next = match self.steps.get(self.next_index(offset)) {
+            Some(&(at, _)) => at,
+            None => self.period?,
+        };
+        Some(t - offset + next)
     }
 
     /// The rate at simulation start (used to size queues and as the nominal
@@ -316,52 +232,24 @@ impl RateSchedule {
         self.rate_at(Time::ZERO)
     }
 
+    /// Every rate in the table.
+    fn rates(&self) -> impl Iterator<Item = f64> + '_ {
+        std::iter::once(self.initial_bps).chain(self.steps.iter().map(|&(_, r)| r))
+    }
+
     /// The largest rate the schedule ever takes (floored at [`MIN_RATE_BPS`]).
     pub fn max_rate_bps(&self) -> f64 {
-        match self {
-            RateSchedule::Constant(r) => r.max(MIN_RATE_BPS),
-            RateSchedule::Steps { initial_bps, steps } => steps
-                .iter()
-                .map(|&(_, r)| r)
-                .fold(*initial_bps, f64::max)
-                .max(MIN_RATE_BPS),
-            RateSchedule::Sinusoid {
-                mean_bps,
-                amplitude_bps,
-                ..
-            } => (mean_bps + amplitude_bps.abs()).max(MIN_RATE_BPS),
-            RateSchedule::Trace { rates_bps, .. } => {
-                rates_bps.iter().copied().fold(MIN_RATE_BPS, f64::max)
-            }
-        }
+        self.rates().fold(MIN_RATE_BPS, f64::max)
     }
 
     /// The smallest rate the schedule ever takes (floored at [`MIN_RATE_BPS`]).
     pub fn min_rate_bps(&self) -> f64 {
-        match self {
-            RateSchedule::Constant(r) => r.max(MIN_RATE_BPS),
-            RateSchedule::Steps { initial_bps, steps } => steps
-                .iter()
-                .map(|&(_, r)| r)
-                .fold(*initial_bps, f64::min)
-                .max(MIN_RATE_BPS),
-            RateSchedule::Sinusoid {
-                mean_bps,
-                amplitude_bps,
-                ..
-            } => (mean_bps - amplitude_bps.abs()).max(MIN_RATE_BPS),
-            RateSchedule::Trace { rates_bps, .. } => rates_bps
-                .iter()
-                .copied()
-                .fold(f64::INFINITY, f64::min)
-                .max(MIN_RATE_BPS),
-        }
+        self.rates().fold(f64::INFINITY, f64::min).max(MIN_RATE_BPS)
     }
 
     /// True when the schedule never changes rate.
     pub fn is_constant(&self) -> bool {
-        matches!(self, RateSchedule::Constant(_))
-            || self.next_transition_after(Time::ZERO).is_none()
+        self.next_transition_after(Time::ZERO).is_none()
     }
 
     /// Exact integral `∫ µ(t) dt` over `[t0, t1]`, in bits.  Because every
@@ -390,6 +278,104 @@ impl RateSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference implementation: the four-family enum the table replaced,
+    /// its trace always repeating (the only way a caller ever built one).
+    enum Reference {
+        Constant(f64),
+        Steps {
+            initial_bps: f64,
+            steps: Vec<(Time, f64)>,
+        },
+        Sinusoid {
+            mean_bps: f64,
+            amplitude_bps: f64,
+            period: Time,
+            update_interval: Time,
+        },
+        Trace {
+            interval: Time,
+            rates_bps: Vec<f64>,
+        },
+    }
+
+    impl Reference {
+        fn sinusoid(mean_bps: f64, amplitude_frac: f64, period: Time) -> Self {
+            let update = Time::from_nanos((period.as_nanos() / 64).max(1_000_000));
+            Reference::Sinusoid {
+                mean_bps,
+                amplitude_bps: amplitude_frac * mean_bps,
+                period,
+                update_interval: update,
+            }
+        }
+
+        fn rate_at(&self, t: Time) -> f64 {
+            let raw = match self {
+                Reference::Constant(r) => *r,
+                Reference::Steps { initial_bps, steps } => {
+                    let mut rate = *initial_bps;
+                    for &(at, to) in steps {
+                        if t >= at {
+                            rate = to;
+                        } else {
+                            break;
+                        }
+                    }
+                    rate
+                }
+                Reference::Sinusoid {
+                    mean_bps,
+                    amplitude_bps,
+                    period,
+                    update_interval,
+                } => {
+                    let seg_start =
+                        (t.as_nanos() / update_interval.as_nanos()) * update_interval.as_nanos();
+                    let phase = (seg_start % period.as_nanos().max(1)) as f64
+                        / period.as_nanos().max(1) as f64;
+                    mean_bps + amplitude_bps * (std::f64::consts::TAU * phase).sin()
+                }
+                Reference::Trace {
+                    interval,
+                    rates_bps,
+                } => rates_bps[(t.as_nanos() / interval.as_nanos()) as usize % rates_bps.len()],
+            };
+            raw.max(MIN_RATE_BPS)
+        }
+
+        fn next_transition_after(&self, t: Time) -> Option<Time> {
+            let every = |iv: Time| {
+                let iv = iv.as_nanos();
+                Some(Time::from_nanos((t.as_nanos() / iv + 1) * iv))
+            };
+            match self {
+                Reference::Constant(_) => None,
+                Reference::Steps { steps, .. } => {
+                    steps.iter().map(|&(at, _)| at).find(|&at| at > t)
+                }
+                Reference::Sinusoid {
+                    update_interval, ..
+                } => every(*update_interval),
+                Reference::Trace { interval, .. } => every(*interval),
+            }
+        }
+
+        fn integral_bits(&self, t0: Time, t1: Time) -> f64 {
+            let mut total = 0.0;
+            let mut cursor = t0;
+            while cursor < t1 {
+                let seg_end = match self.next_transition_after(cursor) {
+                    Some(next) if next < t1 => next,
+                    _ => t1,
+                };
+                total += self.rate_at(cursor) * seg_end.saturating_sub(cursor).as_secs_f64();
+                cursor = seg_end;
+            }
+            total
+        }
+    }
 
     #[test]
     fn constant_schedule_is_flat() {
@@ -418,13 +404,13 @@ mod tests {
 
     #[test]
     fn multi_step_schedule_applies_in_order() {
-        let s = RateSchedule::Steps {
-            initial_bps: 10e6,
-            steps: vec![
+        let s = RateSchedule::steps(
+            10e6,
+            vec![
                 (Time::from_secs_f64(1.0), 20e6),
                 (Time::from_secs_f64(2.0), 5e6),
             ],
-        };
+        );
         assert_eq!(s.rate_at(Time::from_millis(500)), 10e6);
         assert_eq!(s.rate_at(Time::from_millis(1500)), 20e6);
         assert_eq!(s.rate_at(Time::from_millis(2500)), 5e6);
@@ -436,7 +422,7 @@ mod tests {
     fn zero_and_negative_rates_are_floored() {
         let s = RateSchedule::step(48e6, Time::from_secs_f64(1.0), 0.0);
         assert_eq!(s.rate_at(Time::from_secs_f64(2.0)), MIN_RATE_BPS);
-        let t = RateSchedule::trace(Time::from_millis(100), vec![-5.0, 1e6], false);
+        let t = RateSchedule::trace(Time::from_millis(100), vec![-5.0, 1e6]);
         assert_eq!(t.rate_at(Time::ZERO), MIN_RATE_BPS);
         assert_eq!(t.min_rate_bps(), MIN_RATE_BPS);
     }
@@ -467,41 +453,38 @@ mod tests {
     }
 
     #[test]
-    fn trace_repeats_or_holds() {
-        let iv = Time::from_millis(100);
-        let rates = vec![10e6, 20e6, 30e6];
-        let hold = RateSchedule::trace(iv, rates.clone(), false);
-        assert_eq!(hold.rate_at(Time::from_millis(50)), 10e6);
-        assert_eq!(hold.rate_at(Time::from_millis(150)), 20e6);
-        assert_eq!(hold.rate_at(Time::from_millis(250)), 30e6);
-        assert_eq!(hold.rate_at(Time::from_secs_f64(100.0)), 30e6);
-        // Transitions stop after the last sample.
+    fn trace_repeats() {
+        let s = RateSchedule::trace(Time::from_millis(100), vec![10e6, 20e6, 30e6]);
+        assert_eq!(s.rate_at(Time::from_millis(50)), 10e6);
+        assert_eq!(s.rate_at(Time::from_millis(150)), 20e6);
+        assert_eq!(s.rate_at(Time::from_millis(250)), 30e6);
+        assert_eq!(s.rate_at(Time::from_millis(350)), 10e6);
         assert_eq!(
-            hold.next_transition_after(Time::from_millis(150)),
-            Some(Time::from_millis(200))
+            s.next_transition_after(Time::from_millis(250)),
+            Some(Time::from_millis(300))
         );
-        assert_eq!(hold.next_transition_after(Time::from_millis(250)), None);
-
-        let wrap = RateSchedule::trace(iv, rates, true);
-        assert_eq!(wrap.rate_at(Time::from_millis(350)), 10e6);
         assert_eq!(
-            wrap.next_transition_after(Time::from_millis(350)),
+            s.next_transition_after(Time::from_millis(350)),
             Some(Time::from_millis(400))
         );
     }
 
     #[test]
-    fn builtin_traces_exist_and_unknown_names_do_not() {
-        for &name in RateSchedule::builtin_trace_names() {
-            let (interval_s, factors) = RateSchedule::builtin_trace_factors(name).unwrap();
-            assert!(interval_s > 0.0);
-            assert!(factors.len() >= 8, "trace {name} too short to be useful");
-            assert!(factors.iter().all(|&f| f > 0.0), "trace {name}");
+    fn an_off_grid_sinusoid_repeats_after_whole_segments() {
+        // 100 ms + 1 ns is not a whole number of its 1.5625 ms segments: the
+        // table holds the reference's first 65 segments, then repeats them
+        // where the reference drifts against its own segments.
+        let period = Time::from_nanos(100_000_001);
+        let s = RateSchedule::sinusoid(48e6, 0.25, period);
+        let reference = Reference::sinusoid(48e6, 0.25, period);
+        let segment = 1_562_500;
+        let table = Time::from_nanos(65 * segment);
+        assert_eq!(s.period, Some(table));
+        for k in 0..65 {
+            let t = Time::from_nanos(k * segment);
+            assert_eq!(s.rate_at(t).to_bits(), reference.rate_at(t).to_bits());
+            assert_eq!(s.rate_at(t + table), s.rate_at(t));
         }
-        // The outage trace actually dips near zero but never to zero.
-        let (_, outage) = RateSchedule::builtin_trace_factors("step-outage").unwrap();
-        assert!(outage.iter().any(|&f| f * 48e6 < 2e6));
-        assert!(RateSchedule::builtin_trace_factors("nonexistent").is_none());
     }
 
     #[test]
@@ -580,5 +563,120 @@ mod tests {
             (bits - expect).abs() / expect < 0.02,
             "integral {bits} vs {expect}"
         );
+    }
+
+    /// Family `family` of `prop_the_table_matches_the_four_family_reference`
+    /// built from its other arguments, with its reference and the span its
+    /// queries cover.
+    fn draw(
+        family: u8,
+        rates: &[f64],
+        at_ms: &[u64],
+        at_zero: bool,
+        amplitude_frac: f64,
+        period_exp: f64,
+        stamps_ms: &[u64],
+    ) -> (RateSchedule, Reference, Time) {
+        let interval = Time::from_millis(at_ms[0].max(1));
+        let mut times: Vec<Time> = at_ms.iter().map(|&ms| Time::from_millis(ms)).collect();
+        times.sort();
+        if at_zero {
+            times[0] = Time::ZERO;
+        }
+        let mut steps: Vec<(Time, f64)> = times.into_iter().zip(rates.iter().copied()).collect();
+        let (s, r) = match family {
+            0 => (
+                RateSchedule::constant(rates[0]),
+                Reference::Constant(rates[0]),
+            ),
+            1 | 2 => {
+                steps.truncate(if family == 1 { 1 } else { steps.len() });
+                let initial_bps = rates[rates.len() - 1];
+                (
+                    RateSchedule::steps(initial_bps, steps.clone()),
+                    Reference::Steps { initial_bps, steps },
+                )
+            }
+            3 => {
+                // Whole milliseconds from 1 ms to 60 s, log-uniform so about
+                // 40 % fall below the 64 ms quantization floor.
+                let period_ms = 60_000f64.powf(period_exp).round().max(1.0);
+                let period = Time::from_millis(period_ms as u64);
+                (
+                    RateSchedule::sinusoid(rates[0], amplitude_frac, period),
+                    Reference::sinusoid(rates[0], amplitude_frac, period),
+                )
+            }
+            4 | 5 => {
+                let rates = if family == 4 { rates } else { &rates[..1] };
+                (
+                    RateSchedule::trace(interval, rates.to_vec()),
+                    Reference::Trace {
+                        interval,
+                        rates_bps: rates.to_vec(),
+                    },
+                )
+            }
+            _ => {
+                let text: String = stamps_ms.iter().map(|ms| format!("{ms}\n")).collect();
+                let s = RateSchedule::from_mahimahi_str(&format!("{text}3000\n"), interval)
+                    .expect("the trace ends at 3 s");
+                let rates_bps = s.rates().collect();
+                (
+                    s,
+                    Reference::Trace {
+                        interval,
+                        rates_bps,
+                    },
+                )
+            }
+        };
+        // Fifty periods of a periodic table; well past the last step of one
+        // that is not.
+        let span = match s.period {
+            Some(p) => Time::from_nanos(p.as_nanos() * 50),
+            None => Time::from_secs_f64(12.0),
+        };
+        (s, r, span)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_the_table_matches_the_four_family_reference(
+            family in 0u8..7,
+            rates in collection::vec(0.0f64..100e6, 1..40),
+            at_ms in collection::vec(0u64..5_000, 1..8),
+            at_zero in 0u8..2,
+            amplitude_frac in 0.0f64..1.0,
+            period_exp in 0.0f64..1.0,
+            stamps_ms in collection::vec(0u64..3_000, 1..200),
+            queries in collection::vec((0.0f64..1.0, 0u8..3), 64..128),
+            windows in collection::vec((0.0f64..1.0, 0.0f64..1.0), 8..16),
+        ) {
+            let (s, r, span) = draw(
+                family, &rates, &at_ms, at_zero == 1, amplitude_frac, period_exp, &stamps_ms,
+            );
+            let at = |frac: f64, of: Time| Time::from_nanos((frac * of.as_nanos() as f64) as u64);
+            for &(frac, snap) in &queries {
+                let mut t = at(frac, span);
+                // Land on a transition, or one nanosecond before it.
+                if let (1 | 2, Some(next)) = (snap, r.next_transition_after(t)) {
+                    t = Time::from_nanos(next.as_nanos() - u64::from(snap == 2));
+                }
+                prop_assert_eq!(s.rate_at(t).to_bits(), r.rate_at(t).to_bits(), "rate at {}", t);
+                prop_assert_eq!(s.next_transition_after(t), r.next_transition_after(t), "after {}", t);
+            }
+            // Windows up to three periods long (or the whole span).
+            let longest = s.period.map_or(span, |p| Time::from_nanos(p.as_nanos() * 3));
+            for &(start, len) in &windows {
+                let t0 = at(start, span);
+                let t1 = t0 + at(len, longest);
+                prop_assert_eq!(
+                    s.integral_bits(t0, t1).to_bits(),
+                    r.integral_bits(t0, t1).to_bits(),
+                    "integral over [{}, {}]", t0, t1
+                );
+            }
+        }
     }
 }

@@ -255,10 +255,7 @@ proptest! {
                     .map(|&(t_s, mbps)| (Time::from_secs_f64(t_s), mbps * 1e6))
                     .collect();
                 sorted.sort_by_key(|&(t, _)| t);
-                RateSchedule::Steps {
-                    initial_bps: initial_mbps * 1e6,
-                    steps: sorted,
-                }
+                RateSchedule::steps(initial_mbps * 1e6, sorted)
             })
             .collect();
         let mut cfg = path_config(schedules.clone(), duration_s);

@@ -285,7 +285,7 @@ fn every_discipline_and_marking_meets_its_pinned_fates() {
         for (marking, ecn) in [
             ("none", EcnMarking::None),
             ("classic", EcnMarking::Classic),
-            ("step1ms", EcnMarking::Step { threshold_s: 0.001 }),
+            ("step1ms", EcnMarking::Step),
         ] {
             let mut q: Box<dyn QueueDiscipline> = match discipline {
                 "droptail" => Box::new(DropTailQueue::new(cap)),

@@ -162,13 +162,13 @@ fn near_zero_rate_interval_does_not_wedge_the_event_loop() {
     // A two-second outage (1 bit/s) in the middle of the run: the simulation
     // must complete, with a bounded number of events, and still deliver data
     // on both sides of the outage.
-    let schedule = RateSchedule::Steps {
-        initial_bps: 48e6,
-        steps: vec![
+    let schedule = RateSchedule::steps(
+        48e6,
+        vec![
             (Time::from_secs_f64(3.0), 1.0),
             (Time::from_secs_f64(5.0), 48e6),
         ],
-    };
+    );
     let mut net = Network::new(varying_config(schedule.clone(), 8.0));
     let h = net.add_flow(
         FlowConfig::primary("cbr", Time::from_millis(20)),
@@ -282,10 +282,7 @@ proptest! {
             .map(|&(t_s, mbps)| (Time::from_secs_f64(t_s), mbps * 1e6))
             .collect();
         sorted.sort_by_key(|&(t, _)| t);
-        let schedule = RateSchedule::Steps {
-            initial_bps: initial_mbps * 1e6,
-            steps: sorted,
-        };
+        let schedule = RateSchedule::steps(initial_mbps * 1e6, sorted);
         let mut cfg = varying_config(schedule.clone(), duration_s);
         cfg.seed = seed;
         let mut net = Network::new(cfg);

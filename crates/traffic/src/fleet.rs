@@ -46,6 +46,10 @@ const BURSTY_ALPHA: f64 = 1.5;
 /// truth: 10 packets, the initial window (§8.1).
 const ELASTIC_THRESHOLD_BYTES: u64 = 15_000;
 
+/// The propagation RTT fleet flows jitter around, seconds; every fleet,
+/// the Internet-path figures' included, runs at it.
+const BASE_RTT_S: f64 = 0.05;
+
 impl ArrivalProcess {
     /// Draw one interarrival gap in seconds for mean arrival rate `lambda`
     /// (flows per second).
@@ -66,7 +70,7 @@ impl ArrivalProcess {
 /// Configuration of a fleet workload: an open-loop arrival process paired
 /// with a heavy-tailed size distribution, targeting a fixed offered load.
 /// Arrivals start at t = 0; every flow runs Cubic over a propagation RTT
-/// jittered by up to ±50% around `base_rtt_s`.
+/// jittered by up to ±50% around 50 ms.
 #[derive(Debug, Clone)]
 pub struct FleetWorkloadConfig {
     /// Target offered load in bits per second.
@@ -77,22 +81,19 @@ pub struct FleetWorkloadConfig {
     pub sizes: FlowSizeDistribution,
     /// No arrivals at or after this time, seconds.
     pub stop_s: f64,
-    /// Base propagation RTT for fleet flows, seconds.
-    pub base_rtt_s: f64,
     /// RNG seed; the whole workload is deterministic given this.
     pub seed: u64,
 }
 
 impl FleetWorkloadConfig {
     /// A fleet offering `load_fraction` of `link_rate_bps`, arriving over
-    /// `[0, stop_s)`: Poisson arrivals, default sizes, 50 ms base RTT.
+    /// `[0, stop_s)`: Poisson arrivals and default sizes.
     pub fn default_for_link(link_rate_bps: f64, load_fraction: f64, stop_s: f64) -> Self {
         FleetWorkloadConfig {
             offered_load_bps: link_rate_bps * load_fraction,
             arrivals: ArrivalProcess::Poisson,
             sizes: FlowSizeDistribution::default(),
             stop_s,
-            base_rtt_s: 0.05,
             seed: 1,
         }
     }
@@ -145,7 +146,7 @@ impl FlowSpawner for FleetSpawner {
             return None;
         }
         let size = self.cfg.sizes.sample(&mut self.rng);
-        let rtt_s = self.cfg.base_rtt_s * self.rng.gen_range(0.5..1.5);
+        let rtt_s = BASE_RTT_S * self.rng.gen_range(0.5..1.5);
         let i = self.emitted;
         self.emitted += 1;
         let at = Time::from_secs_f64(self.t_s);

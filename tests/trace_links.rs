@@ -12,6 +12,7 @@
 //! leaving every single-timeout recovery byte-identical (the fingerprint
 //! ledger in `tests/ledger/mod.rs` proves that).
 
+use nimbus_repro::experiments::runner::BUILTIN_TRACES;
 use nimbus_repro::experiments::testkit::{parallel_map, Cell};
 
 /// `scheme` alone on a 48 Mbit/s link under `schedule`, steady window from a
@@ -49,9 +50,8 @@ fn deep_fade_staircase_does_not_wedge_the_window_path() {
 
 #[test]
 fn window_schemes_survive_every_builtin_trace() {
-    let traces = ["cellular", "wifi", "step-outage"];
     let mut cells = Vec::new();
-    for name in traces {
+    for &(name, ..) in BUILTIN_TRACES {
         for scheme in ["cubic", "newreno", "bbr"] {
             cells.push(cell(scheme, &format!("trace-{name}"), 30.0));
         }
