@@ -48,4 +48,4 @@ pub use filter::{Ewma, WindowedMax, WindowedMin};
 pub use pulse::{AsymmetricPulse, PulseGenerator};
 pub use sliding::SlidingDft;
 pub use spectrum::{bin_for_frequency, Spectrum};
-pub use stats::{mean, percentile, percentile_of_keyed_chunks, stddev, Cdf};
+pub use stats::{mean, percentile, stddev, Cdf};

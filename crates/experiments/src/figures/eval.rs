@@ -1,8 +1,8 @@
 //! Figures 8–13 and 21: the main emulation evaluation (§5, §8.1).
 
-use super::{after, agreement, fct_stats, is_elastic, pairs, scenario, window_mean};
+use super::{after, agreement, fct_stats, is_elastic, scenario, window, window_mean};
 use crate::output::ExperimentResult;
-use crate::runner::{run_scenario, run_scheme_vs_cross, Monitored};
+use crate::runner::{run_scenario, run_scheme_vs_cross, series_of, Monitored};
 use crate::scheme::SchemeSpec;
 use nimbus_dsp::Cdf;
 use nimbus_transport::format_rate_bps;
@@ -166,8 +166,8 @@ pub fn fig09(quick: bool) -> ExperimentResult {
     for scheme in schemes {
         let out = run_scheme_vs_cross(&spec, scheme, 5.0);
         let m = &out.flows[0];
-        let rtt_cdf = Cdf::from_samples(&m.rtt_samples_ms);
-        let tput_cdf = Cdf::from_samples(&m.throughput_samples_mbps);
+        let rtt_cdf = Cdf::from_samples(&window(&m.rtt_series, ..));
+        let tput_cdf = Cdf::from_samples(&window(&m.throughput_series, ..));
         result.row(&format!("{}_median_rtt_ms", m.label), rtt_cdf.median());
         result.row(
             &format!("{}_mean_throughput_mbps", m.label),
@@ -252,7 +252,7 @@ pub fn fig12(quick: bool) -> ExperimentResult {
     // Ground truth per interval from the recorder; detector verdicts from the
     // controller.  A period is "elastic" if more than 30% of cross bytes came
     // from flows large enough to be ACK-clocked.
-    let truth = pairs(&out.recorder.elastic_fraction);
+    let truth = series_of(&out.recorder.elastic_fraction);
     // (truth, verdict) per decision, averaging the ground truth over the
     // preceding detector window.
     let decisions: Vec<(bool, bool)> = m

@@ -27,7 +27,7 @@ pub mod varying;
 use crate::runner::{CrossRate, CrossSource, CrossSpec, ScenarioSpec, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
 use nimbus_core::ETA_THRESHOLD;
-use nimbus_netsim::{FlowConfig, FlowEndpoint, TimeSeries};
+use nimbus_netsim::{FlowConfig, FlowEndpoint};
 use std::ops::{Bound, RangeBounds};
 
 /// Parse a figure's scenario string.
@@ -37,12 +37,6 @@ use std::ops::{Bound, RangeBounds};
 pub fn scenario(text: &str) -> ScenarioSpec {
     text.parse()
         .unwrap_or_else(|e| panic!("figure scenario `{text}`: {e}"))
-}
-
-/// A recorder series as `(t, v)` pairs.
-pub fn pairs(series: &TimeSeries) -> Vec<(f64, f64)> {
-    let values = series.v.iter().copied();
-    series.t.iter().copied().zip(values).collect()
 }
 
 /// The values of a `(t, v)` series whose time lies in `range`.
@@ -135,20 +129,26 @@ pub struct FctStats {
 /// `nimbus_dsp::percentile`.
 pub fn fct_stats(record: &[(u64, f64)], (lo, hi): (u64, u64)) -> FctStats {
     let inside = record.iter().filter(|&&(size, _)| lo < size && size <= hi);
-    let fcts: Vec<f64> = inside.map(|&(_, fct)| fct).collect();
-    let stat = |read: fn(&[f64]) -> f64| {
-        if fcts.is_empty() {
-            f64::NAN
-        } else {
-            read(&fcts)
-        }
-    };
+    let mut fcts: Vec<f64> = inside.map(|&(_, fct)| fct).collect();
+    if fcts.is_empty() {
+        let nan = f64::NAN;
+        return FctStats {
+            count: 0,
+            mean_s: nan,
+            p50_s: nan,
+            p95_s: nan,
+            p99_s: nan,
+        };
+    }
+    // The mean sums in completion order: it is taken before a percentile's
+    // selection reorders the samples.
+    let mean_s = nimbus_dsp::mean(&fcts);
     FctStats {
         count: fcts.len(),
-        mean_s: stat(nimbus_dsp::mean),
-        p50_s: stat(|xs| nimbus_dsp::percentile(xs, 50.0)),
-        p95_s: stat(|xs| nimbus_dsp::percentile(xs, 95.0)),
-        p99_s: stat(|xs| nimbus_dsp::percentile(xs, 99.0)),
+        mean_s,
+        p50_s: nimbus_dsp::percentile(&mut fcts, 50.0),
+        p95_s: nimbus_dsp::percentile(&mut fcts, 95.0),
+        p99_s: nimbus_dsp::percentile(&mut fcts, 99.0),
     }
 }
 
@@ -279,7 +279,7 @@ mod tests {
         // Every statistic is nimbus-dsp's, bit for bit.
         let buckets = FLEET_SIZE_BUCKETS.map(|(_, lo, hi)| (lo, hi));
         for (lo, hi) in buckets.into_iter().chain([ALL_SIZES]) {
-            let fcts: Vec<f64> = record
+            let mut fcts: Vec<f64> = record
                 .iter()
                 .filter(|&&(size, _)| lo < size && size <= hi)
                 .map(|&(_, fct)| fct)
@@ -292,7 +292,7 @@ mod tests {
                 (stats.p95_s, 95.0),
                 (stats.p99_s, 99.0),
             ] {
-                let want = nimbus_dsp::percentile(&fcts, p);
+                let want = nimbus_dsp::percentile(&mut fcts, p);
                 assert_eq!(got.to_bits(), want.to_bits(), "p{p} of ({lo}, {hi}]");
             }
         }

@@ -17,7 +17,7 @@ mod scenario;
 pub use cross::{CrossRate, CrossSource, CrossSpec};
 pub use path::{BuiltinTrace, EcnSpec, HopSpec, LinkScheduleSpec, LoadedTrace, BUILTIN_TRACES};
 pub use run::{
-    median_delay_ms, nimbus_of, run_and_collect, run_scenario, run_scheme_vs_cross, Monitored,
+    nimbus_of, run_and_collect, run_scenario, run_scheme_vs_cross, series_of, Monitored,
     NimbusTrace, RunOutput, SingleFlowMetrics,
 };
 pub use scenario::{grammar_reference, FleetSpec, ScenarioSpec};

@@ -291,9 +291,16 @@ impl FromStr for LinkScheduleSpec {
                 period_s: duration("sinusoid period", period)?,
             }),
             ("trace", [interval, factors @ ..]) if !factors.is_empty() => {
+                let interval_s = duration("trace interval", interval)?;
+                if Time::from_secs_f64(interval_s) == Time::ZERO {
+                    return Err(ParseError(format!(
+                        "trace interval `{interval}` rounds to 0 ns on the simulator's \
+                         nanosecond clock"
+                    )));
+                }
                 let factors = factors.iter().map(|f| positive("trace factor", f));
                 Ok(LinkScheduleSpec::Trace {
-                    interval_s: duration("trace interval", interval)?,
+                    interval_s,
                     factors: factors.collect::<Result<_, _>>()?,
                 })
             }

@@ -7,33 +7,12 @@ use nimbus_core::{
     DetectorVerdict, Mode, MultiflowConfig, NimbusConfig, NimbusController, Publisher,
 };
 use nimbus_netsim::{
-    ChunkedSamples, FlowConfig, FlowEndpoint, FlowHandle, Network, RateSchedule, Recorder, Time,
+    FlowConfig, FlowEndpoint, FlowHandle, Network, RateSchedule, Recorder, Time, TimeSeries,
 };
 use nimbus_transport::{BackloggedSource, CongestionControl, Sender, SenderConfig};
 use serde::Serialize;
 use std::any::Any;
 use std::cell::RefCell;
-
-/// The median of one flow's per-packet queueing delays, in milliseconds:
-/// one radix selection over the stored nanoseconds, bit for bit
-/// `nimbus_dsp::percentile` of the delays in milliseconds.  A narrow delay
-/// sits in the key's high half, so the first radix digit reads its top bits.
-pub fn median_delay_ms(delays: &ChunkedSamples) -> f64 {
-    match delays {
-        ChunkedSamples::Narrow(narrow) => nimbus_dsp::percentile_of_keyed_chunks(
-            narrow.chunks(),
-            50.0,
-            |ns| u64::from(ns) << 32,
-            |k| Time::from_nanos(k >> 32).as_millis_f64(),
-        ),
-        ChunkedSamples::Wide(wide) => nimbus_dsp::percentile_of_keyed_chunks(
-            wide.chunks(),
-            50.0,
-            |ns| ns,
-            |k| Time::from_nanos(k).as_millis_f64(),
-        ),
-    }
-}
 
 /// Summary metrics for one monitored flow after a run.
 #[derive(Debug, Clone, Serialize)]
@@ -44,22 +23,14 @@ pub struct SingleFlowMetrics {
     pub mean_throughput_mbps: f64,
     /// Mean RTT over the steady-state window, ms.
     pub mean_rtt_ms: f64,
-    /// Median RTT, ms.
-    pub median_rtt_ms: f64,
     /// Mean per-packet bottleneck queueing delay, ms.
     pub mean_queue_delay_ms: f64,
-    /// Median per-packet queueing delay, ms.
-    pub median_queue_delay_ms: f64,
     /// Throughput time series (s, Mbit/s).
     pub throughput_series: Vec<(f64, f64)>,
     /// Queueing-delay time series (s, ms).
     pub queue_delay_series: Vec<(f64, f64)>,
     /// RTT time series (s, ms).
     pub rtt_series: Vec<(f64, f64)>,
-    /// Raw per-packet RTT-like samples for CDFs (ms).
-    pub rtt_samples_ms: Vec<f64>,
-    /// Per-interval throughput samples for CDFs (Mbit/s).
-    pub throughput_samples_mbps: Vec<f64>,
     /// Fraction of time a Nimbus flow spent in delay mode (1.0 for non-Nimbus).
     pub delay_mode_fraction: f64,
     /// Nimbus mode log (empty for non-Nimbus schemes).
@@ -87,8 +58,9 @@ pub struct RunOutput {
     pub duration_s: f64,
 }
 
-/// Extract a time series as `(t, v)` pairs, skipping NaN values.
-fn series_of(ts: &nimbus_netsim::TimeSeries) -> Vec<(f64, f64)> {
+/// A recorder series as `(t, v)` pairs, skipping non-finite values (an
+/// interval with no observation is NaN).
+pub fn series_of(ts: &TimeSeries) -> Vec<(f64, f64)> {
     ts.t.iter()
         .zip(ts.v.iter())
         .filter(|(_, v)| v.is_finite())
@@ -169,25 +141,14 @@ pub fn run_and_collect(
         let tput = &recorder.throughput_mbps[slot];
         let rtt = &recorder.rtt_ms[slot];
         let qd = &recorder.queue_delay_ms[slot];
-        let rtt_samples_ms: Vec<f64> = rtt
-            .values()
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .collect();
-
         let mut metrics = SingleFlowMetrics {
             label: scheme.label(),
             mean_throughput_mbps: tput.mean_in_range(steady_start_s, duration_s),
             mean_rtt_ms: rtt.mean_in_range(steady_start_s, duration_s),
-            median_rtt_ms: nimbus_dsp::percentile(&rtt_samples_ms, 50.0),
             mean_queue_delay_ms: qd.mean_in_range(steady_start_s, duration_s),
-            median_queue_delay_ms: median_delay_ms(&recorder.packet_delays[slot]),
             throughput_series: series_of(tput),
             queue_delay_series: series_of(qd),
             rtt_series: series_of(rtt),
-            rtt_samples_ms,
-            throughput_samples_mbps: tput.values().to_vec(),
             delay_mode_fraction: 1.0,
             mode_log: Vec::new(),
             eta_series: Vec::new(),

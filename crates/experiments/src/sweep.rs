@@ -177,7 +177,7 @@ pub fn sweep_matrix(quick: bool) -> Vec<Cell> {
             "alone",
         ),
         // ECN cells in the quick matrix: the marking hot path (per-enqueue
-        // threshold checks + CE echo + the mark recorder series) and the
+        // threshold checks + CE echo + the per-hop mark counters) and the
         // DCTCP reaction are exercised under the three marking profiles, so
         // a regression in the mark path shows up here rather than only in
         // the gated matrix.

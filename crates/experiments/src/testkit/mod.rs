@@ -417,14 +417,10 @@ mod tests {
             label: "x".to_string(),
             mean_throughput_mbps: 10.0,
             mean_rtt_ms: 60.0,
-            median_rtt_ms: 55.0,
             mean_queue_delay_ms: 50.0,
-            median_queue_delay_ms: 45.0,
             throughput_series: Vec::new(),
             queue_delay_series: Vec::new(),
             rtt_series: Vec::new(),
-            rtt_samples_ms: Vec::new(),
-            throughput_samples_mbps: Vec::new(),
             delay_mode_fraction: 0.4,
             mode_log: Vec::new(),
             eta_series: Vec::new(),

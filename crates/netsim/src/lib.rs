@@ -48,9 +48,6 @@ pub use eventq::{CalendarQueue, Lane, LanePool};
 pub use nimbus_core_types::Time;
 pub use packet::{EcnCodepoint, FlowId, Packet, MSS};
 pub use queue::{CoDelQueue, DropTailQueue, EcnMarking, PieQueue, QueueDiscipline, RedQueue};
-pub use recorder::{
-    ChunkedSamples, FlowStats, Fnv1a, Recorder, RecorderConfig, SampleChunks, TimeSeries,
-    SAMPLE_CHUNK,
-};
+pub use recorder::{FlowStats, Fnv1a, Recorder, RecorderConfig, TimeSeries};
 pub use schedule::RateSchedule;
 pub use seq_window::SeqWindow;

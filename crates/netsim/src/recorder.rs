@@ -3,12 +3,16 @@
 //! The recorder is owned by the engine and fed three kinds of observations:
 //!
 //! * per-packet events at the bottleneck (enqueue / dequeue / drop), which
-//!   yield queue-occupancy and per-packet queueing-delay series plus the
+//!   yield queue-occupancy and mean queueing-delay series plus the
 //!   ground-truth "fraction of cross-traffic bytes that belong to elastic
 //!   flows" used to score the detector (Fig. 12);
 //! * per-ACK events at each monitored sender, which yield throughput and RTT
 //!   series (Figs. 1, 8, 9, 13, 16–19);
 //! * flow lifecycle events, which yield flow completion times (Fig. 21).
+//!
+//! A packet only adds to its sampling interval's sums and counters: the
+//! stores grow per interval, per flow and per completed flow, never per
+//! packet.
 
 use crate::packet::FlowId;
 use nimbus_core_types::Time;
@@ -61,11 +65,6 @@ impl TimeSeries {
     pub fn mean(&self) -> f64 {
         mean_of_finite(self.v.iter().copied())
     }
-
-    /// The values as a slice (for CDFs and percentile computations).
-    pub fn values(&self) -> &[f64] {
-        &self.v
-    }
 }
 
 /// Mean of the finite values, summed in order; NaN when there are none.
@@ -76,142 +75,6 @@ fn mean_of_finite(values: impl Iterator<Item = f64>) -> f64 {
         f64::NAN
     } else {
         sum / n as f64
-    }
-}
-
-/// Samples per chunk of a [`SampleChunks`] list.
-pub const SAMPLE_CHUNK: usize = 8192;
-
-/// An append-only list of samples in chunks of [`SAMPLE_CHUNK`].
-///
-/// Growing allocates one more chunk and moves no sample, so the unused space
-/// is at most one chunk; a doubling `Vec` leaves up to half its buffer unused
-/// and copies every sample on each growth.
-#[derive(Debug)]
-pub struct SampleChunks<T> {
-    /// The chunks filled so far, in order.
-    full: Vec<Vec<T>>,
-    /// The chunk being filled: unallocated until the first sample, then
-    /// allocated one chunk at a time.
-    tail: Vec<T>,
-}
-
-impl<T> Default for SampleChunks<T> {
-    fn default() -> Self {
-        SampleChunks {
-            full: Vec::new(),
-            tail: Vec::new(),
-        }
-    }
-}
-
-impl<T: Copy> SampleChunks<T> {
-    /// Append a sample.
-    fn push(&mut self, x: T) {
-        if self.tail.len() == self.tail.capacity() {
-            self.start_chunk();
-        }
-        self.tail.push(x);
-    }
-
-    #[cold]
-    fn start_chunk(&mut self) {
-        let filled = std::mem::replace(&mut self.tail, Vec::with_capacity(SAMPLE_CHUNK));
-        if !filled.is_empty() {
-            self.full.push(filled);
-        }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.chunks().map(<[T]>::len).sum()
-    }
-
-    /// True when there are no samples.
-    pub fn is_empty(&self) -> bool {
-        self.tail.is_empty()
-    }
-
-    /// The samples in order, one slice per chunk — what a chunk-aware
-    /// reduction such as `nimbus_dsp::percentile_of_keyed_chunks` reads in
-    /// place.
-    pub fn chunks(&self) -> impl Iterator<Item = &[T]> + Clone {
-        self.full
-            .iter()
-            .map(Vec::as_slice)
-            .chain(std::iter::once(self.tail.as_slice()))
-    }
-}
-
-/// One flow's per-packet queueing delays, as exact integer nanoseconds.
-///
-/// A delay takes 4 bytes while every delay so far is below 2^32 ns
-/// (4.29 s).  The first one that is not converts the store, once, to
-/// 8-byte samples, and it stays wide.  It serializes as the one flat list of
-/// the delays in milliseconds, [`Time::as_millis_f64`] of each: the `f64`s
-/// a store of milliseconds would have held.
-#[derive(Debug)]
-pub enum ChunkedSamples {
-    /// Every delay is below 2^32 ns.
-    Narrow(SampleChunks<u32>),
-    /// Some delay reached 2^32 ns.
-    Wide(SampleChunks<u64>),
-}
-
-impl Default for ChunkedSamples {
-    fn default() -> Self {
-        ChunkedSamples::Narrow(SampleChunks::default())
-    }
-}
-
-impl ChunkedSamples {
-    /// Append a delay.
-    fn push(&mut self, delay: Time) {
-        let ns = delay.as_nanos();
-        match self {
-            ChunkedSamples::Narrow(narrow) => match u32::try_from(ns) {
-                Ok(ns) => narrow.push(ns),
-                Err(_) => {
-                    let mut wide = widen(narrow);
-                    wide.push(ns);
-                    *self = ChunkedSamples::Wide(wide);
-                }
-            },
-            ChunkedSamples::Wide(wide) => wide.push(ns),
-        }
-    }
-
-    /// Number of delays.
-    pub fn len(&self) -> usize {
-        match self {
-            ChunkedSamples::Narrow(narrow) => narrow.len(),
-            ChunkedSamples::Wide(wide) => wide.len(),
-        }
-    }
-
-    /// True when there are no delays.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The 8-byte copy of a narrow store's delays.
-#[cold]
-fn widen(narrow: &SampleChunks<u32>) -> SampleChunks<u64> {
-    let mut wide = SampleChunks::default();
-    for &ns in narrow.chunks().flatten() {
-        wide.push(u64::from(ns));
-    }
-    wide
-}
-
-impl Serialize for ChunkedSamples {
-    fn serialize(&self, w: &mut serde::Writer<'_>) {
-        let ms = |ns: u64| Time::from_nanos(ns).as_millis_f64();
-        match self {
-            ChunkedSamples::Narrow(c) => w.seq(c.chunks().flatten().map(|&ns| ms(ns.into()))),
-            ChunkedSamples::Wide(c) => w.seq(c.chunks().flatten().map(|&ns| ms(ns))),
-        }
     }
 }
 
@@ -316,9 +179,6 @@ pub struct Recorder {
     pub rtt_ms: Vec<TimeSeries>,
     /// Per monitored flow: mean per-packet bottleneck queueing delay (ms) per interval.
     pub queue_delay_ms: Vec<TimeSeries>,
-    /// Per monitored flow: every packet's queueing delay, serialized as
-    /// `packet_delay_samples_ms`.
-    pub packet_delays: Vec<ChunkedSamples>,
     /// Total path queue occupancy (bytes) summed over every hop, sampled
     /// every interval.  For a single-hop path this *is* the bottleneck
     /// occupancy, exactly as in the single-link engine.
@@ -329,12 +189,10 @@ pub struct Recorder {
     pub hop_queue_bytes: Vec<TimeSeries>,
     /// Packets dropped at each hop (queue, AQM or loss model).
     pub hop_dropped_packets: Vec<u64>,
-    /// Cumulative CE marks applied by each hop's queue (ECN runs only;
-    /// stays all-zero — and out of the snapshot — when nothing marks).
+    /// Cumulative CE marks applied by each hop's queue, as the engine read
+    /// them at the last sample (ECN runs only; stays all-zero — and out of
+    /// the snapshot — when nothing marks).
     pub hop_marked_packets: Vec<u64>,
-    /// CE marks applied by each hop's queue during each sampling interval —
-    /// the mark-rate signal an ECN-reacting sender ultimately observes.
-    pub hop_mark_series: Vec<TimeSeries>,
     /// Cross-traffic arrival rate at the bottleneck (Mbit/s) per interval
     /// — the ground-truth `z(t)`.
     pub cross_rate_mbps: TimeSeries,
@@ -364,12 +222,10 @@ impl Recorder {
             throughput_mbps: Vec::new(),
             rtt_ms: Vec::new(),
             queue_delay_ms: Vec::new(),
-            packet_delays: Vec::new(),
             queue_bytes: TimeSeries::default(),
             hop_queue_bytes: vec![TimeSeries::default(); num_hops],
             hop_dropped_packets: vec![0; num_hops],
             hop_marked_packets: vec![0; num_hops],
-            hop_mark_series: vec![TimeSeries::default(); num_hops],
             cross_rate_mbps: TimeSeries::default(),
             elastic_fraction: TimeSeries::default(),
             flows: Vec::new(),
@@ -422,7 +278,6 @@ impl Recorder {
             self.throughput_mbps.push(TimeSeries::default());
             self.rtt_ms.push(TimeSeries::default());
             self.queue_delay_ms.push(TimeSeries::default());
-            self.packet_delays.push(ChunkedSamples::default());
             self.intervals.push_slot();
         } else {
             self.monitored_index.push(None);
@@ -456,7 +311,6 @@ impl Recorder {
             let ms = delay.as_millis_f64();
             self.intervals.qdelay_sum_ms[slot] += ms;
             self.intervals.qdelay_count[slot] += 1;
-            self.packet_delays[slot].push(delay);
         }
     }
 
@@ -551,19 +405,6 @@ impl Recorder {
         }
     }
 
-    /// Record each hop's cumulative CE-mark counter (read off its queue) at
-    /// the close of a sampling interval; the per-hop series stores the
-    /// interval's delta.  Called by the engine alongside [`Recorder::sample`].
-    pub fn sample_marks(&mut self, now: Time, cumulative: &[u64]) {
-        debug_assert_eq!(cumulative.len(), self.hop_marked_packets.len());
-        let t = now.as_secs_f64();
-        for (hop, &cum) in cumulative.iter().enumerate() {
-            let delta = cum.saturating_sub(self.hop_marked_packets[hop]);
-            self.hop_mark_series[hop].push(t, delta as f64);
-            self.hop_marked_packets[hop] = cum;
-        }
-    }
-
     /// Every public time series and per-flow summary, borrowed for
     /// serialization.  This is the record the determinism tests compare
     /// byte-for-byte: two runs with the same `SimConfig` seed must produce
@@ -595,11 +436,10 @@ impl Serialize for Snapshot<'_> {
         // snapshots stay byte-identical to the engine's before paths and ECN.
         let hops = r.num_hops() > 1;
         let marks = r.hop_marked_packets.iter().any(|&m| m > 0);
-        let entries: [(&str, &dyn Serialize, bool); 12] = [
+        let entries: [(&str, &dyn Serialize, bool); 10] = [
             ("throughput_mbps", &r.throughput_mbps, true),
             ("rtt_ms", &r.rtt_ms, true),
             ("queue_delay_ms", &r.queue_delay_ms, true),
-            ("packet_delay_samples_ms", &r.packet_delays, true),
             ("queue_bytes", &r.queue_bytes, true),
             ("cross_rate_mbps", &r.cross_rate_mbps, true),
             ("elastic_fraction", &r.elastic_fraction, true),
@@ -607,7 +447,6 @@ impl Serialize for Snapshot<'_> {
             ("hop_queue_bytes", &r.hop_queue_bytes, hops),
             ("hop_dropped_packets", &r.hop_dropped_packets, hops),
             ("hop_marked_packets", &r.hop_marked_packets, marks),
-            ("hop_mark_series", &r.hop_mark_series, marks),
         ];
         w.map(entries.iter().filter(|e| e.2).map(|e| (e.0, e.1)));
     }
@@ -669,7 +508,7 @@ mod tests {
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.mean(), 3.0);
         assert_eq!(ts.mean_in_range(0.5, 2.5), 4.0);
-        assert_eq!(ts.values(), &[1.0, 3.0, 5.0]);
+        assert_eq!(ts.v, [1.0, 3.0, 5.0]);
     }
 
     #[test]
@@ -809,42 +648,48 @@ mod tests {
         assert_eq!(r.fct_stream(), &[(2_000, 2.0), (1_000, 4.0)]);
     }
 
+    /// The snapshot's top-level keys, in order: the reviewed list of what a
+    /// recorder stores.  A new store shows up as an edit here.
     #[test]
-    fn mark_series_stores_interval_deltas_and_gates_the_snapshot() {
-        let mut r = Recorder::new(RecorderConfig::default(), 2);
-        // No marks: the snapshot must not mention marks at all.
-        r.sample_marks(Time::from_millis(100), &[0, 0]);
-        let plain = serde_json::to_string(&r.snapshot()).unwrap();
-        assert!(!plain.contains("hop_marked_packets"));
-        // Cumulative counters 5 and 2, then 9 and 2: deltas 5,2 then 4,0.
-        r.sample_marks(Time::from_millis(200), &[5, 2]);
-        r.sample_marks(Time::from_millis(300), &[9, 2]);
-        assert_eq!(r.hop_marked_packets, vec![9, 2]);
-        assert_eq!(r.hop_mark_series[0].v, vec![0.0, 5.0, 4.0]);
-        assert_eq!(r.hop_mark_series[1].v, vec![0.0, 2.0, 0.0]);
-        let marked = serde_json::to_string(&r.snapshot()).unwrap();
-        assert!(marked.contains("hop_marked_packets"));
-        assert!(marked.contains("hop_mark_series"));
-    }
-
-    #[test]
-    fn chunked_delay_samples_snapshot_as_one_flat_list() {
+    fn snapshot_writes_exactly_the_reviewed_keys() {
+        let keys = |r: &Recorder| -> Vec<String> {
+            let text = serde_json::to_string(&r.snapshot()).unwrap();
+            let value = serde_json::from_str(&text).unwrap();
+            let map = value.as_map().unwrap();
+            map.iter().map(|(key, _)| key.clone()).collect()
+        };
+        let one_hop = [
+            "throughput_mbps",
+            "rtt_ms",
+            "queue_delay_ms",
+            "queue_bytes",
+            "cross_rate_mbps",
+            "elastic_fraction",
+            "flows",
+        ];
         let mut r = Recorder::new(RecorderConfig::default(), 1);
         r.register_flow(0, "a".into(), None, true, Time::ZERO, None);
-        let delays_ms: Vec<f64> = (0..3 * SAMPLE_CHUNK as u64 + 17)
-            .map(|i| {
-                let delay = Time::from_nanos(i * 104_729 % 50_000_000);
-                r.on_dequeue(0, delay);
-                delay.as_millis_f64()
-            })
-            .collect();
-        let ChunkedSamples::Narrow(narrow) = &r.packet_delays[0] else {
-            panic!("delays below 2^32 ns stay narrow");
-        };
-        assert_eq!(narrow.chunks().count(), 4);
-        let snapshot = serde_json::to_string(&r.snapshot()).unwrap();
-        let samples = serde_json::to_string(&vec![delays_ms]).unwrap();
-        assert!(snapshot.contains(&format!("\"packet_delay_samples_ms\":{samples},")));
+        r.on_dequeue(0, Time::from_millis(3));
+        r.sample(Time::from_millis(100), &[1500]);
+        assert_eq!(keys(&r), one_hop);
+
+        let mut r = Recorder::new(RecorderConfig::default(), 2);
+        r.register_flow(0, "a".into(), None, true, Time::ZERO, None);
+        r.on_dequeue(0, Time::from_millis(3));
+        r.sample(Time::from_millis(100), &[1500, 0]);
+        // Two hops and no mark yet: the per-hop entries, no mark entry.
+        assert_eq!(
+            keys(&r)[one_hop.len()..],
+            ["hop_queue_bytes", "hop_dropped_packets"]
+        );
+        r.hop_marked_packets[1] = 2;
+        let two_hop_marking = [
+            "hop_queue_bytes",
+            "hop_dropped_packets",
+            "hop_marked_packets",
+        ];
+        assert_eq!(keys(&r)[..one_hop.len()], one_hop);
+        assert_eq!(keys(&r)[one_hop.len()..], two_hop_marking);
     }
 
     #[test]

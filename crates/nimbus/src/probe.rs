@@ -178,7 +178,7 @@ impl RecvWindow {
         let magnitude = |&k: &usize| window.largest_magnitude(k..=k);
         self.scratch.clear();
         self.scratch.extend(self.background.iter().map(magnitude));
-        let background = nimbus_dsp::stats::median(&self.scratch).max(1e-9);
+        let background = nimbus_dsp::stats::median(&mut self.scratch).max(1e-9);
         let c_present = peak_c / background >= PRESENCE_THRESHOLD;
         let d_present = peak_d / background >= PRESENCE_THRESHOLD;
         match (c_present, d_present) {

@@ -40,14 +40,14 @@ fn reference(window: &[f64], fc: f64, fd: f64) -> (Option<Mode>, [f64; 2], [f64;
     let tol = PRESENCE_TOLERANCE_HZ;
     let peaks = [spectrum.peak_near(fc, tol), spectrum.peak_near(fd, tol)];
     let hi = fc.max(fd);
-    let background_bins: Vec<f64> = (0..spectrum.magnitudes.len())
+    let mut background_bins: Vec<f64> = (0..spectrum.magnitudes.len())
         .filter(|&bin| {
             let f = spectrum.frequency_of_bin(bin);
             f > 1.0 && f < 2.0 * hi && (f - fc).abs() > tol && (f - fd).abs() > tol
         })
         .map(|bin| spectrum.magnitudes[bin])
         .collect();
-    let background = nimbus_dsp::stats::median(&background_bins).max(1e-9);
+    let background = nimbus_dsp::stats::median(&mut background_bins).max(1e-9);
     let ratios = peaks.map(|peak| peak / background);
     let presence = match (ratios[0] >= 4.0, ratios[1] >= 4.0) {
         (false, false) => None,

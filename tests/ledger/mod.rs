@@ -59,85 +59,87 @@ pub const PRE_API: &[&str] = &[
 ///
 /// The rows whose detector yields a verdict were re-pinned when η moved from
 /// the per-report FFT to the sliding DFT (`eta_series` is hashed at full
-/// precision and moved by ≤ 1e-12 relative); `FINGERPRINTS.md` has the
-/// per-cell diff — recorder output, verdicts and mode logs all identical.
+/// precision and moved by ≤ 1e-12 relative), and every row when the hash
+/// stopped covering the per-packet delays, the per-hop mark series and four
+/// unread metrics; `FINGERPRINTS.md` has the per-cell diffs — recorder
+/// output, verdicts and mode logs all identical.
 #[rustfmt::skip]
 pub const FINGERPRINTS: &[(&str, u64)] = &[
-    ("cubic@48M-vs-alone-seed3", 0xc9b047b3b3ca9a57),
-    ("cubic@48M-vs-alone-seed11", 0xc9b047b3b3ca9a57),
-    ("vegas@48M-vs-alone-seed3", 0x83faf44e9ea9526c),
-    ("vegas@48M-vs-alone-seed11", 0x83faf44e9ea9526c),
-    ("vegas@96M-vs-cubic-seed5", 0xdbcef018cbc67b16),
-    ("vegas@96M-vs-cubic-seed13", 0xdbcef018cbc67b16),
-    ("nimbus@96M-vs-cbr83-seed4", 0x8dd12444f867e852),
-    ("nimbus@96M-vs-cbr83-seed12", 0x8dd12444f867e852),
-    ("nimbus@48M-vs-poisson50-seed1", 0x496fcfd0e58fb842),
-    ("nimbus@48M-vs-poisson50-seed9", 0x757cffc216460e7f),
-    ("nimbus@48M-vs-cubic-seed2", 0x9664db6d009d9a87),
-    ("nimbus@48M-vs-cubic-seed10", 0x9664db6d009d9a87),
-    ("nimbus@48M-vs-alone-seed6", 0xa046f599e5fb953c),
-    ("nimbus@48M-vs-alone-seed14", 0xa046f599e5fb953c),
-    ("nimbus-estmu@48M-sin25p20-vs-alone-seed7", 0x015188cd43f51c51),
-    ("nimbus@48M-sin10p10-vs-alone-seed8", 0x85f2d107a16689c7),
-    ("cubic@96M-step50@15-vs-alone-seed9", 0xc49ea25d2c814422),
-    ("nimbus@96M-step50@15-vs-alone-seed9", 0xfbb1320dd5da6f81),
-    ("nimbus@48M-2hop60-vs-alone-seed21", 0x9bd7724f5b41754e),
-    ("cubic@48M-2hop60-vs-alone-seed21", 0xcc5e55a3127ff561),
-    ("cubic@48M-step50@15-2hop50mv-vs-alone-seed25", 0x87c633e62384614f),
-    ("nimbus@48M-step50@15-2hop50mv-vs-alone-seed25", 0xe5d2edd9dfa79be5),
-    ("nimbus-estmu@48M-sin10p10-2hop60-vs-alone-seed27", 0x26ae80380e486ee8),
-    ("nimbus@48M-2hop50-vs-cubic-hop0-seed29", 0x7303b2c4d11ed724),
-    ("nimbus@48M-2hop60-vs-cubic-hop0-seed31", 0xad19826946f82466),
-    ("nimbus-reno@48M-vs-cubic-seed35", 0x4ac3650c758cad7b),
-    ("nimbus-copa-estmu@48M-vs-alone-seed36", 0xdb763a9cb7bde625),
-    ("nimbus@96M-vs-copa+cubic-seed37", 0x101e815d5c4b9ecc),
-    ("cubic@48M-trace-wifi-vs-alone-seed38", 0x125080aaa395d13a),
-    ("cubic@48M-trace-cellular-vs-alone-seed39", 0xcf0938394bcca9bf),
-    ("nimbus-estmu-probe1@48M-trace-cellular-vs-alone-seed44", 0x410676ab4cadeb7b),
-    ("nimbus-estmu-zadapt@48M-sin10p10-vs-alone-seed43", 0xacd5fe7180892704),
-    ("nimbus-estmu-zadapt@96M-vs-cubic-seed42", 0x6fcaaa51a5db2e29),
-    ("nimbus-estmu-probe1@48M-vs-alone-seed45", 0x646bb324dc5dcd5c),
-    ("nimbus-estmu-probe1q0.4@48M-vs-alone-seed45", 0x27101c4acd64d75d),
-    ("nimbus-estmu-probe1q0.4@48M-vs-cubic-seed45", 0x2b7f5300e8b35139),
-    ("nimbus-estmu-probe1@48M-vs-cubic-seed45", 0x2c6d3fd757bf3427),
-    ("nimbus-copa-estmu-zadapt@48M-sin10p10-vs-alone-seed43", 0x6ca610b4ba1cb368),
-    ("nimbus@48M-vs-fleet-poisson-l40-m20k-seed51", 0x749384456332588f),
-    ("nimbus@48M-vs-fleet-bursty-l40-m20k-seed51", 0x5cfed044991675c1),
-    ("nimbus@48M-vs-fleet-poisson-l50-seed52", 0x67c2630ce655382e),
-    ("cubic@48M-vs-fleet-poisson-l50-seed52", 0xce395328997e7ec5),
-    ("dctcp@48M-l4s-vs-alone-seed61", 0x345e7bd3fe8c45ca),
-    ("dctcp@48M-vs-alone-seed61", 0xb13720842d456fc3),
-    ("cubic@48M-ecn-vs-alone-seed61", 0xe1407c6e5c7cf84e),
-    ("nimbus@48M-l4s-vs-alone-seed62", 0x9cb2c6e4d0497c3e),
-    ("nimbus@48M-l4s-vs-dctcp-seed2", 0x843ddb6fbdd25c96),
-    ("nimbus-dctcp@48M-ecn-vs-dctcp-seed2", 0xbeec8c3f8c571c46),
-    ("nimbus@48M-ecn-vs-cubic-seed2", 0xc57aabfc9e09fe96),
-    ("dctcp@48M-ecn-vs-cubic-seed65", 0x477997875d2f6916),
-    ("nimbus@48M-vs-alone-seed17", 0x9daf1fdfe15a0acc),
-    ("nimbus-copa@48M-vs-alone-seed17", 0x5f41e0d2a01c2a1b),
-    ("nimbus-vegas@48M-vs-alone-seed17", 0x3a5af2429c2df5b0),
-    ("nimbus-delay@48M-vs-alone-seed17", 0x39dbcd0866d6e410),
-    ("nimbus-estmu@48M-vs-alone-seed17", 0x8404ff5bab056907),
-    ("cubic@48M-vs-alone-seed17", 0x468305ac73be07af),
-    ("newreno@48M-vs-alone-seed17", 0x7658b2ca552df73a),
-    ("vegas@48M-vs-alone-seed17", 0xe403a5a46156d992),
-    ("copa@48M-vs-alone-seed17", 0x8732aa98b0df0887),
-    ("bbr@48M-vs-alone-seed17", 0x70282d8c84a358b9),
-    ("pcc-vivace@48M-vs-alone-seed17", 0x0570645ce6cf0ee4),
-    ("compound@48M-vs-alone-seed17", 0xc3624d30681e4d88),
-    ("nimbus@96M-vs-cubic-seed18", 0x8c301ace89c63244),
-    ("nimbus-copa@96M-vs-cubic-seed18", 0xf40e65d76c0ec1a6),
-    ("nimbus-vegas@96M-vs-cubic-seed18", 0x45059872698f1e48),
-    ("nimbus-delay@96M-vs-cubic-seed18", 0x5c754b34039df50f),
-    ("nimbus-estmu@96M-vs-cubic-seed18", 0xf567457982251b7b),
-    ("nimbus-estmu@48M-vs-alone-seed41", 0x8404ff5bab056907),
-    ("nimbus-copa-estmu@48M-vs-alone-seed41", 0xed2685754fd494d1),
-    ("nimbus-vegas-estmu@48M-vs-alone-seed41", 0xcb375f8b1d867f84),
-    ("nimbus-reno-estmu@48M-vs-alone-seed41", 0x2f938fad8f54c9c9),
-    ("nimbus-delay-estmu@48M-vs-alone-seed41", 0xa2e8ad19a2982eab),
-    ("nimbus-estmu@96M-vs-cubic-seed42", 0xf567457982251b7b),
-    ("nimbus-estmu@48M-sin10p10-vs-alone-seed43", 0x94fdd57bbea2d852),
-    ("nimbus-estmu@48M-trace-cellular-vs-alone-seed44", 0x4ab456cd436dc519),
+    ("cubic@48M-vs-alone-seed3", 0x257d54666a6204a3),
+    ("cubic@48M-vs-alone-seed11", 0x257d54666a6204a3),
+    ("vegas@48M-vs-alone-seed3", 0xac3add0aac6a313e),
+    ("vegas@48M-vs-alone-seed11", 0xac3add0aac6a313e),
+    ("vegas@96M-vs-cubic-seed5", 0x429ce31cdd45b64d),
+    ("vegas@96M-vs-cubic-seed13", 0x429ce31cdd45b64d),
+    ("nimbus@96M-vs-cbr83-seed4", 0x2b499aa562783b6e),
+    ("nimbus@96M-vs-cbr83-seed12", 0x2b499aa562783b6e),
+    ("nimbus@48M-vs-poisson50-seed1", 0xa2241741bca924b6),
+    ("nimbus@48M-vs-poisson50-seed9", 0x346840cd37f2875e),
+    ("nimbus@48M-vs-cubic-seed2", 0xb80288712dadb7a2),
+    ("nimbus@48M-vs-cubic-seed10", 0xb80288712dadb7a2),
+    ("nimbus@48M-vs-alone-seed6", 0x31c4d48992a4ab0a),
+    ("nimbus@48M-vs-alone-seed14", 0x31c4d48992a4ab0a),
+    ("nimbus-estmu@48M-sin25p20-vs-alone-seed7", 0xc12342f8bc694a09),
+    ("nimbus@48M-sin10p10-vs-alone-seed8", 0xbfcb38fde6fa9695),
+    ("cubic@96M-step50@15-vs-alone-seed9", 0x3f435f896ddcfa06),
+    ("nimbus@96M-step50@15-vs-alone-seed9", 0x5bdcd7623541a34e),
+    ("nimbus@48M-2hop60-vs-alone-seed21", 0x17f49fd3a1841a5b),
+    ("cubic@48M-2hop60-vs-alone-seed21", 0xae136ac773580814),
+    ("cubic@48M-step50@15-2hop50mv-vs-alone-seed25", 0x7d59229eb444f015),
+    ("nimbus@48M-step50@15-2hop50mv-vs-alone-seed25", 0xc9035cb9035b254c),
+    ("nimbus-estmu@48M-sin10p10-2hop60-vs-alone-seed27", 0x32985933bf7b8828),
+    ("nimbus@48M-2hop50-vs-cubic-hop0-seed29", 0x66d9aac9b4256620),
+    ("nimbus@48M-2hop60-vs-cubic-hop0-seed31", 0x43a024bbd2821d6c),
+    ("nimbus-reno@48M-vs-cubic-seed35", 0x249d11dc536743db),
+    ("nimbus-copa-estmu@48M-vs-alone-seed36", 0xa8d22c4daa5fdfcd),
+    ("nimbus@96M-vs-copa+cubic-seed37", 0xdefb5d85e6707d0a),
+    ("cubic@48M-trace-wifi-vs-alone-seed38", 0xb0c4c3a975c265e7),
+    ("cubic@48M-trace-cellular-vs-alone-seed39", 0xccf3d3c6dfcb1e5c),
+    ("nimbus-estmu-probe1@48M-trace-cellular-vs-alone-seed44", 0xbdbdeac059b6bf3c),
+    ("nimbus-estmu-zadapt@48M-sin10p10-vs-alone-seed43", 0x559c1e1551f89c28),
+    ("nimbus-estmu-zadapt@96M-vs-cubic-seed42", 0x7afcb4c538f8b1f9),
+    ("nimbus-estmu-probe1@48M-vs-alone-seed45", 0x245ecd3171470cc1),
+    ("nimbus-estmu-probe1q0.4@48M-vs-alone-seed45", 0x8d8a32097e68f9c9),
+    ("nimbus-estmu-probe1q0.4@48M-vs-cubic-seed45", 0xd8f443a85eaeb25b),
+    ("nimbus-estmu-probe1@48M-vs-cubic-seed45", 0xa4ce4f0886538043),
+    ("nimbus-copa-estmu-zadapt@48M-sin10p10-vs-alone-seed43", 0x9364b52021f427c9),
+    ("nimbus@48M-vs-fleet-poisson-l40-m20k-seed51", 0x32d7408a369f2a26),
+    ("nimbus@48M-vs-fleet-bursty-l40-m20k-seed51", 0x3a8b9f5ac477e2e2),
+    ("nimbus@48M-vs-fleet-poisson-l50-seed52", 0xf28a02a8b15032e5),
+    ("cubic@48M-vs-fleet-poisson-l50-seed52", 0xb413fb7918acfcf5),
+    ("dctcp@48M-l4s-vs-alone-seed61", 0xb9f4e9b43091126c),
+    ("dctcp@48M-vs-alone-seed61", 0x553ad2631e9af255),
+    ("cubic@48M-ecn-vs-alone-seed61", 0xe8603ead57e24ae2),
+    ("nimbus@48M-l4s-vs-alone-seed62", 0x984251fe184af2a4),
+    ("nimbus@48M-l4s-vs-dctcp-seed2", 0x7a26e5207fc6e5ad),
+    ("nimbus-dctcp@48M-ecn-vs-dctcp-seed2", 0x14aa5fb955335758),
+    ("nimbus@48M-ecn-vs-cubic-seed2", 0x2cb3a1c27a0597ee),
+    ("dctcp@48M-ecn-vs-cubic-seed65", 0x47643c834192ffeb),
+    ("nimbus@48M-vs-alone-seed17", 0x128f9a782e1b4d63),
+    ("nimbus-copa@48M-vs-alone-seed17", 0x5dd0a6f754a25394),
+    ("nimbus-vegas@48M-vs-alone-seed17", 0x28bac5360134bc63),
+    ("nimbus-delay@48M-vs-alone-seed17", 0xf66b0e1678dd39ef),
+    ("nimbus-estmu@48M-vs-alone-seed17", 0xd23eb94677775c2e),
+    ("cubic@48M-vs-alone-seed17", 0x6c6b52b1468a3a16),
+    ("newreno@48M-vs-alone-seed17", 0xbffa69ad5cf9aef3),
+    ("vegas@48M-vs-alone-seed17", 0x7957f214b9aa3d24),
+    ("copa@48M-vs-alone-seed17", 0xcc3110a05b4b8c92),
+    ("bbr@48M-vs-alone-seed17", 0x0ce1dbde488fba85),
+    ("pcc-vivace@48M-vs-alone-seed17", 0x05fd2832b4347b53),
+    ("compound@48M-vs-alone-seed17", 0x48f0a899846f9637),
+    ("nimbus@96M-vs-cubic-seed18", 0x5833e52aabd1b963),
+    ("nimbus-copa@96M-vs-cubic-seed18", 0x513d52e8fc7fa9da),
+    ("nimbus-vegas@96M-vs-cubic-seed18", 0x880b01273df310f7),
+    ("nimbus-delay@96M-vs-cubic-seed18", 0x789ef7f37a7b1aae),
+    ("nimbus-estmu@96M-vs-cubic-seed18", 0xf943ac5a3a52da10),
+    ("nimbus-estmu@48M-vs-alone-seed41", 0xd23eb94677775c2e),
+    ("nimbus-copa-estmu@48M-vs-alone-seed41", 0x60d02927d9d6e906),
+    ("nimbus-vegas-estmu@48M-vs-alone-seed41", 0xb2014dbdea6cc63e),
+    ("nimbus-reno-estmu@48M-vs-alone-seed41", 0x484fb839091aa0d4),
+    ("nimbus-delay-estmu@48M-vs-alone-seed41", 0xdf03184d67593d7a),
+    ("nimbus-estmu@96M-vs-cubic-seed42", 0xf943ac5a3a52da10),
+    ("nimbus-estmu@48M-sin10p10-vs-alone-seed43", 0x00e5f90352dd8c4d),
+    ("nimbus-estmu@48M-trace-cellular-vs-alone-seed44", 0xf760e7e707d15493),
 ];
 
 /// Parses a slice of pinned cell strings.

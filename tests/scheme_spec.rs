@@ -381,6 +381,9 @@ const REJECTED: &[(&str, &str, &str)] = &[
     // Out of order, the 0.5 step would never apply.
     ("link", "steps(20s=0.5,5s=2)", "must strictly increase"),
     ("link", "trace(1s)", "unknown schedule"),
+    // The clock ticks in nanoseconds: a shorter interval would be zero.
+    ("link", "trace(0.0000000001s,1)", "trace interval `0.0000000001s` rounds to 0 ns"),
+    ("link", "hop(0.5,sched=trace(0.0000000001s,1))", "trace interval `0.0000000001s` rounds to 0 ns"),
     ("link", "sin(0.1,10s) step(1s,0.5)", "already has the schedule"),
     // Paths.
     ("link", "hop()", "not a number"),
