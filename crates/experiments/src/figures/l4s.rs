@@ -41,15 +41,14 @@ pub fn l4s_pulse(quick: bool) -> ExperimentResult {
         "Solo Nimbus pulse survival on drop-tail vs classic-ECN vs L4S step queues",
         quick,
     );
-    for ecn in [EcnSpec::Off, EcnSpec::Classic, EcnSpec::L4s] {
+    for (ecn, tag) in [
+        (EcnSpec::Off, "off"),
+        (EcnSpec::Classic, "ecn"),
+        (EcnSpec::L4s, "l4s"),
+    ] {
         let spec = scenario(&format!("48M ecn={ecn} seed=62 dur={duration}s"));
         let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), duration * 0.25);
         let m = &out.flows[0];
-        let tag = if ecn.is_enabled() {
-            ecn.label().trim_start_matches('-').to_string()
-        } else {
-            "off".to_string()
-        };
         result.row(&format!("{tag}_throughput_mbps"), m.mean_throughput_mbps);
         result.row(&format!("{tag}_queue_delay_ms"), m.mean_queue_delay_ms);
         result.row(&format!("{tag}_delay_mode_fraction"), m.delay_mode_fraction);

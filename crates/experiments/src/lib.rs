@@ -41,7 +41,7 @@ pub use runner::{
     SingleFlowMetrics,
 };
 pub use scheme::SchemeSpec;
-pub use sweep::{run_sweep, sweep_matrix, SweepConfig, SweepReport};
+pub use sweep::{run_sweep, SweepConfig, SweepReport};
 pub use testkit::{
     cells, paper_invariant_matrix, parallel_map, run_matrix, Cell, CellOutcome, Invariants,
 };

@@ -3,12 +3,13 @@
 //!
 //! ```text
 //! nimbus-experiments <experiment...|all|list> [--quick] [--out DIR]
-//! nimbus-experiments sweep [--quick] [--threads N] [--out PATH] [CELL]...
+//! nimbus-experiments sweep [--threads N] [--out PATH] [CELL]...
 //! ```
 //!
 //! Each `CELL` operand is a whole-cell [`Cell`](nimbus_experiments::Cell)
 //! string (`'dctcp@48M ecn=l4s vs alone seed=1 dur=3s steady=1s'`); when any
-//! are given, the sweep runs exactly those cells instead of its matrix.
+//! are given, the sweep runs exactly those cells instead of the paper
+//! matrix.
 //! `--help` prints the whole spec grammar from the parsers' own option
 //! tables ([`grammar_reference`](nimbus_experiments::runner::grammar_reference)).
 //!
@@ -48,7 +49,7 @@ where
 /// Print the usage, the spec grammar and the experiment names to stderr.
 fn usage() {
     eprintln!("usage: nimbus-experiments <experiment...|all|list> [--quick] [--out DIR]");
-    eprintln!("       nimbus-experiments sweep [--quick] [--threads N] [--out PATH] [CELL]...");
+    eprintln!("       nimbus-experiments sweep [--threads N] [--out PATH] [CELL]...");
     eprintln!("spec grammar (a sweep CELL is a <cell>):");
     eprintln!("{}", nimbus_experiments::runner::grammar_reference());
     eprintln!("experiments: {}", experiment_names().join(", "));
@@ -66,7 +67,6 @@ fn run_sweep_command(args: &[String]) -> ! {
         let arg = args[i].as_str();
         let value = || flag_value(&args[i..], arg).expect("the flag is at index 0");
         match arg {
-            "--quick" => cfg.quick = true,
             "--threads" => match value().parse::<usize>() {
                 Ok(n) if n > 0 => cfg.threads = Some(n),
                 _ => {

@@ -177,8 +177,9 @@ impl CrossSpec {
         }
     }
 
-    /// A short slug for cell names (`cbr83`, `poisson-24M`, `video-4k`,
-    /// `cubic`, `cubic-hop0`, `newreno-rtt0.2s`).
+    /// A short slug for flow names (`cbr83`, `poisson-24M`, `video-4k`,
+    /// `cubic`, `cubic-hop0`, `newreno-rtt0.2s`): a video or scheme entry's
+    /// recorder flow is `<label>-cross`.
     pub fn label(&self) -> String {
         let mut label = match self.source {
             CrossSource::Cbr(rate) => format!("cbr{}", rate.slug()),

@@ -52,7 +52,6 @@ mod tests {
         let s = step.to_schedule(96e6);
         assert_eq!(s.rate_at(Time::from_secs_f64(5.0)), 96e6);
         assert_eq!(s.rate_at(Time::from_secs_f64(15.0)), 48e6);
-        assert_eq!(step.label(), "step50@10");
 
         let sin = LinkScheduleSpec::Sinusoid {
             amplitude_frac: 0.25,
@@ -61,7 +60,6 @@ mod tests {
         let s = sin.to_schedule(48e6);
         assert_eq!(s.max_rate_bps(), 60e6);
         assert_eq!(s.min_rate_bps(), 36e6);
-        assert_eq!(sin.label(), "sin25p8");
 
         let trace = LinkScheduleSpec::Trace {
             interval_s: 0.5,
@@ -72,8 +70,6 @@ mod tests {
         assert_eq!(s.rate_at(Time::from_millis(750)), 10e6);
         // Repeats.
         assert_eq!(s.rate_at(Time::from_millis(1250)), 40e6);
-        assert_eq!(trace.label(), "trace2");
-        assert_eq!(LinkScheduleSpec::Constant.label(), "const");
     }
 
     #[test]
@@ -92,7 +88,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_file_schedules_load_and_label() {
+    fn trace_file_schedules_load() {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../traces/sample-cellular.mahimahi"
@@ -102,7 +98,6 @@ mod tests {
         // Absolute rates from the file: the 48 Mbit/s base does not scale them.
         assert!(s.max_rate_bps() < 20e6, "max {}", s.max_rate_bps());
         assert!(!s.is_constant());
-        assert_eq!(spec.label(), "mm-sample-cellular");
     }
 
     #[test]
@@ -118,7 +113,6 @@ mod tests {
             let text = format!("trace-{name}");
             let spec: LinkScheduleSpec = text.parse().unwrap();
             assert_eq!(spec.to_string(), text);
-            assert_eq!(spec.label(), text);
             assert!(factors.len() >= 8, "trace {name} too short to be useful");
             assert!(factors.iter().all(|&f| f > 0.0), "trace {name}");
             // Each factor scales the base over its interval, and the trace
@@ -203,14 +197,9 @@ mod tests {
     }
 
     #[test]
-    fn fleet_spec_labels_and_scaled_sizes() {
-        let fleet = |s: &str| s.parse::<FleetSpec>().unwrap();
-        assert_eq!(FleetSpec::poisson(0.5).label(), "fleet-poisson-l50");
-        assert_eq!(
-            fleet("fleet(arrivals=bursty,load=0.3,mean=50k)").label(),
-            "fleet-bursty-l30-m50k"
-        );
-        let sizes = fleet("fleet(load=0.5,mean=50k)").size_distribution();
+    fn fleet_spec_scales_its_sizes() {
+        let fleet: FleetSpec = "fleet(load=0.5,mean=50k)".parse().unwrap();
+        let sizes = fleet.size_distribution();
         assert!(
             (sizes.mean_bytes() - 50_000.0).abs() < 1.0,
             "rescaled mean {}",

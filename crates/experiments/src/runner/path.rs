@@ -5,6 +5,7 @@ use crate::grammar::{
     self, duration, field_opt, fmt_duration, instant, key_value, parsed, positive, split_call,
     split_top_level, Opt, ParseError,
 };
+use nimbus_netsim::schedule::MIN_SEGMENT;
 use nimbus_netsim::{EcnMarking, RateSchedule, Time};
 use std::fmt;
 use std::str::FromStr;
@@ -177,30 +178,6 @@ impl LinkScheduleSpec {
             LinkScheduleSpec::TraceFile(file) => file.schedule.clone(),
         }
     }
-
-    /// A short slug for cell/result names (`const`, `step50@15`, `sin25p10`, …).
-    pub fn label(&self) -> String {
-        match self {
-            LinkScheduleSpec::Constant => "const".to_string(),
-            LinkScheduleSpec::Step { at_s, factor } => {
-                format!("step{:.0}@{at_s:.0}", factor * 100.0)
-            }
-            LinkScheduleSpec::Steps { steps } => format!("steps{}", steps.len()),
-            LinkScheduleSpec::Sinusoid {
-                amplitude_frac,
-                period_s,
-            } => format!("sin{:.0}p{period_s:.0}", amplitude_frac * 100.0),
-            LinkScheduleSpec::Trace { factors, .. } => format!("trace{}", factors.len()),
-            LinkScheduleSpec::NamedTrace(trace) => format!("trace-{}", trace.name),
-            LinkScheduleSpec::TraceFile(trace) => {
-                let stem = std::path::Path::new(&trace.path)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| "file".to_string());
-                format!("mm-{stem}")
-            }
-        }
-    }
 }
 
 /// The schedule forms, for error text and [`grammar_reference`].
@@ -209,7 +186,7 @@ pub(super) const SCHEDULE_FORMS: &str = "const | step(<at>,<factor>) | steps(<at
 
 impl fmt::Display for LinkScheduleSpec {
     /// The canonical re-parseable form; factors and amplitudes are fractions
-    /// of the base rate (unlike the rounded percentages of [`Self::label`]).
+    /// of the base rate.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let join = |items: Vec<String>| items.join(",");
         match self {
@@ -292,10 +269,11 @@ impl FromStr for LinkScheduleSpec {
             }),
             ("trace", [interval, factors @ ..]) if !factors.is_empty() => {
                 let interval_s = duration("trace interval", interval)?;
-                if Time::from_secs_f64(interval_s) == Time::ZERO {
+                if Time::from_secs_f64(interval_s) < MIN_SEGMENT {
                     return Err(ParseError(format!(
-                        "trace interval `{interval}` rounds to 0 ns on the simulator's \
-                         nanosecond clock"
+                        "trace interval `{interval}` is below the shortest schedule \
+                         segment, {}",
+                        fmt_duration(&MIN_SEGMENT.as_secs_f64())
                     )));
                 }
                 let factors = factors.iter().map(|f| positive("trace factor", f));
@@ -351,15 +329,6 @@ impl EcnSpec {
             EcnSpec::Off => EcnMarking::None,
             EcnSpec::Classic => EcnMarking::Classic,
             EcnSpec::L4s => EcnMarking::Step,
-        }
-    }
-
-    /// A short slug for cell names: empty when off, `-ecn` or `-l4s`.
-    pub fn label(&self) -> String {
-        match self {
-            EcnSpec::Off => String::new(),
-            EcnSpec::Classic => "-ecn".to_string(),
-            EcnSpec::L4s => "-l4s".to_string(),
         }
     }
 }

@@ -121,19 +121,6 @@ impl FleetSpec {
         sizes
     }
 
-    /// A short slug for cell names: `fleet-poisson-l50`, `fleet-bursty-l30-m50k`.
-    pub fn label(&self) -> String {
-        let arrivals = match self.arrivals {
-            ArrivalProcess::Poisson => "poisson",
-            ArrivalProcess::Bursty => "bursty",
-        };
-        let mut s = format!("fleet-{arrivals}-l{:.0}", self.load * 100.0);
-        if let Some(mean) = self.mean_flow_bytes {
-            s.push_str(&format!("-m{:.0}k", mean / 1000.0));
-        }
-        s
-    }
-
     /// Materialize the fleet against a scenario: arrivals over the whole run,
     /// offered load relative to `link_rate_bps`, workload seed derived from
     /// the scenario seed (distinct from the cross-flow controller seeds).
@@ -316,30 +303,6 @@ impl ScenarioSpec {
         }
     }
 
-    /// The path part of a cell name: empty for a single hop, otherwise e.g.
-    /// `-2hop60` (two hops, tightest extra hop at 60% of base; `mv` appended
-    /// when an extra hop's rate moves).
-    pub fn path_label(&self) -> String {
-        if self.hops.is_empty() {
-            return String::new();
-        }
-        let tightest = self
-            .hops
-            .iter()
-            .map(|h| h.rate_factor)
-            .fold(f64::INFINITY, f64::min);
-        let moving = self
-            .hops
-            .iter()
-            .any(|h| h.schedule != LinkScheduleSpec::Constant);
-        format!(
-            "-{}hop{:.0}{}",
-            1 + self.hops.len(),
-            tightest * 100.0,
-            if moving { "mv" } else { "" }
-        )
-    }
-
     /// Build the simulator network for this spec.  Each extra hop is a
     /// drop-tail queue with `HOP_BUFFER_S` of buffering, `HOP_PROP_DELAY_S`
     /// downstream of the previous hop, and no ECN marking.
@@ -362,13 +325,6 @@ impl ScenarioSpec {
             cfg.path.push(link);
         }
         Network::new(cfg)
-    }
-
-    /// The `-vs-<…>` part of a cell name: `alone`, or the cross flows' (and
-    /// the fleet's) labels joined by `+`.
-    pub fn cross_label(&self) -> String {
-        let labels = self.cross.iter().map(CrossSpec::label);
-        cross_list(labels.chain(self.fleet.iter().map(FleetSpec::label)))
     }
 
     /// Lower the spec-described cross traffic, the one lowering of every

@@ -200,12 +200,13 @@ impl SchemeSpec {
         }
     }
 
-    /// A short label for result tables and cell names, derived from the
-    /// spec.  The paper's combinations keep their historical labels
-    /// (`nimbus`, `nimbus-copa`, `nimbus-estmu`, `cubic`, `pcc-vivace`, …);
-    /// novel combinations compose suffixes (`nimbus-reno-copa-estmu`), and
-    /// every non-default strategy parameter gets a slug, so two specs that
-    /// differ in any knob never share a cell/result name.
+    /// A short label for result tables and recorder flow names, derived
+    /// from the spec.  The paper's combinations keep their historical
+    /// labels (`nimbus`, `nimbus-copa`, `nimbus-estmu`, `cubic`,
+    /// `pcc-vivace`, …); novel combinations compose suffixes
+    /// (`nimbus-reno-copa-estmu`), and every non-default strategy parameter
+    /// gets a slug, so two specs that differ in any knob never share a flow
+    /// or result name.
     pub fn label(&self) -> String {
         match self {
             SchemeSpec::Bare(kind) => match kind {

@@ -1,19 +1,20 @@
-//! The `sweep` subcommand: run a (scheme × cross-traffic × bottleneck ×
-//! schedule × seed) matrix in parallel and record per-cell wall-clock and
-//! events-per-second throughput.
+//! The `sweep` subcommand: run the paper-invariant matrix
+//! ([`paper_invariant_matrix`]) in parallel and record per-cell wall-clock
+//! and events-per-second throughput.
 //!
 //! This promotes the testkit's work queue ([`parallel_map`]) into a
 //! user-facing command.  It gates nothing: the repository's performance
 //! contract is `BENCHMARK.json` (run by `benchmark/run.sh`).  The sweep is
 //! the tool for harness thread scaling (`--threads 1/2/4` over the same
-//! matrix) and for finding a cell to profile; `tests/scenario_matrix.rs`
-//! holds every quick cell to an exact event budget.
+//! matrix) and for finding a cell to profile; [`Cell::run`] holds every
+//! cell to an exact event budget.  Each report row is named by its cell's
+//! canonical string and carries the fingerprint its ledger row pins.
 //!
 //! Whole-cell strings in the testkit's grammar
 //! (`sweep 'dctcp@48M ecn=l4s vs alone seed=1 dur=3s steady=1s'`) replace
 //! the matrix, benchmarking exactly those cells.
 
-use crate::testkit::{parallel_map, worker_count, Cell};
+use crate::testkit::{paper_invariant_matrix, parallel_map, worker_count, Cell};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -21,21 +22,18 @@ use std::time::Instant;
 /// Options for a sweep run.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Scale the matrix down (shorter cells, fewer dimensions).
-    pub quick: bool,
     /// Worker-thread cap (`None` = one per available core).
     pub threads: Option<usize>,
     /// Where to write the JSON report (`target/sweep/sweep.json` by default).
     pub out: PathBuf,
     /// The cells to run instead of the matrix (the CLI's `CELL` operands);
-    /// empty runs [`sweep_matrix`].
+    /// empty runs [`paper_invariant_matrix`].
     pub cells: Vec<Cell>,
 }
 
 impl Default for SweepConfig {
     fn default() -> Self {
         SweepConfig {
-            quick: false,
             threads: None,
             out: PathBuf::from("target").join("sweep").join("sweep.json"),
             cells: Vec::new(),
@@ -46,7 +44,7 @@ impl Default for SweepConfig {
 /// Per-cell benchmark record.
 #[derive(Debug, Clone, Serialize)]
 pub struct SweepCellResult {
-    /// Cell name (`scheme@rate[-schedule]-vs-cross-seedN`).
+    /// The cell's canonical string (`<scheme>@<scenario> steady=<dur>`).
     pub name: String,
     /// Simulated seconds covered by the cell.
     pub sim_s: f64,
@@ -71,8 +69,6 @@ pub struct SweepCellResult {
 pub struct SweepReport {
     /// Report format marker.
     pub schema: String,
-    /// Whether the quick matrix was run.
-    pub quick: bool,
     /// Worker threads spawned ([`worker_count`]).
     pub threads: usize,
     /// Number of cells in the matrix.
@@ -87,122 +83,12 @@ pub struct SweepReport {
     pub cells: Vec<SweepCellResult>,
 }
 
-/// The benchmark matrix: schemes × cross traffic × link rates × schedules ×
-/// seeds.  The quick variant covers every schedule family but trims the
-/// slower dimensions so CI can afford it per-PR.
-///
-/// Every cell is a whole-cell string (`<scheme>@<link> vs <cross> …`, the
-/// testkit's grammar) built from the axes below; the sweep benchmarks, it
-/// does not assert, so the cells carry no invariants.
-pub fn sweep_matrix(quick: bool) -> Vec<Cell> {
-    let schemes: &[&str] = if quick {
-        &["nimbus", "cubic"]
-    } else {
-        &["nimbus", "cubic", "vegas", "bbr"]
-    };
-    let crosses: &[&str] = if quick {
-        &["alone", "cbr@0.5"]
-    } else {
-        &["alone", "cbr@0.5", "poisson@0.5", "cubic"]
-    };
-    let rates: &[&str] = if quick { &["48M"] } else { &["48M", "96M"] };
-    let seeds: &[u64] = if quick { &[1] } else { &[1, 2] };
-    let (duration_s, step_at_s) = if quick { (15.0, 7.0) } else { (40.0, 15.0) };
-    let schedules = [
-        String::new(),
-        "sin(0.25,10s)".to_string(),
-        format!("step({step_at_s}s,0.5)"),
-    ];
-    let cell = |scheme: &str, link: &str, cross: &str, seed: u64| -> Cell {
-        let steady_s = duration_s * 0.25;
-        let text =
-            format!("{scheme}@{link} vs {cross} seed={seed} dur={duration_s}s steady={steady_s}s");
-        text.parse()
-            .unwrap_or_else(|e| panic!("sweep cell `{text}`: {e}"))
-    };
-
-    let mut cells = Vec::new();
-    for scheme in schemes {
-        for cross in crosses {
-            for rate in rates {
-                for schedule in &schedules {
-                    for &seed in seeds {
-                        cells.push(cell(scheme, &format!("{rate} {schedule}"), cross, seed));
-                    }
-                }
-            }
-        }
-    }
-
-    // Multi-hop path cells: per-cell events/sec under path topologies, in
-    // the same report as the single-link cells.  Two path shapes — a fixed
-    // secondary bottleneck and a moving bottleneck (anti-phase steps on hops
-    // 0 and 1) — across the scheme dimension.
-    let swap_s = duration_s * 0.45;
-    let paths = [
-        "48M hop(0.6)".to_string(),
-        format!("48M step({swap_s}s,0.5) hop(0.5,sched=step({swap_s}s,2))"),
-    ];
-    let path_crosses: &[&str] = if quick {
-        &["alone"]
-    } else {
-        &["alone", "cbr@0.3"]
-    };
-    for scheme in schemes {
-        for path in &paths {
-            for cross in path_crosses {
-                cells.push(cell(scheme, path, cross, 1));
-            }
-        }
-    }
-
-    let extras = [
-        // New-combination cells: schemes and competition shapes only the
-        // compositional `SchemeSpec` grammar can assemble, plus a curated
-        // built-in trace.  Keeping them in the quick matrix means the event
-        // budget covers the spec-built path, not just the paper's own
-        // combinations.
-        ("nimbus(competitive=reno)", "48M", "cubic"),
-        ("nimbus(delay=copa,mu=learned)", "48M sin(0.1,10s)", "alone"),
-        ("nimbus", "48M", "copa+cubic"),
-        ("cubic", "48M trace-cellular", "alone"),
-        // The estimator axis of the µ-estimation API: the probing strategy
-        // on the deep-fade trace it recovers, and the adaptive ẑ thresholds
-        // on the sinusoid regime they recover — both in the quick matrix so
-        // the strategy hot paths are covered.
-        ("nimbus(mu=learned(probe=1))", "48M trace-cellular", "alone"),
-        (
-            "nimbus(mu=learned,zfilter=adaptive)",
-            "48M sin(0.1,10s)",
-            "alone",
-        ),
-        // ECN cells in the quick matrix: the marking hot path (per-enqueue
-        // threshold checks + CE echo + the per-hop mark counters) and the
-        // DCTCP reaction are exercised under the three marking profiles, so
-        // a regression in the mark path shows up here rather than only in
-        // the gated matrix.
-        ("dctcp", "48M ecn=l4s", "alone"),
-        ("cubic", "48M ecn=classic", "alone"),
-        ("nimbus", "48M ecn=classic", "cubic"),
-        // Population-scale churn in the quick matrix: a 1 Gbit/s bottleneck
-        // with an open-loop Poisson fleet at 50% load spawns and retires
-        // ~550 flows/s, so this one cell churns through thousands of flow
-        // lifetimes — the spawner/retirement hot path regresses here long
-        // before it would show in the static-flow cells.
-        ("nimbus", "1G", "fleet(load=0.5)"),
-    ];
-    for (scheme, link, cross) in extras {
-        cells.push(cell(scheme, link, cross, 1));
-    }
-    cells
-}
-
 /// Run the sweep's cells ([`SweepConfig::cells`], or else the matrix) in
 /// parallel, timing each cell, and write the report.
 pub fn run_sweep(cfg: &SweepConfig) -> std::io::Result<SweepReport> {
     let matrix;
     let cells = if cfg.cells.is_empty() {
-        matrix = sweep_matrix(cfg.quick);
+        matrix = paper_invariant_matrix();
         &matrix
     } else {
         &cfg.cells
@@ -228,7 +114,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> std::io::Result<SweepReport> {
     let total_events: u64 = results.iter().map(|r| r.events).sum();
     let report = SweepReport {
         schema: "nimbus-sweep-v1".to_string(),
-        quick: cfg.quick,
         threads,
         cell_count: results.len(),
         total_wall_s,
@@ -258,33 +143,9 @@ pub fn report_table(report: &SweepReport) -> String {
     );
     for c in &report.cells {
         out.push_str(&format!(
-            "{:52} {:6.1} sim-s  {:7.3} wall-s  {:9} ev  {:10.0} ev/s  {:7.2} Mbit/s\n",
-            c.name, c.sim_s, c.wall_s, c.events, c.events_per_sec, c.mean_throughput_mbps
+            "{:6.1} sim-s  {:7.3} wall-s  {:9} ev  {:10.0} ev/s  {:7.2} Mbit/s  {}\n",
+            c.sim_s, c.wall_s, c.events, c.events_per_sec, c.mean_throughput_mbps, c.name
         ));
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::runner::LinkScheduleSpec;
-
-    #[test]
-    fn quick_matrix_covers_every_schedule_family_and_is_unique() {
-        let cells = sweep_matrix(true);
-        assert!(cells.len() >= 10, "quick matrix too small: {}", cells.len());
-        let mut names: Vec<String> = cells.iter().map(|c| c.name()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), cells.len(), "cell names must be unique");
-        let has =
-            |pred: fn(&LinkScheduleSpec) -> bool| cells.iter().any(|c| pred(&c.scenario.schedule));
-        assert!(has(|s| matches!(s, LinkScheduleSpec::Sinusoid { .. })));
-        assert!(has(|s| matches!(s, LinkScheduleSpec::Step { .. })));
-        assert!(has(|s| *s == LinkScheduleSpec::Constant));
-        // The full matrix is a strict superset in every dimension.
-        let full = sweep_matrix(false);
-        assert!(full.len() > cells.len() * 4);
-    }
 }

@@ -30,14 +30,18 @@
 //! }
 //! ```
 //!
-//! Every [`CellOutcome`] also carries a fingerprint of the cell's full
-//! [`Recorder`](nimbus_netsim::Recorder) snapshot, so the same matrix doubles
-//! as a whole-system regression: `tests/scenario_matrix.rs` pins the
-//! fingerprint of every [`paper_invariant_matrix`] cell against the one
-//! table in `tests/ledger/mod.rs`.
+//! A cell has one name, its canonical string: [`CellOutcome::name`], the
+//! sweep's report rows and the ledger's keys are all `cell.to_string()`,
+//! which parses back to the same cell.  Every [`CellOutcome`] also carries a
+//! fingerprint of the cell's full [`Recorder`](nimbus_netsim::Recorder)
+//! snapshot, so the same matrix doubles as a whole-system regression:
+//! `tests/scenario_matrix.rs` pins the fingerprint of every
+//! [`paper_invariant_matrix`] cell against the one table in
+//! `tests/ledger/mod.rs`.  [`Cell::run`] also holds every cell to an exact
+//! event budget, so an event storm is one more violation.
 
 use crate::grammar::{fmt_duration, instant, tokens, ParseError};
-use crate::runner::{run_scheme_vs_cross, LinkScheduleSpec, ScenarioSpec, SingleFlowMetrics};
+use crate::runner::{run_scheme_vs_cross, ScenarioSpec, SingleFlowMetrics};
 use crate::scheme::SchemeSpec;
 use nimbus_netsim::Fnv1a;
 use std::fmt;
@@ -72,6 +76,16 @@ pub struct Invariants {
     pub must_enter_competitive: bool,
 }
 
+/// Engine events a cell may spend per 1500-byte packet delivered to any
+/// receiver.  The paper matrix's cells run at 3.0–6.1 (the two-hop Nimbus
+/// cells are the maximum); the budget is that maximum plus a third.  An
+/// event storm — the stale `PollSend` chains that once multiplied without
+/// bound, a timer re-arming itself every nanosecond — makes one cell do many
+/// times the work per packet its neighbours do.  Events and delivered bytes
+/// are both deterministic, so [`Cell::run`] checks this exactly, without a
+/// clock.
+const EVENTS_PER_DELIVERED_PACKET: u64 = 8;
+
 /// One (scheme × scenario) cell of a matrix.  Everything about the link,
 /// path, cross traffic, seed and duration is the [`ScenarioSpec`]'s.
 #[derive(Debug, Clone)]
@@ -87,38 +101,30 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// `scheme@mu[-schedule][-path][-ecn]-vs-cross-seedN` — a derived slug,
-    /// unique within a well-formed matrix; it keys the fingerprint table in
-    /// `tests/ledger/mod.rs` and the rows of a sweep report.
-    pub fn name(&self) -> String {
-        let s = &self.scenario;
-        let schedule = if s.schedule == LinkScheduleSpec::Constant {
-            String::new()
-        } else {
-            format!("-{}", s.schedule.label())
-        };
-        format!(
-            "{}@{:.0}M{}{}{}-vs-{}-seed{}",
-            self.scheme.label(),
-            s.link_rate_bps / 1e6,
-            schedule,
-            s.path_label(),
-            s.ecn.label(),
-            s.cross_label(),
-            s.seed
-        )
-    }
-
-    /// Run this cell to completion and evaluate its invariants.
+    /// Run this cell to completion and evaluate its invariants and the
+    /// event budget: at most 8 engine events per 1500-byte packet delivered
+    /// to any receiver.
     pub fn run(&self) -> CellOutcome {
         let out = run_scheme_vs_cross(&self.scenario, self.scheme, self.steady_start_s);
         let events = out.events_processed;
         let sim_s = out.duration_s;
         let metrics = out.flows.into_iter().next().expect("one monitored flow");
-        let violations = self.invariants.check(self.scheme, &metrics);
+        let mut violations = self.invariants.check(self.scheme, &metrics);
+        let packets: u64 = out
+            .recorder
+            .flows
+            .iter()
+            .map(|f| f.delivered_bytes / 1500)
+            .sum();
+        if events > EVENTS_PER_DELIVERED_PACKET * packets {
+            violations.push(format!(
+                "{events} engine events for {packets} delivered packets exceed \
+                 {EVENTS_PER_DELIVERED_PACKET} per packet (event storm)"
+            ));
+        }
         let fingerprint = fingerprint_of(&out.recorder, &metrics);
         CellOutcome {
-            name: self.name(),
+            name: self.to_string(),
             metrics,
             violations,
             fingerprint,
@@ -261,7 +267,8 @@ impl Invariants {
 /// The result of one cell run.
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
-    /// `Cell::name()` of the cell that produced this outcome.
+    /// The canonical string (`Display`) of the cell that produced this
+    /// outcome; it parses back to the cell and keys its ledger row.
     pub name: String,
     /// The monitored flow's metrics.
     pub metrics: SingleFlowMetrics,
@@ -343,26 +350,6 @@ pub fn run_matrix(cells: &[Cell]) -> Vec<CellOutcome> {
     parallel_map(cells, None, Cell::run)
 }
 
-/// Render a one-line-per-cell report (for `--nocapture` debugging).
-pub fn matrix_report(outcomes: &[CellOutcome]) -> String {
-    let mut out = String::new();
-    for o in outcomes {
-        out.push_str(&format!(
-            "{:46} tput {:7.2} Mbit/s  qd {:7.2} ms  delay-frac {:.2}  {}\n",
-            o.name,
-            o.metrics.mean_throughput_mbps,
-            o.metrics.mean_queue_delay_ms,
-            o.metrics.delay_mode_fraction,
-            if o.violations.is_empty() {
-                "ok".to_string()
-            } else {
-                format!("VIOLATIONS: {:?}", o.violations)
-            }
-        ));
-    }
-    out
-}
-
 /// One row of a matrix table: the cells (whole-cell canonical strings,
 /// typically one scenario across seeds) that share a rationale and a set of
 /// invariants.
@@ -392,10 +379,10 @@ mod tests {
     fn matrix_is_well_formed() {
         let cells = paper_invariant_matrix();
         assert!(cells.len() >= 12, "matrix must cover at least 12 cells");
-        let mut names: Vec<String> = cells.iter().map(|c| c.name()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), cells.len(), "cell names must be unique");
+        let mut keys: Vec<String> = cells.iter().map(Cell::to_string).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), cells.len(), "two cells print the same string");
         // Every cell asserts at least one invariant.
         for c in &cells {
             let inv = &c.invariants;
@@ -407,8 +394,35 @@ mod tests {
                 || inv.max_delay_mode_fraction.is_some()
                 || inv.max_mu_error.is_some()
                 || inv.must_enter_competitive;
-            assert!(any, "cell {} asserts nothing", c.name());
+            assert!(any, "cell {c} asserts nothing");
         }
+    }
+
+    /// A cell's key is its whole string: cells that differ only in one
+    /// scenario option, or in the steady-state window, are reported under
+    /// different keys and so can never share a ledger row.
+    #[test]
+    fn cells_that_differ_in_one_option_get_different_keys() {
+        let base = "nimbus@48M vs alone seed=1 dur=2s steady=1s";
+        let cells: Vec<Cell> = [
+            base,
+            "nimbus@48M vs alone buffer=50ms seed=1 dur=2s steady=1s",
+            "nimbus@48M vs alone rtt=20ms seed=1 dur=2s steady=1s",
+            "nimbus@48M vs alone pie=15ms seed=1 dur=2s steady=1s",
+            "nimbus@48M vs alone loss=0.001 seed=1 dur=2s steady=1s",
+            "nimbus@48M vs alone seed=1 dur=3s steady=1s",
+            "nimbus@48M vs alone seed=1 dur=2s steady=0.5s",
+        ]
+        .iter()
+        .map(|text| text.parse().unwrap())
+        .collect();
+        let outcomes = run_matrix(&cells);
+        let keys: Vec<&str> = outcomes.iter().map(|o| o.name.as_str()).collect();
+        let mut distinct = keys.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), cells.len(), "{keys:?}");
+        assert_eq!(keys[0], base);
     }
 
     #[test]

@@ -37,6 +37,12 @@ use nimbus_core_types::Time;
 /// without producing infinite serialization times.
 pub const MIN_RATE_BPS: f64 = 1.0;
 
+/// The shortest segment a periodic schedule is cut into: the floor of a
+/// sinusoid's quantization step, and of a spec-described trace's interval.
+/// A shorter segment would make the engine take one rate change per
+/// segment, i.e. up to one per nanosecond.
+pub const MIN_SEGMENT: Time = Time::from_millis(1);
+
 /// A piecewise-constant bottleneck-rate schedule µ(t).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RateSchedule {
@@ -76,11 +82,11 @@ impl RateSchedule {
     }
 
     /// A sinusoid of `amplitude_frac·mean_bps` around `mean_bps`, quantized
-    /// at `period/64` (bounded below by 1 ms): each segment holds the
-    /// sinusoid's value at its start.
+    /// at `period/64` (bounded below by [`MIN_SEGMENT`]): each segment holds
+    /// the sinusoid's value at its start.
     pub fn sinusoid(mean_bps: f64, amplitude_frac: f64, period: Time) -> Self {
         let p = period.as_nanos().max(1);
-        let update = (p / 64).max(1_000_000);
+        let update = (p / 64).max(MIN_SEGMENT.as_nanos());
         let amplitude_bps = amplitude_frac * mean_bps;
         let segment = |k: u64| {
             let phase = (k * update % p) as f64 / p as f64;

@@ -37,7 +37,10 @@ fn learned_mu_tracks_the_path_minimum_not_the_noisy_first_hop() {
     // instead would read ~48 Mbit/s.
     let outcome = multihop_outcomes()
         .iter()
-        .find(|o| o.name == "nimbus-estmu@48M-sin10p10-2hop60-vs-alone-seed27")
+        .find(|o| {
+            o.name
+                == "nimbus(mu=learned)@48M sin(0.1,10s) hop(0.6) vs alone seed=27 dur=40s steady=15s"
+        })
         .expect("the matrix includes the multi-hop learned-µ cell");
     let steady: Vec<f64> = outcome
         .metrics

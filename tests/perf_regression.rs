@@ -1,26 +1,28 @@
 //! Regression tests for the `step50-vs-cbr50` event-loop pathology.
 //!
-//! The quick sweep once ran `nimbus@48M-step50@7-vs-cbr50-seed1` at 666k
-//! events/s while every neighboring cell ran 3.2–3.9M — a 5× per-event
-//! slowdown that went unnoticed because it was already there when the cell
-//! was first timed.  Root cause: after the rate step halves µ, the CBR cross
-//! flow offers exactly the new link rate, never exits SACK recovery, and
-//! `Sender::infer_losses` re-walked its entire ~2000-entry scoreboard on
-//! every ACK — O(ACKs × window) scoreboard work dominating the event loop.
+//! The sweep once ran `nimbus@48M step(7s,0.5) vs cbr@0.5 seed=1 dur=15s
+//! steady=3.75s` at 666k events/s while every neighboring cell ran
+//! 3.2–3.9M — a 5× per-event slowdown that went unnoticed because it was
+//! already there when the cell was first timed.  Root cause: after the rate
+//! step halves µ, the CBR cross flow offers exactly the new link rate, never
+//! exits SACK recovery, and `Sender::infer_losses` re-walked its entire
+//! ~2000-entry scoreboard on every ACK — O(ACKs × window) scoreboard work
+//! dominating the event loop.
 //!
 //! Two guards:
 //!
 //! * a *deterministic* unit-level test pinning the sender's scoreboard scan
 //!   cost to O(ACKs + holes) via the [`Sender::scoreboard_scan_steps`]
 //!   counter (no timing, cannot flake);
-//! * a *wall-clock* test asserting the pathological sweep cell's events/sec
-//!   within 2× of the plain `vs-cbr50` cell on the same machine, so any new
-//!   per-event pathology in that cell fails loudly.
+//! * a *wall-clock* test asserting the pathological cell's events/sec
+//!   within 2× of the same cell without the rate step on the same machine,
+//!   so any new per-event pathology in that cell fails loudly.
 //!
 //! A cell that does more *events* per packet (an event storm) is caught
-//! without a clock by the event budget in `tests/scenario_matrix.rs`.
+//! without a clock by the event budget `Cell::run` checks on every
+//! paper-matrix cell (`tests/scenario_matrix.rs`).
 
-use nimbus_experiments::sweep::sweep_matrix;
+use nimbus_experiments::Cell;
 use nimbus_netsim::endpoint::{AckInfo, FlowEndpoint, SendAction};
 use nimbus_netsim::Time;
 use nimbus_transport::{BackloggedSource, CcKind, PathInfo, Sender, SenderConfig};
@@ -85,29 +87,22 @@ fn sack_scan_cost_is_linear_in_acks_plus_holes() {
     assert!(steps > 0, "loss inference never ran — test setup broken");
 }
 
-/// The quick-sweep cell called `name`.
-fn sweep_cell(name: &str) -> nimbus_experiments::Cell {
-    sweep_matrix(true)
-        .into_iter()
-        .find(|c| c.name() == name)
-        .unwrap_or_else(|| panic!("quick sweep matrix no longer contains {name}"))
-}
-
 /// Events per wall second of one run of `cell`.
-fn events_per_sec(cell: &nimbus_experiments::Cell) -> f64 {
+fn events_per_sec(cell: &Cell) -> f64 {
     let started = std::time::Instant::now();
     let outcome = cell.run();
     outcome.events as f64 / started.elapsed().as_secs_f64().max(1e-9)
 }
 
-/// The sweep cell that regressed must stay within 2× of its plain-schedule
+/// The cell that regressed must stay within 2× of its plain-schedule
 /// neighbor.  Both cells run the same schemes, cross traffic, rate and seed;
 /// only the rate step differs — their per-event cost should be comparable.
 /// The pre-fix gap (5×) is far outside the 2× bar plus any plausible jitter.
 #[test]
 fn step50_vs_cbr50_cell_runs_within_2x_of_plain_vs_cbr50() {
-    let step = sweep_cell("nimbus@48M-step50@7-vs-cbr50-seed1");
-    let plain = sweep_cell("nimbus@48M-vs-cbr50-seed1");
+    let cell = |text: &str| -> Cell { text.parse().unwrap() };
+    let step = cell("nimbus@48M step(7s,0.5) vs cbr@0.5 seed=1 dur=15s steady=3.75s");
+    let plain = cell("nimbus@48M vs cbr@0.5 seed=1 dur=15s steady=3.75s");
     // The fastest of five runs per cell counts, and the cells' runs
     // alternate: a stretch of load on a shared host then slows runs of
     // both cells rather than every run of one.
