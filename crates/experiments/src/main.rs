@@ -14,9 +14,10 @@
 //! tables ([`grammar_reference`](nimbus_experiments::runner::grammar_reference)).
 //!
 //! The sweep writes a per-cell table to stdout and a JSON report to
-//! `target/sweep/sweep.json` (or `--out PATH`); it gates nothing.  Either
-//! path exits 2 on an unknown flag, and flags that name no experiment print
-//! the usage and exit 2.
+//! `target/sweep/sweep.json` (or `--out PATH`), and exits 1 when any cell
+//! violates its invariants or event budget.  Either path exits 2 on an
+//! unknown flag, and flags that name no experiment print the usage and
+//! exit 2.
 
 use nimbus_experiments::{experiment_names, run_experiment, ExperimentResult, SweepConfig};
 use std::path::PathBuf;
@@ -85,6 +86,10 @@ fn run_sweep_command(args: &[String]) -> ! {
         Ok(report) => {
             println!("{}", nimbus_experiments::sweep::report_table(&report));
             println!("wrote {}", cfg.out.display());
+            if report.violated() {
+                eprintln!("a cell violated its invariants or event budget (see its `viol` count)");
+                std::process::exit(1);
+            }
             std::process::exit(0);
         }
         Err(e) => {

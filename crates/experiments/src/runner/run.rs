@@ -156,7 +156,7 @@ pub fn run_and_collect(
             mu_tracking_error: f64::NAN,
         };
 
-        if let Some(nimbus) = nimbus_of(endpoints[handle.0].as_ref()) {
+        if let Some(nimbus) = nimbus_of(&endpoints[handle.0]) {
             metrics.delay_mode_fraction = nimbus.delay_mode_fraction(steady_start_s, duration_s);
             metrics.mode_log = nimbus
                 .mode_log()

@@ -3,18 +3,20 @@
 //! and events-per-second throughput.
 //!
 //! This promotes the testkit's work queue ([`parallel_map`]) into a
-//! user-facing command.  It gates nothing: the repository's performance
+//! user-facing command.  It gates no timing: the repository's performance
 //! contract is `BENCHMARK.json` (run by `benchmark/run.sh`).  The sweep is
 //! the tool for harness thread scaling (`--threads 1/2/4` over the same
 //! matrix) and for finding a cell to profile; [`Cell::run`] holds every
-//! cell to an exact event budget.  Each report row is named by its cell's
-//! canonical string and carries the fingerprint its ledger row pins.
+//! cell to its invariants and an exact event budget, and a row carries the
+//! violations it found ([`SweepReport::violated`]).  Each report row is
+//! named by its cell's canonical string and carries the fingerprint its
+//! ledger row pins.
 //!
 //! Whole-cell strings in the testkit's grammar
 //! (`sweep 'dctcp@48M ecn=l4s vs alone seed=1 dur=3s steady=1s'`) replace
 //! the matrix, benchmarking exactly those cells.
 
-use crate::testkit::{paper_invariant_matrix, parallel_map, worker_count, Cell};
+use crate::testkit::{paper_invariant_matrix, parallel_map, worker_count, Cell, CellOutcome};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -62,6 +64,26 @@ pub struct SweepCellResult {
     /// `CellOutcome::fingerprint`, the hash a ledger row pins, as `0x` and 16
     /// hex digits (a JSON number would lose the bits above 2^53).
     pub fingerprint: String,
+    /// `CellOutcome::violations`: the cell's broken invariants and event
+    /// budget (empty = pass).
+    pub violations: Vec<String>,
+}
+
+impl SweepCellResult {
+    /// The row for `outcome`, whose cell took `wall_s` seconds.
+    pub fn new(outcome: CellOutcome, wall_s: f64) -> Self {
+        SweepCellResult {
+            name: outcome.name,
+            sim_s: outcome.sim_s,
+            wall_s,
+            events: outcome.events,
+            events_per_sec: outcome.events as f64 / wall_s.max(1e-9),
+            sim_speedup: outcome.sim_s / wall_s.max(1e-9),
+            mean_throughput_mbps: outcome.metrics.mean_throughput_mbps,
+            fingerprint: format!("{:#018x}", outcome.fingerprint),
+            violations: outcome.violations,
+        }
+    }
 }
 
 /// The whole sweep report (serialized to [`SweepConfig::out`]).
@@ -83,6 +105,14 @@ pub struct SweepReport {
     pub cells: Vec<SweepCellResult>,
 }
 
+impl SweepReport {
+    /// Whether any cell violated its invariants or event budget: the
+    /// `sweep` command then exits 1.
+    pub fn violated(&self) -> bool {
+        self.cells.iter().any(|c| !c.violations.is_empty())
+    }
+}
+
 /// Run the sweep's cells ([`SweepConfig::cells`], or else the matrix) in
 /// parallel, timing each cell, and write the report.
 pub fn run_sweep(cfg: &SweepConfig) -> std::io::Result<SweepReport> {
@@ -98,17 +128,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> std::io::Result<SweepReport> {
     let results = parallel_map(cells, Some(threads), |cell| {
         let cell_start = Instant::now();
         let outcome = cell.run();
-        let wall_s = cell_start.elapsed().as_secs_f64();
-        SweepCellResult {
-            name: outcome.name,
-            sim_s: outcome.sim_s,
-            wall_s,
-            events: outcome.events,
-            events_per_sec: outcome.events as f64 / wall_s.max(1e-9),
-            sim_speedup: outcome.sim_s / wall_s.max(1e-9),
-            mean_throughput_mbps: outcome.metrics.mean_throughput_mbps,
-            fingerprint: format!("{:#018x}", outcome.fingerprint),
-        }
+        SweepCellResult::new(outcome, cell_start.elapsed().as_secs_f64())
     });
     let total_wall_s = started.elapsed().as_secs_f64();
     let total_events: u64 = results.iter().map(|r| r.events).sum();
@@ -135,7 +155,8 @@ pub fn write_report(report: &SweepReport, path: &Path) -> std::io::Result<()> {
     std::fs::write(path, serde_json::to_string_pretty(report).unwrap())
 }
 
-/// Render the report as an aligned text table for the terminal.
+/// Render the report as an aligned text table for the terminal, one row per
+/// cell with its count of violations.
 pub fn report_table(report: &SweepReport) -> String {
     let mut out = format!(
         "== sweep ({} cells, {} threads, {:.1} s wall, {:.0} events/s aggregate) ==\n",
@@ -143,9 +164,70 @@ pub fn report_table(report: &SweepReport) -> String {
     );
     for c in &report.cells {
         out.push_str(&format!(
-            "{:6.1} sim-s  {:7.3} wall-s  {:9} ev  {:10.0} ev/s  {:7.2} Mbit/s  {}\n",
-            c.sim_s, c.wall_s, c.events, c.events_per_sec, c.mean_throughput_mbps, c.name
+            "{:6.1} sim-s  {:7.3} wall-s  {:9} ev  {:10.0} ev/s  {:7.2} Mbit/s  {:2} viol  {}\n",
+            c.sim_s,
+            c.wall_s,
+            c.events,
+            c.events_per_sec,
+            c.mean_throughput_mbps,
+            c.violations.len(),
+            c.name
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::SingleFlowMetrics;
+
+    #[test]
+    fn a_violating_cell_is_counted_in_its_row_and_fails_the_sweep() {
+        let outcome = |name: &str, violations: Vec<String>| CellOutcome {
+            name: name.to_string(),
+            metrics: SingleFlowMetrics {
+                label: "cubic".to_string(),
+                mean_throughput_mbps: 40.0,
+                mean_rtt_ms: 60.0,
+                mean_queue_delay_ms: 10.0,
+                throughput_series: Vec::new(),
+                queue_delay_series: Vec::new(),
+                rtt_series: Vec::new(),
+                delay_mode_fraction: 1.0,
+                mode_log: Vec::new(),
+                eta_series: Vec::new(),
+                mu_series: Vec::new(),
+                mu_tracking_error: f64::NAN,
+            },
+            violations,
+            fingerprint: 0xabc,
+            events: 1_000,
+            sim_s: 2.0,
+        };
+        let pass = SweepCellResult::new(outcome("good", Vec::new()), 0.5);
+        let broken = vec!["throughput 40.00 < 50".to_string()];
+        let fail = SweepCellResult::new(outcome("bad", broken), 0.5);
+        let report = |cells: Vec<SweepCellResult>| SweepReport {
+            schema: "nimbus-sweep-v1".to_string(),
+            threads: 1,
+            cell_count: cells.len(),
+            total_wall_s: 1.0,
+            total_events: 2_000,
+            aggregate_events_per_sec: 2_000.0,
+            cells,
+        };
+        assert!(!report(vec![pass.clone()]).violated());
+        let report = report(vec![pass, fail]);
+        assert!(report.violated());
+        let table = report_table(&report);
+        assert!(table.contains(" 0 viol  good\n"), "{table}");
+        assert!(table.contains(" 1 viol  bad\n"), "{table}");
+        let json = serde_json::to_string(&report).unwrap();
+        assert!(json.contains(r#""violations":[]"#), "{json}");
+        assert!(
+            json.contains(r#""violations":["throughput 40.00 < 50"]"#),
+            "{json}"
+        );
+    }
 }

@@ -277,7 +277,10 @@ pub trait FlowSpawner: Send {
 
 /// An inert endpoint installed in place of a retired flow's real one; any
 /// straggler event for the flow (late ACK, in-flight drop) hits a no-op.
+/// A flow whose slot went back to the free list resolves to [`RETIRED`].
 struct RetiredEndpoint;
+
+static RETIRED: RetiredEndpoint = RetiredEndpoint;
 
 impl FlowEndpoint for RetiredEndpoint {
     fn on_ack(&mut self, _ack: &AckInfo) {}
@@ -382,11 +385,13 @@ struct SpawnerState {
     pending: Option<(Time, FlowConfig, Box<dyn FlowEndpoint>)>,
 }
 
-/// What the engine keeps of one flow for the whole run.  Of its
-/// [`FlowConfig`], [`Network::add_flow`] hands the label, start, size and
-/// elasticity tag to the recorder and keeps only the five facts the packet
-/// path reads, with the exit hop resolved: a slot is 112 bytes, and a fleet
-/// run holds one per flow ever spawned.
+/// What the engine keeps of one flow while it runs or drains.  Of
+/// its [`FlowConfig`], [`Network::add_flow`] hands the label, start, size
+/// and elasticity tag to the recorder and keeps only the five facts the
+/// packet path reads, with the exit hop resolved: a slot is 112 bytes.  A
+/// retired flow gives its slot back to the [`FlowSlab`] once its last
+/// packet and ACK are gone, so a fleet run holds one per flow alive or
+/// draining, not one per flow ever spawned.
 struct FlowState {
     endpoint: Box<dyn FlowEndpoint>,
     /// Receiver: the reassembly window.  Its base is the next in-order
@@ -410,12 +415,118 @@ struct FlowState {
     entry_hop: u32,
     /// Last path hop the flow's packets traverse, inclusive.
     exit_hop: u32,
+    /// Packets admitted at the entry hop and not yet received or dropped
+    /// in transit: the flow's share of the engine's conservation law.
+    in_network: u32,
     /// Whether data packets are sent as [`EcnCodepoint::Ect`].
     ecn: bool,
     /// Whether the flow is retired when its endpoint finishes.
     retire_on_finish: bool,
     started: bool,
     finished: bool,
+}
+
+/// Marks a flow whose slot went back to the free list.
+const FREE: u32 = u32::MAX;
+
+/// The engine's flow storage: reusable [`FlowState`] slots and the map from
+/// a flow's id, its creation index, to its slot.  A slot is indexed by flow
+/// id (`flows[id]`), which panics for a released flow: only an event that
+/// cannot outlive the flow's last packet or ACK indexes it that way.
+#[derive(Default)]
+struct FlowSlab {
+    slots: Vec<FlowState>,
+    /// Per flow ever created: its slot, or [`FREE`] once released.
+    slot_of: Vec<u32>,
+    /// Released slots, reused last in, first out, before `slots` grows.
+    free: Vec<u32>,
+}
+
+impl FlowSlab {
+    /// Number of flows ever created.
+    fn len(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    /// Store a new flow; its id is [`FlowSlab::len`] before the call.
+    fn insert(&mut self, flow: FlowState) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = flow;
+                slot
+            }
+            None => {
+                self.slots.push(flow);
+                idx32(self.slots.len() - 1)
+            }
+        };
+        self.slot_of.push(slot);
+    }
+
+    /// Flow `id`'s state, unless its slot was released.
+    fn get(&self, id: FlowId) -> Option<&FlowState> {
+        match self.slot_of[id] {
+            FREE => None,
+            slot => Some(&self.slots[slot as usize]),
+        }
+    }
+
+    /// Whether flow `id` finished; a released flow did.
+    fn finished(&self, id: FlowId) -> bool {
+        self.get(id).is_none_or(|f| f.finished)
+    }
+
+    /// Return flow `id`'s slot to the free list once nothing can reach it:
+    /// the flow is retired, none of its packets is in the network and its
+    /// ACK lane is empty.  A no-op for a live or already released flow.
+    fn release_if_quiescent(&mut self, id: FlowId) {
+        let Some(flow) = self.get(id) else {
+            return;
+        };
+        if flow.finished
+            && flow.retire_on_finish
+            && flow.in_network == 0
+            && flow.ack_lane.is_empty()
+        {
+            self.free.push(self.slot_of[id]);
+            self.slot_of[id] = FREE;
+        }
+    }
+}
+
+impl std::ops::Index<FlowId> for FlowSlab {
+    type Output = FlowState;
+
+    fn index(&self, id: FlowId) -> &FlowState {
+        &self.slots[self.slot_of[id] as usize]
+    }
+}
+
+impl std::ops::IndexMut<FlowId> for FlowSlab {
+    fn index_mut(&mut self, id: FlowId) -> &mut FlowState {
+        &mut self.slots[self.slot_of[id] as usize]
+    }
+}
+
+/// The flows' endpoints as [`Network::finish`] hands them back, indexed by
+/// [`FlowId`] (`endpoints[handle.0]`).  A flow that was never retired keeps
+/// its own endpoint; a retired one resolves to an inert stub labelled
+/// `"retired"`.  It is the engine's slot map and its slots' endpoints,
+/// collected in place: it allocates nothing per flow.
+pub struct Endpoints {
+    slot_of: Vec<u32>,
+    slots: Vec<Box<dyn FlowEndpoint>>,
+}
+
+impl std::ops::Index<FlowId> for Endpoints {
+    type Output = dyn FlowEndpoint;
+
+    fn index(&self, id: FlowId) -> &Self::Output {
+        match self.slot_of[id] {
+            FREE => &RETIRED,
+            slot => self.slots[slot as usize].as_ref(),
+        }
+    }
 }
 
 /// The packet currently being serialized on a link, tracked by byte progress
@@ -458,7 +569,9 @@ pub struct Network {
     /// The links of every ACK lane: ACKs propagating towards their senders.
     acks: LanePool<AckPacket>,
     links: Vec<LinkState>,
-    flows: Vec<FlowState>,
+    flows: FlowSlab,
+    /// Flows retired so far.
+    retired_flows: usize,
     /// Registered flow spawners (`None` only transiently during dispatch).
     spawners: Vec<Option<SpawnerState>>,
     /// Flow ids that have started and not yet finished, ascending.  The
@@ -542,7 +655,8 @@ impl Network {
             pkts: LanePool::new(),
             acks: LanePool::new(),
             links,
-            flows: Vec::new(),
+            flows: FlowSlab::default(),
+            retired_flows: 0,
             spawners: Vec::new(),
             active_flows: Vec::new(),
             recorder,
@@ -605,7 +719,7 @@ impl Network {
             cfg.size_bytes,
         );
         self.schedule(cfg.start, EventKind::FlowStart(idx32(id)));
-        self.flows.push(FlowState {
+        self.flows.insert(FlowState {
             endpoint,
             reassembly: SeqWindow::new(),
             next_scheduled_poll: Time::MAX,
@@ -614,6 +728,7 @@ impl Network {
             ack_lane: Lane::default(),
             entry_hop: idx32(cfg.entry_hop),
             exit_hop: idx32(cfg.exit_hop.unwrap_or(self.links.len() - 1)),
+            in_network: 0,
             ecn: cfg.ecn,
             retire_on_finish: cfg.retire_on_finish,
             started: false,
@@ -640,17 +755,15 @@ impl Network {
         self.spawners.push(Some(state));
     }
 
-    /// Total number of flows ever created (static adds plus spawned).
+    /// Total number of flows ever created (static adds plus spawned), a
+    /// counter: a retired flow's slot is reused, its id is not.
     pub fn flow_count(&self) -> usize {
         self.flows.len()
     }
 
     /// Flows that finished and had their endpoint/receiver state retired.
     pub fn retired_flow_count(&self) -> usize {
-        self.flows
-            .iter()
-            .filter(|f| f.finished && f.retire_on_finish)
-            .count()
+        self.retired_flows
     }
 
     /// Run the simulation to completion (until `duration`).
@@ -718,12 +831,15 @@ impl Network {
     }
 
     /// Consume the network, returning the recorder (results) and the flow
-    /// endpoints (so callers can inspect controller-internal logs).
-    pub fn finish(self) -> (Recorder, Vec<Box<dyn FlowEndpoint>>) {
-        (
-            self.recorder,
-            self.flows.into_iter().map(|f| f.endpoint).collect(),
-        )
+    /// endpoints (so callers can inspect controller-internal logs).  The
+    /// endpoints keep the engine's slot map, and its slots turn into them in
+    /// place: nothing is built per flow.
+    pub fn finish(self) -> (Recorder, Endpoints) {
+        let endpoints = Endpoints {
+            slot_of: self.flows.slot_of,
+            slots: self.flows.slots.into_iter().map(|f| f.endpoint).collect(),
+        };
+        (self.recorder, endpoints)
     }
 
     /// Access the recorder during/after a run.
@@ -733,7 +849,9 @@ impl Network {
 
     /// Borrow a flow's endpoint (e.g. to inspect controller state mid-run in tests).
     pub fn endpoint(&self, handle: FlowHandle) -> &dyn FlowEndpoint {
-        self.flows[handle.0].endpoint.as_ref()
+        self.flows
+            .get(handle.0)
+            .map_or(&RETIRED, |f| f.endpoint.as_ref())
     }
 
     /// Total number of events processed (diagnostics / benchmarking).
@@ -803,8 +921,9 @@ impl Network {
                 // reschedule itself and the poll chains would multiply without
                 // bound (each ACK that moves the wake-up earlier would leak
                 // one immortal chain).
+                // A flow whose slot was released has no live poll.
                 let id = id as FlowId;
-                if self.now != self.flows[id].next_scheduled_poll {
+                if self.flows.get(id).map(|f| f.next_scheduled_poll) != Some(self.now) {
                     return;
                 }
                 self.flows[id].next_scheduled_poll = Time::MAX;
@@ -825,6 +944,7 @@ impl Network {
                 let lane = &mut self.flows[id as usize].ack_lane;
                 let ack = leave_lane(&mut self.events, &mut self.acks, lane, kind);
                 self.on_ack_arrival(ack);
+                self.flows.release_if_quiescent(id as usize);
             }
             EventKind::RateChange { hop } => self.on_rate_change(hop as usize),
             EventKind::Spawn(idx) => {
@@ -854,13 +974,13 @@ impl Network {
                 let mut i = 0;
                 while i < self.active_flows.len() {
                     let id = self.active_flows[i];
-                    if !self.flows[id].finished {
+                    if !self.flows.finished(id) {
                         self.flows[id].endpoint.on_tick(now);
                         self.poll_flow(id);
                     }
                     i += 1;
                 }
-                self.active_flows.retain(|&id| !self.flows[id].finished);
+                self.active_flows.retain(|&id| !self.flows.finished(id));
                 self.schedule(now + REPORT_INTERVAL, EventKind::Tick);
             }
             EventKind::Sample => {
@@ -872,7 +992,8 @@ impl Network {
     }
 
     fn poll_flow(&mut self, id: FlowId) {
-        if !self.flows[id].started || self.flows[id].finished {
+        let flow = &self.flows[id];
+        if !flow.started || flow.finished {
             return;
         }
         // Cap the number of back-to-back transmissions per poll so a buggy
@@ -921,9 +1042,12 @@ impl Network {
 
     /// Free a finished flow's heavyweight state: the boxed endpoint (sender
     /// window, SACK scoreboard, congestion controller) and the receiver's
-    /// reassembly window.  Straggler events — an ACK still propagating, a packet
-    /// dropped in transit — find a no-op endpoint and a `finished` flag that
-    /// short-circuits the ACK path, so late arrivals are harmless.
+    /// reassembly window.  Straggler events — a packet still propagating or
+    /// dropped in transit, an ACK on its way back — find a no-op endpoint and
+    /// a `finished` flag that short-circuits the ACK path, so late arrivals
+    /// are received, counted and acknowledged as before, and harmless.  The
+    /// slot itself goes back to the free list once the last of them is gone
+    /// (`FlowSlab::release_if_quiescent`).
     fn retire_flow(&mut self, id: FlowId) {
         let flow = &mut self.flows[id];
         flow.endpoint = Box::new(RetiredEndpoint);
@@ -931,6 +1055,8 @@ impl Network {
         let next_expected = flow.reassembly.base();
         flow.reassembly = SeqWindow::new();
         flow.reassembly.advance_to(next_expected);
+        self.retired_flows += 1;
+        self.flows.release_if_quiescent(id);
     }
 
     /// The last hop flow `id` traverses.
@@ -956,13 +1082,15 @@ impl Network {
 
     fn transmit(&mut self, id: FlowId, seq: u64, bytes: u32, retransmit: bool) {
         debug_assert!(bytes > 0, "cannot transmit an empty packet");
-        let entry = self.flows[id].entry_hop as usize;
+        let flow = &self.flows[id];
+        let entry = flow.entry_hop as usize;
         let mut pkt = Packet::new(id, seq, bytes, self.now, retransmit);
         pkt.hop = entry;
-        if self.flows[id].ecn {
+        if flow.ecn {
             pkt.ecn = EcnCodepoint::Ect;
         }
         if self.offer_to_hop(entry, pkt) {
+            self.flows[id].in_network += 1;
             self.total_enqueued_bytes += bytes as u64;
             self.recorder.on_enqueue(id, bytes);
             self.maybe_start_transmission(entry);
@@ -980,7 +1108,9 @@ impl Network {
         } else {
             // The bytes were admitted upstream but died here.
             self.dropped_in_transit_bytes += bytes;
+            self.flows[id].in_network -= 1;
             self.poll_flow(id);
+            self.flows.release_if_quiescent(id);
         }
     }
 
@@ -997,6 +1127,8 @@ impl Network {
             *lost += pkt.size_bytes as u64;
             recorder.on_drop(pkt.flow, hop);
             flows[pkt.flow].endpoint.on_packet_dropped(pkt.seq, now);
+            flows[pkt.flow].in_network -= 1;
+            flows.release_if_quiescent(pkt.flow);
         });
         if let Some(mut pkt) = next {
             let delay = pkt.queueing_delay(self.now);
@@ -1088,6 +1220,9 @@ impl Network {
         self.in_transit_bytes -= pkt.size_bytes as u64;
         self.total_received_bytes += pkt.size_bytes as u64;
         let flow = &mut self.flows[id];
+        // The packet leaves the network, but its ACK enters the flow's ACK
+        // lane, so the slot stays until that ACK arrives.
+        flow.in_network -= 1;
         // Receiver: cumulative ACK generation with duplicate-data suppression.
         let window = &mut flow.reassembly;
         let mut newly_delivered = 0u64;
@@ -1158,6 +1293,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::FlowStats;
 
     /// A constant-bit-rate, paced sender: one MSS every `interval`.
     struct PacedCbr {
@@ -1615,9 +1751,10 @@ mod tests {
             assert_eq!(stats.delivered_bytes, 15_000, "flow {i} delivered");
             assert!(stats.fct().unwrap() > Time::ZERO);
         }
-        // Retirement swapped every endpoint for the inert stub.
-        for ep in &endpoints {
-            assert_eq!(ep.label(), "retired");
+        // Retirement swapped every endpoint for the inert stub, and a flow
+        // whose slot went back to the free list resolves to it too.
+        for id in 0..rec.flows.len() {
+            assert_eq!(endpoints[id].label(), "retired", "flow {id}");
         }
     }
 
@@ -1858,7 +1995,7 @@ mod tests {
             // ACKs as those sent by receivers minus those seen by senders.
             let pkts = net.in_transit_bytes / 1500;
             let acks = net.total_received_bytes / 1500 - census.acks.load(Relaxed);
-            let flows = net.flows.len() as u64 - census.finished.load(Relaxed);
+            let flows = net.flow_count() as u64 - census.finished.load(Relaxed);
             peak_pkts = peak_pkts.max(pkts as usize);
             peak_acks = peak_acks.max(acks as usize);
             peak_flows = peak_flows.max(flows as usize);
@@ -1908,13 +2045,84 @@ mod tests {
             "{} > {peak_events}",
             net.events.high_water()
         );
+        // A flow here finishes only once its last ACK is in, so none drains
+        // after retiring: a slot is back on the free list as its flow
+        // finishes, and one is reused before the slab grows, so the slab
+        // tracks the flows created and not yet finished, not the 2 000.
+        assert!(
+            net.flows.slots.len() <= peak_flows,
+            "{} slots > {peak_flows}",
+            net.flows.slots.len()
+        );
+        assert!(net.flows.get(1_999).is_none(), "the last flow drained");
+    }
+
+    /// Flow 0 of a two-hop path whose second hop loses a fifth of what it
+    /// is offered: a paced 100-packet flow that finishes as it sends its last
+    /// packet, so packets and ACKs are still in its lanes when it does.
+    /// Once it finishes a second flow is added; the run ends at 2 s.
+    /// Returns the recorder, flow 0's stats when it finished, and whether
+    /// flow 0's slot was still held and the second flow's differed from it
+    /// right after the second was added.
+    fn straggling_run(retiring: bool) -> (Recorder, FlowStats, bool) {
+        let lossy = LinkConfig {
+            loss: 0.2,
+            ..LinkConfig::drop_tail(96e6, 0.1).with_prop_delay(Time::from_millis(5))
+        };
+        let mut cfg = SimConfig::new(96e6, 0.1, 2.0).with_hop(lossy);
+        cfg.seed = 3;
+        let mut net = Network::new(cfg);
+        let first = FlowConfig::cross("first", Time::from_millis(40), false).with_size(150_000);
+        let first = if retiring { first.retiring() } else { first };
+        net.add_flow(first, Box::new(PacedCbr::new(50e6).with_limit(100)));
+        net.schedule_clocks();
+        while net.recorder().flows[0].finish.is_none() {
+            assert!(net.step(), "the first flow finishes within the run");
+        }
+        let at_finish = net.recorder().flows[0].clone();
+        net.add_flow(
+            FlowConfig::cross("second", Time::from_millis(40), false),
+            Box::new(PacedCbr::new(10e6)),
+        );
+        let (held, second) = (net.flows.slot_of[0], net.flows.slot_of[1]);
+        let distinct = held != FREE && second != held;
+        while net.step() {}
+        net.close();
+        if retiring {
+            assert!(net.flows.get(0).is_none(), "the retired flow drained");
+        }
+        let (rec, _) = net.finish();
+        (rec, at_finish, distinct)
+    }
+
+    #[test]
+    fn a_retired_flow_keeps_its_slot_until_its_stragglers_are_gone() {
+        let (twin, _, _) = straggling_run(false);
+        let (rec, at_finish, distinct) = straggling_run(true);
+        assert!(
+            distinct,
+            "a flow added while the first drains gets its own slot"
+        );
+        // Stragglers arrived, were dropped in transit and were acknowledged
+        // after the flow retired...
+        let after = &rec.flows[0];
+        assert!(after.received_bytes > at_finish.received_bytes);
+        assert!(after.dropped_packets > at_finish.dropped_packets);
+        // ...and each counts exactly as it does for a flow never retired.
+        for (retired, kept) in rec.flows.iter().zip(&twin.flows) {
+            assert_eq!(retired.received_bytes, kept.received_bytes);
+            assert_eq!(retired.delivered_bytes, kept.delivered_bytes);
+            assert_eq!(retired.dropped_packets, kept.dropped_packets);
+            assert_eq!(retired.finish, kept.finish);
+        }
     }
 
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn a_flow_slot_keeps_only_what_the_packet_path_reads() {
         // 64-bit layout: the boxed endpoint, the reassembly window, the poll
-        // time, half the RTT, two lanes, two `u32` hops and four flags.
+        // time, half the RTT, two lanes, two `u32` hops, the `u32` count of
+        // packets in the network (in what was padding) and four flags.
         assert_eq!(std::mem::size_of::<FlowState>(), 112);
     }
 }

@@ -43,7 +43,9 @@ pub mod schedule;
 pub mod seq_window;
 
 pub use endpoint::{AckInfo, FlowEndpoint, SendAction};
-pub use engine::{FlowConfig, FlowHandle, FlowSpawner, LinkConfig, Network, QueueKind, SimConfig};
+pub use engine::{
+    Endpoints, FlowConfig, FlowHandle, FlowSpawner, LinkConfig, Network, QueueKind, SimConfig,
+};
 pub use eventq::{CalendarQueue, Lane, LanePool};
 pub use nimbus_core_types::Time;
 pub use packet::{EcnCodepoint, FlowId, Packet, MSS};

@@ -202,8 +202,9 @@ pub struct Recorder {
     /// Final per-flow summaries (indexed by FlowId).
     pub flows: Vec<FlowStats>,
 
-    /// Per flow: its slot in the per-monitored-flow series, if monitored.
-    monitored_index: Vec<Option<usize>>,
+    /// The monitored flows in registration order, so ascending by id: a
+    /// flow's position here is its slot in the per-monitored-flow series.
+    monitored: Vec<FlowId>,
     /// `(size_bytes, fct_seconds)` appended as finite flows finish.
     fct_stream: Vec<(u64, f64)>,
     intervals: IntervalBuf,
@@ -229,7 +230,7 @@ impl Recorder {
             cross_rate_mbps: TimeSeries::default(),
             elastic_fraction: TimeSeries::default(),
             flows: Vec::new(),
-            monitored_index: Vec::new(),
+            monitored: Vec::new(),
             fct_stream: Vec::new(),
             intervals: IntervalBuf::default(),
             cross_elastic_bytes: 0,
@@ -274,19 +275,20 @@ impl Recorder {
             size_bytes,
         });
         if monitored {
-            self.monitored_index.push(Some(self.throughput_mbps.len()));
+            debug_assert!(self.monitored.last().is_none_or(|&m| m < id));
+            self.monitored.push(id);
             self.throughput_mbps.push(TimeSeries::default());
             self.rtt_ms.push(TimeSeries::default());
             self.queue_delay_ms.push(TimeSeries::default());
             self.intervals.push_slot();
-        } else {
-            self.monitored_index.push(None);
         }
     }
 
-    /// Monitored-series index for a flow, if it is monitored.
+    /// Monitored-series index for a flow, if it is monitored: a binary
+    /// search of the monitored flows, which are registered in id order (a
+    /// fleet can monitor dozens).
     pub fn monitored_slot(&self, id: FlowId) -> Option<usize> {
-        self.monitored_index.get(id).copied().flatten()
+        self.monitored.binary_search(&id).ok()
     }
 
     /// A data packet of `bytes` from `flow` was accepted into the bottleneck queue.

@@ -111,7 +111,11 @@ impl FleetWorkloadConfig {
 ///
 /// A flow costs four allocations: its recorder label `fleet-<i>` (moved,
 /// never copied, into the recorder) and three boxes (sender, controller,
-/// source).  The sender itself carries the static label `fleet`.
+/// source).  The sender itself carries the static label `fleet`.  The boxes
+/// are freed when the flow retires, and the engine slot that held them is
+/// reused once its last packet and ACK are gone; what the run keeps per flow
+/// is the recorder's `FlowStats` (with the label), its completion record
+/// and a 4-byte slot map entry.
 pub struct FleetSpawner {
     cfg: FleetWorkloadConfig,
     rng: StdRng,
