@@ -252,7 +252,7 @@ pub fn fig12(quick: bool) -> ExperimentResult {
     // Ground truth per interval from the recorder; detector verdicts from the
     // controller.  A period is "elastic" if more than 30% of cross bytes came
     // from flows large enough to be ACK-clocked.
-    let truth = series_of(&out.recorder.elastic_fraction);
+    let truth = series_of(out.recorder.elastic_fraction());
     // (truth, verdict) per decision, averaging the ground truth over the
     // preceding detector window.
     let decisions: Vec<(bool, bool)> = m

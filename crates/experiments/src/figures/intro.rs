@@ -69,7 +69,7 @@ pub fn fig03(quick: bool) -> ExperimentResult {
     let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), 2.0);
     let m = &out.flows[0];
     // Self-inflicted delay ≈ total queueing delay × our share of throughput.
-    let total_qd: Vec<(f64, f64)> = series_of(&out.recorder.queue_bytes)
+    let total_qd: Vec<(f64, f64)> = series_of(out.recorder.queue_bytes())
         .into_iter()
         .map(|(t, bytes)| (t, bytes * 8.0 / 48e6 * 1000.0))
         .collect();
@@ -108,7 +108,7 @@ fn z_series_against(elastic: bool, duration_s: f64, seed: u64) -> (Vec<(f64, f64
     let spec = scenario(&format!("96M vs {cross} seed={seed} dur={duration_s}s"));
     let out = run_scheme_vs_cross(&spec, SchemeSpec::nimbus(), 2.0);
     let eta = out.flows[0].eta_series.last().map_or(f64::NAN, |&(_, e)| e);
-    (series_of(&out.recorder.cross_rate_mbps), eta)
+    (series_of(out.recorder.cross_rate_mbps()), eta)
 }
 
 /// Fig. 4: the cross traffic's reaction to pulses — elastic traffic reacts,

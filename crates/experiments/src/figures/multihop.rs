@@ -50,7 +50,8 @@ pub fn multihop_secondary(quick: bool) -> ExperimentResult {
             m.delay_mode_fraction,
         );
         // Where did the standing queue live?  Per-hop mean occupancy (kB).
-        for (hop, series) in out.recorder.hop_queue_bytes.iter().enumerate() {
+        for hop in 0..out.recorder.num_hops() {
+            let series = out.recorder.hop_queue_bytes(hop);
             result.row(
                 &format!("{}_hop{hop}_queue_kbytes", m.label),
                 series.mean_in_range(10.0, duration) / 1e3,
@@ -96,7 +97,8 @@ pub fn multihop_moving(quick: bool) -> ExperimentResult {
             m.delay_mode_fraction,
         );
         // The migrating standing queue, per hop, before and after the swap.
-        for (hop, series) in out.recorder.hop_queue_bytes.iter().enumerate() {
+        for hop in 0..out.recorder.num_hops() {
+            let series = out.recorder.hop_queue_bytes(hop);
             result.row(
                 &format!("{}_hop{hop}_pre_swap_kbytes", m.label),
                 series.mean_in_range(8.0, swap_at) / 1e3,

@@ -60,12 +60,15 @@ pub struct RunOutput {
 
 /// A recorder series as `(t, v)` pairs, skipping non-finite values (an
 /// interval with no observation is NaN).
-pub fn series_of(ts: &TimeSeries) -> Vec<(f64, f64)> {
-    ts.t.iter()
-        .zip(ts.v.iter())
-        .filter(|(_, v)| v.is_finite())
-        .map(|(t, v)| (*t, *v))
-        .collect()
+pub fn series_of(ts: TimeSeries<'_>) -> Vec<(f64, f64)> {
+    let mut pairs = Vec::with_capacity(ts.len());
+    pairs.extend(
+        ts.t.iter()
+            .zip(ts.v)
+            .filter(|(_, v)| v.is_finite())
+            .map(|(t, v)| (*t, *v)),
+    );
+    pairs
 }
 
 /// Pull the Nimbus controller out of a boxed endpoint, if that is what it is.
@@ -138,9 +141,9 @@ pub fn run_and_collect(
         let slot = recorder
             .monitored_slot(handle.0)
             .expect("monitored flow expected");
-        let tput = &recorder.throughput_mbps[slot];
-        let rtt = &recorder.rtt_ms[slot];
-        let qd = &recorder.queue_delay_ms[slot];
+        let tput = recorder.throughput_mbps(slot);
+        let rtt = recorder.rtt_ms(slot);
+        let qd = recorder.queue_delay_ms(slot);
         let mut metrics = SingleFlowMetrics {
             label: scheme.label(),
             mean_throughput_mbps: tput.mean_in_range(steady_start_s, duration_s),

@@ -1409,13 +1409,13 @@ mod tests {
         let (rec, _) = net.finish();
         let slot = rec.monitored_slot(h.0).unwrap();
         // Throughput ~10 Mbit/s after startup.
-        let tput = rec.throughput_mbps[slot].mean_in_range(2.0, 10.0);
+        let tput = rec.throughput_mbps(slot).mean_in_range(2.0, 10.0);
         assert!((tput - 10.0).abs() < 1.0, "throughput {tput}");
         // Mean RTT close to the propagation RTT.
-        let rtt = rec.rtt_ms[slot].mean_in_range(2.0, 10.0);
+        let rtt = rec.rtt_ms(slot).mean_in_range(2.0, 10.0);
         assert!((rtt - 50.0).abs() < 2.0, "rtt {rtt}");
         // Per-packet queueing delay ~0.
-        let qd = rec.queue_delay_ms[slot].mean_in_range(2.0, 10.0);
+        let qd = rec.queue_delay_ms(slot).mean_in_range(2.0, 10.0);
         assert!(qd < 1.0, "queue delay {qd}");
     }
 
@@ -1431,9 +1431,9 @@ mod tests {
         net.run();
         let (rec, _) = net.finish();
         let slot = rec.monitored_slot(h.0).unwrap();
-        let tput = rec.throughput_mbps[slot].mean_in_range(5.0, 20.0);
+        let tput = rec.throughput_mbps(slot).mean_in_range(5.0, 20.0);
         assert!((tput - 12.0).abs() < 1.0, "throughput {tput}");
-        let qd = rec.queue_delay_ms[slot].mean_in_range(5.0, 20.0);
+        let qd = rec.queue_delay_ms(slot).mean_in_range(5.0, 20.0);
         assert!(qd > 60.0 && qd <= 105.0, "queue delay {qd}");
         // Drops must have occurred once the buffer filled.
         assert!(rec.flows[h.0].dropped_packets > 0);
@@ -1454,13 +1454,13 @@ mod tests {
         net.run();
         let (rec, _) = net.finish();
         let slot = rec.monitored_slot(h.0).unwrap();
-        let tput = rec.throughput_mbps[slot].mean_in_range(5.0, 30.0);
+        let tput = rec.throughput_mbps(slot).mean_in_range(5.0, 30.0);
         assert!((tput - 48.0).abs() < 2.0, "throughput {tput}");
         // Standing queue of ~1 BDP => queueing delay ~ RTT (50 ms).
-        let qd = rec.queue_delay_ms[slot].mean_in_range(5.0, 30.0);
+        let qd = rec.queue_delay_ms(slot).mean_in_range(5.0, 30.0);
         assert!((qd - 50.0).abs() < 10.0, "queue delay {qd}");
         // RTT observed = propagation + queueing ≈ 100 ms.
-        let rtt_obs = rec.rtt_ms[slot].mean_in_range(5.0, 30.0);
+        let rtt_obs = rec.rtt_ms(slot).mean_in_range(5.0, 30.0);
         assert!((rtt_obs - 100.0).abs() < 12.0, "rtt {rtt_obs}");
     }
 
@@ -1478,8 +1478,12 @@ mod tests {
         );
         net.run();
         let (rec, _) = net.finish();
-        let t1 = rec.throughput_mbps[rec.monitored_slot(h1.0).unwrap()].mean_in_range(10.0, 30.0);
-        let t2 = rec.throughput_mbps[rec.monitored_slot(h2.0).unwrap()].mean_in_range(10.0, 30.0);
+        let t1 = rec
+            .throughput_mbps(rec.monitored_slot(h1.0).unwrap())
+            .mean_in_range(10.0, 30.0);
+        let t2 = rec
+            .throughput_mbps(rec.monitored_slot(h2.0).unwrap())
+            .mean_in_range(10.0, 30.0);
         assert!((t1 + t2 - 96.0).abs() < 4.0, "sum {t1}+{t2}");
         assert!((t1 - t2).abs() < 10.0, "unfair split {t1} vs {t2}");
     }
@@ -1539,18 +1543,18 @@ mod tests {
         );
         net.run();
         let (rec, _) = net.finish();
-        let frac: Vec<f64> = rec
-            .elastic_fraction
+        let truth = rec.elastic_fraction();
+        let frac: Vec<f64> = truth
             .t
             .iter()
-            .zip(rec.elastic_fraction.v.iter())
+            .zip(truth.v)
             .filter(|(t, _)| **t > 2.0)
             .map(|(_, v)| *v)
             .collect();
         let mean = frac.iter().sum::<f64>() / frac.len() as f64;
         assert!((mean - 0.25).abs() < 0.05, "elastic fraction {mean}");
         // Cross rate ground truth ~40 Mbit/s.
-        let z = rec.cross_rate_mbps.mean_in_range(2.0, 10.0);
+        let z = rec.cross_rate_mbps().mean_in_range(2.0, 10.0);
         assert!((z - 40.0).abs() < 3.0, "cross rate {z}");
     }
 
@@ -1894,8 +1898,8 @@ mod tests {
         net.run();
         let (rec, _) = net.finish();
         let slot = rec.monitored_slot(h.0).unwrap();
-        let before = rec.throughput_mbps[slot].mean_in_range(0.0, 4.5);
-        let after = rec.throughput_mbps[slot].mean_in_range(6.0, 10.0);
+        let before = rec.throughput_mbps(slot).mean_in_range(0.0, 4.5);
+        let after = rec.throughput_mbps(slot).mean_in_range(6.0, 10.0);
         assert!(before < 0.5, "no traffic before start, got {before}");
         assert!(
             (after - 10.0).abs() < 1.0,

@@ -12,27 +12,34 @@
 //!
 //! A packet only adds to its sampling interval's sums and counters: the
 //! stores grow per interval, per flow and per completed flow, never per
-//! packet.
+//! packet.  Every series is sampled on one clock, kept once: an interval
+//! pushes its time onto the clock and one value onto each column, and a
+//! reader borrows a column with its times as a [`TimeSeries`].
 
 use crate::packet::FlowId;
 use nimbus_core_types::Time;
 use serde::Serialize;
 use std::fmt;
 
-/// A uniformly sampled time series.
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct TimeSeries {
+/// One recorded series: the recorder's sample clock and one column of
+/// values, borrowed from the [`Recorder`] that holds them.
+#[derive(Debug, Clone, Copy)]
+pub struct TimeSeries<'a> {
     /// Sample timestamps in seconds.
-    pub t: Vec<f64>,
-    /// Sample values.
-    pub v: Vec<f64>,
+    pub t: &'a [f64],
+    /// Sample values, one per timestamp.
+    pub v: &'a [f64],
 }
 
-impl TimeSeries {
-    /// Append a sample.
-    pub fn push(&mut self, t: f64, v: f64) {
-        self.t.push(t);
-        self.v.push(v);
+impl<'a> TimeSeries<'a> {
+    /// `column` on the shared `clock`.  A column shorter than the clock
+    /// belongs to a flow registered mid-run: its values are the clock's
+    /// last `column.len()` samples.
+    fn on(clock: &'a [f64], column: &'a [f64]) -> Self {
+        TimeSeries {
+            t: &clock[clock.len() - column.len()..],
+            v: column,
+        }
     }
 
     /// Number of samples.
@@ -55,7 +62,7 @@ impl TimeSeries {
         mean_of_finite(
             self.t
                 .iter()
-                .zip(&self.v)
+                .zip(self.v)
                 .filter(|(t, _)| **t >= t0 && **t <= t1)
                 .map(|(_, v)| *v),
         )
@@ -64,6 +71,26 @@ impl TimeSeries {
     /// Mean over all (finite) samples; NaN when there are none.
     pub fn mean(&self) -> f64 {
         mean_of_finite(self.v.iter().copied())
+    }
+}
+
+/// `{"t":[…],"v":[…]}`.
+impl Serialize for TimeSeries<'_> {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.map([("t", self.t), ("v", self.v)]);
+    }
+}
+
+/// Per-flow or per-hop columns on one clock, written as an array of
+/// [`TimeSeries`].
+struct Columns<'a> {
+    clock: &'a [f64],
+    columns: &'a [Vec<f64>],
+}
+
+impl Serialize for Columns<'_> {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.seq(self.columns.iter().map(|c| TimeSeries::on(self.clock, c)));
     }
 }
 
@@ -170,23 +197,29 @@ impl FlowStats {
 /// by its [`Recorder::monitored_slot`]; every flow gets its [`FlowStats`];
 /// and a finite flow that finishes appends its completion to
 /// [`Recorder::fct_stream`].
+///
+/// Every series is sampled on one clock, stored once: a series is a bare
+/// column of values, and its accessor lends it out as a [`TimeSeries`]
+/// over the shared sample times.
 #[derive(Debug)]
 pub struct Recorder {
     cfg: RecorderConfig,
+    /// Sample times in seconds, one per closed interval: the clock every
+    /// column below is sampled on.
+    t: Vec<f64>,
     /// Per monitored flow: throughput in Mbit/s per interval.
-    pub throughput_mbps: Vec<TimeSeries>,
+    throughput_mbps: Vec<Vec<f64>>,
     /// Per monitored flow: mean RTT (ms) per interval.
-    pub rtt_ms: Vec<TimeSeries>,
-    /// Per monitored flow: mean per-packet bottleneck queueing delay (ms) per interval.
-    pub queue_delay_ms: Vec<TimeSeries>,
-    /// Total path queue occupancy (bytes) summed over every hop, sampled
-    /// every interval.  For a single-hop path this *is* the bottleneck
-    /// occupancy, exactly as in the single-link engine.
-    pub queue_bytes: TimeSeries,
-    /// Per-hop queue occupancy (bytes), sampled every interval; indexed by
-    /// path hop.  `hop_queue_bytes[0]` duplicates `queue_bytes` on a
-    /// single-hop path.
-    pub hop_queue_bytes: Vec<TimeSeries>,
+    rtt_ms: Vec<Vec<f64>>,
+    /// Per monitored flow: mean per-packet bottleneck queueing delay (ms)
+    /// per interval.
+    queue_delay_ms: Vec<Vec<f64>>,
+    /// Total path queue occupancy (bytes) summed over every hop, per
+    /// interval.  On a single-hop path this *is* the bottleneck occupancy.
+    queue_bytes: Vec<f64>,
+    /// Per-hop queue occupancy (bytes) per interval, indexed by path hop;
+    /// empty on a single-hop path, whose one hop reads `queue_bytes`.
+    hop_queue_bytes: Vec<Vec<f64>>,
     /// Packets dropped at each hop (queue, AQM or loss model).
     pub hop_dropped_packets: Vec<u64>,
     /// Cumulative CE marks applied by each hop's queue, as the engine read
@@ -195,10 +228,10 @@ pub struct Recorder {
     pub hop_marked_packets: Vec<u64>,
     /// Cross-traffic arrival rate at the bottleneck (Mbit/s) per interval
     /// — the ground-truth `z(t)`.
-    pub cross_rate_mbps: TimeSeries,
+    cross_rate_mbps: Vec<f64>,
     /// Fraction of cross-traffic bytes (per interval) belonging to flows
     /// tagged elastic — the ground truth of Fig. 12.
-    pub elastic_fraction: TimeSeries,
+    elastic_fraction: Vec<f64>,
     /// Final per-flow summaries (indexed by FlowId).
     pub flows: Vec<FlowStats>,
 
@@ -218,17 +251,19 @@ impl Recorder {
     /// registered afterwards by the engine.
     pub fn new(cfg: RecorderConfig, num_hops: usize) -> Self {
         assert!(num_hops > 0, "a path has at least one hop");
+        let hop_columns = if num_hops > 1 { num_hops } else { 0 };
         Recorder {
             cfg,
+            t: Vec::new(),
             throughput_mbps: Vec::new(),
             rtt_ms: Vec::new(),
             queue_delay_ms: Vec::new(),
-            queue_bytes: TimeSeries::default(),
-            hop_queue_bytes: vec![TimeSeries::default(); num_hops],
+            queue_bytes: Vec::new(),
+            hop_queue_bytes: vec![Vec::new(); hop_columns],
             hop_dropped_packets: vec![0; num_hops],
             hop_marked_packets: vec![0; num_hops],
-            cross_rate_mbps: TimeSeries::default(),
-            elastic_fraction: TimeSeries::default(),
+            cross_rate_mbps: Vec::new(),
+            elastic_fraction: Vec::new(),
             flows: Vec::new(),
             monitored: Vec::new(),
             fct_stream: Vec::new(),
@@ -246,7 +281,51 @@ impl Recorder {
 
     /// Number of path hops this recorder tracks.
     pub fn num_hops(&self) -> usize {
-        self.hop_queue_bytes.len()
+        self.hop_dropped_packets.len()
+    }
+
+    /// Throughput (Mbit/s) per interval of the monitored flow in `slot`.
+    pub fn throughput_mbps(&self, slot: usize) -> TimeSeries<'_> {
+        TimeSeries::on(&self.t, &self.throughput_mbps[slot])
+    }
+
+    /// Mean RTT (ms) per interval of the monitored flow in `slot`; NaN for
+    /// an interval without an RTT sample.
+    pub fn rtt_ms(&self, slot: usize) -> TimeSeries<'_> {
+        TimeSeries::on(&self.t, &self.rtt_ms[slot])
+    }
+
+    /// Mean per-packet bottleneck queueing delay (ms) per interval of the
+    /// monitored flow in `slot`; NaN for an interval without a dequeue.
+    pub fn queue_delay_ms(&self, slot: usize) -> TimeSeries<'_> {
+        TimeSeries::on(&self.t, &self.queue_delay_ms[slot])
+    }
+
+    /// Total path queue occupancy (bytes) summed over every hop.
+    pub fn queue_bytes(&self) -> TimeSeries<'_> {
+        TimeSeries::on(&self.t, &self.queue_bytes)
+    }
+
+    /// Queue occupancy (bytes) of path hop `hop`; on a single-hop path
+    /// hop 0's is [`Recorder::queue_bytes`].
+    pub fn hop_queue_bytes(&self, hop: usize) -> TimeSeries<'_> {
+        assert!(hop < self.num_hops(), "hop {hop} is not on the path");
+        match self.hop_queue_bytes.get(hop) {
+            Some(column) => TimeSeries::on(&self.t, column),
+            None => self.queue_bytes(),
+        }
+    }
+
+    /// Cross-traffic arrival rate at the bottleneck (Mbit/s) — the
+    /// ground-truth `z(t)`.
+    pub fn cross_rate_mbps(&self) -> TimeSeries<'_> {
+        TimeSeries::on(&self.t, &self.cross_rate_mbps)
+    }
+
+    /// Fraction of cross-traffic bytes belonging to flows tagged elastic —
+    /// the ground truth of Fig. 12.
+    pub fn elastic_fraction(&self) -> TimeSeries<'_> {
+        TimeSeries::on(&self.t, &self.elastic_fraction)
     }
 
     /// Register a flow. `monitored` flows get full time series; the engine
@@ -277,9 +356,9 @@ impl Recorder {
         if monitored {
             debug_assert!(self.monitored.last().is_none_or(|&m| m < id));
             self.monitored.push(id);
-            self.throughput_mbps.push(TimeSeries::default());
-            self.rtt_ms.push(TimeSeries::default());
-            self.queue_delay_ms.push(TimeSeries::default());
+            self.throughput_mbps.push(Vec::new());
+            self.rtt_ms.push(Vec::new());
+            self.queue_delay_ms.push(Vec::new());
             self.intervals.push_slot();
         }
     }
@@ -358,51 +437,50 @@ impl Recorder {
     /// Close the current sampling interval at time `now` with each hop's
     /// queue occupancy in path order.
     pub fn sample(&mut self, now: Time, hop_queue_bytes: &[u64]) {
-        debug_assert_eq!(hop_queue_bytes.len(), self.hop_queue_bytes.len());
-        let t = now.as_secs_f64();
+        debug_assert_eq!(hop_queue_bytes.len(), self.num_hops());
         let dt = now.saturating_sub(self.last_sample).as_secs_f64();
         self.last_sample = now;
+        self.t.push(now.as_secs_f64());
         let total: u64 = hop_queue_bytes.iter().sum();
-        self.queue_bytes.push(t, total as f64);
-        for (series, &bytes) in self.hop_queue_bytes.iter_mut().zip(hop_queue_bytes) {
-            series.push(t, bytes as f64);
+        self.queue_bytes.push(total as f64);
+        for (column, &bytes) in self.hop_queue_bytes.iter_mut().zip(hop_queue_bytes) {
+            column.push(bytes as f64);
         }
 
         let cross_total = self.cross_elastic_bytes + self.cross_inelastic_bytes;
-        if dt > 0.0 {
-            self.cross_rate_mbps
-                .push(t, cross_total as f64 * 8.0 / dt / 1e6);
+        self.cross_rate_mbps.push(if dt > 0.0 {
+            cross_total as f64 * 8.0 / dt / 1e6
         } else {
-            self.cross_rate_mbps.push(t, 0.0);
-        }
+            0.0
+        });
         let frac = if cross_total > 0 {
             self.cross_elastic_bytes as f64 / cross_total as f64
         } else {
             0.0
         };
-        self.elastic_fraction.push(t, frac);
+        self.elastic_fraction.push(frac);
         self.cross_elastic_bytes = 0;
         self.cross_inelastic_bytes = 0;
 
-        for slot in 0..self.throughput_mbps.len() {
+        for slot in 0..self.monitored.len() {
             let tput = if dt > 0.0 {
                 self.intervals.received_bytes[slot] as f64 * 8.0 / dt / 1e6
             } else {
                 0.0
             };
-            self.throughput_mbps[slot].push(t, tput);
+            self.throughput_mbps[slot].push(tput);
             let rtt = if self.intervals.rtt_count[slot] > 0 {
                 self.intervals.rtt_sum_ms[slot] / self.intervals.rtt_count[slot] as f64
             } else {
                 f64::NAN
             };
-            self.rtt_ms[slot].push(t, rtt);
+            self.rtt_ms[slot].push(rtt);
             let qd = if self.intervals.qdelay_count[slot] > 0 {
                 self.intervals.qdelay_sum_ms[slot] / self.intervals.qdelay_count[slot] as f64
             } else {
                 f64::NAN
             };
-            self.queue_delay_ms[slot].push(t, qd);
+            self.queue_delay_ms[slot].push(qd);
             self.intervals.reset(slot);
         }
     }
@@ -438,15 +516,17 @@ impl Serialize for Snapshot<'_> {
         // snapshots stay byte-identical to the engine's before paths and ECN.
         let hops = r.num_hops() > 1;
         let marks = r.hop_marked_packets.iter().any(|&m| m > 0);
+        let clock = &r.t[..];
+        let columns = |columns| Columns { clock, columns };
         let entries: [(&str, &dyn Serialize, bool); 10] = [
-            ("throughput_mbps", &r.throughput_mbps, true),
-            ("rtt_ms", &r.rtt_ms, true),
-            ("queue_delay_ms", &r.queue_delay_ms, true),
-            ("queue_bytes", &r.queue_bytes, true),
-            ("cross_rate_mbps", &r.cross_rate_mbps, true),
-            ("elastic_fraction", &r.elastic_fraction, true),
+            ("throughput_mbps", &columns(&r.throughput_mbps), true),
+            ("rtt_ms", &columns(&r.rtt_ms), true),
+            ("queue_delay_ms", &columns(&r.queue_delay_ms), true),
+            ("queue_bytes", &r.queue_bytes(), true),
+            ("cross_rate_mbps", &r.cross_rate_mbps(), true),
+            ("elastic_fraction", &r.elastic_fraction(), true),
             ("flows", &r.flows, true),
-            ("hop_queue_bytes", &r.hop_queue_bytes, hops),
+            ("hop_queue_bytes", &columns(&r.hop_queue_bytes), hops),
             ("hop_dropped_packets", &r.hop_dropped_packets, hops),
             ("hop_marked_packets", &r.hop_marked_packets, marks),
         ];
@@ -502,29 +582,34 @@ mod tests {
 
     #[test]
     fn time_series_basic_ops() {
-        let mut ts = TimeSeries::default();
-        assert!(ts.is_empty());
-        ts.push(0.0, 1.0);
-        ts.push(1.0, 3.0);
-        ts.push(2.0, 5.0);
+        let ts = TimeSeries {
+            t: &[0.0, 1.0, 2.0],
+            v: &[1.0, 3.0, 5.0],
+        };
+        assert!(!ts.is_empty());
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.mean(), 3.0);
         assert_eq!(ts.mean_in_range(0.5, 2.5), 4.0);
-        assert_eq!(ts.v, [1.0, 3.0, 5.0]);
     }
 
     #[test]
     fn empty_ranges_yield_nan_not_zero() {
         // Regression: a window with no samples used to report 0.0, which is
         // indistinguishable from a genuine zero throughput/RTT.
-        let mut ts = TimeSeries::default();
-        assert!(ts.mean().is_nan());
-        assert!(ts.mean_in_range(0.0, 10.0).is_nan());
-        ts.push(0.0, f64::NAN);
-        ts.push(1.0, f64::NAN);
-        assert!(ts.mean().is_nan(), "all-NaN series must stay NaN");
-        assert!(ts.mean_in_range(0.0, 2.0).is_nan());
-        ts.push(2.0, 0.0);
+        let empty = TimeSeries { t: &[], v: &[] };
+        assert!(empty.is_empty());
+        assert!(empty.mean().is_nan());
+        assert!(empty.mean_in_range(0.0, 10.0).is_nan());
+        let no_data = TimeSeries {
+            t: &[0.0, 1.0],
+            v: &[f64::NAN, f64::NAN],
+        };
+        assert!(no_data.mean().is_nan(), "all-NaN series must stay NaN");
+        assert!(no_data.mean_in_range(0.0, 2.0).is_nan());
+        let ts = TimeSeries {
+            t: &[0.0, 1.0, 2.0],
+            v: &[f64::NAN, f64::NAN, 0.0],
+        };
         // A genuine zero sample is reported as zero, not NaN.
         assert_eq!(ts.mean(), 0.0);
         assert_eq!(ts.mean_in_range(1.5, 2.5), 0.0);
@@ -551,19 +636,19 @@ mod tests {
         r.on_dequeue(0, Time::from_millis(10));
         r.sample(Time::from_millis(100), &[42_000]);
 
-        assert_eq!(r.throughput_mbps[0].len(), 1);
-        assert!((r.throughput_mbps[0].v[0] - 100.0).abs() < 1e-9);
-        assert!((r.rtt_ms[0].v[0] - 70.0).abs() < 1e-9);
-        assert!((r.queue_delay_ms[0].v[0] - 10.0).abs() < 1e-9);
-        assert!((r.elastic_fraction.v[0] - 0.75).abs() < 1e-9);
-        assert_eq!(r.queue_bytes.v[0], 42_000.0);
+        assert_eq!(r.throughput_mbps(0).len(), 1);
+        assert!((r.throughput_mbps(0).v[0] - 100.0).abs() < 1e-9);
+        assert!((r.rtt_ms(0).v[0] - 70.0).abs() < 1e-9);
+        assert!((r.queue_delay_ms(0).v[0] - 10.0).abs() < 1e-9);
+        assert!((r.elastic_fraction().v[0] - 0.75).abs() < 1e-9);
+        assert_eq!(r.queue_bytes().v[0], 42_000.0);
         // Cross rate: 6000 bytes in 0.1 s = 0.48 Mbit/s.
-        assert!((r.cross_rate_mbps.v[0] - 0.48).abs() < 1e-9);
+        assert!((r.cross_rate_mbps().v[0] - 0.48).abs() < 1e-9);
 
         // Interval counters reset.
         r.sample(Time::from_millis(200), &[0]);
-        assert_eq!(r.throughput_mbps[0].v[1], 0.0);
-        assert_eq!(r.elastic_fraction.v[1], 0.0);
+        assert_eq!(r.throughput_mbps(0).v[1], 0.0);
+        assert_eq!(r.elastic_fraction().v[1], 0.0);
     }
 
     #[test]
@@ -692,6 +777,110 @@ mod tests {
         ];
         assert_eq!(keys(&r)[..one_hop.len()], one_hop);
         assert_eq!(keys(&r)[one_hop.len()..], two_hop_marking);
+    }
+
+    /// A two-hop recorder with a monitored flow, an elastic cross flow and
+    /// a monitored flow registered after the first of two samples.
+    fn two_hop_two_samples() -> Recorder {
+        let mut r = Recorder::new(RecorderConfig::default(), 2);
+        r.register_flow(0, "a".into(), None, true, Time::ZERO, None);
+        r.register_flow(1, "x".into(), Some(true), false, Time::ZERO, Some(3000));
+        r.on_flow_start(0);
+        r.on_flow_start(1);
+        r.on_arrival(0, 12_500);
+        r.on_rtt_sample(0, Time::from_millis(50));
+        r.on_dequeue(0, Time::from_millis(4));
+        r.on_enqueue(1, 1500);
+        r.on_drop(1, 1);
+        r.sample(Time::from_millis(100), &[3000, 1500]);
+        r.register_flow(2, "late".into(), None, true, Time::from_millis(150), None);
+        r.on_arrival(0, 25_000);
+        r.on_arrival(2, 1500);
+        r.sample(Time::from_millis(200), &[0, 1500]);
+        r
+    }
+
+    /// The snapshot's exact bytes: each series writes the shared clock as
+    /// its own `t`, and the late flow's series starts at its first sample.
+    #[test]
+    fn a_two_hop_snapshot_writes_these_bytes() {
+        let r = two_hop_two_samples();
+        let expected = concat!(
+            r#"{"throughput_mbps":[{"t":[0.1,0.2],"v":[1,2]},{"t":[0.2],"v":[0.12]}],"#,
+            r#""rtt_ms":[{"t":[0.1,0.2],"v":[50,null]},{"t":[0.2],"v":[null]}],"#,
+            r#""queue_delay_ms":[{"t":[0.1,0.2],"v":[4,null]},{"t":[0.2],"v":[null]}],"#,
+            r#""queue_bytes":{"t":[0.1,0.2],"v":[4500,1500]},"#,
+            r#""cross_rate_mbps":{"t":[0.1,0.2],"v":[0.12,0]},"#,
+            r#""elastic_fraction":{"t":[0.1,0.2],"v":[1,0]},"#,
+            r#""flows":[{"id":0,"label":"a","counts_as_elastic":null,"start":[0],"#,
+            r#""started":true,"finish":null,"delivered_bytes":0,"received_bytes":37500,"#,
+            r#""dropped_packets":0,"size_bytes":null},"#,
+            r#"{"id":1,"label":"x","counts_as_elastic":true,"start":[0],"#,
+            r#""started":true,"finish":null,"delivered_bytes":0,"received_bytes":0,"#,
+            r#""dropped_packets":1,"size_bytes":3000},"#,
+            r#"{"id":2,"label":"late","counts_as_elastic":null,"start":[150000000],"#,
+            r#""started":false,"finish":null,"delivered_bytes":0,"received_bytes":1500,"#,
+            r#""dropped_packets":0,"size_bytes":null}],"#,
+            r#""hop_queue_bytes":[{"t":[0.1,0.2],"v":[3000,0]},{"t":[0.1,0.2],"v":[1500,1500]}],"#,
+            r#""hop_dropped_packets":[0,1]}"#,
+        );
+        assert_eq!(serde_json::to_string(&r.snapshot()).unwrap(), expected);
+    }
+
+    #[test]
+    fn every_view_of_a_run_shares_one_clock() {
+        let r = two_hop_two_samples();
+        let clock = r.queue_bytes().t;
+        assert_eq!(clock, [0.1, 0.2]);
+        let views = [
+            r.throughput_mbps(0),
+            r.rtt_ms(0),
+            r.queue_delay_ms(0),
+            r.hop_queue_bytes(0),
+            r.hop_queue_bytes(1),
+            r.cross_rate_mbps(),
+            r.elastic_fraction(),
+        ];
+        for view in views {
+            assert_eq!(view.t.as_ptr(), clock.as_ptr());
+            assert_eq!(view.t.len(), clock.len());
+            assert_eq!(view.v.len(), clock.len());
+        }
+    }
+
+    #[test]
+    fn a_flow_registered_after_k_samples_reads_the_last_n_minus_k_times() {
+        let mut r = Recorder::new(RecorderConfig::default(), 1);
+        r.register_flow(0, "early".into(), None, true, Time::ZERO, None);
+        let (n, k) = (7u64, 3u64);
+        for i in 1..=n {
+            if i == k + 1 {
+                r.register_flow(1, "late".into(), None, true, Time::ZERO, None);
+            }
+            r.on_arrival(r.flows.len() - 1, 1250 * i);
+            r.sample(Time::from_millis(100 * i), &[0]);
+        }
+        let clock = r.throughput_mbps(0).t;
+        assert_eq!(clock.len(), n as usize);
+        for late in [r.throughput_mbps(1), r.rtt_ms(1), r.queue_delay_ms(1)] {
+            assert_eq!(late.len(), (n - k) as usize);
+            assert_eq!(late.t, &clock[k as usize..]);
+        }
+        let first = r.throughput_mbps(1).v[0];
+        assert!((first - 1250.0 * (k + 1) as f64 * 8.0 / 0.1 / 1e6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_hop_reads_its_hop_queue_as_the_path_queue() {
+        let mut r = Recorder::new(RecorderConfig::default(), 1);
+        for (i, bytes) in [1500, 0, 4500].into_iter().enumerate() {
+            r.sample(Time::from_millis(100 * (i as u64 + 1)), &[bytes]);
+        }
+        assert_eq!(r.num_hops(), 1);
+        let (hop, path) = (r.hop_queue_bytes(0), r.queue_bytes());
+        assert_eq!(hop.t, path.t);
+        assert_eq!(hop.v, path.v);
+        assert_eq!(hop.v, [1500.0, 0.0, 4500.0]);
     }
 
     #[test]

@@ -102,11 +102,11 @@ fn secondary_bottleneck_caps_throughput_at_the_path_minimum() {
     net.run();
     let (rec, _) = net.finish();
     let slot = rec.monitored_slot(h.0).unwrap();
-    let tput = rec.throughput_mbps[slot].mean_in_range(4.0, 10.0);
+    let tput = rec.throughput_mbps(slot).mean_in_range(4.0, 10.0);
     assert!((tput - 12.0).abs() < 1.5, "throughput {tput}");
     // The queue lives at hop 1, not hop 0.
-    let q0 = rec.hop_queue_bytes[0].mean_in_range(4.0, 10.0);
-    let q1 = rec.hop_queue_bytes[1].mean_in_range(4.0, 10.0);
+    let q0 = rec.hop_queue_bytes(0).mean_in_range(4.0, 10.0);
+    let q1 = rec.hop_queue_bytes(1).mean_in_range(4.0, 10.0);
     assert!(
         q1 > 10.0 * q0.max(1.0),
         "hop0 queue {q0} B, hop1 queue {q1} B"
@@ -132,7 +132,7 @@ fn per_hop_propagation_adds_to_the_base_rtt() {
     net.run();
     let (rec, _) = net.finish();
     let slot = rec.monitored_slot(h.0).unwrap();
-    let rtt = rec.rtt_ms[slot].mean_in_range(2.0, 10.0);
+    let rtt = rec.rtt_ms(slot).mean_in_range(2.0, 10.0);
     assert!(
         (rtt - 25.5).abs() < 1.0,
         "rtt {rtt} ms, expected ~25.5 (20 prop + 5 inter-hop + serialization)"
@@ -164,10 +164,10 @@ fn interior_hop_outage_still_stamps_the_closing_sample_at_duration() {
     let (rec, _) = net.finish();
     let slot = rec.monitored_slot(h.0).unwrap();
     for (name, series) in [
-        ("queue_bytes", &rec.queue_bytes),
-        ("hop0", &rec.hop_queue_bytes[0]),
-        ("hop1", &rec.hop_queue_bytes[1]),
-        ("throughput", &rec.throughput_mbps[slot]),
+        ("queue_bytes", rec.queue_bytes()),
+        ("hop0", rec.hop_queue_bytes(0)),
+        ("hop1", rec.hop_queue_bytes(1)),
+        ("throughput", rec.throughput_mbps(slot)),
     ] {
         let last_t = *series.t.last().unwrap();
         assert!(
@@ -176,8 +176,8 @@ fn interior_hop_outage_still_stamps_the_closing_sample_at_duration() {
         );
     }
     // Data flowed before the outage, none after it wedged hop 0.
-    assert!(rec.throughput_mbps[slot].mean_in_range(1.0, 2.9) > 15.0);
-    assert!(rec.throughput_mbps[slot].mean_in_range(4.0, 6.0) < 1.0);
+    assert!(rec.throughput_mbps(slot).mean_in_range(1.0, 2.9) > 15.0);
+    assert!(rec.throughput_mbps(slot).mean_in_range(4.0, 6.0) < 1.0);
 }
 
 #[test]
@@ -206,10 +206,12 @@ fn mid_path_cross_traffic_enters_and_is_dropped_at_its_entry_hop() {
     assert_eq!(rec.hop_dropped_packets[0], 0, "hop 0 is uncongested");
     assert!(rec.flows[cross.0].dropped_packets > 0);
     assert!(rec.hop_dropped_packets[1] >= rec.flows[cross.0].dropped_packets);
-    let tput = rec.throughput_mbps[rec.monitored_slot(main.0).unwrap()].mean_in_range(4.0, 10.0);
+    let tput = rec
+        .throughput_mbps(rec.monitored_slot(main.0).unwrap())
+        .mean_in_range(4.0, 10.0);
     assert!(tput > 2.0, "main flow starved: {tput}");
     // Cross traffic never touched hop 0, so its queue stayed empty.
-    assert!(rec.hop_queue_bytes[0].mean_in_range(0.0, 10.0) < 2000.0);
+    assert!(rec.hop_queue_bytes(0).mean_in_range(0.0, 10.0) < 2000.0);
 }
 
 #[test]
@@ -227,9 +229,11 @@ fn flow_exiting_mid_path_skips_downstream_hops() {
     );
     net.run();
     let (rec, _) = net.finish();
-    let tput = rec.throughput_mbps[rec.monitored_slot(short.0).unwrap()].mean_in_range(2.0, 10.0);
+    let tput = rec
+        .throughput_mbps(rec.monitored_slot(short.0).unwrap())
+        .mean_in_range(2.0, 10.0);
     assert!((tput - 20.0).abs() < 1.5, "throughput {tput}");
-    assert!(rec.hop_queue_bytes[1].mean_in_range(0.0, 10.0) < 1.0);
+    assert!(rec.hop_queue_bytes(1).mean_in_range(0.0, 10.0) < 1.0);
 }
 
 proptest! {

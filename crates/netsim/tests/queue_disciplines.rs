@@ -101,8 +101,8 @@ fn overload_through(queue: QueueKind) -> (f64, u64, f64) {
         "every lost packet is a recorded drop"
     );
     let slot = rec.monitored_slot(h.0).unwrap();
-    let qd = rec.queue_delay_ms[slot].mean_in_range(5.0, 20.0);
-    let tput = rec.throughput_mbps[slot].mean_in_range(5.0, 20.0);
+    let qd = rec.queue_delay_ms(slot).mean_in_range(5.0, 20.0);
+    let tput = rec.throughput_mbps(slot).mean_in_range(5.0, 20.0);
     (qd, rec.flows[h.0].dropped_packets, tput)
 }
 

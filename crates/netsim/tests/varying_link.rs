@@ -151,8 +151,8 @@ fn throughput_follows_a_rate_step() {
     net.run();
     let (rec, _) = net.finish();
     let slot = rec.monitored_slot(h.0).unwrap();
-    let before = rec.throughput_mbps[slot].mean_in_range(1.0, 4.9);
-    let after = rec.throughput_mbps[slot].mean_in_range(6.5, 10.0);
+    let before = rec.throughput_mbps(slot).mean_in_range(1.0, 4.9);
+    let after = rec.throughput_mbps(slot).mean_in_range(6.5, 10.0);
     assert!((before - 40.0).abs() < 2.0, "pre-step throughput {before}");
     assert!((after - 12.0).abs() < 1.5, "post-step throughput {after}");
 }
@@ -181,10 +181,10 @@ fn near_zero_rate_interval_does_not_wedge_the_event_loop() {
     let (rec, _) = net.finish();
     let slot = rec.monitored_slot(h.0).unwrap();
     // Deliveries resume after the outage.
-    let after = rec.throughput_mbps[slot].mean_in_range(6.0, 8.0);
+    let after = rec.throughput_mbps(slot).mean_in_range(6.0, 8.0);
     assert!(after > 10.0, "throughput after outage {after}");
     // During the outage nothing (meaningfully) gets through.
-    let during = rec.throughput_mbps[slot].mean_in_range(3.6, 4.9);
+    let during = rec.throughput_mbps(slot).mean_in_range(3.6, 4.9);
     assert!(during < 1.0, "throughput during outage {during}");
 }
 
@@ -233,7 +233,7 @@ fn engine_clock_reaches_duration_even_when_events_end_early() {
     net.run();
     assert_eq!(net.now(), Time::from_secs_f64(10.0));
     let (rec, _) = net.finish();
-    let last_t = *rec.queue_bytes.t.last().unwrap();
+    let last_t = *rec.queue_bytes().t.last().unwrap();
     assert!(
         (last_t - 10.0).abs() < 1e-9,
         "closing sample stamped at {last_t}, expected 10.0"

@@ -655,8 +655,12 @@ mod tests {
         net.run();
         let (rec, _) = net.finish();
         let slot = rec.monitored_slot(h.0).unwrap();
-        let tput = rec.throughput_mbps[slot].mean_in_range(duration_s * 0.25, duration_s);
-        let qd = rec.queue_delay_ms[slot].mean_in_range(duration_s * 0.25, duration_s);
+        let tput = rec
+            .throughput_mbps(slot)
+            .mean_in_range(duration_s * 0.25, duration_s);
+        let qd = rec
+            .queue_delay_ms(slot)
+            .mean_in_range(duration_s * 0.25, duration_s);
         (tput, qd, rec.flows[h.0].dropped_packets)
     }
 
@@ -723,8 +727,12 @@ mod tests {
         );
         net.run();
         let (rec, _) = net.finish();
-        let tv = rec.throughput_mbps[rec.monitored_slot(hv.0).unwrap()].mean_in_range(20.0, 60.0);
-        let tc = rec.throughput_mbps[rec.monitored_slot(hc.0).unwrap()].mean_in_range(20.0, 60.0);
+        let tv = rec
+            .throughput_mbps(rec.monitored_slot(hv.0).unwrap())
+            .mean_in_range(20.0, 60.0);
+        let tc = rec
+            .throughput_mbps(rec.monitored_slot(hc.0).unwrap())
+            .mean_in_range(20.0, 60.0);
         assert!(tc > tv * 2.0, "cubic ({tc}) should starve vegas ({tv})");
     }
 
@@ -741,8 +749,12 @@ mod tests {
         );
         net.run();
         let (rec, _) = net.finish();
-        let t1 = rec.throughput_mbps[rec.monitored_slot(h1.0).unwrap()].mean_in_range(20.0, 60.0);
-        let t2 = rec.throughput_mbps[rec.monitored_slot(h2.0).unwrap()].mean_in_range(20.0, 60.0);
+        let t1 = rec
+            .throughput_mbps(rec.monitored_slot(h1.0).unwrap())
+            .mean_in_range(20.0, 60.0);
+        let t2 = rec
+            .throughput_mbps(rec.monitored_slot(h2.0).unwrap())
+            .mean_in_range(20.0, 60.0);
         assert!((t1 + t2) > 85.0, "link under-utilized: {t1} + {t2}");
         let ratio = t1.max(t2) / t1.min(t2).max(1.0);
         assert!(ratio < 1.6, "unfair split {t1} vs {t2}");
@@ -775,7 +787,7 @@ mod tests {
         net.run();
         let (rec, _) = net.finish();
         let slot = rec.monitored_slot(h.0).unwrap();
-        let tput = rec.throughput_mbps[slot].mean_in_range(5.0, 30.0);
+        let tput = rec.throughput_mbps(slot).mean_in_range(5.0, 30.0);
         assert!((tput - 24.0).abs() < 2.0, "poisson throughput {tput}");
     }
 
@@ -789,7 +801,7 @@ mod tests {
         net.run();
         let (rec, _) = net.finish();
         let slot = rec.monitored_slot(h.0).unwrap();
-        let tput = rec.throughput_mbps[slot].mean_in_range(2.0, 19.5);
+        let tput = rec.throughput_mbps(slot).mean_in_range(2.0, 19.5);
         assert!((tput - 32.0).abs() < 3.0, "cbr throughput {tput}");
     }
 

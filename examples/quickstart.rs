@@ -34,8 +34,8 @@ fn main() {
     net.run();
     let (recorder, _endpoints) = net.finish();
     let slot = recorder.monitored_slot(nimbus.0).unwrap();
-    let tput = recorder.throughput_mbps[slot].mean_in_range(10.0, 60.0);
-    let delay = recorder.queue_delay_ms[slot].mean_in_range(10.0, 60.0);
+    let tput = recorder.throughput_mbps(slot).mean_in_range(10.0, 60.0);
+    let delay = recorder.queue_delay_ms(slot).mean_in_range(10.0, 60.0);
     println!("Nimbus vs 24 Mbit/s inelastic cross traffic on a 48 Mbit/s link:");
     println!("  mean throughput : {tput:6.1} Mbit/s (fair share is 24 Mbit/s)");
     println!("  mean queue delay: {delay:6.1} ms (Cubic would sit near 100 ms)");

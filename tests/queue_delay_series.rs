@@ -35,16 +35,16 @@ proptest! {
             rec.sample(Time::from_millis(10 * (i as u64 + 1)), &[0]);
         }
 
-        let series = &rec.queue_delay_ms;
-        prop_assert_eq!(series.len(), 1);
-        let got: Vec<u64> = series[0].v.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(rec.monitored_slot(1), None);
+        let series = rec.queue_delay_ms(0);
+        let got: Vec<u64> = series.v.iter().map(|v| v.to_bits()).collect();
         let want: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(got, want);
 
         let snapshot = serde_json::to_string(&rec.snapshot()).unwrap();
         let listed = format!(
-            "\"queue_delay_ms\":{}",
-            serde_json::to_string(&rec.queue_delay_ms).unwrap()
+            "\"queue_delay_ms\":[{}]",
+            serde_json::to_string(&series).unwrap()
         );
         prop_assert!(snapshot.contains(&listed));
     }
