@@ -67,6 +67,12 @@ pub struct SweepCellResult {
     /// `CellOutcome::violations`: the cell's broken invariants and event
     /// budget (empty = pass).
     pub violations: Vec<String>,
+    /// Share of the steady window the monitored flow spent in delay mode
+    /// (1 for a scheme without modes).
+    pub delay_mode_fraction: f64,
+    /// Detector verdicts the monitored flow issued (0 for a scheme without
+    /// a detector).
+    pub verdicts: usize,
 }
 
 impl SweepCellResult {
@@ -82,6 +88,8 @@ impl SweepCellResult {
             mean_throughput_mbps: outcome.metrics.mean_throughput_mbps,
             fingerprint: format!("{:#018x}", outcome.fingerprint),
             violations: outcome.violations,
+            delay_mode_fraction: outcome.metrics.delay_mode_fraction,
+            verdicts: outcome.metrics.eta_series.len(),
         }
     }
 }
@@ -156,7 +164,8 @@ pub fn write_report(report: &SweepReport, path: &Path) -> std::io::Result<()> {
 }
 
 /// Render the report as an aligned text table for the terminal, one row per
-/// cell with its count of violations.
+/// cell with its time in delay mode, its verdict count and its count of
+/// violations.
 pub fn report_table(report: &SweepReport) -> String {
     let mut out = format!(
         "== sweep ({} cells, {} threads, {:.1} s wall, {:.0} events/s aggregate) ==\n",
@@ -164,12 +173,14 @@ pub fn report_table(report: &SweepReport) -> String {
     );
     for c in &report.cells {
         out.push_str(&format!(
-            "{:6.1} sim-s  {:7.3} wall-s  {:9} ev  {:10.0} ev/s  {:7.2} Mbit/s  {:2} viol  {}\n",
+            "{:6.1} sim-s  {:7.3} wall-s  {:9} ev  {:10.0} ev/s  {:7.2} Mbit/s  {:4.2} delay  {:5} verdicts  {:2} viol  {}\n",
             c.sim_s,
             c.wall_s,
             c.events,
             c.events_per_sec,
             c.mean_throughput_mbps,
+            c.delay_mode_fraction,
+            c.verdicts,
             c.violations.len(),
             c.name
         ));
@@ -182,9 +193,9 @@ mod tests {
     use super::*;
     use crate::runner::SingleFlowMetrics;
 
-    #[test]
-    fn a_violating_cell_is_counted_in_its_row_and_fails_the_sweep() {
-        let outcome = |name: &str, violations: Vec<String>| CellOutcome {
+    /// A Cubic cell's outcome: no modes, no detector.
+    fn outcome(name: &str, violations: Vec<String>) -> CellOutcome {
+        CellOutcome {
             name: name.to_string(),
             metrics: SingleFlowMetrics {
                 label: "cubic".to_string(),
@@ -204,7 +215,51 @@ mod tests {
             fingerprint: 0xabc,
             events: 1_000,
             sim_s: 2.0,
+        }
+    }
+
+    #[test]
+    fn a_row_says_what_the_detector_did() {
+        let mut nimbus = outcome("nimbus", Vec::new());
+        nimbus.metrics.label = "nimbus".to_string();
+        nimbus.metrics.delay_mode_fraction = 0.25;
+        nimbus.metrics.eta_series = vec![(5.0, 0.9), (5.01, 0.4), (5.02, 0.3)];
+        let row = SweepCellResult::new(nimbus, 0.5);
+        assert_eq!((row.delay_mode_fraction, row.verdicts), (0.25, 3));
+        let cubic = SweepCellResult::new(outcome("cubic", Vec::new()), 0.5);
+        assert_eq!((cubic.delay_mode_fraction, cubic.verdicts), (1.0, 0));
+
+        let report = SweepReport {
+            schema: "nimbus-sweep-v1".to_string(),
+            threads: 1,
+            cell_count: 2,
+            total_wall_s: 1.0,
+            total_events: 2_000,
+            aggregate_events_per_sec: 2_000.0,
+            cells: vec![row, cubic],
         };
+        let table = report_table(&report);
+        assert!(
+            table.contains("0.25 delay      3 verdicts   0 viol  nimbus\n"),
+            "{table}"
+        );
+        assert!(
+            table.contains("1.00 delay      0 verdicts   0 viol  cubic\n"),
+            "{table}"
+        );
+        let json = serde_json::to_string(&report).unwrap();
+        assert!(
+            json.contains(r#""delay_mode_fraction":0.25,"verdicts":3}"#),
+            "{json}"
+        );
+        assert!(
+            json.contains(r#""delay_mode_fraction":1,"verdicts":0}"#),
+            "{json}"
+        );
+    }
+
+    #[test]
+    fn a_violating_cell_is_counted_in_its_row_and_fails_the_sweep() {
         let pass = SweepCellResult::new(outcome("good", Vec::new()), 0.5);
         let broken = vec!["throughput 40.00 < 50".to_string()];
         let fail = SweepCellResult::new(outcome("bad", broken), 0.5);
