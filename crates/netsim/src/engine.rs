@@ -814,8 +814,16 @@ impl Network {
         if self.now < self.cfg.duration {
             self.now = self.cfg.duration;
         }
-        // Close the final recorder interval.
-        self.take_sample();
+        // Close the final, partial recorder interval.  When the duration is
+        // a whole number of intervals, the `Sample` event at `duration`
+        // already closed the last one, and a second sample there would span
+        // 0 s and read 0 Mbit/s.  The marks are read either way: events at
+        // `duration` after that sample may still have marked.
+        if self.recorder.last_sample() < self.now {
+            self.take_sample();
+        } else {
+            self.read_marks();
+        }
     }
 
     /// Refresh the reusable occupancy buffer and close a recorder interval.
@@ -824,6 +832,11 @@ impl Network {
         self.occupancy_buf
             .extend(self.links.iter().map(|l| l.queue.len_bytes()));
         self.recorder.sample(self.now, &self.occupancy_buf);
+        self.read_marks();
+    }
+
+    /// Copy each hop's cumulative CE mark count into the recorder.
+    fn read_marks(&mut self) {
         let marked = self.recorder.hop_marked_packets.iter_mut();
         for (marked, link) in marked.zip(&self.links) {
             *marked = link.queue.marks();
@@ -1658,12 +1671,13 @@ mod tests {
         serde_json::to_writer(&mut hash, &rec.snapshot()).unwrap();
         // Pinned on the engine whose reassembly buffer was a `BTreeMap`; the
         // hash re-pinned when the snapshot lost its per-packet delays and
-        // mark series (FINGERPRINTS.md).
+        // mark series, and again when the run stopped closing a second,
+        // zero-length sample at its end (FINGERPRINTS.md).
         assert_eq!(
             (counters, hash.finish()),
             (
                 (34_534, 16_657_500, 16_653_000, 11_281_500),
-                0x0e20_cfc9_de3e_7241
+                0x90e3_f43b_8e8b_c905
             ),
         );
     }
@@ -1856,6 +1870,40 @@ mod tests {
             "CE echoes ({}) should track queue marks ({marks})",
             ep.ce_acks
         );
+    }
+
+    #[test]
+    fn a_run_closes_one_sample_per_interval_and_ends_on_its_duration() {
+        // 2 s is twenty whole intervals: the `Sample` at 2 s closes the last
+        // one.  2.05 s ends on a partial interval that the close samples.
+        for (duration_s, samples) in [(2.0, 20), (2.05, 21)] {
+            let mut cfg = base_config(12e6, duration_s);
+            cfg.link_mut().ecn = EcnMarking::Step;
+            let mut net = Network::new(cfg);
+            let h = net.add_flow(
+                FlowConfig::primary("ecn-window", Time::from_millis(20)).with_ecn(true),
+                Box::new(FixedWindow::new(100)),
+            );
+            net.run();
+            let marks = net.links[0].queue.marks();
+            let (rec, _) = net.finish();
+            // The close reads the marks whether or not it samples.
+            assert!(marks > 0, "the standing queue marks");
+            assert_eq!(rec.hop_marked_packets[0], marks);
+
+            let clock = rec.queue_bytes().t;
+            let expected: Vec<f64> = (1..=samples)
+                .map(|i| Time::from_millis(100 * i).min(Time::from_secs_f64(duration_s)))
+                .map(Time::as_secs_f64)
+                .collect();
+            assert_eq!(clock, expected, "{duration_s} s");
+            // Every interval, the last included, spans time and carries the
+            // window's throughput: no zero-length closing sample.
+            let tput = rec.throughput_mbps(rec.monitored_slot(h.0).unwrap());
+            let last = *tput.v.last().unwrap();
+            assert!(last > 10.0, "{duration_s} s: last interval {last} Mbit/s");
+            assert!(rec.rtt_ms(0).v.last().unwrap().is_finite());
+        }
     }
 
     #[test]

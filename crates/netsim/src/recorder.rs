@@ -279,6 +279,11 @@ impl Recorder {
         self.cfg.sample_interval
     }
 
+    /// The time the last interval closed (zero before the first sample).
+    pub fn last_sample(&self) -> Time {
+        self.last_sample
+    }
+
     /// Number of path hops this recorder tracks.
     pub fn num_hops(&self) -> usize {
         self.hop_dropped_packets.len()

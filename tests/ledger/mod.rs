@@ -66,81 +66,81 @@ pub const PRE_API: &[&str] = &[
 /// output, verdicts and mode logs all identical.
 #[rustfmt::skip]
 pub const FINGERPRINTS: &[(&str, u64)] = &[
-    ("cubic@48M vs alone seed=3 dur=30s steady=8s", 0x257d54666a6204a3),
-    ("cubic@48M vs alone seed=11 dur=30s steady=8s", 0x257d54666a6204a3),
-    ("vegas@48M vs alone seed=3 dur=30s steady=8s", 0xac3add0aac6a313e),
-    ("vegas@48M vs alone seed=11 dur=30s steady=8s", 0xac3add0aac6a313e),
-    ("vegas@96M vs cubic seed=5 dur=40s steady=15s", 0x429ce31cdd45b64d),
-    ("vegas@96M vs cubic seed=13 dur=40s steady=15s", 0x429ce31cdd45b64d),
-    ("nimbus@96M vs cbr@0.8333333333333334 seed=4 dur=40s steady=10s", 0x2b499aa562783b6e),
-    ("nimbus@96M vs cbr@0.8333333333333334 seed=12 dur=40s steady=10s", 0x2b499aa562783b6e),
-    ("nimbus@48M vs poisson@0.5 seed=1 dur=30s steady=8s", 0xa2241741bca924b6),
-    ("nimbus@48M vs poisson@0.5 seed=9 dur=30s steady=8s", 0x346840cd37f2875e),
-    ("nimbus@48M vs cubic seed=2 dur=45s steady=15s", 0xb80288712dadb7a2),
-    ("nimbus@48M vs cubic seed=10 dur=45s steady=15s", 0xb80288712dadb7a2),
-    ("nimbus@48M vs alone seed=6 dur=30s steady=8s", 0x31c4d48992a4ab0a),
-    ("nimbus@48M vs alone seed=14 dur=30s steady=8s", 0x31c4d48992a4ab0a),
-    ("nimbus(mu=learned)@48M sin(0.25,20s) vs alone seed=7 dur=40s steady=15s", 0xc12342f8bc694a09),
-    ("nimbus@48M sin(0.1,10s) vs alone seed=8 dur=40s steady=10s", 0xbfcb38fde6fa9695),
-    ("cubic@96M step(15s,0.5) vs alone seed=9 dur=40s steady=22s", 0x3f435f896ddcfa06),
-    ("nimbus@96M step(15s,0.5) vs alone seed=9 dur=40s steady=22s", 0x5bdcd7623541a34e),
-    ("nimbus@48M hop(0.6) vs alone seed=21 dur=40s steady=10s", 0x17f49fd3a1841a5b),
-    ("cubic@48M hop(0.6) vs alone seed=21 dur=40s steady=10s", 0xae136ac773580814),
-    ("cubic@48M step(15s,0.5) hop(0.5,sched=step(15s,2)) vs alone seed=25 dur=40s steady=10s", 0x7d59229eb444f015),
-    ("nimbus@48M step(15s,0.5) hop(0.5,sched=step(15s,2)) vs alone seed=25 dur=40s steady=10s", 0xc9035cb9035b254c),
-    ("nimbus(mu=learned)@48M sin(0.1,10s) hop(0.6) vs alone seed=27 dur=40s steady=15s", 0x32985933bf7b8828),
-    ("nimbus@48M hop(0.5) vs cubic@hop0-0 seed=29 dur=45s steady=15s", 0x66d9aac9b4256620),
-    ("nimbus@48M hop(0.6) vs cubic@hop0-0 seed=31 dur=45s steady=15s", 0x43a024bbd2821d6c),
-    ("nimbus(competitive=reno)@48M vs cubic seed=35 dur=45s steady=15s", 0x249d11dc536743db),
-    ("nimbus(delay=copa,mu=learned)@48M vs alone seed=36 dur=40s steady=15s", 0xa8d22c4daa5fdfcd),
-    ("nimbus@96M vs copa+cubic seed=37 dur=45s steady=15s", 0xdefb5d85e6707d0a),
-    ("cubic@48M trace-wifi vs alone seed=38 dur=30s steady=8s", 0xb0c4c3a975c265e7),
-    ("cubic@48M trace-cellular vs alone seed=39 dur=30s steady=8s", 0xccf3d3c6dfcb1e5c),
-    ("nimbus(mu=learned(probe=1))@48M trace-cellular vs alone seed=44 dur=40s steady=10s", 0xbdbdeac059b6bf3c),
-    ("nimbus(mu=learned,zfilter=adaptive)@48M sin(0.1,10s) vs alone seed=43 dur=40s steady=10s", 0x559c1e1551f89c28),
-    ("nimbus(mu=learned,zfilter=adaptive)@96M vs cubic seed=42 dur=45s steady=15s", 0x7afcb4c538f8b1f9),
-    ("nimbus(mu=learned(probe=1))@48M vs alone seed=45 dur=40s steady=10s", 0x245ecd3171470cc1),
-    ("nimbus(mu=learned(probe=1,quiesce=0.4))@48M vs alone seed=45 dur=40s steady=10s", 0x8d8a32097e68f9c9),
-    ("nimbus(mu=learned(probe=1,quiesce=0.4))@48M vs cubic seed=45 dur=40s steady=10s", 0xd8f443a85eaeb25b),
-    ("nimbus(mu=learned(probe=1))@48M vs cubic seed=45 dur=40s steady=10s", 0xa4ce4f0886538043),
-    ("nimbus(delay=copa,mu=learned,zfilter=adaptive)@48M sin(0.1,10s) vs alone seed=43 dur=40s steady=10s", 0x9364b52021f427c9),
-    ("nimbus@48M vs fleet(arrivals=poisson,load=0.4,mean=20k) seed=51 dur=40s steady=10s", 0x32d7408a369f2a26),
-    ("nimbus@48M vs fleet(arrivals=bursty,load=0.4,mean=20k) seed=51 dur=40s steady=10s", 0x3a8b9f5ac477e2e2),
-    ("nimbus@48M vs fleet(arrivals=poisson,load=0.5) seed=52 dur=40s steady=10s", 0xf28a02a8b15032e5),
-    ("cubic@48M vs fleet(arrivals=poisson,load=0.5) seed=52 dur=40s steady=10s", 0xb413fb7918acfcf5),
-    ("dctcp@48M vs alone ecn=l4s seed=61 dur=30s steady=8s", 0xb9f4e9b43091126c),
-    ("dctcp@48M vs alone seed=61 dur=30s steady=8s", 0x553ad2631e9af255),
-    ("cubic@48M vs alone ecn=classic seed=61 dur=30s steady=8s", 0xe8603ead57e24ae2),
-    ("nimbus@48M vs alone ecn=l4s seed=62 dur=40s steady=10s", 0x984251fe184af2a4),
-    ("nimbus@48M vs dctcp ecn=l4s seed=2 dur=45s steady=15s", 0x7a26e5207fc6e5ad),
-    ("nimbus(competitive=dctcp)@48M vs dctcp ecn=classic seed=2 dur=45s steady=15s", 0x14aa5fb955335758),
-    ("nimbus@48M vs cubic ecn=classic seed=2 dur=45s steady=15s", 0x2cb3a1c27a0597ee),
-    ("dctcp@48M vs cubic ecn=classic seed=65 dur=45s steady=15s", 0x47643c834192ffeb),
-    ("nimbus@48M vs alone seed=17 dur=20s steady=6s", 0x128f9a782e1b4d63),
-    ("nimbus(delay=copa)@48M vs alone seed=17 dur=20s steady=6s", 0x5dd0a6f754a25394),
-    ("nimbus(delay=vegas)@48M vs alone seed=17 dur=20s steady=6s", 0x28bac5360134bc63),
-    ("nimbus(switch=never)@48M vs alone seed=17 dur=20s steady=6s", 0xf66b0e1678dd39ef),
-    ("nimbus(mu=learned)@48M vs alone seed=17 dur=20s steady=6s", 0xd23eb94677775c2e),
-    ("cubic@48M vs alone seed=17 dur=20s steady=6s", 0x6c6b52b1468a3a16),
-    ("newreno@48M vs alone seed=17 dur=20s steady=6s", 0xbffa69ad5cf9aef3),
-    ("vegas@48M vs alone seed=17 dur=20s steady=6s", 0x7957f214b9aa3d24),
-    ("copa@48M vs alone seed=17 dur=20s steady=6s", 0xcc3110a05b4b8c92),
-    ("bbr@48M vs alone seed=17 dur=20s steady=6s", 0x0ce1dbde488fba85),
-    ("vivace@48M vs alone seed=17 dur=20s steady=6s", 0x05fd2832b4347b53),
-    ("compound@48M vs alone seed=17 dur=20s steady=6s", 0x48f0a899846f9637),
-    ("nimbus@96M vs cubic seed=18 dur=25s steady=8s", 0x5833e52aabd1b963),
-    ("nimbus(delay=copa)@96M vs cubic seed=18 dur=25s steady=8s", 0x513d52e8fc7fa9da),
-    ("nimbus(delay=vegas)@96M vs cubic seed=18 dur=25s steady=8s", 0x880b01273df310f7),
-    ("nimbus(switch=never)@96M vs cubic seed=18 dur=25s steady=8s", 0x789ef7f37a7b1aae),
-    ("nimbus(mu=learned)@96M vs cubic seed=18 dur=25s steady=8s", 0xf943ac5a3a52da10),
-    ("nimbus(mu=learned)@48M vs alone seed=41 dur=20s steady=6s", 0xd23eb94677775c2e),
-    ("nimbus(delay=copa,mu=learned)@48M vs alone seed=41 dur=20s steady=6s", 0x60d02927d9d6e906),
-    ("nimbus(delay=vegas,mu=learned)@48M vs alone seed=41 dur=20s steady=6s", 0xb2014dbdea6cc63e),
-    ("nimbus(competitive=reno,mu=learned)@48M vs alone seed=41 dur=20s steady=6s", 0x484fb839091aa0d4),
-    ("nimbus(mu=learned,switch=never)@48M vs alone seed=41 dur=20s steady=6s", 0xdf03184d67593d7a),
-    ("nimbus(mu=learned)@96M vs cubic seed=42 dur=25s steady=8s", 0xf943ac5a3a52da10),
-    ("nimbus(mu=learned)@48M sin(0.1,10s) vs alone seed=43 dur=30s steady=10s", 0x00e5f90352dd8c4d),
-    ("nimbus(mu=learned)@48M trace-cellular vs alone seed=44 dur=30s steady=10s", 0xf760e7e707d15493),
+    ("cubic@48M vs alone seed=3 dur=30s steady=8s", 0x35c53710490de6b5),
+    ("cubic@48M vs alone seed=11 dur=30s steady=8s", 0x35c53710490de6b5),
+    ("vegas@48M vs alone seed=3 dur=30s steady=8s", 0xc08747e7e12e8c29),
+    ("vegas@48M vs alone seed=11 dur=30s steady=8s", 0xc08747e7e12e8c29),
+    ("vegas@96M vs cubic seed=5 dur=40s steady=15s", 0x315fc6f45efc31bb),
+    ("vegas@96M vs cubic seed=13 dur=40s steady=15s", 0x315fc6f45efc31bb),
+    ("nimbus@96M vs cbr@0.8333333333333334 seed=4 dur=40s steady=10s", 0x07ae3b3844acd516),
+    ("nimbus@96M vs cbr@0.8333333333333334 seed=12 dur=40s steady=10s", 0x07ae3b3844acd516),
+    ("nimbus@48M vs poisson@0.5 seed=1 dur=30s steady=8s", 0xa2b7d236a936938e),
+    ("nimbus@48M vs poisson@0.5 seed=9 dur=30s steady=8s", 0xeeeb9a3c440e0b2a),
+    ("nimbus@48M vs cubic seed=2 dur=45s steady=15s", 0x01e5acc5c210808f),
+    ("nimbus@48M vs cubic seed=10 dur=45s steady=15s", 0x01e5acc5c210808f),
+    ("nimbus@48M vs alone seed=6 dur=30s steady=8s", 0x9cae1ecf0a943447),
+    ("nimbus@48M vs alone seed=14 dur=30s steady=8s", 0x9cae1ecf0a943447),
+    ("nimbus(mu=learned)@48M sin(0.25,20s) vs alone seed=7 dur=40s steady=15s", 0x30678f0ae556f5f2),
+    ("nimbus@48M sin(0.1,10s) vs alone seed=8 dur=40s steady=10s", 0x8e3e8336520fe7e3),
+    ("cubic@96M step(15s,0.5) vs alone seed=9 dur=40s steady=22s", 0x350624eecba0f9d7),
+    ("nimbus@96M step(15s,0.5) vs alone seed=9 dur=40s steady=22s", 0xd7453e92047f636e),
+    ("nimbus@48M hop(0.6) vs alone seed=21 dur=40s steady=10s", 0xa0281c8a7387eae6),
+    ("cubic@48M hop(0.6) vs alone seed=21 dur=40s steady=10s", 0x2db74d5bf6d9b9ff),
+    ("cubic@48M step(15s,0.5) hop(0.5,sched=step(15s,2)) vs alone seed=25 dur=40s steady=10s", 0xbb1a8f5c47fafd9b),
+    ("nimbus@48M step(15s,0.5) hop(0.5,sched=step(15s,2)) vs alone seed=25 dur=40s steady=10s", 0x0ce0af277a79f4a8),
+    ("nimbus(mu=learned)@48M sin(0.1,10s) hop(0.6) vs alone seed=27 dur=40s steady=15s", 0xccca7f5e8dff24a3),
+    ("nimbus@48M hop(0.5) vs cubic@hop0-0 seed=29 dur=45s steady=15s", 0x4c6d3dacaa451519),
+    ("nimbus@48M hop(0.6) vs cubic@hop0-0 seed=31 dur=45s steady=15s", 0x69a7272628f383fb),
+    ("nimbus(competitive=reno)@48M vs cubic seed=35 dur=45s steady=15s", 0x3393a3bdd3900612),
+    ("nimbus(delay=copa,mu=learned)@48M vs alone seed=36 dur=40s steady=15s", 0xf58e323c086d4ac9),
+    ("nimbus@96M vs copa+cubic seed=37 dur=45s steady=15s", 0xe16cbd0ef99ecac2),
+    ("cubic@48M trace-wifi vs alone seed=38 dur=30s steady=8s", 0x351eb706d3545584),
+    ("cubic@48M trace-cellular vs alone seed=39 dur=30s steady=8s", 0x396814e3bce482da),
+    ("nimbus(mu=learned(probe=1))@48M trace-cellular vs alone seed=44 dur=40s steady=10s", 0x452eaac601cf242a),
+    ("nimbus(mu=learned,zfilter=adaptive)@48M sin(0.1,10s) vs alone seed=43 dur=40s steady=10s", 0xd6c25c2c73298544),
+    ("nimbus(mu=learned,zfilter=adaptive)@96M vs cubic seed=42 dur=45s steady=15s", 0xfd87f311b50f6463),
+    ("nimbus(mu=learned(probe=1))@48M vs alone seed=45 dur=40s steady=10s", 0x55a096a020e3d5a1),
+    ("nimbus(mu=learned(probe=1,quiesce=0.4))@48M vs alone seed=45 dur=40s steady=10s", 0xab1a13a06cd65390),
+    ("nimbus(mu=learned(probe=1,quiesce=0.4))@48M vs cubic seed=45 dur=40s steady=10s", 0x862bc2eecd443caf),
+    ("nimbus(mu=learned(probe=1))@48M vs cubic seed=45 dur=40s steady=10s", 0x1e0a0df1897af075),
+    ("nimbus(delay=copa,mu=learned,zfilter=adaptive)@48M sin(0.1,10s) vs alone seed=43 dur=40s steady=10s", 0x0c8d36536bce52df),
+    ("nimbus@48M vs fleet(arrivals=poisson,load=0.4,mean=20k) seed=51 dur=40s steady=10s", 0xd228009c29e05110),
+    ("nimbus@48M vs fleet(arrivals=bursty,load=0.4,mean=20k) seed=51 dur=40s steady=10s", 0x36ade4a7d1393800),
+    ("nimbus@48M vs fleet(arrivals=poisson,load=0.5) seed=52 dur=40s steady=10s", 0x9157c0e7598c32b2),
+    ("cubic@48M vs fleet(arrivals=poisson,load=0.5) seed=52 dur=40s steady=10s", 0x9b142b1fd5111d97),
+    ("dctcp@48M vs alone ecn=l4s seed=61 dur=30s steady=8s", 0x6036a8c96c5400e0),
+    ("dctcp@48M vs alone seed=61 dur=30s steady=8s", 0xa3ee51e8003f409f),
+    ("cubic@48M vs alone ecn=classic seed=61 dur=30s steady=8s", 0x23c0cb1c6493cd3f),
+    ("nimbus@48M vs alone ecn=l4s seed=62 dur=40s steady=10s", 0x19fb8d43d03b0593),
+    ("nimbus@48M vs dctcp ecn=l4s seed=2 dur=45s steady=15s", 0x08619ed63e7e650e),
+    ("nimbus(competitive=dctcp)@48M vs dctcp ecn=classic seed=2 dur=45s steady=15s", 0x0332b60da618789f),
+    ("nimbus@48M vs cubic ecn=classic seed=2 dur=45s steady=15s", 0x05d2cd9e4d805f89),
+    ("dctcp@48M vs cubic ecn=classic seed=65 dur=45s steady=15s", 0x52e2f27b52e1542a),
+    ("nimbus@48M vs alone seed=17 dur=20s steady=6s", 0x1a628a7e6fde8629),
+    ("nimbus(delay=copa)@48M vs alone seed=17 dur=20s steady=6s", 0x06db9d9664575e8e),
+    ("nimbus(delay=vegas)@48M vs alone seed=17 dur=20s steady=6s", 0xa7d0a73834748648),
+    ("nimbus(switch=never)@48M vs alone seed=17 dur=20s steady=6s", 0xb899016853ac553d),
+    ("nimbus(mu=learned)@48M vs alone seed=17 dur=20s steady=6s", 0x6ad271f22b8d9996),
+    ("cubic@48M vs alone seed=17 dur=20s steady=6s", 0xf4a7bf8af3f06994),
+    ("newreno@48M vs alone seed=17 dur=20s steady=6s", 0x6491ccb6c97ca0b6),
+    ("vegas@48M vs alone seed=17 dur=20s steady=6s", 0x082553c19bb2aafc),
+    ("copa@48M vs alone seed=17 dur=20s steady=6s", 0x661f2921d8475356),
+    ("bbr@48M vs alone seed=17 dur=20s steady=6s", 0x17a2813983161663),
+    ("vivace@48M vs alone seed=17 dur=20s steady=6s", 0xe99f1fd54220a1c2),
+    ("compound@48M vs alone seed=17 dur=20s steady=6s", 0x1b5d74dbda8b577e),
+    ("nimbus@96M vs cubic seed=18 dur=25s steady=8s", 0xb979671ca2c006e7),
+    ("nimbus(delay=copa)@96M vs cubic seed=18 dur=25s steady=8s", 0xb4fe24139de7e046),
+    ("nimbus(delay=vegas)@96M vs cubic seed=18 dur=25s steady=8s", 0x3745e8a05b12fe37),
+    ("nimbus(switch=never)@96M vs cubic seed=18 dur=25s steady=8s", 0x018423d886daea48),
+    ("nimbus(mu=learned)@96M vs cubic seed=18 dur=25s steady=8s", 0xbde7800e3f00ef57),
+    ("nimbus(mu=learned)@48M vs alone seed=41 dur=20s steady=6s", 0x6ad271f22b8d9996),
+    ("nimbus(delay=copa,mu=learned)@48M vs alone seed=41 dur=20s steady=6s", 0x46eb3c5e62a74319),
+    ("nimbus(delay=vegas,mu=learned)@48M vs alone seed=41 dur=20s steady=6s", 0xcbff622d473779e8),
+    ("nimbus(competitive=reno,mu=learned)@48M vs alone seed=41 dur=20s steady=6s", 0x367edb3fc6ee68a4),
+    ("nimbus(mu=learned,switch=never)@48M vs alone seed=41 dur=20s steady=6s", 0xb59ca001ff7399da),
+    ("nimbus(mu=learned)@96M vs cubic seed=42 dur=25s steady=8s", 0xbde7800e3f00ef57),
+    ("nimbus(mu=learned)@48M sin(0.1,10s) vs alone seed=43 dur=30s steady=10s", 0xd14c575bde737049),
+    ("nimbus(mu=learned)@48M trace-cellular vs alone seed=44 dur=30s steady=10s", 0xf435bb235f3aa7c7),
 ];
 
 /// Parses a slice of pinned cell strings.
