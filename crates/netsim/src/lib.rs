@@ -22,7 +22,9 @@
 //!   the same seed produce identical event sequences.
 //! * **Instrumented.** The [`recorder::Recorder`] produces the throughput,
 //!   queueing-delay, flow-completion-time and ground-truth-elasticity time
-//!   series that the paper's figures are drawn from.
+//!   series that the paper's figures are drawn from.  Every series is
+//!   sampled on one clock that the recorder stores once; its accessors lend
+//!   each series out as a [`TimeSeries`] view.
 //!
 //! The simulator knows nothing about congestion control: senders are
 //! abstracted behind the [`endpoint::FlowEndpoint`] trait, which only the
@@ -50,6 +52,8 @@ pub use eventq::{CalendarQueue, Lane, LanePool};
 pub use nimbus_core_types::Time;
 pub use packet::{EcnCodepoint, FlowId, Packet, MSS};
 pub use queue::{CoDelQueue, DropTailQueue, EcnMarking, PieQueue, QueueDiscipline, RedQueue};
+/// `TimeSeries<'_>` is a borrowed view (the recorder's shared sample times
+/// and one column of values), not an owned series.
 pub use recorder::{FlowStats, Fnv1a, Recorder, RecorderConfig, TimeSeries};
 pub use schedule::RateSchedule;
 pub use seq_window::SeqWindow;
