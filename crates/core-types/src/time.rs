@@ -91,7 +91,23 @@ impl Time {
             Time(round_ns(self.0 as f64 * factor))
         }
     }
+
+    /// `self.mul_f64(2^k)` bit for bit, on the integer clock: below 2^53 ns
+    /// the float product is an exact integer (or saturates exactly where the
+    /// integer product overflows), so a saturating multiply gives it.  From
+    /// 2^53 ns up the float path rounds `self` first, and is kept.
+    pub fn mul_pow2(self, k: u32) -> Time {
+        assert!(k < 64, "2^{k} is not a u64");
+        if self.0 < EXACT_INTEGERS_U64 {
+            Time(self.0.saturating_mul(1 << k))
+        } else {
+            self.mul_f64((1u64 << k) as f64)
+        }
+    }
 }
+
+/// 2^53 as a nanosecond count (see [`EXACT_INTEGERS_F64`]).
+const EXACT_INTEGERS_U64: u64 = 1 << 53;
 
 /// 2^53: below it an `f64`'s integer part, and so its fraction, are exact.
 const EXACT_INTEGERS_F64: f64 = 9_007_199_254_740_992.0;
@@ -308,6 +324,33 @@ mod tests {
         // The half-nanosecond ties round away from zero.
         assert_eq!(Time::from_secs_f64(2.5e-9), Time(3));
         assert_eq!(Time(5).mul_f64(0.5), Time(3));
+    }
+
+    #[test]
+    fn mul_pow2_matches_mul_f64_bit_for_bit() {
+        let edges = [
+            0,
+            1,
+            3,
+            200_000_000,
+            EXACT_INTEGERS_U64 - 1,
+            EXACT_INTEGERS_U64,
+            EXACT_INTEGERS_U64 + 1,
+            (1 << 58) + 3,
+            u64::MAX / 2,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let randoms = random_bits(1 << 14).map(f64::to_bits);
+        // The same bits shifted down so most land below 2^53.
+        let small = random_bits(1 << 14).map(|x| x.to_bits() >> 11);
+        for ns in edges.into_iter().chain(randoms).chain(small) {
+            for k in 0..64 {
+                let t = Time(ns);
+                let factor = 2f64.powi(k as i32);
+                assert_eq!(t.mul_pow2(k), t.mul_f64(factor), "{ns} ns × 2^{k}");
+            }
+        }
     }
 
     #[test]

@@ -548,6 +548,9 @@ struct LinkState {
     in_flight: Option<InFlight>,
     /// Link rate currently in effect, bits/s.
     current_rate_bps: f64,
+    /// The last whole-packet serialization time, reused while the packet
+    /// size and the rate repeat.
+    tx_memo: TxMemo,
     /// Generation counter validating `LinkDone` events across rate changes.
     gen: u64,
     /// Draws the hop's non-congestive losses.
@@ -603,6 +606,40 @@ fn bits_time(bits: f64, rate_bps: f64) -> Time {
     Time::from_secs_f64(bits / rate_bps.max(crate::schedule::MIN_RATE_BPS))
 }
 
+/// A hop's last [`bits_time`] of a whole packet, keyed by the packet's size
+/// and the rate it was computed at: most packets are full-sized and most
+/// links hold their rate, so the division and the rounding run once per
+/// change of either.
+#[derive(Clone, Copy)]
+struct TxMemo {
+    bytes: u32,
+    rate_bps: f64,
+    tx: Time,
+}
+
+impl TxMemo {
+    /// Matches no packet (no rate equals NaN).
+    const EMPTY: TxMemo = TxMemo {
+        bytes: 0,
+        rate_bps: f64::NAN,
+        tx: Time::ZERO,
+    };
+
+    /// The serialization time of a `bytes`-byte packet at `rate_bps`.
+    fn tx_time(&mut self, bytes: u32, rate_bps: f64) -> Time {
+        if bytes != self.bytes || rate_bps != self.rate_bps {
+            let tx = bits_time(bytes as f64 * 8.0, rate_bps);
+            *self = TxMemo {
+                bytes,
+                rate_bps,
+                tx,
+            };
+        }
+        debug_assert_eq!(self.tx, bits_time(bytes as f64 * 8.0, rate_bps));
+        self.tx
+    }
+}
+
 /// Per-hop seed derivation: hop 0 keeps the master seed byte-for-byte (so
 /// single-hop runs reproduce the pre-path engine exactly); later hops fold in
 /// their index so independent hops draw independent random streams.
@@ -640,6 +677,7 @@ impl Network {
                     queue,
                     in_flight: None,
                     current_rate_bps: rate,
+                    tx_memo: TxMemo::EMPTY,
                     gen: 0,
                     loss_rng: StdRng::seed_from_u64(seed ^ 0xd1b54a32d192ed03),
                     arrivals: Lane::default(),
@@ -1151,15 +1189,15 @@ impl Network {
             if hop >= self.exit_hop_of(pkt.flow) {
                 self.recorder.on_dequeue(pkt.flow, pkt.cum_queue_delay);
             }
-            let bits = pkt.size_bytes as f64 * 8.0;
-            let tx = bits_time(bits, self.links[hop].current_rate_bps);
-            self.links[hop].in_flight = Some(InFlight {
+            let link = &mut self.links[hop];
+            let tx = link.tx_memo.tx_time(pkt.size_bytes, link.current_rate_bps);
+            link.in_flight = Some(InFlight {
+                remaining_bits: pkt.size_bytes as f64 * 8.0,
                 pkt,
-                remaining_bits: bits,
                 since: self.now,
             });
-            self.links[hop].gen += 1;
-            let gen = self.links[hop].gen;
+            link.gen += 1;
+            let gen = link.gen;
             let hop = idx32(hop);
             self.schedule(self.now + tx, EventKind::LinkDone { hop, gen });
         }
@@ -2176,5 +2214,46 @@ mod tests {
         // time, half the RTT, two lanes, two `u32` hops, the `u32` count of
         // packets in the network (in what was padding) and four flags.
         assert_eq!(std::mem::size_of::<FlowState>(), 112);
+    }
+
+    #[test]
+    fn the_serialization_memo_answers_bits_time_when_the_rate_changes_mid_packet() {
+        let mut memo = TxMemo::EMPTY;
+        let calls = [
+            (1500, 12e6),
+            (1500, 12e6),
+            (40, 12e6),
+            (1500, 9e6),
+            (1500, 9e6),
+            (1500, 12e6),
+        ];
+        for (bytes, rate) in calls {
+            assert_eq!(
+                memo.tx_time(bytes, rate),
+                bits_time(bytes as f64 * 8.0, rate)
+            );
+        }
+        // A full-sized packet takes 1 ms at 12 Mbit/s and the rate steps
+        // every 0.7 ms, so most packets straddle a step.  `tx_time` checks
+        // every packet start against `bits_time` in a debug build.
+        let steps = (1..430)
+            .map(|i| {
+                (
+                    Time::from_micros(700 * i),
+                    if i % 2 == 0 { 12e6 } else { 9e6 },
+                )
+            })
+            .collect();
+        let mut cfg = base_config(12e6, 0.3);
+        cfg.link_mut().schedule = RateSchedule::steps(12e6, steps);
+        let mut net = Network::new(cfg);
+        net.add_flow(
+            FlowConfig::primary("window", Time::from_millis(10)),
+            Box::new(FixedWindow::new(20)),
+        );
+        net.run();
+        let (rec, _) = net.finish();
+        // 0.3 s at 9–12 Mbit/s, less the first RTT: well over 150 packets.
+        assert!(rec.flows[0].delivered_bytes > 150 * 1500);
     }
 }

@@ -160,6 +160,20 @@ pub trait CongestionControl: Send {
         None
     }
 
+    /// Whether every [`CongestionControl::pacing_rate_bps`] answer is
+    /// `Some(r)` with `r > 0`.  A host may then settle a poll whose pacing
+    /// gate is shut without computing the pace, since the pace would only
+    /// confirm that the flow is paced.
+    ///
+    /// The contract: the answer is constant for the controller's lifetime
+    /// (hosts ask once, at construction), and `true` only if the pace is
+    /// positive at every `now` and in every state.  The default is `false`,
+    /// which is always correct, so a wrapper that does not forward it costs
+    /// only the computed pace.
+    fn always_paces(&self) -> bool {
+        false
+    }
+
     /// Reinitialize the controller to operate at roughly `rate_bps` given an
     /// RTT of `rtt_s` seconds.  Nimbus uses this when switching into its
     /// TCP-competitive mode: "Nimbus sets the rate (and equivalent window) to

@@ -218,8 +218,12 @@ impl DelayCtl {
 
 /// The last answers to the transport's two poll-path queries.  Both are pure
 /// functions of state that only the `&mut self` callbacks change (and, for
-/// the pace, of `now`), while a sender asks them about three times per
-/// callback: the callbacks clear the memo, the queries fill it lazily.
+/// the pace, of `now`): the callbacks clear the memo, the queries fill it
+/// lazily.  A sender asks for the window about three times per callback.
+/// It asks for the pace once per paced send when it honours
+/// [`CongestionControl::always_paces`]; a host that does not (a wrapper that
+/// does not forward the claim, say) asks on every poll with an open window,
+/// and the pace memo answers its repeats at one `now`.
 #[derive(Default)]
 struct PollMemo {
     cwnd_packets: Cell<Option<f64>>,
@@ -539,6 +543,13 @@ impl CongestionControl for NimbusController {
                 Some(rate)
             }
         }
+    }
+
+    /// The pace is floored at one MSS per 100 ms and then scaled by a gain
+    /// of at least 1 ([`ElasticityProbe::pace_bps`]), so it is positive
+    /// whenever the MSS is.
+    fn always_paces(&self) -> bool {
+        self.cfg.mss > 0
     }
 
     fn reinitialize(&mut self, rate_bps: f64, rtt_s: f64, mss: u32) {

@@ -31,7 +31,10 @@
 //!   no simulated fingerprint notices, fails here;
 //! * every controller that answers `reads_reports() == false` — and so is
 //!   never handed a report by the sender — must produce bit-identical
-//!   `(cwnd, pacing rate)` whether or not the corpus's reports reach it.
+//!   `(cwnd, pacing rate)` whether or not the corpus's reports reach it;
+//! * every controller that claims `always_paces()` — and so is never asked
+//!   for its pace while the sender's pacing gate is shut — must pace at a
+//!   positive rate after every callback, at every `now` a poll may ask about.
 //!
 //! Everything is seeded — a failure reproduces by rerunning the test.
 
@@ -455,4 +458,100 @@ fn controllers_that_skip_reports_ignore_them() {
     }
     assert!(BasicDelay::new(MU, 1500).reads_reports());
     assert!(NimbusController::new(NimbusConfig::default_for_link(MU)).reads_reports());
+}
+
+/// A sender answers a shut pacing gate without asking for the pace when its
+/// controller claims [`CongestionControl::always_paces`], so the claim must
+/// hold after every callback of the corpus and at every `now` a poll may
+/// ask about: the pace is `Some(r)` with `r > 0`, and the claim itself does
+/// not change.  Every scheme that claims it is checked: each [`CcKind`]
+/// that claims it (none does today), and Nimbus under every µ strategy ×
+/// ẑ filter, every inner scheme pair and every µ strategy with
+/// pulser/watcher coordination.
+#[test]
+fn controllers_that_always_pace_give_a_positive_pace_everywhere() {
+    const SEQUENCES: usize = 64;
+    let offsets = [
+        Time::ZERO,
+        Time::from_nanos(1),
+        Time::from_micros(120),
+        Time::from_millis(7),
+        Time::from_millis(97),
+    ];
+    let check = |label: &str, cc: &mut dyn CongestionControl, pulse_freq_hz: f64, seq: usize| {
+        assert!(cc.always_paces(), "{label} no longer claims the capability");
+        let seed = (seq as u64) << 8 ^ label.len() as u64;
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut now = Time::ZERO;
+        for (step, event) in generate_sequence(&mut rng, pulse_freq_hz)
+            .iter()
+            .enumerate()
+        {
+            deliver(cc, event, &mut now);
+            assert!(
+                cc.always_paces(),
+                "[{label} seq {seq} step {step}] claim changed"
+            );
+            for at in offsets.map(|offset| now + offset) {
+                let pace = cc.pacing_rate_bps(at);
+                assert!(
+                    matches!(pace, Some(r) if r > 0.0),
+                    "[{label} seq {seq} step {step}] claims always_paces, paces {pace:?} at {at}"
+                );
+            }
+        }
+    };
+
+    let path = PathInfo::new(1500);
+    for kind in KINDS {
+        if !kind.build(&path).always_paces() {
+            continue;
+        }
+        for seq in 0..SEQUENCES {
+            check(&format!("{kind:?}"), kind.build(&path).as_mut(), 5.0, seq);
+        }
+    }
+
+    let mut specs = Vec::new();
+    for (mu_label, mu) in mu_configs() {
+        for (z_label, zfilter) in z_filters() {
+            let spec = NimbusSpec {
+                mu,
+                zfilter,
+                ..NimbusSpec::default()
+            };
+            specs.push((format!("nimbus {mu_label}/{z_label}"), spec, false));
+        }
+        let spec = NimbusSpec {
+            mu,
+            ..NimbusSpec::default()
+        };
+        specs.push((format!("nimbus {mu_label}/multiflow"), spec, true));
+    }
+    for competitive in [TcpScheme::NewReno, TcpScheme::Dctcp] {
+        for delay in [DelayScheme::CopaDefault, DelayScheme::Vegas] {
+            let spec = NimbusSpec {
+                competitive,
+                delay,
+                ..NimbusSpec::default()
+            };
+            specs.push((format!("nimbus {competitive:?}/{delay:?}"), spec, false));
+        }
+    }
+    for (label, spec, multiflow) in specs {
+        for seq in 0..SEQUENCES {
+            let mut cfg = config(spec, seq as u64 + 1);
+            if multiflow {
+                cfg = cfg.with_multiflow(MultiflowConfig::enabled());
+            }
+            let pulse_freq_hz = cfg.elasticity.pulse_freq_hz;
+            check(&label, &mut NimbusController::new(cfg), pulse_freq_hz, seq);
+        }
+    }
+
+    // The pace floor is one MSS per 100 ms: with no MSS there is no floor,
+    // and so no claim.
+    let mut cfg = NimbusConfig::default_for_link(MU);
+    cfg.mss = 0;
+    assert!(!NimbusController::new(cfg).always_paces());
 }

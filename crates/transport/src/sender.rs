@@ -30,6 +30,10 @@ const MAX_PACING_DEBT: Time = Time::from_millis(10);
 /// 50 ms ≈ 400 packets).
 const MAX_WINDOW_PACKETS: u64 = 4096;
 
+/// The longest retransmission timeout the sender arms, however far it has
+/// backed off.
+const RTO_CAP: Time = Time::from_millis(60_000);
+
 /// Sender configuration.
 #[derive(Debug, Clone)]
 pub struct SenderConfig {
@@ -103,6 +107,9 @@ pub struct Sender {
     rto_backoff: u32,
     /// Pacing state.
     next_send_time: Time,
+    /// The controller's [`CongestionControl::always_paces`], asked once:
+    /// when set, a shut pacing gate is answered without asking for the pace.
+    always_paces: bool,
     /// Measurement aggregation for CCP-style reports; `None` when the
     /// controller does not read reports (see
     /// [`CongestionControl::reads_reports`]), which spares it the per-ACK
@@ -121,6 +128,7 @@ impl Sender {
         let reports = cc
             .reads_reports()
             .then(|| ReportAggregator::new(Time::from_millis(100)));
+        let always_paces = cc.always_paces();
         Sender {
             cfg,
             cc,
@@ -138,6 +146,7 @@ impl Sender {
             rto_deadline: Time::MAX,
             rto_backoff: 0,
             next_send_time: Time::ZERO,
+            always_paces,
             reports,
             packets_sent: 0,
             packets_retransmitted: 0,
@@ -217,8 +226,7 @@ impl Sender {
     }
 
     fn arm_rto(&mut self, now: Time) {
-        let rto = self.rtt.rto().mul_f64(backoff_factor(self.rto_backoff));
-        self.rto_deadline = now + rto.min(Time::from_secs_f64(60.0));
+        self.rto_deadline = rto_deadline(now, self.rtt.rto(), self.rto_backoff);
     }
 
     /// Arm the RTO only if it is not already running.  Transmissions use this
@@ -347,10 +355,11 @@ impl Sender {
     }
 }
 
-/// The RTO multiplier 2^`backoff`, exactly `2f64.powi(backoff)` for the
-/// capped exponents (≤ 6) without the library `powi` call.
-fn backoff_factor(backoff: u32) -> f64 {
-    (1u64 << backoff) as f64
+/// The deadline of an RTO armed at `now` after `backoff` consecutive
+/// timeouts: `rto · 2^backoff`, capped at [`RTO_CAP`].  The doubling stays
+/// on the integer clock ([`Time::mul_pow2`]).
+fn rto_deadline(now: Time, rto: Time, backoff: u32) -> Time {
+    now + rto.mul_pow2(backoff).min(RTO_CAP)
 }
 
 impl FlowEndpoint for Sender {
@@ -482,6 +491,24 @@ impl FlowEndpoint for Sender {
         }
     }
 
+    /// Decide what the flow does at `now`.  Past `stop_at` the flow is
+    /// finished; otherwise the questions go in this order (the numbers of
+    /// the steps below), and the first that settles the poll answers it:
+    ///
+    /// 0. Has the RTO expired with data outstanding?  Then take the timeout
+    ///    and go on.
+    /// 1. Is nothing queued for retransmission and everything delivered?
+    ///    Then the flow is finished.
+    /// 2. Does a queued retransmission fit the window (`cwnd_packets`)?
+    ///    Then send it.
+    /// 3. Does new data fit the window, and has the application written it?
+    ///    Then the pacing gate decides.  For a controller that
+    ///    [always paces](CongestionControl::always_paces), a gate still shut
+    ///    (`next_send_time` ahead of `now`) is answered without asking for
+    ///    the pace.  Otherwise `pacing_rate_bps(now)` says: `None`, send now;
+    ///    a positive rate, send if the gate is open, else wait for it; any
+    ///    other rate, wait 10 ms.
+    /// 4. Blocked: wait for the application or the RTO, or go idle.
     fn poll_send(&mut self, now: Time) -> SendAction {
         // Hard stop: the "application" went away.
         if let Some(stop) = self.cfg.stop_at {
@@ -547,6 +574,11 @@ impl FlowEndpoint for Sender {
         let app_ok = self.next_seq < available;
 
         if window_ok && app_ok {
+            // A controller that always paces at a positive rate would take
+            // the paced arm below, so a shut gate needs no pace.
+            if self.always_paces && self.next_send_time > now {
+                return SendAction::WaitUntil(self.next_send_time.min(self.rto_deadline));
+            }
             match self.cc.pacing_rate_bps(now) {
                 None => {
                     // Pure window/ACK clocking: send immediately.
@@ -629,6 +661,7 @@ mod tests {
     use crate::source::{BackloggedSource, FixedSizeSource, PoissonSource, ScriptedSource};
     use nimbus_core::cc::{CcKind, PathInfo};
     use nimbus_netsim::{FlowConfig, Network, SimConfig};
+    use proptest::prelude::*;
 
     fn sender(kind: CcKind, source: Box<dyn Source>) -> Box<Sender> {
         Box::new(Sender::new(
@@ -922,15 +955,135 @@ mod tests {
         );
     }
 
-    #[test]
-    fn backoff_factor_matches_powi() {
-        for k in 0..=6 {
-            assert_eq!(
-                backoff_factor(k).to_bits(),
-                2f64.powi(k as i32).to_bits(),
-                "k = {k}"
-            );
+    /// The RTO deadline as it was formed on the float path.
+    fn float_rto_deadline(now: Time, rto: Time, backoff: u32) -> Time {
+        now + rto
+            .mul_f64(2f64.powi(backoff as i32))
+            .min(Time::from_secs_f64(60.0))
+    }
+
+    proptest! {
+        // Random RTT sample streams, mostly of realistic RTTs with some far
+        // past 2^53 ns (an RTO there takes the float path, and near 2^64 it
+        // saturates), at every backoff the sender reaches.
+        #[test]
+        fn the_rto_deadline_matches_the_float_expression_bit_for_bit(seed in 0u64..1_000_000) {
+            let mut rng = TestRng::new(seed);
+            let mut estimator = RttEstimator::default();
+            let now = Time::from_nanos(rng.range_u64(0, 1 << 40));
+            for _ in 0..100 {
+                let sample = match rng.range_u64(0, 10) {
+                    0 => rng.range_u64(1 << 53, 1 << 62),
+                    1 => rng.next_u64(),
+                    _ => rng.range_u64(1_000, 2_000_000_000),
+                };
+                estimator.on_sample(Time::from_nanos(sample));
+                let rto = estimator.rto();
+                for k in 0..=6 {
+                    prop_assert_eq!(rto_deadline(now, rto, k), float_rto_deadline(now, rto, k));
+                }
+            }
         }
+    }
+
+    #[test]
+    fn an_rto_past_2_pow_53_ns_takes_the_float_path_and_still_matches() {
+        let mut estimator = RttEstimator::default();
+        estimator.on_sample(Time::from_nanos(1 << 60));
+        let rto = estimator.rto();
+        assert!(rto.as_nanos() >= 1 << 53, "rto {rto}");
+        for k in 0..=6 {
+            let now = Time::from_millis(7);
+            assert_eq!(rto_deadline(now, rto, k), float_rto_deadline(now, rto, k));
+            assert_eq!(rto_deadline(now, rto, k), now + RTO_CAP);
+        }
+    }
+
+    /// A controller whose pace the test sets, and which counts how often
+    /// it is asked for it.
+    struct ScriptedPace {
+        pace: std::cell::Cell<Option<f64>>,
+        asked: std::cell::Cell<u32>,
+        claims: bool,
+    }
+
+    impl CongestionControl for ScriptedPace {
+        fn on_packet_acked(&mut self, _ack: &AckEvent) {}
+        fn on_packets_lost(&mut self, _loss: &LossEvent) {}
+        fn on_congestion_event(&mut self, _event: &CongestionEvent) {}
+        fn cwnd_packets(&self) -> f64 {
+            100.0
+        }
+        fn pacing_rate_bps(&self, _now: Time) -> Option<f64> {
+            self.asked.set(self.asked.get() + 1);
+            self.pace.get()
+        }
+        fn always_paces(&self) -> bool {
+            self.claims
+        }
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+        fn as_any(&self) -> Option<&dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    /// A sender over a [`ScriptedPace`] pacing one packet per ms, after its
+    /// first (paced) send at time zero.
+    fn paced_once(claims: bool) -> Sender {
+        let cc = ScriptedPace {
+            pace: std::cell::Cell::new(Some(12e6)),
+            asked: std::cell::Cell::new(0),
+            claims,
+        };
+        let mut s = Sender::new(
+            SenderConfig::labelled("scripted"),
+            Box::new(cc),
+            Box::new(BackloggedSource),
+        );
+        s.on_start(Time::ZERO);
+        assert!(matches!(
+            s.poll_send(Time::ZERO),
+            SendAction::Transmit { seq: 0, .. }
+        ));
+        s
+    }
+
+    fn scripted(s: &Sender) -> &ScriptedPace {
+        let any = s.congestion_control().as_any().expect("scripted");
+        any.downcast_ref().expect("a ScriptedPace")
+    }
+
+    #[test]
+    fn a_shut_gate_asks_no_pace_of_a_controller_that_always_paces() {
+        let mut s = paced_once(true);
+        assert_eq!(scripted(&s).asked.get(), 1);
+        let now = Time::from_micros(400);
+        assert_eq!(
+            s.poll_send(now),
+            SendAction::WaitUntil(Time::from_millis(1))
+        );
+        assert_eq!(scripted(&s).asked.get(), 1, "the shut gate answered alone");
+        assert!(matches!(
+            s.poll_send(Time::from_millis(1)),
+            SendAction::Transmit { seq: 1, .. }
+        ));
+        assert_eq!(scripted(&s).asked.get(), 2);
+    }
+
+    #[test]
+    fn a_controller_that_may_stop_pacing_is_asked_behind_a_shut_gate() {
+        // Like BBR falling back to window clocking: with the gate still shut
+        // the pace turns to `None`, and the flow sends at once.
+        let mut s = paced_once(false);
+        scripted(&s).pace.set(None);
+        let now = Time::from_micros(400);
+        assert!(matches!(
+            s.poll_send(now),
+            SendAction::Transmit { seq: 1, .. }
+        ));
+        assert_eq!(scripted(&s).asked.get(), 2);
     }
 
     #[test]
