@@ -8,8 +8,10 @@
 # `figures` writes every file of `nimbus-experiments all --quick` into an
 # empty target/experiments/ and checks it against tests/ledger/figures.sha256.
 # A check fails if any digest differs (`sha256sum -c --strict`) or if a file
-# is missing from or extra to its manifest.  FINGERPRINTS.md says how to
-# re-pin a manifest when a change moves an output on purpose.
+# is missing from or extra to its manifest.  Every requested manifest is
+# checked, each in its own run of this script, and the script then exits
+# non-zero naming each one that failed.  FINGERPRINTS.md says how to re-pin
+# a manifest when a change moves an output on purpose.
 set -euo pipefail
 root=$(cd "$(dirname "$0")/../.." && pwd)
 cd "$root"
@@ -42,10 +44,22 @@ figures() {
 [ $# -gt 0 ] || set -- examples figures
 for what in "$@"; do
   case "$what" in
-    examples | figures) "$what" ;;
+    examples | figures) ;;
     *)
       echo "usage: $0 [examples] [figures]" >&2
       exit 2
       ;;
   esac
 done
+if [ $# -eq 1 ]; then
+  "$1"
+  exit
+fi
+failed=()
+for what in "$@"; do
+  bash "${BASH_SOURCE[0]}" "$what" || failed+=("$what")
+done
+if [ ${#failed[@]} -gt 0 ]; then
+  echo "check_digests: ${failed[*]} failed" >&2
+  exit 1
+fi
