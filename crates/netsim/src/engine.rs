@@ -610,7 +610,6 @@ fn bits_time(bits: f64, rate_bps: f64) -> Time {
 /// and the rate it was computed at: most packets are full-sized and most
 /// links hold their rate, so the division and the rounding run once per
 /// change of either.
-#[derive(Clone, Copy)]
 struct TxMemo {
     bytes: u32,
     rate_bps: f64,
