@@ -351,6 +351,13 @@ mod tests {
                 assert_eq!(t.mul_pow2(k), t.mul_f64(factor), "{ns} ns × 2^{k}");
             }
         }
+        // Four windows over the clamped measurement-window range, 10 ms to
+        // 2 s: the horizon of the Nimbus report aggregator's records.
+        let (lo, hi) = (10_000_000, 2_000_000_000);
+        let ends = (lo..lo + 100_000).chain(hi - 100_000..=hi);
+        for ns in ends.chain((lo..=hi).step_by(997)) {
+            assert_eq!(Time(ns).mul_pow2(2), Time(ns).mul_f64(4.0), "{ns} ns × 4");
+        }
     }
 
     #[test]

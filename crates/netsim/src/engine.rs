@@ -2233,8 +2233,9 @@ mod tests {
             );
         }
         // A full-sized packet takes 1 ms at 12 Mbit/s and the rate steps
-        // every 0.7 ms, so most packets straddle a step.  `tx_time` checks
-        // every packet start against `bits_time` in a debug build.
+        // every 0.7 ms, so most packets straddle a step and the next one
+        // starts at the new rate.  Each start must be timed at `bits_time`
+        // of its size at the rate then in effect.
         let steps = (1..430)
             .map(|i| {
                 (
@@ -2250,9 +2251,32 @@ mod tests {
             FlowConfig::primary("window", Time::from_millis(10)),
             Box::new(FixedWindow::new(20)),
         );
-        net.run();
-        let (rec, _) = net.finish();
-        // 0.3 s at 9–12 Mbit/s, less the first RTT: well over 150 packets.
-        assert!(rec.flows[0].delivered_bytes > 150 * 1500);
+        net.schedule_clocks();
+        let (mut last, mut last_rate) = (None, f64::NAN);
+        let (mut starts, mut rate_misses) = (0, 0);
+        while net.step() {
+            let link = &net.links[0];
+            let Some(inf) = &link.in_flight else {
+                continue;
+            };
+            let id = (inf.pkt.flow, inf.pkt.seq, inf.pkt.sent_at);
+            if last == Some(id) {
+                continue;
+            }
+            last = Some(id);
+            // One event either starts a packet or changes the rate, never
+            // both, so the rate in effect now is the one the start used.
+            let (bytes, rate) = (inf.pkt.size_bytes, link.current_rate_bps);
+            let memo = &link.tx_memo;
+            assert_eq!((memo.bytes, memo.rate_bps), (bytes, rate));
+            assert_eq!(memo.tx, bits_time(bytes as f64 * 8.0, rate));
+            starts += 1;
+            rate_misses += usize::from(rate != last_rate);
+            last_rate = rate;
+        }
+        // 0.3 s at 9–12 Mbit/s, less the first RTT: well over 150 packets,
+        // and over a third start at a rate the one before them did not.
+        assert!(starts > 150, "{starts} packet starts");
+        assert!(rate_misses > starts / 3, "{rate_misses} of {starts}");
     }
 }

@@ -121,7 +121,7 @@ impl ReportAggregator {
         }
         // Evict records older than ~4 windows so memory stays bounded even if
         // reports stop being drawn.
-        let horizon = acked_at.saturating_sub(retention(self.measurement_window));
+        let horizon = acked_at.saturating_sub(self.measurement_window.mul_pow2(2));
         while let Some(front) = self.records.front() {
             if front.acked_at < horizon {
                 self.records.pop_front();
@@ -193,12 +193,6 @@ impl ReportAggregator {
         self.marked_bytes_since_report = 0;
         rep
     }
-}
-
-/// How long records are kept: four measurement windows, formed as
-/// `window.mul_f64(4.0)` would be but on the integer clock.
-fn retention(window: Time) -> Time {
-    window.mul_pow2(2)
 }
 
 #[cfg(test)]
@@ -293,19 +287,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn retention_is_four_windows_bit_for_bit_over_the_clamped_range() {
-        let (lo, hi) = (
-            Time::from_millis(10).as_nanos(),
-            Time::from_millis(2000).as_nanos(),
-        );
-        let ends = (lo..lo + 100_000).chain(hi - 100_000..=hi);
-        for ns in ends.chain((lo..=hi).step_by(997)) {
-            let w = Time::from_nanos(ns);
-            assert_eq!(retention(w), w.mul_f64(4.0), "window {ns} ns");
         }
     }
 
