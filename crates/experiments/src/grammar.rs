@@ -142,8 +142,9 @@ pub fn integer(what: &str, value: &str) -> Result<u64, ParseError> {
         .map_err(|_| ParseError(format!("invalid {what} `{value}`: not an integer")))
 }
 
-/// A bit rate with an optional `k`/`M`/`G` suffix (`48M`); the parser is
-/// [`parse_rate_bps`], shared with `constant(<rate>)`.
+/// A bit rate with an optional `k`/`M`/`G` suffix (`48M`): a scenario's
+/// link rate or an absolute `cbr@`/`poisson@` load.  The parser is
+/// [`parse_rate_bps`].
 pub fn rate(value: &str) -> Result<f64, ParseError> {
     parse_rate_bps(value).map_err(ParseError)
 }

@@ -6,11 +6,12 @@ use crate::grammar::{
     split_top_level, Opt, ParseError,
 };
 use crate::scheme::SchemeSpec;
+use nimbus_core::cc::constant::Unlimited;
 use nimbus_netsim::{FlowConfig, FlowEndpoint, Time};
 use nimbus_traffic::{VideoQuality, VideoSource};
 use nimbus_transport::{
-    format_rate_bps, BackloggedSource, CcKind, PathInfo, PoissonSource, ScriptedSource, Sender,
-    SenderConfig, Source, MSS,
+    format_rate_bps, BackloggedSource, CcKind, CongestionControl, PathInfo, PoissonSource,
+    ScriptedSource, Sender, SenderConfig, Source, MSS,
 };
 use std::fmt;
 use std::str::FromStr;
@@ -54,7 +55,7 @@ pub enum CrossSource {
     /// application-limited at 1080p.
     Video(VideoQuality),
     /// One backlogged competitor running any scheme the algebra can express
-    /// — a bare CCA, a paced `constant(<rate>)`, or another Nimbus wrapper.
+    /// — a bare CCA or another Nimbus wrapper.
     Scheme(SchemeSpec),
 }
 
@@ -208,28 +209,31 @@ impl CrossSpec {
         run_s: f64,
     ) -> (FlowConfig, Box<dyn FlowEndpoint>) {
         let seed = self.seed.unwrap_or(seed);
-        let build = |kind: CcKind| kind.build(&PathInfo::new(MSS));
-        let (cc, source, elastic, ecn): (_, Box<dyn Source>, _, _) = match self.source {
-            CrossSource::Cbr(rate) => {
-                let cbr = ScriptedSource::constant(rate.bps(hop_bps));
-                (build(CcKind::Unlimited), Box::new(cbr), false, false)
-            }
-            CrossSource::Poisson(rate) => {
-                let poisson = PoissonSource::new(rate.bps(hop_bps), seed);
-                (build(CcKind::Unlimited), Box::new(poisson), false, false)
-            }
-            CrossSource::Video(quality) => {
-                let video = VideoSource::new(quality, run_s);
-                let elastic = quality == VideoQuality::Uhd4k;
-                (build(CcKind::Cubic), Box::new(video), elastic, false)
-            }
-            CrossSource::Scheme(spec) => (
-                spec.build_cc(mu_bps, seed, None),
-                Box::new(BackloggedSource),
-                spec.is_elastic(),
-                spec.uses_ecn(),
-            ),
-        };
+        let (cc, source, elastic, ecn): (Box<dyn CongestionControl>, Box<dyn Source>, _, _) =
+            match self.source {
+                CrossSource::Cbr(rate) => {
+                    let cbr = ScriptedSource::constant(rate.bps(hop_bps));
+                    (Box::new(Unlimited::new()), Box::new(cbr), false, false)
+                }
+                CrossSource::Poisson(rate) => {
+                    let poisson = PoissonSource::new(rate.bps(hop_bps), seed);
+                    (Box::new(Unlimited::new()), Box::new(poisson), false, false)
+                }
+                CrossSource::Video(quality) => {
+                    let video = VideoSource::new(quality, run_s);
+                    let elastic = quality == VideoQuality::Uhd4k;
+                    let cubic = CcKind::Cubic.build(&PathInfo::new(MSS));
+                    (cubic, Box::new(video), elastic, false)
+                }
+                // Every scheme counts as elastic, Vivace included, though
+                // Table 1's rows (`figures::robust`) score Vivace inelastic.
+                CrossSource::Scheme(spec) => (
+                    spec.build_cc(mu_bps, seed, None),
+                    Box::new(BackloggedSource),
+                    true,
+                    spec.uses_ecn(),
+                ),
+            };
         let sender = SenderConfig {
             stop_at: self.stop_s.map(Time::from_secs_f64),
             ..SenderConfig::labelled(label)

@@ -159,11 +159,11 @@ mod tests {
             "48M hop(0.5) vs cbr@0.1@stop=1s+cbr@0.2@hop1-1+poisson@0.2@stop=1s dur=2s"
                 .parse()
                 .unwrap();
-        let out = run_scheme_vs_cross(&spec, SchemeSpec::constant(1e6), 1.0);
+        let out = run_scenario(&spec, Vec::new(), 1.0);
         let mbit = |i: usize| out.recorder.flows[i].delivered_bytes as f64 * 8e-6;
-        assert!((mbit(1) - 4.8).abs() < 0.3, "48M·0.1 for 1 s: {}", mbit(1));
-        assert!((mbit(2) - 9.6).abs() < 0.6, "24M·0.2 for 2 s: {}", mbit(2));
-        assert!((mbit(3) - 9.6).abs() < 1.0, "48M·0.2 for 1 s: {}", mbit(3));
+        assert!((mbit(0) - 4.8).abs() < 0.3, "48M·0.1 for 1 s: {}", mbit(0));
+        assert!((mbit(1) - 9.6).abs() < 0.6, "24M·0.2 for 2 s: {}", mbit(1));
+        assert!((mbit(2) - 9.6).abs() < 1.0, "48M·0.2 for 1 s: {}", mbit(2));
     }
 
     #[test]
@@ -183,9 +183,9 @@ mod tests {
 
     #[test]
     fn spec_described_cross_flows_compete() {
-        // A declarative heterogeneous scenario: monitored Cubic vs a paced
-        // CBR scheme carried entirely by `ScenarioSpec::cross`.
-        let spec: ScenarioSpec = "48M vs constant(24M) dur=15s".parse().unwrap();
+        // A declarative heterogeneous scenario: monitored Cubic vs a CBR
+        // stream carried entirely by `ScenarioSpec::cross`.
+        let spec: ScenarioSpec = "48M vs cbr@24M dur=15s".parse().unwrap();
         let out = run_scheme_vs_cross(&spec, SchemeSpec::cubic(), 5.0);
         let m = &out.flows[0];
         // The CBR flow holds its half, so Cubic lands near the other half.

@@ -362,7 +362,6 @@ mod tests {
             SchemeSpec::compound(),
             "nimbus(competitive=reno)".parse().unwrap(),
             "nimbus(delay=copa,mu=learned)".parse().unwrap(),
-            SchemeSpec::constant(12e6),
         ];
         for s in specs {
             let monitored = Monitored::scheme(&spec, s);

@@ -9,7 +9,7 @@
 //! switches between them (§4).  The public API here mirrors that directly:
 //!
 //! * [`SchemeSpec::Bare`] — a standalone CCA ([`CcKind`]): `cubic`, `reno`,
-//!   `vegas`, `copa`, `bbr`, `vivace`, `compound`, `constant(<rate>)`, …
+//!   `vegas`, `copa`, `bbr`, `vivace`, `compound` or `dctcp`.
 //! * [`SchemeSpec::Nimbus`] — the wrapper, parameterized by nimbus-core's
 //!   [`NimbusSpec`]: which competitive scheme, which delay scheme, whether µ
 //!   is configured or learned at runtime (§4.2), and whether mode switching
@@ -23,7 +23,6 @@
 //!
 //! ```text
 //! cubic                                   a bare CCA
-//! constant(24M)                           CBR cross traffic at 24 Mbit/s
 //! nimbus                                  the paper's default wrapper
 //! nimbus(competitive=reno)                wrap NewReno instead of Cubic
 //! nimbus(competitive=dctcp)               DCTCP competitive mode (L4S paths)
@@ -51,7 +50,7 @@ use nimbus_core::{
     DelayScheme, LearnedMuConfig, MuSpec, MultiflowConfig, NimbusConfig, NimbusSpec, SwitchSpec,
     TcpScheme, ZFilterConfig,
 };
-use nimbus_transport::{format_rate_bps, CcKind, CongestionControl, PathInfo, MSS};
+use nimbus_transport::{CcKind, CongestionControl, PathInfo, MSS};
 use std::fmt;
 use std::str::FromStr;
 
@@ -155,11 +154,6 @@ impl SchemeSpec {
         SchemeSpec::Bare(CcKind::Dctcp)
     }
 
-    /// A constant-bit-rate (inelastic) sender at `rate_bps`.
-    pub fn constant(rate_bps: f64) -> Self {
-        SchemeSpec::Bare(CcKind::ConstantRate(rate_bps))
-    }
-
     // ---- inspection -----------------------------------------------------
 
     /// All schemes plotted in Fig. 8/9.
@@ -191,15 +185,6 @@ impl SchemeSpec {
         }
     }
 
-    /// Whether a backlogged flow running this spec reacts to competing
-    /// traffic (CBR/unlimited senders do not; everything else does).
-    pub fn is_elastic(&self) -> bool {
-        match self {
-            SchemeSpec::Nimbus(_) => true,
-            SchemeSpec::Bare(kind) => !matches!(kind, CcKind::ConstantRate(_) | CcKind::Unlimited),
-        }
-    }
-
     /// A short label for result tables and recorder flow names, derived
     /// from the spec.  The paper's combinations keep their historical
     /// labels (`nimbus`, `nimbus-copa`, `nimbus-estmu`, `cubic`,
@@ -209,12 +194,7 @@ impl SchemeSpec {
     /// or result name.
     pub fn label(&self) -> String {
         match self {
-            SchemeSpec::Bare(kind) => match kind {
-                // The exact rate rendering (`cbr24M`, `cbr400k`) keeps
-                // distinct CBR schemes distinct in name-keyed results.
-                CcKind::ConstantRate(bps) => format!("cbr{}", format_rate_bps(*bps)),
-                other => other.name().to_string(),
-            },
+            SchemeSpec::Bare(kind) => kind.name().to_string(),
             SchemeSpec::Nimbus(n) => {
                 let mut label = String::from("nimbus");
                 if n.switch == SwitchSpec::Never {
@@ -290,8 +270,6 @@ impl SchemeSpec {
 
 /// Every bare CCA name.  A kind's first entry is its canonical spelling,
 /// which `Display` prints and error text lists; later entries are aliases.
-/// `constant(<rate>)` (alias `cbr(<rate>)`) carries a rate and is parsed on
-/// its own.
 const BARE: &[(&str, CcKind)] = &[
     ("cubic", CcKind::Cubic),
     ("newreno", CcKind::NewReno),
@@ -301,22 +279,21 @@ const BARE: &[(&str, CcKind)] = &[
     ("vivace", CcKind::Vivace),
     ("compound", CcKind::Compound),
     ("dctcp", CcKind::Dctcp),
-    ("unlimited", CcKind::Unlimited),
     ("reno", CcKind::NewReno),
     ("pcc-vivace", CcKind::Vivace),
 ];
 
-/// The canonical spelling of a rate-free `kind`.
+/// The canonical spelling of `kind`.
 fn bare_name(kind: CcKind) -> &'static str {
     let entry = BARE.iter().find(|&&(_, k)| k == kind);
-    entry.expect("every rate-free kind has a bare name").0
+    entry.expect("every kind has a bare name").0
 }
 
 /// The bare CCAs the grammar accepts, for error text and `--help`.
 pub fn bare_schemes() -> String {
     let canonical = BARE.iter().filter(|&&(name, kind)| bare_name(kind) == name);
     let names: Vec<&str> = canonical.map(|&(name, _)| name).collect();
-    format!("{}, constant(<rate>)", names.join(", "))
+    names.join(", ")
 }
 
 const COMPETITIVE: &[(&str, TcpScheme)] = &[
@@ -386,9 +363,6 @@ impl fmt::Display for SchemeSpec {
     /// the non-default keys otherwise.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SchemeSpec::Bare(CcKind::ConstantRate(bps)) => {
-                write!(f, "constant({})", format_rate_bps(*bps))
-            }
             SchemeSpec::Bare(kind) => f.write_str(bare_name(*kind)),
             SchemeSpec::Nimbus(n) => {
                 f.write_str(&call_form("nimbus", grammar::show_opts(NIMBUS, n, ",")))
@@ -401,8 +375,7 @@ impl FromStr for SchemeSpec {
     type Err = ParseError;
 
     /// Parse a spec string (case-insensitively): a name from the `BARE`
-    /// table, `constant(<rate>)`/`cbr(<rate>)`, or `nimbus[(…)]` over the
-    /// `NIMBUS` options.
+    /// table, or `nimbus[(…)]` over the `NIMBUS` options.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let lower = s.trim().to_ascii_lowercase();
         let unknown = || {
@@ -419,7 +392,6 @@ impl FromStr for SchemeSpec {
                 grammar::set_opts("nimbus", NIMBUS, &mut spec, args.unwrap_or(""))?;
                 Ok(SchemeSpec::Nimbus(spec))
             }
-            ("constant" | "cbr", Some(rate)) => Ok(SchemeSpec::constant(grammar::rate(rate)?)),
             (name, None) => match BARE.iter().find(|&&(bare, _)| bare == name) {
                 Some(&(_, kind)) => Ok(SchemeSpec::Bare(kind)),
                 None => Err(unknown()),
@@ -444,8 +416,6 @@ mod tests {
             CcKind::Vivace,
             CcKind::Compound,
             CcKind::Dctcp,
-            CcKind::ConstantRate(2.5e6),
-            CcKind::Unlimited,
         ] {
             let spec = SchemeSpec::Bare(kind);
             let text = spec.to_string();
@@ -454,7 +424,6 @@ mod tests {
         let parse = |s: &str| s.parse::<SchemeSpec>().unwrap();
         assert_eq!(parse("reno"), SchemeSpec::newreno());
         assert_eq!(parse("pcc-vivace"), SchemeSpec::vivace());
-        assert_eq!(parse("cbr(24M)"), SchemeSpec::constant(24e6));
         assert!("quic".parse::<SchemeSpec>().is_err());
     }
 
@@ -469,8 +438,6 @@ mod tests {
             label("nimbus(delay=vegas,switch=never)"),
             "nimbus-delay-vegas"
         );
-        assert_eq!(SchemeSpec::constant(24e6).label(), "cbr24M");
-        assert_eq!(SchemeSpec::constant(4e5).label(), "cbr400k");
         // Probing parameters: only the non-default ones, in table order.
         assert_eq!(
             label("nimbus(mu=learned(probe=2,gain=4,quiesce=0.4))"),

@@ -16,13 +16,14 @@
 //! | [`vivace`]   | PCC-Vivace      | baseline; rate-based (non-ACK-clocked) elastic flow   |
 //! | [`compound`] | Compound TCP    | baseline                                              |
 //! | [`dctcp`]    | DCTCP           | ECN-reacting CCA for the L4S/Prague scenario family   |
-//! | [`constant`] | CBR / unlimited | inelastic cross traffic                                |
+//! | [`constant`] | Unlimited       | sender behind inelastic (CBR, Poisson) cross traffic  |
 //! | [`BasicDelay`](crate::BasicDelay) | BasicDelay | the paper's Eq. 4 delay controller (used by Nimbus) |
 //!
 //! `BasicDelay` needs the cross-traffic estimate, so it lives one level up
 //! in this crate's root alongside the estimator; everything else is here.
-//! All of it is simulator-free: hosts construct schemes through
-//! [`CcKind::build`] with a [`PathInfo`] describing the path.
+//! All of it is simulator-free: hosts construct the eight congestion
+//! controllers through [`CcKind::build`] with a [`PathInfo`] describing the
+//! path, and the no-op [`constant::Unlimited`] directly.
 
 pub mod bbr;
 pub mod compound;
@@ -122,7 +123,7 @@ impl PathInfo {
 /// pacing rate.  Window-only schemes (Reno, Cubic, Vegas, …) return `None`
 /// from [`CongestionControl::pacing_rate_bps`] and are therefore purely
 /// ACK-clocked — which is what makes them *elastic* in the paper's sense.
-/// Rate-based schemes (BBR, Vivace, CBR, Nimbus) return a pacing rate; their
+/// Rate-based schemes (BBR, Vivace, Nimbus) return a pacing rate; their
 /// window then acts only as a safety cap.
 pub trait CongestionControl: Send {
     /// Process a new (non-duplicate) ACK.
@@ -209,10 +210,6 @@ pub enum CcKind {
     Compound,
     /// DCTCP: ECN mark-fraction EWMA with proportional cwnd cuts.
     Dctcp,
-    /// Constant-bit-rate (paced, unlimited window) at the given rate.
-    ConstantRate(f64),
-    /// No congestion control at all: send whenever the application has data.
-    Unlimited,
 }
 
 impl CcKind {
@@ -228,8 +225,6 @@ impl CcKind {
             CcKind::Vivace => Box::new(vivace::Vivace::new(path.mss)),
             CcKind::Compound => Box::new(compound::Compound::new()),
             CcKind::Dctcp => Box::new(dctcp::Dctcp::new()),
-            CcKind::ConstantRate(bps) => Box::new(constant::ConstantRate::new(bps)),
-            CcKind::Unlimited => Box::new(constant::Unlimited::new()),
         }
     }
 
@@ -244,8 +239,6 @@ impl CcKind {
             CcKind::Vivace => "pcc-vivace",
             CcKind::Compound => "compound",
             CcKind::Dctcp => "dctcp",
-            CcKind::ConstantRate(_) => "cbr",
-            CcKind::Unlimited => "unlimited",
         }
     }
 }
@@ -269,8 +262,6 @@ mod tests {
             CcKind::Vivace,
             CcKind::Compound,
             CcKind::Dctcp,
-            CcKind::ConstantRate(10e6),
-            CcKind::Unlimited,
         ] {
             let cc = kind.build(&PathInfo::new(1500));
             assert!(!cc.name().is_empty());

@@ -41,6 +41,7 @@
 mod corpus;
 
 use corpus::{config, deliver, generate_sequence, mu_configs, z_filters, Event, MU};
+use nimbus_core::cc::constant::Unlimited;
 use nimbus_core::cc::{CcKind, CongestionControl, PathInfo};
 use nimbus_core::{
     BasicDelay, DelayScheme, Mode, MultiflowConfig, NimbusConfig, NimbusController, NimbusSpec,
@@ -400,18 +401,19 @@ fn repeated_polls_match_one_poll_per_step() {
     }
 }
 
-/// Every scheme [`CcKind::build`] offers.
-const KINDS: [CcKind; 10] = [
-    CcKind::NewReno,
-    CcKind::Cubic,
-    CcKind::Vegas,
-    CcKind::Copa,
-    CcKind::Bbr,
-    CcKind::Vivace,
-    CcKind::Compound,
-    CcKind::Dctcp,
-    CcKind::ConstantRate(24e6),
-    CcKind::Unlimited,
+/// Every controller a host builds: the eight schemes [`CcKind::build`]
+/// offers, and the [`Unlimited`] sender behind every `cbr@`/`poisson@`
+/// cross flow, built directly.
+const KINDS: [fn() -> Box<dyn CongestionControl>; 9] = [
+    || CcKind::NewReno.build(&PathInfo::new(1500)),
+    || CcKind::Cubic.build(&PathInfo::new(1500)),
+    || CcKind::Vegas.build(&PathInfo::new(1500)),
+    || CcKind::Copa.build(&PathInfo::new(1500)),
+    || CcKind::Bbr.build(&PathInfo::new(1500)),
+    || CcKind::Vivace.build(&PathInfo::new(1500)),
+    || CcKind::Compound.build(&PathInfo::new(1500)),
+    || CcKind::Dctcp.build(&PathInfo::new(1500)),
+    || Box::new(Unlimited::new()),
 ];
 
 /// A controller that says it does not read reports must not depend on
@@ -420,11 +422,11 @@ const KINDS: [CcKind; 10] = [
 /// same `(cwnd, pacing rate)` bits after every callback.
 #[test]
 fn controllers_that_skip_reports_ignore_them() {
-    let path = PathInfo::new(1500);
     let mut checked = 0;
-    for kind in KINDS {
-        let mut with_reports = kind.build(&path);
-        let mut without = kind.build(&path);
+    for build in KINDS {
+        let mut with_reports = build();
+        let mut without = build();
+        let name = with_reports.name();
         if with_reports.reads_reports() {
             continue;
         }
@@ -444,17 +446,17 @@ fn controllers_that_skip_reports_ignore_them() {
                 assert_eq!(
                     outputs(with_reports.as_ref()),
                     outputs(without.as_ref()),
-                    "[{kind:?} seq {seq} step {step}] reads_reports() is false, \
+                    "[{name} seq {seq} step {step}] reads_reports() is false, \
                      but a report moved (cwnd, pacing)"
                 );
             }
         }
     }
-    assert_eq!(checked, 8, "the eight report-blind schemes");
+    assert_eq!(checked, 7, "the seven report-blind controllers");
     // The controllers whose `on_report` does the work must keep receiving
     // reports.
     for kind in [CcKind::Bbr, CcKind::Vivace] {
-        assert!(kind.build(&path).reads_reports(), "{kind:?}");
+        assert!(kind.build(&PathInfo::new(1500)).reads_reports(), "{kind:?}");
     }
     assert!(BasicDelay::new(MU, 1500).reads_reports());
     assert!(NimbusController::new(NimbusConfig::default_for_link(MU)).reads_reports());
@@ -464,7 +466,7 @@ fn controllers_that_skip_reports_ignore_them() {
 /// controller claims [`CongestionControl::always_paces`], so the claim must
 /// hold after every callback of the corpus and at every `now` a poll may
 /// ask about: the pace is `Some(r)` with `r > 0`, and the claim itself does
-/// not change.  Every scheme that claims it is checked: each [`CcKind`]
+/// not change.  Every scheme that claims it is checked: each of [`KINDS`]
 /// that claims it (none does today), and Nimbus under every µ strategy ×
 /// ẑ filter, every inner scheme pair and every µ strategy with
 /// pulser/watcher coordination.
@@ -502,13 +504,12 @@ fn controllers_that_always_pace_give_a_positive_pace_everywhere() {
         }
     };
 
-    let path = PathInfo::new(1500);
-    for kind in KINDS {
-        if !kind.build(&path).always_paces() {
+    for build in KINDS {
+        if !build().always_paces() {
             continue;
         }
         for seq in 0..SEQUENCES {
-            check(&format!("{kind:?}"), kind.build(&path).as_mut(), 5.0, seq);
+            check(build().name(), build().as_mut(), 5.0, seq);
         }
     }
 

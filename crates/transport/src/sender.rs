@@ -659,6 +659,7 @@ impl FlowEndpoint for Sender {
 mod tests {
     use super::*;
     use crate::source::{BackloggedSource, FixedSizeSource, PoissonSource, ScriptedSource};
+    use nimbus_core::cc::constant::Unlimited;
     use nimbus_core::cc::{CcKind, PathInfo};
     use nimbus_netsim::{FlowConfig, Network, SimConfig};
     use proptest::prelude::*;
@@ -669,6 +670,12 @@ mod tests {
             kind.build(&PathInfo::new(MSS)),
             source,
         ))
+    }
+
+    /// An [`Unlimited`] sender: the source alone shapes what it sends.
+    fn unlimited(source: Box<dyn Source>) -> Box<Sender> {
+        let cc = Box::new(Unlimited::new());
+        Box::new(Sender::new(SenderConfig::labelled("inelastic"), cc, source))
     }
 
     /// Run a single backlogged flow of the given kind over a standard link and
@@ -815,7 +822,7 @@ mod tests {
         let mut net = Network::new(SimConfig::new(96e6, 0.1, 30.0));
         let h = net.add_flow(
             FlowConfig::primary("poisson", Time::from_millis(50)),
-            sender(CcKind::Unlimited, Box::new(PoissonSource::new(24e6, 11))),
+            unlimited(Box::new(PoissonSource::new(24e6, 11))),
         );
         net.run();
         let (rec, _) = net.finish();
@@ -829,7 +836,7 @@ mod tests {
         let mut net = Network::new(SimConfig::new(96e6, 0.1, 20.0));
         let h = net.add_flow(
             FlowConfig::primary("scripted", Time::from_millis(50)),
-            sender(CcKind::Unlimited, Box::new(ScriptedSource::constant(32e6))),
+            unlimited(Box::new(ScriptedSource::constant(32e6))),
         );
         net.run();
         let (rec, _) = net.finish();
@@ -1029,19 +1036,21 @@ mod tests {
         }
     }
 
-    /// A sender over a [`ScriptedPace`] pacing one packet per ms, after its
-    /// first (paced) send at time zero.
-    fn paced_once(claims: bool) -> Sender {
+    /// A backlogged sender over a [`ScriptedPace`] pacing at `pace` bit/s.
+    fn scripted_sender(pace: f64, claims: bool) -> Sender {
         let cc = ScriptedPace {
-            pace: std::cell::Cell::new(Some(12e6)),
+            pace: std::cell::Cell::new(Some(pace)),
             asked: std::cell::Cell::new(0),
             claims,
         };
-        let mut s = Sender::new(
-            SenderConfig::labelled("scripted"),
-            Box::new(cc),
-            Box::new(BackloggedSource),
-        );
+        let source = Box::new(BackloggedSource);
+        Sender::new(SenderConfig::labelled("scripted"), Box::new(cc), source)
+    }
+
+    /// A sender over a [`ScriptedPace`] pacing one packet per ms, after its
+    /// first (paced) send at time zero.
+    fn paced_once(claims: bool) -> Sender {
+        let mut s = scripted_sender(12e6, claims);
         s.on_start(Time::ZERO);
         assert!(matches!(
             s.poll_send(Time::ZERO),
@@ -1087,18 +1096,18 @@ mod tests {
     }
 
     #[test]
-    fn a_near_zero_constant_rate_waits_instead_of_overflowing_its_pace() {
+    fn a_near_zero_pace_saturates_the_pacing_clock_at_time_max() {
         // A 12 000-bit packet at 1e-9 bit/s is a pacing gap past
         // `Time::MAX`; adding it to a pacing clock past zero must saturate,
         // not wrap into the past and unpace the flow.
-        let kind = CcKind::ConstantRate(1e-9);
-        let mut s = sender(kind, Box::new(BackloggedSource));
+        let mut s = scripted_sender(1e-9, false);
         let start = Time::from_millis(5);
         s.on_start(start);
         assert!(matches!(
             s.poll_send(start),
             SendAction::Transmit { seq: 0, .. }
         ));
+        assert_eq!(s.next_send_time, Time::MAX);
         for _ in 0..3 {
             match s.poll_send(start) {
                 SendAction::WaitUntil(t) => assert!(t > start, "woken at {t}"),

@@ -10,6 +10,7 @@
 //! ```
 
 use nimbus_repro::netsim::{FlowConfig, Network, SimConfig, Time};
+use nimbus_repro::nimbus::cc::constant::Unlimited;
 use nimbus_repro::nimbus::{DetectorVerdict, NimbusConfig, NimbusController, Publisher};
 use nimbus_repro::transport::{
     BackloggedSource, CcKind, PathInfo, PoissonSource, Sender, SenderConfig, MSS,
@@ -72,7 +73,7 @@ fn main() {
                 FlowConfig::cross("poisson", Time::from_millis(50), false),
                 Box::new(Sender::new(
                     SenderConfig::labelled("poisson"),
-                    CcKind::Unlimited.build(&PathInfo::new(MSS)),
+                    Box::new(Unlimited::new()),
                     Box::new(PoissonSource::new(48e6, 3)),
                 )),
             );

@@ -6,9 +6,10 @@
 //! ```
 
 use nimbus_repro::netsim::{FlowConfig, Network, SimConfig, Time};
+use nimbus_repro::nimbus::cc::constant::Unlimited;
 use nimbus_repro::nimbus::NimbusConfig;
 use nimbus_repro::sim::nimbus_flow;
-use nimbus_repro::transport::{CcKind, PathInfo, PoissonSource, Sender, SenderConfig, MSS};
+use nimbus_repro::transport::{PoissonSource, Sender, SenderConfig};
 
 fn main() {
     // A 48 Mbit/s bottleneck with 50 ms propagation RTT and 100 ms of buffering.
@@ -26,7 +27,7 @@ fn main() {
         FlowConfig::cross("poisson", Time::from_millis(50), false),
         Box::new(Sender::new(
             SenderConfig::labelled("poisson"),
-            CcKind::Unlimited.build(&PathInfo::new(MSS)),
+            Box::new(Unlimited::new()),
             Box::new(PoissonSource::new(24e6, 7)),
         )),
     );

@@ -2,6 +2,7 @@
 //! must produce byte-identical recorder output; different seeds must not.
 
 use nimbus_repro::netsim::{FlowConfig, Network, SimConfig, Time};
+use nimbus_repro::nimbus::cc::constant::Unlimited;
 use nimbus_repro::transport::{
     BackloggedSource, CcKind, PathInfo, PoissonSource, Sender, SenderConfig,
 };
@@ -25,7 +26,7 @@ fn run_snapshot(seed: u64) -> String {
         FlowConfig::cross("poisson", Time::from_millis(50), false),
         Box::new(Sender::new(
             SenderConfig::labelled("poisson"),
-            CcKind::Unlimited.build(&PathInfo::new(1500)),
+            Box::new(Unlimited::new()),
             Box::new(PoissonSource::new(12e6, seed.wrapping_add(17))),
         )),
     );

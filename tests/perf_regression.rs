@@ -22,10 +22,11 @@
 //! without a clock by the event budget `Cell::run` checks on every
 //! paper-matrix cell (`tests/scenario_matrix.rs`).
 
+use nimbus_core::cc::constant::Unlimited;
 use nimbus_experiments::Cell;
 use nimbus_netsim::endpoint::{AckInfo, FlowEndpoint, SendAction};
 use nimbus_netsim::Time;
-use nimbus_transport::{BackloggedSource, CcKind, PathInfo, Sender, SenderConfig};
+use nimbus_transport::{BackloggedSource, Sender, SenderConfig};
 
 /// Drive a sender into permanent SACK recovery with a large scoreboard —
 /// every even segment lost, every odd segment SACKed — and count the
@@ -34,7 +35,7 @@ use nimbus_transport::{BackloggedSource, CcKind, PathInfo, Sender, SenderConfig}
 fn sack_scan_cost_is_linear_in_acks_plus_holes() {
     let mut sender = Sender::new(
         SenderConfig::labelled("cbr-like"),
-        CcKind::Unlimited.build(&PathInfo::new(1500)),
+        Box::new(Unlimited::new()),
         Box::new(BackloggedSource),
     );
     sender.on_start(Time::ZERO);

@@ -36,14 +36,9 @@ fn every_pre_redesign_variant_reproduces_its_fingerprint() {
 
 #[test]
 fn builder_alias_and_string_paths_agree() {
-    // Three routes to the same spec — the `cbr(…)`/`reno` spelling aliases
-    // of the scheme grammar's tables, the canonical string, and the
-    // constructor or the `NimbusSpec` the grammar fills in — are the same
-    // value.
-    let from_alias: SchemeSpec = "cbr(24M)".parse().unwrap();
-    let from_string: SchemeSpec = "constant(24M)".parse().unwrap();
-    assert_eq!(from_alias, from_string);
-    assert_eq!(from_string, SchemeSpec::constant(24e6));
+    // Three routes to the same spec — the `newreno` spelling alias of the
+    // scheme grammar's tables, the canonical string, and the `NimbusSpec`
+    // the grammar fills in — are the same value.
     let from_alias: SchemeSpec = "nimbus(competitive=newreno,delay=copa)".parse().unwrap();
     let from_string: SchemeSpec = "nimbus(competitive=reno,delay=copa)".parse().unwrap();
     let from_struct = SchemeSpec::Nimbus(NimbusSpec {
@@ -146,8 +141,6 @@ const SCHEMES: &[&str] = &[
     "vivace",
     "compound",
     "dctcp",
-    "unlimited",
-    "constant(#M)",
     "nimbus",
     "nimbus(competitive=reno,delay=vegas,switch=never)",
     "nimbus(competitive=dctcp,delay=copa,mu=learned,zfilter=adaptive)",
@@ -347,12 +340,11 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("scheme", "nimbus(pulse=0.5)", "unknown nimbus option"),
     ("scheme", "nimbus(delay)", "key=value"),
     ("scheme", "nimbus(delay=copa", "closing"),
-    ("scheme", "constant()", "invalid rate"),
-    ("scheme", "constant(-3M)", "invalid rate"),
-    ("scheme", "constant(12Q)", "invalid rate"),
-    // The `cbr(` alias gets the same precise diagnostics.
-    ("scheme", "cbr(fast)", "invalid rate"),
-    ("scheme", "cbr(24M", "closing"),
+    // A CBR stream is the `cbr@<load>` cross flow, and an unlimited sender
+    // is its no-op controller: neither is a congestion-control scheme.
+    ("scheme", "constant(24M)", "unknown scheme"),
+    ("scheme", "cbr(24M)", "unknown scheme"),
+    ("scheme", "unlimited", "unknown scheme"),
     // µ strategies and ẑ filters.
     ("scheme", "nimbus(mu=learned(probe=fast))", "not a number"),
     ("scheme", "nimbus(mu=learned(probe=-1))", "positive"),
@@ -443,6 +435,8 @@ const REJECTED: &[(&str, &str, &str)] = &[
     ("cell", "cubic 48M vs alone dur=10s steady=2s", "not a cell"),
     ("cell", "cubic@fast vs alone dur=10s steady=2s", "invalid rate"),
     ("cell", "cubic@ vs alone dur=10s steady=2s", "invalid rate"),
+    ("cell", "cubic@-3M vs alone dur=10s steady=2s", "invalid rate"),
+    ("cell", "cubic@12Q vs alone dur=10s steady=2s", "invalid rate"),
     ("cell", "cubic@48M vs alone steady=2s", "needs its duration"),
     ("cell", "cubic@48M vs alone dur=10s", "steady=<dur>"),
     ("cell", "cubic@48M vs alone dur=10s steady=2s steady=3s", "steady=<dur>"),
