@@ -343,7 +343,7 @@ pub fn fig21(quick: bool) -> ExperimentResult {
         let out = run_scheme_vs_cross(&spec, scheme, 5.0);
         let fcts = out.recorder.fct_stream();
         for (label, lo, hi) in FIG21_SIZE_BUCKETS {
-            let stats = fct_stats(fcts, (lo, hi));
+            let stats = fct_stats(fcts.clone(), (lo, hi));
             if stats.count > 0 {
                 result.row(
                     &format!("{}_p95_fct_{label}_s", scheme.label()),

@@ -21,7 +21,12 @@ use crate::scheme::SchemeSpec;
 
 /// Append the FCT rows of the flows in `record` of `lo < size <= hi` bytes
 /// under a `prefix`.
-fn fct_rows(result: &mut ExperimentResult, prefix: &str, record: &[(u64, f64)], sizes: (u64, u64)) {
+fn fct_rows(
+    result: &mut ExperimentResult,
+    prefix: &str,
+    record: impl IntoIterator<Item = (u64, f64)>,
+    sizes: (u64, u64),
+) {
     let stats = fct_stats(record, sizes);
     result.row(&format!("{prefix}_count"), stats.count as f64);
     result.row(&format!("{prefix}_mean_s"), stats.mean_s);
@@ -92,12 +97,17 @@ pub fn fleet_fct(quick: bool) -> ExperimentResult {
             m.mean_queue_delay_ms,
         );
         let record = out.recorder.fct_stream();
-        fct_rows(&mut result, &format!("{label}_fct_all"), record, ALL_SIZES);
+        fct_rows(
+            &mut result,
+            &format!("{label}_fct_all"),
+            record.clone(),
+            ALL_SIZES,
+        );
         for (bucket, lo, hi) in FLEET_SIZE_BUCKETS {
             fct_rows(
                 &mut result,
                 &format!("{label}_fct_{bucket}"),
-                record,
+                record.clone(),
                 (lo, hi),
             );
         }

@@ -124,12 +124,14 @@ pub struct FctStats {
     pub p99_s: f64,
 }
 
-/// The completion times in `record` (a recorder's `fct_stream`) of flows
-/// of `lo < size <= hi` bytes, summarised by `nimbus_dsp::mean` and
-/// `nimbus_dsp::percentile`.
-pub fn fct_stats(record: &[(u64, f64)], (lo, hi): (u64, u64)) -> FctStats {
-    let inside = record.iter().filter(|&&(size, _)| lo < size && size <= hi);
-    let mut fcts: Vec<f64> = inside.map(|&(_, fct)| fct).collect();
+/// The completion times in `record` (a recorder's `fct_stream`, in
+/// completion order) of flows of `lo < size <= hi` bytes, summarised by
+/// `nimbus_dsp::mean` and `nimbus_dsp::percentile`.
+pub fn fct_stats(record: impl IntoIterator<Item = (u64, f64)>, (lo, hi): (u64, u64)) -> FctStats {
+    let inside = record
+        .into_iter()
+        .filter(|&(size, _)| lo < size && size <= hi);
+    let mut fcts: Vec<f64> = inside.map(|(_, fct)| fct).collect();
     if fcts.is_empty() {
         let nan = f64::NAN;
         return FctStats {
@@ -264,14 +266,18 @@ mod tests {
         let record: Vec<(u64, f64)> = (sizes.iter().enumerate())
             .map(|(i, &size)| (size, 0.01 * (i as f64 + 1.0).powf(1.7)))
             .collect();
-        let counts = FLEET_SIZE_BUCKETS.map(|(_, lo, hi)| fct_stats(&record, (lo, hi)).count);
+        let counts =
+            FLEET_SIZE_BUCKETS.map(|(_, lo, hi)| fct_stats(record.iter().copied(), (lo, hi)).count);
         assert_eq!(counts, [3, 2, 3]);
-        assert_eq!(fct_stats(&record, ALL_SIZES).count, record.len());
+        assert_eq!(
+            fct_stats(record.iter().copied(), ALL_SIZES).count,
+            record.len()
+        );
         // The upper bound is inclusive: 100 000 B is a mouse, 999 999 B is
         // medium and 1 000 000 B an elephant.
         for (size, bucket) in [(100_000, 0), (999_999, 1), (1_000_000, 2)] {
             let counts =
-                FLEET_SIZE_BUCKETS.map(|(_, lo, hi)| fct_stats(&[(size, 1.0)], (lo, hi)).count);
+                FLEET_SIZE_BUCKETS.map(|(_, lo, hi)| fct_stats([(size, 1.0)], (lo, hi)).count);
             let mut only = [0; 3];
             only[bucket] = 1;
             assert_eq!(counts, only, "{size} B");
@@ -284,7 +290,7 @@ mod tests {
                 .filter(|&&(size, _)| lo < size && size <= hi)
                 .map(|&(_, fct)| fct)
                 .collect();
-            let stats = fct_stats(&record, (lo, hi));
+            let stats = fct_stats(record.iter().copied(), (lo, hi));
             assert_eq!(stats.count, fcts.len());
             assert_eq!(stats.mean_s.to_bits(), nimbus_dsp::mean(&fcts).to_bits());
             for (got, p) in [
@@ -296,7 +302,7 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "p{p} of ({lo}, {hi}]");
             }
         }
-        let empty = fct_stats(&record, (20_000_000, u64::MAX));
+        let empty = fct_stats(record.iter().copied(), (20_000_000, u64::MAX));
         assert_eq!(empty.count, 0);
         let statistics = [empty.mean_s, empty.p50_s, empty.p95_s, empty.p99_s];
         assert!(statistics.iter().all(|s| s.is_nan()));

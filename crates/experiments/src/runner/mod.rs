@@ -225,7 +225,7 @@ mod tests {
             "cubic got {} Mbit/s under 30% churn",
             m.mean_throughput_mbps
         );
-        let all = fct_stats(fcts, ALL_SIZES);
+        let all = fct_stats(fcts.clone(), ALL_SIZES);
         assert_eq!(all.count, fcts.len());
         let (_, lo, hi) = FLEET_SIZE_BUCKETS[0];
         assert!(

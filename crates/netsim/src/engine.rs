@@ -1550,7 +1550,7 @@ mod tests {
         net.run();
         let (rec, _) = net.finish();
         let stats = &rec.flows[h.0];
-        assert!(stats.finish.is_some(), "flow should have finished");
+        assert!(stats.finish().is_some(), "flow should have finished");
         let fct = stats.fct().unwrap().as_secs_f64();
         // 150 kB at 12 Mbit/s is 0.1 s; allow pacing/ack slack.
         assert!(fct > 0.05 && fct < 0.5, "fct {fct}");
@@ -1733,7 +1733,7 @@ mod tests {
         net.run();
         let admitted = net.total_enqueued_bytes() / 1500;
         let (rec, _) = net.finish();
-        let dropped = rec.flows[h.0].dropped_packets;
+        let dropped = u64::from(rec.flows[h.0].dropped_packets);
         let rate = dropped as f64 / (dropped + admitted) as f64;
         assert!((rate - 0.05).abs() < 0.01, "loss rate {rate}");
     }
@@ -1802,7 +1802,7 @@ mod tests {
         let (rec, endpoints) = net.finish();
         for (i, stats) in rec.flows.iter().enumerate() {
             assert!(stats.started, "flow {i} started");
-            assert!(stats.finish.is_some(), "flow {i} finished");
+            assert!(stats.finish().is_some(), "flow {i} finished");
             assert_eq!(stats.delivered_bytes, 15_000, "flow {i} delivered");
             assert!(stats.fct().unwrap() > Time::ZERO);
         }
@@ -2097,7 +2097,7 @@ mod tests {
                 .flows
                 .iter()
                 .map(|f| f.dropped_packets)
-                .sum::<u64>(),
+                .sum::<u32>(),
             0
         );
         // A link is reused before the pool grows, so the high-water mark
@@ -2165,7 +2165,7 @@ mod tests {
         let first = if retiring { first.retiring() } else { first };
         net.add_flow(first, Box::new(PacedCbr::new(50e6).with_limit(100)));
         net.schedule_clocks();
-        while net.recorder().flows[0].finish.is_none() {
+        while net.recorder().flows[0].finish().is_none() {
             assert!(net.step(), "the first flow finishes within the run");
         }
         let at_finish = net.recorder().flows[0].clone();
@@ -2202,7 +2202,7 @@ mod tests {
             assert_eq!(retired.received_bytes, kept.received_bytes);
             assert_eq!(retired.delivered_bytes, kept.delivered_bytes);
             assert_eq!(retired.dropped_packets, kept.dropped_packets);
-            assert_eq!(retired.finish, kept.finish);
+            assert_eq!(retired.finish(), kept.finish());
         }
     }
 

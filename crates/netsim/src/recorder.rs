@@ -154,39 +154,121 @@ impl IntervalBuf {
     }
 }
 
-/// Summary of a finished (or still running) flow.
-#[derive(Debug, Clone, Serialize)]
+/// Summary of a finished (or still running) flow: 72 B plus its label's
+/// text, one per flow ever registered, kept in [`Recorder::flows`] at the
+/// flow's id.
+///
+/// The id is the record's index, so it is not stored; the snapshot's
+/// `flows` entry writes it.  `finish` and `size_bytes` store a sentinel no
+/// run reaches in place of `None` — [`Time::MAX`] for a flow that has not
+/// finished and `u64::MAX` for an unbounded flow — and are read through
+/// [`FlowStats::finish`] and [`FlowStats::size_bytes`].  `dropped_packets`,
+/// `started` and `counts_as_elastic` share the record's last 8 bytes.
+#[derive(Debug, Clone)]
 pub struct FlowStats {
-    /// Flow identifier.
-    pub id: FlowId,
     /// Human-readable label copied from the flow configuration.
     pub label: String,
-    /// Whether the experiment counts this flow as elastic cross traffic
-    /// (`None` for monitored flows, which are not cross traffic).
-    pub counts_as_elastic: Option<bool>,
     /// Time the flow was configured to start.
     pub start: Time,
-    /// Whether the flow actually started during the run.  Flows whose
-    /// configured `start` lies beyond the simulation duration never run and
-    /// must not pollute FCT or ground-truth aggregates.
-    pub started: bool,
-    /// Time the flow finished, if it did.
-    pub finish: Option<Time>,
+    /// Time the flow finished, or [`FlowStats::UNFINISHED`].
+    finish: Time,
     /// Total bytes delivered in order to the receiver (goodput).
     pub delivered_bytes: u64,
     /// Total bytes that arrived at the receiver, regardless of order
     /// (the throughput the paper's figures plot).
     pub received_bytes: u64,
+    /// Flow size in bytes, or [`FlowStats::UNSIZED`] for an unbounded flow.
+    size_bytes: u64,
     /// Total data packets that were dropped (by a queue or the loss model).
-    pub dropped_packets: u64,
-    /// Flow size in bytes if the flow was finite.
-    pub size_bytes: Option<u64>,
+    pub dropped_packets: u32,
+    /// Whether the flow actually started during the run.  Flows whose
+    /// configured `start` lies beyond the simulation duration never run and
+    /// must not pollute FCT or ground-truth aggregates.
+    pub started: bool,
+    /// Whether the experiment counts this flow as elastic cross traffic
+    /// (`None` for monitored flows, which are not cross traffic).
+    pub counts_as_elastic: Option<bool>,
 }
 
+const _: () = assert!(std::mem::size_of::<FlowStats>() == 72);
+
 impl FlowStats {
+    /// The stored `finish` of a flow that has not finished.
+    const UNFINISHED: Time = Time::MAX;
+    /// The stored `size_bytes` of an unbounded flow.
+    const UNSIZED: u64 = u64::MAX;
+
+    /// A registered flow that has not started yet.
+    fn new(label: String, counts_as_elastic: Option<bool>, start: Time, size: Option<u64>) -> Self {
+        assert_ne!(
+            size,
+            Some(Self::UNSIZED),
+            "a flow size must be below u64::MAX"
+        );
+        FlowStats {
+            label,
+            start,
+            finish: Self::UNFINISHED,
+            delivered_bytes: 0,
+            received_bytes: 0,
+            size_bytes: size.unwrap_or(Self::UNSIZED),
+            dropped_packets: 0,
+            started: false,
+            counts_as_elastic,
+        }
+    }
+
+    /// Time the flow finished, if it did.
+    pub fn finish(&self) -> Option<Time> {
+        (self.finish != Self::UNFINISHED).then_some(self.finish)
+    }
+
+    /// Flow size in bytes if the flow was finite.
+    pub fn size_bytes(&self) -> Option<u64> {
+        (self.size_bytes != Self::UNSIZED).then_some(self.size_bytes)
+    }
+
     /// Flow completion time, if the flow finished.
     pub fn fct(&self) -> Option<Time> {
-        self.finish.map(|f| f.saturating_sub(self.start))
+        self.finish().map(|f| f.saturating_sub(self.start))
+    }
+
+    /// Record that the flow finished at `now`.
+    fn set_finish(&mut self, now: Time) {
+        debug_assert_ne!(now, Self::UNFINISHED, "no run reaches Time::MAX");
+        self.finish = now;
+    }
+}
+
+/// The snapshot's `flows` entry: each record as one object, its index
+/// written as its `id`.
+struct Flows<'a>(&'a [FlowStats]);
+
+impl Serialize for Flows<'_> {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.seq(self.0.iter().enumerate().map(|(id, f)| FlowRecord(id, f)));
+    }
+}
+
+/// One [`FlowStats`] with its id, written in the snapshot's field order.
+struct FlowRecord<'a>(FlowId, &'a FlowStats);
+
+impl Serialize for FlowRecord<'_> {
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        let FlowRecord(id, f) = *self;
+        let entries: [(&str, &dyn Serialize); 10] = [
+            ("id", &id),
+            ("label", &f.label),
+            ("counts_as_elastic", &f.counts_as_elastic),
+            ("start", &f.start),
+            ("started", &f.started),
+            ("finish", &f.finish()),
+            ("delivered_bytes", &f.delivered_bytes),
+            ("received_bytes", &f.received_bytes),
+            ("dropped_packets", &u64::from(f.dropped_packets)),
+            ("size_bytes", &f.size_bytes()),
+        ];
+        w.map(entries);
     }
 }
 
@@ -195,8 +277,8 @@ impl FlowStats {
 /// A *monitored* flow (one a [`crate::FlowConfig`] registers with
 /// `counts_as_elastic: None`) gets the per-interval series below, indexed
 /// by its [`Recorder::monitored_slot`]; every flow gets its [`FlowStats`];
-/// and a finite flow that finishes appends its completion to
-/// [`Recorder::fct_stream`].
+/// and a finite flow that finishes appends its id to the completion record
+/// that [`Recorder::fct_stream`] reads.
 ///
 /// Every series is sampled on one clock, stored once: a series is a bare
 /// column of values, and its accessor lends it out as a [`TimeSeries`]
@@ -238,8 +320,9 @@ pub struct Recorder {
     /// The monitored flows in registration order, so ascending by id: a
     /// flow's position here is its slot in the per-monitored-flow series.
     monitored: Vec<FlowId>,
-    /// `(size_bytes, fct_seconds)` appended as finite flows finish.
-    fct_stream: Vec<(u64, f64)>,
+    /// The ids of finite flows that ran, appended as they finish: the
+    /// completion record [`Recorder::fct_stream`] reads.
+    completions: Vec<u32>,
     intervals: IntervalBuf,
     cross_elastic_bytes: u64,
     cross_inelastic_bytes: u64,
@@ -266,7 +349,7 @@ impl Recorder {
             elastic_fraction: Vec::new(),
             flows: Vec::new(),
             monitored: Vec::new(),
-            fct_stream: Vec::new(),
+            completions: Vec::new(),
             intervals: IntervalBuf::default(),
             cross_elastic_bytes: 0,
             cross_inelastic_bytes: 0,
@@ -346,18 +429,8 @@ impl Recorder {
         size_bytes: Option<u64>,
     ) {
         debug_assert_eq!(id, self.flows.len(), "flows must be registered in order");
-        self.flows.push(FlowStats {
-            id,
-            label,
-            counts_as_elastic,
-            start,
-            started: false,
-            finish: None,
-            delivered_bytes: 0,
-            received_bytes: 0,
-            dropped_packets: 0,
-            size_bytes,
-        });
+        self.flows
+            .push(FlowStats::new(label, counts_as_elastic, start, size_bytes));
         if monitored {
             debug_assert!(self.monitored.last().is_none_or(|&m| m < id));
             self.monitored.push(id);
@@ -430,12 +503,11 @@ impl Recorder {
 
     /// The flow finished (delivered all its data).
     pub fn on_finish(&mut self, flow: FlowId, now: Time) {
-        self.flows[flow].finish = Some(now);
-        let f = &self.flows[flow];
-        if f.started {
-            if let (Some(sz), Some(fct)) = (f.size_bytes, f.fct()) {
-                self.fct_stream.push((sz, fct.as_secs_f64()));
-            }
+        let f = &mut self.flows[flow];
+        f.set_finish(now);
+        if f.started && f.size_bytes().is_some() {
+            let id = u32::try_from(flow).expect("flow ids fit in u32");
+            self.completions.push(id);
         }
     }
 
@@ -500,10 +572,14 @@ impl Recorder {
 
     /// The completion record: one `(size_bytes, fct_seconds)` pair for
     /// every finite flow that actually ran and finished, in completion
-    /// order, appended as flows finish — usable mid-run without walking the
-    /// whole flow table.
-    pub fn fct_stream(&self) -> &[(u64, f64)] {
-        &self.fct_stream
+    /// order — usable mid-run without walking the whole flow table.  The
+    /// recorder keeps a 4-byte flow id per completion, appended as the flow
+    /// finishes, and reads each pair from that flow's [`FlowStats`].
+    pub fn fct_stream(&self) -> impl ExactSizeIterator<Item = (u64, f64)> + Clone + '_ {
+        self.completions.iter().map(|&id| {
+            let f = &self.flows[id as usize];
+            (f.size_bytes, f.finish.saturating_sub(f.start).as_secs_f64())
+        })
     }
 }
 
@@ -530,7 +606,7 @@ impl Serialize for Snapshot<'_> {
             ("queue_bytes", &r.queue_bytes(), true),
             ("cross_rate_mbps", &r.cross_rate_mbps(), true),
             ("elastic_fraction", &r.elastic_fraction(), true),
-            ("flows", &r.flows, true),
+            ("flows", &Flows(&r.flows), true),
             ("hop_queue_bytes", &columns(&r.hop_queue_bytes), hops),
             ("hop_dropped_packets", &r.hop_dropped_packets, hops),
             ("hop_marked_packets", &r.hop_marked_packets, marks),
@@ -571,6 +647,7 @@ impl fmt::Write for Fnv1a {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fingerprints_are_order_sensitive() {
@@ -673,7 +750,7 @@ mod tests {
         r.on_finish(0, Time::from_millis(3000));
         let f = &r.flows[0];
         assert_eq!(f.fct(), Some(Time::from_millis(2000)));
-        let fcts = r.fct_stream();
+        let fcts: Vec<_> = r.fct_stream().collect();
         assert_eq!(fcts.len(), 1);
         assert_eq!(fcts[0].0, 1_000_000);
         assert!((fcts[0].1 - 2.0).abs() < 1e-9);
@@ -737,7 +814,10 @@ mod tests {
         r.on_finish(1, Time::from_secs_f64(3.0));
         r.on_finish(0, Time::from_secs_f64(4.0));
         r.on_finish(2, Time::from_secs_f64(5.0));
-        assert_eq!(r.fct_stream(), &[(2_000, 2.0), (1_000, 4.0)]);
+        assert_eq!(
+            r.fct_stream().collect::<Vec<_>>(),
+            [(2_000, 2.0), (1_000, 4.0)]
+        );
     }
 
     /// The snapshot's top-level keys, in order: the reviewed list of what a
@@ -895,5 +975,125 @@ mod tests {
         r.on_drop(0, 0);
         r.on_drop(0, 0);
         assert_eq!(r.flows[0].dropped_packets, 2);
+    }
+
+    /// The reference record: every field its own value, `id` included,
+    /// written by `#[derive(Serialize)]`.  [`FlowStats`] stores less and
+    /// must write the same bytes.
+    #[derive(Serialize)]
+    struct DerivedFlowStats {
+        id: FlowId,
+        label: String,
+        counts_as_elastic: Option<bool>,
+        start: Time,
+        started: bool,
+        finish: Option<Time>,
+        delivered_bytes: u64,
+        received_bytes: u64,
+        dropped_packets: u64,
+        size_bytes: Option<u64>,
+    }
+
+    /// A draw below `top` that is 0 or 1 a quarter of the time and
+    /// `top - 1` or `top - 2` another quarter.
+    fn near_edges(rng: &mut TestRng, top: u64) -> u64 {
+        match rng.range_u64(0, 4) {
+            0 => rng.range_u64(0, 2),
+            1 => top - rng.range_u64(1, 3),
+            _ => rng.range_u64(0, top),
+        }
+    }
+
+    /// `Some(value())` or `None`, evenly.
+    fn maybe<T>(rng: &mut TestRng, value: impl FnOnce(&mut TestRng) -> T) -> Option<T> {
+        (rng.range_u64(0, 2) == 1).then(|| value(rng))
+    }
+
+    /// A label of up to 2 000 characters, with quotes, backslashes,
+    /// control characters and multi-byte ones among them.
+    fn label(rng: &mut TestRng) -> String {
+        const CHARS: [char; 8] = ['a', 'Z', '-', '"', '\\', '\n', '\u{1}', 'é'];
+        let len = near_edges(rng, 2_000);
+        let chars = (0..len).map(|_| CHARS[rng.range_u64(0, 8) as usize]);
+        chars.collect()
+    }
+
+    /// A record and its reference twin, drawn from `rng`.
+    fn records(rng: &mut TestRng, id: FlowId) -> (FlowStats, DerivedFlowStats) {
+        let label = label(rng);
+        let counts_as_elastic = maybe(rng, |rng| rng.range_u64(0, 2) == 1);
+        let start = Time(near_edges(rng, u64::MAX) + rng.range_u64(0, 2));
+        let size_bytes = maybe(rng, |rng| near_edges(rng, u64::MAX));
+        let finish = maybe(rng, |rng| Time(near_edges(rng, u64::MAX)));
+        let mut f = FlowStats::new(label.clone(), counts_as_elastic, start, size_bytes);
+        f.started = rng.range_u64(0, 2) == 1;
+        if let Some(t) = finish {
+            f.set_finish(t);
+        }
+        f.delivered_bytes = near_edges(rng, u64::MAX) + rng.range_u64(0, 2);
+        f.received_bytes = near_edges(rng, u64::MAX) + rng.range_u64(0, 2);
+        f.dropped_packets = near_edges(rng, 1 << 32) as u32;
+        let derived = DerivedFlowStats {
+            id,
+            label,
+            counts_as_elastic,
+            start,
+            started: f.started,
+            finish,
+            delivered_bytes: f.delivered_bytes,
+            received_bytes: f.received_bytes,
+            dropped_packets: f.dropped_packets.into(),
+            size_bytes,
+        };
+        (f, derived)
+    }
+
+    proptest! {
+        #[test]
+        fn flow_records_write_the_derived_bytes(seed in 0u64..u64::MAX, count in 0usize..24) {
+            let mut rng = TestRng::new(seed);
+            let (compact, derived): (Vec<_>, Vec<_>) =
+                (0..count).map(|id| records(&mut rng, id)).unzip();
+            for (f, d) in compact.iter().zip(&derived) {
+                prop_assert_eq!(f.finish(), d.finish);
+                prop_assert_eq!(f.size_bytes(), d.size_bytes);
+            }
+            let flows = Flows(&compact);
+            prop_assert_eq!(
+                serde_json::to_string(&flows).unwrap(),
+                serde_json::to_string(&derived).unwrap()
+            );
+            prop_assert_eq!(
+                serde_json::to_string_pretty(&flows).unwrap(),
+                serde_json::to_string_pretty(&derived).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn the_largest_values_below_the_sentinels_are_kept() {
+        let mut r = Recorder::new(RecorderConfig::default(), 1);
+        r.register_flow(
+            0,
+            "f".into(),
+            Some(true),
+            false,
+            Time::ZERO,
+            Some(u64::MAX - 1),
+        );
+        r.on_flow_start(0);
+        r.on_finish(0, Time(u64::MAX - 1));
+        let f = &r.flows[0];
+        assert_eq!(f.size_bytes(), Some(u64::MAX - 1));
+        assert_eq!(f.finish(), Some(Time(u64::MAX - 1)));
+        let fcts: Vec<_> = r.fct_stream().collect();
+        assert_eq!(fcts, [(u64::MAX - 1, Time(u64::MAX - 1).as_secs_f64())]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a flow size must be below u64::MAX")]
+    fn a_flow_of_the_sentinel_size_is_refused() {
+        let mut r = Recorder::new(RecorderConfig::default(), 1);
+        r.register_flow(0, "f".into(), Some(true), false, Time::ZERO, Some(u64::MAX));
     }
 }

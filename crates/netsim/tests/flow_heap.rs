@@ -130,8 +130,8 @@ fn the_peak_heap_grows_only_by_what_each_flow_reports() {
     // cost and not a doubling caught at a different moment.
     let (small, large) = (4_000, 32_000);
     let per_flow = (peak_heap_of(large) - peak_heap_of(small)) as f64 / (large - small) as f64;
-    // `FlowStats` is 104 B, a completion record 16 B, a slot map entry 4 B
-    // and a label a few bytes; a slot of engine state (112 B) per flow ever
-    // spawned would not fit.
-    assert!(per_flow <= 160.0, "{per_flow:.1} B per extra flow");
+    // `FlowStats` is 72 B, a completion record (a flow id) 4 B, a slot map
+    // entry 4 B and a label a few bytes; a slot of engine state (112 B) per
+    // flow ever spawned would not fit.
+    assert!(per_flow <= 96.0, "{per_flow:.1} B per extra flow");
 }

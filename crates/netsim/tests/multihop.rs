@@ -205,7 +205,7 @@ fn mid_path_cross_traffic_enters_and_is_dropped_at_its_entry_hop() {
     let (rec, _) = net.finish();
     assert_eq!(rec.hop_dropped_packets[0], 0, "hop 0 is uncongested");
     assert!(rec.flows[cross.0].dropped_packets > 0);
-    assert!(rec.hop_dropped_packets[1] >= rec.flows[cross.0].dropped_packets);
+    assert!(rec.hop_dropped_packets[1] >= u64::from(rec.flows[cross.0].dropped_packets));
     let tput = rec
         .throughput_mbps(rec.monitored_slot(main.0).unwrap())
         .mean_in_range(4.0, 10.0);

@@ -71,7 +71,7 @@ impl FlowEndpoint for PacedCbr {
 /// accounted for: admitted bytes are received, dropped in transit or still
 /// in the network, and every packet sent and neither received nor in the
 /// network is a drop the recorder saw.
-fn overload_through(queue: QueueKind) -> (f64, u64, f64) {
+fn overload_through(queue: QueueKind) -> (f64, u32, f64) {
     let rate = 24e6;
     let mut cfg = SimConfig::new(rate, 0.1, 20.0);
     cfg.link_mut().queue = queue;

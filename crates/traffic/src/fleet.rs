@@ -114,8 +114,8 @@ impl FleetWorkloadConfig {
 /// source).  The sender itself carries the static label `fleet`.  The boxes
 /// are freed when the flow retires, and the engine slot that held them is
 /// reused once its last packet and ACK are gone; what the run keeps per flow
-/// is the recorder's `FlowStats` (with the label), its completion record
-/// and a 4-byte slot map entry.
+/// is the recorder's 72-byte `FlowStats` (with the label), its 4-byte
+/// completion record entry and a 4-byte slot map entry.
 pub struct FleetSpawner {
     cfg: FleetWorkloadConfig,
     rng: StdRng,
@@ -322,7 +322,7 @@ mod tests {
             .recorder()
             .flows
             .iter()
-            .filter(|f| f.finish.is_some())
+            .filter(|f| f.finish().is_some())
             .count();
         assert_eq!(
             net.retired_flow_count(),

@@ -430,7 +430,9 @@ impl FlowEndpoint for Sender {
             // Anything below the new cumulative ACK is no longer interesting.
             self.sacked.advance_to(self.cum_acked);
             self.rtx_pending.advance_to(self.cum_acked);
-            self.rtx_queue.retain(|&s| s >= self.cum_acked);
+            if !self.rtx_queue.is_empty() {
+                self.rtx_queue.retain(|&s| s >= self.cum_acked);
+            }
 
             if let Some(rp) = self.recovery_point {
                 if self.cum_acked >= rp {
@@ -686,7 +688,7 @@ mod tests {
         rtt_ms: u64,
         buffer_s: f64,
         duration_s: f64,
-    ) -> (f64, f64, u64) {
+    ) -> (f64, f64, u32) {
         let mut net = Network::new(SimConfig::new(rate_bps, buffer_s, duration_s));
         let h = net.add_flow(
             FlowConfig::primary(kind.name(), Time::from_millis(rtt_ms)),
@@ -810,7 +812,7 @@ mod tests {
         net.run();
         let (rec, _) = net.finish();
         let stats = &rec.flows[h.0];
-        assert!(stats.finish.is_some(), "flow must complete");
+        assert!(stats.finish().is_some(), "flow must complete");
         assert_eq!(stats.delivered_bytes, 1_500_000);
         let fct = stats.fct().unwrap().as_secs_f64();
         // 1.5 MB at 48 Mbit/s is 0.25 s minimum; slow start makes it longer.
@@ -858,7 +860,7 @@ mod tests {
         let (rec, endpoints) = net.finish();
         let stats = &rec.flows[h.0];
         assert!(
-            stats.finish.is_some(),
+            stats.finish().is_some(),
             "transfer must complete despite loss"
         );
         assert_eq!(stats.delivered_bytes, 6_000_000);

@@ -84,15 +84,15 @@ fn fleet_fcts_are_complete_and_size_bucketed() {
         .recorder
         .flows
         .iter()
-        .filter(|f| f.started && f.size_bytes.is_some() && f.finish.is_some())
+        .filter(|f| f.started && f.size_bytes().is_some() && f.finish().is_some())
         .count();
     assert_eq!(out.recorder.fct_stream().len(), finished);
 
     // The fleet buckets partition the completions.
     let record = out.recorder.fct_stream();
-    let all = fct_stats(record, ALL_SIZES);
+    let all = fct_stats(record.clone(), ALL_SIZES);
     let [mice, medium, elephant] =
-        FLEET_SIZE_BUCKETS.map(|(_, lo, hi)| fct_stats(record, (lo, hi)));
+        FLEET_SIZE_BUCKETS.map(|(_, lo, hi)| fct_stats(record.clone(), (lo, hi)));
     assert_eq!(all.count, mice.count + medium.count + elephant.count);
     assert!(all.count >= 1000);
     // The heavy-tailed mixture makes mice the large majority of *flows*.
